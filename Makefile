@@ -10,8 +10,7 @@ GO ?= go
 # ablation (the RTS dispatch path), the run-control event-stream
 # overhead (events-off must stay the no-subscriber fast path; events-on
 # within ~10% of it), the synchronizer round-trip shapes (batched frames
-# must stay O(1) per stage), the Fig 6 wire-codec ablation (binary must
-# stay ahead of JSON) and the daemon multi-run comparison (K concurrent
+# must stay O(1) per stage), the daemon multi-run comparison (K concurrent
 # entkd-hosted runs vs K sequential in-process runs — the shared pilot
 # pool must keep amortizing setup) and the remote round-trip ablation
 # (the networked control plane's batched-frame tax over unix/TCP against
@@ -21,9 +20,9 @@ GO ?= go
 # controller). Stable, fast, and the numbers this
 # repo's PRs argue about. benchdiff also gates allocs/op at 10%, and on CI the alloc gate
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
-BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkFig6Codec|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
+BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
-.PHONY: build test bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke
+.PHONY: build test bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
 
 build:
 	$(GO) build ./...
@@ -37,21 +36,21 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Run the gated benchmark subset long enough for stable numbers and write
-# them as BENCH_PR2.json (benchmark -> ns/op, B/op, allocs/op). Two counts;
+# them as BENCH_CURRENT.json (benchmark -> ns/op, B/op, allocs/op). Two counts;
 # benchdiff keeps the best run of each, damping scheduler noise.
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 300ms -count 2 . | tee bench.out
-	$(GO) run ./cmd/benchdiff -parse bench.out -out BENCH_PR2.json
+	$(GO) run ./cmd/benchdiff -parse bench.out -out BENCH_CURRENT.json
 
 # Compare fresh numbers against the checked-in baseline; exits nonzero on a
 # >25% ns/op regression. CI runs the same comparison with -warn (shared
 # runners are too noisy for a hard gate).
 bench-gate: bench-json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_BASELINE.json -current BENCH_PR2.json
+	$(GO) run ./cmd/benchdiff -baseline BENCH_BASELINE.json -current BENCH_CURRENT.json
 
 # Re-record the baseline after an intentional performance change.
 bench-baseline: bench-json
-	cp BENCH_PR2.json BENCH_BASELINE.json
+	cp BENCH_CURRENT.json BENCH_BASELINE.json
 
 lint:
 	@fmt_out=$$(gofmt -l .); \
@@ -78,3 +77,9 @@ daemon-smoke:
 # assert every task DONE with zero stranded frames.
 remote-smoke:
 	./scripts/remote-smoke.sh
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md): all
+# six workloads against the real stack, outputs checked, every metric
+# printed by name and unit.
+e2e:
+	bash bench/run.sh

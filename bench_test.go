@@ -397,7 +397,7 @@ func BenchmarkEventStreamOverhead(b *testing.B) {
 					Resource:  entk.Resource{Name: "supermic", Cores: tasks, Walltime: 72 * time.Hour},
 					TimeScale: 2 * time.Microsecond,
 					HostName:  "null",
-					BatchSize: benchBatchSize,
+					Tuning:    entk.Tuning{BatchSize: benchBatchSize},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -459,18 +459,13 @@ func benchUIDs() []string {
 }
 
 // BenchmarkPendingMsgEncode measures the pooled pending-message encoder on
-// the wfprocessor batch-publish path (one 64-UID chunk per op), per wire
-// format.
+// the wfprocessor batch-publish path (one 64-UID chunk per op).
 func BenchmarkPendingMsgEncode(b *testing.B) {
 	uids := benchUIDs()
-	for _, f := range []msgcodec.Format{msgcodec.FormatBinary, msgcodec.FormatJSON} {
-		b.Run(f.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				encodeSink = f.EncodeTaskUIDs(uids)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encodeSink = msgcodec.FormatBinary.EncodeTaskUIDs(uids)
 	}
 }
 
@@ -490,15 +485,11 @@ func assertAllocs(t *testing.T, name string, want float64, fn func()) {
 }
 
 // TestPendingMsgEncodeAllocs asserts the pooled encoder's allocation
-// contract on both formats: one exact-size body per message, nothing per
-// task UID (the ROADMAP follow-up to "JSON dominates Fig 6").
+// contract: one exact-size body per message, nothing per task UID.
 func TestPendingMsgEncodeAllocs(t *testing.T) {
 	uids := benchUIDs()
 	assertAllocs(t, "EncodeTaskUIDs(binary)", 1, func() {
 		encodeSink = msgcodec.FormatBinary.EncodeTaskUIDs(uids)
-	})
-	assertAllocs(t, "EncodeTaskUIDs(json)", 1, func() {
-		encodeSink = msgcodec.FormatJSON.EncodeTaskUIDs(uids)
 	})
 }
 
@@ -541,8 +532,7 @@ func TestTaskResultsEncodeAllocs(t *testing.T) {
 	})
 }
 
-// TestFig6TaskEncodeAllocs asserts the Fig 6 task-body encoder's contract
-// on both formats (the JSON path is the hand-rolled stdlib-shape encoder).
+// TestFig6TaskEncodeAllocs asserts the Fig 6 task-body encoder's contract.
 func TestFig6TaskEncodeAllocs(t *testing.T) {
 	task := msgcodec.Fig6Task{
 		UID: "task.000001.000002", Executable: "sleep",
@@ -550,9 +540,6 @@ func TestFig6TaskEncodeAllocs(t *testing.T) {
 	}
 	assertAllocs(t, "EncodeFig6Task(binary)", 1, func() {
 		encodeSink = msgcodec.FormatBinary.EncodeFig6Task(&task)
-	})
-	assertAllocs(t, "EncodeFig6Task(json)", 1, func() {
-		encodeSink = msgcodec.FormatJSON.EncodeFig6Task(&task)
 	})
 }
 
@@ -571,9 +558,6 @@ func TestStoreRecEncodeAllocs(t *testing.T) {
 	assertAllocs(t, "EncodeStoreRec(binary)", 1, func() {
 		encodeSink = msgcodec.FormatBinary.EncodeStoreRec("pull", uids)
 	})
-	assertAllocs(t, "EncodeStoreRec(json)", 1, func() {
-		encodeSink = msgcodec.FormatJSON.EncodeStoreRec("pull", uids)
-	})
 }
 
 // TestJournalRecAppendAllocs asserts the journal record framing allocates
@@ -591,7 +575,7 @@ func TestJournalRecAppendAllocs(t *testing.T) {
 // encoded ack, mimicking the Synchronizer's messaging work (decode, reply)
 // without the state machines — the round-trip mechanics BenchmarkSyncTransition
 // isolates.
-func syncEchoServer(b *testing.B, br *broker.Broker, wire msgcodec.Format) {
+func syncEchoServer(b *testing.B, br *broker.Broker) {
 	b.Helper()
 	c, err := br.Consume("states", 64)
 	if err != nil {
@@ -604,7 +588,7 @@ func syncEchoServer(b *testing.B, br *broker.Broker, wire msgcodec.Format) {
 				d.Nack(false) //nolint:errcheck
 				continue
 			}
-			body, err := wire.EncodeSyncAck(msgcodec.SyncAck{Seq: frame.Seq, OK: true})
+			body, err := msgcodec.FormatBinary.EncodeSyncAck(msgcodec.SyncAck{Seq: frame.Seq, OK: true})
 			if err != nil {
 				d.Nack(false) //nolint:errcheck
 				continue
@@ -631,7 +615,7 @@ func BenchmarkSyncTransition(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		syncEchoServer(b, br, msgcodec.FormatBinary)
+		syncEchoServer(b, br)
 		ackC, err := br.Consume(reply, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -688,28 +672,6 @@ func BenchmarkSyncTransition(b *testing.B) {
 	})
 }
 
-// BenchmarkFig6Codec is the wire-codec ablation of the batched Fig 6
-// harness: identical topology (4 producers/consumers/queues, batch 64),
-// task bodies encoded as JSON vs the binary wire format. The binary/json
-// tasks-per-second ratio is the codec's end-to-end win.
-func BenchmarkFig6Codec(b *testing.B) {
-	const tasks = 20000
-	for _, format := range []string{"json", "binary"} {
-		b.Run(format, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Fig6Wire(tasks, benchBatchSize, []int{4}, format)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rows[0].DecodeFailures != 0 {
-					b.Fatalf("decode failures: %+v", rows[0])
-				}
-				b.ReportMetric(float64(tasks)/rows[0].AggregateTime.Seconds(), "tasks/s")
-			}
-		})
-	}
-}
-
 // BenchmarkJournalAppend measures the transactional-state write path.
 func BenchmarkJournalAppend(b *testing.B) {
 	j, err := journal.Open(b.TempDir()+"/bench.journal", journal.Options{})
@@ -717,13 +679,10 @@ func BenchmarkJournalAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer j.Close()
-	rec := struct {
-		UID   string `json:"uid"`
-		State string `json:"state"`
-	}{UID: "task.000001", State: "DONE"}
+	rec := msgcodec.FormatBinary.EncodeStateRec("task", "task.000001", "DONE")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := j.Append("state", rec); err != nil {
+		if _, err := j.AppendRaw("state", rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,13 +6,13 @@
 // Parse mode — turn benchmark text output into JSON:
 //
 //	go test -run '^$' -bench 'BenchmarkBroker' -benchmem . | tee bench.out
-//	benchdiff -parse bench.out -out BENCH_PR2.json
+//	benchdiff -parse bench.out -out BENCH_CURRENT.json
 //
 // Compare mode — gate the current numbers against a checked-in baseline:
 //
-//	benchdiff -baseline BENCH_BASELINE.json -current BENCH_PR2.json
-//	benchdiff -baseline BENCH_BASELINE.json -current BENCH_PR2.json -warn
-//	benchdiff -baseline BENCH_BASELINE.json -current BENCH_PR2.json -warn-ns
+//	benchdiff -baseline BENCH_BASELINE.json -current BENCH_CURRENT.json
+//	benchdiff -baseline BENCH_BASELINE.json -current BENCH_CURRENT.json -warn
+//	benchdiff -baseline BENCH_BASELINE.json -current BENCH_CURRENT.json -warn-ns
 //
 // Compare exits nonzero when any benchmark present in both files regressed
 // by more than -threshold percent in ns/op (default 25), or by more than

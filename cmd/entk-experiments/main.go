@@ -10,13 +10,13 @@
 //	entk-experiments -exp 7 -quick       # smoke-test sizing
 //	entk-experiments -exp 0 -tasks 1000000
 //
-// Experiment numbers: 0 = Fig 6 prototype; 1-4 = Fig 7a-d overheads;
+// Experiment numbers: 0 = Fig 6 prototype (even, then uneven producer/
+// consumer distributions); 1-4 = Fig 7a-d overheads;
 // 5 = Fig 8 weak scaling; 6 = Fig 9 strong scaling; 7 = Fig 10 seismic
 // ensemble; 8 = Fig 11 AnEn adaptive vs random; 9 = Fig 10 full series
 // (every ensemble size x concurrency); 10 = Fig 6 BatchSize x
 // consumer-count grid over the sharded broker; 11 = Fig 8-style
-// weak-scaling sweep across broker batch sizes; 12 = Fig 6 wire-codec
-// ablation (batched broker, JSON vs binary task bodies); 13 = Fig 8-style
+// weak-scaling sweep across broker batch sizes; 13 = Fig 8-style
 // weak-scaling sweep across agent scheduler counts (the multi-scheduler
 // agent over the sharded task store); 14 = live-autotuning ablation (bursty
 // workload, the knob controller vs every static grid setting).
@@ -71,6 +71,11 @@ func main() {
 		}
 		rows, err := experiments.Fig6Prototype(tasks, nil)
 		if err != nil {
+			fail(err)
+		}
+		experiments.RenderFig6(os.Stdout, rows)
+		fmt.Println("\nUneven distributions (the paper notes these are less efficient):")
+		if rows, err = experiments.Fig6Uneven(tasks); err != nil {
 			fail(err)
 		}
 		experiments.RenderFig6(os.Stdout, rows)
@@ -155,21 +160,6 @@ func main() {
 			fail(err)
 		}
 		experiments.RenderBatchSweep(os.Stdout, rows)
-	}
-	if want["12"] {
-		tasks := *fig6Tasks
-		if *quick {
-			tasks = 50000
-		}
-		var rows []experiments.Fig6Row
-		for _, format := range []string{"json", "binary"} {
-			r, err := experiments.Fig6Wire(tasks, 64, []int{1, 4}, format)
-			if err != nil {
-				fail(err)
-			}
-			rows = append(rows, r...)
-		}
-		experiments.RenderFig6(os.Stdout, rows)
 	}
 	if want["13"] {
 		rows, err := experiments.Fig8SchedulerSweep(opts)

@@ -74,7 +74,6 @@ func main() {
 		check    = flag.Bool("check", false, "validate the application description and exit")
 		progress = flag.Bool("progress", false, "stream live lifecycle transitions and progress")
 		cancelP  = flag.String("cancel", "", "cancel the named pipeline shortly after start")
-		wire     = flag.String("wire", "binary", "control-plane wire format: binary (fast) or json (inspectable messages and journal)")
 		scheds   = flag.Int("schedulers", 0, "agent scheduler loops draining the task store (0 = min(GOMAXPROCS, shards), 1 = strict-FIFO single scheduler)")
 		autotune = flag.Bool("autotune", false, "enable the live knob controller: steer batch size and scheduler pool from runtime stats (docs/autotune.md)")
 		jdir     = flag.String("journal", "", "directory for the durable state journal (segments + snapshots + RTS audit); enables crash recovery")
@@ -128,14 +127,12 @@ func main() {
 			Queue:    desc.Resource.Queue,
 			Project:  desc.Resource.Project,
 		},
-		TimeScale:        *scale,
-		TaskRetries:      desc.TaskRetries,
-		Seed:             desc.Seed,
-		WireFormat:       *wire,
-		SchedulerWorkers: *scheds,
-		Tuning:           entk.Tuning{Autotune: entk.Autotune{Enabled: *autotune}},
-		JournalDir:       *jdir,
-		RemoteAgents:     splitAddrs(*agents),
+		TimeScale:    *scale,
+		TaskRetries:  desc.TaskRetries,
+		Seed:         desc.Seed,
+		Tuning:       entk.Tuning{SchedulerWorkers: *scheds, Autotune: entk.Autotune{Enabled: *autotune}},
+		JournalDir:   *jdir,
+		RemoteAgents: splitAddrs(*agents),
 	})
 	if err != nil {
 		fatal(err)

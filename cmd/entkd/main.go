@@ -41,7 +41,6 @@ func main() {
 		queueLen   = flag.Int("queue", 16, "admission queue length (-1 disables queueing)")
 		retention  = flag.Duration("retention", time.Hour, "how long terminal runs stay listed")
 		jroot      = flag.String("journal-root", "", "root directory for per-run journals (enables journaled submissions)")
-		wire       = flag.String("wire", "binary", "control-plane wire format: binary or json")
 		scheds     = flag.Int("schedulers", 0, "agent scheduler loops per hosted run (0 = auto)")
 		seed       = flag.Int64("seed", 0, "seed for stochastic models")
 	)
@@ -66,7 +65,6 @@ func main() {
 		AdmissionQueueLen: *queueLen,
 		RunRetention:      *retention,
 		JournalRoot:       *jroot,
-		WireFormat:        *wire,
 		SchedulerWorkers:  *scheds,
 		Seed:              *seed,
 	})

@@ -30,7 +30,6 @@ type RunInfo = daemon.RunInfo
 // state and is safe for concurrent use.
 type Client struct {
 	socket string
-	fmt    msgcodec.Format
 }
 
 // SubmitOptions tunes one submission.
@@ -99,14 +98,11 @@ func opError(msg string) error {
 // the new run. The run may start immediately or sit queued behind the
 // admission ledger; rejection surfaces as ErrAdmissionRejected.
 func (c *Client) Submit(ctx context.Context, appJSON []byte, opts SubmitOptions) (*RunRef, error) {
-	req, err := c.fmt.EncodeDaemonSubmit(msgcodec.DaemonSubmit{
+	req := msgcodec.FormatBinary.EncodeDaemonSubmit(msgcodec.DaemonSubmit{
 		Tenant:  opts.Tenant,
 		Journal: opts.Journal,
 		AppJSON: appJSON,
 	})
-	if err != nil {
-		return nil, err
-	}
 	reply, err := c.roundTrip(ctx, req)
 	if err != nil {
 		return nil, err
@@ -127,10 +123,7 @@ func (c *Client) Attach(runID string) *RunRef { return &RunRef{c: c, ID: runID} 
 
 // List returns every run the daemon currently tracks, oldest first.
 func (c *Client) List(ctx context.Context) ([]RunInfo, error) {
-	req, err := c.fmt.EncodeRunOp(msgcodec.RunOp{Op: "list"})
-	if err != nil {
-		return nil, err
-	}
+	req := msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: "list"})
 	reply, err := c.roundTrip(ctx, req)
 	if err != nil {
 		return nil, err
@@ -158,10 +151,7 @@ func (c *Client) Events(ctx context.Context, runID string, kinds ...EventKind) (
 	for i, k := range kinds {
 		strs[i] = string(k)
 	}
-	req, err := c.fmt.EncodeRunOp(msgcodec.RunOp{Op: "events", RunID: runID, Strs: strs})
-	if err != nil {
-		return nil, nil, err
-	}
+	req := msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: "events", RunID: runID, Strs: strs})
 	conn, err := net.Dial("unix", c.socket)
 	if err != nil {
 		return nil, nil, err
@@ -253,10 +243,7 @@ type RunRef struct {
 // Wait blocks until the run reaches a terminal state. It returns nil for a
 // successful run and the run's error otherwise.
 func (r *RunRef) Wait(ctx context.Context) error {
-	req, err := r.c.fmt.EncodeRunOp(msgcodec.RunOp{Op: "wait", RunID: r.ID})
-	if err != nil {
-		return err
-	}
+	req := msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: "wait", RunID: r.ID})
 	reply, err := r.c.roundTrip(ctx, req)
 	if err != nil {
 		return err
@@ -272,10 +259,7 @@ func (r *RunRef) Wait(ctx context.Context) error {
 
 // Info returns the run's current daemon-side view.
 func (r *RunRef) Info(ctx context.Context) (RunInfo, error) {
-	req, err := r.c.fmt.EncodeRunOp(msgcodec.RunOp{Op: "info", RunID: r.ID})
-	if err != nil {
-		return RunInfo{}, err
-	}
+	req := msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: "info", RunID: r.ID})
 	reply, err := r.c.roundTrip(ctx, req)
 	if err != nil {
 		return RunInfo{}, err
@@ -318,10 +302,7 @@ func (r *RunRef) unary(ctx context.Context, op, arg string) error {
 	if arg != "" {
 		strs = []string{arg}
 	}
-	req, err := r.c.fmt.EncodeRunOp(msgcodec.RunOp{Op: op, RunID: r.ID, Strs: strs})
-	if err != nil {
-		return err
-	}
+	req := msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: op, RunID: r.ID, Strs: strs})
 	reply, err := r.c.roundTrip(ctx, req)
 	if err != nil {
 		return err

@@ -8,16 +8,9 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/msgcodec"
 	"repro/internal/rts"
 	"repro/internal/tuning"
 )
-
-// CurrentTuningVersion is the Tuning schema this build understands. The
-// version gates forward compatibility for persisted or generated configs: a
-// Tuning carrying a newer version than the binary knows is rejected by
-// Validate instead of being silently half-applied.
-const CurrentTuningVersion = 1
 
 // defaultBatchSize mirrors the core's EmgrBatch default; defaultMaxBatch is
 // the autotune controller's default batch-growth ceiling.
@@ -32,15 +25,9 @@ const (
 const maxSchedulersPerShard = 8
 
 // Tuning consolidates the per-run performance knobs. The zero value is
-// valid and selects every documented default; AppConfig embeds a Tuning, so
-// knobs are set either through it or (deprecated) through the aliases still
-// present on AppConfig — when both are set, the alias wins, preserving the
-// behavior of existing callers.
+// valid and selects every documented default. AppConfig.Tuning is the only
+// place the knobs are set.
 type Tuning struct {
-	// Version is the schema version of this struct (0 or
-	// CurrentTuningVersion today). Leave zero unless the value was
-	// persisted by another build.
-	Version int
 	// BatchSize bounds the broker's batched hot path: how many tasks ride
 	// in one pending-queue message and how many messages the Emgr pops per
 	// broker round-trip. Default 1024; 1 restores the per-message path.
@@ -53,9 +40,6 @@ type Tuning struct {
 	// min(GOMAXPROCS, store shards); 1 restores strict push-order FIFO
 	// dispatch (see docs/api.md for the ordering contract above 1).
 	SchedulerWorkers int
-	// WireFormat selects the control-plane wire codec: "binary" (default)
-	// or "json". Decoding accepts both regardless (docs/wire-format.md).
-	WireFormat string
 	// SnapshotEvery is the durable mode's snapshot cadence in committed
 	// state records. Default 1024; negative disables snapshots (journal
 	// only, no compaction). Ignored without a journal directory.
@@ -112,14 +96,9 @@ func (t Tuning) effectiveShards() int {
 }
 
 // Validate checks the tuning for values no component can honor, reporting
-// each as a *KnobError (wire-format and version mismatches keep their own
-// error shapes). It does not mutate: zero means "use the default" for every
-// knob, and defaults are applied by the components that own each knob.
+// each as a *KnobError. It does not mutate: zero means "use the default" for
+// every knob, and defaults are applied by the components that own each knob.
 func (t Tuning) Validate() error {
-	if t.Version != 0 && t.Version != CurrentTuningVersion {
-		return fmt.Errorf("entk: tuning version %d not supported (this build understands %d)",
-			t.Version, CurrentTuningVersion)
-	}
 	if t.BatchSize < 0 {
 		return &KnobError{Knob: "BatchSize", Value: t.BatchSize, Reason: "negative (0 selects the default, 1 the per-message path)"}
 	}
@@ -133,11 +112,6 @@ func (t Tuning) Validate() error {
 	if limit := shards * maxSchedulersPerShard; t.SchedulerWorkers > limit {
 		return &KnobError{Knob: "SchedulerWorkers", Value: t.SchedulerWorkers,
 			Reason: fmt.Sprintf("exceeds %d (8 per store shard, %d shards)", limit, shards)}
-	}
-	if t.WireFormat != "" {
-		if _, err := msgcodec.ParseFormat(t.WireFormat); err != nil {
-			return fmt.Errorf("entk: tuning %w", err)
-		}
 	}
 	return t.Autotune.validate(shards)
 }
@@ -175,31 +149,6 @@ func (a Autotune) validate(shards int) error {
 	return nil
 }
 
-// effectiveTuning resolves the run's tuning: the embedded Tuning overlaid
-// by any set deprecated AppConfig alias, then validated.
-func (cfg *AppConfig) effectiveTuning() (Tuning, error) {
-	t := cfg.Tuning
-	if cfg.BatchSize != 0 {
-		t.BatchSize = cfg.BatchSize
-	}
-	if cfg.QueueShards != 0 {
-		t.QueueShards = cfg.QueueShards
-	}
-	if cfg.SchedulerWorkers != 0 {
-		t.SchedulerWorkers = cfg.SchedulerWorkers
-	}
-	if cfg.WireFormat != "" {
-		t.WireFormat = cfg.WireFormat
-	}
-	if cfg.SnapshotEvery != 0 {
-		t.SnapshotEvery = cfg.SnapshotEvery
-	}
-	if err := t.Validate(); err != nil {
-		return Tuning{}, err
-	}
-	return t, nil
-}
-
 // resolvedTuning is the single source of truth for the run's knobs: the
 // validated Tuning with every default applied to a concrete value, plus the
 // one live handle shared by the EnTK core and the RTS it builds. Both
@@ -214,12 +163,12 @@ type resolvedTuning struct {
 	policy autotune.Policy
 }
 
-// resolveTuning overlays the deprecated aliases, validates, applies the
-// documented defaults and builds the live knob handle — collapsed bounds
-// when autotune is off, the policy's bounds when on.
+// resolveTuning validates cfg.Tuning, applies the documented defaults and
+// builds the live knob handle — collapsed bounds when autotune is off, the
+// policy's bounds when on.
 func (cfg *AppConfig) resolveTuning() (*resolvedTuning, error) {
-	t, err := cfg.effectiveTuning()
-	if err != nil {
+	t := cfg.Tuning
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	rt := &resolvedTuning{tun: t, batch: t.BatchSize, shards: t.QueueShards, scheds: t.SchedulerWorkers}
@@ -282,7 +231,6 @@ func (rt *resolvedTuning) applyCore(c *core.Config) {
 	c.EmgrBatch = rt.batch
 	c.QueueShards = rt.shards
 	c.SchedulerWorkers = rt.scheds
-	c.WireFormat = rt.tun.WireFormat
 	c.Live = rt.live
 	c.Autotune = rt.policy
 }

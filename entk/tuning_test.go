@@ -1,8 +1,11 @@
 package entk
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestTuningValidate(t *testing.T) {
@@ -10,11 +13,9 @@ func TestTuningValidate(t *testing.T) {
 		t.Fatalf("zero tuning must be valid: %v", err)
 	}
 	ok := Tuning{
-		Version:          CurrentTuningVersion,
 		BatchSize:        64,
 		QueueShards:      4,
 		SchedulerWorkers: 2,
-		WireFormat:       "json",
 		SnapshotEvery:    -1, // negative disables snapshots — legal
 	}
 	if err := ok.Validate(); err != nil {
@@ -25,11 +26,9 @@ func TestTuningValidate(t *testing.T) {
 		tun  Tuning
 		want string
 	}{
-		{"future version", Tuning{Version: CurrentTuningVersion + 1}, "version"},
 		{"negative batch", Tuning{BatchSize: -1}, "BatchSize"},
 		{"negative shards", Tuning{QueueShards: -1}, "QueueShards"},
 		{"negative schedulers", Tuning{SchedulerWorkers: -1}, "SchedulerWorkers"},
-		{"unknown wire format", Tuning{WireFormat: "xml"}, "wire format"},
 	}
 	for _, c := range cases {
 		err := c.tun.Validate()
@@ -39,31 +38,18 @@ func TestTuningValidate(t *testing.T) {
 	}
 }
 
-// The deprecated AppConfig aliases override the embedded Tuning, keeping
-// pre-Tuning callers' behavior byte-identical.
-func TestTuningAliasPrecedence(t *testing.T) {
-	cfg := AppConfig{
-		Tuning: Tuning{
-			BatchSize:        10,
-			QueueShards:      2,
-			SchedulerWorkers: 2,
-			WireFormat:       "binary",
-			SnapshotEvery:    100,
-		},
-		// Deprecated aliases, as an old caller would set them.
-		BatchSize:        99,
-		WireFormat:       "json",
-		SchedulerWorkers: 7,
-	}
-	tun, err := cfg.effectiveTuning()
+// AppConfig.Tuning is the one place the knobs are set, and every one of
+// them reaches core.Config.
+func TestTuningReachesCoreConfig(t *testing.T) {
+	cfg := AppConfig{Tuning: Tuning{BatchSize: 10, QueueShards: 2, SchedulerWorkers: 2, SnapshotEvery: 100}}
+	rt, err := cfg.resolveTuning()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tun.BatchSize != 99 || tun.WireFormat != "json" || tun.SchedulerWorkers != 7 {
-		t.Fatalf("aliases must win: %+v", tun)
-	}
-	if tun.QueueShards != 2 || tun.SnapshotEvery != 100 {
-		t.Fatalf("unset aliases must not clobber Tuning: %+v", tun)
+	var c core.Config
+	rt.applyCore(&c)
+	if c.EmgrBatch != 10 || c.QueueShards != 2 || c.SchedulerWorkers != 2 || c.SnapshotEvery != 100 {
+		t.Fatalf("knobs lost on the way to core.Config: %+v", c)
 	}
 }
 
@@ -72,9 +58,10 @@ func TestTuningAliasPrecedence(t *testing.T) {
 func TestTuningRejectedAtConstruction(t *testing.T) {
 	_, err := NewAppManager(AppConfig{
 		Resource: Resource{Name: "supermic", Cores: 4, Walltime: 3600e9},
-		Tuning:   Tuning{WireFormat: "carrier-pigeon"},
+		Tuning:   Tuning{BatchSize: -1},
 	})
-	if err == nil || !strings.Contains(err.Error(), "wire format") {
-		t.Fatalf("want wire-format rejection, got %v", err)
+	var ke *KnobError
+	if !errors.As(err, &ke) || ke.Knob != "BatchSize" {
+		t.Fatalf("want a BatchSize KnobError, got %v", err)
 	}
 }

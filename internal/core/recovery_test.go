@@ -315,28 +315,24 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	}
 }
 
-// TestDurableRunBinaryAndJSONFormats runs the durable path under both wire
-// formats; recovery must reconstruct either.
-func TestDurableRunBinaryAndJSONFormats(t *testing.T) {
-	for _, wf := range []string{"binary", "json"} {
-		t.Run(wf, func(t *testing.T) {
-			dir := t.TempDir()
-			am, _ := testApp(t, Config{JournalDir: dir, WireFormat: wf, SnapshotEvery: 4, SegmentBytes: 512})
-			pipes := buildApp(1, 2, 4, 20*time.Second)
-			stampUIDs(pipes)
-			am.AddPipelines(pipes...)
-			if err := runApp(t, am); err != nil {
-				t.Fatal(err)
-			}
-			done := 0
-			for k, state := range reconstruct(t, dir) {
-				if k.entity == "task" && TaskState(state) == TaskDone {
-					done++
-				}
-			}
-			if done != 8 {
-				t.Fatalf("%s: reconstructed %d DONE tasks, want 8", wf, done)
-			}
-		})
+// TestDurableRunReconstructs runs the durable path with snapshots and
+// segment rotation on; recovery must reconstruct every DONE task.
+func TestDurableRunReconstructs(t *testing.T) {
+	dir := t.TempDir()
+	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4, SegmentBytes: 512})
+	pipes := buildApp(1, 2, 4, 20*time.Second)
+	stampUIDs(pipes)
+	am.AddPipelines(pipes...)
+	if err := runApp(t, am); err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for k, state := range reconstruct(t, dir) {
+		if k.entity == "task" && TaskState(state) == TaskDone {
+			done++
+		}
+	}
+	if done != 8 {
+		t.Fatalf("reconstructed %d DONE tasks, want 8", done)
 	}
 }

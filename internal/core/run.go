@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/journal"
 )
 
 // ErrAlreadyRan is returned by Start (and Run) when the AppManager has
@@ -236,7 +238,7 @@ func (am *AppManager) setup(ctx context.Context) error {
 		return err
 	}
 	if am.cfg.JournalPath != "" {
-		j, err := am.journalOpen(am.cfg.JournalPath)
+		j, err := journal.Open(am.cfg.JournalPath, journal.Options{})
 		if err != nil {
 			return err
 		}

@@ -241,7 +241,7 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			for _, t := range runnable[start:end] {
 				w.uidScratch = append(w.uidScratch, t.UID)
 			}
-			bodies = append(bodies, w.am.wire().EncodeTaskUIDs(w.uidScratch))
+			bodies = append(bodies, msgcodec.FormatBinary.EncodeTaskUIDs(w.uidScratch))
 		}
 		if err := w.pendP.PublishBatch(bodies); err != nil {
 			return err
@@ -415,7 +415,7 @@ func (w *wfProcessor) resubmit(t *Task) error {
 	if err := w.deqSync.flush(); err != nil {
 		return err
 	}
-	return w.pendP.Publish(w.am.wire().EncodeTaskUID(t.UID))
+	return w.pendP.Publish(msgcodec.FormatBinary.EncodeTaskUID(t.UID))
 }
 
 // maybeCompleteStage finishes a stage whose tasks are all terminal, runs its

@@ -89,12 +89,11 @@ type Config struct {
 	// per-run journal directory (<JournalRoot>/<runID>). Required only when
 	// a submission asks for a journal.
 	JournalRoot string
-	// Tuning knobs applied to every hosted run (same semantics as the entk
-	// AppConfig knobs).
+	// Tuning knobs applied to every hosted run (same semantics as the
+	// entk.Tuning fields of the same names).
 	BatchSize        int
 	QueueShards      int
 	SchedulerWorkers int
-	WireFormat       string
 	SnapshotEvery    int
 	// Model overrides the pool's RTS cost model (zero value = per-CI
 	// default; tests use rts.FastModel()).
@@ -364,7 +363,6 @@ func (d *Daemon) startRun(e *runEntry) error {
 		EmgrBatch:        d.cfg.BatchSize,
 		QueueShards:      d.cfg.QueueShards,
 		SchedulerWorkers: d.cfg.SchedulerWorkers,
-		WireFormat:       d.cfg.WireFormat,
 	})
 	if err != nil {
 		return fail(err)

@@ -73,6 +73,9 @@ func waitState(t *testing.T, d *Daemon, id, want string) {
 func TestDaemonMultiRunIsolation(t *testing.T) {
 	d := newTestDaemon(t, nil)
 	const tasks = 12
+	// A run can finish before Subscribe is reached; hold dispatch on a
+	// backlog no tenant will ever queue until both subscriptions exist.
+	d.pool.HoldUntilQueued(map[string]int{"alice": tasks + 1})
 	idA, err := d.Submit("alice", false, testApp(4, 1, tasks, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +92,7 @@ func TestDaemonMultiRunIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.pool.HoldUntilQueued(nil)
 	if err := d.Wait(context.Background(), idA); err != nil {
 		t.Fatalf("run A: %v", err)
 	}
@@ -260,6 +264,9 @@ func TestDaemonWeightedFairness(t *testing.T) {
 			"light": {Weight: 1},
 		}
 	})
+	// Runs reach the pool at their own pace; hold dispatch until both
+	// backlogs are queued so both tenants compete from dispatch 0.
+	d.pool.HoldUntilQueued(map[string]int{"heavy": 60, "light": 60})
 	h, err := d.Submit("heavy", false, testApp(4, 1, 60, 20))
 	if err != nil {
 		t.Fatal(err)

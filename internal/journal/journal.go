@@ -7,15 +7,15 @@
 // database the paper mentions as a hook. Records are length-prefixed and
 // CRC-protected so a partially written trailing record (a crash mid-append)
 // is detected and discarded during replay instead of corrupting recovery.
-// Record payloads use the msgcodec binary framing by default (one pooled
-// buffer, no JSON on the append path); replay sniffs each payload's first
-// byte, so journals written with the old JSON framing — or with
-// Options.Format set to the JSON debugging format — replay transparently.
+// Record payloads use the msgcodec framing (one pooled buffer on the append
+// path). A record that is intact on disk but not in that framing — written
+// by a newer build, or a leftover of the retired JSON format — is
+// ErrUnknownFraming, never a torn tail: the journal refuses to open rather
+// than truncate records it cannot read.
 package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -29,14 +29,12 @@ import (
 
 // Record is a single journal entry. Type namespaces the payload (for example
 // "task.state" or "broker.publish"); Seq is assigned by the journal and is
-// strictly increasing within a file. Data holds the record's opaque payload:
-// JSON for records appended via Append or read back from JSON-framed
-// journals, and possibly a msgcodec binary frame for records appended via
-// AppendRaw (consumers sniff, exactly like the msgcodec decoders).
+// strictly increasing within a file. Data holds the record's opaque payload,
+// by convention a msgcodec frame matching Type.
 type Record struct {
-	Seq  uint64          `json:"seq"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
+	Seq  uint64
+	Type string
+	Data []byte
 }
 
 // Journal is an append-only, crash-consistent record log. It is safe for
@@ -49,7 +47,6 @@ type Journal struct {
 	path   string
 	seq    uint64
 	sync   bool
-	format msgcodec.Format
 	buf    []byte // scratch for header + payload, reused under mu
 	closed bool
 
@@ -67,11 +64,6 @@ type Options struct {
 	// Sync forces an fsync after every append. Slower, but a crash loses at
 	// most the record being written. Off by default: the OS flushes on close.
 	Sync bool
-	// Format selects the record framing: msgcodec.FormatBinary (the zero
-	// value and default) writes binary frames; msgcodec.FormatJSON writes
-	// the original length-prefixed JSON records for inspection. Replay
-	// accepts both regardless of this setting.
-	Format msgcodec.Format
 	// SegmentBytes is the rotation threshold for segmented journals
 	// (OpenDir): once the active segment reaches this many bytes, it is
 	// sealed and a fresh segment opened. 0 selects DefaultSegmentBytes.
@@ -81,6 +73,12 @@ type Options struct {
 
 // ErrClosed is returned by operations on a closed journal.
 var ErrClosed = errors.New("journal: closed")
+
+// ErrUnknownFraming reports a record whose length and CRC are intact but
+// whose payload is not a msgcodec journal frame this build can decode. Open,
+// OpenDir, Replay and ReplayDir return it (wrapping the msgcodec error)
+// without truncating anything.
+var ErrUnknownFraming = errors.New("journal: unknown record framing")
 
 const headerLen = 4 + 4 // payload length + CRC32 of payload
 
@@ -111,25 +109,7 @@ func Open(path string, opts Options) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: seek: %w", err)
 	}
-	return &Journal{f: f, path: path, seq: last, sync: opts.Sync, format: opts.Format}, nil
-}
-
-// decodePayload turns one CRC-validated record payload into a Record,
-// sniffing the framing: a msgcodec magic byte selects the binary frame,
-// anything else is the original JSON record.
-func decodePayload(payload []byte) (Record, error) {
-	if msgcodec.IsBinary(payload) {
-		seq, recType, data, err := msgcodec.DecodeJournalRec(payload)
-		if err != nil {
-			return Record{}, err
-		}
-		return Record{Seq: seq, Type: recType, Data: data}, nil
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	return &Journal{f: f, path: path, seq: last, sync: opts.Sync}, nil
 }
 
 // fileInfo summarizes one journal file's valid prefix.
@@ -143,11 +123,13 @@ type fileInfo struct {
 // every valid record, and returns the file's valid-prefix summary. A torn
 // tail — truncated header, truncated payload, a length field pointing past
 // the end of the file (a crash can tear the header itself, leaving garbage
-// bytes where the length lives), a CRC mismatch or an undecodable payload —
-// terminates the walk at the last valid record instead of failing it. The
-// length field is validated against the bytes actually remaining before the
-// payload is allocated, so a garbage length can never drive a
-// multi-gigabyte allocation. Only an fn error propagates.
+// bytes where the length lives), a CRC mismatch or an empty payload (a
+// zero-filled header checksums correctly) — terminates the walk at the last
+// valid record instead of failing it. The length field is validated against
+// the bytes actually remaining before the payload is allocated, so a garbage
+// length can never drive a multi-gigabyte allocation. A non-empty payload
+// that passes its CRC but does not decode was written whole by something
+// else: that is ErrUnknownFraming. fn errors propagate.
 func scanFile(path string, fn func(Record) error) (fileInfo, error) {
 	var info fileInfo
 	f, err := os.Open(path)
@@ -173,8 +155,8 @@ func scanFile(path string, fn func(Record) error) (fileInfo, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if int64(n) > size-info.validLen-int64(headerLen) {
-			return info, nil // torn or garbage length: treat as tail
+		if n == 0 || int64(n) > size-info.validLen-int64(headerLen) {
+			return info, nil // zero-filled, torn or garbage length: treat as tail
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(f, payload); err != nil {
@@ -183,10 +165,11 @@ func scanFile(path string, fn func(Record) error) (fileInfo, error) {
 		if crc32.ChecksumIEEE(payload) != crc {
 			return info, nil // corrupted record: treat as tail
 		}
-		rec, err := decodePayload(payload)
+		seq, recType, data, err := msgcodec.DecodeJournalRec(payload)
 		if err != nil {
-			return info, nil
+			return info, fmt.Errorf("%w: %s at offset %d: %w", ErrUnknownFraming, path, info.validLen, err)
 		}
+		rec := Record{Seq: seq, Type: recType, Data: data}
 		if fn != nil {
 			if err := fn(rec); err != nil {
 				return info, err
@@ -207,23 +190,10 @@ func scan(path string) (lastSeq uint64, validLen int64, err error) {
 	return info.lastSeq, info.validLen, err
 }
 
-// Append serializes data as JSON and appends a record of the given type,
-// returning the assigned sequence number. Hot-path writers with their own
-// wire encoding use AppendRaw instead.
-func (j *Journal) Append(recType string, data interface{}) (uint64, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return 0, fmt.Errorf("journal: marshal %q: %w", recType, err)
-	}
-	return j.AppendRaw(recType, raw)
-}
-
-// AppendRaw appends a record whose payload is already encoded — a msgcodec
-// binary frame or pre-marshalled JSON — returning the assigned sequence
-// number. On a binary-format journal the record framing reuses the
-// journal's scratch buffer, so the append allocates nothing. A JSON-format
-// journal requires data to be valid JSON (it is embedded in the record
-// document verbatim).
+// AppendRaw appends a record of the given type whose payload the caller has
+// already encoded (a msgcodec frame), returning the assigned sequence
+// number. The record framing reuses the journal's scratch buffer, so the
+// append allocates nothing.
 func (j *Journal) AppendRaw(recType string, data []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -249,16 +219,7 @@ func (j *Journal) appendLocked(recType string, data []byte) (uint64, error) {
 	seq := j.seq + 1
 	// Build header + payload in one scratch buffer and write once.
 	buf := append(j.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	if j.format == msgcodec.FormatJSON {
-		rec := Record{Seq: seq, Type: recType, Data: data}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("journal: marshal record: %w", err)
-		}
-		buf = append(buf, payload...)
-	} else {
-		buf = msgcodec.AppendJournalRec(buf, seq, recType, data)
-	}
+	buf = msgcodec.AppendJournalRec(buf, seq, recType, data)
 	payload := buf[headerLen:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
@@ -296,11 +257,6 @@ func (j *Journal) Seq() uint64 {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Format returns the record framing this journal writes. Writers that
-// encode their own payloads (e.g. the broker's durability records) use it
-// so payload and framing formats can never disagree.
-func (j *Journal) Format() msgcodec.Format { return j.format }
-
 // Close flushes and closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -317,20 +273,12 @@ func (j *Journal) Close() error {
 }
 
 // Replay reads every valid record in the journal at path, in order, invoking
-// fn for each. Both record framings — binary frames and the original JSON —
-// are decoded transparently, so recovery from pre-existing journals keeps
-// working. A zero-length, torn or corrupted tail (including a torn header
+// fn for each. A zero-length, torn or corrupted tail (including a torn header
 // whose length field is garbage) terminates replay silently at the last
-// valid record, matching crash-recovery semantics. Replay of a non-existent
+// valid record, matching crash-recovery semantics; an intact record in a
+// foreign framing fails it with ErrUnknownFraming. Replay of a non-existent
 // file is a no-op.
 func Replay(path string, fn func(Record) error) error {
 	_, err := scanFile(path, fn)
 	return err
-}
-
-// Decode unmarshals a record's JSON payload into v. Records whose payload
-// is a msgcodec binary frame are decoded with the matching msgcodec
-// decoder instead (for example DecodeStateRec), which also accepts JSON.
-func Decode(rec Record, v interface{}) error {
-	return json.Unmarshal(rec.Data, v)
 }

@@ -2,11 +2,12 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,8 +16,24 @@ import (
 )
 
 type payload struct {
-	Name  string `json:"name"`
-	Value int    `json:"value"`
+	Name  string
+	Value int
+}
+
+// put appends p as a state-record frame: the journal's payloads are opaque
+// msgcodec frames, so the tests use a real one.
+func put(j *Journal, recType string, p payload) (uint64, error) {
+	return j.AppendRaw(recType, msgcodec.FormatBinary.EncodeStateRec("p", p.Name, strconv.Itoa(p.Value)))
+}
+
+// get decodes a record written by put.
+func get(rec Record) (payload, error) {
+	sr, err := msgcodec.DecodeStateRec(rec.Data)
+	if err != nil {
+		return payload{}, err
+	}
+	v, err := strconv.Atoi(sr.State)
+	return payload{Name: sr.UID, Value: v}, err
 }
 
 func tmpJournal(t *testing.T) string {
@@ -31,7 +48,7 @@ func TestAppendAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		seq, err := j.Append("task.state", payload{Name: fmt.Sprintf("t%d", i), Value: i})
+		seq, err := put(j, "task.state", payload{Name: fmt.Sprintf("t%d", i), Value: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +65,8 @@ func TestAppendAndReplay(t *testing.T) {
 		if rec.Type != "task.state" {
 			t.Fatalf("unexpected type %q", rec.Type)
 		}
-		var p payload
-		if err := Decode(rec, &p); err != nil {
+		p, err := get(rec)
+		if err != nil {
 			return err
 		}
 		got = append(got, p)
@@ -84,10 +101,10 @@ func TestReopenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append("a", payload{Value: 1}); err != nil {
+	if _, err := put(j, "a", payload{Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append("a", payload{Value: 2}); err != nil {
+	if _, err := put(j, "a", payload{Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -97,7 +114,7 @@ func TestReopenResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	seq, err := j2.Append("a", payload{Value: 3})
+	seq, err := put(j2, "a", payload{Value: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +130,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := j.Append("x", payload{Value: i}); err != nil {
+		if _, err := put(j, "x", payload{Value: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +159,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	seq, err := j2.Append("x", payload{Value: 99})
+	seq, err := put(j2, "x", payload{Value: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +181,10 @@ func TestCorruptedPayloadStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append("x", payload{Value: 1}); err != nil {
+	if _, err := put(j, "x", payload{Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append("x", payload{Value: 2}); err != nil {
+	if _, err := put(j, "x", payload{Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -198,7 +215,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, err := j.Append("x", payload{}); err != ErrClosed {
+	if _, err := put(j, "x", payload{}); err != ErrClosed {
 		t.Fatalf("append after close: err = %v, want ErrClosed", err)
 	}
 }
@@ -216,7 +233,7 @@ func TestConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := j.Append("c", payload{Name: fmt.Sprintf("w%d", w), Value: i}); err != nil {
+				if _, err := put(j, "c", payload{Name: fmt.Sprintf("w%d", w), Value: i}); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -261,15 +278,15 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 			p := payload{Name: name, Value: int(v)}
 			want = append(want, p)
-			if _, err := j.Append("p", p); err != nil {
+			if _, err := put(j, "p", p); err != nil {
 				return false
 			}
 		}
 		j.Close()
 		var got []payload
 		if err := Replay(path, func(rec Record) error {
-			var p payload
-			if err := Decode(rec, &p); err != nil {
+			p, err := get(rec)
+			if err != nil {
 				return err
 			}
 			got = append(got, p)
@@ -292,145 +309,86 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// writeLegacyJSONRecord appends one record to f using the pre-binary
-// framing: length + CRC header over a json.Marshal'd Record document. This
-// is byte-for-byte what older builds wrote, reconstructed here so the
-// backward-compatibility contract is pinned against the real old format,
-// not against the current writer.
-func writeLegacyJSONRecord(t *testing.T, f *os.File, seq uint64, recType string, data string) {
-	t.Helper()
-	payload, err := json.Marshal(Record{Seq: seq, Type: recType, Data: json.RawMessage(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, headerLen+len(payload))
+// frameRecord wraps payload in the journal's length + CRC record header.
+func frameRecord(payload []byte) []byte {
+	buf := make([]byte, headerLen, headerLen+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerLen:], payload)
-	if _, err := f.Write(buf); err != nil {
-		t.Fatal(err)
-	}
+	return append(buf, payload...)
 }
 
-// TestJSONJournalReplayCompat writes a journal with the old JSON framing,
-// replays it through the binary-first reader, and asserts the recovered
-// records are identical — the durable-queue/state-recovery compatibility
-// contract of the wire-format migration.
-func TestJSONJournalReplayCompat(t *testing.T) {
-	path := tmpJournal(t)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+// TestUnknownFramingIsAnError pins that a record which is intact on disk
+// (length and CRC match) but not decodable by this build — the retired JSON
+// record document, or a frame from a newer wire version — fails Open and
+// Replay with ErrUnknownFraming and leaves the file untouched, instead of
+// being truncated away as if it were a torn tail.
+func TestUnknownFramingIsAnError(t *testing.T) {
+	newer := msgcodec.AppendJournalRec(nil, 3, "state", []byte("x"))
+	newer[1] = msgcodec.Version + 1
+	foreign := map[string][]byte{
+		"json record":   []byte(`{"seq":3,"type":"state","data":{"entity":"task","uid":"t.3","state":"DONE"}}`),
+		"newer version": newer,
 	}
-	want := []struct {
-		typ  string
-		data string
-	}{
-		{"state", `{"entity":"task","uid":"task.0001","state":"DONE"}`},
-		{"state", `{"entity":"stage","uid":"stage.0001","state":"DONE"}`},
-		{"broker.ack", `{"q":"pending","id":7}`},
-	}
-	for i, w := range want {
-		writeLegacyJSONRecord(t, f, uint64(i+1), w.typ, w.data)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, body := range foreign {
+		t.Run(name, func(t *testing.T) {
+			path := tmpJournal(t)
+			j, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := put(j, "x", payload{Value: i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			appendBytes(t, path, frameRecord(body))
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var got []Record
-	if err := Replay(path, func(rec Record) error {
-		got = append(got, Record{Seq: rec.Seq, Type: rec.Type, Data: append(json.RawMessage(nil), rec.Data...)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
-	}
-	for i, rec := range got {
-		if rec.Seq != uint64(i+1) || rec.Type != want[i].typ || string(rec.Data) != want[i].data {
-			t.Fatalf("record %d drifted: %+v", i, rec)
-		}
-	}
-}
+			count := 0
+			err = Replay(path, func(Record) error { count++; return nil })
+			if !errors.Is(err, ErrUnknownFraming) || count != 2 {
+				t.Fatalf("Replay: err = %v after %d records, want ErrUnknownFraming after 2", err, count)
+			}
+			if j, err := Open(path, Options{}); !errors.Is(err, ErrUnknownFraming) {
+				if err == nil {
+					j.Close()
+				}
+				t.Fatalf("Open: err = %v, want ErrUnknownFraming", err)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != before.Size() {
+				t.Fatalf("Open changed the file: %d -> %d bytes", before.Size(), after.Size())
+			}
 
-// TestMixedFramingJournal reopens a legacy JSON-framed journal with the
-// binary-first writer, appends binary records, and asserts replay yields
-// the union in order with a contiguous sequence.
-func TestMixedFramingJournal(t *testing.T) {
-	path := tmpJournal(t)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeLegacyJSONRecord(t, f, 1, "state", `{"entity":"task","uid":"t.1","state":"DONE"}`)
-	writeLegacyJSONRecord(t, f, 2, "state", `{"entity":"task","uid":"t.2","state":"DONE"}`)
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := Open(path, Options{}) // binary framing by default
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := j.AppendRaw("state", msgcodec.FormatBinary.EncodeStateRec("task", "t.3", "DONE"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 3 {
-		t.Fatalf("binary append after JSON prefix: seq = %d, want 3", seq)
-	}
-	j.Close()
-
-	var uids []string
-	if err := Replay(path, func(rec Record) error {
-		sr, err := msgcodec.DecodeStateRec(rec.Data)
-		if err != nil {
-			return err
-		}
-		uids = append(uids, sr.UID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(uids) != 3 || uids[0] != "t.1" || uids[1] != "t.2" || uids[2] != "t.3" {
-		t.Fatalf("mixed replay drifted: %q", uids)
-	}
-}
-
-// TestJSONFormatOption pins the WireFormat debugging knob: a JSON-format
-// journal writes records the old framing spells, readable by eye and by
-// the sniffing reader alike.
-func TestJSONFormatOption(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Open(path, Options{Format: msgcodec.FormatJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append("task.state", payload{Name: "t0", Value: 7}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(raw[headerLen:]) {
-		t.Fatalf("JSON-format journal wrote a non-JSON payload: %q", raw[headerLen:])
-	}
-	var got []payload
-	if err := Replay(path, func(rec Record) error {
-		var p payload
-		if err := Decode(rec, &p); err != nil {
-			return err
-		}
-		got = append(got, p)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Value != 7 {
-		t.Fatalf("JSON-format replay drifted: %+v", got)
+			// The same record in a segment directory fails OpenDir and ReplayDir.
+			dir := t.TempDir()
+			seg := filepath.Join(dir, SegmentName(1))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if j, err := OpenDir(dir, Options{}); !errors.Is(err, ErrUnknownFraming) {
+				if err == nil {
+					j.Close()
+				}
+				t.Fatalf("OpenDir: err = %v, want ErrUnknownFraming", err)
+			}
+			if err := ReplayDir(dir, func(Record) error { return nil }); !errors.Is(err, ErrUnknownFraming) {
+				t.Fatalf("ReplayDir: err = %v, want ErrUnknownFraming", err)
+			}
+			if fi, err := os.Stat(seg); err != nil || fi.Size() != before.Size() {
+				t.Fatalf("OpenDir changed the segment: %v, %v", fi, err)
+			}
+		})
 	}
 }

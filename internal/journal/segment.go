@@ -17,9 +17,7 @@ import (
 // snapshot watermark — the two halves of the "snapshot + journal tail"
 // recovery story (docs/recovery.md). Every segment starts with a
 // SegmentHeader record (msgcodec frame 0x0A) naming its index and base
-// sequence, and ReplayDir decodes segments written under either wire format
-// record by record, so a directory accumulated across runs with different
-// WireFormat settings replays transparently.
+// sequence.
 
 // DefaultSegmentBytes is the rotation threshold used when
 // Options.SegmentBytes is zero: large enough that steady-state runs rotate
@@ -112,8 +110,9 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 // OpenDir creates or opens the segmented journal in dir. Existing segments
 // are preserved; the sequence counter resumes after the last valid record
 // across all segments, and a torn tail in the active (newest) segment is
-// truncated exactly as Open does for flat journals. A fresh directory
-// starts at segment 1.
+// truncated exactly as Open does for flat journals. A segment holding an
+// intact record in a foreign framing fails the open with ErrUnknownFraming
+// and truncates nothing. A fresh directory starts at segment 1.
 func OpenDir(dir string, opts Options) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("journal: OpenDir requires a directory")
@@ -128,7 +127,6 @@ func OpenDir(dir string, opts Options) (*Journal, error) {
 	j := &Journal{
 		dir:      dir,
 		sync:     opts.Sync,
-		format:   opts.Format,
 		segBytes: opts.SegmentBytes,
 	}
 	if j.segBytes <= 0 {
@@ -183,7 +181,7 @@ func (j *Journal) newSegmentLocked(index uint64) error {
 	j.segIndex = index
 	j.segFirst = 0
 	j.size = 0
-	hdr := j.format.EncodeSegmentHeader(msgcodec.SegmentHeader{Index: index, BaseSeq: j.seq + 1})
+	hdr := msgcodec.FormatBinary.EncodeSegmentHeader(msgcodec.SegmentHeader{Index: index, BaseSeq: j.seq + 1})
 	if _, err := j.appendLocked(segTypeName, hdr); err != nil {
 		f.Close()
 		return err
@@ -269,11 +267,9 @@ func (j *Journal) Compact(watermark uint64) (int, error) {
 // ReplayDir replays every valid record of the segmented journal in dir, in
 // segment order — ascending index, records in file order within each
 // segment — invoking fn for each, segment header records included (filter
-// on Record.Type, as state recovery already does). Record payloads are
-// format-sniffed individually, so directories holding a mix of binary and
-// JSON segments (runs restarted under a different WireFormat) replay
-// transparently. Torn tails terminate the affected segment's replay, not
-// the whole walk. A missing directory is a no-op.
+// on Record.Type, as state recovery already does). Torn tails terminate the
+// affected segment's replay, not the whole walk; ErrUnknownFraming fails it.
+// A missing directory is a no-op.
 func ReplayDir(dir string, fn func(Record) error) error {
 	segs, err := ListSegments(dir)
 	if err != nil {

@@ -244,46 +244,6 @@ func TestCompactFlatJournalFails(t *testing.T) {
 	}
 }
 
-// TestReplayDirMixedFormats pins cross-format replay: a directory whose
-// segments were written under different WireFormat settings (a run restarted
-// with the debugging format, say) replays as one coherent stream.
-func TestReplayDirMixedFormats(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 1 << 20, Format: msgcodec.FormatJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := j.AppendRaw("state", msgcodec.FormatJSON.EncodeStateRec("task", uidN(i), "DONE")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-
-	j2, err := OpenDir(dir, Options{SegmentBytes: 1 << 20}) // binary now
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the binary records into their own fresh segment.
-	if err := func() error { j2.mu.Lock(); defer j2.mu.Unlock(); return j2.rotateLocked() }(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 3; i < 6; i++ {
-		appendState(t, j2, uidN(i))
-	}
-	j2.Close()
-
-	uids := stateUIDs(t, dir)
-	if len(uids) != 6 {
-		t.Fatalf("mixed-format replay yielded %d state records, want 6 (%q)", len(uids), uids)
-	}
-	for i, uid := range uids {
-		if uid != uidN(i) {
-			t.Fatalf("record %d = %q, want %q", i, uid, uidN(i))
-		}
-	}
-}
-
 // The torn-write sweep: Replay and Open must survive every shape of torn or
 // garbage tail — a zero-length final record, a partial header, and a header
 // whose length field is garbage (which must not drive a giant allocation) —

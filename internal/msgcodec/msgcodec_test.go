@@ -1,13 +1,10 @@
 package msgcodec
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 )
-
-var formats = []Format{FormatBinary, FormatJSON}
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := [][]string{
@@ -16,85 +13,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{"task.000001"},
 		{"task.000001", "task.000002", "task.000003"},
 		{"task.recov.a", "task.recov.flaky"},
-		// Escaping fallback paths: quotes, backslashes, control chars,
-		// non-ASCII and invalid UTF-8 must round-trip like encoding/json.
+		// Length-prefixed strings are opaque: quotes, backslashes, control
+		// chars, non-ASCII and invalid UTF-8 round-trip byte for byte.
 		{`task."quoted"`, `back\slash`, "tab\there", "unicode-日本語", "bad\xff utf8"},
 	}
 	for _, uids := range cases {
-		// Binary: exact round trip, bytes included.
 		got, err := DecodeTaskUIDs(FormatBinary.EncodeTaskUIDs(uids))
 		if err != nil {
-			t.Fatalf("binary round trip %q: %v", uids, err)
+			t.Fatalf("round trip %q: %v", uids, err)
 		}
 		if len(got) != len(uids) || (len(uids) > 0 && !reflect.DeepEqual(got, uids)) {
-			t.Fatalf("binary round trip %q: got %q", uids, got)
+			t.Fatalf("round trip %q: got %q", uids, got)
 		}
-
-		// JSON: identical to what the stdlib round-trip would yield
-		// (invalid UTF-8 is replaced by U+FFFD in both paths).
-		body := FormatJSON.EncodeTaskUIDs(uids)
-		if !json.Valid(body) {
-			t.Fatalf("EncodeTaskUIDs(%q) produced invalid JSON: %s", uids, body)
-		}
-		got, err = DecodeTaskUIDs(body)
-		if err != nil {
-			t.Fatalf("DecodeTaskUIDs(%s): %v", body, err)
-		}
-		ref, _ := json.Marshal(pendingMsg{TaskUIDs: uids})
-		var want pendingMsg
-		if err := json.Unmarshal(ref, &want); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) == 0 && len(want.TaskUIDs) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want.TaskUIDs) {
-			t.Fatalf("round trip %q: got %q want %q", uids, got, want.TaskUIDs)
-		}
-	}
-}
-
-func TestEncodeMatchesStdlibShape(t *testing.T) {
-	uids := []string{"task.000001", "task.000002"}
-	want, _ := json.Marshal(pendingMsg{TaskUIDs: uids})
-	got := FormatJSON.EncodeTaskUIDs(uids)
-	if string(got) != string(want) {
-		t.Fatalf("wire shape drifted: got %s want %s", got, want)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeTaskUIDs([]byte(`{"task_uids":`)); err == nil {
-		t.Fatal("truncated message accepted")
-	}
-	if _, err := DecodeTaskUIDs([]byte(`not json`)); err == nil {
-		t.Fatal("non-JSON message accepted")
-	}
-	// Binary frames of the wrong type, version or length must error too.
-	if _, err := DecodeTaskUIDs([]byte{Magic}); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-	if _, err := DecodeTaskUIDs([]byte{Magic, Version + 1, FrameTaskUIDs}); err == nil {
-		t.Fatal("future version accepted")
-	}
-	ackBody, err := FormatBinary.EncodeSyncAck(SyncAck{Seq: 1, OK: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeTaskUIDs(ackBody); err == nil {
-		t.Fatal("cross-type frame accepted")
 	}
 }
 
 func TestEncodeSingle(t *testing.T) {
-	for _, f := range formats {
-		got, err := DecodeTaskUIDs(f.EncodeTaskUID("task.42"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0] != "task.42" {
-			t.Fatalf("%v: got %q", f, got)
-		}
+	got, err := DecodeTaskUIDs(FormatBinary.EncodeTaskUID("task.42"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "task.42" {
+		t.Fatalf("got %q", got)
 	}
 }
 
@@ -110,23 +50,21 @@ func TestSyncFrameRoundTrip(t *testing.T) {
 		}},
 		{Reply: "q", Seq: 0, Reqs: []SyncRequest{}},
 	}
-	for _, f := range formats {
-		for _, fr := range frames {
-			body, err := f.EncodeSyncFrame(fr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeSyncFrame(body)
-			if err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if got.Reply != fr.Reply || got.Seq != fr.Seq || len(got.Reqs) != len(fr.Reqs) {
-				t.Fatalf("%v: frame header drifted: %+v vs %+v", f, got, fr)
-			}
-			for i := range fr.Reqs {
-				if !reflect.DeepEqual(got.Reqs[i], fr.Reqs[i]) {
-					t.Fatalf("%v: req %d: got %+v want %+v", f, i, got.Reqs[i], fr.Reqs[i])
-				}
+	for _, fr := range frames {
+		body, err := FormatBinary.EncodeSyncFrame(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSyncFrame(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Reply != fr.Reply || got.Seq != fr.Seq || len(got.Reqs) != len(fr.Reqs) {
+			t.Fatalf("frame header drifted: %+v vs %+v", got, fr)
+		}
+		for i := range fr.Reqs {
+			if !reflect.DeepEqual(got.Reqs[i], fr.Reqs[i]) {
+				t.Fatalf("req %d: got %+v want %+v", i, got.Reqs[i], fr.Reqs[i])
 			}
 		}
 	}
@@ -137,19 +75,17 @@ func TestSyncAckRoundTrip(t *testing.T) {
 		{Seq: 42, OK: true},
 		{Seq: 1, OK: false, Err: "core: unknown task t.404"},
 	}
-	for _, f := range formats {
-		for _, ack := range acks {
-			body, err := f.EncodeSyncAck(ack)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeSyncAck(body)
-			if err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if got != ack {
-				t.Fatalf("%v: got %+v want %+v", f, got, ack)
-			}
+	for _, ack := range acks {
+		body, err := FormatBinary.EncodeSyncAck(ack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSyncAck(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != ack {
+			t.Fatalf("got %+v want %+v", got, ack)
 		}
 	}
 }
@@ -164,43 +100,26 @@ func TestTaskResultsRoundTrip(t *testing.T) {
 			{UID: "t.3", Canceled: true},
 		},
 	}
-	for _, f := range formats {
-		for _, rs := range batches {
-			body, err := f.EncodeTaskResults(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeTaskResults(body)
-			if err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if len(got) != len(rs) {
-				t.Fatalf("%v: got %d results want %d", f, len(got), len(rs))
-			}
-			for i := range rs {
-				g, w := got[i], rs[i]
-				if g.UID != w.UID || g.ExitCode != w.ExitCode || g.Error != w.Error ||
-					g.Canceled != w.Canceled || !g.Started.Equal(w.Started) ||
-					!g.Finished.Equal(w.Finished) || g.StagingTime != w.StagingTime {
-					t.Fatalf("%v: result %d: got %+v want %+v", f, i, g, w)
-				}
+	for _, rs := range batches {
+		body, err := FormatBinary.EncodeTaskResults(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeTaskResults(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rs) {
+			t.Fatalf("got %d results want %d", len(got), len(rs))
+		}
+		for i := range rs {
+			g, w := got[i], rs[i]
+			if g.UID != w.UID || g.ExitCode != w.ExitCode || g.Error != w.Error ||
+				g.Canceled != w.Canceled || !g.Started.Equal(w.Started) ||
+				!g.Finished.Equal(w.Finished) || g.StagingTime != w.StagingTime {
+				t.Fatalf("result %d: got %+v want %+v", i, g, w)
 			}
 		}
-	}
-}
-
-// TestTaskResultsJSONCompat pins the JSON wire shape to the original
-// encoding (plain json.Marshal of the result slice), so mixed-version
-// durable done-queues replay.
-func TestTaskResultsJSONCompat(t *testing.T) {
-	rs := []TaskResult{{UID: "t.1", ExitCode: 2, Error: "boom"}}
-	want, _ := json.Marshal(rs)
-	got, err := FormatJSON.EncodeTaskResults(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("JSON result shape drifted: got %s want %s", got, want)
 	}
 }
 
@@ -210,54 +129,26 @@ func TestFig6TaskRoundTrip(t *testing.T) {
 		{UID: "t", Executable: "md run", Arguments: nil, Cores: 128},
 		{UID: `q"uote`, Executable: "x", Arguments: []string{"a", "日本"}, Cores: 0},
 	}
-	for _, f := range formats {
-		for _, task := range tasks {
-			var got Fig6Task
-			if err := DecodeFig6Task(f.EncodeFig6Task(&task), &got); err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if !reflect.DeepEqual(got, task) {
-				t.Fatalf("%v: got %+v want %+v", f, got, task)
-			}
-		}
-	}
-}
-
-// TestFig6TaskJSONShape pins the hand-rolled JSON encoder to encoding/json
-// byte for byte (it replaced a json.Marshal whose error was swallowed).
-func TestFig6TaskJSONShape(t *testing.T) {
-	for _, task := range []Fig6Task{
-		{UID: "task.1", Executable: "sleep", Arguments: []string{"0", "x"}, Cores: 4},
-		{UID: "", Executable: "", Arguments: nil, Cores: 0},
-		{UID: `need "escaping"`, Executable: "a\\b", Arguments: []string{}, Cores: -1},
-	} {
-		want, err := json.Marshal(task)
-		if err != nil {
+	for _, task := range tasks {
+		var got Fig6Task
+		if err := DecodeFig6Task(FormatBinary.EncodeFig6Task(&task), &got); err != nil {
 			t.Fatal(err)
 		}
-		got := FormatJSON.EncodeFig6Task(&task)
-		if string(got) != string(want) {
-			t.Fatalf("JSON fig6 shape drifted: got %s want %s", got, want)
+		if !reflect.DeepEqual(got, task) {
+			t.Fatalf("got %+v want %+v", got, task)
 		}
 	}
 }
 
 func TestStateRecRoundTrip(t *testing.T) {
-	for _, f := range formats {
-		body := f.EncodeStateRec("task", "task.0042", "DONE")
-		got, err := DecodeStateRec(body)
-		if err != nil {
-			t.Fatalf("%v: %v", f, err)
-		}
-		want := StateRec{Entity: "task", UID: "task.0042", State: "DONE"}
-		if got != want {
-			t.Fatalf("%v: got %+v want %+v", f, got, want)
-		}
+	body := FormatBinary.EncodeStateRec("task", "task.0042", "DONE")
+	got, err := DecodeStateRec(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// JSON shape pinned to the original core stateRec encoding.
-	want, _ := json.Marshal(StateRec{Entity: "stage", UID: "s.1", State: "FAILED"})
-	if got := FormatJSON.EncodeStateRec("stage", "s.1", "FAILED"); string(got) != string(want) {
-		t.Fatalf("JSON state record drifted: got %s want %s", got, want)
+	want := StateRec{Entity: "task", UID: "task.0042", State: "DONE"}
+	if got != want {
+		t.Fatalf("got %+v want %+v", got, want)
 	}
 }
 
@@ -268,36 +159,15 @@ func TestStoreRecRoundTrip(t *testing.T) {
 		{Op: "push", UIDs: nil},
 		{Op: "pull", UIDs: []string{`uid "quoted"`, "日本"}},
 	}
-	for _, f := range formats {
-		for _, rec := range cases {
-			got, err := DecodeStoreRec(f.EncodeStoreRec(rec.Op, rec.UIDs))
-			if err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if got.Op != rec.Op || len(got.UIDs) != len(rec.UIDs) ||
-				(len(rec.UIDs) > 0 && !reflect.DeepEqual(got.UIDs, rec.UIDs)) {
-				t.Fatalf("%v: got %+v want %+v", f, got, rec)
-			}
+	for _, rec := range cases {
+		got, err := DecodeStoreRec(FormatBinary.EncodeStoreRec(rec.Op, rec.UIDs))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestStoreRecJSONCompat pins the JSON wire shape to the store's original
-// generic-JSON audit record ({"uids":[...],"op":"..."}), so journals
-// written before the typed codec replay through DecodeStoreRec, and
-// JSON-format journals stay byte-identical to the old inspection format.
-func TestStoreRecJSONCompat(t *testing.T) {
-	rec := StoreRec{Op: "push", UIDs: []string{"task.000001", "task.000002"}}
-	want, _ := json.Marshal(rec)
-	got := FormatJSON.EncodeStoreRec(rec.Op, rec.UIDs)
-	if string(got) != string(want) {
-		t.Fatalf("JSON store record drifted: got %s want %s", got, want)
-	}
-	// An old record produced by the generic journal.Append path decodes.
-	old := []byte(`{"uids":["task.1","task.2"],"op":"pull"}`)
-	dec, err := DecodeStoreRec(old)
-	if err != nil || dec.Op != "pull" || len(dec.UIDs) != 2 {
-		t.Fatalf("legacy store record: %+v, %v", dec, err)
+		if got.Op != rec.Op || len(got.UIDs) != len(rec.UIDs) ||
+			(len(rec.UIDs) > 0 && !reflect.DeepEqual(got.UIDs, rec.UIDs)) {
+			t.Fatalf("got %+v want %+v", got, rec)
+		}
 	}
 }
 
@@ -314,55 +184,105 @@ func TestJournalRecRoundTrip(t *testing.T) {
 }
 
 func TestBrokerRecsRoundTrip(t *testing.T) {
-	for _, f := range formats {
-		pub, err := f.EncodeBrokerPublish("pending", 7, []byte("body"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := DecodeBrokerPublish(pub)
-		if err != nil || p.Queue != "pending" || p.ID != 7 || string(p.Body) != "body" {
-			t.Fatalf("%v: publish round trip: %+v, %v", f, p, err)
-		}
+	p, err := DecodeBrokerPublish(FormatBinary.EncodeBrokerPublish("pending", 7, []byte("body")))
+	if err != nil || p.Queue != "pending" || p.ID != 7 || string(p.Body) != "body" {
+		t.Fatalf("publish round trip: %+v, %v", p, err)
+	}
 
-		ackB, err := f.EncodeBrokerAck("pending", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := DecodeBrokerAck(ackB)
-		if err != nil || a.Queue != "pending" || a.ID != 7 {
-			t.Fatalf("%v: ack round trip: %+v, %v", f, a, err)
-		}
+	a, err := DecodeBrokerAck(FormatBinary.EncodeBrokerAck("pending", 7))
+	if err != nil || a.Queue != "pending" || a.ID != 7 {
+		t.Fatalf("ack round trip: %+v, %v", a, err)
+	}
 
-		msgs := []BrokerMsg{{ID: 1, Body: []byte("a")}, {ID: 2, Body: []byte("bb")}}
-		pbB, err := f.EncodeBrokerPublishBatch("done", msgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := DecodeBrokerPublishBatch(pbB)
-		if err != nil || pb.Queue != "done" || !reflect.DeepEqual(pb.Msgs, msgs) {
-			t.Fatalf("%v: publish batch round trip: %+v, %v", f, pb, err)
-		}
+	msgs := []BrokerMsg{{ID: 1, Body: []byte("a")}, {ID: 2, Body: []byte("bb")}}
+	pb, err := DecodeBrokerPublishBatch(FormatBinary.EncodeBrokerPublishBatch("done", msgs))
+	if err != nil || pb.Queue != "done" || !reflect.DeepEqual(pb.Msgs, msgs) {
+		t.Fatalf("publish batch round trip: %+v, %v", pb, err)
+	}
 
-		abB, err := f.EncodeBrokerAckBatch("done", []uint64{1, 2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ab, err := DecodeBrokerAckBatch(abB)
-		if err != nil || ab.Queue != "done" || !reflect.DeepEqual(ab.IDs, []uint64{1, 2, 3}) {
-			t.Fatalf("%v: ack batch round trip: %+v, %v", f, ab, err)
-		}
+	ab, err := DecodeBrokerAckBatch(FormatBinary.EncodeBrokerAckBatch("done", []uint64{1, 2, 3}))
+	if err != nil || ab.Queue != "done" || !reflect.DeepEqual(ab.IDs, []uint64{1, 2, 3}) {
+		t.Fatalf("ack batch round trip: %+v, %v", ab, err)
 	}
 }
 
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{"": FormatBinary, "binary": FormatBinary, "json": FormatJSON} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", in, got, err)
-		}
+// retiredJSON holds one document per message the removed JSON control-plane
+// format used to carry. Every decoder must reject them.
+var retiredJSON = []string{
+	`{"task_uids":["task.1","task.2"]}`,
+	`{"reply":"q","seq":3,"reqs":[{"entity":"task","uids":["a"],"target":"DONE"}]}`,
+	`{"seq":9,"ok":true}`,
+	`[{"UID":"t.1","ExitCode":2,"Error":"boom"}]`,
+	`{"uid":"t","executable":"sleep","arguments":["0"],"cores":1}`,
+	`{"entity":"task","uid":"t.1","state":"DONE"}`,
+	`{"uids":["task.1"],"op":"pull"}`,
+	`{"seq":1,"type":"state","data":{"entity":"task","uid":"t.1","state":"DONE"}}`,
+	`{"q":"pending","id":7,"body":"Ym9keQ=="}`,
+	`{"q":"done","msgs":[{"id":1,"body":"YQ=="}]}`,
+	`{"q":"done","ids":[1,2,3]}`,
+	`{"watermark":9,"entries":[{"entity":"task","uid":"t.1","state":"DONE"}]}`,
+	`{"index":2,"base_seq":17}`,
+	`{"tenant":"alice","app_json":"e30="}`,
+	`{"op":"list"}`,
+}
+
+// TestDecodersRejectForeignBodies pins the single decode path: every
+// exported decoder returns an error — and never panics — for a JSON
+// document, an empty body, a body too short for a header, a wrong magic
+// byte, a valid frame of another type and a frame from a newer wire version.
+func TestDecodersRejectForeignBodies(t *testing.T) {
+	decoders := []struct {
+		name   string
+		typ    byte
+		decode func([]byte) error
+	}{
+		{"TaskUIDs", FrameTaskUIDs, func(b []byte) error { _, err := DecodeTaskUIDs(b); return err }},
+		{"SyncFrame", FrameSyncFrame, func(b []byte) error { _, err := DecodeSyncFrame(b); return err }},
+		{"SyncAck", FrameSyncAck, func(b []byte) error { _, err := DecodeSyncAck(b); return err }},
+		{"TaskResults", FrameTaskResults, func(b []byte) error { _, err := DecodeTaskResults(b); return err }},
+		{"Fig6Task", FrameFig6Task, func(b []byte) error { return DecodeFig6Task(b, &Fig6Task{}) }},
+		{"JournalRec", FrameJournalRec, func(b []byte) error { _, _, _, err := DecodeJournalRec(b); return err }},
+		{"StateRec", FrameStateRec, func(b []byte) error { _, err := DecodeStateRec(b); return err }},
+		{"StoreRec", FrameStoreRec, func(b []byte) error { _, err := DecodeStoreRec(b); return err }},
+		{"Snapshot", FrameSnapshot, func(b []byte) error { _, err := DecodeSnapshot(b); return err }},
+		{"SegmentHeader", FrameSegmentHdr, func(b []byte) error { _, err := DecodeSegmentHeader(b); return err }},
+		{"BrokerPublish", FrameBrokerPublish, func(b []byte) error { _, err := DecodeBrokerPublish(b); return err }},
+		{"BrokerAck", FrameBrokerAck, func(b []byte) error { _, err := DecodeBrokerAck(b); return err }},
+		{"BrokerPublishBatch", FrameBrokerPublishBatch, func(b []byte) error { _, err := DecodeBrokerPublishBatch(b); return err }},
+		{"BrokerAckBatch", FrameBrokerAckBatch, func(b []byte) error { _, err := DecodeBrokerAckBatch(b); return err }},
+		{"DaemonSubmit", FrameDaemonSubmit, func(b []byte) error { _, err := DecodeDaemonSubmit(b); return err }},
+		{"RunOp", FrameDaemonRunOp, func(b []byte) error { _, err := DecodeRunOp(b); return err }},
+		{"Ping", FramePing, func(b []byte) error { _, err := DecodePing(b); return err }},
+		{"Pong", FramePong, func(b []byte) error { _, err := DecodePong(b); return err }},
+		{"Hello", FrameHello, func(b []byte) error { _, err := DecodeHello(b); return err }},
+		{"TaskBatch", FrameTaskBatch, func(b []byte) error { _, err := DecodeTaskBatch(b); return err }},
+		{"AgentStats", FrameAgentStats, func(b []byte) error { _, err := DecodeAgentStats(b); return err }},
+		{"Attach", FrameAttach, func(b []byte) error { _, err := DecodeAttach(b); return err }},
+		{"EventBatch", FrameEventBatch, func(b []byte) error { _, err := DecodeEventBatch(b); return err }},
+		{"EventEnd", FrameEventEnd, func(b []byte) error { _, err := DecodeEventEnd(b); return err }},
 	}
-	if _, err := ParseFormat("protobuf"); err == nil {
-		t.Fatal("unknown format accepted")
+	ack, _ := FormatBinary.EncodeSyncAck(SyncAck{Seq: 1, OK: true})
+	uids := FormatBinary.EncodeTaskUIDs([]string{"task.1"})
+	for _, d := range decoders {
+		other := ack
+		if d.typ == FrameSyncAck {
+			other = uids
+		}
+		bodies := map[string][]byte{
+			"empty":         nil,
+			"two bytes":     {Magic, Version},
+			"wrong magic":   {0x7B, Version, d.typ, 0, 0, 0, 0},
+			"wrong type":    other,
+			"newer version": {Magic, Version + 1, d.typ, 0, 0, 0, 0},
+		}
+		for _, doc := range retiredJSON {
+			bodies["json "+doc] = []byte(doc)
+		}
+		for name, body := range bodies {
+			if err := d.decode(body); err == nil {
+				t.Errorf("Decode%s accepted %s", d.name, name)
+			}
+		}
 	}
 }
 
@@ -371,7 +291,6 @@ func TestParseFormat(t *testing.T) {
 // never over-allocate from a hostile length prefix.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(FormatBinary.EncodeTaskUIDs([]string{"task.1", "task.2"}))
-	f.Add(FormatJSON.EncodeTaskUIDs([]string{"task.1"}))
 	if b, err := FormatBinary.EncodeSyncFrame(SyncFrame{Reply: "q", Seq: 3, Reqs: []SyncRequest{
 		{Entity: "task", UIDs: []string{"a", "b"}, Target: "DONE"}}}); err == nil {
 		f.Add(b)
@@ -389,15 +308,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Entity: "task", UID: "t.1", State: "DONE"}}}))
 	f.Add(FormatBinary.EncodeSegmentHeader(SegmentHeader{Index: 2, BaseSeq: 17}))
 	f.Add(AppendJournalRec(nil, 1, "state", []byte("x")))
-	if b, err := FormatBinary.EncodeBrokerPublishBatch("q", []BrokerMsg{{ID: 1, Body: []byte("b")}}); err == nil {
-		f.Add(b)
-	}
+	f.Add(FormatBinary.EncodeBrokerPublishBatch("q", []BrokerMsg{{ID: 1, Body: []byte("b")}}))
 	// Truncations and corruptions of a valid frame.
 	valid := FormatBinary.EncodeTaskUIDs([]string{"task.000001", "task.000002"})
 	for i := 0; i < len(valid); i += 3 {
 		f.Add(valid[:i])
 	}
 	f.Add([]byte{Magic, Version, FrameTaskUIDs, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// The retired JSON documents: foreign bodies, rejected on the first byte.
+	for _, doc := range retiredJSON {
+		f.Add([]byte(doc))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		DecodeTaskUIDs(body)              //nolint:errcheck

@@ -9,10 +9,9 @@ import (
 //
 // The frames of the networked control plane: the manager <-> entk-agent task
 // links and the remote event fan-out (internal/remoterts over
-// internal/transport). Unlike the queue and journal codecs these are
-// binary-only — they exist solely on live sockets, never in durable storage,
-// so there is no JSON document to stay compatible with. Every decoder
-// rejects malformed input with an error (FuzzDecodeRemote pins this).
+// internal/transport). Unlike the queue and journal codecs they exist solely
+// on live sockets, never in durable storage. Every decoder rejects malformed
+// input with an error (FuzzDecodeRemote pins this).
 
 // EncodePing encodes a transport keepalive probe.
 func EncodePing(seq uint64) []byte {

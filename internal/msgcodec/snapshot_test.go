@@ -1,7 +1,6 @@
 package msgcodec
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -19,50 +18,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			{Entity: "task", UID: `uid "quoted"`, State: "日本"},
 		}},
 	}
-	for _, f := range formats {
-		for _, snap := range cases {
-			got, err := DecodeSnapshot(f.EncodeSnapshot(snap))
-			if err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if got.Watermark != snap.Watermark || len(got.Entries) != len(snap.Entries) ||
-				(len(snap.Entries) > 0 && !reflect.DeepEqual(got.Entries, snap.Entries)) {
-				t.Fatalf("%v: got %+v want %+v", f, got, snap)
-			}
+	for _, snap := range cases {
+		got, err := DecodeSnapshot(FormatBinary.EncodeSnapshot(snap))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestSnapshotJSONShape pins the hand-rolled JSON encoder to the stdlib
-// shape of the declared struct tags, so JSON-format snapshot files stay
-// readable by generic tooling.
-func TestSnapshotJSONShape(t *testing.T) {
-	snap := Snapshot{Watermark: 42, Entries: []SnapEntry{
-		{Entity: "task", UID: "t.1", State: "DONE"},
-		{Entity: "stage", UID: "s.1", State: "FAILED"},
-	}}
-	want, _ := json.Marshal(snap)
-	if got := FormatJSON.EncodeSnapshot(snap); string(got) != string(want) {
-		t.Fatalf("JSON snapshot drifted:\n got %s\nwant %s", got, want)
+		if got.Watermark != snap.Watermark || len(got.Entries) != len(snap.Entries) ||
+			(len(snap.Entries) > 0 && !reflect.DeepEqual(got.Entries, snap.Entries)) {
+			t.Fatalf("got %+v want %+v", got, snap)
+		}
 	}
 }
 
 func TestSegmentHeaderRoundTrip(t *testing.T) {
 	cases := []SegmentHeader{{}, {Index: 1, BaseSeq: 1}, {Index: 999999, BaseSeq: 1 << 50}}
-	for _, f := range formats {
-		for _, h := range cases {
-			got, err := DecodeSegmentHeader(f.EncodeSegmentHeader(h))
-			if err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			if got != h {
-				t.Fatalf("%v: got %+v want %+v", f, got, h)
-			}
+	for _, h := range cases {
+		got, err := DecodeSegmentHeader(FormatBinary.EncodeSegmentHeader(h))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	want, _ := json.Marshal(SegmentHeader{Index: 3, BaseSeq: 17})
-	if got := FormatJSON.EncodeSegmentHeader(SegmentHeader{Index: 3, BaseSeq: 17}); string(got) != string(want) {
-		t.Fatalf("JSON segment header drifted: got %s want %s", got, want)
+		if got != h {
+			t.Fatalf("got %+v want %+v", got, h)
+		}
 	}
 }
 
@@ -81,17 +58,11 @@ func TestSnapshotEncodeAllocs(t *testing.T) {
 	}
 }
 
-func TestSnapshotDecodeRejectsGarbage(t *testing.T) {
-	for _, bad := range [][]byte{
-		{Magic, Version, FrameSnapshot, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, // hostile count
-		{Magic, Version, FrameSegmentHdr},                                   // type confusion
-		[]byte("{"),
-	} {
-		if _, err := DecodeSnapshot(bad); err == nil {
-			t.Fatalf("DecodeSnapshot(%x) accepted", bad)
-		}
-	}
-	if _, err := DecodeSegmentHeader([]byte{Magic, Version, FrameSnapshot}); err == nil {
-		t.Fatal("DecodeSegmentHeader accepted a snapshot frame")
+// A hostile entry count must error instead of driving an allocation (the
+// other foreign bodies are TestDecodersRejectForeignBodies' cases).
+func TestSnapshotDecodeRejectsHostileCount(t *testing.T) {
+	bad := []byte{Magic, Version, FrameSnapshot, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}
+	if _, err := DecodeSnapshot(bad); err == nil {
+		t.Fatalf("DecodeSnapshot(%x) accepted", bad)
 	}
 }

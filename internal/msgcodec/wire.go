@@ -2,10 +2,8 @@ package msgcodec
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 )
 
@@ -157,13 +155,13 @@ func (r *reader) time() (time.Time, error) {
 // entity, or (UIDs) the same transition applied to a batch of entities in
 // one request, EnTK's bulk state updates.
 type SyncRequest struct {
-	Entity string   `json:"entity"` // "task" | "stage" | "pipeline"
-	UID    string   `json:"uid,omitempty"`
-	UIDs   []string `json:"uids,omitempty"`
-	Target string   `json:"target"`
+	Entity string // "task" | "stage" | "pipeline"
+	UID    string
+	UIDs   []string
+	Target string
 	// Result metadata piggybacked on task transitions.
-	ExitCode int    `json:"exit_code,omitempty"`
-	ExecErr  string `json:"exec_err,omitempty"`
+	ExitCode int
+	ExecErr  string
 }
 
 // SyncFrame carries one component's transition requests to the Synchronizer
@@ -172,25 +170,22 @@ type SyncRequest struct {
 // round-trips into O(1): a 64-task stage schedules with one frame holding
 // its stage and bulk-task transitions.
 type SyncFrame struct {
-	Reply string        `json:"reply"` // ack queue
-	Seq   uint64        `json:"seq"`
-	Reqs  []SyncRequest `json:"reqs"`
+	Reply string // ack queue
+	Seq   uint64
+	Reqs  []SyncRequest
 }
 
 // SyncAck is the Synchronizer's acknowledgement of one frame: OK when every
 // request committed (or was absorbed as a documented no-op), otherwise the
 // first failure.
 type SyncAck struct {
-	Seq uint64 `json:"seq"`
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
+	Seq uint64
+	OK  bool
+	Err string
 }
 
-// EncodeSyncFrame encodes a transition frame in format f.
+// EncodeSyncFrame encodes a transition frame.
 func (f Format) EncodeSyncFrame(fr SyncFrame) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(fr)
-	}
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameSyncFrame)
 	buf = appendString(buf, fr.Reply)
@@ -211,15 +206,9 @@ func (f Format) EncodeSyncFrame(fr SyncFrame) ([]byte, error) {
 	return putBuf(bp, buf), nil
 }
 
-// DecodeSyncFrame decodes a transition frame of either format.
+// DecodeSyncFrame decodes a transition frame.
 func DecodeSyncFrame(body []byte) (SyncFrame, error) {
 	var fr SyncFrame
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &fr); err != nil {
-			return SyncFrame{}, fmt.Errorf("msgcodec: sync frame: %w", err)
-		}
-		return fr, nil
-	}
 	r, err := frameReader(body, FrameSyncFrame)
 	if err != nil {
 		return SyncFrame{}, err
@@ -270,11 +259,8 @@ func DecodeSyncFrame(body []byte) (SyncFrame, error) {
 	return fr, nil
 }
 
-// EncodeSyncAck encodes an acknowledgement in format f.
+// EncodeSyncAck encodes an acknowledgement.
 func (f Format) EncodeSyncAck(ack SyncAck) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(ack)
-	}
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameSyncAck)
 	buf = appendUvarint(buf, ack.Seq)
@@ -283,15 +269,9 @@ func (f Format) EncodeSyncAck(ack SyncAck) ([]byte, error) {
 	return putBuf(bp, buf), nil
 }
 
-// DecodeSyncAck decodes an acknowledgement of either format.
+// DecodeSyncAck decodes an acknowledgement.
 func DecodeSyncAck(body []byte) (SyncAck, error) {
 	var ack SyncAck
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return SyncAck{}, fmt.Errorf("msgcodec: sync ack: %w", err)
-		}
-		return ack, nil
-	}
 	r, err := frameReader(body, FrameSyncAck)
 	if err != nil {
 		return SyncAck{}, err
@@ -311,8 +291,7 @@ func DecodeSyncAck(body []byte) (SyncAck, error) {
 // ---- done-queue task-result batches -------------------------------------
 
 // TaskResult is the RTS's report of one finished task attempt, as carried
-// on the done queue. Field names are part of the JSON wire format (the
-// original encoding used encoding/json defaults), so they carry no tags.
+// on the done queue.
 type TaskResult struct {
 	UID      string
 	ExitCode int
@@ -325,11 +304,8 @@ type TaskResult struct {
 	StagingTime time.Duration
 }
 
-// EncodeTaskResults encodes a done-queue result batch in format f.
+// EncodeTaskResults encodes a done-queue result batch.
 func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(rs)
-	}
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameTaskResults)
 	buf = appendUvarint(buf, uint64(len(rs)))
@@ -346,15 +322,8 @@ func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
 	return putBuf(bp, buf), nil
 }
 
-// DecodeTaskResults decodes a done-queue result batch of either format.
+// DecodeTaskResults decodes a done-queue result batch.
 func DecodeTaskResults(body []byte) ([]TaskResult, error) {
-	if !IsBinary(body) {
-		var rs []TaskResult
-		if err := json.Unmarshal(body, &rs); err != nil {
-			return nil, fmt.Errorf("msgcodec: task results: %w", err)
-		}
-		return rs, nil
-	}
 	r, err := frameReader(body, FrameTaskResults)
 	if err != nil {
 		return nil, err
@@ -400,41 +369,15 @@ func DecodeTaskResults(body []byte) ([]TaskResult, error) {
 // Fig6Task is the task object the Fig 6 prototype benchmark pushes through
 // the queues, shaped like an EnTK task description.
 type Fig6Task struct {
-	UID        string   `json:"uid"`
-	Executable string   `json:"executable"`
-	Arguments  []string `json:"arguments"`
-	Cores      int      `json:"cores"`
+	UID        string
+	Executable string
+	Arguments  []string
+	Cores      int
 }
 
-// EncodeFig6Task encodes one prototype task body in format f. Infallible:
-// the JSON path is hand-rolled (byte-identical to encoding/json for this
-// shape), which is also what removes the swallowed-marshal-error site the
-// original benchmark had.
+// EncodeFig6Task encodes one prototype task body.
 func (f Format) EncodeFig6Task(t *Fig6Task) []byte {
 	bp, buf := getBuf()
-	if f == FormatJSON {
-		buf = append(buf, `{"uid":`...)
-		buf = appendJSONString(buf, t.UID)
-		buf = append(buf, `,"executable":`...)
-		buf = appendJSONString(buf, t.Executable)
-		buf = append(buf, `,"arguments":`...)
-		if t.Arguments == nil {
-			buf = append(buf, `null`...)
-		} else {
-			buf = append(buf, '[')
-			for i, a := range t.Arguments {
-				if i > 0 {
-					buf = append(buf, ',')
-				}
-				buf = appendJSONString(buf, a)
-			}
-			buf = append(buf, ']')
-		}
-		buf = append(buf, `,"cores":`...)
-		buf = strconv.AppendInt(buf, int64(t.Cores), 10)
-		buf = append(buf, '}')
-		return putBuf(bp, buf)
-	}
 	buf = appendHeader(buf, FrameFig6Task)
 	buf = appendString(buf, t.UID)
 	buf = appendString(buf, t.Executable)
@@ -446,14 +389,8 @@ func (f Format) EncodeFig6Task(t *Fig6Task) []byte {
 	return putBuf(bp, buf)
 }
 
-// DecodeFig6Task decodes one prototype task body of either format into t.
+// DecodeFig6Task decodes one prototype task body into t.
 func DecodeFig6Task(body []byte, t *Fig6Task) error {
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, t); err != nil {
-			return fmt.Errorf("msgcodec: fig6 task: %w", err)
-		}
-		return nil
-	}
 	r, err := frameReader(body, FrameFig6Task)
 	if err != nil {
 		return err
@@ -489,25 +426,14 @@ func DecodeFig6Task(body []byte, t *Fig6Task) error {
 
 // StateRec is the journal payload of one committed state transition.
 type StateRec struct {
-	Entity string `json:"entity"`
-	UID    string `json:"uid"`
-	State  string `json:"state"`
+	Entity string
+	UID    string
+	State  string
 }
 
-// EncodeStateRec encodes one state record in format f. Infallible: both
-// paths are hand-rolled appends.
+// EncodeStateRec encodes one state record.
 func (f Format) EncodeStateRec(entity, uid, state string) []byte {
 	bp, buf := getBuf()
-	if f == FormatJSON {
-		buf = append(buf, `{"entity":`...)
-		buf = appendJSONString(buf, entity)
-		buf = append(buf, `,"uid":`...)
-		buf = appendJSONString(buf, uid)
-		buf = append(buf, `,"state":`...)
-		buf = appendJSONString(buf, state)
-		buf = append(buf, '}')
-		return putBuf(bp, buf)
-	}
 	buf = appendHeader(buf, FrameStateRec)
 	buf = appendString(buf, entity)
 	buf = appendString(buf, uid)
@@ -515,15 +441,9 @@ func (f Format) EncodeStateRec(entity, uid, state string) []byte {
 	return putBuf(bp, buf)
 }
 
-// DecodeStateRec decodes a state record of either format.
+// DecodeStateRec decodes a state record.
 func DecodeStateRec(body []byte) (StateRec, error) {
 	var sr StateRec
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &sr); err != nil {
-			return StateRec{}, fmt.Errorf("msgcodec: state record: %w", err)
-		}
-		return sr, nil
-	}
 	r, err := frameReader(body, FrameStateRec)
 	if err != nil {
 		return StateRec{}, err
@@ -543,32 +463,15 @@ func DecodeStateRec(body []byte) (StateRec, error) {
 // ---- journaled RTS task-store audit records -----------------------------
 
 // StoreRec is the journal payload of one RTS task-store operation: one
-// record per Push or Pull batch, covering every task the call moved. The
-// field order (uids before op) is part of the JSON wire shape — it matches
-// the store's original generic-JSON record, so journals written before the
-// typed codec replay through DecodeStoreRec unchanged.
+// record per Push or Pull batch, covering every task the call moved.
 type StoreRec struct {
-	UIDs []string `json:"uids"`
-	Op   string   `json:"op"` // "push" | "pull"
+	UIDs []string
+	Op   string // "push" | "pull"
 }
 
-// EncodeStoreRec encodes one store audit record in format f. Infallible:
-// both paths are hand-rolled appends.
+// EncodeStoreRec encodes one store audit record.
 func (f Format) EncodeStoreRec(op string, uids []string) []byte {
 	bp, buf := getBuf()
-	if f == FormatJSON {
-		buf = append(buf, `{"uids":[`...)
-		for i, uid := range uids {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, uid)
-		}
-		buf = append(buf, `],"op":`...)
-		buf = appendJSONString(buf, op)
-		buf = append(buf, '}')
-		return putBuf(bp, buf)
-	}
 	buf = appendHeader(buf, FrameStoreRec)
 	buf = appendString(buf, op)
 	buf = appendUvarint(buf, uint64(len(uids)))
@@ -578,15 +481,9 @@ func (f Format) EncodeStoreRec(op string, uids []string) []byte {
 	return putBuf(bp, buf)
 }
 
-// DecodeStoreRec decodes a store audit record of either format.
+// DecodeStoreRec decodes a store audit record.
 func DecodeStoreRec(body []byte) (StoreRec, error) {
 	var sr StoreRec
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &sr); err != nil {
-			return StoreRec{}, fmt.Errorf("msgcodec: store record: %w", err)
-		}
-		return sr, nil
-	}
 	r, err := frameReader(body, FrameStoreRec)
 	if err != nil {
 		return StoreRec{}, err
@@ -644,57 +541,48 @@ func DecodeJournalRec(payload []byte) (seq uint64, recType string, data []byte, 
 
 // BrokerMsg is one message of a batched durable publish record.
 type BrokerMsg struct {
-	ID   uint64 `json:"id"`
-	Body []byte `json:"body"`
+	ID   uint64
+	Body []byte
 }
 
 // BrokerPublish is the durable-queue record of one published message.
 type BrokerPublish struct {
-	Queue string `json:"q"`
-	ID    uint64 `json:"id"`
-	Body  []byte `json:"body"`
+	Queue string
+	ID    uint64
+	Body  []byte
 }
 
 // BrokerAck is the durable-queue record of one settled message.
 type BrokerAck struct {
-	Queue string `json:"q"`
-	ID    uint64 `json:"id"`
+	Queue string
+	ID    uint64
 }
 
 // BrokerPublishBatch is the durable-queue record of one publish batch.
 type BrokerPublishBatch struct {
-	Queue string      `json:"q"`
-	Msgs  []BrokerMsg `json:"msgs"`
+	Queue string
+	Msgs  []BrokerMsg
 }
 
 // BrokerAckBatch is the durable-queue record of one ack batch.
 type BrokerAckBatch struct {
-	Queue string   `json:"q"`
-	IDs   []uint64 `json:"ids"`
+	Queue string
+	IDs   []uint64
 }
 
-// EncodeBrokerPublish encodes a publish record in format f.
-func (f Format) EncodeBrokerPublish(queue string, id uint64, body []byte) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(BrokerPublish{Queue: queue, ID: id, Body: body})
-	}
+// EncodeBrokerPublish encodes a publish record.
+func (f Format) EncodeBrokerPublish(queue string, id uint64, body []byte) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameBrokerPublish)
 	buf = appendString(buf, queue)
 	buf = appendUvarint(buf, id)
 	buf = appendBytes(buf, body)
-	return putBuf(bp, buf), nil
+	return putBuf(bp, buf)
 }
 
-// DecodeBrokerPublish decodes a publish record of either format.
+// DecodeBrokerPublish decodes a publish record.
 func DecodeBrokerPublish(payload []byte) (BrokerPublish, error) {
 	var p BrokerPublish
-	if !IsBinary(payload) {
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return BrokerPublish{}, fmt.Errorf("msgcodec: broker publish record: %w", err)
-		}
-		return p, nil
-	}
 	r, err := frameReader(payload, FrameBrokerPublish)
 	if err != nil {
 		return BrokerPublish{}, err
@@ -711,27 +599,18 @@ func DecodeBrokerPublish(payload []byte) (BrokerPublish, error) {
 	return p, nil
 }
 
-// EncodeBrokerAck encodes an ack record in format f.
-func (f Format) EncodeBrokerAck(queue string, id uint64) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(BrokerAck{Queue: queue, ID: id})
-	}
+// EncodeBrokerAck encodes an ack record.
+func (f Format) EncodeBrokerAck(queue string, id uint64) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameBrokerAck)
 	buf = appendString(buf, queue)
 	buf = appendUvarint(buf, id)
-	return putBuf(bp, buf), nil
+	return putBuf(bp, buf)
 }
 
-// DecodeBrokerAck decodes an ack record of either format.
+// DecodeBrokerAck decodes an ack record.
 func DecodeBrokerAck(payload []byte) (BrokerAck, error) {
 	var a BrokerAck
-	if !IsBinary(payload) {
-		if err := json.Unmarshal(payload, &a); err != nil {
-			return BrokerAck{}, fmt.Errorf("msgcodec: broker ack record: %w", err)
-		}
-		return a, nil
-	}
 	r, err := frameReader(payload, FrameBrokerAck)
 	if err != nil {
 		return BrokerAck{}, err
@@ -745,11 +624,8 @@ func DecodeBrokerAck(payload []byte) (BrokerAck, error) {
 	return a, nil
 }
 
-// EncodeBrokerPublishBatch encodes a batched publish record in format f.
-func (f Format) EncodeBrokerPublishBatch(queue string, msgs []BrokerMsg) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(BrokerPublishBatch{Queue: queue, Msgs: msgs})
-	}
+// EncodeBrokerPublishBatch encodes a batched publish record.
+func (f Format) EncodeBrokerPublishBatch(queue string, msgs []BrokerMsg) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameBrokerPublishBatch)
 	buf = appendString(buf, queue)
@@ -758,18 +634,12 @@ func (f Format) EncodeBrokerPublishBatch(queue string, msgs []BrokerMsg) ([]byte
 		buf = appendUvarint(buf, msgs[i].ID)
 		buf = appendBytes(buf, msgs[i].Body)
 	}
-	return putBuf(bp, buf), nil
+	return putBuf(bp, buf)
 }
 
-// DecodeBrokerPublishBatch decodes a batched publish record of either format.
+// DecodeBrokerPublishBatch decodes a batched publish record.
 func DecodeBrokerPublishBatch(payload []byte) (BrokerPublishBatch, error) {
 	var p BrokerPublishBatch
-	if !IsBinary(payload) {
-		if err := json.Unmarshal(payload, &p); err != nil {
-			return BrokerPublishBatch{}, fmt.Errorf("msgcodec: broker publish batch record: %w", err)
-		}
-		return p, nil
-	}
 	r, err := frameReader(payload, FrameBrokerPublishBatch)
 	if err != nil {
 		return BrokerPublishBatch{}, err
@@ -793,11 +663,8 @@ func DecodeBrokerPublishBatch(payload []byte) (BrokerPublishBatch, error) {
 	return p, nil
 }
 
-// EncodeBrokerAckBatch encodes a batched ack record in format f.
-func (f Format) EncodeBrokerAckBatch(queue string, ids []uint64) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(BrokerAckBatch{Queue: queue, IDs: ids})
-	}
+// EncodeBrokerAckBatch encodes a batched ack record.
+func (f Format) EncodeBrokerAckBatch(queue string, ids []uint64) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameBrokerAckBatch)
 	buf = appendString(buf, queue)
@@ -805,18 +672,12 @@ func (f Format) EncodeBrokerAckBatch(queue string, ids []uint64) ([]byte, error)
 	for _, id := range ids {
 		buf = appendUvarint(buf, id)
 	}
-	return putBuf(bp, buf), nil
+	return putBuf(bp, buf)
 }
 
-// DecodeBrokerAckBatch decodes a batched ack record of either format.
+// DecodeBrokerAckBatch decodes a batched ack record.
 func DecodeBrokerAckBatch(payload []byte) (BrokerAckBatch, error) {
 	var a BrokerAckBatch
-	if !IsBinary(payload) {
-		if err := json.Unmarshal(payload, &a); err != nil {
-			return BrokerAckBatch{}, fmt.Errorf("msgcodec: broker ack batch record: %w", err)
-		}
-		return a, nil
-	}
 	r, err := frameReader(payload, FrameBrokerAckBatch)
 	if err != nil {
 		return BrokerAckBatch{}, err

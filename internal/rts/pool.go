@@ -114,6 +114,7 @@ type Pool struct {
 	outstanding map[string]dispatchRec // prefixed UID -> route
 	inflight    int                    // cores dispatched to the pilot, not yet completed
 	trace       []string
+	holdUntil   map[string]int // tenant -> queued backlog that lifts the dispatch hold
 	orphans     uint64
 
 	releases chan struct{}
@@ -223,6 +224,19 @@ func (p *Pool) DispatchTrace() []string {
 	return append([]string(nil), p.trace...)
 }
 
+// HoldUntilQueued makes the feeder dispatch nothing until every tenant in
+// backlog has at least that many tasks queued, then lifts the hold for good.
+// It replaces any earlier hold; a nil backlog lifts it at once. Tests call
+// it before submitting, so that every tenant is backlogged from dispatch 0
+// whatever order and pace the submissions arrive in, and a DispatchTrace
+// prefix is comparable to the weights.
+func (p *Pool) HoldUntilQueued(backlog map[string]int) {
+	p.mu.Lock()
+	p.holdUntil = backlog
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
 // Utilization exposes the shared pilot's occupancy.
 func (p *Pool) Utilization() core.Utilization { return p.inner.Utilization() }
 
@@ -307,6 +321,12 @@ func (p *Pool) tenantLocked(name string) *poolTenant {
 // registers the outstanding route. Returns false when nothing is
 // dispatchable right now.
 func (p *Pool) pickLocked() (core.TaskDescription, bool) {
+	for name, n := range p.holdUntil {
+		if t := p.tenants[name]; t == nil || len(t.queue) < n {
+			return core.TaskDescription{}, false
+		}
+	}
+	p.holdUntil = nil
 	var best *poolTenant
 	for _, t := range p.tenants {
 		if len(t.queue) == 0 {

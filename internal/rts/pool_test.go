@@ -150,9 +150,10 @@ func TestPoolAdmissionLedger(t *testing.T) {
 }
 
 // Stride scheduling: with both tenants backlogged at 3:1 weights, the
-// dispatch order interleaves at ~3:1. The ratio is measured over the prefix
-// where both tenants still have queued work (the tail degenerates to
-// whichever tenant has tasks left).
+// dispatch order interleaves at ~3:1. Dispatch is held until both backlogs
+// are queued, and the ratio is measured over a prefix where both tenants
+// still have queued work (the tail degenerates to whichever tenant has tasks
+// left).
 func TestPoolWeightedFairDispatch(t *testing.T) {
 	p := newPoolHarness(t, func(cfg *PoolConfig) {
 		cfg.Base.Resource.Cores = 4
@@ -172,6 +173,7 @@ func TestPoolWeightedFairDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 80
+	p.HoldUntilQueued(map[string]int{"heavy": n, "light": n})
 	mk := func(tag string) []core.TaskDescription {
 		var out []core.TaskDescription
 		for i := 0; i < n; i++ {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/journal"
 	"repro/internal/msgcodec"
 )
 
@@ -18,8 +19,9 @@ import (
 // journal records use — and is written to a temporary file and renamed into
 // place, so a crash mid-snapshot leaves either the previous snapshot or a
 // stray .tmp file, never a half-readable one. Loaders additionally validate
-// the CRC and skip undecodable files, falling back to the next-newest
-// snapshot.
+// the CRC and skip torn files, falling back to the next-newest snapshot; an
+// intact file in a foreign framing is journal.ErrUnknownFraming, because the
+// segments it made compactable may already be gone.
 
 // snapPrefix/snapSuffix define the snapshot naming scheme,
 // "snapshot-<watermark>.snap" with the watermark as fixed-width hex so
@@ -94,8 +96,8 @@ func (db *DB) Restore(entries []msgcodec.SnapEntry) error {
 	return nil
 }
 
-// WriteSnapshot atomically persists snap into dir in format f, returning
-// the snapshot file's path. On success, snapshot generations older than the
+// WriteSnapshot atomically persists snap into dir, returning the snapshot
+// file's path. On success, snapshot generations older than the
 // newest keepSnapshots are pruned (best effort).
 func WriteSnapshot(dir string, snap msgcodec.Snapshot, f msgcodec.Format) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -170,14 +172,20 @@ func listSnapshots(dir string) ([]uint64, map[uint64]string) {
 	return wms, byWM
 }
 
-// LoadLatestSnapshot returns the newest valid snapshot in dir. A torn,
-// truncated or undecodable snapshot file is skipped in favor of the
-// next-newest one — the crash-mid-snapshot fallback. ok is false when no
-// valid snapshot exists (including a missing directory).
+// LoadLatestSnapshot returns the newest valid snapshot in dir. A torn or
+// truncated snapshot file is skipped in favor of the next-newest one — the
+// crash-mid-snapshot fallback. ok is false when no valid snapshot exists
+// (including a missing directory). A snapshot that is intact on disk but
+// does not decode fails the load with journal.ErrUnknownFraming: falling
+// back past it would replay a journal whose segments below its watermark
+// may already be compacted, silently dropping committed states.
 func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error) {
 	wms, byWM := listSnapshots(dir)
 	for _, wm := range wms {
-		s, valid := readSnapshot(byWM[wm])
+		s, valid, err := readSnapshot(byWM[wm])
+		if err != nil {
+			return msgcodec.Snapshot{}, false, err
+		}
 		if valid {
 			return s, true, nil
 		}
@@ -185,24 +193,21 @@ func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error)
 	return msgcodec.Snapshot{}, false, nil
 }
 
-// readSnapshot decodes one snapshot file, reporting validity.
-func readSnapshot(path string) (msgcodec.Snapshot, bool) {
+// readSnapshot decodes one snapshot file. valid is false for a torn file;
+// err is set for an intact one in a foreign framing.
+func readSnapshot(path string) (s msgcodec.Snapshot, valid bool, err error) {
 	buf, err := os.ReadFile(path)
-	if err != nil || len(buf) < snapHeaderLen {
-		return msgcodec.Snapshot{}, false
+	if err != nil || len(buf) <= snapHeaderLen {
+		return msgcodec.Snapshot{}, false, nil
 	}
 	n := binary.LittleEndian.Uint32(buf[0:4])
 	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if int(n) != len(buf)-snapHeaderLen {
-		return msgcodec.Snapshot{}, false
-	}
 	payload := buf[snapHeaderLen:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return msgcodec.Snapshot{}, false
+	if int(n) != len(payload) || crc32.ChecksumIEEE(payload) != crc {
+		return msgcodec.Snapshot{}, false, nil
 	}
-	s, err := msgcodec.DecodeSnapshot(payload)
-	if err != nil {
-		return msgcodec.Snapshot{}, false
+	if s, err = msgcodec.DecodeSnapshot(payload); err != nil {
+		return msgcodec.Snapshot{}, false, fmt.Errorf("%w: %s: %w", journal.ErrUnknownFraming, path, err)
 	}
-	return s, true
+	return s, true, nil
 }

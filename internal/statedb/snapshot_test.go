@@ -1,11 +1,15 @@
 package statedb
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/msgcodec"
 )
 
@@ -25,49 +29,47 @@ func TestSnapshotNameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip pins the full disk round trip for both wire formats:
+// TestSnapshotRoundTrip pins the full disk round trip:
 // a DB's entries written with WriteSnapshot load back identically via
 // LoadLatestSnapshot and seed a fresh DB via Restore.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, f := range []msgcodec.Format{msgcodec.FormatBinary, msgcodec.FormatJSON} {
-		dir := t.TempDir()
-		db := New()
-		saves := []struct{ entity, uid, state string }{
-			{"task", "task.1", "SCHEDULED"},
-			{"task", "task.1", "DONE"}, // latest wins
-			{"task", "task.2", "FAILED"},
-			{"stage", "stage.1", "DONE"},
-			{"pipeline", "pipe.1", "SCHEDULING"},
-		}
-		for _, s := range saves {
-			if err := db.SaveState(s.entity, s.uid, s.state); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap := msgcodec.Snapshot{Watermark: 42, Entries: db.SnapshotEntries()}
-		if _, err := WriteSnapshot(dir, snap, f); err != nil {
+	dir := t.TempDir()
+	db := New()
+	saves := []struct{ entity, uid, state string }{
+		{"task", "task.1", "SCHEDULED"},
+		{"task", "task.1", "DONE"}, // latest wins
+		{"task", "task.2", "FAILED"},
+		{"stage", "stage.1", "DONE"},
+		{"pipeline", "pipe.1", "SCHEDULING"},
+	}
+	for _, s := range saves {
+		if err := db.SaveState(s.entity, s.uid, s.state); err != nil {
 			t.Fatal(err)
 		}
+	}
+	snap := msgcodec.Snapshot{Watermark: 42, Entries: db.SnapshotEntries()}
+	if _, err := WriteSnapshot(dir, snap, msgcodec.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
 
-		got, ok, err := LoadLatestSnapshot(dir)
-		if err != nil || !ok {
-			t.Fatalf("%v: LoadLatestSnapshot: ok=%v err=%v", f, ok, err)
-		}
-		if got.Watermark != 42 || len(got.Entries) != 4 {
-			t.Fatalf("%v: snapshot drifted: %+v", f, got)
-		}
+	got, ok, err := LoadLatestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("LoadLatestSnapshot: ok=%v err=%v", ok, err)
+	}
+	if got.Watermark != 42 || len(got.Entries) != 4 {
+		t.Fatalf("snapshot drifted: %+v", got)
+	}
 
-		db2 := New()
-		if err := db2.Restore(got.Entries); err != nil {
-			t.Fatal(err)
-		}
-		states, err := db2.LoadTaskStates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if states["task.1"] != "DONE" || states["task.2"] != "FAILED" || len(states) != 2 {
-			t.Fatalf("%v: restored task states drifted: %v", f, states)
-		}
+	db2 := New()
+	if err := db2.Restore(got.Entries); err != nil {
+		t.Fatal(err)
+	}
+	states, err := db2.LoadTaskStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if states["task.1"] != "DONE" || states["task.2"] != "FAILED" || len(states) != 2 {
+		t.Fatalf("restored task states drifted: %v", states)
 	}
 }
 
@@ -152,6 +154,42 @@ func TestLoadLatestSkipsTornSnapshot(t *testing.T) {
 	snap, ok, err = LoadLatestSnapshot(dir)
 	if err != nil || !ok || snap.Watermark != 10 {
 		t.Fatalf("corrupted-newest fallback drifted: %+v ok=%v err=%v", snap, ok, err)
+	}
+}
+
+// TestLoadLatestRejectsUnknownFraming pins that a snapshot which is intact
+// on disk (length and CRC match) but not decodable by this build — the
+// retired JSON document, or a frame from a newer wire version — fails the
+// load with journal.ErrUnknownFraming instead of being skipped: the journal
+// segments below its watermark may already be compacted, so falling back to
+// an older snapshot would silently drop committed states.
+func TestLoadLatestRejectsUnknownFraming(t *testing.T) {
+	newer := msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 20})
+	newer[1] = msgcodec.Version + 1
+	foreign := map[string][]byte{
+		"json document": []byte(`{"watermark":20,"entries":[{"entity":"task","uid":"t.2","state":"DONE"}]}`),
+		"newer version": newer,
+	}
+	for name, payload := range foreign {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 10}, msgcodec.FormatBinary); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, snapHeaderLen, snapHeaderLen+len(payload))
+			binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+			path := filepath.Join(dir, SnapshotName(20))
+			if err := os.WriteFile(path, append(buf, payload...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if snap, ok, err := LoadLatestSnapshot(dir); !errors.Is(err, journal.ErrUnknownFraming) || ok {
+				t.Fatalf("LoadLatestSnapshot = %+v, ok=%v, err=%v; want ErrUnknownFraming", snap, ok, err)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(snapHeaderLen+len(payload)) {
+				t.Fatalf("load changed the snapshot file: %v, %v", fi, err)
+			}
+		})
 	}
 }
 
