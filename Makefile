@@ -22,13 +22,21 @@ GO ?= go
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
 BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
-.PHONY: build test bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
+.PHONY: build test fuzz bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# A short coverage-guided pass over the two decoders that read what a crash
+# left on disk: the journal scanner against its unbuffered reference, and
+# the snapshot loader. `make test` already replays the checked-in corpus
+# (testdata/fuzz/); this mutates it. -fuzz takes one target per run.
+fuzz:
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzScanFile$$' -fuzztime 15s
+	$(GO) test ./internal/statedb -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 15s
 
 # One pass over every benchmark so they cannot bit-rot; real measurements
 # use `go test -bench=<pattern> -benchmem -benchtime=...` directly.

@@ -7,7 +7,10 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -692,7 +695,9 @@ func BenchmarkJournalAppend(b *testing.B) {
 // final state map from a journal directory, with and without a snapshot.
 // records-N replays N state records raw; snapshot-N recovers from a
 // snapshot at watermark plus a short tail over the same record count — the
-// gap between the two is what the snapshot layer buys at restart.
+// gap between the two is what the snapshot layer buys at restart. Both
+// re-implement recovery; resume-N (benchResume) calls the real one on an
+// N-task application.
 func BenchmarkRecovery(b *testing.B) {
 	writeDir := func(b *testing.B, n int, snapshotAt int) string {
 		b.Helper()
@@ -779,6 +784,99 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
+	b.Run(fmt.Sprintf("resume-%d", n), func(b *testing.B) { benchResume(b, n/2) })
+}
+
+// resumeApp is the durable benchmark workload's shape: one pipeline of two
+// stages of `tasks` zero-duration tasks each, with structural UIDs so a
+// second manager's Resume matches every entity of the first.
+func resumeApp(tasks int) *entk.Pipeline {
+	p := entk.NewPipeline("resume")
+	p.UID = "pipeline.000"
+	for si := 0; si < 2; si++ {
+		s := entk.NewStage(fmt.Sprintf("s%d", si))
+		s.UID = fmt.Sprintf("stage.000.%03d", si)
+		for ti := 0; ti < tasks; ti++ {
+			t := entk.NewTask(fmt.Sprintf("t%05d", ti))
+			t.UID = fmt.Sprintf("task.000.%03d.%05d", si, ti)
+			t.Executable = "sleep"
+			s.AddTask(t) //nolint:errcheck
+		}
+		p.AddStage(s) //nolint:errcheck
+	}
+	return p
+}
+
+// benchResume is BenchmarkRecovery's end-to-end arm: unlike its siblings it
+// goes through the real AppManager.Resume. One durable run of 2 stages x
+// `tasks` is cut at the stage boundary (Run.Cancel journals nothing, so the
+// directory looks like a process death); each iteration resumes a fresh
+// manager from a copy of that directory and is timed from the Resume call
+// to the run handle coming back. records/s counts the journal records one
+// recovery reads.
+func benchResume(b *testing.B, tasks int) {
+	manager := func(dir string) (*entk.AppManager, *entk.Pipeline) {
+		am, err := entk.NewAppManager(entk.AppConfig{
+			Resource:   entk.Resource{Name: "supermic", Cores: 1024, Walltime: 72 * time.Hour},
+			TimeScale:  250 * time.Microsecond,
+			HostName:   "null",
+			JournalDir: dir,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := resumeApp(tasks)
+		if err := am.AddPipelines(p); err != nil {
+			b.Fatal(err)
+		}
+		return am, p
+	}
+	const cut = "bench: cut at the stage boundary"
+	crashed := b.TempDir()
+	am, p := manager(crashed)
+	started := make(chan *entk.Run, 1)
+	p.Stages()[0].PostExec = func() error {
+		(<-started).Cancel(cut)
+		return nil
+	}
+	run, err := am.Start(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	started <- run
+	var ce *entk.CancelError
+	if err := run.Wait(); !errors.As(err, &ce) || ce.Reason != cut {
+		b.Fatalf("cut run ended with %v", err)
+	}
+	records := 0
+	err = journal.ReplayDir(crashed, func(journal.Record) error { records++; return nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "journal")
+		if err := os.CopyFS(dir, os.DirFS(crashed)); err != nil {
+			b.Fatal(err)
+		}
+		am, _ := manager(dir)
+		b.StartTimer()
+		run, err := am.Resume(context.Background(), dir)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		run.Cancel("bench: recovery timed")
+		if err := run.Wait(); !errors.As(err, &ce) {
+			b.Fatalf("resumed run ended with %v", err)
+		}
+		if got := am.Core().RecoveryInfo().TasksRecovered; got != tasks {
+			b.Fatalf("recovered %d tasks, want %d", got, tasks)
+		}
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkAnEnPredict measures one analog search (the inner loop of the

@@ -82,68 +82,51 @@ func (am *AppManager) Resume(ctx context.Context, journalDir string) (*Run, erro
 // for non-durable or not-yet-started runs.
 func (am *AppManager) RecoveryInfo() RecoveryInfo { return am.recov }
 
-// openDurable opens the segmented journal in Config.JournalDir and
-// reconstructs committed state: newest valid snapshot first, then every
-// journal record above its watermark (records at or below it are skipped —
-// the snapshot already reflects them; segments not yet compacted replay as
-// harmless no-ops). Tasks whose final recorded state is DONE are restored;
-// the statedb mirror is seeded with the full reconstructed map so the first
-// post-resume snapshot covers pre-crash history before compaction can
-// discard it.
+// openDurable reconstructs committed state from Config.JournalDir and opens
+// its segmented journal in one pass: the newest valid snapshot seeds the
+// statedb mirror, then a single walk of the segments verifies every record,
+// overlays those above the snapshot's watermark onto the mirror (records at
+// or below it are skipped — the snapshot already reflects them; segments not
+// yet compacted replay as harmless no-ops) and leaves the journal open for
+// append. Tasks whose final recorded state is DONE are restored; the mirror
+// holds the full reconstructed map so the first post-resume snapshot covers
+// pre-crash history before compaction can discard it.
 func (am *AppManager) openDurable() error {
 	dir := am.cfg.JournalDir
 	snap, haveSnap, err := statedb.LoadLatestSnapshot(dir)
 	if err != nil {
 		return err
 	}
-	j, err := journal.OpenDir(dir, journal.Options{SegmentBytes: am.cfg.SegmentBytes})
-	if err != nil {
-		return err
-	}
-	am.jrn = j
-	am.mirror = statedb.New()
-
-	final := make(map[statedb.Key]string, len(snap.Entries))
+	mirror := statedb.New()
 	if haveSnap {
-		for _, e := range snap.Entries {
-			final[statedb.Key{Entity: e.Entity, UID: e.UID}] = e.State
+		if err := mirror.Restore(snap.Entries); err != nil {
+			return err
 		}
 		am.recov.SnapshotSeq = snap.Watermark
 	}
 	replayed := 0
-	err = journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type != "state" {
-			return nil
-		}
-		if haveSnap && rec.Seq <= snap.Watermark {
+	j, err := journal.OpenDirReplay(dir, journal.Options{SegmentBytes: am.cfg.SegmentBytes}, func(rec journal.Record) error {
+		if rec.Type != "state" || rec.Seq <= am.recov.SnapshotSeq {
 			return nil
 		}
 		sr, derr := msgcodec.DecodeStateRec(rec.Data)
 		if derr != nil {
 			return derr
 		}
-		final[statedb.Key{Entity: sr.Entity, UID: sr.UID}] = sr.State
 		replayed++
-		return nil
+		return mirror.SaveState(sr.Entity, sr.UID, sr.State)
 	})
 	if err != nil {
-		am.closeJournal()
-		am.jrn = nil
 		return err
 	}
-	for k, state := range final {
-		if err := am.mirror.SaveState(k.Entity, k.UID, state); err != nil {
-			am.closeJournal()
-			am.jrn = nil
-			return err
-		}
-		if k.Entity == "task" && TaskState(state) == TaskDone {
-			if t, ok := am.Task(k.UID); ok && !t.State().Terminal() {
-				t.forceState(TaskDone)
-				am.recov.TasksRecovered++
-			}
-		}
+	states, err := mirror.LoadTaskStates()
+	if err != nil {
+		j.Close()
+		return err
 	}
+	am.jrn = j
+	am.mirror = mirror
+	am.recov.TasksRecovered = am.restoreDone(states)
 	am.recov.ReplayedRecords = replayed
 	am.recov.Resumed = haveSnap || replayed > 0
 	return nil

@@ -438,15 +438,25 @@ func (am *AppManager) recoverFromJournal() error {
 	if err != nil {
 		return err
 	}
-	for uid, state := range final {
+	am.restoreDone(final)
+	return nil
+}
+
+// restoreDone forces every registered, not yet terminal task that states
+// (latest state per task UID) records as DONE into DONE, and returns how
+// many it restored.
+func (am *AppManager) restoreDone(states map[string]string) int {
+	restored := 0
+	for uid, state := range states {
 		if TaskState(state) != TaskDone {
 			continue
 		}
-		if t, ok := am.Task(uid); ok {
+		if t, ok := am.Task(uid); ok && !t.State().Terminal() {
 			t.forceState(TaskDone)
+			restored++
 		}
 	}
-	return nil
+	return restored
 }
 
 // recoverFromStateStore reacquires the latest task states from the external
@@ -457,13 +467,6 @@ func (am *AppManager) recoverFromStateStore() error {
 	if err != nil {
 		return fmt.Errorf("core: state-store recovery: %w", err)
 	}
-	for uid, state := range states {
-		if TaskState(state) != TaskDone {
-			continue
-		}
-		if t, ok := am.Task(uid); ok && !t.State().Terminal() {
-			t.forceState(TaskDone)
-		}
-	}
+	am.restoreDone(states)
 	return nil
 }

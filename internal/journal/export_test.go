@@ -1,0 +1,11 @@
+package journal
+
+import "io"
+
+// SetScanWrap installs the scan hook for tests outside the package (the
+// Resume shape test drives the whole stack) and returns the call that
+// removes it.
+func SetScanWrap(wrap func(path string, r io.Reader) io.Reader) (restore func()) {
+	scanWrap = wrap
+	return func() { scanWrap = nil }
+}

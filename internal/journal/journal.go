@@ -15,6 +15,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,7 +31,9 @@ import (
 // Record is a single journal entry. Type namespaces the payload (for example
 // "task.state" or "broker.publish"); Seq is assigned by the journal and is
 // strictly increasing within a file. Data holds the record's opaque payload,
-// by convention a msgcodec frame matching Type.
+// by convention a msgcodec frame matching Type. A replayed record's Data is
+// that record's own allocation: a callback may retain it, and slices of it,
+// after it returns, and no later record overwrites it.
 type Record struct {
 	Seq  uint64
 	Type string
@@ -87,29 +90,41 @@ const maxRetainedScratch = 64 << 10
 
 // Open creates or opens the journal file at path for appending. Existing
 // records are preserved; the sequence counter resumes after the last valid
-// record.
+// record and a torn tail is truncated. A read error or an intact record in a
+// foreign framing fails the open and truncates nothing.
 func Open(path string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: mkdir: %w", err)
 	}
-	// Determine the resume sequence (and truncate a torn tail if present).
-	last, validLen, err := scan(path)
+	f, info, err := openAppend(path, nil)
 	if err != nil {
 		return nil, err
 	}
+	return &Journal{f: f, path: path, seq: info.lastSeq, sync: opts.Sync}, nil
+}
+
+// openAppend opens (creating it if missing) the journal file at path, scans
+// it once through fn, truncates the torn tail and leaves the file positioned
+// for appending after its last valid record. Nothing is truncated unless the
+// whole scan succeeded.
+func openAppend(path string, fn func(Record) error) (*os.File, fileInfo, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("journal: open: %w", err)
+		return nil, fileInfo{}, fmt.Errorf("journal: open: %w", err)
 	}
-	if err := f.Truncate(validLen); err != nil {
+	info, err := scanOpen(f, fn)
+	if err == nil {
+		if err = f.Truncate(info.validLen); err != nil {
+			err = fmt.Errorf("journal: truncate torn tail: %w", err)
+		} else if _, err = f.Seek(info.validLen, io.SeekStart); err != nil {
+			err = fmt.Errorf("journal: seek: %w", err)
+		}
+	}
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
+		return nil, info, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: seek: %w", err)
-	}
-	return &Journal{f: f, path: path, seq: last, sync: opts.Sync}, nil
+	return f, info, nil
 }
 
 // fileInfo summarizes one journal file's valid prefix.
@@ -119,48 +134,81 @@ type fileInfo struct {
 	validLen int64
 }
 
-// scanFile walks the journal file at path, invoking fn (when non-nil) for
-// every valid record, and returns the file's valid-prefix summary. A torn
-// tail — truncated header, truncated payload, a length field pointing past
-// the end of the file (a crash can tear the header itself, leaving garbage
-// bytes where the length lives), a CRC mismatch or an empty payload (a
-// zero-filled header checksums correctly) — terminates the walk at the last
-// valid record instead of failing it. The length field is validated against
-// the bytes actually remaining before the payload is allocated, so a garbage
-// length can never drive a multi-gigabyte allocation. A non-empty payload
-// that passes its CRC but does not decode was written whole by something
-// else: that is ErrUnknownFraming. fn errors propagate.
+// scanBufSize caps the read buffer one file scan allocates (a smaller file
+// gets a buffer its own size): a scan costs ceil(size/scanBufSize) reads
+// instead of two per record.
+const scanBufSize = 64 << 10
+
+// scanWrap, when non-nil, wraps the reader of every file a scan opens. Only
+// tests set it, to count opens and reads and to inject read errors.
+var scanWrap func(path string, r io.Reader) io.Reader
+
+// scanFile scans the journal file at path (see scanRecords). A missing file
+// is an empty one.
 func scanFile(path string, fn func(Record) error) (fileInfo, error) {
-	var info fileInfo
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return info, nil
+			return fileInfo{}, nil
 		}
-		return info, fmt.Errorf("journal: scan: %w", err)
+		return fileInfo{}, fmt.Errorf("journal: scan: %w", err)
 	}
 	defer f.Close()
+	return scanOpen(f, fn)
+}
+
+// scanOpen scans the open journal file f from its start. An empty file costs
+// no read and no buffer.
+func scanOpen(f *os.File, fn func(Record) error) (fileInfo, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return info, fmt.Errorf("journal: scan: %w", err)
+		return fileInfo{}, fmt.Errorf("journal: scan: %w", err)
 	}
-	size := st.Size()
-	hdr := make([]byte, headerLen)
+	if st.Size() == 0 {
+		return fileInfo{}, nil
+	}
+	var r io.Reader = f
+	if scanWrap != nil {
+		r = scanWrap(f.Name(), r)
+	}
+	return scanRecords(r, st.Size(), f.Name(), fn)
+}
+
+// scanRecords walks the size bytes of journal file r (path names it in
+// errors) through one read buffer of at most scanBufSize, invoking fn (when non-nil)
+// for every valid record, and returns the file's valid-prefix summary. A
+// torn tail — truncated header, truncated payload, a length field pointing
+// past the end of the file (a crash can tear the header itself, leaving
+// garbage bytes where the length lives), a CRC mismatch or an empty payload
+// (a zero-filled header checksums correctly) — terminates the walk at the
+// last valid record instead of failing it. The length field is validated
+// against the bytes actually remaining before the payload is allocated, so a
+// garbage length can never drive a multi-gigabyte allocation. A non-empty
+// payload that passes its CRC but does not decode was written whole by
+// something else: that is ErrUnknownFraming. A read that fails with anything
+// but end-of-file (the file shrank under the scan) is an error, never a
+// tail: the caller must not truncate records it could not read. fn errors
+// propagate.
+func scanRecords(r io.Reader, size int64, path string, fn func(Record) error) (fileInfo, error) {
+	var info fileInfo
+	br := bufio.NewReaderSize(r, int(min(size, scanBufSize)))
+	var hdr [headerLen]byte
 	for {
 		if size-info.validLen < int64(headerLen) {
 			return info, nil // clean EOF or torn header: stop here
 		}
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return info, nil
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return info, tailOrReadError(path, err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || int64(n) > size-info.validLen-int64(headerLen) {
 			return info, nil // zero-filled, torn or garbage length: treat as tail
 		}
+		// One allocation per record: Record.Data stays valid after fn returns.
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return info, nil // torn payload
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return info, tailOrReadError(path, err)
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
 			return info, nil // corrupted record: treat as tail
@@ -169,25 +217,27 @@ func scanFile(path string, fn func(Record) error) (fileInfo, error) {
 		if err != nil {
 			return info, fmt.Errorf("%w: %s at offset %d: %w", ErrUnknownFraming, path, info.validLen, err)
 		}
-		rec := Record{Seq: seq, Type: recType, Data: data}
 		if fn != nil {
-			if err := fn(rec); err != nil {
+			if err := fn(Record{Seq: seq, Type: recType, Data: data}); err != nil {
 				return info, err
 			}
 		}
 		if info.firstSeq == 0 {
-			info.firstSeq = rec.Seq
+			info.firstSeq = seq
 		}
-		info.lastSeq = rec.Seq
+		info.lastSeq = seq
 		info.validLen += int64(headerLen) + int64(n)
 	}
 }
 
-// scan returns the last valid sequence number and the byte length of the
-// valid prefix of the journal file at path.
-func scan(path string) (lastSeq uint64, validLen int64, err error) {
-	info, err := scanFile(path, nil)
-	return info.lastSeq, info.validLen, err
+// tailOrReadError classifies a failed read inside the stat'd size: running
+// out of bytes means the file shrank under the scan, which is a torn tail;
+// anything else (EIO, a closed descriptor) is a real error.
+func tailOrReadError(path string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return fmt.Errorf("journal: scan %s: %w", path, err)
 }
 
 // AppendRaw appends a record of the given type whose payload the caller has
@@ -275,9 +325,9 @@ func (j *Journal) Close() error {
 // Replay reads every valid record in the journal at path, in order, invoking
 // fn for each. A zero-length, torn or corrupted tail (including a torn header
 // whose length field is garbage) terminates replay silently at the last
-// valid record, matching crash-recovery semantics; an intact record in a
-// foreign framing fails it with ErrUnknownFraming. Replay of a non-existent
-// file is a no-op.
+// valid record, matching crash-recovery semantics; a read error, or an
+// intact record in a foreign framing (ErrUnknownFraming), fails it. Replay
+// of a non-existent file is a no-op.
 func Replay(path string, fn func(Record) error) error {
 	_, err := scanFile(path, fn)
 	return err

@@ -73,10 +73,9 @@ type SegmentInfo struct {
 	Size int64
 }
 
-// ListSegments scans dir and returns its journal segments in ascending
-// index order, with each segment's valid sequence bounds. A missing
-// directory yields an empty list.
-func ListSegments(dir string) ([]SegmentInfo, error) {
+// segmentFiles lists the segment files in dir in ascending index order,
+// without reading them. A missing directory yields an empty list.
+func segmentFiles(dir string) ([]SegmentInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -86,24 +85,38 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 	}
 	var segs []SegmentInfo
 	for _, e := range entries {
-		idx, ok := parseSegmentName(e.Name())
-		if !ok || e.IsDir() {
-			continue
+		if idx, ok := parseSegmentName(e.Name()); ok && !e.IsDir() {
+			segs = append(segs, SegmentInfo{Index: idx, Path: filepath.Join(dir, e.Name())})
 		}
-		path := filepath.Join(dir, e.Name())
-		info, err := scanFile(path, nil)
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, SegmentInfo{
-			Index:    idx,
-			Path:     path,
-			FirstSeq: info.firstSeq,
-			LastSeq:  info.lastSeq,
-			Size:     info.validLen,
-		})
 	}
 	sort.Slice(segs, func(i, k int) bool { return segs[i].Index < segs[k].Index })
+	return segs, nil
+}
+
+// scanSegments scans each segment once, in the order given, through fn,
+// and records its valid sequence bounds and valid-prefix size.
+func scanSegments(segs []SegmentInfo, fn func(Record) error) error {
+	for i := range segs {
+		info, err := scanFile(segs[i].Path, fn)
+		if err != nil {
+			return err
+		}
+		segs[i].FirstSeq, segs[i].LastSeq, segs[i].Size = info.firstSeq, info.lastSeq, info.validLen
+	}
+	return nil
+}
+
+// ListSegments scans dir and returns its journal segments in ascending
+// index order, with each segment's valid sequence bounds. A missing
+// directory yields an empty list.
+func ListSegments(dir string) ([]SegmentInfo, error) {
+	segs, err := segmentFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := scanSegments(segs, nil); err != nil {
+		return nil, err
+	}
 	return segs, nil
 }
 
@@ -114,13 +127,24 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 // intact record in a foreign framing fails the open with ErrUnknownFraming
 // and truncates nothing. A fresh directory starts at segment 1.
 func OpenDir(dir string, opts Options) (*Journal, error) {
+	return OpenDirReplay(dir, opts, nil)
+}
+
+// OpenDirReplay is OpenDir and ReplayDir in one walk, the recovery entry
+// point: every segment is opened and read once, in ascending index order,
+// each verified record is handed to fn (when non-nil) as ReplayDir would,
+// and the journal comes back open for append after the last valid record.
+// The active segment's torn tail is truncated only after every segment
+// scanned clean and fn accepted every record; on any error nothing on disk
+// has changed.
+func OpenDirReplay(dir string, opts Options, fn func(Record) error) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("journal: OpenDir requires a directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: mkdir: %w", err)
 	}
-	segs, err := ListSegments(dir)
+	segs, err := segmentFiles(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -142,29 +166,25 @@ func OpenDir(dir string, opts Options) (*Journal, error) {
 	// sealed. The resume sequence is the max across all segments (the
 	// active segment may hold no valid record after a torn-tail truncation).
 	active := segs[len(segs)-1]
-	j.sealed = append(j.sealed, segs[:len(segs)-1]...)
-	for _, s := range segs {
+	j.sealed = segs[: len(segs)-1 : len(segs)-1]
+	if err := scanSegments(j.sealed, fn); err != nil {
+		return nil, err
+	}
+	f, info, err := openAppend(active.Path, fn)
+	if err != nil {
+		return nil, err
+	}
+	j.seq = info.lastSeq
+	for _, s := range j.sealed {
 		if s.LastSeq > j.seq {
 			j.seq = s.LastSeq
 		}
 	}
-	f, err := os.OpenFile(active.Path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: open segment: %w", err)
-	}
-	if err := f.Truncate(active.Size); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(active.Size, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: seek: %w", err)
-	}
 	j.f = f
 	j.path = active.Path
 	j.segIndex = active.Index
-	j.segFirst = active.FirstSeq
-	j.size = active.Size
+	j.segFirst = info.firstSeq
+	j.size = info.validLen
 	return j, nil
 }
 
@@ -267,18 +287,14 @@ func (j *Journal) Compact(watermark uint64) (int, error) {
 // ReplayDir replays every valid record of the segmented journal in dir, in
 // segment order — ascending index, records in file order within each
 // segment — invoking fn for each, segment header records included (filter
-// on Record.Type, as state recovery already does). Torn tails terminate the
-// affected segment's replay, not the whole walk; ErrUnknownFraming fails it.
-// A missing directory is a no-op.
+// on Record.Type, as state recovery already does). Each segment is read
+// once. Torn tails terminate the affected segment's replay, not the whole
+// walk; a read error or ErrUnknownFraming fails it. A missing directory is a
+// no-op.
 func ReplayDir(dir string, fn func(Record) error) error {
-	segs, err := ListSegments(dir)
+	segs, err := segmentFiles(dir)
 	if err != nil {
 		return err
 	}
-	for _, s := range segs {
-		if err := Replay(s.Path, fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return scanSegments(segs, fn)
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/journal"
@@ -85,11 +86,18 @@ func (db *DB) SnapshotEntries() []msgcodec.SnapEntry {
 	return entries
 }
 
-// Restore seeds the database with snapshot entries (committed in order).
-// Typically called on a fresh DB before overlaying the journal tail.
+// Restore seeds the database with snapshot entries, committed in order
+// under one lock. Typically called on a fresh DB before overlaying the
+// journal tail. Like SaveState it stops at the first entry it cannot commit.
 func (db *DB) Restore(entries []msgcodec.SnapEntry) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if len(db.latest) == 0 {
+		db.latest = make(map[Key]Record, len(entries))
+	}
+	db.history = slices.Grow(db.history, len(entries))
 	for _, e := range entries {
-		if err := db.SaveState(e.Entity, e.UID, e.State); err != nil {
+		if err := db.commitLocked(e.Entity, e.UID, e.State); err != nil {
 			return err
 		}
 	}
@@ -176,9 +184,10 @@ func listSnapshots(dir string) ([]uint64, map[uint64]string) {
 // truncated snapshot file is skipped in favor of the next-newest one — the
 // crash-mid-snapshot fallback. ok is false when no valid snapshot exists
 // (including a missing directory). A snapshot that is intact on disk but
-// does not decode fails the load with journal.ErrUnknownFraming: falling
-// back past it would replay a journal whose segments below its watermark
-// may already be compacted, silently dropping committed states.
+// does not decode fails the load with journal.ErrUnknownFraming, and one
+// that cannot be read fails it with the read error: falling back past
+// either would replay a journal whose segments below its watermark may
+// already be compacted, silently dropping committed states.
 func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error) {
 	wms, byWM := listSnapshots(dir)
 	for _, wm := range wms {
@@ -193,11 +202,26 @@ func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error)
 	return msgcodec.Snapshot{}, false, nil
 }
 
-// readSnapshot decodes one snapshot file. valid is false for a torn file;
-// err is set for an intact one in a foreign framing.
+// readSnapshot reads and decodes one snapshot file. valid is false for a
+// torn file, or one the pruner removed after it was listed; any other read
+// error is returned, because falling back past a snapshot that is merely
+// unreadable right now has the same cost as falling back past a foreign one.
 func readSnapshot(path string) (s msgcodec.Snapshot, valid bool, err error) {
 	buf, err := os.ReadFile(path)
-	if err != nil || len(buf) <= snapHeaderLen {
+	if err != nil {
+		if os.IsNotExist(err) {
+			return msgcodec.Snapshot{}, false, nil
+		}
+		return msgcodec.Snapshot{}, false, fmt.Errorf("statedb: read snapshot: %w", err)
+	}
+	return decodeSnapshot(path, buf)
+}
+
+// decodeSnapshot decodes the bytes of one snapshot file (path names it in
+// errors). valid is false for a torn file; err is set for an intact one in a
+// foreign framing.
+func decodeSnapshot(path string, buf []byte) (s msgcodec.Snapshot, valid bool, err error) {
+	if len(buf) <= snapHeaderLen {
 		return msgcodec.Snapshot{}, false, nil
 	}
 	n := binary.LittleEndian.Uint32(buf[0:4])

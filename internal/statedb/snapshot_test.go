@@ -226,3 +226,115 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestLoadLatestReturnsReadErrors pins that an unreadable snapshot is not a
+// torn one: only a file the pruner removed between listing and reading falls
+// through to the next generation. Anything else fails the load, because the
+// segments below the unreadable snapshot's watermark may already be gone.
+func TestLoadLatestReturnsReadErrors(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 10}, msgcodec.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	// A symlink to itself cannot be opened (ELOOP), even by root.
+	newest := filepath.Join(dir, SnapshotName(20))
+	if err := os.Symlink(newest, newest); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	if snap, ok, err := LoadLatestSnapshot(dir); err == nil || ok || errors.Is(err, journal.ErrUnknownFraming) {
+		t.Fatalf("LoadLatestSnapshot = %+v, ok=%v, err=%v; want the read error", snap, ok, err)
+	}
+
+	// A dangling name is the pruner race: fall back to the older generation.
+	if err := os.Remove(newest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "pruned"), newest); err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok, err := LoadLatestSnapshot(dir); err != nil || !ok || snap.Watermark != 10 {
+		t.Fatalf("LoadLatestSnapshot past a vanished file = %+v, ok=%v, err=%v; want watermark 10", snap, ok, err)
+	}
+}
+
+// TestRestoreCommitsInOrder pins that Restore is SaveState per entry in
+// everything but locking: same sequence numbers, same history, and the same
+// refusals.
+func TestRestoreCommitsInOrder(t *testing.T) {
+	entries := []msgcodec.SnapEntry{
+		{Entity: "pipeline", UID: "p.1", State: "DONE"},
+		{Entity: "task", UID: "t.1", State: "DONE"},
+		{Entity: "task", UID: "t.2", State: "FAILED"},
+	}
+	db := New()
+	if err := db.SaveState("task", "t.1", "SCHEDULED"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Restore(entries); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := db.Latest("task", "t.1"); got != "DONE" || db.Commits() != 4 {
+		t.Fatalf("after Restore: t.1 = %q, %d commits; want DONE, 4", got, db.Commits())
+	}
+	for i, rec := range db.History()[1:] {
+		e := entries[i]
+		if rec.Key != (Key{Entity: e.Entity, UID: e.UID}) || rec.State != e.State || rec.Seq != uint64(i+2) {
+			t.Fatalf("history entry %d = %+v, want %+v at seq %d", i+1, rec, e, i+2)
+		}
+	}
+
+	if err := New().Restore([]msgcodec.SnapEntry{{Entity: "task", UID: "", State: "DONE"}}); err == nil {
+		t.Fatal("Restore accepted an empty UID")
+	}
+	limited := New()
+	limited.FailAfter(2)
+	if err := limited.Restore(entries); err == nil || limited.Commits() != 2 {
+		t.Fatalf("Restore past FailAfter(2): err=%v after %d commits", err, limited.Commits())
+	}
+	closed := New()
+	closed.Close() //nolint:errcheck
+	if err := closed.Restore(entries); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Restore on a closed DB: %v", err)
+	}
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes to the snapshot loader: it never
+// panics, an error is always ErrUnknownFraming on a file whose length and
+// CRC hold, and a file it calls valid re-encodes to the same entries.
+func FuzzReadSnapshot(f *testing.F) {
+	frame := func(payload []byte) []byte {
+		buf := make([]byte, snapHeaderLen, snapHeaderLen+len(payload))
+		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+		return append(buf, payload...)
+	}
+	intact := frame(msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 42, Entries: []msgcodec.SnapEntry{
+		{Entity: "task", UID: "t.1", State: "DONE"},
+		{Entity: "stage", UID: "s.1", State: "SCHEDULED"},
+	}}))
+	f.Add(intact)
+	f.Add(intact[:len(intact)-3])
+	f.Add(frame([]byte(`{"watermark":20,"entries":[]}`)))
+	f.Add(make([]byte, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, valid, err := decodeSnapshot("fuzz", data)
+		if err != nil {
+			if valid || !errors.Is(err, journal.ErrUnknownFraming) {
+				t.Fatalf("valid=%v err=%v", valid, err)
+			}
+			return
+		}
+		if !valid {
+			return
+		}
+		again, ok, err := decodeSnapshot("fuzz", frame(msgcodec.FormatBinary.EncodeSnapshot(snap)))
+		if err != nil || !ok || again.Watermark != snap.Watermark || len(again.Entries) != len(snap.Entries) {
+			t.Fatalf("re-encoded snapshot drifted: %+v -> %+v (ok=%v err=%v)", snap, again, ok, err)
+		}
+		for i := range snap.Entries {
+			if again.Entries[i] != snap.Entries[i] {
+				t.Fatalf("entry %d drifted: %+v -> %+v", i, snap.Entries[i], again.Entries[i])
+			}
+		}
+	})
+}

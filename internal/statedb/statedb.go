@@ -62,11 +62,16 @@ func (db *DB) FailAfter(n uint64) {
 
 // SaveState commits one entity state. It implements core.StateStore.
 func (db *DB) SaveState(entity, uid, state string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.commitLocked(entity, uid, state)
+}
+
+// commitLocked commits one entity state; db.mu must be held.
+func (db *DB) commitLocked(entity, uid, state string) error {
 	if entity == "" || uid == "" {
 		return fmt.Errorf("statedb: empty entity (%q) or uid (%q)", entity, uid)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
@@ -103,7 +108,7 @@ func (db *DB) LoadTaskStates() (map[string]string, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	out := make(map[string]string)
+	out := make(map[string]string, len(db.latest))
 	for k, rec := range db.latest {
 		if k.Entity == "task" {
 			out[k.UID] = rec.State
