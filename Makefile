@@ -10,7 +10,9 @@ GO ?= go
 # ablation (the RTS dispatch path), the run-control event-stream
 # overhead (events-off must stay the no-subscriber fast path; events-on
 # within ~10% of it), the synchronizer round-trip shapes (batched frames
-# must stay O(1) per stage), the daemon multi-run comparison (K concurrent
+# must stay O(1) per stage; durable-frame is the same frame committed by a
+# real synchronizer over a journal directory — one write per bulk request),
+# the daemon multi-run comparison (K concurrent
 # entkd-hosted runs vs K sequential in-process runs — the shared pilot
 # pool must keep amortizing setup) and the remote round-trip ablation
 # (the networked control plane's batched-frame tax over unix/TCP against

@@ -18,6 +18,7 @@ import (
 	"repro/entk"
 	"repro/internal/anen"
 	"repro/internal/broker"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
@@ -580,7 +581,7 @@ func TestJournalRecAppendAllocs(t *testing.T) {
 // isolates.
 func syncEchoServer(b *testing.B, br *broker.Broker) {
 	b.Helper()
-	c, err := br.Consume("states", 64)
+	c, err := br.Consume(core.QueueStates, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -606,19 +607,20 @@ func syncEchoServer(b *testing.B, br *broker.Broker) {
 // synchronizer round-trips: the per-task shape (one frame per task per
 // transition — 128 round-trips, the pre-batching control plane) against the
 // batched shape (one frame carrying both bulk transitions — O(1)
-// round-trips, the scheduleStage fast path). Reported as stages/s.
+// round-trips, the scheduleStage fast path). Both run against an echo
+// server, so they price the messaging alone; durable-frame sends the batched
+// shape to a real Synchronizer over a journal directory, which validates,
+// advances, journals and mirrors all 128 transitions before it acks — the
+// durable commit path. Reported as stages/s.
 func BenchmarkSyncTransition(b *testing.B) {
 	uids := benchUIDs()
 	const reply = "sync-ack-bench"
-	run := func(b *testing.B, frames func(seq uint64) []msgcodec.SyncFrame) {
-		br := broker.New(broker.Options{})
-		defer br.Close()
-		for _, q := range []string{"states", reply} {
-			if err := br.DeclareQueue(q, broker.QueueOptions{Shards: 1}); err != nil {
-				b.Fatal(err)
-			}
+	// drive sends each iteration's frames to the synchronizer consuming
+	// br's states queue, one round-trip at a time.
+	drive := func(b *testing.B, br *broker.Broker, frames func(seq uint64) []msgcodec.SyncFrame) {
+		if err := br.DeclareQueue(reply, broker.QueueOptions{Shards: 1}); err != nil {
+			b.Fatal(err)
 		}
-		syncEchoServer(b, br)
 		ackC, err := br.Consume(reply, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -632,7 +634,7 @@ func BenchmarkSyncTransition(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := br.Publish("states", body); err != nil {
+				if err := br.Publish(core.QueueStates, body); err != nil {
 					b.Fatal(err)
 				}
 				d, ok := <-ackC.Deliveries()
@@ -649,9 +651,18 @@ func BenchmarkSyncTransition(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "stages/s")
 	}
+	echo := func(b *testing.B, frames func(seq uint64) []msgcodec.SyncFrame) {
+		br := broker.New(broker.Options{})
+		defer br.Close()
+		if err := br.DeclareQueue(core.QueueStates, broker.QueueOptions{Shards: 1}); err != nil {
+			b.Fatal(err)
+		}
+		syncEchoServer(b, br)
+		drive(b, br, frames)
+	}
 
 	b.Run("per-task", func(b *testing.B) {
-		run(b, func(seq uint64) []msgcodec.SyncFrame {
+		echo(b, func(seq uint64) []msgcodec.SyncFrame {
 			frames := make([]msgcodec.SyncFrame, 0, 2*len(uids))
 			for _, target := range []string{"SCHEDULING", "SCHEDULED"} {
 				for _, uid := range uids {
@@ -666,10 +677,57 @@ func BenchmarkSyncTransition(b *testing.B) {
 		})
 	})
 	b.Run("batched-frame", func(b *testing.B) {
-		run(b, func(seq uint64) []msgcodec.SyncFrame {
+		echo(b, func(seq uint64) []msgcodec.SyncFrame {
 			return []msgcodec.SyncFrame{{Reply: reply, Seq: seq + 1, Reqs: []msgcodec.SyncRequest{
 				{Entity: "task", UIDs: uids, Target: "SCHEDULING"},
 				{Entity: "task", UIDs: uids, Target: "SCHEDULED"},
+			}}}
+		})
+	})
+	b.Run("durable-frame", func(b *testing.B) {
+		// A running durable manager whose first stage outlasts the
+		// benchmark, so nothing but these frames touches the 64 tasks of
+		// its second stage. SCHEDULING -> FAILED -> SCHEDULING is the one
+		// legal cycle, so every iteration commits 128 transitions.
+		am, err := entk.NewAppManager(entk.AppConfig{
+			Resource:   entk.Resource{Name: "supermic", Cores: 64, Walltime: 72 * time.Hour},
+			TimeScale:  250 * time.Microsecond,
+			HostName:   "null",
+			JournalDir: b.TempDir(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := entk.NewPipeline("sync-bench")
+		gate, held := entk.NewStage("gate"), entk.NewStage("held")
+		long := entk.NewTask("gate")
+		long.UID = "task.gate" // generated UIDs share benchUIDs' format
+		long.Executable = "sleep"
+		long.Duration = 60 * time.Hour
+		gate.AddTask(long) //nolint:errcheck
+		for _, uid := range uids {
+			t := entk.NewTask(uid)
+			t.UID = uid
+			t.Executable = "sleep"
+			held.AddTask(t) //nolint:errcheck
+		}
+		p.AddStage(gate) //nolint:errcheck
+		p.AddStage(held) //nolint:errcheck
+		if err := am.AddPipelines(p); err != nil {
+			b.Fatal(err)
+		}
+		run, err := am.Start(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			run.Cancel("bench: done")
+			run.Wait() //nolint:errcheck // the cancellation
+		}()
+		drive(b, am.Core().Broker(), func(seq uint64) []msgcodec.SyncFrame {
+			return []msgcodec.SyncFrame{{Reply: reply, Seq: seq + 1, Reqs: []msgcodec.SyncRequest{
+				{Entity: "task", UIDs: uids, Target: "SCHEDULING"},
+				{Entity: "task", UIDs: uids, Target: "FAILED"},
 			}}}
 		})
 	})

@@ -296,3 +296,77 @@ func TestPackageLevelResume(t *testing.T) {
 		t.Fatal("Resume without JournalDir accepted")
 	}
 }
+
+// TestResumeNumbersPastSnapshotWatermark pins the journal sequence floor. A
+// directory can hold a snapshot at watermark W and no record near W — every
+// segment below W compacted, the active one empty after a crash right after
+// a rotation. A journal that numbered on from its last surviving record
+// would write this incarnation's transitions at or below W, and the next
+// recovery would skip them as already in the snapshot: DONE tasks would run
+// twice.
+func TestResumeNumbersPastSnapshotWatermark(t *testing.T) {
+	const watermark = 500
+	dir := t.TempDir()
+	inSnapshot := map[string]bool{}
+	var entries []msgcodec.SnapEntry
+	for _, s := range chaosApp()[0].Stages()[:1] {
+		for _, task := range s.Tasks() {
+			inSnapshot[task.UID] = true
+			entries = append(entries, msgcodec.SnapEntry{Entity: "task", UID: task.UID, State: string(TaskDone)})
+		}
+	}
+	snap := msgcodec.Snapshot{Watermark: watermark, Entries: entries}
+	if _, err := statedb.WriteSnapshot(dir, snap, msgcodec.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+
+	incarnation := func() RecoveryInfo {
+		t.Helper()
+		am, err := NewAppManager(chaosConfig(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := am.AddPipelines(chaosApp()...); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		run, err := am.Resume(ctx, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return am.Core().RecoveryInfo()
+	}
+
+	if info := incarnation(); info.SnapshotSeq != watermark || info.TasksRecovered != len(inSnapshot) {
+		t.Fatalf("first resume: %+v, want the snapshot at %d and its %d DONE tasks", info, watermark, len(inSnapshot))
+	}
+	segs, err := journal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		if s.FirstSeq != 0 && s.FirstSeq <= watermark {
+			t.Fatalf("segment %d starts at seq %d, inside the snapshot's watermark %d", s.Index, s.FirstSeq, watermark)
+		}
+	}
+	pushed, auditSeq := auditPushes(t, dir, 0)
+	if len(pushed) != chaosTasks-len(inSnapshot) {
+		t.Fatalf("first resume pushed %d tasks, want %d", len(pushed), chaosTasks-len(inSnapshot))
+	}
+	for _, uid := range pushed {
+		if inSnapshot[uid] {
+			t.Fatalf("task %s was DONE in the snapshot but was pushed", uid)
+		}
+	}
+
+	if info := incarnation(); info.TasksRecovered != chaosTasks {
+		t.Fatalf("second resume recovered %d DONE tasks, want all %d: %+v", info.TasksRecovered, chaosTasks, info)
+	}
+	if again, _ := auditPushes(t, dir, auditSeq); len(again) != 0 {
+		t.Fatalf("second resume pushed %d tasks that were already DONE: %v", len(again), again)
+	}
+}

@@ -60,7 +60,8 @@ type Config struct {
 	// docs/recovery.md for the durability contract.
 	JournalDir string
 	// SnapshotEvery is the number of committed state records between
-	// snapshots in JournalDir mode. 0 selects the default (1024); negative
+	// snapshots in JournalDir mode — a minimum: a snapshot still being
+	// written defers the next one. 0 selects the default (1024); negative
 	// disables periodic snapshots (the journal alone remains authoritative).
 	SnapshotEvery int
 	// SegmentBytes is the journal segment rotation threshold in JournalDir
@@ -178,9 +179,15 @@ type AppManager struct {
 	// state per entity, feeding snapshots; recov summarizes what Resume
 	// reconstructed (written during setup, before components spawn); the
 	// atomic counters track this run's snapshot/compaction activity.
+	// snapBusy is held by the one snapshot the background writer may have in
+	// flight and snapWG waits for it; snapHook, set only by tests, runs on
+	// the writer before it touches the disk.
 	mirror            *statedb.DB
 	recov             RecoveryInfo
 	snapPending       int // state records since the last snapshot (synchronizer goroutine only)
+	snapBusy          atomic.Bool
+	snapWG            sync.WaitGroup
+	snapHook          func(watermark uint64)
 	snapshotsWritten  int64
 	snapshotFailures  int64
 	segmentsCompacted int64
@@ -542,8 +549,12 @@ func (am *AppManager) Run(ctx context.Context) error {
 	return r.Wait()
 }
 
-// closeJournal closes the state journal if one is open.
+// closeJournal closes the state journal if one is open, after the snapshot
+// writer has finished the snapshot it may have in flight (it compacts
+// through the journal). The synchronizer must have stopped: it is the only
+// one that starts snapshots.
 func (am *AppManager) closeJournal() {
+	am.snapWG.Wait()
 	if am.jrn != nil {
 		am.jrn.Close()
 	}

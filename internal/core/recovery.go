@@ -88,9 +88,10 @@ func (am *AppManager) RecoveryInfo() RecoveryInfo { return am.recov }
 // overlays those above the snapshot's watermark onto the mirror (records at
 // or below it are skipped — the snapshot already reflects them; segments not
 // yet compacted replay as harmless no-ops) and leaves the journal open for
-// append. Tasks whose final recorded state is DONE are restored; the mirror
-// holds the full reconstructed map so the first post-resume snapshot covers
-// pre-crash history before compaction can discard it.
+// append, numbering on from the last surviving record or the watermark,
+// whichever is higher. Tasks whose final recorded state is DONE are restored;
+// the mirror holds the full reconstructed map so the first post-resume
+// snapshot covers pre-crash history before compaction can discard it.
 func (am *AppManager) openDurable() error {
 	dir := am.cfg.JournalDir
 	snap, haveSnap, err := statedb.LoadLatestSnapshot(dir)
@@ -105,7 +106,8 @@ func (am *AppManager) openDurable() error {
 		am.recov.SnapshotSeq = snap.Watermark
 	}
 	replayed := 0
-	j, err := journal.OpenDirReplay(dir, journal.Options{SegmentBytes: am.cfg.SegmentBytes}, func(rec journal.Record) error {
+	opts := journal.Options{SegmentBytes: am.cfg.SegmentBytes}
+	j, err := journal.OpenDirReplay(dir, opts, am.recov.SnapshotSeq, func(rec journal.Record) error {
 		if rec.Type != "state" || rec.Seq <= am.recov.SnapshotSeq {
 			return nil
 		}
@@ -133,36 +135,49 @@ func (am *AppManager) openDurable() error {
 }
 
 // maybeSnapshot is the synchronizer's commit hook: it accumulates committed
-// state records and, every Config.SnapshotEvery, persists the mirror at the
-// journal's current watermark and compacts segments below it. Called only
-// from the synchronizer loop goroutine — the sole journal writer — so the
-// watermark read here exactly bounds the records the snapshot covers.
+// state records and, every Config.SnapshotEvery, takes the mirror's image at
+// the journal's current watermark and hands it to the background writer.
+// Called only from the synchronizer loop goroutine — the sole journal writer
+// — after the request's append has returned, so the image is exactly the
+// state at the watermark and the watermark never exceeds what the file holds.
+// At most one snapshot is in flight: while the writer is busy the trigger
+// stays armed and the next commit tries again, so a slow disk costs snapshot
+// cadence, never an ack.
 func (am *AppManager) maybeSnapshot(committed int) {
 	if am.mirror == nil || am.cfg.SnapshotEvery <= 0 {
 		return
 	}
 	am.snapPending += committed
-	if am.snapPending < am.cfg.SnapshotEvery {
+	if am.snapPending < am.cfg.SnapshotEvery || !am.snapBusy.CompareAndSwap(false, true) {
 		return
 	}
 	am.snapPending = 0
-	am.writeSnapshot()
+	snap := msgcodec.Snapshot{Watermark: am.jrn.Seq(), Entries: am.mirror.SnapshotEntries()}
+	am.snapWG.Add(1)
+	go func() {
+		defer am.snapWG.Done()
+		defer am.snapBusy.Store(false)
+		am.writeSnapshot(snap)
+	}()
 }
 
-// writeSnapshot persists one snapshot and compacts below its watermark.
-// Failures are counted, not fatal: the journal remains authoritative, so a
-// failed snapshot only delays compaction.
-func (am *AppManager) writeSnapshot() {
-	wm := am.jrn.Seq()
-	snap := msgcodec.Snapshot{Watermark: wm, Entries: am.mirror.SnapshotEntries()}
+// writeSnapshot persists one snapshot and compacts below its watermark, on
+// the background writer. Failures are counted, not fatal: the journal
+// remains authoritative, so a failed snapshot only delays compaction, and a
+// segment Compact could not remove stays listed for the next snapshot's.
+func (am *AppManager) writeSnapshot(snap msgcodec.Snapshot) {
+	if am.snapHook != nil {
+		am.snapHook(snap.Watermark)
+	}
 	if _, err := statedb.WriteSnapshot(am.cfg.JournalDir, snap, msgcodec.FormatBinary); err != nil {
 		atomic.AddInt64(&am.snapshotFailures, 1)
 		return
 	}
 	atomic.AddInt64(&am.snapshotsWritten, 1)
-	if n, err := am.jrn.Compact(wm); err == nil && n > 0 {
-		atomic.AddInt64(&am.segmentsCompacted, int64(n))
-	}
+	// A removal that failed part-way is not a failed snapshot; what Compact
+	// did remove counts either way.
+	n, _ := am.jrn.Compact(snap.Watermark) //nolint:errcheck
+	atomic.AddInt64(&am.segmentsCompacted, int64(n))
 }
 
 // durabilityStats assembles the Progress.Durability view; nil for

@@ -2,14 +2,31 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/statedb"
 )
 
+// recordingStore is a statedb that also keeps the order of task commits.
+type recordingStore struct {
+	*statedb.DB
+	mu      sync.Mutex
+	perTask map[string][]string
+}
+
+func (r *recordingStore) SaveState(entity, uid, state string) error {
+	if entity == "task" {
+		r.mu.Lock()
+		r.perTask[uid] = append(r.perTask[uid], state)
+		r.mu.Unlock()
+	}
+	return r.DB.SaveState(entity, uid, state)
+}
+
 func TestStateStoreMirrorsTransitions(t *testing.T) {
-	db := statedb.New()
+	db := &recordingStore{DB: statedb.New(), perTask: map[string][]string{}}
 	am, _ := testApp(t, Config{StateStore: db})
 	pipes := buildApp(1, 2, 3, 10*time.Second)
 	am.AddPipelines(pipes...)
@@ -36,15 +53,9 @@ func TestStateStoreMirrorsTransitions(t *testing.T) {
 	if got := len(db.UIDs("pipeline")); got != 1 {
 		t.Fatalf("recorded pipelines = %d, want 1", got)
 	}
-	// The history must follow each task's legal state machine order.
-	perTask := map[string][]string{}
-	for _, rec := range db.History() {
-		if rec.Key.Entity == "task" {
-			perTask[rec.Key.UID] = append(perTask[rec.Key.UID], rec.State)
-		}
-	}
+	// The commits must follow each task's legal state machine order.
 	want := []string{"SCHEDULING", "SCHEDULED", "SUBMITTING", "SUBMITTED", "EXECUTED", "DONE"}
-	for uid, hist := range perTask {
+	for uid, hist := range db.perTask {
 		if len(hist) != len(want) {
 			t.Fatalf("task %s history = %v", uid, hist)
 		}

@@ -142,20 +142,21 @@ func pipelineSkip(current, target PipelineState) bool {
 	return target == PipelineDone && current == PipelineSuspended // deferred
 }
 
+// applied is one transition that actually advanced (cancel no-ops are
+// excluded), kept for journaling and event publication.
+type applied struct {
+	task  *Task
+	stage *Stage
+	pipe  *Pipeline
+	uid   string
+	from  string
+}
+
 // apply validates and commits one transition (or one batch of identical
 // task transitions). Committed transitions are journaled, mirrored to the
 // state store, and published on the event bus — in that order, so an event
 // always describes a transition that was durably recorded.
 func (s *synchronizer) apply(req *stateRequest) stateAck {
-	// applied collects the transitions that actually advanced (cancel
-	// no-ops are excluded), for journaling and event publication.
-	type applied struct {
-		task  *Task
-		stage *Stage
-		pipe  *Pipeline
-		uid   string
-		from  string
-	}
 	var commits []applied
 	var err error
 	switch req.Entity {
@@ -220,33 +221,9 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 	if err != nil {
 		return stateAck{OK: false, Err: err.Error()}
 	}
-	if s.am.jrn != nil || s.am.cfg.StateStore != nil {
-		for _, c := range commits {
-			if s.am.jrn != nil {
-				rec := msgcodec.FormatBinary.EncodeStateRec(req.Entity, c.uid, req.Target)
-				if _, jerr := s.am.jrn.AppendRaw("state", rec); jerr != nil {
-					return stateAck{OK: false, Err: jerr.Error()}
-				}
-			}
-			// The statedb mirror feeds durable-mode snapshots; a mirror miss
-			// would snapshot stale state, so its failure rejects the frame
-			// exactly like a journal or state-store failure.
-			if s.am.mirror != nil {
-				if derr := s.am.mirror.SaveState(req.Entity, c.uid, req.Target); derr != nil {
-					return stateAck{OK: false, Err: derr.Error()}
-				}
-			}
-			if s.am.cfg.StateStore != nil {
-				if derr := s.am.cfg.StateStore.SaveState(req.Entity, c.uid, req.Target); derr != nil {
-					return stateAck{OK: false, Err: derr.Error()}
-				}
-			}
-		}
-		if len(commits) > 0 {
-			// Snapshot hook: runs on the synchronizer goroutine — the sole
-			// journal writer — so the watermark it reads bounds exactly the
-			// records committed so far.
-			s.am.maybeSnapshot(len(commits))
+	if len(commits) > 0 && (s.am.jrn != nil || s.am.cfg.StateStore != nil) {
+		if err := s.persist(req, commits); err != nil {
+			return stateAck{OK: false, Err: err.Error()}
 		}
 	}
 	if s.am.eventsActive() {
@@ -262,6 +239,48 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 		}
 	}
 	return stateAck{OK: true}
+}
+
+// persist makes one request's committed transitions durable, whole request
+// at a time: one journal write for all of its records, one locked pass over
+// the statedb mirror, then the external state store, then the snapshot
+// hook. A failure at any step rejects the frame; the state store and the
+// snapshot only ever see transitions the journal already holds.
+func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
+	am := s.am
+	if am.jrn != nil {
+		recs := make([][]byte, len(commits))
+		for i, c := range commits {
+			recs[i] = msgcodec.FormatBinary.EncodeStateRec(req.Entity, c.uid, req.Target)
+		}
+		if _, err := am.jrn.AppendRawBatch("state", recs); err != nil {
+			return err
+		}
+	}
+	// The statedb mirror feeds durable-mode snapshots; a mirror miss would
+	// snapshot stale state, so its failure rejects the frame exactly like a
+	// journal or state-store failure.
+	if am.mirror != nil {
+		uids := make([]string, len(commits))
+		for i, c := range commits {
+			uids[i] = c.uid
+		}
+		if err := am.mirror.SaveStates(req.Entity, uids, req.Target); err != nil {
+			return err
+		}
+	}
+	if am.cfg.StateStore != nil {
+		for _, c := range commits {
+			if err := am.cfg.StateStore.SaveState(req.Entity, c.uid, req.Target); err != nil {
+				return err
+			}
+		}
+	}
+	// Snapshot hook: runs on the synchronizer goroutine — the sole journal
+	// writer — so the watermark it reads bounds exactly the records
+	// committed so far.
+	am.maybeSnapshot(len(commits))
+	return nil
 }
 
 // trackActivity maintains the count of concurrently managed tasks used for

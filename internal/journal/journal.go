@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/msgcodec"
@@ -47,6 +48,7 @@ type Record struct {
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
+	w      io.Writer // f, or a test's wrapper around it (writeWrap)
 	path   string
 	seq    uint64
 	sync   bool
@@ -100,7 +102,21 @@ func Open(path string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f, path: path, seq: info.lastSeq, sync: opts.Sync}, nil
+	j := &Journal{seq: info.lastSeq, sync: opts.Sync}
+	j.setFile(f, path)
+	return j, nil
+}
+
+// writeWrap, when non-nil, wraps the writer of every file a journal appends
+// to. Only tests set it, to count writes.
+var writeWrap func(path string, w io.Writer) io.Writer
+
+// setFile makes f, the file at path, the one appends go to.
+func (j *Journal) setFile(f *os.File, path string) {
+	j.f, j.w, j.path = f, f, path
+	if writeWrap != nil {
+		j.w = writeWrap(path, f)
+	}
 }
 
 // openAppend opens (creating it if missing) the journal file at path, scans
@@ -242,59 +258,97 @@ func tailOrReadError(path string, err error) error {
 
 // AppendRaw appends a record of the given type whose payload the caller has
 // already encoded (a msgcodec frame), returning the assigned sequence
-// number. The record framing reuses the journal's scratch buffer, so the
-// append allocates nothing.
+// number. It is AppendRawBatch of one payload: the record framing reuses the
+// journal's scratch buffer, so the append allocates nothing.
 func (j *Journal) AppendRaw(recType string, data []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq, err := j.appendLocked(recType, data)
-	if err != nil {
-		return 0, err
-	}
-	// Rotate after the append so the record that crossed the threshold
-	// stays in the segment it was assigned to.
-	if j.dir != "" && j.size >= j.segBytes {
-		if err := j.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	return j.AppendRawBatch(recType, [][]byte{data})
 }
 
-// appendLocked writes one record to the active file; j.mu must be held.
-func (j *Journal) appendLocked(recType string, data []byte) (uint64, error) {
+// AppendRawBatch appends one record of the given type per payload, in order,
+// numbered consecutively, and returns the sequence number of the last one
+// (the journal's current sequence for an empty batch). The whole batch is
+// framed into the scratch buffer and handed to the file in one write — one
+// fsync under Options.Sync — split only where a record carries a segment
+// past Options.SegmentBytes, so the files are byte for byte what appending
+// the same records one at a time leaves. On an error the records of the
+// writes that succeeded stay appended.
+func (j *Journal) AppendRawBatch(recType string, payloads [][]byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
 		return 0, ErrClosed
 	}
-	seq := j.seq + 1
-	// Build header + payload in one scratch buffer and write once.
-	buf := append(j.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = msgcodec.AppendJournalRec(buf, seq, recType, data)
-	payload := buf[headerLen:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	// Size the scratch once for the whole batch; sizing every record as if
+	// it carried the batch's highest sequence bounds the varints.
+	need, highest := 0, j.seq+uint64(len(payloads))
+	for _, data := range payloads {
+		need += headerLen + msgcodec.JournalRecSize(highest, recType, data)
+	}
+	buf := slices.Grow(j.buf[:0], need)
 	// Retain the scratch only while it is modestly sized: one oversized
-	// record (a large durable publish batch) must not pin its buffer for
-	// the journal's lifetime.
+	// batch (a large durable publish, a wide stage's bulk commit) must not
+	// pin its buffer for the journal's lifetime.
 	if cap(buf) <= maxRetainedScratch {
 		j.buf = buf
 	} else {
 		j.buf = nil
 	}
-	if _, err := j.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("journal: write: %w", err)
-	}
-	j.seq = seq
-	j.size += int64(len(buf))
-	if j.segFirst == 0 {
-		j.segFirst = seq
-	}
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			return 0, fmt.Errorf("journal: sync: %w", err)
+	last := j.seq       // sequence of the last payload's record
+	framed := uint64(0) // records in buf, not yet written
+	for _, data := range payloads {
+		framed++
+		last = j.seq + framed
+		buf = appendFramed(buf, last, recType, data)
+		// Rotate after the write so the record that crossed the threshold
+		// stays in the segment it was assigned to.
+		if j.dir != "" && j.size+int64(len(buf)) >= j.segBytes {
+			if err := j.writeLocked(buf, framed); err != nil {
+				return 0, err
+			}
+			buf, framed = buf[:0], 0
+			if err := j.rotateLocked(); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return j.seq, nil
+	if err := j.writeLocked(buf, framed); err != nil {
+		return 0, err
+	}
+	return last, nil
+}
+
+// appendFramed appends one record — [len][crc32][msgcodec journal frame] —
+// to buf.
+func appendFramed(buf []byte, seq uint64, recType string, data []byte) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = msgcodec.AppendJournalRec(buf, seq, recType, data)
+	payload := buf[start+headerLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// writeLocked hands buf — n whole framed records numbered from j.seq+1 — to
+// the active file in one write; j.mu must be held.
+func (j *Journal) writeLocked(buf []byte, n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	if _, err := j.w.Write(buf); err != nil {
+		return fmt.Errorf("journal: write: %w", err)
+	}
+	if j.segFirst == 0 {
+		j.segFirst = j.seq + 1
+	}
+	j.seq += n
+	j.size += int64(len(buf))
+	if j.sync {
+		if err := j.f.Sync(); err != nil {
+			return fmt.Errorf("journal: sync: %w", err)
+		}
+	}
+	return nil
 }
 
 // Seq returns the sequence number of the most recently appended record.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"repro/entk"
 	"repro/internal/journal"
+	"repro/internal/msgcodec"
 )
 
 // resumeApp is one pipeline of two stages with structural UIDs, so a second
@@ -119,3 +121,102 @@ func TestResumeOpensEachSegmentOnce(t *testing.T) {
 		t.Errorf("Resume scanned %d files, want %d: %v", len(opens), len(want), opens)
 	}
 }
+
+// TestDurableRunWritesOncePerRequest is the commit-cost shape test, the
+// write-side twin of TestResumeOpensEachSegmentOnce: it drives a real
+// durable run of 2 stages x 64 tasks and looks at every write the state
+// journal's segments receive. Each write carries whole records numbered
+// consecutively, and all of one request's shape — one entity kind, one
+// target state — because the synchronizer journals a bulk request with one
+// call; a stage's 64-task transitions arrive as single writes; and the run
+// costs far fewer writes than it has records (it used to cost one each).
+func TestDurableRunWritesOncePerRequest(t *testing.T) {
+	const tasks = 64
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var writes [][]byte
+	restore := journal.SetWriteWrap(func(path string, w io.Writer) io.Writer {
+		if filepath.Ext(path) != ".seg" {
+			return w // the RTS audit log
+		}
+		return writerFunc(func(p []byte) (int, error) {
+			mu.Lock()
+			writes = append(writes, append([]byte(nil), p...))
+			mu.Unlock()
+			return w.Write(p)
+		})
+	})
+	defer restore()
+
+	am, err := entk.NewAppManager(entk.AppConfig{
+		Resource:   entk.Resource{Name: "supermic", Cores: 64, Walltime: time.Hour},
+		TimeScale:  50 * time.Microsecond,
+		HostName:   "null",
+		JournalDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := am.AddPipelines(resumeApp(tasks)); err != nil {
+		t.Fatal(err)
+	}
+	if err := am.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	records, largest := 0, 0
+	var next uint64 = 1
+	for i, w := range writes {
+		// A write is a small journal file of its own.
+		path := filepath.Join(t.TempDir(), "write.journal")
+		if err := os.WriteFile(path, w, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, held := 0, 0
+		var shape string
+		err := journal.Replay(path, func(rec journal.Record) error {
+			if rec.Seq != next {
+				t.Fatalf("write %d: record seq %d, want %d", i, rec.Seq, next)
+			}
+			next++
+			n++
+			held += 8 + msgcodec.JournalRecSize(rec.Seq, rec.Type, rec.Data)
+			if rec.Type != "state" {
+				shape = rec.Type
+				return nil
+			}
+			sr, err := msgcodec.DecodeStateRec(rec.Data)
+			if err != nil {
+				return err
+			}
+			if s := sr.Entity + " -> " + sr.State; shape == "" {
+				shape = s
+			} else if s != shape {
+				t.Fatalf("write %d mixes requests: %s after %s", i, s, shape)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 || held != len(w) {
+			t.Fatalf("write %d: %d whole records in %d of its %d bytes", i, n, held, len(w))
+		}
+		records += n
+		largest = max(largest, n)
+	}
+	if largest != tasks {
+		t.Fatalf("the largest write holds %d records, want a stage's %d-task transition in one", largest, tasks)
+	}
+	if records < 6*2*tasks || len(writes)*3 > records {
+		t.Fatalf("%d writes for %d records; want at least %d records and under a third as many writes",
+			len(writes), records, 6*2*tasks)
+	}
+	t.Logf("%d records in %d writes", records, len(writes))
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -141,6 +141,16 @@ var tornShapes = []struct {
 		binary.LittleEndian.PutUint32(hdr[4:8], 0xdeadbeef)
 		return hdr
 	}},
+	// A batch is one large write, and its pages can reach the disk out of
+	// order: an intact record after a damaged one is still past the tail.
+	{"hole before an intact record", func(rec []byte) []byte {
+		return append(make([]byte, len(rec)), rec...)
+	}},
+	{"crc flip before an intact record", func(rec []byte) []byte {
+		out := append(append([]byte(nil), rec...), rec...)
+		out[len(rec)-1] ^= 0xff
+		return out
+	}},
 }
 
 // tornPlacements are the file offsets the torn record starts at: early in a
@@ -332,6 +342,9 @@ func FuzzScanFile(f *testing.F) {
 		f.Add(append(append([]byte(nil), intact...), shape.torn(stateRecord(4, "task.torn"))...), uint8(7))
 	}
 	f.Add(append(append([]byte(nil), intact...), frameRecord([]byte(`{"seq":4,"type":"state"}`))...), uint8(16))
+	// One batch write cut inside its second and inside its last record.
+	f.Add(intact[:len(intact)/2], uint8(3))
+	f.Add(intact[:len(intact)-1], uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		diffScan(t, data, int(chunk))
 	})
@@ -481,7 +494,7 @@ func TestScanReadsOncePerBuffer(t *testing.T) {
 		"ListSegments": func() error { _, err := ListSegments(dir); return err },
 		"ReplayDir":    func() error { return ReplayDir(dir, func(Record) error { return nil }) },
 		"OpenDirReplay": func() error {
-			j, err := OpenDirReplay(dir, Options{}, func(Record) error { return nil })
+			j, err := OpenDirReplay(dir, Options{}, 0, func(Record) error { return nil })
 			if err == nil {
 				err = j.Close()
 			}

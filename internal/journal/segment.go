@@ -127,7 +127,7 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 // intact record in a foreign framing fails the open with ErrUnknownFraming
 // and truncates nothing. A fresh directory starts at segment 1.
 func OpenDir(dir string, opts Options) (*Journal, error) {
-	return OpenDirReplay(dir, opts, nil)
+	return OpenDirReplay(dir, opts, 0, nil)
 }
 
 // OpenDirReplay is OpenDir and ReplayDir in one walk, the recovery entry
@@ -137,7 +137,15 @@ func OpenDir(dir string, opts Options) (*Journal, error) {
 // The active segment's torn tail is truncated only after every segment
 // scanned clean and fn accepted every record; on any error nothing on disk
 // has changed.
-func OpenDirReplay(dir string, opts Options, fn func(Record) error) (*Journal, error) {
+//
+// floor is the highest sequence number something outside the segments
+// already accounts for — the watermark of the snapshot recovery loaded. The
+// journal resumes at max(last valid record, floor): when compaction removed
+// every segment below the watermark and the active segment lost its tail
+// (or the directory holds no segment at all), numbering new records from the
+// last surviving one would reuse sequence numbers the snapshot covers, and
+// the next recovery would skip those records as already reflected.
+func OpenDirReplay(dir string, opts Options, floor uint64, fn func(Record) error) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("journal: OpenDir requires a directory")
 	}
@@ -152,6 +160,7 @@ func OpenDirReplay(dir string, opts Options, fn func(Record) error) (*Journal, e
 		dir:      dir,
 		sync:     opts.Sync,
 		segBytes: opts.SegmentBytes,
+		seq:      floor,
 	}
 	if j.segBytes <= 0 {
 		j.segBytes = DefaultSegmentBytes
@@ -164,7 +173,8 @@ func OpenDirReplay(dir string, opts Options, fn func(Record) error) (*Journal, e
 	}
 	// The newest segment becomes the active one; every earlier segment is
 	// sealed. The resume sequence is the max across all segments (the
-	// active segment may hold no valid record after a torn-tail truncation).
+	// active segment may hold no valid record after a torn-tail truncation)
+	// and the floor.
 	active := segs[len(segs)-1]
 	j.sealed = segs[: len(segs)-1 : len(segs)-1]
 	if err := scanSegments(j.sealed, fn); err != nil {
@@ -174,14 +184,11 @@ func OpenDirReplay(dir string, opts Options, fn func(Record) error) (*Journal, e
 	if err != nil {
 		return nil, err
 	}
-	j.seq = info.lastSeq
+	j.seq = max(j.seq, info.lastSeq)
 	for _, s := range j.sealed {
-		if s.LastSeq > j.seq {
-			j.seq = s.LastSeq
-		}
+		j.seq = max(j.seq, s.LastSeq)
 	}
-	j.f = f
-	j.path = active.Path
+	j.setFile(f, active.Path)
 	j.segIndex = active.Index
 	j.segFirst = info.firstSeq
 	j.size = info.validLen
@@ -196,13 +203,14 @@ func (j *Journal) newSegmentLocked(index uint64) error {
 	if err != nil {
 		return fmt.Errorf("journal: create segment: %w", err)
 	}
-	j.f = f
-	j.path = path
+	j.setFile(f, path)
 	j.segIndex = index
 	j.segFirst = 0
 	j.size = 0
 	hdr := msgcodec.FormatBinary.EncodeSegmentHeader(msgcodec.SegmentHeader{Index: index, BaseSeq: j.seq + 1})
-	if _, err := j.appendLocked(segTypeName, hdr); err != nil {
+	// Framed into its own buffer: a rotation runs in the middle of a batch
+	// that owns the scratch.
+	if err := j.writeLocked(appendFramed(nil, j.seq+1, segTypeName, hdr), 1); err != nil {
 		f.Close()
 		return err
 	}

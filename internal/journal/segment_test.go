@@ -297,3 +297,68 @@ func TestSegmentHeaderRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenDirReplayResumesAtTheFloor pins the sequence floor: a journal
+// whose surviving records end below the floor (everything under a snapshot's
+// watermark compacted, the active segment empty, torn or missing) numbers
+// new records from the floor, and one whose records already pass it ignores
+// it.
+func TestOpenDirReplayResumesAtTheFloor(t *testing.T) {
+	const floor = 500
+	reopen := func(t *testing.T, dir string) uint64 {
+		t.Helper()
+		j, err := OpenDirReplay(dir, Options{}, floor, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		return appendState(t, j, "task.resumed")
+	}
+
+	t.Run("no segment", func(t *testing.T) {
+		dir := t.TempDir()
+		if seq := reopen(t, dir); seq != floor+2 {
+			t.Fatalf("first record after the segment header = seq %d, want %d", seq, floor+2)
+		}
+		segs, err := ListSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) != 1 || segs[0].FirstSeq != floor+1 {
+			t.Fatalf("segments = %+v, want one starting at seq %d", segs, floor+1)
+		}
+	})
+	t.Run("empty active segment", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SegmentName(7)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if seq := reopen(t, dir); seq != floor+1 {
+			t.Fatalf("seq %d, want %d", seq, floor+1)
+		}
+	})
+	t.Run("records below the floor", func(t *testing.T) {
+		dir := t.TempDir()
+		j, err := OpenDir(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendState(t, j, "task.old")
+		j.Close()
+		if seq := reopen(t, dir); seq != floor+1 {
+			t.Fatalf("seq %d, want %d", seq, floor+1)
+		}
+	})
+	t.Run("records past the floor", func(t *testing.T) {
+		dir := t.TempDir()
+		j, err := OpenDirReplay(dir, Options{}, floor+100, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := appendState(t, j, "task.old")
+		j.Close()
+		if seq := reopen(t, dir); seq != last+1 {
+			t.Fatalf("seq %d, want %d", seq, last+1)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -517,6 +518,19 @@ func AppendJournalRec(dst []byte, seq uint64, recType string, data []byte) []byt
 	dst = appendUvarint(dst, seq)
 	dst = appendString(dst, recType)
 	return appendBytes(dst, data)
+}
+
+// JournalRecSize returns the number of bytes AppendJournalRec appends for
+// these arguments, so a caller framing many records can size its buffer once.
+func JournalRecSize(seq uint64, recType string, data []byte) int {
+	return 3 + uvarintLen(seq) +
+		uvarintLen(uint64(len(recType))) + len(recType) +
+		uvarintLen(uint64(len(data))) + len(data)
+}
+
+// uvarintLen is the encoded length of v as an unsigned varint.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // DecodeJournalRec decodes a binary journal record. data aliases payload.

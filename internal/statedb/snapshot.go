@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -69,21 +70,48 @@ func parseSnapshotName(name string) (uint64, bool) {
 
 // SnapshotEntries exports the database's latest state per entity as
 // snapshot entries, sorted by entity kind then UID so snapshots of the same
-// state are byte-identical.
+// state are byte-identical. The result is the caller's own copy.
 func (db *DB) SnapshotEntries() []msgcodec.SnapEntry {
 	db.mu.Lock()
-	entries := make([]msgcodec.SnapEntry, 0, len(db.latest))
-	for k, rec := range db.latest {
-		entries = append(entries, msgcodec.SnapEntry{Entity: k.Entity, UID: k.UID, State: rec.State})
+	defer db.mu.Unlock()
+	db.extendOrderLocked()
+	out := make([]msgcodec.SnapEntry, len(db.sorted))
+	for i, pos := range db.sorted {
+		out[i] = db.entries[pos]
 	}
-	db.mu.Unlock()
-	sort.Slice(entries, func(i, k int) bool {
-		if entries[i].Entity != entries[k].Entity {
-			return entries[i].Entity < entries[k].Entity
+	return out
+}
+
+// extendOrderLocked brings db.sorted up to date with the entries committed
+// since it was last extended: their positions are sorted on their own and
+// merged into the existing order. db.mu must be held.
+func (db *DB) extendOrderLocked() {
+	have := len(db.sorted)
+	if have == len(db.entries) {
+		return
+	}
+	fresh := make([]int, len(db.entries)-have)
+	for i := range fresh {
+		fresh[i] = have + i
+	}
+	byKey := func(a, b int) int {
+		ea, eb := &db.entries[a], &db.entries[b]
+		if c := cmp.Compare(ea.Entity, eb.Entity); c != 0 {
+			return c
 		}
-		return entries[i].UID < entries[k].UID
-	})
-	return entries
+		return cmp.Compare(ea.UID, eb.UID)
+	}
+	slices.SortFunc(fresh, byKey)
+	merged := make([]int, 0, len(db.entries))
+	old := db.sorted
+	for len(old) > 0 && len(fresh) > 0 {
+		if byKey(old[0], fresh[0]) < 0 {
+			merged, old = append(merged, old[0]), old[1:]
+		} else {
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		}
+	}
+	db.sorted = append(append(merged, old...), fresh...)
 }
 
 // Restore seeds the database with snapshot entries, committed in order
@@ -92,10 +120,10 @@ func (db *DB) SnapshotEntries() []msgcodec.SnapEntry {
 func (db *DB) Restore(entries []msgcodec.SnapEntry) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if len(db.latest) == 0 {
-		db.latest = make(map[Key]Record, len(entries))
+	if len(db.entries) == 0 {
+		db.index = make(map[Key]int, len(entries))
+		db.entries = make([]msgcodec.SnapEntry, 0, len(entries))
 	}
-	db.history = slices.Grow(db.history, len(entries))
 	for _, e := range entries {
 		if err := db.commitLocked(e.Entity, e.UID, e.State); err != nil {
 			return err

@@ -3,9 +3,13 @@ package statedb
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -89,6 +93,71 @@ func TestSnapshotEntriesDeterministic(t *testing.T) {
 	eb := msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 1, Entries: b.SnapshotEntries()})
 	if string(ea) != string(eb) {
 		t.Fatal("snapshots of identical state differ")
+	}
+}
+
+// walkAndSort is SnapshotEntries as it was before the mirror cached its
+// order: collect the latest state of every key, sort by entity kind then
+// UID. It stays here as the reference the cached order is held to.
+func walkAndSort(t *testing.T, db *DB) []msgcodec.SnapEntry {
+	t.Helper()
+	states, err := db.LoadStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]msgcodec.SnapEntry, 0, len(states))
+	for k, state := range states {
+		entries = append(entries, msgcodec.SnapEntry{Entity: k.Entity, UID: k.UID, State: state})
+	}
+	sort.Slice(entries, func(i, k int) bool {
+		if entries[i].Entity != entries[k].Entity {
+			return entries[i].Entity < entries[k].Entity
+		}
+		return entries[i].UID < entries[k].UID
+	})
+	return entries
+}
+
+// TestSnapshotEntriesMatchesWalkAndSort drives randomised commit sequences
+// — single and bulk commits, overwrites, and keys that first appear late and
+// sort anywhere — with a snapshot taken at random points, and requires every
+// snapshot to equal the walk-and-sort reference and to be the caller's own
+// copy.
+func TestSnapshotEntriesMatchesWalkAndSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := New()
+		entities := []string{"task", "stage", "pipeline"}
+		uid := func() string { return fmt.Sprintf("u.%03d", rng.Intn(150)) }
+		for step := 0; step < 600; step++ {
+			entity := entities[rng.Intn(len(entities))]
+			state := fmt.Sprintf("S%d", rng.Intn(5))
+			if rng.Intn(3) == 0 {
+				uids := make([]string, 1+rng.Intn(40))
+				for i := range uids {
+					uids[i] = uid()
+				}
+				if err := db.SaveStates(entity, uids, state); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := db.SaveState(entity, uid(), state); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(25) != 0 {
+				continue
+			}
+			got, want := db.SnapshotEntries(), walkAndSort(t, db)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: snapshot of %d entries differs from the walk-and-sort of %d",
+					seed, step, len(got), len(want))
+			}
+			for i := range got {
+				got[i].State = "scribbled"
+			}
+			if again := db.SnapshotEntries(); !slices.Equal(again, want) {
+				t.Fatalf("seed %d step %d: writing to a returned snapshot changed the database", seed, step)
+			}
+		}
 	}
 }
 
@@ -258,8 +327,8 @@ func TestLoadLatestReturnsReadErrors(t *testing.T) {
 }
 
 // TestRestoreCommitsInOrder pins that Restore is SaveState per entry in
-// everything but locking: same sequence numbers, same history, and the same
-// refusals.
+// everything but locking: one commit per entry, later entries over earlier
+// state, and the same refusals.
 func TestRestoreCommitsInOrder(t *testing.T) {
 	entries := []msgcodec.SnapEntry{
 		{Entity: "pipeline", UID: "p.1", State: "DONE"},
@@ -276,10 +345,9 @@ func TestRestoreCommitsInOrder(t *testing.T) {
 	if got, _ := db.Latest("task", "t.1"); got != "DONE" || db.Commits() != 4 {
 		t.Fatalf("after Restore: t.1 = %q, %d commits; want DONE, 4", got, db.Commits())
 	}
-	for i, rec := range db.History()[1:] {
-		e := entries[i]
-		if rec.Key != (Key{Entity: e.Entity, UID: e.UID}) || rec.State != e.State || rec.Seq != uint64(i+2) {
-			t.Fatalf("history entry %d = %+v, want %+v at seq %d", i+1, rec, e, i+2)
+	for _, e := range entries {
+		if got, ok := db.Latest(e.Entity, e.UID); !ok || got != e.State {
+			t.Fatalf("after Restore: %s %s = %q, %v; want %q", e.Entity, e.UID, got, ok, e.State)
 		}
 	}
 

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/msgcodec"
 )
 
 // Key identifies one entity's state record.
@@ -22,25 +24,25 @@ type Key struct {
 	UID    string
 }
 
-// Record is one state observation.
-type Record struct {
-	Key   Key
-	State string
-	// Seq is the database-assigned commit sequence (1-based, monotonic).
-	Seq uint64
-}
-
 // ErrClosed is returned by operations on a closed database.
 var ErrClosed = errors.New("statedb: database closed")
 
-// DB is a concurrency-safe latest-state store with full history, mirroring
-// the document store RP keeps per workflow. FailAfter supports fault
-// injection: after N successful commits every write fails, which is how
-// tests exercise EnTK's transactional-update error path.
+// DB is a concurrency-safe latest-state store, mirroring the document store
+// RP keeps per workflow. FailAfter supports fault injection: after N
+// successful commits every write fails, which is how tests exercise EnTK's
+// transactional-update error path.
+//
+// The latest states live in one dense slice in first-commit order, indexed
+// by key; sorted holds the positions of its first len(sorted) entries in
+// snapshot order (entity kind, then UID). An overwrite touches only the
+// entry; only a key never seen before leaves the order stale, and
+// SnapshotEntries extends it by sorting the new positions and merging them
+// in, so a snapshot of an entity set that has stopped growing is a copy.
 type DB struct {
 	mu      sync.Mutex
-	latest  map[Key]Record
-	history []Record
+	index   map[Key]int
+	entries []msgcodec.SnapEntry
+	sorted  []int
 	seq     uint64
 	closed  bool
 
@@ -50,7 +52,7 @@ type DB struct {
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{latest: make(map[Key]Record)}
+	return &DB{index: make(map[Key]int)}
 }
 
 // FailAfter makes every write past n commits fail (0 disables).
@@ -60,11 +62,24 @@ func (db *DB) FailAfter(n uint64) {
 	db.failAfter = n
 }
 
-// SaveState commits one entity state. It implements core.StateStore.
+// SaveState commits one entity state: SaveStates of one UID. It implements
+// core.StateStore.
 func (db *DB) SaveState(entity, uid, state string) error {
+	return db.SaveStates(entity, []string{uid}, state)
+}
+
+// SaveStates commits the same state for every listed entity of one kind, in
+// order, under one lock — the synchronizer's bulk transition. It stops at
+// the first entity it cannot commit.
+func (db *DB) SaveStates(entity string, uids []string, state string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.commitLocked(entity, uid, state)
+	for _, uid := range uids {
+		if err := db.commitLocked(entity, uid, state); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // commitLocked commits one entity state; db.mu must be held.
@@ -79,9 +94,13 @@ func (db *DB) commitLocked(entity, uid, state string) error {
 		return fmt.Errorf("statedb: injected write failure after %d commits", db.failAfter)
 	}
 	db.seq++
-	rec := Record{Key: Key{Entity: entity, UID: uid}, State: state, Seq: db.seq}
-	db.latest[rec.Key] = rec
-	db.history = append(db.history, rec)
+	key := Key{Entity: entity, UID: uid}
+	if i, ok := db.index[key]; ok {
+		db.entries[i].State = state
+		return nil
+	}
+	db.index[key] = len(db.entries)
+	db.entries = append(db.entries, msgcodec.SnapEntry{Entity: entity, UID: uid, State: state})
 	return nil
 }
 
@@ -93,9 +112,9 @@ func (db *DB) LoadStates() (map[Key]string, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	out := make(map[Key]string, len(db.latest))
-	for k, rec := range db.latest {
-		out[k] = rec.State
+	out := make(map[Key]string, len(db.entries))
+	for _, e := range db.entries {
+		out[Key{Entity: e.Entity, UID: e.UID}] = e.State
 	}
 	return out, nil
 }
@@ -108,10 +127,10 @@ func (db *DB) LoadTaskStates() (map[string]string, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	out := make(map[string]string, len(db.latest))
-	for k, rec := range db.latest {
-		if k.Entity == "task" {
-			out[k.UID] = rec.State
+	out := make(map[string]string, len(db.entries))
+	for _, e := range db.entries {
+		if e.Entity == "task" {
+			out[e.UID] = e.State
 		}
 	}
 	return out, nil
@@ -121,18 +140,11 @@ func (db *DB) LoadTaskStates() (map[string]string, error) {
 func (db *DB) Latest(entity, uid string) (string, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rec, ok := db.latest[Key{Entity: entity, UID: uid}]
-	return rec.State, ok
-}
-
-// History returns every commit in order (for post-mortem analysis, the
-// paper's "live or postmortem" failure reporting).
-func (db *DB) History() []Record {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]Record, len(db.history))
-	copy(out, db.history)
-	return out
+	i, ok := db.index[Key{Entity: entity, UID: uid}]
+	if !ok {
+		return "", false
+	}
+	return db.entries[i].State, true
 }
 
 // Commits returns the number of committed writes.
@@ -147,9 +159,9 @@ func (db *DB) UIDs(entity string) []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []string
-	for k := range db.latest {
-		if k.Entity == entity {
-			out = append(out, k.UID)
+	for _, e := range db.entries {
+		if e.Entity == entity {
+			out = append(out, e.UID)
 		}
 	}
 	sort.Strings(out)

@@ -65,22 +65,18 @@ func TestLoadTaskStatesFiltersEntities(t *testing.T) {
 	}
 }
 
-func TestHistoryOrdered(t *testing.T) {
+// TestOverwriteKeepsLatest pins that a key committed many times holds its
+// last state, counts every commit, and stays one entity.
+func TestOverwriteKeepsLatest(t *testing.T) {
 	db := New()
 	for i := 0; i < 10; i++ {
 		db.SaveState("task", "t", fmt.Sprintf("S%d", i)) //nolint:errcheck
 	}
-	h := db.History()
-	if len(h) != 10 {
-		t.Fatalf("history = %d records", len(h))
+	if got, ok := db.Latest("task", "t"); !ok || got != "S9" {
+		t.Fatalf("latest = %q, %v; want S9", got, ok)
 	}
-	for i, rec := range h {
-		if rec.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d", i, rec.Seq)
-		}
-		if rec.State != fmt.Sprintf("S%d", i) {
-			t.Fatalf("record %d state = %q", i, rec.State)
-		}
+	if db.Commits() != 10 || len(db.UIDs("task")) != 1 {
+		t.Fatalf("%d commits over %d tasks; want 10 over 1", db.Commits(), len(db.UIDs("task")))
 	}
 }
 
