@@ -11,8 +11,10 @@ GO ?= go
 # overhead (events-off must stay the no-subscriber fast path; events-on
 # within ~10% of it), the synchronizer round-trip shapes (batched frames
 # must stay O(1) per stage; durable-frame is the same frame committed by a
-# real synchronizer over a journal directory — one write per bulk request),
-# the daemon multi-run comparison (K concurrent
+# real synchronizer over a journal directory — one write per bulk request;
+# wide-stage-1p is a whole 4096-task stage on one P, where a per-message
+# rescan of the stage would show as a quadratic), Snapshot on 10^5 tasks
+# (O(stages): it reads tallies), the daemon multi-run comparison (K concurrent
 # entkd-hosted runs vs K sequential in-process runs — the shared pilot
 # pool must keep amortizing setup) and the remote round-trip ablation
 # (the networked control plane's batched-frame tax over unix/TCP against
@@ -22,7 +24,7 @@ GO ?= go
 # controller). Stable, fast, and the numbers this
 # repo's PRs argue about. benchdiff also gates allocs/op at 10%, and on CI the alloc gate
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
-BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
+BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkSnapshot|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
 .PHONY: build test fuzz bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
 
@@ -32,13 +34,18 @@ build:
 test:
 	$(GO) test -race ./...
 
-# A short coverage-guided pass over the two decoders that read what a crash
-# left on disk: the journal scanner against its unbuffered reference, and
-# the snapshot loader. `make test` already replays the checked-in corpus
-# (testdata/fuzz/); this mutates it. -fuzz takes one target per run.
+# A short coverage-guided pass over the decoders of untrusted bytes: the two
+# that read what a crash left on disk (the journal scanner against its
+# unbuffered reference, and the snapshot loader) and the two that read what
+# arrives on a queue or a connection (every control-plane frame — with the
+# resolving decoders held to the plain ones under every kind of resolver —
+# and every remote frame). `make test` already replays the seed corpus;
+# this mutates it. -fuzz takes one target per run.
 fuzz:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzScanFile$$' -fuzztime 15s
 	$(GO) test ./internal/statedb -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 15s
+	$(GO) test ./internal/msgcodec -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 15s
+	$(GO) test ./internal/msgcodec -run '^$$' -fuzz '^FuzzDecodeRemote$$' -fuzztime 15s
 
 # One pass over every benchmark so they cannot bit-rot; real measurements
 # use `go test -bench=<pattern> -benchmem -benchtime=...` directly.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -611,7 +612,11 @@ func syncEchoServer(b *testing.B, br *broker.Broker) {
 // server, so they price the messaging alone; durable-frame sends the batched
 // shape to a real Synchronizer over a journal directory, which validates,
 // advances, journals and mirrors all 128 transitions before it acks — the
-// durable commit path. Reported as stages/s.
+// durable commit path. Reported as stages/s. wide-stage-1p is the whole
+// engine instead of the frames alone: a 1x1x4096 application in messages of
+// 64 on a single P, where every done-message ends in a stage-completion
+// check — once a rescan of all 4096 tasks, quadratic in the stage's width,
+// with no second P to hide it on. Reported as tasks/s.
 func BenchmarkSyncTransition(b *testing.B) {
 	uids := benchUIDs()
 	const reply = "sync-ack-bench"
@@ -684,6 +689,38 @@ func BenchmarkSyncTransition(b *testing.B) {
 			}}}
 		})
 	})
+	b.Run("wide-stage-1p", func(b *testing.B) {
+		const tasks = 4096
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for i := 0; i < b.N; i++ {
+			// The pilot gets the CI's maximum walltime for the reason it
+			// does in BenchmarkEventStreamOverhead.
+			am, err := entk.NewAppManager(entk.AppConfig{
+				Resource:  entk.Resource{Name: "supermic", Cores: tasks, Walltime: 72 * time.Hour},
+				TimeScale: 2 * time.Microsecond,
+				HostName:  "null",
+				Tuning:    entk.Tuning{BatchSize: benchBatchSize},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pipe, stage := entk.NewPipeline("wide"), entk.NewStage("s")
+			for k := 0; k < tasks; k++ {
+				t := entk.NewTask("t")
+				t.Executable = "sleep"
+				t.Duration = time.Second
+				stage.AddTask(t) //nolint:errcheck
+			}
+			pipe.AddStage(stage) //nolint:errcheck
+			if err := am.AddPipelines(pipe); err != nil {
+				b.Fatal(err)
+			}
+			if err := am.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(tasks*b.N)/b.Elapsed().Seconds(), "tasks/s")
+	})
 	b.Run("durable-frame", func(b *testing.B) {
 		// A running durable manager whose first stage outlasts the
 		// benchmark, so nothing but these frames touches the 64 tasks of
@@ -731,6 +768,39 @@ func BenchmarkSyncTransition(b *testing.B) {
 			}}}
 		})
 	})
+}
+
+// BenchmarkSnapshot measures AppManager.Snapshot on an application of 10^5
+// tasks in 100 stages — what -progress, the autotune sampler and entkd's
+// List pay per poll. It reads per-stage tallies, so the cost follows the
+// stage count, not the task count.
+func BenchmarkSnapshot(b *testing.B) {
+	const pipelines, stages, tasks = 10, 10, 1000
+	am, err := core.NewAppManager(core.Config{Clock: vclock.NewScaled(time.Microsecond)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := 0; p < pipelines; p++ {
+		pipe := core.NewPipeline("p")
+		for s := 0; s < stages; s++ {
+			stage := core.NewStage("s")
+			for k := 0; k < tasks; k++ {
+				t := core.NewTask("t")
+				t.Executable = "sleep"
+				stage.AddTask(t) //nolint:errcheck
+			}
+			pipe.AddStage(stage) //nolint:errcheck
+		}
+		am.AddPipelines(pipe) //nolint:errcheck
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := am.Snapshot().TasksTotal; got != pipelines*stages*tasks {
+			b.Fatalf("snapshot counted %d tasks", got)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/snapshot")
 }
 
 // BenchmarkJournalAppend measures the transactional-state write path.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/hostmodel"
 	"repro/internal/journal"
+	"repro/internal/msgcodec"
 	"repro/internal/profiler"
 	"repro/internal/statedb"
 	"repro/internal/tuning"
@@ -166,6 +167,9 @@ type AppManager struct {
 	stages    map[string]*Stage
 	pipes     map[string]*Pipeline
 	running   bool
+	// resolve is resolveLocked as a value, made once: a method value made
+	// per decoded frame would be an allocation per frame.
+	resolve msgcodec.Resolve
 
 	jrn *journal.Journal
 	brk *broker.Broker
@@ -192,7 +196,10 @@ type AppManager struct {
 	snapshotFailures  int64
 	segmentsCompacted int64
 
-	active int64 // tasks currently being managed (for host strain)
+	// tally counts every registered stage's tasks by state (each stage's own
+	// tally feeds it), so ActiveTasks — the host-strain read every broker
+	// traversal makes — costs the same at any application size.
+	tally taskTally
 
 	// live is the hot paths' view of the mutable knobs (== cfg.Live); tuner
 	// is the autotune controller steering it when cfg.Autotune.Enabled, with
@@ -243,6 +250,7 @@ func NewAppManager(cfg Config) (*AppManager, error) {
 		doneCh: make(chan struct{}),
 		events: newEventBus(),
 	}
+	am.resolve = am.resolveLocked
 	return am, nil
 }
 
@@ -306,12 +314,7 @@ func (am *AppManager) addPipelinesRuntime(ps []*Pipeline) error {
 	for _, p := range ps {
 		am.pipes[p.UID] = p
 		for _, s := range p.Stages() {
-			s.setParent(p.UID)
-			am.stages[s.UID] = s
-			for _, t := range s.Tasks() {
-				t.setParent(p.UID, s.UID)
-				am.tasks[t.UID] = t
-			}
+			am.indexStageLocked(s)
 		}
 		am.pipelines = append(am.pipelines, p)
 	}
@@ -407,6 +410,39 @@ func (am *AppManager) Task(uid string) (*Task, bool) {
 	return t, ok
 }
 
+// wireNames holds the engine's own copies of the names every sync frame
+// carries besides UIDs: the entity kinds and the state names.
+var wireNames = func() map[string]string {
+	names := map[string]string{"task": "task", "stage": "stage", "pipeline": "pipeline",
+		string(PipelineSuspended): string(PipelineSuspended)} // the one state name no task has
+	for _, s := range taskStateNames {
+		names[string(s)] = string(s)
+	}
+	return names
+}()
+
+// resolveLocked is the registry as a msgcodec.Resolve (passed as am.resolve):
+// the engine's own copy of a task, stage or pipeline UID, an entity kind or a
+// state name, or "" for anything else. Components decode their frames
+// against it under one hold of am.mu, which the caller takes, so a frame of
+// known names costs no string allocation and one lock acquisition however
+// many tasks it names.
+func (am *AppManager) resolveLocked(b []byte) string {
+	if t, ok := am.tasks[string(b)]; ok {
+		return t.UID
+	}
+	if name, ok := wireNames[string(b)]; ok {
+		return name
+	}
+	if s, ok := am.stages[string(b)]; ok {
+		return s.UID
+	}
+	if p, ok := am.pipes[string(b)]; ok {
+		return p.UID
+	}
+	return ""
+}
+
 // TaskCount returns the number of registered tasks.
 func (am *AppManager) TaskCount() int {
 	am.mu.Lock()
@@ -414,9 +450,12 @@ func (am *AppManager) TaskCount() int {
 	return len(am.tasks)
 }
 
-// ActiveTasks returns the number of tasks currently being managed.
+// ActiveTasks returns the number of tasks currently being managed: those
+// scheduled at least once this attempt and not yet terminal (SCHEDULING
+// through EXECUTED), whatever wrote their state.
 func (am *AppManager) ActiveTasks() int {
-	return int(atomic.LoadInt64(&am.active))
+	n, _ := am.tally.read()
+	return active(n)
 }
 
 // Broker exposes the messaging layer (observability and tests).
@@ -452,33 +491,34 @@ func (am *AppManager) registerEntities() error {
 			if _, dup := am.stages[s.UID]; dup {
 				return fmt.Errorf("core: duplicate stage UID %s", s.UID)
 			}
-			s.setParent(p.UID)
-			am.stages[s.UID] = s
 			for _, t := range s.Tasks() {
 				if _, dup := am.tasks[t.UID]; dup {
 					return fmt.Errorf("core: duplicate task UID %s", t.UID)
 				}
-				t.setParent(p.UID, s.UID)
-				am.tasks[t.UID] = t
 			}
+			am.indexStageLocked(s)
 		}
 	}
 	return nil
 }
 
 // registerLateStage indexes a stage added at runtime by a PostExec hook.
-func (am *AppManager) registerLateStage(p *Pipeline, s *Stage) {
+func (am *AppManager) registerLateStage(s *Stage) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	if _, ok := am.stages[s.UID]; ok {
-		return
+	if _, ok := am.stages[s.UID]; !ok {
+		am.indexStageLocked(s)
 	}
-	s.setParent(p.UID)
+}
+
+// indexStageLocked enters a stage and its tasks into the registry and starts
+// counting them in the run's tally. am.mu must be held.
+func (am *AppManager) indexStageLocked(s *Stage) {
 	am.stages[s.UID] = s
 	for _, t := range s.Tasks() {
-		t.setParent(p.UID, s.UID)
 		am.tasks[t.UID] = t
 	}
+	s.tally.feed(&am.tally)
 }
 
 // validateApp checks the whole application description, charging the host's

@@ -258,6 +258,11 @@ func TestContextCancellation(t *testing.T) {
 	if pipes[0].State() != PipelineCanceled {
 		t.Fatalf("pipeline state = %s", pipes[0].State())
 	}
+	// The in-flight tasks were force-canceled, not committed: they must
+	// leave the managed count all the same.
+	if got, snap := am.ActiveTasks(), am.Snapshot().ActiveTasks; got != 0 || snap != 0 {
+		t.Fatalf("active tasks after a canceled run = %d (snapshot %d), want 0", got, snap)
+	}
 }
 
 func TestAdaptivePostExecAddsStages(t *testing.T) {

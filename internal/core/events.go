@@ -400,9 +400,10 @@ type PipelineProgress struct {
 
 // Progress is a consistent-enough point-in-time view of a run: per-state
 // entity counts, per-pipeline cursors, task attempt totals, the RTS's
-// resource utilization and the virtual clock. It is assembled by walking
-// the live entities, so counts taken mid-transition may be one apart across
-// maps — each individual counter is exact at its read instant.
+// resource utilization and the virtual clock. Pipelines and stages are read
+// one by one and tasks from each stage's tallies, so counts taken
+// mid-transition may be one apart across stages — within one stage the task
+// counts are of a single instant and always sum to its task count.
 type Progress struct {
 	// VTime is the virtual time the snapshot was taken.
 	VTime time.Time
@@ -419,7 +420,9 @@ type Progress struct {
 	// TaskAttempts sums every task's attempt counter — resubmissions
 	// included, which is what the Fig 10 harness reports.
 	TaskAttempts int
-	// ActiveTasks is the engine's count of concurrently managed tasks.
+	// ActiveTasks counts the tasks under management: scheduled at least once
+	// this attempt and not yet terminal (SCHEDULING through EXECUTED). It is 0
+	// once a run is over, however it ended.
 	ActiveTasks int
 	// Utilization reports pilot occupancy when the RTS supports it.
 	Utilization Utilization
@@ -452,7 +455,9 @@ type Progress struct {
 }
 
 // Snapshot assembles a Progress view of the application. Safe to call at
-// any time, including before Start and after the run finished.
+// any time, including before Start and after the run finished. It costs
+// O(stages), not O(tasks), and takes no task's lock: task counts come from
+// the per-stage tallies every task state write maintains.
 func (am *AppManager) Snapshot() Progress {
 	p := Progress{
 		VTime:     am.clock.Now(),
@@ -460,6 +465,7 @@ func (am *AppManager) Snapshot() Progress {
 		Stages:    make(map[string]int),
 		Tasks:     make(map[string]int),
 	}
+	var tasks [numTaskStates]int
 	for _, pipe := range am.Pipelines() {
 		pp := PipelineProgress{
 			UID:          pipe.UID,
@@ -471,26 +477,24 @@ func (am *AppManager) Snapshot() Progress {
 		for _, s := range pipe.Stages() {
 			pp.StageCount++
 			p.Stages[string(s.State())]++
-			for _, t := range s.Tasks() {
-				st := t.State()
-				p.Tasks[string(st)]++
-				p.TasksTotal++
-				pp.TasksTotal++
-				p.TaskAttempts += t.Attempts()
-				switch st {
-				case TaskDone:
-					p.TasksDone++
-					pp.TasksDone++
-				case TaskFailed:
-					p.TasksFailed++
-				case TaskCanceled:
-					p.TasksCanceled++
-				}
+			n, attempts := s.tally.read()
+			for state, k := range n {
+				tasks[state] += k
+				pp.TasksTotal += k
 			}
+			pp.TasksDone += n[codeDone]
+			p.TaskAttempts += attempts
 		}
+		p.TasksTotal += pp.TasksTotal
 		p.PerPipeline = append(p.PerPipeline, pp)
 	}
-	p.ActiveTasks = am.ActiveTasks()
+	for state, k := range tasks {
+		if k > 0 {
+			p.Tasks[string(taskStateNames[state])] = k
+		}
+	}
+	p.TasksDone, p.TasksFailed, p.TasksCanceled = tasks[codeDone], tasks[codeFailed], tasks[codeCanceled]
+	p.ActiveTasks = active(tasks)
 	if am.emgr != nil {
 		if rts := am.emgr.currentRTS(); rts != nil {
 			if ur, ok := rts.(UtilizationReporter); ok {

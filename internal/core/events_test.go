@@ -326,6 +326,9 @@ func TestCancelPipelineLeavesSiblingsRunning(t *testing.T) {
 	if err := r.CancelPipeline(doomed.UID); err != nil {
 		t.Fatalf("re-cancel: %v", err)
 	}
+	if got := am.ActiveTasks(); got != 0 {
+		t.Fatalf("active tasks after the run = %d, want 0", got)
+	}
 }
 
 // TestSynchronizerSkipSemantics drives apply directly to pin the no-op-ack
@@ -426,6 +429,9 @@ func TestCancelPipelineWithRetryingTasks(t *testing.T) {
 	if healthy.State() != PipelineDone {
 		t.Fatalf("sibling state = %s", healthy.State())
 	}
+	if got := am.ActiveTasks(); got != 0 {
+		t.Fatalf("active tasks after the run = %d, want 0", got)
+	}
 }
 
 func TestStartTwiceReturnsErrAlreadyRan(t *testing.T) {
@@ -464,6 +470,9 @@ func TestRunHandleCancelWithReason(t *testing.T) {
 	}
 	if pipes[0].State() != PipelineCanceled {
 		t.Fatalf("pipeline state = %s", pipes[0].State())
+	}
+	if got, snap := am.ActiveTasks(), r.Snapshot().ActiveTasks; got != 0 || snap != 0 {
+		t.Fatalf("active tasks after Cancel = %d (snapshot %d), want 0", got, snap)
 	}
 }
 

@@ -122,44 +122,55 @@ func (e *execManager) emgrLoop(ctx context.Context) {
 // dropped as one nack batch, and the live remainder is acked or requeued as
 // one batch per outcome.
 func (e *execManager) submitBatch(batch []*broker.Delivery) error {
-	descs := make([]TaskDescription, 0, len(batch))
-	tasks := make([]*Task, 0, len(batch))
+	// Every message is decoded first, against the registry and under one
+	// hold of it, so that tasks and descs are sized once for the whole batch.
 	var drops []*broker.Delivery
-	live := make([]*broker.Delivery, 0, len(batch))
+	decoded := make([]*broker.Delivery, 0, len(batch))
+	msgs, total := make([][]string, 0, len(batch)), 0 // msgs[i] is decoded[i]'s UIDs
+	e.am.mu.Lock()
 	for _, d := range batch {
-		uids, err := msgcodec.DecodeTaskUIDs(d.Body)
+		uids, err := msgcodec.DecodeTaskUIDsWith(d.Body, e.am.resolve)
 		if err != nil {
 			drops = append(drops, d)
 			continue
 		}
+		decoded = append(decoded, d)
+		msgs = append(msgs, uids)
+		total += len(uids)
+	}
+	tasks := make([]*Task, 0, total)
+	live := make([]*broker.Delivery, 0, len(decoded))
+	for i, d := range decoded {
 		bad := false
-		ds := make([]TaskDescription, 0, len(uids))
-		ts := make([]*Task, 0, len(uids))
-		for _, uid := range uids {
-			t, ok := e.am.Task(uid)
-			if !ok {
+		for _, uid := range msgs[i] {
+			if t, ok := e.am.tasks[uid]; ok {
+				tasks = append(tasks, t)
+			} else {
 				bad = true
-				continue
 			}
-			if t.State().Terminal() {
-				// The task was canceled (or recovered as DONE) after its
-				// pending message was published; submitting it would only
-				// burn pilot cores on a result the Dequeue will discard.
-				continue
-			}
-			ds = append(ds, describeTask(t))
-			ts = append(ts, t)
 		}
 		// Resolvable tasks are submitted even when the message also named
 		// unknown ones; the message itself is then dropped, not requeued.
-		descs = append(descs, ds...)
-		tasks = append(tasks, ts...)
 		if bad {
 			drops = append(drops, d)
+		} else {
+			live = append(live, d)
+		}
+	}
+	e.am.mu.Unlock()
+	descs := make([]TaskDescription, 0, len(tasks))
+	submit := tasks[:0]
+	for _, t := range tasks {
+		if t.State().Terminal() {
+			// The task was canceled (or recovered as DONE) after its
+			// pending message was published; submitting it would only
+			// burn pilot cores on a result the Dequeue will discard.
 			continue
 		}
-		live = append(live, d)
+		descs = append(descs, describeTask(t))
+		submit = append(submit, t)
 	}
+	tasks = submit
 	if err := broker.NackBatch(drops, false); err != nil {
 		return err
 	}

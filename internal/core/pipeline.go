@@ -37,10 +37,7 @@ func (p *Pipeline) AddStage(s *Stage) error {
 	if p.state.Terminal() {
 		return fmt.Errorf("core: cannot add stage to %s pipeline %s", p.state, p.UID)
 	}
-	s.setParent(p.UID)
-	for _, t := range s.Tasks() {
-		t.setParent(p.UID, s.UID)
-	}
+	s.setPipeline(p)
 	p.stages = append(p.stages, s)
 	return nil
 }

@@ -18,10 +18,78 @@ type Stage struct {
 	// pipeline (used by the AUA use case to iterate until convergence).
 	PostExec func() error `json:"-"`
 
-	mu          sync.RWMutex
-	tasks       []*Task
-	state       StageState
-	pipelineUID string
+	mu    sync.RWMutex
+	tasks []*Task
+	state StageState
+	pipe  *Pipeline // owning pipeline, set when the stage is added to one
+	tally taskTally
+}
+
+// taskTally counts a set of tasks by state, with the attempts they have made.
+// Every stage keeps one over its tasks: Stage.AddTask counts a task in and
+// every task state write (Task.write) moves it, so the tally equals a walk
+// over the tasks at every instant, and stage completion, Snapshot and
+// ActiveTasks read tallies and never visit a task. A registered stage's
+// tally also feeds its run's (up).
+type taskTally struct {
+	mu       sync.Mutex
+	n        [numTaskStates]int
+	attempts int
+	up       *taskTally
+}
+
+// add counts in one task in the given state that has made the given
+// attempts. Tasks join a stage before the stage is registered, so there is
+// no run to tell yet.
+func (c *taskTally) add(state taskCode, attempts int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n[state]++
+	c.attempts += attempts
+}
+
+// move records one task's state write.
+func (c *taskTally) move(from, to taskCode, attempts int) {
+	c.mu.Lock()
+	c.n[from]--
+	c.n[to]++
+	c.attempts += attempts
+	up := c.up
+	c.mu.Unlock()
+	if up != nil {
+		up.move(from, to, attempts)
+	}
+}
+
+// read returns the counts per state and the attempt total, as of one instant.
+func (c *taskTally) read() (n [numTaskStates]int, attempts int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n, c.attempts
+}
+
+// feed makes up the tally this one reports to, starting with everything it
+// has counted so far.
+func (c *taskTally) feed(up *taskTally) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.up = up
+	up.mu.Lock()
+	for state, k := range c.n {
+		up.n[state] += k
+	}
+	up.attempts += c.attempts
+	up.mu.Unlock()
+}
+
+// active is the number of counted tasks under management: scheduled at least
+// once this attempt and not yet terminal (SCHEDULING through EXECUTED).
+func active(n [numTaskStates]int) int {
+	k := 0
+	for _, c := range n[codeScheduling : codeExecuted+1] {
+		k += c
+	}
+	return k
 }
 
 // NewStage returns an empty stage in the initial state.
@@ -42,6 +110,7 @@ func (s *Stage) AddTask(t *Task) error {
 		return fmt.Errorf("core: cannot add task to stage %s in state %s", s.UID, s.state)
 	}
 	s.tasks = append(s.tasks, t)
+	t.enter(s)
 	return nil
 }
 
@@ -103,35 +172,31 @@ func (s *Stage) forceState(st StageState) {
 
 // Parent returns the owning pipeline's UID.
 func (s *Stage) Parent() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pipelineUID
+	if p := s.pipeline(); p != nil {
+		return p.UID
+	}
+	return ""
 }
 
-func (s *Stage) setParent(uid string) {
+// pipeline returns the pipeline the stage was added to, nil before that.
+func (s *Stage) pipeline() *Pipeline {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.pipe
+}
+
+func (s *Stage) setPipeline(p *Pipeline) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pipelineUID = uid
+	s.pipe = p
 }
 
 // tasksTerminal reports whether every task has reached a terminal state and
 // whether any ended FAILED or CANCELED.
 func (s *Stage) tasksTerminal() (allTerminal bool, anyFailed, anyCanceled bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	allTerminal = true
-	for _, t := range s.tasks {
-		switch t.State() {
-		case TaskDone:
-		case TaskFailed:
-			anyFailed = true
-		case TaskCanceled:
-			anyCanceled = true
-		default:
-			allTerminal = false
-		}
-	}
-	return allTerminal, anyFailed, anyCanceled
+	n, _ := s.tally.read()
+	live := n[codeInitial] + active(n)
+	return live == 0, n[codeFailed] > 0, n[codeCanceled] > 0
 }
 
 // Validate checks the stage description.

@@ -31,6 +31,40 @@ func (s TaskState) Terminal() bool {
 	return s == TaskDone || s == TaskFailed || s == TaskCanceled
 }
 
+// taskCode is a TaskState in compact form: its index in taskStateNames, the
+// nominal order of traversal, with DESCRIBED as the zero value. A task keeps
+// its state and its history in codes, and its stage tallies tasks per code,
+// so committing a transition compares and stores bytes instead of strings.
+type taskCode uint8
+
+const (
+	codeInitial taskCode = iota
+	codeScheduling
+	codeScheduled
+	codeSubmitting
+	codeSubmitted
+	codeExecuted
+	codeDone
+	codeFailed
+	codeCanceled
+	numTaskStates
+)
+
+var taskStateNames = [numTaskStates]TaskState{
+	TaskInitial, TaskScheduling, TaskScheduled, TaskSubmitting, TaskSubmitted,
+	TaskExecuted, TaskDone, TaskFailed, TaskCanceled,
+}
+
+// taskCodes inverts taskStateNames; the empty name is the initial state, as
+// everywhere.
+var taskCodes = func() map[TaskState]taskCode {
+	codes := map[TaskState]taskCode{"": codeInitial}
+	for c, s := range taskStateNames {
+		codes[s] = taskCode(c)
+	}
+	return codes
+}()
+
 // taskTransitions is the legal task state machine. FAILED→SCHEDULING encodes
 // resubmission of failed tasks without restarting completed ones (§II-A);
 // FAILED→CANCELED lets a cancellation override a pending resubmission (a
@@ -47,6 +81,17 @@ var taskTransitions = map[TaskState][]TaskState{
 	TaskDone:       {},
 	TaskCanceled:   {},
 }
+
+// taskLegal is taskTransitions indexed by code: bit `to` of taskLegal[from]
+// is set when from -> to is legal.
+var taskLegal = func() (legal [numTaskStates]uint16) {
+	for from, tos := range taskTransitions {
+		for _, to := range tos {
+			legal[taskCodes[from]] |= 1 << taskCodes[to]
+		}
+	}
+	return legal
+}()
 
 // StageState is a stage's lifecycle state.
 type StageState string

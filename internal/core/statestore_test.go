@@ -87,9 +87,6 @@ func TestStateStoreRecoverySkipsCompletedTasks(t *testing.T) {
 	for _, task := range tasks[:2] {
 		task.forceState(TaskInitial)
 	}
-	for _, task := range tasks {
-		task.setParent("", "")
-	}
 	pipes[0].forceState(PipelineInitial)
 	pipes[0].mu.Lock()
 	pipes[0].current = 0

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/broker"
 	"repro/internal/journal"
@@ -43,6 +42,12 @@ type synchronizer struct {
 	am       *AppManager
 	consumer *broker.Consumer
 	wg       sync.WaitGroup
+
+	// The loop goroutine's buffers, reused from request to request: the
+	// request's tasks as resolved from the registry, and the transitions it
+	// committed.
+	tasks   []*Task
+	commits []applied
 }
 
 func newSynchronizer(am *AppManager) *synchronizer {
@@ -74,7 +79,9 @@ func (s *synchronizer) stop() {
 func (s *synchronizer) loop() {
 	defer s.wg.Done()
 	for d := range s.consumer.Deliveries() {
-		frame, err := msgcodec.DecodeSyncFrame(d.Body)
+		s.am.mu.Lock()
+		frame, err := msgcodec.DecodeSyncFrameWith(d.Body, s.am.resolve)
+		s.am.mu.Unlock()
 		if err != nil {
 			d.Nack(false) //nolint:errcheck
 			continue
@@ -157,7 +164,13 @@ type applied struct {
 // state store, and published on the event bus — in that order, so an event
 // always describes a transition that was durably recorded.
 func (s *synchronizer) apply(req *stateRequest) stateAck {
-	var commits []applied
+	am := s.am
+	// A committed transition is listed only if something will read the list:
+	// the journal or a state store, which the run has or has not, or an
+	// event subscriber — and one may attach while the request is being
+	// applied, so that is asked again after every commit.
+	record := am.jrn != nil || am.cfg.StateStore != nil
+	commits := s.commits[:0]
 	var err error
 	switch req.Entity {
 	case "task":
@@ -165,30 +178,43 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 		if len(uids) == 0 {
 			uids = []string{req.UID}
 		}
+		// The request's tasks, from the registry under one hold of it; a
+		// request naming an unknown task commits nothing.
+		tasks := s.tasks[:0]
+		am.mu.Lock()
 		for _, uid := range uids {
-			t, ok := s.am.Task(uid)
+			t, ok := am.tasks[uid]
 			if !ok {
 				err = fmt.Errorf("core: unknown task %s", uid)
 				break
 			}
-			prev := t.State()
-			if taskSkip(prev, TaskState(req.Target)) {
-				continue
-			}
-			err = t.advance(TaskState(req.Target))
-			if err != nil {
+			tasks = append(tasks, t)
+		}
+		am.mu.Unlock()
+		s.tasks = tasks
+		if err != nil {
+			break
+		}
+		for i, t := range tasks {
+			prev, absorbed, cerr := t.commit(TaskState(req.Target))
+			if cerr != nil {
+				err = cerr
 				break
+			}
+			if absorbed {
+				continue
 			}
 			if req.ExitCode != 0 || req.ExecErr != "" {
 				t.setResult(req.ExitCode, req.ExecErr)
 			}
-			s.trackActivity(prev, TaskState(req.Target))
-			commits = append(commits, applied{task: t, uid: uid, from: string(prev)})
+			if record || am.eventsActive() {
+				commits = append(commits, applied{task: t, uid: uids[i], from: string(prev)})
+			}
 		}
 	case "stage":
-		s.am.mu.Lock()
-		st, ok := s.am.stages[req.UID]
-		s.am.mu.Unlock()
+		am.mu.Lock()
+		st, ok := am.stages[req.UID]
+		am.mu.Unlock()
 		if !ok {
 			err = fmt.Errorf("core: unknown stage %s", req.UID)
 			break
@@ -201,9 +227,9 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 			commits = append(commits, applied{stage: st, uid: req.UID, from: string(prev)})
 		}
 	case "pipeline":
-		s.am.mu.Lock()
-		p, ok := s.am.pipes[req.UID]
-		s.am.mu.Unlock()
+		am.mu.Lock()
+		p, ok := am.pipes[req.UID]
+		am.mu.Unlock()
 		if !ok {
 			err = fmt.Errorf("core: unknown pipeline %s", req.UID)
 			break
@@ -218,23 +244,24 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 	default:
 		err = fmt.Errorf("core: unknown entity kind %q", req.Entity)
 	}
+	s.commits = commits // keep what it grew to
 	if err != nil {
 		return stateAck{OK: false, Err: err.Error()}
 	}
-	if len(commits) > 0 && (s.am.jrn != nil || s.am.cfg.StateStore != nil) {
+	if len(commits) > 0 && record {
 		if err := s.persist(req, commits); err != nil {
 			return stateAck{OK: false, Err: err.Error()}
 		}
 	}
-	if s.am.eventsActive() {
+	if am.eventsActive() {
 		for _, c := range commits {
 			switch {
 			case c.task != nil:
-				s.am.emitTask(c.task, TaskState(c.from), TaskState(req.Target))
+				am.emitTask(c.task, TaskState(c.from), TaskState(req.Target))
 			case c.stage != nil:
-				s.am.emitStage(c.stage, StageState(c.from), StageState(req.Target))
+				am.emitStage(c.stage, StageState(c.from), StageState(req.Target))
 			case c.pipe != nil:
-				s.am.emitPipeline(c.pipe, PipelineState(c.from), PipelineState(req.Target))
+				am.emitPipeline(c.pipe, PipelineState(c.from), PipelineState(req.Target))
 			}
 		}
 	}
@@ -281,22 +308,6 @@ func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
 	// committed so far.
 	am.maybeSnapshot(len(commits))
 	return nil
-}
-
-// trackActivity maintains the count of concurrently managed tasks used for
-// host strain (Fig 8's management-overhead growth past 2,048 tasks). A task
-// is active from entering SCHEDULING to reaching a terminal state; a task
-// canceled straight out of DESCRIBED was never active, and one canceled out
-// of FAILED already left when it failed — neither may decrement the count.
-func (s *synchronizer) trackActivity(from, to TaskState) {
-	enters := to == TaskScheduling && (from == TaskInitial || from == "" || from == TaskFailed)
-	leaves := to.Terminal() && from != TaskInitial && from != "" && from != TaskFailed
-	if enters {
-		atomic.AddInt64(&s.am.active, 1)
-	}
-	if leaves {
-		atomic.AddInt64(&s.am.active, -1)
-	}
 }
 
 // syncClient is a component-side handle for requesting transitions. Each

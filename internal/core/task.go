@@ -118,14 +118,17 @@ type Task struct {
 	// embeds decision logic in tasks (§II-B1).
 	LocalFunc func() error `json:"-"`
 
-	mu           sync.RWMutex
-	state        TaskState
-	stateHistory []TaskState
-	attempts     int
-	exitCode     int
-	execErr      string
-	pipelineUID  string
-	stageUID     string
+	mu    sync.RWMutex
+	state taskCode
+	// hist is the states traversed, as codes. It starts out in histBuf — a
+	// task that is never retried makes six transitions and allocates nothing
+	// for them — and moves to the heap when a retried task outgrows that.
+	hist     []taskCode
+	histBuf  [8]taskCode
+	attempts int
+	exitCode int
+	execErr  string
+	stage    *Stage // owning stage, set when the task is added to one
 }
 
 // NewTask returns a task in the initial state with a fresh UID. MaxRetries
@@ -135,7 +138,6 @@ func NewTask(name string) *Task {
 		UID:        NewUID("task"),
 		Name:       name,
 		MaxRetries: -1,
-		state:      TaskInitial,
 	}
 }
 
@@ -143,18 +145,17 @@ func NewTask(name string) *Task {
 func (t *Task) State() TaskState {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.state == "" {
-		return TaskInitial
-	}
-	return t.state
+	return taskStateNames[t.state]
 }
 
 // StateHistory returns the sequence of states the task has traversed.
 func (t *Task) StateHistory() []TaskState {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]TaskState, len(t.stateHistory))
-	copy(out, t.stateHistory)
+	out := make([]TaskState, len(t.hist))
+	for i, c := range t.hist {
+		out[i] = taskStateNames[c]
+	}
 	return out
 }
 
@@ -162,29 +163,63 @@ func (t *Task) StateHistory() []TaskState {
 func (t *Task) advance(to TaskState) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	from := t.state
-	if from == "" {
-		from = TaskInitial
+	return t.advanceLocked(to)
+}
+
+func (t *Task) advanceLocked(to TaskState) error {
+	c, ok := taskCodes[to]
+	if !ok || taskLegal[t.state]&(1<<c) == 0 {
+		return &TransitionError{Entity: "task", UID: t.UID, From: string(taskStateNames[t.state]), To: string(to)}
 	}
-	if !legalTask(from, to) {
-		return &TransitionError{Entity: "task", UID: t.UID, From: string(from), To: string(to)}
+	attempts := 0
+	if c == codeScheduling {
+		attempts = 1
 	}
-	t.state = to
-	t.stateHistory = append(t.stateHistory, to)
-	if to == TaskScheduling {
-		t.attempts++
-	}
+	t.write(c, attempts)
 	return nil
 }
 
-// forceState sets the state without legality checks; used only by journal
-// recovery, which replays states that were already validated when first
-// applied.
-func (t *Task) forceState(s TaskState) {
+// commit is the Synchronizer's whole decision on one task transition request,
+// under one hold of the task's lock: a request the cancellation rules absorb
+// (taskSkip) changes nothing, anything else must be legal from the state the
+// task is in. from is that state.
+func (t *Task) commit(to TaskState) (from TaskState, absorbed bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.state = s
-	t.stateHistory = append(t.stateHistory, s)
+	from = taskStateNames[t.state]
+	if taskSkip(from, to) {
+		return from, true, nil
+	}
+	return from, false, t.advanceLocked(to)
+}
+
+// forceState sets the state without legality checks; used by recovery, which
+// replays states that were validated when first applied, and by the
+// cancellation of whatever a canceled run left unfinished.
+func (t *Task) forceState(s TaskState) {
+	c, ok := taskCodes[s]
+	if !ok {
+		panic("core: forceState to unknown task state " + string(s))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.write(c, 0)
+}
+
+// write is every task state write: the state, its history entry, the attempt
+// counter, and the owning stage's tallies, which therefore always agree with
+// a walk over the tasks. t.mu must be held.
+func (t *Task) write(to taskCode, attempts int) {
+	from := t.state
+	t.state = to
+	if t.hist == nil {
+		t.hist = t.histBuf[:0]
+	}
+	t.hist = append(t.hist, to)
+	t.attempts += attempts
+	if t.stage != nil {
+		t.stage.tally.move(from, to, attempts)
+	}
 }
 
 // Attempts returns how many times the task entered SCHEDULING.
@@ -218,16 +253,27 @@ func (t *Task) ExecError() string {
 
 // Parent returns the UIDs of the pipeline and stage owning this task.
 func (t *Task) Parent() (pipelineUID, stageUID string) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pipelineUID, t.stageUID
+	s := t.parentStage()
+	if s == nil {
+		return "", ""
+	}
+	return s.Parent(), s.UID
 }
 
-func (t *Task) setParent(pipelineUID, stageUID string) {
+// parentStage returns the stage the task was added to, nil before that.
+func (t *Task) parentStage() *Stage {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.stage
+}
+
+// enter makes s the task's stage and counts the task, in the state it is in,
+// into the stage's tallies.
+func (t *Task) enter(s *Stage) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pipelineUID = pipelineUID
-	t.stageUID = stageUID
+	t.stage = s
+	s.tally.add(t.state, t.attempts)
 }
 
 // Validate checks the task description for user errors before execution.

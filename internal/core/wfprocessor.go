@@ -36,8 +36,12 @@ type wfProcessor struct {
 	deqSync *syncClient
 
 	// uidScratch is the enqueue loop's reusable chunk buffer for pending
-	// message encoding (scheduleStage runs only on that goroutine).
+	// message encoding (scheduleStage runs only on that goroutine). resolved
+	// and affected are the dequeue loop's: the tasks one done-message names,
+	// and the distinct stages one drain settled tasks of.
 	uidScratch []string
+	resolved   []*Task
+	affected   []*Stage
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -290,22 +294,26 @@ func (w *wfProcessor) dequeueLoop(ctx context.Context) {
 // resubmission policy stay per-task.
 func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	var succeeded []*Task
-	type failure struct {
-		t   *Task
-		res TaskResult
-	}
-	var failures []failure
+	var failures []failedAttempt
 	var canceled []*Task
 	var drops []*broker.Delivery // malformed messages: batch-dropped
 	for _, d := range batch {
-		results, err := msgcodec.DecodeTaskResults(d.Body)
+		// One hold of the registry per message: decode against it, then
+		// resolve each result's task.
+		w.am.mu.Lock()
+		results, err := msgcodec.DecodeTaskResultsWith(d.Body, w.am.resolve)
+		w.resolved = w.resolved[:0]
+		for i := range results {
+			w.resolved = append(w.resolved, w.am.tasks[results[i].UID])
+		}
+		w.am.mu.Unlock()
 		if err != nil {
 			drops = append(drops, d)
 			continue
 		}
-		for _, res := range results {
-			t, ok := w.am.Task(res.UID)
-			if !ok {
+		for i, res := range results {
+			t := w.resolved[i]
+			if t == nil {
 				broker.NackBatch(drops, false) //nolint:errcheck
 				broker.AckBatch(batch)         //nolint:errcheck
 				return fmt.Errorf("core: completion for unknown task %s", res.UID)
@@ -322,7 +330,7 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 			case res.ExitCode == 0:
 				succeeded = append(succeeded, t)
 			default:
-				failures = append(failures, failure{t: t, res: res})
+				failures = append(failures, failedAttempt{t: t, res: res})
 			}
 		}
 	}
@@ -339,8 +347,8 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	// The RTS reported these attempts finished: SUBMITTED -> EXECUTED, then
 	// the terminal state for this attempt. The whole drain's bulk
 	// transitions ride one sync frame — one round-trip however many tasks
-	// the batch settled; failures (rare) follow individually so exit codes
-	// and the resubmission policy stay per-task.
+	// the batch settled; failures (rare) follow individually (settleFailures)
+	// so exit codes and the resubmission policy stay per-task.
 	w.deqSync.begin()
 	w.deqSync.addTaskBatch(succeeded, TaskExecuted)
 	w.deqSync.addTaskBatch(succeeded, TaskDone)
@@ -349,6 +357,42 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	if err := w.deqSync.flush(); err != nil {
 		return err
 	}
+	w.affected = w.affected[:0]
+	for _, t := range succeeded {
+		w.settled(t)
+	}
+	for _, t := range canceled {
+		w.settled(t)
+	}
+	if len(failures) > 0 {
+		if err := w.settleFailures(failures); err != nil {
+			return err
+		}
+	}
+	for _, stage := range w.affected {
+		if err := w.maybeCompleteStage(stage.pipeline(), stage, w.deqSync); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// failedAttempt is one task attempt the RTS reported failed.
+type failedAttempt struct {
+	t   *Task
+	res TaskResult
+}
+
+// settleFailures commits each failed attempt and applies the resubmission
+// policy (paper §II-A): failed tasks are resubmitted up to the configured
+// budget without restarting completed tasks. It holds completionMu
+// throughout, because between a task's FAILED commit and its resubmission
+// every task of its stage can read terminal, and Enqueue's own completion
+// check — the one that ends scheduleStage — must not run on that instant: it
+// would fail a stage whose last task is about to be retried.
+func (w *wfProcessor) settleFailures(failures []failedAttempt) error {
+	w.am.completionMu.Lock()
+	defer w.am.completionMu.Unlock()
 	for _, f := range failures {
 		w.deqSync.begin()
 		w.deqSync.addTaskResult(f.t, TaskExecuted, f.res.ExitCode, f.res.Error)
@@ -357,18 +401,6 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 			return err
 		}
 	}
-
-	// Resubmission policy (paper §II-A): failed tasks are resubmitted up to
-	// the configured budget without restarting completed tasks.
-	affected := map[string]*Task{} // stage UID -> a task of that stage
-	for _, t := range succeeded {
-		_, stageUID := t.Parent()
-		affected[stageUID] = t
-	}
-	for _, t := range canceled {
-		_, stageUID := t.Parent()
-		affected[stageUID] = t
-	}
 	for _, f := range failures {
 		if f.t.Attempts() <= w.am.retriesFor(f.t) {
 			if err := w.resubmit(f.t); err != nil {
@@ -376,24 +408,21 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 			}
 			continue // back in flight; its stage is not terminal yet
 		}
-		_, stageUID := f.t.Parent()
-		affected[stageUID] = f.t
-	}
-
-	for _, t := range affected {
-		pipelineUID, stageUID := t.Parent()
-		w.am.mu.Lock()
-		stage := w.am.stages[stageUID]
-		pipe := w.am.pipes[pipelineUID]
-		w.am.mu.Unlock()
-		if stage == nil || pipe == nil {
-			return fmt.Errorf("core: task %s has unknown parents", t.UID)
-		}
-		if err := w.maybeCompleteStage(pipe, stage, w.deqSync); err != nil {
-			return err
-		}
+		w.settled(f.t)
 	}
 	return nil
+}
+
+// settled notes that one of t's stage's tasks reached the end of its last
+// attempt in this drain: the stage joins affected, once.
+func (w *wfProcessor) settled(t *Task) {
+	stage := t.parentStage()
+	for _, s := range w.affected {
+		if s == stage {
+			return
+		}
+	}
+	w.affected = append(w.affected, stage)
 }
 
 // resubmit re-queues a failed task attempt. As in scheduleStage, the task
@@ -402,11 +431,7 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 // common case, and if the cancel lands mid-sequence the Synchronizer's
 // sticky-cancel absorbs the transitions and the Emgr drops the message.
 func (w *wfProcessor) resubmit(t *Task) error {
-	_, stageUID := t.Parent()
-	w.am.mu.Lock()
-	stage := w.am.stages[stageUID]
-	w.am.mu.Unlock()
-	if stage != nil && stage.State().Terminal() {
+	if t.parentStage().State().Terminal() {
 		return nil // stage canceled (or settled) under us; retry is moot
 	}
 	w.deqSync.begin()
@@ -463,7 +488,7 @@ func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClie
 		}
 		if p.StageCount() > before {
 			for _, s := range p.Stages()[before:] {
-				w.am.registerLateStage(p, s)
+				w.am.registerLateStage(s)
 			}
 		}
 	}

@@ -124,11 +124,16 @@ func (f Format) EncodeTaskUID(uid string) []byte {
 }
 
 // DecodeTaskUIDs decodes a pending-queue message body.
-func DecodeTaskUIDs(body []byte) ([]string, error) {
+func DecodeTaskUIDs(body []byte) ([]string, error) { return DecodeTaskUIDsWith(body, nil) }
+
+// DecodeTaskUIDsWith decodes a pending-queue message body, taking the task
+// UIDs the resolver knows from it (see DecodeSyncFrameWith).
+func DecodeTaskUIDsWith(body []byte, resolve Resolve) ([]string, error) {
 	r, err := frameReader(body, FrameTaskUIDs)
 	if err != nil {
 		return nil, err
 	}
+	r.resolve = resolve
 	n, err := r.count()
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -286,9 +287,106 @@ func TestDecodersRejectForeignBodies(t *testing.T) {
 	}
 }
 
+// resolvers are the kinds of msgcodec.Resolve a decoder must be indifferent
+// to: one that knows nothing, one that knows every other string of the frame
+// (so hits and misses interleave), and one that answers every question with
+// the same wrong string.
+func resolvers(known []string) map[string]Resolve {
+	half := map[string]string{}
+	for i, s := range known {
+		if i%2 == 0 {
+			half[s] = s
+		}
+	}
+	return map[string]Resolve{
+		"ignorant": func([]byte) string { return "" },
+		"half":     func(b []byte) string { return half[string(b)] },
+		"liar":     func([]byte) string { return "task.someone-else" },
+	}
+}
+
+// checkResolvingDecoders holds the three resolving decoders to their
+// contract on one body: with any resolver they accept exactly the bodies the
+// plain decoders accept and return exactly the same value, and that value
+// holds no reference into the body — it is scribbled over before comparing.
+func checkResolvingDecoders(t *testing.T, body []byte) {
+	t.Helper()
+	type decoder struct {
+		name string
+		with func([]byte, Resolve) (any, error)
+		strs func(any) []string
+	}
+	for _, d := range []decoder{
+		{"TaskUIDs",
+			func(b []byte, r Resolve) (any, error) { return DecodeTaskUIDsWith(b, r) },
+			func(v any) []string { return v.([]string) }},
+		{"SyncFrame",
+			func(b []byte, r Resolve) (any, error) { return DecodeSyncFrameWith(b, r) },
+			func(v any) []string {
+				fr := v.(SyncFrame)
+				out := []string{fr.Reply}
+				for _, req := range fr.Reqs {
+					out = append(append(out, req.Entity, req.Target, req.UID, req.ExecErr), req.UIDs...)
+				}
+				return out
+			}},
+		{"TaskResults",
+			func(b []byte, r Resolve) (any, error) { return DecodeTaskResultsWith(b, r) },
+			func(v any) []string {
+				var out []string
+				for _, res := range v.([]TaskResult) {
+					out = append(out, res.UID, res.Error)
+				}
+				return out
+			}},
+	} {
+		want, werr := d.with(append([]byte(nil), body...), nil)
+		var known []string
+		if werr == nil {
+			known = d.strs(want)
+		}
+		for name, resolve := range resolvers(known) {
+			scratch := append([]byte(nil), body...)
+			got, gerr := d.with(scratch, resolve)
+			for i := range scratch {
+				scratch[i] ^= 0xff
+			}
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("Decode%sWith(%s resolver) error %v, plain decode error %v", d.name, name, gerr, werr)
+			}
+			if gerr == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("Decode%sWith(%s resolver) = %+v, plain decode = %+v", d.name, name, got, want)
+			}
+		}
+	}
+}
+
+// TestResolverSuppliesTheStrings: what a resolver knows, the decoder takes
+// from it — the very string, not a copy — and what it does not know, or gets
+// wrong, the decoder copies from the frame.
+func TestResolverSuppliesTheStrings(t *testing.T) {
+	mine := []string{"task.000001", "task.000002"}
+	body := FormatBinary.EncodeTaskUIDs([]string{"task.000001", "task.000003", "task.000002"})
+	got, err := DecodeTaskUIDsWith(body, func(b []byte) string {
+		for _, s := range mine {
+			if s == string(b) {
+				return s
+			}
+		}
+		return "task.000001" // wrong for task.000003: must not be believed
+	})
+	if err != nil || !reflect.DeepEqual(got, []string{"task.000001", "task.000003", "task.000002"}) {
+		t.Fatalf("decoded %v (%v)", got, err)
+	}
+	if unsafe.StringData(got[0]) != unsafe.StringData(mine[0]) || unsafe.StringData(got[2]) != unsafe.StringData(mine[1]) {
+		t.Fatal("known UIDs were copied instead of taken from the resolver")
+	}
+}
+
 // FuzzDecodeFrame throws arbitrary bytes at every decoder: malformed,
 // truncated or type-confused frames must error cleanly — never panic,
-// never over-allocate from a hostile length prefix.
+// never over-allocate from a hostile length prefix — and the decoders that
+// take a resolver must not let it change what they accept or return.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(FormatBinary.EncodeTaskUIDs([]string{"task.1", "task.2"}))
 	if b, err := FormatBinary.EncodeSyncFrame(SyncFrame{Reply: "q", Seq: 3, Reqs: []SyncRequest{
@@ -335,5 +433,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		DecodeBrokerAckBatch(body)        //nolint:errcheck
 		DecodeSnapshot(body)              //nolint:errcheck
 		DecodeSegmentHeader(body)         //nolint:errcheck
+		checkResolvingDecoders(t, body)
 	})
 }

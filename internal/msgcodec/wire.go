@@ -56,10 +56,23 @@ func appendTime(buf []byte, t time.Time) []byte {
 	return appendVarint(buf, t.UnixNano())
 }
 
+// Resolve maps the bytes of one decoded string field to a string the caller
+// already holds — a registry's own copy of a task UID, an entity kind, a
+// state name — so that decoding a frame full of known names allocates no
+// string per name. It returns "" for bytes it does not know. b aliases the
+// frame body and must not be retained. A decoder uses the result only when it
+// is byte-equal to b and makes its own copy otherwise, so whatever a resolver
+// returns, the decoded value is what the frame says.
+type Resolve func(b []byte) string
+
 // reader walks a binary frame payload with exhaustive bounds checking: a
 // malformed or truncated frame yields an error from every method, never a
-// panic (FuzzDecodeFrame pins this).
-type reader struct{ b []byte }
+// panic (FuzzDecodeFrame pins this). resolve, when set, is consulted for
+// every string field.
+type reader struct {
+	b       []byte
+	resolve Resolve
+}
 
 // frameReader validates the three-byte header and positions a reader at the
 // payload.
@@ -126,7 +139,16 @@ func (r *reader) bytes() ([]byte, error) {
 
 func (r *reader) str() (string, error) {
 	b, err := r.bytes()
-	return string(b), err
+	if err != nil || len(b) == 0 {
+		return "", err
+	}
+	if r.resolve != nil {
+		// The comparison converts nothing: the compiler compares in place.
+		if s := r.resolve(b); s == string(b) {
+			return s, nil
+		}
+	}
+	return string(b), nil
 }
 
 func (r *reader) bool() (bool, error) {
@@ -208,12 +230,18 @@ func (f Format) EncodeSyncFrame(fr SyncFrame) ([]byte, error) {
 }
 
 // DecodeSyncFrame decodes a transition frame.
-func DecodeSyncFrame(body []byte) (SyncFrame, error) {
+func DecodeSyncFrame(body []byte) (SyncFrame, error) { return DecodeSyncFrameWith(body, nil) }
+
+// DecodeSyncFrameWith decodes a transition frame, taking every string the
+// resolver knows (entity kinds, state names, UIDs, the reply queue) from it
+// instead of copying it out of the body. A nil resolver copies everything.
+func DecodeSyncFrameWith(body []byte, resolve Resolve) (SyncFrame, error) {
 	var fr SyncFrame
 	r, err := frameReader(body, FrameSyncFrame)
 	if err != nil {
 		return SyncFrame{}, err
 	}
+	r.resolve = resolve
 	if fr.Reply, err = r.str(); err != nil {
 		return SyncFrame{}, err
 	}
@@ -324,11 +352,16 @@ func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
 }
 
 // DecodeTaskResults decodes a done-queue result batch.
-func DecodeTaskResults(body []byte) ([]TaskResult, error) {
+func DecodeTaskResults(body []byte) ([]TaskResult, error) { return DecodeTaskResultsWith(body, nil) }
+
+// DecodeTaskResultsWith decodes a done-queue result batch, taking the task
+// UIDs the resolver knows from it (see DecodeSyncFrameWith).
+func DecodeTaskResultsWith(body []byte, resolve Resolve) ([]TaskResult, error) {
 	r, err := frameReader(body, FrameTaskResults)
 	if err != nil {
 		return nil, err
 	}
+	r.resolve = resolve
 	n, err := r.count()
 	if err != nil {
 		return nil, err
