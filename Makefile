@@ -13,7 +13,9 @@ GO ?= go
 # must stay O(1) per stage; durable-frame is the same frame committed by a
 # real synchronizer over a journal directory — one write per bulk request;
 # wide-stage-1p is a whole 4096-task stage on one P, where a per-message
-# rescan of the stage would show as a quadratic), Snapshot on 10^5 tasks
+# rescan of the stage would show as a quadratic; chain-stage is 256 8-task
+# stages in sequence and reports frames/stage — ~4, and 10+ when a stage's
+# results stop reaching the committer together), Snapshot on 10^5 tasks
 # (O(stages): it reads tallies), the daemon multi-run comparison (K concurrent
 # entkd-hosted runs vs K sequential in-process runs — the shared pilot
 # pool must keep amortizing setup) and the remote round-trip ablation

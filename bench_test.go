@@ -21,8 +21,10 @@ import (
 	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/hostmodel"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
+	"repro/internal/rts"
 	"repro/internal/saga"
 	"repro/internal/seismic"
 	"repro/internal/statedb"
@@ -720,6 +722,69 @@ func BenchmarkSyncTransition(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(tasks*b.N)/b.Elapsed().Seconds(), "tasks/s")
+	})
+	b.Run("chain-stage", func(b *testing.B) {
+		// The latency-bound shape: 8-task stages that cannot overlap, so a
+		// stage costs its sync round trips end to end. The assembly is
+		// entk.NewAppManager's with the simulated machine taken out
+		// (rts.FastModel, hostmodel.Null) — at any TimeScale a pilot
+		// outlives, the CI model's per-task dispatch stagger is a timer per
+		// task and the benchmark would time those. Every sync frame is one
+		// publish on the states queue; the count is read in the last
+		// PostExec, the stage time is the gap between the first and the last.
+		const stages, tasks = 256, 8
+		clock := vclock.NewScaled(250 * time.Microsecond) // 72 h of walltime = 64.8 s of wall
+		session := saga.NewSession()
+		defer session.Close()
+		adapter, err := saga.NewCatalogAdapter("supermic", clock)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := session.Register(adapter); err != nil {
+			b.Fatal(err)
+		}
+		var frames uint64
+		var span time.Duration
+		for i := 0; i < b.N; i++ {
+			am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 64, Walltime: 72 * time.Hour})
+			am.SetRTSFactory(rts.Factory(rts.Config{
+				Clock: clock, Session: session, Registry: workload.NewRegistry(), Model: rts.FastModel(),
+			}))
+			pipe := core.NewPipeline("chain")
+			var first time.Time
+			for s := 0; s < stages; s++ {
+				stage := core.NewStage("s")
+				for k := 0; k < tasks; k++ {
+					t := core.NewTask("t")
+					t.Executable = "sleep"
+					stage.AddTask(t) //nolint:errcheck
+				}
+				switch s {
+				case 0:
+					stage.PostExec = func() error { first = time.Now(); return nil }
+				case stages - 1:
+					stage.PostExec = func() error {
+						span += time.Since(first)
+						st, err := am.Broker().Stats(core.QueueStates)
+						frames += st.Published
+						return err
+					}
+				}
+				pipe.AddStage(stage) //nolint:errcheck
+			}
+			if err := am.AddPipelines(pipe); err != nil {
+				b.Fatal(err)
+			}
+			if err := am.Run(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(span.Microseconds())/float64((stages-1)*b.N), "µs/stage")
+		b.ReportMetric(float64(frames)/float64(stages*b.N), "frames/stage")
 	})
 	b.Run("durable-frame", func(b *testing.B) {
 		// A running durable manager whose first stage outlasts the

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -544,7 +545,7 @@ func TestSnapshotPollerAndLateSubscriber(t *testing.T) {
 	sawDone := 0
 	for _, task := range pipes[0].Stages()[0].Tasks() {
 		hist, got := task.StateHistory(), seen[task.UID]
-		if len(got) > len(hist) || !reflect.DeepEqual(got, hist[len(hist)-len(got):]) {
+		if len(got) > len(hist) || !slices.Equal(got, hist[len(hist)-len(got):]) {
 			t.Fatalf("task %s: subscriber saw %v, not a tail of the history %v", task.UID, got, hist)
 		}
 		if len(got) > 0 {

@@ -241,19 +241,10 @@ func (e *execManager) callbackLoop(rts RTS) {
 	if err != nil {
 		return // broker closed: tearing down
 	}
-	for res := range rts.Completions() {
-		results := []TaskResult{res}
-	drain:
-		for len(results) < 256 {
-			select {
-			case more, ok := <-rts.Completions():
-				if !ok {
-					break drain
-				}
-				results = append(results, more)
-			default:
-				break drain
-			}
+	var results []TaskResult
+	for {
+		if results = DrainCompletions(rts.Completions(), results); len(results) == 0 {
+			return // the RTS stopped
 		}
 		e.inflightMu.Lock()
 		for _, r := range results {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"repro/internal/msgcodec"
@@ -118,7 +119,7 @@ type RTS interface {
 	// Submit hands task descriptions to the RTS for execution.
 	Submit(tasks []TaskDescription) error
 	// Completions delivers task results as they finish. The channel is
-	// closed by Stop.
+	// closed by Stop. Consumers read it through DrainCompletions.
 	Completions() <-chan TaskResult
 	// Alive reports whether the RTS is healthy; the ExecManager heartbeat
 	// polls it (paper: EnTK tears down and restarts a failed RTS).
@@ -127,6 +128,44 @@ type RTS interface {
 	Stop() error
 	// Stats returns counters.
 	Stats() RTSStats
+}
+
+// completionBatch bounds how many results one DrainCompletions call returns.
+const completionBatch = 256
+
+// DrainCompletions is how a consumer reads RTS.Completions: it blocks for the
+// first result, yields the processor once so that every executor already
+// runnable delivers too (a channel send hands the processor to the receiver
+// it woke, ahead of them — without the yield an 8-task stage arrives as ~7
+// separate bursts, each paying its own done-message and commit round trip),
+// then takes whatever is queued without blocking, up to completionBatch. A
+// backlog that fills the batch by itself is taken without the yield: there
+// is nothing to wait for, and the yield would queue the consumer behind
+// every runnable executor of a wide stage. Results come back in channel
+// order in buf, which is reused across calls; an empty return means the
+// channel is closed and drained.
+func DrainCompletions(ch <-chan TaskResult, buf []TaskResult) []TaskResult {
+	buf = buf[:0]
+	res, ok := <-ch
+	if !ok {
+		return buf
+	}
+	buf = append(buf, res)
+	if len(ch) < completionBatch-1 {
+		runtime.Gosched()
+	}
+	for len(buf) < completionBatch {
+		select {
+		case res, ok := <-ch:
+			if !ok {
+				return buf
+			}
+			buf = append(buf, res)
+		default:
+			return buf
+		}
+	}
+	return buf
 }
 
 // RTSFactory builds a fresh RTS instance. The ExecManager uses it both for

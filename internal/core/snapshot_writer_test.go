@@ -154,12 +154,25 @@ type stalledRun struct {
 	marks   []uint64 // watermark of every snapshot the writer started
 }
 
-func startStalled(t *testing.T) *stalledRun {
+// startStalled starts the 4-stage run and returns once its first snapshot is
+// held inside the writer. With holdLast, stage 4 does not start before the
+// writer has been released and is idle again, so the commits that must
+// trigger the next snapshot exist however fast the first three stages ran.
+func startStalled(t *testing.T, holdLast bool) *stalledRun {
 	t.Helper()
 	s := &stalledRun{dir: t.TempDir(), stalled: make(chan struct{}), release: make(chan struct{})}
 	s.am, _ = testApp(t, Config{JournalDir: s.dir, SnapshotEvery: 4, SegmentBytes: 512})
 	pipes := buildApp(1, 4, 4, 20*time.Second)
 	stampUIDs(pipes)
+	if holdLast {
+		pipes[0].Stages()[2].PostExec = func() error {
+			<-s.release
+			for s.am.snapBusy.Load() {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return nil
+		}
+	}
 	s.am.AddPipelines(pipes...)
 	s.am.snapHook = func(wm uint64) {
 		s.mu.Lock()
@@ -231,7 +244,7 @@ func (s *stalledRun) settled(t *testing.T) map[struct{ entity, uid string }]stri
 // after Cancel — returns only once the writer has drained.
 func TestStalledSnapshotWriter(t *testing.T) {
 	t.Run("acks flow and the trigger stays armed", func(t *testing.T) {
-		s := startStalled(t)
+		s := startStalled(t, true)
 		// Two further stages complete — dozens of acked frames — while the
 		// writer is held.
 		done := 0
@@ -266,7 +279,7 @@ func TestStalledSnapshotWriter(t *testing.T) {
 	})
 
 	t.Run("Wait drains the writer", func(t *testing.T) {
-		s := startStalled(t)
+		s := startStalled(t, false)
 		<-s.am.doneCh // every transition of the run acked, writer still held
 		s.stillWaiting(t)
 		close(s.release)
@@ -285,7 +298,7 @@ func TestStalledSnapshotWriter(t *testing.T) {
 	})
 
 	t.Run("Cancel drains the writer", func(t *testing.T) {
-		s := startStalled(t)
+		s := startStalled(t, false)
 		s.run.Cancel("test: cancel with a snapshot in flight")
 		s.stillWaiting(t)
 		close(s.release)

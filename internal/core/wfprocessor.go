@@ -213,16 +213,18 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			runnable = append(runnable, t)
 		} // otherwise recovered as DONE (or already processed)
 	}
-	// The stage transition and both bulk task transitions ride a single
-	// sync frame: scheduling a stage costs O(1) synchronization
-	// round-trips regardless of task count. Tasks must be in SCHEDULED
-	// before their pending messages become visible, or the Emgr can race
-	// past its transitions — the frame's ack guarantees all three commits
-	// precede the publish below.
+	// Both stage transitions and both bulk task transitions ride a single
+	// sync frame: scheduling a stage costs one synchronization round-trip
+	// regardless of task count. Tasks must be in SCHEDULED before their
+	// pending messages become visible, or the Emgr can race past its
+	// transitions — the frame's ack guarantees all four commits precede the
+	// publish below, and puts the stage's SCHEDULED ahead of anything the
+	// Emgr or Dequeue commit for its tasks.
 	w.enqSync.begin()
 	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Target: string(StageScheduling)})
 	w.enqSync.addTaskBatch(runnable, TaskScheduling)
 	w.enqSync.addTaskBatch(runnable, TaskScheduled)
+	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Target: string(StageScheduled)})
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
@@ -251,15 +253,9 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			return err
 		}
 	}
-	if err := w.enqSync.stage(stage, StageScheduled); err != nil {
-		return err
-	}
-	// Completion check under the stage's own sync client. This covers two
-	// cases: every task was already terminal before scheduling (journal
-	// recovery), and — the racier one — a fast Emgr/RTS/Dequeue chain
-	// finished every task while this stage was still SCHEDULING, in which
-	// case Dequeue deferred the completion to us (maybeCompleteStage skips
-	// stages the Enqueue transition still owns).
+	// Completion check under the stage's own sync client: when every task was
+	// already terminal before scheduling (journal recovery) no result will
+	// ever arrive to make Dequeue run it.
 	return w.maybeCompleteStage(p, stage, w.enqSync)
 }
 
@@ -450,13 +446,6 @@ func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClie
 	defer w.am.completionMu.Unlock()
 
 	if stage.State().Terminal() {
-		return nil
-	}
-	if stage.State() == StageScheduling {
-		// Enqueue published the stage's tasks but its SCHEDULED transition
-		// is still in flight; completing now would race it with an illegal
-		// SCHEDULING -> DONE. Enqueue re-runs this check right after the
-		// stage lands in SCHEDULED, so the completion is never lost.
 		return nil
 	}
 	allTerminal, anyFailed, anyCanceled := stage.tasksTerminal()

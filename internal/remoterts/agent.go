@@ -237,22 +237,13 @@ func (s *agentSession) recvLoop() {
 	}
 }
 
-// resultLoop drains the RTS completion channel back to the manager,
-// coalescing bursts into one result frame (up to 256 per frame).
+// resultLoop drains the RTS completion channel back to the manager, one
+// result frame per drain (core.DrainCompletions).
 func (s *agentSession) resultLoop() {
-	for res := range s.rts.Completions() {
-		batch := []core.TaskResult{res}
-	coalesce:
-		for len(batch) < 256 {
-			select {
-			case more, ok := <-s.rts.Completions():
-				if !ok {
-					break coalesce
-				}
-				batch = append(batch, more)
-			default:
-				break coalesce
-			}
+	var batch []core.TaskResult
+	for {
+		if batch = core.DrainCompletions(s.rts.Completions(), batch); len(batch) == 0 {
+			return // the RTS stopped
 		}
 		body, err := msgcodec.FormatBinary.EncodeTaskResults(batch)
 		if err != nil {
