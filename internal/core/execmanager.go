@@ -23,6 +23,7 @@ type execManager struct {
 
 	mu       sync.Mutex
 	rts      RTS
+	cbDone   chan struct{} // closed when rts's callbackLoop has returned
 	restarts int
 
 	pendC    *broker.Consumer
@@ -37,6 +38,13 @@ type execManager struct {
 	// not yet reported back; on RTS failure these are the lost tasks.
 	inflightMu sync.Mutex
 	inflight   map[string]bool
+
+	// submitMu makes the Emgr's mark-in-flight / Submit / unmark-on-refusal
+	// one step as failover sees it: failover collects the marks under it.
+	// Otherwise it could collect a batch's marks just before the stopped RTS
+	// refuses the batch, and the tasks would be pending twice — re-injected
+	// and requeued.
+	submitMu sync.Mutex
 }
 
 func newExecManager(am *AppManager) *execManager {
@@ -65,8 +73,9 @@ func (e *execManager) start(ctx context.Context) error {
 	if err := rts.Start(ctx); err != nil {
 		return fmt.Errorf("core: rts start: %w", err)
 	}
+	cbDone := make(chan struct{})
 	e.mu.Lock()
-	e.rts = rts
+	e.rts, e.cbDone = rts, cbDone
 	e.mu.Unlock()
 
 	// Pull-mode consumer: the Emgr pops whole batches of pending messages
@@ -80,7 +89,7 @@ func (e *execManager) start(ctx context.Context) error {
 
 	e.wg.Add(3)
 	go e.emgrLoop(ctx)
-	go e.callbackLoop(rts)
+	go e.callbackLoop(rts, cbDone)
 	go e.heartbeatLoop(ctx)
 	return nil
 }
@@ -198,28 +207,26 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	if len(descs) == 0 {
 		return broker.AckBatch(live)
 	}
+	e.submitMu.Lock()
+	defer e.submitMu.Unlock()
+	rts := e.currentRTS()
+	if rts == nil {
+		// Mid-failover: the dead RTS is purged and its replacement is
+		// still starting (a remote RTS may spend seconds dialing its
+		// agents). The batch is not lost work — requeue it.
+		return broker.NackBatch(live, true)
+	}
+	// Marked before Submit: a fast RTS may report a task before Submit
+	// returns, and the callback must find the mark to clear.
 	e.inflightMu.Lock()
 	for _, t := range tasks {
 		e.inflight[t.UID] = true
 	}
 	e.inflightMu.Unlock()
-	rts := e.currentRTS()
-	if rts == nil {
-		// Mid-failover: the dead RTS is purged and its replacement is
-		// still starting (a remote RTS may spend seconds dialing its
-		// agents). The batch is not lost work — requeue it and drop the
-		// inflight marks so a later failover cannot re-inject tasks that
-		// were never actually submitted.
-		e.inflightMu.Lock()
-		for _, t := range tasks {
-			delete(e.inflight, t.UID)
-		}
-		e.inflightMu.Unlock()
-		return broker.NackBatch(live, true)
-	}
 	if err := rts.Submit(descs); err != nil {
-		// The RTS refused the batch; requeue and let the heartbeat decide
-		// whether the RTS is dead.
+		// The RTS refused the batch; requeue it, drop the marks so a later
+		// failover cannot re-inject tasks that were never actually submitted,
+		// and let the heartbeat decide whether the RTS is dead.
 		e.inflightMu.Lock()
 		for _, t := range tasks {
 			delete(e.inflight, t.UID)
@@ -235,8 +242,9 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 // publishes through its own shard-pinned producer, so on a sharded done
 // queue the Dequeue subcomponent observes one generation's results in
 // publish order.
-func (e *execManager) callbackLoop(rts RTS) {
+func (e *execManager) callbackLoop(rts RTS, done chan struct{}) {
 	defer e.wg.Done()
+	defer close(done)
 	doneP, err := e.am.brk.Producer(e.am.qname(QueueDone))
 	if err != nil {
 		return // broker closed: tearing down
@@ -304,11 +312,24 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 		return fmt.Errorf("core: RTS failed %d times; restart budget exhausted", e.restarts)
 	}
 	e.rts = nil
+	cbDone := e.cbDone
 	e.mu.Unlock()
 
 	failed.Stop() //nolint:errcheck // purge the dead RTS
 
+	// Results the dead RTS delivered before it died may still sit in its
+	// completion channel. Its callbackLoop forwards them and returns once the
+	// stopped RTS has closed the channel; only then is a task still marked
+	// in flight one that was never reported — counting a reported one as
+	// lost would run it twice and commit its result against the retry.
+	select {
+	case <-cbDone:
+	case <-e.stopCh:
+		return nil // tearing down
+	}
+
 	// The lost tasks: submitted to the dead RTS, never reported back.
+	e.submitMu.Lock()
 	e.inflightMu.Lock()
 	lost := make([]string, 0, len(e.inflight))
 	for uid := range e.inflight {
@@ -316,6 +337,7 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	}
 	e.inflight = make(map[string]bool)
 	e.inflightMu.Unlock()
+	e.submitMu.Unlock()
 
 	fresh, err := e.am.rtsFactory(e.am.res)
 	if err != nil {
@@ -324,35 +346,54 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	if err := fresh.Start(ctx); err != nil {
 		return fmt.Errorf("core: rts restart: %w", err)
 	}
+	// stopRTS stops the instance it finds under e.mu, after stopCh is closed:
+	// either it will find this one, or this one is stopped here.
+	freshDone := make(chan struct{})
 	e.mu.Lock()
-	e.rts = fresh
+	select {
+	case <-e.stopCh:
+		e.mu.Unlock()
+		fresh.Stop() //nolint:errcheck
+		return nil
+	default:
+	}
+	e.rts, e.cbDone = fresh, freshDone
 	e.mu.Unlock()
 	e.wg.Add(1)
-	go e.callbackLoop(fresh)
+	go e.callbackLoop(fresh, freshDone)
 
 	// Re-inject lost tasks through the normal path: their in-flight
 	// attempt failed through no fault of their own, so the RTS restart
 	// does not consume the tasks' own retry budget — they are marked
 	// failed by the restart and rescheduled immediately.
 	for _, uid := range lost {
-		t, ok := e.am.Task(uid)
-		if !ok {
-			continue
-		}
-		// The whole failed-attempt/reschedule sequence rides one sync frame.
-		e.hbSync.begin()
-		e.hbSync.addTaskResult(t, TaskExecuted, -1, "rts failure")
-		e.hbSync.addTask(t, TaskFailed)
-		e.hbSync.addTask(t, TaskScheduling)
-		e.hbSync.addTask(t, TaskScheduled)
-		if err := e.hbSync.flush(); err != nil {
-			return err
-		}
-		if err := e.am.brk.Publish(e.am.qname(QueuePending), msgcodec.FormatBinary.EncodeTaskUID(uid)); err != nil {
-			return err
+		if t, ok := e.am.Task(uid); ok {
+			if err := e.reinject(t); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// reinject commits one lost task's failed attempt and its rescheduling as
+// one sync frame, then republishes it. The frame's four records are applied
+// one by one, and between FAILED and SCHEDULING every task of the stage can
+// read terminal; completionMu is held throughout, as in settleFailures, so no
+// stage-completion check runs on that instant and fails a stage whose task is
+// on its way back.
+func (e *execManager) reinject(t *Task) error {
+	e.am.completionMu.Lock()
+	defer e.am.completionMu.Unlock()
+	e.hbSync.begin()
+	e.hbSync.addTaskResult(t, TaskExecuted, -1, "rts failure")
+	e.hbSync.addTask(t, TaskFailed)
+	e.hbSync.addTask(t, TaskScheduling)
+	e.hbSync.addTask(t, TaskScheduled)
+	if err := e.hbSync.flush(); err != nil {
+		return err
+	}
+	return e.am.brk.Publish(e.am.qname(QueuePending), msgcodec.FormatBinary.EncodeTaskUID(t.UID))
 }
 
 // Restarts reports how many times the RTS was restarted.

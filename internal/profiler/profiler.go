@@ -5,7 +5,7 @@
 //
 // The paper's EnTK characterizes itself "via a profiler"; this package plays
 // that role. Components charge durations to categories as they incur them
-// (Add/Span) and mark activity windows (Begin/End) from which makespans such
+// (Add/Span) and mark activity windows (Touch/Observe) from which makespans such
 // as Task Execution Time are derived.
 package profiler
 
@@ -46,10 +46,36 @@ type Event struct {
 	At   time.Time // virtual time
 }
 
-type window struct {
+// tally is everything recorded for one category: the charged sum, how many
+// charges made it, and the activity window.
+type tally struct {
+	sum   time.Duration
+	count int64
 	first time.Time
 	last  time.Time
-	set   bool
+	set   bool // the window has been touched
+}
+
+// charge adds one measurement of d (negative counts as zero).
+func (t *tally) charge(d time.Duration) {
+	if d > 0 {
+		t.sum += d
+	}
+	t.count++
+}
+
+// extend widens the activity window to include at.
+func (t *tally) extend(at time.Time) {
+	if !t.set {
+		t.first, t.last, t.set = at, at, true
+		return
+	}
+	if at.Before(t.first) {
+		t.first = at
+	}
+	if at.After(t.last) {
+		t.last = at
+	}
 }
 
 // Profiler accumulates category durations and activity windows. It is safe
@@ -58,30 +84,29 @@ type Profiler struct {
 	clock vclock.Clock
 
 	mu      sync.Mutex
-	sums    map[Category]time.Duration
-	counts  map[Category]int64
-	windows map[Category]*window
+	tallies map[Category]*tally
 	events  []Event
 }
 
 // New returns a profiler reading time from clock.
 func New(clock vclock.Clock) *Profiler {
-	return &Profiler{
-		clock:   clock,
-		sums:    make(map[Category]time.Duration),
-		counts:  make(map[Category]int64),
-		windows: make(map[Category]*window),
+	return &Profiler{clock: clock, tallies: make(map[Category]*tally)}
+}
+
+// tallyLocked returns the category's tally, creating it on first use.
+func (p *Profiler) tallyLocked(cat Category) *tally {
+	t := p.tallies[cat]
+	if t == nil {
+		t = &tally{}
+		p.tallies[cat] = t
 	}
+	return t
 }
 
 // Add charges d to the category's running sum.
 func (p *Profiler) Add(cat Category, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
 	p.mu.Lock()
-	p.sums[cat] += d
-	p.counts[cat]++
+	p.tallyLocked(cat).charge(d)
 	p.mu.Unlock()
 }
 
@@ -103,23 +128,19 @@ func (p *Profiler) Span(cat Category) (stop func()) {
 func (p *Profiler) Touch(cat Category) {
 	now := p.clock.Now()
 	p.mu.Lock()
-	w := p.windows[cat]
-	if w == nil {
-		w = &window{}
-		p.windows[cat] = w
-	}
-	if !w.set || now.Before(w.first) {
-		if !w.set {
-			w.first = now
-			w.last = now
-			w.set = true
-		} else {
-			w.first = now
-		}
-	}
-	if now.After(w.last) {
-		w.last = now
-	}
+	p.tallyLocked(cat).extend(now)
+	p.mu.Unlock()
+}
+
+// Observe records one finished activity under a single lock hold: it extends
+// the category's window to cover [begin, end] and charges d. It leaves the
+// profiler as Touch at begin, Touch at end and Add(cat, d) would.
+func (p *Profiler) Observe(cat Category, begin, end time.Time, d time.Duration) {
+	p.mu.Lock()
+	t := p.tallyLocked(cat)
+	t.extend(begin)
+	t.extend(end)
+	t.charge(d)
 	p.mu.Unlock()
 }
 
@@ -127,25 +148,30 @@ func (p *Profiler) Touch(cat Category) {
 func (p *Profiler) Sum(cat Category) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sums[cat]
+	if t := p.tallies[cat]; t != nil {
+		return t.sum
+	}
+	return 0
 }
 
 // Count returns how many times Add charged the category.
 func (p *Profiler) Count(cat Category) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.counts[cat]
+	if t := p.tallies[cat]; t != nil {
+		return t.count
+	}
+	return 0
 }
 
 // Window returns the category's activity makespan (zero if never touched).
 func (p *Profiler) Window(cat Category) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := p.windows[cat]
-	if w == nil || !w.set {
-		return 0
+	if t := p.tallies[cat]; t != nil && t.set {
+		return t.last.Sub(t.first)
 	}
-	return w.last.Sub(w.first)
+	return 0
 }
 
 // Mark appends a named event at the current virtual time.

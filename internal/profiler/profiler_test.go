@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,63 @@ func TestReportUsesWindowForTaskExecution(t *testing.T) {
 	}
 	if r.EnTKSetup != 0.1 || r.EnTKManagement != 10 || r.DataStaging != 11 {
 		t.Fatalf("report: %+v", r)
+	}
+}
+
+// TestObserveMatchesTouchTouchAdd pins Observe to the three calls it
+// replaced in the RTS executor: for interleaved tasks — some nested in others,
+// one charged a negative duration — Touch at the begin, Touch at the end and
+// Add leave exactly the Report, Window, Sum and Count that one Observe at the
+// end does.
+func TestObserveMatchesTouchTouchAdd(t *testing.T) {
+	type task struct{ begin, end, charged time.Duration }
+	tasks := []task{
+		{begin: 5 * time.Second, end: 40 * time.Second, charged: 30 * time.Second},
+		{begin: 2 * time.Second, end: 9 * time.Second, charged: 7 * time.Second},
+		{begin: 7 * time.Second, end: 8 * time.Second, charged: -time.Second},
+		{begin: 8 * time.Second, end: 55 * time.Second, charged: 45 * time.Second},
+		{begin: 30 * time.Second, end: 31 * time.Second, charged: 0},
+	}
+	// The three-call sequence reads the clock, so it is played in time order.
+	type event struct {
+		at    time.Duration
+		task  int
+		isEnd bool
+	}
+	var events []event
+	for i, tk := range tasks {
+		events = append(events, event{tk.begin, i, false}, event{tk.end, i, true})
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
+
+	clock := vclock.NewManual()
+	three, one := New(clock), New(clock)
+	for _, p := range []*Profiler{three, one} {
+		p.Add(DataStaging, 11*time.Second) // another category stays apart
+	}
+	for _, ev := range events {
+		clock.Advance(vclock.Epoch.Add(ev.at).Sub(clock.Now()))
+		tk := tasks[ev.task]
+		three.Touch(TaskExecution)
+		if ev.isEnd {
+			three.Add(TaskExecution, tk.charged)
+			one.Observe(TaskExecution, vclock.Epoch.Add(tk.begin), vclock.Epoch.Add(tk.end), tk.charged)
+		}
+	}
+	if three.Report() != one.Report() {
+		t.Fatalf("reports differ:\nthree calls %+v\none call    %+v", three.Report(), one.Report())
+	}
+	for _, cat := range Categories() {
+		if three.Window(cat) != one.Window(cat) || three.Sum(cat) != one.Sum(cat) || three.Count(cat) != one.Count(cat) {
+			t.Fatalf("%s: three calls window %v sum %v count %d, one call window %v sum %v count %d", cat,
+				three.Window(cat), three.Sum(cat), three.Count(cat), one.Window(cat), one.Sum(cat), one.Count(cat))
+		}
+	}
+	if got := one.Window(TaskExecution); got != 53*time.Second {
+		t.Fatalf("window = %v, want 53s (2s..55s)", got)
+	}
+	if got, n := one.Sum(TaskExecution), one.Count(TaskExecution); got != 82*time.Second || n != 5 {
+		t.Fatalf("sum = %v over %d charges, want 82s over 5", got, n)
 	}
 }
 

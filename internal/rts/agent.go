@@ -2,6 +2,7 @@ package rts
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,27 @@ import (
 // the scheduler is a pool of loops draining the sharded store concurrently
 // (the multi-scheduler agent); the core/GPU ledger stays shared, so
 // resource admission is identical in every configuration.
+//
+// Executors are reusable goroutines, not one goroutine per task. Each owns a
+// one-slot work channel; when its task ends it returns the cores and parks
+// that channel on the idle list in the same a.mu hold, and the scheduler
+// pops the most recently parked one (its stack is grown and its cache warm)
+// in the hold that debits the next task's cores. An executor is on the idle
+// list only between tasks, so a task is never queued behind one that is
+// sleeping out a modelled wait: modelled concurrency is exactly the core
+// ledger's, as it was with a goroutine per task. The list keeps at most
+// maxIdleExecutors; an executor that finds it full exits.
+//
+// A scheduler loop places a task several times faster than an executor runs
+// a zero-cost one, so reuse alone would still start one executor per core
+// before the first of them got a processor. Once eagerExecutors have been
+// started, place therefore yields the processor once (runtime.Gosched) when
+// none is idle and looks again before it starts another. The yield only
+// reorders goroutines that are runnable anyway: executors blocked on the
+// clock stay blocked, the yield returns at once and the spawn proceeds, so
+// it cannot move virtual time or dispatch order. How many executors a run
+// ends up with depends on the Go scheduler, as DrainCompletions' batch size
+// does; nothing else does.
 type agent struct {
 	rts        *PilotRTS
 	cores      int
@@ -30,10 +52,16 @@ type agent struct {
 	free     int
 	freeGPUs int
 	stopping bool
+	idle     []chan placement // parked executors, most recent last
+
+	// spawned counts executors ever started. Outside a stop an executor only
+	// exits past maxIdleExecutors parked ones, so up to that bound this many
+	// exist.
+	spawned atomic.Int64
 
 	stagers  *stagerPool
 	stageReq chan *stageRequest
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // scheduler loops and executors
 	stageWG  sync.WaitGroup
 	ranOnce  sync.Once
 
@@ -53,6 +81,28 @@ type schedStat struct {
 	dispatched atomic.Uint64
 	busy       atomic.Int64
 	_          [40]byte
+}
+
+// maxIdleExecutors bounds the idle list. A burst wider than this re-spawns
+// the excess on its next wave; steady state needs a few dozen.
+const maxIdleExecutors = 1024
+
+// eagerExecutors is how many executors are started without yielding first.
+// The yield also lets the completion consumer in, so a yield in the middle of
+// a stage splits the stage's results over several done-messages and sync
+// round trips; a stage no wider than this is dispatched in one go, as it was
+// with a goroutine per task (core's TestStageFrameBudget: 4 frames per
+// 8-task stage, 5-6 with no floor). Past it the pool is large enough that
+// the yield costs a wide stage nothing measurable.
+const eagerExecutors = 64
+
+// placement is one scheduled task on its way to an executor: the description
+// (a pointer into the pulled batch, which the store never touches again), the
+// resources to return when it ends, and the dispatch stagger to sleep first.
+type placement struct {
+	desc        *core.TaskDescription
+	cores, gpus int
+	delay       time.Duration
 }
 
 type stageRequest struct {
@@ -268,8 +318,8 @@ func (a *agent) schedulerLoop(id int) {
 		}
 		st.pulls.Add(1)
 		start := a.rts.clock.Now()
-		for _, desc := range descs {
-			if !a.place(desc, &burst) {
+		for i := range descs {
+			if !a.place(&descs[i], &burst) {
 				return // agent stopping
 			}
 			st.dispatched.Add(1)
@@ -295,9 +345,9 @@ func (a *agent) schedulerStats() (pulls, dispatched []uint64, busy []time.Durati
 	return pulls, dispatched, busy
 }
 
-// place schedules one task, blocking until its cores and GPUs are free; it
-// returns false when the agent is stopping.
-func (a *agent) place(desc core.TaskDescription, burst *int) bool {
+// place schedules one task, blocking until its cores and GPUs are free, and
+// hands it to an executor; it returns false when the agent is stopping.
+func (a *agent) place(desc *core.TaskDescription, burst *int) bool {
 	cores := desc.Cores
 	if cores <= 0 {
 		cores = 1
@@ -318,7 +368,7 @@ func (a *agent) place(desc core.TaskDescription, burst *int) bool {
 		})
 		return true
 	}
-	granted, waited := a.acquire(cores, gpus)
+	work, granted, waited := a.acquire(cores, gpus)
 	if !granted {
 		return false
 	}
@@ -327,27 +377,51 @@ func (a *agent) place(desc core.TaskDescription, burst *int) bool {
 	}
 	delay := time.Duration(*burst) * a.rts.model.DispatchLatency
 	*burst++
-	a.wg.Add(1)
-	go func(desc core.TaskDescription, cores, gpus int, delay time.Duration) {
-		defer a.wg.Done()
-		defer a.release(cores, gpus)
-		if delay > 0 {
-			select {
-			case <-a.rts.clock.After(delay):
-			case <-a.rts.stopCh:
-				return
-			}
-		}
-		a.execute(desc)
-	}(desc, cores, gpus, delay)
+	if work == nil && a.spawned.Load() >= eagerExecutors {
+		// Let the executors that are runnable finish and park before paying
+		// for another goroutine (see the agent type comment).
+		runtime.Gosched()
+		a.mu.Lock()
+		work = a.takeIdleLocked()
+		a.mu.Unlock()
+	}
+	if work == nil {
+		work = make(chan placement, 1)
+		a.spawned.Add(1)
+		a.wg.Add(1)
+		go a.executorLoop(work)
+	}
+	work <- placement{desc: desc, cores: cores, gpus: gpus, delay: delay}
 	return true
 }
 
-// acquire blocks until n cores and g GPUs are free; granted=false when the
+// executorLoop runs the tasks handed to one executor until the agent stops
+// or the idle list has no room for it. The send in place never blocks: the
+// slot is empty whenever work is on the idle list or freshly made.
+func (a *agent) executorLoop(work chan placement) {
+	defer a.wg.Done()
+	for p := range work {
+		if p.delay > 0 {
+			select {
+			case <-a.rts.clock.After(p.delay):
+				a.execute(p.desc)
+			case <-a.rts.stopCh:
+			}
+		} else {
+			a.execute(p.desc)
+		}
+		if !a.release(work, p.cores, p.gpus) {
+			return
+		}
+	}
+}
+
+// acquire blocks until n cores and g GPUs are free and debits them, popping
+// an idle executor (nil if none) in the same hold; granted=false when the
 // agent stops, waited=true when the scheduler had to block. Cores and GPUs
 // are acquired atomically so a GPU task cannot deadlock against a CPU task
 // each holding half its needs.
-func (a *agent) acquire(n, g int) (granted, waited bool) {
+func (a *agent) acquire(n, g int) (work chan placement, granted, waited bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for (a.free < n || a.freeGPUs < g) && !a.stopping {
@@ -355,19 +429,37 @@ func (a *agent) acquire(n, g int) (granted, waited bool) {
 		a.cond.Wait()
 	}
 	if a.stopping {
-		return false, waited
+		return nil, false, waited
 	}
 	a.free -= n
 	a.freeGPUs -= g
-	return true, waited
+	return a.takeIdleLocked(), true, waited
 }
 
-func (a *agent) release(n, g int) {
+// takeIdleLocked pops the most recently parked executor, or nil.
+func (a *agent) takeIdleLocked() chan placement {
+	n := len(a.idle)
+	if n == 0 {
+		return nil
+	}
+	work := a.idle[n-1]
+	a.idle = a.idle[:n-1]
+	return work
+}
+
+// release returns a finished task's resources and parks its executor on the
+// idle list; parked=false tells the executor to exit instead (the agent is
+// stopping or the list is full).
+func (a *agent) release(work chan placement, n, g int) (parked bool) {
 	a.mu.Lock()
 	a.free += n
 	a.freeGPUs += g
+	if parked = !a.stopping && len(a.idle) < maxIdleExecutors; parked {
+		a.idle = append(a.idle, work)
+	}
 	a.cond.Broadcast()
 	a.mu.Unlock()
+	return parked
 }
 
 // FreeCores reports currently free pilot cores.
@@ -387,7 +479,7 @@ func (a *agent) FreeGPUs() int {
 // execute is the executor path for one task: stage in, set up the
 // environment (LaunchDelay + pre-exec), run the kernel for its nominal
 // duration under filesystem load, sample failures, stage out, report.
-func (a *agent) execute(desc core.TaskDescription) {
+func (a *agent) execute(desc *core.TaskDescription) {
 	r := a.rts
 
 	// Stage input data (3 links + 1 copy per task in the weak-scaling
@@ -398,7 +490,6 @@ func (a *agent) execute(desc core.TaskDescription) {
 	xferIn, xferErr := a.transfer(remote)
 	stagingIn += xferIn
 	if xferErr != nil {
-		r := a.rts
 		r.deliver(core.TaskResult{
 			UID:         desc.UID,
 			ExitCode:    1,
@@ -410,7 +501,7 @@ func (a *agent) execute(desc core.TaskDescription) {
 
 	// Execution-environment setup: this inflates observed task runtime
 	// (paper: 1 s tasks run ≈5 s) but is part of the execution window.
-	r.prof.Touch(profiler.TaskExecution)
+	begin := r.clock.Now()
 	envSetup := r.model.LaunchDelay +
 		time.Duration(desc.PreExec+desc.PostExec)*r.model.PreExecCost
 	if envSetup > 0 {
@@ -475,8 +566,7 @@ func (a *agent) execute(desc core.TaskDescription) {
 		loadTok.Release()
 	}
 	finished := r.clock.Now()
-	r.prof.Touch(profiler.TaskExecution)
-	r.prof.Add(profiler.TaskExecution, finished.Sub(started))
+	r.prof.Observe(profiler.TaskExecution, begin, finished, finished.Sub(started))
 
 	// Stage output data only for successful tasks.
 	stagingOut := time.Duration(0)
@@ -566,10 +656,17 @@ func stagingFiles(dirs []core.StagingDirective) []fsim.File {
 	return files
 }
 
-// stopAndWait unblocks the scheduler and waits for in-flight executors.
+// stopAndWait unblocks the scheduler, dismisses the parked executors and
+// waits for the busy ones. A work channel is closed only here, while it is on
+// the idle list and under a.mu, and place sends only on one it popped under
+// a.mu (or just made), so no send can meet a closed channel.
 func (a *agent) stopAndWait() {
 	a.mu.Lock()
 	a.stopping = true
+	for _, work := range a.idle {
+		close(work)
+	}
+	a.idle = nil
 	a.cond.Broadcast()
 	a.mu.Unlock()
 	a.wg.Wait()

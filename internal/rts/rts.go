@@ -254,23 +254,30 @@ func (r *PilotRTS) Alive() bool { return r.alive.Load() }
 // Kill marks the RTS dead (fault injection / tests).
 func (r *PilotRTS) Kill() { r.alive.Store(false) }
 
-// deliver pushes one result unless the RTS is stopping or dead.
+// deliver pushes one result unless the RTS is stopping or dead. The channel
+// almost always has room, so the send is tried alone first; only a full
+// channel pays for the two-way wait against stopCh.
 func (r *PilotRTS) deliver(res core.TaskResult) {
 	if !r.alive.Load() {
 		return // a dead RTS loses in-flight tasks (paper failure model)
 	}
 	select {
 	case r.completions <- res:
-		atomic.AddInt64(&r.completed, 1)
-		atomic.AddInt64(&r.inflight, -1)
-		if res.ExitCode != 0 {
-			atomic.AddInt64(&r.failed, 1)
+	default:
+		select {
+		case r.completions <- res:
+		case <-r.stopCh:
+			return
 		}
-		if n := r.cfg.Faults.CrashAfterCompletions; n > 0 &&
-			atomic.LoadInt64(&r.completed) >= int64(n) {
-			r.alive.Store(false)
-		}
-	case <-r.stopCh:
+	}
+	atomic.AddInt64(&r.completed, 1)
+	atomic.AddInt64(&r.inflight, -1)
+	if res.ExitCode != 0 {
+		atomic.AddInt64(&r.failed, 1)
+	}
+	if n := r.cfg.Faults.CrashAfterCompletions; n > 0 &&
+		atomic.LoadInt64(&r.completed) >= int64(n) {
+		r.alive.Store(false)
 	}
 }
 
