@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,10 +50,28 @@ func TestSnapshotImageIsExact(t *testing.T) {
 	dir := t.TempDir()
 	// Default segment size: nothing rotates, so nothing is compacted and the
 	// journal still holds record 1 when the run ends.
-	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
+	am, rts := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes := buildApp(2, 24, 4, 20*time.Second)
 	stampUIDs(pipes)
 	am.AddPipelines(pipes...)
+
+	// The whole run takes about as long as one snapshot's fsync and rename,
+	// so left alone it sometimes ends with the first image still being
+	// written and nothing to compare it with. Past its first third, no task
+	// completes before that image is on disk: the remaining two thirds then
+	// commit against an idle writer and ask for the next one. (The first
+	// image is requested at the run's fourth record, long before any task
+	// waits here, and its hook is released by the commits of the first third.)
+	var attempts atomic.Int64
+	rts.exitFor = func(TaskDescription) int {
+		if attempts.Add(1) > 64 {
+			deadline := time.Now().Add(5 * time.Second)
+			for atomic.LoadInt64(&am.snapshotsWritten) == 0 && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+		}
+		return 0
+	}
 
 	// Only two generations survive pruning, so each hook call collects the
 	// files its predecessors left, before this write can prune them.

@@ -106,7 +106,7 @@ func DecodeRunOp(body []byte) (RunOp, error) {
 	if op.Err, err = r.str(); err != nil {
 		return RunOp{}, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return RunOp{}, err
 	}
@@ -118,7 +118,7 @@ func DecodeRunOp(body []byte) (RunOp, error) {
 			}
 		}
 	}
-	if n, err = r.count(); err != nil {
+	if n, err = r.count(1); err != nil {
 		return RunOp{}, err
 	}
 	if n > 0 {

@@ -134,7 +134,7 @@ func DecodeTaskUIDsWith(body []byte, resolve Resolve) ([]string, error) {
 		return nil, err
 	}
 	r.resolve = resolve
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}

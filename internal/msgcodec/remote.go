@@ -139,6 +139,15 @@ type RemoteTask struct {
 	Tags        map[string]string
 }
 
+// The fewest bytes one element of each repeated group encodes to — all its
+// strings empty, all its numbers one-byte varints. reader.count holds a
+// claimed element count against these before anything is sized by it.
+const (
+	minStringMapEntrySize = 2  // key, value
+	minStagingSize        = 5  // three strings, Bytes, Protocol
+	minRemoteTaskSize     = 15 // three strings, four counts, eight numbers
+)
+
 func appendStringMap(buf []byte, m map[string]string) []byte {
 	buf = appendUvarint(buf, uint64(len(m)))
 	for k, v := range m {
@@ -149,7 +158,7 @@ func appendStringMap(buf []byte, m map[string]string) []byte {
 }
 
 func (r *reader) stringMap() (map[string]string, error) {
-	n, err := r.count()
+	n, err := r.count(minStringMapEntrySize)
 	if err != nil {
 		return nil, err
 	}
@@ -184,43 +193,50 @@ func appendStaging(buf []byte, ds []RemoteStaging) []byte {
 	return buf
 }
 
-func (r *reader) staging() ([]RemoteStaging, error) {
-	n, err := r.count()
+// staging decodes one staging list into buf[:0], growing it as needed, and
+// returns it — empty, never nil, for an empty list, so the caller keeps the
+// capacity for the next task.
+func (r *reader) staging(buf []RemoteStaging) ([]RemoteStaging, error) {
+	n, err := r.count(minStagingSize)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	ds := make([]RemoteStaging, n)
-	for i := range ds {
-		d := &ds[i]
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		var d RemoteStaging
 		if d.Source, err = r.str(); err != nil {
-			return nil, err
+			return buf, err
 		}
 		if d.Target, err = r.str(); err != nil {
-			return nil, err
+			return buf, err
 		}
 		if d.Action, err = r.str(); err != nil {
-			return nil, err
+			return buf, err
 		}
 		if d.Bytes, err = r.varint(); err != nil {
-			return nil, err
+			return buf, err
 		}
 		if d.Protocol, err = r.str(); err != nil {
-			return nil, err
+			return buf, err
 		}
+		buf = append(buf, d)
 	}
-	return ds, nil
+	return buf, nil
 }
 
-// EncodeTaskBatch encodes a manager -> agent task batch.
-func EncodeTaskBatch(tasks []RemoteTask) []byte {
+// EncodeTaskBatchFunc encodes a manager -> agent batch of n tasks straight
+// from whatever the caller holds them in: fill(i, t) describes task i into
+// t, for i = 0..n-1 in order. t is one scratch value, zeroed before every
+// call except that Input and Output keep their capacity at length 0, so a
+// filler translating staging directives appends to them.
+func EncodeTaskBatchFunc(n int, fill func(i int, t *RemoteTask)) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameTaskBatch)
-	buf = appendUvarint(buf, uint64(len(tasks)))
-	for i := range tasks {
-		t := &tasks[i]
+	buf = appendUvarint(buf, uint64(n))
+	var t RemoteTask
+	for i := 0; i < n; i++ {
+		t = RemoteTask{Input: t.Input[:0], Output: t.Output[:0]}
+		fill(i, &t)
 		buf = appendString(buf, t.UID)
 		buf = appendString(buf, t.Name)
 		buf = appendString(buf, t.Executable)
@@ -243,84 +259,132 @@ func EncodeTaskBatch(tasks []RemoteTask) []byte {
 	return putBuf(bp, buf)
 }
 
-// DecodeTaskBatch decodes a manager -> agent task batch.
-func DecodeTaskBatch(body []byte) ([]RemoteTask, error) {
+// EncodeTaskBatch encodes a manager -> agent task batch held as a slice.
+func EncodeTaskBatch(tasks []RemoteTask) []byte {
+	return EncodeTaskBatchFunc(len(tasks), func(i int, t *RemoteTask) { *t = tasks[i] })
+}
+
+// DecodeTaskBatchFunc decodes a manager -> agent task batch straight into
+// whatever the caller keeps tasks in: size(n) is called once with the task
+// count, after the count has been held against the frame's length and
+// before any task is decoded; each(i, t) is then called for i = 0..n-1 in
+// order. An error can follow any number of each calls.
+//
+// The frame is copied into one string and every string field is a substring
+// of it: nothing handed to each aliases body, and a retained field keeps
+// that one copy — about the frame's size — reachable. t is one scratch value.
+// Its Arguments, Environment and Tags are the task's own and may be kept;
+// its Input and Output are overwritten by the next task and must be copied.
+func DecodeTaskBatchFunc(body []byte, size func(n int), each func(i int, t *RemoteTask)) error {
 	r, err := frameReader(body, FrameTaskBatch)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n, err := r.count()
+	n, err := r.count(minRemoteTaskSize)
+	if err != nil {
+		return err
+	}
+	r.share(body)
+	size(n)
+	var t RemoteTask
+	for i := 0; i < n; i++ {
+		t = RemoteTask{Input: t.Input, Output: t.Output}
+		if err := r.remoteTask(&t); err != nil {
+			return err
+		}
+		each(i, &t)
+	}
+	return nil
+}
+
+// remoteTask decodes one task of a batch into t.
+func (r *reader) remoteTask(t *RemoteTask) (err error) {
+	if t.UID, err = r.str(); err != nil {
+		return err
+	}
+	if t.Name, err = r.str(); err != nil {
+		return err
+	}
+	if t.Executable, err = r.str(); err != nil {
+		return err
+	}
+	m, err := r.count(1)
+	if err != nil {
+		return err
+	}
+	if m > 0 {
+		t.Arguments = make([]string, m)
+		for k := range t.Arguments {
+			if t.Arguments[k], err = r.str(); err != nil {
+				return err
+			}
+		}
+	}
+	if t.Environment, err = r.stringMap(); err != nil {
+		return err
+	}
+	var v int64
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	t.Cores = int(v)
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	t.GPUs = int(v)
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	t.Duration = time.Duration(v)
+	bits, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	t.IOLoad = math.Float64frombits(bits)
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	t.PreExec = int(v)
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	t.PostExec = int(v)
+	if t.Input, err = r.staging(t.Input); err != nil {
+		return err
+	}
+	if t.Output, err = r.staging(t.Output); err != nil {
+		return err
+	}
+	if v, err = r.varint(); err != nil {
+		return err
+	}
+	t.Attempt = int(v)
+	t.Tags, err = r.stringMap()
+	return err
+}
+
+// DecodeTaskBatch decodes a manager -> agent task batch into a slice.
+func DecodeTaskBatch(body []byte) ([]RemoteTask, error) {
+	var tasks []RemoteTask
+	err := DecodeTaskBatchFunc(body,
+		func(n int) { tasks = make([]RemoteTask, n) },
+		func(i int, t *RemoteTask) {
+			tasks[i] = *t
+			tasks[i].Input = cloneStaging(t.Input)
+			tasks[i].Output = cloneStaging(t.Output)
+		})
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]RemoteTask, n)
-	for i := range tasks {
-		t := &tasks[i]
-		if t.UID, err = r.str(); err != nil {
-			return nil, err
-		}
-		if t.Name, err = r.str(); err != nil {
-			return nil, err
-		}
-		if t.Executable, err = r.str(); err != nil {
-			return nil, err
-		}
-		m, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		if m > 0 {
-			t.Arguments = make([]string, m)
-			for k := range t.Arguments {
-				if t.Arguments[k], err = r.str(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if t.Environment, err = r.stringMap(); err != nil {
-			return nil, err
-		}
-		var v int64
-		if v, err = r.varint(); err != nil {
-			return nil, err
-		}
-		t.Cores = int(v)
-		if v, err = r.varint(); err != nil {
-			return nil, err
-		}
-		t.GPUs = int(v)
-		if v, err = r.varint(); err != nil {
-			return nil, err
-		}
-		t.Duration = time.Duration(v)
-		bits, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		t.IOLoad = math.Float64frombits(bits)
-		if v, err = r.varint(); err != nil {
-			return nil, err
-		}
-		t.PreExec = int(v)
-		if v, err = r.varint(); err != nil {
-			return nil, err
-		}
-		t.PostExec = int(v)
-		if t.Input, err = r.staging(); err != nil {
-			return nil, err
-		}
-		if t.Output, err = r.staging(); err != nil {
-			return nil, err
-		}
-		if v, err = r.varint(); err != nil {
-			return nil, err
-		}
-		t.Attempt = int(v)
-		if t.Tags, err = r.stringMap(); err != nil {
-			return nil, err
-		}
-	}
 	return tasks, nil
+}
+
+// cloneStaging copies a scratch staging list; an empty one becomes nil.
+func cloneStaging(ds []RemoteStaging) []RemoteStaging {
+	if len(ds) == 0 {
+		return nil
+	}
+	return append([]RemoteStaging(nil), ds...)
 }
 
 // AgentStats is the agent's periodic liveness and utilization report: the
@@ -394,7 +458,7 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 		}
 		*p = int(v)
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return AgentStats{}, err
 	}
@@ -423,7 +487,7 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 	}
 	s.Schedulers = int(v)
 	for _, p := range []*[]uint64{&s.SchedulerPulls, &s.SchedulerDispatches} {
-		n, err := r.count()
+		n, err := r.count(1)
 		if err != nil {
 			return AgentStats{}, err
 		}
@@ -475,7 +539,7 @@ func DecodeAttach(body []byte) (Attach, error) {
 		return Attach{}, err
 	}
 	var a Attach
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return Attach{}, err
 	}
@@ -490,7 +554,7 @@ func DecodeAttach(body []byte) (Attach, error) {
 	if a.Pipeline, err = r.str(); err != nil {
 		return Attach{}, err
 	}
-	if n, err = r.count(); err != nil {
+	if n, err = r.count(1); err != nil {
 		return Attach{}, err
 	}
 	if n > 0 {
@@ -549,7 +613,7 @@ func DecodeEventBatch(body []byte) ([]RemoteEvent, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package msgcodec
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
@@ -31,8 +33,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaskBatchRoundTrip(t *testing.T) {
-	tasks := []RemoteTask{
+// taskBatchFixture exercises every field of the task-batch frame. Its maps
+// have one entry each so the encoding is deterministic.
+func taskBatchFixture() []RemoteTask {
+	return []RemoteTask{
 		{
 			UID:         "task.000001",
 			Name:        "replica",
@@ -46,22 +50,158 @@ func TestTaskBatchRoundTrip(t *testing.T) {
 			PreExec:     2,
 			PostExec:    1,
 			Input: []RemoteStaging{
-				{Source: "in.gro", Target: "md.gro", Action: "Link", Bytes: 1 << 20},
+				{Source: "in.gro", Target: "md.gro", Action: "link", Bytes: 1 << 20},
 			},
 			Output: []RemoteStaging{
-				{Source: "md.xtc", Target: "remote://archive/md.xtc", Action: "Transfer", Bytes: 1 << 28, Protocol: "globus"},
+				{Source: "md.xtc", Target: "remote://archive/md.xtc", Action: "transfer", Bytes: 1 << 28, Protocol: "globus"},
 			},
 			Attempt: 3,
 			Tags:    map[string]string{"resource": "titan"},
 		},
 		{UID: "task.000002", Executable: "sleep", Duration: time.Second, Cores: 1},
 	}
-	got, err := DecodeTaskBatch(EncodeTaskBatch(tasks))
+}
+
+func taskResultsFixture() []TaskResult {
+	return []TaskResult{
+		{UID: "task.000001", ExitCode: 1, Error: "boom", Canceled: true,
+			Started: time.Unix(1, 5), Finished: time.Unix(2, 0), StagingTime: 3 * time.Second},
+		{UID: "task.000002"},
+	}
+}
+
+// The bytes the slice-form encoders produced for the two fixtures before the
+// streaming forms existed (PR 18's tree): the 0x33 and 0x04 frames must not
+// change under an agent or manager built from an older commit.
+const (
+	goldenTaskBatch = "bf0133020b7461736b2e303030303031077265706c696361056d6472756e02072d646566666e6d026d64010f4f4d505f4e554d5f5448" +
+		"52454144530134080280c0cbacf62280808080808080e83f04020106696e2e67726f066d642e67726f046c696e6b808080010001066d642e7874" +
+		"631772656d6f74653a2f2f617263686976652f6d642e787463087472616e73666572808080800206676c6f6275730601087265736f7572636505" +
+		"746974616e0b7461736b2e3030303030320005736c6565700000020080a8d6b90700000000000000"
+	goldenTaskResults = "bf0104020b7461736b2e3030303030310204626f6f6d01018aa8d6b9070180d0acf30e80f882ad160b7461736b2e303030303032000000000000"
+)
+
+func TestTaskBatchGoldenBytes(t *testing.T) {
+	tasks := taskBatchFixture()
+	streamed := EncodeTaskBatchFunc(len(tasks), func(i int, rt *RemoteTask) {
+		// As remoterts fills it: staging appended to the scratch's own slices.
+		in, out := rt.Input, rt.Output
+		*rt = tasks[i]
+		rt.Input = append(in, tasks[i].Input...)
+		rt.Output = append(out, tasks[i].Output...)
+	})
+	for name, got := range map[string][]byte{"EncodeTaskBatchFunc": streamed, "EncodeTaskBatch": EncodeTaskBatch(tasks)} {
+		if h := hex.EncodeToString(got); h != goldenTaskBatch {
+			t.Errorf("%s changed the task-batch frame:\n got %s\nwant %s", name, h, goldenTaskBatch)
+		}
+	}
+	rs, err := FormatBinary.EncodeTaskResults(taskResultsFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := hex.EncodeToString(rs); h != goldenTaskResults {
+		t.Errorf("the task-results frame changed:\n got %s\nwant %s", h, goldenTaskResults)
+	}
+}
+
+// DecodeTaskBatch is DecodeTaskBatchFunc collecting into a slice, so this is
+// the round trip of both; remoterts' TestDescriptionsSurviveTheWire is the
+// streaming pair's round trip with its real filler and receiver.
+func TestTaskBatchRoundTrip(t *testing.T) {
+	tasks := taskBatchFixture()
+	body := EncodeTaskBatch(tasks)
+	got, err := DecodeTaskBatch(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, tasks) {
 		t.Fatalf("got %+v\nwant %+v", got, tasks)
+	}
+	if got, err = DecodeTaskBatch(EncodeTaskBatch(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty batch: %v, %v", got, err)
+	}
+}
+
+// Shared-string decoding copies the frame once; nothing it returns may alias
+// the receive buffer, which the transport's caller is free to reuse.
+func TestSharedDecodeDoesNotAliasTheFrame(t *testing.T) {
+	tasks, results := taskBatchFixture(), taskResultsFixture()
+
+	body := EncodeTaskBatch(tasks)
+	got, err := DecodeTaskBatch(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 0xee
+	}
+	if !reflect.DeepEqual(got, tasks) {
+		t.Fatalf("decoded tasks changed with the buffer: %+v", got)
+	}
+
+	body, err = FormatBinary.EncodeTaskResults(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := DecodeTaskResultsShared(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 0xee
+	}
+	if !reflect.DeepEqual(rs, results) {
+		t.Fatalf("decoded results changed with the buffer: %+v", rs)
+	}
+}
+
+// A count is held against what its elements must occupy, not against one
+// byte each: a frame that claims more tasks than it has room for is refused
+// before the receiver is asked to size anything by the claim.
+func TestHostileCountsErrorBeforeAllocation(t *testing.T) {
+	frame := func(typ byte, count uint64, payload int) []byte {
+		b := appendUvarint([]byte{Magic, Version, typ}, count)
+		return append(b, make([]byte, payload)...)
+	}
+	decodeBatch := func(body []byte) (sized int, decoded int, err error) {
+		sized = -1
+		err = DecodeTaskBatchFunc(body, func(n int) { sized = n }, func(int, *RemoteTask) { decoded++ })
+		return sized, decoded, err
+	}
+
+	// A zero task is 15 zero bytes, so 4 of them fit 60 bytes exactly.
+	if sized, decoded, err := decodeBatch(frame(FrameTaskBatch, 4, 4*minRemoteTaskSize)); err != nil || sized != 4 || decoded != 4 {
+		t.Fatalf("4 minimal tasks: sized %d, decoded %d, err %v", sized, decoded, err)
+	}
+	if sized, _, err := decodeBatch(frame(FrameTaskBatch, 4, 4*minRemoteTaskSize-1)); err == nil || sized != -1 {
+		t.Fatalf("4 tasks claimed in 59 bytes: size called with %d, err %v", sized, err)
+	}
+	// What the per-byte bound let through: as many tasks as bytes.
+	if sized, _, err := decodeBatch(frame(FrameTaskBatch, 4096, 4096)); err == nil || sized != -1 {
+		t.Fatalf("4096 tasks claimed in 4096 bytes: size called with %d, err %v", sized, err)
+	}
+	if _, err := DecodeTaskBatch(frame(FrameTaskBatch, 4096, 4096)); err == nil {
+		t.Fatal("DecodeTaskBatch accepted 4096 tasks in 4096 bytes")
+	}
+
+	for _, decode := range []func([]byte) ([]TaskResult, error){DecodeTaskResults, DecodeTaskResultsShared} {
+		if rs, err := decode(frame(FrameTaskResults, 3, 3*minTaskResultSize)); err != nil || len(rs) != 3 {
+			t.Fatalf("3 minimal results: %d, %v", len(rs), err)
+		}
+		if _, err := decode(frame(FrameTaskResults, 4096, 4096)); err == nil {
+			t.Fatal("4096 results claimed in 4096 bytes accepted")
+		}
+	}
+
+	// The repeated groups inside a task: a staging list and a string map that
+	// claim one element per remaining byte.
+	r := reader{b: frame(0, 64, 64)[3:]}
+	if _, err := r.staging(nil); err == nil {
+		t.Fatal("64 staging directives claimed in 64 bytes accepted")
+	}
+	r = reader{b: frame(0, 64, 64)[3:]}
+	if _, err := r.stringMap(); err == nil {
+		t.Fatal("64 map entries claimed in 64 bytes accepted")
 	}
 }
 
@@ -140,15 +280,52 @@ func FuzzDecodeRemote(f *testing.F) {
 		f.Add(valid[:i])
 	}
 	f.Add([]byte{Magic, Version, FrameTaskBatch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add(EncodeTaskBatch(taskBatchFixture()))
+	results, _ := FormatBinary.EncodeTaskResults(taskResultsFixture())
+	f.Add(results)
+	f.Add(results[:len(results)-3])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		DecodePing(body)       //nolint:errcheck
 		DecodePong(body)       //nolint:errcheck
 		DecodeHello(body)      //nolint:errcheck
-		DecodeTaskBatch(body)  //nolint:errcheck
 		DecodeAgentStats(body) //nolint:errcheck
 		DecodeAttach(body)     //nolint:errcheck
 		DecodeEventBatch(body) //nolint:errcheck
 		DecodeEventEnd(body)   //nolint:errcheck
+
+		// The streaming task decoder: sized at most once, by a count the
+		// frame has room for, and fed exactly that many tasks on success.
+		kept := bytes.Clone(body)
+		sized, fed := -1, 0
+		err := DecodeTaskBatchFunc(body,
+			func(n int) {
+				if sized != -1 || n*minRemoteTaskSize > len(body) {
+					t.Fatalf("size(%d) for a %d-byte frame (already sized: %d)", n, len(body), sized)
+				}
+				sized = n
+			},
+			func(i int, _ *RemoteTask) {
+				if i != fed || i >= sized {
+					t.Fatalf("each(%d) after %d tasks of %d", i, fed, sized)
+				}
+				fed++
+			})
+		if err == nil && fed != sized {
+			t.Fatalf("decoded %d of %d tasks without an error", fed, sized)
+		}
+		if tasks, werr := DecodeTaskBatch(body); (werr == nil) != (err == nil) || (werr == nil && len(tasks) != fed) {
+			t.Fatalf("DecodeTaskBatch: %d tasks, %v; streaming form: %d tasks, %v", len(tasks), werr, fed, err)
+		}
+
+		// Shared-string results are the copying decoder's results.
+		shared, serr := DecodeTaskResultsShared(body)
+		plain, perr := DecodeTaskResults(body)
+		if (serr == nil) != (perr == nil) || !reflect.DeepEqual(shared, plain) {
+			t.Fatalf("shared results %+v, %v; copied results %+v, %v", shared, serr, plain, perr)
+		}
+		if !bytes.Equal(body, kept) {
+			t.Fatal("a decoder wrote to the frame")
+		}
 	})
 }

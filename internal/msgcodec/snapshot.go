@@ -44,7 +44,7 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 	if s.Watermark, err = r.uvarint(); err != nil {
 		return Snapshot{}, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return Snapshot{}, err
 	}

@@ -68,11 +68,20 @@ type Resolve func(b []byte) string
 // reader walks a binary frame payload with exhaustive bounds checking: a
 // malformed or truncated frame yields an error from every method, never a
 // panic (FuzzDecodeFrame pins this). resolve, when set, is consulted for
-// every string field.
+// every string field. shared, when set, is the whole frame converted to a
+// string once (share): every string field the resolver does not supply is
+// then a substring of it rather than a copy of its own, so a frame of n
+// fields costs one allocation instead of n — and stays reachable until the
+// last of those fields is dropped.
 type reader struct {
 	b       []byte
 	resolve Resolve
+	shared  string
 }
+
+// share switches the reader to shared-string mode. body must be the frame r
+// was positioned in by frameReader, with r.b still a suffix of it.
+func (r *reader) share(body []byte) { r.shared = string(body) }
 
 // frameReader validates the three-byte header and positions a reader at the
 // payload.
@@ -110,15 +119,17 @@ func (r *reader) varint() (int64, error) {
 	return v, nil
 }
 
-// count reads an element count, bounding it by the bytes remaining so a
-// hostile length prefix cannot drive an over-allocation.
-func (r *reader) count() (int, error) {
+// count reads an element count. minSize is the fewest bytes one element can
+// encode to: a count the remaining bytes cannot hold is an error, so a
+// hostile length prefix cannot drive an allocation larger than a small
+// multiple of the frame that carries it.
+func (r *reader) count(minSize int) (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(len(r.b)) {
-		return 0, fmt.Errorf("msgcodec: element count %d exceeds remaining frame (%d bytes)", v, len(r.b))
+	if v > uint64(len(r.b)/minSize) {
+		return 0, fmt.Errorf("msgcodec: %d elements of at least %d bytes exceed remaining frame (%d bytes)", v, minSize, len(r.b))
 	}
 	return int(v), nil
 }
@@ -147,6 +158,11 @@ func (r *reader) str() (string, error) {
 		if s := r.resolve(b); s == string(b) {
 			return s, nil
 		}
+	}
+	if r.shared != "" {
+		// b was just consumed, so it ends where the unread suffix begins.
+		end := len(r.shared) - len(r.b)
+		return r.shared[end-len(b) : end], nil
 	}
 	return string(b), nil
 }
@@ -248,7 +264,7 @@ func DecodeSyncFrameWith(body []byte, resolve Resolve) (SyncFrame, error) {
 	if fr.Seq, err = r.uvarint(); err != nil {
 		return SyncFrame{}, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return SyncFrame{}, err
 	}
@@ -264,7 +280,7 @@ func DecodeSyncFrameWith(body []byte, resolve Resolve) (SyncFrame, error) {
 		if req.UID, err = r.str(); err != nil {
 			return SyncFrame{}, err
 		}
-		m, err := r.count()
+		m, err := r.count(1)
 		if err != nil {
 			return SyncFrame{}, err
 		}
@@ -351,6 +367,10 @@ func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
 	return putBuf(bp, buf), nil
 }
 
+// minTaskResultSize is what a zero TaskResult encodes to: two empty strings,
+// two varints, a bool and two zero-time flags.
+const minTaskResultSize = 7
+
 // DecodeTaskResults decodes a done-queue result batch.
 func DecodeTaskResults(body []byte) ([]TaskResult, error) { return DecodeTaskResultsWith(body, nil) }
 
@@ -362,7 +382,24 @@ func DecodeTaskResultsWith(body []byte, resolve Resolve) ([]TaskResult, error) {
 		return nil, err
 	}
 	r.resolve = resolve
-	n, err := r.count()
+	return r.taskResults()
+}
+
+// DecodeTaskResultsShared decodes a result batch for a receiver that holds
+// no registry to resolve against: the frame is copied into one string and
+// every UID and error text is a substring of it, so the batch costs two
+// allocations whatever its size. The results do not alias body.
+func DecodeTaskResultsShared(body []byte) ([]TaskResult, error) {
+	r, err := frameReader(body, FrameTaskResults)
+	if err != nil {
+		return nil, err
+	}
+	r.share(body)
+	return r.taskResults()
+}
+
+func (r *reader) taskResults() ([]TaskResult, error) {
+	n, err := r.count(minTaskResultSize)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +472,7 @@ func DecodeFig6Task(body []byte, t *Fig6Task) error {
 	if t.Executable, err = r.str(); err != nil {
 		return err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return err
 	}
@@ -525,7 +562,7 @@ func DecodeStoreRec(body []byte) (StoreRec, error) {
 	if sr.Op, err = r.str(); err != nil {
 		return StoreRec{}, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return StoreRec{}, err
 	}
@@ -694,7 +731,7 @@ func DecodeBrokerPublishBatch(payload []byte) (BrokerPublishBatch, error) {
 	if p.Queue, err = r.str(); err != nil {
 		return BrokerPublishBatch{}, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return BrokerPublishBatch{}, err
 	}
@@ -732,7 +769,7 @@ func DecodeBrokerAckBatch(payload []byte) (BrokerAckBatch, error) {
 	if a.Queue, err = r.str(); err != nil {
 		return BrokerAckBatch{}, err
 	}
-	n, err := r.count()
+	n, err := r.count(1)
 	if err != nil {
 		return BrokerAckBatch{}, err
 	}

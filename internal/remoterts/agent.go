@@ -225,12 +225,17 @@ func (s *agentSession) recvLoop() {
 		if !ok || t != msgcodec.FrameTaskBatch {
 			continue
 		}
-		rtasks, err := msgcodec.DecodeTaskBatch(body)
+		// One slice per frame, filled in place: the RTS keeps it (the store
+		// holds the descriptions until they are pulled).
+		var tasks []core.TaskDescription
+		err = msgcodec.DecodeTaskBatchFunc(body,
+			func(n int) { tasks = make([]core.TaskDescription, n) },
+			func(i int, rt *msgcodec.RemoteTask) { fromRemoteTask(&tasks[i], rt) })
 		if err != nil {
 			s.stop()
 			return
 		}
-		if err := s.rts.Submit(fromRemoteTasks(rtasks)); err != nil {
+		if err := s.rts.Submit(tasks); err != nil {
 			s.stop()
 			return
 		}
@@ -276,10 +281,10 @@ func (s *agentSession) statsLoop() {
 			return
 		}
 		if !stats.Alive {
-			// The hosted RTS died (pilot walltime, store failure). Give the
-			// death notice a moment to flush so the manager sees the typed
-			// report rather than a bare EOF, then end the tenure.
-			time.Sleep(50 * time.Millisecond)
+			// The hosted RTS died (pilot walltime, store failure). Get the
+			// death notice onto the socket before ending the tenure, so the
+			// manager sees the typed report rather than a bare EOF.
+			s.tc.Flush() //nolint:errcheck // the tenure ends either way
 			s.stop()
 			return
 		}

@@ -1,83 +1,64 @@
 package remoterts
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/msgcodec"
 )
 
-// toRemoteTasks translates task descriptions into their wire shape. Tasks
-// carrying a LocalFunc are rejected: in-process closures cannot cross a
-// socket, and silently dropping them would execute a different task than
-// the application described.
-func toRemoteTasks(tasks []core.TaskDescription) ([]msgcodec.RemoteTask, error) {
-	out := make([]msgcodec.RemoteTask, len(tasks))
-	for i := range tasks {
-		t := &tasks[i]
-		if t.LocalFunc != nil {
-			return nil, fmt.Errorf("remoterts: task %s sets LocalFunc, which cannot be shipped to a remote agent", t.UID)
-		}
-		out[i] = msgcodec.RemoteTask{
-			UID:         t.UID,
-			Name:        t.Name,
-			Executable:  t.Executable,
-			Arguments:   t.Arguments,
-			Environment: t.Environment,
-			Cores:       t.Cores,
-			GPUs:        t.GPUs,
-			Duration:    t.Duration,
-			IOLoad:      t.IOLoad,
-			PreExec:     t.PreExec,
-			PostExec:    t.PostExec,
-			Input:       toRemoteStaging(t.Input),
-			Output:      toRemoteStaging(t.Output),
-			Attempt:     t.Attempt,
-			Tags:        t.Tags,
-		}
+// toRemoteTask describes t in its wire shape. rt is the task-batch encoder's
+// scratch value: its staging slices arrive empty with the previous task's
+// capacity and are appended to.
+func toRemoteTask(rt *msgcodec.RemoteTask, t *core.TaskDescription) {
+	*rt = msgcodec.RemoteTask{
+		UID:         t.UID,
+		Name:        t.Name,
+		Executable:  t.Executable,
+		Arguments:   t.Arguments,
+		Environment: t.Environment,
+		Cores:       t.Cores,
+		GPUs:        t.GPUs,
+		Duration:    t.Duration,
+		IOLoad:      t.IOLoad,
+		PreExec:     t.PreExec,
+		PostExec:    t.PostExec,
+		Input:       appendRemoteStaging(rt.Input, t.Input),
+		Output:      appendRemoteStaging(rt.Output, t.Output),
+		Attempt:     t.Attempt,
+		Tags:        t.Tags,
 	}
-	return out, nil
 }
 
-// fromRemoteTasks is the agent-side inverse of toRemoteTasks.
-func fromRemoteTasks(tasks []msgcodec.RemoteTask) []core.TaskDescription {
-	out := make([]core.TaskDescription, len(tasks))
-	for i := range tasks {
-		t := &tasks[i]
-		out[i] = core.TaskDescription{
-			UID:         t.UID,
-			Name:        t.Name,
-			Executable:  t.Executable,
-			Arguments:   t.Arguments,
-			Environment: t.Environment,
-			Cores:       t.Cores,
-			GPUs:        t.GPUs,
-			Duration:    t.Duration,
-			IOLoad:      t.IOLoad,
-			PreExec:     t.PreExec,
-			PostExec:    t.PostExec,
-			Input:       fromRemoteStaging(t.Input),
-			Output:      fromRemoteStaging(t.Output),
-			Attempt:     t.Attempt,
-			Tags:        t.Tags,
-		}
+// fromRemoteTask is the agent-side inverse of toRemoteTask. rt is the
+// decoder's scratch value, so its staging slices are copied, not kept.
+func fromRemoteTask(t *core.TaskDescription, rt *msgcodec.RemoteTask) {
+	*t = core.TaskDescription{
+		UID:         rt.UID,
+		Name:        rt.Name,
+		Executable:  rt.Executable,
+		Arguments:   rt.Arguments,
+		Environment: rt.Environment,
+		Cores:       rt.Cores,
+		GPUs:        rt.GPUs,
+		Duration:    rt.Duration,
+		IOLoad:      rt.IOLoad,
+		PreExec:     rt.PreExec,
+		PostExec:    rt.PostExec,
+		Input:       fromRemoteStaging(rt.Input),
+		Output:      fromRemoteStaging(rt.Output),
+		Attempt:     rt.Attempt,
+		Tags:        rt.Tags,
 	}
-	return out
 }
 
-func toRemoteStaging(ds []core.StagingDirective) []msgcodec.RemoteStaging {
-	if len(ds) == 0 {
-		return nil
-	}
-	out := make([]msgcodec.RemoteStaging, len(ds))
-	for i, d := range ds {
-		out[i] = msgcodec.RemoteStaging{
+func appendRemoteStaging(out []msgcodec.RemoteStaging, ds []core.StagingDirective) []msgcodec.RemoteStaging {
+	for _, d := range ds {
+		out = append(out, msgcodec.RemoteStaging{
 			Source:   d.Source,
 			Target:   d.Target,
 			Action:   string(d.Action),
 			Bytes:    d.Bytes,
 			Protocol: d.Protocol,
-		}
+		})
 	}
 	return out
 }

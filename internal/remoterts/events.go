@@ -199,9 +199,10 @@ func (s *EventServer) serve(nc net.Conn) {
 		}
 		p.sent.Add(uint64(len(batch)))
 	}
-	tc.Send(msgcodec.EncodeEventEnd(sub.Dropped())) //nolint:errcheck
-	time.Sleep(10 * time.Millisecond)               // let the close frame flush
-	tc.Close()                                      //nolint:errcheck
+	if tc.Send(msgcodec.EncodeEventEnd(sub.Dropped())) == nil {
+		tc.Flush() //nolint:errcheck // closing either way; a dead peer gets no end frame
+	}
+	tc.Close() //nolint:errcheck
 	sub.Close()
 
 	s.mu.Lock()

@@ -185,10 +185,11 @@ func (p *Proxy) Start(ctx context.Context) error {
 }
 
 // Submit implements core.RTS: stripe the batch across the connected agents
-// and ship one task-batch frame per agent. A send failure marks the Proxy
-// dead and returns an error — the ExecManager requeues the batch, and the
-// replacement Proxy (plus the agents' purge-on-reconnect) guarantees the
-// partially shipped tasks cannot complete twice.
+// and ship one task-batch frame per agent, encoded straight from tasks. A
+// send failure marks the Proxy dead and returns an error — the ExecManager
+// requeues the batch, and the replacement Proxy (plus the agents'
+// purge-on-reconnect) guarantees the partially shipped tasks cannot complete
+// twice.
 func (p *Proxy) Submit(tasks []core.TaskDescription) error {
 	if !p.started {
 		return errors.New("remoterts: not started")
@@ -196,36 +197,49 @@ func (p *Proxy) Submit(tasks []core.TaskDescription) error {
 	if p.stopped.Load() || !p.alive.Load() {
 		return errors.New("remoterts: stopped or dead")
 	}
-	rtasks, err := toRemoteTasks(tasks)
-	if err != nil {
-		return err
+	// In-process closures cannot cross a socket, and silently dropping one
+	// would execute a different task than the application described: reject
+	// the whole batch before any of it is sent.
+	for i := range tasks {
+		if tasks[i].LocalFunc != nil {
+			return fmt.Errorf("remoterts: task %s sets LocalFunc, which cannot be shipped to a remote agent", tasks[i].UID)
+		}
 	}
 	live := p.livePeers()
 	if len(live) == 0 {
 		return errors.New("remoterts: no connected agents")
 	}
-	// Round-robin striping: contiguous stripes, rotated per batch so small
-	// batches do not pin the first agent.
+	// Interleaved round-robin: task i goes to live peer (base+i) mod L, the
+	// base rotated per batch so small batches do not pin the first agent.
 	base := int(p.rr.Add(1)-1) % len(live)
-	slices := make([][]msgcodec.RemoteTask, len(live))
-	for i := range rtasks {
-		k := (base + i) % len(live)
-		slices[k] = append(slices[k], rtasks[i])
-	}
-	for i, slice := range slices {
-		if len(slice) == 0 {
+	for k, pr := range live {
+		first, count := stripe(len(tasks), len(live), base, k)
+		if count == 0 {
 			continue
 		}
-		pr := live[i]
-		if err := pr.send(msgcodec.EncodeTaskBatch(slice)); err != nil {
+		body := msgcodec.EncodeTaskBatchFunc(count, func(i int, rt *msgcodec.RemoteTask) {
+			toRemoteTask(rt, &tasks[first+i*len(live)])
+		})
+		if err := pr.send(body); err != nil {
 			p.peerDied(pr, fmt.Errorf("remoterts: submit to %s: %w", pr.addr, err))
 			return fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
 		}
-		pr.inflight.Add(int64(len(slice)))
+		pr.inflight.Add(int64(count))
 	}
 	atomic.AddInt64(&p.submitted, int64(len(tasks)))
 	atomic.AddInt64(&p.inflight, int64(len(tasks)))
 	return nil
+}
+
+// stripe locates peer k's share of an n-task batch striped over peers live
+// peers from rotation base: the tasks i with (base+i) mod peers == k, which
+// are first, first+peers, ... — count of them, in submission order.
+func stripe(n, peers, base, k int) (first, count int) {
+	first = (k - base + peers) % peers
+	if first >= n {
+		return first, 0
+	}
+	return first, (n - first + peers - 1) / peers
 }
 
 // Completions implements core.RTS.
@@ -348,14 +362,21 @@ func (p *Proxy) deliver(res core.TaskResult) {
 	if !p.alive.Load() {
 		return // a dead RTS loses in-flight tasks (paper failure model)
 	}
+	// The channel nearly always has room; a plain send skips the select's
+	// lock-both-channels set-up.
 	select {
 	case p.completions <- res:
-		atomic.AddInt64(&p.completed, 1)
-		atomic.AddInt64(&p.inflight, -1)
-		if res.ExitCode != 0 {
-			atomic.AddInt64(&p.failed, 1)
+	default:
+		select {
+		case p.completions <- res:
+		case <-p.stopCh:
+			return
 		}
-	case <-p.stopCh:
+	}
+	atomic.AddInt64(&p.completed, 1)
+	atomic.AddInt64(&p.inflight, -1)
+	if res.ExitCode != 0 {
+		atomic.AddInt64(&p.failed, 1)
 	}
 }
 
@@ -494,7 +515,7 @@ func (pr *peer) readLoop(tc *transport.Conn) {
 		}
 		switch t, _ := msgcodec.FrameType(body); t {
 		case msgcodec.FrameTaskResults:
-			results, err := msgcodec.DecodeTaskResults(body)
+			results, err := msgcodec.DecodeTaskResultsShared(body)
 			if err != nil {
 				tc.Close() //nolint:errcheck
 				pr.proxy.peerDied(pr, fmt.Errorf("remoterts: agent %s: bad result frame: %w", pr.addr, err))

@@ -63,8 +63,8 @@ type Conn struct {
 	nc   net.Conn
 	opts Options
 
-	sendCh chan []byte // application frames
-	ctrlCh chan []byte // pings/pongs jump the application queue
+	sendCh chan outFrame // application frames and flush markers
+	ctrlCh chan []byte   // pings/pongs jump the application queue
 	recvCh chan []byte
 
 	done     chan struct{}
@@ -77,6 +77,14 @@ type Conn struct {
 	pingSeq  atomic.Uint64
 }
 
+// outFrame is one slot of the send queue: a frame body, or — flushed set — a
+// Flush call's marker, which the write pump answers once everything queued
+// ahead of it is on the socket.
+type outFrame struct {
+	body    []byte
+	flushed chan<- struct{}
+}
+
 // NewConn wraps an established network connection. It takes ownership of nc:
 // Close (or peer death) closes it.
 func NewConn(nc net.Conn, opts Options) *Conn {
@@ -84,7 +92,7 @@ func NewConn(nc net.Conn, opts Options) *Conn {
 	c := &Conn{
 		nc:     nc,
 		opts:   opts,
-		sendCh: make(chan []byte, opts.SendQueue),
+		sendCh: make(chan outFrame, opts.SendQueue),
 		ctrlCh: make(chan []byte, 16),
 		recvCh: make(chan []byte, 64),
 		done:   make(chan struct{}),
@@ -109,11 +117,35 @@ func (c *Conn) Send(body []byte) error {
 	default:
 	}
 	select {
-	case c.sendCh <- body:
+	case c.sendCh <- outFrame{body: body}:
 		c.sent.Add(1)
 		return nil
 	case <-c.done:
 		return c.Err()
+	}
+}
+
+// Flush returns once every frame queued by a Send that returned before the
+// call has been written to the socket — handed to the kernel, which delivers
+// it ahead of a following Close — or with the connection's error if it died
+// first. It is what a sender calls between its last frame and Close.
+func (c *Conn) Flush() error {
+	ack := make(chan struct{})
+	select {
+	case c.sendCh <- outFrame{flushed: ack}:
+	case <-c.done:
+		return c.Err()
+	}
+	select {
+	case <-ack:
+		return nil
+	case <-c.done:
+		select {
+		case <-ack: // flushed, then died: the frames did go out
+			return nil
+		default:
+			return c.Err()
+		}
 	}
 }
 
@@ -189,19 +221,27 @@ func (c *Conn) writeLoop() {
 	if writeTimeout <= 0 {
 		writeTimeout = 30 * time.Second
 	}
-	writeOne := func(b []byte) bool {
-		if err := WriteFrame(bw, b); err != nil {
+	writeOne := func(f outFrame) bool {
+		var err error
+		if f.flushed != nil {
+			if err = bw.Flush(); err == nil {
+				close(f.flushed)
+			}
+		} else {
+			err = WriteFrame(bw, f.body)
+		}
+		if err != nil {
 			c.die(err)
 			return false
 		}
 		return true
 	}
 	for {
-		var first []byte
+		var first outFrame
 		select {
 		case <-c.done:
 			return
-		case first = <-c.ctrlCh:
+		case first.body = <-c.ctrlCh:
 		case first = <-c.sendCh:
 		}
 		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // conn types here support deadlines
@@ -214,11 +254,11 @@ func (c *Conn) writeLoop() {
 		for i := 0; i < c.opts.SendQueue; i++ {
 			select {
 			case b := <-c.ctrlCh:
-				if !writeOne(b) {
+				if !writeOne(outFrame{body: b}) {
 					return
 				}
-			case b := <-c.sendCh:
-				if !writeOne(b) {
+			case f := <-c.sendCh:
+				if !writeOne(f) {
 					return
 				}
 			default:

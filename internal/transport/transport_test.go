@@ -225,3 +225,119 @@ func TestConnOverTCP(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// tcpPair returns a Conn and the raw far end of one loopback TCP connection,
+// so a test can play a peer that reads at its own pace.
+func tcpPair(t *testing.T, opts Options) (*Conn, net.Conn) {
+	t.Helper()
+	ln, err := Listen("tcp:127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close() //nolint:errcheck
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- nc
+	}()
+	nc, err := Dial(Addr(ln), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(nc, opts)
+	t.Cleanup(func() { c.Close() }) //nolint:errcheck
+	raw, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() { raw.Close() }) //nolint:errcheck
+	return c, raw
+}
+
+func TestFlushThenCloseDeliversEveryFrame(t *testing.T) {
+	// ~1 MB through a peer that starts reading late and reads slowly: more
+	// than the socket buffers hold, so the write pump is still blocked on
+	// the peer when Flush is called. Close drops whatever is still queued;
+	// Flush before it is what makes the last frame arrive.
+	const frames = 256
+	c, raw := tcpPair(t, Options{SendQueue: frames + 1, HeartbeatInterval: -1, IdleTimeout: -1})
+	got := make(chan int, 1)
+	last := make(chan []byte, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		br := bufio.NewReaderSize(raw, 4096)
+		n := 0
+		var body []byte
+		for {
+			b, err := ReadFrame(br)
+			if err != nil {
+				break
+			}
+			n, body = n+1, b
+			if n%32 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		got <- n
+		last <- body
+	}()
+	payload := bytes.Repeat([]byte{0x5a}, 4096)
+	for i := 0; i < frames; i++ {
+		if err := c.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Send([]byte("the end")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	c.Close() //nolint:errcheck
+	select {
+	case n := <-got:
+		if body := <-last; n != frames+1 || string(body) != "the end" {
+			t.Fatalf("peer read %d frames ending in %d bytes, want %d ending in the final frame", n, len(body), frames+1)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer never saw the end of the stream")
+	}
+}
+
+func TestFlushOnDeadConnReturnsItsError(t *testing.T) {
+	// Already dead: the error, at once.
+	ca, _ := pipePair(t, Options{HeartbeatInterval: -1, IdleTimeout: -1})
+	ca.Close() //nolint:errcheck
+	if err := ca.Flush(); err != ErrClosed {
+		t.Fatalf("Flush on a closed conn = %v, want ErrClosed", err)
+	}
+
+	// Dies while Flush waits: nobody reads the far end of this pipe, so the
+	// write pump is wedged on the first frame and the marker never comes up.
+	a, b := net.Pipe()
+	defer b.Close() //nolint:errcheck
+	c := NewConn(a, Options{HeartbeatInterval: -1, IdleTimeout: -1})
+	if err := c.Send([]byte("stuck")); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned %v with the frame still unwritten", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.Close() //nolint:errcheck
+	select {
+	case err := <-flushed:
+		if err != ErrClosed {
+			t.Fatalf("Flush across a close = %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Flush hung on a dead connection")
+	}
+}
