@@ -71,10 +71,18 @@ bench-gate: bench-json
 bench-baseline: bench-json
 	cp BENCH_CURRENT.json BENCH_BASELINE.json
 
+# Besides gofmt and vet: core.RTS.Stats() is the whole telemetry contract, so
+# no non-test code may discover more by type-asserting an RTS to an optional
+# *Reporter interface again (docs/api.md, "The RTS contract").
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
+	fi
+	@asserted=$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.\((core\.)?[A-Za-z]*Reporter\)' . || true); \
+	if [ -n "$$asserted" ]; then \
+		echo "an RTS is type-asserted to a Reporter interface; put the field in core.RTSStats instead:"; \
+		echo "$$asserted"; exit 1; \
 	fi
 	$(GO) vet ./...
 

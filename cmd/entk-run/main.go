@@ -53,8 +53,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -65,58 +67,75 @@ import (
 	"repro/internal/vclock"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, as far as flag
+// validation and -check go: those write to stdout and stderr and return the
+// exit code. Past them — attaching, submitting, executing — it prints to the
+// process's own streams and exits through fatal.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("entk-run", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		appPath  = flag.String("app", "", "path to the JSON application description (required)")
-		scale    = flag.Duration("scale", time.Millisecond, "wall time per virtual second")
-		verbose  = flag.Bool("v", false, "print per-entity final states (with -progress: also task events)")
-		timeout  = flag.Duration("timeout", 10*time.Minute, "wall-clock execution timeout")
-		check    = flag.Bool("check", false, "validate the application description and exit")
-		progress = flag.Bool("progress", false, "stream live lifecycle transitions and progress")
-		cancelP  = flag.String("cancel", "", "cancel the named pipeline shortly after start")
-		scheds   = flag.Int("schedulers", 0, "agent scheduler loops draining the task store (0 = min(GOMAXPROCS, shards), 1 = strict-FIFO single scheduler)")
-		autotune = flag.Bool("autotune", false, "enable the live knob controller: steer batch size and scheduler pool from runtime stats (docs/autotune.md)")
-		jdir     = flag.String("journal", "", "directory for the durable state journal (segments + snapshots + RTS audit); enables crash recovery")
-		resume   = flag.Bool("resume", false, "continue the journaled run found in -journal (completed tasks are not re-executed)")
-		dSock    = flag.String("daemon", "", "submit to the entkd service at this unix socket instead of running in-process")
-		tenant   = flag.String("tenant", "", "tenant name for daemon submissions (fairness weight and quota accounting)")
-		agents   = flag.String("agents", "", "comma-separated entk-agent addresses; run on remote agents instead of an in-process RTS")
-		evListen = flag.String("events-listen", "", "serve this run's event stream to remote subscribers on this address")
-		attach   = flag.String("attach", "", "attach to a remote run's event stream at this address and render it (no -app needed)")
+		appPath  = flags.String("app", "", "path to the JSON application description (required)")
+		scale    = flags.Duration("scale", time.Millisecond, "wall time per virtual second")
+		verbose  = flags.Bool("v", false, "print per-entity final states (with -progress: also task events)")
+		timeout  = flags.Duration("timeout", 10*time.Minute, "wall-clock execution timeout")
+		check    = flags.Bool("check", false, "validate the application description and exit")
+		progress = flags.Bool("progress", false, "stream live lifecycle transitions and progress")
+		cancelP  = flags.String("cancel", "", "cancel the named pipeline shortly after start")
+		scheds   = flags.Int("schedulers", 0, "agent scheduler loops draining the task store (0 = min(GOMAXPROCS, shards), 1 = strict-FIFO single scheduler)")
+		autotune = flags.Bool("autotune", false, "enable the live knob controller: steer batch size and scheduler pool from runtime stats (docs/autotune.md)")
+		jdir     = flags.String("journal", "", "directory for the durable state journal (segments + snapshots + RTS audit); enables crash recovery")
+		resume   = flags.Bool("resume", false, "continue the journaled run found in -journal (completed tasks are not re-executed)")
+		dSock    = flags.String("daemon", "", "submit to the entkd service at this unix socket instead of running in-process")
+		tenant   = flags.String("tenant", "", "tenant name for daemon submissions (fairness weight and quota accounting)")
+		agents   = flags.String("agents", "", "comma-separated entk-agent addresses; run on remote agents instead of an in-process RTS")
+		evListen = flags.String("events-listen", "", "serve this run's event stream to remote subscribers on this address")
+		attach   = flags.String("attach", "", "attach to a remote run's event stream at this address and render it (no -app needed)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "entk-run: %v\n", err)
+		return 1
+	}
 	if *attach != "" {
 		attachRemote(*attach, *verbose, *timeout)
-		return
+		return 0
 	}
 	if *appPath == "" {
-		fmt.Fprintln(os.Stderr, "entk-run: -app is required (see -h)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "entk-run: -app is required (see -h)")
+		return 2
 	}
 	if *resume && *jdir == "" {
-		fmt.Fprintln(os.Stderr, "entk-run: -resume requires -journal (see -h)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "entk-run: -resume requires -journal (see -h)")
+		return 2
 	}
 	raw, err := os.ReadFile(*appPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	desc, err := appjson.Parse(raw)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *check {
 		pipes, total, err := desc.Build()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%s: valid — %d pipelines / %d tasks on %s (%d cores)\n",
+		fmt.Fprintf(stdout, "%s: valid — %d pipelines / %d tasks on %s (%d cores)\n",
 			*appPath, len(pipes), total, desc.Resource.Name, desc.Resource.Cores)
-		return
+		return 0
 	}
 	if *dSock != "" {
 		runViaDaemon(raw, desc, *dSock, *tenant, *jdir != "", *timeout, *progress, *verbose)
-		return
+		return 0
 	}
 	am, err := entk.NewAppManager(entk.AppConfig{
 		Resource: entk.Resource{
@@ -201,7 +220,7 @@ func main() {
 			runErr = run.Wait()
 			<-streamDone
 			fmt.Printf("event stream: %d dropped (slow-subscriber policy)\n", sub.Dropped())
-			renderStoreStats(run.Snapshot().Store)
+			renderStoreStats(os.Stdout, run.Snapshot().Store)
 		} else {
 			runErr = run.Wait()
 		}
@@ -252,6 +271,7 @@ func main() {
 	if runErr != nil {
 		fatal(runErr)
 	}
+	return 0
 }
 
 // splitAddrs parses the -agents list.
@@ -376,7 +396,7 @@ func renderEvents(run *entk.Run, sub *entk.EventSub, autotune bool) {
 
 // renderStoreStats summarizes the agent's scheduler pool after a -progress
 // run: loop count, per-loop dispatch tallies and shard work-stealing.
-func renderStoreStats(st entk.StoreStats) {
+func renderStoreStats(w io.Writer, st entk.StoreStats) {
 	if st.Schedulers == 0 {
 		return
 	}
@@ -387,7 +407,7 @@ func renderStoreStats(st entk.StoreStats) {
 	for _, n := range st.SchedulerDispatches {
 		dispatched += n
 	}
-	fmt.Printf("scheduler pool: %d loops over %d store shards — %d pulls (%d steals), %d tasks dispatched\n",
+	fmt.Fprintf(w, "scheduler pool: %d loops over %d store shards — %d pulls (%d steals), %d tasks dispatched\n",
 		st.Schedulers, st.Shards, pulls, st.Steals, dispatched)
 }
 

@@ -210,15 +210,11 @@ type AppConfig struct {
 	TaskRetries int
 	// RTSRestarts bounds RTS restarts after runtime-system failures.
 	RTSRestarts int
-	// JournalPath enables transactional state journaling and recovery into
-	// one flat journal file. Mutually exclusive with JournalDir.
-	JournalPath string
 	// JournalDir enables the full durability mode (docs/recovery.md): a
 	// segmented state journal, periodic statedb snapshots with watermark
 	// compaction, and RTS submission audit records, all in one directory. A
 	// run crashed mid-flight is continued with AppManager.Resume on the same
-	// directory — completed tasks are not re-executed. Mutually exclusive
-	// with JournalPath.
+	// directory — completed tasks are not re-executed.
 	JournalDir string
 	// SegmentBytes is the durable mode's journal segment rotation threshold
 	// (default journal.DefaultSegmentBytes). Ignored without JournalDir.
@@ -393,7 +389,6 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	coreCfg := core.Config{
 		Clock:        clock,
 		Host:         host,
-		JournalPath:  cfg.JournalPath,
 		JournalDir:   cfg.JournalDir,
 		SegmentBytes: cfg.SegmentBytes,
 		StateStore:   cfg.StateStore,

@@ -47,11 +47,6 @@ type Config struct {
 	QueuePrefix string
 	// Profiler receives overhead measurements. Created if nil.
 	Profiler *profiler.Profiler
-	// JournalPath, when non-empty, enables transactional state journaling
-	// and crash recovery against a single flat journal file. For the full
-	// durability mode — segmented journal, periodic snapshots, compaction
-	// and Resume — use JournalDir instead; the two are mutually exclusive.
-	JournalPath string
 	// JournalDir, when non-empty, enables crash-recoverable runs: state
 	// transitions are journaled into rotating segment files under this
 	// directory, the synchronizer periodically snapshots the committed
@@ -131,9 +126,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.TaskRetries < 0 {
 		c.TaskRetries = 0
-	}
-	if c.JournalPath != "" && c.JournalDir != "" {
-		return errors.New("core: JournalPath and JournalDir are mutually exclusive")
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 1024

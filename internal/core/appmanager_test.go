@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/hostmodel"
 	"repro/internal/vclock"
 )
@@ -342,8 +342,102 @@ func TestRTSFailover(t *testing.T) {
 	_ = first
 }
 
+// While failover has purged the dead RTS and its replacement is still
+// starting, the Emgr has nothing to submit to: it must wait for the adoption,
+// not take the pending batch, requeue it and take it again for as long as the
+// start lasts.
+func TestEmgrParksWhileFailoverStartsTheReplacement(t *testing.T) {
+	clock := vclock.NewScaled(time.Microsecond)
+	am, err := NewAppManager(Config{Clock: clock, RTSRestarts: 1, HeartbeatInterval: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := newFakeRTS(clock)
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var instances int64
+	am.SetRTSFactory(func(ResourceDesc) (RTS, error) {
+		if atomic.AddInt64(&instances, 1) == 1 {
+			return first, nil
+		}
+		return &slowStartRTS{fakeRTS: newFakeRTS(clock), blocked: blocked, release: release}, nil
+	})
+	am.SetResource(ResourceDesc{Resource: "titan", Cores: 64, Walltime: time.Hour})
+
+	// One pipeline that suspends itself after its first stage, so that the
+	// test decides when the second stage's tasks reach the pending queue.
+	pipe := buildApp(1, 2, 4, time.Second)[0]
+	pipe.Stages()[0].PostExec = func() error { return pipe.Suspend() }
+	am.AddPipelines(pipe)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run, err := am.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				run.Cancel("test failed")
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	pending := func() broker.QueueStats {
+		st, err := am.Broker().Stats(am.qname(QueuePending))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	waitUntil("the pipeline to suspend", func() bool { return pipe.State() == PipelineSuspended })
+	first.Kill()
+	<-blocked // failover has purged the first RTS and is inside the second's Start
+	before := pending()
+	if err := run.Resume(pipe.UID); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil("stage 2 to reach the pending queue", func() bool { return pending().Published > before.Published })
+	time.Sleep(50 * time.Millisecond) // a spinning Emgr requeues thousands of times in this
+	if got := pending().Nacked - before.Nacked; got > 8 {
+		t.Fatalf("the Emgr requeued %d pending messages while the replacement RTS was starting", got)
+	}
+	close(release)
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range pipe.Stages() {
+		for _, task := range s.Tasks() {
+			if task.State() != TaskDone {
+				t.Fatalf("task %s state = %s", task.UID, task.State())
+			}
+		}
+	}
+	if am.RTSRestarts() != 1 {
+		t.Fatalf("restarts = %d, want 1", am.RTSRestarts())
+	}
+}
+
+// slowStartRTS is a fakeRTS whose Start announces itself and then waits to be
+// released: a replacement RTS that takes its time (a remote fleet dialing).
+type slowStartRTS struct {
+	*fakeRTS
+	blocked, release chan struct{}
+}
+
+func (s *slowStartRTS) Start(ctx context.Context) error {
+	close(s.blocked)
+	select {
+	case <-s.release:
+		return s.fakeRTS.Start(ctx)
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 func TestJournalRecoverySkipsCompletedTasks(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "app.journal")
+	jdir := t.TempDir()
 	clock := vclock.NewScaled(time.Microsecond)
 
 	// First run: task "flaky" fails permanently; three others succeed.
@@ -365,7 +459,7 @@ func TestJournalRecoverySkipsCompletedTasks(t *testing.T) {
 		return pipe, flaky
 	}
 
-	am1, err := NewAppManager(Config{Clock: clock, JournalPath: jpath, TaskRetries: 0})
+	am1, err := NewAppManager(Config{Clock: clock, JournalDir: jdir, TaskRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +479,7 @@ func TestJournalRecoverySkipsCompletedTasks(t *testing.T) {
 	}
 
 	// Second run, same journal: only the flaky task may execute again.
-	am2, err := NewAppManager(Config{Clock: clock, JournalPath: jpath, TaskRetries: 0})
+	am2, err := NewAppManager(Config{Clock: clock, JournalDir: jdir, TaskRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

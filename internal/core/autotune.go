@@ -56,15 +56,13 @@ func (am *AppManager) autotuneSignals() autotune.Signals {
 	}
 	if am.emgr != nil {
 		if rts := am.emgr.currentRTS(); rts != nil {
-			if sr, ok := rts.(StoreStatsReporter); ok {
-				st := sr.StoreStats()
-				sig.StoreDepth = st.Depth
-				sig.ShardDepths = st.ShardDepths
-				sig.Pulls = st.Pulled
-				sig.Steals = st.Steals
-				sig.Dispatched = st.SchedulerDispatches
-				sig.SchedulerBusy = st.SchedulerBusy
-			}
+			st := rts.Stats().Store
+			sig.StoreDepth = st.Depth
+			sig.ShardDepths = st.ShardDepths
+			sig.Pulls = st.Pulled
+			sig.Steals = st.Steals
+			sig.Dispatched = st.SchedulerDispatches
+			sig.SchedulerBusy = st.SchedulerBusy
 		}
 	}
 	am.msgDelay() // one management-plane traversal per sample

@@ -326,26 +326,6 @@ func (b *EventBus) Publish(ev Event) { b.bus.publish(ev) }
 // then each subscriber's channel closes.
 func (b *EventBus) Close() { b.bus.closeAll() }
 
-// Utilization is a point-in-time view of the pilot resources backing the
-// run, as reported by the runtime system.
-type Utilization struct {
-	// CoresTotal and CoresBusy describe the pilot's core allocation.
-	CoresTotal int
-	CoresBusy  int
-	// GPUsTotal and GPUsBusy describe the pilot's GPU allocation.
-	GPUsTotal int
-	GPUsBusy  int
-	// TasksInFlight counts tasks submitted to the RTS and not yet reported.
-	TasksInFlight int
-}
-
-// UtilizationReporter is the optional RTS extension behind
-// Progress.Utilization. An RTS that can see its agent's free cores
-// implements it; Snapshot degrades to zeros otherwise.
-type UtilizationReporter interface {
-	Utilization() Utilization
-}
-
 // EventPeerStats describes one remote event subscriber: a peer attached
 // over the networked event fan-out. Each peer owns a bounded drop-oldest
 // ring with the same contract as an in-process EventSub, so Sent counts the
@@ -424,13 +404,13 @@ type Progress struct {
 	// this attempt and not yet terminal (SCHEDULING through EXECUTED). It is 0
 	// once a run is over, however it ended.
 	ActiveTasks int
-	// Utilization reports pilot occupancy when the RTS supports it.
-	Utilization Utilization
-	// Store reports the RTS task store's counters — shard depths, pull and
-	// steal tallies, per-scheduler dispatch counts — when the RTS supports
-	// it (core.StoreStatsReporter). Before the RTS starts, Schedulers falls
+	// Utilization and Store are the current RTS's Stats().Utilization and
+	// Stats().Store: pilot occupancy, and the task store's counters — shard
+	// depths, pull and steal tallies, per-scheduler dispatch counts. Before
+	// the RTS starts (or for one that has no store), Store.Schedulers falls
 	// back to the configured Config.SchedulerWorkers knob.
-	Store StoreStats
+	Utilization Utilization
+	Store       StoreStats
 	// EventDrops aggregates drop-oldest discards across every in-process
 	// event subscriber ring (per-subscriber Dropped() remains poll-only;
 	// remote peers are accounted separately under EventPeers).
@@ -497,17 +477,12 @@ func (am *AppManager) Snapshot() Progress {
 	p.ActiveTasks = active(tasks)
 	if am.emgr != nil {
 		if rts := am.emgr.currentRTS(); rts != nil {
-			if ur, ok := rts.(UtilizationReporter); ok {
-				p.Utilization = ur.Utilization()
-			}
-			if sr, ok := rts.(StoreStatsReporter); ok {
-				p.Store = sr.StoreStats()
-			}
-			p.Utilization.TasksInFlight = rts.Stats().TasksInFlight
+			st := rts.Stats()
+			p.Utilization, p.Store = st.Utilization, st.Store
 		}
 	}
 	if p.Store.Schedulers == 0 {
-		// Pre-start (or an RTS that cannot report): surface the configured
+		// Pre-start (or an RTS without a store): surface the configured
 		// knob so dashboards render a stable scheduler count.
 		p.Store.Schedulers = am.cfg.SchedulerWorkers
 	}

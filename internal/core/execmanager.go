@@ -23,6 +23,7 @@ type execManager struct {
 
 	mu       sync.Mutex
 	rts      RTS
+	rtsReady *sync.Cond    // on mu: failover adopted a replacement, or stopCh closed
 	cbDone   chan struct{} // closed when rts's callbackLoop has returned
 	restarts int
 
@@ -48,11 +49,13 @@ type execManager struct {
 }
 
 func newExecManager(am *AppManager) *execManager {
-	return &execManager{
+	e := &execManager{
 		am:       am,
 		stopCh:   make(chan struct{}),
 		inflight: make(map[string]bool),
 	}
+	e.rtsReady = sync.NewCond(&e.mu)
+	return e
 }
 
 // start brings up Rmgr (RTS acquisition), Emgr, Callback and Heartbeat.
@@ -101,16 +104,33 @@ func (e *execManager) currentRTS() RTS {
 	return e.rts
 }
 
-// emgrLoop drains the pending queue in batches and submits to the RTS.
-func (e *execManager) emgrLoop(ctx context.Context) {
-	defer e.wg.Done()
+// awaitRTS parks the caller while failover has purged the dead RTS and not
+// yet adopted its replacement (a remote RTS may spend seconds dialing its
+// agents). It reports false once the manager is stopping.
+func (e *execManager) awaitRTS() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for {
 		select {
 		case <-e.stopCh:
-			return
-		case <-ctx.Done():
-			return
+			return false
 		default:
+		}
+		if e.rts != nil {
+			return true
+		}
+		e.rtsReady.Wait()
+	}
+}
+
+// emgrLoop drains the pending queue in batches and submits to the RTS. With
+// no RTS to submit to it takes nothing off the queue: a batch received then
+// could only be requeued, to be received again at once.
+func (e *execManager) emgrLoop(ctx context.Context) {
+	defer e.wg.Done()
+	for {
+		if !e.awaitRTS() || ctx.Err() != nil {
+			return
 		}
 		// One broker round-trip per batch; cancellation (stop, broker
 		// close) surfaces as an error from ReceiveBatch. The batch bound is
@@ -211,9 +231,9 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	defer e.submitMu.Unlock()
 	rts := e.currentRTS()
 	if rts == nil {
-		// Mid-failover: the dead RTS is purged and its replacement is
-		// still starting (a remote RTS may spend seconds dialing its
-		// agents). The batch is not lost work — requeue it.
+		// Failover purged the RTS after emgrLoop last saw one. The batch is
+		// not lost work — requeue it; emgrLoop parks until the replacement
+		// is adopted.
 		return broker.NackBatch(live, true)
 	}
 	// Marked before Submit: a fast RTS may report a task before Submit
@@ -358,6 +378,7 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	default:
 	}
 	e.rts, e.cbDone = fresh, freshDone
+	e.rtsReady.Broadcast()
 	e.mu.Unlock()
 	e.wg.Add(1)
 	go e.callbackLoop(fresh, freshDone)
@@ -412,7 +433,12 @@ func (e *execManager) stop() {
 // stopComponentsOnly cancels the Emgr/Callback/Heartbeat subcomponents but
 // leaves the RTS running (its tear-down is measured separately).
 func (e *execManager) stopComponentsOnly() {
-	e.stopOnce.Do(func() { close(e.stopCh) })
+	e.stopOnce.Do(func() {
+		close(e.stopCh)
+		e.mu.Lock()
+		e.rtsReady.Broadcast()
+		e.mu.Unlock()
+	})
 	if e.pendC != nil {
 		e.pendC.Cancel()
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -379,7 +378,7 @@ func TestGroupsSurviveRTSFailover(t *testing.T) {
 func TestGroupsJournalRecovery(t *testing.T) {
 	// First run completes group 1 and fails in group 2 (retries exhausted).
 	// The second run over the same journal re-executes only group 2.
-	jpath := filepath.Join(t.TempDir(), "groups.journal")
+	jdir := t.TempDir()
 	clock := vclock.NewScaled(time.Microsecond)
 
 	mkApp := func() (g1, g2 *Pipeline) {
@@ -407,7 +406,7 @@ func TestGroupsJournalRecovery(t *testing.T) {
 		return g1, g2
 	}
 
-	am1, err := NewAppManager(Config{Clock: clock, JournalPath: jpath, TaskRetries: 0})
+	am1, err := NewAppManager(Config{Clock: clock, JournalDir: jdir, TaskRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +428,7 @@ func TestGroupsJournalRecovery(t *testing.T) {
 		t.Fatalf("group 1 state after first run = %s", a1.State())
 	}
 
-	am2, err := NewAppManager(Config{Clock: clock, JournalPath: jpath, TaskRetries: 0})
+	am2, err := NewAppManager(Config{Clock: clock, JournalDir: jdir, TaskRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,11 @@ type DurabilityStats struct {
 }
 
 // Resume is Start for a previously journaled run: it points the engine at
-// journalDir (overriding Config.JournalDir and JournalPath), reconstructs
-// the committed state from the newest valid snapshot plus the journal tail,
-// and continues the run — tasks recorded DONE are not re-executed, tasks
-// caught mid-flight are rescheduled from scratch, and stages and pipelines
-// are recomputed from task states by the normal scheduling pass. The
+// journalDir (overriding Config.JournalDir), reconstructs the committed
+// state from the newest valid snapshot plus the journal tail, and continues
+// the run — tasks recorded DONE are not re-executed, tasks caught mid-flight
+// are rescheduled from scratch, and stages and pipelines are recomputed from
+// task states by the normal scheduling pass. The
 // application description must be registered (AddPipelines) with the same
 // UIDs as the original run before calling Resume. Resuming an empty or
 // fresh directory is equivalent to a durable Start. Like Start, Resume is
@@ -73,7 +73,6 @@ func (am *AppManager) Resume(ctx context.Context, journalDir string) (*Run, erro
 		return nil, ErrAlreadyRan
 	}
 	am.cfg.JournalDir = journalDir
-	am.cfg.JournalPath = ""
 	am.mu.Unlock()
 	return am.Start(ctx)
 }

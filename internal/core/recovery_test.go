@@ -10,7 +10,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
 	"repro/internal/statedb"
-	"repro/internal/vclock"
 )
 
 // stampUIDs assigns deterministic structural UIDs — what the appjson Build
@@ -25,17 +24,6 @@ func stampUIDs(pipes []*Pipeline) {
 				task.UID = fmt.Sprintf("task.%03d.%03d.%05d", pi, si, ti)
 			}
 		}
-	}
-}
-
-func TestJournalPathAndDirAreMutuallyExclusive(t *testing.T) {
-	_, err := NewAppManager(Config{
-		Clock:       vclock.NewScaled(time.Microsecond),
-		JournalPath: "a.journal",
-		JournalDir:  "jdir",
-	})
-	if err == nil {
-		t.Fatal("NewAppManager accepted JournalPath + JournalDir")
 	}
 }
 

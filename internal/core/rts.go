@@ -26,83 +26,32 @@ type ResourceDesc struct {
 	Project string
 }
 
-// TaskDescription is the RTS-facing translation of a Task — what EnTK's
-// Emgr hands to the runtime system (paper: "translate tasks from and to
-// RTS-specific objects").
-type TaskDescription struct {
-	UID         string
-	Name        string
-	Executable  string
-	Arguments   []string
-	Environment map[string]string
-	Cores       int
-	GPUs        int
-	Duration    time.Duration
-	IOLoad      float64
-	PreExec     int // number of pre-exec commands (each costs env setup time)
-	PostExec    int
-	Input       []StagingDirective
-	Output      []StagingDirective
-	Attempt     int
-	// Tags carry placement hints (see Task.Tags).
-	Tags map[string]string
-	// LocalFunc carries in-process computation (see Task.LocalFunc).
-	LocalFunc func() error
-}
-
-// TaskResult is the RTS's report of one finished task attempt. It is the
-// done-queue wire type, so it lives in internal/msgcodec next to its codec.
-type TaskResult = msgcodec.TaskResult
-
-// StoreStats is the QueueStats-style counter block of an RTS's task store —
-// the mailbox between the UnitManager and the Agent — including the
-// multi-scheduler agent's per-scheduler tallies. It is exported through
-// Progress.Store when the RTS implements StoreStatsReporter.
-type StoreStats struct {
-	// Shards and ShardDepths describe the store's sharded ready storage;
-	// Depth is the total number of queued tasks (the sum of ShardDepths).
-	Shards      int
-	ShardDepths []int
-	Depth       int
-	// Pushed and Pulled count tasks through the store. Steals counts pull
-	// batches a scheduler served off a non-preferred shard (work-stealing;
-	// always 0 for a single-scheduler agent, which pulls in strict
-	// push-sequence order instead).
-	Pushed uint64
-	Pulled uint64
-	Steals uint64
-	// Schedulers is the agent's scheduler-loop count; SchedulerPulls and
-	// SchedulerDispatches tally store pulls and task dispatches per loop
-	// (index = scheduler id). Composite RTSes concatenate their members'
-	// slices.
-	Schedulers          int
-	SchedulerPulls      []uint64
-	SchedulerDispatches []uint64
-	// SchedulerBusy is the cumulative virtual time each scheduler loop spent
-	// dispatching pulled batches (index = scheduler id): Δbusy/Δdispatched
-	// is the per-task dispatch latency the autotune controller watches.
-	// Local-only — the remote wire's AgentStats does not carry it (a
-	// msgcodec version bump would be required), so a remote RTS reports an
-	// empty slice.
-	SchedulerBusy []time.Duration
-}
-
-// StoreStatsReporter is the optional RTS extension behind Progress.Store.
-// An RTS that can see its task store and agent schedulers implements it;
-// Snapshot degrades to the configured scheduler count otherwise.
-type StoreStatsReporter interface {
-	StoreStats() StoreStats
-}
-
-// RTSStats exposes counters from the runtime system.
-type RTSStats struct {
-	PilotsSubmitted int
-	TasksSubmitted  int
-	TasksCompleted  int
-	TasksFailed     int
-	TasksInFlight   int
-	Restarts        int
-}
+// The three messages that cross the RTS boundary — descriptions in, results
+// out, stats out — are wire types as well (the done queue and the remote
+// control plane carry them), so each is defined once, in internal/msgcodec
+// beside its codec, and aliased here.
+type (
+	// TaskDescription is the RTS-facing translation of a Task — what EnTK's
+	// Emgr hands to the runtime system (paper: "translate tasks from and to
+	// RTS-specific objects").
+	TaskDescription = msgcodec.TaskDescription
+	// StagingAction is the kind of data movement a staging directive performs.
+	StagingAction = msgcodec.StagingAction
+	// StagingDirective describes one input or output data movement.
+	StagingDirective = msgcodec.StagingDirective
+	// TaskResult is the RTS's report of one finished task attempt.
+	TaskResult = msgcodec.TaskResult
+	// RTSStats is what RTS.Stats returns: task and pilot counters, the pilot
+	// occupancy and the task store's counters. A composite RTS merges its
+	// members' with RTSStats.Add.
+	RTSStats = msgcodec.RTSStats
+	// Utilization is the pilot-occupancy part of RTSStats, surfaced as
+	// Progress.Utilization.
+	Utilization = msgcodec.Utilization
+	// StoreStats is the task-store and scheduler-pool part of RTSStats,
+	// surfaced as Progress.Store.
+	StoreStats = msgcodec.StoreStats
+)
 
 // RTS is the black-box runtime-system interface (paper §II-B2: "the
 // isolation of the RTS into a stand-alone subsystem ... enables
@@ -126,7 +75,10 @@ type RTS interface {
 	Alive() bool
 	// Stop cancels pilots and shuts the RTS down, closing Completions.
 	Stop() error
-	// Stats returns counters.
+	// Stats returns the RTS's counters, pilot occupancy and task-store
+	// counters — the whole telemetry contract: Snapshot, the autotune
+	// sampler and a remote agent's report all read this one value. It may
+	// take the store's locks and allocate, so it is not for the task path.
 	Stats() RTSStats
 }
 

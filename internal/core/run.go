@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/journal"
 )
 
 // ErrAlreadyRan is returned by Start (and Run) when the AppManager has
@@ -236,17 +234,6 @@ func (am *AppManager) setup(ctx context.Context) error {
 	}
 	if err := am.registerEntities(); err != nil {
 		return err
-	}
-	if am.cfg.JournalPath != "" {
-		j, err := journal.Open(am.cfg.JournalPath, journal.Options{})
-		if err != nil {
-			return err
-		}
-		am.jrn = j
-		if err := am.recoverFromJournal(); err != nil {
-			am.closeJournal()
-			return err
-		}
 	}
 	if am.cfg.JournalDir != "" {
 		// Durable mode: segmented journal + statedb mirror + snapshots.

@@ -127,8 +127,7 @@ func TestStateStoreWriteFailureFailsTransaction(t *testing.T) {
 
 func TestJournalAndStateStoreTogether(t *testing.T) {
 	db := statedb.New()
-	dir := t.TempDir()
-	am, _ := testApp(t, Config{StateStore: db, JournalPath: dir + "/state.jsonl"})
+	am, _ := testApp(t, Config{StateStore: db, JournalDir: t.TempDir()})
 	pipes := buildApp(1, 1, 2, 10*time.Second)
 	am.AddPipelines(pipes...)
 	if err := runApp(t, am); err != nil {

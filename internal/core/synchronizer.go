@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/broker"
-	"repro/internal/journal"
 	"repro/internal/msgcodec"
 )
 
@@ -444,34 +443,6 @@ func (c *syncClient) pipeline(p *Pipeline, to PipelineState) error {
 	return c.request(stateRequest{Entity: "pipeline", UID: p.UID, Target: string(to)})
 }
 
-// recoverFromJournal replays the state journal, restoring DONE tasks so a
-// restarted application does not re-execute completed work (paper §II-B4:
-// "applications can be executed on multiple attempts, without restarting
-// completed tasks"). Tasks caught mid-flight are reset to the initial state
-// for re-scheduling; stages and pipelines are recomputed from task states by
-// the normal scheduling path.
-func (am *AppManager) recoverFromJournal() error {
-	final := map[string]string{}
-	err := journal.Replay(am.cfg.JournalPath, func(rec journal.Record) error {
-		if rec.Type != "state" {
-			return nil
-		}
-		sr, err := msgcodec.DecodeStateRec(rec.Data)
-		if err != nil {
-			return err
-		}
-		if sr.Entity == "task" {
-			final[sr.UID] = sr.State
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	am.restoreDone(final)
-	return nil
-}
-
 // restoreDone forces every registered, not yet terminal task that states
 // (latest state per task UID) records as DONE into DONE, and returns how
 // many it restored.
@@ -490,8 +461,9 @@ func (am *AppManager) restoreDone(states map[string]string) int {
 }
 
 // recoverFromStateStore reacquires the latest task states from the external
-// database (§II-B4). As with journal recovery, only DONE tasks are restored;
-// everything caught mid-flight is re-scheduled by the normal path.
+// database (§II-B4). As with journal recovery (openDurable), only DONE tasks
+// are restored; everything caught mid-flight is re-scheduled by the normal
+// path.
 func (am *AppManager) recoverFromStateStore() error {
 	states, err := am.cfg.StateStore.LoadTaskStates()
 	if err != nil {

@@ -43,9 +43,6 @@ type GPUReqs struct {
 	Processes int
 }
 
-// StagingAction is the kind of data movement a staging directive performs.
-type StagingAction string
-
 // Staging actions supported by the RTS (paper §II-D: links, copies and
 // transfers enacted via SAGA; the weak-scaling experiment uses 3 links and
 // 1 copy per task).
@@ -55,21 +52,6 @@ const (
 	StagingMove     StagingAction = "move"
 	StagingTransfer StagingAction = "transfer"
 )
-
-// StagingDirective describes one input or output data movement.
-type StagingDirective struct {
-	Source string
-	Target string
-	Action StagingAction
-	// Bytes is the payload size used by the filesystem model. Links cost
-	// only a metadata operation regardless of Bytes.
-	Bytes int64
-	// Protocol selects the transfer mechanism for StagingTransfer
-	// directives — "cp", "scp", "gsiscp", "sftp", "gsisftp" or "globus"
-	// (paper §II-D). Empty means the backend's default. Ignored for local
-	// copy/link/move actions, which always use the shared filesystem.
-	Protocol string
-}
 
 // Task is the paper's atomic unit of execution: "a stand-alone process that
 // has well defined input, output, termination criteria, and dedicated

@@ -107,38 +107,6 @@ func DecodeHello(body []byte) (Hello, error) {
 	return h, nil
 }
 
-// RemoteStaging is the wire shape of one staging directive. It mirrors
-// core.StagingDirective field for field (msgcodec cannot import core).
-type RemoteStaging struct {
-	Source   string
-	Target   string
-	Action   string
-	Bytes    int64
-	Protocol string
-}
-
-// RemoteTask is the wire shape of one task description shipped to a remote
-// agent. It carries every core.TaskDescription field except LocalFunc —
-// in-process closures cannot cross a socket, so the manager-side proxy
-// rejects tasks that set one (docs/remote.md).
-type RemoteTask struct {
-	UID         string
-	Name        string
-	Executable  string
-	Arguments   []string
-	Environment map[string]string
-	Cores       int
-	GPUs        int
-	Duration    time.Duration
-	IOLoad      float64
-	PreExec     int
-	PostExec    int
-	Input       []RemoteStaging
-	Output      []RemoteStaging
-	Attempt     int
-	Tags        map[string]string
-}
-
 // The fewest bytes one element of each repeated group encodes to — all its
 // strings empty, all its numbers one-byte varints. reader.count holds a
 // claimed element count against these before anything is sized by it.
@@ -180,62 +148,60 @@ func (r *reader) stringMap() (map[string]string, error) {
 	return m, nil
 }
 
-func appendStaging(buf []byte, ds []RemoteStaging) []byte {
+func appendStaging(buf []byte, ds []StagingDirective) []byte {
 	buf = appendUvarint(buf, uint64(len(ds)))
 	for i := range ds {
 		d := &ds[i]
 		buf = appendString(buf, d.Source)
 		buf = appendString(buf, d.Target)
-		buf = appendString(buf, d.Action)
+		buf = appendString(buf, string(d.Action))
 		buf = appendVarint(buf, d.Bytes)
 		buf = appendString(buf, d.Protocol)
 	}
 	return buf
 }
 
-// staging decodes one staging list into buf[:0], growing it as needed, and
-// returns it — empty, never nil, for an empty list, so the caller keeps the
-// capacity for the next task.
-func (r *reader) staging(buf []RemoteStaging) ([]RemoteStaging, error) {
+// staging decodes one staging list; an empty one is nil.
+func (r *reader) staging() ([]StagingDirective, error) {
 	n, err := r.count(minStagingSize)
-	if err != nil {
-		return buf, err
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	buf = buf[:0]
-	for i := 0; i < n; i++ {
-		var d RemoteStaging
+	ds := make([]StagingDirective, n)
+	for i := range ds {
+		d := &ds[i]
 		if d.Source, err = r.str(); err != nil {
-			return buf, err
+			return nil, err
 		}
 		if d.Target, err = r.str(); err != nil {
-			return buf, err
+			return nil, err
 		}
-		if d.Action, err = r.str(); err != nil {
-			return buf, err
+		var action string
+		if action, err = r.str(); err != nil {
+			return nil, err
 		}
+		d.Action = StagingAction(action)
 		if d.Bytes, err = r.varint(); err != nil {
-			return buf, err
+			return nil, err
 		}
 		if d.Protocol, err = r.str(); err != nil {
-			return buf, err
+			return nil, err
 		}
-		buf = append(buf, d)
 	}
-	return buf, nil
+	return ds, nil
 }
 
-// EncodeTaskBatchFunc encodes a manager -> agent batch of n tasks straight
-// from whatever the caller holds them in: fill(i, t) describes task i into
-// t, for i = 0..n-1 in order. t is one scratch value, zeroed before every
-// call except that Input and Output keep their capacity at length 0, so a
-// filler translating staging directives appends to them.
-func EncodeTaskBatchFunc(n int, fill func(i int, t *RemoteTask)) []byte {
+// EncodeTaskBatchFunc encodes a manager -> agent batch of n tasks that the
+// caller does not hold as one contiguous slice (the proxy stripes a batch
+// across its agents): fill(i, t) sets *t to task i, for i = 0..n-1 in order.
+// t is one scratch value, zero before every call. LocalFunc is not encoded.
+func EncodeTaskBatchFunc(n int, fill func(i int, t *TaskDescription)) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameTaskBatch)
 	buf = appendUvarint(buf, uint64(n))
-	var t RemoteTask
+	var t TaskDescription
 	for i := 0; i < n; i++ {
-		t = RemoteTask{Input: t.Input[:0], Output: t.Output[:0]}
+		t = TaskDescription{}
 		fill(i, &t)
 		buf = appendString(buf, t.UID)
 		buf = appendString(buf, t.Name)
@@ -260,45 +226,38 @@ func EncodeTaskBatchFunc(n int, fill func(i int, t *RemoteTask)) []byte {
 }
 
 // EncodeTaskBatch encodes a manager -> agent task batch held as a slice.
-func EncodeTaskBatch(tasks []RemoteTask) []byte {
-	return EncodeTaskBatchFunc(len(tasks), func(i int, t *RemoteTask) { *t = tasks[i] })
+func EncodeTaskBatch(tasks []TaskDescription) []byte {
+	return EncodeTaskBatchFunc(len(tasks), func(i int, t *TaskDescription) { *t = tasks[i] })
 }
 
-// DecodeTaskBatchFunc decodes a manager -> agent task batch straight into
-// whatever the caller keeps tasks in: size(n) is called once with the task
-// count, after the count has been held against the frame's length and
-// before any task is decoded; each(i, t) is then called for i = 0..n-1 in
-// order. An error can follow any number of each calls.
+// DecodeTaskBatch decodes a manager -> agent task batch into one slice,
+// sized by the task count once that count has been held against the frame's
+// length, and filled in place — the slice the agent's RTS keeps.
 //
 // The frame is copied into one string and every string field is a substring
-// of it: nothing handed to each aliases body, and a retained field keeps
-// that one copy — about the frame's size — reachable. t is one scratch value.
-// Its Arguments, Environment and Tags are the task's own and may be kept;
-// its Input and Output are overwritten by the next task and must be copied.
-func DecodeTaskBatchFunc(body []byte, size func(n int), each func(i int, t *RemoteTask)) error {
+// of it: nothing returned aliases body, and a retained field keeps that one
+// copy — about the frame's size — reachable.
+func DecodeTaskBatch(body []byte) ([]TaskDescription, error) {
 	r, err := frameReader(body, FrameTaskBatch)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n, err := r.count(minRemoteTaskSize)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.share(body)
-	size(n)
-	var t RemoteTask
-	for i := 0; i < n; i++ {
-		t = RemoteTask{Input: t.Input, Output: t.Output}
-		if err := r.remoteTask(&t); err != nil {
-			return err
+	tasks := make([]TaskDescription, n)
+	for i := range tasks {
+		if err := r.task(&tasks[i]); err != nil {
+			return nil, err
 		}
-		each(i, &t)
 	}
-	return nil
+	return tasks, nil
 }
 
-// remoteTask decodes one task of a batch into t.
-func (r *reader) remoteTask(t *RemoteTask) (err error) {
+// task decodes one task of a batch into t, which is zero.
+func (r *reader) task(t *TaskDescription) (err error) {
 	if t.UID, err = r.str(); err != nil {
 		return err
 	}
@@ -349,10 +308,10 @@ func (r *reader) remoteTask(t *RemoteTask) (err error) {
 		return err
 	}
 	t.PostExec = int(v)
-	if t.Input, err = r.staging(t.Input); err != nil {
+	if t.Input, err = r.staging(); err != nil {
 		return err
 	}
-	if t.Output, err = r.staging(t.Output); err != nil {
+	if t.Output, err = r.staging(); err != nil {
 		return err
 	}
 	if v, err = r.varint(); err != nil {
@@ -363,78 +322,43 @@ func (r *reader) remoteTask(t *RemoteTask) (err error) {
 	return err
 }
 
-// DecodeTaskBatch decodes a manager -> agent task batch into a slice.
-func DecodeTaskBatch(body []byte) ([]RemoteTask, error) {
-	var tasks []RemoteTask
-	err := DecodeTaskBatchFunc(body,
-		func(n int) { tasks = make([]RemoteTask, n) },
-		func(i int, t *RemoteTask) {
-			tasks[i] = *t
-			tasks[i].Input = cloneStaging(t.Input)
-			tasks[i].Output = cloneStaging(t.Output)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return tasks, nil
-}
-
-// cloneStaging copies a scratch staging list; an empty one becomes nil.
-func cloneStaging(ds []RemoteStaging) []RemoteStaging {
-	if len(ds) == 0 {
-		return nil
-	}
-	return append([]RemoteStaging(nil), ds...)
-}
-
-// AgentStats is the agent's periodic liveness and utilization report: the
-// remote equivalent of polling Alive/Utilization/StoreStats in-process. The
-// store block mirrors core.StoreStats field for field.
+// AgentStats is the agent's periodic report: whether the hosted RTS is alive
+// — the application-level failure signal — and its Stats, the remote
+// equivalent of polling Alive and Stats in-process. The frame carries the
+// RTSStats' Utilization and Store (without SchedulerBusy); the four task and
+// pilot counters are not on the wire and decode as zero.
 type AgentStats struct {
-	Alive         bool
-	CoresTotal    int
-	CoresBusy     int
-	GPUsTotal     int
-	GPUsBusy      int
-	TasksInFlight int
-
-	Shards              int
-	ShardDepths         []int
-	Depth               int
-	Pushed              uint64
-	Pulled              uint64
-	Steals              uint64
-	Schedulers          int
-	SchedulerPulls      []uint64
-	SchedulerDispatches []uint64
+	Alive bool
+	RTSStats
 }
 
 // EncodeAgentStats encodes an agent report frame.
 func EncodeAgentStats(s AgentStats) []byte {
+	u, st := &s.Utilization, &s.Store
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameAgentStats)
 	buf = appendBool(buf, s.Alive)
-	buf = appendVarint(buf, int64(s.CoresTotal))
-	buf = appendVarint(buf, int64(s.CoresBusy))
-	buf = appendVarint(buf, int64(s.GPUsTotal))
-	buf = appendVarint(buf, int64(s.GPUsBusy))
-	buf = appendVarint(buf, int64(s.TasksInFlight))
-	buf = appendVarint(buf, int64(s.Shards))
-	buf = appendUvarint(buf, uint64(len(s.ShardDepths)))
-	for _, d := range s.ShardDepths {
+	buf = appendVarint(buf, int64(u.CoresTotal))
+	buf = appendVarint(buf, int64(u.CoresBusy))
+	buf = appendVarint(buf, int64(u.GPUsTotal))
+	buf = appendVarint(buf, int64(u.GPUsBusy))
+	buf = appendVarint(buf, int64(u.TasksInFlight))
+	buf = appendVarint(buf, int64(st.Shards))
+	buf = appendUvarint(buf, uint64(len(st.ShardDepths)))
+	for _, d := range st.ShardDepths {
 		buf = appendVarint(buf, int64(d))
 	}
-	buf = appendVarint(buf, int64(s.Depth))
-	buf = appendUvarint(buf, s.Pushed)
-	buf = appendUvarint(buf, s.Pulled)
-	buf = appendUvarint(buf, s.Steals)
-	buf = appendVarint(buf, int64(s.Schedulers))
-	buf = appendUvarint(buf, uint64(len(s.SchedulerPulls)))
-	for _, v := range s.SchedulerPulls {
+	buf = appendVarint(buf, int64(st.Depth))
+	buf = appendUvarint(buf, st.Pushed)
+	buf = appendUvarint(buf, st.Pulled)
+	buf = appendUvarint(buf, st.Steals)
+	buf = appendVarint(buf, int64(st.Schedulers))
+	buf = appendUvarint(buf, uint64(len(st.SchedulerPulls)))
+	for _, v := range st.SchedulerPulls {
 		buf = appendUvarint(buf, v)
 	}
-	buf = appendUvarint(buf, uint64(len(s.SchedulerDispatches)))
-	for _, v := range s.SchedulerDispatches {
+	buf = appendUvarint(buf, uint64(len(st.SchedulerDispatches)))
+	for _, v := range st.SchedulerDispatches {
 		buf = appendUvarint(buf, v)
 	}
 	return putBuf(bp, buf)
@@ -447,10 +371,11 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 		return AgentStats{}, err
 	}
 	var s AgentStats
+	u, st := &s.Utilization, &s.Store
 	if s.Alive, err = r.bool(); err != nil {
 		return AgentStats{}, err
 	}
-	ints := []*int{&s.CoresTotal, &s.CoresBusy, &s.GPUsTotal, &s.GPUsBusy, &s.TasksInFlight, &s.Shards}
+	ints := []*int{&u.CoresTotal, &u.CoresBusy, &u.GPUsTotal, &u.GPUsBusy, &u.TasksInFlight, &st.Shards}
 	for _, p := range ints {
 		v, err := r.varint()
 		if err != nil {
@@ -463,21 +388,21 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 		return AgentStats{}, err
 	}
 	if n > 0 {
-		s.ShardDepths = make([]int, n)
-		for i := range s.ShardDepths {
+		st.ShardDepths = make([]int, n)
+		for i := range st.ShardDepths {
 			v, err := r.varint()
 			if err != nil {
 				return AgentStats{}, err
 			}
-			s.ShardDepths[i] = int(v)
+			st.ShardDepths[i] = int(v)
 		}
 	}
 	v, err := r.varint()
 	if err != nil {
 		return AgentStats{}, err
 	}
-	s.Depth = int(v)
-	for _, p := range []*uint64{&s.Pushed, &s.Pulled, &s.Steals} {
+	st.Depth = int(v)
+	for _, p := range []*uint64{&st.Pushed, &st.Pulled, &st.Steals} {
 		if *p, err = r.uvarint(); err != nil {
 			return AgentStats{}, err
 		}
@@ -485,8 +410,8 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 	if v, err = r.varint(); err != nil {
 		return AgentStats{}, err
 	}
-	s.Schedulers = int(v)
-	for _, p := range []*[]uint64{&s.SchedulerPulls, &s.SchedulerDispatches} {
+	st.Schedulers = int(v)
+	for _, p := range []*[]uint64{&st.SchedulerPulls, &st.SchedulerDispatches} {
 		n, err := r.count(1)
 		if err != nil {
 			return AgentStats{}, err

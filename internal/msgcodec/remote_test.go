@@ -104,9 +104,8 @@ func TestTaskBatchGoldenBytes(t *testing.T) {
 	}
 }
 
-// DecodeTaskBatch is DecodeTaskBatchFunc collecting into a slice, so this is
-// the round trip of both; remoterts' TestDescriptionsSurviveTheWire is the
-// streaming pair's round trip with its real filler and receiver.
+// remoterts' TestDescriptionsSurviveTheWire is the same round trip with the
+// proxy's striping filler and the agent's RTS as the receiver.
 func TestTaskBatchRoundTrip(t *testing.T) {
 	tasks := taskBatchFixture()
 	body := EncodeTaskBatch(tasks)
@@ -163,25 +162,21 @@ func TestHostileCountsErrorBeforeAllocation(t *testing.T) {
 		b := appendUvarint([]byte{Magic, Version, typ}, count)
 		return append(b, make([]byte, payload)...)
 	}
-	decodeBatch := func(body []byte) (sized int, decoded int, err error) {
-		sized = -1
-		err = DecodeTaskBatchFunc(body, func(n int) { sized = n }, func(int, *RemoteTask) { decoded++ })
-		return sized, decoded, err
-	}
-
 	// A zero task is 15 zero bytes, so 4 of them fit 60 bytes exactly.
-	if sized, decoded, err := decodeBatch(frame(FrameTaskBatch, 4, 4*minRemoteTaskSize)); err != nil || sized != 4 || decoded != 4 {
-		t.Fatalf("4 minimal tasks: sized %d, decoded %d, err %v", sized, decoded, err)
+	if tasks, err := DecodeTaskBatch(frame(FrameTaskBatch, 4, 4*minRemoteTaskSize)); err != nil || len(tasks) != 4 {
+		t.Fatalf("4 minimal tasks: decoded %d, err %v", len(tasks), err)
 	}
-	if sized, _, err := decodeBatch(frame(FrameTaskBatch, 4, 4*minRemoteTaskSize-1)); err == nil || sized != -1 {
-		t.Fatalf("4 tasks claimed in 59 bytes: size called with %d, err %v", sized, err)
+	if _, err := DecodeTaskBatch(frame(FrameTaskBatch, 4, 4*minRemoteTaskSize-1)); err == nil {
+		t.Fatal("4 tasks claimed in 59 bytes accepted")
 	}
 	// What the per-byte bound let through: as many tasks as bytes.
-	if sized, _, err := decodeBatch(frame(FrameTaskBatch, 4096, 4096)); err == nil || sized != -1 {
-		t.Fatalf("4096 tasks claimed in 4096 bytes: size called with %d, err %v", sized, err)
-	}
 	if _, err := DecodeTaskBatch(frame(FrameTaskBatch, 4096, 4096)); err == nil {
-		t.Fatal("DecodeTaskBatch accepted 4096 tasks in 4096 bytes")
+		t.Fatal("4096 tasks claimed in 4096 bytes accepted")
+	}
+	// The count is refused before the slice is sized by it: sizing by this
+	// one would not return an error, it would take the process down.
+	if _, err := DecodeTaskBatch(frame(FrameTaskBatch, 1<<40, 4096)); err == nil {
+		t.Fatal("2^40 tasks claimed in 4096 bytes accepted")
 	}
 
 	for _, decode := range []func([]byte) ([]TaskResult, error){DecodeTaskResults, DecodeTaskResultsShared} {
@@ -196,7 +191,7 @@ func TestHostileCountsErrorBeforeAllocation(t *testing.T) {
 	// The repeated groups inside a task: a staging list and a string map that
 	// claim one element per remaining byte.
 	r := reader{b: frame(0, 64, 64)[3:]}
-	if _, err := r.staging(nil); err == nil {
+	if _, err := r.staging(); err == nil {
 		t.Fatal("64 staging directives claimed in 64 bytes accepted")
 	}
 	r = reader{b: frame(0, 64, 64)[3:]}
@@ -205,19 +200,54 @@ func TestHostileCountsErrorBeforeAllocation(t *testing.T) {
 	}
 }
 
+// agentStatsFixture sets every field the agent-stats frame carries.
+func agentStatsFixture() AgentStats {
+	return AgentStats{Alive: true, RTSStats: RTSStats{
+		Utilization: Utilization{CoresTotal: 64, CoresBusy: 12, GPUsTotal: 4, GPUsBusy: 1, TasksInFlight: 9},
+		Store: StoreStats{
+			Shards: 2, ShardDepths: []int{3, 4}, Depth: 7,
+			Pushed: 100, Pulled: 93, Steals: 5, Schedulers: 2,
+			SchedulerPulls: []uint64{50, 43}, SchedulerDispatches: []uint64{48, 45},
+		},
+	}}
+}
+
 func TestAgentStatsRoundTrip(t *testing.T) {
-	s := AgentStats{
-		Alive: true, CoresTotal: 64, CoresBusy: 12, GPUsTotal: 4, GPUsBusy: 1,
-		TasksInFlight: 9, Shards: 2, ShardDepths: []int{3, 4}, Depth: 7,
-		Pushed: 100, Pulled: 93, Steals: 5, Schedulers: 2,
-		SchedulerPulls: []uint64{50, 43}, SchedulerDispatches: []uint64{48, 45},
-	}
+	s := agentStatsFixture()
 	got, err := DecodeAgentStats(EncodeAgentStats(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("got %+v\nwant %+v", got, s)
+	}
+}
+
+// The bytes EncodeAgentStats produced for the same values when AgentStats was
+// its own flat field list (PR 19's tree): carrying an RTSStats instead must
+// not change the 0x34 frame under an agent or manager built from an older
+// commit.
+const (
+	goldenAgentStats     = "bf013401800118080212040206080e645d050402322b02302d"
+	goldenAgentStatsZero = "bf0134000000000000000000000000000000"
+)
+
+func TestAgentStatsGoldenBytes(t *testing.T) {
+	if h := hex.EncodeToString(EncodeAgentStats(agentStatsFixture())); h != goldenAgentStats {
+		t.Errorf("the agent-stats frame changed:\n got %s\nwant %s", h, goldenAgentStats)
+	}
+	// What the frame does not carry does not reach it: the counters stay with
+	// the manager's proxy and SchedulerBusy is local-only.
+	s := AgentStats{RTSStats: RTSStats{
+		PilotsSubmitted: 1, TasksSubmitted: 7, TasksCompleted: 6, TasksFailed: 1,
+		Store: StoreStats{SchedulerBusy: []time.Duration{time.Second}},
+	}}
+	if h := hex.EncodeToString(EncodeAgentStats(s)); h != goldenAgentStatsZero {
+		t.Errorf("the empty agent-stats frame changed:\n got %s\nwant %s", h, goldenAgentStatsZero)
+	}
+	got, err := DecodeAgentStats(EncodeAgentStats(s))
+	if err != nil || !reflect.DeepEqual(got, AgentStats{}) {
+		t.Fatalf("decoded %+v, %v; want the zero report", got, err)
 	}
 }
 
@@ -271,7 +301,9 @@ func FuzzDecodeRemote(f *testing.F) {
 	f.Add(EncodeHello(Hello{Proto: 1, Role: "agent", Name: "a", Cores: 64}))
 	f.Add(EncodeTaskBatch([]RemoteTask{{UID: "t.1", Executable: "sleep", Arguments: []string{"1"},
 		Environment: map[string]string{"K": "V"}, Input: []RemoteStaging{{Source: "s", Action: "Copy"}}}}))
-	f.Add(EncodeAgentStats(AgentStats{Alive: true, ShardDepths: []int{1}, SchedulerPulls: []uint64{2}}))
+	f.Add(EncodeAgentStats(AgentStats{Alive: true, RTSStats: RTSStats{
+		Store: StoreStats{ShardDepths: []int{1}, SchedulerPulls: []uint64{2}}}}))
+	f.Add(EncodeAgentStats(agentStatsFixture()))
 	f.Add(EncodeAttach(Attach{Kinds: []string{"task"}, Buffer: 8}))
 	f.Add(EncodeEventBatch([]RemoteEvent{{Kind: "task", UID: "t", To: "DONE", VTime: time.Unix(1, 2)}}))
 	f.Add(EncodeEventEnd(3))
@@ -294,28 +326,17 @@ func FuzzDecodeRemote(f *testing.F) {
 		DecodeEventBatch(body) //nolint:errcheck
 		DecodeEventEnd(body)   //nolint:errcheck
 
-		// The streaming task decoder: sized at most once, by a count the
-		// frame has room for, and fed exactly that many tasks on success.
+		// What decodes re-encodes and decodes again, task for task (compared
+		// by count: an IOLoad of NaN is not DeepEqual to itself).
 		kept := bytes.Clone(body)
-		sized, fed := -1, 0
-		err := DecodeTaskBatchFunc(body,
-			func(n int) {
-				if sized != -1 || n*minRemoteTaskSize > len(body) {
-					t.Fatalf("size(%d) for a %d-byte frame (already sized: %d)", n, len(body), sized)
-				}
-				sized = n
-			},
-			func(i int, _ *RemoteTask) {
-				if i != fed || i >= sized {
-					t.Fatalf("each(%d) after %d tasks of %d", i, fed, sized)
-				}
-				fed++
-			})
-		if err == nil && fed != sized {
-			t.Fatalf("decoded %d of %d tasks without an error", fed, sized)
-		}
-		if tasks, werr := DecodeTaskBatch(body); (werr == nil) != (err == nil) || (werr == nil && len(tasks) != fed) {
-			t.Fatalf("DecodeTaskBatch: %d tasks, %v; streaming form: %d tasks, %v", len(tasks), werr, fed, err)
+		if tasks, err := DecodeTaskBatch(body); err == nil {
+			if len(tasks)*minRemoteTaskSize > len(body) {
+				t.Fatalf("%d tasks from a %d-byte frame", len(tasks), len(body))
+			}
+			again, err := DecodeTaskBatch(EncodeTaskBatch(tasks))
+			if err != nil || len(again) != len(tasks) {
+				t.Fatalf("re-encoded batch decodes to %d tasks, %v; want %d", len(again), err, len(tasks))
+			}
 		}
 
 		// Shared-string results are the copying decoder's results.

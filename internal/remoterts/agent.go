@@ -225,12 +225,9 @@ func (s *agentSession) recvLoop() {
 		if !ok || t != msgcodec.FrameTaskBatch {
 			continue
 		}
-		// One slice per frame, filled in place: the RTS keeps it (the store
+		// One slice per frame, decoded in place: the RTS keeps it (the store
 		// holds the descriptions until they are pulled).
-		var tasks []core.TaskDescription
-		err = msgcodec.DecodeTaskBatchFunc(body,
-			func(n int) { tasks = make([]core.TaskDescription, n) },
-			func(i int, rt *msgcodec.RemoteTask) { fromRemoteTask(&tasks[i], rt) })
+		tasks, err := msgcodec.DecodeTaskBatch(body)
 		if err != nil {
 			s.stop()
 			return
@@ -275,7 +272,7 @@ func (s *agentSession) statsLoop() {
 			return
 		case <-ticker.C:
 		}
-		stats := s.gather()
+		stats := msgcodec.AgentStats{Alive: s.rts.Alive(), RTSStats: s.rts.Stats()}
 		if err := s.tc.Send(msgcodec.EncodeAgentStats(stats)); err != nil {
 			s.stop()
 			return
@@ -289,30 +286,4 @@ func (s *agentSession) statsLoop() {
 			return
 		}
 	}
-}
-
-// gather snapshots the hosted RTS into one wire report.
-func (s *agentSession) gather() msgcodec.AgentStats {
-	st := msgcodec.AgentStats{
-		Alive:         s.rts.Alive(),
-		TasksInFlight: s.rts.Stats().TasksInFlight,
-	}
-	if ur, ok := s.rts.(core.UtilizationReporter); ok {
-		u := ur.Utilization()
-		st.CoresTotal, st.CoresBusy = u.CoresTotal, u.CoresBusy
-		st.GPUsTotal, st.GPUsBusy = u.GPUsTotal, u.GPUsBusy
-	}
-	if sr, ok := s.rts.(core.StoreStatsReporter); ok {
-		ss := sr.StoreStats()
-		st.Shards = ss.Shards
-		st.ShardDepths = ss.ShardDepths
-		st.Depth = ss.Depth
-		st.Pushed = ss.Pushed
-		st.Pulled = ss.Pulled
-		st.Steals = ss.Steals
-		st.Schedulers = ss.Schedulers
-		st.SchedulerPulls = ss.SchedulerPulls
-		st.SchedulerDispatches = ss.SchedulerDispatches
-	}
-	return st
 }

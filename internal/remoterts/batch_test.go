@@ -122,7 +122,7 @@ func TestStripingIsInterleavedRoundRobin(t *testing.T) {
 				}
 			}
 		}
-		if got := p.Stats(); got.TasksSubmitted != got.TasksCompleted || got.TasksInFlight != 0 {
+		if got := p.Stats(); got.TasksSubmitted != got.TasksCompleted || got.Utilization.TasksInFlight != 0 {
 			t.Fatalf("%d peers: proxy counters %+v after every batch drained", peers, got)
 		}
 	}
@@ -182,7 +182,7 @@ func TestLocalFuncBatchSendsNoFrame(t *testing.T) {
 			t.Fatalf("peer %d was sent %d frames of a rejected batch", k, sent-sentBefore[k])
 		}
 	}
-	if st := p.Stats(); st.TasksSubmitted != 0 || st.TasksInFlight != 0 {
+	if st := p.Stats(); st.TasksSubmitted != 0 || st.Utilization.TasksInFlight != 0 {
 		t.Fatalf("a rejected batch was counted: %+v", st)
 	}
 	// The proxy is still usable, and the agents saw only the accepted batch.

@@ -217,8 +217,8 @@ func (p *Proxy) Submit(tasks []core.TaskDescription) error {
 		if count == 0 {
 			continue
 		}
-		body := msgcodec.EncodeTaskBatchFunc(count, func(i int, rt *msgcodec.RemoteTask) {
-			toRemoteTask(rt, &tasks[first+i*len(live)])
+		body := msgcodec.EncodeTaskBatchFunc(count, func(i int, t *core.TaskDescription) {
+			*t = tasks[first+i*len(live)]
 		})
 		if err := pr.send(body); err != nil {
 			p.peerDied(pr, fmt.Errorf("remoterts: submit to %s: %w", pr.addr, err))
@@ -270,63 +270,23 @@ func (p *Proxy) Stop() error {
 	return nil
 }
 
-// Stats implements core.RTS. PilotsSubmitted counts agents that completed a
-// handshake (each fronts one pilot).
+// Stats implements core.RTS: the agents' last reports merged in address order
+// (an agent's capacity comes from its handshake until its first report
+// lands), under the proxy's own counters — it sees every submission and every
+// result, and the reports lag by up to a heartbeat. PilotsSubmitted counts
+// agents that completed a handshake (each fronts one pilot).
 func (p *Proxy) Stats() core.RTSStats {
-	return core.RTSStats{
-		PilotsSubmitted: int(p.everUp.Load()),
-		TasksSubmitted:  int(atomic.LoadInt64(&p.submitted)),
-		TasksCompleted:  int(atomic.LoadInt64(&p.completed)),
-		TasksFailed:     int(atomic.LoadInt64(&p.failed)),
-		TasksInFlight:   int(atomic.LoadInt64(&p.inflight)),
-	}
-}
-
-// Utilization implements core.UtilizationReporter by summing the agents'
-// last reports (capacity from the handshake until the first report lands).
-func (p *Proxy) Utilization() core.Utilization {
-	var u core.Utilization
+	var st core.RTSStats
 	for _, pr := range p.peers {
 		pr.mu.Lock()
-		if pr.statsSet {
-			u.CoresTotal += pr.stats.CoresTotal
-			u.CoresBusy += pr.stats.CoresBusy
-			u.GPUsTotal += pr.stats.GPUsTotal
-			u.GPUsBusy += pr.stats.GPUsBusy
-		} else if pr.everUp {
-			u.CoresTotal += pr.hello.Cores
-			u.GPUsTotal += pr.hello.GPUs
-		}
+		st.Add(pr.stats.RTSStats)
 		pr.mu.Unlock()
 	}
-	u.TasksInFlight = int(atomic.LoadInt64(&p.inflight))
-	return u
-}
-
-// StoreStats implements core.StoreStatsReporter by concatenating the
-// agents' store reports, the same composition rule the multi-pilot router
-// uses: sums for scalar counters, appended slices for per-shard and
-// per-scheduler tallies.
-func (p *Proxy) StoreStats() core.StoreStats {
-	var st core.StoreStats
-	for _, pr := range p.peers {
-		pr.mu.Lock()
-		s := pr.stats
-		set := pr.statsSet
-		pr.mu.Unlock()
-		if !set {
-			continue
-		}
-		st.Shards += s.Shards
-		st.ShardDepths = append(st.ShardDepths, s.ShardDepths...)
-		st.Depth += s.Depth
-		st.Pushed += s.Pushed
-		st.Pulled += s.Pulled
-		st.Steals += s.Steals
-		st.Schedulers += s.Schedulers
-		st.SchedulerPulls = append(st.SchedulerPulls, s.SchedulerPulls...)
-		st.SchedulerDispatches = append(st.SchedulerDispatches, s.SchedulerDispatches...)
-	}
+	st.PilotsSubmitted = int(p.everUp.Load())
+	st.TasksSubmitted = int(atomic.LoadInt64(&p.submitted))
+	st.TasksCompleted = int(atomic.LoadInt64(&p.completed))
+	st.TasksFailed = int(atomic.LoadInt64(&p.failed))
+	st.Utilization.TasksInFlight = int(atomic.LoadInt64(&p.inflight))
 	return st
 }
 
@@ -389,10 +349,7 @@ type peer struct {
 	mu       sync.Mutex
 	tc       *transport.Conn
 	up       bool
-	everUp   bool
-	hello    msgcodec.Hello
-	stats    msgcodec.AgentStats
-	statsSet bool
+	stats    msgcodec.AgentStats // the last report; the handshake's capacity before the first
 	inflight atomic.Int64
 }
 
@@ -451,7 +408,6 @@ func (pr *peer) run() {
 		pr.mu.Lock()
 		pr.tc = tc
 		pr.up = true
-		pr.everUp = true
 		pr.mu.Unlock()
 		pr.proxy.everUp.Add(1)
 		select {
@@ -498,7 +454,7 @@ func (pr *peer) connect() (*transport.Conn, error) {
 		return nil, fmt.Errorf("handshake: unexpected peer (role %q, proto %d)", h.Role, h.Proto)
 	}
 	pr.mu.Lock()
-	pr.hello = h
+	pr.stats.Utilization = core.Utilization{CoresTotal: h.Cores, GPUsTotal: h.GPUs}
 	pr.mu.Unlock()
 	return tc, nil
 }
@@ -534,7 +490,6 @@ func (pr *peer) readLoop(tc *transport.Conn) {
 			}
 			pr.mu.Lock()
 			pr.stats = stats
-			pr.statsSet = true
 			pr.mu.Unlock()
 			if !stats.Alive {
 				// The agent's own RTS died (pilot walltime, store failure):

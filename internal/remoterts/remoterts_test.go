@@ -171,7 +171,7 @@ func TestProxyStripesAcrossAgents(t *testing.T) {
 	waitFor(t, "both agents to serve tasks", func() bool {
 		return a1.Served() > 0 && a2.Served() > 0 && a1.Served()+a2.Served() == 50
 	})
-	u := p.Utilization()
+	u := p.Stats().Utilization
 	if u.CoresTotal == 0 {
 		t.Fatal("utilization did not aggregate agent capacity")
 	}

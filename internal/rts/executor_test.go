@@ -243,7 +243,7 @@ func TestRejectedTaskTakesNoExecutor(t *testing.T) {
 	if got := h.rts.agent.spawned.Load(); got != 0 {
 		t.Fatalf("rejected tasks started %d executors", got)
 	}
-	if s := h.rts.Stats(); s.TasksCompleted != 2 || s.TasksFailed != 2 || s.TasksInFlight != 0 {
+	if s := h.rts.Stats(); s.TasksCompleted != 2 || s.TasksFailed != 2 || s.Utilization.TasksInFlight != 0 {
 		t.Fatalf("stats after two rejections: %+v", s)
 	}
 }

@@ -237,9 +237,6 @@ func (p *Pool) HoldUntilQueued(backlog map[string]int) {
 	p.mu.Unlock()
 }
 
-// Utilization exposes the shared pilot's occupancy.
-func (p *Pool) Utilization() core.Utilization { return p.inner.Utilization() }
-
 // LeaseSpec is one run's resource claim against the pool.
 type LeaseSpec struct {
 	RunID  string
@@ -659,32 +656,23 @@ func (l *Lease) pump(wg *sync.WaitGroup) {
 	}
 }
 
-// Stats implements core.RTS.
-func (l *Lease) Stats() core.RTSStats {
-	return core.RTSStats{
-		PilotsSubmitted: 0, // the pilot belongs to the pool, not the lease
-		TasksSubmitted:  int(atomic.LoadInt64(&l.submitted)),
-		TasksCompleted:  int(atomic.LoadInt64(&l.completed)),
-		TasksFailed:     int(atomic.LoadInt64(&l.failed)),
-		TasksInFlight:   int(atomic.LoadInt64(&l.inflight)),
-	}
-}
-
-// Utilization implements core.UtilizationReporter by reporting the shared
-// pilot's occupancy (all tenants combined) scoped to this lease's claim.
-func (l *Lease) Utilization() core.Utilization {
-	u := l.pool.Utilization()
-	u.CoresTotal = l.cores
-	u.GPUsTotal = l.gpus
-	if u.CoresBusy > l.cores {
-		u.CoresBusy = l.cores
-	}
-	if u.GPUsBusy > l.gpus {
-		u.GPUsBusy = l.gpus
-	}
-	return u
-}
-
-// StoreStats implements core.StoreStatsReporter by forwarding the shared
+// Stats implements core.RTS: the lease's own task counters (the pilot
+// belongs to the pool, so PilotsSubmitted is 0), the shared pilot's occupancy
+// — all tenants combined — scoped to this lease's claim, and the shared
 // pilot's store counters (one store serves every lease).
-func (l *Lease) StoreStats() core.StoreStats { return l.pool.inner.StoreStats() }
+func (l *Lease) Stats() core.RTSStats {
+	pilot := l.pool.inner.Stats()
+	return core.RTSStats{
+		TasksSubmitted: int(atomic.LoadInt64(&l.submitted)),
+		TasksCompleted: int(atomic.LoadInt64(&l.completed)),
+		TasksFailed:    int(atomic.LoadInt64(&l.failed)),
+		Utilization: core.Utilization{
+			CoresTotal:    l.cores,
+			CoresBusy:     min(pilot.Utilization.CoresBusy, l.cores),
+			GPUsTotal:     l.gpus,
+			GPUsBusy:      min(pilot.Utilization.GPUsBusy, l.gpus),
+			TasksInFlight: int(atomic.LoadInt64(&l.inflight)),
+		},
+		Store: pilot.Store,
+	}
+}

@@ -34,8 +34,7 @@ type Router struct {
 	wg          sync.WaitGroup
 	started     bool
 
-	submitted int64
-	routedTo  sync.Map // member name -> *int64
+	routedTo sync.Map // member name -> *int64
 }
 
 type member struct {
@@ -189,7 +188,6 @@ func (r *Router) Submit(tasks []core.TaskDescription) error {
 			return fmt.Errorf("rts: router member %s: %w", m.name, err)
 		}
 		atomic.AddInt64(&m.inflight, int64(len(batch)))
-		atomic.AddInt64(&r.submitted, int64(len(batch)))
 		key := m.name
 		v, _ := r.routedTo.LoadOrStore(key, new(int64))
 		atomic.AddInt64(v.(*int64), int64(len(batch)))
@@ -199,49 +197,6 @@ func (r *Router) Submit(tasks []core.TaskDescription) error {
 
 // Completions implements core.RTS.
 func (r *Router) Completions() <-chan core.TaskResult { return r.completions }
-
-// Utilization implements core.UtilizationReporter by summing the members
-// that can report their own occupancy (heterogeneous pilots aggregate into
-// one campaign-wide view).
-func (r *Router) Utilization() core.Utilization {
-	var u core.Utilization
-	for _, m := range r.members {
-		if ur, ok := m.rts.(core.UtilizationReporter); ok {
-			mu := ur.Utilization()
-			u.CoresTotal += mu.CoresTotal
-			u.CoresBusy += mu.CoresBusy
-			u.GPUsTotal += mu.GPUsTotal
-			u.GPUsBusy += mu.GPUsBusy
-		}
-	}
-	return u
-}
-
-// StoreStats implements core.StoreStatsReporter by aggregating the members
-// that can report their task stores: counters sum, shard depths and
-// per-scheduler tallies concatenate in member order (a campaign-wide view
-// of every pilot's scheduler pool).
-func (r *Router) StoreStats() core.StoreStats {
-	var out core.StoreStats
-	for _, m := range r.members {
-		sr, ok := m.rts.(core.StoreStatsReporter)
-		if !ok {
-			continue
-		}
-		st := sr.StoreStats()
-		out.Shards += st.Shards
-		out.ShardDepths = append(out.ShardDepths, st.ShardDepths...)
-		out.Depth += st.Depth
-		out.Pushed += st.Pushed
-		out.Pulled += st.Pulled
-		out.Steals += st.Steals
-		out.Schedulers += st.Schedulers
-		out.SchedulerPulls = append(out.SchedulerPulls, st.SchedulerPulls...)
-		out.SchedulerDispatches = append(out.SchedulerDispatches, st.SchedulerDispatches...)
-		out.SchedulerBusy = append(out.SchedulerBusy, st.SchedulerBusy...)
-	}
-	return out
-}
 
 // Alive implements core.RTS: the router is alive while every member is
 // (EnTK's heartbeat then replaces the whole composite, preserving the
@@ -271,16 +226,13 @@ func (r *Router) Stop() error {
 	return firstErr
 }
 
-// Stats implements core.RTS by aggregating members.
+// Stats implements core.RTS by merging the members' in member order:
+// heterogeneous pilots aggregate into one campaign-wide view of counters,
+// occupancy and every pilot's store and scheduler pool.
 func (r *Router) Stats() core.RTSStats {
 	var out core.RTSStats
 	for _, m := range r.members {
-		s := m.rts.Stats()
-		out.PilotsSubmitted += s.PilotsSubmitted
-		out.TasksSubmitted += s.TasksSubmitted
-		out.TasksCompleted += s.TasksCompleted
-		out.TasksFailed += s.TasksFailed
-		out.TasksInFlight += s.TasksInFlight
+		out.Add(m.rts.Stats())
 	}
 	return out
 }

@@ -319,24 +319,9 @@ func (r *PilotRTS) Stop() error {
 	return nil
 }
 
-// Utilization implements core.UtilizationReporter: pilot occupancy as seen
-// by the agent's scheduler (total minus free cores/GPUs). Before the agent
-// bootstraps, the pilot is idle.
-func (r *PilotRTS) Utilization() core.Utilization {
-	u := core.Utilization{
-		CoresTotal: r.cfg.Resource.Cores,
-		GPUsTotal:  r.cfg.Resource.GPUs,
-	}
-	if r.agent != nil {
-		u.CoresBusy = u.CoresTotal - r.agent.FreeCores()
-		u.GPUsBusy = u.GPUsTotal - r.agent.FreeGPUs()
-	}
-	return u
-}
-
-// StoreStats implements core.StoreStatsReporter: the task store's
-// QueueStats-style counters (per-shard depths, push/pull/steal tallies)
-// merged with the agent's per-scheduler pull and dispatch counts.
+// StoreStats reports the task store's QueueStats-style counters (per-shard
+// depths, push/pull/steal tallies) merged with the agent's per-scheduler
+// pull and dispatch counts: the Store part of Stats.
 func (r *PilotRTS) StoreStats() core.StoreStats {
 	var st core.StoreStats
 	if r.store != nil {
@@ -351,15 +336,27 @@ func (r *PilotRTS) StoreStats() core.StoreStats {
 	return st
 }
 
-// Stats implements core.RTS.
+// Stats implements core.RTS: the task counters, the pilot occupancy as seen
+// by the agent's scheduler (total minus free cores/GPUs; before the agent
+// bootstraps, the pilot is idle) and the store's counters.
 func (r *PilotRTS) Stats() core.RTSStats {
-	return core.RTSStats{
+	st := core.RTSStats{
 		PilotsSubmitted: 1,
 		TasksSubmitted:  int(atomic.LoadInt64(&r.submitted)),
 		TasksCompleted:  int(atomic.LoadInt64(&r.completed)),
 		TasksFailed:     int(atomic.LoadInt64(&r.failed)),
-		TasksInFlight:   int(atomic.LoadInt64(&r.inflight)),
+		Utilization: core.Utilization{
+			CoresTotal:    r.cfg.Resource.Cores,
+			GPUsTotal:     r.cfg.Resource.GPUs,
+			TasksInFlight: int(atomic.LoadInt64(&r.inflight)),
+		},
+		Store: r.StoreStats(),
 	}
+	if r.agent != nil {
+		st.Utilization.CoresBusy = st.Utilization.CoresTotal - r.agent.FreeCores()
+		st.Utilization.GPUsBusy = st.Utilization.GPUsTotal - r.agent.FreeGPUs()
+	}
+	return st
 }
 
 // Factory returns a core.RTSFactory that builds a PilotRTS per call with

@@ -110,7 +110,7 @@ func TestExecutesTaskThroughPilot(t *testing.T) {
 		t.Fatalf("timestamps: %v .. %v", res.Started, res.Finished)
 	}
 	s := h.rts.Stats()
-	if s.TasksSubmitted != 1 || s.TasksCompleted != 1 || s.TasksInFlight != 0 {
+	if s.TasksSubmitted != 1 || s.TasksCompleted != 1 || s.Utilization.TasksInFlight != 0 {
 		t.Fatalf("stats: %+v", s)
 	}
 }

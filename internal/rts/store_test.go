@@ -267,7 +267,7 @@ func TestMultiSchedulerAgentDrains(t *testing.T) {
 			t.Fatalf("task %s failed: %s", res.UID, res.Error)
 		}
 	}
-	st := h.rts.StoreStats()
+	st := h.rts.Stats().Store
 	if st.Schedulers != 4 {
 		t.Fatalf("schedulers = %d, want 4", st.Schedulers)
 	}

@@ -20,7 +20,8 @@ import (
 // msgcodec Snapshot frame (0x09) — the same [len][crc32][payload] framing
 // journal records use — and is written to a temporary file and renamed into
 // place, so a crash mid-snapshot leaves either the previous snapshot or a
-// stray .tmp file, never a half-readable one. Loaders additionally validate
+// stray .tmp file (removed by the next successful write), never a
+// half-readable one. Loaders additionally validate
 // the CRC and skip torn files, falling back to the next-newest snapshot; an
 // intact file in a foreign framing is journal.ErrUnknownFraming, because the
 // segments it made compactable may already be gone.
@@ -134,7 +135,7 @@ func (db *DB) Restore(entries []msgcodec.SnapEntry) error {
 
 // WriteSnapshot atomically persists snap into dir, returning the snapshot
 // file's path. On success, snapshot generations older than the
-// newest keepSnapshots are pruned (best effort).
+// newest keepSnapshots and stale temporaries are pruned (best effort).
 func WriteSnapshot(dir string, snap msgcodec.Snapshot, f msgcodec.Format) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("statedb: snapshot mkdir: %w", err)
@@ -173,14 +174,21 @@ func WriteSnapshot(dir string, snap msgcodec.Snapshot, f msgcodec.Format) (strin
 	return path, nil
 }
 
-// pruneSnapshots removes all but the newest keepSnapshots snapshot files.
-// Best effort: pruning failures leave extra files, never lose data.
+// pruneSnapshots removes all but the newest keepSnapshots snapshot files,
+// and every snapshot temporary: it runs after WriteSnapshot's rename and at
+// most one snapshot write is in flight, so a .tmp still there is what a
+// process that died mid-write left behind. Best effort: pruning failures
+// leave extra files, never lose data.
 func pruneSnapshots(dir string) {
 	watermarks, byWM := listSnapshots(dir)
 	for i, wm := range watermarks {
 		if i >= keepSnapshots {
 			os.Remove(byWM[wm]) //nolint:errcheck
 		}
+	}
+	stale, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix+".tmp")) //nolint:errcheck // only a malformed pattern fails
+	for _, tmp := range stale {
+		os.Remove(tmp) //nolint:errcheck
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -176,6 +177,40 @@ func TestWriteSnapshotPrunesOldGenerations(t *testing.T) {
 	}
 	if wms[0] != 5 || wms[1] != 4 {
 		t.Fatalf("retained watermarks %v, want [5 4]", wms)
+	}
+}
+
+// A process that dies between creating a snapshot's temporary and renaming it
+// leaves the temporary behind; nothing ever renames it, so the next
+// successful write removes it — and loading never looks at it.
+func TestWriteSnapshotRemovesStaleTemporaries(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, SnapshotName(7)+".tmp")
+	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bystander := filepath.Join(dir, "journal-000001.seg.tmp") // not a snapshot's: not ours to remove
+	if err := os.WriteFile(bystander, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := LoadLatestSnapshot(dir); ok || err != nil {
+		t.Fatalf("a directory holding only a temporary loaded a snapshot: %v, %v", ok, err)
+	}
+	db := New()
+	db.SaveState("task", "t.1", "DONE") //nolint:errcheck
+	want := msgcodec.Snapshot{Watermark: 9, Entries: db.SnapshotEntries()}
+	if _, err := WriteSnapshot(dir, want, msgcodec.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("the stale temporary survived a snapshot write: %v", err)
+	}
+	if _, err := os.Stat(bystander); err != nil {
+		t.Fatalf("a file that is not a snapshot temporary was removed: %v", err)
+	}
+	got, ok, err := LoadLatestSnapshot(dir)
+	if err != nil || !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, %v, %v; want %+v", got, ok, err, want)
 	}
 }
 
