@@ -61,16 +61,13 @@ func (c *Client) roundTrip(ctx context.Context, req []byte) (msgcodec.RunOp, err
 		return msgcodec.RunOp{}, err
 	}
 	defer conn.Close() //nolint:errcheck // single-request protocol
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				conn.Close() //nolint:errcheck // unblocks the pending read
-			case <-stop:
-			}
-		}()
+	if ctx.Done() != nil {
+		// No watcher goroutine per operation: the context runs this itself if
+		// it is canceled before stop is called.
+		stop := context.AfterFunc(ctx, func() {
+			conn.Close() //nolint:errcheck // unblocks the pending read
+		})
+		defer stop()
 	}
 	if err := transport.WriteFrame(conn, req); err != nil {
 		return msgcodec.RunOp{}, err

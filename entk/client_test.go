@@ -206,3 +206,37 @@ func TestClientControlOps(t *testing.T) {
 		t.Fatalf("state %s, want CANCELED", info.State)
 	}
 }
+
+// A socket operation gives up when its context does: the pending read is
+// unblocked by closing the connection and the caller gets the context's
+// error, not the read's.
+func TestClientOpHonoursContext(t *testing.T) {
+	_, client := startDaemon(t, nil)
+	bg := context.Background()
+	hog, err := client.Submit(bg, clientApp(4, 8, 2_000_000_000), entk.SubmitOptions{}) // 2 s of wall per task
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
+	defer cancel()
+	returned := make(chan error, 1)
+	go func() { returned <- hog.Wait(ctx) }()
+	select {
+	case err := <-returned:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Wait under an expired context: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Wait outlived its context")
+	}
+	// The context of a finished operation is let go of: canceling it later
+	// must not touch anything.
+	done, cancelDone := context.WithCancel(bg)
+	if _, err := hog.Info(done); err != nil {
+		t.Fatal(err)
+	}
+	cancelDone()
+	if err := hog.Cancel(bg, "test over"); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -201,6 +201,28 @@ func directives(entries []StagingEntry) []core.StagingDirective {
 	return out
 }
 
+// structuralUID formats "<kind>.%03d[.%03d[.%05d]]" from an entity's position
+// in the document: its pipeline index, then stage index, then task index.
+func structuralUID(kind string, pos ...int) string {
+	var buf [48]byte
+	b := append(buf[:0], kind...)
+	for level, i := range pos {
+		width := 3
+		if level == 2 {
+			width = 5
+		}
+		b = core.AppendPadded(append(b, '.'), uint64(i), width)
+	}
+	return string(b)
+}
+
+// copyName is the name of the c-th copy of a task: "<name>-%03d".
+func copyName(name string, c int) string {
+	var buf [48]byte
+	b := append(buf[:0], name...)
+	return string(core.AppendPadded(append(b, '-'), uint64(c), 3))
+}
+
 // Build materializes the document into core pipelines, returning them and
 // the total task count.
 func (a *App) Build() ([]*core.Pipeline, int, error) {
@@ -217,14 +239,15 @@ func (a *App) Build() ([]*core.Pipeline, int, error) {
 		// building the same document name every entity identically — the
 		// property cross-process Resume needs to match journaled states
 		// back to entities (docs/recovery.md). The usual entity-kind
-		// prefixes are preserved.
-		pipe.UID = fmt.Sprintf("pipeline.%03d", pi)
+		// prefixes are preserved: pipeline.%03d, stage.%03d.%03d,
+		// task.%03d.%03d.%05d.
+		pipe.UID = structuralUID("pipeline", pi)
 		if pd.Name != "" {
 			byName[pd.Name] = pipe
 		}
 		for si, sd := range pd.Stages {
 			stage := core.NewStage(sd.Name)
-			stage.UID = fmt.Sprintf("stage.%03d.%03d", pi, si)
+			stage.UID = structuralUID("stage", pi, si)
 			ti := 0
 			for _, td := range sd.Tasks {
 				copies := td.Copies
@@ -232,8 +255,13 @@ func (a *App) Build() ([]*core.Pipeline, int, error) {
 					copies = 1
 				}
 				for c := 0; c < copies; c++ {
-					t := core.NewTask(fmt.Sprintf("%s-%03d", td.Name, c))
-					t.UID = fmt.Sprintf("task.%03d.%03d.%05d", pi, si, ti)
+					// A literal, not core.NewTask: that would mint a
+					// process-global UID only to have it overwritten.
+					t := &core.Task{
+						UID:        structuralUID("task", pi, si, ti),
+						Name:       copyName(td.Name, c),
+						MaxRetries: -1,
+					}
 					ti++
 					t.Executable = td.Executable
 					t.Arguments = append([]string(nil), td.Arguments...)

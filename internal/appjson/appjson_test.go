@@ -1,6 +1,7 @@
 package appjson
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -255,5 +256,75 @@ func TestShippedExampleAppParses(t *testing.T) {
 	// The archive pipeline depends on the ensemble-md pipeline.
 	if preds := pipes[1].Predecessors(); len(preds) != 1 || preds[0] != pipes[0] {
 		t.Fatalf("archive predecessors = %v", preds)
+	}
+}
+
+// Build's UIDs and copy names are identity across processes (a resumed run
+// matches journaled states by them), so they are held to the fmt verbs they
+// were first written with — including positions wider than the pad.
+func TestBuildUIDsAndNamesAreGolden(t *testing.T) {
+	app := App{Resource: Resource{Name: "titan", Cores: 1, WalltimeS: 60}}
+	for pi := 0; pi < 2; pi++ {
+		p := Pipeline{Name: fmt.Sprintf("p%d", pi)}
+		for si := 0; si < 2; si++ {
+			p.Stages = append(p.Stages, Stage{Name: "s", Tasks: []Task{
+				{Name: "first", Executable: "sleep", Copies: 3},
+				{Name: "a-task-name-longer-than-the-stack-buffer-it-is-formatted-in", Executable: "sleep"},
+			}})
+		}
+		app.Pipelines = append(app.Pipelines, p)
+	}
+	pipes, total, err := app.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 16 {
+		t.Fatalf("built %d tasks, want 16", total)
+	}
+	for pi, p := range pipes {
+		if want := fmt.Sprintf("pipeline.%03d", pi); p.UID != want {
+			t.Errorf("pipeline UID %q, want %q", p.UID, want)
+		}
+		for si, s := range p.Stages() {
+			if want := fmt.Sprintf("stage.%03d.%03d", pi, si); s.UID != want {
+				t.Errorf("stage UID %q, want %q", s.UID, want)
+			}
+			for ti, task := range s.Tasks() {
+				if want := fmt.Sprintf("task.%03d.%03d.%05d", pi, si, ti); task.UID != want {
+					t.Errorf("task UID %q, want %q", task.UID, want)
+				}
+				name, c := "first", ti
+				if ti == 3 {
+					name, c = "a-task-name-longer-than-the-stack-buffer-it-is-formatted-in", 0
+				}
+				if want := fmt.Sprintf("%s-%03d", name, c); task.Name != want {
+					t.Errorf("task name %q, want %q", task.Name, want)
+				}
+				if task.MaxRetries != -1 {
+					t.Errorf("task %s MaxRetries %d, want -1 (the application's budget)", task.UID, task.MaxRetries)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		kind string
+		pos  []int
+		want string
+	}{
+		{"pipeline", []int{999}, "pipeline.999"},
+		{"pipeline", []int{1000}, "pipeline.1000"},
+		{"stage", []int{12, 1234}, "stage.012.1234"},
+		{"task", []int{0, 0, 99999}, "task.000.000.99999"},
+		{"task", []int{1000, 1000, 100000}, "task.1000.1000.100000"},
+	} {
+		if got := structuralUID(tc.kind, tc.pos...); got != tc.want {
+			t.Errorf("structuralUID(%s, %v) = %q, want %q", tc.kind, tc.pos, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { structuralUID("task", 1, 2, 3) }); n != 1 {
+		t.Errorf("structuralUID allocates %v times, want 1 (the string)", n)
+	}
+	if got, want := copyName("t", 1000), "t-1000"; got != want {
+		t.Errorf("copyName = %q, want %q", got, want)
 	}
 }

@@ -363,7 +363,7 @@ func (b *Broker) Consume(queueName string, prefetch int) (*Consumer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.consume(prefetch), nil
+	return q.consume(prefetch)
 }
 
 // ConsumeBatch registers a pull-mode consumer on the named queue: instead
@@ -376,7 +376,7 @@ func (b *Broker) ConsumeBatch(queueName string, prefetch int) (*Consumer, error)
 	if err != nil {
 		return nil, err
 	}
-	return q.consumeBatch(prefetch), nil
+	return q.consumeBatch(prefetch)
 }
 
 // AckBatch acknowledges a set of deliveries, removing their messages

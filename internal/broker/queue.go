@@ -108,8 +108,10 @@ func DefaultShards() int {
 // ring-deque of ready messages, the unacked ledger for messages delivered
 // from this shard, and the shard's share of the queue counters. Everything
 // a publish, pop or settle touches lives behind this one mutex, so traffic
-// on different shards shares no locks and no contended cache lines. Shards
-// are allocated individually to keep their headers apart.
+// on different shards shares no locks. A queue's shards are one block (one
+// allocation per queue, and most queues have one shard); the struct is
+// padded to a whole number of cache lines so that neighbours in the block
+// share none.
 type qshard struct {
 	idx int
 
@@ -136,6 +138,8 @@ type qshard struct {
 	bytes     int64
 	peakDepth int
 	peakBytes int64
+
+	_ [56]byte // 136 bytes of fields -> 192: three cache lines
 }
 
 // syncDepthLocked refreshes the lock-free depth mirror; mu must be held.
@@ -202,7 +206,7 @@ type queue struct {
 	name string
 	opts QueueOptions
 
-	shards    []*qshard
+	shards    []qshard      // one block; handed out as &shards[i]
 	pubCursor atomic.Uint64 // round-robin publish-op shard assignment
 	getCursor atomic.Uint64 // rotating scan origin for Broker.Get
 	conCursor atomic.Uint64 // round-robin consumer preferred shards
@@ -212,13 +216,13 @@ type queue struct {
 	// exhausted". Waiter counts gate the wakeups so the uncontended hot
 	// path never touches notifyMu.
 	notifyMu      sync.Mutex
-	emptyCond     *sync.Cond
-	windowCond    *sync.Cond
+	emptyCond     sync.Cond // on notifyMu
+	windowCond    sync.Cond // on notifyMu
 	emptyWaiters  atomic.Int64
 	windowWaiters atomic.Int64
 
-	mu        sync.Mutex // cold path: consumer registry
-	consumers map[*Consumer]struct{}
+	mu        sync.Mutex  // cold path: consumer registry
+	consumers []*Consumer // a handful at most; nil until the first registers
 	closed    atomic.Bool
 
 	steals atomic.Uint64 // pops served from a non-preferred shard
@@ -240,18 +244,14 @@ func newQueue(b *Broker, name string, opts QueueOptions) *queue {
 		n = 1
 	}
 	opts.Shards = n
-	q := &queue{
-		b:         b,
-		name:      name,
-		opts:      opts,
-		consumers: make(map[*Consumer]struct{}),
-	}
-	q.shards = make([]*qshard, n)
+	// Two allocations: the queue and its shard block. A hosted run declares
+	// nine queues and deletes them again within milliseconds.
+	q := &queue{b: b, name: name, opts: opts, shards: make([]qshard, n)}
 	for i := range q.shards {
-		q.shards[i] = &qshard{idx: i}
+		q.shards[i].idx = i
 	}
-	q.emptyCond = sync.NewCond(&q.notifyMu)
-	q.windowCond = sync.NewCond(&q.notifyMu)
+	q.emptyCond.L = &q.notifyMu
+	q.windowCond.L = &q.notifyMu
 	return q
 }
 
@@ -259,14 +259,14 @@ func newQueue(b *Broker, name string, opts QueueOptions) *queue {
 // so stateless producers spread across shard locks while a batch stays
 // contiguous in one shard.
 func (q *queue) nextShard() *qshard {
-	return q.shards[int((q.pubCursor.Add(1)-1)%uint64(len(q.shards)))]
+	return &q.shards[int((q.pubCursor.Add(1)-1)%uint64(len(q.shards)))]
 }
 
 // totalReady sums the lock-free shard depth mirrors.
 func (q *queue) totalReady() int64 {
 	var t int64
-	for _, sh := range q.shards {
-		t += sh.depth.Load()
+	for i := range q.shards {
+		t += q.shards[i].depth.Load()
 	}
 	return t
 }
@@ -459,7 +459,7 @@ func (q *queue) restore(m Message) error {
 func (q *queue) popOne(c *Consumer, start, pref int) (*Delivery, bool) {
 	n := len(q.shards)
 	for i := 0; i < n; i++ {
-		sh := q.shards[(start+i)%n]
+		sh := &q.shards[(start+i)%n]
 		if sh.depth.Load() == 0 {
 			continue
 		}
@@ -501,7 +501,7 @@ func (q *queue) popBatch(c *Consumer, max int) []*Delivery {
 	block := make([]Delivery, avail)
 	batch := make([]*Delivery, 0, avail)
 	for i := 0; i < n && len(batch) < avail; i++ {
-		sh := q.shards[(c.pref+i)%n]
+		sh := &q.shards[(c.pref+i)%n]
 		if sh.depth.Load() == 0 {
 			continue
 		}
@@ -702,7 +702,8 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) error {
 
 func (q *queue) purge() int {
 	total := 0
-	for _, sh := range q.shards {
+	for i := range q.shards {
+		sh := &q.shards[i]
 		sh.mu.Lock()
 		n := sh.ready.Len()
 		for i := 0; i < n; i++ {
@@ -727,7 +728,8 @@ func (q *queue) stats() QueueStats {
 		AckBatches:     q.ackBatches.Load(),
 		NackBatches:    q.nackBatches.Load(),
 	}
-	for i, sh := range q.shards {
+	for i := range q.shards {
+		sh := &q.shards[i]
 		sh.mu.Lock()
 		s.ShardDepths[i] = sh.ready.Len()
 		s.Depth += sh.ready.Len()
@@ -753,18 +755,15 @@ func (q *queue) close() {
 		return
 	}
 	q.closed.Store(true)
-	consumers := make([]*Consumer, 0, len(q.consumers))
-	for c := range q.consumers {
-		consumers = append(consumers, c)
-	}
+	consumers := q.consumers // Cancel unregisters by building a new slice
 	q.mu.Unlock()
 	// Fence every shard lock: a publish that passed the closed check holds
 	// its shard lock, so once this sweep completes no in-flight publish
 	// can still append — Close has the same publish/close mutual exclusion
 	// the single-lock queue had.
-	for _, sh := range q.shards {
-		sh.mu.Lock()
-		sh.mu.Unlock() //nolint:staticcheck // empty critical section is the fence
+	for i := range q.shards {
+		q.shards[i].mu.Lock()
+		q.shards[i].mu.Unlock() //nolint:staticcheck // empty critical section is the fence
 	}
 	q.wakeAll()
 	for _, c := range consumers {
@@ -796,42 +795,70 @@ type Consumer struct {
 	wg      sync.WaitGroup
 }
 
-func (q *queue) consume(prefetch int) *Consumer {
+func (q *queue) consume(prefetch int) (*Consumer, error) {
 	if prefetch <= 0 {
 		prefetch = 1
 	}
 	c := &Consumer{
 		q:        q,
 		prefetch: prefetch,
-		pref:     int((q.conCursor.Add(1) - 1) % uint64(len(q.shards))),
 		ch:       make(chan *Delivery, prefetch),
 		stopCh:   make(chan struct{}),
 	}
-	q.mu.Lock()
-	q.consumers[c] = struct{}{}
-	q.mu.Unlock()
+	if err := q.register(c); err != nil {
+		return nil, err
+	}
 	c.wg.Add(1)
 	go c.loop()
-	return c
+	return c, nil
 }
 
 // consumeBatch registers a pull-mode consumer: no delivery goroutine or
 // channel; the caller pops messages with ReceiveBatch.
-func (q *queue) consumeBatch(prefetch int) *Consumer {
+func (q *queue) consumeBatch(prefetch int) (*Consumer, error) {
 	if prefetch <= 0 {
 		prefetch = 1
 	}
 	c := &Consumer{
 		q:        q,
 		prefetch: prefetch,
-		pref:     int((q.conCursor.Add(1) - 1) % uint64(len(q.shards))),
 		pull:     true,
 		stopCh:   make(chan struct{}),
 	}
+	if err := q.register(c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// register enters c in the queue's consumer registry and assigns its
+// preferred shard. A queue that close has already swept (deleted, or its
+// broker closed) takes no more consumers: one registered now would never be
+// cancelled.
+func (q *queue) register(c *Consumer) error {
 	q.mu.Lock()
-	q.consumers[c] = struct{}{}
-	q.mu.Unlock()
-	return c
+	defer q.mu.Unlock()
+	if q.closed.Load() {
+		return ErrClosed
+	}
+	c.pref = int((q.conCursor.Add(1) - 1) % uint64(len(q.shards)))
+	q.consumers = append(q.consumers, c)
+	return nil
+}
+
+// unregister removes c from the registry. It builds a new slice, never
+// edits the old one: close walks the slice it read without the lock.
+func (q *queue) unregister(c *Consumer) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i, o := range q.consumers {
+		if o == c {
+			kept := make([]*Consumer, 0, len(q.consumers)-1)
+			kept = append(kept, q.consumers[:i]...)
+			q.consumers = append(kept, q.consumers[i+1:]...)
+			return
+		}
+	}
 }
 
 // Deliveries is the channel on which a push-mode consumer receives messages.
@@ -939,15 +966,14 @@ func (c *Consumer) Cancel() {
 	close(c.stopCh)
 	c.mu.Unlock()
 	q := c.q
-	q.mu.Lock()
-	delete(q.consumers, c)
-	q.mu.Unlock()
+	q.unregister(c)
 	q.wakeAll()    // unpark the loop / blocked ReceiveBatch callers
 	c.wg.Wait()    // push-mode loop drained
 	c.popWG.Wait() // in-flight pull pops finished registering unacked
 	// Requeue whatever this consumer still holds.
 	var orphans []*Delivery
-	for _, sh := range q.shards {
+	for i := range q.shards {
+		sh := &q.shards[i]
 		sh.mu.Lock()
 		for d := sh.unacked; d != nil; d = d.next {
 			if d.c == c {

@@ -2,12 +2,14 @@ package broker
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/journal"
 )
@@ -544,4 +546,55 @@ func TestShardStatsObservability(t *testing.T) {
 		t.Fatalf("total depth = %d", tot.Depth)
 	}
 	_ = fmt.Sprintf("%v", tot.ShardDepths) // nil for totals, must not panic
+}
+
+// A queue's shards sit side by side in one block, so a shard must fill whole
+// cache lines or two neighbours' locks would share one.
+func TestShardFillsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(qshard{}); size%64 != 0 {
+		t.Fatalf("qshard is %d bytes; adjust its padding to a multiple of 64", size)
+	}
+}
+
+// A consumer can only be attached to a queue that still exists: one that
+// arrives while the queue is being deleted is refused, not left registered
+// on a queue nobody will ever close again. (A hosted run's lazily made sync
+// clients can arrive exactly then.)
+func TestConsumeRacingDeleteQueueIsRefusedOrCancelled(t *testing.T) {
+	b := newTestBroker(t)
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("q%d", i)
+		declareSharded(t, b, name, 1)
+		got := make(chan *Consumer, 1)
+		go func() {
+			c, err := b.ConsumeBatch(name, 1)
+			if err != nil && !errors.Is(err, ErrNoQueue) && !errors.Is(err, ErrClosed) {
+				t.Errorf("ConsumeBatch: %v", err)
+			}
+			got <- c
+		}()
+		if err := b.DeleteQueue(name); err != nil {
+			t.Fatal(err)
+		}
+		if c := <-got; c != nil {
+			// Attached before the delete: the delete must have cancelled it.
+			if _, err := c.ReceiveBatch(1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("ReceiveBatch on a consumer of a deleted queue: %v", err)
+			}
+			c.q.mu.Lock()
+			n := len(c.q.consumers)
+			c.q.mu.Unlock()
+			if n != 0 {
+				t.Fatalf("deleted queue still lists %d consumers", n)
+			}
+		}
+	}
+	q := newQueue(b, "gone", QueueOptions{Shards: 1})
+	q.close()
+	if _, err := q.consumeBatch(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("consumeBatch on a closed queue: %v", err)
+	}
+	if _, err := q.consume(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("consume on a closed queue: %v", err)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,32 @@ const (
 	QueueStates  = "states"   // components -> Synchronizer           (Fig 2, 6)
 	ackPrefix    = "sync-ack" // Synchronizer -> components           (Fig 2, 7)
 )
+
+// queueID indexes a run's queues: the two task-traffic queues first, then
+// the strictly ordered ones.
+type queueID int
+
+const (
+	qPending queueID = iota
+	qDone
+	qStates
+	qAckEnq
+	qAckDeq
+	qAckEmgr
+	qAckCb // declared, as Fig 2 draws it; the RTS Callback issues no transition
+	qAckHb
+	qAckCtl
+	numQueues
+
+	numSharded = int(qStates) // pending and done take the shard knob
+)
+
+// queueBases are the bare Fig 2 names, by queueID.
+var queueBases = [numQueues]string{
+	QueuePending, QueueDone, QueueStates,
+	ackPrefix + "-enq", ackPrefix + "-deq", ackPrefix + "-emgr",
+	ackPrefix + "-cb", ackPrefix + "-hb", ackPrefix + "-ctl",
+}
 
 // Config tunes an AppManager.
 type Config struct {
@@ -169,7 +196,10 @@ type AppManager struct {
 	// it) or received it injected via Config.Broker (shared with sibling
 	// runs; teardown deletes only this run's declared queues).
 	ownBroker bool
-	declared  []string // queues this run declared on the broker
+	// queues are this run's queue names, prefix included, built once by
+	// declareTopology; the first declared of them exist on the broker.
+	queues   [numQueues]string
+	declared int
 
 	// Durability state (JournalDir mode). mirror holds the latest committed
 	// state per entity, feeding snapshots; recov summarizes what Resume
@@ -215,9 +245,12 @@ type AppManager struct {
 	// events fans committed state transitions out to subscribers; ctl is
 	// the run handle's synchronizer client (Pause/Resume/CancelPipeline),
 	// serialized by ctlMu because sync clients are strictly one-in-flight.
-	events *eventBus
-	ctl    *syncClient
-	ctlMu  sync.Mutex
+	// ctlMu also guards ctl itself (made on first use, see ctlRequest) and
+	// ctlClosed.
+	events    *eventBus
+	ctl       *syncClient
+	ctlClosed bool
+	ctlMu     sync.Mutex
 
 	// eventPeerSrcs report remote event subscribers (the networked event
 	// fan-out) into Progress.EventPeers; see AddEventPeerSource.
@@ -450,6 +483,25 @@ func (am *AppManager) ActiveTasks() int {
 	return active(n)
 }
 
+// TaskCounts is a run's task tallies at one instant: the five numbers of a
+// Progress that still mean something once the run is over.
+type TaskCounts struct {
+	Total, Done, Failed, Canceled int
+	// Attempts sums every task's attempt counter, resubmissions included.
+	Attempts int
+}
+
+// TaskCounts reads the run's tally: one lock, no allocation and no walk of
+// the application — what a host keeps of a run it lets go of.
+func (am *AppManager) TaskCounts() TaskCounts {
+	n, attempts := am.tally.read()
+	c := TaskCounts{Done: n[codeDone], Failed: n[codeFailed], Canceled: n[codeCanceled], Attempts: attempts}
+	for _, k := range n {
+		c.Total += k
+	}
+	return c
+}
+
 // Broker exposes the messaging layer (observability and tests).
 func (am *AppManager) Broker() *broker.Broker { return am.brk }
 
@@ -592,11 +644,35 @@ func (am *AppManager) closeJournal() {
 	}
 }
 
-// qname namespaces a queue name with the run's prefix. On a private broker
-// the prefix is empty and names are the bare Fig 2 constants; on a shared
-// broker every run's traffic lives under "run.<id>." so concurrent runs can
-// never cross-deliver.
-func (am *AppManager) qname(base string) string { return am.cfg.QueuePrefix + base }
+// qname is one of the run's queue names. On a private broker they are the
+// bare Fig 2 constants; on a shared broker every run's traffic lives under
+// its prefix ("run.<id>.") so concurrent runs can never cross-deliver.
+func (am *AppManager) qname(id queueID) string { return am.queues[id] }
+
+// nameQueues builds the run's queue names, once: they are used on every sync
+// round trip. With a prefix, all of them are cut from one string.
+func (am *AppManager) nameQueues() {
+	prefix := am.cfg.QueuePrefix
+	if prefix == "" {
+		am.queues = queueBases
+		return
+	}
+	size := 0
+	for _, base := range queueBases {
+		size += len(prefix) + len(base)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, base := range queueBases {
+		all.WriteString(prefix)
+		all.WriteString(base)
+	}
+	rest := all.String()
+	for i, base := range queueBases {
+		n := len(prefix) + len(base)
+		am.queues[i], rest = rest[:n], rest[n:]
+	}
+}
 
 // declareTopology creates (or adopts) the broker and declares the paper's
 // Fig 2 queue topology under the run's namespace. The task-traffic queues
@@ -614,33 +690,18 @@ func (am *AppManager) declareTopology() error {
 		am.brk = broker.New(broker.Options{PerOpDelay: am.msgDelay})
 		am.ownBroker = true
 	}
-	sharded := []string{QueuePending, QueueDone}
-	ordered := []string{
-		QueueStates,
-		ackPrefix + "-enq", ackPrefix + "-deq", ackPrefix + "-emgr",
-		ackPrefix + "-cb", ackPrefix + "-hb", ackPrefix + "-ctl",
-	}
-	for _, q := range sharded {
-		opts := broker.QueueOptions{Shards: am.cfg.QueueShards}
-		if err := am.declareQueue(am.qname(q), opts); err != nil {
+	am.nameQueues()
+	for i, name := range am.queues {
+		opts := broker.QueueOptions{Shards: 1}
+		if i < numSharded {
+			opts.Shards = am.cfg.QueueShards
+		}
+		if err := am.brk.DeclareQueue(name, opts); err != nil {
 			return err
 		}
+		am.declared = i + 1 // recorded for namespace teardown
 	}
-	for _, q := range ordered {
-		if err := am.declareQueue(am.qname(q), broker.QueueOptions{Shards: 1}); err != nil {
-			return err
-		}
-	}
-	am.spawnCost(len(sharded) + len(ordered)) // messaging infrastructure
-	return nil
-}
-
-// declareQueue declares one queue and records it for namespace teardown.
-func (am *AppManager) declareQueue(name string, opts broker.QueueOptions) error {
-	if err := am.brk.DeclareQueue(name, opts); err != nil {
-		return err
-	}
-	am.declared = append(am.declared, name)
+	am.spawnCost(int(numQueues)) // messaging infrastructure
 	return nil
 }
 
@@ -656,10 +717,10 @@ func (am *AppManager) releaseBroker() {
 		am.brk.Close()
 		return
 	}
-	for _, q := range am.declared {
+	for _, q := range am.queues[:am.declared] {
 		am.brk.DeleteQueue(q) //nolint:errcheck // best effort: daemon shutdown may have closed the broker
 	}
-	am.declared = nil
+	am.declared = 0
 }
 
 func (am *AppManager) takeErr() error {

@@ -384,7 +384,7 @@ func TestEmgrParksWhileFailoverStartsTheReplacement(t *testing.T) {
 		}
 	}
 	pending := func() broker.QueueStats {
-		st, err := am.Broker().Stats(am.qname(QueuePending))
+		st, err := am.Broker().Stats(am.qname(qPending))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func (am *AppManager) autotuneSignals() autotune.Signals {
 		ActiveTasks: am.ActiveTasks(),
 		EventDrops:  am.events.drops.Load(),
 	}
-	if qs, err := am.brk.Stats(am.qname(QueuePending)); err == nil {
+	if qs, err := am.brk.Stats(am.qname(qPending)); err == nil {
 		sig.QueueDepth = qs.Depth
 	}
 	if am.emgr != nil {

@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -343,21 +345,121 @@ func countersResume(t *testing.T, rng *rand.Rand, tag string) {
 // retry budget that covers every failure here, no run may fail. (Without
 // settleFailures' hold of completionMu about one run in 150 does.)
 func TestRetriedTaskNeverFailsItsStage(t *testing.T) {
+	stress(t, 60, func(t *testing.T, i int, rng *rand.Rand) {
+		am, rts := testApp(t, Config{TaskRetries: 2})
+		failFirst(rng, rts, nil)
+		am.AddPipelines(buildApp(2, 2, 1+rng.Intn(4), time.Duration(1+rng.Intn(20))*time.Second)...) //nolint:errcheck
+		if err := runApp(t, am); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	})
+}
+
+// stress runs body for runs seeded iterations on each of eight parallel
+// workers: many small runs side by side, each over in a few hundred
+// microseconds, is what brings out an interleaving that needs two goroutines
+// to meet inside one.
+func stress(t *testing.T, runs int, body func(t *testing.T, i int, rng *rand.Rand)) {
 	for w := 0; w < 8; w++ {
 		w := w
 		t.Run(fmt.Sprintf("worker-%d", w), func(t *testing.T) {
 			t.Parallel()
-			for i := 0; i < 60; i++ {
-				rng := rand.New(rand.NewSource(int64(w*1000 + i)))
-				am, rts := testApp(t, Config{TaskRetries: 2})
-				failFirst(rng, rts, nil)
-				am.AddPipelines(buildApp(2, 2, 1+rng.Intn(4), time.Duration(1+rng.Intn(20))*time.Second)...) //nolint:errcheck
-				if err := runApp(t, am); err != nil {
-					t.Fatalf("run %d: %v", i, err)
-				}
+			for i := 0; i < runs; i++ {
+				body(t, i, rand.New(rand.NewSource(int64(w*1000+i))))
 			}
 		})
 	}
+}
+
+// TestLazyClientsRaceRunEnd: the heartbeat's and the run handle's sync
+// clients are made on first use, so their first use can meet tear-down. The
+// first RTS dies after accepting a few tasks, which makes failover create the
+// heartbeat's client mid-run — in a quarter of the runs while the run is being
+// canceled — and a second goroutine pauses, resumes and cancels pipelines
+// until after the run is over. Whatever the interleaving: no operation hangs
+// or attaches to a deleted queue (each ends in success, the Synchronizer's
+// rejection or broker.ErrClosed), a pause that was granted can be taken back,
+// and an uncanceled run loses no task to the failover.
+func TestLazyClientsRaceRunEnd(t *testing.T) {
+	stress(t, 25, func(t *testing.T, i int, rng *rand.Rand) {
+		clock := vclock.NewScaled(time.Microsecond)
+		width := 1 + rng.Intn(4)
+		am, err := NewAppManager(Config{
+			Clock:             clock,
+			RTSRestarts:       1,
+			HeartbeatInterval: time.Duration(1+rng.Intn(20)) * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var instances atomic.Int64
+		dieAfter := int64(1 + rng.Intn(width))
+		am.SetRTSFactory(func(ResourceDesc) (RTS, error) {
+			rts := newFakeRTS(clock)
+			if instances.Add(1) == 1 {
+				rts.dieAfter = dieAfter
+			}
+			return rts, nil
+		})
+		am.SetResource(ResourceDesc{Resource: "supermic", Cores: 64, Walltime: time.Hour})
+		pipes := buildApp(2, 2, width, time.Duration(1+rng.Intn(20))*time.Second)
+		am.AddPipelines(pipes...) //nolint:errcheck
+		kept, doomed := pipes[0], pipes[1]
+		r := startApp(t, am)
+
+		expected := func(err error) bool {
+			return err == nil || errors.Is(err, broker.ErrClosed) || errors.Is(err, broker.ErrNoQueue) ||
+				strings.Contains(err.Error(), "transition rejected")
+		}
+		cancelRun := i%4 == 3
+		cancelAt := time.Duration(rng.Intn(300)) * time.Microsecond
+		doomAt := rng.Intn(6)
+		ops := make(chan struct{})
+		go func() {
+			defer close(ops)
+			for n, last := 0, false; !last; n++ {
+				select {
+				case <-r.Done():
+					last = true // one more round, on a run that is over
+				default:
+				}
+				if n == doomAt {
+					if err := r.CancelPipeline(doomed.UID); !expected(err) {
+						t.Errorf("run %d: CancelPipeline: %v", i, err)
+					}
+				}
+				err := r.Pause(kept.UID)
+				if !expected(err) {
+					t.Errorf("run %d: Pause: %v", i, err)
+				}
+				if err == nil {
+					if err := r.Resume(kept.UID); !expected(err) || kept.State() == PipelineSuspended {
+						t.Errorf("run %d: Resume after a granted Pause: %v (pipeline %s)", i, err, kept.State())
+					}
+				}
+			}
+			if err := r.Pause(kept.UID); err == nil {
+				t.Errorf("run %d: Pause of a pipeline of a finished run succeeded", i)
+			}
+		}()
+		if cancelRun {
+			time.Sleep(cancelAt)
+			r.Cancel("racing the failover")
+		}
+		err = r.Wait()
+		<-ops
+		switch {
+		case cancelRun && err != nil && !errors.Is(err, context.Canceled):
+			t.Fatalf("run %d: canceled run ended with %v", i, err)
+		case !cancelRun && err != nil:
+			t.Fatalf("run %d (restarts %d): %v", i, am.RTSRestarts(), err)
+		case !cancelRun && kept.State() != PipelineDone:
+			t.Fatalf("run %d: pipeline ended %s", i, kept.State())
+		}
+		if got := am.ActiveTasks(); got != 0 {
+			t.Fatalf("run %d: %d tasks still active after the run", i, got)
+		}
+	})
 }
 
 // TestStateHistoryPastInlineCapacity: a task's history reads the same
@@ -638,16 +740,17 @@ func TestSubmitBatchMixedMessages(t *testing.T) {
 	good1, good2, canceled := held[0], held[1], held[2]
 
 	am.ctlMu.Lock()
-	am.ctl.begin()
-	am.ctl.addTaskBatch([]*Task{good1, good2}, TaskScheduling)
-	am.ctl.addTaskBatch([]*Task{good1, good2}, TaskScheduled)
-	am.ctl.addTask(canceled, TaskCanceled)
-	err := am.ctl.flush()
-	am.ctlMu.Unlock()
-	if err != nil {
-		t.Fatal(err)
+	for _, req := range []stateRequest{
+		taskBatchRequest([]*Task{good1, good2}, TaskScheduling),
+		taskBatchRequest([]*Task{good1, good2}, TaskScheduled),
+		taskBatchRequest([]*Task{canceled}, TaskCanceled),
+	} {
+		if err := am.ctlRequest(req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pending := am.qname(QueuePending)
+	am.ctlMu.Unlock()
+	pending := am.qname(qPending)
 	settled := func(published uint64) (st broker.QueueStats) {
 		t.Helper()
 		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {

@@ -29,7 +29,11 @@ type execManager struct {
 
 	pendC    *broker.Consumer
 	emgrSync *syncClient
-	hbSync   *syncClient
+	// hbSync commits the re-injection of tasks lost with a failed RTS. Most
+	// runs never fail over, so it is made on first use, on the heartbeat
+	// goroutine — the only one that uses it; stopRTS closes it after that
+	// goroutine has exited.
+	hbSync *syncClient
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -61,10 +65,7 @@ func newExecManager(am *AppManager) *execManager {
 // start brings up Rmgr (RTS acquisition), Emgr, Callback and Heartbeat.
 func (e *execManager) start(ctx context.Context) error {
 	var err error
-	if e.emgrSync, err = newSyncClient(e.am, ackPrefix+"-emgr"); err != nil {
-		return err
-	}
-	if e.hbSync, err = newSyncClient(e.am, ackPrefix+"-hb"); err != nil {
+	if e.emgrSync, err = newSyncClient(e.am, qAckEmgr); err != nil {
 		return err
 	}
 
@@ -86,7 +87,7 @@ func (e *execManager) start(ctx context.Context) error {
 	// consumer prefetch caps the realizable batch size, so it registers at
 	// the live knob's upper bound; with autotune disabled the bound
 	// collapses onto the configured EmgrBatch.
-	if e.pendC, err = e.am.brk.ConsumeBatch(e.am.qname(QueuePending), e.am.live.MaxBatch()); err != nil {
+	if e.pendC, err = e.am.brk.ConsumeBatch(e.am.qname(qPending), e.am.live.MaxBatch()); err != nil {
 		return err
 	}
 
@@ -265,7 +266,7 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 func (e *execManager) callbackLoop(rts RTS, done chan struct{}) {
 	defer e.wg.Done()
 	defer close(done)
-	doneP, err := e.am.brk.Producer(e.am.qname(QueueDone))
+	doneP, err := e.am.brk.Producer(e.am.qname(qDone))
 	if err != nil {
 		return // broker closed: tearing down
 	}
@@ -404,6 +405,15 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 // stage-completion check runs on that instant and fails a stage whose task is
 // on its way back.
 func (e *execManager) reinject(t *Task) error {
+	if e.hbSync == nil {
+		// During tear-down the queue may already be deleted; the broker then
+		// refuses the consumer and failover ends on that error.
+		c, err := newSyncClient(e.am, qAckHb)
+		if err != nil {
+			return err
+		}
+		e.hbSync = c
+	}
 	e.am.completionMu.Lock()
 	defer e.am.completionMu.Unlock()
 	e.hbSync.begin()
@@ -414,7 +424,7 @@ func (e *execManager) reinject(t *Task) error {
 	if err := e.hbSync.flush(); err != nil {
 		return err
 	}
-	return e.am.brk.Publish(e.am.qname(QueuePending), msgcodec.FormatBinary.EncodeTaskUID(t.UID))
+	return e.am.brk.Publish(e.am.qname(qPending), msgcodec.FormatBinary.EncodeTaskUID(t.UID))
 }
 
 // Restarts reports how many times the RTS was restarted.

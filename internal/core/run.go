@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/broker"
 )
 
 // ErrAlreadyRan is returned by Start (and Run) when the AppManager has
@@ -87,7 +89,7 @@ func (r *Run) Pause(pipelineUID string) error {
 	}
 	r.am.ctlMu.Lock()
 	defer r.am.ctlMu.Unlock()
-	return r.am.ctl.pipeline(p, PipelineSuspended)
+	return r.am.ctlRequest(pipelineRequest(p, PipelineSuspended))
 }
 
 // Resume reactivates a paused pipeline and wakes the scheduler; if the
@@ -98,13 +100,32 @@ func (r *Run) Resume(pipelineUID string) error {
 		return fmt.Errorf("core: unknown pipeline %s", pipelineUID)
 	}
 	r.am.ctlMu.Lock()
-	err := r.am.ctl.pipeline(p, PipelineScheduling)
+	err := r.am.ctlRequest(pipelineRequest(p, PipelineScheduling))
 	r.am.ctlMu.Unlock()
 	if err != nil {
 		return err
 	}
 	r.am.Nudge()
 	return nil
+}
+
+// ctlRequest sends one transition as its own frame through the run handle's
+// synchronizer client, which is made here on first use — most runs see no
+// Pause, Resume or CancelPipeline. ctlMu must be held. Once supervise has
+// begun tear-down the answer is broker.ErrClosed: no consumer is attached to
+// a queue that is about to be deleted.
+func (am *AppManager) ctlRequest(req stateRequest) error {
+	if am.ctlClosed {
+		return broker.ErrClosed
+	}
+	if am.ctl == nil {
+		c, err := newSyncClient(am, qAckCtl)
+		if err != nil {
+			return err
+		}
+		am.ctl = c
+	}
+	return am.ctl.request(req)
 }
 
 // CancelPipeline cancels one pipeline without touching its siblings: every
@@ -141,6 +162,8 @@ func (am *AppManager) pipelineByUID(uid string) (*Pipeline, bool) {
 // cancellation as idempotent, so races with concurrent completion are
 // benign: whichever transition commits first wins and the loser is a no-op.
 func (am *AppManager) cancelPipeline(p *Pipeline) error {
+	// Only what is not yet settled is requested, so canceling a pipeline again
+	// — even after the run is over — sends nothing and succeeds.
 	am.ctlMu.Lock()
 	for _, s := range p.Stages() {
 		var live []*Task
@@ -152,12 +175,14 @@ func (am *AppManager) cancelPipeline(p *Pipeline) error {
 				live = append(live, t)
 			}
 		}
-		if err := am.ctl.taskBatch(live, TaskCanceled); err != nil {
-			am.ctlMu.Unlock()
-			return err
+		if len(live) > 0 {
+			if err := am.ctlRequest(taskBatchRequest(live, TaskCanceled)); err != nil {
+				am.ctlMu.Unlock()
+				return err
+			}
 		}
 		if !s.State().Terminal() {
-			if err := am.ctl.stage(s, StageCanceled); err != nil {
+			if err := am.ctlRequest(stageRequest(s, StageCanceled)); err != nil {
 				am.ctlMu.Unlock()
 				return err
 			}
@@ -165,7 +190,7 @@ func (am *AppManager) cancelPipeline(p *Pipeline) error {
 	}
 	var err error
 	if !p.State().Terminal() {
-		err = am.ctl.pipeline(p, PipelineCanceled)
+		err = am.ctlRequest(pipelineRequest(p, PipelineCanceled))
 	}
 	am.ctlMu.Unlock()
 	if err != nil {
@@ -269,13 +294,6 @@ func (am *AppManager) setup(ctx context.Context) error {
 		am.closeJournal()
 		return err
 	}
-	ctl, err := newSyncClient(am, ackPrefix+"-ctl")
-	if err != nil {
-		am.stopComponents()
-		am.closeJournal()
-		return err
-	}
-	am.ctl = ctl
 	return nil
 }
 
@@ -302,9 +320,14 @@ func (r *Run) supervise(runCtx context.Context) {
 	am.stopAutotune()
 	am.wfp.stop()
 	am.emgr.stopComponentsOnly()
+	// Waits out a Pause/Resume/CancelPipeline in flight — the Synchronizer is
+	// still there to answer it — and refuses every later one.
+	am.ctlMu.Lock()
+	am.ctlClosed = true
 	if am.ctl != nil {
 		am.ctl.close()
 	}
+	am.ctlMu.Unlock()
 	am.sync.stop()
 	am.teardownCost(9)
 	am.releaseBroker()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -173,5 +175,42 @@ func TestUIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate uid %s", uid)
 		}
 		seen[uid] = true
+	}
+}
+
+// UIDs are identity in journals, snapshots and Resume, so the hand-rolled
+// formatter must write exactly what fmt's %0<width>d wrote — at the pad, one
+// short of it, and past it, where the number simply takes the room it needs.
+func TestAppendPaddedMatchesFmt(t *testing.T) {
+	for _, width := range []int{0, 1, 3, 5, 6} {
+		for _, n := range []uint64{0, 7, 9, 10, 99, 100, 999, 1000, 12345, 99999, 100000, 999999, 1000000, 1<<64 - 1} {
+			want := fmt.Sprintf("x%0*d", width, n)
+			if got := string(AppendPadded([]byte("x"), n, width)); got != want {
+				t.Errorf("AppendPadded(%d, width %d) = %q, want %q", n, width, got, want)
+			}
+		}
+	}
+}
+
+func TestNewUIDFormat(t *testing.T) {
+	defer atomic.StoreUint64(&uidCounter, atomic.LoadUint64(&uidCounter)) // later tests go on from here
+	for _, tc := range []struct {
+		counter uint64
+		prefix  string
+		want    string
+	}{
+		{0, "task", "task.000001"},
+		{41, "stage", "stage.000042"},
+		{999998, "pipeline", "pipeline.999999"},
+		{999999, "task", "task.1000000"}, // wider than the pad
+		{5, "a-prefix-longer-than-the-stack-buffer-it-is-built-in", "a-prefix-longer-than-the-stack-buffer-it-is-built-in.000006"},
+	} {
+		atomic.StoreUint64(&uidCounter, tc.counter)
+		if got := NewUID(tc.prefix); got != tc.want {
+			t.Errorf("NewUID(%q) after %d = %q, want %q", tc.prefix, tc.counter, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { NewUID("task") }); n != 1 {
+		t.Errorf("NewUID allocates %v times, want 1 (the string)", n)
 	}
 }

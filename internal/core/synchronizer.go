@@ -54,7 +54,10 @@ func newSynchronizer(am *AppManager) *synchronizer {
 }
 
 func (s *synchronizer) start() error {
-	c, err := s.am.brk.Consume(s.am.qname(QueueStates), 64)
+	// Pull mode, one frame per pop: the loop goroutine takes frames off the
+	// queue itself (no delivery goroutine and channel in between), and the
+	// broker charges its modelled traversal once per frame.
+	c, err := s.am.brk.ConsumeBatch(s.am.qname(qStates), 1)
 	if err != nil {
 		return err
 	}
@@ -77,7 +80,12 @@ func (s *synchronizer) stop() {
 // single ack — the O(1)-per-stage sync path.
 func (s *synchronizer) loop() {
 	defer s.wg.Done()
-	for d := range s.consumer.Deliveries() {
+	for {
+		batch, err := s.consumer.ReceiveBatch(1)
+		if err != nil {
+			return // stopped, or the queue is gone
+		}
+		d := batch[0]
 		s.am.mu.Lock()
 		frame, err := msgcodec.DecodeSyncFrameWith(d.Body, s.am.resolve)
 		s.am.mu.Unlock()
@@ -311,7 +319,8 @@ func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
 
 // syncClient is a component-side handle for requesting transitions. Each
 // subcomponent owns one client with a dedicated ack queue and issues frames
-// serially, so acks match frames one-to-one. A frame is built with begin
+// serially, so acks match frames one-to-one; it takes each ack off that queue
+// itself (a pull-mode consumer). A frame is built with begin
 // and the add* methods and sent with flush; related transitions a component
 // used to issue as consecutive round-trips ride one frame, which is what
 // keeps a stage's synchronization cost at O(1) frames instead of O(tasks).
@@ -323,11 +332,10 @@ type syncClient struct {
 	reqs  []stateRequest // frame under construction (reused across frames)
 }
 
-func newSyncClient(am *AppManager, replyQueue string) (*syncClient, error) {
-	// The reply queue name travels inside the frame, so it is stored (and
-	// consumed) fully namespaced; callers pass the bare Fig 2 name.
+func newSyncClient(am *AppManager, replyQueue queueID) (*syncClient, error) {
+	// The reply queue name travels inside the frame, fully namespaced.
 	reply := am.qname(replyQueue)
-	c, err := am.brk.Consume(reply, 1)
+	c, err := am.brk.ConsumeBatch(reply, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -357,11 +365,24 @@ func (c *syncClient) addTaskBatch(ts []*Task, to TaskState) {
 	if len(ts) == 0 {
 		return
 	}
+	c.add(taskBatchRequest(ts, to))
+}
+
+// taskBatchRequest is one transition applied to many tasks.
+func taskBatchRequest(ts []*Task, to TaskState) stateRequest {
 	uids := make([]string, len(ts))
 	for i, t := range ts {
 		uids[i] = t.UID
 	}
-	c.add(stateRequest{Entity: "task", UIDs: uids, Target: string(to)})
+	return stateRequest{Entity: "task", UIDs: uids, Target: string(to)}
+}
+
+func stageRequest(s *Stage, to StageState) stateRequest {
+	return stateRequest{Entity: "stage", UID: s.UID, Target: string(to)}
+}
+
+func pipelineRequest(p *Pipeline, to PipelineState) stateRequest {
+	return stateRequest{Entity: "pipeline", UID: p.UID, Target: string(to)}
 }
 
 // addTaskResult appends a task transition piggybacking result metadata.
@@ -386,13 +407,14 @@ func (c *syncClient) flush() error {
 	if err != nil {
 		return fmt.Errorf("core: encode sync frame: %w", err)
 	}
-	if err := c.am.brk.Publish(c.am.qname(QueueStates), body); err != nil {
+	if err := c.am.brk.Publish(c.am.qname(qStates), body); err != nil {
 		return err
 	}
-	d, ok := <-c.cons.Deliveries()
-	if !ok {
-		return broker.ErrClosed
+	acks, err := c.cons.ReceiveBatch(1)
+	if err != nil {
+		return err // broker.ErrClosed: the client or its queue is gone
 	}
+	d := acks[0]
 	defer d.Ack() //nolint:errcheck
 	ack, err := msgcodec.DecodeSyncAck(d.Body)
 	if err != nil {
@@ -416,31 +438,12 @@ func (c *syncClient) request(req stateRequest) error {
 
 // Convenience wrappers for single-transition frames.
 
-func (c *syncClient) task(t *Task, to TaskState) error {
-	c.begin()
-	c.addTask(t, to)
-	return c.flush()
-}
-
-// taskBatch applies one transition to many tasks in a single frame.
-func (c *syncClient) taskBatch(ts []*Task, to TaskState) error {
-	c.begin()
-	c.addTaskBatch(ts, to)
-	return c.flush()
-}
-
-func (c *syncClient) taskResult(t *Task, to TaskState, exitCode int, execErr string) error {
-	c.begin()
-	c.addTaskResult(t, to, exitCode, execErr)
-	return c.flush()
-}
-
 func (c *syncClient) stage(s *Stage, to StageState) error {
-	return c.request(stateRequest{Entity: "stage", UID: s.UID, Target: string(to)})
+	return c.request(stageRequest(s, to))
 }
 
 func (c *syncClient) pipeline(p *Pipeline, to PipelineState) error {
-	return c.request(stateRequest{Entity: "pipeline", UID: p.UID, Target: string(to)})
+	return c.request(pipelineRequest(p, to))
 }
 
 // restoreDone forces every registered, not yet terminal task that states

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +12,27 @@ import (
 var uidCounter uint64
 
 // NewUID returns a process-unique identifier with the given prefix, in the
-// style of RADICAL's "task.0001" identifiers.
+// style of RADICAL's "task.0001" identifiers: "<prefix>.%06d".
 func NewUID(prefix string) string {
 	n := atomic.AddUint64(&uidCounter, 1)
-	return fmt.Sprintf("%s.%06d", prefix, n)
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '.')
+	return string(AppendPadded(b, n, 6))
+}
+
+// AppendPadded appends n in decimal, zero-padded on the left to at least
+// width digits — fmt's %0<width>d for a non-negative number, without fmt's
+// boxed argument and scratch state. UIDs and entity names are formatted once
+// per entity, and they are identity in journals and snapshots, so the digits
+// must come out exactly as %0<width>d wrote them, wider values included.
+func AppendPadded(b []byte, n uint64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // CPUReqs describes a task's CPU needs, mirroring EnTK's cpu_reqs dict.

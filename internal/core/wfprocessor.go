@@ -58,21 +58,21 @@ func newWFProcessor(am *AppManager) *wfProcessor {
 
 func (w *wfProcessor) start(ctx context.Context) error {
 	var err error
-	if w.enqSync, err = newSyncClient(w.am, ackPrefix+"-enq"); err != nil {
+	if w.enqSync, err = newSyncClient(w.am, qAckEnq); err != nil {
 		return err
 	}
-	if w.deqSync, err = newSyncClient(w.am, ackPrefix+"-deq"); err != nil {
+	if w.deqSync, err = newSyncClient(w.am, qAckDeq); err != nil {
 		return err
 	}
 	// Pull-mode consumer: Dequeue drains completions in batches, paying one
 	// broker round-trip per drained batch instead of one per message.
-	if w.doneC, err = w.am.brk.ConsumeBatch(w.am.qname(QueueDone), dequeueBatch); err != nil {
+	if w.doneC, err = w.am.brk.ConsumeBatch(w.am.qname(qDone), dequeueBatch); err != nil {
 		return err
 	}
 	// Shard-pinned producer: on a sharded pending queue, everything Enqueue
 	// publishes lands on one shard in call order, so the Emgr observes this
 	// producer's messages in publish order (per-producer FIFO).
-	if w.pendP, err = w.am.brk.Producer(w.am.qname(QueuePending)); err != nil {
+	if w.pendP, err = w.am.brk.Producer(w.am.qname(qPending)); err != nil {
 		return err
 	}
 	// The fixed application-processing cost: translating the workflow into

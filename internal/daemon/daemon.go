@@ -105,20 +105,32 @@ type Config struct {
 	Seed int64
 }
 
-// runEntry is one hosted run.
+// terminal reports whether a run in this state is over.
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
+}
+
+// runEntry is one hosted run. The first block is the summary List, Info,
+// Wait and Snapshot answer from, and all that is kept of a terminal run for
+// RunRetention; the second is what the run executes with, which finishRun
+// lets go of (a retained AppManager and lease were 55 KB per 16-task run).
 type runEntry struct {
-	id      string
-	tenant  string
-	state   string // guarded by Daemon.mu
-	claim   int
+	id     string
+	tenant string
+	state  string // guarded by Daemon.mu
+	claim  int
+	err    error           // guarded by Daemon.mu once terminal
+	doneAt time.Time       // wall time the run turned terminal
+	tasks  core.TaskCounts // the run's tally as it turned terminal
+	doneCh chan struct{}
+
 	journal string // per-run journal directory ("" = none)
 	app     *appjson.App
-	lease   *rts.Lease
 	am      *core.AppManager
 	run     *core.Run
-	err     error     // guarded by Daemon.mu once terminal
-	doneAt  time.Time // wall time the run turned terminal
-	doneCh  chan struct{}
+	// lease outlives the rest only while it still reports Alive — a run that
+	// ended without returning it — so that the reconciler can revoke it.
+	lease *rts.Lease
 }
 
 // Daemon hosts concurrent runs over shared infrastructure.
@@ -132,6 +144,9 @@ type Daemon struct {
 	registry *workload.Registry
 	brk      *broker.Broker
 	pool     *rts.Pool
+	// ended is a closed event bus: subscribing to it yields the stream of a
+	// run that is over — no events, channel already closed.
+	ended *core.EventBus
 
 	mu     sync.Mutex
 	runs   map[string]*runEntry
@@ -255,10 +270,12 @@ func New(cfg Config) (*Daemon, error) {
 		registry: registry,
 		brk:      broker.New(broker.Options{}),
 		pool:     pool,
+		ended:    core.NewEventBus(),
 		runs:     make(map[string]*runEntry),
 		kickCh:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
+	d.ended.Close()
 	d.wg.Add(2)
 	go d.admitLoop()
 	go d.reconcileLoop()
@@ -295,8 +312,9 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 		return "", errors.New("daemon: stopped")
 	}
 	d.nextID++
+	var id [24]byte
 	e := &runEntry{
-		id:     fmt.Sprintf("run.%04d", d.nextID),
+		id:     string(core.AppendPadded(append(id[:0], "run."...), uint64(d.nextID), 4)),
 		tenant: tenant,
 		claim:  claim,
 		app:    app,
@@ -342,12 +360,13 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 // admitted lease, and launches it. On failure the lease is released and the
 // run turns FAILED.
 func (d *Daemon) startRun(e *runEntry) error {
+	app, lease := e.app, e.lease // the entry lets go of both when it finishes
 	fail := func(err error) error {
-		e.lease.Stop() //nolint:errcheck // Lease.Stop never fails
+		lease.Stop() //nolint:errcheck // Lease.Stop never fails
 		d.finishRun(e, StateFailed, err)
 		return err
 	}
-	pipes, _, err := e.app.Build()
+	pipes, _, err := app.Build()
 	if err != nil {
 		return fail(err)
 	}
@@ -358,7 +377,7 @@ func (d *Daemon) startRun(e *runEntry) error {
 		QueuePrefix:      e.id + ".",
 		JournalDir:       e.journal,
 		SnapshotEvery:    d.cfg.SnapshotEvery,
-		TaskRetries:      e.app.TaskRetries,
+		TaskRetries:      app.TaskRetries,
 		RTSRestarts:      0, // a lease is not renewable; restart = run failure
 		EmgrBatch:        d.cfg.BatchSize,
 		QueueShards:      d.cfg.QueueShards,
@@ -370,10 +389,9 @@ func (d *Daemon) startRun(e *runEntry) error {
 	am.SetResource(core.ResourceDesc{
 		Resource: d.cfg.Resource,
 		Cores:    e.claim,
-		GPUs:     e.app.Resource.GPUs,
-		Walltime: time.Duration(e.app.Resource.WalltimeS) * time.Second,
+		GPUs:     app.Resource.GPUs,
+		Walltime: app.Walltime(),
 	})
-	lease := e.lease
 	var issued atomic.Bool
 	am.SetRTSFactory(func(core.ResourceDesc) (core.RTS, error) {
 		if !issued.CompareAndSwap(false, true) {
@@ -411,16 +429,25 @@ func (d *Daemon) startRun(e *runEntry) error {
 	return nil
 }
 
-// finishRun records a run's terminal state and wakes admission waiters.
+// finishRun records a run's terminal state, reduces the entry to its summary
+// — the manager, its application and its queues are garbage from here on,
+// and so is a lease that was returned — and wakes admission waiters.
 func (d *Daemon) finishRun(e *runEntry, state string, err error) {
 	d.mu.Lock()
-	if e.state == StateDone || e.state == StateFailed || e.state == StateCanceled {
+	if terminal(e.state) {
 		d.mu.Unlock()
 		return
 	}
 	e.state = state
 	e.err = err
 	e.doneAt = time.Now()
+	if e.am != nil {
+		e.tasks = e.am.TaskCounts()
+	}
+	e.app, e.am, e.run = nil, nil, nil
+	if e.lease != nil && !e.lease.Alive() {
+		e.lease = nil
+	}
 	d.mu.Unlock()
 	close(e.doneCh)
 	d.kick()
@@ -476,8 +503,9 @@ func (d *Daemon) admitLoop() {
 
 // reconcileLoop is the daemon's garbage collector. Invariants it restores on
 // every tick: (1) no terminal run holds a live lease — any such lease is
-// revoked and counted in LeakedLeases; (2) terminal runs older than
-// RunRetention are pruned from the run table.
+// revoked and counted in LeakedLeases (finishRun keeps a terminal entry's
+// lease exactly while it is live, so it is found here); (2) terminal runs
+// older than RunRetention are pruned from the run table.
 func (d *Daemon) reconcileLoop() {
 	defer d.wg.Done()
 	t := time.NewTicker(d.cfg.ReconcileEvery)
@@ -499,11 +527,14 @@ func (d *Daemon) reconcile() {
 	keep := d.order[:0]
 	for _, id := range d.order {
 		e := d.runs[id]
-		terminal := e.state == StateDone || e.state == StateFailed || e.state == StateCanceled
-		if terminal && e.lease != nil && e.lease.Alive() {
-			revoke = append(revoke, e.lease)
+		over := terminal(e.state)
+		if over && e.lease != nil {
+			if e.lease.Alive() {
+				revoke = append(revoke, e.lease)
+			}
+			e.lease = nil
 		}
-		if terminal && now.Sub(e.doneAt) > d.cfg.RunRetention {
+		if over && now.Sub(e.doneAt) > d.cfg.RunRetention {
 			delete(d.runs, id)
 			continue
 		}
@@ -583,13 +614,18 @@ func (d *Daemon) Wait(ctx context.Context, id string) error {
 }
 
 // Cancel aborts one run. A queued run is removed from the admission queue;
-// a running one is canceled through its run handle.
+// a running one is canceled through its run handle; canceling a run that is
+// already over is a no-op, not an error.
 func (d *Daemon) Cancel(id, reason string) error {
 	d.mu.Lock()
 	e, ok := d.runs[id]
 	if !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("daemon: unknown run %s", id)
+	}
+	if terminal(e.state) {
+		d.mu.Unlock()
+		return nil
 	}
 	if e.state == StateQueued {
 		for i, q := range d.admitQ {
@@ -629,36 +665,54 @@ func (d *Daemon) Resume(id, pipelineUID string) error {
 	return run.Resume(pipelineUID)
 }
 
-// Subscribe attaches an event subscription to a running run.
+// Subscribe attaches an event subscription to a running run. A run that is
+// already over has no more events: its subscription comes back closed.
 func (d *Daemon) Subscribe(id string, f core.EventFilter) (*core.EventSub, error) {
-	am, _, err := d.liveAM(id)
+	am, _, err := d.view(id)
 	if err != nil {
 		return nil, err
+	}
+	if am == nil {
+		return d.ended.Subscribe(f), nil
 	}
 	return am.Subscribe(f), nil
 }
 
-// Snapshot returns a running run's progress view.
+// Snapshot returns a run's progress view: the live one while it executes,
+// the task tallies it ended with once it is over.
 func (d *Daemon) Snapshot(id string) (core.Progress, error) {
-	am, _, err := d.liveAM(id)
+	am, ended, err := d.view(id)
 	if err != nil {
 		return core.Progress{}, err
+	}
+	if am == nil {
+		return core.Progress{
+			VTime:         d.clock.Now(),
+			TasksTotal:    ended.Total,
+			TasksDone:     ended.Done,
+			TasksFailed:   ended.Failed,
+			TasksCanceled: ended.Canceled,
+			TaskAttempts:  ended.Attempts,
+		}, nil
 	}
 	return am.Snapshot(), nil
 }
 
-// liveAM resolves a run whose AppManager exists (it has started executing).
-func (d *Daemon) liveAM(id string) (*core.AppManager, *runEntry, error) {
+// view resolves a run for reading: its AppManager while it executes, or — am
+// nil — the tally it ended with.
+func (d *Daemon) view(id string) (am *core.AppManager, ended core.TaskCounts, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, ok := d.runs[id]
-	if !ok {
-		return nil, nil, fmt.Errorf("daemon: unknown run %s", id)
+	switch {
+	case !ok:
+		return nil, ended, fmt.Errorf("daemon: unknown run %s", id)
+	case terminal(e.state):
+		return nil, e.tasks, nil
+	case e.am == nil:
+		return nil, ended, fmt.Errorf("daemon: run %s has not started (state %s)", id, e.state)
 	}
-	if e.am == nil {
-		return nil, nil, fmt.Errorf("daemon: run %s has not started (state %s)", id, e.state)
-	}
-	return e.am, e, nil
+	return e.am, ended, nil
 }
 
 func (d *Daemon) liveRun(id string) (*core.Run, error) {

@@ -312,3 +312,54 @@ func TestDaemonWeightedFairness(t *testing.T) {
 		t.Fatalf("dispatch ratio %.2f (heavy=%d light=%d), want ~3:1", ratio, hc, lc)
 	}
 }
+
+// Reconciler invariant 1 holds although a finished run lets go of its lease:
+// one that ends without having returned it keeps the pointer, and the
+// reconciler revokes the lease, returns its cores and counts the leak.
+func TestReconcilerRevokesLeaseThatOutlivesItsRun(t *testing.T) {
+	d := newTestDaemon(t, func(cfg *Config) {
+		cfg.ReconcileEvery = time.Hour // only the pass called below
+	})
+	lease, err := d.pool.Admit(rts.LeaseSpec{RunID: "run.forged", Tenant: "alice", Cores: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A run whose owner finished it and never stopped its lease.
+	e := &runEntry{id: "run.forged", tenant: "alice", claim: 3, state: StateRunning, lease: lease, doneCh: make(chan struct{})}
+	d.mu.Lock()
+	d.runs[e.id] = e
+	d.order = append(d.order, e.id)
+	d.mu.Unlock()
+	d.finishRun(e, StateFailed, errors.New("forged"))
+
+	d.mu.Lock()
+	kept := e.lease
+	d.mu.Unlock()
+	if kept != lease {
+		t.Fatal("a terminal run dropped a lease that is still alive: the reconciler can no longer find it")
+	}
+	if got := d.PoolClaimed(); got != 3 {
+		t.Fatalf("claimed cores before the reconcile pass = %d, want 3", got)
+	}
+
+	d.reconcile()
+	if lease.Alive() {
+		t.Error("leaked lease not revoked")
+	}
+	if got := d.LeakedLeases(); got != 1 {
+		t.Errorf("LeakedLeases = %d, want 1", got)
+	}
+	if got := d.PoolClaimed(); got != 0 {
+		t.Errorf("claimed cores after the reconcile pass = %d, want 0", got)
+	}
+	d.mu.Lock()
+	kept = e.lease
+	d.mu.Unlock()
+	if kept != nil {
+		t.Error("the entry still holds the revoked lease")
+	}
+	d.reconcile()
+	if got := d.LeakedLeases(); got != 1 {
+		t.Errorf("a second pass counted the same leak again: %d", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,10 @@ type poolEntry struct {
 	lease *Lease
 	desc  core.TaskDescription
 }
+
+// leaseCompletionCap bounds a lease's completion channel (what
+// core.DrainCompletions takes in one drain).
+const leaseCompletionCap = 256
 
 // strideK is the stride scheduling constant: a tenant's pass advances by
 // strideK/weight per dispatch, so relative dispatch rates converge to the
@@ -266,6 +271,8 @@ func (p *Pool) Admit(spec LeaseSpec) (*Lease, error) {
 		return nil, ErrPoolSaturated
 	}
 	p.nextSeq++
+	var pbuf [24]byte
+	prefix := append(strconv.AppendInt(append(pbuf[:0], 'L'), p.nextSeq, 10), '|')
 	l := &Lease{
 		pool:   p,
 		seq:    p.nextSeq,
@@ -273,11 +280,15 @@ func (p *Pool) Admit(spec LeaseSpec) (*Lease, error) {
 		tenant: spec.Tenant,
 		cores:  spec.Cores,
 		gpus:   spec.GPUs,
-		prefix: fmt.Sprintf("L%d|", p.nextSeq),
-		comp:   make(chan core.TaskResult, 256),
+		prefix: string(prefix),
+		// The claim window admits at most Cores one-core tasks to the pilot
+		// at a time, so that many results can be waiting for the run at once;
+		// the pump's buffer takes any excess. (A flat 256 slots is 26 KB per
+		// lease, most of what a 16-task run costs.)
+		comp:   make(chan core.TaskResult, min(spec.Cores, leaseCompletionCap)),
 		stopCh: make(chan struct{}),
 	}
-	l.qcond = sync.NewCond(&l.qmu)
+	l.qcond.L = &l.qmu
 	t.claimed += spec.Cores
 	p.claimed += spec.Cores
 	p.leases[l.seq] = l
@@ -510,7 +521,7 @@ type Lease struct {
 	stopOnce sync.Once
 
 	qmu   sync.Mutex
-	qcond *sync.Cond
+	qcond sync.Cond // on qmu
 	qbuf  []core.TaskResult
 	qdone bool
 

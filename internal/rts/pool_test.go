@@ -237,3 +237,44 @@ func TestPoolRevokeReleasesClaim(t *testing.T) {
 		t.Fatal("completions not closed after revoke")
 	}
 }
+
+// A lease's completion channel is sized from its claim (not a flat 256 slots:
+// that was half of what a small hosted run cost). A run that is slow to drain
+// more results than its channel holds must neither lose them nor hold up the
+// router for its neighbours — the pump's buffer takes the excess.
+func TestLeaseCompletionChannelSizedFromClaim(t *testing.T) {
+	p := newPoolHarness(t, func(cfg *PoolConfig) { cfg.MaxClaimFactor = 64 })
+	slow, err := p.Admit(LeaseSpec{RunID: "run-slow", Tenant: "alice", Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brisk, err := p.Admit(LeaseSpec{RunID: "run-brisk", Tenant: "bob", Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := p.Admit(LeaseSpec{RunID: "run-wide", Tenant: "carol", Cores: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(slow.Completions()); got != 2 {
+		t.Errorf("2-core lease has a %d-slot completion channel, want 2", got)
+	}
+	if got := cap(wide.Completions()); got != leaseCompletionCap {
+		t.Errorf("300-core lease has a %d-slot completion channel, want the cap of %d", got, leaseCompletionCap)
+	}
+	var tasks []core.TaskDescription
+	for i := 0; i < 10; i++ {
+		tasks = append(tasks, sleepTask("t"+string(rune('0'+i)), 10*time.Millisecond, 1))
+	}
+	if err := slow.Submit(tasks); err != nil {
+		t.Fatal(err)
+	}
+	if err := brisk.Submit(tasks); err != nil {
+		t.Fatal(err)
+	}
+	drainLease(t, brisk, 10) // while nobody reads slow's channel
+	drainLease(t, slow, 10)
+	if got := p.Orphans(); got != 0 {
+		t.Fatalf("orphan completions: %d", got)
+	}
+}

@@ -3,8 +3,10 @@
 #
 #   1. build entkd and entk-run
 #   2. start entkd on a temp unix socket
-#   3. submit the shipped example application over the socket
-#   4. wait for the run to reach DONE
+#   3. submit the shipped example application over the socket, three times
+#      to the same daemon: the second and third run start on a daemon that
+#      has already let go of a finished run's manager and lease
+#   4. wait for each run to reach DONE
 #   5. SIGTERM the daemon and assert a clean shutdown with zero leaked leases
 #
 # Exits nonzero on any failed step. Runs in a few seconds: the example app
@@ -37,10 +39,12 @@ for _ in $(seq 1 100); do
 done
 [ -S "$SOCK" ] || { echo "entkd never bound $SOCK:"; cat "$LOG"; exit 1; }
 
-echo "== submitting example app"
-OUT=$("$TMP/entk-run" -app cmd/entk-run/example-app.json -daemon "$SOCK" -tenant smoke)
-echo "$OUT"
-echo "$OUT" | grep -q "finished: DONE" || { echo "run did not finish DONE"; exit 1; }
+for n in 1 2 3; do
+    echo "== submitting example app ($n of 3)"
+    OUT=$("$TMP/entk-run" -app cmd/entk-run/example-app.json -daemon "$SOCK" -tenant smoke)
+    echo "$OUT"
+    echo "$OUT" | grep -q "finished: DONE" || { echo "run $n did not finish DONE"; exit 1; }
+done
 
 echo "== shutting down"
 kill -TERM "$DPID"
