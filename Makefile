@@ -28,13 +28,22 @@ GO ?= go
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
 BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkSnapshot|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
-.PHONY: build test fuzz bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
+.PHONY: build test budgets fuzz bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# The two budgets whose reading depends on how many Ps the scheduler has — a
+# stage's sync frames (the completion drain's yield coalesces its results) and
+# the task path's allocations per task (each frame a stage's results split
+# into costs its own body, delivery and ack) — at one, two and four. No -race:
+# both skip or only log under it.
+budgets:
+	$(GO) test -count=1 -run '^TestStageFrameBudget$$' -cpu 1,2,4 ./internal/core
+	$(GO) test -count=1 -run '^TestTaskPathAllocBudget$$' -cpu 1,2,4 .
 
 # A short coverage-guided pass over the decoders of untrusted bytes: the two
 # that read what a crash left on disk (the journal scanner against its

@@ -6,8 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/hostmodel"
 	"repro/internal/rts"
+	"repro/internal/saga"
+	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // footprintApp is the shape of the end-to-end benchmark's daemon-open runs:
@@ -21,8 +26,9 @@ var footprintApp = []byte(`{"resource":{"name":"supermic","cores":8,"walltime_s"
 // alive is what a busy daemon's heap is made of: it must be a summary (it
 // was the whole AppManager and lease, 55 KB per run). And a run's fixed
 // scaffolding — queues, consumers, clients, lease, names — must not grow
-// back: the ceiling is ~5 % above what a run allocates today (503; it was
-// 771 with the scaffolding this bounds).
+// back: the ceiling is ~5 % above what a run allocates today (389-395; it
+// was 519 while every hand-off rebuilt its scratch and every task carried
+// its three per-task allocations, and 691 with the scaffolding this bounds).
 func TestHostedRunFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -30,7 +36,7 @@ func TestHostedRunFootprint(t *testing.T) {
 	const (
 		warm, runs       = 20, 500
 		keptCeiling      = 2 << 10 // bytes per finished run
-		allocsPerRunCeil = 530
+		allocsPerRunCeil = 415
 	)
 	d, err := daemon.New(daemon.Config{
 		Resource:  "supermic",
@@ -85,5 +91,94 @@ func TestHostedRunFootprint(t *testing.T) {
 	}
 	if n := d.LeakedLeases(); n != 0 {
 		t.Errorf("%d leaked leases", n)
+	}
+}
+
+// taskPathAllocs runs a pipelines × stages × tasks application of zero-cost
+// sleep tasks through the real embedded stack — entk.NewAppManager's assembly
+// with the simulated machine taken out (rts.FastModel, hostmodel.Null), as the
+// end-to-end benchmark wires it — and returns the allocations Start→Wait made
+// per task.
+func taskPathAllocs(t *testing.T, pipelines, stages, tasks int) float64 {
+	t.Helper()
+	clock := vclock.NewScaled(250 * time.Microsecond) // 72 h of walltime = 64.8 s of wall
+	session := saga.NewSession()
+	defer session.Close()
+	adapter, err := saga.NewCatalogAdapter("supermic", clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := session.Register(adapter); err != nil {
+		t.Fatal(err)
+	}
+	am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 4096, Walltime: 72 * time.Hour})
+	am.SetRTSFactory(rts.Factory(rts.Config{
+		Clock: clock, Session: session, Registry: workload.NewRegistry(), Model: rts.FastModel(),
+	}))
+	for p := 0; p < pipelines; p++ {
+		pipe := core.NewPipeline("p")
+		for s := 0; s < stages; s++ {
+			stage := core.NewStage("s")
+			for k := 0; k < tasks; k++ {
+				task := core.NewTask("t")
+				task.Executable = "sleep"
+				stage.AddTask(task) //nolint:errcheck // a fresh stage accepts tasks
+			}
+			pipe.AddStage(stage) //nolint:errcheck // a fresh pipeline accepts stages
+		}
+		if err := am.AddPipelines(pipe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run, err := am.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(pipelines*stages*tasks)
+}
+
+// TestTaskPathAllocBudget holds the control path to allocating for the frames
+// a task rides — one body per message, one delivery per pop, the task's own
+// state — and not per task or per hand-off. The deep shape (4-task stages)
+// pays every per-frame cost once per four tasks; the wide shape (one
+// 4096-task stage) pays nothing but the per-task ones. Ceilings are ~10 %
+// above what the shapes allocate today; the best of three runs is held to
+// them, because how a stage's results coalesce into frames is up to the
+// scheduler (TestStageFrameBudget).
+func TestTaskPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, c := range []struct {
+		name                     string
+		pipelines, stages, tasks int
+		ceil                     float64
+	}{
+		{"deep-16x16x4", 16, 16, 4, 4.2},   // 3.3-3.8 at -cpu 1,2,4; it was 13.3
+		{"wide-1x1x4096", 1, 1, 4096, 0.4}, // 0.20-0.31, all of it the run's fixed cost; it was 3.2
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			best := 0.0
+			for i := 0; i < 3; i++ {
+				if a := taskPathAllocs(t, c.pipelines, c.stages, c.tasks); i == 0 || a < best {
+					best = a
+				}
+			}
+			t.Logf("%.2f allocations per task (best of 3)", best)
+			if best > c.ceil {
+				t.Errorf("%.2f allocations per task, want at most %.2f", best, c.ceil)
+			}
+		})
 	}
 }

@@ -425,3 +425,83 @@ func TestBatchConservationConcurrent(t *testing.T) {
 	b.Close()
 	wg.Wait()
 }
+
+// TestOneMessagePopOwnsItsDelivery: a batch of one is a single allocation
+// holding the delivery and the slice that points at it, and it is the
+// caller's like any other — the next pops, each one message too, hand out
+// deliveries of their own and disturb nothing of it while it is unacked.
+func TestOneMessagePopOwnsItsDelivery(t *testing.T) {
+	b := newTestBroker(t)
+	mustDeclareFIFO(t, b, "q")
+	for i := byte(0); i < 4; i++ {
+		if err := b.Publish("q", []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := b.ConsumeBatch("q", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Cancel()
+	pop := func() *Delivery {
+		t.Helper()
+		ds, err := c.ReceiveBatch(1)
+		if err != nil || len(ds) != 1 {
+			t.Fatalf("ReceiveBatch(1) = %d deliveries, %v", len(ds), err)
+		}
+		return ds[0]
+	}
+	first, second, third := pop(), pop(), pop()
+	for i, d := range []*Delivery{first, second, third} {
+		if d.Body[0] != byte(i) || d.Redelivered {
+			t.Fatalf("pop %d holds message %d (redelivered %v) after later pops", i, d.Body[0], d.Redelivered)
+		}
+	}
+	if s, _ := b.Stats("q"); s.Unacked != 3 || s.Depth != 1 {
+		t.Fatalf("three one-message pops outstanding: %+v", s)
+	}
+	// Settled out of order: the ledger unlinks each delivery where it stands.
+	if err := second.Ack(); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Ack(); err != ErrAlreadyAcked {
+		t.Fatalf("second ack = %v, want ErrAlreadyAcked", err)
+	}
+	if err := third.Nack(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Nack(true); err != nil {
+		t.Fatal(err)
+	}
+	// Requeued at the front, last nacked first: 0, 2, then the untouched 3.
+	for _, want := range []byte{0, 2, 3} {
+		d := pop()
+		if d.Body[0] != want || d.Redelivered != (want != 3) {
+			t.Fatalf("after the requeues got message %d (redelivered %v), want %d", d.Body[0], d.Redelivered, want)
+		}
+		if err := d.Ack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, _ := b.Stats("q"); s.Unacked != 0 || s.Depth != 0 || s.Acked != 4 || s.Nacked != 2 {
+		t.Fatalf("settled: %+v", s)
+	}
+
+	// What it buys: one allocation per one-message pop, and the
+	// publish/get/ack round trip BenchmarkBrokerPublishConsume times still
+	// costs exactly its one delivery.
+	body := []byte{9}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.Publish("q", body) //nolint:errcheck
+		pop().Ack()          //nolint:errcheck
+	}); allocs != 1 {
+		t.Errorf("publish + one-message pop + ack allocates %.1f objects, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.Publish("q", body) //nolint:errcheck
+		d, _, _ := b.Get("q")
+		d.Ack() //nolint:errcheck
+	}); allocs != 1 {
+		t.Errorf("publish + get + ack allocates %.1f objects, want 1", allocs)
+	}
+}

@@ -286,11 +286,27 @@ func (b *Broker) PublishBatch(queueName string, bodies [][]byte) error {
 	if b.opts.PerOpDelay != nil {
 		b.opts.PerOpDelay()
 	}
-	msgs := make([]Message, len(bodies))
-	for i, body := range bodies {
-		msgs[i] = Message{ID: b.nextID.Add(1), Body: body}
+	var few [fewMessages]Message
+	return q.publishBatchTo(q.nextShard(), b.stamp(few[:0], bodies))
+}
+
+// fewMessages is how many messages a publish batch may carry and still be
+// stamped in its caller's frame: a stage's tasks go out as one pending message
+// per BatchSize tasks, so almost every batch is a handful.
+const fewMessages = 4
+
+// stamp gives each body its message ID, appending to few — a buffer on the
+// caller's stack, which the queue copies from and does not keep — when the
+// batch fits it.
+func (b *Broker) stamp(few []Message, bodies [][]byte) []Message {
+	msgs := few
+	if len(bodies) > cap(few) {
+		msgs = make([]Message, 0, len(bodies))
 	}
-	return q.publishBatch(msgs)
+	for _, body := range bodies {
+		msgs = append(msgs, Message{ID: b.nextID.Add(1), Body: body})
+	}
+	return msgs
 }
 
 // Producer is a lightweight publisher handle pinned to one shard of a
@@ -335,11 +351,8 @@ func (p *Producer) PublishBatch(bodies [][]byte) error {
 	if p.b.opts.PerOpDelay != nil {
 		p.b.opts.PerOpDelay()
 	}
-	msgs := make([]Message, len(bodies))
-	for i, body := range bodies {
-		msgs[i] = Message{ID: p.b.nextID.Add(1), Body: body}
-	}
-	return p.q.publishBatchTo(p.sh, msgs)
+	var few [fewMessages]Message
+	return p.q.publishBatchTo(p.sh, p.b.stamp(few[:0], bodies))
 }
 
 // Get synchronously pops one ready message, returning ok=false when the

@@ -426,10 +426,6 @@ func (q *queue) publishBatchTo(sh *qshard, msgs []Message) error {
 	return nil
 }
 
-func (q *queue) publishBatch(msgs []Message) error {
-	return q.publishBatchTo(q.nextShard(), msgs)
-}
-
 // restore re-inserts a recovered message without journaling it again.
 // Replay walks the journal in publish order and restore assigns shards
 // round-robin, so recovery rebuilds a sharded queue holding exactly the
@@ -482,13 +478,14 @@ func (q *queue) popOne(c *Consumer, start, pref int) (*Delivery, bool) {
 	return nil, false
 }
 
-// popBatch pops up to max ready messages with one backing allocation for
-// the whole batch, draining whole shard segments: the preferred shard
-// first, then — work-stealing — the next non-empty shards in rotation.
-// Each segment comes off one shard under one lock acquisition and preserves
-// that shard's FIFO order (a whole publish batch in the common case). May
-// return fewer than max — or none — when concurrent consumers drain the
-// queue first.
+// popBatch pops up to max ready messages, draining whole shard segments: the
+// preferred shard first, then — work-stealing — the next non-empty shards in
+// rotation. Each segment comes off one shard under one lock acquisition and
+// preserves that shard's FIFO order (a whole publish batch in the common
+// case). May return fewer than max — or none — when concurrent consumers
+// drain the queue first. The batch is two allocations, its deliveries and the
+// slice of pointers to them; a batch of one — every sync frame and every ack
+// is popped alone — is a single allocation holding both.
 func (q *queue) popBatch(c *Consumer, max int) []*Delivery {
 	avail := int(q.totalReady())
 	if avail <= 0 {
@@ -498,8 +495,18 @@ func (q *queue) popBatch(c *Consumer, max int) []*Delivery {
 		avail = max
 	}
 	n := len(q.shards)
-	block := make([]Delivery, avail)
-	batch := make([]*Delivery, 0, avail)
+	var block []Delivery
+	var batch []*Delivery
+	if avail == 1 {
+		one := new(struct {
+			d [1]Delivery
+			p [1]*Delivery
+		})
+		block, batch = one.d[:], one.p[:0]
+	} else {
+		block = make([]Delivery, avail)
+		batch = make([]*Delivery, 0, avail)
+	}
 	for i := 0; i < n && len(batch) < avail; i++ {
 		sh := &q.shards[(c.pref+i)%n]
 		if sh.depth.Load() == 0 {

@@ -447,11 +447,12 @@ var wireNames = func() map[string]string {
 }()
 
 // resolveLocked is the registry as a msgcodec.Resolve (passed as am.resolve):
-// the engine's own copy of a task, stage or pipeline UID, an entity kind or a
-// state name, or "" for anything else. Components decode their frames
-// against it under one hold of am.mu, which the caller takes, so a frame of
-// known names costs no string allocation and one lock acquisition however
-// many tasks it names.
+// the engine's own copy of a task, stage or pipeline UID, an entity kind, a
+// state name or one of the run's queue names (every sync frame names the
+// queue its ack goes to), or "" for anything else. Components decode their
+// frames against it under one hold of am.mu, which the caller takes, so a
+// frame of known names costs no string allocation and one lock acquisition
+// however many tasks it names.
 func (am *AppManager) resolveLocked(b []byte) string {
 	if t, ok := am.tasks[string(b)]; ok {
 		return t.UID
@@ -464,6 +465,11 @@ func (am *AppManager) resolveLocked(b []byte) string {
 	}
 	if p, ok := am.pipes[string(b)]; ok {
 		return p.UID
+	}
+	for i := range am.queues {
+		if am.queues[i] == string(b) {
+			return am.queues[i]
+		}
 	}
 	return ""
 }
@@ -535,10 +541,14 @@ func (am *AppManager) registerEntities() error {
 			if _, dup := am.stages[s.UID]; dup {
 				return fmt.Errorf("core: duplicate stage UID %s", s.UID)
 			}
-			for _, t := range s.Tasks() {
-				if _, dup := am.tasks[t.UID]; dup {
-					return fmt.Errorf("core: duplicate task UID %s", t.UID)
+			dup := ""
+			s.eachTask(func(t *Task) {
+				if _, ok := am.tasks[t.UID]; ok && dup == "" {
+					dup = t.UID
 				}
+			})
+			if dup != "" {
+				return fmt.Errorf("core: duplicate task UID %s", dup)
 			}
 			am.indexStageLocked(s)
 		}
@@ -559,9 +569,7 @@ func (am *AppManager) registerLateStage(s *Stage) {
 // counting them in the run's tally. am.mu must be held.
 func (am *AppManager) indexStageLocked(s *Stage) {
 	am.stages[s.UID] = s
-	for _, t := range s.Tasks() {
-		am.tasks[t.UID] = t
-	}
+	s.eachTask(func(t *Task) { am.tasks[t.UID] = t })
 	s.tally.feed(&am.tally)
 }
 

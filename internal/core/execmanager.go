@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/broker"
@@ -29,6 +30,7 @@ type execManager struct {
 
 	pendC    *broker.Consumer
 	emgrSync *syncClient
+	scratch  emgrScratch // the Emgr goroutine's (submitBatch)
 	// hbSync commits the re-injection of tasks lost with a failed RTS. Most
 	// runs never fail over, so it is made on first use, on the heartbeat
 	// goroutine — the only one that uses it; stopRTS closes it after that
@@ -150,31 +152,27 @@ func (e *execManager) emgrLoop(ctx context.Context) {
 // submitBatch translates and submits one batch of pending tasks. All
 // settlement happens through the broker's batch API: malformed messages are
 // dropped as one nack batch, and the live remainder is acked or requeued as
-// one batch per outcome.
+// one batch per outcome. What it builds for every batch is the Emgr
+// goroutine's scratch (emgrScratch), descriptions included: an RTS keeps
+// nothing of the slice Submit hands it (the RTS contract).
 func (e *execManager) submitBatch(batch []*broker.Delivery) error {
-	// Every message is decoded first, against the registry and under one
-	// hold of it, so that tasks and descs are sized once for the whole batch.
-	var drops []*broker.Delivery
-	decoded := make([]*broker.Delivery, 0, len(batch))
-	msgs, total := make([][]string, 0, len(batch)), 0 // msgs[i] is decoded[i]'s UIDs
+	sc := &e.scratch
+	defer sc.release()
+	var drops []*broker.Delivery // malformed messages (rare)
+	// Every message is decoded against the registry and its tasks resolved
+	// under one hold of it.
 	e.am.mu.Lock()
 	for _, d := range batch {
-		uids, err := msgcodec.DecodeTaskUIDsWith(d.Body, e.am.resolve)
+		uids, err := msgcodec.AppendTaskUIDs(sc.uids[:0], d.Body, e.am.resolve)
+		sc.uids = uids
 		if err != nil {
 			drops = append(drops, d)
 			continue
 		}
-		decoded = append(decoded, d)
-		msgs = append(msgs, uids)
-		total += len(uids)
-	}
-	tasks := make([]*Task, 0, total)
-	live := make([]*broker.Delivery, 0, len(decoded))
-	for i, d := range decoded {
 		bad := false
-		for _, uid := range msgs[i] {
+		for _, uid := range uids {
 			if t, ok := e.am.tasks[uid]; ok {
-				tasks = append(tasks, t)
+				sc.tasks = append(sc.tasks, t)
 			} else {
 				bad = true
 			}
@@ -184,23 +182,26 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 		if bad {
 			drops = append(drops, d)
 		} else {
-			live = append(live, d)
+			sc.live = append(sc.live, d)
 		}
 	}
 	e.am.mu.Unlock()
-	descs := make([]TaskDescription, 0, len(tasks))
-	submit := tasks[:0]
-	for _, t := range tasks {
+	live := sc.live
+	// Sized once for the batch: a run's first wide batch would otherwise grow
+	// the descriptions, 200 bytes each, doubling by doubling.
+	sc.descs = slices.Grow(sc.descs, len(sc.tasks))
+	tasks := sc.tasks[:0]
+	for _, t := range sc.tasks {
 		if t.State().Terminal() {
 			// The task was canceled (or recovered as DONE) after its
 			// pending message was published; submitting it would only
 			// burn pilot cores on a result the Dequeue will discard.
 			continue
 		}
-		descs = append(descs, describeTask(t))
-		submit = append(submit, t)
+		sc.descs = append(sc.descs, describeTask(t))
+		tasks = append(tasks, t)
 	}
-	tasks = submit
+	descs := sc.descs
 	if err := broker.NackBatch(drops, false); err != nil {
 		return err
 	}
@@ -208,19 +209,18 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	// a fast RTS may otherwise report completion before SUBMITTED is
 	// recorded. Redelivered tasks (RTS refused a previous batch) skip
 	// transitions they already made.
-	var toSubmitting, toSubmitted []*Task
 	for _, t := range tasks {
 		switch t.State() {
 		case TaskScheduled:
-			toSubmitting = append(toSubmitting, t)
-			toSubmitted = append(toSubmitted, t)
+			sc.toSubmitting = append(sc.toSubmitting, t)
+			sc.toSubmitted = append(sc.toSubmitted, t)
 		case TaskSubmitting:
-			toSubmitted = append(toSubmitted, t)
+			sc.toSubmitted = append(sc.toSubmitted, t)
 		}
 	}
 	e.emgrSync.begin()
-	e.emgrSync.addTaskBatch(toSubmitting, TaskSubmitting)
-	e.emgrSync.addTaskBatch(toSubmitted, TaskSubmitted)
+	e.emgrSync.addTaskBatch(sc.toSubmitting, TaskSubmitting)
+	e.emgrSync.addTaskBatch(sc.toSubmitted, TaskSubmitted)
 	if err := e.emgrSync.flush(); err != nil {
 		broker.NackBatch(live, true) //nolint:errcheck
 		return err
@@ -256,6 +256,29 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 		return broker.NackBatch(live, true)
 	}
 	return broker.AckBatch(live)
+}
+
+// emgrScratch is what submitBatch builds for one batch of pending messages and
+// has no use for once the batch is settled, kept from batch to batch for its
+// capacity (owner: the Emgr goroutine): one message's UIDs, the batch's
+// well-formed messages, the tasks they name, those tasks as RTS descriptions,
+// and the tasks each bulk transition applies to.
+type emgrScratch struct {
+	uids                      []string
+	live                      []*broker.Delivery
+	tasks                     []*Task
+	descs                     []TaskDescription
+	toSubmitting, toSubmitted []*Task
+}
+
+// release empties the scratch without letting go of its arrays, and without
+// keeping alive what they pointed at: settled deliveries, the descriptions'
+// argument and staging lists.
+func (sc *emgrScratch) release() {
+	clear(sc.live)
+	clear(sc.descs)
+	sc.live, sc.tasks, sc.descs = sc.live[:0], sc.tasks[:0], sc.descs[:0]
+	sc.toSubmitting, sc.toSubmitted = sc.toSubmitting[:0], sc.toSubmitted[:0]
 }
 
 // callbackLoop forwards one RTS instance's completions to the done queue,

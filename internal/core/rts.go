@@ -65,7 +65,12 @@ type RTS interface {
 	// It returns once the RTS accepts work; resource availability may
 	// still be pending, exactly like a queued pilot.
 	Start(ctx context.Context) error
-	// Submit hands task descriptions to the RTS for execution.
+	// Submit hands task descriptions to the RTS for execution. The slice is
+	// the caller's and is overwritten by its next batch: an implementation
+	// must not retain tasks or its backing array past return — what it needs
+	// later (a queued task, a goroutine's argument, a record for a test) it
+	// copies or encodes before returning. The elements' own slices and maps
+	// are made per description and may be kept.
 	Submit(tasks []TaskDescription) error
 	// Completions delivers task results as they finish. The channel is
 	// closed by Stop. Consumers read it through DrainCompletions.

@@ -133,6 +133,17 @@ func (s *Stage) Tasks() []*Task {
 	return out
 }
 
+// eachTask calls fn for every task of the stage, in order, under the stage's
+// read lock and without the copy Tasks makes. fn may take task locks (AddTask
+// takes them under the stage's lock too) and must not add to the stage.
+func (s *Stage) eachTask(fn func(*Task)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, t := range s.tasks {
+		fn(t)
+	}
+}
+
 // TaskCount returns the number of tasks in the stage.
 func (s *Stage) TaskCount() int {
 	s.mu.RLock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/broker"
@@ -42,9 +43,10 @@ type synchronizer struct {
 	consumer *broker.Consumer
 	wg       sync.WaitGroup
 
-	// The loop goroutine's buffers, reused from request to request: the
-	// request's tasks as resolved from the registry, and the transitions it
-	// committed.
+	// The loop goroutine's buffers, reused from frame to frame and request to
+	// request: the frame every body is decoded into, the request's tasks as
+	// resolved from the registry, and the transitions it committed.
+	frame   msgcodec.SyncFrame
 	tasks   []*Task
 	commits []applied
 }
@@ -86,8 +88,9 @@ func (s *synchronizer) loop() {
 			return // stopped, or the queue is gone
 		}
 		d := batch[0]
+		frame := &s.frame // owner: this goroutine; nothing of it outlives the ack below
 		s.am.mu.Lock()
-		frame, err := msgcodec.DecodeSyncFrameWith(d.Body, s.am.resolve)
+		err = msgcodec.DecodeSyncFrameInto(frame, d.Body, s.am.resolve)
 		s.am.mu.Unlock()
 		if err != nil {
 			d.Nack(false) //nolint:errcheck
@@ -329,7 +332,11 @@ type syncClient struct {
 	reply string
 	cons  *broker.Consumer
 	seq   uint64
-	reqs  []stateRequest // frame under construction (reused across frames)
+	// The frame under construction, reused across frames (owner: the one
+	// goroutine that uses this client): its requests, and the UID lists of its
+	// bulk requests, carved one after another from uids.
+	reqs []stateRequest
+	uids []string
 }
 
 func newSyncClient(am *AppManager, replyQueue queueID) (*syncClient, error) {
@@ -349,7 +356,7 @@ func (c *syncClient) close() {
 }
 
 // begin starts a fresh frame.
-func (c *syncClient) begin() { c.reqs = c.reqs[:0] }
+func (c *syncClient) begin() { c.reqs, c.uids = c.reqs[:0], c.uids[:0] }
 
 // add appends one transition request to the frame under construction.
 func (c *syncClient) add(req stateRequest) { c.reqs = append(c.reqs, req) }
@@ -365,10 +372,19 @@ func (c *syncClient) addTaskBatch(ts []*Task, to TaskState) {
 	if len(ts) == 0 {
 		return
 	}
-	c.add(taskBatchRequest(ts, to))
+	// When the append below moves uids, the frame's earlier requests keep the
+	// old array, which still says what they said.
+	first := len(c.uids)
+	c.uids = slices.Grow(c.uids, len(ts))
+	for _, t := range ts {
+		c.uids = append(c.uids, t.UID)
+	}
+	c.add(stateRequest{Entity: "task", UIDs: c.uids[first:len(c.uids):len(c.uids)], Target: string(to)})
 }
 
-// taskBatchRequest is one transition applied to many tasks.
+// taskBatchRequest is one transition applied to many tasks, as a request of
+// its own (the run handle's, one per frame and rare; a component's bulk
+// requests go through addTaskBatch).
 func taskBatchRequest(ts []*Task, to TaskState) stateRequest {
 	uids := make([]string, len(ts))
 	for i, t := range ts {

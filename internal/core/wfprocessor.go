@@ -35,13 +35,20 @@ type wfProcessor struct {
 	enqSync *syncClient
 	deqSync *syncClient
 
-	// uidScratch is the enqueue loop's reusable chunk buffer for pending
-	// message encoding (scheduleStage runs only on that goroutine). resolved
-	// and affected are the dequeue loop's: the tasks one done-message names,
-	// and the distinct stages one drain settled tasks of.
+	// Scratch of the enqueue loop's goroutine, the only one that schedules and
+	// cancels stages: the tasks of the stage in hand that are still to run, one
+	// pending message's UIDs, and the stage's encoded pending messages.
+	runnable   []*Task
 	uidScratch []string
-	resolved   []*Task
-	affected   []*Stage
+	bodies     [][]byte
+	// Scratch of the dequeue loop's goroutine: one done-message's results and
+	// the tasks they name, the drain's succeeded tasks (the other outcomes are
+	// rare and allocate when they occur), and the distinct stages it settled
+	// tasks of.
+	results   []TaskResult
+	resolved  []*Task
+	succeeded []*Task
+	affected  []*Stage
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -180,13 +187,7 @@ func (w *wfProcessor) cancelUnstarted(p *Pipeline) error {
 	// and the pipeline — rides one sync frame.
 	w.enqSync.begin()
 	for _, s := range p.Stages() {
-		var fresh []*Task
-		for _, t := range s.Tasks() {
-			if t.State() == TaskInitial {
-				fresh = append(fresh, t)
-			}
-		}
-		w.enqSync.addTaskBatch(fresh, TaskCanceled)
+		w.enqSync.addTaskBatch(w.freshTasks(s), TaskCanceled)
 		if s.State() == StageInitial {
 			w.enqSync.add(stateRequest{Entity: "stage", UID: s.UID, Target: string(StageCanceled)})
 		}
@@ -204,15 +205,23 @@ func (w *wfProcessor) cancelUnstarted(p *Pipeline) error {
 	return nil
 }
 
+// freshTasks returns the stage's tasks still in their initial state — the
+// others were recovered as DONE or already processed — in w.runnable, good
+// until the next call.
+func (w *wfProcessor) freshTasks(stage *Stage) []*Task {
+	w.runnable = w.runnable[:0] // owner: the enqueue loop
+	stage.eachTask(func(t *Task) {
+		if t.State() == TaskInitial {
+			w.runnable = append(w.runnable, t)
+		}
+	})
+	return w.runnable
+}
+
 // scheduleStage tags a stage's unscheduled tasks and pushes them to the
 // pending queue (paper Fig 2, arrow 1).
 func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
-	var runnable []*Task
-	for _, t := range stage.Tasks() {
-		if t.State() == TaskInitial {
-			runnable = append(runnable, t)
-		} // otherwise recovered as DONE (or already processed)
-	}
+	runnable := w.freshTasks(stage)
 	// Both stage transitions and both bulk task transitions ride a single
 	// sync frame: scheduling a stage costs one synchronization round-trip
 	// regardless of task count. Tasks must be in SCHEDULED before their
@@ -233,11 +242,11 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 		// chunked into messages of at most BatchSize tasks so the Emgr's
 		// batch granularity is controllable, but however many messages that
 		// yields, the broker is traversed once. Encoding reuses the loop's
-		// scratch UID slice and msgcodec's pooled buffers, so each chunk
-		// costs exactly one allocation (its body). The chunk size is the
-		// live batch knob: one atomic load per stage-scheduling decision.
+		// scratch, so each chunk costs exactly one allocation (its body, which
+		// the broker keeps; the slice of bodies it does not). The chunk size is
+		// the live batch knob: one atomic load per stage-scheduling decision.
 		chunk := w.am.live.BatchSize()
-		var bodies [][]byte
+		bodies := w.bodies[:0] // owner: the enqueue loop
 		for start := 0; start < len(runnable); start += chunk {
 			end := start + chunk
 			if end > len(runnable) {
@@ -249,7 +258,10 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			}
 			bodies = append(bodies, msgcodec.FormatBinary.EncodeTaskUIDs(w.uidScratch))
 		}
-		if err := w.pendP.PublishBatch(bodies); err != nil {
+		err := w.pendP.PublishBatch(bodies)
+		clear(bodies) // the queue's, no longer ours to keep alive
+		w.bodies = bodies
+		if err != nil {
 			return err
 		}
 	}
@@ -289,7 +301,7 @@ func (w *wfProcessor) dequeueLoop(ctx context.Context) {
 // cancellations (rare) are handled individually so exit codes and the
 // resubmission policy stay per-task.
 func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
-	var succeeded []*Task
+	succeeded := w.succeeded[:0] // owner: the dequeue loop, as w.results and w.resolved below
 	var failures []failedAttempt
 	var canceled []*Task
 	var drops []*broker.Delivery // malformed messages: batch-dropped
@@ -297,7 +309,8 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 		// One hold of the registry per message: decode against it, then
 		// resolve each result's task.
 		w.am.mu.Lock()
-		results, err := msgcodec.DecodeTaskResultsWith(d.Body, w.am.resolve)
+		results, err := msgcodec.AppendTaskResults(w.results[:0], d.Body, w.am.resolve)
+		w.results = results
 		w.resolved = w.resolved[:0]
 		for i := range results {
 			w.resolved = append(w.resolved, w.am.tasks[results[i].UID])
@@ -330,6 +343,7 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 			}
 		}
 	}
+	w.succeeded = succeeded // keep what it grew to
 	// Settle the whole drain in two broker round-trips (one ack batch, one
 	// drop batch) instead of one per message. NackBatch/AckBatch skip
 	// deliveries the other call already settled.

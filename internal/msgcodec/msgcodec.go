@@ -16,7 +16,10 @@
 // docs/wire-format.md for the layout and compatibility rules.
 package msgcodec
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Magic is the first byte of every frame. It can never begin a text
 // document (0xBF is a UTF-8 continuation byte), so foreign bodies are
@@ -107,15 +110,16 @@ func putBuf(bp *[]byte, buf []byte) []byte {
 
 // ---- pending-queue task-UID batches -------------------------------------
 
-// EncodeTaskUIDs encodes a pending-queue message for the given task UIDs.
+// EncodeTaskUIDs encodes a pending-queue message for the given task UIDs,
+// sized first and written once (see sizeString).
 func (f Format) EncodeTaskUIDs(uids []string) []byte {
-	bp, buf := getBuf()
+	buf := make([]byte, 0, headerSize+sizeStrings(uids))
 	buf = appendHeader(buf, FrameTaskUIDs)
 	buf = appendUvarint(buf, uint64(len(uids)))
 	for _, uid := range uids {
 		buf = appendString(buf, uid)
 	}
-	return putBuf(bp, buf)
+	return buf
 }
 
 // EncodeTaskUID encodes a single-task pending message.
@@ -123,25 +127,28 @@ func (f Format) EncodeTaskUID(uid string) []byte {
 	return f.EncodeTaskUIDs([]string{uid})
 }
 
-// DecodeTaskUIDs decodes a pending-queue message body.
-func DecodeTaskUIDs(body []byte) ([]string, error) { return DecodeTaskUIDsWith(body, nil) }
+// DecodeTaskUIDs decodes a pending-queue message body into a slice of its own.
+func DecodeTaskUIDs(body []byte) ([]string, error) { return AppendTaskUIDs(nil, body, nil) }
 
-// DecodeTaskUIDsWith decodes a pending-queue message body, taking the task
-// UIDs the resolver knows from it (see DecodeSyncFrameWith).
-func DecodeTaskUIDsWith(body []byte, resolve Resolve) ([]string, error) {
+// AppendTaskUIDs decodes a pending-queue message body onto dst — a receiver
+// that passes the buffer it owns, emptied, allocates nothing once it has
+// grown — taking the task UIDs the resolver knows from it (see
+// DecodeSyncFrameInto). After an error the returned slice is dst unextended.
+func AppendTaskUIDs(dst []string, body []byte, resolve Resolve) ([]string, error) {
 	r, err := frameReader(body, FrameTaskUIDs)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	r.resolve = resolve
 	n, err := r.count(1)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	uids := make([]string, n)
-	for i := range uids {
+	first := len(dst)
+	uids := slices.Grow(dst, n)[:first+n]
+	for i := first; i < len(uids); i++ {
 		if uids[i], err = r.str(); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 	return uids, nil

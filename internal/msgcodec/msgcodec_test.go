@@ -2,6 +2,7 @@ package msgcodec
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -318,10 +319,14 @@ func checkResolvingDecoders(t *testing.T, body []byte) {
 	}
 	for _, d := range []decoder{
 		{"TaskUIDs",
-			func(b []byte, r Resolve) (any, error) { return DecodeTaskUIDsWith(b, r) },
+			func(b []byte, r Resolve) (any, error) { return AppendTaskUIDs(nil, b, r) },
 			func(v any) []string { return v.([]string) }},
 		{"SyncFrame",
-			func(b []byte, r Resolve) (any, error) { return DecodeSyncFrameWith(b, r) },
+			func(b []byte, r Resolve) (any, error) {
+				var fr SyncFrame
+				err := DecodeSyncFrameInto(&fr, b, r)
+				return fr, err
+			},
 			func(v any) []string {
 				fr := v.(SyncFrame)
 				out := []string{fr.Reply}
@@ -331,7 +336,7 @@ func checkResolvingDecoders(t *testing.T, body []byte) {
 				return out
 			}},
 		{"TaskResults",
-			func(b []byte, r Resolve) (any, error) { return DecodeTaskResultsWith(b, r) },
+			func(b []byte, r Resolve) (any, error) { return AppendTaskResults(nil, b, r) },
 			func(v any) []string {
 				var out []string
 				for _, res := range v.([]TaskResult) {
@@ -352,12 +357,87 @@ func checkResolvingDecoders(t *testing.T, body []byte) {
 				scratch[i] ^= 0xff
 			}
 			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("Decode%sWith(%s resolver) error %v, plain decode error %v", d.name, name, gerr, werr)
+				t.Fatalf("%s decoded with the %s resolver: error %v, plain decode error %v", d.name, name, gerr, werr)
 			}
 			if gerr == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("Decode%sWith(%s resolver) = %+v, plain decode = %+v", d.name, name, got, want)
+				t.Fatalf("%s decoded with the %s resolver = %+v, plain decode = %+v", d.name, name, got, want)
 			}
 		}
+	}
+}
+
+// reusedDecodes is a receiver that owns its decode buffers, as the
+// Synchronizer, the Emgr and Dequeue do: one SyncFrame, one UID slice and one
+// result slice that every body is decoded over. lastFrame, lastUIDs and
+// lastResults are the last bodies each decoder accepted — what the buffers
+// are made to hold before the next body is decoded over them.
+type reusedDecodes struct {
+	frame                            SyncFrame
+	uids                             []string
+	results                          []TaskResult
+	lastFrame, lastUIDs, lastResults []byte
+}
+
+func newReusedDecodes() *reusedDecodes {
+	// Start from bodies that fill every field a later, smaller one leaves out.
+	frame, _ := FormatBinary.EncodeSyncFrame(SyncFrame{Reply: "stale-q", Seq: 99, Reqs: []SyncRequest{
+		{Entity: "task", UID: "stale.0", UIDs: []string{"stale.1", "stale.2", "stale.3"}, Target: "FAILED", ExitCode: 7, ExecErr: "stale error"},
+		{Entity: "stage", UID: "stale.s", UIDs: []string{"stale.4"}, Target: "DONE", ExitCode: -1, ExecErr: "stale too"}}})
+	results, _ := FormatBinary.EncodeTaskResults([]TaskResult{
+		{UID: "stale.1", ExitCode: 9, Error: "stale error", Canceled: true, Started: time.Unix(1, 2), Finished: time.Unix(3, 4), StagingTime: 5},
+		{UID: "stale.2", ExitCode: 1, Error: "stale too", Started: time.Unix(6, 7), Finished: time.Unix(8, 9), StagingTime: 10}})
+	return &reusedDecodes{lastFrame: frame, lastResults: results,
+		lastUIDs: FormatBinary.EncodeTaskUIDs([]string{"stale.1", "stale.2", "stale.3"})}
+}
+
+// check decodes body over buffers that have just held a different body and
+// holds the outcome to a fresh decode's: the same error or none, the same
+// value, nothing of the earlier body showing through.
+func (h *reusedDecodes) check(t *testing.T, body []byte) {
+	t.Helper()
+	keep := func(last *[]byte) { *last = append([]byte(nil), body...) }
+
+	if err := DecodeSyncFrameInto(&h.frame, h.lastFrame, nil); err != nil {
+		t.Fatalf("the last accepted sync frame no longer decodes: %v", err)
+	}
+	fresh, ferr := DecodeSyncFrame(body)
+	rerr := DecodeSyncFrameInto(&h.frame, body, nil)
+	if (ferr == nil) != (rerr == nil) {
+		t.Fatalf("sync frame into a used value: error %v, fresh decode error %v", rerr, ferr)
+	}
+	if ferr == nil {
+		same := h.frame.Reply == fresh.Reply && h.frame.Seq == fresh.Seq && len(h.frame.Reqs) == len(fresh.Reqs)
+		for i := 0; same && i < len(fresh.Reqs); i++ {
+			a, b := h.frame.Reqs[i], fresh.Reqs[i]
+			same = a.Entity == b.Entity && a.UID == b.UID && a.Target == b.Target &&
+				a.ExitCode == b.ExitCode && a.ExecErr == b.ExecErr && slices.Equal(a.UIDs, b.UIDs)
+		}
+		if !same {
+			t.Fatalf("sync frame into a used value = %+v, fresh decode = %+v", h.frame, fresh)
+		}
+		keep(&h.lastFrame)
+	}
+
+	h.uids, _ = AppendTaskUIDs(h.uids[:0], h.lastUIDs, nil)
+	freshUIDs, ferr := DecodeTaskUIDs(body)
+	uids, rerr := AppendTaskUIDs(h.uids[:0], body, nil)
+	if (ferr == nil) != (rerr == nil) || !slices.Equal(uids, freshUIDs) {
+		t.Fatalf("task UIDs into a used slice = %q (%v), fresh decode = %q (%v)", uids, rerr, freshUIDs, ferr)
+	}
+	if ferr == nil {
+		h.uids = uids
+		keep(&h.lastUIDs)
+	}
+
+	h.results, _ = AppendTaskResults(h.results[:0], h.lastResults, nil)
+	freshResults, ferr := DecodeTaskResults(body)
+	results, rerr := AppendTaskResults(h.results[:0], body, nil)
+	if (ferr == nil) != (rerr == nil) || !slices.Equal(results, freshResults) {
+		t.Fatalf("task results into a used slice = %+v (%v), fresh decode = %+v (%v)", results, rerr, freshResults, ferr)
+	}
+	if ferr == nil {
+		h.results = results
+		keep(&h.lastResults)
 	}
 }
 
@@ -367,7 +447,7 @@ func checkResolvingDecoders(t *testing.T, body []byte) {
 func TestResolverSuppliesTheStrings(t *testing.T) {
 	mine := []string{"task.000001", "task.000002"}
 	body := FormatBinary.EncodeTaskUIDs([]string{"task.000001", "task.000003", "task.000002"})
-	got, err := DecodeTaskUIDsWith(body, func(b []byte) string {
+	got, err := AppendTaskUIDs(nil, body, func(b []byte) string {
 		for _, s := range mine {
 			if s == string(b) {
 				return s
@@ -418,7 +498,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add([]byte(doc))
 	}
 
+	reused := newReusedDecodes()
 	f.Fuzz(func(t *testing.T, body []byte) {
+		reused.check(t, body)
 		DecodeTaskUIDs(body)              //nolint:errcheck
 		DecodeSyncFrame(body)             //nolint:errcheck
 		DecodeSyncAck(body)               //nolint:errcheck

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -54,6 +55,35 @@ func appendTime(buf []byte, t time.Time) []byte {
 	}
 	buf = append(buf, 1)
 	return appendVarint(buf, t.UnixNano())
+}
+
+// The encoders of the three frames whose size follows the batch — task UIDs,
+// sync frames, result batches — add up their fields first (the size* helpers
+// mirror the append* ones) and append into a body made once at that size. The
+// pooled scratch the other encoders share is dropped by every second GC cycle,
+// so a stage-wide frame regrew it to hundreds of kilobytes, doubling by
+// doubling, and then copied it out.
+
+const headerSize = 3 // appendHeader
+
+func sizeString(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// sizeStrings is a count followed by that many strings.
+func sizeStrings(ss []string) int {
+	size := uvarintLen(uint64(len(ss)))
+	for _, s := range ss {
+		size += sizeString(s)
+	}
+	return size
+}
+
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+func sizeTime(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + varintLen(t.UnixNano())
 }
 
 // Resolve maps the bytes of one decoded string field to a string the caller
@@ -223,9 +253,16 @@ type SyncAck struct {
 	Err string
 }
 
-// EncodeSyncFrame encodes a transition frame.
+// EncodeSyncFrame encodes a transition frame. A frame names a whole stage's
+// tasks, twice, so its body is sized first and written once (see sizeString).
 func (f Format) EncodeSyncFrame(fr SyncFrame) ([]byte, error) {
-	bp, buf := getBuf()
+	size := headerSize + sizeString(fr.Reply) + uvarintLen(fr.Seq) + uvarintLen(uint64(len(fr.Reqs)))
+	for i := range fr.Reqs {
+		req := &fr.Reqs[i]
+		size += sizeString(req.Entity) + sizeString(req.Target) + sizeString(req.UID) +
+			sizeStrings(req.UIDs) + varintLen(int64(req.ExitCode)) + sizeString(req.ExecErr)
+	}
+	buf := make([]byte, 0, size)
 	buf = appendHeader(buf, FrameSyncFrame)
 	buf = appendString(buf, fr.Reply)
 	buf = appendUvarint(buf, fr.Seq)
@@ -242,66 +279,79 @@ func (f Format) EncodeSyncFrame(fr SyncFrame) ([]byte, error) {
 		buf = appendVarint(buf, int64(req.ExitCode))
 		buf = appendString(buf, req.ExecErr)
 	}
-	return putBuf(bp, buf), nil
+	return buf, nil
 }
 
-// DecodeSyncFrame decodes a transition frame.
-func DecodeSyncFrame(body []byte) (SyncFrame, error) { return DecodeSyncFrameWith(body, nil) }
-
-// DecodeSyncFrameWith decodes a transition frame, taking every string the
-// resolver knows (entity kinds, state names, UIDs, the reply queue) from it
-// instead of copying it out of the body. A nil resolver copies everything.
-func DecodeSyncFrameWith(body []byte, resolve Resolve) (SyncFrame, error) {
+// DecodeSyncFrame decodes a transition frame into a value of its own.
+func DecodeSyncFrame(body []byte) (SyncFrame, error) {
 	var fr SyncFrame
+	if err := DecodeSyncFrameInto(&fr, body, nil); err != nil {
+		return SyncFrame{}, err
+	}
+	return fr, nil
+}
+
+// DecodeSyncFrameInto decodes a transition frame over whatever fr held,
+// reusing fr.Reqs and each request's UIDs where they are large enough, so a
+// receiver that decodes every frame into the one SyncFrame it owns allocates
+// nothing once that has grown to its traffic. Every string the resolver knows
+// (entity kinds, state names, UIDs, the reply queue) is taken from it instead
+// of being copied out of the body; a nil resolver copies everything. After an
+// error fr holds nothing meaningful.
+func DecodeSyncFrameInto(fr *SyncFrame, body []byte, resolve Resolve) error {
 	r, err := frameReader(body, FrameSyncFrame)
 	if err != nil {
-		return SyncFrame{}, err
+		return err
 	}
 	r.resolve = resolve
 	if fr.Reply, err = r.str(); err != nil {
-		return SyncFrame{}, err
+		return err
 	}
 	if fr.Seq, err = r.uvarint(); err != nil {
-		return SyncFrame{}, err
+		return err
 	}
 	n, err := r.count(1)
 	if err != nil {
-		return SyncFrame{}, err
+		return err
 	}
-	fr.Reqs = make([]SyncRequest, n)
+	if n > cap(fr.Reqs) {
+		fr.Reqs = make([]SyncRequest, n)
+	}
+	fr.Reqs = fr.Reqs[:n]
 	for i := range fr.Reqs {
-		req := &fr.Reqs[i]
+		req := &fr.Reqs[i] // may hold an earlier frame's request: every field is written
 		if req.Entity, err = r.str(); err != nil {
-			return SyncFrame{}, err
+			return err
 		}
 		if req.Target, err = r.str(); err != nil {
-			return SyncFrame{}, err
+			return err
 		}
 		if req.UID, err = r.str(); err != nil {
-			return SyncFrame{}, err
+			return err
 		}
 		m, err := r.count(1)
 		if err != nil {
-			return SyncFrame{}, err
+			return err
 		}
-		if m > 0 {
+		if m > cap(req.UIDs) {
 			req.UIDs = make([]string, m)
-			for k := range req.UIDs {
-				if req.UIDs[k], err = r.str(); err != nil {
-					return SyncFrame{}, err
-				}
+		}
+		req.UIDs = req.UIDs[:m]
+		for k := range req.UIDs {
+			if req.UIDs[k], err = r.str(); err != nil {
+				return err
 			}
 		}
 		ec, err := r.varint()
 		if err != nil {
-			return SyncFrame{}, err
+			return err
 		}
 		req.ExitCode = int(ec)
 		if req.ExecErr, err = r.str(); err != nil {
-			return SyncFrame{}, err
+			return err
 		}
 	}
-	return fr, nil
+	return nil
 }
 
 // EncodeSyncAck encodes an acknowledgement.
@@ -340,6 +390,8 @@ func DecodeSyncAck(body []byte) (SyncAck, error) {
 type TaskResult struct {
 	UID      string
 	ExitCode int
+	// Error is the failure's text. It is empty when ExitCode is 0: what a
+	// successful executable printed is not reported.
 	Error    string
 	Canceled bool
 	// Started and Finished bound the executable's run (virtual time).
@@ -349,9 +401,16 @@ type TaskResult struct {
 	StagingTime time.Duration
 }
 
-// EncodeTaskResults encodes a done-queue result batch.
+// EncodeTaskResults encodes a done-queue result batch, sized first and
+// written once (see sizeString).
 func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
-	bp, buf := getBuf()
+	size := headerSize + uvarintLen(uint64(len(rs)))
+	for i := range rs {
+		res := &rs[i]
+		size += sizeString(res.UID) + varintLen(int64(res.ExitCode)) + sizeString(res.Error) + 1 +
+			sizeTime(res.Started) + sizeTime(res.Finished) + varintLen(int64(res.StagingTime))
+	}
+	buf := make([]byte, 0, size)
 	buf = appendHeader(buf, FrameTaskResults)
 	buf = appendUvarint(buf, uint64(len(rs)))
 	for i := range rs {
@@ -364,25 +423,27 @@ func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
 		buf = appendTime(buf, res.Finished)
 		buf = appendVarint(buf, int64(res.StagingTime))
 	}
-	return putBuf(bp, buf), nil
+	return buf, nil
 }
 
 // minTaskResultSize is what a zero TaskResult encodes to: two empty strings,
 // two varints, a bool and two zero-time flags.
 const minTaskResultSize = 7
 
-// DecodeTaskResults decodes a done-queue result batch.
-func DecodeTaskResults(body []byte) ([]TaskResult, error) { return DecodeTaskResultsWith(body, nil) }
+// DecodeTaskResults decodes a done-queue result batch into a slice of its own.
+func DecodeTaskResults(body []byte) ([]TaskResult, error) { return AppendTaskResults(nil, body, nil) }
 
-// DecodeTaskResultsWith decodes a done-queue result batch, taking the task
-// UIDs the resolver knows from it (see DecodeSyncFrameWith).
-func DecodeTaskResultsWith(body []byte, resolve Resolve) ([]TaskResult, error) {
+// AppendTaskResults decodes a done-queue result batch onto dst — a receiver
+// that passes the buffer it owns, emptied, allocates nothing once it has
+// grown — taking the task UIDs the resolver knows from it (see
+// DecodeSyncFrameInto). After an error the returned slice is dst unextended.
+func AppendTaskResults(dst []TaskResult, body []byte, resolve Resolve) ([]TaskResult, error) {
 	r, err := frameReader(body, FrameTaskResults)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	r.resolve = resolve
-	return r.taskResults()
+	return r.taskResults(dst)
 }
 
 // DecodeTaskResultsShared decodes a result batch for a receiver that holds
@@ -395,40 +456,41 @@ func DecodeTaskResultsShared(body []byte) ([]TaskResult, error) {
 		return nil, err
 	}
 	r.share(body)
-	return r.taskResults()
+	return r.taskResults(nil)
 }
 
-func (r *reader) taskResults() ([]TaskResult, error) {
+func (r *reader) taskResults(dst []TaskResult) ([]TaskResult, error) {
 	n, err := r.count(minTaskResultSize)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	rs := make([]TaskResult, n)
-	for i := range rs {
-		res := &rs[i]
+	first := len(dst)
+	rs := slices.Grow(dst, n)[:first+n]
+	for i := first; i < len(rs); i++ {
+		res := &rs[i] // may hold an earlier batch's result: every field is written
 		if res.UID, err = r.str(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		ec, err := r.varint()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		res.ExitCode = int(ec)
 		if res.Error, err = r.str(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if res.Canceled, err = r.bool(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if res.Started, err = r.time(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if res.Finished, err = r.time(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		st, err := r.varint()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		res.StagingTime = time.Duration(st)
 	}

@@ -231,3 +231,34 @@ func TestStatsContract(t *testing.T) {
 		})
 	}
 }
+
+// TestResultErrorContract holds every implementation to TaskResult.Error's
+// meaning: empty for a task that exited 0 — whatever its executable printed —
+// and the failure's text for one that did not.
+func TestResultErrorContract(t *testing.T) {
+	for name, build := range contractCases {
+		t.Run(name, func(t *testing.T) {
+			r := build(t).rts
+			batch := []core.TaskDescription{
+				{UID: "task.quiet", Executable: "sleep", Duration: time.Second, Cores: 1},
+				{UID: "task.chatty", Executable: "mdrun", Arguments: []string{"-nsteps", "2"}, Duration: time.Second, Cores: 1},
+				{UID: "task.missing", Executable: "no-such-executable", Cores: 1},
+			}
+			if err := r.Submit(batch); err != nil {
+				t.Fatal(err)
+			}
+			timeout := time.After(30 * time.Second)
+			for got := 0; got < len(batch); got++ {
+				select {
+				case res := <-r.Completions():
+					failed := res.UID == "task.missing"
+					if failed != (res.ExitCode != 0) || failed != (res.Error != "") {
+						t.Errorf("%s reported exit %d, error %q", res.UID, res.ExitCode, res.Error)
+					}
+				case <-timeout:
+					t.Fatalf("timed out with %d of %d results", got, len(batch))
+				}
+			}
+		})
+	}
+}

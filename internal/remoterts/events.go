@@ -33,7 +33,10 @@ type EventServer struct {
 	live   map[*eventPeer]struct{}
 	gone   []core.EventPeerStats
 	closed bool
-	wg     sync.WaitGroup
+	// drained is made by Close when peers are still live and closed by the
+	// serve loop that removes the last of them.
+	drained chan struct{}
+	wg      sync.WaitGroup
 }
 
 type eventPeer struct {
@@ -89,6 +92,12 @@ func (s *EventServer) Close() {
 	for p := range s.live {
 		peers = append(peers, p)
 	}
+	drained := make(chan struct{})
+	if len(peers) == 0 {
+		close(drained)
+	} else {
+		s.drained = drained
+	}
 	s.mu.Unlock()
 	s.ln.Close() //nolint:errcheck
 	// End every subscription; each serve loop drains its ring, ships its
@@ -97,17 +106,14 @@ func (s *EventServer) Close() {
 	for _, p := range peers {
 		p.sub.Close()
 	}
-	// Bounded grace for those end frames to flush, then force-close any
-	// straggler (a peer wedged in a blocking Send on a stalled socket).
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		n := len(s.live)
-		s.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait for the serve loops to say so, with a bounded grace, then
+	// force-close any straggler (a peer wedged in a blocking Send on a
+	// stalled socket).
+	grace := time.NewTimer(500 * time.Millisecond)
+	defer grace.Stop()
+	select {
+	case <-drained:
+	case <-grace.C:
 	}
 	for _, p := range peers {
 		p.tc.Close() //nolint:errcheck
@@ -207,10 +213,13 @@ func (s *EventServer) serve(nc net.Conn) {
 
 	s.mu.Lock()
 	delete(s.live, p)
-	if !s.closed {
+	switch {
+	case !s.closed:
 		s.gone = append(s.gone, core.EventPeerStats{
 			Peer: p.addr, Sent: p.sent.Load(), Dropped: sub.Dropped(), Connected: false,
 		})
+	case len(s.live) == 0:
+		close(s.drained) // Close is waiting for exactly this; no peer joins a closed server
 	}
 	s.mu.Unlock()
 }

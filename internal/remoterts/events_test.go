@@ -1,10 +1,14 @@
 package remoterts
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msgcodec"
+	"repro/internal/transport"
 )
 
 // testBus hands out real core.EventSub rings via a standalone EventBus, so
@@ -54,10 +58,12 @@ func TestEventServerRoundTrip(t *testing.T) {
 		}
 	}
 
-	stats := s.PeerStats()
-	if len(stats) != 1 || stats[0].Sent < uint64(want) || !stats[0].Connected {
-		t.Fatalf("peer stats: %+v", stats)
-	}
+	// The server counts a batch as sent once Send has returned, which the
+	// peer having received it does not wait for.
+	waitFor(t, "the peer's sent tally", func() bool {
+		stats := s.PeerStats()
+		return len(stats) == 1 && stats[0].Sent >= uint64(want) && stats[0].Connected
+	})
 }
 
 func TestEventServerDropAccounting(t *testing.T) {
@@ -124,4 +130,67 @@ func TestEventStreamEndFrame(t *testing.T) {
 			t.Fatal("stream never ended after the bus closed")
 		}
 	}
+}
+
+// TestEventServerCloseWaitsForItsPeers: Close waits for the serve loops to
+// finish — a healthy peer gets its end frame and Close returns as soon as it
+// has, far inside the grace — and a peer wedged behind a stalled socket (it
+// attached and never read) is force-closed when the grace runs out.
+func TestEventServerCloseWaitsForItsPeers(t *testing.T) {
+	const grace = 500 * time.Millisecond // EventServer.Close's
+
+	t.Run("healthy", func(t *testing.T) {
+		am := testBus(t)
+		s, err := NewEventServer("tcp:127.0.0.1:0", am.Subscribe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es, err := AttachEvents(s.Addr(), core.EventFilter{Buffer: 64}, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer es.Close()
+		waitFor(t, "peer registration", func() bool { return len(s.PeerStats()) == 1 })
+		am.Publish(core.Event{Kind: core.EventTask, UID: "task.a", To: "DONE"})
+		start := time.Now()
+		s.Close()
+		if elapsed := time.Since(start); elapsed > grace/2 {
+			t.Errorf("Close took %v with one healthy peer, want well inside the %v grace", elapsed, grace)
+		}
+		for range es.C() {
+		}
+		if !es.Ended() {
+			t.Error("the healthy peer's stream ended without its end frame")
+		}
+	})
+
+	t.Run("wedged", func(t *testing.T) {
+		am := testBus(t)
+		s, err := NewEventServer("unix:"+filepath.Join(t.TempDir(), "events.sock"), am.Subscribe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc, err := transport.Dial(s.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		const events = 4096
+		if err := transport.WriteFrame(nc, msgcodec.EncodeAttach(msgcodec.Attach{Buffer: events})); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "peer registration", func() bool { return len(s.PeerStats()) == 1 })
+		// 4 MB into a socket nobody reads: the connection's writer stalls, and
+		// the serve loop with it, in Send or in the Flush behind its end frame.
+		uid := strings.Repeat("x", 1<<10)
+		for i := 0; i < events; i++ {
+			am.Publish(core.Event{Kind: core.EventTask, UID: uid, To: "DONE"})
+		}
+		waitFor(t, "the first batches to leave", func() bool { return s.PeerStats()[0].Sent > 0 })
+		start := time.Now()
+		s.Close() // returns only once the serve loop has: the force-close worked
+		if elapsed := time.Since(start); elapsed < grace*4/5 || elapsed > 10*grace {
+			t.Errorf("Close took %v with a wedged peer, want about the %v grace", elapsed, grace)
+		}
+	})
 }

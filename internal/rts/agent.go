@@ -68,6 +68,10 @@ type agent struct {
 	// schedStats holds one counter block per scheduler loop (index =
 	// scheduler id), exported through StoreStats.
 	schedStats []schedStat
+
+	// env is what every kernel this agent runs is handed: the same three
+	// values for every task, so there is one per agent (kernels only read it).
+	env workload.Env
 }
 
 // schedStat is one scheduler loop's tally: store pulls served, tasks
@@ -132,6 +136,7 @@ func newAgent(r *PilotRTS, cores, gpus, schedulers int) *agent {
 		stagers:    newStagerPool(r.model.Stagers),
 		stageReq:   make(chan *stageRequest, 4096),
 		schedStats: make([]schedStat, schedulers),
+		env:        workload.Env{Clock: r.clock, Compute: r.cfg.Compute, Cancel: r.stopCh},
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
@@ -535,11 +540,7 @@ func (a *agent) execute(desc *core.TaskDescription) {
 			Duration:    desc.Duration,
 			Cores:       desc.Cores,
 			Seed:        r.cfg.Seed + int64(len(desc.UID)),
-		}, &workload.Env{
-			Clock:   r.clock,
-			Compute: r.cfg.Compute,
-			Cancel:  r.stopCh,
-		})
+		}, &a.env)
 		if err != nil {
 			exitCode, output = 1, err.Error()
 		} else {
@@ -580,6 +581,9 @@ func (a *agent) execute(desc *core.TaskDescription) {
 		}
 	}
 
+	if exitCode == 0 {
+		output = "" // what a successful kernel printed is not an error (TaskResult.Error)
+	}
 	r.deliver(core.TaskResult{
 		UID:         desc.UID,
 		ExitCode:    exitCode,

@@ -146,7 +146,7 @@ func (SleepKernel) Run(ctx context.Context, spec Spec, env *Env) (Result, error)
 	if !sleepFor(spec, env) {
 		return Result{ExitCode: 143, Output: "terminated"}, nil
 	}
-	return Result{ExitCode: 0, Output: "slept " + spec.Duration.String()}, nil
+	return Result{}, nil // /bin/sleep prints nothing
 }
 
 // MDRunKernel stands in for GROMACS mdrun, the ensemble-MD executable of the
