@@ -71,9 +71,12 @@ func BenchmarkDaemonMultiRun(b *testing.B) {
 				}
 				am, err := entk.NewAppManager(entk.AppConfig{
 					Resource: entk.Resource{
-						Name:     desc.Resource.Name,
-						Cores:    desc.Resource.Cores,
-						Walltime: desc.Walltime(),
+						Name:  desc.Resource.Name,
+						Cores: desc.Resource.Cores,
+						// The daemon arm's pilot walltime, not the application's
+						// hour: at this TimeScale an hour is 3.6 ms of wall, and
+						// a slow phase outlived the pilot ("RTS failed 1 times").
+						Walltime: 72 * time.Hour,
 					},
 					TimeScale: time.Microsecond,
 					Seed:      1,

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -98,9 +99,15 @@ func TestHostedRunFootprint(t *testing.T) {
 // sleep tasks through the real embedded stack — entk.NewAppManager's assembly
 // with the simulated machine taken out (rts.FastModel, hostmodel.Null), as the
 // end-to-end benchmark wires it — and returns the allocations Start→Wait made
-// per task.
-func taskPathAllocs(t *testing.T, pipelines, stages, tasks int) float64 {
+// per task. A durable run journals into a fresh directory, with the RTS audit
+// log beside the segments.
+func taskPathAllocs(t *testing.T, pipelines, stages, tasks int, durable bool) float64 {
 	t.Helper()
+	var journalDir, storePath string
+	if durable {
+		journalDir = t.TempDir()
+		storePath = filepath.Join(journalDir, "rts-audit.log")
+	}
 	clock := vclock.NewScaled(250 * time.Microsecond) // 72 h of walltime = 64.8 s of wall
 	session := saga.NewSession()
 	defer session.Close()
@@ -111,13 +118,13 @@ func taskPathAllocs(t *testing.T, pipelines, stages, tasks int) float64 {
 	if err := session.Register(adapter); err != nil {
 		t.Fatal(err)
 	}
-	am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null()})
+	am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null(), JournalDir: journalDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 4096, Walltime: 72 * time.Hour})
 	am.SetRTSFactory(rts.Factory(rts.Config{
-		Clock: clock, Session: session, Registry: workload.NewRegistry(), Model: rts.FastModel(),
+		Clock: clock, Session: session, Registry: workload.NewRegistry(), Model: rts.FastModel(), StorePath: storePath,
 	}))
 	for p := 0; p < pipelines; p++ {
 		pipe := core.NewPipeline("p")
@@ -163,15 +170,21 @@ func TestTaskPathAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name                     string
 		pipelines, stages, tasks int
+		durable                  bool
 		ceil                     float64
 	}{
-		{"deep-16x16x4", 16, 16, 4, 4.2},   // 3.3-3.8 at -cpu 1,2,4; it was 13.3
-		{"wide-1x1x4096", 1, 1, 4096, 0.4}, // 0.20-0.31, all of it the run's fixed cost; it was 3.2
+		{"deep-16x16x4", 16, 16, 4, false, 4.2},   // 3.3-3.8 at -cpu 1,2,4; it was 13.3
+		{"wide-1x1x4096", 1, 1, 4096, false, 0.4}, // 0.20-0.31, all of it the run's fixed cost; it was 3.2
+		// Journal, mirror, snapshots and the RTS audit log on: 0.30-0.46, what
+		// wide pays plus ~25 snapshots' file handling (a directory listing, a
+		// temporary, a rename each); six journaled transitions per task
+		// allocate nothing of their own. It was 6.2.
+		{"durable-1x2x2048", 1, 2, 2048, true, 0.6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			best := 0.0
 			for i := 0; i < 3; i++ {
-				if a := taskPathAllocs(t, c.pipelines, c.stages, c.tasks); i == 0 || a < best {
+				if a := taskPathAllocs(t, c.pipelines, c.stages, c.tasks, c.durable); i == 0 || a < best {
 					best = a
 				}
 			}

@@ -61,6 +61,7 @@
 package broker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -536,7 +537,7 @@ func (b *Broker) Recover(path string) error {
 			if pending[p.Queue] == nil {
 				pending[p.Queue] = map[uint64][]byte{}
 			}
-			pending[p.Queue][p.ID] = p.Body
+			pending[p.Queue][p.ID] = bytes.Clone(p.Body) // rec.Data is borrowed
 			order[p.Queue] = append(order[p.Queue], p.ID)
 		case recPublishBatch:
 			p, err := msgcodec.DecodeBrokerPublishBatch(rec.Data)
@@ -547,7 +548,7 @@ func (b *Broker) Recover(path string) error {
 				pending[p.Queue] = map[uint64][]byte{}
 			}
 			for _, m := range p.Msgs {
-				pending[p.Queue][m.ID] = m.Body
+				pending[p.Queue][m.ID] = bytes.Clone(m.Body)
 				order[p.Queue] = append(order[p.Queue], m.ID)
 			}
 		case recAck:

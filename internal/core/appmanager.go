@@ -206,9 +206,11 @@ type AppManager struct {
 	// reconstructed (written during setup, before components spawn); the
 	// atomic counters track this run's snapshot/compaction activity.
 	// snapBusy is held by the one snapshot the background writer may have in
-	// flight and snapWG waits for it; snapHook, set only by tests, runs on
-	// the writer before it touches the disk.
+	// flight — and with it snapw, the writer's reused buffers — and snapWG
+	// waits for it; snapHook, set only by tests, runs on the writer before it
+	// touches the disk.
 	mirror            *statedb.DB
+	snapw             statedb.SnapshotWriter
 	recov             RecoveryInfo
 	snapPending       int // state records since the last snapshot (synchronizer goroutine only)
 	snapBusy          atomic.Bool

@@ -84,16 +84,22 @@ func (am *AppManager) RecoveryInfo() RecoveryInfo { return am.recov }
 // openDurable reconstructs committed state from Config.JournalDir and opens
 // its segmented journal in one pass: the newest valid snapshot seeds the
 // statedb mirror, then a single walk of the segments verifies every record,
-// overlays those above the snapshot's watermark onto the mirror (records at
-// or below it are skipped — the snapshot already reflects them; segments not
-// yet compacted replay as harmless no-ops) and leaves the journal open for
-// append, numbering on from the last surviving record or the watermark,
-// whichever is higher. Tasks whose final recorded state is DONE are restored;
-// the mirror holds the full reconstructed map so the first post-resume
-// snapshot covers pre-crash history before compaction can discard it.
+// overlays those above the snapshot's watermark onto the mirror (the journal
+// does not hand over records at or below it — the snapshot already reflects
+// them; segments not yet compacted replay as nothing) and leaves the journal
+// open for append, numbering on from the last surviving record or the
+// watermark, whichever is higher. Snapshot and records are decoded against
+// the registry (registerEntities has run; nothing else is running yet, and
+// am.mu is held throughout as resolveLocked asks), so recovering a name the
+// application registered allocates nothing. Tasks whose final recorded state
+// is DONE are restored; the mirror holds the full reconstructed map so the
+// first post-resume snapshot covers pre-crash history before compaction can
+// discard it.
 func (am *AppManager) openDurable() error {
+	am.mu.Lock()
+	defer am.mu.Unlock()
 	dir := am.cfg.JournalDir
-	snap, haveSnap, err := statedb.LoadLatestSnapshot(dir)
+	snap, haveSnap, err := statedb.LoadLatestSnapshotWith(dir, am.resolve)
 	if err != nil {
 		return err
 	}
@@ -107,10 +113,10 @@ func (am *AppManager) openDurable() error {
 	replayed := 0
 	opts := journal.Options{SegmentBytes: am.cfg.SegmentBytes}
 	j, err := journal.OpenDirReplay(dir, opts, am.recov.SnapshotSeq, func(rec journal.Record) error {
-		if rec.Type != "state" || rec.Seq <= am.recov.SnapshotSeq {
+		if rec.Type != "state" {
 			return nil
 		}
-		sr, derr := msgcodec.DecodeStateRec(rec.Data)
+		sr, derr := msgcodec.DecodeStateRecWith(rec.Data, am.resolve)
 		if derr != nil {
 			return derr
 		}
@@ -120,14 +126,15 @@ func (am *AppManager) openDurable() error {
 	if err != nil {
 		return err
 	}
-	states, err := mirror.LoadTaskStates()
-	if err != nil {
-		j.Close()
-		return err
-	}
 	am.jrn = j
 	am.mirror = mirror
-	am.recov.TasksRecovered = am.restoreDone(states)
+	// The mirror's image, walked once — and the snapshot writer's entries
+	// buffer arrives at its working size before the first snapshot needs it.
+	for _, e := range am.snapw.Capture(mirror, j.Seq()) {
+		if e.Entity == "task" {
+			am.recov.TasksRecovered += am.restoreDoneLocked(e.UID, e.State)
+		}
+	}
 	am.recov.ReplayedRecords = replayed
 	am.recov.Resumed = haveSnap || replayed > 0
 	return nil
@@ -141,7 +148,8 @@ func (am *AppManager) openDurable() error {
 // state at the watermark and the watermark never exceeds what the file holds.
 // At most one snapshot is in flight: while the writer is busy the trigger
 // stays armed and the next commit tries again, so a slow disk costs snapshot
-// cadence, never an ack.
+// cadence, never an ack. Whoever holds snapBusy owns am.snapw and its
+// buffers: this goroutine from the swap to the hand-over, the writer after.
 func (am *AppManager) maybeSnapshot(committed int) {
 	if am.mirror == nil || am.cfg.SnapshotEvery <= 0 {
 		return
@@ -151,31 +159,32 @@ func (am *AppManager) maybeSnapshot(committed int) {
 		return
 	}
 	am.snapPending = 0
-	snap := msgcodec.Snapshot{Watermark: am.jrn.Seq(), Entries: am.mirror.SnapshotEntries()}
+	watermark := am.jrn.Seq()
+	am.snapw.Capture(am.mirror, watermark)
 	am.snapWG.Add(1)
 	go func() {
 		defer am.snapWG.Done()
 		defer am.snapBusy.Store(false)
-		am.writeSnapshot(snap)
+		am.writeSnapshot(watermark)
 	}()
 }
 
-// writeSnapshot persists one snapshot and compacts below its watermark, on
-// the background writer. Failures are counted, not fatal: the journal
-// remains authoritative, so a failed snapshot only delays compaction, and a
-// segment Compact could not remove stays listed for the next snapshot's.
-func (am *AppManager) writeSnapshot(snap msgcodec.Snapshot) {
+// writeSnapshot persists the captured image and compacts below its
+// watermark, on the background writer. Failures are counted, not fatal: the
+// journal remains authoritative, so a failed snapshot only delays compaction,
+// and a segment Compact could not remove stays listed for the next snapshot's.
+func (am *AppManager) writeSnapshot(watermark uint64) {
 	if am.snapHook != nil {
-		am.snapHook(snap.Watermark)
+		am.snapHook(watermark)
 	}
-	if _, err := statedb.WriteSnapshot(am.cfg.JournalDir, snap, msgcodec.FormatBinary); err != nil {
+	if _, err := am.snapw.Write(am.cfg.JournalDir); err != nil {
 		atomic.AddInt64(&am.snapshotFailures, 1)
 		return
 	}
 	atomic.AddInt64(&am.snapshotsWritten, 1)
 	// A removal that failed part-way is not a failed snapshot; what Compact
 	// did remove counts either way.
-	n, _ := am.jrn.Compact(snap.Watermark) //nolint:errcheck
+	n, _ := am.jrn.Compact(watermark) //nolint:errcheck
 	atomic.AddInt64(&am.segmentsCompacted, int64(n))
 }
 

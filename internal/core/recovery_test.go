@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -323,4 +326,141 @@ func TestDurableRunReconstructs(t *testing.T) {
 	if done != 8 {
 		t.Fatalf("reconstructed %d DONE tasks, want 8", done)
 	}
+}
+
+// TestDirectoriesCrossTheAppendForms is the no-format-change test, both ways
+// across the commit that gave the commit path its own buffers. A run cut at
+// its first stage boundary leaves a directory written by the engine —
+// AppendStateRec into the synchronizer's buffer, one AppendRawBatch per
+// request, the reused SnapshotWriter. The same records and images are then
+// written the way the engine used to write them, with the one-shot forms kept
+// for exactly that (EncodeStateRec and AppendRaw per record, WriteSnapshot per
+// image; TestDurableFramesGoldenBytes holds those to the old bytes): the two
+// directories must be file for file identical, so what either side writes
+// the other reads, and a Resume from the rewritten one must restore what the
+// first incarnation finished and run only the rest.
+func TestDirectoriesCrossTheAppendForms(t *testing.T) {
+	dir := t.TempDir()
+	build := func() []*Pipeline {
+		pipes := buildApp(1, 3, 4, 50*time.Second)
+		stampUIDs(pipes)
+		return pipes
+	}
+	// Default segment size: nothing is compacted, every record is still there.
+	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
+	am1.AddPipelines(build()...)
+	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run1, err := am1.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for ev := range sub.C() {
+			if ev.To == string(StageDone) {
+				run1.Cancel("chaos")
+				return
+			}
+		}
+	}()
+	if err := run1.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("incarnation 1 finished with %v, want cancellation", err)
+	}
+	sub.Close()
+
+	old := t.TempDir()
+	j, err := journal.OpenDir(old, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = journal.ReplayDir(dir, func(rec journal.Record) error {
+		if rec.Type != "state" {
+			return nil // the segment header: OpenDir wrote its own
+		}
+		sr, err := msgcodec.DecodeStateRec(rec.Data)
+		if err != nil {
+			return err
+		}
+		_, err = j.AppendRaw("state", msgcodec.FormatBinary.EncodeStateRec(sr.Entity, sr.UID, sr.State))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	images, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(images) == 0 {
+		t.Fatalf("incarnation 1 left snapshots %v (%v), want at least one", images, err)
+	}
+	for _, path := range images { // oldest first: pruning keeps the same two
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, ok, err := statedb.LoadLatestSnapshot(writeOnly(t, filepath.Base(path), raw))
+		if err != nil || !ok {
+			t.Fatalf("%s does not load: ok=%v err=%v", path, ok, err)
+		}
+		if _, err := statedb.WriteSnapshot(old, snap, msgcodec.FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine, rewritten := dirFiles(t, dir), dirFiles(t, old)
+	if len(engine) != len(rewritten) {
+		t.Fatalf("the engine left %d files, the one-shot forms %d", len(engine), len(rewritten))
+	}
+	for name, raw := range engine {
+		if !bytes.Equal(raw, rewritten[name]) {
+			t.Fatalf("%s: the engine wrote %d bytes, the one-shot forms %d, or different ones", name, len(raw), len(rewritten[name]))
+		}
+	}
+
+	preDone := map[string]bool{}
+	for k, state := range reconstruct(t, old) {
+		if k.entity == "task" && TaskState(state) == TaskDone {
+			preDone[k.uid] = true
+		}
+	}
+	am2, rts2 := testApp(t, Config{JournalDir: old, SnapshotEvery: 4})
+	pipes2 := build()
+	am2.AddPipelines(pipes2...)
+	run2, err := am2.Resume(ctx, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri := am2.RecoveryInfo(); !ri.Resumed || ri.SnapshotSeq == 0 || len(preDone) < 4 || ri.TasksRecovered != len(preDone) {
+		t.Fatalf("recovery %+v, the directory records %d DONE tasks (want a stage's 4 or more, from a snapshot)", ri, len(preDone))
+	}
+	if err := run2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, uid := range rts2.log() {
+		if preDone[uid] {
+			t.Fatalf("task %s was DONE before the cut but re-executed on resume", uid)
+		}
+	}
+	if got, want := len(rts2.log()), 12-len(preDone); got != want || pipes2[0].State() != PipelineDone {
+		t.Fatalf("incarnation 2 executed %d tasks (want %d) and left its pipeline %s", got, want, pipes2[0].State())
+	}
+}
+
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = raw
+	}
+	return out
 }

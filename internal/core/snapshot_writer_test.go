@@ -107,46 +107,46 @@ func TestSnapshotImageIsExact(t *testing.T) {
 			len(files), d.Snapshots, d.SnapshotFailures)
 	}
 
-	var recs []journal.Record
-	err := journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type == "state" {
-			recs = append(recs, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, got := range files {
 		snap, valid, err := statedb.LoadLatestSnapshot(writeOnly(t, name, got))
 		if err != nil || !valid {
 			t.Fatalf("%s does not load: valid=%v err=%v", name, valid, err)
 		}
-		replayed := statedb.New()
-		for _, rec := range recs {
-			if rec.Seq > snap.Watermark {
-				break
-			}
-			sr, err := msgcodec.DecodeStateRec(rec.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayed.SaveState(sr.Entity, sr.UID, sr.State) //nolint:errcheck
-		}
-		want := msgcodec.Snapshot{Watermark: snap.Watermark, Entries: replayed.SnapshotEntries()}
-		path, err := statedb.WriteSnapshot(t.TempDir(), want, msgcodec.FormatBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantBytes) {
-			t.Fatalf("%s (%d entries) is not the state at record %d (%d entries)",
-				name, len(snap.Entries), snap.Watermark, len(want.Entries))
+		if !bytes.Equal(got, imageAt(t, dir, snap.Watermark)) {
+			t.Fatalf("%s (%d entries) is not the state at record %d", name, len(snap.Entries), snap.Watermark)
 		}
 	}
+}
+
+// imageAt returns the snapshot file of a replay of records 1..watermark of
+// the journal in dir (which must still hold record 1), written through the
+// one-shot statedb.WriteSnapshot.
+func imageAt(t *testing.T, dir string, watermark uint64) []byte {
+	t.Helper()
+	replayed := statedb.New()
+	err := journal.ReplayDir(dir, func(rec journal.Record) error {
+		if rec.Type != "state" || rec.Seq > watermark {
+			return nil
+		}
+		sr, err := msgcodec.DecodeStateRec(rec.Data)
+		if err != nil {
+			return err
+		}
+		return replayed.SaveState(sr.Entity, sr.UID, sr.State)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := msgcodec.Snapshot{Watermark: watermark, Entries: replayed.SnapshotEntries()}
+	path, err := statedb.WriteSnapshot(t.TempDir(), want, msgcodec.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // writeOnly puts one file into a fresh directory and returns the directory.
@@ -327,4 +327,101 @@ func TestStalledSnapshotWriter(t *testing.T) {
 		}
 		s.settled(t)
 	})
+}
+
+// TestSnapshotBuffersAreSingleFlight pins who owns the snapshot writer's
+// reused buffers. The writer is held inside its first snapshot — image
+// captured, nothing encoded yet — while three whole stages commit, every
+// request of them a trigger that finds the writer busy; were a trigger to
+// capture again, the held snapshot would come out as some later state. It must
+// come out as the mirror at its own watermark, and so must the next snapshot,
+// which goes through the same buffers. Under -race a second capture would also
+// be a reported race with the held writer's encode.
+func TestSnapshotBuffersAreSingleFlight(t *testing.T) {
+	dir := t.TempDir()
+	// Default segment size: nothing is compacted, record 1 stays replayable.
+	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
+	pipes := buildApp(1, 4, 4, 20*time.Second)
+	stampUIDs(pipes)
+	held, release := make(chan struct{}), make(chan struct{})
+	// Stage 4 starts once the writer has been released and is idle again, so
+	// its commits are the ones that start the second snapshot.
+	pipes[0].Stages()[2].PostExec = func() error {
+		<-release
+		for am.snapBusy.Load() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return nil
+	}
+	am.AddPipelines(pipes...)
+	var mu sync.Mutex
+	var marks []uint64
+	var first []byte // the held snapshot's file, read before a later write can prune it
+	am.snapHook = func(wm uint64) {
+		mu.Lock()
+		marks = append(marks, wm)
+		n := len(marks)
+		mu.Unlock()
+		switch n {
+		case 1:
+			close(held)
+			<-release
+		case 2:
+			raw, err := os.ReadFile(filepath.Join(dir, statedb.SnapshotName(marks[0])))
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			first = raw
+			mu.Unlock()
+		}
+	}
+	stages := am.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
+	defer stages.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run, err := am.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-run.Done():
+		t.Fatal("the run ended before its first snapshot")
+	}
+	for done := 0; done < 3; {
+		ev, ok := <-stages.C()
+		if !ok {
+			t.Fatalf("the run stopped after %d stages with its snapshot writer held", done)
+		}
+		if ev.To == string(StageDone) {
+			done++
+		}
+	}
+	mu.Lock()
+	inFlight := len(marks)
+	mu.Unlock()
+	if inFlight != 1 {
+		t.Fatalf("%d snapshots started while the first was held", inFlight)
+	}
+	close(release)
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(marks) < 2 || first == nil {
+		t.Fatalf("snapshot watermarks %v: stage 4 must have snapshotted again", marks)
+	}
+	if !bytes.Equal(first, imageAt(t, dir, marks[0])) {
+		t.Fatalf("the held snapshot is not the state at its watermark %d", marks[0])
+	}
+	last := marks[len(marks)-1]
+	got, err := os.ReadFile(filepath.Join(dir, statedb.SnapshotName(last)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, imageAt(t, dir, last)) {
+		t.Fatalf("the snapshot at watermark %d, written through reused buffers, is not the state there", last)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/broker"
+	"repro/internal/journal"
 	"repro/internal/msgcodec"
 )
 
@@ -45,10 +46,15 @@ type synchronizer struct {
 
 	// The loop goroutine's buffers, reused from frame to frame and request to
 	// request: the frame every body is decoded into, the request's tasks as
-	// resolved from the registry, and the transitions it committed.
+	// resolved from the registry, the transitions it committed, and what
+	// persist makes of them — the encoded state records back to back in
+	// recBuf, recs naming each one for the journal, uids for the mirror.
 	frame   msgcodec.SyncFrame
 	tasks   []*Task
 	commits []applied
+	recBuf  []byte
+	recs    [][]byte
+	uids    []string
 }
 
 func newSynchronizer(am *AppManager) *synchronizer {
@@ -286,23 +292,33 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
 	am := s.am
 	if am.jrn != nil {
-		recs := make([][]byte, len(commits))
-		for i, c := range commits {
-			recs[i] = msgcodec.FormatBinary.EncodeStateRec(req.Entity, c.uid, req.Target)
+		// Durable mode: the journal, then the statedb mirror that feeds
+		// snapshots — a mirror miss would snapshot stale state, so it rejects
+		// the frame as a journal failure does. Every buffer starts empty, so a
+		// request journals its own records whatever became of the one before
+		// it, and is sized for the request first, so no append moves buf under
+		// the records already carved from it.
+		need := 0
+		for _, c := range commits {
+			need += msgcodec.StateRecSize(req.Entity, c.uid, req.Target)
 		}
-		if _, err := am.jrn.AppendRawBatch("state", recs); err != nil {
-			return err
+		buf := slices.Grow(s.recBuf[:0], need)
+		recs, uids := slices.Grow(s.recs[:0], len(commits)), slices.Grow(s.uids[:0], len(commits))
+		for _, c := range commits {
+			first := len(buf)
+			buf = msgcodec.AppendStateRec(buf, req.Entity, c.uid, req.Target)
+			recs = append(recs, buf[first:len(buf):len(buf)])
+			uids = append(uids, c.uid)
 		}
-	}
-	// The statedb mirror feeds durable-mode snapshots; a mirror miss would
-	// snapshot stale state, so its failure rejects the frame exactly like a
-	// journal or state-store failure.
-	if am.mirror != nil {
-		uids := make([]string, len(commits))
-		for i, c := range commits {
-			uids[i] = c.uid
+		_, err := am.jrn.AppendRawBatch("state", recs)
+		if err == nil {
+			err = am.mirror.SaveStates(req.Entity, uids, req.Target)
 		}
-		if err := am.mirror.SaveStates(req.Entity, uids, req.Target); err != nil {
+		s.recBuf, s.recs, s.uids = buf, recs, uids
+		if cap(buf) > journal.MaxRetainedScratch {
+			s.recBuf, s.recs, s.uids = nil, nil, nil // a wide stage's bulk commit is not kept
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -462,21 +478,15 @@ func (c *syncClient) pipeline(p *Pipeline, to PipelineState) error {
 	return c.request(pipelineRequest(p, to))
 }
 
-// restoreDone forces every registered, not yet terminal task that states
-// (latest state per task UID) records as DONE into DONE, and returns how
-// many it restored.
-func (am *AppManager) restoreDone(states map[string]string) int {
-	restored := 0
-	for uid, state := range states {
-		if TaskState(state) != TaskDone {
-			continue
-		}
-		if t, ok := am.Task(uid); ok && !t.State().Terminal() {
-			t.forceState(TaskDone)
-			restored++
-		}
+// restoreDoneLocked forces the task uid — if it is registered, not yet
+// terminal, and state records it DONE — into DONE, and returns how many tasks
+// that restored (0 or 1). am.mu must be held.
+func (am *AppManager) restoreDoneLocked(uid, state string) int {
+	if t, ok := am.tasks[uid]; ok && TaskState(state) == TaskDone && !t.State().Terminal() {
+		t.forceState(TaskDone)
+		return 1
 	}
-	return restored
+	return 0
 }
 
 // recoverFromStateStore reacquires the latest task states from the external
@@ -488,6 +498,10 @@ func (am *AppManager) recoverFromStateStore() error {
 	if err != nil {
 		return fmt.Errorf("core: state-store recovery: %w", err)
 	}
-	am.restoreDone(states)
+	am.mu.Lock()
+	defer am.mu.Unlock()
+	for uid, state := range states {
+		am.restoreDoneLocked(uid, state)
+	}
 	return nil
 }

@@ -293,7 +293,7 @@ func TestBatchWritesOncePerSegment(t *testing.T) {
 		t.Fatalf("a 5000-record batch into a flat journal took %d writes, want 1", total())
 	}
 	if flat.buf != nil {
-		t.Fatalf("a %d-byte scratch outlived its batch (limit %d)", cap(flat.buf), maxRetainedScratch)
+		t.Fatalf("a %d-byte scratch outlived its batch (limit %d)", cap(flat.buf), MaxRetainedScratch)
 	}
 
 	clear(c)

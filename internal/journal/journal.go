@@ -33,8 +33,9 @@ import (
 // "task.state" or "broker.publish"); Seq is assigned by the journal and is
 // strictly increasing within a file. Data holds the record's opaque payload,
 // by convention a msgcodec frame matching Type. A replayed record's Data is
-// that record's own allocation: a callback may retain it, and slices of it,
-// after it returns, and no later record overwrites it.
+// borrowed: it points into the scan's read buffer, is valid only until the
+// callback returns, and the next record overwrites it — a callback that keeps
+// the payload, or anything decoded from it that aliases it, copies it.
 type Record struct {
 	Seq  uint64
 	Type string
@@ -87,8 +88,11 @@ var ErrUnknownFraming = errors.New("journal: unknown record framing")
 
 const headerLen = 4 + 4 // payload length + CRC32 of payload
 
-// maxRetainedScratch bounds the append scratch buffer kept across records.
-const maxRetainedScratch = 64 << 10
+// MaxRetainedScratch bounds a per-request scratch buffer kept across
+// requests — the journal's own framing buffer, and the committer's record
+// buffer in front of it: one oversized batch (a large durable publish, a wide
+// stage's bulk commit) must not pin its buffer for the run's lifetime.
+const MaxRetainedScratch = 64 << 10
 
 // Open creates or opens the journal file at path for appending. Existing
 // records are preserved; the sequence counter resumes after the last valid
@@ -193,12 +197,15 @@ func scanOpen(f *os.File, fn func(Record) error) (fileInfo, error) {
 // scanRecords walks the size bytes of journal file r (path names it in
 // errors) through one read buffer of at most scanBufSize, invoking fn (when non-nil)
 // for every valid record, and returns the file's valid-prefix summary. A
+// record is verified and decoded where it lies in the read buffer, and that
+// is what fn sees (Record.Data is borrowed); only a record larger than the
+// buffer gets an allocation of its own. A
 // torn tail — truncated header, truncated payload, a length field pointing
 // past the end of the file (a crash can tear the header itself, leaving
 // garbage bytes where the length lives), a CRC mismatch or an empty payload
 // (a zero-filled header checksums correctly) — terminates the walk at the
 // last valid record instead of failing it. The length field is validated
-// against the bytes actually remaining before the payload is allocated, so a
+// against the bytes actually remaining before anything is sized by it, so a
 // garbage length can never drive a multi-gigabyte allocation. A non-empty
 // payload that passes its CRC but does not decode was written whole by
 // something else: that is ErrUnknownFraming. A read that fails with anything
@@ -208,12 +215,15 @@ func scanOpen(f *os.File, fn func(Record) error) (fileInfo, error) {
 func scanRecords(r io.Reader, size int64, path string, fn func(Record) error) (fileInfo, error) {
 	var info fileInfo
 	br := bufio.NewReaderSize(r, int(min(size, scanBufSize)))
-	var hdr [headerLen]byte
+	// A file's records are nearly all of one type: the string made for one
+	// record serves every following record that names the same type.
+	var recType string
 	for {
 		if size-info.validLen < int64(headerLen) {
 			return info, nil // clean EOF or torn header: stop here
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		hdr, err := br.Peek(headerLen)
+		if err != nil {
 			return info, tailOrReadError(path, err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
@@ -221,22 +231,39 @@ func scanRecords(r io.Reader, size int64, path string, fn func(Record) error) (f
 		if n == 0 || int64(n) > size-info.validLen-int64(headerLen) {
 			return info, nil // zero-filled, torn or garbage length: treat as tail
 		}
-		// One allocation per record: Record.Data stays valid after fn returns.
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return info, tailOrReadError(path, err)
+		var payload []byte
+		whole := headerLen + int(n)
+		inPlace := whole <= br.Size()
+		if inPlace {
+			rec, err := br.Peek(whole) // may move the header: hdr is dead from here
+			if err != nil {
+				return info, tailOrReadError(path, err)
+			}
+			payload = rec[headerLen:]
+		} else {
+			br.Discard(headerLen) //nolint:errcheck // just peeked
+			payload = make([]byte, n)
+			if _, err := io.ReadFull(br, payload); err != nil {
+				return info, tailOrReadError(path, err)
+			}
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
 			return info, nil // corrupted record: treat as tail
 		}
-		seq, recType, data, err := msgcodec.DecodeJournalRec(payload)
+		seq, typ, data, err := msgcodec.DecodeJournalRec(payload)
 		if err != nil {
 			return info, fmt.Errorf("%w: %s at offset %d: %w", ErrUnknownFraming, path, info.validLen, err)
 		}
 		if fn != nil {
+			if recType != string(typ) { // compared in place: no conversion
+				recType = string(typ)
+			}
 			if err := fn(Record{Seq: seq, Type: recType, Data: data}); err != nil {
 				return info, err
 			}
+		}
+		if inPlace {
+			br.Discard(whole) //nolint:errcheck // peeked whole above
 		}
 		if info.firstSeq == 0 {
 			info.firstSeq = seq
@@ -285,10 +312,7 @@ func (j *Journal) AppendRawBatch(recType string, payloads [][]byte) (uint64, err
 		need += headerLen + msgcodec.JournalRecSize(highest, recType, data)
 	}
 	buf := slices.Grow(j.buf[:0], need)
-	// Retain the scratch only while it is modestly sized: one oversized
-	// batch (a large durable publish, a wide stage's bulk commit) must not
-	// pin its buffer for the journal's lifetime.
-	if cap(buf) <= maxRetainedScratch {
+	if cap(buf) <= MaxRetainedScratch {
 		j.buf = buf
 	} else {
 		j.buf = nil

@@ -7,7 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -215,6 +218,121 @@ func TestDurableRunWritesOncePerRequest(t *testing.T) {
 			len(writes), records, 6*2*tasks)
 	}
 	t.Logf("%d records in %d writes", records, len(writes))
+}
+
+// TestRejectedFrameLeavesNothingBehind is the fault cell on the committer's
+// reused scratch: one journal write of a quiet durable run fails — a short
+// write, then no space — under a bulk request (the eight-task cancellation of
+// a stage), so the frame is rejected with its eight encoded records still in
+// the synchronizer's buffer. The frames accepted next journal exactly their own
+// records: the directory replays to the event stream, transition for
+// transition, and holds none of the rejected request's. (The failed write
+// passes nothing on to the file: what a torn write leaves there is the
+// journal's concern, not the scratch's.)
+func TestRejectedFrameLeavesNothingBehind(t *testing.T) {
+	const tasks = 8
+	dir := t.TempDir()
+	var fail atomic.Bool
+	var rejected []byte
+	restore := journal.SetWriteWrap(func(path string, w io.Writer) io.Writer {
+		if filepath.Ext(path) != ".seg" {
+			return w // the RTS audit log
+		}
+		return writerFunc(func(p []byte) (int, error) {
+			if fail.CompareAndSwap(true, false) {
+				rejected = append([]byte(nil), p...)
+				return len(p) / 2, syscall.ENOSPC
+			}
+			return w.Write(p)
+		})
+	})
+	defer restore()
+
+	am, err := entk.NewAppManager(entk.AppConfig{
+		Resource:   entk.Resource{Name: "supermic", Cores: 64, Walltime: time.Hour},
+		TimeScale:  50 * time.Microsecond,
+		HostName:   "null",
+		JournalDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := resumeApp(tasks)
+	if err := am.AddPipelines(p); err != nil {
+		t.Fatal(err)
+	}
+	// Stage 0 is DONE and committed when its PostExec runs, and nothing else
+	// moves until it returns: the run is quiet, and the next write is ours.
+	quiet, release := make(chan struct{}), make(chan struct{})
+	p.Stages()[0].PostExec = func() error {
+		close(quiet)
+		<-release
+		return nil
+	}
+	events := am.Subscribe(entk.EventFilter{})
+	run, err := am.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-quiet
+	fail.Store(true)
+	if err := run.CancelPipeline(p.UID); err == nil || fail.Load() {
+		t.Fatalf("CancelPipeline over a failing journal returned %v (write failed: %v)", err, !fail.Load())
+	}
+	// The second call has the stage and the pipeline left to cancel; once both
+	// are committed it waits for the completion PostExec is holding up.
+	again := make(chan error, 1)
+	go func() { again <- run.CancelPipeline(p.UID) }()
+	type transition struct{ entity, uid, state string }
+	var streamed []transition
+	for ev := range events.C() {
+		streamed = append(streamed, transition{string(ev.Kind), ev.UID, ev.To})
+		if ev.UID == p.UID && ev.To == "CANCELED" {
+			close(release)
+		}
+	}
+	if err := <-again; err != nil {
+		t.Fatalf("CancelPipeline after the failure: %v", err)
+	}
+	run.Wait() //nolint:errcheck // how a run with its only pipeline canceled ends is not this test's
+
+	states := func(path string, replay func(string, func(journal.Record) error) error) (out []transition) {
+		t.Helper()
+		err := replay(path, func(rec journal.Record) error {
+			if rec.Type != "state" {
+				return nil
+			}
+			sr, err := msgcodec.DecodeStateRec(rec.Data)
+			out = append(out, transition{sr.Entity, sr.UID, sr.State})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	lost := filepath.Join(t.TempDir(), "rejected.journal")
+	if err := os.WriteFile(lost, rejected, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	canceled := states(lost, journal.Replay)
+	if len(canceled) != tasks {
+		t.Fatalf("the rejected write held %d records, want stage 1's %d-task cancellation", len(canceled), tasks)
+	}
+	journaled := states(dir, journal.ReplayDir)
+	if !slices.Equal(journaled, streamed) {
+		t.Fatalf("the directory replays %d transitions, the event stream carried %d:\n%v\n%v",
+			len(journaled), len(streamed), journaled, streamed)
+	}
+	for _, tr := range journaled {
+		if slices.Contains(canceled, tr) {
+			t.Fatalf("%v, a record of the rejected request, is in the journal", tr)
+		}
+	}
+	want := []transition{{"stage", p.Stages()[1].UID, "CANCELED"}, {"pipeline", p.UID, "CANCELED"}}
+	if n := len(journaled); n < 2 || !slices.Equal(journaled[n-2:], want) {
+		t.Fatalf("the journal ends with %v, want the two accepted cancellations %v", journaled[max(0, n-2):], want)
+	}
 }
 
 type writerFunc func([]byte) (int, error)

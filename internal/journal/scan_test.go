@@ -48,7 +48,7 @@ func scanUnbuffered(r io.Reader, size int64, fn func(Record) error) (fileInfo, e
 		if err != nil {
 			return info, fmt.Errorf("%w: offset %d: %w", ErrUnknownFraming, info.validLen, err)
 		}
-		if err := fn(Record{Seq: seq, Type: recType, Data: data}); err != nil {
+		if err := fn(Record{Seq: seq, Type: string(recType), Data: data}); err != nil {
 			return info, err
 		}
 		if info.firstSeq == 0 {
@@ -79,7 +79,11 @@ func (c chunkReader) Read(p []byte) (int, error) {
 func diffScan(t *testing.T, data []byte, chunk int) fileInfo {
 	t.Helper()
 	collect := func(into *[]Record) func(Record) error {
-		return func(r Record) error { *into = append(*into, r); return nil }
+		return func(r Record) error {
+			r.Data = bytes.Clone(r.Data) // borrowed from the scan's read buffer
+			*into = append(*into, r)
+			return nil
+		}
 	}
 	var got, want []Record
 	var r io.Reader = bytes.NewReader(data)
@@ -532,19 +536,25 @@ func TestScanReadsOncePerBuffer(t *testing.T) {
 	}
 }
 
-// TestRecordDataOutlivesCallback pins the Record.Data contract: each
-// replayed record owns its bytes. A callback may keep Data (broker Recover
-// keeps message bodies that alias it) — no later record overwrites it — and
-// whatever a callback does to a buffer it kept cannot reach the records that
-// follow.
-func TestRecordDataOutlivesCallback(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "own.journal")
+// TestReplayDataIsBorrowed pins the Record.Data contract: a replayed record's
+// payload lies in the scan's read buffer and is the callback's only until it
+// returns. A callback that copies what it keeps sees every record intact; one
+// that keeps Data itself finds later records written over it. A record larger
+// than the read buffer takes the allocate path and replays beside the small
+// ones, in order and intact.
+func TestReplayDataIsBorrowed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "borrowed.journal")
 	j, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200
-	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 16+i%32) }
+	const n, big = 200, 77
+	body := func(i int) []byte {
+		if i == big {
+			return bytes.Repeat([]byte{byte(i)}, scanBufSize+100)
+		}
+		return bytes.Repeat([]byte{byte(i)}, 16+i%32)
+	}
 	for i := 0; i < n; i++ {
 		if _, err := j.AppendRaw("raw", body(i)); err != nil {
 			t.Fatal(err)
@@ -552,34 +562,36 @@ func TestRecordDataOutlivesCallback(t *testing.T) {
 	}
 	j.Close()
 
-	var kept [][]byte
-	if err := Replay(path, func(r Record) error { kept = append(kept, r.Data); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != n {
-		t.Fatalf("replayed %d records, want %d", len(kept), n)
-	}
-	for i, data := range kept {
-		if !bytes.Equal(data, body(i)) {
-			t.Fatalf("record %d changed after its callback returned: % x", i, data)
-		}
-	}
-
-	var prev []byte
-	i := 0
+	var copied, kept [][]byte
 	err = Replay(path, func(r Record) error {
-		scribble := prev[:cap(prev)]
-		for k := range scribble {
-			scribble[k] = 0xAA
+		if i := len(copied); r.Seq != uint64(i+1) || r.Type != "raw" || !bytes.Equal(r.Data, body(i)) {
+			t.Fatalf("record %d arrived as seq %d, type %q, %d bytes", i, r.Seq, r.Type, len(r.Data))
 		}
-		if !bytes.Equal(r.Data, body(i)) {
-			t.Fatalf("record %d damaged by a write to the previous record's buffer: % x", i, r.Data)
-		}
-		prev = r.Data
-		i++
+		copied = append(copied, bytes.Clone(r.Data))
+		kept = append(kept, r.Data)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(copied) != n {
+		t.Fatalf("replayed %d records, want %d", len(copied), n)
+	}
+	overwritten := 0
+	for i := range copied {
+		if !bytes.Equal(copied[i], body(i)) {
+			t.Fatalf("the copy of record %d changed: % x", i, copied[i])
+		}
+		if !bytes.Equal(kept[i], body(i)) {
+			overwritten++
+		}
+	}
+	// Everything before the big record shared the buffer the big record's
+	// successors were read into.
+	if overwritten == 0 {
+		t.Fatal("no retained Data was overwritten: records are not read in place")
+	}
+	if !bytes.Equal(kept[big], body(big)) {
+		t.Fatal("the record larger than the read buffer did not get an allocation of its own")
 	}
 }

@@ -139,7 +139,10 @@ func OpenDir(dir string, opts Options) (*Journal, error) {
 // has changed.
 //
 // floor is the highest sequence number something outside the segments
-// already accounts for — the watermark of the snapshot recovery loaded. The
+// already accounts for — the watermark of the snapshot recovery loaded.
+// Records at or below it are verified like every other (a damaged one still
+// ends its segment, a foreign one still fails the open) but not handed to fn:
+// a segment compaction has not reached yet replays as nothing. The
 // journal resumes at max(last valid record, floor): when compaction removed
 // every segment below the watermark and the active segment lost its tail
 // (or the directory holds no segment at all), numbering new records from the
@@ -164,6 +167,14 @@ func OpenDirReplay(dir string, opts Options, floor uint64, fn func(Record) error
 	}
 	if j.segBytes <= 0 {
 		j.segBytes = DefaultSegmentBytes
+	}
+	if deliver := fn; fn != nil {
+		fn = func(rec Record) error {
+			if rec.Seq <= floor {
+				return nil
+			}
+			return deliver(rec)
+		}
 	}
 	if len(segs) == 0 {
 		if err := j.newSegmentLocked(1); err != nil {

@@ -180,7 +180,7 @@ func TestJournalRecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 99 || typ != "state" || !reflect.DeepEqual(got, data) {
+	if seq != 99 || string(typ) != "state" || !reflect.DeepEqual(got, data) {
 		t.Fatalf("journal record round trip: seq=%d typ=%q", seq, typ)
 	}
 }
@@ -306,7 +306,7 @@ func resolvers(known []string) map[string]Resolve {
 	}
 }
 
-// checkResolvingDecoders holds the three resolving decoders to their
+// checkResolvingDecoders holds the resolving decoders to their
 // contract on one body: with any resolver they accept exactly the bodies the
 // plain decoders accept and return exactly the same value, and that value
 // holds no reference into the body — it is scribbled over before comparing.
@@ -344,6 +344,22 @@ func checkResolvingDecoders(t *testing.T, body []byte) {
 				}
 				return out
 			}},
+		{"StateRec",
+			func(b []byte, r Resolve) (any, error) { return DecodeStateRecWith(b, r) },
+			func(v any) []string { sr := v.(StateRec); return []string{sr.Entity, sr.UID, sr.State} }},
+		{"Snapshot",
+			func(b []byte, r Resolve) (any, error) {
+				var s Snapshot
+				err := DecodeSnapshotInto(&s, b, r)
+				return s, err
+			},
+			func(v any) []string {
+				var out []string
+				for _, e := range v.(Snapshot).Entries {
+					out = append(out, e.Entity, e.UID, e.State)
+				}
+				return out
+			}},
 	} {
 		want, werr := d.with(append([]byte(nil), body...), nil)
 		var known []string
@@ -367,15 +383,17 @@ func checkResolvingDecoders(t *testing.T, body []byte) {
 }
 
 // reusedDecodes is a receiver that owns its decode buffers, as the
-// Synchronizer, the Emgr and Dequeue do: one SyncFrame, one UID slice and one
-// result slice that every body is decoded over. lastFrame, lastUIDs and
-// lastResults are the last bodies each decoder accepted — what the buffers
-// are made to hold before the next body is decoded over them.
+// Synchronizer, the Emgr and Dequeue do: one SyncFrame, one UID slice, one
+// result slice and one Snapshot that every body is decoded over. lastFrame,
+// lastUIDs, lastResults and lastSnap are the last bodies each decoder accepted
+// — what the buffers are made to hold before the next body is decoded over
+// them.
 type reusedDecodes struct {
-	frame                            SyncFrame
-	uids                             []string
-	results                          []TaskResult
-	lastFrame, lastUIDs, lastResults []byte
+	frame                                      SyncFrame
+	uids                                       []string
+	results                                    []TaskResult
+	snap                                       Snapshot
+	lastFrame, lastUIDs, lastResults, lastSnap []byte
 }
 
 func newReusedDecodes() *reusedDecodes {
@@ -387,7 +405,9 @@ func newReusedDecodes() *reusedDecodes {
 		{UID: "stale.1", ExitCode: 9, Error: "stale error", Canceled: true, Started: time.Unix(1, 2), Finished: time.Unix(3, 4), StagingTime: 5},
 		{UID: "stale.2", ExitCode: 1, Error: "stale too", Started: time.Unix(6, 7), Finished: time.Unix(8, 9), StagingTime: 10}})
 	return &reusedDecodes{lastFrame: frame, lastResults: results,
-		lastUIDs: FormatBinary.EncodeTaskUIDs([]string{"stale.1", "stale.2", "stale.3"})}
+		lastUIDs: FormatBinary.EncodeTaskUIDs([]string{"stale.1", "stale.2", "stale.3"}),
+		lastSnap: FormatBinary.EncodeSnapshot(Snapshot{Watermark: 99, Entries: []SnapEntry{
+			{Entity: "task", UID: "stale.1", State: "FAILED"}, {Entity: "stage", UID: "stale.s", State: "DONE"}}})}
 }
 
 // check decodes body over buffers that have just held a different body and
@@ -438,6 +458,21 @@ func (h *reusedDecodes) check(t *testing.T, body []byte) {
 	if ferr == nil {
 		h.results = results
 		keep(&h.lastResults)
+	}
+
+	if err := DecodeSnapshotInto(&h.snap, h.lastSnap, nil); err != nil {
+		t.Fatalf("the last accepted snapshot no longer decodes: %v", err)
+	}
+	freshSnap, ferr := DecodeSnapshot(body)
+	rerr = DecodeSnapshotInto(&h.snap, body, nil)
+	if (ferr == nil) != (rerr == nil) {
+		t.Fatalf("snapshot into a used value: error %v, fresh decode error %v", rerr, ferr)
+	}
+	if ferr == nil {
+		if h.snap.Watermark != freshSnap.Watermark || !slices.Equal(h.snap.Entries, freshSnap.Entries) {
+			t.Fatalf("snapshot into a used value = %+v, fresh decode = %+v", h.snap, freshSnap)
+		}
+		keep(&h.lastSnap)
 	}
 }
 

@@ -1,5 +1,7 @@
 package msgcodec
 
+import "slices"
+
 // ---- statedb snapshots ---------------------------------------------------
 
 // SnapEntry is one entity's latest committed state inside a snapshot.
@@ -19,51 +21,77 @@ type Snapshot struct {
 	Entries   []SnapEntry
 }
 
-// EncodeSnapshot encodes a snapshot.
-func (f Format) EncodeSnapshot(s Snapshot) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameSnapshot)
-	buf = appendUvarint(buf, s.Watermark)
-	buf = appendUvarint(buf, uint64(len(s.Entries)))
+// SnapshotSize is the number of bytes AppendSnapshot appends for s.
+func SnapshotSize(s *Snapshot) int {
+	size := headerSize + uvarintLen(s.Watermark) + uvarintLen(uint64(len(s.Entries)))
 	for i := range s.Entries {
 		e := &s.Entries[i]
-		buf = appendString(buf, e.Entity)
-		buf = appendString(buf, e.UID)
-		buf = appendString(buf, e.State)
+		size += sizeString(e.Entity) + sizeString(e.UID) + sizeString(e.State)
 	}
-	return putBuf(bp, buf)
+	return size
 }
 
-// DecodeSnapshot decodes a snapshot.
+// AppendSnapshot appends the encoded snapshot to dst. A writer that sizes dst
+// first (SnapshotSize) and keeps it from one snapshot to the next encodes an
+// image of any size without allocating.
+func AppendSnapshot(dst []byte, s *Snapshot) []byte {
+	dst = appendHeader(dst, FrameSnapshot)
+	dst = appendUvarint(dst, s.Watermark)
+	dst = appendUvarint(dst, uint64(len(s.Entries)))
+	for i := range s.Entries {
+		e := &s.Entries[i]
+		dst = appendString(dst, e.Entity)
+		dst = appendString(dst, e.UID)
+		dst = appendString(dst, e.State)
+	}
+	return dst
+}
+
+// EncodeSnapshot encodes a snapshot into a body of its own.
+func (f Format) EncodeSnapshot(s Snapshot) []byte {
+	return AppendSnapshot(make([]byte, 0, SnapshotSize(&s)), &s)
+}
+
+// DecodeSnapshot decodes a snapshot into a value of its own.
 func DecodeSnapshot(body []byte) (Snapshot, error) {
 	var s Snapshot
-	r, err := frameReader(body, FrameSnapshot)
-	if err != nil {
+	if err := DecodeSnapshotInto(&s, body, nil); err != nil {
 		return Snapshot{}, err
 	}
+	return s, nil
+}
+
+// DecodeSnapshotInto decodes a snapshot over whatever s held, reusing
+// s.Entries where it is large enough and taking every string the resolver
+// knows from it (see DecodeSyncFrameInto): recovery loads an image of names
+// the registry already holds. After an error s holds nothing meaningful.
+func DecodeSnapshotInto(s *Snapshot, body []byte, resolve Resolve) error {
+	r, err := frameReader(body, FrameSnapshot)
+	if err != nil {
+		return err
+	}
+	r.resolve = resolve
 	if s.Watermark, err = r.uvarint(); err != nil {
-		return Snapshot{}, err
+		return err
 	}
 	n, err := r.count(1)
 	if err != nil {
-		return Snapshot{}, err
+		return err
 	}
-	if n > 0 {
-		s.Entries = make([]SnapEntry, n)
-		for i := range s.Entries {
-			e := &s.Entries[i]
-			if e.Entity, err = r.str(); err != nil {
-				return Snapshot{}, err
-			}
-			if e.UID, err = r.str(); err != nil {
-				return Snapshot{}, err
-			}
-			if e.State, err = r.str(); err != nil {
-				return Snapshot{}, err
-			}
+	s.Entries = slices.Grow(s.Entries[:0], n)[:n]
+	for i := range s.Entries {
+		e := &s.Entries[i] // may hold an earlier image's entry: every field is written
+		if e.Entity, err = r.str(); err != nil {
+			return err
+		}
+		if e.UID, err = r.str(); err != nil {
+			return err
+		}
+		if e.State, err = r.str(); err != nil {
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // ---- journal segment headers ---------------------------------------------

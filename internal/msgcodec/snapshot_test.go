@@ -1,6 +1,7 @@
 package msgcodec
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
@@ -64,5 +65,45 @@ func TestSnapshotDecodeRejectsHostileCount(t *testing.T) {
 	bad := []byte{Magic, Version, FrameSnapshot, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}
 	if _, err := DecodeSnapshot(bad); err == nil {
 		t.Fatalf("DecodeSnapshot(%x) accepted", bad)
+	}
+}
+
+// The durable frames as the commit before the append forms existed wrote
+// them (hex generated there): a state record, a snapshot, an empty snapshot.
+const (
+	goldenStateRec      = "bf0107047461736b0b7461736b2e30303030343204444f4e45"
+	goldenSnapshot      = "bf0109e8070408706970656c696e650c706970656c696e652e3030300a5343484544554c494e470573746167650d73746167652e3030302e30303004444f4e45047461736b0b7461736b2e30303030343204444f4e45047461736b0b7461736b2e303030303433064641494c4544"
+	goldenEmptySnapshot = "bf01090000"
+)
+
+// TestDurableFramesGoldenBytes holds what lands in journal segments and
+// snapshot files to those bytes, through the one-shot encoders and through
+// the append forms writing behind bytes already in the buffer.
+func TestDurableFramesGoldenBytes(t *testing.T) {
+	snap := Snapshot{Watermark: 1000, Entries: []SnapEntry{
+		{Entity: "pipeline", UID: "pipeline.000", State: "SCHEDULING"},
+		{Entity: "stage", UID: "stage.000.000", State: "DONE"},
+		{Entity: "task", UID: "task.000042", State: "DONE"},
+		{Entity: "task", UID: "task.000043", State: "FAILED"}}}
+	prefix := []byte("already here")
+	for _, c := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"EncodeStateRec", goldenStateRec, FormatBinary.EncodeStateRec("task", "task.000042", "DONE")},
+		{"AppendStateRec", goldenStateRec, AppendStateRec(prefix, "task", "task.000042", "DONE")[len(prefix):]},
+		{"EncodeSnapshot", goldenSnapshot, FormatBinary.EncodeSnapshot(snap)},
+		{"AppendSnapshot", goldenSnapshot, AppendSnapshot(prefix, &snap)[len(prefix):]},
+		{"EncodeSnapshot, empty", goldenEmptySnapshot, FormatBinary.EncodeSnapshot(Snapshot{})},
+	} {
+		if h := hex.EncodeToString(c.got); h != c.want {
+			t.Errorf("%s changed the frame:\n got %s\nwant %s", c.name, h, c.want)
+		}
+	}
+	if n := StateRecSize("task", "task.000042", "DONE"); n != len(goldenStateRec)/2 {
+		t.Errorf("StateRecSize = %d, the record is %d bytes", n, len(goldenStateRec)/2)
+	}
+	if n := SnapshotSize(&snap); n != len(goldenSnapshot)/2 {
+		t.Errorf("SnapshotSize = %d, the snapshot is %d bytes", n, len(goldenSnapshot)/2)
 	}
 }

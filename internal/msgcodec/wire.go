@@ -564,23 +564,40 @@ type StateRec struct {
 	State  string
 }
 
-// EncodeStateRec encodes one state record.
-func (f Format) EncodeStateRec(entity, uid, state string) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameStateRec)
-	buf = appendString(buf, entity)
-	buf = appendString(buf, uid)
-	buf = appendString(buf, state)
-	return putBuf(bp, buf)
+// AppendStateRec appends one encoded state record to dst. The committer
+// encodes a request's records one after another into the buffer it owns, so
+// a journaled transition costs its bytes and no allocation.
+func AppendStateRec(dst []byte, entity, uid, state string) []byte {
+	dst = appendHeader(dst, FrameStateRec)
+	dst = appendString(dst, entity)
+	dst = appendString(dst, uid)
+	return appendString(dst, state)
 }
 
-// DecodeStateRec decodes a state record.
-func DecodeStateRec(body []byte) (StateRec, error) {
+// StateRecSize is the number of bytes AppendStateRec appends for these
+// arguments.
+func StateRecSize(entity, uid, state string) int {
+	return headerSize + sizeString(entity) + sizeString(uid) + sizeString(state)
+}
+
+// EncodeStateRec encodes one state record into a body of its own.
+func (f Format) EncodeStateRec(entity, uid, state string) []byte {
+	return AppendStateRec(make([]byte, 0, StateRecSize(entity, uid, state)), entity, uid, state)
+}
+
+// DecodeStateRec decodes a state record, copying its strings out of body.
+func DecodeStateRec(body []byte) (StateRec, error) { return DecodeStateRecWith(body, nil) }
+
+// DecodeStateRecWith decodes a state record, taking every string the resolver
+// knows from it (see DecodeSyncFrameInto): recovery replays a journal of
+// names the registry already holds.
+func DecodeStateRecWith(body []byte, resolve Resolve) (StateRec, error) {
 	var sr StateRec
 	r, err := frameReader(body, FrameStateRec)
 	if err != nil {
 		return StateRec{}, err
 	}
+	r.resolve = resolve
 	if sr.Entity, err = r.str(); err != nil {
 		return StateRec{}, err
 	}
@@ -665,20 +682,22 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// DecodeJournalRec decodes a binary journal record. data aliases payload.
-func DecodeJournalRec(payload []byte) (seq uint64, recType string, data []byte, err error) {
+// DecodeJournalRec decodes a binary journal record. recType and data alias
+// payload: a scan reads the type of every record and keeps almost none, so
+// whoever needs it as a string makes it one.
+func DecodeJournalRec(payload []byte) (seq uint64, recType, data []byte, err error) {
 	r, err := frameReader(payload, FrameJournalRec)
 	if err != nil {
-		return 0, "", nil, err
+		return 0, nil, nil, err
 	}
 	if seq, err = r.uvarint(); err != nil {
-		return 0, "", nil, err
+		return 0, nil, nil, err
 	}
-	if recType, err = r.str(); err != nil {
-		return 0, "", nil, err
+	if recType, err = r.bytes(); err != nil {
+		return 0, nil, nil, err
 	}
 	if data, err = r.bytes(); err != nil {
-		return 0, "", nil, err
+		return 0, nil, nil, err
 	}
 	return seq, recType, data, nil
 }

@@ -72,15 +72,20 @@ func parseSnapshotName(name string) (uint64, bool) {
 // SnapshotEntries exports the database's latest state per entity as
 // snapshot entries, sorted by entity kind then UID so snapshots of the same
 // state are byte-identical. The result is the caller's own copy.
-func (db *DB) SnapshotEntries() []msgcodec.SnapEntry {
+func (db *DB) SnapshotEntries() []msgcodec.SnapEntry { return db.AppendSnapshotEntries(nil) }
+
+// AppendSnapshotEntries is SnapshotEntries onto dst: a caller that passes the
+// slice it keeps, emptied, copies the mirror without allocating once the
+// slice has grown to it.
+func (db *DB) AppendSnapshotEntries(dst []msgcodec.SnapEntry) []msgcodec.SnapEntry {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.extendOrderLocked()
-	out := make([]msgcodec.SnapEntry, len(db.sorted))
-	for i, pos := range db.sorted {
-		out[i] = db.entries[pos]
+	dst = slices.Grow(dst, len(db.sorted))
+	for _, pos := range db.sorted {
+		dst = append(dst, db.entries[pos])
 	}
-	return out
+	return dst
 }
 
 // extendOrderLocked brings db.sorted up to date with the entries committed
@@ -133,20 +138,47 @@ func (db *DB) Restore(entries []msgcodec.SnapEntry) error {
 	return nil
 }
 
-// WriteSnapshot atomically persists snap into dir, returning the snapshot
-// file's path. On success, snapshot generations older than the
+// WriteSnapshot atomically persists snap into dir through buffers of its own
+// (a SnapshotWriter made for the one call), returning the snapshot file's
+// path.
+func WriteSnapshot(dir string, snap msgcodec.Snapshot, _ msgcodec.Format) (string, error) {
+	return (&SnapshotWriter{snap: snap}).Write(dir)
+}
+
+// SnapshotWriter writes a database's snapshots through two buffers it keeps
+// from one snapshot to the next: the entries copied out of the database and
+// the file image encoded from them. Its owner runs Capture and Write one
+// after the other, never two at a time (the synchronizer's snapshots are
+// single-flight), so a snapshot costs its copy and its bytes.
+type SnapshotWriter struct {
+	snap  msgcodec.Snapshot
+	image []byte
+}
+
+// Capture copies db's latest states as the image at watermark and returns
+// the copy, which is the writer's and lasts until its next Capture.
+func (w *SnapshotWriter) Capture(db *DB, watermark uint64) []msgcodec.SnapEntry {
+	w.snap.Watermark = watermark
+	w.snap.Entries = db.AppendSnapshotEntries(w.snap.Entries[:0])
+	return w.snap.Entries
+}
+
+// Write atomically persists the captured image into dir, returning the
+// snapshot file's path. On success, snapshot generations older than the
 // newest keepSnapshots and stale temporaries are pruned (best effort).
-func WriteSnapshot(dir string, snap msgcodec.Snapshot, f msgcodec.Format) (string, error) {
+func (w *SnapshotWriter) Write(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("statedb: snapshot mkdir: %w", err)
 	}
-	payload := f.EncodeSnapshot(snap)
-	buf := make([]byte, snapHeaderLen+len(payload))
+	// Header and payload in one buffer, sized once.
+	buf := slices.Grow(w.image[:0], snapHeaderLen+msgcodec.SnapshotSize(&w.snap))
+	buf = msgcodec.AppendSnapshot(buf[:snapHeaderLen], &w.snap)
+	payload := buf[snapHeaderLen:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[snapHeaderLen:], payload)
+	w.image = buf
 
-	path := filepath.Join(dir, SnapshotName(snap.Watermark))
+	path := filepath.Join(dir, SnapshotName(w.snap.Watermark))
 	tmp := path + ".tmp"
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -225,9 +257,16 @@ func listSnapshots(dir string) ([]uint64, map[uint64]string) {
 // either would replay a journal whose segments below its watermark may
 // already be compacted, silently dropping committed states.
 func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error) {
+	return LoadLatestSnapshotWith(dir, nil)
+}
+
+// LoadLatestSnapshotWith is LoadLatestSnapshot taking every string the
+// resolver knows from it instead of copying it out of the file
+// (msgcodec.DecodeSnapshotInto).
+func LoadLatestSnapshotWith(dir string, resolve msgcodec.Resolve) (snap msgcodec.Snapshot, ok bool, err error) {
 	wms, byWM := listSnapshots(dir)
 	for _, wm := range wms {
-		s, valid, err := readSnapshot(byWM[wm])
+		s, valid, err := readSnapshot(byWM[wm], resolve)
 		if err != nil {
 			return msgcodec.Snapshot{}, false, err
 		}
@@ -242,7 +281,7 @@ func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error)
 // torn file, or one the pruner removed after it was listed; any other read
 // error is returned, because falling back past a snapshot that is merely
 // unreadable right now has the same cost as falling back past a foreign one.
-func readSnapshot(path string) (s msgcodec.Snapshot, valid bool, err error) {
+func readSnapshot(path string, resolve msgcodec.Resolve) (s msgcodec.Snapshot, valid bool, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -250,13 +289,13 @@ func readSnapshot(path string) (s msgcodec.Snapshot, valid bool, err error) {
 		}
 		return msgcodec.Snapshot{}, false, fmt.Errorf("statedb: read snapshot: %w", err)
 	}
-	return decodeSnapshot(path, buf)
+	return decodeSnapshot(path, buf, resolve)
 }
 
 // decodeSnapshot decodes the bytes of one snapshot file (path names it in
 // errors). valid is false for a torn file; err is set for an intact one in a
 // foreign framing.
-func decodeSnapshot(path string, buf []byte) (s msgcodec.Snapshot, valid bool, err error) {
+func decodeSnapshot(path string, buf []byte, resolve msgcodec.Resolve) (s msgcodec.Snapshot, valid bool, err error) {
 	if len(buf) <= snapHeaderLen {
 		return msgcodec.Snapshot{}, false, nil
 	}
@@ -266,7 +305,7 @@ func decodeSnapshot(path string, buf []byte) (s msgcodec.Snapshot, valid bool, e
 	if int(n) != len(payload) || crc32.ChecksumIEEE(payload) != crc {
 		return msgcodec.Snapshot{}, false, nil
 	}
-	if s, err = msgcodec.DecodeSnapshot(payload); err != nil {
+	if err = msgcodec.DecodeSnapshotInto(&s, payload, resolve); err != nil {
 		return msgcodec.Snapshot{}, false, fmt.Errorf("%w: %s: %w", journal.ErrUnknownFraming, path, err)
 	}
 	return s, true, nil

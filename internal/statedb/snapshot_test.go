@@ -2,6 +2,7 @@ package statedb
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -420,7 +421,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(frame([]byte(`{"watermark":20,"entries":[]}`)))
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, valid, err := decodeSnapshot("fuzz", data)
+		snap, valid, err := decodeSnapshot("fuzz", data, nil)
 		if err != nil {
 			if valid || !errors.Is(err, journal.ErrUnknownFraming) {
 				t.Fatalf("valid=%v err=%v", valid, err)
@@ -430,7 +431,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if !valid {
 			return
 		}
-		again, ok, err := decodeSnapshot("fuzz", frame(msgcodec.FormatBinary.EncodeSnapshot(snap)))
+		again, ok, err := decodeSnapshot("fuzz", frame(msgcodec.FormatBinary.EncodeSnapshot(snap)), nil)
 		if err != nil || !ok || again.Watermark != snap.Watermark || len(again.Entries) != len(snap.Entries) {
 			t.Fatalf("re-encoded snapshot drifted: %+v -> %+v (ok=%v err=%v)", snap, again, ok, err)
 		}
@@ -440,4 +441,59 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// goldenSnapshotFile is snapshot-00000000000003e8.snap as the commit before
+// SnapshotWriter wrote it for the four entities below: length, CRC, frame.
+const goldenSnapshotFile = "6e000000cc87f1eebf0109e8070408706970656c696e650c706970656c696e652e3030300a5343484544554c494e470573746167650d73746167652e3030302e30303004444f4e45047461736b0b7461736b2e30303030343204444f4e45047461736b0b7461736b2e303030303433064641494c4544"
+
+// TestSnapshotWriterReusesItsBuffers holds a snapshot file to its old bytes
+// through both writers, the reused one after its buffers have held a larger
+// image of other entities, and holds a warm writer to encoding an image
+// without allocating (what Write still allocates is paths and file handles).
+func TestSnapshotWriterReusesItsBuffers(t *testing.T) {
+	small := New()
+	for _, e := range []msgcodec.SnapEntry{
+		{Entity: "task", UID: "task.000043", State: "FAILED"},
+		{Entity: "stage", UID: "stage.000.000", State: "DONE"},
+		{Entity: "task", UID: "task.000042", State: "DONE"},
+		{Entity: "pipeline", UID: "pipeline.000", State: "SCHEDULING"}} {
+		small.SaveState(e.Entity, e.UID, e.State) //nolint:errcheck
+	}
+	large := New()
+	for i := 0; i < 500; i++ {
+		large.SaveState("task", fmt.Sprintf("other.%06d", i), "EXECUTED") //nolint:errcheck
+	}
+	read := func(path string, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(raw)
+	}
+
+	var w SnapshotWriter
+	w.Capture(large, 7)
+	read(w.Write(t.TempDir()))
+	w.Capture(small, 1000)
+	if got := read(w.Write(t.TempDir())); got != goldenSnapshotFile {
+		t.Errorf("the reused writer changed the snapshot file:\n got %s\nwant %s", got, goldenSnapshotFile)
+	}
+	oneShot := msgcodec.Snapshot{Watermark: 1000, Entries: small.SnapshotEntries()}
+	if got := read(WriteSnapshot(t.TempDir(), oneShot, msgcodec.FormatBinary)); got != goldenSnapshotFile {
+		t.Errorf("WriteSnapshot changed the snapshot file:\n got %s\nwant %s", got, goldenSnapshotFile)
+	}
+
+	entries, image := &w.snap.Entries[0], &w.image[0]
+	if n := testing.AllocsPerRun(20, func() { w.Capture(large, 8) }); n != 0 {
+		t.Errorf("Capture into a warm writer: %.0f allocations, want 0", n)
+	}
+	read(w.Write(t.TempDir()))
+	if entries != &w.snap.Entries[0] || image != &w.image[0] {
+		t.Error("a warm writer replaced its buffers for an image that fits them")
+	}
 }
