@@ -82,7 +82,10 @@ bench-baseline: bench-json
 
 # Besides gofmt and vet: core.RTS.Stats() is the whole telemetry contract, so
 # no non-test code may discover more by type-asserting an RTS to an optional
-# *Reporter interface again (docs/api.md, "The RTS contract").
+# *Reporter interface again (docs/api.md, "The RTS contract"); and the broker
+# stays a leaf that imports no other package of this module, so durability —
+# which JournalDir and statedb own (docs/recovery.md) — cannot creep back into
+# it through an import.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -92,6 +95,11 @@ lint:
 	if [ -n "$$asserted" ]; then \
 		echo "an RTS is type-asserted to a Reporter interface; put the field in core.RTSStats instead:"; \
 		echo "$$asserted"; exit 1; \
+	fi
+	@imported=$$($(GO) list -deps ./internal/broker | grep '^repro/' | grep -vx 'repro/internal/broker' || true); \
+	if [ -n "$$imported" ]; then \
+		echo "internal/broker imports other packages of this module; keep it a leaf:"; \
+		echo "$$imported"; exit 1; \
 	fi
 	$(GO) vet ./...
 

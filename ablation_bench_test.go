@@ -20,7 +20,6 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/hostmodel"
 	"repro/internal/hpc"
-	"repro/internal/journal"
 	"repro/internal/rts"
 	"repro/internal/saga"
 	"repro/internal/vclock"
@@ -300,48 +299,6 @@ func BenchmarkAblationHostStrain(b *testing.B) {
 			_ = total
 		})
 	}
-}
-
-// BenchmarkAblationDurableBroker quantifies the journal's cost on the
-// publish path (durability vs raw queues).
-func BenchmarkAblationDurableBroker(b *testing.B) {
-	for _, durable := range []bool{false, true} {
-		name := "volatile"
-		if durable {
-			name = "durable"
-		}
-		b.Run(name, func(b *testing.B) {
-			var br *broker.Broker
-			if durable {
-				j, err := journalOpen(b)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer j.Close()
-				br = broker.New(broker.Options{Journal: j})
-			} else {
-				br = broker.New(broker.Options{})
-			}
-			defer br.Close()
-			br.DeclareQueue("q", broker.QueueOptions{Durable: durable})
-			body := []byte(`{"uid":"task.1","state":"DONE"}`)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				br.Publish("q", body) //nolint:errcheck
-				d, ok, _ := br.Get("q")
-				if !ok {
-					b.Fatal("lost message")
-				}
-				d.Ack()
-			}
-		})
-	}
-}
-
-// journalOpen opens a temp journal for the durable-broker ablation.
-func journalOpen(b *testing.B) (*journal.Journal, error) {
-	b.Helper()
-	return journal.Open(b.TempDir()+"/ablate.journal", journal.Options{})
 }
 
 // BenchmarkAblationTransferProtocols measures the modelled cost of moving a

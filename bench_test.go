@@ -261,74 +261,6 @@ func BenchmarkBrokerBatch64(b *testing.B) {
 	b.ReportMetric(float64(benchPipelineMsgs*b.N)/b.Elapsed().Seconds(), "msgs/s")
 }
 
-// BenchmarkBrokerDurableSingleMsg64 is the single-message path on a durable
-// queue, where every publish and every ack is one journal append.
-func BenchmarkBrokerDurableSingleMsg64(b *testing.B) {
-	benchDurable(b, false)
-}
-
-// BenchmarkBrokerDurableBatch64 is the batched path on a durable queue: one
-// journal append per publish batch and one per ack batch.
-func BenchmarkBrokerDurableBatch64(b *testing.B) {
-	benchDurable(b, true)
-}
-
-func benchDurable(b *testing.B, batched bool) {
-	j, err := journal.Open(b.TempDir()+"/broker.journal", journal.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
-	br := broker.New(broker.Options{Journal: j})
-	defer br.Close()
-	br.DeclareQueue("q", broker.QueueOptions{Durable: true})
-	body := []byte(`{"uid":"task.000001","executable":"sleep","cores":1}`)
-	bodies := make([][]byte, benchBatchSize)
-	for i := range bodies {
-		bodies[i] = body
-	}
-	var c *broker.Consumer
-	if batched {
-		if c, err = br.ConsumeBatch("q", benchBatchSize); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if batched {
-			if err := br.PublishBatch("q", bodies); err != nil {
-				b.Fatal(err)
-			}
-			got := 0
-			for got < benchBatchSize {
-				ds, err := c.ReceiveBatch(benchBatchSize)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := broker.AckBatch(ds); err != nil {
-					b.Fatal(err)
-				}
-				got += len(ds)
-			}
-		} else {
-			for k := 0; k < benchBatchSize; k++ {
-				if err := br.Publish("q", body); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for k := 0; k < benchBatchSize; k++ {
-				d, ok, err := br.Get("q")
-				if err != nil || !ok {
-					b.Fatal("get failed")
-				}
-				d.Ack()
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(benchBatchSize*b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
 // BenchmarkFig6PrototypeBatched is the batched-broker companion of
 // BenchmarkFig6Prototype: same topology sweep, broker traversed in batches
 // of 64.

@@ -15,6 +15,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,30 +25,44 @@ import (
 	"repro/internal/statedb"
 )
 
-func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: entk-dump <journal dir | journal file | snapshot file>")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and output streams as parameters. It returns
+// the exit code: 2 for a command line it cannot use, 1 for a path it cannot
+// read to the end, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintln(stderr, "usage: entk-dump <journal dir | journal file | snapshot file>")
+		return 2
 	}
-	if err := dump(os.Args[1]); err != nil {
-		fmt.Fprintf(os.Stderr, "entk-dump: %v\n", err)
-		os.Exit(1)
+	if err := dump(stdout, args[0]); err != nil {
+		fmt.Fprintf(stderr, "entk-dump: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
-func dump(path string) error {
+func dump(w io.Writer, path string) error {
 	st, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
+	printRecord := func(rec journal.Record) error {
+		desc, err := describe(rec.Data)
+		if err != nil {
+			return fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
+		}
+		fmt.Fprintf(w, "%d %s %s\n", rec.Seq, rec.Type, desc)
+		return nil
+	}
 	switch {
 	case st.IsDir():
-		if err := dumpSnapshot(path, ""); err != nil {
+		if err := dumpSnapshot(w, path, ""); err != nil {
 			return err
 		}
 		return journal.ReplayDir(path, printRecord)
 	case strings.HasSuffix(path, ".snap"):
-		return dumpSnapshot(filepath.Dir(path), filepath.Base(path))
+		return dumpSnapshot(w, filepath.Dir(path), filepath.Base(path))
 	default:
 		return journal.Replay(path, printRecord)
 	}
@@ -55,7 +70,7 @@ func dump(path string) error {
 
 // dumpSnapshot prints the newest snapshot in dir. A non-empty want names the
 // snapshot file the user asked for, which must be that newest one.
-func dumpSnapshot(dir, want string) error {
+func dumpSnapshot(w io.Writer, dir, want string) error {
 	snap, ok, err := statedb.LoadLatestSnapshot(dir)
 	if err != nil {
 		return err
@@ -69,24 +84,16 @@ func dumpSnapshot(dir, want string) error {
 	case want != "" && want != name:
 		return fmt.Errorf("%s is superseded by %s", want, name)
 	}
-	fmt.Printf("%s watermark=%d entries=%d\n", name, snap.Watermark, len(snap.Entries))
+	fmt.Fprintf(w, "%s watermark=%d entries=%d\n", name, snap.Watermark, len(snap.Entries))
 	for _, e := range snap.Entries {
-		fmt.Printf("  %s %s %s\n", e.Entity, e.UID, e.State)
+		fmt.Fprintf(w, "  %s %s %s\n", e.Entity, e.UID, e.State)
 	}
 	return nil
 }
 
-func printRecord(rec journal.Record) error {
-	desc, err := describe(rec.Data)
-	if err != nil {
-		return fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-	}
-	fmt.Printf("%d %s %s\n", rec.Seq, rec.Type, desc)
-	return nil
-}
-
-// describe decodes one frame by its frame-type byte. Durable broker records
-// carry queue messages that are frames themselves, so those recurse.
+// describe decodes one frame by its frame-type byte. A frame of a type it
+// has no decoder for — a retired one, such as the broker's old durable-queue
+// records (0x10–0x13) — is named by type and size, not rejected.
 func describe(b []byte) (string, error) {
 	t, ok := msgcodec.FrameType(b)
 	if !ok {
@@ -109,31 +116,6 @@ func describe(b []byte) (string, error) {
 		v, err = msgcodec.DecodeStoreRec(b)
 	case msgcodec.FrameSegmentHdr:
 		v, err = msgcodec.DecodeSegmentHeader(b)
-	case msgcodec.FrameBrokerAck:
-		v, err = msgcodec.DecodeBrokerAck(b)
-	case msgcodec.FrameBrokerAckBatch:
-		v, err = msgcodec.DecodeBrokerAckBatch(b)
-	case msgcodec.FrameBrokerPublish:
-		p, err := msgcodec.DecodeBrokerPublish(b)
-		if err != nil {
-			return "", err
-		}
-		body, err := describe(p.Body)
-		return fmt.Sprintf("queue=%s id=%d %s", p.Queue, p.ID, body), err
-	case msgcodec.FrameBrokerPublishBatch:
-		p, err := msgcodec.DecodeBrokerPublishBatch(b)
-		if err != nil {
-			return "", err
-		}
-		out := "queue=" + p.Queue
-		for _, m := range p.Msgs {
-			body, err := describe(m.Body)
-			if err != nil {
-				return "", err
-			}
-			out += fmt.Sprintf(" id=%d %s", m.ID, body)
-		}
-		return out, nil
 	default:
 		return fmt.Sprintf("frame 0x%02x, %d bytes", t, len(b)), nil
 	}

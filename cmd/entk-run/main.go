@@ -22,7 +22,7 @@
 // -progress streams the run's lifecycle transitions live (stage and
 // pipeline events, plus task events with -v) and periodic completion
 // counts from the run handle's Snapshot. -cancel cancels the named
-// pipeline shortly after the run starts — its entities reach terminal
+// pipeline as soon as one of its tasks moves — its entities reach terminal
 // CANCELED states while sibling pipelines execute to completion.
 //
 // -journal <dir> makes the run durable: every committed transition lands
@@ -69,10 +69,10 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its inputs and outputs as parameters, as far as flag
-// validation and -check go: those write to stdout and stderr and return the
-// exit code. Past them — attaching, submitting, executing — it prints to the
-// process's own streams and exits through fatal.
+// run is main with its inputs and outputs as parameters: flag validation,
+// -check and an in-process run write to stdout and stderr and return the
+// exit code. Attaching (-attach) and submitting (-daemon) print to the
+// process's own streams and exit through fatal.
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("entk-run", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout  = flags.Duration("timeout", 10*time.Minute, "wall-clock execution timeout")
 		check    = flags.Bool("check", false, "validate the application description and exit")
 		progress = flags.Bool("progress", false, "stream live lifecycle transitions and progress")
-		cancelP  = flags.String("cancel", "", "cancel the named pipeline shortly after start")
+		cancelP  = flags.String("cancel", "", "cancel the named pipeline once its first task is in flight")
 		scheds   = flags.Int("schedulers", 0, "agent scheduler loops draining the task store (0 = min(GOMAXPROCS, shards), 1 = strict-FIFO single scheduler)")
 		autotune = flags.Bool("autotune", false, "enable the live knob controller: steer batch size and scheduler pool from runtime stats (docs/autotune.md)")
 		jdir     = flags.String("journal", "", "directory for the durable state journal (segments + snapshots + RTS audit); enables crash recovery")
@@ -154,16 +154,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		RemoteAgents: splitAddrs(*agents),
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	pipes, total, err := desc.Build()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := am.AddPipelines(pipes...); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("executing %d pipelines / %d tasks on %s (%d cores)\n",
+	fmt.Fprintf(stdout, "executing %d pipelines / %d tasks on %s (%d cores)\n",
 		len(pipes), total, desc.Resource.Name, desc.Resource.Cores)
 
 	// Subscribe before Start so the stream observes the very first
@@ -180,16 +180,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sub = am.Subscribe(entk.EventFilter{Kinds: kinds})
 	}
+	// -cancel watches the named pipeline's task events from before Start too,
+	// so its first task to move — the pipeline has work in flight — is seen.
+	var cancelSub *entk.EventSub
+	if *cancelP != "" {
+		for _, p := range pipes {
+			if p.Name == *cancelP {
+				cancelSub = am.Subscribe(entk.EventFilter{Pipeline: p.UID, Kinds: []entk.EventKind{entk.EventTask}})
+				break
+			}
+		}
+		if cancelSub == nil {
+			fmt.Fprintf(stderr, "entk-run: -cancel: no pipeline named %q\n", *cancelP)
+		}
+	}
 
 	var events *remoterts.EventServer
 	if *evListen != "" {
 		events, err = remoterts.NewEventServer(*evListen, am.Subscribe)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer events.Close()
 		am.AddEventPeerSource(events.PeerStats)
-		fmt.Printf("event stream served on %s\n", events.Addr())
+		fmt.Fprintf(stdout, "event stream served on %s\n", events.Addr())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -201,28 +215,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		run, runErr = am.Resume(ctx, *jdir)
 		if runErr == nil {
 			ri := am.Core().RecoveryInfo()
-			fmt.Printf("resumed from %s: snapshot@%d, %d journal records replayed, %d tasks already done\n",
+			fmt.Fprintf(stdout, "resumed from %s: snapshot@%d, %d journal records replayed, %d tasks already done\n",
 				*jdir, ri.SnapshotSeq, ri.ReplayedRecords, ri.TasksRecovered)
 		}
 	} else {
 		run, runErr = am.Start(ctx)
 	}
 	if runErr == nil {
-		if *cancelP != "" {
-			go cancelByName(run, pipes, *cancelP)
+		var canceled bool
+		var cancelErr error
+		cancelDone := make(chan struct{})
+		if cancelSub != nil {
+			go func() {
+				defer close(cancelDone)
+				canceled, cancelErr = cancelOnFirstTask(run, cancelSub)
+			}()
+		} else {
+			close(cancelDone)
 		}
 		if sub != nil {
 			streamDone := make(chan struct{})
 			go func() {
 				defer close(streamDone)
-				renderEvents(run, sub, *autotune)
+				renderEvents(stdout, run, sub, *autotune)
 			}()
 			runErr = run.Wait()
 			<-streamDone
-			fmt.Printf("event stream: %d dropped (slow-subscriber policy)\n", sub.Dropped())
-			renderStoreStats(os.Stdout, run.Snapshot().Store)
+			fmt.Fprintf(stdout, "event stream: %d dropped (slow-subscriber policy)\n", sub.Dropped())
+			renderStoreStats(stdout, run.Snapshot().Store)
 		} else {
 			runErr = run.Wait()
+		}
+		<-cancelDone // the stream closes when the run ends
+		switch {
+		case cancelErr != nil:
+			fmt.Fprintf(stderr, "entk-run: cancel %s: %v\n", *cancelP, cancelErr)
+		case canceled:
+			fmt.Fprintf(stdout, "canceled pipeline %q (siblings kept running)\n", *cancelP)
 		}
 	}
 	wall := time.Since(start)
@@ -231,11 +260,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *agents != "" {
 		// The smoke harness greps this line: a non-zero stranded count
 		// means results were lost between an agent and the manager.
-		fmt.Printf("remote run: %d/%d tasks done, stranded frames: %d\n",
+		fmt.Fprintf(stdout, "remote run: %d/%d tasks done, stranded frames: %d\n",
 			finalSnap.TasksDone, finalSnap.TasksTotal, finalSnap.Utilization.TasksInFlight)
 	}
 	if *autotune {
-		fmt.Printf("autotune: %d knob changes — final batch=%d schedulers=%d, %d event drops\n",
+		fmt.Fprintf(stdout, "autotune: %d knob changes — final batch=%d schedulers=%d, %d event drops\n",
 			finalSnap.KnobChanges, finalSnap.LiveBatchSize, finalSnap.LiveSchedulers, finalSnap.EventDrops)
 	}
 	for _, peer := range finalSnap.EventPeers {
@@ -243,33 +272,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !peer.Connected {
 			state = "detached"
 		}
-		fmt.Printf("event peer %s: %d sent, %d dropped (%s)\n", peer.Peer, peer.Sent, peer.Dropped, state)
+		fmt.Fprintf(stdout, "event peer %s: %d sent, %d dropped (%s)\n", peer.Peer, peer.Sent, peer.Dropped, state)
 	}
 
 	rep := am.Report()
-	fmt.Printf("\nrun finished in %v wall time\n", wall.Round(time.Millisecond))
-	fmt.Printf("  entk setup:      %8.2f s\n", rep.EnTKSetup)
-	fmt.Printf("  entk management: %8.2f s\n", rep.EnTKManagement)
-	fmt.Printf("  entk tear-down:  %8.2f s\n", rep.EnTKTeardown)
-	fmt.Printf("  rts overhead:    %8.2f s\n", rep.RTSOverhead)
-	fmt.Printf("  rts tear-down:   %8.2f s\n", rep.RTSTeardown)
-	fmt.Printf("  data staging:    %8.2f s\n", rep.DataStaging)
-	fmt.Printf("  task execution:  %8.2f s\n", rep.TaskExecution)
+	fmt.Fprintf(stdout, "\nrun finished in %v wall time\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "  entk setup:      %8.2f s\n", rep.EnTKSetup)
+	fmt.Fprintf(stdout, "  entk management: %8.2f s\n", rep.EnTKManagement)
+	fmt.Fprintf(stdout, "  entk tear-down:  %8.2f s\n", rep.EnTKTeardown)
+	fmt.Fprintf(stdout, "  rts overhead:    %8.2f s\n", rep.RTSOverhead)
+	fmt.Fprintf(stdout, "  rts tear-down:   %8.2f s\n", rep.RTSTeardown)
+	fmt.Fprintf(stdout, "  data staging:    %8.2f s\n", rep.DataStaging)
+	fmt.Fprintf(stdout, "  task execution:  %8.2f s\n", rep.TaskExecution)
 
 	if *verbose {
 		for _, p := range pipes {
-			fmt.Printf("pipeline %-24s %s\n", p.Name, p.State())
+			fmt.Fprintf(stdout, "pipeline %-24s %s\n", p.Name, p.State())
 			for _, s := range p.Stages() {
-				fmt.Printf("  stage %-24s %s\n", s.Name, s.State())
+				fmt.Fprintf(stdout, "  stage %-24s %s\n", s.Name, s.State())
 				for _, t := range s.Tasks() {
-					fmt.Printf("    task %-22s %s (attempts %d, exit %d)\n",
+					fmt.Fprintf(stdout, "    task %-22s %s (attempts %d, exit %d)\n",
 						t.Name, t.State(), t.Attempts(), t.ExitCode())
 				}
 			}
 		}
 	}
 	if runErr != nil {
-		fatal(runErr)
+		return fail(runErr)
 	}
 	return 0
 }
@@ -377,17 +406,17 @@ func runViaDaemon(raw []byte, desc *appjson.App, socket, tenant string, journal 
 // progress line from the run handle's snapshot whenever a stage or
 // pipeline reaches a terminal state. With autotune on, knob events arrive
 // interleaved and each progress line carries the live knob values.
-func renderEvents(run *entk.Run, sub *entk.EventSub, autotune bool) {
+func renderEvents(w io.Writer, run *entk.Run, sub *entk.EventSub, autotune bool) {
 	for ev := range sub.C() {
 		vsec := ev.VTime.Sub(vclock.Epoch).Seconds()
-		fmt.Printf("[%10.1fs] %-8s %-24s %s -> %s\n", vsec, ev.Kind, ev.Name, ev.From, ev.To)
+		fmt.Fprintf(w, "[%10.1fs] %-8s %-24s %s -> %s\n", vsec, ev.Kind, ev.Name, ev.From, ev.To)
 		if ev.Terminal() && ev.Kind != entk.EventTask {
 			snap := run.Snapshot()
-			fmt.Printf("[%10.1fs] progress  %d/%d tasks done (%d failed, %d canceled), %d/%d cores busy\n",
+			fmt.Fprintf(w, "[%10.1fs] progress  %d/%d tasks done (%d failed, %d canceled), %d/%d cores busy\n",
 				vsec, snap.TasksDone, snap.TasksTotal, snap.TasksFailed, snap.TasksCanceled,
 				snap.Utilization.CoresBusy, snap.Utilization.CoresTotal)
 			if autotune {
-				fmt.Printf("[%10.1fs] knobs     batch=%d schedulers=%d (%d changes, %d event drops)\n",
+				fmt.Fprintf(w, "[%10.1fs] knobs     batch=%d schedulers=%d (%d changes, %d event drops)\n",
 					vsec, snap.LiveBatchSize, snap.LiveSchedulers, snap.KnobChanges, snap.EventDrops)
 			}
 		}
@@ -411,23 +440,18 @@ func renderStoreStats(w io.Writer, st entk.StoreStats) {
 		st.Schedulers, st.Shards, pulls, st.Steals, dispatched)
 }
 
-// cancelByName cancels the pipeline with the given name once it has tasks
-// in flight, demonstrating partial cancellation: the pipeline lands in
-// CANCELED while its siblings run to completion.
-func cancelByName(run *entk.Run, pipes []*entk.Pipeline, name string) {
-	for _, p := range pipes {
-		if p.Name != name {
-			continue
-		}
-		time.Sleep(50 * time.Millisecond)
-		if err := run.CancelPipeline(p.UID); err != nil {
-			fmt.Fprintf(os.Stderr, "entk-run: cancel %s: %v\n", name, err)
-		} else {
-			fmt.Printf("canceled pipeline %q (siblings keep running)\n", name)
-		}
-		return
+// cancelOnFirstTask cancels the pipeline sub watches on its first task
+// event, once the pipeline has work in flight, demonstrating partial
+// cancellation: the pipeline lands in CANCELED while its siblings run to
+// completion. A stream that closes first — the run ended before the pipeline
+// started — cancels nothing and is no error.
+func cancelOnFirstTask(run *entk.Run, sub *entk.EventSub) (bool, error) {
+	defer sub.Close()
+	ev, ok := <-sub.C()
+	if !ok {
+		return false, nil
 	}
-	fmt.Fprintf(os.Stderr, "entk-run: -cancel: no pipeline named %q\n", name)
+	return true, run.CancelPipeline(ev.Pipeline)
 }
 
 func fatal(err error) {

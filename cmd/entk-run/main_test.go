@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,9 @@ import (
 	"repro/entk"
 )
 
-// Flag validation and -check: what reaches stdout and stderr, and the exit
-// code — 2 for a command line that cannot be run, 1 for an application that
-// cannot be loaded, 0 otherwise.
+// Flag validation, -check and in-process runs: what reaches stdout and
+// stderr, and the exit code — 2 for a command line that cannot be run, 1 for
+// an application that cannot be loaded, 0 otherwise.
 func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 	dir := t.TempDir()
 	malformed := filepath.Join(dir, "malformed.json")
@@ -27,7 +28,7 @@ func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 		name   string
 		args   []string
 		code   int
-		stdout string // substring; "" means nothing at all
+		stdout []string // substrings; none means nothing at all
 		stderr string
 	}{
 		{name: "missing -app", args: nil, code: 2, stderr: "-app is required"},
@@ -35,22 +36,29 @@ func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 		{name: "unknown flag", args: []string{"-no-such-flag"}, code: 2, stderr: "flag provided but not defined"},
 		{name: "unreadable app file", args: []string{"-app", filepath.Join(dir, "absent.json")}, code: 1, stderr: "absent.json"},
 		{name: "-check on a valid description", args: []string{"-app", "example-app.json", "-check"}, code: 0,
-			stdout: "example-app.json: valid — 2 pipelines / 18 tasks on titan (64 cores)"},
+			stdout: []string{"example-app.json: valid — 2 pipelines / 18 tasks on titan (64 cores)"}},
 		{name: "-check on malformed JSON", args: []string{"-app", malformed, "-check"}, code: 1, stderr: "entk-run: "},
 		{name: "-check on a description that does not build", args: []string{"-app", unbuildable, "-check"}, code: 1, stderr: "entk-run: "},
+		// archive runs after ensemble-md, so it is canceled once ensemble-md
+		// is DONE and archive's own task has started.
+		{name: "-cancel a pipeline once its task is in flight", args: []string{"-app", "example-app.json", "-scale", "100us", "-v", "-cancel", "archive"}, code: 0,
+			stdout: []string{`canceled pipeline "archive"`, fmt.Sprintf("pipeline %-24s %s\n", "ensemble-md", "DONE"), fmt.Sprintf("pipeline %-24s %s\n", "archive", "CANCELED")}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(c.args, &stdout, &stderr); code != c.code {
 				t.Errorf("exit code %d, want %d", code, c.code)
 			}
-			for _, out := range []struct {
-				stream    string
-				got, want string
-			}{{"stdout", stdout.String(), c.stdout}, {"stderr", stderr.String(), c.stderr}} {
-				if (out.want == "") != (out.got == "") || !strings.Contains(out.got, out.want) {
-					t.Errorf("%s = %q, want it to contain %q", out.stream, out.got, out.want)
+			if (len(c.stdout) == 0) != (stdout.Len() == 0) {
+				t.Errorf("stdout = %q, want %q", stdout.String(), c.stdout)
+			}
+			for _, want := range c.stdout {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("stdout = %q, want it to contain %q", stdout.String(), want)
 				}
+			}
+			if (c.stderr == "") != (stderr.Len() == 0) || !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr = %q, want it to contain %q", stderr.String(), c.stderr)
 			}
 		})
 	}

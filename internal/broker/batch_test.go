@@ -1,13 +1,10 @@
 package broker
 
 import (
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/journal"
 )
 
 func TestPublishBatchFIFOInterleaved(t *testing.T) {
@@ -296,70 +293,6 @@ func TestCancelUnblocksReceiveBatchAndRequeues(t *testing.T) {
 		t.Fatalf("requeued after cancel: ok=%v %+v", ok, d)
 	}
 	d.Ack()
-}
-
-func TestDurableRecoverBatchedPublishes(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "broker.journal")
-	j, err := journal.Open(jpath, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(Options{Journal: j})
-	// Single shard: the test asserts strict recovery drain order; sharded
-	// replay is covered in shard_test.go.
-	if err := b.DeclareQueue("pending", QueueOptions{Durable: true, Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// One batch publish, one single publish, then batch-ack a prefix.
-	if err := b.PublishBatch("pending", [][]byte{{0}, {1}, {2}, {3}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish("pending", []byte{4}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.ConsumeBatch("pending", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := c.ReceiveBatch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AckBatch(ds); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	j.Close()
-
-	// "Restart": the journal holds one batch publish record, one single
-	// publish record and one batch ack record.
-	j2, err := journal.Open(jpath, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	b2 := New(Options{Journal: j2})
-	defer b2.Close()
-	b2.DeclareQueue("pending", QueueOptions{Durable: true, Shards: 1}) //nolint:errcheck
-	if err := b2.Recover(jpath); err != nil {
-		t.Fatal(err)
-	}
-	var bodies []byte
-	for {
-		d, ok, _ := b2.Get("pending")
-		if !ok {
-			break
-		}
-		if !d.Redelivered {
-			t.Fatal("recovered message not flagged redelivered")
-		}
-		bodies = append(bodies, d.Body[0])
-		d.Ack()
-	}
-	if string(bodies) != string([]byte{2, 3, 4}) {
-		t.Fatalf("recovered %v, want [2 3 4]", bodies)
-	}
 }
 
 // TestBatchConservationConcurrent hammers the batch paths from several

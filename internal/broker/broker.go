@@ -3,25 +3,25 @@
 //
 // EnTK relies on the broker for three properties the paper calls out
 // explicitly: (1) producers and consumers are topology-unaware and interact
-// only with the broker; (2) messages survive component failures (durability
-// plus acknowledgements); and (3) production and consumption are asynchronous
-// because the broker buffers. This package reproduces those semantics with
-// named queues, per-consumer prefetch, ack/nack with requeue, optional
-// journal-backed durability, and per-queue statistics used by the Fig 6
-// prototype benchmark.
+// only with the broker; (2) messages survive component failures; and (3)
+// production and consumption are asynchronous because the broker buffers.
+// This package reproduces (1) and (3) with named queues, per-consumer
+// prefetch, ack/nack with requeue, and per-queue statistics used by the Fig 6
+// prototype benchmark. Property (2) is delivered one layer up: with a
+// JournalDir the workflow engine commits every transition to its journal and
+// state database, and Resume rebuilds the queues from that committed state
+// (docs/recovery.md). The broker itself keeps nothing on disk.
 //
 // # Batched fast path
 //
 // The per-message API (Publish, Get, Consume, Delivery.Ack/Nack) pays one
-// queue-lock round-trip — and for durable queues one journal append — per
-// message. The batch API amortizes both over N messages: PublishBatch
-// appends N bodies under one lock acquisition and one journal record;
+// queue-lock round-trip per message. The batch API amortizes it over N
+// messages: PublishBatch appends N bodies under one lock acquisition;
 // ConsumeBatch registers a pull-mode consumer whose ReceiveBatch pops up to
 // N ready messages per lock round-trip; AckBatch and NackBatch settle N
-// deliveries per queue with one lock acquisition and (for acks on durable
-// queues) one journal record. This is the substrate for EnTK's bulk
-// messages, which keep queue traffic O(stages) rather than O(tasks)
-// (paper §II-C, Fig 6).
+// deliveries per queue with one lock acquisition. This is the substrate for
+// EnTK's bulk messages, which keep queue traffic O(stages) rather than
+// O(tasks) (paper §II-C, Fig 6).
 //
 // Ordering guarantees are identical on both paths and they interleave
 // freely on one queue: a batch occupies consecutive FIFO slots of one
@@ -55,20 +55,15 @@
 // handle gets per-producer FIFO — each consumer observes that producer's
 // messages in publish order. Nacked messages requeue at the front of the
 // shard they were delivered from (the batch analogue preserves the batch's
-// per-shard order), settlement stays exactly-once via the per-shard unacked
-// ledgers, and durable-journal replay redistributes recovered messages
-// across shards in replay order.
+// per-shard order), and settlement stays exactly-once via the per-shard
+// unacked ledgers.
 package broker
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/journal"
-	"repro/internal/msgcodec"
 )
 
 // Errors returned by broker operations.
@@ -159,9 +154,6 @@ type QueueStats struct {
 
 // QueueOptions configure a queue at declaration time.
 type QueueOptions struct {
-	// Durable journals publishes and acks, so queue contents can be
-	// recovered after a crash via Broker.Recover.
-	Durable bool
 	// Shards is the number of independently locked ready rings backing the
 	// queue. 0 selects the default, min(GOMAXPROCS, 8); 1 restores the
 	// strict single-lock FIFO queue. More shards let concurrent consumers
@@ -172,8 +164,6 @@ type QueueOptions struct {
 
 // Options configure a Broker.
 type Options struct {
-	// Journal, if non-nil, backs durable queues.
-	Journal *journal.Journal
 	// PerOpDelay, if non-nil, is invoked once per publish and once per
 	// delivery — and once per *batch* operation on the batched fast path.
 	// The workflow layer uses it to charge the host-performance cost of
@@ -267,10 +257,10 @@ func (b *Broker) Publish(queueName string, body []byte) error {
 }
 
 // PublishBatch appends bodies, in order, to one shard of the named queue
-// under a single shard-lock acquisition and (for durable queues) a single
-// journal record — the producer half of the batched fast path. Publishing
-// an empty batch is a no-op. The batch occupies consecutive slots in its
-// shard, so it is always drained in its internal order. Drain order
+// under a single shard-lock acquisition — the producer half of the batched
+// fast path. Publishing an empty batch is a no-op. The batch occupies
+// consecutive slots in its shard, so it is always drained in its internal
+// order. Drain order
 // ACROSS publish operations is per shard: on a Shards: 1 queue interleaved
 // Publish and PublishBatch calls drain in publish-call order exactly as
 // before; on a sharded queue (the default) successive stateless publish
@@ -343,8 +333,7 @@ func (p *Producer) Publish(body []byte) error {
 }
 
 // PublishBatch appends bodies, in order, to this producer's shard under a
-// single shard-lock acquisition and (for durable queues) a single journal
-// record.
+// single shard-lock acquisition.
 func (p *Producer) PublishBatch(bodies [][]byte) error {
 	if len(bodies) == 0 {
 		return nil
@@ -395,28 +384,32 @@ func (b *Broker) ConsumeBatch(queueName string, prefetch int) (*Consumer, error)
 
 // AckBatch acknowledges a set of deliveries, removing their messages
 // permanently. Deliveries are grouped by queue and each queue settles under
-// one lock acquisition and (when durable) one journal record. Deliveries
-// that were already settled are skipped, so AckBatch composes with
-// individual Ack/Nack calls. A nil or empty slice is a no-op.
+// one lock acquisition per touched shard. Deliveries that were already
+// settled are skipped, so AckBatch composes with individual Ack/Nack calls.
+// A nil or empty slice is a no-op. A batch settlement cannot fail: the error
+// is always nil.
 func AckBatch(ds []*Delivery) error {
-	return settleBatch(ds, false, false)
+	settleBatch(ds, false, false)
+	return nil
 }
 
 // NackBatch rejects a set of deliveries. With requeue, each queue's
 // messages return to the front of that queue in batch order, flagged
 // Redelivered — the batch analogue of Nack's requeue-at-front; without
-// requeue they are dropped. Already-settled deliveries are skipped.
+// requeue they are dropped. Already-settled deliveries are skipped. The
+// error is always nil.
 func NackBatch(ds []*Delivery, requeue bool) error {
-	return settleBatch(ds, true, requeue)
+	settleBatch(ds, true, requeue)
+	return nil
 }
 
 // settleBatch groups deliveries by queue and settles each group. Claiming
 // happens inside the per-queue settlement, under the shard locks, via the
 // unacked-ledger membership bit — already-settled deliveries are skipped
 // there, so the common single-queue batch needs no allocation here at all.
-func settleBatch(ds []*Delivery, nack, requeue bool) error {
+func settleBatch(ds []*Delivery, nack, requeue bool) {
 	if len(ds) == 0 {
-		return nil
+		return
 	}
 	q0 := ds[0].q
 	mixed := false
@@ -427,29 +420,16 @@ func settleBatch(ds []*Delivery, nack, requeue bool) error {
 		}
 	}
 	if !mixed {
-		return q0.settleBatch(ds, nack, requeue)
+		q0.settleBatch(ds, nack, requeue)
+		return
 	}
 	byQueue := make(map[*queue][]*Delivery)
 	for _, d := range ds {
 		byQueue[d.q] = append(byQueue[d.q], d)
 	}
-	var firstErr error
 	for q, group := range byQueue {
-		if err := q.settleBatch(group, nack, requeue); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		q.settleBatch(group, nack, requeue)
 	}
-	return firstErr
-}
-
-// Purge drops all ready messages from the queue, returning how many were
-// removed.
-func (b *Broker) Purge(queueName string) (int, error) {
-	q, err := b.lookup(queueName)
-	if err != nil {
-		return 0, err
-	}
-	return q.purge(), nil
 }
 
 // Stats returns a snapshot of the named queue's counters.
@@ -509,86 +489,4 @@ func (b *Broker) Close() {
 	for _, q := range qs {
 		q.close()
 	}
-}
-
-// Journal record types used for durable queues. Batched operations write
-// one batch record instead of N single records; Recover understands both.
-// Record payloads are msgcodec broker-durability frames.
-const (
-	recPublish      = "broker.publish"
-	recAck          = "broker.ack"
-	recPublishBatch = "broker.publish.batch"
-	recAckBatch     = "broker.ack.batch"
-)
-
-// Recover rebuilds durable queue contents from the journal at path. Queues
-// must be declared (durable) before calling Recover. Messages that were
-// published but never acked are restored as Redelivered.
-func (b *Broker) Recover(path string) error {
-	pending := map[string]map[uint64][]byte{} // queue -> id -> body
-	order := map[string][]uint64{}
-	err := journal.Replay(path, func(rec journal.Record) error {
-		switch rec.Type {
-		case recPublish:
-			p, err := msgcodec.DecodeBrokerPublish(rec.Data)
-			if err != nil {
-				return err
-			}
-			if pending[p.Queue] == nil {
-				pending[p.Queue] = map[uint64][]byte{}
-			}
-			pending[p.Queue][p.ID] = bytes.Clone(p.Body) // rec.Data is borrowed
-			order[p.Queue] = append(order[p.Queue], p.ID)
-		case recPublishBatch:
-			p, err := msgcodec.DecodeBrokerPublishBatch(rec.Data)
-			if err != nil {
-				return err
-			}
-			if pending[p.Queue] == nil {
-				pending[p.Queue] = map[uint64][]byte{}
-			}
-			for _, m := range p.Msgs {
-				pending[p.Queue][m.ID] = bytes.Clone(m.Body)
-				order[p.Queue] = append(order[p.Queue], m.ID)
-			}
-		case recAck:
-			a, err := msgcodec.DecodeBrokerAck(rec.Data)
-			if err != nil {
-				return err
-			}
-			if m := pending[a.Queue]; m != nil {
-				delete(m, a.ID)
-			}
-		case recAckBatch:
-			a, err := msgcodec.DecodeBrokerAckBatch(rec.Data)
-			if err != nil {
-				return err
-			}
-			if m := pending[a.Queue]; m != nil {
-				for _, id := range a.IDs {
-					delete(m, id)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for qname, ids := range order {
-		q, err := b.lookup(qname)
-		if err != nil {
-			continue // queue not re-declared: skip, like RabbitMQ's auto-delete
-		}
-		for _, id := range ids {
-			body, ok := pending[qname][id]
-			if !ok {
-				continue
-			}
-			if err := q.restore(Message{ID: b.nextID.Add(1), Body: body, Redelivered: true}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

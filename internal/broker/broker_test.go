@@ -2,14 +2,11 @@ package broker
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/journal"
 )
 
 func newTestBroker(t *testing.T) *Broker {
@@ -298,22 +295,6 @@ func TestMultipleProducersConsumers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPurge(t *testing.T) {
-	b := newTestBroker(t)
-	mustDeclare(t, b, "q")
-	for i := 0; i < 5; i++ {
-		b.Publish("q", []byte("x"))
-	}
-	n, err := b.Purge("q")
-	if err != nil || n != 5 {
-		t.Fatalf("purge n=%d err=%v", n, err)
-	}
-	s, _ := b.Stats("q")
-	if s.Depth != 0 {
-		t.Fatalf("depth after purge = %d", s.Depth)
-	}
-}
-
 func TestDeleteQueue(t *testing.T) {
 	b := newTestBroker(t)
 	mustDeclare(t, b, "q")
@@ -365,63 +346,6 @@ func TestPeakStats(t *testing.T) {
 	}
 	if s.Bytes != 0 {
 		t.Fatalf("bytes after drain = %d", s.Bytes)
-	}
-}
-
-func TestDurableRecover(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "broker.journal")
-	j, err := journal.Open(jpath, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(Options{Journal: j})
-	// Single shard: the test asserts strict recovery drain order; sharded
-	// replay is covered in shard_test.go.
-	if err := b.DeclareQueue("pending", QueueOptions{Durable: true, Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := b.Publish("pending", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Ack two of them.
-	for i := 0; i < 2; i++ {
-		d, _, _ := b.Get("pending")
-		if err := d.Ack(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Close()
-	j.Close()
-
-	// "Restart": new broker, recover from journal.
-	j2, err := journal.Open(jpath, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	b2 := New(Options{Journal: j2})
-	defer b2.Close()
-	b2.DeclareQueue("pending", QueueOptions{Durable: true, Shards: 1})
-	if err := b2.Recover(jpath); err != nil {
-		t.Fatal(err)
-	}
-	var bodies []byte
-	for {
-		d, ok, _ := b2.Get("pending")
-		if !ok {
-			break
-		}
-		if !d.Redelivered {
-			t.Fatal("recovered message not flagged redelivered")
-		}
-		bodies = append(bodies, d.Body[0])
-		d.Ack()
-	}
-	if string(bodies) != string([]byte{2, 3, 4}) {
-		t.Fatalf("recovered %v, want [2 3 4]", bodies)
 	}
 }
 

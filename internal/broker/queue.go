@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/msgcodec"
 )
 
 // msgDeque is a slice-backed ring buffer of ready messages. Compared to a
@@ -76,17 +74,6 @@ func (d *msgDeque) PopFront() Message {
 	d.head = (d.head + 1) % len(d.buf)
 	d.n--
 	return m
-}
-
-// At returns the i-th ready message from the front without removing it.
-func (d *msgDeque) At(i int) Message { return d.buf[(d.head+i)%len(d.buf)] }
-
-// Reset empties the deque, releasing body references.
-func (d *msgDeque) Reset() {
-	for i := 0; i < d.n; i++ {
-		d.buf[(d.head+i)%len(d.buf)] = Message{}
-	}
-	d.head, d.n = 0, 0
 }
 
 // DefaultShards is the ready-ring shard count used when
@@ -202,11 +189,15 @@ func (s *qshard) ledgerRemoveLocked(d *Delivery) bool {
 // Nacked messages requeue at the front of the shard they were delivered
 // from, matching RabbitMQ's basic.reject semantics per shard.
 type queue struct {
-	b    *Broker
-	name string
-	opts QueueOptions
+	b      *Broker
+	name   string
+	shards []qshard // one block; handed out as &shards[i]
 
-	shards    []qshard      // one block; handed out as &shards[i]
+	// Every unpinned publish writes pubCursor, and every pop reads the fields
+	// above. The pad starts the cursors on the struct's second 64-byte line:
+	// sharing the first cost the pipelined push-mode benchmark
+	// (BenchmarkBrokerSingleMsg64) a tenth more, smaller pops.
+	_         [16]byte
 	pubCursor atomic.Uint64 // round-robin publish-op shard assignment
 	getCursor atomic.Uint64 // rotating scan origin for Broker.Get
 	conCursor atomic.Uint64 // round-robin consumer preferred shards
@@ -243,10 +234,9 @@ func newQueue(b *Broker, name string, opts QueueOptions) *queue {
 	if n < 1 {
 		n = 1
 	}
-	opts.Shards = n
 	// Two allocations: the queue and its shard block. A hosted run declares
 	// nine queues and deletes them again within milliseconds.
-	q := &queue{b: b, name: name, opts: opts, shards: make([]qshard, n)}
+	q := &queue{b: b, name: name, shards: make([]qshard, n)}
 	for i := range q.shards {
 		q.shards[i].idx = i
 	}
@@ -332,46 +322,6 @@ func (q *queue) wakeAll() {
 	q.notifyMu.Unlock()
 }
 
-// ---- journal ------------------------------------------------------------
-
-func (q *queue) journalPublish(m Message) error {
-	if !q.opts.Durable || q.b.opts.Journal == nil {
-		return nil
-	}
-	_, err := q.b.opts.Journal.AppendRaw(recPublish, msgcodec.FormatBinary.EncodeBrokerPublish(q.name, m.ID, m.Body))
-	return err
-}
-
-func (q *queue) journalAck(id uint64) error {
-	if !q.opts.Durable || q.b.opts.Journal == nil {
-		return nil
-	}
-	_, err := q.b.opts.Journal.AppendRaw(recAck, msgcodec.FormatBinary.EncodeBrokerAck(q.name, id))
-	return err
-}
-
-// journalPublishBatch appends one record covering the whole batch — the
-// journal half of the batched fast path's amortization.
-func (q *queue) journalPublishBatch(msgs []Message) error {
-	if !q.opts.Durable || q.b.opts.Journal == nil {
-		return nil
-	}
-	refs := make([]msgcodec.BrokerMsg, len(msgs))
-	for i, m := range msgs {
-		refs[i] = msgcodec.BrokerMsg{ID: m.ID, Body: m.Body}
-	}
-	_, err := q.b.opts.Journal.AppendRaw(recPublishBatch, msgcodec.FormatBinary.EncodeBrokerPublishBatch(q.name, refs))
-	return err
-}
-
-func (q *queue) journalAckBatch(ids []uint64) error {
-	if !q.opts.Durable || q.b.opts.Journal == nil {
-		return nil
-	}
-	_, err := q.b.opts.Journal.AppendRaw(recAckBatch, msgcodec.FormatBinary.EncodeBrokerAckBatch(q.name, ids))
-	return err
-}
-
 // ---- publish ------------------------------------------------------------
 
 // publishTo appends one message to sh under one shard-lock acquisition.
@@ -379,9 +329,6 @@ func (q *queue) journalAckBatch(ids []uint64) error {
 // shard lock after setting the flag, so no publish can succeed after Close
 // returns — the same guarantee the old single-lock queue gave.
 func (q *queue) publishTo(sh *qshard, m Message) error {
-	if err := q.journalPublish(m); err != nil {
-		return err
-	}
 	sh.mu.Lock()
 	if q.closed.Load() {
 		sh.mu.Unlock()
@@ -402,12 +349,9 @@ func (q *queue) publish(m Message) error {
 }
 
 // publishBatchTo appends msgs in order to sh under a single shard-lock
-// acquisition and a single journal append. The batch occupies one shard
-// contiguously, so its internal order survives segment pops.
+// acquisition. The batch occupies one shard contiguously, so its internal
+// order survives segment pops.
 func (q *queue) publishBatchTo(sh *qshard, msgs []Message) error {
-	if err := q.journalPublishBatch(msgs); err != nil {
-		return err
-	}
 	sh.mu.Lock()
 	if q.closed.Load() {
 		sh.mu.Unlock()
@@ -423,27 +367,6 @@ func (q *queue) publishBatchTo(sh *qshard, msgs []Message) error {
 	sh.mu.Unlock()
 	q.publishBatches.Add(1)
 	q.wakeNotEmpty(true)
-	return nil
-}
-
-// restore re-inserts a recovered message without journaling it again.
-// Replay walks the journal in publish order and restore assigns shards
-// round-robin, so recovery rebuilds a sharded queue holding exactly the
-// unacked pre-crash messages.
-func (q *queue) restore(m Message) error {
-	sh := q.nextShard()
-	sh.mu.Lock()
-	if q.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	sh.ready.PushBack(m)
-	sh.published++
-	sh.bytes += int64(len(m.Body))
-	sh.trackPeaksLocked()
-	sh.syncDepthLocked()
-	sh.mu.Unlock()
-	q.wakeNotEmpty(false)
 	return nil
 }
 
@@ -545,10 +468,7 @@ func (q *queue) get() (*Delivery, bool) {
 // ---- settlement ---------------------------------------------------------
 
 // settle completes a delivery: ack, drop, or requeue at the front of the
-// shard it was delivered from. Acks are journaled after the ledger claim
-// succeeds, so a message that lost a settlement race (for example an Ack
-// racing a Nack-requeue) can never be journaled as acknowledged — a crash
-// replays it instead of silently dropping it.
+// shard it was delivered from.
 func (q *queue) settle(d *Delivery, nack, requeue bool) error {
 	sh := d.sh
 	sh.mu.Lock()
@@ -574,11 +494,6 @@ func (q *queue) settle(d *Delivery, nack, requeue bool) error {
 		sh.bytes -= int64(len(d.Body))
 	}
 	sh.mu.Unlock()
-	if !nack {
-		if err := q.journalAck(d.ID); err != nil {
-			return err
-		}
-	}
 	if requeued {
 		q.wakeNotEmpty(false)
 	}
@@ -589,22 +504,14 @@ func (q *queue) settle(d *Delivery, nack, requeue bool) error {
 }
 
 // settleBatch completes a set of deliveries from this queue with one lock
-// acquisition per touched shard and (for acks on durable queues) one
-// journal append. The unacked ledger is the claim: deliveries settled by an
-// earlier call — or by a concurrent individual Ack/Nack — are skipped.
-// Nack-with-requeue returns each message to the front of the shard it was
-// delivered from, preserving the batch's internal order per shard, so a
-// requeued batch is redelivered exactly as it was first delivered. The ack
-// record is journaled after settlement with only the IDs actually claimed,
-// so a requeued message can never be replayed as acknowledged.
-func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) error {
+// acquisition per touched shard. The unacked ledger is the claim: deliveries
+// settled by an earlier call — or by a concurrent individual Ack/Nack — are
+// skipped. Nack-with-requeue returns each message to the front of the shard
+// it was delivered from, preserving the batch's internal order per shard, so
+// a requeued batch is redelivered exactly as it was first delivered.
+func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 	if len(ds) == 0 {
-		return nil
-	}
-	var ackIDs []uint64
-	journaled := !nack && q.opts.Durable && q.b.opts.Journal != nil
-	if journaled {
-		ackIDs = make([]uint64, 0, len(ds))
+		return
 	}
 	// Consumer releases are counted without a map in the overwhelmingly
 	// common case of one consumer per batch; a map is built only when the
@@ -621,9 +528,6 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) error {
 				continue // already settled, or raced with a cancellation
 			}
 			settled++
-			if journaled {
-				ackIDs = append(ackIDs, d.ID)
-			}
 			switch {
 			case !nack:
 				sh.acked++
@@ -689,10 +593,6 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) error {
 			q.nackBatches.Add(1)
 		}
 	}
-	var jErr error
-	if len(ackIDs) > 0 {
-		jErr = q.journalAckBatch(ackIDs)
-	}
 	if requeued > 0 {
 		q.wakeNotEmpty(true)
 	}
@@ -702,27 +602,9 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) error {
 	for c, n := range relExtra {
 		c.releaseN(n)
 	}
-	return jErr
 }
 
 // ---- maintenance --------------------------------------------------------
-
-func (q *queue) purge() int {
-	total := 0
-	for i := range q.shards {
-		sh := &q.shards[i]
-		sh.mu.Lock()
-		n := sh.ready.Len()
-		for i := 0; i < n; i++ {
-			sh.bytes -= int64(len(sh.ready.At(i).Body))
-		}
-		sh.ready.Reset()
-		sh.syncDepthLocked()
-		sh.mu.Unlock()
-		total += n
-	}
-	return total
-}
 
 func (q *queue) stats() QueueStats {
 	s := QueueStats{
@@ -794,7 +676,7 @@ type Consumer struct {
 	pull     bool // pull mode: no loop goroutine, ReceiveBatch pops directly
 
 	inflight atomic.Int64   // outstanding unacked deliveries
-	popWG    sync.WaitGroup // in-flight ReceiveBatch pops (Cancel barrier)
+	popWG    sync.WaitGroup // in-flight pops (Cancel barrier)
 
 	mu      sync.Mutex
 	stopped bool
@@ -919,6 +801,24 @@ func (c *Consumer) ReceiveBatch(max int) ([]*Delivery, error) {
 	if max <= 0 {
 		max = 1
 	}
+	batch, err := c.next(max)
+	if err != nil {
+		return nil, err
+	}
+	c.q.deliverBatches.Add(1)
+	// One modelled broker traversal per batch: the amortization the
+	// workflow layer's bulk messages are built on.
+	if c.q.b.opts.PerOpDelay != nil {
+		c.q.b.opts.PerOpDelay()
+	}
+	return batch, nil
+}
+
+// next is the pop step both consumer modes share: it waits until a message
+// is ready and the prefetch window has room, reserves up to max slots of the
+// window, pops that many messages and returns the slots it could not fill.
+// It returns ErrClosed once the consumer is cancelled or the queue closes.
+func (c *Consumer) next(max int) ([]*Delivery, error) {
 	q := c.q
 	for {
 		if q.closed.Load() || c.isStopped() {
@@ -949,16 +849,10 @@ func (c *Consumer) ReceiveBatch(max int) ([]*Delivery, error) {
 		if len(batch) < n {
 			c.releaseN(n - len(batch)) // return unused window slots
 		}
-		if len(batch) == 0 {
-			continue // raced with other consumers (or cancelled mid-call)
+		if len(batch) > 0 {
+			return batch, nil
 		}
-		q.deliverBatches.Add(1)
-		// One modelled broker traversal per batch: the amortization the
-		// workflow layer's bulk messages are built on.
-		if q.b.opts.PerOpDelay != nil {
-			q.b.opts.PerOpDelay()
-		}
-		return batch, nil
+		// Raced with other consumers (or cancelled mid-call): go round.
 	}
 }
 
@@ -976,7 +870,7 @@ func (c *Consumer) Cancel() {
 	q.unregister(c)
 	q.wakeAll()    // unpark the loop / blocked ReceiveBatch callers
 	c.wg.Wait()    // push-mode loop drained
-	c.popWG.Wait() // in-flight pull pops finished registering unacked
+	c.popWG.Wait() // in-flight pops finished registering unacked
 	// Requeue whatever this consumer still holds.
 	var orphans []*Delivery
 	for i := range q.shards {
@@ -998,34 +892,18 @@ func (c *Consumer) Cancel() {
 // the free prefetch window — one shard-lock round-trip per run instead of
 // per message — and streams the batch into the channel, whose capacity
 // equals the prefetch window, so a send only blocks while the application
-// is holding the window full.
+// is holding the window full. PerOpDelay is charged once per message.
 func (c *Consumer) loop() {
 	defer c.wg.Done()
 	defer close(c.ch)
-	q := c.q
 	for {
-		if q.closed.Load() || c.isStopped() {
+		batch, err := c.next(c.prefetch)
+		if err != nil {
 			return
 		}
-		if q.totalReady() == 0 {
-			q.waitNotEmpty(c)
-			continue
-		}
-		n := c.reserve(c.prefetch)
-		if n == 0 {
-			q.waitWindow(c)
-			continue
-		}
-		batch := q.popBatch(c, n)
-		if len(batch) < n {
-			c.releaseN(n - len(batch))
-		}
-		if len(batch) == 0 {
-			continue
-		}
 		for i, d := range batch {
-			if q.b.opts.PerOpDelay != nil {
-				q.b.opts.PerOpDelay()
+			if c.q.b.opts.PerOpDelay != nil {
+				c.q.b.opts.PerOpDelay()
 			}
 			select {
 			case c.ch <- d:

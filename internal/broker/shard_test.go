@@ -4,14 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
-
-	"repro/internal/journal"
 )
 
 // declareSharded declares a queue with an explicit shard count so the tests
@@ -324,104 +321,6 @@ func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	}
 }
 
-// TestShardedDurableReplay crashes a sharded durable queue mid-flight and
-// proves replay reconstructs the sharded state: unacked messages all come
-// back (spread across shards), acked ones stay gone, and a message that was
-// nack-requeued after a batch ack is not lost.
-func TestShardedDurableReplay(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "broker.journal")
-	j, err := journal.Open(jpath, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(Options{Journal: j})
-	if err := b.DeclareQueue("pending", QueueOptions{Durable: true, Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
-	// 12 singles spread round-robin + one contiguous batch.
-	for i := 0; i < 12; i++ {
-		if err := b.Publish("pending", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.PublishBatch("pending", [][]byte{{20}, {21}, {22}}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := b.ConsumeBatch("pending", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*Delivery
-	for len(got) < 15 {
-		ds, err := c.ReceiveBatch(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ds...)
-	}
-	// Batch-ack 6, nack-requeue 2 (they stay pending), leave 7 unacked.
-	if err := AckBatch(got[:6]); err != nil {
-		t.Fatal(err)
-	}
-	if err := NackBatch(got[6:8], true); err != nil {
-		t.Fatal(err)
-	}
-	acked := map[byte]bool{}
-	for _, d := range got[:6] {
-		acked[d.Body[0]] = true
-	}
-	b.Close()
-	j.Close()
-
-	// "Restart": fresh broker, sharded declaration, replay.
-	j2, err := journal.Open(jpath, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	b2 := New(Options{Journal: j2})
-	defer b2.Close()
-	if err := b2.DeclareQueue("pending", QueueOptions{Durable: true, Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Recover(jpath); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := b2.Stats("pending")
-	if s.Depth != 9 { // 15 published - 6 acked
-		t.Fatalf("recovered depth = %d, want 9 (%+v)", s.Depth, s)
-	}
-	// Replay redistributes across shards round-robin: with 9 messages on 4
-	// shards every shard holds at least two.
-	for i, d := range s.ShardDepths {
-		if d < 2 {
-			t.Fatalf("shard %d depth = %d after replay, want >= 2 (%v)", i, d, s.ShardDepths)
-		}
-	}
-	seen := map[byte]bool{}
-	for {
-		d, ok, _ := b2.Get("pending")
-		if !ok {
-			break
-		}
-		if !d.Redelivered {
-			t.Fatal("recovered message not flagged redelivered")
-		}
-		if acked[d.Body[0]] {
-			t.Fatalf("acked message %d came back", d.Body[0])
-		}
-		if seen[d.Body[0]] {
-			t.Fatalf("message %d recovered twice", d.Body[0])
-		}
-		seen[d.Body[0]] = true
-		d.Ack()
-	}
-	if len(seen) != 9 {
-		t.Fatalf("recovered %d distinct messages, want 9", len(seen))
-	}
-}
-
 // TestShardedConservationUnderConcurrency hammers a sharded queue from
 // stateless producers, Producer handles and mixed consumers under -race:
 // every message is settled exactly once whatever shard it crossed.
@@ -549,10 +448,14 @@ func TestShardStatsObservability(t *testing.T) {
 }
 
 // A queue's shards sit side by side in one block, so a shard must fill whole
-// cache lines or two neighbours' locks would share one.
+// cache lines or two neighbours' locks would share one; and the publish
+// cursor must not share a line with the fields every pop reads.
 func TestShardFillsWholeCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(qshard{}); size%64 != 0 {
 		t.Fatalf("qshard is %d bytes; adjust its padding to a multiple of 64", size)
+	}
+	if off := unsafe.Offsetof(queue{}.pubCursor); off != 64 {
+		t.Fatalf("queue.pubCursor is at offset %d; adjust the padding before it to 64", off)
 	}
 }
 

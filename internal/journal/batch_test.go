@@ -2,11 +2,14 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/msgcodec"
@@ -317,5 +320,120 @@ func TestBatchWritesOncePerSegment(t *testing.T) {
 	}
 	if n := c[segs[len(segs)-1].Path]; n < 1 || n > 2 {
 		t.Fatalf("the active segment took %d writes, want 1 or 2", n)
+	}
+}
+
+// TestFailedWriteIsCutBackOff: a write the disk takes half of before it fills
+// must not leave that half in the file, where every later record would lie
+// behind a torn one that no scan gets past. The failed append reports the
+// error, the next append lands after the last whole record, and a replay and a
+// reopen both keep every record of it — flat and segmented alike.
+func TestFailedWriteIsCutBackOff(t *testing.T) {
+	fail := false
+	writeWrap = func(_ string, w io.Writer) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			if !fail {
+				return w.Write(p)
+			}
+			fail = false
+			n, err := w.Write(p[:len(p)/2])
+			if err == nil {
+				err = syscall.ENOSPC
+			}
+			return n, err
+		})
+	}
+	t.Cleanup(func() { writeWrap = nil })
+	state := func(uids ...string) [][]byte {
+		out := make([][]byte, len(uids))
+		for i, uid := range uids {
+			out[i] = msgcodec.FormatBinary.EncodeStateRec("task", uid, "DONE")
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		open   func(path string) (*Journal, error)
+		replay func(path string, fn func(Record) error) error
+	}{
+		{"flat", func(path string) (*Journal, error) { return Open(path, Options{}) }, Replay},
+		{"dir", func(path string) (*Journal, error) { return OpenDir(path, Options{}) }, ReplayDir},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal")
+			replayed := func() []string {
+				t.Helper()
+				var uids []string
+				err := c.replay(path, func(rec Record) error {
+					if rec.Type != "state" {
+						return nil // a segment header
+					}
+					sr, err := msgcodec.DecodeStateRec(rec.Data)
+					uids = append(uids, sr.UID)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return uids
+			}
+			j, err := c.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.AppendRawBatch("state", state("task.before")); err != nil {
+				t.Fatal(err)
+			}
+			fail = true
+			if _, err := j.AppendRawBatch("state", state("task.lost.0", "task.lost.1", "task.lost.2")); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("append through a full disk = %v, want ENOSPC", err)
+			}
+			last, err := j.AppendRawBatch("state", state("task.after.0", "task.after.1"))
+			if err != nil {
+				t.Fatalf("append after a failed write: %v", err)
+			}
+			want := []string{"task.before", "task.after.0", "task.after.1"}
+			if got := replayed(); !slices.Equal(got, want) {
+				t.Fatalf("replayed %q, want %q", got, want)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, err = c.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if j.Seq() != last {
+				t.Fatalf("reopened at seq %d, want %d", j.Seq(), last)
+			}
+			if got := replayed(); !slices.Equal(got, want) {
+				t.Fatalf("after a reopen replayed %q, want %q", got, want)
+			}
+		})
+	}
+}
+
+// TestFailedCutRefusesAppends: when a failed write cannot be cut back off the
+// file either, the journal refuses every later append with the cut's error
+// instead of writing behind the torn batch.
+func TestFailedCutRefusesAppends(t *testing.T) {
+	writeWrap = func(_ string, w io.Writer) io.Writer {
+		return writerFunc(func(p []byte) (int, error) {
+			w.(*os.File).Close() // nothing can truncate the file now
+			return 0, syscall.EIO
+		})
+	}
+	t.Cleanup(func() { writeWrap = nil })
+	j, err := Open(tmpJournal(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.AppendRaw("state", batchPayloads(1)[0]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("failed write = %v, want EIO", err)
+	}
+	_, err = j.AppendRaw("state", batchPayloads(1)[0])
+	if !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), "cut back a failed write") {
+		t.Fatalf("append after a failed cut = %v, want the cut's error", err)
 	}
 }

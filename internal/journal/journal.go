@@ -30,7 +30,7 @@ import (
 )
 
 // Record is a single journal entry. Type namespaces the payload (for example
-// "task.state" or "broker.publish"); Seq is assigned by the journal and is
+// "state" or "rts.store"); Seq is assigned by the journal and is
 // strictly increasing within a file. Data holds the record's opaque payload,
 // by convention a msgcodec frame matching Type. A replayed record's Data is
 // borrowed: it points into the scan's read buffer, is valid only until the
@@ -55,13 +55,14 @@ type Journal struct {
 	sync   bool
 	buf    []byte // scratch for header + payload, reused under mu
 	closed bool
+	broken error // set when a failed write could not be cut back off the file
 
 	// Segmented (OpenDir) state. dir is empty for flat journals.
 	dir      string
 	segBytes int64
 	segIndex uint64        // index of the active segment
 	segFirst uint64        // first record seq in the active segment (0: none)
-	size     int64         // bytes written to the active segment
+	size     int64         // bytes in the active segment (the file, if flat)
 	sealed   []SegmentInfo // closed segments, ascending index
 }
 
@@ -90,8 +91,8 @@ const headerLen = 4 + 4 // payload length + CRC32 of payload
 
 // MaxRetainedScratch bounds a per-request scratch buffer kept across
 // requests — the journal's own framing buffer, and the committer's record
-// buffer in front of it: one oversized batch (a large durable publish, a wide
-// stage's bulk commit) must not pin its buffer for the run's lifetime.
+// buffer in front of it: one oversized batch (a wide stage's bulk commit)
+// must not pin its buffer for the run's lifetime.
 const MaxRetainedScratch = 64 << 10
 
 // Open creates or opens the journal file at path for appending. Existing
@@ -106,13 +107,13 @@ func Open(path string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{seq: info.lastSeq, sync: opts.Sync}
+	j := &Journal{seq: info.lastSeq, sync: opts.Sync, size: info.validLen}
 	j.setFile(f, path)
 	return j, nil
 }
 
 // writeWrap, when non-nil, wraps the writer of every file a journal appends
-// to. Only tests set it, to count writes.
+// to. Only tests set it, to count writes and to fail them.
 var writeWrap func(path string, w io.Writer) io.Writer
 
 // setFile makes f, the file at path, the one appends go to.
@@ -298,12 +299,16 @@ func (j *Journal) AppendRaw(recType string, data []byte) (uint64, error) {
 // fsync under Options.Sync — split only where a record carries a segment
 // past Options.SegmentBytes, so the files are byte for byte what appending
 // the same records one at a time leaves. On an error the records of the
-// writes that succeeded stay appended.
+// writes that succeeded stay appended and the failed write leaves none of
+// its bytes behind.
 func (j *Journal) AppendRawBatch(recType string, payloads [][]byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return 0, ErrClosed
+	}
+	if j.broken != nil {
+		return 0, j.broken
 	}
 	// Size the scratch once for the whole batch; sizing every record as if
 	// it carried the batch's highest sequence bounds the varints.
@@ -354,12 +359,22 @@ func appendFramed(buf []byte, seq uint64, recType string, data []byte) []byte {
 }
 
 // writeLocked hands buf — n whole framed records numbered from j.seq+1 — to
-// the active file in one write; j.mu must be held.
+// the active file in one write; j.mu must be held. A write that fails part-way
+// (a full disk) leaves a torn batch in the file, and every later record would
+// lie behind it, out of any scan's reach: the file is cut back to its last
+// whole record, and if that fails too the journal refuses further appends.
 func (j *Journal) writeLocked(buf []byte, n uint64) error {
 	if n == 0 {
 		return nil
 	}
 	if _, err := j.w.Write(buf); err != nil {
+		cerr := j.f.Truncate(j.size)
+		if cerr == nil {
+			_, cerr = j.f.Seek(j.size, io.SeekStart)
+		}
+		if cerr != nil {
+			j.broken = fmt.Errorf("journal: cut back a failed write: %w", cerr)
+		}
 		return fmt.Errorf("journal: write: %w", err)
 	}
 	if j.segFirst == 0 {

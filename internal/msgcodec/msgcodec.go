@@ -1,8 +1,7 @@
 // Package msgcodec implements the versioned wire-format layer for every
 // steady-state control-plane message in the stack: pending-queue task-UID
 // batches, synchronizer transition frames and acks, done-queue task-result
-// batches, Fig 6 prototype task bodies, journal record framing and the
-// broker's durability records.
+// batches, Fig 6 prototype task bodies and journal record framing.
 //
 // There is one format. Every message is framed as
 //
@@ -45,18 +44,15 @@ const (
 	FrameSnapshot    byte = 0x09 // statedb snapshot (watermark + latest states)
 	FrameSegmentHdr  byte = 0x0A // journal segment header record
 
-	FrameBrokerPublish      byte = 0x10 // durable-queue publish record
-	FrameBrokerAck          byte = 0x11 // durable-queue ack record
-	FrameBrokerPublishBatch byte = 0x12 // durable-queue batched publish record
-	FrameBrokerAckBatch     byte = 0x13 // durable-queue batched ack record
+	// 0x10–0x13 were the broker's durable-queue records: retired, never
+	// reused (docs/wire-format.md).
 
 	FrameDaemonSubmit byte = 0x20 // entkd submission request
 	FrameDaemonRunOp  byte = 0x21 // entkd run operation (request and response)
 
 	// Remote control-plane frames (the transport links between a manager,
 	// its entk-agent processes and remote event subscribers). They never
-	// land in journals or durable queues (docs/wire-format.md, "Remote
-	// frames").
+	// land in journals (docs/wire-format.md, "Remote frames").
 	FramePing       byte = 0x30 // transport keepalive probe
 	FramePong       byte = 0x31 // transport keepalive reply
 	FrameHello      byte = 0x32 // connection handshake (role, name, capacity)

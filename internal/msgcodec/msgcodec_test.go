@@ -185,29 +185,6 @@ func TestJournalRecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBrokerRecsRoundTrip(t *testing.T) {
-	p, err := DecodeBrokerPublish(FormatBinary.EncodeBrokerPublish("pending", 7, []byte("body")))
-	if err != nil || p.Queue != "pending" || p.ID != 7 || string(p.Body) != "body" {
-		t.Fatalf("publish round trip: %+v, %v", p, err)
-	}
-
-	a, err := DecodeBrokerAck(FormatBinary.EncodeBrokerAck("pending", 7))
-	if err != nil || a.Queue != "pending" || a.ID != 7 {
-		t.Fatalf("ack round trip: %+v, %v", a, err)
-	}
-
-	msgs := []BrokerMsg{{ID: 1, Body: []byte("a")}, {ID: 2, Body: []byte("bb")}}
-	pb, err := DecodeBrokerPublishBatch(FormatBinary.EncodeBrokerPublishBatch("done", msgs))
-	if err != nil || pb.Queue != "done" || !reflect.DeepEqual(pb.Msgs, msgs) {
-		t.Fatalf("publish batch round trip: %+v, %v", pb, err)
-	}
-
-	ab, err := DecodeBrokerAckBatch(FormatBinary.EncodeBrokerAckBatch("done", []uint64{1, 2, 3}))
-	if err != nil || ab.Queue != "done" || !reflect.DeepEqual(ab.IDs, []uint64{1, 2, 3}) {
-		t.Fatalf("ack batch round trip: %+v, %v", ab, err)
-	}
-}
-
 // retiredJSON holds one document per message the removed JSON control-plane
 // format used to carry. Every decoder must reject them.
 var retiredJSON = []string{
@@ -228,10 +205,15 @@ var retiredJSON = []string{
 	`{"op":"list"}`,
 }
 
+// retiredBrokerFrame is a frame of type 0x10, the broker's retired
+// durable-publish record (queue "q", message 1, body "b"). No decoder takes it.
+var retiredBrokerFrame = []byte{Magic, Version, 0x10, 1, 'q', 1, 1, 'b'}
+
 // TestDecodersRejectForeignBodies pins the single decode path: every
 // exported decoder returns an error — and never panics — for a JSON
 // document, an empty body, a body too short for a header, a wrong magic
-// byte, a valid frame of another type and a frame from a newer wire version.
+// byte, a valid frame of another type, a frame from a newer wire version and
+// a frame of a retired type.
 func TestDecodersRejectForeignBodies(t *testing.T) {
 	decoders := []struct {
 		name   string
@@ -248,10 +230,6 @@ func TestDecodersRejectForeignBodies(t *testing.T) {
 		{"StoreRec", FrameStoreRec, func(b []byte) error { _, err := DecodeStoreRec(b); return err }},
 		{"Snapshot", FrameSnapshot, func(b []byte) error { _, err := DecodeSnapshot(b); return err }},
 		{"SegmentHeader", FrameSegmentHdr, func(b []byte) error { _, err := DecodeSegmentHeader(b); return err }},
-		{"BrokerPublish", FrameBrokerPublish, func(b []byte) error { _, err := DecodeBrokerPublish(b); return err }},
-		{"BrokerAck", FrameBrokerAck, func(b []byte) error { _, err := DecodeBrokerAck(b); return err }},
-		{"BrokerPublishBatch", FrameBrokerPublishBatch, func(b []byte) error { _, err := DecodeBrokerPublishBatch(b); return err }},
-		{"BrokerAckBatch", FrameBrokerAckBatch, func(b []byte) error { _, err := DecodeBrokerAckBatch(b); return err }},
 		{"DaemonSubmit", FrameDaemonSubmit, func(b []byte) error { _, err := DecodeDaemonSubmit(b); return err }},
 		{"RunOp", FrameDaemonRunOp, func(b []byte) error { _, err := DecodeRunOp(b); return err }},
 		{"Ping", FramePing, func(b []byte) error { _, err := DecodePing(b); return err }},
@@ -276,6 +254,7 @@ func TestDecodersRejectForeignBodies(t *testing.T) {
 			"wrong magic":   {0x7B, Version, d.typ, 0, 0, 0, 0},
 			"wrong type":    other,
 			"newer version": {Magic, Version + 1, d.typ, 0, 0, 0, 0},
+			"retired frame": retiredBrokerFrame,
 		}
 		for _, doc := range retiredJSON {
 			bodies["json "+doc] = []byte(doc)
@@ -521,7 +500,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Entity: "task", UID: "t.1", State: "DONE"}}}))
 	f.Add(FormatBinary.EncodeSegmentHeader(SegmentHeader{Index: 2, BaseSeq: 17}))
 	f.Add(AppendJournalRec(nil, 1, "state", []byte("x")))
-	f.Add(FormatBinary.EncodeBrokerPublishBatch("q", []BrokerMsg{{ID: 1, Body: []byte("b")}}))
+	f.Add(retiredBrokerFrame)
 	// Truncations and corruptions of a valid frame.
 	valid := FormatBinary.EncodeTaskUIDs([]string{"task.000001", "task.000002"})
 	for i := 0; i < len(valid); i += 3 {
@@ -544,10 +523,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		DecodeStateRec(body)              //nolint:errcheck
 		DecodeStoreRec(body)              //nolint:errcheck
 		DecodeJournalRec(body)            //nolint:errcheck
-		DecodeBrokerPublish(body)         //nolint:errcheck
-		DecodeBrokerAck(body)             //nolint:errcheck
-		DecodeBrokerPublishBatch(body)    //nolint:errcheck
-		DecodeBrokerAckBatch(body)        //nolint:errcheck
 		DecodeSnapshot(body)              //nolint:errcheck
 		DecodeSegmentHeader(body)         //nolint:errcheck
 		checkResolvingDecoders(t, body)

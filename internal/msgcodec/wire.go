@@ -701,164 +701,3 @@ func DecodeJournalRec(payload []byte) (seq uint64, recType, data []byte, err err
 	}
 	return seq, recType, data, nil
 }
-
-// ---- broker durability records ------------------------------------------
-
-// BrokerMsg is one message of a batched durable publish record.
-type BrokerMsg struct {
-	ID   uint64
-	Body []byte
-}
-
-// BrokerPublish is the durable-queue record of one published message.
-type BrokerPublish struct {
-	Queue string
-	ID    uint64
-	Body  []byte
-}
-
-// BrokerAck is the durable-queue record of one settled message.
-type BrokerAck struct {
-	Queue string
-	ID    uint64
-}
-
-// BrokerPublishBatch is the durable-queue record of one publish batch.
-type BrokerPublishBatch struct {
-	Queue string
-	Msgs  []BrokerMsg
-}
-
-// BrokerAckBatch is the durable-queue record of one ack batch.
-type BrokerAckBatch struct {
-	Queue string
-	IDs   []uint64
-}
-
-// EncodeBrokerPublish encodes a publish record.
-func (f Format) EncodeBrokerPublish(queue string, id uint64, body []byte) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameBrokerPublish)
-	buf = appendString(buf, queue)
-	buf = appendUvarint(buf, id)
-	buf = appendBytes(buf, body)
-	return putBuf(bp, buf)
-}
-
-// DecodeBrokerPublish decodes a publish record.
-func DecodeBrokerPublish(payload []byte) (BrokerPublish, error) {
-	var p BrokerPublish
-	r, err := frameReader(payload, FrameBrokerPublish)
-	if err != nil {
-		return BrokerPublish{}, err
-	}
-	if p.Queue, err = r.str(); err != nil {
-		return BrokerPublish{}, err
-	}
-	if p.ID, err = r.uvarint(); err != nil {
-		return BrokerPublish{}, err
-	}
-	if p.Body, err = r.bytes(); err != nil {
-		return BrokerPublish{}, err
-	}
-	return p, nil
-}
-
-// EncodeBrokerAck encodes an ack record.
-func (f Format) EncodeBrokerAck(queue string, id uint64) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameBrokerAck)
-	buf = appendString(buf, queue)
-	buf = appendUvarint(buf, id)
-	return putBuf(bp, buf)
-}
-
-// DecodeBrokerAck decodes an ack record.
-func DecodeBrokerAck(payload []byte) (BrokerAck, error) {
-	var a BrokerAck
-	r, err := frameReader(payload, FrameBrokerAck)
-	if err != nil {
-		return BrokerAck{}, err
-	}
-	if a.Queue, err = r.str(); err != nil {
-		return BrokerAck{}, err
-	}
-	if a.ID, err = r.uvarint(); err != nil {
-		return BrokerAck{}, err
-	}
-	return a, nil
-}
-
-// EncodeBrokerPublishBatch encodes a batched publish record.
-func (f Format) EncodeBrokerPublishBatch(queue string, msgs []BrokerMsg) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameBrokerPublishBatch)
-	buf = appendString(buf, queue)
-	buf = appendUvarint(buf, uint64(len(msgs)))
-	for i := range msgs {
-		buf = appendUvarint(buf, msgs[i].ID)
-		buf = appendBytes(buf, msgs[i].Body)
-	}
-	return putBuf(bp, buf)
-}
-
-// DecodeBrokerPublishBatch decodes a batched publish record.
-func DecodeBrokerPublishBatch(payload []byte) (BrokerPublishBatch, error) {
-	var p BrokerPublishBatch
-	r, err := frameReader(payload, FrameBrokerPublishBatch)
-	if err != nil {
-		return BrokerPublishBatch{}, err
-	}
-	if p.Queue, err = r.str(); err != nil {
-		return BrokerPublishBatch{}, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return BrokerPublishBatch{}, err
-	}
-	p.Msgs = make([]BrokerMsg, n)
-	for i := range p.Msgs {
-		if p.Msgs[i].ID, err = r.uvarint(); err != nil {
-			return BrokerPublishBatch{}, err
-		}
-		if p.Msgs[i].Body, err = r.bytes(); err != nil {
-			return BrokerPublishBatch{}, err
-		}
-	}
-	return p, nil
-}
-
-// EncodeBrokerAckBatch encodes a batched ack record.
-func (f Format) EncodeBrokerAckBatch(queue string, ids []uint64) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameBrokerAckBatch)
-	buf = appendString(buf, queue)
-	buf = appendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = appendUvarint(buf, id)
-	}
-	return putBuf(bp, buf)
-}
-
-// DecodeBrokerAckBatch decodes a batched ack record.
-func DecodeBrokerAckBatch(payload []byte) (BrokerAckBatch, error) {
-	var a BrokerAckBatch
-	r, err := frameReader(payload, FrameBrokerAckBatch)
-	if err != nil {
-		return BrokerAckBatch{}, err
-	}
-	if a.Queue, err = r.str(); err != nil {
-		return BrokerAckBatch{}, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return BrokerAckBatch{}, err
-	}
-	a.IDs = make([]uint64, n)
-	for i := range a.IDs {
-		if a.IDs[i], err = r.uvarint(); err != nil {
-			return BrokerAckBatch{}, err
-		}
-	}
-	return a, nil
-}
