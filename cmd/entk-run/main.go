@@ -69,10 +69,8 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its inputs and outputs as parameters: flag validation,
-// -check and an in-process run write to stdout and stderr and return the
-// exit code. Attaching (-attach) and submitting (-daemon) print to the
-// process's own streams and exit through fatal.
+// run is main with its inputs and outputs as parameters: it writes to stdout
+// and stderr and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("entk-run", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -104,8 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "entk-run: %v\n", err)
 		return 1
 	}
+	kinds := progressKinds(*verbose, *autotune)
 	if *attach != "" {
-		attachRemote(*attach, *verbose, *timeout)
+		if err := attachRemote(stdout, *attach, kinds, *timeout); err != nil {
+			return fail(err)
+		}
 		return 0
 	}
 	if *appPath == "" {
@@ -134,7 +135,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *dSock != "" {
-		runViaDaemon(raw, desc, *dSock, *tenant, *jdir != "", *timeout, *progress, *verbose)
+		if !*progress {
+			kinds = nil
+		}
+		if err := runViaDaemon(stdout, raw, desc, *dSock, *tenant, *jdir != "", *timeout, kinds); err != nil {
+			return fail(err)
+		}
 		return 0
 	}
 	am, err := entk.NewAppManager(entk.AppConfig{
@@ -171,13 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the scheduler (late events are dropped and counted instead).
 	var sub *entk.EventSub
 	if *progress {
-		kinds := []entk.EventKind{entk.EventStage, entk.EventPipeline}
-		if *verbose {
-			kinds = append(kinds, entk.EventTask)
-		}
-		if *autotune {
-			kinds = append(kinds, entk.EventKnob)
-		}
 		sub = am.Subscribe(entk.EventFilter{Kinds: kinds})
 	}
 	// -cancel watches the named pipeline's task events from before Start too,
@@ -202,7 +201,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer events.Close()
-		am.AddEventPeerSource(events.PeerStats)
 		fmt.Fprintf(stdout, "event stream served on %s\n", events.Addr())
 	}
 
@@ -267,12 +265,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "autotune: %d knob changes — final batch=%d schedulers=%d, %d event drops\n",
 			finalSnap.KnobChanges, finalSnap.LiveBatchSize, finalSnap.LiveSchedulers, finalSnap.EventDrops)
 	}
-	for _, peer := range finalSnap.EventPeers {
-		state := "attached"
-		if !peer.Connected {
-			state = "detached"
+	if events != nil {
+		for _, peer := range events.PeerStats() {
+			state := "attached"
+			if !peer.Connected {
+				state = "detached"
+			}
+			fmt.Fprintf(stdout, "event peer %s: %d sent, %d dropped (%s)\n", peer.Peer, peer.Sent, peer.Dropped, state)
 		}
-		fmt.Fprintf(stdout, "event peer %s: %d sent, %d dropped (%s)\n", peer.Peer, peer.Sent, peer.Dropped, state)
 	}
 
 	rep := am.Report()
@@ -317,89 +317,86 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// attachRemote subscribes to a remote run's event stream and renders it in
-// the same format as -progress, ending with the server-side drop count.
-func attachRemote(addr string, verbose bool, timeout time.Duration) {
+// progressKinds is what -progress and -attach print: stage and pipeline
+// transitions, plus task transitions with -v and knob decisions with
+// -autotune.
+func progressKinds(verbose, autotune bool) []entk.EventKind {
 	kinds := []entk.EventKind{entk.EventStage, entk.EventPipeline}
 	if verbose {
 		kinds = append(kinds, entk.EventTask)
 	}
-	es, err := remoterts.AttachEvents(addr, entk.EventFilter{Kinds: kinds}, 5*time.Second)
-	if err != nil {
-		fatal(err)
+	if autotune {
+		kinds = append(kinds, entk.EventKnob)
 	}
-	defer es.Close()
-	fmt.Printf("attached to %s\n", addr)
-	deadline := time.After(timeout)
-	for {
-		select {
-		case ev, ok := <-es.C():
-			if !ok {
-				if es.Ended() {
-					fmt.Printf("event stream ended: %d dropped server-side (slow-subscriber policy)\n", es.Dropped())
-				} else {
-					fmt.Println("event stream ended: connection lost")
-				}
-				return
-			}
-			vsec := ev.VTime.Sub(vclock.Epoch).Seconds()
-			fmt.Printf("[%10.1fs] %-8s %-24s %s -> %s\n", vsec, ev.Kind, ev.Name, ev.From, ev.To)
-		case <-deadline:
-			fmt.Fprintln(os.Stderr, "entk-run: -attach timed out")
-			return
-		}
+	return kinds
+}
+
+// printEvent prints one lifecycle transition, the line every event feed
+// renders.
+func printEvent(w io.Writer, ev entk.Event) {
+	vsec := ev.VTime.Sub(vclock.Epoch).Seconds()
+	fmt.Fprintf(w, "[%10.1fs] %-8s %-24s %s -> %s\n", vsec, ev.Kind, ev.Name, ev.From, ev.To)
+}
+
+// printStream prints a socket-borne event feed until it ends, then how it
+// ended: with the server-side drop count, or with the connection lost.
+func printStream(w io.Writer, es *entk.EventStream) {
+	for ev := range es.C() {
+		printEvent(w, ev)
+	}
+	if es.Ended() {
+		fmt.Fprintf(w, "event stream ended: %d dropped server-side (slow-subscriber policy)\n", es.Dropped())
+	} else {
+		fmt.Fprintln(w, "event stream ended: connection lost")
 	}
 }
 
+// attachRemote subscribes to a remote run's event stream and prints it until
+// the stream ends; after timeout it detaches and reports so.
+func attachRemote(w io.Writer, addr string, kinds []entk.EventKind, timeout time.Duration) error {
+	es, err := remoterts.AttachEvents(addr, entk.EventFilter{Kinds: kinds}, 5*time.Second)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "attached to %s\n", addr)
+	expired := time.AfterFunc(timeout, es.Close)
+	printStream(w, es)
+	if !expired.Stop() {
+		return errors.New("-attach timed out")
+	}
+	return nil
+}
+
 // runViaDaemon submits the application to a running entkd service and waits
-// for it to finish, optionally streaming the daemon's event feed.
-func runViaDaemon(raw []byte, desc *appjson.App, socket, tenant string, journal bool, timeout time.Duration, progress, verbose bool) {
+// for it to finish, printing the daemon's event feed of kinds (none if
+// kinds is nil) until the run ends it.
+func runViaDaemon(w io.Writer, raw []byte, desc *appjson.App, socket, tenant string, journal bool, timeout time.Duration, kinds []entk.EventKind) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	client, err := entk.Dial(socket)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ref, err := client.Submit(ctx, raw, entk.SubmitOptions{Tenant: tenant, Journal: journal})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("submitted %d pipelines to %s as %s (state %s)\n",
+	fmt.Fprintf(w, "submitted %d pipelines to %s as %s (state %s)\n",
 		len(desc.Pipelines), socket, ref.ID, ref.State)
-	var events <-chan entk.Event
-	var stop func()
-	if progress {
-		kinds := []entk.EventKind{entk.EventStage, entk.EventPipeline}
-		if verbose {
-			kinds = append(kinds, entk.EventTask)
-		}
-		events, stop, err = ref.Events(ctx, kinds...)
+	if kinds != nil {
+		es, err := ref.Events(ctx, kinds...)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer stop()
+		printStream(w, es)
 	}
-	streamDone := make(chan struct{})
-	go func() {
-		defer close(streamDone)
-		if events == nil {
-			return
-		}
-		for ev := range events {
-			vsec := ev.VTime.Sub(vclock.Epoch).Seconds()
-			fmt.Printf("[%10.1fs] %-8s %-24s %s -> %s\n", vsec, ev.Kind, ev.Name, ev.From, ev.To)
-		}
-	}()
 	waitErr := ref.Wait(ctx)
-	<-streamDone
 	info, err := ref.Info(ctx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("run %s finished: %s\n", ref.ID, info.State)
-	if waitErr != nil {
-		fatal(waitErr)
-	}
+	fmt.Fprintf(w, "run %s finished: %s\n", ref.ID, info.State)
+	return waitErr
 }
 
 // renderEvents prints each lifecycle transition as it commits, with a
@@ -408,9 +405,9 @@ func runViaDaemon(raw []byte, desc *appjson.App, socket, tenant string, journal 
 // interleaved and each progress line carries the live knob values.
 func renderEvents(w io.Writer, run *entk.Run, sub *entk.EventSub, autotune bool) {
 	for ev := range sub.C() {
-		vsec := ev.VTime.Sub(vclock.Epoch).Seconds()
-		fmt.Fprintf(w, "[%10.1fs] %-8s %-24s %s -> %s\n", vsec, ev.Kind, ev.Name, ev.From, ev.To)
+		printEvent(w, ev)
 		if ev.Terminal() && ev.Kind != entk.EventTask {
+			vsec := ev.VTime.Sub(vclock.Epoch).Seconds()
 			snap := run.Snapshot()
 			fmt.Fprintf(w, "[%10.1fs] progress  %d/%d tasks done (%d failed, %d canceled), %d/%d cores busy\n",
 				vsec, snap.TasksDone, snap.TasksTotal, snap.TasksFailed, snap.TasksCanceled,
@@ -452,9 +449,4 @@ func cancelOnFirstTask(run *entk.Run, sub *entk.EventSub) (bool, error) {
 		return false, nil
 	}
 	return true, run.CancelPipeline(ev.Pipeline)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "entk-run: %v\n", err)
-	os.Exit(1)
 }

@@ -7,13 +7,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/entk"
+	"repro/internal/daemon"
+	"repro/internal/rts"
 )
 
-// Flag validation, -check and in-process runs: what reaches stdout and
-// stderr, and the exit code — 2 for a command line that cannot be run, 1 for
-// an application that cannot be loaded, 0 otherwise.
+// Flag validation, -check, in-process runs, runs through an in-process entkd
+// and attaching: what reaches stdout and stderr, and the exit code — 2 for a
+// command line that cannot be run, 1 for an application that cannot be
+// loaded or a peer that cannot be reached, 0 otherwise.
 func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 	dir := t.TempDir()
 	malformed := filepath.Join(dir, "malformed.json")
@@ -24,6 +28,23 @@ func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 	if err := os.WriteFile(unbuildable, []byte(`{"resource": {"name": "titan", "cores": 64, "walltime_s": 60}, "pipelines": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	d, err := daemon.New(daemon.Config{
+		SocketPath: filepath.Join(dir, "entkd.sock"),
+		Resource:   "titan",
+		Cores:      64,
+		Walltime:   2 * time.Hour,
+		TimeScale:  20 * time.Microsecond,
+		Model:      rts.FastModel(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	srv, err := d.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	for _, c := range []struct {
 		name   string
 		args   []string
@@ -43,6 +64,11 @@ func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 		// is DONE and archive's own task has started.
 		{name: "-cancel a pipeline once its task is in flight", args: []string{"-app", "example-app.json", "-scale", "100us", "-v", "-cancel", "archive"}, code: 0,
 			stdout: []string{`canceled pipeline "archive"`, fmt.Sprintf("pipeline %-24s %s\n", "ensemble-md", "DONE"), fmt.Sprintf("pipeline %-24s %s\n", "archive", "CANCELED")}},
+		// The daemon's feed ends with its end frame once the run is over.
+		{name: "-daemon -progress", args: []string{"-app", "example-app.json", "-daemon", srv.Addr(), "-progress"}, code: 0,
+			stdout: []string{"finished: DONE", "event stream ended: 0 dropped"}},
+		{name: "-daemon on a missing socket", args: []string{"-app", "example-app.json", "-daemon", filepath.Join(dir, "absent.sock")}, code: 1, stderr: "absent.sock"},
+		{name: "-attach to a closed address", args: []string{"-attach", "unix:" + filepath.Join(dir, "closed.sock")}, code: 1, stderr: "closed.sock"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

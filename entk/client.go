@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/msgcodec"
+	"repro/internal/remoterts"
 	"repro/internal/transport"
 )
 
@@ -69,10 +70,17 @@ func (c *Client) roundTrip(ctx context.Context, req []byte) (msgcodec.RunOp, err
 		})
 		defer stop()
 	}
-	if err := transport.WriteFrame(conn, req); err != nil {
-		return msgcodec.RunOp{}, err
+	return exchange(ctx, conn, bufio.NewReader(conn), req)
+}
+
+// exchange sends one request frame on conn and reads one reply frame from r.
+// A failure once ctx is done is reported as ctx's error.
+func exchange(ctx context.Context, conn net.Conn, r *bufio.Reader, req []byte) (msgcodec.RunOp, error) {
+	err := transport.WriteFrame(conn, req)
+	var body []byte
+	if err == nil {
+		body, err = transport.ReadFrame(r)
 	}
-	body, err := transport.ReadFrame(bufio.NewReader(conn))
 	if err != nil {
 		if ctx.Err() != nil {
 			return msgcodec.RunOp{}, ctx.Err()
@@ -139,11 +147,14 @@ func (c *Client) List(ctx context.Context) ([]RunInfo, error) {
 	return out, nil
 }
 
-// Events streams a run's lifecycle transitions over a dedicated connection.
-// kinds filters by entity ("task", "stage", "pipeline"); empty receives all.
-// The returned cancel function closes the stream; the channel also closes
-// when the run finishes.
-func (c *Client) Events(ctx context.Context, runID string, kinds ...EventKind) (<-chan Event, func(), error) {
+// Events streams a run's lifecycle transitions over a dedicated connection,
+// in the same frames as a remote event server's (docs/daemon.md). kinds
+// filters by entity ("task", "stage", "pipeline"); empty receives all. The
+// stream ends when the run finishes — Ended and Dropped then report the
+// daemon's end frame — when ctx is done, or on Close. A subscription the
+// daemon refuses (an unknown run, one still queued) is returned as the
+// error, with no stream.
+func (c *Client) Events(ctx context.Context, runID string, kinds ...EventKind) (*EventStream, error) {
 	strs := make([]string, len(kinds))
 	for i, k := range kinds {
 		strs[i] = string(k)
@@ -151,80 +162,24 @@ func (c *Client) Events(ctx context.Context, runID string, kinds ...EventKind) (
 	req := msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: "events", RunID: runID, Strs: strs})
 	conn, err := net.Dial("unix", c.socket)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := transport.WriteFrame(conn, req); err != nil {
-		conn.Close() //nolint:errcheck // dial-and-fail path
-		return nil, nil, err
-	}
+	// The stream's own context closes the connection under any pending read
+	// once the caller's is done or the stream is stopped.
+	ctx, stop := context.WithCancel(ctx)
+	context.AfterFunc(ctx, func() { conn.Close() }) //nolint:errcheck // stream teardown
 	r := bufio.NewReader(conn)
-	// The first frame is either the first event, "end", or an error ack —
-	// read it synchronously so subscription errors surface here.
-	first, err := transport.ReadFrame(r)
+	// The first frame is the daemon's events-ack, read here so that a
+	// subscription error surfaces from this call.
+	ack, err := exchange(ctx, conn, r, req)
+	if err == nil && !ack.OK {
+		err = opError(ack.Err)
+	}
 	if err != nil {
-		conn.Close() //nolint:errcheck // dial-and-fail path
-		return nil, nil, err
+		stop()
+		return nil, err
 	}
-	firstOp, err := msgcodec.DecodeRunOp(first)
-	if err != nil {
-		conn.Close() //nolint:errcheck // dial-and-fail path
-		return nil, nil, err
-	}
-	if firstOp.Err != "" {
-		conn.Close() //nolint:errcheck // dial-and-fail path
-		return nil, nil, opError(firstOp.Err)
-	}
-	out := make(chan Event, 64)
-	cancel := func() { conn.Close() } //nolint:errcheck // stream teardown
-	if done := ctx.Done(); done != nil {
-		go func() {
-			<-done
-			conn.Close() //nolint:errcheck // stream teardown
-		}()
-	}
-	go func() {
-		defer close(out)
-		defer conn.Close() //nolint:errcheck // stream teardown
-		op := firstOp
-		for {
-			if op.Op == "end" || op.Op != "event" {
-				return
-			}
-			if ev, ok := decodeEvent(op); ok {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-			body, err := transport.ReadFrame(r)
-			if err != nil {
-				return
-			}
-			if op, err = msgcodec.DecodeRunOp(body); err != nil {
-				return
-			}
-		}
-	}()
-	return out, cancel, nil
-}
-
-// decodeEvent unpacks the wire shape produced by the daemon's event stream.
-func decodeEvent(op msgcodec.RunOp) (Event, bool) {
-	if len(op.Strs) < 7 || len(op.Ints) < 2 {
-		return Event{}, false
-	}
-	return Event{
-		Kind:     EventKind(op.Strs[0]),
-		UID:      op.Strs[1],
-		Name:     op.Strs[2],
-		Pipeline: op.Strs[3],
-		Stage:    op.Strs[4],
-		From:     op.Strs[5],
-		To:       op.Strs[6],
-		VTime:    time.Unix(0, op.Ints[0]),
-		Attempt:  int(op.Ints[1]),
-	}, true
+	return remoterts.NewEventStream(func() ([]byte, error) { return transport.ReadFrame(r) }, ctx.Done(), stop), nil
 }
 
 // RunRef is a client-side reference to one daemon-hosted run.
@@ -290,7 +245,7 @@ func (r *RunRef) Resume(ctx context.Context, pipelineUID string) error {
 }
 
 // Events streams this run's lifecycle transitions (see Client.Events).
-func (r *RunRef) Events(ctx context.Context, kinds ...EventKind) (<-chan Event, func(), error) {
+func (r *RunRef) Events(ctx context.Context, kinds ...EventKind) (*EventStream, error) {
 	return r.c.Events(ctx, r.ID, kinds...)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,16 +130,16 @@ func TestClientEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, stop, err := ref.Events(ctx, entk.EventTask)
+	events, err := ref.Events(ctx, entk.EventTask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	defer events.Close()
 	if err := ref.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	done := 0
-	for ev := range events {
+	for ev := range events.C() {
 		if ev.Kind != entk.EventTask {
 			t.Fatalf("filtered stream delivered %s event", ev.Kind)
 		}
@@ -148,6 +149,14 @@ func TestClientEventStream(t *testing.T) {
 	}
 	if done != tasks {
 		t.Fatalf("saw %d task completions, want %d", done, tasks)
+	}
+	if !events.Ended() || events.Dropped() != 0 {
+		t.Fatalf("stream ended=%v with %d dropped, want its end frame with 0", events.Ended(), events.Dropped())
+	}
+
+	// A subscription the daemon refuses is the call's error, not a stream.
+	if es, err := client.Events(ctx, "run.none"); err == nil || es != nil || !strings.Contains(err.Error(), "unknown run run.none") {
+		t.Fatalf("Events on an unknown run: %v, %v; want the daemon's error and no stream", es, err)
 	}
 }
 

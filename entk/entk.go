@@ -98,7 +98,7 @@ type (
 	// EventKind classifies events by entity (task, stage, pipeline).
 	EventKind = core.EventKind
 	// EventFilter selects which events a subscription receives and sizes
-	// its bounded buffer (see the core type for the backpressure contract).
+	// its bounded buffer (see docs/api.md for the backpressure contract).
 	EventFilter = core.EventFilter
 	// EventSub is a live subscription handle with a Dropped counter.
 	EventSub = core.EventSub
@@ -111,10 +111,10 @@ type (
 	// StoreStats reports the RTS task store's shard/scheduler counters
 	// inside a Progress snapshot.
 	StoreStats = core.StoreStats
-	// EventPeerStats describes one remote event subscriber (per-peer
-	// Sent/Dropped accounting; see Progress.EventPeers and the entk-run
-	// -events-listen flag).
-	EventPeerStats = core.EventPeerStats
+	// EventStream is a socket-borne event feed — Client.Events over entkd,
+	// or an attach to a run's remote event server — ending with the
+	// server's drop count.
+	EventStream = remoterts.EventStream
 	// CancelError is the error a run finishes with after Run.Cancel.
 	CancelError = core.CancelError
 	// DurabilityStats reports the crash-recovery subsystem inside a
@@ -576,11 +576,6 @@ func (r *Run) CancelPipeline(pipelineUID string) error {
 // Subscriptions taken before Start are guaranteed to observe the run's very
 // first transition.
 func (a *AppManager) Subscribe(f EventFilter) *EventSub { return a.inner.Subscribe(f) }
-
-// AddEventPeerSource registers a provider of remote event-subscriber stats
-// (typically an event server's PeerStats); Snapshot folds the reported
-// peers into Progress.EventPeers.
-func (a *AppManager) AddEventPeerSource(f func() []EventPeerStats) { a.inner.AddEventPeerSource(f) }
 
 // Snapshot returns a Progress view of the application (valid before,
 // during and after execution).

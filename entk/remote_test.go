@@ -270,7 +270,7 @@ func TestRemoteAgentDeathMidStage(t *testing.T) {
 
 // TestRemoteAttachStreams covers the event fan-out path end to end: a run
 // serving its event stream over TCP, a remote subscriber attached to it,
-// and per-peer accounting surfaced in the run's Progress snapshot.
+// and the per-peer accounting the server keeps.
 func TestRemoteAttachStreams(t *testing.T) {
 	scale := 200 * time.Microsecond
 	a1 := startTestAgent(t, "agent-1", scale, 8, "")
@@ -292,7 +292,6 @@ func TestRemoteAttachStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer es.Close()
-	am.AddEventPeerSource(es.PeerStats)
 
 	stream, err := remoterts.AttachEvents(es.Addr(), EventFilter{
 		Kinds: []EventKind{EventPipeline, EventStage},
@@ -325,9 +324,9 @@ func TestRemoteAttachStreams(t *testing.T) {
 		}
 	}
 
-	peers := am.Snapshot().EventPeers
+	peers := es.PeerStats()
 	if len(peers) != 1 {
-		t.Fatalf("Progress.EventPeers has %d entries, want 1: %+v", len(peers), peers)
+		t.Fatalf("PeerStats has %d entries, want 1: %+v", len(peers), peers)
 	}
 	if peers[0].Sent == 0 {
 		t.Fatalf("peer accounting recorded no sent events: %+v", peers[0])

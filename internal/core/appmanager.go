@@ -249,15 +249,10 @@ type AppManager struct {
 	// serialized by ctlMu because sync clients are strictly one-in-flight.
 	// ctlMu also guards ctl itself (made on first use, see ctlRequest) and
 	// ctlClosed.
-	events    *eventBus
+	events    *EventBus
 	ctl       *syncClient
 	ctlClosed bool
 	ctlMu     sync.Mutex
-
-	// eventPeerSrcs report remote event subscribers (the networked event
-	// fan-out) into Progress.EventPeers; see AddEventPeerSource.
-	eventPeerMu   sync.Mutex
-	eventPeerSrcs []func() []EventPeerStats
 }
 
 // NewAppManager builds an AppManager from config.
@@ -275,7 +270,7 @@ func NewAppManager(cfg Config) (*AppManager, error) {
 		stages: make(map[string]*Stage),
 		pipes:  make(map[string]*Pipeline),
 		doneCh: make(chan struct{}),
-		events: newEventBus(),
+		events: NewEventBus(),
 	}
 	am.resolve = am.resolveLocked
 	return am, nil

@@ -85,7 +85,7 @@ func (am *AppManager) emitKnob(ch autotune.KnobChange) {
 	if !am.eventsActive() {
 		return
 	}
-	am.events.publish(Event{
+	am.events.Publish(Event{
 		Kind:  EventKnob,
 		UID:   "autotune/" + ch.Reason,
 		Name:  ch.Knob,

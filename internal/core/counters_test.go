@@ -694,7 +694,7 @@ func TestSubscribeDuringBulkRequest(t *testing.T) {
 	if ack := <-acked; !ack.OK {
 		t.Fatalf("request rejected: %s", ack.Err)
 	}
-	am.events.closeAll() // the stream ends once drained
+	am.events.Close() // the stream ends once drained
 	published := 0
 	for range sub.C() {
 		published++

@@ -4,106 +4,40 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/msgcodec"
 )
 
-// EventKind classifies a lifecycle event by the entity that transitioned.
-type EventKind string
+// A committed transition and the filter that selects it are wire types as
+// well (the remote fan-out and entkd carry them in 0x35/0x36 frames), so
+// each is defined once, in internal/msgcodec beside its codec, and aliased
+// here.
+type (
+	// Event is one committed state transition, published by the
+	// Synchronizer at the moment it applies the change.
+	Event = msgcodec.Event
+	// EventKind classifies a lifecycle event by the entity that
+	// transitioned.
+	EventKind = msgcodec.EventKind
+	// EventFilter selects which events a subscription receives and sizes
+	// its drop-oldest ring.
+	EventFilter = msgcodec.EventFilter
+)
 
-// Event kinds, matching the entity vocabulary of the state machines, plus
-// the autotune controller's knob decisions.
+// Event kinds.
 const (
-	EventTask     EventKind = "task"
-	EventStage    EventKind = "stage"
-	EventPipeline EventKind = "pipeline"
-	// EventKnob is an autotune controller decision: Name is the knob
-	// ("batch" or "schedulers"), From/To its values as decimal strings, and
-	// UID is "autotune/<reason>" naming the rule that fired. Knob events are
-	// never terminal.
-	EventKnob EventKind = "knob"
+	EventTask     = msgcodec.EventTask
+	EventStage    = msgcodec.EventStage
+	EventPipeline = msgcodec.EventPipeline
+	EventKnob     = msgcodec.EventKnob
 )
-
-// Event is one committed state transition, published by the Synchronizer at
-// the moment it applies the change — the paper's continuously exposed
-// execution state (§II-B4), but typed and in-process instead of mirrored
-// through RabbitMQ/MongoDB. From is the pre-transition state, To the
-// committed one, VTime the virtual commit instant. Attempt carries the
-// task's attempt counter (0 for stages and pipelines). Pipeline and Stage
-// name the owning entities so streams can be scoped without a registry
-// lookup; for a pipeline event Pipeline is the pipeline's own UID.
-type Event struct {
-	Kind     EventKind
-	UID      string
-	Name     string
-	Pipeline string
-	Stage    string
-	From     string
-	To       string
-	VTime    time.Time
-	Attempt  int
-}
-
-// Terminal reports whether the event's To state is terminal for its kind.
-func (e Event) Terminal() bool {
-	switch e.Kind {
-	case EventTask:
-		return TaskState(e.To).Terminal()
-	case EventStage:
-		return StageState(e.To).Terminal()
-	case EventPipeline:
-		return PipelineState(e.To).Terminal()
-	}
-	return false
-}
-
-// EventFilter selects which events a subscription receives. The zero value
-// matches everything. Each non-empty constraint must hold (conjunction):
-// Kinds restricts entity kinds, Pipeline restricts to one pipeline's events
-// (the pipeline itself, its stages and its tasks), UIDs restricts to the
-// listed entity UIDs. Buffer sets the per-subscriber ring capacity (default
-// DefaultEventBuffer); when the consumer falls behind by more than Buffer
-// events, the oldest buffered events are dropped and the subscription's
-// Dropped counter advances — publication never blocks the engine.
-type EventFilter struct {
-	Kinds    []EventKind
-	Pipeline string
-	UIDs     []string
-	Buffer   int
-}
 
 // DefaultEventBuffer is the per-subscriber ring capacity used when
 // EventFilter.Buffer is zero.
 const DefaultEventBuffer = 1024
 
-func (f *EventFilter) match(ev Event) bool {
-	if len(f.Kinds) > 0 {
-		ok := false
-		for _, k := range f.Kinds {
-			if k == ev.Kind {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if f.Pipeline != "" && f.Pipeline != ev.Pipeline {
-		return false
-	}
-	if len(f.UIDs) > 0 {
-		ok := false
-		for _, uid := range f.UIDs {
-			if uid == ev.UID {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
+// maxEventBatch bounds the events one 0x36 frame coalesces.
+const maxEventBatch = 64
 
 // EventSub is one live subscription: a bounded drop-oldest ring drained by a
 // pump goroutine into the channel returned by C. The ring absorbs bursts; a
@@ -111,7 +45,7 @@ func (f *EventFilter) match(ev Event) bool {
 // events (counted by Dropped) but never back-pressures the publisher, and
 // the events that do survive stay in publication order.
 type EventSub struct {
-	bus    *eventBus
+	bus    *EventBus
 	filter EventFilter
 
 	mu     sync.Mutex
@@ -140,9 +74,7 @@ func (s *EventSub) Dropped() uint64 { return s.dropped.Load() }
 // with delivery.
 func (s *EventSub) Close() {
 	s.closeOnce.Do(func() {
-		if s.bus != nil {
-			s.bus.unsubscribe(s)
-		}
+		s.bus.unsubscribe(s)
 		s.mu.Lock()
 		s.closed = true
 		s.count = 0
@@ -150,6 +82,34 @@ func (s *EventSub) Close() {
 		s.mu.Unlock()
 		close(s.done)
 	})
+}
+
+// SendFrames drains the subscription as the frames a socket carries it in:
+// each 0x36 batch holds the next event plus whatever is already buffered
+// behind it, up to 64, and once C closes a 0x37 frame carries Dropped. send
+// gets every frame with the number of events in it (0 for the end frame);
+// its first error ends the stream and is returned.
+func (s *EventSub) SendFrames(send func(frame []byte, events int) error) error {
+	batch := make([]Event, 0, maxEventBatch)
+	for ev := range s.out {
+		batch = append(batch[:0], ev)
+	coalesce:
+		for len(batch) < maxEventBatch {
+			select {
+			case more, ok := <-s.out:
+				if !ok {
+					break coalesce
+				}
+				batch = append(batch, more)
+			default:
+				break coalesce
+			}
+		}
+		if err := send(msgcodec.EncodeEventBatch(batch), len(batch)); err != nil {
+			return err
+		}
+	}
+	return send(msgcodec.EncodeEventEnd(s.Dropped()), 0)
 }
 
 // push appends one event, dropping the oldest when the ring is full. Called
@@ -166,9 +126,7 @@ func (s *EventSub) push(ev Event) {
 		s.head = (s.head + 1) % len(s.ring)
 		s.count--
 		s.dropped.Add(1)
-		if s.bus != nil {
-			s.bus.drops.Add(1)
-		}
+		s.bus.drops.Add(1)
 	}
 	s.ring[(s.head+s.count)%len(s.ring)] = ev
 	s.count++
@@ -212,10 +170,12 @@ func (s *EventSub) pump() {
 	}
 }
 
-// eventBus fans committed transitions out to subscribers. Publishing with no
-// subscribers costs one atomic load; with subscribers, one mutex acquisition
-// plus a ring append per matching subscription.
-type eventBus struct {
+// EventBus fans committed transitions out to subscribers: an AppManager's
+// event stream, or a standalone hub for components that relay events
+// without owning a run (entkd's stream of a finished run, tests). Publishing
+// with no subscribers costs one atomic load; with subscribers, one mutex
+// acquisition plus a ring append per matching subscription.
+type EventBus struct {
 	mu     sync.Mutex
 	subs   map[*EventSub]struct{}
 	n      atomic.Int32
@@ -226,15 +186,17 @@ type eventBus struct {
 	drops atomic.Uint64
 }
 
-func newEventBus() *eventBus {
-	return &eventBus{subs: make(map[*EventSub]struct{})}
+// NewEventBus returns an empty bus.
+func NewEventBus() *EventBus {
+	return &EventBus{subs: make(map[*EventSub]struct{})}
 }
 
 // active reports whether any subscription exists; emitters use it to skip
 // event construction entirely on the common no-observer path.
-func (b *eventBus) active() bool { return b.n.Load() > 0 }
+func (b *EventBus) active() bool { return b.n.Load() > 0 }
 
-func (b *eventBus) subscribe(f EventFilter) *EventSub {
+// Subscribe attaches a subscriber; same semantics as AppManager.Subscribe.
+func (b *EventBus) Subscribe(f EventFilter) *EventSub {
 	if f.Buffer <= 0 {
 		f.Buffer = DefaultEventBuffer
 	}
@@ -268,7 +230,7 @@ func (b *eventBus) subscribe(f EventFilter) *EventSub {
 	return s
 }
 
-func (b *eventBus) unsubscribe(s *EventSub) {
+func (b *EventBus) unsubscribe(s *EventSub) {
 	b.mu.Lock()
 	if _, ok := b.subs[s]; ok {
 		delete(b.subs, s)
@@ -277,22 +239,24 @@ func (b *eventBus) unsubscribe(s *EventSub) {
 	b.mu.Unlock()
 }
 
-func (b *eventBus) publish(ev Event) {
+// Publish fans one event out to matching subscribers without blocking.
+func (b *EventBus) Publish(ev Event) {
 	if !b.active() {
 		return
 	}
 	b.mu.Lock()
 	for s := range b.subs {
-		if s.filter.match(ev) {
+		if s.filter.Match(ev) {
 			s.push(ev)
 		}
 	}
 	b.mu.Unlock()
 }
 
-// closeAll ends every subscription gracefully: buffered events still flow to
-// their consumers, then each C closes. Called once the run handle finishes.
-func (b *eventBus) closeAll() {
+// Close ends every subscription gracefully: buffered events still flow to
+// their consumers, then each C closes. A run's bus is closed once the run
+// handle finishes; a later Subscribe gets an already closed stream.
+func (b *EventBus) Close() {
 	b.mu.Lock()
 	b.closed = true
 	subs := make([]*EventSub, 0, len(b.subs))
@@ -305,64 +269,6 @@ func (b *eventBus) closeAll() {
 	for _, s := range subs {
 		s.finish()
 	}
-}
-
-// EventBus is a standalone fan-out hub with the same subscriber contract
-// as an AppManager's event stream — bounded drop-oldest rings, non-blocking
-// publish. It exists for components that relay events without owning a run
-// (e.g. the remote event server's tests and tools).
-type EventBus struct{ bus *eventBus }
-
-// NewEventBus returns an empty standalone bus.
-func NewEventBus() *EventBus { return &EventBus{bus: newEventBus()} }
-
-// Subscribe attaches a subscriber; same semantics as AppManager.Subscribe.
-func (b *EventBus) Subscribe(f EventFilter) *EventSub { return b.bus.subscribe(f) }
-
-// Publish fans one event out to matching subscribers without blocking.
-func (b *EventBus) Publish(ev Event) { b.bus.publish(ev) }
-
-// Close ends every subscription gracefully: buffered events still drain,
-// then each subscriber's channel closes.
-func (b *EventBus) Close() { b.bus.closeAll() }
-
-// EventPeerStats describes one remote event subscriber: a peer attached
-// over the networked event fan-out. Each peer owns a bounded drop-oldest
-// ring with the same contract as an in-process EventSub, so Sent counts the
-// events that reached the peer's send queue and Dropped the ones its ring
-// discarded because the peer fell behind. Disconnected peers are retained
-// (Connected false) so a snapshot taken after the run still accounts for
-// every subscriber the run served.
-type EventPeerStats struct {
-	// Peer is the subscriber's remote address.
-	Peer string
-	// Sent counts events handed to the peer's connection.
-	Sent uint64
-	// Dropped counts events discarded by the peer's drop-oldest ring.
-	Dropped uint64
-	// Connected reports whether the peer is still attached.
-	Connected bool
-}
-
-// AddEventPeerSource registers a callback that reports remote event
-// subscribers into Progress.EventPeers — the hook the remote event server
-// uses to surface its per-peer drop accounting through Snapshot.
-func (am *AppManager) AddEventPeerSource(f func() []EventPeerStats) {
-	am.eventPeerMu.Lock()
-	am.eventPeerSrcs = append(am.eventPeerSrcs, f)
-	am.eventPeerMu.Unlock()
-}
-
-// eventPeers collects every registered source's current peer stats.
-func (am *AppManager) eventPeers() []EventPeerStats {
-	am.eventPeerMu.Lock()
-	srcs := am.eventPeerSrcs
-	am.eventPeerMu.Unlock()
-	var out []EventPeerStats
-	for _, f := range srcs {
-		out = append(out, f()...)
-	}
-	return out
 }
 
 // PipelineProgress is one pipeline's slice of a Progress snapshot.
@@ -411,9 +317,10 @@ type Progress struct {
 	// back to the configured Config.SchedulerWorkers knob.
 	Utilization Utilization
 	Store       StoreStats
-	// EventDrops aggregates drop-oldest discards across every in-process
-	// event subscriber ring (per-subscriber Dropped() remains poll-only;
-	// remote peers are accounted separately under EventPeers).
+	// EventDrops aggregates drop-oldest discards across every subscriber
+	// ring of the run's bus — remote event-server peers and entkd clients
+	// included, since each subscribes through the same bus (per-subscriber
+	// Dropped() remains poll-only).
 	EventDrops uint64
 	// LiveBatchSize and LiveSchedulers are the current values of the run's
 	// mutable knobs; with autotune disabled they equal the configured
@@ -422,10 +329,6 @@ type Progress struct {
 	LiveBatchSize  int
 	LiveSchedulers int
 	KnobChanges    uint64
-	// EventPeers reports remote event subscribers — per-peer sent and
-	// drop-oldest counters from the networked event fan-out. Empty unless
-	// a remote event server is attached (AddEventPeerSource).
-	EventPeers []EventPeerStats
 	// PerPipeline details each registered pipeline.
 	PerPipeline []PipelineProgress
 	// Durability reports the crash-recovery subsystem — what this run
@@ -492,7 +395,6 @@ func (am *AppManager) Snapshot() Progress {
 		p.LiveSchedulers = am.live.Schedulers()
 	}
 	p.KnobChanges = am.knobChanges.Load()
-	p.EventPeers = am.eventPeers()
 	p.Durability = am.durabilityStats()
 	return p
 }
@@ -502,7 +404,7 @@ func (am *AppManager) Snapshot() Progress {
 // the first transitions — and remain valid until the run finishes (the
 // stream then drains and closes) or Close is called.
 func (am *AppManager) Subscribe(f EventFilter) *EventSub {
-	return am.events.subscribe(f)
+	return am.events.Subscribe(f)
 }
 
 // eventsActive reports whether any subscriber is attached; emit sites check
@@ -515,7 +417,7 @@ func (am *AppManager) emitTask(t *Task, from, to TaskState) {
 		return
 	}
 	pipeUID, stageUID := t.Parent()
-	am.events.publish(Event{
+	am.events.Publish(Event{
 		Kind:     EventTask,
 		UID:      t.UID,
 		Name:     t.Name,
@@ -533,7 +435,7 @@ func (am *AppManager) emitStage(s *Stage, from, to StageState) {
 	if !am.eventsActive() {
 		return
 	}
-	am.events.publish(Event{
+	am.events.Publish(Event{
 		Kind:     EventStage,
 		UID:      s.UID,
 		Name:     s.Name,
@@ -549,7 +451,7 @@ func (am *AppManager) emitPipeline(p *Pipeline, from, to PipelineState) {
 	if !am.eventsActive() {
 		return
 	}
-	am.events.publish(Event{
+	am.events.Publish(Event{
 		Kind:     EventPipeline,
 		UID:      p.UID,
 		Name:     p.Name,

@@ -220,7 +220,7 @@ func (am *AppManager) Start(ctx context.Context) (*Run, error) {
 	am.mu.Unlock()
 
 	if err := am.setup(ctx); err != nil {
-		am.events.closeAll()
+		am.events.Close()
 		return nil, err
 	}
 
@@ -231,7 +231,7 @@ func (am *AppManager) Start(ctx context.Context) (*Run, error) {
 		cancel(nil)
 		am.stopComponents()
 		am.closeJournal()
-		am.events.closeAll()
+		am.events.Close()
 		return nil, err
 	}
 	if err := am.wfp.start(runCtx); err != nil {
@@ -239,7 +239,7 @@ func (am *AppManager) Start(ctx context.Context) (*Run, error) {
 		am.emgr.stop()
 		am.stopComponents()
 		am.closeJournal()
-		am.events.closeAll()
+		am.events.Close()
 		return nil, err
 	}
 
@@ -335,7 +335,7 @@ func (r *Run) supervise(runCtx context.Context) {
 	// RTS tear-down is measured by the RTS itself (black box).
 	am.emgr.stopRTS()
 	am.closeJournal()
-	am.events.closeAll()
+	am.events.Close()
 
 	r.err = err
 	close(r.finished)

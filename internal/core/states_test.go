@@ -167,6 +167,28 @@ func TestTerminalStatesHaveNoSuccessors(t *testing.T) {
 	}
 }
 
+// Event.Terminal lives with the wire codec, which has no state tables: it
+// must classify every state of every table exactly as the table's own type.
+func TestEventTerminalMatchesStateMachines(t *testing.T) {
+	check := func(kind EventKind, to string, want bool) {
+		if got := (Event{Kind: kind, To: to}).Terminal(); got != want {
+			t.Errorf("Event{%s, To: %s}.Terminal() = %v, want %v", kind, to, got, want)
+		}
+	}
+	for s := range taskTransitions {
+		check(EventTask, string(s), s.Terminal())
+		check(EventKnob, string(s), false)
+	}
+	for s := range stageTransitions {
+		check(EventStage, string(s), s.Terminal())
+		check(EventKnob, string(s), false)
+	}
+	for s := range pipelineTransitions {
+		check(EventPipeline, string(s), s.Terminal())
+		check(EventKnob, string(s), false)
+	}
+}
+
 func TestUIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {

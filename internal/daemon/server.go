@@ -17,8 +17,8 @@ import (
 // Server accepts entk.Client connections on a unix socket and drives the
 // daemon. The protocol is one request per connection: the client sends one
 // frame (FrameDaemonSubmit or FrameDaemonRunOp), the server answers with
-// run-op frames — exactly one for unary operations, a stream of "event"
-// frames terminated by "end" for subscriptions — and the connection closes.
+// one run-op frame — for a subscription an "events-ack" followed by event
+// frames (0x36, ended by 0x37) — and the connection closes.
 // Frames ride internal/transport's uvarint length-prefixed framing; a
 // request that is not a msgcodec frame gets an "error" reply.
 type Server struct {
@@ -210,9 +210,11 @@ func (s *Server) handleOp(conn net.Conn, op msgcodec.RunOp) {
 	}
 }
 
-// handleEvents streams a run's lifecycle transitions: one "event" frame per
-// transition, an "end" frame when the run's event bus closes (run finished)
-// or the client disconnects.
+// handleEvents streams a run's lifecycle transitions: an "events-ack"
+// run-op (carrying the subscription's error, if any), then the remote
+// fan-out's frames — 0x36 batches, and a 0x37 frame with the drop count once
+// the run's event bus closes (run finished). A client that disconnects ends
+// the stream at the next write.
 func (s *Server) handleEvents(conn net.Conn, op msgcodec.RunOp) {
 	var filter core.EventFilter
 	for _, k := range op.Strs {
@@ -224,15 +226,7 @@ func (s *Server) handleEvents(conn net.Conn, op msgcodec.RunOp) {
 		return
 	}
 	defer sub.Close()
-	for ev := range sub.C() {
-		ok := s.reply(conn, msgcodec.RunOp{
-			Op: "event", RunID: op.RunID, OK: true,
-			Strs: []string{string(ev.Kind), ev.UID, ev.Name, ev.Pipeline, ev.Stage, ev.From, ev.To},
-			Ints: []int64{ev.VTime.UnixNano(), int64(ev.Attempt)},
-		})
-		if !ok {
-			return // client gone; Close drops the subscription
-		}
+	if s.reply(conn, msgcodec.RunOp{Op: "events-ack", RunID: op.RunID, OK: true}) {
+		sub.SendFrames(func(frame []byte, _ int) error { return transport.WriteFrame(conn, frame) }) //nolint:errcheck // client gone; Close drops the subscription
 	}
-	s.reply(conn, msgcodec.RunOp{Op: "end", RunID: op.RunID, OK: true})
 }

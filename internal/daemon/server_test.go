@@ -52,8 +52,9 @@ func TestServerRejectsJSONSubmit(t *testing.T) {
 }
 
 // roundTrip sends one request frame and returns every run-op the server
-// answers with before it closes the connection.
-func roundTrip(t *testing.T, srv *Server, req []byte) []msgcodec.RunOp {
+// answers with before it closes the connection, and the event frames (0x36,
+// 0x37) among them.
+func roundTrip(t *testing.T, srv *Server, req []byte) (ops []msgcodec.RunOp, events [][]byte) {
 	t.Helper()
 	conn, err := net.Dial("unix", srv.Addr())
 	if err != nil {
@@ -64,14 +65,17 @@ func roundTrip(t *testing.T, srv *Server, req []byte) []msgcodec.RunOp {
 	if err := transport.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
-	var ops []msgcodec.RunOp
 	for r := bufio.NewReader(conn); ; {
 		body, err := transport.ReadFrame(r)
 		if err == io.EOF {
-			return ops
+			return ops, events
 		}
 		if err != nil {
-			t.Fatalf("after %d replies: %v", len(ops), err)
+			t.Fatalf("after %d replies: %v", len(ops)+len(events), err)
+		}
+		if typ, _ := msgcodec.FrameType(body); typ == msgcodec.FrameEventBatch || typ == msgcodec.FrameEventEnd {
+			events = append(events, body)
+			continue
 		}
 		op, err := msgcodec.DecodeRunOp(body)
 		if err != nil {
@@ -95,17 +99,17 @@ func TestServerAnswersForAFinishedRun(t *testing.T) {
 	defer srv.Close()
 
 	const nTasks = 6
-	sub := roundTrip(t, srv, msgcodec.FormatBinary.EncodeDaemonSubmit(msgcodec.DaemonSubmit{
+	sub, _ := roundTrip(t, srv, msgcodec.FormatBinary.EncodeDaemonSubmit(msgcodec.DaemonSubmit{
 		Tenant: "alice", AppJSON: testApp(2, 1, nTasks, 1),
 	}))
 	if len(sub) != 1 || !sub[0].OK {
 		t.Fatalf("submit: %+v", sub)
 	}
 	id := sub[0].RunID
-	op := func(name string, strs ...string) []msgcodec.RunOp {
+	op := func(name string, strs ...string) ([]msgcodec.RunOp, [][]byte) {
 		return roundTrip(t, srv, msgcodec.FormatBinary.EncodeRunOp(msgcodec.RunOp{Op: name, RunID: id, Strs: strs}))
 	}
-	if done := op("wait"); len(done) != 1 || !done[0].OK || done[0].Strs[0] != StateDone {
+	if done, _ := op("wait"); len(done) != 1 || !done[0].OK || done[0].Strs[0] != StateDone {
 		t.Fatalf("wait: %+v", done)
 	}
 
@@ -124,15 +128,27 @@ func TestServerAnswersForAFinishedRun(t *testing.T) {
 		reply   string
 		ok      bool
 		errPart string
+		// ended: the reply is followed by exactly one event frame, the
+		// stream's end with nothing dropped.
+		ended bool
 	}{
 		{op: "cancel", strs: []string{"too late"}, reply: "cancel-ack", ok: true},
-		{op: "events", reply: "end", ok: true},
+		{op: "events", reply: "events-ack", ok: true, ended: true},
 		{op: "pause", strs: []string{"pipeline.000"}, reply: "pause-ack", errPart: notRunning},
 		{op: "resume", strs: []string{"pipeline.000"}, reply: "resume-ack", errPart: notRunning},
 		{op: "info", reply: "info-ack", ok: true},
 		{op: "wait", reply: "done", ok: true},
 	} {
-		got := op(tc.op, tc.strs...)
+		got, events := op(tc.op, tc.strs...)
+		if tc.ended {
+			if len(events) != 1 {
+				t.Errorf("%s: %d event frames, want the end frame alone", tc.op, len(events))
+			} else if dropped, err := msgcodec.DecodeEventEnd(events[0]); err != nil || dropped != 0 {
+				t.Errorf("%s: end frame %d dropped, %v; want 0", tc.op, dropped, err)
+			}
+		} else if len(events) != 0 {
+			t.Errorf("%s: %d event frames, want none", tc.op, len(events))
+		}
 		if len(got) != 1 {
 			t.Errorf("%s: %d replies, want 1: %+v", tc.op, len(got), got)
 			continue

@@ -25,9 +25,10 @@ type DaemonSubmit struct {
 // RunOp is the daemon protocol's generic operation frame. Requests set Op
 // ("list", "info", "wait", "cancel", "pause", "resume", "events") and
 // usually RunID; responses echo Op semantics through OK/Err plus the
-// repeated Strs/Ints payload fields; streamed events arrive as Op "event"
-// frames terminated by an Op "end" frame. Keeping one frame shape for all
-// of these is what holds the wire surface to two new frame types.
+// repeated Strs/Ints payload fields. An "events" request is answered by an
+// "events-ack" and then the remote event fan-out's 0x36/0x37 frames.
+// Keeping one frame shape for all of these is what holds the wire surface to
+// two new frame types.
 type RunOp struct {
 	Op    string
 	RunID string

@@ -430,78 +430,38 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 	return s, nil
 }
 
-// Attach is the event-subscriber handshake: which events the peer wants and
-// how deep its server-side ring should be. The fields mirror
-// core.EventFilter (Kinds as plain strings).
-type Attach struct {
-	Kinds    []string
-	Pipeline string
-	UIDs     []string
-	Buffer   int
-}
+// ---- lifecycle events ------------------------------------------------------
+//
+// A committed transition is one Event everywhere: published in process by
+// core's event bus, and carried to remote subscribers and entkd clients in
+// 0x36 batches. core and entk alias these types.
 
-// EncodeAttach encodes an event-subscription request.
-func EncodeAttach(a Attach) []byte {
-	bp, buf := getBuf()
-	buf = appendHeader(buf, FrameAttach)
-	buf = appendUvarint(buf, uint64(len(a.Kinds)))
-	for _, k := range a.Kinds {
-		buf = appendString(buf, k)
-	}
-	buf = appendString(buf, a.Pipeline)
-	buf = appendUvarint(buf, uint64(len(a.UIDs)))
-	for _, u := range a.UIDs {
-		buf = appendString(buf, u)
-	}
-	buf = appendVarint(buf, int64(a.Buffer))
-	return putBuf(bp, buf)
-}
+// EventKind classifies a lifecycle event by the entity that transitioned.
+type EventKind string
 
-// DecodeAttach decodes an event-subscription request.
-func DecodeAttach(body []byte) (Attach, error) {
-	r, err := frameReader(body, FrameAttach)
-	if err != nil {
-		return Attach{}, err
-	}
-	var a Attach
-	n, err := r.count(1)
-	if err != nil {
-		return Attach{}, err
-	}
-	if n > 0 {
-		a.Kinds = make([]string, n)
-		for i := range a.Kinds {
-			if a.Kinds[i], err = r.str(); err != nil {
-				return Attach{}, err
-			}
-		}
-	}
-	if a.Pipeline, err = r.str(); err != nil {
-		return Attach{}, err
-	}
-	if n, err = r.count(1); err != nil {
-		return Attach{}, err
-	}
-	if n > 0 {
-		a.UIDs = make([]string, n)
-		for i := range a.UIDs {
-			if a.UIDs[i], err = r.str(); err != nil {
-				return Attach{}, err
-			}
-		}
-	}
-	v, err := r.varint()
-	if err != nil {
-		return Attach{}, err
-	}
-	a.Buffer = int(v)
-	return a, nil
-}
+// Event kinds, matching the entity vocabulary of the state machines, plus
+// the autotune controller's knob decisions.
+const (
+	EventTask     EventKind = "task"
+	EventStage    EventKind = "stage"
+	EventPipeline EventKind = "pipeline"
+	// EventKnob is an autotune controller decision: Name is the knob
+	// ("batch" or "schedulers"), From/To its values as decimal strings, and
+	// UID is "autotune/<reason>" naming the rule that fired. Knob events are
+	// never terminal.
+	EventKnob EventKind = "knob"
+)
 
-// RemoteEvent is the wire shape of one lifecycle event. It mirrors
-// core.Event field for field.
-type RemoteEvent struct {
-	Kind     string
+// Event is one committed state transition, published by the Synchronizer at
+// the moment it applies the change — the paper's continuously exposed
+// execution state (§II-B4), but typed instead of mirrored through
+// RabbitMQ/MongoDB. From is the pre-transition state, To the committed one,
+// VTime the virtual commit instant. Attempt carries the task's attempt
+// counter (0 for stages and pipelines). Pipeline and Stage name the owning
+// entities so streams can be scoped without a registry lookup; for a
+// pipeline event Pipeline is the pipeline's own UID.
+type Event struct {
+	Kind     EventKind
 	UID      string
 	Name     string
 	Pipeline string
@@ -512,14 +472,135 @@ type RemoteEvent struct {
 	Attempt  int
 }
 
+// Terminal reports whether the event's To state is terminal for its kind.
+// Tasks, stages and pipelines share their three terminal state names
+// (core.TestEventTerminalMatchesStateMachines holds this to core's tables).
+func (e Event) Terminal() bool {
+	switch e.Kind {
+	case EventTask, EventStage, EventPipeline:
+		return e.To == "DONE" || e.To == "FAILED" || e.To == "CANCELED"
+	}
+	return false
+}
+
+// EventFilter selects which events a subscription receives, and is what an
+// attach frame (0x35) carries. The zero value matches everything. Each
+// non-empty constraint must hold (conjunction): Kinds restricts entity
+// kinds, Pipeline restricts to one pipeline's events (the pipeline itself,
+// its stages and its tasks), UIDs restricts to the listed entity UIDs.
+// Buffer sets the per-subscriber ring capacity (default
+// core.DefaultEventBuffer); when the consumer falls behind by more than
+// Buffer events, the oldest buffered events are dropped and the
+// subscription's Dropped counter advances — publication never blocks the
+// engine.
+type EventFilter struct {
+	Kinds    []EventKind
+	Pipeline string
+	UIDs     []string
+	Buffer   int
+}
+
+// Match reports whether ev passes the filter.
+func (f *EventFilter) Match(ev Event) bool {
+	if len(f.Kinds) > 0 {
+		ok := false
+		for _, k := range f.Kinds {
+			if k == ev.Kind {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	if f.Pipeline != "" && f.Pipeline != ev.Pipeline {
+		return false
+	}
+	if len(f.UIDs) > 0 {
+		ok := false
+		for _, uid := range f.UIDs {
+			if uid == ev.UID {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// EncodeAttach encodes an event-subscription request: the subscriber's
+// filter, including the depth of its server-side ring.
+func EncodeAttach(f EventFilter) []byte {
+	bp, buf := getBuf()
+	buf = appendHeader(buf, FrameAttach)
+	buf = appendUvarint(buf, uint64(len(f.Kinds)))
+	for _, k := range f.Kinds {
+		buf = appendString(buf, string(k))
+	}
+	buf = appendString(buf, f.Pipeline)
+	buf = appendUvarint(buf, uint64(len(f.UIDs)))
+	for _, u := range f.UIDs {
+		buf = appendString(buf, u)
+	}
+	buf = appendVarint(buf, int64(f.Buffer))
+	return putBuf(bp, buf)
+}
+
+// DecodeAttach decodes an event-subscription request.
+func DecodeAttach(body []byte) (EventFilter, error) {
+	r, err := frameReader(body, FrameAttach)
+	if err != nil {
+		return EventFilter{}, err
+	}
+	var f EventFilter
+	n, err := r.count(1)
+	if err != nil {
+		return EventFilter{}, err
+	}
+	if n > 0 {
+		f.Kinds = make([]EventKind, n)
+		for i := range f.Kinds {
+			k, err := r.str()
+			if err != nil {
+				return EventFilter{}, err
+			}
+			f.Kinds[i] = EventKind(k)
+		}
+	}
+	if f.Pipeline, err = r.str(); err != nil {
+		return EventFilter{}, err
+	}
+	if n, err = r.count(1); err != nil {
+		return EventFilter{}, err
+	}
+	if n > 0 {
+		f.UIDs = make([]string, n)
+		for i := range f.UIDs {
+			if f.UIDs[i], err = r.str(); err != nil {
+				return EventFilter{}, err
+			}
+		}
+	}
+	v, err := r.varint()
+	if err != nil {
+		return EventFilter{}, err
+	}
+	f.Buffer = int(v)
+	return f, nil
+}
+
 // EncodeEventBatch encodes a server -> subscriber event batch.
-func EncodeEventBatch(evs []RemoteEvent) []byte {
+func EncodeEventBatch(evs []Event) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameEventBatch)
 	buf = appendUvarint(buf, uint64(len(evs)))
 	for i := range evs {
 		ev := &evs[i]
-		buf = appendString(buf, ev.Kind)
+		buf = appendString(buf, string(ev.Kind))
 		buf = appendString(buf, ev.UID)
 		buf = appendString(buf, ev.Name)
 		buf = appendString(buf, ev.Pipeline)
@@ -533,7 +614,7 @@ func EncodeEventBatch(evs []RemoteEvent) []byte {
 }
 
 // DecodeEventBatch decodes a server -> subscriber event batch.
-func DecodeEventBatch(body []byte) ([]RemoteEvent, error) {
+func DecodeEventBatch(body []byte) ([]Event, error) {
 	r, err := frameReader(body, FrameEventBatch)
 	if err != nil {
 		return nil, err
@@ -542,10 +623,15 @@ func DecodeEventBatch(body []byte) ([]RemoteEvent, error) {
 	if err != nil {
 		return nil, err
 	}
-	evs := make([]RemoteEvent, n)
+	evs := make([]Event, n)
 	for i := range evs {
 		ev := &evs[i]
-		for _, p := range []*string{&ev.Kind, &ev.UID, &ev.Name, &ev.Pipeline, &ev.Stage, &ev.From, &ev.To} {
+		kind, err := r.str()
+		if err != nil {
+			return nil, err
+		}
+		ev.Kind = EventKind(kind)
+		for _, p := range []*string{&ev.UID, &ev.Name, &ev.Pipeline, &ev.Stage, &ev.From, &ev.To} {
 			if *p, err = r.str(); err != nil {
 				return nil, err
 			}

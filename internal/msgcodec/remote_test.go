@@ -251,8 +251,20 @@ func TestAgentStatsGoldenBytes(t *testing.T) {
 	}
 }
 
+func attachFixture() EventFilter {
+	return EventFilter{Kinds: []EventKind{EventTask, EventStage}, Pipeline: "pipe.1", UIDs: []string{"t.1"}, Buffer: 512}
+}
+
+func eventBatchFixture() []Event {
+	return []Event{
+		{Kind: EventTask, UID: "t.1", Name: "replica", Pipeline: "p.1", Stage: "s.1",
+			From: "EXECUTED", To: "DONE", VTime: time.Unix(12, 34), Attempt: 1},
+		{Kind: EventPipeline, UID: "p.1", Name: "md", Pipeline: "p.1", From: "SCHEDULING", To: "DONE"},
+	}
+}
+
 func TestAttachRoundTrip(t *testing.T) {
-	a := Attach{Kinds: []string{"task", "stage"}, Pipeline: "pipe.1", UIDs: []string{"t.1"}, Buffer: 512}
+	a := attachFixture()
 	got, err := DecodeAttach(EncodeAttach(a))
 	if err != nil {
 		t.Fatal(err)
@@ -263,11 +275,7 @@ func TestAttachRoundTrip(t *testing.T) {
 }
 
 func TestEventBatchRoundTrip(t *testing.T) {
-	evs := []RemoteEvent{
-		{Kind: "task", UID: "t.1", Name: "replica", Pipeline: "p.1", Stage: "s.1",
-			From: "EXECUTED", To: "DONE", VTime: time.Unix(12, 34), Attempt: 1},
-		{Kind: "pipeline", UID: "p.1", Name: "md", Pipeline: "p.1", From: "SCHEDULING", To: "DONE"},
-	}
+	evs := eventBatchFixture()
 	got, err := DecodeEventBatch(EncodeEventBatch(evs))
 	if err != nil {
 		t.Fatal(err)
@@ -278,6 +286,27 @@ func TestEventBatchRoundTrip(t *testing.T) {
 	n, err := DecodeEventEnd(EncodeEventEnd(17))
 	if err != nil || n != 17 {
 		t.Fatalf("event end: %d, %v", n, err)
+	}
+}
+
+// The bytes the event frames had when each was encoded from its own wire
+// struct (msgcodec.Attach, msgcodec.RemoteEvent): carrying the filter and
+// the event themselves must not change 0x35, 0x36 or 0x37 under a peer built
+// from an older commit.
+func TestEventFramesGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"attach", "bf013502047461736b05737461676506706970652e310103742e318008", EncodeAttach(attachFixture())},
+		{"empty attach", "bf013500000000", EncodeAttach(EventFilter{})},
+		{"event batch", "bf013602047461736b03742e31077265706c69636103702e3103732e3108455845435554454404444f4e4501c4e08bb4590208706970656c696e6503702e31026d6403702e31000a5343484544554c494e4704444f4e450000",
+			EncodeEventBatch(eventBatchFixture())},
+		{"event end", "bf013711", EncodeEventEnd(17)},
+	} {
+		if h := hex.EncodeToString(c.got); h != c.want {
+			t.Errorf("the %s frame changed:\n got %s\nwant %s", c.name, h, c.want)
+		}
 	}
 }
 
@@ -304,8 +333,8 @@ func FuzzDecodeRemote(f *testing.F) {
 	f.Add(EncodeAgentStats(AgentStats{Alive: true, RTSStats: RTSStats{
 		Store: StoreStats{ShardDepths: []int{1}, SchedulerPulls: []uint64{2}}}}))
 	f.Add(EncodeAgentStats(agentStatsFixture()))
-	f.Add(EncodeAttach(Attach{Kinds: []string{"task"}, Buffer: 8}))
-	f.Add(EncodeEventBatch([]RemoteEvent{{Kind: "task", UID: "t", To: "DONE", VTime: time.Unix(1, 2)}}))
+	f.Add(EncodeAttach(EventFilter{Kinds: []EventKind{EventTask}, Buffer: 8}))
+	f.Add(EncodeEventBatch([]Event{{Kind: EventTask, UID: "t", To: "DONE", VTime: time.Unix(1, 2)}}))
 	f.Add(EncodeEventEnd(3))
 	valid := EncodeTaskBatch([]RemoteTask{{UID: "task.000001", Name: "n", Executable: "mdrun"}})
 	for i := 0; i < len(valid); i += 2 {

@@ -31,7 +31,7 @@ type EventServer struct {
 
 	mu     sync.Mutex
 	live   map[*eventPeer]struct{}
-	gone   []core.EventPeerStats
+	gone   []PeerStats
 	closed bool
 	// drained is made by Close when peers are still live and closed by the
 	// serve loop that removes the last of them.
@@ -65,19 +65,36 @@ func NewEventServer(addr string, subscribe func(core.EventFilter) *core.EventSub
 // Addr returns the bound endpoint in dialable form.
 func (s *EventServer) Addr() string { return transport.Addr(s.ln) }
 
-// PeerStats snapshots every subscriber this server has seen, live and gone,
-// for Progress.EventPeers.
-func (s *EventServer) PeerStats() []core.EventPeerStats {
+// PeerStats describes one remote event subscriber. Its ring has the same
+// contract as an in-process EventSub, so Sent counts the events that reached
+// the peer's send queue and Dropped the ones its ring discarded because the
+// peer fell behind (the run's Progress.EventDrops counts them too).
+type PeerStats struct {
+	// Peer is the subscriber's remote address.
+	Peer string
+	// Sent counts events handed to the peer's connection.
+	Sent uint64
+	// Dropped counts events discarded by the peer's drop-oldest ring.
+	Dropped uint64
+	// Connected reports whether the peer is still attached.
+	Connected bool
+}
+
+// PeerStats snapshots every subscriber this server has seen, live and gone:
+// a disconnected peer is kept (Connected false), so stats read after the run
+// still account for every subscriber it served.
+func (s *EventServer) PeerStats() []PeerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]core.EventPeerStats, 0, len(s.live)+len(s.gone))
+	out := make([]PeerStats, 0, len(s.live)+len(s.gone))
 	for p := range s.live {
-		out = append(out, core.EventPeerStats{
-			Peer: p.addr, Sent: p.sent.Load(), Dropped: p.sub.Dropped(), Connected: true,
-		})
+		out = append(out, p.stats(true))
 	}
-	out = append(out, s.gone...)
-	return out
+	return append(out, s.gone...)
+}
+
+func (p *eventPeer) stats(connected bool) PeerStats {
+	return PeerStats{Peer: p.addr, Sent: p.sent.Load(), Dropped: p.sub.Dropped(), Connected: connected}
 }
 
 // Close stops the listener and disconnects every peer.
@@ -151,18 +168,10 @@ func (s *EventServer) serve(nc net.Conn) {
 		tc.Close() //nolint:errcheck
 		return
 	}
-	att, err := msgcodec.DecodeAttach(body)
+	filter, err := msgcodec.DecodeAttach(body)
 	if err != nil {
 		tc.Close() //nolint:errcheck
 		return
-	}
-	filter := core.EventFilter{
-		Pipeline: att.Pipeline,
-		UIDs:     att.UIDs,
-		Buffer:   att.Buffer,
-	}
-	for _, k := range att.Kinds {
-		filter.Kinds = append(filter.Kinds, core.EventKind(k))
 	}
 	sub := s.subscribe(filter)
 	p := &eventPeer{addr: tc.RemoteAddr(), sub: sub, tc: tc}
@@ -184,28 +193,16 @@ func (s *EventServer) serve(nc net.Conn) {
 		sub.Close()
 	}()
 
-	for ev := range sub.C() {
-		batch := []core.Event{ev}
-	coalesce:
-		for len(batch) < 64 {
-			select {
-			case more, ok := <-sub.C():
-				if !ok {
-					break coalesce
-				}
-				batch = append(batch, more)
-			default:
-				break coalesce
-			}
+	// Send blocks when the peer's connection queue is full; the peer's ring
+	// absorbs the stall by dropping its own oldest.
+	err = sub.SendFrames(func(frame []byte, events int) error {
+		if err := tc.Send(frame); err != nil {
+			return err
 		}
-		// Send blocks when the peer's connection queue is full; the
-		// peer's ring absorbs the stall by dropping its own oldest.
-		if err := tc.Send(msgcodec.EncodeEventBatch(toRemoteEvents(batch))); err != nil {
-			break
-		}
-		p.sent.Add(uint64(len(batch)))
-	}
-	if tc.Send(msgcodec.EncodeEventEnd(sub.Dropped())) == nil {
+		p.sent.Add(uint64(events))
+		return nil
+	})
+	if err == nil {
 		tc.Flush() //nolint:errcheck // closing either way; a dead peer gets no end frame
 	}
 	tc.Close() //nolint:errcheck
@@ -215,39 +212,35 @@ func (s *EventServer) serve(nc net.Conn) {
 	delete(s.live, p)
 	switch {
 	case !s.closed:
-		s.gone = append(s.gone, core.EventPeerStats{
-			Peer: p.addr, Sent: p.sent.Load(), Dropped: sub.Dropped(), Connected: false,
-		})
+		s.gone = append(s.gone, p.stats(false))
 	case len(s.live) == 0:
 		close(s.drained) // Close is waiting for exactly this; no peer joins a closed server
 	}
 	s.mu.Unlock()
 }
 
-// EventStream is the client side of an attach: a live remote event feed.
+// EventStream is the client side of an event subscription, over an attach
+// (AttachEvents) or entkd's events operation (entk.Client.Events): the
+// events of each 0x36 batch arrive on C one by one, and the 0x37 frame that
+// ends the stream records the server's drop count.
 type EventStream struct {
-	tc      *transport.Conn
+	recv    func() ([]byte, error)
+	done    <-chan struct{}
+	stop    func()
 	out     chan core.Event
 	dropped atomic.Uint64
 	ended   atomic.Bool
 }
 
-// deliver hands one event to the consumer, abandoning it if the consumer
-// closed the stream (so recvLoop never wedges on a departed reader).
-func (es *EventStream) deliver(ev core.Event) bool {
-	select {
-	case es.out <- ev:
-		return true
-	case <-es.tc.Done():
-		// Drain race: the connection died but the consumer may still be
-		// reading; try once more without blocking.
-		select {
-		case es.out <- ev:
-			return true
-		default:
-			return false
-		}
-	}
+// NewEventStream reads event frames with recv until the end frame or an
+// error. done is closed once the connection is going away, so a consumer
+// that stopped reading does not wedge the reader; stop closes the
+// connection, and is called by Close and when the stream ends.
+func NewEventStream(recv func() ([]byte, error), done <-chan struct{}, stop func()) *EventStream {
+	// C buffers a few batches so the reader decodes ahead of the consumer.
+	es := &EventStream{recv: recv, done: done, stop: stop, out: make(chan core.Event, 256)}
+	go es.recvLoop()
+	return es
 }
 
 // AttachEvents dials an EventServer and subscribes with filter. Events
@@ -261,24 +254,14 @@ func AttachEvents(addr string, filter core.EventFilter, dialTimeout time.Duratio
 		return nil, err
 	}
 	tc := transport.NewConn(nc, transport.Options{Name: addr})
-	att := msgcodec.Attach{
-		Pipeline: filter.Pipeline,
-		UIDs:     filter.UIDs,
-		Buffer:   filter.Buffer,
-	}
-	for _, k := range filter.Kinds {
-		att.Kinds = append(att.Kinds, string(k))
-	}
-	if err := tc.Send(msgcodec.EncodeAttach(att)); err != nil {
+	if err := tc.Send(msgcodec.EncodeAttach(filter)); err != nil {
 		tc.Close() //nolint:errcheck
 		return nil, err
 	}
-	es := &EventStream{tc: tc, out: make(chan core.Event, 256)}
-	go es.recvLoop()
-	return es, nil
+	return NewEventStream(tc.Recv, tc.Done(), func() { tc.Close() }), nil //nolint:errcheck
 }
 
-// C delivers the remote events; closed when the stream ends.
+// C delivers the events; closed when the stream ends.
 func (es *EventStream) C() <-chan core.Event { return es.out }
 
 // Dropped reports the server-side drop count for this subscription, valid
@@ -290,23 +273,41 @@ func (es *EventStream) Dropped() uint64 { return es.dropped.Load() }
 func (es *EventStream) Ended() bool { return es.ended.Load() }
 
 // Close detaches from the server.
-func (es *EventStream) Close() { es.tc.Close() } //nolint:errcheck
+func (es *EventStream) Close() { es.stop() }
+
+// deliver hands one event to the consumer, abandoning it if the consumer
+// closed the stream (so recvLoop never wedges on a departed reader).
+func (es *EventStream) deliver(ev core.Event) bool {
+	select {
+	case es.out <- ev:
+		return true
+	case <-es.done:
+		// Drain race: the connection died but the consumer may still be
+		// reading; try once more without blocking.
+		select {
+		case es.out <- ev:
+			return true
+		default:
+			return false
+		}
+	}
+}
 
 func (es *EventStream) recvLoop() {
 	defer close(es.out)
-	defer es.tc.Close()
+	defer es.stop()
 	for {
-		body, err := es.tc.Recv()
+		body, err := es.recv()
 		if err != nil {
 			return
 		}
 		switch t, _ := msgcodec.FrameType(body); t {
 		case msgcodec.FrameEventBatch:
-			revs, err := msgcodec.DecodeEventBatch(body)
+			evs, err := msgcodec.DecodeEventBatch(body)
 			if err != nil {
 				return
 			}
-			for _, ev := range fromRemoteEvents(revs) {
+			for _, ev := range evs {
 				if !es.deliver(ev) {
 					return
 				}

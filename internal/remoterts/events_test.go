@@ -175,14 +175,18 @@ func TestEventServerCloseWaitsForItsPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		const events = 4096
-		if err := transport.WriteFrame(nc, msgcodec.EncodeAttach(msgcodec.Attach{Buffer: events})); err != nil {
+		const events = 2
+		if err := transport.WriteFrame(nc, msgcodec.EncodeAttach(core.EventFilter{Buffer: events})); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "peer registration", func() bool { return len(s.PeerStats()) == 1 })
-		// 4 MB into a socket nobody reads: the connection's writer stalls, and
-		// the serve loop with it, in Send or in the Flush behind its end frame.
-		uid := strings.Repeat("x", 1<<10)
+		// A socket nobody reads. Close discards what the ring still holds, so
+		// what the serve loop owes after it must not fit in the kernel's socket
+		// buffer, or its Flush succeeds and the peer was never wedged: every
+		// frame carries at least one 4 MiB UID, so once one has been sent the
+		// connection's writer is stuck in it, and the serve loop behind it, in
+		// Send or in the Flush behind its end frame.
+		uid := strings.Repeat("x", 4<<20)
 		for i := 0; i < events; i++ {
 			am.Publish(core.Event{Kind: core.EventTask, UID: uid, To: "DONE"})
 		}

@@ -6,7 +6,9 @@
 #   3. submit the shipped example application over the socket, three times
 #      to the same daemon: the second and third run start on a daemon that
 #      has already let go of a finished run's manager and lease
-#   4. wait for each run to reach DONE
+#   4. wait for each run to reach DONE; the last one streams the daemon's
+#      event feed (-progress), which must end with the daemon's end frame
+#      and nothing dropped
 #   5. SIGTERM the daemon and assert a clean shutdown with zero leaked leases
 #
 # Exits nonzero on any failed step. Runs in a few seconds: the example app
@@ -41,9 +43,14 @@ done
 
 for n in 1 2 3; do
     echo "== submitting example app ($n of 3)"
-    OUT=$("$TMP/entk-run" -app cmd/entk-run/example-app.json -daemon "$SOCK" -tenant smoke)
+    PROGRESS=()
+    [ "$n" = 3 ] && PROGRESS=(-progress)
+    OUT=$("$TMP/entk-run" -app cmd/entk-run/example-app.json -daemon "$SOCK" -tenant smoke "${PROGRESS[@]}")
     echo "$OUT"
     echo "$OUT" | grep -q "finished: DONE" || { echo "run $n did not finish DONE"; exit 1; }
+    if [ "$n" = 3 ]; then
+        echo "$OUT" | grep -q "event stream ended: 0 dropped" || { echo "run $n's event stream did not end cleanly"; exit 1; }
+    fi
 done
 
 echo "== shutting down"
