@@ -9,9 +9,9 @@ GO ?= go
 # pipelines, the multi-consumer ablation, the multi-scheduler agent
 # ablation (the RTS dispatch path), the run-control event-stream
 # overhead (events-off must stay the no-subscriber fast path; events-on
-# within ~10% of it), the synchronizer round-trip shapes (batched frames
-# must stay O(1) per stage; durable-frame is the same frame committed by a
-# real synchronizer over a journal directory — one write per bulk request;
+# within ~10% of it), the synchronizer round trips (durable-frame is one
+# frame of two bulk task requests committed by a real synchronizer over a
+# journal directory — one write per bulk request;
 # wide-stage-1p is a whole 4096-task stage on one P, where a per-message
 # rescan of the stage would show as a quadratic; chain-stage is 256 8-task
 # stages in sequence and reports frames/stage — ~4, and 10+ when a stage's
@@ -39,7 +39,7 @@ test:
 # The two budgets whose reading depends on how many Ps the scheduler has — a
 # stage's sync frames (the completion drain's yield coalesces its results) and
 # the task path's allocations per task (each frame a stage's results split
-# into costs its own body, delivery and ack) — at one, two and four. No -race:
+# into costs its own deliveries) — at one, two and four. No -race:
 # both skip or only log under it.
 budgets:
 	$(GO) test -count=1 -run '^TestStageFrameBudget$$' -cpu 1,2,4 ./internal/core
@@ -48,7 +48,7 @@ budgets:
 # A short coverage-guided pass over the decoders of untrusted bytes: the two
 # that read what a crash left on disk (the journal scanner against its
 # unbuffered reference, and the snapshot loader) and the two that read what
-# arrives on a queue or a connection (every control-plane frame — with the
+# arrives on a connection or from entk-dump (every control-plane frame — with the
 # resolving decoders held to the plain ones under every kind of resolver —
 # and every remote frame). `make test` already replays the seed corpus;
 # this mutates it. -fuzz takes one target per run.
@@ -82,10 +82,12 @@ bench-baseline: bench-json
 
 # Besides gofmt and vet: core.RTS.Stats() is the whole telemetry contract, so
 # no non-test code may discover more by type-asserting an RTS to an optional
-# *Reporter interface again (docs/api.md, "The RTS contract"); and the broker
+# *Reporter interface again (docs/api.md, "The RTS contract"); the broker
 # stays a leaf that imports no other package of this module, so durability —
 # which JournalDir and statedb own (docs/recovery.md) — cannot creep back into
-# it through an import.
+# it through an import; and the engine's in-process queues carry values, so
+# no non-test code in internal/core may name a codec of the frames they used
+# to carry as bytes (0x01-0x04: pending UIDs, sync frame and ack, results).
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -100,6 +102,11 @@ lint:
 	if [ -n "$$imported" ]; then \
 		echo "internal/broker imports other packages of this module; keep it a leaf:"; \
 		echo "$$imported"; exit 1; \
+	fi
+	@encoded=$$(grep -nwE --include='*.go' --exclude='*_test.go' -r '(Encode|Decode|Append)(TaskUIDs?|SyncFrame(Into)?|SyncAck|TaskResults(Shared)?)' internal/core || true); \
+	if [ -n "$$encoded" ]; then \
+		echo "internal/core encodes or decodes an in-process message; hand the queue the value instead:"; \
+		echo "$$encoded"; exit 1; \
 	fi
 	$(GO) vet ./...
 

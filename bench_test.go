@@ -510,119 +510,16 @@ func TestJournalRecAppendAllocs(t *testing.T) {
 	})
 }
 
-// syncEchoServer consumes the states queue and answers every frame with an
-// encoded ack, mimicking the Synchronizer's messaging work (decode, reply)
-// without the state machines — the round-trip mechanics BenchmarkSyncTransition
-// isolates.
-func syncEchoServer(b *testing.B, br *broker.Broker) {
-	b.Helper()
-	c, err := br.Consume(core.QueueStates, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for d := range c.Deliveries() {
-			frame, err := msgcodec.DecodeSyncFrame(d.Body)
-			if err != nil {
-				d.Nack(false) //nolint:errcheck
-				continue
-			}
-			body, err := msgcodec.FormatBinary.EncodeSyncAck(msgcodec.SyncAck{Seq: frame.Seq, OK: true})
-			if err != nil {
-				d.Nack(false) //nolint:errcheck
-				continue
-			}
-			br.Publish(frame.Reply, body) //nolint:errcheck
-			d.Ack()                       //nolint:errcheck
-		}
-	}()
-}
-
-// BenchmarkSyncTransition measures what one 64-task stage costs in
-// synchronizer round-trips: the per-task shape (one frame per task per
-// transition — 128 round-trips, the pre-batching control plane) against the
-// batched shape (one frame carrying both bulk transitions — O(1)
-// round-trips, the scheduleStage fast path). Both run against an echo
-// server, so they price the messaging alone; durable-frame sends the batched
-// shape to a real Synchronizer over a journal directory, which validates,
-// advances, journals and mirrors all 128 transitions before it acks — the
+// BenchmarkSyncTransition measures what a stage costs in synchronizer round
+// trips. durable-frame hands a real Synchronizer over a journal directory one
+// frame carrying two bulk transitions of 64 tasks, which it validates,
+// advances, journals and mirrors before it hands the frame back — the
 // durable commit path. Reported as stages/s. wide-stage-1p is the whole
 // engine instead of the frames alone: a 1x1x4096 application in messages of
 // 64 on a single P, where every done-message ends in a stage-completion
 // check — once a rescan of all 4096 tasks, quadratic in the stage's width,
 // with no second P to hide it on. Reported as tasks/s.
 func BenchmarkSyncTransition(b *testing.B) {
-	uids := benchUIDs()
-	const reply = "sync-ack-bench"
-	// drive sends each iteration's frames to the synchronizer consuming
-	// br's states queue, one round-trip at a time.
-	drive := func(b *testing.B, br *broker.Broker, frames func(seq uint64) []msgcodec.SyncFrame) {
-		if err := br.DeclareQueue(reply, broker.QueueOptions{Shards: 1}); err != nil {
-			b.Fatal(err)
-		}
-		ackC, err := br.Consume(reply, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var seq uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, frame := range frames(seq) {
-				seq = frame.Seq
-				body, err := msgcodec.FormatBinary.EncodeSyncFrame(frame)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := br.Publish(core.QueueStates, body); err != nil {
-					b.Fatal(err)
-				}
-				d, ok := <-ackC.Deliveries()
-				if !ok {
-					b.Fatal("ack queue closed")
-				}
-				ack, err := msgcodec.DecodeSyncAck(d.Body)
-				if err != nil || !ack.OK || ack.Seq != seq {
-					b.Fatalf("bad ack %+v (%v)", ack, err)
-				}
-				d.Ack() //nolint:errcheck
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "stages/s")
-	}
-	echo := func(b *testing.B, frames func(seq uint64) []msgcodec.SyncFrame) {
-		br := broker.New(broker.Options{})
-		defer br.Close()
-		if err := br.DeclareQueue(core.QueueStates, broker.QueueOptions{Shards: 1}); err != nil {
-			b.Fatal(err)
-		}
-		syncEchoServer(b, br)
-		drive(b, br, frames)
-	}
-
-	b.Run("per-task", func(b *testing.B) {
-		echo(b, func(seq uint64) []msgcodec.SyncFrame {
-			frames := make([]msgcodec.SyncFrame, 0, 2*len(uids))
-			for _, target := range []string{"SCHEDULING", "SCHEDULED"} {
-				for _, uid := range uids {
-					seq++
-					frames = append(frames, msgcodec.SyncFrame{
-						Reply: reply, Seq: seq,
-						Reqs: []msgcodec.SyncRequest{{Entity: "task", UID: uid, Target: target}},
-					})
-				}
-			}
-			return frames
-		})
-	})
-	b.Run("batched-frame", func(b *testing.B) {
-		echo(b, func(seq uint64) []msgcodec.SyncFrame {
-			return []msgcodec.SyncFrame{{Reply: reply, Seq: seq + 1, Reqs: []msgcodec.SyncRequest{
-				{Entity: "task", UIDs: uids, Target: "SCHEDULING"},
-				{Entity: "task", UIDs: uids, Target: "SCHEDULED"},
-			}}}
-		})
-	})
 	b.Run("wide-stage-1p", func(b *testing.B) {
 		const tasks = 4096
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -719,6 +616,7 @@ func BenchmarkSyncTransition(b *testing.B) {
 		b.ReportMetric(float64(frames)/float64(stages*b.N), "frames/stage")
 	})
 	b.Run("durable-frame", func(b *testing.B) {
+		uids := benchUIDs()
 		// A running durable manager whose first stage outlasts the
 		// benchmark, so nothing but these frames touches the 64 tasks of
 		// its second stage. SCHEDULING -> FAILED -> SCHEDULING is the one
@@ -758,12 +656,36 @@ func BenchmarkSyncTransition(b *testing.B) {
 			run.Cancel("bench: done")
 			run.Wait() //nolint:errcheck // the cancellation
 		}()
-		drive(b, am.Core().Broker(), func(seq uint64) []msgcodec.SyncFrame {
-			return []msgcodec.SyncFrame{{Reply: reply, Seq: seq + 1, Reqs: []msgcodec.SyncRequest{
-				{Entity: "task", UIDs: uids, Target: "SCHEDULING"},
-				{Entity: "task", UIDs: uids, Target: "FAILED"},
-			}}}
-		})
+		const reply = "sync-ack-bench"
+		br := am.Core().Broker()
+		if err := br.DeclareQueue(reply, broker.QueueOptions{Shards: 1}); err != nil {
+			b.Fatal(err)
+		}
+		acks, err := br.ConsumeBatch(reply, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks := held.Tasks()
+		frame := &core.SyncFrame{Reply: reply, Reqs: []core.SyncRequest{
+			{Tasks: tasks, Target: "SCHEDULING"},
+			{Tasks: tasks, Target: "FAILED"},
+		}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := br.PublishValue(core.QueueStates, frame); err != nil {
+				b.Fatal(err)
+			}
+			ds, err := acks.ReceiveBatch(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ds[0].Ack() //nolint:errcheck
+			if frame.Err != nil {
+				b.Fatal(frame.Err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "stages/s")
 	})
 }
 

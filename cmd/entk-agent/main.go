@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -36,27 +38,43 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and output streams as parameters. It serves
+// until SIGINT or SIGTERM and returns the exit code: 2 for a command line it
+// cannot use, 1 for an agent that cannot start, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("entk-agent", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		listen    = flag.String("listen", "tcp:127.0.0.1:0", "listen address (tcp:host:port or unix:/path; port 0 picks an ephemeral port)")
-		name      = flag.String("name", "", "agent name reported in handshakes (default: the listen address)")
-		resource  = flag.String("resource", "titan", "CI whose batch system and cost model this agent simulates")
-		cores     = flag.Int("cores", 64, "pilot size in cores")
-		gpus      = flag.Int("gpus", 0, "pilot GPU count (0 = CI default per node)")
-		walltime  = flag.Duration("walltime", 2*time.Hour, "pilot walltime (virtual)")
-		scale     = flag.Duration("scale", time.Millisecond, "wall time per virtual second")
-		scheds    = flag.Int("schedulers", 0, "agent scheduler loops (0 = auto, 1 = strict FIFO)")
-		audit     = flag.String("audit", "", "directory for per-incarnation RTS audit logs (exactly-once verification)")
-		heartbeat = flag.Duration("heartbeat", time.Second, "stats/keepalive interval (wall clock)")
-		seed      = flag.Int64("seed", 0, "seed for the agent's stochastic models")
-		compute   = flag.Bool("compute", false, "execute real workload kernels instead of modelled durations")
+		listen    = flags.String("listen", "tcp:127.0.0.1:0", "listen address (tcp:host:port or unix:/path; port 0 picks an ephemeral port)")
+		name      = flags.String("name", "", "agent name reported in handshakes (default: the listen address)")
+		resource  = flags.String("resource", "titan", "CI whose batch system and cost model this agent simulates")
+		cores     = flags.Int("cores", 64, "pilot size in cores")
+		gpus      = flags.Int("gpus", 0, "pilot GPU count (0 = CI default per node)")
+		walltime  = flags.Duration("walltime", 2*time.Hour, "pilot walltime (virtual)")
+		scale     = flags.Duration("scale", time.Millisecond, "wall time per virtual second")
+		scheds    = flags.Int("schedulers", 0, "agent scheduler loops (0 = auto, 1 = strict FIFO)")
+		audit     = flags.String("audit", "", "directory for per-incarnation RTS audit logs (exactly-once verification)")
+		heartbeat = flags.Duration("heartbeat", time.Second, "stats/keepalive interval (wall clock)")
+		seed      = flags.Int64("seed", 0, "seed for the agent's stochastic models")
+		compute   = flags.Bool("compute", false, "execute real workload kernels instead of modelled durations")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "entk-agent: %v\n", err)
+		return 1
+	}
 
 	clock := vclock.NewScaled(*scale)
 	spec, err := hpc.LookupSpec(*resource)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	// Same GPU defaulting as the in-process stack: a pilot brings the CI's
 	// per-node GPU inventory for every allocated node.
@@ -66,16 +84,16 @@ func main() {
 	}
 	cluster, err := hpc.NewCluster(spec, clock)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer cluster.Close()
 	session := saga.NewSession()
 	if err := session.Register(saga.NewClusterAdapter(cluster)); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	transfers, err := saga.NewTransferService(clock)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	session.SetTransferService(transfers)
 
@@ -85,7 +103,7 @@ func main() {
 	}
 	fs, err := fsim.New(fsSpec, clock, *seed)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	base := rts.Config{
@@ -128,24 +146,21 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("entk-agent: listening on %s (%s, %d cores, %d gpus)\n",
+	fmt.Fprintf(stdout, "entk-agent: listening on %s (%s, %d cores, %d gpus)\n",
 		agent.Addr(), *resource, *cores, *gpus)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	go func() {
 		<-sig
-		fmt.Println("entk-agent: shutting down")
+		fmt.Fprintln(stdout, "entk-agent: shutting down")
 		agent.Close()
 	}()
 	agent.Wait()
-	fmt.Printf("entk-agent: served %d task results over %d RTS incarnations\n",
+	fmt.Fprintf(stdout, "entk-agent: served %d task results over %d RTS incarnations\n",
 		agent.Served(), agent.Incarnations())
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "entk-agent: %v\n", err)
-	os.Exit(1)
+	return 0
 }

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -28,30 +30,47 @@ import (
 	"repro/internal/daemon"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and output streams as parameters. It serves
+// until SIGINT or SIGTERM and returns the exit code: 2 for a command line it
+// cannot use, 1 for a daemon that cannot start or that leaked a lease, 0
+// otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("entkd", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		socket     = flag.String("socket", "", "unix socket path to serve (required)")
-		resource   = flag.String("resource", "titan", "catalogued CI hosting the shared pilot")
-		cores      = flag.Int("cores", 64, "shared pilot cores")
-		gpus       = flag.Int("gpus", 0, "shared pilot GPUs (0 = CI default)")
-		walltime   = flag.Duration("walltime", 24*time.Hour, "shared pilot walltime (virtual)")
-		scale      = flag.Duration("scale", time.Millisecond, "wall time per virtual second")
-		tenants    = flag.String("tenants", "", "tenant fairness spec: name:weight[:maxcores],...")
-		overcommit = flag.Float64("overcommit", 1.0, "lease admission factor over physical cores (>= 1)")
-		queueLen   = flag.Int("queue", 16, "admission queue length (-1 disables queueing)")
-		retention  = flag.Duration("retention", time.Hour, "how long terminal runs stay listed")
-		jroot      = flag.String("journal-root", "", "root directory for per-run journals (enables journaled submissions)")
-		scheds     = flag.Int("schedulers", 0, "agent scheduler loops per hosted run (0 = auto)")
-		seed       = flag.Int64("seed", 0, "seed for stochastic models")
+		socket     = flags.String("socket", "", "unix socket path to serve (required)")
+		resource   = flags.String("resource", "titan", "catalogued CI hosting the shared pilot")
+		cores      = flags.Int("cores", 64, "shared pilot cores")
+		gpus       = flags.Int("gpus", 0, "shared pilot GPUs (0 = CI default)")
+		walltime   = flags.Duration("walltime", 24*time.Hour, "shared pilot walltime (virtual)")
+		scale      = flags.Duration("scale", time.Millisecond, "wall time per virtual second")
+		tenants    = flags.String("tenants", "", "tenant fairness spec: name:weight[:maxcores],...")
+		overcommit = flags.Float64("overcommit", 1.0, "lease admission factor over physical cores (>= 1)")
+		queueLen   = flags.Int("queue", 16, "admission queue length (-1 disables queueing)")
+		retention  = flags.Duration("retention", time.Hour, "how long terminal runs stay listed")
+		jroot      = flags.String("journal-root", "", "root directory for per-run journals (enables journaled submissions)")
+		scheds     = flags.Int("schedulers", 0, "agent scheduler loops per hosted run (0 = auto)")
+		seed       = flags.Int64("seed", 0, "seed for stochastic models")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *socket == "" {
-		fmt.Fprintln(os.Stderr, "entkd: -socket is required (see -h)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "entkd: -socket is required (see -h)")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "entkd: %v\n", err)
+		return 1
 	}
 	tcfg, err := parseTenants(*tenants)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	d, err := daemon.New(daemon.Config{
 		SocketPath:        *socket,
@@ -69,25 +88,29 @@ func main() {
 		Seed:              *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	// Caught from before the socket is bound: a client that can connect can
+	// also stop the daemon cleanly.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	srv, err := d.Serve()
 	if err != nil {
 		d.Stop()
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("entkd: serving %s (%d cores) on %s\n", *resource, *cores, *socket)
+	fmt.Fprintf(stdout, "entkd: serving %s (%d cores) on %s\n", *resource, *cores, *socket)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-sigCh
-	fmt.Printf("entkd: %s — draining %d runs\n", sig, len(d.List()))
+	fmt.Fprintf(stdout, "entkd: %s — draining %d runs\n", sig, len(d.List()))
 	srv.Close()
 	d.Stop()
-	fmt.Printf("leaked leases: %d\n", d.LeakedLeases())
+	fmt.Fprintf(stdout, "leaked leases: %d\n", d.LeakedLeases())
 	if d.LeakedLeases() != 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // parseTenants decodes "name:weight[:maxcores]" triples.
@@ -99,26 +122,21 @@ func parseTenants(spec string) (map[string]daemon.TenantConfig, error) {
 	for _, item := range strings.Split(spec, ",") {
 		parts := strings.Split(item, ":")
 		if len(parts) < 2 || len(parts) > 3 || parts[0] == "" {
-			return nil, fmt.Errorf("entkd: bad tenant spec %q (want name:weight[:maxcores])", item)
+			return nil, fmt.Errorf("bad tenant spec %q (want name:weight[:maxcores])", item)
 		}
 		w, err := strconv.Atoi(parts[1])
 		if err != nil || w < 1 {
-			return nil, fmt.Errorf("entkd: bad tenant weight in %q", item)
+			return nil, fmt.Errorf("bad tenant weight in %q", item)
 		}
 		tc := daemon.TenantConfig{Weight: w}
 		if len(parts) == 3 {
 			mc, err := strconv.Atoi(parts[2])
 			if err != nil || mc < 0 {
-				return nil, fmt.Errorf("entkd: bad tenant core cap in %q", item)
+				return nil, fmt.Errorf("bad tenant core cap in %q", item)
 			}
 			tc.MaxCores = mc
 		}
 		out[parts[0]] = tc
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "entkd: %v\n", err)
-	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package entk
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -54,10 +55,12 @@ func TestAutotuneStagesLiveKnobChanges(t *testing.T) {
 	if snap.KnobChanges == 0 {
 		t.Fatal("controller made no knob changes under sustained pressure")
 	}
-	if snap.LiveBatchSize <= 1 {
-		t.Fatalf("live batch = %d, want growth beyond the starting 1", snap.LiveBatchSize)
-	}
+	// The controller keeps steering while the last stage drains, and a few
+	// latency spikes there walk the batch back down, as far as the starting
+	// 1 in about one run of a hundred. So growth is read off the decisions,
+	// and the snapshot is held to the last of them.
 	var knobEvents int
+	peak, last := 1, 1
 	for ev := range sub.C() {
 		if ev.Kind != EventKnob {
 			t.Fatalf("subscription leaked a %s event", ev.Kind)
@@ -69,9 +72,21 @@ func TestAutotuneStagesLiveKnobChanges(t *testing.T) {
 			t.Fatalf("knob event UID %q, want autotune/<reason>", ev.UID)
 		}
 		knobEvents++
+		if ev.Name == "batch" {
+			if last, err = strconv.Atoi(ev.To); err != nil {
+				t.Fatalf("batch knob event To %q: %v", ev.To, err)
+			}
+			peak = max(peak, last)
+		}
 	}
 	if uint64(knobEvents) != snap.KnobChanges {
 		t.Fatalf("%d knob events streamed, snapshot counts %d changes", knobEvents, snap.KnobChanges)
+	}
+	if peak <= 1 {
+		t.Fatal("the controller never grew the batch beyond the starting 1")
+	}
+	if snap.LiveBatchSize != last {
+		t.Fatalf("live batch = %d, but the controller last set it to %d", snap.LiveBatchSize, last)
 	}
 }
 

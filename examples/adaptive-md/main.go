@@ -105,6 +105,9 @@ func main() {
 			}
 			fmt.Println("round 1: pipeline paused pending external decision")
 			go func() {
+				// A pacing device, not a synchronisation: it stands in
+				// for the decision service's latency and keeps the pause
+				// visible. Resume is correct whenever it arrives.
 				time.Sleep(30 * time.Millisecond)
 				if err := r.Resume(pipeline.UID); err != nil {
 					log.Printf("resume: %v", err)

@@ -173,7 +173,7 @@ func TestTaskPathAllocBudget(t *testing.T) {
 		durable                  bool
 		ceil                     float64
 	}{
-		{"deep-16x16x4", 16, 16, 4, false, 4.2},   // 3.3-3.8 at -cpu 1,2,4; it was 13.3
+		{"deep-16x16x4", 16, 16, 4, false, 2.8},   // 2.1-2.5 at -cpu 1,2,4; 3.3-3.8 with encoded messages, 13.3 before
 		{"wide-1x1x4096", 1, 1, 4096, false, 0.4}, // 0.20-0.31, all of it the run's fixed cost; it was 3.2
 		// Journal, mirror, snapshots and the RTS audit log on: 0.30-0.46, what
 		// wide pays plus ~25 snapshots' file handling (a directory listing, a

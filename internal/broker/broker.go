@@ -12,6 +12,15 @@
 // state database, and Resume rebuilds the queues from that committed state
 // (docs/recovery.md). The broker itself keeps nothing on disk.
 //
+// # Bodies and values
+//
+// A message carries either bytes (Body) or a Go value (Value). Every queue
+// lives inside one process, so the workflow engine hands its components
+// values — a chunk of tasks, a drain of results, a transition frame and its
+// ack — and nothing on its task path is encoded or decoded. Bytes remain for
+// callers that price the encoded form (the Fig 6 prototype). The broker
+// counts messages, never payload sizes: a value has none it could know.
+//
 // # Batched fast path
 //
 // The per-message API (Publish, Get, Consume, Delivery.Ack/Nack) pays one
@@ -80,8 +89,13 @@ var (
 type Message struct {
 	// ID is unique per broker instance.
 	ID uint64
-	// Body is the opaque payload.
+	// Body is the opaque payload of a message published as bytes.
 	Body []byte
+	// Value is the payload of a message published as a value. The broker
+	// hands it over as it was given: producer and consumer share it, in one
+	// process, and agree between them on its type and on who may touch it
+	// when. A pointer boxes into it without allocating.
+	Value any
 	// Redelivered is true when the message was previously delivered and
 	// returned to the queue via Nack(requeue=true) or consumer cancellation.
 	Redelivered bool
@@ -124,18 +138,15 @@ type QueueStats struct {
 	Name    string
 	Depth   int // messages ready for delivery
 	Unacked int // delivered but not yet acked
-	// PeakDepth and PeakBytes are the sums of each shard's high-water
-	// marks. For sequential workloads (and on Shards: 1 queues) that is
-	// exactly the maximum observed; under concurrency shards can peak at
-	// different moments, so the sum is an upper bound on the true global
-	// peak.
+	// PeakDepth is the sum of each shard's high-water mark. For sequential
+	// workloads (and on Shards: 1 queues) that is exactly the maximum
+	// observed; under concurrency shards can peak at different moments, so
+	// the sum is an upper bound on the true global peak.
 	PeakDepth int
-	PeakBytes int64
 	Published uint64 // total messages published
 	Delivered uint64 // total deliveries (including redeliveries)
 	Acked     uint64
 	Nacked    uint64
-	Bytes     int64 // bytes currently held (ready + unacked)
 
 	// Shard observability: the resolved shard count, the per-shard ready
 	// depths, and how many pops a consumer served from a shard other than
@@ -250,10 +261,16 @@ func (b *Broker) Publish(queueName string, body []byte) error {
 	if err != nil {
 		return err
 	}
-	if b.opts.PerOpDelay != nil {
-		b.opts.PerOpDelay()
+	return b.send(q, q.nextShard(), Message{Body: body})
+}
+
+// PublishValue is Publish for a message that carries v instead of a body.
+func (b *Broker) PublishValue(queueName string, v any) error {
+	q, err := b.lookup(queueName)
+	if err != nil {
+		return err
 	}
-	return q.publish(Message{ID: b.nextID.Add(1), Body: body})
+	return b.send(q, q.nextShard(), Message{Value: v})
 }
 
 // PublishBatch appends bodies, in order, to one shard of the named queue
@@ -274,11 +291,28 @@ func (b *Broker) PublishBatch(queueName string, bodies [][]byte) error {
 	if err != nil {
 		return err
 	}
+	return b.sendBatch(q, q.nextShard(), bodies, nil)
+}
+
+// send is the one path every single publish takes: it charges the modelled
+// traversal, stamps the message's ID and appends it to sh.
+func (b *Broker) send(q *queue, sh *qshard, m Message) error {
+	if b.opts.PerOpDelay != nil {
+		b.opts.PerOpDelay()
+	}
+	m.ID = b.nextID.Add(1)
+	return q.publishTo(sh, m)
+}
+
+// sendBatch is the one path every batch publish takes, of bodies or of
+// values, whichever is given: one modelled traversal, then the batch stamped
+// and appended to sh.
+func (b *Broker) sendBatch(q *queue, sh *qshard, bodies [][]byte, values []any) error {
 	if b.opts.PerOpDelay != nil {
 		b.opts.PerOpDelay()
 	}
 	var few [fewMessages]Message
-	return q.publishBatchTo(q.nextShard(), b.stamp(few[:0], bodies))
+	return q.publishBatchTo(sh, b.stamp(few[:0], bodies, values))
 }
 
 // fewMessages is how many messages a publish batch may carry and still be
@@ -286,16 +320,23 @@ func (b *Broker) PublishBatch(queueName string, bodies [][]byte) error {
 // per BatchSize tasks, so almost every batch is a handful.
 const fewMessages = 4
 
-// stamp gives each body its message ID, appending to few — a buffer on the
-// caller's stack, which the queue copies from and does not keep — when the
-// batch fits it.
-func (b *Broker) stamp(few []Message, bodies [][]byte) []Message {
+// stamp makes a message of each body or each value, with its message ID,
+// appending to few — a buffer on the caller's stack, which the queue copies
+// from and does not keep — when the batch fits it.
+func (b *Broker) stamp(few []Message, bodies [][]byte, values []any) []Message {
+	n := max(len(bodies), len(values))
 	msgs := few
-	if len(bodies) > cap(few) {
-		msgs = make([]Message, 0, len(bodies))
+	if n > cap(few) {
+		msgs = make([]Message, 0, n)
 	}
-	for _, body := range bodies {
-		msgs = append(msgs, Message{ID: b.nextID.Add(1), Body: body})
+	for i := 0; i < n; i++ {
+		m := Message{ID: b.nextID.Add(1)}
+		if bodies != nil {
+			m.Body = bodies[i]
+		} else {
+			m.Value = values[i]
+		}
+		msgs = append(msgs, m)
 	}
 	return msgs
 }
@@ -324,25 +365,19 @@ func (b *Broker) Producer(queueName string) (*Producer, error) {
 	return &Producer{b: b, q: q, sh: q.nextShard()}, nil
 }
 
-// Publish appends body to this producer's shard.
-func (p *Producer) Publish(body []byte) error {
-	if p.b.opts.PerOpDelay != nil {
-		p.b.opts.PerOpDelay()
-	}
-	return p.q.publishTo(p.sh, Message{ID: p.b.nextID.Add(1), Body: body})
+// PublishValue appends a message carrying v to this producer's shard.
+func (p *Producer) PublishValue(v any) error {
+	return p.b.send(p.q, p.sh, Message{Value: v})
 }
 
-// PublishBatch appends bodies, in order, to this producer's shard under a
-// single shard-lock acquisition.
-func (p *Producer) PublishBatch(bodies [][]byte) error {
-	if len(bodies) == 0 {
+// PublishValues appends a message for each of values, in order, to this
+// producer's shard under a single shard-lock acquisition. An empty batch is
+// a no-op.
+func (p *Producer) PublishValues(values []any) error {
+	if len(values) == 0 {
 		return nil
 	}
-	if p.b.opts.PerOpDelay != nil {
-		p.b.opts.PerOpDelay()
-	}
-	var few [fewMessages]Message
-	return p.q.publishBatchTo(p.sh, p.b.stamp(few[:0], bodies))
+	return p.b.sendBatch(p.q, p.sh, nil, values)
 }
 
 // Get synchronously pops one ready message, returning ok=false when the
@@ -460,8 +495,6 @@ func (b *Broker) TotalStats() QueueStats {
 		tot.Delivered += s.Delivered
 		tot.Acked += s.Acked
 		tot.Nacked += s.Nacked
-		tot.Bytes += s.Bytes
-		tot.PeakBytes += s.PeakBytes
 		tot.Shards += s.Shards
 		tot.Steals += s.Steals
 		tot.PublishBatches += s.PublishBatches

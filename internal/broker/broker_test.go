@@ -341,11 +341,8 @@ func TestPeakStats(t *testing.T) {
 	if s.PeakDepth != 7 {
 		t.Fatalf("peak depth = %d, want 7", s.PeakDepth)
 	}
-	if s.PeakBytes != 70 {
-		t.Fatalf("peak bytes = %d, want 70", s.PeakBytes)
-	}
-	if s.Bytes != 0 {
-		t.Fatalf("bytes after drain = %d", s.Bytes)
+	if s.Depth != 0 || s.Unacked != 0 {
+		t.Fatalf("depth %d, unacked %d after drain", s.Depth, s.Unacked)
 	}
 }
 
@@ -389,7 +386,7 @@ func TestConservationProperty(t *testing.T) {
 		}
 		s, _ := b.Stats("q")
 		return drained == len(bodies) && s.Published == uint64(len(bodies)) &&
-			s.Acked == uint64(len(bodies)) && s.Depth == 0 && s.Bytes == 0
+			s.Acked == uint64(len(bodies)) && s.Depth == 0 && s.Unacked == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

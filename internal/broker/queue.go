@@ -70,7 +70,7 @@ func (d *msgDeque) PushFront(m Message) {
 
 func (d *msgDeque) PopFront() Message {
 	m := d.buf[d.head]
-	d.buf[d.head] = Message{} // drop the body reference for the GC
+	d.buf[d.head] = Message{} // drop the payload references for the GC
 	d.head = (d.head + 1) % len(d.buf)
 	d.n--
 	return m
@@ -122,11 +122,9 @@ type qshard struct {
 	delivered uint64
 	acked     uint64
 	nacked    uint64
-	bytes     int64
 	peakDepth int
-	peakBytes int64
 
-	_ [56]byte // 136 bytes of fields -> 192: three cache lines
+	_ [8]byte // 120 bytes of fields -> 128: two cache lines
 }
 
 // syncDepthLocked refreshes the lock-free depth mirror; mu must be held.
@@ -134,13 +132,10 @@ func (s *qshard) syncDepthLocked() {
 	s.depth.Store(int64(s.ready.Len()))
 }
 
-// trackPeaksLocked records this shard's high-water marks; mu must be held.
-func (s *qshard) trackPeaksLocked() {
+// trackPeakLocked records this shard's high-water mark; mu must be held.
+func (s *qshard) trackPeakLocked() {
 	if d := s.ready.Len(); d > s.peakDepth {
 		s.peakDepth = d
-	}
-	if s.bytes > s.peakBytes {
-		s.peakBytes = s.bytes
 	}
 }
 
@@ -336,16 +331,11 @@ func (q *queue) publishTo(sh *qshard, m Message) error {
 	}
 	sh.ready.PushBack(m)
 	sh.published++
-	sh.bytes += int64(len(m.Body))
-	sh.trackPeaksLocked()
+	sh.trackPeakLocked()
 	sh.syncDepthLocked()
 	sh.mu.Unlock()
 	q.wakeNotEmpty(false)
 	return nil
-}
-
-func (q *queue) publish(m Message) error {
-	return q.publishTo(q.nextShard(), m)
 }
 
 // publishBatchTo appends msgs in order to sh under a single shard-lock
@@ -359,10 +349,7 @@ func (q *queue) publishBatchTo(sh *qshard, msgs []Message) error {
 	}
 	sh.ready.PushBackAll(msgs)
 	sh.published += uint64(len(msgs))
-	for _, m := range msgs {
-		sh.bytes += int64(len(m.Body))
-	}
-	sh.trackPeaksLocked()
+	sh.trackPeakLocked()
 	sh.syncDepthLocked()
 	sh.mu.Unlock()
 	q.publishBatches.Add(1)
@@ -480,18 +467,16 @@ func (q *queue) settle(d *Delivery, nack, requeue bool) error {
 	switch {
 	case !nack:
 		sh.acked++
-		sh.bytes -= int64(len(d.Body))
 	case requeue:
 		sh.nacked++
 		m := d.Message
 		m.Redelivered = true
 		sh.ready.PushFront(m)
-		sh.trackPeaksLocked()
+		sh.trackPeakLocked()
 		sh.syncDepthLocked()
 		requeued = true
 	default:
 		sh.nacked++
-		sh.bytes -= int64(len(d.Body))
 	}
 	sh.mu.Unlock()
 	if requeued {
@@ -531,7 +516,6 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 			switch {
 			case !nack:
 				sh.acked++
-				sh.bytes -= int64(len(d.Body))
 			case requeue:
 				sh.nacked++
 				m := d.Message
@@ -542,7 +526,6 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 				requeued++
 			default:
 				sh.nacked++
-				sh.bytes -= int64(len(d.Body))
 			}
 			switch {
 			case d.c == nil:
@@ -557,7 +540,7 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 			}
 		}
 		if requeued > 0 {
-			sh.trackPeaksLocked()
+			sh.trackPeakLocked()
 		}
 		sh.syncDepthLocked()
 		sh.mu.Unlock()
@@ -627,11 +610,9 @@ func (q *queue) stats() QueueStats {
 		s.Delivered += sh.delivered
 		s.Acked += sh.acked
 		s.Nacked += sh.nacked
-		s.Bytes += sh.bytes
 		// Peaks are tracked per shard; their sum bounds (and for sequential
 		// workloads equals) the true global high-water mark.
 		s.PeakDepth += sh.peakDepth
-		s.PeakBytes += sh.peakBytes
 		sh.mu.Unlock()
 	}
 	return s

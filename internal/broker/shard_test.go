@@ -67,6 +67,15 @@ func TestShardedPublishSpreads(t *testing.T) {
 	}
 }
 
+// payload is what a test message carries: a Producer publishes values, the
+// Broker's own forms bodies.
+func payload(d *Delivery) []byte {
+	if v, ok := d.Value.([]byte); ok {
+		return v
+	}
+	return d.Body
+}
+
 // prodSeqBody encodes (producer, sequence) so consumers can check ordering.
 func prodSeqBody(producer, seq int) []byte {
 	buf := make([]byte, 8)
@@ -112,8 +121,8 @@ func TestShardedPerProducerFIFO(t *testing.T) {
 				}
 				o.mu.Lock()
 				for _, d := range ds {
-					p := int(binary.BigEndian.Uint32(d.Body))
-					seq := int(binary.BigEndian.Uint32(d.Body[4:]))
+					p := int(binary.BigEndian.Uint32(payload(d)))
+					seq := int(binary.BigEndian.Uint32(payload(d)[4:]))
 					if last, ok := o.last[p]; ok && seq <= last {
 						t.Errorf("consumer %d: producer %d seq %d after %d", ci, p, seq, last)
 					}
@@ -141,13 +150,13 @@ func TestShardedPerProducerFIFO(t *testing.T) {
 			for seq := 0; seq < perProducer; seq++ {
 				if seq%3 == 0 {
 					// Mix batch and single publishes on the same producer.
-					if err := prod.PublishBatch([][]byte{prodSeqBody(p, seq)}); err != nil {
+					if err := prod.PublishValues([]any{prodSeqBody(p, seq)}); err != nil {
 						t.Error(err)
 						return
 					}
 					continue
 				}
-				if err := prod.Publish(prodSeqBody(p, seq)); err != nil {
+				if err := prod.PublishValue(prodSeqBody(p, seq)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -207,7 +216,7 @@ func TestShardedWorkStealingDrainsHotShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < msgs; i++ {
-		if err := prod.Publish([]byte{byte(i)}); err != nil {
+		if err := prod.PublishValue([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,10 +256,10 @@ func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p0.PublishBatch([][]byte{{0}, {1}, {2}}); err != nil {
+	if err := p0.PublishValues([]any{[]byte{0}, []byte{1}, []byte{2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.PublishBatch([][]byte{{10}, {11}}); err != nil {
+	if err := p1.PublishValues([]any{[]byte{10}, []byte{11}}); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := b.Stats("q")
@@ -271,7 +280,7 @@ func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	}
 	var target *Delivery
 	for _, d := range all {
-		if d.Body[0] == 0 {
+		if payload(d)[0] == 0 {
 			target = d
 		}
 	}
@@ -305,7 +314,7 @@ func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(re) != 1 || re[0].Body[0] != 0 || !re[0].Redelivered {
+	if len(re) != 1 || payload(re[0])[0] != 0 || !re[0].Redelivered {
 		t.Fatalf("redelivery = %+v", re)
 	}
 	// Settle everything exactly once; a second settlement must fail.
@@ -389,7 +398,7 @@ func TestShardedConservationUnderConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := prod.Publish(prodSeqBody(100+p, i)); err != nil {
+				if err := prod.PublishValue(prodSeqBody(100+p, i)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/hostmodel"
 	"repro/internal/journal"
-	"repro/internal/msgcodec"
 	"repro/internal/profiler"
 	"repro/internal/statedb"
 	"repro/internal/tuning"
@@ -186,9 +185,6 @@ type AppManager struct {
 	stages    map[string]*Stage
 	pipes     map[string]*Pipeline
 	running   bool
-	// resolve is resolveLocked as a value, made once: a method value made
-	// per decoded frame would be an allocation per frame.
-	resolve msgcodec.Resolve
 
 	jrn *journal.Journal
 	brk *broker.Broker
@@ -272,7 +268,6 @@ func NewAppManager(cfg Config) (*AppManager, error) {
 		doneCh: make(chan struct{}),
 		events: NewEventBus(),
 	}
-	am.resolve = am.resolveLocked
 	return am, nil
 }
 
@@ -432,7 +427,7 @@ func (am *AppManager) Task(uid string) (*Task, bool) {
 	return t, ok
 }
 
-// wireNames holds the engine's own copies of the names every sync frame
+// wireNames holds the engine's own copies of the names every state record
 // carries besides UIDs: the entity kinds and the state names.
 var wireNames = func() map[string]string {
 	names := map[string]string{"task": "task", "stage": "stage", "pipeline": "pipeline",
@@ -443,13 +438,11 @@ var wireNames = func() map[string]string {
 	return names
 }()
 
-// resolveLocked is the registry as a msgcodec.Resolve (passed as am.resolve):
-// the engine's own copy of a task, stage or pipeline UID, an entity kind, a
-// state name or one of the run's queue names (every sync frame names the
-// queue its ack goes to), or "" for anything else. Components decode their
-// frames against it under one hold of am.mu, which the caller takes, so a
-// frame of known names costs no string allocation and one lock acquisition
-// however many tasks it names.
+// resolveLocked is the registry as a msgcodec.Resolve:
+// the engine's own copy of a task, stage or pipeline UID, an entity kind or a
+// state name, or "" for anything else. Recovery decodes the snapshot and the
+// journal against it under one hold of am.mu, which the caller takes, so a
+// record of known names costs no string allocation.
 func (am *AppManager) resolveLocked(b []byte) string {
 	if t, ok := am.tasks[string(b)]; ok {
 		return t.UID
@@ -462,11 +455,6 @@ func (am *AppManager) resolveLocked(b []byte) string {
 	}
 	if p, ok := am.pipes[string(b)]; ok {
 		return p.UID
-	}
-	for i := range am.queues {
-		if am.queues[i] == string(b) {
-			return am.queues[i]
-		}
 	}
 	return ""
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/msgcodec"
 	"repro/internal/vclock"
 )
 
@@ -501,11 +500,9 @@ func TestStateHistoryPastInlineCapacity(t *testing.T) {
 }
 
 // TestCommitPathAllocs pins the commit path's allocation contract on a
-// non-durable manager nobody subscribed to: decoding a bulk task request
-// against the registry into the Synchronizer's own frame and applying it
-// allocates nothing, for 512 UIDs as for 64, once that frame has held a
-// request as wide — and a fresh task's six transitions allocate nothing at
-// all.
+// non-durable manager nobody subscribed to: applying a bulk task request
+// allocates nothing, for 512 tasks as for 64 — and a fresh task's six
+// transitions allocate nothing at all.
 func TestCommitPathAllocs(t *testing.T) {
 	const runs = 20
 	perRequest := func(width int) float64 {
@@ -513,24 +510,18 @@ func TestCommitPathAllocs(t *testing.T) {
 		s := newSynchronizer(am)
 		// Every measured call commits DESCRIBED -> SCHEDULING on a stage of
 		// its own, so each is a first transition of fresh tasks.
-		var bodies [][]byte
+		var reqs []SyncRequest
 		pipe := NewPipeline("p")
 		for call := 0; call <= runs; call++ {
 			stage := NewStage("s")
-			uids := make([]string, width)
-			for k := range uids {
-				task := NewTask("t")
-				task.Executable = "sleep"
-				stage.AddTask(task) //nolint:errcheck
-				uids[k] = task.UID
+			tasks := make([]*Task, width)
+			for k := range tasks {
+				tasks[k] = NewTask("t")
+				tasks[k].Executable = "sleep"
+				stage.AddTask(tasks[k]) //nolint:errcheck
 			}
 			pipe.AddStage(stage) //nolint:errcheck
-			body, err := msgcodec.FormatBinary.EncodeSyncFrame(msgcodec.SyncFrame{Reply: "q", Seq: 1,
-				Reqs: []stateRequest{{Entity: "task", UIDs: uids, Target: string(TaskScheduling)}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies = append(bodies, body)
+			reqs = append(reqs, SyncRequest{Tasks: tasks, Target: string(TaskScheduling)})
 		}
 		am.AddPipelines(pipe) //nolint:errcheck
 		if err := am.registerEntities(); err != nil {
@@ -538,12 +529,10 @@ func TestCommitPathAllocs(t *testing.T) {
 		}
 		call := 0
 		allocs := testing.AllocsPerRun(runs, func() {
-			am.mu.Lock()
-			err := msgcodec.DecodeSyncFrameInto(&s.frame, bodies[call], am.resolve)
-			am.mu.Unlock()
+			err := s.apply(&reqs[call])
 			call++
-			if err != nil || !s.apply(&s.frame.Reqs[0]).OK {
-				t.Fatal("request rejected")
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 		if got := am.Snapshot().Tasks[string(TaskScheduling)]; got != (runs+1)*width {
@@ -553,7 +542,7 @@ func TestCommitPathAllocs(t *testing.T) {
 	}
 	narrow, wide := perRequest(64), perRequest(512)
 	if narrow != 0 || wide != 0 {
-		t.Fatalf("decode+apply allocates %.1f objects for a 64-UID request and %.1f for a 512-UID one, want none once the Synchronizer's frame has grown", narrow, wide)
+		t.Fatalf("apply allocates %.1f objects for a 64-task request and %.1f for a 512-task one, want none", narrow, wide)
 	}
 
 	path := []TaskState{TaskScheduling, TaskScheduled, TaskSubmitting, TaskSubmitted, TaskExecuted, TaskDone}
@@ -675,11 +664,8 @@ func TestSubscribeDuringBulkRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	stage := pipes[0].Stages()[0]
-	req := stateRequest{Entity: "task", Target: string(TaskScheduling)}
-	for _, task := range stage.Tasks() {
-		req.UIDs = append(req.UIDs, task.UID)
-	}
-	acked := make(chan stateAck, 1)
+	req := SyncRequest{Tasks: stage.Tasks(), Target: string(TaskScheduling)}
+	acked := make(chan error, 1)
 	go func() { acked <- newSynchronizer(am).apply(&req) }()
 
 	committed := func() int {
@@ -691,8 +677,8 @@ func TestSubscribeDuringBulkRequest(t *testing.T) {
 	}
 	sub := am.Subscribe(EventFilter{Buffer: tasks})
 	before := committed() // no fewer than had committed when Subscribe returned
-	if ack := <-acked; !ack.OK {
-		t.Fatalf("request rejected: %s", ack.Err)
+	if err := <-acked; err != nil {
+		t.Fatalf("request rejected: %v", err)
 	}
 	am.events.Close() // the stream ends once drained
 	published := 0
@@ -722,12 +708,10 @@ func (r *recordingRTS) Submit(tasks []TaskDescription) error {
 	return r.fakeRTS.Submit(tasks)
 }
 
-// TestSubmitBatchMixedMessages hands the Emgr one batch of pending messages
-// of every kind: a well-formed one, one that names an unknown task next to a
-// good one and a task canceled since it was published, and one that is not a
-// frame at all. The resolvable live tasks are submitted exactly once, the
-// canceled one is not, the good message is acked, and the other two are
-// dropped — not requeued, which would submit the good task again.
+// TestSubmitBatchMixedMessages hands the Emgr one batch of two pending
+// messages: one holding a live task beside a task canceled since it was
+// published, and one holding another live task. The live tasks are submitted
+// exactly once, the canceled one is not, and both messages are acked.
 func TestSubmitBatchMixedMessages(t *testing.T) {
 	// A first stage that outlasts the test (100 h here is 36 s of wall time),
 	// so nothing but the messages below touches the second stage's tasks.
@@ -741,10 +725,10 @@ func TestSubmitBatchMixedMessages(t *testing.T) {
 	good1, good2, canceled := held[0], held[1], held[2]
 
 	am.ctlMu.Lock()
-	for _, req := range []stateRequest{
-		taskBatchRequest([]*Task{good1, good2}, TaskScheduling),
-		taskBatchRequest([]*Task{good1, good2}, TaskScheduled),
-		taskBatchRequest([]*Task{canceled}, TaskCanceled),
+	for _, req := range []SyncRequest{
+		{Tasks: []*Task{good1, good2}, Target: string(TaskScheduling)},
+		{Tasks: []*Task{good1, good2}, Target: string(TaskScheduled)},
+		{Tasks: []*Task{canceled}, Target: string(TaskCanceled)},
 	} {
 		if err := am.ctlRequest(req); err != nil {
 			t.Fatal(err)
@@ -765,20 +749,20 @@ func TestSubmitBatchMixedMessages(t *testing.T) {
 		}
 	}
 	before := settled(1) // the first stage's own message
-	bodies := [][]byte{
-		msgcodec.FormatBinary.EncodeTaskUIDs([]string{good1.UID, "task.nobody", canceled.UID}),
-		[]byte("not a frame"),
-		msgcodec.FormatBinary.EncodeTaskUID(good2.UID),
-	}
-	if err := am.brk.PublishBatch(pending, bodies); err != nil {
+	prod, err := am.brk.Producer(pending)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := settled(4)
-	if acked, nacked := after.Acked-before.Acked, after.Nacked-before.Nacked; acked != 1 || nacked != 2 {
-		t.Fatalf("messages acked %d, dropped %d; want 1 and 2", acked, nacked)
+	first, second := []*Task{good1, canceled}, []*Task{good2}
+	if err := prod.PublishValues([]any{&first, &second}); err != nil {
+		t.Fatal(err)
 	}
-	if n := after.Delivered - before.Delivered; n != 3 {
-		t.Fatalf("%d deliveries of 3 messages: one was requeued", n)
+	after := settled(3)
+	if acked, nacked := after.Acked-before.Acked, after.Nacked-before.Nacked; acked != 2 || nacked != 0 {
+		t.Fatalf("messages acked %d, nacked %d; want 2 and 0", acked, nacked)
+	}
+	if n := after.Delivered - before.Delivered; n != 2 {
+		t.Fatalf("%d deliveries of 2 messages: one was requeued", n)
 	}
 	rts.mu.Lock()
 	submitted := append([]string(nil), rts.uids...)
@@ -787,7 +771,7 @@ func TestSubmitBatchMixedMessages(t *testing.T) {
 	for _, uid := range submitted {
 		count[uid]++
 	}
-	if count[good1.UID] != 1 || count[good2.UID] != 1 || count[canceled.UID] != 0 || count["task.nobody"] != 0 {
+	if count[good1.UID] != 1 || count[good2.UID] != 1 || count[canceled.UID] != 0 {
 		t.Fatalf("RTS was handed %v", submitted)
 	}
 	if good1.State() != TaskSubmitted || good2.State() != TaskSubmitted || canceled.State() != TaskCanceled {

@@ -344,15 +344,13 @@ func TestSynchronizerSkipSemantics(t *testing.T) {
 	s := &synchronizer{am: am}
 	pipe := pipes[0]
 	task := pipe.Stages()[0].Tasks()[0]
-	req := func(entity, uid, target string) stateAck {
-		return s.apply(&stateRequest{Entity: entity, UID: uid, Target: target})
-	}
+	req := func(r SyncRequest) error { return s.apply(&r) }
 
 	// Deferred completion: DONE against SUSPENDED is absorbed, not rejected
 	// (the Pause-vs-final-stage race must not fail the run).
 	pipe.forceState(PipelineSuspended)
-	if ack := req("pipeline", pipe.UID, string(PipelineDone)); !ack.OK {
-		t.Fatalf("DONE on suspended pipeline rejected: %s", ack.Err)
+	if err := req(pipelineRequest(pipe, PipelineDone)); err != nil {
+		t.Fatalf("DONE on suspended pipeline rejected: %v", err)
 	}
 	if pipe.State() != PipelineSuspended {
 		t.Fatalf("deferred completion mutated state to %s", pipe.State())
@@ -361,15 +359,16 @@ func TestSynchronizerSkipSemantics(t *testing.T) {
 	// Cancellation overrides a pending resubmission: FAILED -> CANCELED
 	// commits, and the retry's SCHEDULING request is then absorbed.
 	task.forceState(TaskFailed)
-	if ack := req("task", task.UID, string(TaskCanceled)); !ack.OK {
-		t.Fatalf("cancel of FAILED task rejected: %s", ack.Err)
+	one := []*Task{task}
+	if err := req(SyncRequest{Tasks: one, Target: string(TaskCanceled)}); err != nil {
+		t.Fatalf("cancel of FAILED task rejected: %v", err)
 	}
 	if task.State() != TaskCanceled {
 		t.Fatalf("task state = %s", task.State())
 	}
 	for _, target := range []TaskState{TaskScheduling, TaskCanceled, TaskDone} {
-		if ack := req("task", task.UID, string(target)); !ack.OK {
-			t.Fatalf("sticky cancel rejected %s: %s", target, ack.Err)
+		if err := req(SyncRequest{Tasks: one, Target: string(target)}); err != nil {
+			t.Fatalf("sticky cancel rejected %s: %v", target, err)
 		}
 		if task.State() != TaskCanceled {
 			t.Fatalf("sticky cancel mutated state to %s", task.State())
@@ -379,13 +378,13 @@ func TestSynchronizerSkipSemantics(t *testing.T) {
 	// Idempotent cancel of DONE absorbs; other requests against DONE are
 	// still real errors.
 	task.forceState(TaskDone)
-	if ack := req("task", task.UID, string(TaskCanceled)); !ack.OK {
-		t.Fatalf("cancel of DONE task rejected: %s", ack.Err)
+	if err := req(SyncRequest{Tasks: one, Target: string(TaskCanceled)}); err != nil {
+		t.Fatalf("cancel of DONE task rejected: %v", err)
 	}
 	if task.State() != TaskDone {
 		t.Fatalf("idempotent cancel mutated state to %s", task.State())
 	}
-	if ack := req("task", task.UID, string(TaskScheduling)); ack.OK {
+	if err := req(SyncRequest{Tasks: one, Target: string(TaskScheduling)}); err == nil {
 		t.Fatal("SCHEDULING on DONE task accepted")
 	}
 }

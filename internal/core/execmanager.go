@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/broker"
-	"repro/internal/msgcodec"
 )
 
 // execManager is the Workload-Management-layer component (paper Fig 2) with
@@ -41,10 +40,16 @@ type execManager struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	// inflight tracks task UIDs submitted to the current RTS instance and
-	// not yet reported back; on RTS failure these are the lost tasks.
+	// inflight tracks the tasks submitted to the current RTS instance and not
+	// yet reported back, by UID — the key a result names its task by; on RTS
+	// failure these are the lost tasks.
 	inflightMu sync.Mutex
-	inflight   map[string]bool
+	inflight   map[string]*Task
+
+	// doneFree holds the done queue's spent messages, which Dequeue hands
+	// back for the callback loops to fill again.
+	doneMu   sync.Mutex
+	doneFree []*doneBatch
 
 	// submitMu makes the Emgr's mark-in-flight / Submit / unmark-on-refusal
 	// one step as failover sees it: failover collects the marks under it.
@@ -58,7 +63,7 @@ func newExecManager(am *AppManager) *execManager {
 	e := &execManager{
 		am:       am,
 		stopCh:   make(chan struct{}),
-		inflight: make(map[string]bool),
+		inflight: make(map[string]*Task),
 	}
 	e.rtsReady = sync.NewCond(&e.mu)
 	return e
@@ -149,62 +154,34 @@ func (e *execManager) emgrLoop(ctx context.Context) {
 	}
 }
 
-// submitBatch translates and submits one batch of pending tasks. All
-// settlement happens through the broker's batch API: malformed messages are
-// dropped as one nack batch, and the live remainder is acked or requeued as
-// one batch per outcome. What it builds for every batch is the Emgr
-// goroutine's scratch (emgrScratch), descriptions included: an RTS keeps
-// nothing of the slice Submit hands it (the RTS contract).
+// submitBatch translates and submits one batch of pending messages, each a
+// chunk of tasks. The batch is acked or requeued whole, as one broker
+// settlement. What it builds for every batch is the Emgr goroutine's scratch
+// (emgrScratch), descriptions included: an RTS keeps nothing of the slice
+// Submit hands it (the RTS contract).
 func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	sc := &e.scratch
 	defer sc.release()
-	var drops []*broker.Delivery // malformed messages (rare)
-	// Every message is decoded against the registry and its tasks resolved
-	// under one hold of it.
-	e.am.mu.Lock()
+	n := 0
 	for _, d := range batch {
-		uids, err := msgcodec.AppendTaskUIDs(sc.uids[:0], d.Body, e.am.resolve)
-		sc.uids = uids
-		if err != nil {
-			drops = append(drops, d)
-			continue
-		}
-		bad := false
-		for _, uid := range uids {
-			if t, ok := e.am.tasks[uid]; ok {
-				sc.tasks = append(sc.tasks, t)
-			} else {
-				bad = true
-			}
-		}
-		// Resolvable tasks are submitted even when the message also named
-		// unknown ones; the message itself is then dropped, not requeued.
-		if bad {
-			drops = append(drops, d)
-		} else {
-			sc.live = append(sc.live, d)
-		}
+		n += len(*d.Value.(*[]*Task))
 	}
-	e.am.mu.Unlock()
-	live := sc.live
 	// Sized once for the batch: a run's first wide batch would otherwise grow
 	// the descriptions, 200 bytes each, doubling by doubling.
-	sc.descs = slices.Grow(sc.descs, len(sc.tasks))
-	tasks := sc.tasks[:0]
-	for _, t := range sc.tasks {
-		if t.State().Terminal() {
-			// The task was canceled (or recovered as DONE) after its
-			// pending message was published; submitting it would only
-			// burn pilot cores on a result the Dequeue will discard.
-			continue
+	sc.descs = slices.Grow(sc.descs, n)
+	for _, d := range batch {
+		for _, t := range *d.Value.(*[]*Task) {
+			if t.State().Terminal() {
+				// The task was canceled (or recovered as DONE) after its
+				// pending message was published; submitting it would only
+				// burn pilot cores on a result the Dequeue will discard.
+				continue
+			}
+			sc.descs = append(sc.descs, describeTask(t))
+			sc.tasks = append(sc.tasks, t)
 		}
-		sc.descs = append(sc.descs, describeTask(t))
-		tasks = append(tasks, t)
 	}
-	descs := sc.descs
-	if err := broker.NackBatch(drops, false); err != nil {
-		return err
-	}
+	tasks, descs := sc.tasks, sc.descs
 	// Both transitions are applied in bulk before the RTS sees the batch:
 	// a fast RTS may otherwise report completion before SUBMITTED is
 	// recorded. Redelivered tasks (RTS refused a previous batch) skip
@@ -219,14 +196,14 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 		}
 	}
 	e.emgrSync.begin()
-	e.emgrSync.addTaskBatch(sc.toSubmitting, TaskSubmitting)
-	e.emgrSync.addTaskBatch(sc.toSubmitted, TaskSubmitted)
+	e.emgrSync.addTasks(sc.toSubmitting, TaskSubmitting)
+	e.emgrSync.addTasks(sc.toSubmitted, TaskSubmitted)
 	if err := e.emgrSync.flush(); err != nil {
-		broker.NackBatch(live, true) //nolint:errcheck
+		broker.NackBatch(batch, true) //nolint:errcheck
 		return err
 	}
 	if len(descs) == 0 {
-		return broker.AckBatch(live)
+		return broker.AckBatch(batch)
 	}
 	e.submitMu.Lock()
 	defer e.submitMu.Unlock()
@@ -235,13 +212,13 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 		// Failover purged the RTS after emgrLoop last saw one. The batch is
 		// not lost work — requeue it; emgrLoop parks until the replacement
 		// is adopted.
-		return broker.NackBatch(live, true)
+		return broker.NackBatch(batch, true)
 	}
 	// Marked before Submit: a fast RTS may report a task before Submit
 	// returns, and the callback must find the mark to clear.
 	e.inflightMu.Lock()
 	for _, t := range tasks {
-		e.inflight[t.UID] = true
+		e.inflight[t.UID] = t
 	}
 	e.inflightMu.Unlock()
 	if err := rts.Submit(descs); err != nil {
@@ -253,36 +230,66 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 			delete(e.inflight, t.UID)
 		}
 		e.inflightMu.Unlock()
-		return broker.NackBatch(live, true)
+		return broker.NackBatch(batch, true)
 	}
-	return broker.AckBatch(live)
+	return broker.AckBatch(batch)
 }
 
 // emgrScratch is what submitBatch builds for one batch of pending messages and
 // has no use for once the batch is settled, kept from batch to batch for its
-// capacity (owner: the Emgr goroutine): one message's UIDs, the batch's
-// well-formed messages, the tasks they name, those tasks as RTS descriptions,
-// and the tasks each bulk transition applies to.
+// capacity (owner: the Emgr goroutine): the tasks to submit, those tasks as
+// RTS descriptions, and the tasks each bulk transition applies to.
 type emgrScratch struct {
-	uids                      []string
-	live                      []*broker.Delivery
 	tasks                     []*Task
 	descs                     []TaskDescription
 	toSubmitting, toSubmitted []*Task
 }
 
 // release empties the scratch without letting go of its arrays, and without
-// keeping alive what they pointed at: settled deliveries, the descriptions'
-// argument and staging lists.
+// keeping alive what they pointed at: the descriptions' argument and staging
+// lists.
 func (sc *emgrScratch) release() {
-	clear(sc.live)
 	clear(sc.descs)
-	sc.live, sc.tasks, sc.descs = sc.live[:0], sc.tasks[:0], sc.descs[:0]
+	sc.tasks, sc.descs = sc.tasks[:0], sc.descs[:0]
 	sc.toSubmitting, sc.toSubmitted = sc.toSubmitting[:0], sc.toSubmitted[:0]
 }
 
+// doneBatch is the done queue's message: one drain of an RTS's completions,
+// each result beside the task it reports on. A callback loop fills it and
+// Dequeue, once it has settled the results, hands it back for the next drain,
+// so a drain allocates nothing once as many are in circulation as the done
+// queue ever holds at once.
+type doneBatch struct{ items []doneItem }
+
+type doneItem struct {
+	task *Task
+	res  TaskResult
+}
+
+// spareDone returns a spent done message to fill, or a new one.
+func (e *execManager) spareDone() *doneBatch {
+	e.doneMu.Lock()
+	defer e.doneMu.Unlock()
+	n := len(e.doneFree)
+	if n == 0 {
+		return new(doneBatch)
+	}
+	b := e.doneFree[n-1]
+	e.doneFree = e.doneFree[:n-1]
+	return b
+}
+
+// recycle hands a settled done message back for reuse.
+func (e *execManager) recycle(b *doneBatch) {
+	clear(b.items) // the tasks and error texts are not the free list's to keep alive
+	b.items = b.items[:0]
+	e.doneMu.Lock()
+	e.doneFree = append(e.doneFree, b)
+	e.doneMu.Unlock()
+}
+
 // callbackLoop forwards one RTS instance's completions to the done queue,
-// coalescing bursts into one bulk message per drain. Each RTS generation
+// coalescing bursts into one message per drain. Each RTS generation
 // publishes through its own shard-pinned producer, so on a sharded done
 // queue the Dequeue subcomponent observes one generation's results in
 // publish order.
@@ -293,25 +300,29 @@ func (e *execManager) callbackLoop(rts RTS, done chan struct{}) {
 	if err != nil {
 		return // broker closed: tearing down
 	}
-	var results []TaskResult
+	var drained []TaskResult // owner: this loop
 	for {
-		if results = DrainCompletions(rts.Completions(), results); len(results) == 0 {
+		if drained = DrainCompletions(rts.Completions(), drained); len(drained) == 0 {
 			return // the RTS stopped
 		}
+		// Each result finds its task by the in-flight mark it clears. A result
+		// no mark is left for — a second report of one attempt, or one of a
+		// task failover has already taken back — is dropped.
+		b := e.spareDone()
+		b.items = slices.Grow(b.items, len(drained))
 		e.inflightMu.Lock()
-		for _, r := range results {
-			delete(e.inflight, r.UID)
+		for _, r := range drained {
+			if t, ok := e.inflight[r.UID]; ok {
+				delete(e.inflight, r.UID)
+				b.items = append(b.items, doneItem{task: t, res: r})
+			}
 		}
 		e.inflightMu.Unlock()
-		body, err := msgcodec.FormatBinary.EncodeTaskResults(results)
-		if err != nil {
-			// A result batch that cannot be encoded would vanish and leave
-			// its tasks in flight forever: surface the failure as a
-			// component error instead of silently dropping completions.
-			e.am.finish(fmt.Errorf("core: encode result batch: %w", err))
-			return
+		if len(b.items) == 0 {
+			e.recycle(b)
+			continue
 		}
-		if err := doneP.Publish(body); err != nil {
+		if err := doneP.PublishValue(b); err != nil {
 			return // broker closed: tearing down
 		}
 	}
@@ -375,11 +386,11 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	// The lost tasks: submitted to the dead RTS, never reported back.
 	e.submitMu.Lock()
 	e.inflightMu.Lock()
-	lost := make([]string, 0, len(e.inflight))
-	for uid := range e.inflight {
-		lost = append(lost, uid)
+	lost := make([]*Task, 0, len(e.inflight))
+	for _, t := range e.inflight {
+		lost = append(lost, t)
 	}
-	e.inflight = make(map[string]bool)
+	e.inflight = make(map[string]*Task)
 	e.inflightMu.Unlock()
 	e.submitMu.Unlock()
 
@@ -411,11 +422,9 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	// attempt failed through no fault of their own, so the RTS restart
 	// does not consume the tasks' own retry budget — they are marked
 	// failed by the restart and rescheduled immediately.
-	for _, uid := range lost {
-		if t, ok := e.am.Task(uid); ok {
-			if err := e.reinject(t); err != nil {
-				return err
-			}
+	for _, t := range lost {
+		if err := e.reinject(t); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -439,15 +448,16 @@ func (e *execManager) reinject(t *Task) error {
 	}
 	e.am.completionMu.Lock()
 	defer e.am.completionMu.Unlock()
+	one := []*Task{t} // the frame's task list, then its pending message
 	e.hbSync.begin()
-	e.hbSync.addTaskResult(t, TaskExecuted, -1, "rts failure")
-	e.hbSync.addTask(t, TaskFailed)
-	e.hbSync.addTask(t, TaskScheduling)
-	e.hbSync.addTask(t, TaskScheduled)
+	e.hbSync.addResult(one, TaskExecuted, -1, "rts failure")
+	e.hbSync.addTasks(one, TaskFailed)
+	e.hbSync.addTasks(one, TaskScheduling)
+	e.hbSync.addTasks(one, TaskScheduled)
 	if err := e.hbSync.flush(); err != nil {
 		return err
 	}
-	return e.am.brk.Publish(e.am.qname(qPending), msgcodec.FormatBinary.EncodeTaskUID(t.UID))
+	return e.am.brk.PublishValue(e.am.qname(qPending), &one)
 }
 
 // Restarts reports how many times the RTS was restarted.

@@ -99,7 +99,8 @@ func (am *AppManager) openDurable() error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	dir := am.cfg.JournalDir
-	snap, haveSnap, err := statedb.LoadLatestSnapshotWith(dir, am.resolve)
+	resolve := am.resolveLocked // made once: a method value per record would allocate per record
+	snap, haveSnap, err := statedb.LoadLatestSnapshotWith(dir, resolve)
 	if err != nil {
 		return err
 	}
@@ -116,7 +117,7 @@ func (am *AppManager) openDurable() error {
 		if rec.Type != "state" {
 			return nil
 		}
-		sr, derr := msgcodec.DecodeStateRecWith(rec.Data, am.resolve)
+		sr, derr := msgcodec.DecodeStateRecWith(rec.Data, resolve)
 		if derr != nil {
 			return derr
 		}

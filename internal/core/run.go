@@ -114,7 +114,7 @@ func (r *Run) Resume(pipelineUID string) error {
 // Pause, Resume or CancelPipeline. ctlMu must be held. Once supervise has
 // begun tear-down the answer is broker.ErrClosed: no consumer is attached to
 // a queue that is about to be deleted.
-func (am *AppManager) ctlRequest(req stateRequest) error {
+func (am *AppManager) ctlRequest(req SyncRequest) error {
 	if am.ctlClosed {
 		return broker.ErrClosed
 	}
@@ -176,7 +176,7 @@ func (am *AppManager) cancelPipeline(p *Pipeline) error {
 			}
 		}
 		if len(live) > 0 {
-			if err := am.ctlRequest(taskBatchRequest(live, TaskCanceled)); err != nil {
+			if err := am.ctlRequest(SyncRequest{Tasks: live, Target: string(TaskCanceled)}); err != nil {
 				am.ctlMu.Unlock()
 				return err
 			}

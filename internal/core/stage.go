@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -131,6 +132,15 @@ func (s *Stage) Tasks() []*Task {
 	out := make([]*Task, len(s.tasks))
 	copy(out, s.tasks)
 	return out
+}
+
+// taskList returns the stage's own task slice, without the copy Tasks makes,
+// clipped so that nothing appended to it can write what it holds: AddTask's
+// appends never change an earlier return.
+func (s *Stage) taskList() []*Task {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clip(s.tasks)
 }
 
 // eachTask calls fn for every task of the stage, in order, under the stage's

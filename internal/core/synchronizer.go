@@ -10,18 +10,46 @@ import (
 	"repro/internal/msgcodec"
 )
 
-// stateRequest is one transition request inside a sync frame — the message
-// components push through the "states" queue to ask AppManager's
-// Synchronizer for a transition (paper Fig 2, arrow 6). UIDs, when
-// non-empty, applies the same transition to a batch of entities in one
-// request — EnTK's bulk state updates, which keep the synchronization
-// traffic O(stages), not O(tasks). The wire codec lives in
-// internal/msgcodec.
-type stateRequest = msgcodec.SyncRequest
+// SyncRequest asks AppManager's Synchronizer for one transition (paper Fig 2,
+// arrow 6): of Stage, of Pipeline, or — when neither is set — of every task
+// in Tasks, EnTK's bulk state updates, which keep the synchronization traffic
+// O(stages), not O(tasks). Target is the state to move to; a task transition
+// may piggyback its attempt's result.
+type SyncRequest struct {
+	Tasks    []*Task
+	Stage    *Stage
+	Pipeline *Pipeline
+	Target   string
+	ExitCode int
+	ExecErr  string
+}
 
-// stateAck is the Synchronizer's acknowledgement of one frame (Fig 2,
-// arrow 7).
-type stateAck = msgcodec.SyncAck
+// entity names the kind of entity req transitions, as the journal, the
+// statedb mirror and the state store record it.
+func (req *SyncRequest) entity() string {
+	switch {
+	case req.Stage != nil:
+		return "stage"
+	case req.Pipeline != nil:
+		return "pipeline"
+	}
+	return "task"
+}
+
+// SyncFrame carries one component's transition requests to the Synchronizer
+// as the value of one message on the states queue, and comes back to it as
+// the value of one message on its Reply queue: the acknowledgement (Fig 2,
+// arrow 7), with Err set to the first request that failed, nil when every
+// one committed or was absorbed as a documented no-op. Batching requests into
+// one frame is what turns a stage's synchronization traffic from O(tasks)
+// round trips into O(1). The requester hands the frame over whole and must not
+// touch it, or what its requests point at, until it has the frame back; the
+// Synchronizer keeps nothing of it after handing it back.
+type SyncFrame struct {
+	Reply string
+	Reqs  []SyncRequest
+	Err   error
+}
 
 // StateStore is the external-database hook of the failure model (§II-B4).
 // The Synchronizer mirrors every committed transition into it, and a
@@ -44,13 +72,10 @@ type synchronizer struct {
 	consumer *broker.Consumer
 	wg       sync.WaitGroup
 
-	// The loop goroutine's buffers, reused from frame to frame and request to
-	// request: the frame every body is decoded into, the request's tasks as
-	// resolved from the registry, the transitions it committed, and what
-	// persist makes of them — the encoded state records back to back in
-	// recBuf, recs naming each one for the journal, uids for the mirror.
-	frame   msgcodec.SyncFrame
-	tasks   []*Task
+	// The loop goroutine's buffers, reused from request to request: the
+	// transitions one committed, and what persist makes of them — the encoded
+	// state records back to back in recBuf, recs naming each one for the
+	// journal, uids for the mirror.
 	commits []applied
 	recBuf  []byte
 	recs    [][]byte
@@ -94,34 +119,16 @@ func (s *synchronizer) loop() {
 			return // stopped, or the queue is gone
 		}
 		d := batch[0]
-		frame := &s.frame // owner: this goroutine; nothing of it outlives the ack below
-		s.am.mu.Lock()
-		err = msgcodec.DecodeSyncFrameInto(frame, d.Body, s.am.resolve)
-		s.am.mu.Unlock()
-		if err != nil {
-			d.Nack(false) //nolint:errcheck
-			continue
-		}
-		ack := stateAck{Seq: frame.Seq, OK: true}
+		frame := d.Value.(*SyncFrame) // this goroutine's until it is handed back
+		frame.Err = nil
 		for i := range frame.Reqs {
-			if a := s.apply(&frame.Reqs[i]); !a.OK {
-				ack.OK, ack.Err = false, a.Err
+			if frame.Err = s.apply(&frame.Reqs[i]); frame.Err != nil {
 				break
 			}
 		}
-		body, err := msgcodec.FormatBinary.EncodeSyncAck(ack)
-		if err != nil {
-			// An unencodable ack would leave the requester waiting forever:
-			// surface the failure as a component error (which tears the run
-			// down and closes the requester's reply queue) instead of
-			// silently dropping the reply.
-			d.Ack() //nolint:errcheck
-			s.am.finish(fmt.Errorf("core: synchronizer: encode ack: %w", err))
-			continue
-		}
+		d.Ack() //nolint:errcheck
 		// Best effort: the reply queue disappears during tear-down.
-		s.am.brk.Publish(frame.Reply, body) //nolint:errcheck
-		d.Ack()                             //nolint:errcheck
+		s.am.brk.PublishValue(frame.Reply, frame) //nolint:errcheck
 	}
 }
 
@@ -179,7 +186,7 @@ type applied struct {
 // task transitions). Committed transitions are journaled, mirrored to the
 // state store, and published on the event bus — in that order, so an event
 // always describes a transition that was durably recorded.
-func (s *synchronizer) apply(req *stateRequest) stateAck {
+func (s *synchronizer) apply(req *SyncRequest) error {
 	am := s.am
 	// A committed transition is listed only if something will read the list:
 	// the journal or a state store, which the run has or has not, or an
@@ -188,30 +195,25 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 	record := am.jrn != nil || am.cfg.StateStore != nil
 	commits := s.commits[:0]
 	var err error
-	switch req.Entity {
-	case "task":
-		uids := req.UIDs
-		if len(uids) == 0 {
-			uids = []string{req.UID}
-		}
-		// The request's tasks, from the registry under one hold of it; a
-		// request naming an unknown task commits nothing.
-		tasks := s.tasks[:0]
-		am.mu.Lock()
-		for _, uid := range uids {
-			t, ok := am.tasks[uid]
-			if !ok {
-				err = fmt.Errorf("core: unknown task %s", uid)
-				break
-			}
-			tasks = append(tasks, t)
-		}
-		am.mu.Unlock()
-		s.tasks = tasks
-		if err != nil {
+	switch st, p := req.Stage, req.Pipeline; {
+	case st != nil:
+		prev := st.State()
+		if stageSkip(prev, StageState(req.Target)) {
 			break
 		}
-		for i, t := range tasks {
+		if err = st.advance(StageState(req.Target)); err == nil {
+			commits = append(commits, applied{stage: st, uid: st.UID, from: string(prev)})
+		}
+	case p != nil:
+		prev := p.State()
+		if pipelineSkip(prev, PipelineState(req.Target)) {
+			break
+		}
+		if err = p.advance(PipelineState(req.Target)); err == nil {
+			commits = append(commits, applied{pipe: p, uid: p.UID, from: string(prev)})
+		}
+	default:
+		for _, t := range req.Tasks {
 			prev, absorbed, cerr := t.commit(TaskState(req.Target))
 			if cerr != nil {
 				err = cerr
@@ -224,49 +226,17 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 				t.setResult(req.ExitCode, req.ExecErr)
 			}
 			if record || am.eventsActive() {
-				commits = append(commits, applied{task: t, uid: uids[i], from: string(prev)})
+				commits = append(commits, applied{task: t, uid: t.UID, from: string(prev)})
 			}
 		}
-	case "stage":
-		am.mu.Lock()
-		st, ok := am.stages[req.UID]
-		am.mu.Unlock()
-		if !ok {
-			err = fmt.Errorf("core: unknown stage %s", req.UID)
-			break
-		}
-		prev := st.State()
-		if stageSkip(prev, StageState(req.Target)) {
-			break
-		}
-		if err = st.advance(StageState(req.Target)); err == nil {
-			commits = append(commits, applied{stage: st, uid: req.UID, from: string(prev)})
-		}
-	case "pipeline":
-		am.mu.Lock()
-		p, ok := am.pipes[req.UID]
-		am.mu.Unlock()
-		if !ok {
-			err = fmt.Errorf("core: unknown pipeline %s", req.UID)
-			break
-		}
-		prev := p.State()
-		if pipelineSkip(prev, PipelineState(req.Target)) {
-			break
-		}
-		if err = p.advance(PipelineState(req.Target)); err == nil {
-			commits = append(commits, applied{pipe: p, uid: req.UID, from: string(prev)})
-		}
-	default:
-		err = fmt.Errorf("core: unknown entity kind %q", req.Entity)
 	}
 	s.commits = commits // keep what it grew to
 	if err != nil {
-		return stateAck{OK: false, Err: err.Error()}
+		return err
 	}
 	if len(commits) > 0 && record {
 		if err := s.persist(req, commits); err != nil {
-			return stateAck{OK: false, Err: err.Error()}
+			return err
 		}
 	}
 	if am.eventsActive() {
@@ -281,7 +251,7 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 			}
 		}
 	}
-	return stateAck{OK: true}
+	return nil
 }
 
 // persist makes one request's committed transitions durable, whole request
@@ -289,8 +259,9 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 // the statedb mirror, then the external state store, then the snapshot
 // hook. A failure at any step rejects the frame; the state store and the
 // snapshot only ever see transitions the journal already holds.
-func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
+func (s *synchronizer) persist(req *SyncRequest, commits []applied) error {
 	am := s.am
+	entity := req.entity()
 	if am.jrn != nil {
 		// Durable mode: the journal, then the statedb mirror that feeds
 		// snapshots — a mirror miss would snapshot stale state, so it rejects
@@ -300,19 +271,19 @@ func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
 		// the records already carved from it.
 		need := 0
 		for _, c := range commits {
-			need += msgcodec.StateRecSize(req.Entity, c.uid, req.Target)
+			need += msgcodec.StateRecSize(entity, c.uid, req.Target)
 		}
 		buf := slices.Grow(s.recBuf[:0], need)
 		recs, uids := slices.Grow(s.recs[:0], len(commits)), slices.Grow(s.uids[:0], len(commits))
 		for _, c := range commits {
 			first := len(buf)
-			buf = msgcodec.AppendStateRec(buf, req.Entity, c.uid, req.Target)
+			buf = msgcodec.AppendStateRec(buf, entity, c.uid, req.Target)
 			recs = append(recs, buf[first:len(buf):len(buf)])
 			uids = append(uids, c.uid)
 		}
 		_, err := am.jrn.AppendRawBatch("state", recs)
 		if err == nil {
-			err = am.mirror.SaveStates(req.Entity, uids, req.Target)
+			err = am.mirror.SaveStates(entity, uids, req.Target)
 		}
 		s.recBuf, s.recs, s.uids = buf, recs, uids
 		if cap(buf) > journal.MaxRetainedScratch {
@@ -324,7 +295,7 @@ func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
 	}
 	if am.cfg.StateStore != nil {
 		for _, c := range commits {
-			if err := am.cfg.StateStore.SaveState(req.Entity, c.uid, req.Target); err != nil {
+			if err := am.cfg.StateStore.SaveState(entity, c.uid, req.Target); err != nil {
 				return err
 			}
 		}
@@ -338,21 +309,16 @@ func (s *synchronizer) persist(req *stateRequest, commits []applied) error {
 
 // syncClient is a component-side handle for requesting transitions. Each
 // subcomponent owns one client with a dedicated ack queue and issues frames
-// serially, so acks match frames one-to-one; it takes each ack off that queue
-// itself (a pull-mode consumer). A frame is built with begin
-// and the add* methods and sent with flush; related transitions a component
-// used to issue as consecutive round-trips ride one frame, which is what
-// keeps a stage's synchronization cost at O(1) frames instead of O(tasks).
+// serially, so it has one frame in flight, which it reuses from round trip to
+// round trip and takes back off that queue itself (a pull-mode consumer). A
+// frame is built with begin and the add* methods and sent with flush; related
+// transitions a component used to issue as consecutive round-trips ride one
+// frame, which is what keeps a stage's synchronization cost at O(1) frames
+// instead of O(tasks).
 type syncClient struct {
 	am    *AppManager
-	reply string
 	cons  *broker.Consumer
-	seq   uint64
-	// The frame under construction, reused across frames (owner: the one
-	// goroutine that uses this client): its requests, and the UID lists of its
-	// bulk requests, carved one after another from uids.
-	reqs []stateRequest
-	uids []string
+	frame SyncFrame // owner: the one goroutine that uses this client
 }
 
 func newSyncClient(am *AppManager, replyQueue queueID) (*syncClient, error) {
@@ -362,7 +328,7 @@ func newSyncClient(am *AppManager, replyQueue queueID) (*syncClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &syncClient{am: am, reply: reply, cons: c}, nil
+	return &syncClient{am: am, cons: c, frame: SyncFrame{Reply: reply}}, nil
 }
 
 func (c *syncClient) close() {
@@ -372,97 +338,54 @@ func (c *syncClient) close() {
 }
 
 // begin starts a fresh frame.
-func (c *syncClient) begin() { c.reqs, c.uids = c.reqs[:0], c.uids[:0] }
+func (c *syncClient) begin() { c.frame.Reqs = c.frame.Reqs[:0] }
 
 // add appends one transition request to the frame under construction.
-func (c *syncClient) add(req stateRequest) { c.reqs = append(c.reqs, req) }
+func (c *syncClient) add(req SyncRequest) { c.frame.Reqs = append(c.frame.Reqs, req) }
 
-// addTask appends a single-entity task transition.
-func (c *syncClient) addTask(t *Task, to TaskState) {
-	c.add(stateRequest{Entity: "task", UID: t.UID, Target: string(to)})
-}
-
-// addTaskBatch appends one transition applied to many tasks. An empty batch
-// contributes nothing to the frame.
-func (c *syncClient) addTaskBatch(ts []*Task, to TaskState) {
-	if len(ts) == 0 {
-		return
+// addTasks appends one transition applied to every task of ts, which must not
+// change until flush returns. An empty ts contributes nothing to the frame.
+func (c *syncClient) addTasks(ts []*Task, to TaskState) {
+	if len(ts) > 0 {
+		c.add(SyncRequest{Tasks: ts, Target: string(to)})
 	}
-	// When the append below moves uids, the frame's earlier requests keep the
-	// old array, which still says what they said.
-	first := len(c.uids)
-	c.uids = slices.Grow(c.uids, len(ts))
-	for _, t := range ts {
-		c.uids = append(c.uids, t.UID)
-	}
-	c.add(stateRequest{Entity: "task", UIDs: c.uids[first:len(c.uids):len(c.uids)], Target: string(to)})
 }
 
-// taskBatchRequest is one transition applied to many tasks, as a request of
-// its own (the run handle's, one per frame and rare; a component's bulk
-// requests go through addTaskBatch).
-func taskBatchRequest(ts []*Task, to TaskState) stateRequest {
-	uids := make([]string, len(ts))
-	for i, t := range ts {
-		uids[i] = t.UID
-	}
-	return stateRequest{Entity: "task", UIDs: uids, Target: string(to)}
+// addResult appends a task transition piggybacking result metadata.
+func (c *syncClient) addResult(ts []*Task, to TaskState, exitCode int, execErr string) {
+	c.add(SyncRequest{Tasks: ts, Target: string(to), ExitCode: exitCode, ExecErr: execErr})
 }
 
-func stageRequest(s *Stage, to StageState) stateRequest {
-	return stateRequest{Entity: "stage", UID: s.UID, Target: string(to)}
+func stageRequest(s *Stage, to StageState) SyncRequest {
+	return SyncRequest{Stage: s, Target: string(to)}
 }
 
-func pipelineRequest(p *Pipeline, to PipelineState) stateRequest {
-	return stateRequest{Entity: "pipeline", UID: p.UID, Target: string(to)}
+func pipelineRequest(p *Pipeline, to PipelineState) SyncRequest {
+	return SyncRequest{Pipeline: p, Target: string(to)}
 }
 
-// addTaskResult appends a task transition piggybacking result metadata.
-func (c *syncClient) addTaskResult(t *Task, to TaskState, exitCode int, execErr string) {
-	c.add(stateRequest{
-		Entity: "task", UID: t.UID, Target: string(to),
-		ExitCode: exitCode, ExecErr: execErr,
-	})
-}
-
-// flush sends the frame under construction and waits for the ack. An empty
-// frame is a no-op. Encode failures surface as errors — a dropped frame
-// would otherwise silently wedge the component.
+// flush hands the frame under construction to the Synchronizer and waits to
+// have it back acknowledged. An empty frame is a no-op.
 func (c *syncClient) flush() error {
-	if len(c.reqs) == 0 {
+	if len(c.frame.Reqs) == 0 {
 		return nil
 	}
-	c.seq++
-	body, err := msgcodec.FormatBinary.EncodeSyncFrame(msgcodec.SyncFrame{
-		Reply: c.reply, Seq: c.seq, Reqs: c.reqs,
-	})
-	if err != nil {
-		return fmt.Errorf("core: encode sync frame: %w", err)
-	}
-	if err := c.am.brk.Publish(c.am.qname(qStates), body); err != nil {
+	if err := c.am.brk.PublishValue(c.am.qname(qStates), &c.frame); err != nil {
 		return err
 	}
 	acks, err := c.cons.ReceiveBatch(1)
 	if err != nil {
 		return err // broker.ErrClosed: the client or its queue is gone
 	}
-	d := acks[0]
-	defer d.Ack() //nolint:errcheck
-	ack, err := msgcodec.DecodeSyncAck(d.Body)
-	if err != nil {
-		return fmt.Errorf("core: decode sync ack: %w", err)
-	}
-	if ack.Seq != c.seq {
-		return fmt.Errorf("core: ack sequence mismatch: got %d want %d", ack.Seq, c.seq)
-	}
-	if !ack.OK {
-		return fmt.Errorf("core: transition rejected: %s", ack.Err)
+	acks[0].Ack() //nolint:errcheck
+	if c.frame.Err != nil {
+		return fmt.Errorf("core: transition rejected: %w", c.frame.Err)
 	}
 	return nil
 }
 
 // request sends one transition as its own frame and waits for the ack.
-func (c *syncClient) request(req stateRequest) error {
+func (c *syncClient) request(req SyncRequest) error {
 	c.begin()
 	c.add(req)
 	return c.flush()

@@ -6,15 +6,13 @@ import (
 	"sync"
 
 	"repro/internal/broker"
-	"repro/internal/msgcodec"
 	"repro/internal/profiler"
 )
 
-// The pending-queue bodies are task references that the Emgr resolves
-// against AppManager's registry before translating them to RTS
-// descriptions. A message may carry a whole stage's tasks — EnTK's bulk
-// messages keep queue traffic O(stages), not O(tasks). The wire codec
-// (with its pooled encode buffers) lives in internal/msgcodec.
+// A pending message is a chunk of tasks (*[]*Task) that the Emgr translates
+// to RTS descriptions; the chunk is never written again once published. A
+// message may carry a whole stage's tasks — EnTK's bulk messages keep queue
+// traffic O(stages), not O(tasks).
 
 // dequeueBatch bounds how many done-queue messages Dequeue settles per
 // broker round-trip (it is a message bound, not a task bound: each message
@@ -35,18 +33,9 @@ type wfProcessor struct {
 	enqSync *syncClient
 	deqSync *syncClient
 
-	// Scratch of the enqueue loop's goroutine, the only one that schedules and
-	// cancels stages: the tasks of the stage in hand that are still to run, one
-	// pending message's UIDs, and the stage's encoded pending messages.
-	runnable   []*Task
-	uidScratch []string
-	bodies     [][]byte
-	// Scratch of the dequeue loop's goroutine: one done-message's results and
-	// the tasks they name, the drain's succeeded tasks (the other outcomes are
-	// rare and allocate when they occur), and the distinct stages it settled
-	// tasks of.
-	results   []TaskResult
-	resolved  []*Task
+	// Scratch of the dequeue loop's goroutine: the drain's succeeded tasks (the
+	// other outcomes are rare and allocate when they occur), and the distinct
+	// stages it settled tasks of.
 	succeeded []*Task
 	affected  []*Stage
 
@@ -187,12 +176,12 @@ func (w *wfProcessor) cancelUnstarted(p *Pipeline) error {
 	// and the pipeline — rides one sync frame.
 	w.enqSync.begin()
 	for _, s := range p.Stages() {
-		w.enqSync.addTaskBatch(w.freshTasks(s), TaskCanceled)
+		w.enqSync.addTasks(freshTasks(s), TaskCanceled)
 		if s.State() == StageInitial {
-			w.enqSync.add(stateRequest{Entity: "stage", UID: s.UID, Target: string(StageCanceled)})
+			w.enqSync.add(stageRequest(s, StageCanceled))
 		}
 	}
-	w.enqSync.add(stateRequest{Entity: "pipeline", UID: p.UID, Target: string(PipelineCanceled)})
+	w.enqSync.add(pipelineRequest(p, PipelineCanceled))
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
@@ -206,22 +195,31 @@ func (w *wfProcessor) cancelUnstarted(p *Pipeline) error {
 }
 
 // freshTasks returns the stage's tasks still in their initial state — the
-// others were recovered as DONE or already processed — in w.runnable, good
-// until the next call.
-func (w *wfProcessor) freshTasks(stage *Stage) []*Task {
-	w.runnable = w.runnable[:0] // owner: the enqueue loop
-	stage.eachTask(func(t *Task) {
-		if t.State() == TaskInitial {
-			w.runnable = append(w.runnable, t)
+// others were recovered as DONE or already processed. Nothing writes the
+// returned slice again, so pending messages can carry chunks of it: it is the
+// stage's own task list when every task is fresh (the stage leaves its
+// initial state before any more could join), a copy of the fresh ones when
+// some are not.
+func freshTasks(stage *Stage) []*Task {
+	all := stage.taskList()
+	for i, t := range all {
+		if t.State() != TaskInitial {
+			fresh := all[:i:i]
+			for _, t := range all[i+1:] {
+				if t.State() == TaskInitial {
+					fresh = append(fresh, t)
+				}
+			}
+			return fresh
 		}
-	})
-	return w.runnable
+	}
+	return all
 }
 
 // scheduleStage tags a stage's unscheduled tasks and pushes them to the
 // pending queue (paper Fig 2, arrow 1).
 func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
-	runnable := w.freshTasks(stage)
+	runnable := freshTasks(stage)
 	// Both stage transitions and both bulk task transitions ride a single
 	// sync frame: scheduling a stage costs one synchronization round-trip
 	// regardless of task count. Tasks must be in SCHEDULED before their
@@ -230,38 +228,31 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 	// publish below, and puts the stage's SCHEDULED ahead of anything the
 	// Emgr or Dequeue commit for its tasks.
 	w.enqSync.begin()
-	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Target: string(StageScheduling)})
-	w.enqSync.addTaskBatch(runnable, TaskScheduling)
-	w.enqSync.addTaskBatch(runnable, TaskScheduled)
-	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Target: string(StageScheduled)})
+	w.enqSync.add(stageRequest(stage, StageScheduling))
+	w.enqSync.addTasks(runnable, TaskScheduling)
+	w.enqSync.addTasks(runnable, TaskScheduled)
+	w.enqSync.add(stageRequest(stage, StageScheduled))
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
 	if len(runnable) > 0 {
-		// The whole stage goes out as one batch publish. Task UIDs are
+		// The whole stage goes out as one batch publish. The tasks are
 		// chunked into messages of at most BatchSize tasks so the Emgr's
 		// batch granularity is controllable, but however many messages that
-		// yields, the broker is traversed once. Encoding reuses the loop's
-		// scratch, so each chunk costs exactly one allocation (its body, which
-		// the broker keeps; the slice of bodies it does not). The chunk size is
-		// the live batch knob: one atomic load per stage-scheduling decision.
+		// yields, the broker is traversed once. A chunk is a slice of
+		// runnable, and the stage's chunks are made in one allocation; the
+		// values the broker is handed stay on this stack when there are
+		// few. The chunk size is the live batch knob: one atomic load per
+		// stage-scheduling decision.
 		chunk := w.am.live.BatchSize()
-		bodies := w.bodies[:0] // owner: the enqueue loop
+		chunks := make([][]*Task, 0, (len(runnable)+chunk-1)/chunk)
+		var few [4]any
+		values := few[:0]
 		for start := 0; start < len(runnable); start += chunk {
-			end := start + chunk
-			if end > len(runnable) {
-				end = len(runnable)
-			}
-			w.uidScratch = w.uidScratch[:0]
-			for _, t := range runnable[start:end] {
-				w.uidScratch = append(w.uidScratch, t.UID)
-			}
-			bodies = append(bodies, msgcodec.FormatBinary.EncodeTaskUIDs(w.uidScratch))
+			chunks = append(chunks, runnable[start:min(start+chunk, len(runnable))])
+			values = append(values, &chunks[len(chunks)-1])
 		}
-		err := w.pendP.PublishBatch(bodies)
-		clear(bodies) // the queue's, no longer ours to keep alive
-		w.bodies = bodies
-		if err != nil {
+		if err := w.pendP.PublishValues(values); err != nil {
 			return err
 		}
 	}
@@ -301,32 +292,12 @@ func (w *wfProcessor) dequeueLoop(ctx context.Context) {
 // cancellations (rare) are handled individually so exit codes and the
 // resubmission policy stay per-task.
 func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
-	succeeded := w.succeeded[:0] // owner: the dequeue loop, as w.results and w.resolved below
+	succeeded := w.succeeded[:0] // owner: the dequeue loop
 	var failures []failedAttempt
 	var canceled []*Task
-	var drops []*broker.Delivery // malformed messages: batch-dropped
 	for _, d := range batch {
-		// One hold of the registry per message: decode against it, then
-		// resolve each result's task.
-		w.am.mu.Lock()
-		results, err := msgcodec.AppendTaskResults(w.results[:0], d.Body, w.am.resolve)
-		w.results = results
-		w.resolved = w.resolved[:0]
-		for i := range results {
-			w.resolved = append(w.resolved, w.am.tasks[results[i].UID])
-		}
-		w.am.mu.Unlock()
-		if err != nil {
-			drops = append(drops, d)
-			continue
-		}
-		for i, res := range results {
-			t := w.resolved[i]
-			if t == nil {
-				broker.NackBatch(drops, false) //nolint:errcheck
-				broker.AckBatch(batch)         //nolint:errcheck
-				return fmt.Errorf("core: completion for unknown task %s", res.UID)
-			}
+		for _, it := range d.Value.(*doneBatch).items {
+			t := it.task
 			if t.State().Terminal() {
 				// Stale result: the task was canceled (e.g. CancelPipeline)
 				// after submission and the RTS still reported the attempt.
@@ -334,24 +305,23 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 				continue
 			}
 			switch {
-			case res.Canceled:
+			case it.res.Canceled:
 				canceled = append(canceled, t)
-			case res.ExitCode == 0:
+			case it.res.ExitCode == 0:
 				succeeded = append(succeeded, t)
 			default:
-				failures = append(failures, failedAttempt{t: t, res: res})
+				failures = append(failures, failedAttempt{t: t, res: it.res})
 			}
 		}
 	}
 	w.succeeded = succeeded // keep what it grew to
-	// Settle the whole drain in two broker round-trips (one ack batch, one
-	// drop batch) instead of one per message. NackBatch/AckBatch skip
-	// deliveries the other call already settled.
-	if err := broker.NackBatch(drops, false); err != nil {
-		return err
-	}
+	// Settle the whole drain in one broker round-trip instead of one per
+	// message, and hand its messages back for the callback loops to reuse.
 	if err := broker.AckBatch(batch); err != nil {
 		return err
+	}
+	for _, d := range batch {
+		w.am.emgr.recycle(d.Value.(*doneBatch))
 	}
 
 	// The RTS reported these attempts finished: SUBMITTED -> EXECUTED, then
@@ -360,10 +330,10 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	// the batch settled; failures (rare) follow individually (settleFailures)
 	// so exit codes and the resubmission policy stay per-task.
 	w.deqSync.begin()
-	w.deqSync.addTaskBatch(succeeded, TaskExecuted)
-	w.deqSync.addTaskBatch(succeeded, TaskDone)
-	w.deqSync.addTaskBatch(canceled, TaskExecuted)
-	w.deqSync.addTaskBatch(canceled, TaskCanceled)
+	w.deqSync.addTasks(succeeded, TaskExecuted)
+	w.deqSync.addTasks(succeeded, TaskDone)
+	w.deqSync.addTasks(canceled, TaskExecuted)
+	w.deqSync.addTasks(canceled, TaskCanceled)
 	if err := w.deqSync.flush(); err != nil {
 		return err
 	}
@@ -404,9 +374,10 @@ func (w *wfProcessor) settleFailures(failures []failedAttempt) error {
 	w.am.completionMu.Lock()
 	defer w.am.completionMu.Unlock()
 	for _, f := range failures {
+		one := []*Task{f.t}
 		w.deqSync.begin()
-		w.deqSync.addTaskResult(f.t, TaskExecuted, f.res.ExitCode, f.res.Error)
-		w.deqSync.addTask(f.t, TaskFailed)
+		w.deqSync.addResult(one, TaskExecuted, f.res.ExitCode, f.res.Error)
+		w.deqSync.addTasks(one, TaskFailed)
 		if err := w.deqSync.flush(); err != nil {
 			return err
 		}
@@ -444,13 +415,14 @@ func (w *wfProcessor) resubmit(t *Task) error {
 	if t.parentStage().State().Terminal() {
 		return nil // stage canceled (or settled) under us; retry is moot
 	}
+	one := []*Task{t} // the frame's task list, then its pending message
 	w.deqSync.begin()
-	w.deqSync.addTask(t, TaskScheduling)
-	w.deqSync.addTask(t, TaskScheduled)
+	w.deqSync.addTasks(one, TaskScheduling)
+	w.deqSync.addTasks(one, TaskScheduled)
 	if err := w.deqSync.flush(); err != nil {
 		return err
 	}
-	return w.pendP.Publish(msgcodec.FormatBinary.EncodeTaskUID(t.UID))
+	return w.pendP.PublishValue(&one)
 }
 
 // maybeCompleteStage finishes a stage whose tasks are all terminal, runs its
