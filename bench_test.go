@@ -749,7 +749,7 @@ func BenchmarkRecovery(b *testing.B) {
 	writeDir := func(b *testing.B, n int, snapshotAt int) string {
 		b.Helper()
 		dir := b.TempDir()
-		j, err := journal.OpenDir(dir, journal.Options{SegmentBytes: 256 << 10})
+		j, err := journal.OpenDir(dir, journal.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -763,7 +763,13 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 			if snapshotAt > 0 && i == snapshotAt {
-				snap := msgcodec.Snapshot{Watermark: j.Seq(), Entries: db.SnapshotEntries()}
+				// What the engine does at a snapshot: roll, snapshot at the
+				// sealed segment's last record, compact everything it covers.
+				wm, err := j.Roll()
+				if err != nil {
+					b.Fatal(err)
+				}
+				snap := msgcodec.Snapshot{Watermark: wm, Entries: db.SnapshotEntries()}
 				if _, err := statedb.WriteSnapshot(dir, snap, msgcodec.FormatBinary); err != nil {
 					b.Fatal(err)
 				}

@@ -216,9 +216,6 @@ type AppConfig struct {
 	// run crashed mid-flight is continued with AppManager.Resume on the same
 	// directory — completed tasks are not re-executed.
 	JournalDir string
-	// SegmentBytes is the durable mode's journal segment rotation threshold
-	// (default journal.DefaultSegmentBytes). Ignored without JournalDir.
-	SegmentBytes int64
 	// StateStore mirrors every state transition to an external database
 	// (paper §II-B4); see NewStateDB for the bundled implementation. A
 	// restarted application reacquires completed-task states from it.
@@ -387,13 +384,12 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	}
 
 	coreCfg := core.Config{
-		Clock:        clock,
-		Host:         host,
-		JournalDir:   cfg.JournalDir,
-		SegmentBytes: cfg.SegmentBytes,
-		StateStore:   cfg.StateStore,
-		TaskRetries:  cfg.TaskRetries,
-		RTSRestarts:  cfg.RTSRestarts,
+		Clock:       clock,
+		Host:        host,
+		JournalDir:  cfg.JournalDir,
+		StateStore:  cfg.StateStore,
+		TaskRetries: cfg.TaskRetries,
+		RTSRestarts: cfg.RTSRestarts,
 	}
 	tun.applyCore(&coreCfg)
 	am, err := core.NewAppManager(coreCfg)

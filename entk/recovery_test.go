@@ -127,12 +127,11 @@ func auditPushes(t *testing.T, dir string, afterSeq uint64) ([]string, uint64) {
 
 func chaosConfig(dir string) AppConfig {
 	return AppConfig{
-		Resource:     Resource{Name: "supermic", Cores: 16, Walltime: time.Hour},
-		TimeScale:    50 * time.Microsecond,
-		HostName:     "null",
-		JournalDir:   dir,
-		Tuning:       Tuning{SnapshotEvery: 8},
-		SegmentBytes: 2048,
+		Resource:   Resource{Name: "supermic", Cores: 16, Walltime: time.Hour},
+		TimeScale:  50 * time.Microsecond,
+		HostName:   "null",
+		JournalDir: dir,
+		Tuning:     Tuning{SnapshotEvery: 8},
 	}
 }
 
@@ -300,7 +299,7 @@ func TestPackageLevelResume(t *testing.T) {
 // TestResumeNumbersPastSnapshotWatermark pins the journal sequence floor. A
 // directory can hold a snapshot at watermark W and no record near W — every
 // segment below W compacted, the active one empty after a crash right after
-// a rotation. A journal that numbered on from its last surviving record
+// a roll. A journal that numbered on from its last surviving record
 // would write this incarnation's transitions at or below W, and the next
 // recovery would skip them as already in the snapshot: DONE tasks would run
 // twice.

@@ -74,11 +74,11 @@ type Config struct {
 	// Profiler receives overhead measurements. Created if nil.
 	Profiler *profiler.Profiler
 	// JournalDir, when non-empty, enables crash-recoverable runs: state
-	// transitions are journaled into rotating segment files under this
-	// directory, the synchronizer periodically snapshots the committed
-	// state (every SnapshotEvery records) and compacts segments wholly
-	// below the snapshot watermark, and AppManager.Resume reconstructs a
-	// run from the latest snapshot plus the journal tail. See
+	// transitions are journaled into segment files under this directory,
+	// the synchronizer periodically (every SnapshotEvery records) rolls the
+	// journal to a new segment, snapshots the committed state at the roll
+	// and compacts every segment before it, and AppManager.Resume
+	// reconstructs a run from the latest snapshot plus the journal tail. See
 	// docs/recovery.md for the durability contract.
 	JournalDir string
 	// SnapshotEvery is the number of committed state records between
@@ -86,9 +86,6 @@ type Config struct {
 	// written defers the next one. 0 selects the default (1024); negative
 	// disables periodic snapshots (the journal alone remains authoritative).
 	SnapshotEvery int
-	// SegmentBytes is the journal segment rotation threshold in JournalDir
-	// mode. 0 selects journal.DefaultSegmentBytes.
-	SegmentBytes int64
 	// StateStore, when non-nil, mirrors every committed state transition
 	// to an external database — the paper's §II-B4 hook ("Information is
 	// synced on disk and hooks are in place to use an external database").
@@ -181,10 +178,11 @@ type AppManager struct {
 
 	mu        sync.Mutex
 	pipelines []*Pipeline
-	tasks     map[string]*Task
-	stages    map[string]*Stage
-	pipes     map[string]*Pipeline
-	running   bool
+	// The registry: nil until registerEntities sizes it for the application.
+	tasks   map[string]*Task
+	stages  map[string]*Stage
+	pipes   map[string]*Pipeline
+	running bool
 
 	jrn *journal.Journal
 	brk *broker.Broker
@@ -262,9 +260,6 @@ func NewAppManager(cfg Config) (*AppManager, error) {
 		prof:   cfg.Profiler,
 		host:   cfg.Host,
 		live:   cfg.Live,
-		tasks:  make(map[string]*Task),
-		stages: make(map[string]*Stage),
-		pipes:  make(map[string]*Pipeline),
 		doneCh: make(chan struct{}),
 		events: NewEventBus(),
 	}
@@ -295,7 +290,7 @@ func (am *AppManager) Profiler() *profiler.Profiler { return am.prof }
 // they race with application completion.
 func (am *AppManager) AddPipelines(ps ...*Pipeline) error {
 	am.mu.Lock()
-	if !am.running {
+	if am.pipes == nil { // not registered yet: Start's registration takes them
 		am.pipelines = append(am.pipelines, ps...)
 		am.mu.Unlock()
 		return nil
@@ -513,29 +508,36 @@ func (am *AppManager) RTSRestarts() int {
 	return am.emgr.Restarts()
 }
 
-// registerEntities indexes every pipeline, stage and task and wires parents.
+// registerEntities indexes every pipeline, stage and task and wires parents,
+// in one pass over registry maps sized for the application: every entity is
+// written once, and a duplicate UID is a map that did not grow.
 func (am *AppManager) registerEntities() error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
+	nStages, nTasks := 0, 0
 	for _, p := range am.pipelines {
-		if _, dup := am.pipes[p.UID]; dup {
+		for _, s := range p.Stages() {
+			nStages++
+			nTasks += s.TaskCount()
+		}
+	}
+	am.pipes = make(map[string]*Pipeline, len(am.pipelines))
+	am.stages = make(map[string]*Stage, nStages)
+	am.tasks = make(map[string]*Task, nTasks)
+	for _, p := range am.pipelines {
+		n := len(am.pipes)
+		if am.pipes[p.UID] = p; len(am.pipes) == n {
 			return fmt.Errorf("core: duplicate pipeline UID %s", p.UID)
 		}
-		am.pipes[p.UID] = p
 		for _, s := range p.Stages() {
-			if _, dup := am.stages[s.UID]; dup {
+			n := len(am.stages)
+			dup := am.indexStageLocked(s)
+			if len(am.stages) == n {
 				return fmt.Errorf("core: duplicate stage UID %s", s.UID)
 			}
-			dup := ""
-			s.eachTask(func(t *Task) {
-				if _, ok := am.tasks[t.UID]; ok && dup == "" {
-					dup = t.UID
-				}
-			})
 			if dup != "" {
 				return fmt.Errorf("core: duplicate task UID %s", dup)
 			}
-			am.indexStageLocked(s)
 		}
 	}
 	return nil
@@ -551,11 +553,18 @@ func (am *AppManager) registerLateStage(s *Stage) {
 }
 
 // indexStageLocked enters a stage and its tasks into the registry and starts
-// counting them in the run's tally. am.mu must be held.
-func (am *AppManager) indexStageLocked(s *Stage) {
+// counting them in the run's tally. It returns the first of the stage's task
+// UIDs the registry already held, "" when there is none. am.mu must be held.
+func (am *AppManager) indexStageLocked(s *Stage) (dup string) {
 	am.stages[s.UID] = s
-	s.eachTask(func(t *Task) { am.tasks[t.UID] = t })
+	s.eachTask(func(t *Task) {
+		n := len(am.tasks)
+		if am.tasks[t.UID] = t; len(am.tasks) == n && dup == "" {
+			dup = t.UID
+		}
+	})
 	s.tally.feed(&am.tally)
+	return dup
 }
 
 // validateApp checks the whole application description, charging the host's

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -196,5 +198,61 @@ func TestDescribeTaskTranslation(t *testing.T) {
 	d.Arguments[0] = "mutated"
 	if task.Arguments[0] != "-n" {
 		t.Fatal("describeTask aliases task arguments")
+	}
+}
+
+// TestRegistrationRejectsDuplicateUIDs drives registerEntities' duplicate
+// checks through Start: an application that names a pipeline, a stage or a
+// task twice — a task even within one stage, or across two pipelines — does
+// not start, and the error names the UID; a clean one registers every task.
+func TestRegistrationRejectsDuplicateUIDs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		apply func(pipes []*Pipeline) // renames one entity of a stamped 2x2x3 app
+		uid   string
+	}{
+		{"duplicate pipeline UID", func(pipes []*Pipeline) { pipes[1].UID = pipes[0].UID }, "pipeline.000"},
+		{"duplicate stage UID", func(pipes []*Pipeline) {
+			pipes[0].Stages()[1].UID = pipes[0].Stages()[0].UID
+		}, "stage.000.000"},
+		{"one task UID twice in a stage", func(pipes []*Pipeline) {
+			tasks := pipes[1].Stages()[0].Tasks()
+			tasks[2].UID = tasks[0].UID
+		}, "task.001.000.00000"},
+		{"one task UID in two pipelines", func(pipes []*Pipeline) {
+			pipes[1].Stages()[1].Tasks()[1].UID = pipes[0].Stages()[0].Tasks()[2].UID
+		}, "task.000.000.00002"},
+		{"clean", func([]*Pipeline) {}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			am, _ := testApp(t, Config{})
+			pipes := buildApp(2, 2, 3, time.Second)
+			stampUIDs(pipes)
+			c.apply(pipes)
+			am.AddPipelines(pipes...)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			run, err := am.Start(ctx)
+			if c.uid == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if n := am.TaskCount(); n != 12 {
+					t.Fatalf("%d tasks registered, want 12", n)
+				}
+				return
+			}
+			if err == nil {
+				run.Cancel("test: a duplicate started")
+				run.Wait() //nolint:errcheck
+				t.Fatalf("an app naming %s twice started", c.uid)
+			}
+			if !strings.Contains(err.Error(), "duplicate") || !strings.Contains(err.Error(), c.uid) {
+				t.Fatalf("Start = %v, want a duplicate error naming %s", err, c.uid)
+			}
+		})
 	}
 }

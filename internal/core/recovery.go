@@ -13,11 +13,12 @@ import (
 // Crash-recoverable runs (paper §II-B4: "applications can be executed on
 // multiple attempts, without restarting completed tasks"). In JournalDir
 // mode every committed transition is appended to a segmented journal and
-// mirrored into an in-process statedb; the synchronizer periodically writes
-// the mirror as a snapshot at the journal's current watermark and compacts
-// segments wholly below it. Resume inverts the pipeline: load the newest
-// valid snapshot, overlay the journal tail, restore DONE tasks, and let the
-// normal scheduling pass recompute stage and pipeline progression. The full
+// mirrored into an in-process statedb; the synchronizer periodically rolls
+// the journal to a new segment, writes the mirror as a snapshot at the roll
+// and compacts every segment the snapshot covers. Resume inverts the
+// pipeline: load the newest valid snapshot, overlay the journal tail, restore
+// DONE tasks, and let the normal scheduling pass recompute stage and pipeline
+// progression. The full
 // contract — what is journaled vs snapshotted, the watermark invariant, the
 // crash matrix — lives in docs/recovery.md.
 
@@ -112,8 +113,7 @@ func (am *AppManager) openDurable() error {
 		am.recov.SnapshotSeq = snap.Watermark
 	}
 	replayed := 0
-	opts := journal.Options{SegmentBytes: am.cfg.SegmentBytes}
-	j, err := journal.OpenDirReplay(dir, opts, am.recov.SnapshotSeq, func(rec journal.Record) error {
+	j, err := journal.OpenDirReplay(dir, journal.Options{}, am.recov.SnapshotSeq, func(rec journal.Record) error {
 		if rec.Type != "state" {
 			return nil
 		}
@@ -142,15 +142,18 @@ func (am *AppManager) openDurable() error {
 }
 
 // maybeSnapshot is the synchronizer's commit hook: it accumulates committed
-// state records and, every Config.SnapshotEvery, takes the mirror's image at
-// the journal's current watermark and hands it to the background writer.
+// state records and, every Config.SnapshotEvery, rolls the journal, takes the
+// mirror's image at the sealed segment's last record and hands it to the
+// background writer, whose compaction then leaves only the new segment.
 // Called only from the synchronizer loop goroutine — the sole journal writer
 // — after the request's append has returned, so the image is exactly the
 // state at the watermark and the watermark never exceeds what the file holds.
 // At most one snapshot is in flight: while the writer is busy the trigger
 // stays armed and the next commit tries again, so a slow disk costs snapshot
-// cadence, never an ack. Whoever holds snapBusy owns am.snapw and its
-// buffers: this goroutine from the swap to the hand-over, the writer after.
+// cadence, never an ack. A failed roll takes no snapshot and counts as a
+// failed one; the journal then refuses appends, failing the next commit.
+// Whoever holds snapBusy owns am.snapw and its buffers: this goroutine from
+// the swap to the hand-over, the writer after.
 func (am *AppManager) maybeSnapshot(committed int) {
 	if am.mirror == nil || am.cfg.SnapshotEvery <= 0 {
 		return
@@ -160,7 +163,12 @@ func (am *AppManager) maybeSnapshot(committed int) {
 		return
 	}
 	am.snapPending = 0
-	watermark := am.jrn.Seq()
+	watermark, err := am.jrn.Roll()
+	if err != nil {
+		atomic.AddInt64(&am.snapshotFailures, 1)
+		am.snapBusy.Store(false)
+		return
+	}
 	am.snapw.Capture(am.mirror, watermark)
 	am.snapWG.Add(1)
 	go func() {
@@ -170,9 +178,9 @@ func (am *AppManager) maybeSnapshot(committed int) {
 	}()
 }
 
-// writeSnapshot persists the captured image and compacts below its
-// watermark, on the background writer. Failures are counted, not fatal: the
-// journal remains authoritative, so a failed snapshot only delays compaction,
+// writeSnapshot persists the captured image and compacts at its watermark, on
+// the background writer. Failures are counted, not fatal: the journal
+// remains authoritative, so a failed snapshot only delays compaction,
 // and a segment Compact could not remove stays listed for the next snapshot's.
 func (am *AppManager) writeSnapshot(watermark uint64) {
 	if am.snapHook != nil {

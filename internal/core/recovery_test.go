@@ -40,7 +40,6 @@ func TestDurableRunJournalsSnapshotsAndCompacts(t *testing.T) {
 	am, _ := testApp(t, Config{
 		JournalDir:    dir,
 		SnapshotEvery: 8,
-		SegmentBytes:  512,
 	})
 	pipes := buildApp(2, 2, 8, 50*time.Second)
 	stampUIDs(pipes)
@@ -139,7 +138,7 @@ func TestResumeDoesNotRerunCompletedTasks(t *testing.T) {
 	// Incarnation 1: run until the first stage commits DONE, then cancel.
 	// Run.Cancel force-states the remaining entities without journaling —
 	// from the journal's point of view this is a crash.
-	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4, SegmentBytes: 512})
+	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes1 := build()
 	am1.AddPipelines(pipes1...)
 	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
@@ -174,7 +173,7 @@ func TestResumeDoesNotRerunCompletedTasks(t *testing.T) {
 	}
 
 	// Incarnation 2: same description, fresh AppManager and RTS, Resume.
-	am2, rts2 := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4, SegmentBytes: 512})
+	am2, rts2 := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes2 := build()
 	am2.AddPipelines(pipes2...)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
@@ -261,7 +260,7 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 		stampUIDs(pipes)
 		return pipes
 	}
-	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 2, SegmentBytes: 256})
+	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 2})
 	am1.AddPipelines(build()...)
 	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -281,7 +280,7 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	run1.Wait() //nolint:errcheck
 	sub.Close()
 
-	am2, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 2, SegmentBytes: 256})
+	am2, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 2})
 	am2.AddPipelines(build()...)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
@@ -292,8 +291,8 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	if err := run2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// With SnapshotEvery=2 and aggressive segment rotation, incarnation 2
-	// snapshotted and compacted heavily; reconstruction must still see all
+	// With SnapshotEvery=2, incarnation 2 rolled, snapshotted and compacted
+	// every other record; reconstruction must still see all
 	// 8 tasks DONE — including the ones only incarnation 1 executed.
 	done := 0
 	for k, state := range reconstruct(t, dir) {
@@ -306,11 +305,11 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	}
 }
 
-// TestDurableRunReconstructs runs the durable path with snapshots and
-// segment rotation on; recovery must reconstruct every DONE task.
+// TestDurableRunReconstructs runs the durable path with snapshots, and with
+// them rolls and compaction, on; recovery must reconstruct every DONE task.
 func TestDurableRunReconstructs(t *testing.T) {
 	dir := t.TempDir()
-	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4, SegmentBytes: 512})
+	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes := buildApp(1, 2, 4, 20*time.Second)
 	stampUIDs(pipes)
 	am.AddPipelines(pipes...)
@@ -332,11 +331,14 @@ func TestDurableRunReconstructs(t *testing.T) {
 // across the commit that gave the commit path its own buffers. A run cut at
 // its first stage boundary leaves a directory written by the engine —
 // AppendStateRec into the synchronizer's buffer, one AppendRawBatch per
-// request, the reused SnapshotWriter. The same records and images are then
-// written the way the engine used to write them, with the one-shot forms kept
-// for exactly that (EncodeStateRec and AppendRaw per record, WriteSnapshot per
-// image; TestDurableFramesGoldenBytes holds those to the old bytes): the two
-// directories must be file for file identical, so what either side writes
+// request, a Roll per snapshot, the reused SnapshotWriter — and the snapshot
+// hook keeps every segment compaction later removes. The same records and
+// images are then written the way the engine used to write them, with the
+// one-shot forms kept for exactly that (EncodeStateRec and AppendRaw per
+// record, WriteSnapshot per image; TestDurableFramesGoldenBytes holds those
+// to the old bytes), rolling where the engine's segments begin: every segment
+// the two wrote must be file for file identical, and once compacted at the
+// newest snapshot so must the two directories, so what either side writes
 // the other reads, and a Resume from the rewritten one must restore what the
 // first incarnation finished and run only the rest.
 func TestDirectoriesCrossTheAppendForms(t *testing.T) {
@@ -346,9 +348,10 @@ func TestDirectoriesCrossTheAppendForms(t *testing.T) {
 		stampUIDs(pipes)
 		return pipes
 	}
-	// Default segment size: nothing is compacted, every record is still there.
 	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	am1.AddPipelines(build()...)
+	var segs segmentHistory
+	am1.snapHook = func(uint64) { segs.collect(t, dir) }
 	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -368,15 +371,21 @@ func TestDirectoriesCrossTheAppendForms(t *testing.T) {
 		t.Fatalf("incarnation 1 finished with %v, want cancellation", err)
 	}
 	sub.Close()
+	segs.collect(t, dir)
+	full := segs.dir(t)
 
 	old := t.TempDir()
 	j, err := journal.OpenDir(old, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type != "state" {
-			return nil // the segment header: OpenDir wrote its own
+	err = journal.ReplayDir(full, func(rec journal.Record) error {
+		switch {
+		case rec.Type == "segment" && rec.Seq == 1:
+			return nil // OpenDir wrote its own
+		case rec.Type == "segment":
+			_, err := j.Roll() // the engine rolled here: the header is the roll's
+			return err
 		}
 		sr, err := msgcodec.DecodeStateRec(rec.Data)
 		if err != nil {
@@ -388,13 +397,20 @@ func TestDirectoriesCrossTheAppendForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	engine, rewritten := dirFiles(t, full), dirFiles(t, old)
+	if len(engine) < 2 || len(engine) != len(rewritten) {
+		t.Fatalf("the engine wrote %d segments, the one-shot forms %d; want the same, and several", len(engine), len(rewritten))
+	}
+	for name, raw := range engine {
+		if !bytes.Equal(raw, rewritten[name]) {
+			t.Fatalf("%s: the engine wrote %d bytes, the one-shot forms %d, or different ones", name, len(raw), len(rewritten[name]))
+		}
 	}
 	images, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
 	if err != nil || len(images) == 0 {
 		t.Fatalf("incarnation 1 left snapshots %v (%v), want at least one", images, err)
 	}
+	var newest uint64
 	for _, path := range images { // oldest first: pruning keeps the same two
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -407,14 +423,21 @@ func TestDirectoriesCrossTheAppendForms(t *testing.T) {
 		if _, err := statedb.WriteSnapshot(old, snap, msgcodec.FormatBinary); err != nil {
 			t.Fatal(err)
 		}
+		newest = snap.Watermark
 	}
-	engine, rewritten := dirFiles(t, dir), dirFiles(t, old)
+	if _, err := j.Compact(newest); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	engine, rewritten = dirFiles(t, dir), dirFiles(t, old)
 	if len(engine) != len(rewritten) {
 		t.Fatalf("the engine left %d files, the one-shot forms %d", len(engine), len(rewritten))
 	}
 	for name, raw := range engine {
 		if !bytes.Equal(raw, rewritten[name]) {
-			t.Fatalf("%s: the engine wrote %d bytes, the one-shot forms %d, or different ones", name, len(raw), len(rewritten[name]))
+			t.Fatalf("%s: the engine left %d bytes, the one-shot forms %d, or different ones", name, len(raw), len(rewritten[name]))
 		}
 	}
 

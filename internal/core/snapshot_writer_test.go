@@ -40,16 +40,61 @@ func snapshotFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// segmentHistory keeps every journal segment a durable run wrote, though
+// compaction removes each one a snapshot covers: collect, called from the
+// snapshot hook — which runs before the write, so before the compaction — and
+// once more after the run, reads every segment file in the directory, and the
+// last read of each is what the segment ended with.
+type segmentHistory struct {
+	mu    sync.Mutex
+	files map[string][]byte
+}
+
+func (h *segmentHistory) collect(t *testing.T, dir string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
+	if err != nil {
+		t.Error(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.files == nil {
+		h.files = map[string][]byte{}
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		h.files[filepath.Base(p)] = raw
+	}
+}
+
+// dir writes the collected segments into a fresh directory: the journal as it
+// would stand had nothing been compacted.
+func (h *segmentHistory) dir(t *testing.T) string {
+	t.Helper()
+	out := t.TempDir()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for name, raw := range h.files {
+		if err := os.WriteFile(filepath.Join(out, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestSnapshotImageIsExact pins the image-on-synchronizer / write-in-
 // background split: the writer encodes each image while the synchronizer
 // keeps committing (the hook holds the writer until the journal has moved
-// past the image's watermark), and still every snapshot file at watermark W
-// is byte for byte the snapshot of a replay of records 1..W. Under -race an
-// image that aliased the mirror would also be a reported race.
+// past the image's watermark and the roll's segment header), and still every
+// snapshot file at watermark W is byte for byte the snapshot of a replay of
+// records 1..W. Under -race an image that aliased the mirror would also be a
+// reported race.
 func TestSnapshotImageIsExact(t *testing.T) {
 	dir := t.TempDir()
-	// Default segment size: nothing rotates, so nothing is compacted and the
-	// journal still holds record 1 when the run ends.
 	am, rts := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes := buildApp(2, 24, 4, 20*time.Second)
 	stampUIDs(pipes)
@@ -74,9 +119,11 @@ func TestSnapshotImageIsExact(t *testing.T) {
 	}
 
 	// Only two generations survive pruning, so each hook call collects the
-	// files its predecessors left, before this write can prune them.
+	// files its predecessors left, before this write can prune them — and the
+	// journal's segments, before this snapshot's compaction removes them.
 	var mu sync.Mutex
 	files := map[string][]byte{}
+	var segs segmentHistory
 	collect := func() {
 		found := snapshotFiles(t, dir)
 		mu.Lock()
@@ -87,8 +134,9 @@ func TestSnapshotImageIsExact(t *testing.T) {
 	}
 	am.snapHook = func(wm uint64) {
 		collect()
+		segs.collect(t, dir)
 		deadline := time.Now().Add(5 * time.Second)
-		for am.jrn.Seq() == wm && time.Now().Before(deadline) {
+		for am.jrn.Seq() <= wm+1 && time.Now().Before(deadline) {
 			select {
 			case <-am.doneCh:
 				return // the image was of the run's last commit
@@ -101,30 +149,37 @@ func TestSnapshotImageIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect()
+	segs.collect(t, dir)
 	d := am.Snapshot().Durability
 	if d.Snapshots < 2 || d.SnapshotFailures != 0 || len(files) != d.Snapshots {
 		t.Fatalf("collected %d snapshot files of %d written (%d failed), want several and all of them",
 			len(files), d.Snapshots, d.SnapshotFailures)
 	}
 
+	full := segs.dir(t)
 	for name, got := range files {
 		snap, valid, err := statedb.LoadLatestSnapshot(writeOnly(t, name, got))
 		if err != nil || !valid {
 			t.Fatalf("%s does not load: valid=%v err=%v", name, valid, err)
 		}
-		if !bytes.Equal(got, imageAt(t, dir, snap.Watermark)) {
+		if !bytes.Equal(got, imageAt(t, full, snap.Watermark)) {
 			t.Fatalf("%s (%d entries) is not the state at record %d", name, len(snap.Entries), snap.Watermark)
 		}
 	}
 }
 
 // imageAt returns the snapshot file of a replay of records 1..watermark of
-// the journal in dir (which must still hold record 1), written through the
-// one-shot statedb.WriteSnapshot.
+// the journal in dir (which must still hold record 1: a segmentHistory's),
+// written through the one-shot statedb.WriteSnapshot.
 func imageAt(t *testing.T, dir string, watermark uint64) []byte {
 	t.Helper()
 	replayed := statedb.New()
+	first := true
 	err := journal.ReplayDir(dir, func(rec journal.Record) error {
+		if first && rec.Seq != 1 {
+			t.Fatalf("the journal starts at record %d", rec.Seq)
+		}
+		first = false
 		if rec.Type != "state" || rec.Seq > watermark {
 			return nil
 		}
@@ -180,7 +235,7 @@ type stalledRun struct {
 func startStalled(t *testing.T, holdLast bool) *stalledRun {
 	t.Helper()
 	s := &stalledRun{dir: t.TempDir(), stalled: make(chan struct{}), release: make(chan struct{})}
-	s.am, _ = testApp(t, Config{JournalDir: s.dir, SnapshotEvery: 4, SegmentBytes: 512})
+	s.am, _ = testApp(t, Config{JournalDir: s.dir, SnapshotEvery: 4})
 	pipes := buildApp(1, 4, 4, 20*time.Second)
 	stampUIDs(pipes)
 	if holdLast {
@@ -339,7 +394,6 @@ func TestStalledSnapshotWriter(t *testing.T) {
 // be a reported race with the held writer's encode.
 func TestSnapshotBuffersAreSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	// Default segment size: nothing is compacted, record 1 stays replayable.
 	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes := buildApp(1, 4, 4, 20*time.Second)
 	stampUIDs(pipes)
@@ -357,7 +411,9 @@ func TestSnapshotBuffersAreSingleFlight(t *testing.T) {
 	var mu sync.Mutex
 	var marks []uint64
 	var first []byte // the held snapshot's file, read before a later write can prune it
+	var segs segmentHistory
 	am.snapHook = func(wm uint64) {
+		segs.collect(t, dir)
 		mu.Lock()
 		marks = append(marks, wm)
 		n := len(marks)
@@ -408,12 +464,14 @@ func TestSnapshotBuffersAreSingleFlight(t *testing.T) {
 	if err := run.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	segs.collect(t, dir)
+	full := segs.dir(t)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(marks) < 2 || first == nil {
 		t.Fatalf("snapshot watermarks %v: stage 4 must have snapshotted again", marks)
 	}
-	if !bytes.Equal(first, imageAt(t, dir, marks[0])) {
+	if !bytes.Equal(first, imageAt(t, full, marks[0])) {
 		t.Fatalf("the held snapshot is not the state at its watermark %d", marks[0])
 	}
 	last := marks[len(marks)-1]
@@ -421,7 +479,7 @@ func TestSnapshotBuffersAreSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, imageAt(t, dir, last)) {
+	if !bytes.Equal(got, imageAt(t, full, last)) {
 		t.Fatalf("the snapshot at watermark %d, written through reused buffers, is not the state there", last)
 	}
 }

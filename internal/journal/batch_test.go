@@ -61,15 +61,16 @@ func sameLayout(t *testing.T, what string, got, want []SegmentInfo) {
 
 // TestBatchMatchesRecordAtATime pins AppendRawBatch's on-disk contract: the
 // same records appended one at a time, as one batch, or as batches of any
-// size leave byte-identical segment files with identical boundaries — with
-// no rotation, with several rotations inside one batch, and with a segment
-// threshold smaller than a single record.
+// size leave byte-identical segment files with identical boundaries — in one
+// segment, and with the journal rolled between batches.
 func TestBatchMatchesRecordAtATime(t *testing.T) {
 	payloads := batchPayloads(120)
-	write := func(t *testing.T, segBytes int64, chunk int) (string, []SegmentInfo, []uint64) {
+	// write appends the payloads chunk records at a time and, with rollEvery,
+	// rolls wherever the records so far are a multiple of it.
+	write := func(t *testing.T, rollEvery, chunk int) (string, []SegmentInfo, []uint64) {
 		t.Helper()
 		dir := t.TempDir()
-		j, err := OpenDir(dir, Options{SegmentBytes: segBytes})
+		j, err := OpenDir(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +87,9 @@ func TestBatchMatchesRecordAtATime(t *testing.T) {
 				t.Fatal(err)
 			}
 			seqs = append(seqs, seq)
+			if rollEvery > 0 && end%rollEvery == 0 && end < len(payloads) {
+				roll(t, j)
+			}
 		}
 		live := j.Segments()
 		if err := j.Close(); err != nil {
@@ -93,19 +97,26 @@ func TestBatchMatchesRecordAtATime(t *testing.T) {
 		}
 		return dir, live, seqs
 	}
-	for _, segBytes := range []int64{1 << 20, 700, 16} {
-		t.Run(fmt.Sprintf("segment-%d", segBytes), func(t *testing.T) {
-			refDir, refLive, refSeqs := write(t, segBytes, 1)
+	for _, c := range []struct {
+		name      string
+		rollEvery int
+		chunks    []int // each a divisor of rollEvery, when there is one
+	}{
+		{"one-segment", 0, []int{len(payloads), 7, 2}},
+		{"rolled", 14, []int{14, 7, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			refDir, refLive, refSeqs := write(t, c.rollEvery, 1)
 			refFiles := dirImage(t, refDir)
 			refList, err := ListSegments(refDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if segBytes < 1<<20 && len(refList) < 3 {
-				t.Fatalf("%d segments at a %d-byte threshold, want rotations", len(refList), segBytes)
+			if c.rollEvery > 0 && len(refList) < 3 {
+				t.Fatalf("%d segments after rolls every %d records, want several", len(refList), c.rollEvery)
 			}
-			for _, chunk := range []int{len(payloads), 7, 2} {
-				dir, live, seqs := write(t, segBytes, chunk)
+			for _, chunk := range c.chunks {
+				dir, live, seqs := write(t, c.rollEvery, chunk)
 				what := fmt.Sprintf("batches of %d", chunk)
 				files := dirImage(t, dir)
 				if len(files) != len(refFiles) {
@@ -269,9 +280,8 @@ type writerFunc func([]byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestBatchWritesOncePerSegment is the write-side syscall-shape test: a
-// batch costs one write, plus one per segment boundary it crosses (and the
-// new segment's header), never one per record; an oversized batch does not
-// leave its buffer pinned.
+// batch costs one write and a roll one more (the new segment's header), never
+// one per record; an oversized batch does not leave its buffer pinned.
 func TestBatchWritesOncePerSegment(t *testing.T) {
 	c := writeCounter{}
 	writeWrap = c.wrap
@@ -301,25 +311,27 @@ func TestBatchWritesOncePerSegment(t *testing.T) {
 
 	clear(c)
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 4096})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if _, err := j.AppendRawBatch("state", batchPayloads(1000)); err != nil {
-		t.Fatal(err)
-	}
-	segs := j.Segments()
-	if len(segs) < 5 {
-		t.Fatalf("%d segments, want the batch to cross several", len(segs))
-	}
-	for _, s := range segs[:len(segs)-1] {
-		if c[s.Path] != 2 {
-			t.Fatalf("segment %d took %d writes, want 2 (its header, its share of the batch)", s.Index, c[s.Path])
+	for i := 0; i < 3; i++ {
+		if _, err := j.AppendRawBatch("state", batchPayloads(1000)); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			roll(t, j)
 		}
 	}
-	if n := c[segs[len(segs)-1].Path]; n < 1 || n > 2 {
-		t.Fatalf("the active segment took %d writes, want 1 or 2", n)
+	segs := j.Segments()
+	if len(segs) != 3 {
+		t.Fatalf("%d segments after two rolls, want 3", len(segs))
+	}
+	for _, s := range segs {
+		if c[s.Path] != 2 {
+			t.Fatalf("segment %d took %d writes, want 2 (its header, its batch)", s.Index, c[s.Path])
+		}
 	}
 }
 

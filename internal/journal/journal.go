@@ -44,8 +44,8 @@ type Record struct {
 
 // Journal is an append-only, crash-consistent record log. It is safe for
 // concurrent use. A journal opened with Open writes one flat file; one
-// opened with OpenDir writes numbered segment files that rotate at
-// Options.SegmentBytes and can be compacted below a snapshot watermark.
+// opened with OpenDir writes numbered segment files, rolled to the next at
+// every snapshot watermark (Roll) and compacted below it (Compact).
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
@@ -59,7 +59,6 @@ type Journal struct {
 
 	// Segmented (OpenDir) state. dir is empty for flat journals.
 	dir      string
-	segBytes int64
 	segIndex uint64        // index of the active segment
 	segFirst uint64        // first record seq in the active segment (0: none)
 	size     int64         // bytes in the active segment (the file, if flat)
@@ -71,11 +70,6 @@ type Options struct {
 	// Sync forces an fsync after every append. Slower, but a crash loses at
 	// most the record being written. Off by default: the OS flushes on close.
 	Sync bool
-	// SegmentBytes is the rotation threshold for segmented journals
-	// (OpenDir): once the active segment reaches this many bytes, it is
-	// sealed and a fresh segment opened. 0 selects DefaultSegmentBytes.
-	// Ignored by Open.
-	SegmentBytes int64
 }
 
 // ErrClosed is returned by operations on a closed journal.
@@ -296,11 +290,9 @@ func (j *Journal) AppendRaw(recType string, data []byte) (uint64, error) {
 // numbered consecutively, and returns the sequence number of the last one
 // (the journal's current sequence for an empty batch). The whole batch is
 // framed into the scratch buffer and handed to the file in one write — one
-// fsync under Options.Sync — split only where a record carries a segment
-// past Options.SegmentBytes, so the files are byte for byte what appending
-// the same records one at a time leaves. On an error the records of the
-// writes that succeeded stay appended and the failed write leaves none of
-// its bytes behind.
+// fsync under Options.Sync — so the file is byte for byte what appending the
+// same records one at a time leaves. On an error the failed write leaves none
+// of its bytes behind.
 func (j *Journal) AppendRawBatch(recType string, payloads [][]byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -312,35 +304,21 @@ func (j *Journal) AppendRawBatch(recType string, payloads [][]byte) (uint64, err
 	}
 	// Size the scratch once for the whole batch; sizing every record as if
 	// it carried the batch's highest sequence bounds the varints.
-	need, highest := 0, j.seq+uint64(len(payloads))
+	n := uint64(len(payloads))
+	need, last := 0, j.seq+n
 	for _, data := range payloads {
-		need += headerLen + msgcodec.JournalRecSize(highest, recType, data)
+		need += headerLen + msgcodec.JournalRecSize(last, recType, data)
 	}
 	buf := slices.Grow(j.buf[:0], need)
+	for i, data := range payloads {
+		buf = appendFramed(buf, j.seq+uint64(i)+1, recType, data)
+	}
 	if cap(buf) <= MaxRetainedScratch {
 		j.buf = buf
 	} else {
 		j.buf = nil
 	}
-	last := j.seq       // sequence of the last payload's record
-	framed := uint64(0) // records in buf, not yet written
-	for _, data := range payloads {
-		framed++
-		last = j.seq + framed
-		buf = appendFramed(buf, last, recType, data)
-		// Rotate after the write so the record that crossed the threshold
-		// stays in the segment it was assigned to.
-		if j.dir != "" && j.size+int64(len(buf)) >= j.segBytes {
-			if err := j.writeLocked(buf, framed); err != nil {
-				return 0, err
-			}
-			buf, framed = buf[:0], 0
-			if err := j.rotateLocked(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if err := j.writeLocked(buf, framed); err != nil {
+	if err := j.writeLocked(buf, n); err != nil {
 		return 0, err
 	}
 	return last, nil

@@ -1,6 +1,7 @@
 package journal_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"repro/entk"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
+	"repro/internal/statedb"
 )
 
 // resumeApp is one pipeline of two stages with structural UIDs, so a second
@@ -38,53 +40,51 @@ func resumeApp(tasks int) *entk.Pipeline {
 	return p
 }
 
-// TestResumeOpensEachSegmentOnce drives a real Resume — a durable run cut at
-// its stage boundary, then a fresh manager on the same directory — and
-// counts what recovery does to the files: every journal segment and the RTS
-// audit log are opened for reading exactly once, and the recovered run still
-// restores exactly the first stage.
-func TestResumeOpensEachSegmentOnce(t *testing.T) {
-	const tasks = 64
-	dir := t.TempDir()
-	manager := func() (*entk.AppManager, *entk.Pipeline) {
-		am, err := entk.NewAppManager(entk.AppConfig{
-			Resource:     entk.Resource{Name: "supermic", Cores: 64, Walltime: time.Hour},
-			TimeScale:    50 * time.Microsecond,
-			HostName:     "null",
-			JournalDir:   dir,
-			SegmentBytes: 4096,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := resumeApp(tasks)
-		if err := am.AddPipelines(p); err != nil {
-			t.Fatal(err)
-		}
-		return am, p
-	}
-	const cut = "test: cut at the stage boundary"
-	am, p := manager()
-	started := make(chan *entk.Run, 1)
-	p.Stages()[0].PostExec = func() error {
-		(<-started).Cancel(cut)
-		return nil
-	}
-	run, err := am.Start(context.Background())
+// sizeRotated is a directory written by the build that rotated segments by
+// size rather than at snapshots: a resumeApp(64) run with SnapshotEvery 64
+// and 1 KiB segments, cut at its stage boundary. Its segments end wherever
+// the size limit fell, so the oldest surviving one holds records the newest
+// snapshot already covers.
+const sizeRotated = "testdata/size-rotated"
+
+// resumeManager is a manager of resumeApp(tasks) over dir, on 64 cores.
+func resumeManager(t *testing.T, dir string, tasks, snapshotEvery int) (*entk.AppManager, *entk.Pipeline) {
+	t.Helper()
+	am, err := entk.NewAppManager(entk.AppConfig{
+		Resource:   entk.Resource{Name: "supermic", Cores: 64, Walltime: time.Hour},
+		TimeScale:  50 * time.Microsecond,
+		HostName:   "null",
+		JournalDir: dir,
+		Tuning:     entk.Tuning{SnapshotEvery: snapshotEvery},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	started <- run
-	var ce *entk.CancelError
-	if err := run.Wait(); !errors.As(err, &ce) || ce.Reason != cut {
-		t.Fatalf("cut run ended with %v", err)
+	p := resumeApp(tasks)
+	if err := am.AddPipelines(p); err != nil {
+		t.Fatal(err)
+	}
+	return am, p
+}
+
+// TestResumeOpensEachSegmentOnce drives a real Resume of sizeRotated — several
+// segments, the first of them straddling the snapshot's watermark — and
+// counts what recovery does to the files: every journal segment and the RTS
+// audit log are opened for reading exactly once. The resumed run restores
+// exactly the first stage and runs the second to completion: a directory
+// from before segments rolled at snapshots still resumes.
+func TestResumeOpensEachSegmentOnce(t *testing.T) {
+	const tasks = 64
+	dir := filepath.Join(t.TempDir(), "journal")
+	if err := os.CopyFS(dir, os.DirFS(sizeRotated)); err != nil {
+		t.Fatal(err)
 	}
 	segs, err := journal.ListSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) < 2 {
-		t.Fatalf("the cut run left %d segments, want several", len(segs))
+		t.Fatalf("%s holds %d segments, want several", sizeRotated, len(segs))
 	}
 
 	var mu sync.Mutex
@@ -96,17 +96,21 @@ func TestResumeOpensEachSegmentOnce(t *testing.T) {
 		return r
 	})
 	defer restore()
-	am, _ = manager()
-	run, err = am.Resume(context.Background(), dir)
+	am, _ := resumeManager(t, dir, tasks, 64)
+	run, err := am.Resume(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.Cancel("test: recovery observed")
-	if err := run.Wait(); !errors.As(err, &ce) {
+	restore()
+	if err := run.Wait(); err != nil {
 		t.Fatalf("resumed run ended with %v", err)
 	}
-	if got := am.Core().RecoveryInfo().TasksRecovered; got != tasks {
-		t.Fatalf("recovered %d tasks, want %d", got, tasks)
+	info := am.Core().RecoveryInfo()
+	if info.TasksRecovered != tasks || info.SnapshotSeq < segs[0].FirstSeq || info.SnapshotSeq >= segs[0].LastSeq {
+		t.Fatalf("recovery %+v, want %d tasks from a snapshot inside segment %+v", info, tasks, segs[0])
+	}
+	if done := am.Core().TaskCounts().Done; done != 2*tasks {
+		t.Fatalf("the resumed run ended with %d tasks DONE, want %d", done, 2*tasks)
 	}
 
 	mu.Lock()
@@ -123,6 +127,92 @@ func TestResumeOpensEachSegmentOnce(t *testing.T) {
 	if len(opens) != len(want) {
 		t.Errorf("Resume scanned %d files, want %d: %v", len(opens), len(want), opens)
 	}
+}
+
+// TestResumeReadsOnlyTheTail pins what rolling the journal at every snapshot
+// buys a restart: a durable run cut after its snapshots leaves one segment,
+// starting right after the newest snapshot's watermark, and Resume reads no
+// record that snapshot covers.
+func TestResumeReadsOnlyTheTail(t *testing.T) {
+	const tasks = 64
+	dir := t.TempDir()
+	am, p := resumeManager(t, dir, tasks, 64)
+	const cut = "test: cut at the stage boundary"
+	started := make(chan *entk.Run, 1)
+	p.Stages()[0].PostExec = func() error {
+		(<-started).Cancel(cut)
+		return nil
+	}
+	run, err := am.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	started <- run
+	var ce *entk.CancelError
+	if err := run.Wait(); !errors.As(err, &ce) || ce.Reason != cut {
+		t.Fatalf("cut run ended with %v", err)
+	}
+	snap, ok, err := statedb.LoadLatestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("the cut run left no snapshot (ok=%v, err=%v)", ok, err)
+	}
+	segs, err := journal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs[0].FirstSeq != snap.Watermark+1 {
+		t.Fatalf("segments %+v after a snapshot at %d, want one starting at %d", segs, snap.Watermark, snap.Watermark+1)
+	}
+
+	var mu sync.Mutex
+	read := map[string]*bytes.Buffer{}
+	restore := journal.SetScanWrap(func(path string, r io.Reader) io.Reader {
+		if filepath.Ext(path) != ".seg" {
+			return r // the RTS audit log
+		}
+		buf := new(bytes.Buffer)
+		mu.Lock()
+		read[path] = buf
+		mu.Unlock()
+		return io.TeeReader(r, buf)
+	})
+	defer restore()
+	am, _ = resumeManager(t, dir, tasks, 64)
+	run, err = am.Resume(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore()
+	run.Cancel("test: recovery observed")
+	if err := run.Wait(); !errors.As(err, &ce) {
+		t.Fatalf("resumed run ended with %v", err)
+	}
+	if info := am.Core().RecoveryInfo(); info.SnapshotSeq != snap.Watermark || info.TasksRecovered != tasks {
+		t.Fatalf("recovery %+v, want %d tasks from the snapshot at %d", info, tasks, snap.Watermark)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	scanned := 0
+	for path, buf := range read {
+		copied := filepath.Join(t.TempDir(), filepath.Base(path))
+		if err := os.WriteFile(copied, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := journal.Replay(copied, func(rec journal.Record) error {
+			if scanned++; rec.Seq <= snap.Watermark {
+				return fmt.Errorf("%s: Resume read record %d, at or below the watermark %d", filepath.Base(path), rec.Seq, snap.Watermark)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if scanned == 0 {
+		t.Fatal("Resume read no journal record")
+	}
+	t.Logf("Resume read %d records past a snapshot at %d", scanned, snap.Watermark)
 }
 
 // TestDurableRunWritesOncePerRequest is the commit-cost shape test, the
@@ -338,3 +428,85 @@ func TestRejectedFrameLeavesNothingBehind(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// doneIn returns the tasks a directory without a snapshot records DONE.
+func doneIn(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	final := map[string]string{}
+	err := journal.ReplayDir(dir, func(rec journal.Record) error {
+		if rec.Type != "state" {
+			return nil
+		}
+		sr, err := msgcodec.DecodeStateRec(rec.Data)
+		if err == nil && sr.Entity == "task" {
+			final[sr.UID] = sr.State
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[string]bool{}
+	for uid, state := range final {
+		if state == "DONE" {
+			done[uid] = true
+		}
+	}
+	return done
+}
+
+// TestFailedRollTakesNoSnapshot is the fault cell on the roll a snapshot
+// starts with: the disk refuses the header of the first rolled segment. No
+// snapshot is taken, the failure is counted, and the journal refuses the
+// run's next commit, so the run ends with the journal's error. What the
+// directory holds is still a journal: a Resume of a copy restores exactly the
+// tasks it records DONE and runs the rest.
+func TestFailedRollTakesNoSnapshot(t *testing.T) {
+	const tasks = 64
+	dir := t.TempDir()
+	rolled := journal.SegmentName(2)
+	restore := journal.SetWriteWrap(func(path string, w io.Writer) io.Writer {
+		if filepath.Base(path) != rolled {
+			return w
+		}
+		return writerFunc(func([]byte) (int, error) { return 0, syscall.EIO })
+	})
+	defer restore()
+	// The first roll comes once stage 0 has finished some of its tasks.
+	am, _ := resumeManager(t, dir, tasks, 5*tasks)
+	err := am.Run(context.Background())
+	restore()
+	if !errors.Is(err, syscall.EIO) {
+		t.Fatalf("the run ended with %v, want the journal's EIO", err)
+	}
+	if d := am.Core().Snapshot().Durability; d.SnapshotFailures != 1 || d.Snapshots != 0 {
+		t.Fatalf("durability %+v, want one failed snapshot and none written", d)
+	}
+	if snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*")); err != nil || len(snaps) != 0 {
+		t.Fatalf("snapshot files %v (%v) after a failed roll, want none", snaps, err)
+	}
+	done := doneIn(t, dir)
+	if len(done) == 0 || len(done) >= 2*tasks {
+		t.Fatalf("the directory records %d tasks DONE, want some of %d", len(done), 2*tasks)
+	}
+	t.Logf("the failed roll left %d tasks DONE", len(done))
+
+	copied := filepath.Join(t.TempDir(), "journal")
+	if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	am, _ = resumeManager(t, copied, tasks, 5*tasks)
+	run, err := am.Resume(context.Background(), copied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := am.Core().RecoveryInfo().TasksRecovered; got != len(done) {
+		t.Fatalf("Resume restored %d tasks, the directory records %d DONE", got, len(done))
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatalf("resumed run ended with %v", err)
+	}
+	if n := am.Core().TaskCounts().Done; n != 2*tasks {
+		t.Fatalf("the resumed run ended with %d tasks DONE, want %d", n, 2*tasks)
+	}
+}

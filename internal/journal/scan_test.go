@@ -287,14 +287,12 @@ func TestReplayTornFinalRecordShapes(t *testing.T) {
 			t.Run(shape.name+"/"+at.name+"/sealed", func(t *testing.T) {
 				dir := t.TempDir()
 				sealed := filepath.Join(dir, SegmentName(1))
-				// Rotation fires once the segment reaches SegmentBytes, so
-				// filling it to exactly that seals it there.
-				j, err := OpenDir(dir, Options{SegmentBytes: at.start})
+				j, err := OpenDir(dir, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := fillTo(t, j, sealed, at.start)
-				sealedLast := j.Seq() - 1 // rotation gave segment 2's header the next seq
+				sealedLast := roll(t, j)
 				want = append(want, "task.live.0", "task.live.1")
 				appendState(t, j, "task.live.0")
 				last := appendState(t, j, "task.live.1")
@@ -314,7 +312,7 @@ func TestReplayTornFinalRecordShapes(t *testing.T) {
 						segs, at.start, sealedLast, last)
 				}
 
-				j, err = OpenDir(dir, Options{SegmentBytes: 1 << 20})
+				j, err = OpenDir(dir, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -477,12 +475,18 @@ func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 // and an empty or missing file costs neither a read nor a buffer.
 func TestScanReadsOncePerBuffer(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 100 << 10})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; len(j.Segments()) < 3 || i%100 != 0; i++ {
-		appendState(t, j, strings.Repeat("x", 1000))
+	// Three segments of about 100 KiB each, every one longer than the buffer.
+	for seg := 0; seg < 3; seg++ {
+		if seg > 0 {
+			roll(t, j)
+		}
+		for i := 0; i < 100; i++ {
+			appendState(t, j, strings.Repeat("x", 1000))
+		}
 	}
 	j.Close()
 	segs, err := ListSegments(dir)

@@ -12,17 +12,12 @@ import (
 
 // Segmented journals: the state journal of a crash-recoverable run is a
 // directory of numbered segment files instead of one unbounded flat file.
-// The active segment is rotated once it reaches Options.SegmentBytes, and
-// Compact deletes sealed segments whose records all lie strictly below a
-// snapshot watermark — the two halves of the "snapshot + journal tail"
-// recovery story (docs/recovery.md). Every segment starts with a
-// SegmentHeader record (msgcodec frame 0x0A) naming its index and base
-// sequence.
-
-// DefaultSegmentBytes is the rotation threshold used when
-// Options.SegmentBytes is zero: large enough that steady-state runs rotate
-// rarely, small enough that compaction reclaims space promptly.
-const DefaultSegmentBytes = 4 << 20
+// Roll seals the active segment at a snapshot's watermark, and Compact
+// deletes the sealed segments that snapshot covers — the two halves of the
+// "snapshot + journal tail" recovery story (docs/recovery.md): once the
+// snapshot is on disk, the segments hold only what it does not. Every segment
+// starts with a SegmentHeader record (msgcodec frame 0x0A) naming its index
+// and base sequence.
 
 // segPrefix/segSuffix define the segment file naming scheme,
 // "journal-<index>.seg" with a fixed-width decimal index so lexical order
@@ -159,15 +154,7 @@ func OpenDirReplay(dir string, opts Options, floor uint64, fn func(Record) error
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{
-		dir:      dir,
-		sync:     opts.Sync,
-		segBytes: opts.SegmentBytes,
-		seq:      floor,
-	}
-	if j.segBytes <= 0 {
-		j.segBytes = DefaultSegmentBytes
-	}
+	j := &Journal{dir: dir, sync: opts.Sync, seq: floor}
 	if deliver := fn; fn != nil {
 		fn = func(rec Record) error {
 			if rec.Seq <= floor {
@@ -219,13 +206,40 @@ func (j *Journal) newSegmentLocked(index uint64) error {
 	j.segFirst = 0
 	j.size = 0
 	hdr := msgcodec.FormatBinary.EncodeSegmentHeader(msgcodec.SegmentHeader{Index: index, BaseSeq: j.seq + 1})
-	// Framed into its own buffer: a rotation runs in the middle of a batch
-	// that owns the scratch.
-	if err := j.writeLocked(appendFramed(nil, j.seq+1, segTypeName, hdr), 1); err != nil {
+	j.buf = appendFramed(j.buf[:0], j.seq+1, segTypeName, hdr)
+	if err := j.writeLocked(j.buf, 1); err != nil {
 		f.Close()
 		return err
 	}
 	return nil
+}
+
+// Roll seals the active segment and opens the next one, whose header is the
+// next record, and returns the sequence number of the sealed segment's last
+// record. The sealed segment is fsynced before the next one exists, so a
+// recovery that finds any record of the new segment finds every record
+// before it. A snapshot taken at the returned watermark covers every sealed
+// segment, and Compact at that watermark removes them all. A roll that fails
+// leaves the journal refusing appends with its error. Rolling a flat (Open)
+// journal is an error.
+func (j *Journal) Roll() (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.dir == "" {
+		return 0, errors.New("journal: Roll requires a segmented journal (OpenDir)")
+	}
+	if j.closed {
+		return 0, ErrClosed
+	}
+	if j.broken != nil {
+		return 0, j.broken
+	}
+	watermark := j.seq
+	if err := j.rotateLocked(); err != nil {
+		j.broken = err
+		return 0, err
+	}
+	return watermark, nil
 }
 
 // rotateLocked seals the active segment and opens the next one; j.mu must
@@ -268,10 +282,10 @@ func (j *Journal) Segments() []SegmentInfo {
 	return out
 }
 
-// Compact deletes sealed segments whose records all lie strictly below the
-// snapshot watermark — records with seq < watermark are covered by the
+// Compact deletes sealed segments whose records all lie at or below the
+// snapshot watermark — records with seq <= watermark are covered by the
 // snapshot, so their segments are redundant for recovery. The invariant:
-// a segment holding any record with seq >= watermark is never removed, and
+// a segment holding any record with seq > watermark is never removed, and
 // the active segment is never removed regardless of its contents. Returns
 // the number of segments deleted. Compacting a flat (Open) journal is an
 // error.
@@ -288,7 +302,7 @@ func (j *Journal) Compact(watermark uint64) (int, error) {
 	var firstErr error
 	keep := make([]SegmentInfo, 0, len(j.sealed))
 	for _, s := range j.sealed {
-		if firstErr == nil && s.LastSeq > 0 && s.LastSeq < watermark {
+		if firstErr == nil && s.LastSeq > 0 && s.LastSeq <= watermark {
 			if err := os.Remove(s.Path); err != nil {
 				firstErr = fmt.Errorf("journal: compact: %w", err)
 				keep = append(keep, s)

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,30 +55,51 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenDirRotatesAtThreshold(t *testing.T) {
+// TestRollSealsTheActiveSegment pins Roll: each call seals the active
+// segment at the record it returns and opens the next one, whose header is
+// the next record, so the segments tile the sequence with no gap or overlap
+// and replay in order; a flat journal cannot roll.
+func TestRollSealsTheActiveSegment(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 256})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
+	var marks []uint64
 	for i := 0; i < n; i++ {
-		appendState(t, j, uidN(i))
+		last := appendState(t, j, uidN(i))
+		if i%13 == 12 {
+			wm, err := j.Roll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wm != last {
+				t.Fatalf("Roll after seq %d returned %d", last, wm)
+			}
+			marks = append(marks, wm)
+		}
 	}
 	segs := j.Segments()
-	if len(segs) < 3 {
-		t.Fatalf("got %d segments after %d records at a 256-byte threshold, want >= 3", len(segs), n)
+	if len(segs) != len(marks)+1 {
+		t.Fatalf("got %d segments after %d rolls", len(segs), len(marks))
 	}
 	for i, s := range segs {
 		if s.Index != uint64(i+1) {
 			t.Fatalf("segment %d has index %d", i, s.Index)
 		}
-		if i > 0 && s.FirstSeq <= segs[i-1].LastSeq && s.FirstSeq != 0 {
-			t.Fatalf("segment %d first seq %d overlaps previous last %d", i, s.FirstSeq, segs[i-1].LastSeq)
+		if i < len(marks) && s.LastSeq != marks[i] {
+			t.Fatalf("segment %d ends at seq %d, rolled at %d", s.Index, s.LastSeq, marks[i])
+		}
+		if i > 0 && s.FirstSeq != segs[i-1].LastSeq+1 {
+			t.Fatalf("segment %d starts at seq %d, previous ends at %d", s.Index, s.FirstSeq, segs[i-1].LastSeq)
 		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := j.Roll(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Roll on a closed journal = %v, want ErrClosed", err)
 	}
 
 	uids := stateUIDs(t, dir)
@@ -89,6 +111,25 @@ func TestOpenDirRotatesAtThreshold(t *testing.T) {
 			t.Fatalf("record %d replayed as %q", i, uid)
 		}
 	}
+
+	flat, err := Open(filepath.Join(t.TempDir(), "flat.journal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	if _, err := flat.Roll(); err == nil {
+		t.Fatal("Roll on a flat journal succeeded")
+	}
+}
+
+// roll rolls j to its next segment.
+func roll(t *testing.T, j *Journal) uint64 {
+	t.Helper()
+	wm, err := j.Roll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wm
 }
 
 func uidN(i int) string {
@@ -97,24 +138,26 @@ func uidN(i int) string {
 
 func TestOpenDirResumesSequenceAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 128})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last uint64
 	for i := 0; i < 20; i++ {
-		last = appendState(t, j, uidN(i))
+		if last = appendState(t, j, uidN(i)); i%5 == 4 {
+			roll(t, j)
+		}
 	}
 	j.Close()
 
-	j2, err := OpenDir(dir, Options{SegmentBytes: 128})
+	j2, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	seq := appendState(t, j2, "task.resumed")
-	if seq != last+1 {
-		t.Fatalf("resumed seq = %d, want %d", seq, last+1)
+	if seq != last+2 { // the last roll's segment header took last+1
+		t.Fatalf("resumed seq = %d, want %d", seq, last+2)
 	}
 	uids := stateUIDs(t, dir)
 	if len(uids) != 21 || uids[20] != "task.resumed" {
@@ -127,7 +170,7 @@ func TestOpenDirResumesSequenceAcrossSegments(t *testing.T) {
 // and the journal appends cleanly after it.
 func TestOpenDirTruncatesTornActiveTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 1 << 20})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +188,7 @@ func TestOpenDirTruncatesTornActiveTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenDir(dir, Options{SegmentBytes: 1 << 20})
+	j2, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,43 +210,52 @@ func TestOpenDirTruncatesTornActiveTail(t *testing.T) {
 }
 
 // TestCompactWatermarkInvariant pins the compaction contract: only sealed
-// segments whose every record lies strictly below the watermark are removed;
-// a segment holding any record at or above the watermark survives, and the
-// active segment survives regardless.
+// segments whose every record lies at or below the watermark are removed —
+// a segment ending exactly at it is covered, which is what lets a roll at a
+// snapshot's watermark hand compaction everything before it; a segment
+// holding any record above the watermark survives, and the active segment
+// survives regardless.
 func TestCompactWatermarkInvariant(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 200})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	for i := 0; i < 40; i++ {
-		appendState(t, j, uidN(i))
+		if appendState(t, j, uidN(i)); i%10 == 9 {
+			roll(t, j)
+		}
 	}
 	segs := j.Segments()
 	if len(segs) < 4 {
 		t.Fatalf("need >= 4 segments for the invariant test, got %d", len(segs))
 	}
-	// Watermark inside the second sealed segment: segment 1 is wholly below
-	// it, segment 2 straddles it, everything later is above.
-	wm := segs[1].FirstSeq + 1
+	// Watermark at segment 1's last record: segment 1 is covered, segment 2
+	// and everything later is above it.
+	wm := segs[0].LastSeq
 	removed, err := j.Compact(wm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed != 1 {
-		t.Fatalf("Compact(%d) removed %d segments, want 1", wm, removed)
+		t.Fatalf("Compact(%d) removed %d segments, want segment 1 (ending at %d)", wm, removed, wm)
+	}
+	// Watermark one short of segment 2's end: segment 2 straddles it.
+	if removed, err := j.Compact(segs[1].LastSeq - 1); err != nil || removed != 0 {
+		t.Fatalf("Compact(%d) removed %d segments (err %v), want none: segment 2 ends at %d",
+			segs[1].LastSeq-1, removed, err, segs[1].LastSeq)
 	}
 	for _, s := range j.Segments() {
-		if s.LastSeq >= wm && s.LastSeq > 0 {
+		if s.LastSeq > wm && s.LastSeq > 0 {
 			if _, err := os.Stat(s.Path); err != nil {
-				t.Fatalf("segment %d (seqs %d-%d) at/above watermark %d was removed: %v",
+				t.Fatalf("segment %d (seqs %d-%d) above watermark %d was removed: %v",
 					s.Index, s.FirstSeq, s.LastSeq, wm, err)
 			}
 		}
 	}
 	if _, err := os.Stat(segs[0].Path); !os.IsNotExist(err) {
-		t.Fatalf("segment below watermark not removed (err=%v)", err)
+		t.Fatalf("segment at the watermark not removed (err=%v)", err)
 	}
 
 	// Replay after compaction yields a contiguous suffix of the original
@@ -261,12 +313,14 @@ func appendBytes(t *testing.T, path string, b []byte) {
 // header record naming its index and base sequence.
 func TestSegmentHeaderRecords(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 200})
+	j, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		appendState(t, j, uidN(i))
+		if appendState(t, j, uidN(i)); i%10 == 9 {
+			roll(t, j)
+		}
 	}
 	j.Close()
 

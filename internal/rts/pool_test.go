@@ -220,7 +220,10 @@ func TestPoolRevokeReleasesClaim(t *testing.T) {
 	if !l.Alive() {
 		t.Fatal("fresh lease not alive")
 	}
-	if err := l.Submit([]core.TaskDescription{sleepTask("t1", 5*time.Second, 1)}); err != nil {
+	// t1 must still be running when the lease is revoked, or its result
+	// could reach the channel ahead of the close: on the harness's clock a
+	// virtual second is a microsecond of wall time.
+	if err := l.Submit([]core.TaskDescription{sleepTask("t1", 24*time.Hour, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	l.Revoke()
