@@ -85,9 +85,13 @@ bench-baseline: bench-json
 # *Reporter interface again (docs/api.md, "The RTS contract"); the broker
 # stays a leaf that imports no other package of this module, so durability —
 # which JournalDir and statedb own (docs/recovery.md) — cannot creep back into
-# it through an import; and the engine's in-process queues carry values, so
+# it through an import; the engine's in-process queues carry values, so
 # no non-test code in internal/core may name a codec of the frames they used
-# to carry as bytes (0x01-0x04: pending UIDs, sync frame and ack, results).
+# to carry as bytes (0x01-0x04: pending UIDs, sync frame and ack, results);
+# and outside the frozen bench/ harness, every deployment shape builds its
+# simulated CI through rts.NewMachine and every RTS hands results back
+# through core.Outbox, so no other non-test file may call hpc.NewCluster or
+# make a channel of TaskResult.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -107,6 +111,16 @@ lint:
 	if [ -n "$$encoded" ]; then \
 		echo "internal/core encodes or decodes an in-process message; hand the queue the value instead:"; \
 		echo "$$encoded"; exit 1; \
+	fi
+	@clusters=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'hpc\.NewCluster\(' . | grep -vE '^\./(bench/|internal/rts/machine\.go:)' || true); \
+	if [ -n "$$clusters" ]; then \
+		echo "a simulated CI is built outside rts.NewMachine; build it there:"; \
+		echo "$$clusters"; exit 1; \
+	fi
+	@results=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'make\(chan [^,)]*TaskResult' . | grep -vE '^\./(bench/|internal/core/completions\.go:)' || true); \
+	if [ -n "$$results" ]; then \
+		echo "an RTS makes its own completion channel; hand results back through core.Outbox:"; \
+		echo "$$results"; exit 1; \
 	fi
 	$(GO) vet ./...
 

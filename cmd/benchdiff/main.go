@@ -37,8 +37,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -213,80 +215,91 @@ func compare(baseline, current File, thresholdPct, allocThresholdPct float64) (n
 	return nsRegressions, allocRegressions, missing, added
 }
 
-func main() {
-	var (
-		parseIn   = flag.String("parse", "", "parse `go test -bench` output from this file")
-		out       = flag.String("out", "", "with -parse: write the JSON baseline here")
-		baseline  = flag.String("baseline", "", "compare: the checked-in baseline JSON")
-		current   = flag.String("current", "", "compare: the freshly measured JSON")
-		threshold = flag.Float64("threshold", 25, "regression threshold in percent of ns/op")
-		allocThr  = flag.Float64("alloc-threshold", 10, "regression threshold in percent of allocs/op (negative disables the alloc gate)")
-		warn      = flag.Bool("warn", false, "report regressions but exit zero (noisy shared runners)")
-		warnNs    = flag.Bool("warn-ns", false, "ns/op regressions warn only; allocs/op regressions and missing benchmarks still fail (the CI mode: wall time is noisy on shared runners, allocation counts are deterministic)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+// run is main with its arguments and output streams as parameters. It returns
+// the exit code: 2 for a command line or a file it cannot use, 1 for a
+// regression or a missing benchmark that fails the gate, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	var (
+		parseIn   = flags.String("parse", "", "parse `go test -bench` output from this file")
+		out       = flags.String("out", "", "with -parse: write the JSON baseline here")
+		baseline  = flags.String("baseline", "", "compare: the checked-in baseline JSON")
+		current   = flags.String("current", "", "compare: the freshly measured JSON")
+		threshold = flags.Float64("threshold", 25, "regression threshold in percent of ns/op")
+		allocThr  = flags.Float64("alloc-threshold", 10, "regression threshold in percent of allocs/op (negative disables the alloc gate)")
+		warn      = flags.Bool("warn", false, "report regressions but exit zero (noisy shared runners)")
+		warnNs    = flags.Bool("warn-ns", false, "ns/op regressions warn only; allocs/op regressions and missing benchmarks still fail (the CI mode: wall time is noisy on shared runners, allocation counts are deterministic)")
+	)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
 	}
 
 	switch {
 	case *parseIn != "":
 		if *out == "" {
-			fail(fmt.Errorf("-parse requires -out"))
+			return fail(fmt.Errorf("-parse requires -out"))
 		}
 		f, err := parse(*parseIn)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if len(f) == 0 {
-			fail(fmt.Errorf("no benchmark results found in %s", *parseIn))
+			return fail(fmt.Errorf("no benchmark results found in %s", *parseIn))
 		}
 		if err := save(*out, f); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(f), *out)
+		fmt.Fprintf(stdout, "benchdiff: wrote %d benchmarks to %s\n", len(f), *out)
+		return 0
 
 	case *baseline != "" && *current != "":
 		base, err := load(*baseline)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		cur, err := load(*current)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		nsRegs, allocRegs, missing, added := compare(base, cur, *threshold, *allocThr)
 		for _, name := range added {
-			fmt.Printf("benchdiff: new benchmark (not in baseline): %s\n", name)
+			fmt.Fprintf(stdout, "benchdiff: new benchmark (not in baseline): %s\n", name)
 		}
 		for _, name := range missing {
-			fmt.Printf("benchdiff: MISSING from current run (renamed or dropped?): %s\n", name)
+			fmt.Fprintf(stdout, "benchdiff: MISSING from current run (renamed or dropped?): %s\n", name)
 		}
 		for _, r := range nsRegs {
-			fmt.Printf("benchdiff: REGRESSION %s\n", r)
+			fmt.Fprintf(stdout, "benchdiff: REGRESSION %s\n", r)
 		}
 		for _, r := range allocRegs {
-			fmt.Printf("benchdiff: REGRESSION %s\n", r)
-		}
-		if len(nsRegs) == 0 && len(allocRegs) == 0 && len(missing) == 0 {
-			fmt.Printf("benchdiff: OK — %d benchmarks within %.0f%% of baseline\n",
-				len(base), *threshold)
-			return
+			fmt.Fprintf(stdout, "benchdiff: REGRESSION %s\n", r)
 		}
 		switch {
+		case len(nsRegs) == 0 && len(allocRegs) == 0 && len(missing) == 0:
+			fmt.Fprintf(stdout, "benchdiff: OK — %d benchmarks within %.0f%% of baseline\n",
+				len(base), *threshold)
 		case *warn:
-			fmt.Println("benchdiff: warn-only mode, not failing the build")
-			return
+			fmt.Fprintln(stdout, "benchdiff: warn-only mode, not failing the build")
 		case *warnNs && len(allocRegs) == 0 && len(missing) == 0:
-			fmt.Println("benchdiff: ns/op regressions warn only (-warn-ns), not failing the build")
-			return
+			fmt.Fprintln(stdout, "benchdiff: ns/op regressions warn only (-warn-ns), not failing the build")
+		default:
+			return 1
 		}
-		os.Exit(1)
+		return 0
 
 	default:
-		flag.Usage()
-		os.Exit(2)
+		flags.Usage()
+		return 2
 	}
 }

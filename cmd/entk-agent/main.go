@@ -29,11 +29,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fsim"
-	"repro/internal/hpc"
 	"repro/internal/remoterts"
 	"repro/internal/rts"
-	"repro/internal/saga"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -72,45 +69,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	clock := vclock.NewScaled(*scale)
-	spec, err := hpc.LookupSpec(*resource)
+	// The same machine as the in-process stack, GPU defaulting included.
+	machine, err := rts.NewMachine(rts.MachineConfig{
+		Clock: clock,
+		Seed:  *seed,
+		Resources: []core.ResourceDesc{{
+			Resource: *resource, Cores: *cores, GPUs: *gpus, Walltime: *walltime,
+		}},
+	})
 	if err != nil {
 		return fail(err)
 	}
-	// Same GPU defaulting as the in-process stack: a pilot brings the CI's
-	// per-node GPU inventory for every allocated node.
-	if *gpus == 0 && spec.GPUsPerNode > 0 {
-		nodes := (*cores + spec.CoresPerNode - 1) / spec.CoresPerNode
-		*gpus = nodes * spec.GPUsPerNode
-	}
-	cluster, err := hpc.NewCluster(spec, clock)
-	if err != nil {
-		return fail(err)
-	}
-	defer cluster.Close()
-	session := saga.NewSession()
-	if err := session.Register(saga.NewClusterAdapter(cluster)); err != nil {
-		return fail(err)
-	}
-	transfers, err := saga.NewTransferService(clock)
-	if err != nil {
-		return fail(err)
-	}
-	session.SetTransferService(transfers)
-
-	fsSpec := fsim.XSEDEShared()
-	if *resource == "titan" {
-		fsSpec = fsim.OLCFLustre()
-	}
-	fs, err := fsim.New(fsSpec, clock, *seed)
-	if err != nil {
-		return fail(err)
-	}
+	defer machine.Close()
+	pilot := machine.Resources[0]
 
 	base := rts.Config{
 		Clock:      clock,
-		Session:    session,
+		Session:    machine.Session,
 		Registry:   workload.NewRegistry(),
-		FS:         fs,
+		FS:         machine.FS,
 		Compute:    *compute,
 		Seed:       *seed,
 		Schedulers: *scheds,
@@ -134,22 +111,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		agentName = *listen
 	}
 	agent, err := remoterts.NewAgent(remoterts.AgentConfig{
-		Addr:    *listen,
-		Name:    agentName,
-		Factory: factory,
-		Resource: core.ResourceDesc{
-			Resource: *resource,
-			Cores:    *cores,
-			GPUs:     *gpus,
-			Walltime: *walltime,
-		},
+		Addr:              *listen,
+		Name:              agentName,
+		Factory:           factory,
+		Resource:          pilot,
 		HeartbeatInterval: *heartbeat,
 	})
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "entk-agent: listening on %s (%s, %d cores, %d gpus)\n",
-		agent.Addr(), *resource, *cores, *gpus)
+		agent.Addr(), pilot.Resource, pilot.Cores, pilot.GPUs)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -23,170 +23,150 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/autotune"
 	"repro/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// experiment is one -exp entry: it runs and renders to w. tasks is the Fig 6
+// task count.
+type experiment struct {
+	name string
+	run  func(w io.Writer, opts *experiments.Options, tasks int) error
+}
+
+// figure makes a table entry of an experiment and the renderer of its rows.
+func figure[R any](fig func(*experiments.Options) (R, error), render func(io.Writer, R)) func(io.Writer, *experiments.Options, int) error {
+	return func(w io.Writer, opts *experiments.Options, _ int) error {
+		rows, err := fig(opts)
+		if err != nil {
+			return err
+		}
+		render(w, rows)
+		return nil
+	}
+}
+
+// titled binds a renderer's title.
+func titled[R any](render func(io.Writer, string, R), title string) func(io.Writer, R) {
+	return func(w io.Writer, rows R) { render(w, title, rows) }
+}
+
+// catalog is every experiment, in the order they run; "all" is the first nine.
+var catalog = []experiment{
+	{"0", func(w io.Writer, _ *experiments.Options, tasks int) error {
+		rows, err := experiments.Fig6Prototype(tasks, nil)
+		if err != nil {
+			return err
+		}
+		experiments.RenderFig6(w, rows)
+		fmt.Fprintln(w, "\nUneven distributions (the paper notes these are less efficient):")
+		if rows, err = experiments.Fig6Uneven(tasks); err != nil {
+			return err
+		}
+		experiments.RenderFig6(w, rows)
+		return nil
+	}},
+	{"1", figure(experiments.Fig7a, titled(experiments.RenderOverheads, "Fig 7a / Experiment 1: overheads vs task executable (SuperMIC, 1x1x16, 300 s)"))},
+	{"2", figure(experiments.Fig7b, titled(experiments.RenderOverheads, "Fig 7b / Experiment 2: overheads vs task duration (SuperMIC, 1x1x16, sleep)"))},
+	{"3", figure(experiments.Fig7c, titled(experiments.RenderOverheads, "Fig 7c / Experiment 3: overheads vs CI (1x1x16, sleep 100 s)"))},
+	{"4", figure(experiments.Fig7d, titled(experiments.RenderOverheads, "Fig 7d / Experiment 4: overheads vs PST structure (SuperMIC, sleep 100 s)"))},
+	{"5", figure(experiments.Fig8WeakScaling, titled(experiments.RenderScaling, "Fig 8: weak scaling on Titan (1-core 600 s mdrun, cores = tasks)"))},
+	{"6", figure(experiments.Fig9StrongScaling, titled(experiments.RenderScaling, "Fig 9: strong scaling on Titan (8,192 1-core 600 s mdrun tasks)"))},
+	{"7", figure(experiments.Fig10Seismic, experiments.RenderFig10)},
+	{"8", figure(experiments.Fig11AnEn, experiments.RenderFig11)},
+	{"9", figure(experiments.Fig10Series, experiments.RenderFig10)},
+	{"10", func(w io.Writer, _ *experiments.Options, tasks int) error {
+		rows, err := experiments.Fig6Grid(tasks, nil, nil)
+		if err != nil {
+			return err
+		}
+		experiments.RenderFig6(w, rows)
+		return nil
+	}},
+	{"11", figure(experiments.Fig8BatchSweep, experiments.RenderBatchSweep)},
+	{"13", figure(experiments.Fig8SchedulerSweep, experiments.RenderSchedulerSweep)},
+	{"14", figure(experiments.Fig10Live, experiments.RenderFig10Live)},
+	{"tune", figure(experiments.AutotuneConcurrency, func(w io.Writer, rec *autotune.Recommendation) {
+		fmt.Fprintf(w, "\nAutotuned operating point (automating the paper's §IV-C1 decision):\n")
+		fmt.Fprintf(w, "  recommended concurrency: %d tasks (%.1fx speedup vs serial)\n",
+			rec.Concurrency, rec.SpeedupVsSerial)
+		for _, o := range rec.Observations {
+			fmt.Fprintf(w, "  c=%-3d makespan %8.1f s, failure rate %.2f\n",
+				o.Concurrency, o.Result.MakespanS, o.FailureRate)
+		}
+	})},
+}
+
+// run is main with its arguments and output streams as parameters. It returns
+// the exit code: 2 for a command line it cannot use (an unknown -exp among
+// them), 1 for an experiment that fails, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	flags := flag.NewFlagSet("entk-experiments", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		expFlag   = flag.String("exp", "all", "experiments to run: comma-separated subset of 0-9, or 'all'")
-		quick     = flag.Bool("quick", false, "shrink experiment sizes (smoke test)")
-		scale     = flag.Duration("scale", 0, "wall time per virtual second (0 = per-experiment default)")
-		fig6Tasks = flag.Int("tasks", 1000000, "task count for the Fig 6 prototype")
-		verbose   = flag.Bool("v", false, "progress output")
+		expFlag   = flags.String("exp", "all", "experiments to run: 'all' (0-8) or a comma-separated subset of "+strings.Join(names, ","))
+		quick     = flags.Bool("quick", false, "shrink experiment sizes (smoke test)")
+		scale     = flags.Duration("scale", 0, "wall time per virtual second (0 = per-experiment default)")
+		fig6Tasks = flags.Int("tasks", 1000000, "task count for the Fig 6 prototype")
+		verbose   = flags.Bool("v", false, "progress output")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	opts := &experiments.Options{Quick: *quick, Scale: *scale}
 	if *verbose {
-		opts.Verbose = os.Stderr
+		opts.Verbose = stderr
+	}
+	tasks := *fig6Tasks
+	if *quick {
+		tasks = 50000
 	}
 
 	want := map[string]bool{}
 	if *expFlag == "all" {
-		for i := 0; i <= 8; i++ {
-			want[fmt.Sprint(i)] = true
+		for _, name := range names[:9] {
+			want[name] = true
 		}
 	} else {
-		for _, s := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(s)] = true
+		for _, name := range strings.Split(*expFlag, ",") {
+			name = strings.TrimSpace(name)
+			if !slices.Contains(names, name) {
+				fmt.Fprintf(stderr, "entk-experiments: unknown experiment %q (known: %s)\n", name, strings.Join(names, ","))
+				return 2
+			}
+			want[name] = true
 		}
-	}
-
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "entk-experiments: %v\n", err)
-		os.Exit(1)
 	}
 
 	start := time.Now()
-	if want["0"] {
-		tasks := *fig6Tasks
-		if *quick {
-			tasks = 50000
+	for _, e := range catalog {
+		if !want[e.name] {
+			continue
 		}
-		rows, err := experiments.Fig6Prototype(tasks, nil)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFig6(os.Stdout, rows)
-		fmt.Println("\nUneven distributions (the paper notes these are less efficient):")
-		if rows, err = experiments.Fig6Uneven(tasks); err != nil {
-			fail(err)
-		}
-		experiments.RenderFig6(os.Stdout, rows)
-	}
-	if want["1"] {
-		rows, err := experiments.Fig7a(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderOverheads(os.Stdout, "Fig 7a / Experiment 1: overheads vs task executable (SuperMIC, 1x1x16, 300 s)", rows)
-	}
-	if want["2"] {
-		rows, err := experiments.Fig7b(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderOverheads(os.Stdout, "Fig 7b / Experiment 2: overheads vs task duration (SuperMIC, 1x1x16, sleep)", rows)
-	}
-	if want["3"] {
-		rows, err := experiments.Fig7c(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderOverheads(os.Stdout, "Fig 7c / Experiment 3: overheads vs CI (1x1x16, sleep 100 s)", rows)
-	}
-	if want["4"] {
-		rows, err := experiments.Fig7d(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderOverheads(os.Stdout, "Fig 7d / Experiment 4: overheads vs PST structure (SuperMIC, sleep 100 s)", rows)
-	}
-	if want["5"] {
-		rows, err := experiments.Fig8WeakScaling(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderScaling(os.Stdout, "Fig 8: weak scaling on Titan (1-core 600 s mdrun, cores = tasks)", rows)
-	}
-	if want["6"] {
-		rows, err := experiments.Fig9StrongScaling(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderScaling(os.Stdout, "Fig 9: strong scaling on Titan (8,192 1-core 600 s mdrun tasks)", rows)
-	}
-	if want["7"] {
-		rows, err := experiments.Fig10Seismic(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFig10(os.Stdout, rows)
-	}
-	if want["8"] {
-		res, err := experiments.Fig11AnEn(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFig11(os.Stdout, res)
-	}
-	if want["9"] {
-		rows, err := experiments.Fig10Series(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFig10(os.Stdout, rows)
-	}
-	if want["10"] {
-		tasks := *fig6Tasks
-		if *quick {
-			tasks = 50000
-		}
-		rows, err := experiments.Fig6Grid(tasks, nil, nil)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFig6(os.Stdout, rows)
-	}
-	if want["11"] {
-		rows, err := experiments.Fig8BatchSweep(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderBatchSweep(os.Stdout, rows)
-	}
-	if want["13"] {
-		rows, err := experiments.Fig8SchedulerSweep(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderSchedulerSweep(os.Stdout, rows)
-	}
-	if want["14"] {
-		rows, err := experiments.Fig10Live(opts)
-		if err != nil {
-			fail(err)
-		}
-		experiments.RenderFig10Live(os.Stdout, rows)
-	}
-	if want["tune"] {
-		rec, err := experiments.AutotuneConcurrency(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nAutotuned operating point (automating the paper's §IV-C1 decision):\n")
-		fmt.Printf("  recommended concurrency: %d tasks (%.1fx speedup vs serial)\n",
-			rec.Concurrency, rec.SpeedupVsSerial)
-		for _, o := range rec.Observations {
-			fmt.Printf("  c=%-3d makespan %8.1f s, failure rate %.2f\n",
-				o.Concurrency, o.Result.MakespanS, o.FailureRate)
+		if err := e.run(stdout, opts, tasks); err != nil {
+			fmt.Fprintf(stderr, "entk-experiments: %v\n", err)
+			return 1
 		}
 	}
-	fmt.Fprintf(os.Stderr, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }

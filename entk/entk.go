@@ -52,7 +52,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -62,7 +61,6 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/remoterts"
 	"repro/internal/rts"
-	"repro/internal/saga"
 	"repro/internal/statedb"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -196,6 +194,13 @@ type Resource struct {
 	Project string
 }
 
+func (r Resource) desc() core.ResourceDesc {
+	return core.ResourceDesc{
+		Resource: r.Name, Cores: r.Cores, GPUs: r.GPUs,
+		Walltime: r.Walltime, Queue: r.Queue, Project: r.Project,
+	}
+}
+
 // AppConfig configures an AppManager.
 type AppConfig struct {
 	// Resource is the CI request. Required.
@@ -259,16 +264,9 @@ type AppConfig struct {
 // SAGA session, the pilot RTS and the EnTK core, wired exactly as in the
 // paper's architecture diagram.
 type AppManager struct {
-	inner    *core.AppManager
-	clock    vclock.Clock
-	session  *saga.Session
-	cluster  *hpc.Cluster
-	clusters []*hpc.Cluster // extra CIs for heterogeneous execution
-	fs       *fsim.FS
-
-	// teardownOnce makes the cluster/session teardown idempotent; the run
-	// handle returned by Start owns triggering it.
-	teardownOnce sync.Once
+	inner   *core.AppManager
+	clock   vclock.Clock
+	machine *rts.Machine // torn down by the run handle Start returns
 }
 
 // NewAppManager assembles the full stack for cfg.
@@ -290,76 +288,18 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	}
 	clock := vclock.NewScaled(cfg.TimeScale)
 
-	spec, err := hpc.LookupSpec(cfg.Resource.Name)
+	requests := []core.ResourceDesc{cfg.Resource.desc()}
+	for _, res := range cfg.ExtraResources {
+		requests = append(requests, res.desc())
+	}
+	// The primary CI and any extra ones (heterogeneous execution) behind one
+	// SAGA session, whose transfer service enacts staging directives over
+	// per-protocol adapters (§II-D).
+	machine, err := rts.NewMachine(rts.MachineConfig{
+		Clock: clock, Seed: cfg.Seed, Resources: requests,
+		FSSpec: cfg.FSSpec, QueueWait: cfg.QueueWait,
+	})
 	if err != nil {
-		return nil, err
-	}
-	spec.BaseQueueWait = cfg.QueueWait
-	// Default the pilot's GPU allocation from the CI's per-node inventory:
-	// a Titan pilot brings one GPU per allocated node (the seismic use
-	// case's forward solver runs on those GPUs).
-	if cfg.Resource.GPUs == 0 && spec.GPUsPerNode > 0 {
-		nodes := (cfg.Resource.Cores + spec.CoresPerNode - 1) / spec.CoresPerNode
-		cfg.Resource.GPUs = nodes * spec.GPUsPerNode
-	}
-	cluster, err := hpc.NewCluster(spec, clock)
-	if err != nil {
-		return nil, err
-	}
-	session := saga.NewSession()
-	if err := session.Register(saga.NewClusterAdapter(cluster)); err != nil {
-		cluster.Close()
-		return nil, err
-	}
-	// Data management (§II-D): transfer staging directives are enacted over
-	// per-protocol adapters (cp, scp, gsiscp, sftp, gsisftp, globus).
-	transfers, err := saga.NewTransferService(clock)
-	if err != nil {
-		cluster.Close()
-		return nil, err
-	}
-	session.SetTransferService(transfers)
-	// Additional CIs for heterogeneous execution.
-	extraClusters := make([]*hpc.Cluster, 0, len(cfg.ExtraResources))
-	closeAll := func() {
-		cluster.Close()
-		for _, c := range extraClusters {
-			c.Close()
-		}
-	}
-	for i, res := range cfg.ExtraResources {
-		xspec, err := hpc.LookupSpec(res.Name)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		xspec.BaseQueueWait = cfg.QueueWait
-		if res.GPUs == 0 && xspec.GPUsPerNode > 0 {
-			nodes := (res.Cores + xspec.CoresPerNode - 1) / xspec.CoresPerNode
-			cfg.ExtraResources[i].GPUs = nodes * xspec.GPUsPerNode
-		}
-		xc, err := hpc.NewCluster(xspec, clock)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		extraClusters = append(extraClusters, xc)
-		if err := session.Register(saga.NewClusterAdapter(xc)); err != nil {
-			closeAll()
-			return nil, err
-		}
-	}
-
-	fsSpec := fsim.XSEDEShared()
-	if cfg.Resource.Name == "titan" {
-		fsSpec = fsim.OLCFLustre()
-	}
-	if cfg.FSSpec != nil {
-		fsSpec = *cfg.FSSpec
-	}
-	fs, err := fsim.New(fsSpec, clock, cfg.Seed)
-	if err != nil {
-		closeAll()
 		return nil, err
 	}
 
@@ -370,7 +310,7 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	} else {
 		host, err = hostmodel.Lookup(hostName)
 		if err != nil {
-			closeAll()
+			machine.Close()
 			return nil, err
 		}
 	}
@@ -378,7 +318,7 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	registry := workload.NewRegistry()
 	for _, k := range cfg.Kernels {
 		if err := registry.Register(k); err != nil {
-			closeAll()
+			machine.Close()
 			return nil, err
 		}
 	}
@@ -394,22 +334,15 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	tun.applyCore(&coreCfg)
 	am, err := core.NewAppManager(coreCfg)
 	if err != nil {
-		closeAll()
+		machine.Close()
 		return nil, err
 	}
-	am.SetResource(core.ResourceDesc{
-		Resource: cfg.Resource.Name,
-		Cores:    cfg.Resource.Cores,
-		GPUs:     cfg.Resource.GPUs,
-		Walltime: cfg.Resource.Walltime,
-		Queue:    cfg.Resource.Queue,
-		Project:  cfg.Resource.Project,
-	})
+	am.SetResource(machine.Resources[0])
 	baseRTS := rts.Config{
 		Clock:    clock,
-		Session:  session,
+		Session:  machine.Session,
 		Registry: registry,
-		FS:       fs,
+		FS:       machine.FS,
 		Prof:     am.Profiler(),
 		Compute:  cfg.Compute,
 		Seed:     cfg.Seed,
@@ -432,27 +365,19 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 	default:
 		// Heterogeneous execution: one pilot per resource behind a routing
 		// RTS, all replaceable as one black box on failure.
-		resources := append([]Resource{cfg.Resource}, cfg.ExtraResources...)
 		am.SetRTSFactory(func(core.ResourceDesc) (core.RTS, error) {
-			members := make([]rts.RouterMember, 0, len(resources))
-			for _, res := range resources {
+			members := make([]rts.RouterMember, 0, len(machine.Resources))
+			for _, res := range machine.Resources {
 				child := baseRTS
-				child.Resource = core.ResourceDesc{
-					Resource: res.Name,
-					Cores:    res.Cores,
-					GPUs:     res.GPUs,
-					Walltime: res.Walltime,
-					Queue:    res.Queue,
-					Project:  res.Project,
-				}
+				child.Resource = res
 				p, err := rts.New(child)
 				if err != nil {
 					return nil, err
 				}
 				members = append(members, rts.RouterMember{
-					Name:     res.Name,
+					Name:     res.Resource,
 					RTS:      p,
-					Resource: res.Name,
+					Resource: res.Resource,
 					Capacity: res.Cores,
 					GPUs:     res.GPUs,
 				})
@@ -461,14 +386,7 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 		})
 	}
 
-	return &AppManager{
-		inner:    am,
-		clock:    clock,
-		session:  session,
-		cluster:  cluster,
-		clusters: extraClusters,
-		fs:       fs,
-	}, nil
+	return &AppManager{inner: am, clock: clock, machine: machine}, nil
 }
 
 // AddPipelines registers pipelines for execution. Called before Run it
@@ -498,17 +416,8 @@ type Run struct {
 	inner *core.Run
 }
 
-// teardown closes the simulated infrastructure (cluster, SAGA session,
-// extra CIs). Idempotent.
-func (a *AppManager) teardown() {
-	a.teardownOnce.Do(func() {
-		a.cluster.Close()
-		a.session.Close()
-		for _, c := range a.clusters {
-			c.Close()
-		}
-	})
-}
+// teardown closes the simulated infrastructure. Idempotent.
+func (a *AppManager) teardown() { a.machine.Close() }
 
 // Start executes the application in the background and returns its run
 // handle. Setup (validation, messaging, component spawn, pilot submission)
@@ -634,7 +543,7 @@ func (a *AppManager) Report() profiler.Report {
 func (a *AppManager) Clock() vclock.Clock { return a.clock }
 
 // Filesystem exposes the shared-filesystem model (statistics).
-func (a *AppManager) Filesystem() *fsim.FS { return a.fs }
+func (a *AppManager) Filesystem() *fsim.FS { return a.machine.FS }
 
 // Core exposes the underlying engine for advanced use (experiments,
 // adaptive nudging).

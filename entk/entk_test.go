@@ -225,6 +225,44 @@ func TestHeterogeneousUnknownExtraCI(t *testing.T) {
 	}
 }
 
+// TestNewAppManagerLeavesConfigAlone: a titan extra resource left at 0 GPUs
+// still reads 0 in the caller's config afterwards, while the router member
+// built from it gets titan's one GPU per allocated node.
+func TestNewAppManagerLeavesConfigAlone(t *testing.T) {
+	extra := []Resource{{Name: "titan", Cores: 32, Walltime: 2 * time.Hour}}
+	am, err := NewAppManager(AppConfig{
+		Resource:       Resource{Name: "comet", Cores: 24, Walltime: 2 * time.Hour},
+		ExtraResources: extra,
+		TimeScale:      20 * time.Microsecond,
+		HostName:       "null",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra[0].GPUs != 0 {
+		t.Errorf("NewAppManager wrote GPUs = %d into the caller's ExtraResources", extra[0].GPUs)
+	}
+	pipe := NewPipeline("gpus")
+	s := NewStage("s")
+	task := NewTask("t")
+	task.Executable = "sleep"
+	task.Duration = 10 * time.Minute
+	s.AddTask(task)       //nolint:errcheck
+	pipe.AddStage(s)      //nolint:errcheck
+	am.AddPipelines(pipe) //nolint:errcheck
+	run, err := am.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// comet brings no GPUs and 32 titan cores are two nodes of one GPU each.
+	if got := run.Snapshot().Utilization.GPUsTotal; got != 2 {
+		t.Errorf("router members hold %d GPUs, want 2", got)
+	}
+	if err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFailingTasksFailPipeline(t *testing.T) {
 	am, err := NewAppManager(AppConfig{
 		Resource:  Resource{Name: "comet", Cores: 4, Walltime: time.Hour},

@@ -24,11 +24,8 @@ import (
 	"repro/internal/appjson"
 	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/fsim"
 	"repro/internal/hostmodel"
-	"repro/internal/hpc"
 	"repro/internal/rts"
-	"repro/internal/saga"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -137,9 +134,7 @@ type runEntry struct {
 type Daemon struct {
 	cfg      Config
 	clock    vclock.Clock
-	session  *saga.Session
-	cluster  *hpc.Cluster
-	fs       *fsim.FS
+	machine  *rts.Machine
 	host     *hostmodel.Model
 	registry *workload.Registry
 	brk      *broker.Broker
@@ -189,37 +184,14 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	clock := vclock.NewScaled(cfg.TimeScale)
-	spec, err := hpc.LookupSpec(cfg.Resource)
+	machine, err := rts.NewMachine(rts.MachineConfig{
+		Clock: clock,
+		Seed:  cfg.Seed,
+		Resources: []core.ResourceDesc{{
+			Resource: cfg.Resource, Cores: cfg.Cores, GPUs: cfg.GPUs, Walltime: cfg.Walltime,
+		}},
+	})
 	if err != nil {
-		return nil, err
-	}
-	if cfg.GPUs == 0 && spec.GPUsPerNode > 0 {
-		nodes := (cfg.Cores + spec.CoresPerNode - 1) / spec.CoresPerNode
-		cfg.GPUs = nodes * spec.GPUsPerNode
-	}
-	cluster, err := hpc.NewCluster(spec, clock)
-	if err != nil {
-		return nil, err
-	}
-	session := saga.NewSession()
-	if err := session.Register(saga.NewClusterAdapter(cluster)); err != nil {
-		cluster.Close()
-		return nil, err
-	}
-	transfers, err := saga.NewTransferService(clock)
-	if err != nil {
-		cluster.Close()
-		return nil, err
-	}
-	session.SetTransferService(transfers)
-
-	fsSpec := fsim.XSEDEShared()
-	if cfg.Resource == "titan" {
-		fsSpec = fsim.OLCFLustre()
-	}
-	fs, err := fsim.New(fsSpec, clock, cfg.Seed)
-	if err != nil {
-		cluster.Close()
 		return nil, err
 	}
 
@@ -230,16 +202,11 @@ func New(cfg Config) (*Daemon, error) {
 	registry := workload.NewRegistry()
 	pool, err := rts.NewPool(rts.PoolConfig{
 		Base: rts.Config{
-			Resource: core.ResourceDesc{
-				Resource: cfg.Resource,
-				Cores:    cfg.Cores,
-				GPUs:     cfg.GPUs,
-				Walltime: cfg.Walltime,
-			},
+			Resource:    machine.Resources[0],
 			Clock:       clock,
-			Session:     session,
+			Session:     machine.Session,
 			Registry:    registry,
-			FS:          fs,
+			FS:          machine.FS,
 			Model:       cfg.Model,
 			Seed:        cfg.Seed,
 			QueueShards: cfg.QueueShards,
@@ -250,22 +217,18 @@ func New(cfg Config) (*Daemon, error) {
 		TraceDispatch:  cfg.TraceDispatch,
 	})
 	if err != nil {
-		cluster.Close()
-		session.Close()
+		machine.Close()
 		return nil, err
 	}
 	if err := pool.Start(context.Background()); err != nil {
-		cluster.Close()
-		session.Close()
+		machine.Close()
 		return nil, err
 	}
 
 	d := &Daemon{
 		cfg:      cfg,
 		clock:    clock,
-		session:  session,
-		cluster:  cluster,
-		fs:       fs,
+		machine:  machine,
 		host:     hostmodel.ForCI(cfg.Resource),
 		registry: registry,
 		brk:      broker.New(broker.Options{}),
@@ -766,7 +729,6 @@ func (d *Daemon) Stop() {
 		d.wg.Wait()
 		d.pool.Stop()
 		d.brk.Close()
-		d.cluster.Close()
-		d.session.Close()
+		d.machine.Close()
 	})
 }

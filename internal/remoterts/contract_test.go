@@ -168,6 +168,12 @@ func TestStatsContract(t *testing.T) {
 				case <-timeout:
 					t.Fatalf("timed out with %d of %d results", got, tasks)
 				}
+				// Read while the other results are still streaming in: the
+				// counters must balance in every reading, not just at rest.
+				if st := r.Stats(); st.TasksSubmitted != st.TasksCompleted+st.Utilization.TasksInFlight {
+					t.Fatalf("after %d results: submitted %d != completed %d + in flight %d",
+						got+1, st.TasksSubmitted, st.TasksCompleted, st.Utilization.TasksInFlight)
+				}
 			}
 
 			// An executor returns its cores just after it delivers its result,
@@ -227,6 +233,55 @@ func TestStatsContract(t *testing.T) {
 			}
 			if !reflect.DeepEqual(st, want) {
 				t.Errorf("composite reports\n %+v\nits members merge to\n %+v", st, want)
+			}
+		})
+	}
+}
+
+// TestStopWithUnreadCompletions holds every implementation to Stop's half of
+// the completion contract: with the completion channel full and nobody
+// reading it, Stop still returns, the channel is closed afterwards (once: a
+// second close would panic), and a second Stop does nothing.
+func TestStopWithUnreadCompletions(t *testing.T) {
+	for name, build := range contractCases {
+		t.Run(name, func(t *testing.T) {
+			r := build(t).rts
+			ch := r.Completions()
+			n := cap(ch) + 64
+			batch := make([]core.TaskDescription, 256)
+			for sent := 0; sent < n; sent += len(batch) {
+				for i := range batch {
+					batch[i] = core.TaskDescription{UID: fmt.Sprintf("task.%05d", sent+i), Executable: "sleep", Cores: 1}
+				}
+				if err := r.Submit(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "the completion channel to fill", func() bool { return len(ch) == cap(ch) })
+
+			stopped := make(chan error, 1)
+			go func() { stopped <- r.Stop() }()
+			select {
+			case err := <-stopped:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stop blocked on a full, unread completion channel")
+			}
+			if err := r.Stop(); err != nil {
+				t.Fatalf("second Stop: %v", err)
+			}
+			timeout := time.After(10 * time.Second)
+			for {
+				select {
+				case _, ok := <-ch:
+					if !ok {
+						return
+					}
+				case <-timeout:
+					t.Fatal("completion channel still open after Stop")
+				}
 			}
 		})
 	}

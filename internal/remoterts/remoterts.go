@@ -103,21 +103,12 @@ type Proxy struct {
 	cfg   Config
 	peers []*peer
 
-	completions chan core.TaskResult
-	stopCh      chan struct{}
-	stopOnce    sync.Once
-	started     bool
-	stopped     atomic.Bool
-	alive       atomic.Bool
-	wg          sync.WaitGroup
-	upCh        chan struct{} // one tick per peer's first connection
+	out     core.Outbox
+	started bool
+	upCh    chan struct{} // one tick per peer's first connection
 
-	rr        atomic.Uint64 // task-striping cursor
-	everUp    atomic.Int64
-	submitted int64
-	completed int64
-	failed    int64
-	inflight  int64
+	rr     atomic.Uint64 // task-striping cursor
+	everUp atomic.Int64
 
 	errMu    sync.Mutex
 	deathErr error
@@ -129,11 +120,10 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		cfg:         cfg,
-		completions: make(chan core.TaskResult, 4096),
-		stopCh:      make(chan struct{}),
-		upCh:        make(chan struct{}, len(cfg.Addrs)),
+		cfg:  cfg,
+		upCh: make(chan struct{}, len(cfg.Addrs)),
 	}
+	p.out.Init(4096)
 	for _, addr := range cfg.Addrs {
 		p.peers = append(p.peers, &peer{proxy: p, addr: addr})
 	}
@@ -154,10 +144,8 @@ func (p *Proxy) Start(ctx context.Context) error {
 		return errors.New("remoterts: already started")
 	}
 	p.started = true
-	p.alive.Store(true)
 	for _, pr := range p.peers {
-		p.wg.Add(1)
-		go pr.run()
+		p.out.Go(pr.run)
 	}
 	deadline := time.After(p.cfg.StartTimeout)
 	var grace <-chan time.Time // armed once the first peer is up
@@ -194,7 +182,7 @@ func (p *Proxy) Submit(tasks []core.TaskDescription) error {
 	if !p.started {
 		return errors.New("remoterts: not started")
 	}
-	if p.stopped.Load() || !p.alive.Load() {
+	if p.out.Stopped() || p.out.Dead() {
 		return errors.New("remoterts: stopped or dead")
 	}
 	// In-process closures cannot cross a socket, and silently dropping one
@@ -226,8 +214,7 @@ func (p *Proxy) Submit(tasks []core.TaskDescription) error {
 		}
 		pr.inflight.Add(int64(count))
 	}
-	atomic.AddInt64(&p.submitted, int64(len(tasks)))
-	atomic.AddInt64(&p.inflight, int64(len(tasks)))
+	p.out.Submitted(len(tasks))
 	return nil
 }
 
@@ -243,10 +230,10 @@ func stripe(n, peers, base, k int) (first, count int) {
 }
 
 // Completions implements core.RTS.
-func (p *Proxy) Completions() <-chan core.TaskResult { return p.completions }
+func (p *Proxy) Completions() <-chan core.TaskResult { return p.out.Completions() }
 
-// Alive implements core.RTS.
-func (p *Proxy) Alive() bool { return p.alive.Load() }
+// Alive implements core.RTS: from Start until the first peer death.
+func (p *Proxy) Alive() bool { return p.started && !p.out.Dead() }
 
 // Err reports why the Proxy died, nil while healthy.
 func (p *Proxy) Err() error {
@@ -258,14 +245,10 @@ func (p *Proxy) Err() error {
 // Stop implements core.RTS: close every agent connection and the completion
 // channel. The agents notice the disconnect and purge their RTS instances.
 func (p *Proxy) Stop() error {
-	p.stopOnce.Do(func() {
-		p.stopped.Store(true)
-		close(p.stopCh)
+	p.out.Stop(func() {
 		for _, pr := range p.peers {
 			pr.close()
 		}
-		p.wg.Wait()
-		close(p.completions)
 	})
 	return nil
 }
@@ -283,10 +266,7 @@ func (p *Proxy) Stats() core.RTSStats {
 		pr.mu.Unlock()
 	}
 	st.PilotsSubmitted = int(p.everUp.Load())
-	st.TasksSubmitted = int(atomic.LoadInt64(&p.submitted))
-	st.TasksCompleted = int(atomic.LoadInt64(&p.completed))
-	st.TasksFailed = int(atomic.LoadInt64(&p.failed))
-	st.Utilization.TasksInFlight = int(atomic.LoadInt64(&p.inflight))
+	p.out.Count(&st)
 	return st
 }
 
@@ -306,37 +286,13 @@ func (p *Proxy) livePeers() []*peer {
 // resubmit. During Stop the connection teardown is expected and ignored.
 func (p *Proxy) peerDied(pr *peer, err error) {
 	pr.setDown()
-	if p.stopped.Load() {
+	if p.out.Stopped() {
 		return
 	}
-	if p.alive.CompareAndSwap(true, false) {
+	if p.out.Kill() {
 		p.errMu.Lock()
 		p.deathErr = err
 		p.errMu.Unlock()
-	}
-}
-
-// deliver forwards one agent result unless the Proxy is dead or stopping —
-// the same lost-in-flight rule as the in-process RTS.
-func (p *Proxy) deliver(res core.TaskResult) {
-	if !p.alive.Load() {
-		return // a dead RTS loses in-flight tasks (paper failure model)
-	}
-	// The channel nearly always has room; a plain send skips the select's
-	// lock-both-channels set-up.
-	select {
-	case p.completions <- res:
-	default:
-		select {
-		case p.completions <- res:
-		case <-p.stopCh:
-			return
-		}
-	}
-	atomic.AddInt64(&p.completed, 1)
-	atomic.AddInt64(&p.inflight, -1)
-	if res.ExitCode != 0 {
-		atomic.AddInt64(&p.failed, 1)
 	}
 }
 
@@ -389,17 +345,16 @@ func (pr *peer) close() {
 // dies. One connected-then-dead transition ends the loop: the proxy is dead
 // and its replacement owns reconnection.
 func (pr *peer) run() {
-	defer pr.proxy.wg.Done()
 	for attempt := 0; ; attempt++ {
 		select {
-		case <-pr.proxy.stopCh:
+		case <-pr.proxy.out.Stopping():
 			return
 		default:
 		}
 		tc, err := pr.connect()
 		if err != nil {
 			select {
-			case <-pr.proxy.stopCh:
+			case <-pr.proxy.out.Stopping():
 				return
 			case <-time.After(transport.Backoff(attempt)):
 				continue
@@ -479,7 +434,7 @@ func (pr *peer) readLoop(tc *transport.Conn) {
 			}
 			pr.inflight.Add(int64(-len(results)))
 			for _, res := range results {
-				pr.proxy.deliver(res)
+				pr.proxy.out.Deliver(res)
 			}
 		case msgcodec.FrameAgentStats:
 			stats, err := msgcodec.DecodeAgentStats(body)

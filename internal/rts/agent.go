@@ -43,6 +43,7 @@ import (
 // does; nothing else does.
 type agent struct {
 	rts        *PilotRTS
+	stop       <-chan struct{} // closed when the RTS stops
 	cores      int
 	gpus       int
 	schedulers int
@@ -128,6 +129,7 @@ func newAgent(r *PilotRTS, cores, gpus, schedulers int) *agent {
 	}
 	a := &agent{
 		rts:        r,
+		stop:       r.out.Stopping(),
 		cores:      cores,
 		gpus:       gpus,
 		schedulers: schedulers,
@@ -136,7 +138,7 @@ func newAgent(r *PilotRTS, cores, gpus, schedulers int) *agent {
 		stagers:    newStagerPool(r.model.Stagers),
 		stageReq:   make(chan *stageRequest, 4096),
 		schedStats: make([]schedStat, schedulers),
-		env:        workload.Env{Clock: r.clock, Compute: r.cfg.Compute, Cancel: r.stopCh},
+		env:        workload.Env{Clock: r.clock, Compute: r.cfg.Compute, Cancel: r.out.Stopping()},
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
@@ -216,7 +218,7 @@ func (a *agent) stagerLoop() {
 	defer a.stageWG.Done()
 	for {
 		select {
-		case <-a.rts.stopCh:
+		case <-a.stop:
 			return
 		case req := <-a.stageReq:
 			var grant stageGrant
@@ -229,7 +231,7 @@ func (a *agent) stagerLoop() {
 			}
 			select {
 			case req.done <- grant:
-			case <-a.rts.stopCh:
+			case <-a.stop:
 				return
 			}
 		}
@@ -245,7 +247,7 @@ func (a *agent) stage(files []fsim.File) time.Duration {
 	req := &stageRequest{files: files, done: make(chan stageGrant, 1)}
 	select {
 	case a.stageReq <- req:
-	case <-a.rts.stopCh:
+	case <-a.stop:
 		return 0
 	}
 	select {
@@ -253,11 +255,11 @@ func (a *agent) stage(files []fsim.File) time.Duration {
 		if grant.wait > 0 {
 			select {
 			case <-a.rts.clock.After(grant.wait):
-			case <-a.rts.stopCh:
+			case <-a.stop:
 			}
 		}
 		return grant.duration
-	case <-a.rts.stopCh:
+	case <-a.stop:
 		return 0
 	}
 }
@@ -298,7 +300,7 @@ func (a *agent) schedulerLoop(id int) {
 			}
 			select {
 			case <-ch:
-			case <-a.rts.stopCh:
+			case <-a.stop:
 				return
 			}
 		}
@@ -410,7 +412,7 @@ func (a *agent) executorLoop(work chan placement) {
 			select {
 			case <-a.rts.clock.After(p.delay):
 				a.execute(p.desc)
-			case <-a.rts.stopCh:
+			case <-a.stop:
 			}
 		} else {
 			a.execute(p.desc)

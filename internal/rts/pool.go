@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -281,19 +280,17 @@ func (p *Pool) Admit(spec LeaseSpec) (*Lease, error) {
 		cores:  spec.Cores,
 		gpus:   spec.GPUs,
 		prefix: string(prefix),
-		// The claim window admits at most Cores one-core tasks to the pilot
-		// at a time, so that many results can be waiting for the run at once;
-		// the pump's buffer takes any excess. (A flat 256 slots is 26 KB per
-		// lease, most of what a 16-task run costs.)
-		comp:   make(chan core.TaskResult, min(spec.Cores, leaseCompletionCap)),
-		stopCh: make(chan struct{}),
 	}
+	// The claim window admits at most Cores one-core tasks to the pilot at a
+	// time, so that many results can be waiting for the run at once; the
+	// pump's buffer takes any excess. (A flat 256 slots is 26 KB per lease,
+	// most of what a 16-task run costs.)
+	l.out.Init(min(spec.Cores, leaseCompletionCap))
 	l.qcond.L = &l.qmu
 	t.claimed += spec.Cores
 	p.claimed += spec.Cores
 	p.leases[l.seq] = l
-	p.wg.Add(1)
-	go l.pump(&p.wg)
+	l.out.Go(l.pump)
 	return l, nil
 }
 
@@ -515,23 +512,14 @@ type Lease struct {
 	cores  int
 	gpus   int
 	prefix string
-
-	comp     chan core.TaskResult
-	stopCh   chan struct{}
-	stopOnce sync.Once
+	out    core.Outbox // stopped = revoked
 
 	qmu   sync.Mutex
 	qcond sync.Cond // on qmu
 	qbuf  []core.TaskResult
 	qdone bool
 
-	window  int // cores dispatched but not completed; guarded by pool.mu
-	revoked atomic.Bool
-
-	submitted int64
-	completed int64
-	failed    int64
-	inflight  int64
+	window int // cores dispatched but not completed; guarded by pool.mu
 }
 
 // RunID returns the owning run's identifier.
@@ -549,7 +537,7 @@ func (l *Lease) Name() string { return "pool-lease" }
 // Start implements core.RTS. The shared pilot is already running, so a
 // lease start only verifies the pool is still serviceable.
 func (l *Lease) Start(ctx context.Context) error {
-	if l.revoked.Load() {
+	if l.out.Stopped() {
 		return errors.New("rts: lease revoked")
 	}
 	if !l.pool.Alive() {
@@ -562,7 +550,7 @@ func (l *Lease) Start(ctx context.Context) error {
 // with a run-scoped UID prefix; the pool's stride scheduler dispatches them
 // into the shared pilot as the claim window allows.
 func (l *Lease) Submit(tasks []core.TaskDescription) error {
-	if l.revoked.Load() {
+	if l.out.Stopped() {
 		return errors.New("rts: lease revoked")
 	}
 	p := l.pool
@@ -583,36 +571,33 @@ func (l *Lease) Submit(tasks []core.TaskDescription) error {
 		}
 		t.queue = append(t.queue, poolEntry{lease: l, desc: d})
 	}
-	atomic.AddInt64(&l.submitted, int64(len(tasks)))
-	atomic.AddInt64(&l.inflight, int64(len(tasks)))
+	l.out.Submitted(len(tasks))
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return nil
 }
 
 // Completions implements core.RTS. The channel closes on Stop.
-func (l *Lease) Completions() <-chan core.TaskResult { return l.comp }
+func (l *Lease) Completions() <-chan core.TaskResult { return l.out.Completions() }
 
 // Alive implements core.RTS: healthy while the shared pilot lives and the
 // lease has not been revoked (reconciler force-release or Stop).
-func (l *Lease) Alive() bool { return !l.revoked.Load() && l.pool.Alive() }
+func (l *Lease) Alive() bool { return !l.out.Stopped() && l.pool.Alive() }
 
 // Revoke marks the lease dead and releases its claim without the run's
 // cooperation — the reconciler's lever against leaked leases. The owning
 // run's heartbeat observes Alive()==false and fails over.
 func (l *Lease) Revoke() { l.doStop() }
 
-// Stop implements core.RTS: release the claim, drop queued tasks, close the
-// completion channel. Idempotent.
+// Stop implements core.RTS: release the claim, drop queued tasks, and close
+// the completion channel once the pump has exited. Idempotent.
 func (l *Lease) Stop() error {
 	l.doStop()
 	return nil
 }
 
 func (l *Lease) doStop() {
-	l.stopOnce.Do(func() {
-		l.revoked.Store(true)
-		close(l.stopCh)
+	l.out.Stop(func() {
 		l.qmu.Lock()
 		l.qdone = true
 		l.qcond.Signal()
@@ -639,9 +624,7 @@ func (l *Lease) enqueue(res core.TaskResult) {
 // completion channel. The intermediate buffer keeps the pool router from
 // ever blocking on a slow or departed run: delivery blocks here, in a
 // per-lease goroutine that Stop can always interrupt.
-func (l *Lease) pump(wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer close(l.comp)
+func (l *Lease) pump() {
 	for {
 		l.qmu.Lock()
 		for len(l.qbuf) == 0 && !l.qdone {
@@ -654,14 +637,7 @@ func (l *Lease) pump(wg *sync.WaitGroup) {
 		res := l.qbuf[0]
 		l.qbuf = l.qbuf[1:]
 		l.qmu.Unlock()
-		select {
-		case l.comp <- res:
-			atomic.AddInt64(&l.completed, 1)
-			atomic.AddInt64(&l.inflight, -1)
-			if res.ExitCode != 0 {
-				atomic.AddInt64(&l.failed, 1)
-			}
-		case <-l.stopCh:
+		if !l.out.Deliver(res) {
 			return
 		}
 	}
@@ -673,17 +649,15 @@ func (l *Lease) pump(wg *sync.WaitGroup) {
 // pilot's store counters (one store serves every lease).
 func (l *Lease) Stats() core.RTSStats {
 	pilot := l.pool.inner.Stats()
-	return core.RTSStats{
-		TasksSubmitted: int(atomic.LoadInt64(&l.submitted)),
-		TasksCompleted: int(atomic.LoadInt64(&l.completed)),
-		TasksFailed:    int(atomic.LoadInt64(&l.failed)),
+	st := core.RTSStats{
 		Utilization: core.Utilization{
-			CoresTotal:    l.cores,
-			CoresBusy:     min(pilot.Utilization.CoresBusy, l.cores),
-			GPUsTotal:     l.gpus,
-			GPUsBusy:      min(pilot.Utilization.GPUsBusy, l.gpus),
-			TasksInFlight: int(atomic.LoadInt64(&l.inflight)),
+			CoresTotal: l.cores,
+			CoresBusy:  min(pilot.Utilization.CoresBusy, l.cores),
+			GPUsTotal:  l.gpus,
+			GPUsBusy:   min(pilot.Utilization.GPUsBusy, l.gpus),
 		},
 		Store: pilot.Store,
 	}
+	l.out.Count(&st)
+	return st
 }

@@ -27,12 +27,8 @@ import (
 //     among those whose pilot is large enough (least-loaded placement).
 type Router struct {
 	members []*member
-
-	completions chan core.TaskResult
-	stopOnce    sync.Once
-	stopCh      chan struct{}
-	wg          sync.WaitGroup
-	started     bool
+	out     core.Outbox
+	started bool
 
 	routedTo sync.Map // member name -> *int64
 }
@@ -71,10 +67,8 @@ func NewRouter(members []RouterMember) (*Router, error) {
 	if len(members) == 0 {
 		return nil, errors.New("rts: router needs at least one member")
 	}
-	r := &Router{
-		completions: make(chan core.TaskResult, 4096),
-		stopCh:      make(chan struct{}),
-	}
+	r := &Router{}
+	r.out.Init(4096)
 	seen := map[string]bool{}
 	for _, m := range members {
 		if m.RTS == nil {
@@ -112,22 +106,17 @@ func (r *Router) Start(ctx context.Context) error {
 		if err := m.rts.Start(ctx); err != nil {
 			return fmt.Errorf("rts: router member %s: %w", m.name, err)
 		}
-		r.wg.Add(1)
-		go r.forward(m)
+		r.out.Go(func() { r.forward(m) })
 	}
 	return nil
 }
 
-// forward merges one member's completions into the router's stream.
+// forward merges one member's completions into the router's stream until
+// the member stops.
 func (r *Router) forward(m *member) {
-	defer r.wg.Done()
 	for res := range m.rts.Completions() {
 		atomic.AddInt64(&m.inflight, -1)
-		select {
-		case r.completions <- res:
-		case <-r.stopCh:
-			return
-		}
+		r.out.Deliver(res)
 	}
 }
 
@@ -188,6 +177,7 @@ func (r *Router) Submit(tasks []core.TaskDescription) error {
 			return fmt.Errorf("rts: router member %s: %w", m.name, err)
 		}
 		atomic.AddInt64(&m.inflight, int64(len(batch)))
+		r.out.Submitted(len(batch))
 		key := m.name
 		v, _ := r.routedTo.LoadOrStore(key, new(int64))
 		atomic.AddInt64(v.(*int64), int64(len(batch)))
@@ -196,7 +186,7 @@ func (r *Router) Submit(tasks []core.TaskDescription) error {
 }
 
 // Completions implements core.RTS.
-func (r *Router) Completions() <-chan core.TaskResult { return r.completions }
+func (r *Router) Completions() <-chan core.TaskResult { return r.out.Completions() }
 
 // Alive implements core.RTS: the router is alive while every member is
 // (EnTK's heartbeat then replaces the whole composite, preserving the
@@ -210,31 +200,30 @@ func (r *Router) Alive() bool {
 	return true
 }
 
-// Stop implements core.RTS.
+// Stop implements core.RTS: the members stop, which ends every forward.
 func (r *Router) Stop() error {
 	var firstErr error
-	r.stopOnce.Do(func() {
+	r.out.Stop(func() {
 		for _, m := range r.members {
 			if err := m.rts.Stop(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		close(r.stopCh)
-		r.wg.Wait()
-		close(r.completions)
 	})
 	return firstErr
 }
 
-// Stats implements core.RTS by merging the members' in member order:
-// heterogeneous pilots aggregate into one campaign-wide view of counters,
-// occupancy and every pilot's store and scheduler pool.
+// Stats implements core.RTS by merging the members' in member order —
+// heterogeneous pilots aggregate into one campaign-wide view of occupancy and
+// every pilot's store and scheduler pool — under the router's own task
+// counters, which see every routed task and every forwarded result.
 func (r *Router) Stats() core.RTSStats {
-	var out core.RTSStats
+	var st core.RTSStats
 	for _, m := range r.members {
-		out.Add(m.rts.Stats())
+		st.Add(m.rts.Stats())
 	}
-	return out
+	r.out.Count(&st)
+	return st
 }
 
 // RoutedTo reports how many tasks were routed to the named member.

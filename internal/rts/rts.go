@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -79,20 +78,11 @@ type PilotRTS struct {
 	jrn   *journal.Journal
 	live  *tuning.Live
 
-	completions chan core.TaskResult
-	stopCh      chan struct{}
-	stopOnce    sync.Once
-	started     bool
-	stopped     atomic.Bool
-	alive       atomic.Bool
+	out     core.Outbox
+	started bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	submitted int64
-	completed int64
-	failed    int64
-	inflight  int64
 }
 
 // New builds a PilotRTS from config.
@@ -117,15 +107,13 @@ func New(cfg Config) (*PilotRTS, error) {
 		cfg.Prof = profiler.New(cfg.Clock)
 	}
 	r := &PilotRTS{
-		cfg:         cfg,
-		model:       model,
-		clock:       cfg.Clock,
-		prof:        cfg.Prof,
-		completions: make(chan core.TaskResult, 4096),
-		stopCh:      make(chan struct{}),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		cfg:   cfg,
+		model: model,
+		clock: cfg.Clock,
+		prof:  cfg.Prof,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	r.alive.Store(true)
+	r.out.Init(4096)
 	return r, nil
 }
 
@@ -176,7 +164,7 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		case <-pilot.Active():
 		case <-pilot.Done():
 			return // pilot died in the queue
-		case <-r.stopCh:
+		case <-r.out.Stopping():
 			return
 		}
 		// Agent bootstrap (Fig 3, arrow 3). Modelled costs are accounted
@@ -189,7 +177,7 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		// A pilot that dies (walltime, CI failure) kills the RTS.
 		<-pilot.Done()
 		if pilot.State() == saga.StateFailed {
-			r.alive.Store(false)
+			r.out.Kill()
 		}
 	}()
 	return nil
@@ -219,7 +207,7 @@ func (r *PilotRTS) resolveSchedulers() int {
 // of a silently dropped record.
 func (r *PilotRTS) noteStoreFailure() {
 	if r.store != nil && r.store.Err() != nil {
-		r.alive.Store(false)
+		r.out.Kill()
 	}
 }
 
@@ -229,7 +217,7 @@ func (r *PilotRTS) Submit(tasks []core.TaskDescription) error {
 	if !r.started {
 		return errors.New("rts: not started")
 	}
-	if r.stopped.Load() {
+	if r.out.Stopped() {
 		return errors.New("rts: stopped")
 	}
 	cost := r.model.SubmitBatchCost + time.Duration(len(tasks))*r.model.SubmitPerTask
@@ -240,44 +228,26 @@ func (r *PilotRTS) Submit(tasks []core.TaskDescription) error {
 	if err := r.store.Push(tasks); err != nil {
 		return err
 	}
-	atomic.AddInt64(&r.submitted, int64(len(tasks)))
-	atomic.AddInt64(&r.inflight, int64(len(tasks)))
+	r.out.Submitted(len(tasks))
 	return nil
 }
 
 // Completions implements core.RTS.
-func (r *PilotRTS) Completions() <-chan core.TaskResult { return r.completions }
+func (r *PilotRTS) Completions() <-chan core.TaskResult { return r.out.Completions() }
 
 // Alive implements core.RTS.
-func (r *PilotRTS) Alive() bool { return r.alive.Load() }
+func (r *PilotRTS) Alive() bool { return !r.out.Dead() }
 
 // Kill marks the RTS dead (fault injection / tests).
-func (r *PilotRTS) Kill() { r.alive.Store(false) }
+func (r *PilotRTS) Kill() { r.out.Kill() }
 
-// deliver pushes one result unless the RTS is stopping or dead. The channel
-// almost always has room, so the send is tried alone first; only a full
-// channel pays for the two-way wait against stopCh.
+// deliver pushes one result through the outbox, then applies the injected
+// crash.
 func (r *PilotRTS) deliver(res core.TaskResult) {
-	if !r.alive.Load() {
-		return // a dead RTS loses in-flight tasks (paper failure model)
-	}
-	select {
-	case r.completions <- res:
-	default:
-		select {
-		case r.completions <- res:
-		case <-r.stopCh:
-			return
+	if r.out.Deliver(res) {
+		if n := r.cfg.Faults.CrashAfterCompletions; n > 0 && r.out.Completed() >= int64(n) {
+			r.out.Kill()
 		}
-	}
-	atomic.AddInt64(&r.completed, 1)
-	atomic.AddInt64(&r.inflight, -1)
-	if res.ExitCode != 0 {
-		atomic.AddInt64(&r.failed, 1)
-	}
-	if n := r.cfg.Faults.CrashAfterCompletions; n > 0 &&
-		atomic.LoadInt64(&r.completed) >= int64(n) {
-		r.alive.Store(false)
 	}
 }
 
@@ -295,9 +265,7 @@ func (r *PilotRTS) sampleTaskFault() bool {
 // Stop implements core.RTS: cancel the pilot, stop the agent, charge the
 // tear-down cost and close the completion channel.
 func (r *PilotRTS) Stop() error {
-	r.stopOnce.Do(func() {
-		r.stopped.Store(true)
-		close(r.stopCh)
+	r.out.Stop(func() {
 		if r.pilot != nil {
 			r.pilot.Complete() //nolint:errcheck // pilot shuts itself down
 		}
@@ -314,7 +282,6 @@ func (r *PilotRTS) Stop() error {
 		if r.jrn != nil {
 			r.jrn.Close()
 		}
-		close(r.completions)
 	})
 	return nil
 }
@@ -342,16 +309,13 @@ func (r *PilotRTS) StoreStats() core.StoreStats {
 func (r *PilotRTS) Stats() core.RTSStats {
 	st := core.RTSStats{
 		PilotsSubmitted: 1,
-		TasksSubmitted:  int(atomic.LoadInt64(&r.submitted)),
-		TasksCompleted:  int(atomic.LoadInt64(&r.completed)),
-		TasksFailed:     int(atomic.LoadInt64(&r.failed)),
 		Utilization: core.Utilization{
-			CoresTotal:    r.cfg.Resource.Cores,
-			GPUsTotal:     r.cfg.Resource.GPUs,
-			TasksInFlight: int(atomic.LoadInt64(&r.inflight)),
+			CoresTotal: r.cfg.Resource.Cores,
+			GPUsTotal:  r.cfg.Resource.GPUs,
 		},
 		Store: r.StoreStats(),
 	}
+	r.out.Count(&st)
 	if r.agent != nil {
 		st.Utilization.CoresBusy = st.Utilization.CoresTotal - r.agent.FreeCores()
 		st.Utilization.GPUsBusy = st.Utilization.GPUsTotal - r.agent.FreeGPUs()

@@ -174,6 +174,12 @@ func NewClusterAdapter(c *hpc.Cluster) Adapter {
 	return &clusterAdapter{cluster: c}
 }
 
+// OwnCluster wraps c like NewClusterAdapter, but its Close — and so the
+// session's — tears c down.
+func OwnCluster(c *hpc.Cluster) Adapter {
+	return &clusterAdapter{cluster: c, ownsIt: true}
+}
+
 // NewCatalogAdapter builds a cluster simulation for a catalogued CI and
 // wraps it; Close tears the cluster down.
 func NewCatalogAdapter(resource string, clock vclock.Clock) (Adapter, error) {
@@ -181,7 +187,7 @@ func NewCatalogAdapter(resource string, clock vclock.Clock) (Adapter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &clusterAdapter{cluster: c, ownsIt: true}, nil
+	return OwnCluster(c), nil
 }
 
 func (a *clusterAdapter) Resource() string { return a.cluster.Spec.Name }
