@@ -63,6 +63,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *scheds < 0 {
+		fmt.Fprintf(stderr, "entk-agent: -schedulers %d: negative (0 selects the default)\n", *scheds)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "entk-agent: %v\n", err)
 		return 1

@@ -16,6 +16,7 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 		says string
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{"negative schedulers", []string{"-schedulers", "-1"}, 2, "-schedulers -1: negative"},
 		{"unknown resource", []string{"-resource", "nowhere"}, 1, "nowhere"},
 		{"bad listen address", []string{"-listen", "carrier-pigeon"}, 1, "carrier-pigeon"},
 	} {

@@ -64,6 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "entkd: -socket is required (see -h)")
 		return 2
 	}
+	if *scheds < 0 {
+		fmt.Fprintf(stderr, "entkd: -schedulers %d: negative (0 selects the default)\n", *scheds)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "entkd: %v\n", err)
 		return 1

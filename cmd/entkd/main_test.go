@@ -22,6 +22,7 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{"no socket", nil, 2, "-socket is required"},
+		{"negative schedulers", []string{"-socket", sock, "-schedulers", "-1"}, 2, "-schedulers -1: negative"},
 		{"bad tenant spec", []string{"-socket", sock, "-tenants", "alice"}, 1, `bad tenant spec "alice"`},
 		{"bad tenant weight", []string{"-socket", sock, "-tenants", "alice:0"}, 1, `bad tenant weight in "alice:0"`},
 	} {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fsim"
 	"repro/internal/workload"
 )
 
@@ -72,6 +73,41 @@ func TestEndToEndRun(t *testing.T) {
 	}
 	if rep.RTSOverhead <= 0 {
 		t.Fatalf("no RTS overhead recorded: %+v", rep)
+	}
+}
+
+// TestMachineKnobsReachTheCI holds the two knobs of the simulated CI to
+// their effect: FSSpec replaces the filesystem model, and QueueWait holds the
+// pilot in the batch queue, so the run takes at least that long in virtual
+// time.
+func TestMachineKnobsReachTheCI(t *testing.T) {
+	fs := fsim.XSEDEShared()
+	fs.Name = "scratch-nvme"
+	const wait = 30 * time.Minute
+	am, err := NewAppManager(AppConfig{
+		Resource:  Resource{Name: "supermic", Cores: 8, Walltime: time.Hour},
+		TimeScale: time.Microsecond,
+		HostName:  "null",
+		FSSpec:    &fs,
+		QueueWait: wait,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := am.Filesystem().Spec().Name; got != fs.Name {
+		t.Fatalf("filesystem = %q, want the FSSpec override %q", got, fs.Name)
+	}
+	if err := am.AddPipelines(smallApp(2, time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	start := am.Clock().Now()
+	if err := am.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := am.Clock().Now().Sub(start); took < wait {
+		t.Fatalf("run took %v of virtual time, less than the %v queue wait", took, wait)
 	}
 }
 

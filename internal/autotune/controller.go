@@ -29,75 +29,48 @@ type KnobChange struct {
 	Reason string
 }
 
-// Policy configures the controller's rules. The zero value of every field
-// selects a sensible default (see withDefaults); Enabled gates the whole
-// loop — when false no controller goroutine exists and the hot paths read a
+// Policy configures the controller. Enabled gates the whole loop — when
+// false no controller goroutine exists and the hot paths read a
 // collapsed-bounds handle whose values never change.
 type Policy struct {
 	// Enabled turns the control loop on. Off by default.
 	Enabled bool
 	// Interval is the sampling cadence in virtual time (default 2s).
 	Interval time.Duration
-	// Patience is how many consecutive samples a condition must hold before
-	// a knob moves (default 2) — the first half of the hysteresis damping.
-	Patience int
-	// Cooldown is how many samples every knob holds still after any change
-	// (default 2) — the second half: a decision must be observed through the
-	// pipeline before the next one is allowed.
-	Cooldown int
-	// HighDepthFactor: the backlog (broker queue depth + store depth) that
-	// counts as sustained pressure, in multiples of the current batch size
-	// (default 4). Strictly-greater comparison, so a signal sitting exactly
-	// on the watermark never triggers.
-	HighDepthFactor float64
-	// LatencySpike: per-task virtual dispatch latency above which the batch
-	// shrinks (default 250ms).
-	LatencySpike time.Duration
-	// StealFraction: steals/pulls ratio above which the scheduler pool
-	// shrinks (default 0.5). The pool grows only when the ratio is strictly
-	// below half this value and pressure is high.
-	StealFraction float64
 	// StrainThreshold: concurrently managed tasks beyond which the
 	// controller abandons its rules and jumps to the conservative operating
 	// point (0 = never; the core wiring fills it from the host model's
 	// StrainThreshold).
 	StrainThreshold int
-	// ConservativeBatch and ConservativeSchedulers are the host-strain
-	// fallback operating point (defaults 256 and 1): small enough batches to
-	// keep latency bounded, one strict-FIFO scheduler.
-	ConservativeBatch      int
-	ConservativeSchedulers int
 }
 
-func (p Policy) withDefaults() Policy {
-	if p.Interval <= 0 {
-		p.Interval = 2 * time.Second
-	}
-	if p.Patience <= 0 {
-		p.Patience = 2
-	}
-	if p.Cooldown < 0 {
-		p.Cooldown = 0
-	} else if p.Cooldown == 0 {
-		p.Cooldown = 2
-	}
-	if p.HighDepthFactor <= 0 {
-		p.HighDepthFactor = 4
-	}
-	if p.LatencySpike <= 0 {
-		p.LatencySpike = 250 * time.Millisecond
-	}
-	if p.StealFraction <= 0 {
-		p.StealFraction = 0.5
-	}
-	if p.ConservativeBatch <= 0 {
-		p.ConservativeBatch = 256
-	}
-	if p.ConservativeSchedulers <= 0 {
-		p.ConservativeSchedulers = 1
-	}
-	return p
-}
+// The rules' constants.
+const (
+	// patience is how many consecutive samples a condition must hold before
+	// a knob moves — the first half of the hysteresis damping.
+	patience = 2
+	// cooldownSamples is how many samples every knob holds still after any
+	// change — the second half: a decision must be observed through the
+	// pipeline before the next one is allowed.
+	cooldownSamples = 2
+	// highDepthFactor: the backlog (broker queue depth + store depth) that
+	// counts as sustained pressure, in multiples of the current batch size.
+	// Strictly-greater comparison, so a signal sitting exactly on the
+	// watermark never triggers.
+	highDepthFactor = 4
+	// latencySpike: per-task virtual dispatch latency above which the batch
+	// shrinks.
+	latencySpike = 250 * time.Millisecond
+	// stealFraction: steals/pulls ratio above which the scheduler pool
+	// shrinks. The pool grows only when the ratio is strictly below half
+	// this value and pressure is high.
+	stealFraction = 0.5
+	// conservativeBatch and conservativeSchedulers are the host-strain
+	// fallback operating point: small enough batches to keep latency
+	// bounded, one strict-FIFO scheduler.
+	conservativeBatch      = 256
+	conservativeSchedulers = 1
+)
 
 // Signals is one sample of the run's observability counters. Counters
 // (Pulls, Steals, Dispatched, SchedulerBusy, EventDrops) are cumulative
@@ -148,11 +121,11 @@ type Controller struct {
 // NewController returns a controller steering the given live handle under
 // the given policy (defaults applied).
 func NewController(live *tuning.Live, pol Policy) *Controller {
-	return &Controller{live: live, pol: pol.withDefaults()}
+	if pol.Interval <= 0 {
+		pol.Interval = 2 * time.Second
+	}
+	return &Controller{live: live, pol: pol}
 }
-
-// Policy returns the controller's effective (default-applied) policy.
-func (c *Controller) Policy() Policy { return c.pol }
 
 func (c *Controller) resetStreaks() {
 	c.growBatch, c.shrinkBatch, c.shrinkSched, c.growSched = 0, 0, 0, 0
@@ -160,9 +133,9 @@ func (c *Controller) resetStreaks() {
 
 // Step feeds one sample through the decision rules and applies any resulting
 // knob moves to the live handle, returning the committed changes. Rules are
-// hysteresis-damped twice over: a condition must hold for Patience
+// hysteresis-damped twice over: a condition must hold for patience
 // consecutive samples to move a knob, and after any move every knob holds
-// still for Cooldown samples. All comparisons are strict, so a signal
+// still for cooldownSamples samples. All comparisons are strict, so a signal
 // sitting exactly on a watermark triggers nothing (no boundary oscillation).
 func (c *Controller) Step(sig Signals) []KnobChange {
 	defer func() { c.prev, c.havePrev = sig, true }()
@@ -173,13 +146,13 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	if c.pol.StrainThreshold > 0 && sig.ActiveTasks > c.pol.StrainThreshold {
 		c.resetStreaks()
 		var out []KnobChange
-		if from, to, ok := c.live.SetBatchSize(c.pol.ConservativeBatch); ok {
+		if from, to, ok := c.live.SetBatchSize(conservativeBatch); ok {
 			out = append(out, KnobChange{Knob: KnobBatch, From: from, To: to, Reason: "host-strain"})
 		}
-		if from, to, ok := c.live.SetSchedulers(c.pol.ConservativeSchedulers); ok {
+		if from, to, ok := c.live.SetSchedulers(conservativeSchedulers); ok {
 			out = append(out, KnobChange{Knob: KnobSchedulers, From: from, To: to, Reason: "host-strain"})
 		}
-		c.cooldown = c.pol.Cooldown
+		c.cooldown = cooldownSamples
 		return out
 	}
 
@@ -200,13 +173,13 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 
 	batch := c.live.BatchSize()
 	backlog := float64(sig.QueueDepth + sig.StoreDepth)
-	pressure := backlog > c.pol.HighDepthFactor*float64(batch)
+	pressure := backlog > highDepthFactor*float64(batch)
 
 	var perTask time.Duration
 	if dDispatched > 0 {
 		perTask = dBusy / time.Duration(dDispatched)
 	}
-	spike := perTask > c.pol.LatencySpike
+	spike := perTask > latencySpike
 	dropBurst := dDrops > 0
 
 	stealRatio := -1.0 // no pulls this sample: steal signal is silent
@@ -223,7 +196,7 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	case spike || dropBurst:
 		c.growBatch = 0
 		c.shrinkBatch++
-		if c.shrinkBatch >= c.pol.Patience {
+		if c.shrinkBatch >= patience {
 			reason := "latency-spike"
 			if dropBurst && !spike {
 				reason = "drop-burst"
@@ -236,7 +209,7 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	case pressure:
 		c.shrinkBatch = 0
 		c.growBatch++
-		if c.growBatch >= c.pol.Patience {
+		if c.growBatch >= patience {
 			if from, to, ok := c.live.SetBatchSize(batch * 2); ok {
 				out = append(out, KnobChange{Knob: KnobBatch, From: from, To: to, Reason: "queue-pressure"})
 			}
@@ -251,19 +224,19 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	// pool; high backlog with quiet steals means the pool has headroom.
 	scheds := c.live.Schedulers()
 	switch {
-	case stealRatio > c.pol.StealFraction:
+	case stealRatio > stealFraction:
 		c.growSched = 0
 		c.shrinkSched++
-		if c.shrinkSched >= c.pol.Patience {
+		if c.shrinkSched >= patience {
 			if from, to, ok := c.live.SetSchedulers(scheds - 1); ok {
 				out = append(out, KnobChange{Knob: KnobSchedulers, From: from, To: to, Reason: "steal-storm"})
 			}
 			c.shrinkSched = 0
 		}
-	case pressure && stealRatio >= 0 && stealRatio < c.pol.StealFraction/2:
+	case pressure && stealRatio >= 0 && stealRatio < stealFraction/2:
 		c.shrinkSched = 0
 		c.growSched++
-		if c.growSched >= c.pol.Patience {
+		if c.growSched >= patience {
 			if from, to, ok := c.live.SetSchedulers(scheds + 1); ok {
 				out = append(out, KnobChange{Knob: KnobSchedulers, From: from, To: to, Reason: "backlog-parallelism"})
 			}
@@ -274,7 +247,7 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	}
 
 	if len(out) > 0 {
-		c.cooldown = c.pol.Cooldown
+		c.cooldown = cooldownSamples
 	}
 	return out
 }

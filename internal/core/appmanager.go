@@ -71,8 +71,6 @@ type Config struct {
 	// runs multiplexed over one broker can never cross-deliver. Empty for
 	// single-run AppManagers.
 	QueuePrefix string
-	// Profiler receives overhead measurements. Created if nil.
-	Profiler *profiler.Profiler
 	// JournalDir, when non-empty, enables crash-recoverable runs: state
 	// transitions are journaled into segment files under this directory,
 	// the synchronizer periodically (every SnapshotEvery records) rolls the
@@ -137,9 +135,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Host == nil {
 		c.Host = hostmodel.Null()
-	}
-	if c.Profiler == nil {
-		c.Profiler = profiler.New(c.Clock)
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 10 * time.Second
@@ -257,7 +252,7 @@ func NewAppManager(cfg Config) (*AppManager, error) {
 	am := &AppManager{
 		cfg:    cfg,
 		clock:  cfg.Clock,
-		prof:   cfg.Profiler,
+		prof:   profiler.New(cfg.Clock),
 		host:   cfg.Host,
 		live:   cfg.Live,
 		doneCh: make(chan struct{}),
@@ -279,7 +274,7 @@ func (am *AppManager) Resource() ResourceDesc { return am.res }
 // SetRTSFactory installs the runtime-system factory.
 func (am *AppManager) SetRTSFactory(f RTSFactory) { am.rtsFactory = f }
 
-// Profiler returns the profiler measuring this application.
+// Profiler returns the profiler measuring this application, one per manager.
 func (am *AppManager) Profiler() *profiler.Profiler { return am.prof }
 
 // AddPipelines registers pipelines. Before Run it only records them; during

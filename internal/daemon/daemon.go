@@ -86,12 +86,10 @@ type Config struct {
 	// per-run journal directory (<JournalRoot>/<runID>). Required only when
 	// a submission asks for a journal.
 	JournalRoot string
-	// Tuning knobs applied to every hosted run (same semantics as the
-	// entk.Tuning fields of the same names).
-	BatchSize        int
-	QueueShards      int
+	// SchedulerWorkers is the shared pilot's scheduler concurrency (same
+	// semantics as entk.Tuning.SchedulerWorkers); every hosted run reports
+	// the count the pool resolved.
 	SchedulerWorkers int
-	SnapshotEvery    int
 	// Model overrides the pool's RTS cost model (zero value = per-CI
 	// default; tests use rts.FastModel()).
 	Model rts.Model
@@ -202,15 +200,14 @@ func New(cfg Config) (*Daemon, error) {
 	registry := workload.NewRegistry()
 	pool, err := rts.NewPool(rts.PoolConfig{
 		Base: rts.Config{
-			Resource:    machine.Resources[0],
-			Clock:       clock,
-			Session:     machine.Session,
-			Registry:    registry,
-			FS:          machine.FS,
-			Model:       cfg.Model,
-			Seed:        cfg.Seed,
-			QueueShards: cfg.QueueShards,
-			Schedulers:  cfg.SchedulerWorkers,
+			Resource:   machine.Resources[0],
+			Clock:      clock,
+			Session:    machine.Session,
+			Registry:   registry,
+			FS:         machine.FS,
+			Model:      cfg.Model,
+			Seed:       cfg.Seed,
+			Schedulers: cfg.SchedulerWorkers,
 		},
 		MaxClaimFactor: cfg.OvercommitFactor,
 		Tenants:        tenants,
@@ -224,6 +221,7 @@ func New(cfg Config) (*Daemon, error) {
 		machine.Close()
 		return nil, err
 	}
+	cfg.SchedulerWorkers = pool.Schedulers()
 
 	d := &Daemon{
 		cfg:      cfg,
@@ -339,11 +337,8 @@ func (d *Daemon) startRun(e *runEntry) error {
 		Broker:           d.brk,
 		QueuePrefix:      e.id + ".",
 		JournalDir:       e.journal,
-		SnapshotEvery:    d.cfg.SnapshotEvery,
 		TaskRetries:      app.TaskRetries,
 		RTSRestarts:      0, // a lease is not renewable; restart = run failure
-		EmgrBatch:        d.cfg.BatchSize,
-		QueueShards:      d.cfg.QueueShards,
 		SchedulerWorkers: d.cfg.SchedulerWorkers,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,6 +179,31 @@ func TestDaemonIndependentCancelPause(t *testing.T) {
 	if claimed := d.PoolClaimed(); claimed != 0 {
 		t.Fatalf("claimed cores after cancel: %d", claimed)
 	}
+}
+
+// A hosted run reports the scheduler loops the shared pilot really runs:
+// with -schedulers unset the pool resolves min(GOMAXPROCS, shards), and the
+// run's LiveSchedulers must say the same, not the unset knob's floor of 1.
+func TestHostedRunReportsThePoolsSchedulers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := newTestDaemon(t, nil)
+	id, err := d.Submit("alice", false, testApp(4, 1, 64, 5_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPipelineState(t, d, id, "pipeline.000", "SCHEDULING")
+	prog, err := d.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Store.Schedulers < 2 || prog.LiveSchedulers != prog.Store.Schedulers {
+		t.Fatalf("LiveSchedulers = %d, Store.Schedulers = %d: want both the pool's count (>= 2 at GOMAXPROCS 2)",
+			prog.LiveSchedulers, prog.Store.Schedulers)
+	}
+	if err := d.Cancel(id, "test"); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, id, StateCanceled)
 }
 
 // Admission: a claim larger than the pilot rejects permanently; saturation

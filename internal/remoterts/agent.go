@@ -27,13 +27,8 @@ type AgentConfig struct {
 	// the handshake.
 	Resource core.ResourceDesc
 	// HeartbeatInterval paces both the transport keepalive and the stats
-	// reports (default 1s); IdleTimeout is the manager-death deadline
-	// (default 4× the interval).
+	// reports (default 1s); the manager-death deadline is 4× the interval.
 	HeartbeatInterval time.Duration
-	IdleTimeout       time.Duration
-	// SendQueue and MaxFrame tune the connection (transport defaults).
-	SendQueue int
-	MaxFrame  uint64
 }
 
 // Agent hosts an RTS behind a listener. It serves one manager at a time: a
@@ -122,10 +117,7 @@ func (a *Agent) acceptLoop() {
 func (a *Agent) adopt(nc net.Conn) {
 	tc := transport.NewConn(nc, transport.Options{
 		Name:              "manager",
-		SendQueue:         a.cfg.SendQueue,
-		MaxFrame:          a.cfg.MaxFrame,
 		HeartbeatInterval: a.cfg.HeartbeatInterval,
-		IdleTimeout:       a.cfg.IdleTimeout,
 	})
 	body, err := tc.Recv()
 	if err != nil {

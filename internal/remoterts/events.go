@@ -22,13 +22,6 @@ type EventServer struct {
 	ln        net.Listener
 	subscribe func(core.EventFilter) *core.EventSub
 
-	// HeartbeatInterval, IdleTimeout, SendQueue and MaxFrame tune the
-	// per-peer connections; set before any peer attaches.
-	HeartbeatInterval time.Duration
-	IdleTimeout       time.Duration
-	SendQueue         int
-	MaxFrame          uint64
-
 	mu     sync.Mutex
 	live   map[*eventPeer]struct{}
 	gone   []PeerStats
@@ -156,13 +149,7 @@ func (s *EventServer) acceptLoop() {
 // client can report how much it missed.
 func (s *EventServer) serve(nc net.Conn) {
 	defer s.wg.Done()
-	tc := transport.NewConn(nc, transport.Options{
-		Name:              "event-peer",
-		SendQueue:         s.SendQueue,
-		MaxFrame:          s.MaxFrame,
-		HeartbeatInterval: s.HeartbeatInterval,
-		IdleTimeout:       s.IdleTimeout,
-	})
+	tc := transport.NewConn(nc, transport.Options{Name: "event-peer"})
 	body, err := tc.Recv()
 	if err != nil {
 		tc.Close() //nolint:errcheck

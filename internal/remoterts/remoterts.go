@@ -39,52 +39,38 @@ type Config struct {
 	// Addrs lists the agent endpoints ("tcp:host:port", "unix:/path").
 	// Required, at least one.
 	Addrs []string
-	// Name labels the manager in handshakes (default "entk-manager").
-	Name string
 	// StartTimeout bounds how long Start waits for the first agent to
 	// answer (default 5s). Agents that are still unreachable when Start
 	// returns keep being re-dialed with exponential backoff in the
 	// background and join the pool when they appear.
 	StartTimeout time.Duration
-	// FleetGrace bounds how much longer Start waits for the rest of the
-	// fleet once the first agent is up (default 1s, capped by
-	// StartTimeout). Keeps a dead address from stalling a failover
-	// restart for the full StartTimeout while still letting a
-	// simultaneously-started fleet connect as a whole.
-	FleetGrace time.Duration
 	// HeartbeatInterval is the transport keepalive cadence (default 1s);
-	// IdleTimeout the peer-death deadline (default 4× the interval).
+	// the peer-death deadline is 4× the interval.
 	HeartbeatInterval time.Duration
-	IdleTimeout       time.Duration
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// SendQueue and MaxFrame tune the per-peer connection (transport
-	// defaults).
-	SendQueue int
-	MaxFrame  uint64
 }
+
+const (
+	// managerName labels the manager in handshakes.
+	managerName = "entk-manager"
+	// fleetGrace bounds how much longer Start waits for the rest of the
+	// fleet once the first agent is up (capped by StartTimeout). Keeps a
+	// dead address from stalling a failover restart for the full
+	// StartTimeout while still letting a simultaneously-started fleet
+	// connect as a whole.
+	fleetGrace = time.Second
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+)
 
 func (c *Config) defaults() error {
 	if len(c.Addrs) == 0 {
 		return errors.New("remoterts: at least one agent address required")
 	}
-	if c.Name == "" {
-		c.Name = "entk-manager"
-	}
 	if c.StartTimeout <= 0 {
 		c.StartTimeout = 5 * time.Second
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = time.Second
-	}
-	if c.FleetGrace <= 0 {
-		c.FleetGrace = time.Second
-	}
-	if c.FleetGrace > c.StartTimeout {
-		c.FleetGrace = c.StartTimeout
 	}
 	return nil
 }
@@ -154,7 +140,7 @@ func (p *Proxy) Start(ctx context.Context) error {
 		case <-p.upCh:
 			up++
 			if grace == nil {
-				grace = time.After(p.cfg.FleetGrace)
+				grace = time.After(min(fleetGrace, p.cfg.StartTimeout))
 			}
 		case <-ctx.Done():
 			p.Stop() //nolint:errcheck
@@ -212,7 +198,6 @@ func (p *Proxy) Submit(tasks []core.TaskDescription) error {
 			p.peerDied(pr, fmt.Errorf("remoterts: submit to %s: %w", pr.addr, err))
 			return fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
 		}
-		pr.inflight.Add(int64(count))
 	}
 	p.out.Submitted(len(tasks))
 	return nil
@@ -302,11 +287,10 @@ type peer struct {
 	proxy *Proxy
 	addr  string
 
-	mu       sync.Mutex
-	tc       *transport.Conn
-	up       bool
-	stats    msgcodec.AgentStats // the last report; the handshake's capacity before the first
-	inflight atomic.Int64
+	mu    sync.Mutex
+	tc    *transport.Conn
+	up    bool
+	stats msgcodec.AgentStats // the last report; the handshake's capacity before the first
 }
 
 func (pr *peer) isUp() bool {
@@ -376,20 +360,16 @@ func (pr *peer) run() {
 
 // connect performs one dial + handshake attempt.
 func (pr *peer) connect() (*transport.Conn, error) {
-	cfg := pr.proxy.cfg
-	nc, err := transport.Dial(pr.addr, cfg.DialTimeout)
+	nc, err := transport.Dial(pr.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	tc := transport.NewConn(nc, transport.Options{
 		Name:              pr.addr,
-		SendQueue:         cfg.SendQueue,
-		MaxFrame:          cfg.MaxFrame,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		IdleTimeout:       cfg.IdleTimeout,
+		HeartbeatInterval: pr.proxy.cfg.HeartbeatInterval,
 	})
 	if err := tc.Send(msgcodec.EncodeHello(msgcodec.Hello{
-		Proto: msgcodec.RemoteProto, Role: "manager", Name: cfg.Name,
+		Proto: msgcodec.RemoteProto, Role: "manager", Name: managerName,
 	})); err != nil {
 		tc.Close() //nolint:errcheck
 		return nil, err
@@ -432,7 +412,6 @@ func (pr *peer) readLoop(tc *transport.Conn) {
 				pr.proxy.peerDied(pr, fmt.Errorf("remoterts: agent %s: bad result frame: %w", pr.addr, err))
 				return
 			}
-			pr.inflight.Add(int64(-len(results)))
 			for _, res := range results {
 				pr.proxy.out.Deliver(res)
 			}

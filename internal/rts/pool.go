@@ -191,6 +191,10 @@ func (p *Pool) Alive() bool { return p.inner.Alive() }
 // matter how many leases release).
 func (p *Pool) PhysicalCores() int { return p.cfg.Base.Resource.Cores }
 
+// Schedulers is how many scheduler loops the shared pilot runs: Base.Schedulers
+// resolved, valid once Start returned.
+func (p *Pool) Schedulers() int { return p.inner.live.Schedulers() }
+
 // Capacity is the admission ledger's size (physical cores x MaxClaimFactor).
 func (p *Pool) Capacity() int { return p.capacity }
 

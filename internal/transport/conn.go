@@ -26,9 +26,6 @@ type Options struct {
 	// what to do with that pressure; the event fan-out absorbs it in its
 	// per-peer drop-oldest ring).
 	SendQueue int
-	// MaxFrame bounds received frames (default MaxFrame). Validated before
-	// the body buffer is allocated.
-	MaxFrame uint64
 	// HeartbeatInterval is the keepalive ping cadence (default 1s,
 	// negative disables). Pongs are answered automatically by the read
 	// loop; any received frame counts as liveness.
@@ -42,9 +39,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.SendQueue == 0 {
 		o.SendQueue = 256
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = MaxFrame
 	}
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = time.Second
@@ -281,7 +275,7 @@ func (c *Conn) readLoop() {
 		if c.opts.IdleTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(c.opts.IdleTimeout)) //nolint:errcheck // conn types here support deadlines
 		}
-		body, err := ReadFrameLimit(br, c.opts.MaxFrame)
+		body, err := ReadFrame(br)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				err = fmt.Errorf("peer silent for %v: %w", c.opts.IdleTimeout, err)
