@@ -91,7 +91,10 @@ bench-baseline: bench-json
 # and outside the frozen bench/ harness, every deployment shape builds its
 # simulated CI through rts.NewMachine and every RTS hands results back
 # through core.Outbox, so no other non-test file may call hpc.NewCluster or
-# make a channel of TaskResult.
+# make a channel of TaskResult; and the broker publishes, pops and settles
+# through one implementation each, a single message being a batch of one, so
+# its non-test code calls each unacked-ledger and ready-ring operation from
+# exactly one place and has no call that appends a lone message.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -122,6 +125,14 @@ lint:
 		echo "an RTS makes its own completion channel; hand results back through core.Outbox:"; \
 		echo "$$results"; exit 1; \
 	fi
+	@for rule in 'ledgerAddLocked(=1' 'ledgerRemoveLocked(=1' 'ready.PopFront(=1' 'ready.PushFront(=1' 'ready.PushBack(=0'; do \
+		call=$${rule%=*}; want=$${rule##*=}; \
+		got=$$(grep -rhF --include='*.go' --exclude='*_test.go' "$$call" internal/broker | grep -v '^func ' | grep -oF "$$call" | wc -l); \
+		if [ "$$got" -ne "$$want" ]; then \
+			echo "internal/broker calls $$call from $$got places, want $$want: fold the second path into the batch one"; \
+			grep -rnF --include='*.go' --exclude='*_test.go' "$$call" internal/broker | grep -v ':func '; exit 1; \
+		fi; \
+	done
 	$(GO) vet ./...
 
 # Fail if any gitignored build artifact (bench.out, *.test, ...) is tracked

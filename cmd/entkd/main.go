@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		resource   = flags.String("resource", "titan", "catalogued CI hosting the shared pilot")
 		cores      = flags.Int("cores", 64, "shared pilot cores")
 		gpus       = flags.Int("gpus", 0, "shared pilot GPUs (0 = CI default)")
-		walltime   = flags.Duration("walltime", 24*time.Hour, "shared pilot walltime (virtual)")
+		walltime   = flags.Duration("walltime", 0, "shared pilot walltime (virtual; 0 = the resource's cap)")
 		scale      = flags.Duration("scale", time.Millisecond, "wall time per virtual second")
 		tenants    = flags.String("tenants", "", "tenant fairness spec: name:weight[:maxcores],...")
 		overcommit = flags.Float64("overcommit", 1.0, "lease admission factor over physical cores (>= 1)")

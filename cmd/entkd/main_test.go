@@ -38,14 +38,15 @@ func TestRunRejectsBadCommandLines(t *testing.T) {
 	}
 }
 
-// A daemon serves its socket until it is signalled, then drains, and exits 0
-// with no lease leaked.
+// A daemon started from its defaults — a titan pilot at titan's walltime cap —
+// serves its socket until it is signalled, then drains, and exits 0 with no
+// lease leaked.
 func TestRunServesUntilSignalled(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "entkd.sock")
 	var stdout, stderr bytes.Buffer
 	exited := make(chan int, 1)
 	go func() {
-		exited <- run([]string{"-socket", sock, "-cores", "8", "-walltime", "1h"}, &stdout, &stderr)
+		exited <- run([]string{"-socket", sock, "-cores", "8"}, &stdout, &stderr)
 	}()
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if _, err := os.Stat(sock); err == nil {

@@ -273,18 +273,9 @@ func RunAUAFromSeeds(d *Dataset, cfg AUAConfig, seeds []int, rng *rand.Rand) (*R
 	return res, nil
 }
 
-// RunRandom is the status-quo baseline: the same iterative loop but with
-// locations chosen uniformly at random each iteration.
-func RunRandom(d *Dataset, cfg AUAConfig, seed int64) (*Result, error) {
-	if err := cfg.Validate(d); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	seeds := SeedLocations(d, cfg.Seeds, rng)
-	return RunRandomFromSeeds(d, cfg, seeds, rng)
-}
-
-// RunRandomFromSeeds runs the random baseline from given seeds.
+// RunRandomFromSeeds is the status-quo baseline: the same iterative loop as
+// RunAUAFromSeeds, but with locations chosen uniformly at random each
+// iteration.
 func RunRandomFromSeeds(d *Dataset, cfg AUAConfig, seeds []int, rng *rand.Rand) (*Result, error) {
 	if err := cfg.Validate(d); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,37 +197,109 @@ func TestBatchSettlementSkipsAlreadySettled(t *testing.T) {
 	}
 }
 
+// The batch counters count calls of the batch API, one per call. A
+// single-message call is a batch of one inside the broker, but it moves only
+// its per-message counter, and a Get steals from no one.
 func TestBatchCounters(t *testing.T) {
-	b := newTestBroker(t)
-	mustDeclare(t, b, "q")
-	b.PublishBatch("q", [][]byte{{0}, {1}, {2}}) //nolint:errcheck
-	b.Publish("q", []byte{3})                    //nolint:errcheck
-	c, _ := b.ConsumeBatch("q", 64)
-	defer c.Cancel()
-	ds, _ := c.ReceiveBatch(64)
-	if err := NackBatch(ds, true); err != nil {
-		t.Fatal(err)
+	t.Run("batch API", func(t *testing.T) {
+		b := newTestBroker(t)
+		mustDeclare(t, b, "q")
+		b.PublishBatch("q", [][]byte{{0}, {1}, {2}}) //nolint:errcheck
+		b.Publish("q", []byte{3})                    //nolint:errcheck
+		c, _ := b.ConsumeBatch("q", 64)
+		defer c.Cancel()
+		ds, _ := c.ReceiveBatch(64)
+		if err := NackBatch(ds, true); err != nil {
+			t.Fatal(err)
+		}
+		ds, _ = c.ReceiveBatch(64)
+		if err := AckBatch(ds); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := b.Stats("q")
+		if s.PublishBatches != 1 {
+			t.Fatalf("publish batches = %d, want 1", s.PublishBatches)
+		}
+		if s.DeliverBatches != 2 {
+			t.Fatalf("deliver batches = %d, want 2", s.DeliverBatches)
+		}
+		if s.AckBatches != 1 || s.NackBatches != 1 {
+			t.Fatalf("ack/nack batches = %d/%d, want 1/1", s.AckBatches, s.NackBatches)
+		}
+		if s.Published != 4 || s.Delivered != 8 || s.Acked != 4 || s.Nacked != 4 {
+			t.Fatalf("message counters: %+v", s)
+		}
+		tot := b.TotalStats()
+		if tot.PublishBatches != 1 || tot.DeliverBatches != 2 {
+			t.Fatalf("total stats missing batch counters: %+v", tot)
+		}
+	})
+
+	type counters struct{ pub, del, ack, nack, pubB, delB, ackB, nackB uint64 }
+	read := func(b *Broker) (counters, QueueStats) {
+		s, _ := b.Stats("q")
+		return counters{s.Published, s.Delivered, s.Acked, s.Nacked,
+			s.PublishBatches, s.DeliverBatches, s.AckBatches, s.NackBatches}, s
 	}
-	ds, _ = c.ReceiveBatch(64)
-	if err := AckBatch(ds); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := b.Stats("q")
-	if s.PublishBatches != 1 {
-		t.Fatalf("publish batches = %d, want 1", s.PublishBatches)
-	}
-	if s.DeliverBatches != 2 {
-		t.Fatalf("deliver batches = %d, want 2", s.DeliverBatches)
-	}
-	if s.AckBatches != 1 || s.NackBatches != 1 {
-		t.Fatalf("ack/nack batches = %d/%d, want 1/1", s.AckBatches, s.NackBatches)
-	}
-	if s.Published != 4 || s.Delivered != 8 || s.Acked != 4 || s.Nacked != 4 {
-		t.Fatalf("message counters: %+v", s)
-	}
-	tot := b.TotalStats()
-	if tot.PublishBatches != 1 || tot.DeliverBatches != 2 {
-		t.Fatalf("total stats missing batch counters: %+v", tot)
+	for _, c := range []struct {
+		name string
+		held bool // op settles a delivery taken before it
+		op   func(b *Broker, d *Delivery) error
+		want counters
+	}{
+		{"Publish", false, func(b *Broker, _ *Delivery) error {
+			return b.Publish("q", []byte{1})
+		}, counters{pub: 1}},
+		{"PublishValue", false, func(b *Broker, _ *Delivery) error {
+			return b.PublishValue("q", 1)
+		}, counters{pub: 1}},
+		{"Producer.PublishValue", false, func(b *Broker, _ *Delivery) error {
+			p, err := b.Producer("q")
+			if err != nil {
+				return err
+			}
+			return p.PublishValue(1)
+		}, counters{pub: 1}},
+		{"Get", false, func(b *Broker, _ *Delivery) error {
+			if _, ok, err := b.Get("q"); !ok || err != nil {
+				return fmt.Errorf("get: ok=%v err=%v", ok, err)
+			}
+			return nil
+		}, counters{del: 1}},
+		{"Ack", true, func(_ *Broker, d *Delivery) error { return d.Ack() }, counters{ack: 1}},
+		{"Nack requeue", true, func(_ *Broker, d *Delivery) error { return d.Nack(true) }, counters{nack: 1}},
+		{"Nack drop", true, func(_ *Broker, d *Delivery) error { return d.Nack(false) }, counters{nack: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := newTestBroker(t)
+			declareSharded(t, b, "q", 4)
+			// An empty Get moves the Get scan origin past shard 0, where the
+			// next publish lands, so the Get below starts at an empty shard.
+			b.Get("q")                      //nolint:errcheck
+			b.Publish("q", []byte("ready")) //nolint:errcheck
+			var d *Delivery
+			if c.held {
+				var ok bool
+				if d, ok, _ = b.Get("q"); !ok {
+					t.Fatal("nothing to hold")
+				}
+			}
+			before, _ := read(b)
+			if err := c.op(b, d); err != nil {
+				t.Fatal(err)
+			}
+			after, s := read(b)
+			moved := counters{after.pub - before.pub, after.del - before.del,
+				after.ack - before.ack, after.nack - before.nack,
+				after.pubB - before.pubB, after.delB - before.delB,
+				after.ackB - before.ackB, after.nackB - before.nackB}
+			if moved != c.want {
+				t.Fatalf("counters moved by %+v, want %+v", moved, c.want)
+			}
+			if s.Steals != 0 {
+				t.Fatalf("steals = %d, want 0: a Get has no preferred shard", s.Steals)
+			}
+		})
 	}
 }
 

@@ -21,30 +21,30 @@
 // callers that price the encoded form (the Fig 6 prototype). The broker
 // counts messages, never payload sizes: a value has none it could know.
 //
-// # Batched fast path
+// # One path for singles and batches
 //
-// The per-message API (Publish, Get, Consume, Delivery.Ack/Nack) pays one
-// queue-lock round-trip per message. The batch API amortizes it over N
-// messages: PublishBatch appends N bodies under one lock acquisition;
-// ConsumeBatch registers a pull-mode consumer whose ReceiveBatch pops up to
-// N ready messages per lock round-trip; AckBatch and NackBatch settle N
-// deliveries per queue with one lock acquisition. This is the substrate for
-// EnTK's bulk messages, which keep queue traffic O(stages) rather than
-// O(tasks) (paper §II-C, Fig 6).
+// Publish, pop and settle each have one implementation, and it takes a
+// batch: the per-message API (Publish, PublishValue, Producer.PublishValue,
+// Get, Delivery.Ack/Nack) hands it a batch of one. A batch costs one
+// shard-lock round-trip however many messages it carries: PublishBatch and
+// Producer.PublishValues append N messages, ConsumeBatch registers a
+// pull-mode consumer whose ReceiveBatch pops up to N ready messages, and
+// AckBatch and NackBatch settle N deliveries per queue. This is the
+// substrate for EnTK's bulk messages, which keep queue traffic O(stages)
+// rather than O(tasks) (paper §II-C, Fig 6).
 //
-// Ordering guarantees are identical on both paths and they interleave
-// freely on one queue: a batch occupies consecutive FIFO slots of one
-// shard in publish-call order, delivery drains each shard's head in FIFO
-// order regardless of how messages arrived, and NackBatch with requeue
-// returns the batch to the front of the shards it came from preserving the
-// batch's per-shard order (the batch analogue of single Nack's
-// requeue-at-front). On a Shards: 1 queue these collapse to the strict
-// global guarantees of the original single-lock queue — see the sharding
-// section below for what relaxes when Shards > 1. Messages redelivered
-// after a requeue carry Redelivered=true exactly as on the single path.
-// Options.PerOpDelay is charged once per batch operation instead of once
-// per message — batching amortizes the modelled broker traversal the same
-// way it amortizes the real lock.
+// Singles and batches interleave freely on one queue. A publish occupies
+// consecutive FIFO slots of one shard in publish-call order, delivery drains
+// each shard's head in FIFO order, and a requeuing Nack or NackBatch returns
+// its deliveries to the front of the shards they came from, in their
+// per-shard order and flagged Redelivered. On a Shards: 1 queue these are
+// the strict global guarantees of a single-lock queue — see the sharding
+// section below for what relaxes when Shards > 1. Options.PerOpDelay is
+// charged once per operation whatever its size — once per publish call, once
+// per Get that pops, once per ReceiveBatch and once per push-mode delivery —
+// so batching amortizes the modelled broker traversal the same way it
+// amortizes the real lock. The batch counters of QueueStats count the batch
+// API alone.
 //
 // # Sharded ready rings
 //
@@ -124,13 +124,22 @@ type Delivery struct {
 // ErrAlreadyAcked: the unacked ledger is the single claim, checked under
 // the shard lock.
 func (d *Delivery) Ack() error {
-	return d.q.settle(d, false, false)
+	return d.settle(false, false)
 }
 
 // Nack rejects the delivery. With requeue, the message returns to the front
 // of the queue flagged Redelivered; otherwise it is dropped.
 func (d *Delivery) Nack(requeue bool) error {
-	return d.q.settle(d, true, requeue)
+	return d.settle(true, requeue)
+}
+
+// settle settles d as a batch of one; settling nothing means an earlier
+// settlement claimed it.
+func (d *Delivery) settle(nack, requeue bool) error {
+	if d.q.settleBatch([]*Delivery{d}, nack, requeue, false) == 0 {
+		return ErrAlreadyAcked
+	}
+	return nil
 }
 
 // QueueStats is a snapshot of one queue's counters.
@@ -155,9 +164,10 @@ type QueueStats struct {
 	ShardDepths []int
 	Steals      uint64
 
-	// Batch-path counters: one increment per batch operation (not per
-	// message), so Published/PublishBatches gives the realized batch size.
-	PublishBatches uint64 // PublishBatch calls
+	// Batch-API counters: one increment per batch-API call (not per
+	// message). Single-message calls, batches of one inside the broker, are
+	// not counted.
+	PublishBatches uint64 // PublishBatch and Producer.PublishValues calls
 	DeliverBatches uint64 // ReceiveBatch calls that delivered messages
 	AckBatches     uint64 // AckBatch settlements applied to this queue
 	NackBatches    uint64 // NackBatch settlements applied to this queue
@@ -175,8 +185,9 @@ type QueueOptions struct {
 
 // Options configure a Broker.
 type Options struct {
-	// PerOpDelay, if non-nil, is invoked once per publish and once per
-	// delivery — and once per *batch* operation on the batched fast path.
+	// PerOpDelay, if non-nil, is invoked once per publish operation and once
+	// per pop (a Get, a ReceiveBatch, a push-mode delivery), whatever the
+	// operation's size.
 	// The workflow layer uses it to charge the host-performance cost of
 	// traversing the messaging infrastructure (paper §IV-A).
 	PerOpDelay func()
@@ -261,7 +272,7 @@ func (b *Broker) Publish(queueName string, body []byte) error {
 	if err != nil {
 		return err
 	}
-	return b.send(q, q.nextShard(), Message{Body: body})
+	return b.sendBatch(q, q.nextShard(), [][]byte{body}, nil, false)
 }
 
 // PublishValue is Publish for a message that carries v instead of a body.
@@ -270,19 +281,18 @@ func (b *Broker) PublishValue(queueName string, v any) error {
 	if err != nil {
 		return err
 	}
-	return b.send(q, q.nextShard(), Message{Value: v})
+	return b.sendBatch(q, q.nextShard(), nil, []any{v}, false)
 }
 
 // PublishBatch appends bodies, in order, to one shard of the named queue
-// under a single shard-lock acquisition — the producer half of the batched
-// fast path. Publishing an empty batch is a no-op. The batch occupies
-// consecutive slots in its shard, so it is always drained in its internal
-// order. Drain order
-// ACROSS publish operations is per shard: on a Shards: 1 queue interleaved
-// Publish and PublishBatch calls drain in publish-call order exactly as
-// before; on a sharded queue (the default) successive stateless publish
-// operations land on different shards and may be drained out of call
-// order — use a Producer handle when per-publisher ordering matters.
+// under a single shard-lock acquisition. Publishing an empty batch is a
+// no-op. The batch occupies consecutive slots in its shard, so it is always
+// drained in its internal order. Drain order across publish operations is
+// per shard: on a Shards: 1 queue interleaved Publish and PublishBatch calls
+// drain in publish-call order; on a sharded queue (the default) successive
+// stateless publish operations land on different shards and may be drained
+// out of call order — use a Producer handle when per-publisher ordering
+// matters.
 func (b *Broker) PublishBatch(queueName string, bodies [][]byte) error {
 	if len(bodies) == 0 {
 		return nil
@@ -291,28 +301,19 @@ func (b *Broker) PublishBatch(queueName string, bodies [][]byte) error {
 	if err != nil {
 		return err
 	}
-	return b.sendBatch(q, q.nextShard(), bodies, nil)
+	return b.sendBatch(q, q.nextShard(), bodies, nil, true)
 }
 
-// send is the one path every single publish takes: it charges the modelled
-// traversal, stamps the message's ID and appends it to sh.
-func (b *Broker) send(q *queue, sh *qshard, m Message) error {
-	if b.opts.PerOpDelay != nil {
-		b.opts.PerOpDelay()
-	}
-	m.ID = b.nextID.Add(1)
-	return q.publishTo(sh, m)
-}
-
-// sendBatch is the one path every batch publish takes, of bodies or of
-// values, whichever is given: one modelled traversal, then the batch stamped
-// and appended to sh.
-func (b *Broker) sendBatch(q *queue, sh *qshard, bodies [][]byte, values []any) error {
+// sendBatch is the one path every publish takes, of bodies or of values,
+// whichever is given: one modelled traversal, then the messages stamped and
+// appended to sh. batch marks a call of the batch API, the only kind that
+// PublishBatches counts; a single publish is a batch of one.
+func (b *Broker) sendBatch(q *queue, sh *qshard, bodies [][]byte, values []any, batch bool) error {
 	if b.opts.PerOpDelay != nil {
 		b.opts.PerOpDelay()
 	}
 	var few [fewMessages]Message
-	return q.publishBatchTo(sh, b.stamp(few[:0], bodies, values))
+	return q.publishBatchTo(sh, b.stamp(few[:0], bodies, values), batch)
 }
 
 // fewMessages is how many messages a publish batch may carry and still be
@@ -367,7 +368,7 @@ func (b *Broker) Producer(queueName string) (*Producer, error) {
 
 // PublishValue appends a message carrying v to this producer's shard.
 func (p *Producer) PublishValue(v any) error {
-	return p.b.send(p.q, p.sh, Message{Value: v})
+	return p.b.sendBatch(p.q, p.sh, nil, []any{v}, false)
 }
 
 // PublishValues appends a message for each of values, in order, to this
@@ -377,7 +378,7 @@ func (p *Producer) PublishValues(values []any) error {
 	if len(values) == 0 {
 		return nil
 	}
-	return p.b.sendBatch(p.q, p.sh, nil, values)
+	return p.b.sendBatch(p.q, p.sh, nil, values, true)
 }
 
 // Get synchronously pops one ready message, returning ok=false when the
@@ -455,7 +456,7 @@ func settleBatch(ds []*Delivery, nack, requeue bool) {
 		}
 	}
 	if !mixed {
-		q0.settleBatch(ds, nack, requeue)
+		q0.settleBatch(ds, nack, requeue, true)
 		return
 	}
 	byQueue := make(map[*queue][]*Delivery)
@@ -463,7 +464,7 @@ func settleBatch(ds []*Delivery, nack, requeue bool) {
 		byQueue[d.q] = append(byQueue[d.q], d)
 	}
 	for q, group := range byQueue {
-		q.settleBatch(group, nack, requeue)
+		q.settleBatch(group, nack, requeue, true)
 	}
 }
 

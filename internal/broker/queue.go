@@ -8,8 +8,7 @@ import (
 
 // msgDeque is a slice-backed ring buffer of ready messages. Compared to a
 // linked list it allocates nothing per message on the steady state, and a
-// whole batch appends or pops with one capacity check — the storage half of
-// the batched fast path's amortization.
+// whole batch appends with one capacity check.
 type msgDeque struct {
 	buf  []Message
 	head int
@@ -38,14 +37,6 @@ func (d *msgDeque) grow(min int) {
 	}
 	d.buf = buf
 	d.head = 0
-}
-
-func (d *msgDeque) PushBack(m Message) {
-	if d.n == len(d.buf) {
-		d.grow(1)
-	}
-	d.buf[(d.head+d.n)%len(d.buf)] = m
-	d.n++
 }
 
 // PushBackAll appends msgs in order with at most one grow.
@@ -213,8 +204,8 @@ type queue struct {
 
 	steals atomic.Uint64 // pops served from a non-preferred shard
 
-	// batch-path counters: one increment per batch operation, however many
-	// messages the batch carried.
+	// batch-API counters: one increment per batch-API call, however many
+	// messages it carried.
 	publishBatches atomic.Uint64
 	deliverBatches atomic.Uint64
 	ackBatches     atomic.Uint64
@@ -319,29 +310,13 @@ func (q *queue) wakeAll() {
 
 // ---- publish ------------------------------------------------------------
 
-// publishTo appends one message to sh under one shard-lock acquisition.
-// The closed check runs under the shard lock and close() fences every
-// shard lock after setting the flag, so no publish can succeed after Close
-// returns — the same guarantee the old single-lock queue gave.
-func (q *queue) publishTo(sh *qshard, m Message) error {
-	sh.mu.Lock()
-	if q.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	sh.ready.PushBack(m)
-	sh.published++
-	sh.trackPeakLocked()
-	sh.syncDepthLocked()
-	sh.mu.Unlock()
-	q.wakeNotEmpty(false)
-	return nil
-}
-
 // publishBatchTo appends msgs in order to sh under a single shard-lock
 // acquisition. The batch occupies one shard contiguously, so its internal
-// order survives segment pops.
-func (q *queue) publishBatchTo(sh *qshard, msgs []Message) error {
+// order survives segment pops. The closed check runs under the shard lock
+// and close() fences every shard lock after setting the flag, so no publish
+// can succeed after Close returns. One message wakes one parked consumer, a
+// larger batch all of them.
+func (q *queue) publishBatchTo(sh *qshard, msgs []Message, batch bool) error {
 	sh.mu.Lock()
 	if q.closed.Load() {
 		sh.mu.Unlock()
@@ -352,51 +327,25 @@ func (q *queue) publishBatchTo(sh *qshard, msgs []Message) error {
 	sh.trackPeakLocked()
 	sh.syncDepthLocked()
 	sh.mu.Unlock()
-	q.publishBatches.Add(1)
-	q.wakeNotEmpty(true)
+	if batch {
+		q.publishBatches.Add(1)
+	}
+	q.wakeNotEmpty(len(msgs) > 1)
 	return nil
 }
 
 // ---- pop ----------------------------------------------------------------
 
-// popOne pops the front message of the first non-empty shard at or after
-// start, registering it as unacked. ok=false when every shard is empty.
-// A pop served from a shard other than pref counts as a steal.
-func (q *queue) popOne(c *Consumer, start, pref int) (*Delivery, bool) {
-	n := len(q.shards)
-	for i := 0; i < n; i++ {
-		sh := &q.shards[(start+i)%n]
-		if sh.depth.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		if sh.ready.Len() == 0 {
-			sh.mu.Unlock()
-			continue // raced with another consumer
-		}
-		m := sh.ready.PopFront()
-		d := &Delivery{Message: m, q: q, sh: sh, c: c}
-		sh.ledgerAddLocked(d)
-		sh.delivered++
-		sh.syncDepthLocked()
-		sh.mu.Unlock()
-		if pref >= 0 && sh.idx != pref {
-			q.steals.Add(1)
-		}
-		return d, true
-	}
-	return nil, false
-}
-
-// popBatch pops up to max ready messages, draining whole shard segments: the
-// preferred shard first, then — work-stealing — the next non-empty shards in
+// popBatch pops up to max ready messages for c (nil for a Get), draining
+// whole shard segments: shard start first, then the next non-empty shards in
 // rotation. Each segment comes off one shard under one lock acquisition and
 // preserves that shard's FIFO order (a whole publish batch in the common
-// case). May return fewer than max — or none — when concurrent consumers
-// drain the queue first. The batch is two allocations, its deliveries and the
-// slice of pointers to them; a batch of one — every sync frame and every ack
-// is popped alone — is a single allocation holding both.
-func (q *queue) popBatch(c *Consumer, max int) []*Delivery {
+// case). A consumer starts at its preferred shard, and a segment from any
+// other is a steal. May return fewer than max — or none — when concurrent
+// consumers drain the queue first. The batch is two allocations, its
+// deliveries and the slice of pointers to them; a batch of one — every Get,
+// and every sync frame and ack — is a single allocation holding both.
+func (q *queue) popBatch(c *Consumer, start, max int) []*Delivery {
 	avail := int(q.totalReady())
 	if avail <= 0 {
 		return nil
@@ -418,7 +367,7 @@ func (q *queue) popBatch(c *Consumer, max int) []*Delivery {
 		batch = make([]*Delivery, 0, avail)
 	}
 	for i := 0; i < n && len(batch) < avail; i++ {
-		sh := &q.shards[(c.pref+i)%n]
+		sh := &q.shards[(start+i)%n]
 		if sh.depth.Load() == 0 {
 			continue
 		}
@@ -435,7 +384,7 @@ func (q *queue) popBatch(c *Consumer, max int) []*Delivery {
 		sh.delivered += uint64(took)
 		sh.syncDepthLocked()
 		sh.mu.Unlock()
-		if took > 0 && sh.idx != c.pref {
+		if took > 0 && c != nil && sh.idx != c.pref {
 			q.steals.Add(1)
 		}
 	}
@@ -449,54 +398,25 @@ func (q *queue) get() (*Delivery, bool) {
 		return nil, false
 	}
 	start := int((q.getCursor.Add(1) - 1) % uint64(len(q.shards)))
-	return q.popOne(nil, start, -1)
+	if ds := q.popBatch(nil, start, 1); len(ds) == 1 {
+		return ds[0], true
+	}
+	return nil, false
 }
 
 // ---- settlement ---------------------------------------------------------
 
-// settle completes a delivery: ack, drop, or requeue at the front of the
-// shard it was delivered from.
-func (q *queue) settle(d *Delivery, nack, requeue bool) error {
-	sh := d.sh
-	sh.mu.Lock()
-	if !sh.ledgerRemoveLocked(d) {
-		sh.mu.Unlock()
-		return ErrAlreadyAcked
-	}
-	requeued := false
-	switch {
-	case !nack:
-		sh.acked++
-	case requeue:
-		sh.nacked++
-		m := d.Message
-		m.Redelivered = true
-		sh.ready.PushFront(m)
-		sh.trackPeakLocked()
-		sh.syncDepthLocked()
-		requeued = true
-	default:
-		sh.nacked++
-	}
-	sh.mu.Unlock()
-	if requeued {
-		q.wakeNotEmpty(false)
-	}
-	if d.c != nil {
-		d.c.releaseN(1)
-	}
-	return nil
-}
-
 // settleBatch completes a set of deliveries from this queue with one lock
-// acquisition per touched shard. The unacked ledger is the claim: deliveries
-// settled by an earlier call — or by a concurrent individual Ack/Nack — are
-// skipped. Nack-with-requeue returns each message to the front of the shard
-// it was delivered from, preserving the batch's internal order per shard, so
-// a requeued batch is redelivered exactly as it was first delivered.
-func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
+// acquisition per touched shard — ack, drop, or requeue at the front of the
+// shard each was delivered from — and returns how many it settled. The
+// unacked ledger is the claim: deliveries settled by an earlier call — or by
+// a concurrent one — are skipped. A requeue preserves the batch's internal
+// order per shard, so a requeued batch is redelivered exactly as it was
+// first delivered. batch marks a call of the batch API, the only kind that
+// AckBatches and NackBatches count; Ack and Nack settle a batch of one.
+func (q *queue) settleBatch(ds []*Delivery, nack, requeue, batch bool) int {
 	if len(ds) == 0 {
-		return
+		return 0
 	}
 	// Consumer releases are counted without a map in the overwhelmingly
 	// common case of one consumer per batch; a map is built only when the
@@ -539,10 +459,10 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 				relExtra[d.c]++
 			}
 		}
-		if requeued > 0 {
+		if requeued > 0 { // only a requeue changes what is ready
 			sh.trackPeakLocked()
+			sh.syncDepthLocked()
 		}
-		sh.syncDepthLocked()
 		sh.mu.Unlock()
 	}
 	// The common case — every delivery from one shard — settles without any
@@ -569,7 +489,7 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 			settleShard(sh, byShard[sh])
 		}
 	}
-	if settled > 0 {
+	if settled > 0 && batch {
 		if !nack {
 			q.ackBatches.Add(1)
 		} else {
@@ -577,14 +497,17 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue bool) {
 		}
 	}
 	if requeued > 0 {
-		q.wakeNotEmpty(true)
+		q.wakeNotEmpty(requeued > 1)
 	}
 	if relC != nil {
 		relC.releaseN(relN)
 	}
-	for c, n := range relExtra {
-		c.releaseN(n)
+	if relExtra != nil { // only when the batch spans consumers: saves a map iterator
+		for c, n := range relExtra {
+			c.releaseN(n)
+		}
 	}
+	return settled
 }
 
 // ---- maintenance --------------------------------------------------------
@@ -768,9 +691,8 @@ func (c *Consumer) releaseN(n int) {
 // ReceiveBatch blocks until at least one message is ready, then pops up to
 // max messages, draining whole shard segments — the preferred shard first,
 // stealing from the next non-empty shards when it runs dry — with one
-// shard-lock acquisition per segment: the consumer half of the batched fast
-// path. The batch size is additionally bounded by the consumer's free
-// prefetch window. It returns ErrClosed once the consumer is cancelled or
+// shard-lock acquisition per segment. The batch size is additionally bounded
+// by the consumer's free prefetch window. It returns ErrClosed once the consumer is cancelled or
 // the queue/broker closes; every returned delivery must still be settled
 // (individually or via AckBatch/NackBatch).
 //
@@ -825,7 +747,7 @@ func (c *Consumer) next(max int) ([]*Delivery, error) {
 		}
 		c.popWG.Add(1)
 		c.mu.Unlock()
-		batch := q.popBatch(c, n)
+		batch := q.popBatch(c, c.pref, n)
 		c.popWG.Done()
 		if len(batch) < n {
 			c.releaseN(n - len(batch)) // return unused window slots

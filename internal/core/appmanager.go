@@ -268,9 +268,6 @@ func (am *AppManager) LiveTuning() *tuning.Live { return am.live }
 // SetResource records the resource request passed to the RTS.
 func (am *AppManager) SetResource(res ResourceDesc) { am.res = res }
 
-// Resource returns the configured resource description.
-func (am *AppManager) Resource() ResourceDesc { return am.res }
-
 // SetRTSFactory installs the runtime-system factory.
 func (am *AppManager) SetRTSFactory(f RTSFactory) { am.rtsFactory = f }
 
@@ -407,14 +404,6 @@ func (am *AppManager) Pipelines() []*Pipeline {
 	out := make([]*Pipeline, len(am.pipelines))
 	copy(out, am.pipelines)
 	return out
-}
-
-// Task resolves a task UID from the registry.
-func (am *AppManager) Task(uid string) (*Task, bool) {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	t, ok := am.tasks[uid]
-	return t, ok
 }
 
 // wireNames holds the engine's own copies of the names every state record

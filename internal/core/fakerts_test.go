@@ -46,8 +46,6 @@ func newFakeRTS(clock vclock.Clock) *fakeRTS {
 	}
 }
 
-func (f *fakeRTS) Name() string { return "fake" }
-
 func (f *fakeRTS) Start(ctx context.Context) error {
 	f.mu.Lock()
 	f.started = true

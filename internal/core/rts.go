@@ -58,8 +58,6 @@ type (
 // through this interface; internal/rts provides the RADICAL-Pilot-like
 // implementation and tests provide fakes.
 type RTS interface {
-	// Name identifies the runtime system.
-	Name() string
 	// Start acquires resources (submits the pilot) and boots the agent.
 	// It returns once the RTS accepts work; resource availability may
 	// still be pending, exactly like a queued pilot.

@@ -25,6 +25,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
+	"repro/internal/hpc"
 	"repro/internal/rts"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -59,7 +60,8 @@ type Config struct {
 	// SocketPath is the unix socket the server listens on (Serve).
 	SocketPath string
 	// Resource is the shared pilot: a catalogued CI name plus size. All
-	// hosted runs draw cores from this one pilot.
+	// hosted runs draw cores from this one pilot, whose Walltime defaults to
+	// the CI's cap.
 	Resource string
 	Cores    int
 	GPUs     int
@@ -169,7 +171,11 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.TimeScale = time.Millisecond
 	}
 	if cfg.Walltime <= 0 {
-		cfg.Walltime = 24 * time.Hour
+		spec, err := hpc.LookupSpec(cfg.Resource)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Walltime = spec.MaxWalltime
 	}
 	if cfg.ReconcileEvery <= 0 {
 		cfg.ReconcileEvery = time.Second

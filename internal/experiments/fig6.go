@@ -51,7 +51,7 @@ func Fig6Prototype(tasks int, configs []int) ([]Fig6Row, error) {
 // through PublishBatch in chunks of batch, consumers drain through
 // pull-mode ReceiveBatch with batch acknowledgements. Comparing a
 // Fig6Batched row against the Fig6Prototype row of the same shape isolates
-// the broker's batched fast path.
+// the broker's batch API.
 func Fig6Batched(tasks, batch int, configs []int) ([]Fig6Row, error) {
 	if batch <= 1 {
 		return nil, fmt.Errorf("experiments: batch must exceed 1 (got %d)", batch)
@@ -148,8 +148,8 @@ func startPeakSampler(baseMB float64) (stop func() float64) {
 }
 
 // fig6Run executes one prototype configuration. batch <= 1 selects the
-// per-message broker path (the paper's original setup); batch > 1 moves
-// the same task volume over the batched fast path (PublishBatch in chunks
+// per-message broker API (the paper's original setup); batch > 1 moves
+// the same task volume over the broker's batch API (PublishBatch in chunks
 // of batch, pull-mode ReceiveBatch with batch acknowledgements).
 func fig6Run(tasks, producers, consumers, queues, batch int) (Fig6Row, error) {
 	b := broker.New(broker.Options{})

@@ -173,21 +173,6 @@ func (j *Job) Active() <-chan struct{} { return j.activeCh }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
-// StartedAt returns the virtual time the job began running (zero if it
-// never ran).
-func (j *Job) StartedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started
-}
-
-// FinishedAt returns the virtual time the job terminated.
-func (j *Job) FinishedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finished
-}
-
 // Cluster is a running simulation of one CI's batch system.
 type Cluster struct {
 	Spec  Spec
@@ -366,9 +351,6 @@ func (c *Cluster) schedule() {
 
 // Complete marks a running job finished normally (the pilot shut down).
 func (c *Cluster) Complete(j *Job) { c.finish(j, JobDone) }
-
-// Fail marks a running job failed (e.g. injected CI-level failure).
-func (c *Cluster) Fail(j *Job) { c.finish(j, JobFailed) }
 
 // Cancel cancels a pending or running job.
 func (c *Cluster) Cancel(j *Job) { c.finish(j, JobCanceled) }

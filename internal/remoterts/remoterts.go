@@ -116,9 +116,6 @@ func NewProxy(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// Name implements core.RTS.
-func (p *Proxy) Name() string { return "remote-rts" }
-
 // Start implements core.RTS: dial every agent concurrently and wait for the
 // fleet to come up. If some agents are still unreachable when StartTimeout
 // expires, Start degrades to whatever subset connected — at least one, or

@@ -29,7 +29,6 @@ func newEchoRTS() *echoRTS {
 	return e
 }
 
-func (e *echoRTS) Name() string                        { return "echo" }
 func (e *echoRTS) Start(ctx context.Context) error     { return nil }
 func (e *echoRTS) Completions() <-chan core.TaskResult { return e.out }
 func (e *echoRTS) Alive() bool                         { return e.alive.Load() }

@@ -195,9 +195,6 @@ func (p *Pool) PhysicalCores() int { return p.cfg.Base.Resource.Cores }
 // resolved, valid once Start returned.
 func (p *Pool) Schedulers() int { return p.inner.live.Schedulers() }
 
-// Capacity is the admission ledger's size (physical cores x MaxClaimFactor).
-func (p *Pool) Capacity() int { return p.capacity }
-
 // Claimed is the sum of live leases' core claims.
 func (p *Pool) Claimed() int {
 	p.mu.Lock()
@@ -528,15 +525,6 @@ type Lease struct {
 
 // RunID returns the owning run's identifier.
 func (l *Lease) RunID() string { return l.runID }
-
-// Tenant returns the owning tenant.
-func (l *Lease) Tenant() string { return l.tenant }
-
-// Cores returns the lease's claimed core count.
-func (l *Lease) Cores() int { return l.cores }
-
-// Name implements core.RTS.
-func (l *Lease) Name() string { return "pool-lease" }
 
 // Start implements core.RTS. The shared pilot is already running, so a
 // lease start only verifies the pool is still serviceable.

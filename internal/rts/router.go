@@ -92,9 +92,6 @@ func NewRouter(members []RouterMember) (*Router, error) {
 	return r, nil
 }
 
-// Name implements core.RTS.
-func (r *Router) Name() string { return "rts-router" }
-
 // Start implements core.RTS: every member starts (pilots are submitted to
 // their respective CIs).
 func (r *Router) Start(ctx context.Context) error {
@@ -139,7 +136,7 @@ func (r *Router) route(desc core.TaskDescription) (*member, error) {
 		if desc.GPUs > m.gpus {
 			continue // pilot has too few GPUs for this task
 		}
-		free := int64(m.capacity) - atomic.LoadInt64(&m.inflight)*int64(maxInt(desc.Cores, 1))
+		free := int64(m.capacity) - atomic.LoadInt64(&m.inflight)*int64(max(desc.Cores, 1))
 		if best == nil || free > bestFree {
 			best, bestFree = m, free
 		}
@@ -149,13 +146,6 @@ func (r *Router) route(desc core.TaskDescription) (*member, error) {
 			desc.UID, desc.Cores, desc.GPUs)
 	}
 	return best, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Submit implements core.RTS: tasks are routed individually and submitted

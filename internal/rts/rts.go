@@ -117,9 +117,6 @@ func New(cfg Config) (*PilotRTS, error) {
 	return r, nil
 }
 
-// Name implements core.RTS.
-func (r *PilotRTS) Name() string { return "pilot-rts" }
-
 // Start implements core.RTS: the PilotManager submits the pilot job through
 // SAGA; once the pilot becomes active, the Agent bootstraps and begins
 // pulling tasks from the store.
@@ -237,9 +234,6 @@ func (r *PilotRTS) Completions() <-chan core.TaskResult { return r.out.Completio
 
 // Alive implements core.RTS.
 func (r *PilotRTS) Alive() bool { return !r.out.Dead() }
-
-// Kill marks the RTS dead (fault injection / tests).
-func (r *PilotRTS) Kill() { r.out.Kill() }
 
 // deliver pushes one result through the outbox, then applies the injected
 // crash.

@@ -39,9 +39,6 @@ func (m *Model) Clone() *Model {
 	return &cp
 }
 
-// At returns velocity at (ix, iz).
-func (m *Model) At(ix, iz int) float64 { return m.V[iz*m.NX+ix] }
-
 // Set sets velocity at (ix, iz).
 func (m *Model) Set(ix, iz int, v float64) { m.V[iz*m.NX+ix] = v }
 

@@ -55,11 +55,6 @@ func NewScaled(wallPerVirtualSecond time.Duration) *Scaled {
 	}
 }
 
-// Scale returns the wall-time cost of one virtual second.
-func (s *Scaled) Scale() time.Duration {
-	return time.Duration(s.scale * float64(time.Second))
-}
-
 // Now returns Epoch plus the scaled wall time elapsed since the clock was
 // created.
 func (s *Scaled) Now() time.Time {

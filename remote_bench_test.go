@@ -31,7 +31,6 @@ func newBenchEchoRTS() *benchEchoRTS {
 	return e
 }
 
-func (e *benchEchoRTS) Name() string                        { return "bench-echo" }
 func (e *benchEchoRTS) Start(ctx context.Context) error     { return nil }
 func (e *benchEchoRTS) Completions() <-chan core.TaskResult { return e.out }
 func (e *benchEchoRTS) Alive() bool                         { return e.alive.Load() }
