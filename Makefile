@@ -94,7 +94,10 @@ bench-baseline: bench-json
 # make a channel of TaskResult; and the broker publishes, pops and settles
 # through one implementation each, a single message being a batch of one, so
 # its non-test code calls each unacked-ledger and ready-ring operation from
-# exactly one place and has no call that appends a lone message.
+# exactly one place and has no call that appends a lone message; and the RTS
+# task store has one pull path — a lone scheduler drains a one-shard store,
+# so strict FIFO needs no pop of its own — so non-test internal/rts calls
+# popShard from exactly one place.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -133,6 +136,11 @@ lint:
 			grep -rnF --include='*.go' --exclude='*_test.go' "$$call" internal/broker | grep -v ':func '; exit 1; \
 		fi; \
 	done
+	@got=$$(grep -rhF --include='*.go' --exclude='*_test.go' 'popShard(' internal/rts | grep -v '^func ' | grep -oF 'popShard(' | wc -l); \
+	if [ "$$got" -ne 1 ]; then \
+		echo "internal/rts calls popShard( from $$got places, want 1: the store has one pull path"; \
+		grep -rnF --include='*.go' --exclude='*_test.go' 'popShard(' internal/rts | grep -v ':func '; exit 1; \
+	fi
 	$(GO) vet ./...
 
 # Fail if any gitignored build artifact (bench.out, *.test, ...) is tracked

@@ -138,9 +138,10 @@ const ablationSchedulerTasks = 8192
 // BenchmarkAblationSchedulers measures the pilot agent's dispatch
 // throughput on a contention-bound pipeline — zero-duration 1-core tasks on
 // a wide pilot, so the store drain + placement path is the bottleneck, not
-// task execution — with 1, 2 and 8 scheduler loops over an 8-shard task
-// store. schedulers-1 is the strict-FIFO serial agent (the paper's Fig 8
-// dispatch bottleneck); schedulers-N is the work-stealing pool. On a
+// task execution — with 1, 2 and 8 scheduler loops, QueueShards 8, so a
+// task store of one shard per loop. schedulers-1 is the strict-FIFO serial
+// agent draining a one-shard store (the paper's Fig 8 dispatch bottleneck);
+// schedulers-N is the work-stealing pool. On a
 // single-core runner the spread is algorithmic only; the contention relief
 // is architectural and shows at GOMAXPROCS > 1 (see ROADMAP.md).
 func BenchmarkAblationSchedulers(b *testing.B) {

@@ -2,7 +2,6 @@ package entk
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/autotune"
@@ -33,12 +32,14 @@ type Tuning struct {
 	// broker round-trip. Default 1024; 1 restores the per-message path.
 	BatchSize int
 	// QueueShards is the number of independently locked ready rings behind
-	// each task-traffic broker queue and the RTS task store. Default
-	// min(GOMAXPROCS, 8); 1 restores the single-lock queues.
+	// each task-traffic broker queue, and the cap on the RTS task store's
+	// (which has one per scheduler loop). Default min(GOMAXPROCS, 8); 1
+	// restores the single-lock queues.
 	QueueShards int
 	// SchedulerWorkers is the RTS agent's scheduler concurrency. Default
-	// min(GOMAXPROCS, store shards); 1 restores strict push-order FIFO
-	// dispatch (see docs/api.md for the ordering contract above 1).
+	// min(GOMAXPROCS, QueueShards); 1 restores strict push-order FIFO
+	// dispatch off a one-shard store (see docs/api.md for the ordering
+	// contract above 1).
 	SchedulerWorkers int
 	// SnapshotEvery is the durable mode's snapshot cadence in committed
 	// state records. Default 1024; negative disables snapshots (journal
@@ -178,15 +179,7 @@ func (cfg *AppConfig) resolveTuning() (*resolvedTuning, error) {
 	if rt.shards == 0 {
 		rt.shards = broker.DefaultShards()
 	}
-	if rt.scheds == 0 {
-		rt.scheds = runtime.GOMAXPROCS(0)
-		if rt.scheds > rt.shards {
-			rt.scheds = rt.shards
-		}
-		if rt.scheds < 1 {
-			rt.scheds = 1
-		}
-	}
+	rt.scheds = tuning.Schedulers(rt.scheds, rt.shards)
 	a := t.Autotune
 	if !a.Enabled {
 		rt.live = tuning.Fixed(rt.batch, rt.scheds)

@@ -114,7 +114,7 @@ type Config struct {
 	// scheduler loops drain the sharded task store. The engine records it
 	// for Progress snapshots taken before the RTS bootstraps; the embedding
 	// layer (entk) forwards the same knob into the RTS it builds. 0 selects
-	// the RTS default, min(GOMAXPROCS, store shards); 1 is the strict-FIFO
+	// the RTS default, min(GOMAXPROCS, QueueShards); 1 is the strict-FIFO
 	// single-scheduler agent.
 	SchedulerWorkers int
 	// Live is the run's mutable knob handle: the batch-size knob every hot

@@ -45,12 +45,19 @@ func (o *Outbox) Go(producer func()) {
 // Submitted counts n tasks the RTS accepted.
 func (o *Outbox) Submitted(n int) { o.submitted.Add(int64(n)) }
 
-// Deliver hands res to the consumer and counts it. A dead RTS drops it
+// Deliver counts res and hands it to the consumer. A dead RTS drops it
 // instead (it loses its in-flight tasks: the paper's failure model), and so
 // does a stopping one whose channel is full. It reports whether res went out.
 func (o *Outbox) Deliver(res TaskResult) bool {
 	if o.dead.Load() {
 		return false
+	}
+	// Counted before the send, so a consumer holding res finds it in Count;
+	// a result dropped on the stopping path is taken back out, failed first.
+	failed := res.ExitCode != 0
+	o.completed.Add(1)
+	if failed {
+		o.failed.Add(1)
 	}
 	// The channel almost always has room, so the send is tried alone first;
 	// only a full channel pays for the two-way wait against stop.
@@ -60,17 +67,17 @@ func (o *Outbox) Deliver(res TaskResult) bool {
 		select {
 		case o.ch <- res:
 		case <-o.stop:
+			if failed {
+				o.failed.Add(-1)
+			}
+			o.completed.Add(-1)
 			return false
 		}
-	}
-	o.completed.Add(1)
-	if res.ExitCode != 0 {
-		o.failed.Add(1)
 	}
 	return true
 }
 
-// Completed is how many results Deliver handed out.
+// Completed is how many results Deliver handed out (or is handing out).
 func (o *Outbox) Completed() int64 { return o.completed.Load() }
 
 // Kill marks the RTS dead, so Deliver drops from now on. It reports whether
@@ -109,7 +116,8 @@ func (o *Outbox) Stop(release func()) {
 // Count writes the task counters into st: TasksSubmitted, TasksCompleted,
 // TasksFailed and Utilization.TasksInFlight. In-flight is submitted less
 // completed of the same reading, so the two always add up; failed is read
-// first, so it never exceeds completed.
+// first, so it never exceeds completed (short of a stopping Deliver taking a
+// dropped failure back out between the two reads).
 func (o *Outbox) Count(st *RTSStats) {
 	st.TasksFailed = int(o.failed.Load())
 	st.TasksCompleted = int(o.completed.Load())

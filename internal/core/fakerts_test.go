@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +33,13 @@ type fakeRTS struct {
 	failed    int64
 	dead      int64
 
-	// execLog records task UIDs in completion order.
-	mu      sync.Mutex
-	execLog []string
-	started bool
+	// execLog records task UIDs in completion order. stopping is set, under
+	// mu, as Stop begins: Submit takes its wg.Add under mu and refuses work
+	// once it is set, so no Add races Stop's wg.Wait.
+	mu       sync.Mutex
+	execLog  []string
+	started  bool
+	stopping bool
 }
 
 func newFakeRTS(clock vclock.Clock) *fakeRTS {
@@ -54,6 +58,11 @@ func (f *fakeRTS) Start(ctx context.Context) error {
 }
 
 func (f *fakeRTS) Submit(tasks []TaskDescription) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopping {
+		return errors.New("fakeRTS: stopped")
+	}
 	for _, desc := range tasks {
 		n := atomic.AddInt64(&f.submitted, 1)
 		if f.dieAfter > 0 && n > f.dieAfter && atomic.LoadInt64(&f.dead) == 1 {
@@ -122,7 +131,10 @@ func (f *fakeRTS) Kill() { atomic.StoreInt64(&f.dead, 1) }
 
 func (f *fakeRTS) Stop() error {
 	f.stopOnce.Do(func() {
+		f.mu.Lock()
+		f.stopping = true
 		close(f.stopCh)
+		f.mu.Unlock()
 		go func() {
 			f.wg.Wait()
 			close(f.completions)

@@ -90,8 +90,7 @@ type StoreStats struct {
 	Depth       int
 	// Pushed and Pulled count tasks through the store. Steals counts pull
 	// batches a scheduler served off a non-preferred shard (work-stealing;
-	// always 0 for a single-scheduler agent, which pulls in strict
-	// push-sequence order instead).
+	// always 0 for a single-scheduler agent, whose store has one shard).
 	Pushed uint64
 	Pulled uint64
 	Steals uint64

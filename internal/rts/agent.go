@@ -276,16 +276,15 @@ const schedulerPullBatch = 256
 // slept by the executor, which is virtually identical to a serial scheduler
 // but costs one wall sleep per task instead of a serial chain.
 //
-// A single-scheduler agent pulls in strict push-sequence order (today's
-// exact FIFO); with schedulers > 1, each loop drains its preferred store
-// shard and work-steals from the next non-empty one — the broker-consumer
-// structure — and the DispatchLatency burst state is per scheduler, so
-// concurrent loops stagger their own dispatch chains independently.
+// Each loop drains its preferred store shard and work-steals from the next
+// non-empty one — the broker-consumer structure; a single-scheduler agent
+// has a one-shard store and so pulls in strict push order. The
+// DispatchLatency burst state is per scheduler, so concurrent loops stagger
+// their own dispatch chains independently.
 func (a *agent) schedulerLoop(id int) {
 	defer a.wg.Done()
 	burst := 0
 	st := &a.schedStats[id]
-	single := a.schedulers == 1
 	live := a.rts.live
 	for {
 		// Park while the live target excludes this loop (the autotune
@@ -310,13 +309,7 @@ func (a *agent) schedulerLoop(id int) {
 		if b := live.BatchSize(); b < max {
 			max = b
 		}
-		var descs []core.TaskDescription
-		var ok bool
-		if single {
-			descs, ok = a.rts.store.PullBatch(max)
-		} else {
-			descs, ok = a.rts.store.PullBatchPreferred(id, max)
-		}
+		descs, ok := a.rts.store.PullBatch(id, max)
 		if !ok {
 			// Closed — or failed on a journal append; a failed store kills
 			// the RTS so the loss is visible to EnTK's heartbeat.

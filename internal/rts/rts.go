@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/fsim"
 	"repro/internal/journal"
@@ -44,17 +44,18 @@ type Config struct {
 	Faults FaultPlan
 	// StorePath, when non-empty, journals the task store.
 	StorePath string
-	// QueueShards shards the task store's ready storage the same way the
-	// EnTK broker queues are sharded (0 = min(GOMAXPROCS, 8), 1 = single
-	// lock), so the multi-scheduler agent can drain it concurrently.
+	// QueueShards caps the task store's shard count the same way the EnTK
+	// broker queues are sharded (0 = min(GOMAXPROCS, 8), 1 = single lock).
+	// The store gets one shard per scheduler loop up to this cap, so the
+	// multi-scheduler agent can drain it concurrently.
 	QueueShards int
 	// Schedulers is the agent's scheduler concurrency: how many scheduler
-	// loops drain the task store. 0 selects min(GOMAXPROCS, store shards);
-	// 1 reproduces the single-scheduler agent — and with it strict
-	// push-order FIFO dispatch — exactly. With more than one scheduler,
-	// each loop drains a preferred store shard and work-steals from the
-	// next non-empty one; per-shard FIFO survives, cross-shard order does
-	// not (see docs/api.md for the ordering contract).
+	// loops drain the task store. 0 selects min(GOMAXPROCS, QueueShards);
+	// 1 reproduces the single-scheduler agent — a one-shard store, and with
+	// it strict push-order FIFO dispatch — exactly. With more than one
+	// scheduler, each loop drains a preferred store shard and work-steals
+	// from the next non-empty one; per-shard FIFO survives, cross-shard
+	// order does not (see docs/api.md for the ordering contract).
 	Schedulers int
 	// Live, when non-nil, is the run's mutable knob handle shared with the
 	// EnTK core: the agent spawns Live.MaxSchedulers() scheduler loops and
@@ -132,7 +133,22 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		}
 		r.jrn = j
 	}
-	r.store = newStore(r.jrn, r.cfg.QueueShards)
+	// The live knob handle: shared with the EnTK core when injected, or a
+	// private collapsed-bounds one (fixed pull batch, fixed pool) otherwise.
+	// The agent spawns the knob's upper bound of scheduler loops; loops
+	// above the live target park until the target grows back. The store
+	// gets one shard per loop, capped at QueueShards, so no shard is
+	// reachable only by stealing and a lone loop drains a one-shard store
+	// in strict push order.
+	shards := r.cfg.QueueShards
+	if shards == 0 {
+		shards = broker.DefaultShards()
+	}
+	r.live = r.cfg.Live
+	if r.live == nil {
+		r.live = tuning.Fixed(schedulerPullBatch, tuning.Schedulers(r.cfg.Schedulers, shards))
+	}
+	r.store = newStore(r.jrn, min(shards, r.live.MaxSchedulers()))
 
 	res := r.cfg.Resource
 	pilot, err := r.cfg.Session.Submit(res.Resource, saga.JobDescription{
@@ -146,14 +162,6 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		return fmt.Errorf("rts: pilot submission: %w", err)
 	}
 	r.pilot = pilot
-	// The live knob handle: shared with the EnTK core when injected, or a
-	// private collapsed-bounds one (fixed pull batch, fixed pool) otherwise.
-	// The agent spawns the knob's upper bound of scheduler loops; loops
-	// above the live target park until the target grows back.
-	r.live = r.cfg.Live
-	if r.live == nil {
-		r.live = tuning.Fixed(schedulerPullBatch, r.resolveSchedulers())
-	}
 	r.agent = newAgent(r, res.Cores, res.GPUs, r.live.MaxSchedulers())
 
 	go func() {
@@ -178,24 +186,6 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		}
 	}()
 	return nil
-}
-
-// resolveSchedulers applies the Schedulers default: min(GOMAXPROCS, store
-// shards), so an unconfigured agent scales with the hardware but never
-// spins more loops than there are shards to drain.
-func (r *PilotRTS) resolveSchedulers() int {
-	n := r.cfg.Schedulers
-	if n > 0 {
-		return n
-	}
-	n = runtime.GOMAXPROCS(0)
-	if shards := len(r.store.shards); n > shards {
-		n = shards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // noteStoreFailure kills the RTS when the store closed because of a

@@ -399,16 +399,16 @@ func TestStorePushPull(t *testing.T) {
 	if s.Depth() != 2 {
 		t.Fatalf("depth = %d", s.Depth())
 	}
-	x, ok := s.Pull()
-	if !ok || x.UID != "a" {
+	x, ok := s.PullBatch(0, 1)
+	if !ok || len(x) != 1 || x[0].UID != "a" {
 		t.Fatalf("pull = %+v, %v", x, ok)
 	}
-	y, _ := s.Pull()
-	if y.UID != "b" {
-		t.Fatalf("pull order broken: %s", y.UID)
+	y, _ := s.PullBatch(0, 1)
+	if len(y) != 1 || y[0].UID != "b" {
+		t.Fatalf("pull order broken: %+v", y)
 	}
 	s.Close()
-	if _, ok := s.Pull(); ok {
+	if _, ok := s.PullBatch(0, 1); ok {
 		t.Fatal("pull from closed empty store returned a task")
 	}
 	if err := s.Push([]core.TaskDescription{{UID: "c"}}); err == nil {
@@ -420,9 +420,9 @@ func TestStorePullBlocksUntilPush(t *testing.T) {
 	s := newStore(nil, 0)
 	got := make(chan string, 1)
 	go func() {
-		d, ok := s.Pull()
+		d, ok := s.PullBatch(0, 1)
 		if ok {
-			got <- d.UID
+			got <- d[0].UID
 		}
 	}()
 	select {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
@@ -14,21 +13,17 @@ import (
 // role MongoDB plays in RADICAL-Pilot ("The UnitManager schedules each task
 // to an Agent via a queue on a MongoDB instance. Each Agent pulls its tasks
 // from the DB module"). Like the broker's queues it is sharded: each Push
-// lands its batch on one independently locked shard, round-robin. Pullers
-// come in two shapes, matching the two agent configurations:
-//
-//   - PullBatch drains the shard whose front batch carries the lowest push
-//     sequence — with a single scheduler that reproduces strict push-order
-//     FIFO exactly;
-//   - PullBatchPreferred drains a preferred shard and work-steals from the
-//     next non-empty one, the same structure the broker's consumers use —
-//     the multi-scheduler agent's side, where each scheduler loop owns a
-//     preferred shard and cross-shard ordering is traded for parallel drain.
+// lands its batch on one independently locked shard, round-robin, and each
+// shard is FIFO. PilotRTS gives it one shard per scheduler loop, capped at
+// the configured shard count; a loop drains its preferred shard and
+// work-steals from the next non-empty one, the structure the broker's
+// consumers use. A lone scheduler therefore drains a one-shard store, which
+// is strict push-order FIFO by construction.
 //
 // It is a blocking-pull FIFO with optional journal-backed durability.
 type store struct {
 	shards  []*storeShard
-	pushSeq atomic.Uint64 // batch sequence, also the round-robin cursor
+	pushSeq atomic.Uint64 // the round-robin cursor
 
 	notifyMu sync.Mutex
 	cond     *sync.Cond
@@ -44,34 +39,16 @@ type store struct {
 	err   error // first journaling failure; the store closes with it
 }
 
-// storeBatch is one Push call's tasks, stamped with its push sequence.
-type storeBatch struct {
-	seq   uint64
-	tasks []core.TaskDescription
-}
-
-// storeShard is one independently locked slice of the store's queue.
+// storeShard is one independently locked slice of the store's queue: the
+// Push batches that landed on it, oldest first.
 type storeShard struct {
 	mu      sync.Mutex
-	batches []storeBatch
-	// headSeq mirrors the sequence of the front batch (0 = empty) so
-	// pullers can pick a shard lock-free.
-	headSeq atomic.Uint64
+	batches [][]core.TaskDescription
 	depth   atomic.Int64
 }
 
-func (s *storeShard) syncHeadLocked() {
-	if len(s.batches) == 0 {
-		s.headSeq.Store(0)
-		return
-	}
-	s.headSeq.Store(s.batches[0].seq)
-}
-
+// newStore builds a store of the given number of shards (at least one).
 func newStore(jrn *journal.Journal, shards int) *store {
-	if shards == 0 {
-		shards = broker.DefaultShards()
-	}
 	if shards < 1 {
 		shards = 1
 	}
@@ -85,7 +62,7 @@ func newStore(jrn *journal.Journal, shards int) *store {
 
 // storeRecType namespaces the store's audit records in the journal. The
 // payload is a typed msgcodec.StoreRec frame, one record per Push or
-// Pull/PullBatch call, covering every task the call moved — one append
+// PullBatch call, covering every task the call moved — one append
 // amortized over the whole operation.
 const storeRecType = "rts.store"
 
@@ -121,8 +98,8 @@ func (s *store) Err() error {
 	return s.err
 }
 
-// Push appends task descriptions as one sequence-stamped batch on the next
-// round-robin shard, journaling the batch as one record.
+// Push appends task descriptions as one batch on the next round-robin
+// shard, journaling the batch as one record.
 func (s *store) Push(tasks []core.TaskDescription) error {
 	if s.closed.Load() {
 		return errStoreClosed
@@ -134,29 +111,14 @@ func (s *store) Push(tasks []core.TaskDescription) error {
 	sh := s.shards[int((seq-1)%uint64(len(s.shards)))]
 	sh.mu.Lock()
 	// Copy so later caller mutations of the slice cannot reach the queue.
-	batch := storeBatch{seq: seq, tasks: append([]core.TaskDescription(nil), tasks...)}
-	sh.batches = append(sh.batches, batch)
+	sh.batches = append(sh.batches, append([]core.TaskDescription(nil), tasks...))
 	sh.depth.Add(int64(len(tasks)))
-	sh.syncHeadLocked()
 	sh.mu.Unlock()
 	s.pushed.Add(uint64(len(tasks)))
 	s.notifyMu.Lock()
 	s.cond.Broadcast()
 	s.notifyMu.Unlock()
 	return nil
-}
-
-// minShard returns the shard whose front batch has the lowest push
-// sequence, or nil when all shards look empty.
-func (s *store) minShard() *storeShard {
-	var best *storeShard
-	var bestSeq uint64
-	for _, sh := range s.shards {
-		if seq := sh.headSeq.Load(); seq != 0 && (best == nil || seq < bestSeq) {
-			best, bestSeq = sh, seq
-		}
-	}
-	return best
 }
 
 // popShard pops up to max tasks from sh's front batch under its lock.
@@ -167,37 +129,19 @@ func (s *store) popShard(sh *storeShard, max int) ([]core.TaskDescription, bool)
 		sh.mu.Unlock()
 		return nil, false
 	}
-	front := &sh.batches[0]
-	n := max
-	if len(front.tasks) < n {
-		n = len(front.tasks)
-	}
-	out := front.tasks[:n:n]
-	front.tasks = front.tasks[n:]
-	if len(front.tasks) == 0 {
-		sh.batches[0] = storeBatch{}
+	front := sh.batches[0]
+	n := min(max, len(front))
+	out := front[:n:n]
+	if n == len(front) {
+		sh.batches[0] = nil
 		sh.batches = sh.batches[1:]
+	} else {
+		sh.batches[0] = front[n:]
 	}
 	sh.depth.Add(-int64(n))
-	sh.syncHeadLocked()
 	sh.mu.Unlock()
 	s.pulled.Add(uint64(n))
 	return out, true
-}
-
-// popBatch pops up to max tasks from the oldest batch. ok=false means every
-// shard was empty at the time of the scan.
-func (s *store) popBatch(max int) ([]core.TaskDescription, bool) {
-	for {
-		sh := s.minShard()
-		if sh == nil {
-			return nil, false
-		}
-		if out, ok := s.popShard(sh, max); ok {
-			return out, true
-		}
-		// Raced with a concurrent puller; rescan.
-	}
 }
 
 // popPreferred pops up to max tasks from the preferred shard's front batch,
@@ -208,7 +152,7 @@ func (s *store) popPreferred(pref, max int) ([]core.TaskDescription, bool) {
 	pref %= n
 	for i := 0; i < n; i++ {
 		sh := s.shards[(pref+i)%n]
-		if sh.headSeq.Load() == 0 {
+		if sh.depth.Load() == 0 {
 			continue
 		}
 		if out, ok := s.popShard(sh, max); ok {
@@ -221,49 +165,22 @@ func (s *store) popPreferred(pref, max int) ([]core.TaskDescription, bool) {
 	return nil, false
 }
 
-// waitReady blocks until a task is available or the store closes; it
-// reports whether tasks may be available.
-func (s *store) waitReady() bool {
+// waitReady blocks until a task is available or the store closes.
+func (s *store) waitReady() {
 	s.notifyMu.Lock()
 	for s.Depth() == 0 && !s.closed.Load() {
 		s.cond.Wait()
 	}
 	s.notifyMu.Unlock()
-	return s.Depth() > 0 || !s.closed.Load()
-}
-
-// Pull blocks until a task is available or the store closes (ok=false).
-func (s *store) Pull() (core.TaskDescription, bool) {
-	batch, ok := s.PullBatch(1)
-	if !ok || len(batch) == 0 {
-		return core.TaskDescription{}, false
-	}
-	return batch[0], true
 }
 
 // PullBatch blocks until at least one task is available, then pops up to
-// max tasks — in strict push-sequence order — under one shard-lock
-// acquisition and one journal append. ok=false means the store closed; a
-// journal append that fails closes the store (see fail), so the failure is
-// never silently dropped.
-func (s *store) PullBatch(max int) ([]core.TaskDescription, bool) {
-	return s.pullLoop(max, func(m int) ([]core.TaskDescription, bool) {
-		return s.popBatch(m)
-	})
-}
-
-// PullBatchPreferred is PullBatch for one multi-scheduler loop: it drains
-// the preferred shard first and steals from the next non-empty shard,
-// giving up strict cross-shard push order for parallel drain (each shard
-// stays FIFO on its own).
-func (s *store) PullBatchPreferred(pref, max int) ([]core.TaskDescription, bool) {
-	return s.pullLoop(max, func(m int) ([]core.TaskDescription, bool) {
-		return s.popPreferred(pref, m)
-	})
-}
-
-// pullLoop is the shared blocking-pull skeleton around one pop policy.
-func (s *store) pullLoop(max int, pop func(int) ([]core.TaskDescription, bool)) ([]core.TaskDescription, bool) {
+// max tasks off the preferred shard — or, when it is empty, the next
+// non-empty one — under one shard-lock acquisition and one journal append.
+// Each shard is FIFO; across shards there is no order. ok=false means the
+// store closed; a journal append that fails closes the store (see fail), so
+// the failure is never silently dropped.
+func (s *store) PullBatch(pref, max int) ([]core.TaskDescription, bool) {
 	if max <= 0 {
 		max = 1
 	}
@@ -271,8 +188,7 @@ func (s *store) pullLoop(max int, pop func(int) ([]core.TaskDescription, bool)) 
 		if s.closed.Load() && s.Depth() == 0 {
 			return nil, false
 		}
-		batch, ok := pop(max)
-		if ok {
+		if batch, ok := s.popPreferred(pref, max); ok {
 			if err := s.journalOp("pull", batch); err != nil {
 				// The popped tasks are dropped with the failing store — the
 				// paper's failure model: a dead RTS loses its in-flight

@@ -3,6 +3,7 @@ package rts
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/tuning"
 )
 
 // TestStoreConcurrentConservation is the multi-scheduler invariant: with N
@@ -49,7 +51,7 @@ func TestStoreConcurrentConservation(t *testing.T) {
 		go func(c int) {
 			defer pullWG.Done()
 			for {
-				batch, ok := s.PullBatchPreferred(c, 16)
+				batch, ok := s.PullBatch(c, 16)
 				if !ok {
 					return
 				}
@@ -107,7 +109,7 @@ func TestStoreStealCoverage(t *testing.T) {
 	}
 	total := 0
 	for s.Depth() > 0 {
-		batch, ok := s.PullBatchPreferred(0, 64)
+		batch, ok := s.PullBatch(0, 64)
 		if !ok {
 			t.Fatal("store closed unexpectedly")
 		}
@@ -124,10 +126,10 @@ func TestStoreStealCoverage(t *testing.T) {
 }
 
 // TestStoreSingleSchedulerFIFO pins the Schedulers=1 contract at the store
-// level: PullBatch returns tasks in strict push-sequence order regardless
-// of how many shards the batches landed on.
+// level: a lone scheduler drains a one-shard store, and PullBatch returns its
+// tasks in strict push order however the pulls split the batches.
 func TestStoreSingleSchedulerFIFO(t *testing.T) {
-	s := newStore(nil, 8)
+	s := newStore(nil, 1)
 	var want []string
 	for i := 0; i < 100; i++ {
 		batch := make([]core.TaskDescription, 3)
@@ -144,7 +146,7 @@ func TestStoreSingleSchedulerFIFO(t *testing.T) {
 	for s.Depth() > 0 {
 		// A pull width that does not divide the batch size, so pulls split
 		// batches at every offset.
-		batch, ok := s.PullBatch(7)
+		batch, ok := s.PullBatch(0, 7)
 		if !ok {
 			t.Fatal("store closed unexpectedly")
 		}
@@ -164,20 +166,14 @@ func TestStoreSingleSchedulerFIFO(t *testing.T) {
 }
 
 // TestStoreCloseWhilePulling is the shutdown path: pullers blocked on an
-// empty store — strict-FIFO and preferred-shard alike — must all return
-// ok=false once the store closes.
+// empty store must all return ok=false once the store closes.
 func TestStoreCloseWhilePulling(t *testing.T) {
 	s := newStore(nil, 4)
 	const blocked = 6
 	done := make(chan bool, blocked)
 	for i := 0; i < blocked; i++ {
 		go func(i int) {
-			var ok bool
-			if i%2 == 0 {
-				_, ok = s.PullBatch(8)
-			} else {
-				_, ok = s.PullBatchPreferred(i, 8)
-			}
+			_, ok := s.PullBatch(i, 8)
 			done <- ok
 		}(i)
 	}
@@ -209,7 +205,7 @@ func TestStorePullJournalFailureClosesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close() // the next journalOp fails
-	if _, ok := s.PullBatch(8); ok {
+	if _, ok := s.PullBatch(0, 8); ok {
 		t.Fatal("pull succeeded although its journal append failed")
 	}
 	if s.Err() == nil {
@@ -311,6 +307,36 @@ func TestSingleSchedulerDispatchOrder(t *testing.T) {
 		if res.UID != want[i] {
 			t.Fatalf("completion %d = %s, want %s (strict FIFO broken)", i, res.UID, want[i])
 		}
+	}
+}
+
+// TestStoreHasAShardPerScheduler pins how Start sizes the task store: one
+// shard per scheduler loop it spawns, capped at QueueShards — so a lone
+// scheduler drains a one-shard store, and no shard is reachable only by
+// stealing. An autotune ceiling sizes the store like a fixed pool does.
+func TestStoreHasAShardPerScheduler(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		shards, schedulers int
+		live               *tuning.Live
+		want               int
+	}{
+		{name: "one-scheduler", shards: 8, schedulers: 1, want: 1},
+		{name: "two-schedulers", shards: 8, schedulers: 2, want: 2},
+		{name: "default-schedulers", shards: 2, want: min(runtime.GOMAXPROCS(0), 2)},
+		{name: "autotune-ceiling", shards: 8, live: tuning.NewBounded(256, 1, 256, 2, 1, 16), want: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, func(c *Config) {
+				c.QueueShards = tc.shards
+				c.Schedulers = tc.schedulers
+				c.Live = tc.live
+			})
+			start(t, h)
+			if got := h.rts.Stats().Store.Shards; got != tc.want {
+				t.Fatalf("store shards = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -11,9 +11,21 @@
 package tuning
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// Schedulers resolves a configured scheduler-pool size: a positive value is
+// taken as is, and 0 selects min(GOMAXPROCS, shards), floored at 1, so an
+// unconfigured agent scales with the hardware but never runs more loops
+// than there are shards to drain. entk and the RTS both resolve through it.
+func Schedulers(configured, shards int) int {
+	if configured > 0 {
+		return configured
+	}
+	return max(1, min(runtime.GOMAXPROCS(0), shards))
+}
 
 // Live is the run's mutable knob block. The zero value is not usable; build
 // one with Fixed or NewBounded.
