@@ -28,6 +28,9 @@ GO ?= go
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
 BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkSnapshot|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
+# A go statement, for the lint rules that count them (comments stripped first).
+GO_STMT := (^|[^[:alnum:]_.])go [[:alnum:]_(]
+
 .PHONY: build test budgets fuzz bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
 
 build:
@@ -97,7 +100,12 @@ bench-baseline: bench-json
 # exactly one place and has no call that appends a lone message; and the RTS
 # task store has one pull path — a lone scheduler drains a one-shard store,
 # so strict FIFO needs no pop of its own — so non-test internal/rts calls
-# popShard from exactly one place.
+# popShard from exactly one place. And each value moves on the goroutine that
+# produces it: an event subscription is its channel, which the bus sends on,
+# so non-test internal/core/events.go starts no goroutine and has no
+# sync.Cond; and an executor books its own stager, so non-test
+# internal/rts/agent.go starts exactly two kinds of goroutine, the scheduler
+# loops and the executors.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -140,6 +148,16 @@ lint:
 	if [ "$$got" -ne 1 ]; then \
 		echo "internal/rts calls popShard( from $$got places, want 1: the store has one pull path"; \
 		grep -rnF --include='*.go' --exclude='*_test.go' 'popShard(' internal/rts | grep -v ':func '; exit 1; \
+	fi
+	@relay=$$(sed 's|//.*||' internal/core/events.go | grep -nE '$(GO_STMT)|sync\.Cond' || true); \
+	if [ -n "$$relay" ]; then \
+		echo "internal/core/events.go starts a goroutine or waits on a sync.Cond; the bus sends on the subscription's channel itself:"; \
+		echo "$$relay"; exit 1; \
+	fi
+	@got=$$(sed 's|//.*||' internal/rts/agent.go | grep -cE '$(GO_STMT)'); \
+	if [ "$$got" -ne 2 ]; then \
+		echo "internal/rts/agent.go has $$got go statements, want 2 (scheduler loops, executors): an executor books its own stager"; \
+		sed 's|//.*||' internal/rts/agent.go | grep -nE '$(GO_STMT)'; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -173,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		len(pipes), total, desc.Resource.Name, desc.Resource.Cores)
 
 	// Subscribe before Start so the stream observes the very first
-	// transition; the bounded ring means a slow terminal can never stall
+	// transition; the bounded buffer means a slow terminal can never stall
 	// the scheduler (late events are dropped and counted instead).
 	var sub *entk.EventSub
 	if *progress {

@@ -53,8 +53,8 @@ type Tuning struct {
 
 // Autotune is the Tuning policy block for the live knob controller: a
 // per-run goroutine that samples the run's observability counters (queue
-// depth, store depths, steal-vs-pull ratio, dispatch latency, event-ring
-// drops, host strain) on a fixed virtual cadence and steers BatchSize and
+// depth, store depths, steal-vs-pull ratio, dispatch latency, event
+// subscription drops, host strain) on a fixed virtual cadence and steers BatchSize and
 // SchedulerWorkers between the bounds below while the run executes. Every
 // decision is published as an EventKnob event and counted in
 // Progress.KnobChanges.

@@ -95,7 +95,7 @@ type Signals struct {
 	// dispatch latency the spike rule watches.
 	SchedulerBusy []time.Duration
 	// EventDrops is the cumulative drop-oldest discard count across all
-	// in-process event subscriber rings.
+	// in-process event subscriptions.
 	EventDrops uint64
 	// ActiveTasks is the engine's count of concurrently managed tasks —
 	// the host-strain signal.

@@ -215,13 +215,11 @@ type AppManager struct {
 	tally taskTally
 
 	// live is the hot paths' view of the mutable knobs (== cfg.Live); tuner
-	// is the autotune controller steering it when cfg.Autotune.Enabled, with
-	// knobChanges counting its committed decisions for Progress.
-	live        *tuning.Live
-	tuner       *autotune.Controller
-	tunerStop   chan struct{}
-	tunerWG     sync.WaitGroup
-	knobChanges atomic.Uint64
+	// is the autotune controller steering it when cfg.Autotune.Enabled.
+	live      *tuning.Live
+	tuner     *autotune.Controller
+	tunerStop chan struct{}
+	tunerWG   sync.WaitGroup
 
 	completionMu sync.Mutex // serializes stage/pipeline completion logic
 
@@ -753,8 +751,13 @@ func (am *AppManager) allPipelinesTerminal() bool {
 }
 
 // cancelRemainingTasks marks every non-terminal entity canceled after a
-// context cancellation. The forced transitions bypass the Synchronizer (it
-// is about to stop), so the cancellation events are published here.
+// context cancellation, and every FAILED task whose stage is still open: a
+// retry (settleFailures) or failover's reinject can still move such a task
+// on to SCHEDULING, so it is canceled as cancelPipeline cancels it
+// (FAILED→CANCELED is legal, and the sticky cancel absorbs the late
+// SCHEDULING). A FAILED task in a terminal stage stays FAILED. The forced
+// transitions bypass the Synchronizer (it is about to stop), so the
+// cancellation events are published here.
 func (am *AppManager) cancelRemainingTasks() {
 	am.mu.Lock()
 	tasks := make([]*Task, 0, len(am.tasks))
@@ -764,10 +767,16 @@ func (am *AppManager) cancelRemainingTasks() {
 	pipes := append([]*Pipeline(nil), am.pipelines...)
 	am.mu.Unlock()
 	for _, t := range tasks {
-		if from := t.State(); !from.Terminal() {
-			t.forceState(TaskCanceled)
-			am.emitTask(t, from, TaskCanceled)
+		from := t.State()
+		if from == TaskFailed {
+			if s := t.parentStage(); s == nil || s.State().Terminal() {
+				continue
+			}
+		} else if from.Terminal() {
+			continue
 		}
+		t.forceState(TaskCanceled)
+		am.emitTask(t, from, TaskCanceled)
 	}
 	for _, p := range pipes {
 		if from := p.State(); !from.Terminal() {

@@ -69,11 +69,10 @@ func (am *AppManager) autotuneSignals() autotune.Signals {
 	return sig
 }
 
-// applyKnobChanges records committed controller decisions: one counter bump
-// and one typed knob event each.
+// applyKnobChanges publishes one typed knob event per committed controller
+// decision (the knob handle's Version already counts it for Progress).
 func (am *AppManager) applyKnobChanges(changes []autotune.KnobChange) {
 	for _, ch := range changes {
-		am.knobChanges.Add(1)
 		am.emitKnob(ch)
 	}
 }

@@ -780,3 +780,33 @@ func TestSubmitBatchMixedMessages(t *testing.T) {
 	r.Cancel("test over")
 	r.Wait() //nolint:errcheck // the cancellation
 }
+
+// TestCancelSweepCancelsFailedTasksOfOpenStages: the sweep that ends a
+// canceled run must cancel a FAILED task whose stage is still open, since a
+// retry or failover's reinject can still move it on to SCHEDULING after the
+// sweep (and leave it active after the run); a FAILED task in a terminal
+// stage stays FAILED.
+func TestCancelSweepCancelsFailedTasksOfOpenStages(t *testing.T) {
+	am, _ := testApp(t, Config{})
+	pipes := buildApp(1, 2, 1, time.Second)
+	if err := am.AddPipelines(pipes...); err != nil {
+		t.Fatal(err)
+	}
+	if err := am.registerEntities(); err != nil {
+		t.Fatal(err)
+	}
+	open, closed := pipes[0].Stages()[0], pipes[0].Stages()[1]
+	a, b := open.Tasks()[0], closed.Tasks()[0]
+	open.forceState(StageScheduled)
+	closed.forceState(StageFailed)
+	a.forceState(TaskFailed)
+	b.forceState(TaskFailed)
+
+	am.cancelRemainingTasks()
+	if got := a.State(); got != TaskCanceled {
+		t.Errorf("FAILED task of a SCHEDULED stage ended %s, want %s", got, TaskCanceled)
+	}
+	if got := b.State(); got != TaskFailed {
+		t.Errorf("FAILED task of a FAILED stage ended %s, want %s", got, TaskFailed)
+	}
+}

@@ -20,7 +20,7 @@ type (
 	// transitioned.
 	EventKind = msgcodec.EventKind
 	// EventFilter selects which events a subscription receives and sizes
-	// its drop-oldest ring.
+	// its drop-oldest channel.
 	EventFilter = msgcodec.EventFilter
 )
 
@@ -32,56 +32,43 @@ const (
 	EventKnob     = msgcodec.EventKnob
 )
 
-// DefaultEventBuffer is the per-subscriber ring capacity used when
+// DefaultEventBuffer is the per-subscriber channel capacity used when
 // EventFilter.Buffer is zero.
 const DefaultEventBuffer = 1024
 
 // maxEventBatch bounds the events one 0x36 frame coalesces.
 const maxEventBatch = 64
 
-// EventSub is one live subscription: a bounded drop-oldest ring drained by a
-// pump goroutine into the channel returned by C. The ring absorbs bursts; a
-// consumer that stalls longer than the ring can absorb loses the oldest
-// events (counted by Dropped) but never back-pressures the publisher, and
-// the events that do survive stay in publication order.
+// EventSub is one live subscription: a buffered channel of capacity
+// EventFilter.Buffer, returned by C. The bus is its only sender and sends
+// under its own lock, so a consumer that stalls until the channel is full
+// loses the oldest events (counted by Dropped) but never back-pressures the
+// publisher, and the events that do survive stay in publication order.
 type EventSub struct {
-	bus    *EventBus
-	filter EventFilter
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ring   []Event
-	head   int
-	count  int
-	closed bool
-
-	out       chan Event
-	done      chan struct{}
-	closeOnce sync.Once
+	bus       *EventBus
+	filter    EventFilter
+	ch        chan Event
+	closeOnce sync.Once // closes ch
 	dropped   atomic.Uint64
 }
 
 // C returns the subscription's event channel. It is closed after Close, or
 // once the run has finished and every buffered event has been delivered.
-func (s *EventSub) C() <-chan Event { return s.out }
+func (s *EventSub) C() <-chan Event { return s.ch }
 
 // Dropped reports how many events were discarded because the consumer fell
-// behind the ring capacity (the slow-subscriber policy).
+// Buffer events behind (the slow-subscriber policy).
 func (s *EventSub) Dropped() uint64 { return s.dropped.Load() }
 
 // Close cancels the subscription immediately: undelivered events are
 // discarded and C is closed. Safe to call multiple times and concurrently
 // with delivery.
 func (s *EventSub) Close() {
-	s.closeOnce.Do(func() {
-		s.bus.unsubscribe(s)
-		s.mu.Lock()
-		s.closed = true
-		s.count = 0
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		close(s.done)
-	})
+	s.bus.unsubscribe(s) // the bus sends nothing more
+	s.finish()
+	for len(s.ch) > 0 {
+		<-s.ch // never blocks: ch is closed
+	}
 }
 
 // SendFrames drains the subscription as the frames a socket carries it in:
@@ -91,12 +78,12 @@ func (s *EventSub) Close() {
 // its first error ends the stream and is returned.
 func (s *EventSub) SendFrames(send func(frame []byte, events int) error) error {
 	batch := make([]Event, 0, maxEventBatch)
-	for ev := range s.out {
+	for ev := range s.ch {
 		batch = append(batch[:0], ev)
 	coalesce:
 		for len(batch) < maxEventBatch {
 			select {
-			case more, ok := <-s.out:
+			case more, ok := <-s.ch:
 				if !ok {
 					break coalesce
 				}
@@ -112,75 +99,40 @@ func (s *EventSub) SendFrames(send func(frame []byte, events int) error) error {
 	return send(msgcodec.EncodeEventEnd(s.Dropped()), 0)
 }
 
-// push appends one event, dropping the oldest when the ring is full. Called
-// by the bus with the subscription registered; never blocks. The pump only
-// parks on the condition variable when the ring is empty, so a signal is
-// needed only on the empty->non-empty edge.
+// push delivers one event without blocking; the bus calls it under b.mu
+// with the subscription registered. On a full channel it takes the oldest
+// event back out and counts the drop: nothing else sends, so there is then
+// room for ev.
 func (s *EventSub) push(ev Event) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	select {
+	case s.ch <- ev:
 		return
+	default:
 	}
-	if s.count == len(s.ring) {
-		s.head = (s.head + 1) % len(s.ring)
-		s.count--
+	select {
+	case <-s.ch:
 		s.dropped.Add(1)
 		s.bus.drops.Add(1)
+	default: // the consumer made room meanwhile
 	}
-	s.ring[(s.head+s.count)%len(s.ring)] = ev
-	s.count++
-	if s.count == 1 {
-		s.cond.Signal()
-	}
-	s.mu.Unlock()
+	s.ch <- ev
 }
 
-// finish marks the stream complete: once the ring drains, the pump closes C.
-func (s *EventSub) finish() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// pump moves events from the ring to the out channel. It is the only sender
-// on out and closes it on exit.
-func (s *EventSub) pump() {
-	for {
-		s.mu.Lock()
-		for s.count == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if s.count == 0 {
-			s.mu.Unlock()
-			close(s.out)
-			return
-		}
-		ev := s.ring[s.head]
-		s.head = (s.head + 1) % len(s.ring)
-		s.count--
-		s.mu.Unlock()
-		select {
-		case s.out <- ev:
-		case <-s.done:
-			close(s.out)
-			return
-		}
-	}
-}
+// finish closes C once the bus has let go of the subscription (EventBus.Close
+// or Close, whichever comes first): what is buffered stays readable.
+func (s *EventSub) finish() { s.closeOnce.Do(func() { close(s.ch) }) }
 
 // EventBus fans committed transitions out to subscribers: an AppManager's
 // event stream, or a standalone hub for components that relay events
 // without owning a run (entkd's stream of a finished run, tests). Publishing
 // with no subscribers costs one atomic load; with subscribers, one mutex
-// acquisition plus a ring append per matching subscription.
+// acquisition plus a channel send per matching subscription.
 type EventBus struct {
 	mu     sync.Mutex
 	subs   map[*EventSub]struct{}
 	n      atomic.Int32
 	closed bool
-	// drops aggregates every subscriber ring's drop-oldest discards — the
+	// drops aggregates every subscription's drop-oldest discards — the
 	// bus-wide counter behind Progress.EventDrops and the controller's
 	// drop-burst signal (per-subscriber Dropped() is poll-only).
 	drops atomic.Uint64
@@ -200,33 +152,15 @@ func (b *EventBus) Subscribe(f EventFilter) *EventSub {
 	if f.Buffer <= 0 {
 		f.Buffer = DefaultEventBuffer
 	}
-	// The out channel gets a modest buffer so the pump amortizes handoffs
-	// instead of paying a scheduler switch per event; the ring remains the
-	// authoritative bound (total in-flight capacity is Buffer + chan cap).
-	chanCap := f.Buffer
-	if chanCap > 256 {
-		chanCap = 256
-	}
-	s := &EventSub{
-		bus:    b,
-		filter: f,
-		ring:   make([]Event, f.Buffer),
-		out:    make(chan Event, chanCap),
-		done:   make(chan struct{}),
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &EventSub{bus: b, filter: f, ch: make(chan Event, f.Buffer)}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		s.closed = true
-		close(s.out)
-		s.closeOnce.Do(func() { close(s.done) }) // a later Close is a no-op
+		s.finish() // a later Close is a no-op
 		return s
 	}
 	b.subs[s] = struct{}{}
 	b.n.Add(1)
-	b.mu.Unlock()
-	go s.pump()
 	return s
 }
 
@@ -258,17 +192,13 @@ func (b *EventBus) Publish(ev Event) {
 // handle finishes; a later Subscribe gets an already closed stream.
 func (b *EventBus) Close() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.closed = true
-	subs := make([]*EventSub, 0, len(b.subs))
 	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.subs = make(map[*EventSub]struct{})
-	b.n.Store(0)
-	b.mu.Unlock()
-	for _, s := range subs {
 		s.finish()
 	}
+	clear(b.subs)
+	b.n.Store(0)
 }
 
 // PipelineProgress is one pipeline's slice of a Progress snapshot.
@@ -317,15 +247,16 @@ type Progress struct {
 	// back to the configured Config.SchedulerWorkers knob.
 	Utilization Utilization
 	Store       StoreStats
-	// EventDrops aggregates drop-oldest discards across every subscriber
-	// ring of the run's bus — remote event-server peers and entkd clients
+	// EventDrops aggregates drop-oldest discards across every subscription
+	// of the run's bus — remote event-server peers and entkd clients
 	// included, since each subscribes through the same bus (per-subscriber
 	// Dropped() remains poll-only).
 	EventDrops uint64
 	// LiveBatchSize and LiveSchedulers are the current values of the run's
 	// mutable knobs; with autotune disabled they equal the configured
-	// Tuning knobs for the whole run. KnobChanges counts the autotune
-	// controller's committed decisions (0 when disabled).
+	// Tuning knobs for the whole run. KnobChanges counts the committed
+	// changes to the run's knob handle (tuning.Live.Version): the autotune
+	// controller's decisions, 0 when it is disabled.
 	LiveBatchSize  int
 	LiveSchedulers int
 	KnobChanges    uint64
@@ -393,8 +324,8 @@ func (am *AppManager) Snapshot() Progress {
 	if am.live != nil {
 		p.LiveBatchSize = am.live.BatchSize()
 		p.LiveSchedulers = am.live.Schedulers()
+		p.KnobChanges = am.live.Version()
 	}
-	p.KnobChanges = am.knobChanges.Load()
 	p.Durability = am.durabilityStats()
 	return p
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ func TestSlowSubscriberDropPolicy(t *testing.T) {
 	pipes := buildApp(1, 1, 64, time.Second)
 	am.AddPipelines(pipes...)
 
-	// A deliberately tiny ring and a consumer that does not read until the
+	// A deliberately tiny buffer and a consumer that does not read until the
 	// run is over: the scheduler must finish regardless, the Dropped
 	// counter must advance, and whatever survives must still be ordered.
 	sub := am.Subscribe(EventFilter{Kinds: []EventKind{EventTask}, Buffer: 4})
@@ -114,17 +115,17 @@ func TestSlowSubscriberDropPolicy(t *testing.T) {
 	}
 
 	var got []Event
-	for ev := range sub.C() { // drains the ring, then closes: run is over
+	for ev := range sub.C() { // drains the buffer, then closes: run is over
 		got = append(got, ev)
 	}
 	if sub.Dropped() == 0 {
 		t.Fatal("dropped counter did not advance for a stalled consumer")
 	}
-	// 64 tasks x 6 transitions were published into a 4-slot ring backed by
-	// a 4-slot channel and one event in the pump's hand: almost everything
-	// must have been dropped, the survivors delivered in publication order.
+	// 64 tasks x 6 transitions were published into a 4-slot channel: almost
+	// everything must have been dropped, the survivors delivered in
+	// publication order (TestStalledSubscriberHoldsItsBuffer pins exactly 4).
 	if len(got) == 0 || len(got) > 9 {
-		t.Fatalf("delivered %d events, want 1..9 (ring 4 + chan 4 + pump slot)", len(got))
+		t.Fatalf("delivered %d events, want 1..9 (a 4-slot channel)", len(got))
 	}
 	if uint64(len(got))+sub.Dropped() != 64*6 {
 		t.Fatalf("delivered %d + dropped %d != published %d",
@@ -141,6 +142,47 @@ func TestSlowSubscriberDropPolicy(t *testing.T) {
 		if p.State() != PipelineDone {
 			t.Fatalf("pipeline state = %s", p.State())
 		}
+	}
+}
+
+// TestStalledSubscriberHoldsItsBuffer: a subscription is its channel. A
+// consumer that reads nothing until the run is over gets exactly Buffer
+// events — the newest, every older one counted as dropped — and subscribing
+// starts no goroutine.
+func TestStalledSubscriberHoldsItsBuffer(t *testing.T) {
+	bus := NewEventBus()
+	before := runtime.NumGoroutine()
+	subs := make([]*EventSub, 100)
+	for i := range subs {
+		subs[i] = bus.Subscribe(EventFilter{})
+	}
+	if n := runtime.NumGoroutine() - before; n > 0 {
+		t.Fatalf("100 subscriptions started %d goroutines, want 0", n)
+	}
+	for _, s := range subs {
+		s.Close()
+	}
+
+	am, _ := testApp(t, Config{})
+	am.AddPipelines(buildApp(1, 1, 64, time.Second)...)
+	sub := am.Subscribe(EventFilter{Kinds: []EventKind{EventTask}, Buffer: 4})
+	r := startApp(t, am)
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var got []Event
+	for ev := range sub.C() {
+		got = append(got, ev)
+	}
+	const published = 64 * 6
+	if len(got) != 4 {
+		t.Fatalf("a stalled Buffer-4 subscription delivered %d events, want 4", len(got))
+	}
+	if uint64(len(got))+sub.Dropped() != published {
+		t.Fatalf("delivered %d + dropped %d != published %d", len(got), sub.Dropped(), published)
+	}
+	if last := got[len(got)-1]; last.To != string(TaskDone) {
+		t.Fatalf("newest survivor %+v is not the run's last transition, a task's DONE", last)
 	}
 }
 

@@ -68,7 +68,9 @@ func (r *Run) Snapshot() Progress { return r.am.Snapshot() }
 // drop-oldest, never back-pressures the engine. For access to the Dropped
 // counter, use Subscribe. Subscriptions taken after Start may miss
 // transitions committed before they attach; attach via
-// AppManager.Subscribe before Start when completeness matters.
+// AppManager.Subscribe before Start when completeness matters. A stream
+// that is neither read nor canceled holds its buffer, not a goroutine,
+// until the run ends.
 func (r *Run) Events(f EventFilter) (<-chan Event, func()) {
 	sub := r.am.Subscribe(f)
 	return sub.C(), sub.Close

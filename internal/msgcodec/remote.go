@@ -488,11 +488,10 @@ func (e Event) Terminal() bool {
 // non-empty constraint must hold (conjunction): Kinds restricts entity
 // kinds, Pipeline restricts to one pipeline's events (the pipeline itself,
 // its stages and its tasks), UIDs restricts to the listed entity UIDs.
-// Buffer sets the per-subscriber ring capacity (default
-// core.DefaultEventBuffer); when the consumer falls behind by more than
-// Buffer events, the oldest buffered events are dropped and the
-// subscription's Dropped counter advances — publication never blocks the
-// engine.
+// Buffer sets the capacity of the subscription's channel (default
+// core.DefaultEventBuffer); once the consumer is Buffer events behind, each
+// new event drops the oldest buffered one and advances the subscription's
+// Dropped counter — publication never blocks the engine.
 type EventFilter struct {
 	Kinds    []EventKind
 	Pipeline string

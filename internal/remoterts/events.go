@@ -14,7 +14,7 @@ import (
 
 // EventServer fans the run's event stream out to remote subscribers. Each
 // attached peer gets its own core.EventSub — its own bounded drop-oldest
-// ring — so the backpressure contract is identical to the in-process one:
+// channel — so the backpressure contract is identical to the in-process one:
 // publishing never blocks the state machine; a peer that cannot keep up
 // loses its own oldest events, counted in its Dropped tally, and never
 // slows another peer or the run.
@@ -58,16 +58,16 @@ func NewEventServer(addr string, subscribe func(core.EventFilter) *core.EventSub
 // Addr returns the bound endpoint in dialable form.
 func (s *EventServer) Addr() string { return transport.Addr(s.ln) }
 
-// PeerStats describes one remote event subscriber. Its ring has the same
-// contract as an in-process EventSub, so Sent counts the events that reached
-// the peer's send queue and Dropped the ones its ring discarded because the
-// peer fell behind (the run's Progress.EventDrops counts them too).
+// PeerStats describes one remote event subscriber. It is an in-process
+// EventSub with the same contract, so Sent counts the events that reached
+// the peer's send queue and Dropped the ones its channel discarded because
+// the peer fell behind (the run's Progress.EventDrops counts them too).
 type PeerStats struct {
 	// Peer is the subscriber's remote address.
 	Peer string
 	// Sent counts events handed to the peer's connection.
 	Sent uint64
-	// Dropped counts events discarded by the peer's drop-oldest ring.
+	// Dropped counts events discarded by the peer's drop-oldest channel.
 	Dropped uint64
 	// Connected reports whether the peer is still attached.
 	Connected bool
@@ -110,9 +110,10 @@ func (s *EventServer) Close() {
 	}
 	s.mu.Unlock()
 	s.ln.Close() //nolint:errcheck
-	// End every subscription; each serve loop drains its ring, ships its
-	// end-of-stream frame (0x37) and closes its own connection, so a
-	// healthy peer sees a clean end rather than a dropped connection.
+	// End every subscription, discarding what it buffered; each serve loop
+	// sees its channel close, ships its end-of-stream frame (0x37) and
+	// closes its own connection, so a healthy peer sees a clean end rather
+	// than a dropped connection.
 	for _, p := range peers {
 		p.sub.Close()
 	}
@@ -173,15 +174,15 @@ func (s *EventServer) serve(nc net.Conn) {
 	s.live[p] = struct{}{}
 	s.mu.Unlock()
 
-	// A vanished peer must release its subscription promptly, or its ring
+	// A vanished peer must release its subscription promptly, or its channel
 	// would keep consuming events for nobody.
 	go func() {
 		<-tc.Done()
 		sub.Close()
 	}()
 
-	// Send blocks when the peer's connection queue is full; the peer's ring
-	// absorbs the stall by dropping its own oldest.
+	// Send blocks when the peer's connection queue is full; the peer's
+	// channel absorbs the stall by dropping its own oldest.
 	err = sub.SendFrames(func(frame []byte, events int) error {
 		if err := tc.Send(frame); err != nil {
 			return err

@@ -74,7 +74,7 @@ func TestEventServerDropAccounting(t *testing.T) {
 	}
 	defer s.Close()
 
-	// A tiny ring and a burst far beyond it: the peer must lose events,
+	// A tiny buffer and a burst far beyond it: the peer must lose events,
 	// and the loss must be visible in its Dropped tally — never block the
 	// publisher.
 	es, err := AttachEvents(s.Addr(), core.EventFilter{Buffer: 4}, time.Second)
@@ -180,7 +180,7 @@ func TestEventServerCloseWaitsForItsPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, "peer registration", func() bool { return len(s.PeerStats()) == 1 })
-		// A socket nobody reads. Close discards what the ring still holds, so
+		// A socket nobody reads. Close discards what the buffer still holds, so
 		// what the serve loop owes after it must not fit in the kernel's socket
 		// buffer, or its Flush succeeds and the peer was never wedged: every
 		// frame carries at least one 4 MiB UID, so once one has been sent the

@@ -9,7 +9,7 @@
 //     manager connection at a time, a fresh RTS instance per connection
 //     (the paper's "purges any process left over by the failed RTS").
 //   - EventServer / AttachEvents extend the in-process event stream to
-//     remote subscribers, each with its own bounded drop-oldest ring.
+//     remote subscribers, each with its own bounded drop-oldest channel.
 //
 // Failure model (docs/remote.md): the death of any connected agent marks the
 // whole Proxy dead. The ExecManager heartbeat then tears the Proxy down and

@@ -60,11 +60,9 @@ type agent struct {
 	// exist.
 	spawned atomic.Int64
 
-	stagers  *stagerPool
-	stageReq chan *stageRequest
-	wg       sync.WaitGroup // scheduler loops and executors
-	stageWG  sync.WaitGroup
-	ranOnce  sync.Once
+	stagers *stagerPool
+	wg      sync.WaitGroup // scheduler loops and executors
+	ranOnce sync.Once
 
 	// schedStats holds one counter block per scheduler loop (index =
 	// scheduler id), exported through StoreStats.
@@ -110,19 +108,6 @@ type placement struct {
 	delay       time.Duration
 }
 
-type stageRequest struct {
-	files []fsim.File
-	done  chan stageGrant
-}
-
-// stageGrant tells an executor when its staging completes: sleep for wait
-// (computed against the stager's serialization watermark), after which
-// duration of staging time has been spent on this task's files.
-type stageGrant struct {
-	wait     time.Duration
-	duration time.Duration
-}
-
 func newAgent(r *PilotRTS, cores, gpus, schedulers int) *agent {
 	if schedulers < 1 {
 		schedulers = 1
@@ -136,7 +121,6 @@ func newAgent(r *PilotRTS, cores, gpus, schedulers int) *agent {
 		free:       cores,
 		freeGPUs:   gpus,
 		stagers:    newStagerPool(r.model.Stagers),
-		stageReq:   make(chan *stageRequest, 4096),
 		schedStats: make([]schedStat, schedulers),
 		env:        workload.Env{Clock: r.clock, Compute: r.cfg.Compute, Cancel: r.out.Stopping()},
 	}
@@ -144,20 +128,15 @@ func newAgent(r *PilotRTS, cores, gpus, schedulers int) *agent {
 	return a
 }
 
-// run starts the scheduler loop and the staging workers; it returns when
-// the store closes. Starting is serialized against stopAndWait through
-// a.mu: a stop that wins the race suppresses the start entirely, so the
-// WaitGroups can never be Added after they are Waited on.
+// run starts the scheduler loops. Starting is serialized against
+// stopAndWait through a.mu: a stop that wins the race suppresses the start
+// entirely, so the WaitGroup can never be Added after it is Waited on.
 func (a *agent) run() {
 	a.ranOnce.Do(func() {
 		a.mu.Lock()
 		if a.stopping {
 			a.mu.Unlock()
 			return
-		}
-		for i := 0; i < a.rts.model.Stagers; i++ {
-			a.stageWG.Add(1)
-			go a.stagerLoop()
 		}
 		for id := 0; id < a.schedulers; id++ {
 			a.wg.Add(1)
@@ -167,16 +146,16 @@ func (a *agent) run() {
 	})
 }
 
-// stagerPool models the agent's pool of Model.Stagers data-staging workers
-// in virtual time: one serialization watermark per modelled stager, shared
-// by every stagerLoop goroutine. A request is booked on the stager with the
+// stagerPool models the agent's Model.Stagers data-staging workers in
+// virtual time: one serialization watermark per modelled stager, booked by
+// the executor that stages. A request is booked on the stager with the
 // earliest watermark, so the staging makespan is deterministic regardless
-// of which goroutine happens to dequeue which request — Stagers=1 is RP's
-// strictly serialized default (every staging queues behind the previous
-// one), Stagers=K overlaps at most K stagings in virtual time. Keeping the
-// watermarks shared (instead of one private watermark per goroutine, which
-// made the modelled parallelism depend on the Go scheduler's request
-// distribution) is what makes the semantics well-defined.
+// of which executor books first — Stagers=1 is RP's strictly serialized
+// default (every staging queues behind the previous one), Stagers=K
+// overlaps at most K stagings in virtual time. The watermarks replace
+// sleeping per request: the Stagers-way serialization is exact in virtual
+// time while the requesters sleep concurrently, so thousands of staged
+// tasks cost negligible wall time.
 type stagerPool struct {
 	mu    sync.Mutex
 	marks []time.Time
@@ -209,59 +188,24 @@ func (p *stagerPool) grant(now time.Time, d time.Duration) time.Time {
 	return end
 }
 
-// stagerLoop services staging requests against the shared stager pool,
-// charging the Data Staging category. The pool keeps virtual watermarks
-// instead of sleeping per request, so the Stagers-way serialization is
-// exact in virtual time while requesters sleep concurrently — this keeps
-// the wall cost of thousands of staged tasks negligible.
-func (a *agent) stagerLoop() {
-	defer a.stageWG.Done()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case req := <-a.stageReq:
-			var grant stageGrant
-			if a.rts.cfg.FS != nil && len(req.files) > 0 {
-				d := a.rts.cfg.FS.StageAccounted(req.files)
-				a.rts.prof.Add(profiler.DataStaging, d)
-				now := a.rts.clock.Now()
-				end := a.stagers.grant(now, d)
-				grant = stageGrant{wait: end.Sub(now), duration: d}
-			}
-			select {
-			case req.done <- grant:
-			case <-a.stop:
-				return
-			}
-		}
-	}
-}
-
-// stage sends files through the staging workers and sleeps until the
-// serialized staging would have completed.
+// stage books files on the stager pool, charging the Data Staging
+// category, and sleeps until the serialized staging would have completed
+// (or the agent stops); it returns the staging time spent on the files.
 func (a *agent) stage(files []fsim.File) time.Duration {
-	if len(files) == 0 {
+	fs := a.rts.cfg.FS
+	if fs == nil || len(files) == 0 {
 		return 0
 	}
-	req := &stageRequest{files: files, done: make(chan stageGrant, 1)}
-	select {
-	case a.stageReq <- req:
-	case <-a.stop:
-		return 0
-	}
-	select {
-	case grant := <-req.done:
-		if grant.wait > 0 {
-			select {
-			case <-a.rts.clock.After(grant.wait):
-			case <-a.stop:
-			}
+	d := fs.StageAccounted(files)
+	a.rts.prof.Add(profiler.DataStaging, d)
+	now := a.rts.clock.Now()
+	if wait := a.stagers.grant(now, d).Sub(now); wait > 0 {
+		select {
+		case <-a.rts.clock.After(wait):
+		case <-a.stop:
 		}
-		return grant.duration
-	case <-a.stop:
-		return 0
 	}
+	return d
 }
 
 // schedulerPullBatch bounds how many tasks the scheduler pops from the
@@ -669,5 +613,4 @@ func (a *agent) stopAndWait() {
 	a.cond.Broadcast()
 	a.mu.Unlock()
 	a.wg.Wait()
-	a.stageWG.Wait()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fsim"
 	"repro/internal/hpc"
 	"repro/internal/saga"
 	"repro/internal/vclock"
@@ -27,7 +28,7 @@ type manualHarness struct {
 	goroutines int
 }
 
-func newManualHarness(t *testing.T, cores int, dispatch time.Duration) *manualHarness {
+func newManualHarness(t *testing.T, cores int, dispatch time.Duration, mutate ...func(*Config)) *manualHarness {
 	t.Helper()
 	clock := vclock.NewManual()
 	cluster, err := hpc.NewCluster(hpc.Spec{
@@ -43,7 +44,7 @@ func newManualHarness(t *testing.T, cores int, dispatch time.Duration) *manualHa
 	session.Register(saga.NewClusterAdapter(cluster))
 	model := FastModel()
 	model.DispatchLatency = dispatch
-	r, err := New(Config{
+	cfg := Config{
 		Resource:    core.ResourceDesc{Resource: "manual", Cores: cores, Walltime: 999999 * time.Hour},
 		Clock:       clock,
 		Session:     session,
@@ -51,7 +52,11 @@ func newManualHarness(t *testing.T, cores int, dispatch time.Duration) *manualHa
 		Model:       model,
 		Schedulers:  1,
 		QueueShards: 1,
-	})
+	}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +250,63 @@ func TestRejectedTaskTakesNoExecutor(t *testing.T) {
 	}
 	if s := h.rts.Stats(); s.TasksCompleted != 2 || s.TasksFailed != 2 || s.Utilization.TasksInFlight != 0 {
 		t.Fatalf("stats after two rejections: %+v", s)
+	}
+}
+
+// TestStagersSerializeStaging: four tasks that each stage one copy through
+// one agent. With one stager their staging intervals follow one another in
+// virtual time — each starts when the previous one ends — and with four they
+// all overlap, the executors booking the stager watermarks themselves.
+func TestStagersSerializeStaging(t *testing.T) {
+	const n = 4
+	for _, stagers := range []int{1, n} {
+		t.Run(fmt.Sprintf("stagers-%d", stagers), func(t *testing.T) {
+			var fs *fsim.FS
+			h := newManualHarness(t, n, 0, func(c *Config) {
+				c.Model.Stagers = stagers
+				var err error
+				if fs, err = fsim.New(fsim.OLCFLustre(), c.Clock, 1); err != nil {
+					t.Fatal(err)
+				}
+				c.FS = fs
+			})
+			file := core.StagingDirective{Source: "input.tpr", Action: core.StagingCopy, Bytes: 1 << 30}
+			d := fs.StageDuration(stagingFiles([]core.StagingDirective{file}))
+			descs := make([]core.TaskDescription, n)
+			for i := range descs {
+				descs[i] = sleepTask(fmt.Sprintf("t%d", i), 0, 1)
+				descs[i].Input = []core.StagingDirective{file}
+			}
+			began := h.clock.Now()
+			if err := h.rts.Submit(descs); err != nil {
+				t.Fatal(err)
+			}
+			h.sleeping(t, n) // every task booked and waiting out its staging
+
+			// Staging ends where the task starts (FastModel has no launch
+			// delay), so a task's staging interval is [Started-d, Started].
+			var ends []time.Time
+			for len(ends) < n {
+				h.clock.Advance(d)
+				for _, res := range h.collect(t, stagers) {
+					if res.ExitCode != 0 || res.StagingTime != d {
+						t.Fatalf("%s: exit %d, staging %v, want 0 and %v", res.UID, res.ExitCode, res.StagingTime, d)
+					}
+					ends = append(ends, res.Started)
+				}
+			}
+			for i, end := range ends {
+				want := began.Add(d) // all overlap: one interval each stager
+				if stagers == 1 {
+					want = began.Add(time.Duration(i+1) * d) // back to back
+				}
+				if !end.Equal(want) {
+					t.Fatalf("staging %d ended at +%v, want +%v", i, end.Sub(began), want.Sub(began))
+				}
+			}
+			if got := fs.Stats().BytesStaged; got != n<<30 {
+				t.Fatalf("bytes staged = %d, want %d", got, n<<30)
+			}
+		})
 	}
 }

@@ -37,7 +37,8 @@ type Model struct {
 	TeardownTime time.Duration
 	// PreExecCost is charged per pre/post-exec command of a task.
 	PreExecCost time.Duration
-	// Stagers is the number of data-staging workers (RP default: 1, which
+	// Stagers is the number of modelled data-staging workers, each a
+	// serialization watermark that executors book (RP default: 1, which
 	// serializes staging — the linear growth in Fig 8).
 	Stagers int
 }

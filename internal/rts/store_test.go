@@ -342,9 +342,8 @@ func TestStoreHasAShardPerScheduler(t *testing.T) {
 
 // TestStagerPoolDeterministicMakespan pins the staging-pool semantics the
 // per-goroutine watermark bug broke: K modelled stagers overlap at most K
-// stagings in virtual time, deterministically, regardless of which worker
-// goroutine services which request. Stagers=1 is RP's strictly serialized
-// default.
+// stagings in virtual time, deterministically, regardless of which executor
+// books which request. Stagers=1 is RP's strictly serialized default.
 func TestStagerPoolDeterministicMakespan(t *testing.T) {
 	base := time.Unix(1000, 0)
 	d := 10 * time.Second
