@@ -396,12 +396,14 @@ func checkDependencyGraph(pipes []*Pipeline) error {
 }
 
 // Pipelines returns the registered pipelines.
-func (am *AppManager) Pipelines() []*Pipeline {
+func (am *AppManager) Pipelines() []*Pipeline { return am.appendPipelines([]*Pipeline{}) }
+
+// appendPipelines appends the registered pipelines to dst: a copy, because
+// pipelines can be added mid-run, into a slice the caller reuses.
+func (am *AppManager) appendPipelines(dst []*Pipeline) []*Pipeline {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	out := make([]*Pipeline, len(am.pipelines))
-	copy(out, am.pipelines)
-	return out
+	return append(dst, am.pipelines...)
 }
 
 // wireNames holds the engine's own copies of the names every state record
@@ -581,10 +583,13 @@ func (am *AppManager) validateApp() error {
 }
 
 // msgDelay charges one broker traversal to the management overhead,
-// applying host strain at the current task concurrency.
+// applying host strain at the current task concurrency. A host whose
+// traversals cost nothing pays nothing at any concurrency, so it reads no
+// tally: the traversal is counted at zero cost.
 func (am *AppManager) msgDelay() {
-	cost := am.host.EffectiveMsgCost(am.ActiveTasks())
-	if cost > 0 {
+	var cost time.Duration
+	if am.host.MsgCost > 0 {
+		cost = am.host.EffectiveMsgCost(am.ActiveTasks())
 		am.clock.Sleep(cost)
 	}
 	am.prof.Add(profiler.EnTKManagement, cost)

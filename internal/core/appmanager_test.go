@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -339,7 +340,130 @@ func TestRTSFailover(t *testing.T) {
 			t.Fatalf("task %s state = %s after failover", task.UID, task.State())
 		}
 	}
-	_ = first
+	checkReinjected(t, first, pipes[0].Stages()[0].Tasks())
+}
+
+// checkReinjected holds failover to re-injecting exactly the tasks the dead
+// RTS accepted and never reported, no more and no fewer: each of those failed
+// once (the restart's FAILED), and no other task failed at all.
+func checkReinjected(t *testing.T, dead *fakeRTS, tasks []*Task) {
+	t.Helper()
+	lost := dead.lost()
+	for _, task := range tasks {
+		fails := 0
+		for _, st := range task.StateHistory() {
+			if st == TaskFailed {
+				fails++
+			}
+		}
+		want := 0
+		if lost[task.UID] {
+			want = 1
+		}
+		if fails != want {
+			t.Errorf("task %s failed %d times, want %d (lost with the dead RTS: %v)", task.UID, fails, want, lost[task.UID])
+		}
+	}
+}
+
+// TestFailoverReinjectsOnlyUnreportedTasks kills the first RTS once it has
+// reported the first stage's instant tasks and while its long ones still run:
+// failover must take back the long ones, and neither a task the RTS already
+// reported nor one of the second stage, which no RTS has seen yet.
+func TestFailoverReinjectsOnlyUnreportedTasks(t *testing.T) {
+	clock := vclock.NewScaled(time.Microsecond)
+	am, err := NewAppManager(Config{Clock: clock, RTSRestarts: 1, HeartbeatInterval: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := newFakeRTS(clock)
+	var instances int64
+	am.SetRTSFactory(func(ResourceDesc) (RTS, error) {
+		if atomic.AddInt64(&instances, 1) == 1 {
+			return first, nil
+		}
+		return newFakeRTS(clock), nil
+	})
+	am.SetResource(ResourceDesc{Resource: "titan", Cores: 64, Walltime: time.Hour})
+	const instant = 8
+	pipe := buildApp(1, 2, 2*instant, 24*time.Hour)[0] // 24 h is ~86 ms of wall time
+	tasks, next := pipe.Stages()[0].Tasks(), pipe.Stages()[1].Tasks()
+	for _, task := range slices.Concat(tasks[:instant], next) {
+		task.Duration = 0
+	}
+	am.AddPipelines(pipe) //nolint:errcheck
+	go func() {
+		for {
+			first.mu.Lock()
+			n := len(first.reported)
+			first.mu.Unlock()
+			if n >= instant {
+				first.Kill()
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	if err := runApp(t, am); err != nil {
+		t.Fatal(err)
+	}
+	if am.RTSRestarts() != 1 {
+		t.Fatalf("restarts = %d, want 1", am.RTSRestarts())
+	}
+	for _, task := range slices.Concat(tasks, next) {
+		if task.State() != TaskDone {
+			t.Fatalf("task %s state = %s after failover", task.UID, task.State())
+		}
+	}
+	if lost := len(first.lost()); lost == 0 || lost == len(tasks) {
+		t.Fatalf("the first RTS lost %d of %d tasks; the test wants it to lose some", lost, len(tasks))
+	}
+	checkReinjected(t, first, slices.Concat(tasks, next))
+}
+
+// doubleReportRTS is a fakeRTS whose completion channel carries a result for
+// a UID no task has, and then every result of the fake twice.
+type doubleReportRTS struct {
+	*fakeRTS
+	out chan TaskResult
+}
+
+func newDoubleReportRTS(f *fakeRTS, capacity int) *doubleReportRTS {
+	r := &doubleReportRTS{fakeRTS: f, out: make(chan TaskResult, capacity)}
+	go func() {
+		defer close(r.out)
+		r.out <- TaskResult{UID: "task.nobody"}
+		for res := range f.completions {
+			r.out <- res
+			r.out <- res
+		}
+	}()
+	return r
+}
+
+func (r *doubleReportRTS) Completions() <-chan TaskResult { return r.out }
+
+// TestRedundantResultsAreDropped: a result that clears no in-flight mark — the
+// second report of an attempt, or one naming no task — must be dropped by the
+// callback, not committed against a finished task.
+func TestRedundantResultsAreDropped(t *testing.T) {
+	am, fake := testApp(t, Config{})
+	pipes := buildApp(2, 3, 8, time.Second)
+	rts := newDoubleReportRTS(fake, 2*2*3*8+1)
+	am.SetRTSFactory(func(ResourceDesc) (RTS, error) { return rts, nil })
+	am.AddPipelines(pipes...) //nolint:errcheck
+	if err := runApp(t, am); err != nil {
+		t.Fatal(err)
+	}
+	p := am.Snapshot()
+	if p.TasksDone != p.TasksTotal || p.TaskAttempts != p.TasksTotal {
+		t.Fatalf("%d of %d tasks DONE in %d attempts; want every task DONE in one", p.TasksDone, p.TasksTotal, p.TaskAttempts)
+	}
+	for _, pipe := range pipes {
+		if pipe.State() != PipelineDone {
+			t.Fatalf("pipeline %s state = %s", pipe.UID, pipe.State())
+		}
+	}
 }
 
 // While failover has purged the dead RTS and its replacement is still

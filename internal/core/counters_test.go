@@ -545,6 +545,67 @@ func TestCommitPathAllocs(t *testing.T) {
 		t.Fatalf("apply allocates %.1f objects for a 64-task request and %.1f for a 512-task one, want none", narrow, wide)
 	}
 
+	// A request spanning 64 stages, two tasks of each: more runs than the
+	// tally book holds, so it is applied mid-request.
+	spanning := func(stages int) float64 {
+		am, _ := testApp(t, Config{})
+		s := newSynchronizer(am)
+		pipe := NewPipeline("p")
+		reqs := make([]SyncRequest, runs+1)
+		for call := range reqs {
+			var tasks []*Task
+			for range stages {
+				stage := NewStage("s")
+				for range 2 {
+					task := NewTask("t")
+					task.Executable = "sleep"
+					stage.AddTask(task) //nolint:errcheck
+					tasks = append(tasks, task)
+				}
+				pipe.AddStage(stage) //nolint:errcheck
+			}
+			reqs[call] = SyncRequest{Tasks: tasks, Target: string(TaskScheduling)}
+		}
+		am.AddPipelines(pipe) //nolint:errcheck
+		if err := am.registerEntities(); err != nil {
+			t.Fatal(err)
+		}
+		call := 0
+		return testing.AllocsPerRun(runs, func() {
+			err := s.apply(&reqs[call])
+			call++
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A fresh manager's first request: nothing the Synchronizer books a
+	// request into may be grown on first use.
+	firstRequest := func() float64 {
+		syncs, reqs := make([]*synchronizer, runs+1), make([]SyncRequest, runs+1)
+		for i := range syncs {
+			am, _ := testApp(t, Config{})
+			pipes := buildApp(1, 1, 64, time.Second)
+			am.AddPipelines(pipes...) //nolint:errcheck
+			if err := am.registerEntities(); err != nil {
+				t.Fatal(err)
+			}
+			syncs[i] = newSynchronizer(am)
+			reqs[i] = SyncRequest{Tasks: pipes[0].Stages()[0].Tasks(), Target: string(TaskScheduling)}
+		}
+		call := 0
+		return testing.AllocsPerRun(runs, func() {
+			err := syncs[call].apply(&reqs[call])
+			call++
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if across, fresh := spanning(64), firstRequest(); across != 0 || fresh != 0 {
+		t.Fatalf("apply allocates %.1f objects for a request spanning 64 stages and %.1f for a fresh manager's first request, want none", across, fresh)
+	}
+
 	path := []TaskState{TaskScheduling, TaskScheduled, TaskSubmitting, TaskSubmitted, TaskExecuted, TaskDone}
 	stage := NewStage("s")
 	tasks := make([]*Task, runs+1)
@@ -562,6 +623,55 @@ func TestCommitPathAllocs(t *testing.T) {
 		next++
 	}); allocs != 0 {
 		t.Fatalf("six transitions of a fresh task allocate %.1f objects, want 0", allocs)
+	}
+}
+
+// TestTalliesMatchAtRequestBoundaries commits bulk requests whose tasks come
+// from several stages in runs, the way the Emgr's frames on a many-pipeline
+// application do: in the first one stage recurs in three separate runs, and
+// the second holds more runs than the Synchronizer's tally book, so the book
+// is applied mid-request as well. After every request each stage's tally and
+// the run's equal a walk.
+func TestTalliesMatchAtRequestBoundaries(t *testing.T) {
+	am, _ := testApp(t, Config{})
+	pipes := buildApp(2, 2, 2*tallyBookLen, time.Second)
+	am.AddPipelines(pipes...) //nolint:errcheck
+	if err := am.registerEntities(); err != nil {
+		t.Fatal(err)
+	}
+	s := newSynchronizer(am)
+	a, b, c := pipes[0].Stages()[0].Tasks(), pipes[1].Stages()[0].Tasks(), pipes[0].Stages()[1].Tasks()
+	mixed := slices.Concat(a[:4], b[:4], a[4:6], c[:3], a[6:8])
+	var zigzag []*Task
+	for i := 8; i < len(a); i++ {
+		zigzag = append(zigzag, a[i], b[i])
+	}
+	for _, tasks := range [][]*Task{mixed, zigzag} {
+		for _, to := range []TaskState{TaskScheduling, TaskScheduled, TaskSubmitting, TaskSubmitted} {
+			if err := s.apply(&SyncRequest{Tasks: tasks, Target: string(to)}); err != nil {
+				t.Fatal(err)
+			}
+			when := fmt.Sprintf("%d tasks to %s", len(tasks), to)
+			checkCounters(t, am, when)
+			walk, got := walkProgress(am), am.TaskCounts()
+			if want := (TaskCounts{Total: walk.TasksTotal, Done: walk.TasksDone, Failed: walk.TasksFailed,
+				Canceled: walk.TasksCanceled, Attempts: walk.TaskAttempts}); got != want {
+				t.Errorf("%s: the run's tally reads %+v, the walk says %+v", when, got, want)
+			}
+			for _, pipe := range pipes {
+				for _, st := range pipe.Stages() {
+					var want [numTaskStates]int
+					wantAttempts := 0
+					for _, task := range st.Tasks() {
+						want[taskCodes[task.State()]]++
+						wantAttempts += task.Attempts()
+					}
+					if n, attempts := st.tally.read(); n != want || attempts != wantAttempts {
+						t.Errorf("%s: stage %s tally reads %v/%d, the walk says %v/%d", when, st.UID, n, attempts, want, wantAttempts)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -13,11 +13,15 @@ import (
 // four subcomponents:
 //
 //   - Rmgr acquires resources by instantiating and starting the RTS.
-//   - Emgr pulls tasks from the pending queue, translates them to
-//     RTS-specific descriptions and submits them (Fig 2, arrows 2-3).
-//   - RTS Callback pushes completed tasks to the done queue (arrow 4).
+//   - Emgr pulls tasks from the pending queue, sends their SUBMITTING and
+//     SUBMITTED transitions, translates them to RTS-specific descriptions
+//     while the Synchronizer commits those, and submits them once it has the
+//     ack (Fig 2, arrows 2-3), marking each in flight (Task.inflight).
+//   - RTS Callback pushes completed tasks to the done queue (arrow 4),
+//     keeping a result only if it clears its task's in-flight mark.
 //   - Heartbeat probes RTS liveness and drives tear-down/restart of a
-//     failed RTS, re-executing only the tasks lost in flight (§II-B4).
+//     failed RTS, re-executing only the tasks lost in flight (§II-B4): the
+//     ones still marked.
 type execManager struct {
 	am *AppManager
 
@@ -40,19 +44,14 @@ type execManager struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	// inflight tracks the tasks submitted to the current RTS instance and not
-	// yet reported back, by UID — the key a result names its task by; on RTS
-	// failure these are the lost tasks.
-	inflightMu sync.Mutex
-	inflight   map[string]*Task
-
 	// doneFree holds the done queue's spent messages, which Dequeue hands
 	// back for the callback loops to fill again.
 	doneMu   sync.Mutex
 	doneFree []*doneBatch
 
 	// submitMu makes the Emgr's mark-in-flight / Submit / unmark-on-refusal
-	// one step as failover sees it: failover collects the marks under it.
+	// one step as failover sees it: failover collects the marks (Task.inflight:
+	// submitted to the current RTS, not yet reported back) under it.
 	// Otherwise it could collect a batch's marks just before the stopped RTS
 	// refuses the batch, and the tasks would be pending twice — re-injected
 	// and requeued.
@@ -61,9 +60,8 @@ type execManager struct {
 
 func newExecManager(am *AppManager) *execManager {
 	e := &execManager{
-		am:       am,
-		stopCh:   make(chan struct{}),
-		inflight: make(map[string]*Task),
+		am:     am,
+		stopCh: make(chan struct{}),
 	}
 	e.rtsReady = sync.NewCond(&e.mu)
 	return e
@@ -162,47 +160,49 @@ func (e *execManager) emgrLoop(ctx context.Context) {
 func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	sc := &e.scratch
 	defer sc.release()
-	n := 0
-	for _, d := range batch {
-		n += len(*d.Value.(*[]*Task))
-	}
-	// Sized once for the batch: a run's first wide batch would otherwise grow
-	// the descriptions, 200 bytes each, doubling by doubling.
-	sc.descs = slices.Grow(sc.descs, n)
+	// Both transitions are applied in bulk before the RTS sees the batch:
+	// a fast RTS may otherwise report completion before SUBMITTED is
+	// recorded. Redelivered tasks (RTS refused a previous batch) skip
+	// transitions they already made.
 	for _, d := range batch {
 		for _, t := range *d.Value.(*[]*Task) {
-			if t.State().Terminal() {
+			st := t.State()
+			if st.Terminal() {
 				// The task was canceled (or recovered as DONE) after its
 				// pending message was published; submitting it would only
 				// burn pilot cores on a result the Dequeue will discard.
 				continue
 			}
-			sc.descs = append(sc.descs, describeTask(t))
 			sc.tasks = append(sc.tasks, t)
+			switch st {
+			case TaskScheduled:
+				sc.toSubmitting = append(sc.toSubmitting, t)
+				sc.toSubmitted = append(sc.toSubmitted, t)
+			case TaskSubmitting:
+				sc.toSubmitted = append(sc.toSubmitted, t)
+			}
 		}
 	}
-	tasks, descs := sc.tasks, sc.descs
-	// Both transitions are applied in bulk before the RTS sees the batch:
-	// a fast RTS may otherwise report completion before SUBMITTED is
-	// recorded. Redelivered tasks (RTS refused a previous batch) skip
-	// transitions they already made.
-	for _, t := range tasks {
-		switch t.State() {
-		case TaskScheduled:
-			sc.toSubmitting = append(sc.toSubmitting, t)
-			sc.toSubmitted = append(sc.toSubmitted, t)
-		case TaskSubmitting:
-			sc.toSubmitted = append(sc.toSubmitted, t)
-		}
-	}
+	tasks := sc.tasks
 	e.emgrSync.begin()
 	e.emgrSync.addTasks(sc.toSubmitting, TaskSubmitting)
 	e.emgrSync.addTasks(sc.toSubmitted, TaskSubmitted)
-	if err := e.emgrSync.flush(); err != nil {
+	if err := e.emgrSync.send(); err != nil {
 		broker.NackBatch(batch, true) //nolint:errcheck
 		return err
 	}
-	if len(descs) == 0 {
+	// The descriptions are translated while the Synchronizer commits the
+	// frame, sized once for the batch: a run's first wide batch would
+	// otherwise grow them, 200 bytes each, doubling by doubling.
+	sc.descs = slices.Grow(sc.descs, len(tasks))
+	for _, t := range tasks {
+		sc.descs = append(sc.descs, describeTask(t))
+	}
+	if err := e.emgrSync.await(); err != nil {
+		broker.NackBatch(batch, true) //nolint:errcheck
+		return err
+	}
+	if len(tasks) == 0 {
 		return broker.AckBatch(batch)
 	}
 	e.submitMu.Lock()
@@ -216,20 +216,16 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	}
 	// Marked before Submit: a fast RTS may report a task before Submit
 	// returns, and the callback must find the mark to clear.
-	e.inflightMu.Lock()
 	for _, t := range tasks {
-		e.inflight[t.UID] = t
+		t.inflight.Store(true)
 	}
-	e.inflightMu.Unlock()
-	if err := rts.Submit(descs); err != nil {
+	if err := rts.Submit(sc.descs); err != nil {
 		// The RTS refused the batch; requeue it, drop the marks so a later
 		// failover cannot re-inject tasks that were never actually submitted,
 		// and let the heartbeat decide whether the RTS is dead.
-		e.inflightMu.Lock()
 		for _, t := range tasks {
-			delete(e.inflight, t.UID)
+			t.inflight.Store(false)
 		}
-		e.inflightMu.Unlock()
 		return broker.NackBatch(batch, true)
 	}
 	return broker.AckBatch(batch)
@@ -305,19 +301,20 @@ func (e *execManager) callbackLoop(rts RTS, done chan struct{}) {
 		if drained = DrainCompletions(rts.Completions(), drained); len(drained) == 0 {
 			return // the RTS stopped
 		}
-		// Each result finds its task by the in-flight mark it clears. A result
-		// no mark is left for — a second report of one attempt, or one of a
-		// task failover has already taken back — is dropped.
+		// Each result finds its task in the registry, under one hold of am.mu
+		// per drain, and is kept only if it clears the task's in-flight mark.
+		// A result no mark is left for — a second report of one attempt, one
+		// of a task failover has already taken back, or one naming no task —
+		// is dropped.
 		b := e.spareDone()
 		b.items = slices.Grow(b.items, len(drained))
-		e.inflightMu.Lock()
+		e.am.mu.Lock()
 		for _, r := range drained {
-			if t, ok := e.inflight[r.UID]; ok {
-				delete(e.inflight, r.UID)
+			if t := e.am.tasks[r.UID]; t != nil && t.inflight.CompareAndSwap(true, false) {
 				b.items = append(b.items, doneItem{task: t, res: r})
 			}
 		}
-		e.inflightMu.Unlock()
+		e.am.mu.Unlock()
 		if len(b.items) == 0 {
 			e.recycle(b)
 			continue
@@ -384,14 +381,15 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	}
 
 	// The lost tasks: submitted to the dead RTS, never reported back.
+	var lost []*Task
 	e.submitMu.Lock()
-	e.inflightMu.Lock()
-	lost := make([]*Task, 0, len(e.inflight))
-	for _, t := range e.inflight {
-		lost = append(lost, t)
+	e.am.mu.Lock()
+	for _, t := range e.am.tasks {
+		if t.inflight.CompareAndSwap(true, false) {
+			lost = append(lost, t)
+		}
 	}
-	e.inflight = make(map[string]*Task)
-	e.inflightMu.Unlock()
+	e.am.mu.Unlock()
 	e.submitMu.Unlock()
 
 	fresh, err := e.am.rtsFactory(e.am.res)

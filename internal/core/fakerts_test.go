@@ -33,11 +33,15 @@ type fakeRTS struct {
 	failed    int64
 	dead      int64
 
-	// execLog records task UIDs in completion order. stopping is set, under
-	// mu, as Stop begins: Submit takes its wg.Add under mu and refuses work
-	// once it is set, so no Add races Stop's wg.Wait.
+	// execLog records task UIDs in completion order; accepted records the UIDs
+	// of every batch Submit took, and reported those of every result that went
+	// out on the completion channel. stopping is set, under mu, as Stop
+	// begins: Submit takes its wg.Add under mu and refuses work once it is
+	// set, so no Add races Stop's wg.Wait.
 	mu       sync.Mutex
 	execLog  []string
+	accepted []string
+	reported []string
 	started  bool
 	stopping bool
 }
@@ -64,6 +68,7 @@ func (f *fakeRTS) Submit(tasks []TaskDescription) error {
 		return errors.New("fakeRTS: stopped")
 	}
 	for _, desc := range tasks {
+		f.accepted = append(f.accepted, desc.UID)
 		n := atomic.AddInt64(&f.submitted, 1)
 		if f.dieAfter > 0 && n > f.dieAfter && atomic.LoadInt64(&f.dead) == 1 {
 			// A dead RTS swallows tasks (they are the "lost" in-flight work).
@@ -115,6 +120,9 @@ func (f *fakeRTS) execute(desc TaskDescription) {
 	f.mu.Unlock()
 	select {
 	case f.completions <- res:
+		f.mu.Lock()
+		f.reported = append(f.reported, desc.UID)
+		f.mu.Unlock()
 		atomic.AddInt64(&f.completed, 1)
 		if exit != 0 {
 			atomic.AddInt64(&f.failed, 1)
@@ -149,6 +157,20 @@ func (f *fakeRTS) Stats() RTSStats {
 		TasksCompleted: int(atomic.LoadInt64(&f.completed)),
 		TasksFailed:    int(atomic.LoadInt64(&f.failed)),
 	}
+}
+
+// lost returns the UIDs the fake accepted and never reported, each once.
+func (f *fakeRTS) lost() map[string]bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := map[string]bool{}
+	for _, uid := range f.accepted {
+		out[uid] = true
+	}
+	for _, uid := range f.reported {
+		delete(out, uid)
+	}
+	return out
 }
 
 func (f *fakeRTS) log() []string {

@@ -28,10 +28,12 @@ type Stage struct {
 
 // taskTally counts a set of tasks by state, with the attempts they have made.
 // Every stage keeps one over its tasks: Stage.AddTask counts a task in and
-// every task state write (Task.write) moves it, so the tally equals a walk
-// over the tasks at every instant, and stage completion, Snapshot and
-// ActiveTasks read tallies and never visit a task. A registered stage's
-// tally also feeds its run's (up).
+// every task state write (Task.write) moves it, so stage completion, Snapshot
+// and ActiveTasks read tallies and never visit a task. A registered stage's
+// tally also feeds its run's (up). A forced write moves both at once; the
+// Synchronizer books a bulk request's moves in its tallyBook and moves each
+// stage's tally, then the run's, once per request, so the tallies equal a walk
+// over the tasks at every request boundary.
 type taskTally struct {
 	mu       sync.Mutex
 	n        [numTaskStates]int
@@ -49,17 +51,89 @@ func (c *taskTally) add(state taskCode, attempts int) {
 	c.attempts += attempts
 }
 
-// move records one task's state write.
+// move records one task's state write, in this tally and the one it feeds.
 func (c *taskTally) move(from, to taskCode, attempts int) {
-	c.mu.Lock()
-	c.n[from]--
-	c.n[to]++
-	c.attempts += attempts
-	up := c.up
-	c.mu.Unlock()
-	if up != nil {
-		up.move(from, to, attempts)
+	d := tallyDelta{attempts: attempts}
+	d.n[from]--
+	d.n[to]++
+	if up := c.addDelta(&d); up != nil {
+		up.addDelta(&d)
 	}
+}
+
+// addDelta applies the booked moves d under one hold of the lock and returns
+// the tally this one feeds, which then owes the same moves.
+func (c *taskTally) addDelta(d *tallyDelta) (up *taskTally) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for state, k := range d.n {
+		c.n[state] += k
+	}
+	c.attempts += d.attempts
+	return c.up
+}
+
+// tallyBookLen is how many runs of tasks from one stage a tallyBook holds
+// before it applies them.
+const tallyBookLen = 32
+
+// tallyBook is where the Synchronizer books the tally moves of the bulk task
+// request it is committing (owner: its loop goroutine): one entry per
+// consecutive run of tasks from one stage. A stage that recurs in the request
+// takes another entry, because deltas add. apply moves each entry's tally
+// under one lock and the run's once after them, so a task transition costs one
+// lock pair (the task's) instead of three. It is a fixed array, applied when
+// full, so booking never allocates.
+type tallyBook struct {
+	n int
+	e [tallyBookLen]tallyDelta
+}
+
+// tallyDelta is the net of some moves of one tally.
+type tallyDelta struct {
+	tally    *taskTally
+	n        [numTaskStates]int
+	attempts int
+}
+
+// move books one task's state write against the tally c.
+func (b *tallyBook) move(c *taskTally, from, to taskCode, attempts int) {
+	if b.n == 0 || b.e[b.n-1].tally != c {
+		if b.n == len(b.e) {
+			b.apply()
+		}
+		b.e[b.n] = tallyDelta{tally: c}
+		b.n++
+	}
+	d := &b.e[b.n-1]
+	d.n[from]--
+	d.n[to]++
+	d.attempts += attempts
+}
+
+// apply moves every booked tally, then the tallies they feed, each of those
+// once for as long as consecutive entries feed the same one, and empties the
+// book.
+func (b *tallyBook) apply() {
+	var up tallyDelta
+	for i := range b.e[:b.n] {
+		d := &b.e[i]
+		next := d.tally.addDelta(d)
+		if next != up.tally {
+			if up.tally != nil {
+				up.tally.addDelta(&up)
+			}
+			up = tallyDelta{tally: next}
+		}
+		for state, k := range d.n {
+			up.n[state] += k
+		}
+		up.attempts += d.attempts
+	}
+	if up.tally != nil {
+		up.tally.addDelta(&up)
+	}
+	b.n = 0
 }
 
 // read returns the counts per state and the attempt total, as of one instant.

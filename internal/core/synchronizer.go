@@ -80,6 +80,9 @@ type synchronizer struct {
 	recBuf  []byte
 	recs    [][]byte
 	uids    []string
+	// book holds the tally moves of the bulk task request being committed;
+	// apply empties it before the request is persisted and acknowledged.
+	book tallyBook
 }
 
 func newSynchronizer(am *AppManager) *synchronizer {
@@ -214,7 +217,7 @@ func (s *synchronizer) apply(req *SyncRequest) error {
 		}
 	default:
 		for _, t := range req.Tasks {
-			prev, absorbed, cerr := t.commit(TaskState(req.Target))
+			prev, absorbed, cerr := t.commit(TaskState(req.Target), &s.book)
 			if cerr != nil {
 				err = cerr
 				break
@@ -229,6 +232,9 @@ func (s *synchronizer) apply(req *SyncRequest) error {
 				commits = append(commits, applied{task: t, uid: t.UID, from: string(prev)})
 			}
 		}
+		// The tallies move once per stage, before anything reads this request's
+		// commits as recorded, an event or an ack.
+		s.book.apply()
 	}
 	s.commits = commits // keep what it grew to
 	if err != nil {
@@ -311,14 +317,16 @@ func (s *synchronizer) persist(req *SyncRequest, commits []applied) error {
 // subcomponent owns one client with a dedicated ack queue and issues frames
 // serially, so it has one frame in flight, which it reuses from round trip to
 // round trip and takes back off that queue itself (a pull-mode consumer). A
-// frame is built with begin and the add* methods and sent with flush; related
-// transitions a component used to issue as consecutive round-trips ride one
-// frame, which is what keeps a stage's synchronization cost at O(1) frames
-// instead of O(tasks).
+// frame is built with begin and the add* methods and sent with flush, or with
+// send and then await when the caller has work to do while the Synchronizer
+// commits it; related transitions a component used to issue as consecutive
+// round-trips ride one frame, which is what keeps a stage's synchronization
+// cost at O(1) frames instead of O(tasks).
 type syncClient struct {
 	am    *AppManager
 	cons  *broker.Consumer
-	frame SyncFrame // owner: the one goroutine that uses this client
+	frame SyncFrame // owner: the one goroutine that uses this client, except between send and await
+	sent  bool      // the frame is with the Synchronizer
 }
 
 func newSyncClient(am *AppManager, replyQueue queueID) (*syncClient, error) {
@@ -367,12 +375,33 @@ func pipelineRequest(p *Pipeline, to PipelineState) SyncRequest {
 // flush hands the frame under construction to the Synchronizer and waits to
 // have it back acknowledged. An empty frame is a no-op.
 func (c *syncClient) flush() error {
+	if err := c.send(); err != nil {
+		return err
+	}
+	return c.await()
+}
+
+// send hands the frame under construction to the Synchronizer. Until await
+// returns, the caller must not touch the frame or the tasks' lists its
+// requests carry. An empty frame is not sent.
+func (c *syncClient) send() error {
 	if len(c.frame.Reqs) == 0 {
 		return nil
 	}
 	if err := c.am.brk.PublishValue(c.am.qname(qStates), &c.frame); err != nil {
 		return err
 	}
+	c.sent = true
+	return nil
+}
+
+// await waits to have the sent frame back acknowledged, and returns at once
+// when send sent nothing.
+func (c *syncClient) await() error {
+	if !c.sent {
+		return nil
+	}
+	c.sent = false
 	acks, err := c.cons.ReceiveBatch(1)
 	if err != nil {
 		return err // broker.ErrClosed: the client or its queue is gone

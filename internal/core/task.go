@@ -129,6 +129,12 @@ type Task struct {
 	exitCode int
 	execErr  string
 	stage    *Stage // owning stage, set when the task is added to one
+
+	// inflight marks the task submitted to the current RTS instance and not
+	// yet reported back. The Emgr sets it before Submit, under its submitMu;
+	// the callback loop clears it by compare-and-swap for the first result
+	// that names the task, and failover takes every task still marked as lost.
+	inflight atomic.Bool
 }
 
 // NewTask returns a task in the initial state with a fresh UID. MaxRetries
@@ -163,10 +169,10 @@ func (t *Task) StateHistory() []TaskState {
 func (t *Task) advance(to TaskState) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.advanceLocked(to)
+	return t.advanceLocked(to, nil)
 }
 
-func (t *Task) advanceLocked(to TaskState) error {
+func (t *Task) advanceLocked(to TaskState, book *tallyBook) error {
 	c, ok := taskCodes[to]
 	if !ok || taskLegal[t.state]&(1<<c) == 0 {
 		return &TransitionError{Entity: "task", UID: t.UID, From: string(taskStateNames[t.state]), To: string(to)}
@@ -175,22 +181,22 @@ func (t *Task) advanceLocked(to TaskState) error {
 	if c == codeScheduling {
 		attempts = 1
 	}
-	t.write(c, attempts)
+	t.write(c, attempts, book)
 	return nil
 }
 
 // commit is the Synchronizer's whole decision on one task transition request,
 // under one hold of the task's lock: a request the cancellation rules absorb
 // (taskSkip) changes nothing, anything else must be legal from the state the
-// task is in. from is that state.
-func (t *Task) commit(to TaskState) (from TaskState, absorbed bool, err error) {
+// task is in, and its tally move goes into book. from is that state.
+func (t *Task) commit(to TaskState, book *tallyBook) (from TaskState, absorbed bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	from = taskStateNames[t.state]
 	if taskSkip(from, to) {
 		return from, true, nil
 	}
-	return from, false, t.advanceLocked(to)
+	return from, false, t.advanceLocked(to, book)
 }
 
 // forceState sets the state without legality checks; used by recovery, which
@@ -203,13 +209,15 @@ func (t *Task) forceState(s TaskState) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.write(c, 0)
+	t.write(c, 0, nil)
 }
 
 // write is every task state write: the state, its history entry, the attempt
-// counter, and the owning stage's tallies, which therefore always agree with
-// a walk over the tasks. t.mu must be held.
-func (t *Task) write(to taskCode, attempts int) {
+// counter, and the owning stage's tallies. With a book (the Synchronizer's)
+// the tally move is booked there and applied with the rest of the request;
+// without one (a forced write, or a transition outside the Synchronizer) it
+// moves the stage's and the run's tallies now. t.mu must be held.
+func (t *Task) write(to taskCode, attempts int, book *tallyBook) {
 	from := t.state
 	t.state = to
 	if t.hist == nil {
@@ -217,7 +225,11 @@ func (t *Task) write(to taskCode, attempts int) {
 	}
 	t.hist = append(t.hist, to)
 	t.attempts += attempts
-	if t.stage != nil {
+	switch {
+	case t.stage == nil:
+	case book != nil:
+		book.move(&t.stage.tally, from, to, attempts)
+	default:
 		t.stage.tally.move(from, to, attempts)
 	}
 }

@@ -38,6 +38,9 @@ type wfProcessor struct {
 	// stages it settled tasks of.
 	succeeded []*Task
 	affected  []*Stage
+	// pipes is the enqueue loop's copy of the registered pipelines, refilled
+	// on every pass.
+	pipes []*Pipeline
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -127,7 +130,8 @@ func (w *wfProcessor) enqueueLoop(ctx context.Context) {
 
 // enqueueRunnable walks every pipeline and schedules whatever is runnable.
 func (w *wfProcessor) enqueueRunnable() error {
-	for _, p := range w.am.Pipelines() {
+	w.pipes = w.am.appendPipelines(w.pipes[:0])
+	for _, p := range w.pipes {
 		switch p.State() {
 		case PipelineInitial:
 			// Pipeline-group dependencies (§II-B1): hold the pipeline until
