@@ -105,7 +105,9 @@ bench-baseline: bench-json
 # so non-test internal/core/events.go starts no goroutine and has no
 # sync.Cond; and an executor books its own stager, so non-test
 # internal/rts/agent.go starts exactly two kinds of goroutine, the scheduler
-# loops and the executors.
+# loops and the executors; and a composite RTS's members deliver into its
+# channel themselves, so non-test internal/rts/composite.go starts none, by a
+# go statement or by Outbox.Go.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
@@ -158,6 +160,11 @@ lint:
 	if [ "$$got" -ne 2 ]; then \
 		echo "internal/rts/agent.go has $$got go statements, want 2 (scheduler loops, executors): an executor books its own stager"; \
 		sed 's|//.*||' internal/rts/agent.go | grep -nE '$(GO_STMT)'; exit 1; \
+	fi
+	@relay=$$(sed 's|//.*||' internal/rts/composite.go | grep -nE '$(GO_STMT)|\.Go\(' || true); \
+	if [ -n "$$relay" ]; then \
+		echo "internal/rts/composite.go starts a goroutine (a go statement or Outbox.Go); a member delivers into the composite's channel itself:"; \
+		echo "$$relay"; exit 1; \
 	fi
 	$(GO) vet ./...
 

@@ -366,21 +366,11 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 		// Heterogeneous execution: one pilot per resource behind a routing
 		// RTS, all replaceable as one black box on failure.
 		am.SetRTSFactory(func(core.ResourceDesc) (core.RTS, error) {
-			members := make([]rts.RouterMember, 0, len(machine.Resources))
+			members := make([]rts.Config, 0, len(machine.Resources))
 			for _, res := range machine.Resources {
 				child := baseRTS
 				child.Resource = res
-				p, err := rts.New(child)
-				if err != nil {
-					return nil, err
-				}
-				members = append(members, rts.RouterMember{
-					Name:     res.Resource,
-					RTS:      p,
-					Resource: res.Resource,
-					Capacity: res.Cores,
-					GPUs:     res.GPUs,
-				})
+				members = append(members, child)
 			}
 			return rts.NewRouter(members)
 		})

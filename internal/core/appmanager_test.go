@@ -560,6 +560,51 @@ func (s *slowStartRTS) Start(ctx context.Context) error {
 	}
 }
 
+// failStartRTS is a fakeRTS whose Start fails, as a pilot the batch system
+// refuses does; it counts the Stops it gets.
+type failStartRTS struct {
+	*fakeRTS
+	stops atomic.Int64
+}
+
+func (f *failStartRTS) Start(context.Context) error { return errors.New("pilot refused") }
+
+func (f *failStartRTS) Stop() error {
+	f.stops.Add(1)
+	return f.fakeRTS.Stop()
+}
+
+// An RTS whose Start failed is its caller's to release (core.RTS.Start): the
+// manager stops it exactly once, on the first start and on a failover
+// restart alike, and the run fails.
+func TestFailedStartIsStoppedOnce(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		clock := vclock.NewScaled(time.Microsecond)
+		am, err := NewAppManager(Config{Clock: clock, RTSRestarts: 1, HeartbeatInterval: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		failing := &failStartRTS{fakeRTS: newFakeRTS(clock)}
+		var instances int64
+		am.SetRTSFactory(func(ResourceDesc) (RTS, error) {
+			if atomic.AddInt64(&instances, 1) == 1 && restart {
+				first := newFakeRTS(clock)
+				first.dieAfter = 2
+				return first, nil
+			}
+			return failing, nil
+		})
+		am.SetResource(ResourceDesc{Resource: "titan", Cores: 64, Walltime: time.Hour})
+		am.AddPipelines(buildApp(1, 1, 4, 30*time.Second)...)
+		if err := runApp(t, am); err == nil {
+			t.Fatalf("restart=%v: the run succeeded with an RTS that cannot start", restart)
+		}
+		if got := failing.stops.Load(); got != 1 {
+			t.Errorf("restart=%v: the RTS whose Start failed was stopped %d times, want 1", restart, got)
+		}
+	}
+}
+
 func TestJournalRecoverySkipsCompletedTasks(t *testing.T) {
 	jdir := t.TempDir()
 	clock := vclock.NewScaled(time.Microsecond)

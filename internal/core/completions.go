@@ -10,14 +10,15 @@ import (
 // the consumer half), the result side every core.RTS implementation shares:
 // the completion channel, the stop signal and the goroutines that must exit
 // before the channel closes, the rule that a dead RTS loses its in-flight
-// results, and the task counters of Stats. Init it in place before use; it
-// must not be copied afterwards.
+// results, and the task counters of Stats. Init it in place before use, or
+// Join it to a composite's; it must not be copied afterwards.
 type Outbox struct {
 	ch        chan TaskResult
 	stop      chan struct{}
 	stopOnce  sync.Once
 	producers sync.WaitGroup
 	dead      atomic.Bool
+	joined    bool // ch is a composite's: its Stop closes it, not this one's
 
 	submitted atomic.Int64
 	completed atomic.Int64
@@ -28,6 +29,16 @@ type Outbox struct {
 func (o *Outbox) Init(capacity int) {
 	o.ch = make(chan TaskResult, capacity)
 	o.stop = make(chan struct{})
+}
+
+// Join readies o, in place of Init, for a member of a composite RTS: o
+// delivers on parent's completion channel but keeps its own stop signal, dead
+// flag and counters, so each member decides what it drops. o's Stop leaves
+// the channel open; parent's closes it, after every member has stopped.
+func (o *Outbox) Join(parent *Outbox) {
+	o.ch = parent.ch
+	o.stop = make(chan struct{})
+	o.joined = true
 }
 
 // Completions is the channel RTS.Completions returns.
@@ -103,15 +114,21 @@ func (o *Outbox) Stopped() bool {
 // Stop ends delivery, once: it closes Stopping, which unblocks a Deliver
 // waiting on a full channel; runs release, which must make every producer
 // not started with Go return; waits for the Go producers; and closes the
-// completion channel. Later calls do nothing.
+// completion channel unless o is joined. Later calls do nothing.
 func (o *Outbox) Stop(release func()) {
 	o.stopOnce.Do(func() {
 		close(o.stop)
 		release()
 		o.producers.Wait()
-		close(o.ch)
+		if !o.joined {
+			close(o.ch)
+		}
 	})
 }
+
+// InFlight is how many accepted tasks have not been delivered: a member's
+// load, as a composite's placement reads it.
+func (o *Outbox) InFlight() int64 { return o.submitted.Load() - o.completed.Load() }
 
 // Count writes the task counters into st: TasksSubmitted, TasksCompleted,
 // TasksFailed and Utilization.TasksInFlight. In-flight is submitted less

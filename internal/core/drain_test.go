@@ -103,6 +103,51 @@ func TestDrainCompletions(t *testing.T) {
 	})
 }
 
+// TestJoinedOutboxes pins a composite's side of the completion contract: each
+// member's Outbox delivers on the parent's channel with its own dead flag,
+// stop signal and counters, a member's Stop leaves the channel open, and the
+// parent's closes it — once — after the members have stopped.
+func TestJoinedOutboxes(t *testing.T) {
+	var parent, alive, dead Outbox
+	parent.Init(4)
+	alive.Join(&parent)
+	dead.Join(&parent)
+	alive.Submitted(5)
+	dead.Submitted(2)
+	dead.Kill()
+	if !alive.Deliver(TaskResult{UID: "task.a"}) || dead.Deliver(TaskResult{UID: "task.d"}) {
+		t.Fatal("a live member's result was dropped, or a dead member's delivered")
+	}
+	var st RTSStats
+	dead.Count(&st)
+	if st.TasksCompleted != 0 || st.Utilization.TasksInFlight != 2 || dead.InFlight() != 2 {
+		t.Fatalf("the dead member counts %+v, in flight %d", st, dead.InFlight())
+	}
+	// A member blocked on the full shared channel returns when it stops.
+	alive.Deliver(TaskResult{UID: "task.b"})
+	alive.Deliver(TaskResult{UID: "task.c"})
+	alive.Deliver(TaskResult{UID: "task.e"})
+	blocked := make(chan bool)
+	go func() { blocked <- alive.Deliver(TaskResult{UID: "task.f"}) }()
+	time.Sleep(time.Millisecond) // either way, the stopped member drops it
+	alive.Stop(func() {})
+	if <-blocked {
+		t.Fatal("a Deliver over a full channel went out after its member stopped")
+	}
+	dead.Stop(func() {})
+	if alive.InFlight() != 1 || len(parent.Completions()) != 4 {
+		t.Fatalf("after the members stopped: in flight %d, %d queued", alive.InFlight(), len(parent.Completions()))
+	}
+	parent.Stop(func() {})
+	parent.Stop(func() {})
+	if got := uidsOf(DrainCompletions(parent.Completions(), nil)); !slices.Equal(got, []string{"task.a", "task.b", "task.c", "task.e"}) {
+		t.Fatalf("the parent channel carried %v", got)
+	}
+	if got := DrainCompletions(parent.Completions(), nil); len(got) != 0 {
+		t.Fatalf("the parent channel is still open after its Stop: %v", uidsOf(got))
+	}
+}
+
 // TestJournalOrderWithinStage pins the journal's record order for one fixed
 // 1 x 2 x 4 durable run: every entity's state records are a legal walk of
 // its transition table, each stage is SCHEDULED before any of its tasks is

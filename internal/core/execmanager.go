@@ -80,6 +80,7 @@ func (e *execManager) start(ctx context.Context) error {
 		return fmt.Errorf("core: rts factory: %w", err)
 	}
 	if err := rts.Start(ctx); err != nil {
+		rts.Stop() //nolint:errcheck // release what the failed Start acquired
 		return fmt.Errorf("core: rts start: %w", err)
 	}
 	cbDone := make(chan struct{})
@@ -397,6 +398,7 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 		return fmt.Errorf("core: rts factory on restart: %w", err)
 	}
 	if err := fresh.Start(ctx); err != nil {
+		fresh.Stop() //nolint:errcheck // release what the failed Start acquired
 		return fmt.Errorf("core: rts restart: %w", err)
 	}
 	// stopRTS stops the instance it finds under e.mu, after stopCh is closed:

@@ -60,7 +60,10 @@ type (
 type RTS interface {
 	// Start acquires resources (submits the pilot) and boots the agent.
 	// It returns once the RTS accepts work; resource availability may
-	// still be pending, exactly like a queued pilot.
+	// still be pending, exactly like a queued pilot. An RTS whose Start
+	// failed is still Stopped by its caller: Stop releases whatever Start
+	// had acquired before it failed (a journal, a composite's members that
+	// did start), so Start need not unwind itself.
 	Start(ctx context.Context) error
 	// Submit hands task descriptions to the RTS for execution. The slice is
 	// the caller's and is overwritten by its next batch: an implementation

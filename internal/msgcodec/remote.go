@@ -191,18 +191,14 @@ func (r *reader) staging() ([]StagingDirective, error) {
 	return ds, nil
 }
 
-// EncodeTaskBatchFunc encodes a manager -> agent batch of n tasks that the
-// caller does not hold as one contiguous slice (the proxy stripes a batch
-// across its agents): fill(i, t) sets *t to task i, for i = 0..n-1 in order.
-// t is one scratch value, zero before every call. LocalFunc is not encoded.
-func EncodeTaskBatchFunc(n int, fill func(i int, t *TaskDescription)) []byte {
+// EncodeTaskBatch encodes a manager -> agent task batch. LocalFunc is not
+// encoded.
+func EncodeTaskBatch(tasks []TaskDescription) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameTaskBatch)
-	buf = appendUvarint(buf, uint64(n))
-	var t TaskDescription
-	for i := 0; i < n; i++ {
-		t = TaskDescription{}
-		fill(i, &t)
+	buf = appendUvarint(buf, uint64(len(tasks)))
+	for i := range tasks {
+		t := &tasks[i]
 		buf = appendString(buf, t.UID)
 		buf = appendString(buf, t.Name)
 		buf = appendString(buf, t.Executable)
@@ -223,11 +219,6 @@ func EncodeTaskBatchFunc(n int, fill func(i int, t *TaskDescription)) []byte {
 		buf = appendStringMap(buf, t.Tags)
 	}
 	return putBuf(bp, buf)
-}
-
-// EncodeTaskBatch encodes a manager -> agent task batch held as a slice.
-func EncodeTaskBatch(tasks []TaskDescription) []byte {
-	return EncodeTaskBatchFunc(len(tasks), func(i int, t *TaskDescription) { *t = tasks[i] })
 }
 
 // DecodeTaskBatch decodes a manager -> agent task batch into one slice,

@@ -151,6 +151,7 @@ func (a *Agent) adopt(nc net.Conn) {
 		return
 	}
 	if err := rts.Start(context.Background()); err != nil {
+		rts.Stop() //nolint:errcheck // release what the failed Start acquired
 		tc.Close() //nolint:errcheck
 		return
 	}

@@ -63,11 +63,11 @@ func startRecordingFleet(t *testing.T, n int) (*Proxy, []*recordRTS) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Stop() }) //nolint:errcheck
 	if err := p.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Stop() }) //nolint:errcheck
-	if live := len(p.livePeers()); live != n {
+	if live := len(p.livePeers(nil)); live != n {
 		t.Fatalf("%d of %d agents connected", live, n)
 	}
 	return p, fleet

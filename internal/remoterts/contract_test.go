@@ -31,7 +31,10 @@ func newPilot(t *testing.T, cores int) *rts.PilotRTS {
 
 func pilotConfig(t *testing.T, cores int) rts.Config {
 	t.Helper()
-	clock := vclock.NewScaled(time.Microsecond)
+	// A virtual second lasts 10 µs, so the pilot's 72 h walltime (supermic's
+	// cap) is 2.6 s of wall time: a run slowed down by -race on a loaded
+	// machine must not outlive its pilot, as it could at 1 µs (0.26 s).
+	clock := vclock.NewScaled(10 * time.Microsecond)
 	session := saga.NewSession()
 	t.Cleanup(session.Close)
 	a, err := saga.NewCatalogAdapter("supermic", clock)
@@ -48,12 +51,20 @@ func pilotConfig(t *testing.T, cores int) rts.Config {
 	}
 }
 
+// fleetHeartbeat paces both ends of a pilot fleet's links, so either end
+// declares the other dead after 200 ms of silence or of a blocked write. A
+// full, unread completion channel stops the proxy reading (what
+// TestStopWithUnreadCompletions does on purpose), and under -race on a
+// loaded machine a 10–20 ms pace killed a link before the channel filled
+// about once in 20 runs.
+const fleetHeartbeat = 50 * time.Millisecond
+
 // pilotFleet starts n loopback agents, each hosting a real PilotRTS, and a
 // proxy over them. hosted returns the RTS instances the agents have built.
-func pilotFleet(t *testing.T, n, cores int) (p *Proxy, hosted func() []core.RTS) {
+func pilotFleet(t *testing.T, n, cores int) (p *Proxy, hosted func() []rts.Member) {
 	t.Helper()
 	var mu sync.Mutex
-	built := make([]core.RTS, n)
+	built := make([]rts.Member, n)
 	addrs := make([]string, n)
 	for k := 0; k < n; k++ {
 		a, err := NewAgent(AgentConfig{
@@ -66,7 +77,7 @@ func pilotFleet(t *testing.T, n, cores int) (p *Proxy, hosted func() []core.RTS)
 				mu.Unlock()
 				return r, nil
 			},
-			HeartbeatInterval: 10 * time.Millisecond,
+			HeartbeatInterval: fleetHeartbeat,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,14 +85,14 @@ func pilotFleet(t *testing.T, n, cores int) (p *Proxy, hosted func() []core.RTS)
 		t.Cleanup(a.Close)
 		addrs[k] = a.Addr()
 	}
-	p = startProxy(t, addrs...)
-	if live := len(p.livePeers()); live != n {
+	p = startProxyWith(t, fleetHeartbeat, addrs...)
+	if live := len(p.livePeers(nil)); live != n {
 		t.Fatalf("%d of %d agents connected", live, n)
 	}
-	return p, func() []core.RTS {
+	return p, func() []rts.Member {
 		mu.Lock()
 		defer mu.Unlock()
-		return append([]core.RTS(nil), built...)
+		return append([]rts.Member(nil), built...)
 	}
 }
 
@@ -93,17 +104,17 @@ type contractCase struct {
 	remote bool // stats arrive by report: eventually, and without SchedulerBusy
 	// members, for a composite: the RTSes whose Stats() its own must be the
 	// Add of.
-	members func() []core.RTS
+	members func() []rts.Member
 }
 
 const contractCores = 8
 
 func started(t *testing.T, r core.RTS) core.RTS {
 	t.Helper()
+	t.Cleanup(func() { r.Stop() }) //nolint:errcheck
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r.Stop() }) //nolint:errcheck
 	return r
 }
 
@@ -112,16 +123,11 @@ var contractCases = map[string]func(t *testing.T) contractCase{
 		return contractCase{rts: started(t, newPilot(t, contractCores)), pilots: 1, cores: contractCores}
 	},
 	"Router": func(t *testing.T) contractCase {
-		a, b := newPilot(t, contractCores), newPilot(t, contractCores)
-		r, err := rts.NewRouter([]rts.RouterMember{
-			{Name: "a", RTS: a, Resource: "supermic", Capacity: contractCores},
-			{Name: "b", RTS: b, Resource: "supermic", Capacity: contractCores},
-		})
+		r, err := rts.NewRouter([]rts.Config{pilotConfig(t, contractCores), pilotConfig(t, contractCores)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return contractCase{rts: started(t, r), pilots: 2, cores: 2 * contractCores,
-			members: func() []core.RTS { return []core.RTS{a, b} }}
+		return contractCase{rts: started(t, r), pilots: 2, cores: 2 * contractCores, members: r.Members}
 	},
 	"Lease": func(t *testing.T) contractCase {
 		pool, err := rts.NewPool(rts.PoolConfig{Base: pilotConfig(t, contractCores)})

@@ -2,9 +2,10 @@
 // real transport — the paper's actual deployment shape: the manager on a
 // login node, pilot agents on compute nodes. Three pieces:
 //
-//   - Proxy is a manager-side core.RTS that ships task batches to one or
-//     more entk-agent processes over internal/transport frames and routes
-//     their results back into the done queue.
+//   - Proxy is a manager-side core.RTS: an rts.Composite whose members are
+//     its agent connections. It stripes task batches across the entk-agent
+//     processes over internal/transport frames, and each connection's read
+//     loop delivers its agent's results straight into the Proxy's channel.
 //   - Agent is the process-side server hosting the real rts.PilotRTS: one
 //     manager connection at a time, a fresh RTS instance per connection
 //     (the paper's "purges any process left over by the failed RTS").
@@ -12,13 +13,16 @@
 //     remote subscribers, each with its own bounded drop-oldest channel.
 //
 // Failure model (docs/remote.md): the death of any connected agent marks the
-// whole Proxy dead. The ExecManager heartbeat then tears the Proxy down and
-// factory-builds a replacement — which re-dials every agent — and re-injects
-// the lost in-flight tasks through the existing resubmission path, exactly
-// as it would for an in-process RTS crash. Results arriving after the death
-// are dropped (a dead RTS loses in-flight tasks), and reconnecting to an
-// agent purges whatever its previous incarnation was still running, so no
-// task can be reported DONE twice.
+// whole Proxy not alive. The ExecManager heartbeat then tears the Proxy down
+// and factory-builds a replacement — which re-dials every agent — and
+// re-injects the lost in-flight tasks through the existing resubmission
+// path, exactly as it would for an in-process RTS crash. Drops are per
+// agent: a dead agent's late results are dropped (a dead RTS loses its
+// in-flight tasks), while a surviving agent's results keep arriving until
+// the heartbeat stops the Proxy. No task is reported DONE twice: failover
+// stops the dead Proxy, drains its channel and only then collects the tasks
+// still in flight, and reconnecting to an agent purges whatever its previous
+// incarnation was still running.
 package remoterts
 
 import (
@@ -31,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msgcodec"
+	"repro/internal/rts"
 	"repro/internal/transport"
 )
 
@@ -84,20 +89,20 @@ func Factory(cfg Config) core.RTSFactory {
 	}
 }
 
-// Proxy is the manager-side runtime system: core.RTS over the wire.
+// Proxy is the manager-side runtime system: core.RTS over the wire, a
+// composite over one member per agent address. Stats merges the agents' last
+// reports (an agent's capacity comes from its handshake until its first
+// report lands) under each connection's own task counters, which see every
+// submission and every result; the reports lag by up to a heartbeat.
 type Proxy struct {
+	rts.Composite
 	cfg   Config
 	peers []*peer
+	upCh  chan struct{} // one tick per peer's first connection
+	rr    atomic.Uint64 // task-striping cursor
+	live  []int         // placement scratch: the connected peers' indices
 
-	out     core.Outbox
-	started bool
-	upCh    chan struct{} // one tick per peer's first connection
-
-	rr     atomic.Uint64 // task-striping cursor
-	everUp atomic.Int64
-
-	errMu    sync.Mutex
-	deathErr error
+	deathErr atomic.Pointer[error]
 }
 
 // NewProxy builds an unstarted Proxy for cfg.
@@ -109,9 +114,11 @@ func NewProxy(cfg Config) (*Proxy, error) {
 		cfg:  cfg,
 		upCh: make(chan struct{}, len(cfg.Addrs)),
 	}
-	p.out.Init(4096)
+	p.Init(p.place)
 	for _, addr := range cfg.Addrs {
-		p.peers = append(p.peers, &peer{proxy: p, addr: addr})
+		pr := &peer{proxy: p, addr: addr}
+		p.peers = append(p.peers, pr)
+		p.Add(pr, &pr.out)
 	}
 	return p, nil
 }
@@ -120,15 +127,12 @@ func NewProxy(cfg Config) (*Proxy, error) {
 // fleet to come up. If some agents are still unreachable when StartTimeout
 // expires, Start degrades to whatever subset connected — at least one, or
 // it fails. Late agents keep being re-dialed with backoff and join the pool
-// when they appear; a peer that connected and then died kills the whole
-// Proxy instead (see the package comment for the failover contract).
+// when they appear; a peer that connected and then died makes the whole
+// Proxy not alive instead (see the package comment for the failover
+// contract).
 func (p *Proxy) Start(ctx context.Context) error {
-	if p.started {
-		return errors.New("remoterts: already started")
-	}
-	p.started = true
-	for _, pr := range p.peers {
-		p.out.Go(pr.run)
+	if err := p.Composite.Start(ctx); err != nil {
+		return err
 	}
 	deadline := time.After(p.cfg.StartTimeout)
 	var grace <-chan time.Time // armed once the first peer is up
@@ -140,7 +144,6 @@ func (p *Proxy) Start(ctx context.Context) error {
 				grace = time.After(min(fleetGrace, p.cfg.StartTimeout))
 			}
 		case <-ctx.Done():
-			p.Stop() //nolint:errcheck
 			return ctx.Err()
 		case <-grace:
 			return nil // degraded start: the missing agents may join later
@@ -148,194 +151,147 @@ func (p *Proxy) Start(ctx context.Context) error {
 			if up > 0 {
 				return nil
 			}
-			p.Stop() //nolint:errcheck
 			return fmt.Errorf("remoterts: no agent reachable within %v (tried %v)", p.cfg.StartTimeout, p.cfg.Addrs)
 		}
 	}
 	return nil
 }
 
-// Submit implements core.RTS: stripe the batch across the connected agents
-// and ship one task-batch frame per agent, encoded straight from tasks. A
-// send failure marks the Proxy dead and returns an error — the ExecManager
-// requeues the batch, and the replacement Proxy (plus the agents'
-// purge-on-reconnect) guarantees the partially shipped tasks cannot complete
-// twice.
-func (p *Proxy) Submit(tasks []core.TaskDescription) error {
-	if !p.started {
-		return errors.New("remoterts: not started")
-	}
-	if p.out.Stopped() || p.out.Dead() {
-		return errors.New("remoterts: stopped or dead")
-	}
-	// In-process closures cannot cross a socket, and silently dropping one
-	// would execute a different task than the application described: reject
-	// the whole batch before any of it is sent.
+// place is the Proxy's Placement, an interleaved round-robin: task i goes to
+// connected peer (base+i) mod L, the base rotated by one peer per batch so
+// small batches do not pin the first agent. In-process closures cannot cross
+// a socket, and silently dropping one would execute a different task than
+// the application described, so a LocalFunc refuses the whole batch before
+// any of it is sent.
+func (p *Proxy) place(tasks []core.TaskDescription, place []int) error {
 	for i := range tasks {
 		if tasks[i].LocalFunc != nil {
 			return fmt.Errorf("remoterts: task %s sets LocalFunc, which cannot be shipped to a remote agent", tasks[i].UID)
 		}
 	}
-	live := p.livePeers()
-	if len(live) == 0 {
+	p.live = p.livePeers(p.live[:0])
+	if len(p.live) == 0 {
 		return errors.New("remoterts: no connected agents")
 	}
-	// Interleaved round-robin: task i goes to live peer (base+i) mod L, the
-	// base rotated per batch so small batches do not pin the first agent.
-	base := int(p.rr.Add(1)-1) % len(live)
-	for k, pr := range live {
-		first, count := stripe(len(tasks), len(live), base, k)
-		if count == 0 {
-			continue
-		}
-		body := msgcodec.EncodeTaskBatchFunc(count, func(i int, t *core.TaskDescription) {
-			*t = tasks[first+i*len(live)]
-		})
-		if err := pr.send(body); err != nil {
-			p.peerDied(pr, fmt.Errorf("remoterts: submit to %s: %w", pr.addr, err))
-			return fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
-		}
+	base := int(p.rr.Add(1)-1) % len(p.live)
+	for i := range place {
+		place[i] = p.live[(base+i)%len(p.live)]
 	}
-	p.out.Submitted(len(tasks))
 	return nil
 }
 
-// stripe locates peer k's share of an n-task batch striped over peers live
-// peers from rotation base: the tasks i with (base+i) mod peers == k, which
-// are first, first+peers, ... — count of them, in submission order.
-func stripe(n, peers, base, k int) (first, count int) {
-	first = (k - base + peers) % peers
-	if first >= n {
-		return first, 0
+// livePeers appends the indices of the connected, live peers, in address
+// order.
+func (p *Proxy) livePeers(dst []int) []int {
+	for k, pr := range p.peers {
+		if pr.conn() != nil && pr.Alive() {
+			dst = append(dst, k)
+		}
 	}
-	return first, (n - first + peers - 1) / peers
+	return dst
 }
 
-// Completions implements core.RTS.
-func (p *Proxy) Completions() <-chan core.TaskResult { return p.out.Completions() }
-
-// Alive implements core.RTS: from Start until the first peer death.
-func (p *Proxy) Alive() bool { return p.started && !p.out.Dead() }
-
-// Err reports why the Proxy died, nil while healthy.
+// Err reports why the Proxy died — its first agent's death — nil while
+// healthy.
 func (p *Proxy) Err() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.deathErr
+	if err := p.deathErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
-// Stop implements core.RTS: close every agent connection and the completion
-// channel. The agents notice the disconnect and purge their RTS instances.
-func (p *Proxy) Stop() error {
-	p.out.Stop(func() {
-		for _, pr := range p.peers {
-			pr.close()
+// peer is one agent endpoint, the Proxy's member for it: its connection, its
+// latest report, its own Outbox (joined to the Proxy's), and the
+// dial/handshake loop that brings it up and then reads its frames.
+type peer struct {
+	proxy *Proxy
+	addr  string
+	out   core.Outbox
+
+	mu    sync.Mutex
+	tc    *transport.Conn     // set once, by the first handshake
+	stats msgcodec.AgentStats // the last report; the handshake's capacity before the first
+}
+
+// conn is the peer's connection, nil before the first handshake.
+func (pr *peer) conn() *transport.Conn {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.tc
+}
+
+// Start implements rts.Member: the dial loop runs until Stop.
+func (pr *peer) Start(context.Context) error {
+	pr.out.Go(pr.run)
+	return nil
+}
+
+// Submit implements rts.Member: one task-batch frame. A send failure kills
+// the peer; the ExecManager requeues the batch, and the replacement Proxy
+// (plus the agents' purge-on-reconnect) guarantees partially shipped tasks
+// cannot complete twice.
+func (pr *peer) Submit(tasks []core.TaskDescription) error {
+	tc := pr.conn()
+	if tc == nil || !pr.Alive() {
+		return fmt.Errorf("remoterts: agent %s not connected or dead", pr.addr)
+	}
+	if err := tc.Send(msgcodec.EncodeTaskBatch(tasks)); err != nil {
+		err = fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
+		pr.died(err)
+		return err
+	}
+	pr.out.Submitted(len(tasks))
+	return nil
+}
+
+// Alive implements rts.Member: until the connection, once up, dies.
+func (pr *peer) Alive() bool { return !pr.out.Dead() }
+
+// Stop implements rts.Member: closing the connection ends the read loop (the
+// agent notices the disconnect and purges its RTS instance), and a peer not
+// yet connected stops dialing.
+func (pr *peer) Stop() error {
+	pr.out.Stop(func() {
+		if tc := pr.conn(); tc != nil {
+			tc.Close() //nolint:errcheck
 		}
 	})
 	return nil
 }
 
-// Stats implements core.RTS: the agents' last reports merged in address order
-// (an agent's capacity comes from its handshake until its first report
-// lands), under the proxy's own counters — it sees every submission and every
-// result, and the reports lag by up to a heartbeat. PilotsSubmitted counts
-// agents that completed a handshake (each fronts one pilot).
-func (p *Proxy) Stats() core.RTSStats {
-	var st core.RTSStats
-	for _, pr := range p.peers {
-		pr.mu.Lock()
-		st.Add(pr.stats.RTSStats)
-		pr.mu.Unlock()
+// Stats implements rts.Member: the agent's last report (which carries no
+// counters) under this connection's task counters. A peer that completed a
+// handshake counts the one pilot its agent fronts.
+func (pr *peer) Stats() core.RTSStats {
+	pr.mu.Lock()
+	st := pr.stats.RTSStats
+	if pr.tc != nil {
+		st.PilotsSubmitted = 1
 	}
-	st.PilotsSubmitted = int(p.everUp.Load())
-	p.out.Count(&st)
+	pr.mu.Unlock()
+	pr.out.Count(&st)
 	return st
 }
 
-// livePeers snapshots the connected peers in address order.
-func (p *Proxy) livePeers() []*peer {
-	live := make([]*peer, 0, len(p.peers))
-	for _, pr := range p.peers {
-		if pr.isUp() {
-			live = append(live, pr)
-		}
-	}
-	return live
-}
-
-// peerDied marks the whole Proxy dead on the first connected peer's death:
-// in-flight results may be lost, so the heartbeat must replace the RTS and
-// resubmit. During Stop the connection teardown is expected and ignored.
-func (p *Proxy) peerDied(pr *peer, err error) {
-	pr.setDown()
-	if p.out.Stopped() {
-		return
-	}
-	if p.out.Kill() {
-		p.errMu.Lock()
-		p.deathErr = err
-		p.errMu.Unlock()
-	}
-}
-
-// peer is one agent endpoint: its connection, its latest report, and the
-// dial/handshake loop that brings it up.
-type peer struct {
-	proxy *Proxy
-	addr  string
-
-	mu    sync.Mutex
-	tc    *transport.Conn
-	up    bool
-	stats msgcodec.AgentStats // the last report; the handshake's capacity before the first
-}
-
-func (pr *peer) isUp() bool {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.up
-}
-
-func (pr *peer) send(body []byte) error {
-	pr.mu.Lock()
-	tc := pr.tc
-	pr.mu.Unlock()
-	if tc == nil {
-		return errors.New("not connected")
-	}
-	return tc.Send(body)
-}
-
-func (pr *peer) setDown() {
-	pr.mu.Lock()
-	pr.up = false
-	pr.mu.Unlock()
-}
-
-func (pr *peer) close() {
-	pr.mu.Lock()
-	tc := pr.tc
-	pr.mu.Unlock()
-	if tc != nil {
-		tc.Close() //nolint:errcheck
+// died kills the peer: in-flight results may be lost, so the heartbeat must
+// replace the Proxy and resubmit. The Proxy keeps the first death's cause.
+// During Stop the connection teardown is expected and ignored.
+func (pr *peer) died(err error) {
+	if !pr.out.Stopped() && pr.out.Kill() {
+		pr.proxy.deathErr.CompareAndSwap(nil, &err)
 	}
 }
 
 // run dials the agent until the first successful handshake (exponential
 // backoff between attempts), then pumps its frames until the connection
-// dies. One connected-then-dead transition ends the loop: the proxy is dead
-// and its replacement owns reconnection.
+// dies. One connected-then-dead transition ends the loop: the peer is dead
+// and the replacement Proxy owns reconnection.
 func (pr *peer) run() {
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-pr.proxy.out.Stopping():
-			return
-		default:
-		}
 		tc, err := pr.connect()
 		if err != nil {
 			select {
-			case <-pr.proxy.out.Stopping():
+			case <-pr.out.Stopping():
 				return
 			case <-time.After(transport.Backoff(attempt)):
 				continue
@@ -343,20 +299,22 @@ func (pr *peer) run() {
 		}
 		pr.mu.Lock()
 		pr.tc = tc
-		pr.up = true
 		pr.mu.Unlock()
-		pr.proxy.everUp.Add(1)
 		select {
 		case pr.proxy.upCh <- struct{}{}:
 		default:
 		}
-		pr.readLoop(tc)
+		if !pr.out.Stopped() { // else Stop may have looked before tc was set
+			err = pr.readLoop(tc)
+		}
+		tc.Close() //nolint:errcheck
+		pr.died(err)
 		return
 	}
 }
 
 // connect performs one dial + handshake attempt.
-func (pr *peer) connect() (*transport.Conn, error) {
+func (pr *peer) connect() (_ *transport.Conn, err error) {
 	nc, err := transport.Dial(pr.addr, dialTimeout)
 	if err != nil {
 		return nil, err
@@ -365,24 +323,25 @@ func (pr *peer) connect() (*transport.Conn, error) {
 		Name:              pr.addr,
 		HeartbeatInterval: pr.proxy.cfg.HeartbeatInterval,
 	})
+	defer func() {
+		if err != nil {
+			tc.Close() //nolint:errcheck
+		}
+	}()
 	if err := tc.Send(msgcodec.EncodeHello(msgcodec.Hello{
 		Proto: msgcodec.RemoteProto, Role: "manager", Name: managerName,
 	})); err != nil {
-		tc.Close() //nolint:errcheck
 		return nil, err
 	}
 	body, err := tc.Recv()
 	if err != nil {
-		tc.Close() //nolint:errcheck
 		return nil, err
 	}
 	h, err := msgcodec.DecodeHello(body)
 	if err != nil {
-		tc.Close() //nolint:errcheck
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
 	if h.Role != "agent" || h.Proto != msgcodec.RemoteProto {
-		tc.Close() //nolint:errcheck
 		return nil, fmt.Errorf("handshake: unexpected peer (role %q, proto %d)", h.Role, h.Proto)
 	}
 	pr.mu.Lock()
@@ -391,33 +350,28 @@ func (pr *peer) connect() (*transport.Conn, error) {
 	return tc, nil
 }
 
-// readLoop routes the agent's frames: result batches into the completion
-// channel, stats reports into the peer's snapshot. It returns when the
-// connection dies — and reports the death to the proxy.
-func (pr *peer) readLoop(tc *transport.Conn) {
+// readLoop routes the agent's frames, result batches into the peer's Outbox
+// and stats reports into its snapshot, until the connection dies or the
+// agent reports its RTS dead. It returns why.
+func (pr *peer) readLoop(tc *transport.Conn) error {
 	for {
 		body, err := tc.Recv()
 		if err != nil {
-			pr.proxy.peerDied(pr, fmt.Errorf("remoterts: agent %s: %w", pr.addr, err))
-			return
+			return fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
 		}
 		switch t, _ := msgcodec.FrameType(body); t {
 		case msgcodec.FrameTaskResults:
 			results, err := msgcodec.DecodeTaskResultsShared(body)
 			if err != nil {
-				tc.Close() //nolint:errcheck
-				pr.proxy.peerDied(pr, fmt.Errorf("remoterts: agent %s: bad result frame: %w", pr.addr, err))
-				return
+				return fmt.Errorf("remoterts: agent %s: bad result frame: %w", pr.addr, err)
 			}
 			for _, res := range results {
-				pr.proxy.out.Deliver(res)
+				pr.out.Deliver(res)
 			}
 		case msgcodec.FrameAgentStats:
 			stats, err := msgcodec.DecodeAgentStats(body)
 			if err != nil {
-				tc.Close() //nolint:errcheck
-				pr.proxy.peerDied(pr, fmt.Errorf("remoterts: agent %s: bad stats frame: %w", pr.addr, err))
-				return
+				return fmt.Errorf("remoterts: agent %s: bad stats frame: %w", pr.addr, err)
 			}
 			pr.mu.Lock()
 			pr.stats = stats
@@ -425,9 +379,7 @@ func (pr *peer) readLoop(tc *transport.Conn) {
 			if !stats.Alive {
 				// The agent's own RTS died (pilot walltime, store failure):
 				// same consequence as losing the connection.
-				tc.Close() //nolint:errcheck
-				pr.proxy.peerDied(pr, fmt.Errorf("remoterts: agent %s reports its RTS dead", pr.addr))
-				return
+				return fmt.Errorf("remoterts: agent %s reports its RTS dead", pr.addr)
 			}
 		default:
 			// Unknown frame types are ignored for forward compatibility.

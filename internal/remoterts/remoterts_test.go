@@ -21,6 +21,7 @@ type echoRTS struct {
 	alive     atomic.Bool
 	submitted atomic.Int64
 	stopOnce  sync.Once
+	cores     int // the pilot size its reports give
 }
 
 func newEchoRTS() *echoRTS {
@@ -33,7 +34,7 @@ func (e *echoRTS) Start(ctx context.Context) error     { return nil }
 func (e *echoRTS) Completions() <-chan core.TaskResult { return e.out }
 func (e *echoRTS) Alive() bool                         { return e.alive.Load() }
 func (e *echoRTS) Stats() core.RTSStats {
-	return core.RTSStats{TasksSubmitted: int(e.submitted.Load())}
+	return core.RTSStats{TasksSubmitted: int(e.submitted.Load()), Utilization: core.Utilization{CoresTotal: e.cores}}
 }
 
 func (e *echoRTS) Submit(tasks []core.TaskDescription) error {
@@ -59,7 +60,14 @@ func (e *echoRTS) Stop() error {
 	return nil
 }
 
-func echoFactory(res core.ResourceDesc) (core.RTS, error) { return newEchoRTS(), nil }
+// echoFactory builds an echoRTS that reports the agent's resource size, as a
+// pilot would: its reports replace the handshake's capacity in the proxy's
+// Stats.
+func echoFactory(res core.ResourceDesc) (core.RTS, error) {
+	e := newEchoRTS()
+	e.cores = res.Cores
+	return e, nil
+}
 
 func startAgent(t *testing.T, addr string) *Agent {
 	t.Helper()
@@ -79,18 +87,24 @@ func startAgent(t *testing.T, addr string) *Agent {
 
 func startProxy(t *testing.T, addrs ...string) *Proxy {
 	t.Helper()
+	return startProxyWith(t, 20*time.Millisecond, addrs...)
+}
+
+// startProxyWith starts a proxy whose links keep the given heartbeat.
+func startProxyWith(t *testing.T, heartbeat time.Duration, addrs ...string) *Proxy {
+	t.Helper()
 	p, err := NewProxy(Config{
 		Addrs:             addrs,
 		StartTimeout:      2 * time.Second,
-		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.Stop() }) //nolint:errcheck
 	if err := p.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Stop() }) //nolint:errcheck
 	return p
 }
 
@@ -245,6 +259,7 @@ func TestProxyStartNoAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.Stop() //nolint:errcheck // a failed Start is its caller's to stop
 	if err := p.Start(context.Background()); err == nil {
 		t.Fatal("Start succeeded with no reachable agent")
 	}
@@ -272,7 +287,7 @@ func TestProxyLateAgentJoins(t *testing.T) {
 	}
 	t.Cleanup(a3.Close)
 	deadline := time.After(5 * time.Second)
-	for len(p.livePeers()) < 2 {
+	for len(p.livePeers(nil)) < 2 {
 		select {
 		case <-deadline:
 			t.Fatal("late agent never joined the pool")
@@ -287,5 +302,100 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewAgent(AgentConfig{Addr: "tcp:127.0.0.1:0"}); err == nil {
 		t.Fatal("agent without factory accepted")
+	}
+}
+
+// holdRTS is an echoRTS that completes nothing until the test releases what
+// it holds.
+type holdRTS struct {
+	*echoRTS
+	held []core.TaskDescription // under echoRTS.mu
+}
+
+func (h *holdRTS) Submit(tasks []core.TaskDescription) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held = append(h.held, tasks...)
+	h.submitted.Add(int64(len(tasks)))
+	return nil
+}
+
+func (h *holdRTS) holding() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.held)
+}
+
+// release completes every held task, unless the agent has purged the RTS.
+func (h *holdRTS) release() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.stopped {
+		for _, t := range h.held {
+			h.out <- core.TaskResult{UID: t.UID}
+		}
+	}
+	h.held = nil
+}
+
+// Drops are per agent: when one of two agents dies the Proxy is no longer
+// alive, yet the survivor's results for the tasks it already held are still
+// delivered until Stop, and the dead agent's never are.
+func TestProxyDropsPerAgent(t *testing.T) {
+	holds := []*holdRTS{{echoRTS: newEchoRTS()}, {echoRTS: newEchoRTS()}}
+	var agents []*Agent
+	var addrs []string
+	for _, h := range holds {
+		a, err := NewAgent(AgentConfig{
+			Addr:              "tcp:127.0.0.1:0",
+			Factory:           func(core.ResourceDesc) (core.RTS, error) { return h, nil },
+			HeartbeatInterval: fleetHeartbeat, // the survivor's link must outlast a loaded -race run
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Close)
+		agents, addrs = append(agents, a), append(addrs, a.Addr())
+	}
+	p := startProxyWith(t, fleetHeartbeat, addrs...)
+	tasks := make([]core.TaskDescription, 8)
+	for i := range tasks {
+		tasks[i] = core.TaskDescription{UID: uid(i), Executable: "sleep"}
+	}
+	if err := p.Submit(tasks); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both agents to hold their share", func() bool { return holds[0].holding() == 4 && holds[1].holding() == 4 })
+	held := map[string]int{} // UID -> agent
+	for k, h := range holds {
+		h.mu.Lock()
+		for _, d := range h.held {
+			held[d.UID] = k
+		}
+		h.mu.Unlock()
+	}
+
+	agents[0].Close()
+	waitFor(t, "the proxy to die with its first agent", func() bool { return !p.Alive() })
+	holds[0].release()
+	holds[1].release()
+	for got := 0; got < 4; got++ {
+		select {
+		case res := <-p.Completions():
+			if held[res.UID] != 1 {
+				t.Fatalf("result %s of the dead agent was delivered", res.UID)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the survivor delivered %d of its 4 results (proxy died of: %v)", got, p.Err())
+		}
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for res := range p.Completions() {
+		t.Fatalf("result %s delivered beyond the survivor's", res.UID)
+	}
+	if st := p.Stats(); st.TasksSubmitted != 8 || st.TasksCompleted != 4 || st.Utilization.TasksInFlight != 4 {
+		t.Fatalf("counters after the death: %+v", st)
 	}
 }

@@ -154,6 +154,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // Start boots the shared pilot and the pool's dispatch machinery.
 func (p *Pool) Start(ctx context.Context) error {
 	if err := p.inner.Start(ctx); err != nil {
+		p.inner.Stop() //nolint:errcheck // release what the failed Start acquired
 		return err
 	}
 	p.wg.Add(2)

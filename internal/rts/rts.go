@@ -88,6 +88,16 @@ type PilotRTS struct {
 
 // New builds a PilotRTS from config.
 func New(cfg Config) (*PilotRTS, error) {
+	r, err := newPilot(cfg)
+	if err == nil {
+		r.out.Init(4096)
+	}
+	return r, err
+}
+
+// newPilot builds a PilotRTS whose Outbox is not yet readied: New Inits it,
+// a Composite joins it to its own.
+func newPilot(cfg Config) (*PilotRTS, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("rts: config requires a clock")
 	}
@@ -114,7 +124,6 @@ func New(cfg Config) (*PilotRTS, error) {
 		prof:  cfg.Prof,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	r.out.Init(4096)
 	return r, nil
 }
 

@@ -109,10 +109,10 @@ func BenchmarkRemoteRoundTrip(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer proxy.Stop() //nolint:errcheck
 			if err := proxy.Start(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			defer proxy.Stop() //nolint:errcheck
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				roundTrip(b, proxy, tasks)
