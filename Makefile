@@ -28,9 +28,6 @@ GO ?= go
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
 BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkSnapshot|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
-# A go statement, for the lint rules that count them (comments stripped first).
-GO_STMT := (^|[^[:alnum:]_.])go [[:alnum:]_(]
-
 .PHONY: build test budgets fuzz bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke e2e
 
 build:
@@ -83,89 +80,16 @@ bench-gate: bench-json
 bench-baseline: bench-json
 	cp BENCH_CURRENT.json BENCH_BASELINE.json
 
-# Besides gofmt and vet: core.RTS.Stats() is the whole telemetry contract, so
-# no non-test code may discover more by type-asserting an RTS to an optional
-# *Reporter interface again (docs/api.md, "The RTS contract"); the broker
-# stays a leaf that imports no other package of this module, so durability —
-# which JournalDir and statedb own (docs/recovery.md) — cannot creep back into
-# it through an import; the engine's in-process queues carry values, so
-# no non-test code in internal/core may name a codec of the frames they used
-# to carry as bytes (0x01-0x04: pending UIDs, sync frame and ack, results);
-# and outside the frozen bench/ harness, every deployment shape builds its
-# simulated CI through rts.NewMachine and every RTS hands results back
-# through core.Outbox, so no other non-test file may call hpc.NewCluster or
-# make a channel of TaskResult; and the broker publishes, pops and settles
-# through one implementation each, a single message being a batch of one, so
-# its non-test code calls each unacked-ledger and ready-ring operation from
-# exactly one place and has no call that appends a lone message; and the RTS
-# task store has one pull path — a lone scheduler drains a one-shard store,
-# so strict FIFO needs no pop of its own — so non-test internal/rts calls
-# popShard from exactly one place. And each value moves on the goroutine that
-# produces it: an event subscription is its channel, which the bus sends on,
-# so non-test internal/core/events.go starts no goroutine and has no
-# sync.Cond; and an executor books its own stager, so non-test
-# internal/rts/agent.go starts exactly two kinds of goroutine, the scheduler
-# loops and the executors; and a composite RTS's members deliver into its
-# channel themselves, so non-test internal/rts/composite.go starts none, by a
-# go statement or by Outbox.Go.
+# gofmt, the structural rules and vet. TestStructuralRules holds the
+# toolkit's "one path per job" contracts — each a named row over the
+# type-checked source, with its reason — and the goroutine census; docs/ci.md
+# says how to add a row.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
-	@asserted=$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.\((core\.)?[A-Za-z]*Reporter\)' . || true); \
-	if [ -n "$$asserted" ]; then \
-		echo "an RTS is type-asserted to a Reporter interface; put the field in core.RTSStats instead:"; \
-		echo "$$asserted"; exit 1; \
-	fi
-	@imported=$$($(GO) list -deps ./internal/broker | grep '^repro/' | grep -vx 'repro/internal/broker' || true); \
-	if [ -n "$$imported" ]; then \
-		echo "internal/broker imports other packages of this module; keep it a leaf:"; \
-		echo "$$imported"; exit 1; \
-	fi
-	@encoded=$$(grep -nwE --include='*.go' --exclude='*_test.go' -r '(Encode|Decode|Append)(TaskUIDs?|SyncFrame(Into)?|SyncAck|TaskResults(Shared)?)' internal/core || true); \
-	if [ -n "$$encoded" ]; then \
-		echo "internal/core encodes or decodes an in-process message; hand the queue the value instead:"; \
-		echo "$$encoded"; exit 1; \
-	fi
-	@clusters=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'hpc\.NewCluster\(' . | grep -vE '^\./(bench/|internal/rts/machine\.go:)' || true); \
-	if [ -n "$$clusters" ]; then \
-		echo "a simulated CI is built outside rts.NewMachine; build it there:"; \
-		echo "$$clusters"; exit 1; \
-	fi
-	@results=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'make\(chan [^,)]*TaskResult' . | grep -vE '^\./(bench/|internal/core/completions\.go:)' || true); \
-	if [ -n "$$results" ]; then \
-		echo "an RTS makes its own completion channel; hand results back through core.Outbox:"; \
-		echo "$$results"; exit 1; \
-	fi
-	@for rule in 'ledgerAddLocked(=1' 'ledgerRemoveLocked(=1' 'ready.PopFront(=1' 'ready.PushFront(=1' 'ready.PushBack(=0'; do \
-		call=$${rule%=*}; want=$${rule##*=}; \
-		got=$$(grep -rhF --include='*.go' --exclude='*_test.go' "$$call" internal/broker | grep -v '^func ' | grep -oF "$$call" | wc -l); \
-		if [ "$$got" -ne "$$want" ]; then \
-			echo "internal/broker calls $$call from $$got places, want $$want: fold the second path into the batch one"; \
-			grep -rnF --include='*.go' --exclude='*_test.go' "$$call" internal/broker | grep -v ':func '; exit 1; \
-		fi; \
-	done
-	@got=$$(grep -rhF --include='*.go' --exclude='*_test.go' 'popShard(' internal/rts | grep -v '^func ' | grep -oF 'popShard(' | wc -l); \
-	if [ "$$got" -ne 1 ]; then \
-		echo "internal/rts calls popShard( from $$got places, want 1: the store has one pull path"; \
-		grep -rnF --include='*.go' --exclude='*_test.go' 'popShard(' internal/rts | grep -v ':func '; exit 1; \
-	fi
-	@relay=$$(sed 's|//.*||' internal/core/events.go | grep -nE '$(GO_STMT)|sync\.Cond' || true); \
-	if [ -n "$$relay" ]; then \
-		echo "internal/core/events.go starts a goroutine or waits on a sync.Cond; the bus sends on the subscription's channel itself:"; \
-		echo "$$relay"; exit 1; \
-	fi
-	@got=$$(sed 's|//.*||' internal/rts/agent.go | grep -cE '$(GO_STMT)'); \
-	if [ "$$got" -ne 2 ]; then \
-		echo "internal/rts/agent.go has $$got go statements, want 2 (scheduler loops, executors): an executor books its own stager"; \
-		sed 's|//.*||' internal/rts/agent.go | grep -nE '$(GO_STMT)'; exit 1; \
-	fi
-	@relay=$$(sed 's|//.*||' internal/rts/composite.go | grep -nE '$(GO_STMT)|\.Go\(' || true); \
-	if [ -n "$$relay" ]; then \
-		echo "internal/rts/composite.go starts a goroutine (a go statement or Outbox.Go); a member delivers into the composite's channel itself:"; \
-		echo "$$relay"; exit 1; \
-	fi
+	$(GO) test -count=1 -run '^TestStructuralRules$$' .
 	$(GO) vet ./...
 
 # Fail if any gitignored build artifact (bench.out, *.test, ...) is tracked

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,8 +34,8 @@ var configStructs = map[string][]string{
 	"repro/entk":               {"AppConfig", "Tuning", "Autotune"},
 }
 
-// TestEveryConfigFieldIsSet type-checks every Go file outside the frozen
-// bench/ harness — product code, tests and examples — and fails on an
+// TestEveryConfigFieldIsSet reads every type-checked Go file outside the
+// frozen bench/ harness — product code, tests and examples — and fails on an
 // exported field of a configStructs struct that nothing sets. Set means a
 // composite-literal key, an assignment, ++/-- or a taken address (a flag
 // binding), anywhere but in the struct's own defaulting code (a function of
@@ -44,29 +45,18 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	pkgs, exports := listPackages(t)
-	fset := token.NewFileSet()
+	m := loadModule(t)
 	s := setters{direct: map[string]bool{}, copied: map[string][]string{}}
-	for _, pkg := range pkgs {
-		if strings.HasPrefix(pkg.ImportPath, "repro/bench") {
-			continue
-		}
-		// The package with its in-package tests, then its external test
-		// package against the test-augmented build of the package.
-		files, info := check(t, fset, pkg.ImportPath, pkg.Dir, append(pkg.GoFiles, pkg.TestGoFiles...), exports, "")
-		s.record(pkg.ImportPath, files, info)
-		if len(pkg.XTestGoFiles) > 0 {
-			xpath := pkg.ImportPath + "_test"
-			files, info := check(t, fset, xpath, pkg.Dir, pkg.XTestGoFiles, exports, pkg.ImportPath)
-			s.record(xpath, files, info)
+	for _, pkg := range m.pkgs {
+		if !strings.HasPrefix(pkg.path, "repro/bench") {
+			s.record(pkg.path, pkg.files, pkg.info)
 		}
 	}
 
 	var fields int
 	var unset []string
-	imp := importer.ForCompiler(fset, "gc", exportLookup(exports, ""))
 	for path, names := range configStructs {
-		pkg, err := imp.Import(path)
+		pkg, err := m.imp.Import(path)
 		if err != nil {
 			t.Fatalf("import %s: %v", path, err)
 		}
@@ -98,6 +88,73 @@ func fieldKey(path, typ, field string) string {
 	return strings.TrimPrefix(path, "repro/") + "." + typ + "." + field
 }
 
+// module is every package of the module, parsed and type-checked once per
+// test binary for every test that reads the source: each package with its
+// in-package tests, then its external test package as an entry of its own.
+type module struct {
+	fset *token.FileSet
+	pkgs []checkedPackage
+	// imp serves any package the module builds against from its export data.
+	imp types.Importer
+}
+
+// checkedPackage is one type-checked package; names[i] is files[i]'s path
+// relative to the module root, with forward slashes.
+type checkedPackage struct {
+	path  string // "_test"-suffixed for an external test package
+	types *types.Package
+	files []*ast.File
+	names []string
+	info  *types.Info
+}
+
+var (
+	moduleOnce sync.Once
+	loaded     *module
+	loadErr    error
+)
+
+// loadModule returns the module, loading it on first use.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	moduleOnce.Do(func() { loaded, loadErr = load() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+func load() (*module, error) {
+	pkgs, exports, err := listPackages()
+	if err != nil {
+		return nil, err
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	m := &module{fset: token.NewFileSet()}
+	m.imp = importer.ForCompiler(m.fset, "gc", exportLookup(exports, ""))
+	for _, pkg := range pkgs {
+		p, err := check(m.fset, root, pkg.ImportPath, pkg.Dir, append(pkg.GoFiles, pkg.TestGoFiles...), m.imp)
+		if err != nil {
+			return nil, err
+		}
+		m.pkgs = append(m.pkgs, p)
+		if len(pkg.XTestGoFiles) > 0 {
+			// Against the test-augmented build of the package, as `go test`
+			// builds it.
+			imp := importer.ForCompiler(m.fset, "gc", exportLookup(exports, pkg.ImportPath))
+			p, err := check(m.fset, root, pkg.ImportPath+"_test", pkg.Dir, pkg.XTestGoFiles, imp)
+			if err != nil {
+				return nil, err
+			}
+			m.pkgs = append(m.pkgs, p)
+		}
+	}
+	return m, nil
+}
+
 // listedPackage is what `go list -json` reports of one package.
 type listedPackage struct {
 	ImportPath, Dir, Export, ForTest   string
@@ -108,25 +165,24 @@ type listedPackage struct {
 // listPackages lists the module's packages, and maps every package they and
 // their tests import to its export data — test-augmented variants under
 // "path [path.test]".
-func listPackages(t *testing.T) ([]listedPackage, map[string]string) {
-	t.Helper()
+func listPackages() ([]listedPackage, map[string]string, error) {
 	out, err := exec.Command("go", "list", "-export", "-deps", "-test", "-json", "./...").Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, nil, fmt.Errorf("go list: %v", err)
 	}
 	var pkgs []listedPackage
 	exports := map[string]string{}
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("go list: %v", err)
+			return nil, nil, fmt.Errorf("go list: %v", err)
 		}
 		exports[p.ImportPath] = p.Export
 		if !p.Standard && p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test") {
 			pkgs = append(pkgs, p)
 		}
 	}
-	return pkgs, exports
+	return pkgs, exports, nil
 }
 
 // exportLookup opens export data by import path, serving testPkg (when set)
@@ -144,23 +200,36 @@ func exportLookup(exports map[string]string, testPkg string) func(string) (io.Re
 	}
 }
 
-// check parses and type-checks the named files of dir as package path.
-func check(t *testing.T, fset *token.FileSet, path, dir string, names []string, exports map[string]string, testPkg string) ([]*ast.File, *types.Info) {
-	t.Helper()
-	var files []*ast.File
+// check parses and type-checks the named files of dir as package path,
+// importing through imp.
+func check(fset *token.FileSet, root, path, dir string, names []string, imp types.Importer) (checkedPackage, error) {
+	p := checkedPackage{
+		path: path,
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+	}
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		file := filepath.Join(dir, name)
+		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
-			t.Fatal(err)
+			return p, err
 		}
-		files = append(files, f)
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			return p, err
+		}
+		p.files = append(p.files, f)
+		p.names = append(p.names, filepath.ToSlash(rel))
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", exportLookup(exports, testPkg))}
-	if _, err := conf.Check(path, fset, files, info); err != nil {
-		t.Fatalf("type-check %s: %v", path, err)
+	conf := types.Config{Importer: imp}
+	var err error
+	if p.types, err = conf.Check(path, fset, p.files, p.info); err != nil {
+		return p, fmt.Errorf("type-check %s: %v", path, err)
 	}
-	return files, info
+	return p, nil
 }
 
 // setters collects where configStructs fields are set: outright, or only

@@ -79,13 +79,14 @@ func TestEndToEndRun(t *testing.T) {
 // TestMachineKnobsReachTheCI holds the two knobs of the simulated CI to
 // their effect: FSSpec replaces the filesystem model, and QueueWait holds the
 // pilot in the batch queue, so the run takes at least that long in virtual
-// time.
+// time. The pilot asks for supermic's 72 h cap, 259 ms of wall time at this
+// scale, so a busy machine cannot run it out before the two tasks finish.
 func TestMachineKnobsReachTheCI(t *testing.T) {
 	fs := fsim.XSEDEShared()
 	fs.Name = "scratch-nvme"
 	const wait = 30 * time.Minute
 	am, err := NewAppManager(AppConfig{
-		Resource:  Resource{Name: "supermic", Cores: 8, Walltime: time.Hour},
+		Resource:  Resource{Name: "supermic", Cores: 8, Walltime: 72 * time.Hour},
 		TimeScale: time.Microsecond,
 		HostName:  "null",
 		FSSpec:    &fs,

@@ -173,7 +173,9 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 	r.pilot = pilot
 	r.agent = newAgent(r, res.Cores, res.GPUs, r.live.MaxSchedulers())
 
-	go func() {
+	// Both goroutines are Outbox producers, so Stop waits for them, and both
+	// end once it begins: a torn-down RTS neither boots nor charges.
+	r.out.Go(func() {
 		select {
 		case <-pilot.Active():
 		case <-pilot.Done():
@@ -183,17 +185,22 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		}
 		// Agent bootstrap (Fig 3, arrow 3). Modelled costs are accounted
 		// exactly, keeping overhead figures noise-free at any clock scale.
-		r.clock.Sleep(r.model.BootstrapTime)
+		if !vclock.SleepOrStop(r.clock, r.model.BootstrapTime, r.out.Stopping()) {
+			return
+		}
 		r.prof.Add(profiler.RTSOverhead, r.model.BootstrapTime)
 		r.agent.run()
-	}()
-	go func() {
+	})
+	r.out.Go(func() {
 		// A pilot that dies (walltime, CI failure) kills the RTS.
-		<-pilot.Done()
-		if pilot.State() == saga.StateFailed {
-			r.out.Kill()
+		select {
+		case <-pilot.Done():
+			if pilot.State() == saga.StateFailed {
+				r.out.Kill()
+			}
+		case <-r.out.Stopping():
 		}
-	}()
+	})
 	return nil
 }
 

@@ -324,6 +324,20 @@ func TestTeardownCharged(t *testing.T) {
 	}
 }
 
+// TestStopEndsTheBootstrap: an RTS stopped while its agent boots leaves no
+// goroutine behind, and the boot it never finished is charged nowhere — not
+// even once the clock passes the boot's end.
+func TestStopEndsTheBootstrap(t *testing.T) {
+	const boot = time.Second
+	h := newManualHarness(t, 4, 0, func(c *Config) { c.Model.BootstrapTime = boot })
+	h.await(t, "the agent's bootstrap to sleep beside the walltime watch", func() bool { return h.clock.Pending() == 2 })
+	h.stopAndCheckGoroutines(t)
+	h.clock.Advance(boot)
+	if n, sum := h.rts.prof.Count("rts_overhead"), h.rts.prof.Sum("rts_overhead"); n != 0 || sum != 0 {
+		t.Fatalf("after Stop: %d RTS overhead charges (%v), want none", n, sum)
+	}
+}
+
 func TestLocalFuncRuns(t *testing.T) {
 	h := newHarness(t, nil)
 	start(t, h)

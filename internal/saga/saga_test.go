@@ -10,7 +10,10 @@ import (
 
 func testSession(t *testing.T) (*Session, vclock.Clock) {
 	t.Helper()
-	clock := vclock.NewScaled(time.Microsecond)
+	// Nothing here waits on the clock but the walltime watchdogs, so a coarse
+	// scale costs no wall time: an hour's walltime is 3.6 s of wall time, not
+	// the 3.6 ms a busy machine can spend between Active and Complete.
+	clock := vclock.NewScaled(time.Millisecond)
 	s := NewSession()
 	t.Cleanup(s.Close)
 	for _, name := range hpc.Names() {

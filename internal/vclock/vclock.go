@@ -184,6 +184,30 @@ func (m *Manual) Pending() int {
 	return len(m.waiters)
 }
 
+// SleepOrStop is Sleep that gives up once stop is closed, reporting whether
+// the full d elapsed. A Scaled clock elides a sub-resolution wait here just as
+// its Sleep does, arming no timer, so the stoppable form costs nothing extra
+// at the fine scales where modelled costs are microseconds of wall time.
+func SleepOrStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return false
+	default:
+	}
+	if d <= 0 {
+		return true
+	}
+	if s, ok := c.(*Scaled); ok && time.Duration(float64(d)*s.scale) < minWallSleep {
+		return true
+	}
+	select {
+	case <-c.After(d):
+		return true
+	case <-stop:
+		return false
+	}
+}
+
 // Elapsed returns the virtual time elapsed since Epoch on clock c.
 func Elapsed(c Clock) time.Duration {
 	return c.Now().Sub(Epoch)

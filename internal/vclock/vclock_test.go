@@ -63,6 +63,42 @@ func TestScaledAfter(t *testing.T) {
 	}
 }
 
+// TestSleepOrStop: the wait ends at d or at stop, whichever comes first, and
+// a Scaled clock's sub-resolution wait returns at once, as its Sleep does.
+func TestSleepOrStop(t *testing.T) {
+	stopped := make(chan struct{})
+	close(stopped)
+	fine := NewScaled(time.Microsecond) // 16 s virtual = 16 µs wall: elided
+	if !SleepOrStop(fine, 16*time.Second, nil) {
+		t.Fatal("an elided wait reported a stop")
+	}
+	if SleepOrStop(fine, 16*time.Second, stopped) || SleepOrStop(fine, 0, stopped) {
+		t.Fatal("a wait begun after stop reported the full duration")
+	}
+
+	slow := NewScaled(time.Millisecond) // 1 h virtual = 3.6 s wall
+	stop := make(chan struct{})
+	time.AfterFunc(time.Millisecond, func() { close(stop) })
+	wall0 := time.Now()
+	if SleepOrStop(slow, time.Hour, stop) {
+		t.Fatal("a stopped wait reported the full duration")
+	}
+	if wall := time.Since(wall0); wall > time.Second {
+		t.Fatalf("stop took %v to end the wait", wall)
+	}
+
+	m := NewManual()
+	done := make(chan bool, 1)
+	go func() { done <- SleepOrStop(m, 10*time.Second, nil) }()
+	for i := 0; i < 1000 && m.Pending() == 0; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	m.Advance(10 * time.Second)
+	if !<-done {
+		t.Fatal("a wait the clock passed reported a stop")
+	}
+}
+
 func TestNewScaledPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
