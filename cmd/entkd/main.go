@@ -11,8 +11,8 @@
 //
 // -tenants configures fairness as name:weight[:maxcores] triples; unknown
 // tenants default to weight 1 with no quota. The daemon serves until
-// SIGINT/SIGTERM, then cancels hosted runs, reconciles the lease ledger a
-// final time and reports how many leases leaked (0 on a clean lifecycle).
+// SIGINT/SIGTERM, then cancels hosted runs and reports how many leases
+// leaked, that is, outlived their run (0 on a clean lifecycle).
 package main
 
 import (

@@ -21,14 +21,13 @@ func startDaemon(t *testing.T, mutate func(*daemon.Config)) (*daemon.Daemon, *en
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "entkd.sock")
 	cfg := daemon.Config{
-		SocketPath:     sock,
-		Resource:       "supermic",
-		Cores:          16,
-		Walltime:       72 * time.Hour,
-		TimeScale:      time.Microsecond,
-		Model:          rts.FastModel(),
-		ReconcileEvery: 10 * time.Millisecond,
-		Seed:           11,
+		SocketPath: sock,
+		Resource:   "supermic",
+		Cores:      16,
+		Walltime:   72 * time.Hour,
+		TimeScale:  time.Microsecond,
+		Model:      rts.FastModel(),
+		Seed:       11,
 	}
 	if mutate != nil {
 		mutate(&cfg)

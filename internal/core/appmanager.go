@@ -39,7 +39,7 @@ const (
 	qAckDeq
 	qAckEmgr
 	qAckCb // declared, as Fig 2 draws it; the RTS Callback issues no transition
-	qAckHb
+	qAckHb // declared, as Fig 2 draws it; failover hands its lost tasks to Dequeue
 	qAckCtl
 	numQueues
 
@@ -221,11 +221,10 @@ type AppManager struct {
 	tunerStop chan struct{}
 	tunerWG   sync.WaitGroup
 
-	completionMu sync.Mutex // serializes stage/pipeline completion logic
-
-	doneCh chan struct{}
-	errMu  sync.Mutex
-	runErr error
+	doneCh     chan struct{}
+	finishOnce sync.Once // closes doneCh
+	errMu      sync.Mutex
+	runErr     error
 
 	sync *synchronizer
 	wfp  *wfProcessor
@@ -726,23 +725,14 @@ func (am *AppManager) setErr(err error) {
 	}
 }
 
-// finish signals Run that the application reached a terminal state.
+// finish signals Run that the application is over: every pipeline is
+// terminal (Dequeue, the one goroutine that settles them, calls finish(nil))
+// or a component failed with err.
 func (am *AppManager) finish(err error) {
 	if err != nil {
 		am.setErr(err)
 	}
-	am.completionMu.Lock()
-	defer am.completionMu.Unlock()
-	am.finishLocked()
-}
-
-// finishLocked closes the completion channel; completionMu must be held.
-func (am *AppManager) finishLocked() {
-	select {
-	case <-am.doneCh:
-	default:
-		close(am.doneCh)
-	}
+	am.finishOnce.Do(func() { close(am.doneCh) })
 }
 
 // allPipelinesTerminal reports whether the application has finished.
@@ -757,8 +747,8 @@ func (am *AppManager) allPipelinesTerminal() bool {
 
 // cancelRemainingTasks marks every non-terminal entity canceled after a
 // context cancellation, and every FAILED task whose stage is still open: a
-// retry (settleFailures) or failover's reinject can still move such a task
-// on to SCHEDULING, so it is canceled as cancelPipeline cancels it
+// retry (settleFailures, a task lost with its RTS included) can still move
+// such a task on to SCHEDULING, so it is canceled as cancelPipeline cancels it
 // (FAILED→CANCELED is legal, and the sticky cancel absorbs the late
 // SCHEDULING). A FAILED task in a terminal stage stays FAILED. The forced
 // transitions bypass the Synchronizer (it is about to stop), so the

@@ -55,6 +55,18 @@ func runApp(t *testing.T, am *AppManager) error {
 	return am.Run(ctx)
 }
 
+// resumeApp is runApp for a run that continues the one journaled in dir.
+func resumeApp(t *testing.T, am *AppManager, dir string) error {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	r, err := am.Resume(ctx, dir)
+	if err != nil {
+		return err
+	}
+	return r.Wait()
+}
+
 func TestRunSinglePipeline(t *testing.T) {
 	am, rts := testApp(t, Config{})
 	pipes := buildApp(1, 1, 4, 100*time.Second)
@@ -341,6 +353,8 @@ func TestRTSFailover(t *testing.T) {
 		}
 	}
 	checkReinjected(t, first, pipes[0].Stages()[0].Tasks())
+	checkCounters(t, am, "after the failover")
+	checkStagesAgree(t, am, "after the failover")
 }
 
 // checkReinjected holds failover to re-injecting exactly the tasks the dead
@@ -419,6 +433,8 @@ func TestFailoverReinjectsOnlyUnreportedTasks(t *testing.T) {
 		t.Fatalf("the first RTS lost %d of %d tasks; the test wants it to lose some", lost, len(tasks))
 	}
 	checkReinjected(t, first, slices.Concat(tasks, next))
+	checkCounters(t, am, "after the failover")
+	checkStagesAgree(t, am, "after the failover")
 }
 
 // doubleReportRTS is a fakeRTS whose completion channel carries a result for
@@ -657,7 +673,7 @@ func TestJournalRecoverySkipsCompletedTasks(t *testing.T) {
 	am2.SetResource(ResourceDesc{Resource: "comet", Cores: 8, Walltime: time.Hour})
 	pipe2, flaky2 := mkApp()
 	am2.AddPipelines(pipe2)
-	if err := runApp(t, am2); err != nil {
+	if err := resumeApp(t, am2, jdir); err != nil {
 		t.Fatal(err)
 	}
 	if got := rts2.Stats().TasksCompleted; got != 1 {

@@ -115,6 +115,36 @@ func checkCounters(t *testing.T, am *AppManager, when string) {
 	}
 }
 
+// checkStagesAgree holds every stage's terminal state to its tasks': a DONE
+// stage has only DONE tasks, a FAILED stage has a FAILED task that spent its
+// retry budget, and no terminal stage has a task still active. The
+// application must be quiescent.
+func checkStagesAgree(t *testing.T, am *AppManager, when string) {
+	t.Helper()
+	for _, p := range am.Pipelines() {
+		for _, s := range p.Stages() {
+			st := s.State()
+			if !st.Terminal() {
+				continue
+			}
+			spent := false
+			for _, task := range s.Tasks() {
+				switch ts := task.State(); {
+				case !ts.Terminal():
+					t.Errorf("%s: stage %s is %s while its task %s is %s", when, s.UID, st, task.UID, ts)
+				case st == StageDone && ts != TaskDone:
+					t.Errorf("%s: stage %s is DONE with its task %s %s", when, s.UID, task.UID, ts)
+				case ts == TaskFailed && task.Attempts() > am.retriesFor(task):
+					spent = true
+				}
+			}
+			if st == StageFailed && !spent {
+				t.Errorf("%s: stage %s is FAILED but no task of it spent its retries", when, s.UID)
+			}
+		}
+	}
+}
+
 // randomApp builds pipelines x stages x tasks of random small sizes with
 // structural UIDs (tag distinguishes applications sharing a process), so a
 // second incarnation of the same seed names every entity identically.
@@ -339,10 +369,11 @@ func countersResume(t *testing.T, rng *rand.Rand, tag string) {
 
 // TestRetriedTaskNeverFailsItsStage is a stress test of one interleaving: the
 // last task of a stage fails its first attempt while Enqueue is still
-// finishing scheduleStage, whose closing completion check then finds every
-// task terminal — one of them FAILED, but about to be resubmitted. With a
-// retry budget that covers every failure here, no run may fail. (Without
-// settleFailures' hold of completionMu about one run in 150 does.)
+// finishing scheduleStage, and between the task's FAILED record and its
+// resubmission every task of the stage reads terminal — one of them FAILED,
+// but about to be resubmitted. With a retry budget that covers every failure
+// here, no run may fail: only Dequeue checks a stage for completion, after
+// the resubmission has committed.
 func TestRetriedTaskNeverFailsItsStage(t *testing.T) {
 	stress(t, 60, func(t *testing.T, i int, rng *rand.Rand) {
 		am, rts := testApp(t, Config{TaskRetries: 2})
@@ -351,6 +382,8 @@ func TestRetriedTaskNeverFailsItsStage(t *testing.T) {
 		if err := runApp(t, am); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+		checkCounters(t, am, fmt.Sprintf("run %d", i))
+		checkStagesAgree(t, am, fmt.Sprintf("run %d", i))
 	})
 }
 
@@ -370,12 +403,12 @@ func stress(t *testing.T, runs int, body func(t *testing.T, i int, rng *rand.Ran
 	}
 }
 
-// TestLazyClientsRaceRunEnd: the heartbeat's and the run handle's sync
-// clients are made on first use, so their first use can meet tear-down. The
-// first RTS dies after accepting a few tasks, which makes failover create the
-// heartbeat's client mid-run — in a quarter of the runs while the run is being
-// canceled — and a second goroutine pauses, resumes and cancels pipelines
-// until after the run is over. Whatever the interleaving: no operation hangs
+// TestLazyClientsRaceRunEnd: the run handle's sync client is made on first
+// use, and failover hands its lost tasks over on the done queue, so either can
+// meet tear-down. The first RTS dies after accepting a few tasks, which makes
+// failover hand tasks to Dequeue mid-run — in a quarter of the runs while the
+// run is being canceled — and a second goroutine pauses, resumes and cancels
+// pipelines until after the run is over. Whatever the interleaving: no operation hangs
 // or attaches to a deleted queue (each ends in success, the Synchronizer's
 // rejection or broker.ErrClosed), a pause that was granted can be taken back,
 // and an uncanceled run loses no task to the failover.
@@ -458,6 +491,8 @@ func TestLazyClientsRaceRunEnd(t *testing.T) {
 		if got := am.ActiveTasks(); got != 0 {
 			t.Fatalf("run %d: %d tasks still active after the run", i, got)
 		}
+		checkCounters(t, am, fmt.Sprintf("run %d", i))
+		checkStagesAgree(t, am, fmt.Sprintf("run %d", i))
 	})
 }
 
@@ -893,9 +928,9 @@ func TestSubmitBatchMixedMessages(t *testing.T) {
 
 // TestCancelSweepCancelsFailedTasksOfOpenStages: the sweep that ends a
 // canceled run must cancel a FAILED task whose stage is still open, since a
-// retry or failover's reinject can still move it on to SCHEDULING after the
-// sweep (and leave it active after the run); a FAILED task in a terminal
-// stage stays FAILED.
+// retry (a task lost with its RTS included) can still move it on to
+// SCHEDULING after the sweep and leave it active after the run; a FAILED task
+// in a terminal stage stays FAILED.
 func TestCancelSweepCancelsFailedTasksOfOpenStages(t *testing.T) {
 	am, _ := testApp(t, Config{})
 	pipes := buildApp(1, 2, 1, time.Second)

@@ -473,6 +473,8 @@ func TestCancelPipelineWithRetryingTasks(t *testing.T) {
 	if got := am.ActiveTasks(); got != 0 {
 		t.Fatalf("active tasks after the run = %d, want 0", got)
 	}
+	checkCounters(t, am, "after the run")
+	checkStagesAgree(t, am, "after the run")
 }
 
 func TestStartTwiceReturnsErrAlreadyRan(t *testing.T) {

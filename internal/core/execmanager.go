@@ -20,8 +20,8 @@ import (
 //   - RTS Callback pushes completed tasks to the done queue (arrow 4),
 //     keeping a result only if it clears its task's in-flight mark.
 //   - Heartbeat probes RTS liveness and drives tear-down/restart of a
-//     failed RTS, re-executing only the tasks lost in flight (§II-B4): the
-//     ones still marked.
+//     failed RTS, handing Dequeue the tasks lost in flight (§II-B4), the
+//     ones still marked, to re-execute.
 type execManager struct {
 	am *AppManager
 
@@ -34,11 +34,6 @@ type execManager struct {
 	pendC    *broker.Consumer
 	emgrSync *syncClient
 	scratch  emgrScratch // the Emgr goroutine's (submitBatch)
-	// hbSync commits the re-injection of tasks lost with a failed RTS. Most
-	// runs never fail over, so it is made on first use, on the heartbeat
-	// goroutine — the only one that uses it; stopRTS closes it after that
-	// goroutine has exited.
-	hbSync *syncClient
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -255,12 +250,18 @@ func (sc *emgrScratch) release() {
 // each result beside the task it reports on. A callback loop fills it and
 // Dequeue, once it has settled the results, hands it back for the next drain,
 // so a drain allocates nothing once as many are in circulation as the done
-// queue ever holds at once.
-type doneBatch struct{ items []doneItem }
+// queue ever holds at once. A message that names a stage and carries no
+// results hands Dequeue, the one goroutine that settles stages and
+// pipelines, a stage whose pipeline may be over (AppManager.settle).
+type doneBatch struct {
+	items []doneItem
+	stage *Stage
+}
 
 type doneItem struct {
 	task *Task
 	res  TaskResult
+	lost bool // the attempt died with its RTS: resubmit it whatever the budget
 }
 
 // spareDone returns a spent done message to fill, or a new one.
@@ -279,7 +280,7 @@ func (e *execManager) spareDone() *doneBatch {
 // recycle hands a settled done message back for reuse.
 func (e *execManager) recycle(b *doneBatch) {
 	clear(b.items) // the tasks and error texts are not the free list's to keep alive
-	b.items = b.items[:0]
+	b.items, b.stage = b.items[:0], nil
 	e.doneMu.Lock()
 	e.doneFree = append(e.doneFree, b)
 	e.doneMu.Unlock()
@@ -381,13 +382,16 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 		return nil // tearing down
 	}
 
-	// The lost tasks: submitted to the dead RTS, never reported back.
-	var lost []*Task
+	// The lost tasks: submitted to the dead RTS, never reported back. Their
+	// attempt failed through no fault of their own, so they go to Dequeue as
+	// failed attempts marked lost, which it resubmits without consuming their
+	// retry budget.
+	lost := e.spareDone()
 	e.submitMu.Lock()
 	e.am.mu.Lock()
 	for _, t := range e.am.tasks {
 		if t.inflight.CompareAndSwap(true, false) {
-			lost = append(lost, t)
+			lost.items = append(lost.items, doneItem{task: t, res: TaskResult{UID: t.UID, ExitCode: -1, Error: "rts failure"}, lost: true})
 		}
 	}
 	e.am.mu.Unlock()
@@ -418,46 +422,7 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	e.wg.Add(1)
 	go e.callbackLoop(fresh, freshDone)
 
-	// Re-inject lost tasks through the normal path: their in-flight
-	// attempt failed through no fault of their own, so the RTS restart
-	// does not consume the tasks' own retry budget — they are marked
-	// failed by the restart and rescheduled immediately.
-	for _, t := range lost {
-		if err := e.reinject(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reinject commits one lost task's failed attempt and its rescheduling as
-// one sync frame, then republishes it. The frame's four records are applied
-// one by one, and between FAILED and SCHEDULING every task of the stage can
-// read terminal; completionMu is held throughout, as in settleFailures, so no
-// stage-completion check runs on that instant and fails a stage whose task is
-// on its way back.
-func (e *execManager) reinject(t *Task) error {
-	if e.hbSync == nil {
-		// During tear-down the queue may already be deleted; the broker then
-		// refuses the consumer and failover ends on that error.
-		c, err := newSyncClient(e.am, qAckHb)
-		if err != nil {
-			return err
-		}
-		e.hbSync = c
-	}
-	e.am.completionMu.Lock()
-	defer e.am.completionMu.Unlock()
-	one := []*Task{t} // the frame's task list, then its pending message
-	e.hbSync.begin()
-	e.hbSync.addResult(one, TaskExecuted, -1, "rts failure")
-	e.hbSync.addTasks(one, TaskFailed)
-	e.hbSync.addTasks(one, TaskScheduling)
-	e.hbSync.addTasks(one, TaskScheduled)
-	if err := e.hbSync.flush(); err != nil {
-		return err
-	}
-	return e.am.brk.PublishValue(e.am.qname(qPending), &one)
+	return e.am.brk.PublishValue(e.am.qname(qDone), lost)
 }
 
 // Restarts reports how many times the RTS was restarted.
@@ -498,8 +463,5 @@ func (e *execManager) stopRTS() {
 	e.wg.Wait()
 	if e.emgrSync != nil {
 		e.emgrSync.close()
-	}
-	if e.hbSync != nil {
-		e.hbSync.close()
 	}
 }

@@ -437,7 +437,7 @@ func TestGroupsJournalRecovery(t *testing.T) {
 	am2.SetResource(ResourceDesc{Resource: "comet", Cores: 8, Walltime: time.Hour})
 	a2, b2 := mkApp()
 	am2.AddPipelines(a2, b2)
-	if err := runApp(t, am2); err != nil {
+	if err := resumeApp(t, am2, jdir); err != nil {
 		t.Fatal(err)
 	}
 	if got := rts2.Stats().TasksCompleted; got != 2 {

@@ -169,11 +169,20 @@ func (p *Pipeline) currentStage() *Stage {
 	return nil
 }
 
+// lastStage returns the pipeline's last stage; a registered pipeline has one.
+func (p *Pipeline) lastStage() *Stage {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.stages[len(p.stages)-1]
+}
+
 // advanceCursor moves to the next stage, returning it (nil when exhausted).
 func (p *Pipeline) advanceCursor() *Stage {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.current++
+	if p.current < len(p.stages) {
+		p.current++
+	}
 	if p.current < len(p.stages) {
 		return p.stages[p.current]
 	}

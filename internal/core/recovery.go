@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/journal"
@@ -62,7 +63,8 @@ type DurabilityStats struct {
 // task states by the normal scheduling pass. The
 // application description must be registered (AddPipelines) with the same
 // UIDs as the original run before calling Resume. Resuming an empty or
-// fresh directory is equivalent to a durable Start. Like Start, Resume is
+// fresh directory is equivalent to a durable Start; Start, the other way
+// round, refuses a directory that holds records. Like Start, Resume is
 // single-shot.
 func (am *AppManager) Resume(ctx context.Context, journalDir string) (*Run, error) {
 	if journalDir == "" {
@@ -75,7 +77,7 @@ func (am *AppManager) Resume(ctx context.Context, journalDir string) (*Run, erro
 	}
 	am.cfg.JournalDir = journalDir
 	am.mu.Unlock()
-	return am.Start(ctx)
+	return am.start(ctx, true)
 }
 
 // RecoveryInfo returns what this run reconstructed at startup. Zero value
@@ -95,8 +97,9 @@ func (am *AppManager) RecoveryInfo() RecoveryInfo { return am.recov }
 // application registered allocates nothing. Tasks whose final recorded state
 // is DONE are restored; the mirror holds the full reconstructed map so the
 // first post-resume snapshot covers pre-crash history before compaction can
-// discard it.
-func (am *AppManager) openDurable() error {
+// discard it. Unless it resumes, it refuses a directory that holds a
+// snapshot or a state record, before it changes anything there.
+func (am *AppManager) openDurable(resume bool) error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	dir := am.cfg.JournalDir
@@ -104,6 +107,9 @@ func (am *AppManager) openDurable() error {
 	snap, haveSnap, err := statedb.LoadLatestSnapshotWith(dir, resolve)
 	if err != nil {
 		return err
+	}
+	if haveSnap && !resume {
+		return usedJournalDir(dir)
 	}
 	mirror := statedb.New()
 	if haveSnap {
@@ -116,6 +122,9 @@ func (am *AppManager) openDurable() error {
 	j, err := journal.OpenDirReplay(dir, journal.Options{}, am.recov.SnapshotSeq, func(rec journal.Record) error {
 		if rec.Type != "state" {
 			return nil
+		}
+		if !resume {
+			return usedJournalDir(dir)
 		}
 		sr, derr := msgcodec.DecodeStateRecWith(rec.Data, resolve)
 		if derr != nil {
@@ -139,6 +148,11 @@ func (am *AppManager) openDurable() error {
 	am.recov.ReplayedRecords = replayed
 	am.recov.Resumed = haveSnap || replayed > 0
 	return nil
+}
+
+// usedJournalDir is Start's refusal of a directory that holds a run.
+func usedJournalDir(dir string) error {
+	return fmt.Errorf("core: journal directory %s holds a run's records: Resume continues it, Start needs a fresh one", dir)
 }
 
 // maybeSnapshot is the synchronizer's commit hook: it accumulates committed

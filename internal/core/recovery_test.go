@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -240,6 +241,42 @@ func TestResumeFreshDirectoryIsDurableStart(t *testing.T) {
 	}
 	if am.RecoveryInfo().TasksRecovered != 0 {
 		t.Fatal("fresh directory recovered tasks")
+	}
+}
+
+// TestStartRefusesAUsedJournalDir: Start on a directory that holds a run's
+// records — journal records or a snapshot — fails before it touches a byte
+// there, instead of resuming it as if it were a new run's; Resume continues
+// the same directory.
+func TestStartRefusesAUsedJournalDir(t *testing.T) {
+	for _, snapshotEvery := range []int{0, 4} {
+		t.Run(fmt.Sprintf("snapshot-every-%d", snapshotEvery), func(t *testing.T) {
+			dir := t.TempDir()
+			incarnation := func() *AppManager {
+				am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: snapshotEvery})
+				pipes := buildApp(1, 2, 4, time.Second)
+				stampUIDs(pipes)
+				am.AddPipelines(pipes...) //nolint:errcheck
+				return am
+			}
+			if err := runApp(t, incarnation()); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+			if _, err := incarnation().Start(context.Background()); err == nil {
+				t.Fatal("Start on a used journal directory succeeded")
+			}
+			if after := dirFiles(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Fatal("the refused Start changed the directory")
+			}
+			am := incarnation()
+			if err := resumeApp(t, am, dir); err != nil {
+				t.Fatal(err)
+			}
+			if info := am.RecoveryInfo(); !info.Resumed || info.TasksRecovered != 8 {
+				t.Fatalf("Resume recovered %+v, want all 8 tasks", info)
+			}
+		})
 	}
 }
 

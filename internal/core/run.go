@@ -163,10 +163,13 @@ func (am *AppManager) pipelineByUID(uid string) (*Pipeline, bool) {
 // itself) to CANCELED through the Synchronizer. The Synchronizer treats
 // cancellation as idempotent, so races with concurrent completion are
 // benign: whichever transition commits first wins and the loser is a no-op.
+// What the cancellation settled, Dequeue settles after it: whether the run is
+// over, and the dependents' cascade.
 func (am *AppManager) cancelPipeline(p *Pipeline) error {
 	// Only what is not yet settled is requested, so canceling a pipeline again
 	// — even after the run is over — sends nothing and succeeds.
 	am.ctlMu.Lock()
+	defer am.ctlMu.Unlock()
 	for _, s := range p.Stages() {
 		var live []*Task
 		for _, t := range s.Tasks() {
@@ -179,40 +182,38 @@ func (am *AppManager) cancelPipeline(p *Pipeline) error {
 		}
 		if len(live) > 0 {
 			if err := am.ctlRequest(SyncRequest{Tasks: live, Target: string(TaskCanceled)}); err != nil {
-				am.ctlMu.Unlock()
 				return err
 			}
 		}
 		if !s.State().Terminal() {
 			if err := am.ctlRequest(stageRequest(s, StageCanceled)); err != nil {
-				am.ctlMu.Unlock()
 				return err
 			}
 		}
 	}
-	var err error
 	if !p.State().Terminal() {
-		err = am.ctlRequest(pipelineRequest(p, PipelineCanceled))
+		if err := am.ctlRequest(pipelineRequest(p, PipelineCanceled)); err != nil {
+			return err
+		}
 	}
-	am.ctlMu.Unlock()
-	if err != nil {
-		return err
+	if am.ctlClosed {
+		return nil // the run is over, and nothing was left to cancel
 	}
-	am.completionMu.Lock()
-	if am.allPipelinesTerminal() {
-		am.finishLocked()
-	}
-	am.completionMu.Unlock()
-	am.Nudge() // dependents must observe the terminal state
-	return nil
+	// Under ctlMu, so the done queue is still there: tear-down deletes it only
+	// after it has closed the ctl client under ctlMu.
+	return am.settle(p.lastStage())
 }
 
 // Start executes the application in the background and returns its run
 // handle. Setup — validation, entity registration, journal recovery,
 // messaging topology, component spawn and RTS acquisition — happens
 // synchronously, so a Start that returns nil error has a live ensemble. A
-// second Start (or Run) returns ErrAlreadyRan.
-func (am *AppManager) Start(ctx context.Context) (*Run, error) {
+// second Start (or Run) returns ErrAlreadyRan. Start refuses a JournalDir that
+// already holds a run's records: only Resume continues one.
+func (am *AppManager) Start(ctx context.Context) (*Run, error) { return am.start(ctx, false) }
+
+// start is Start, or with resume set Resume, once JournalDir is set.
+func (am *AppManager) start(ctx context.Context, resume bool) (*Run, error) {
 	am.mu.Lock()
 	if am.running {
 		am.mu.Unlock()
@@ -221,7 +222,7 @@ func (am *AppManager) Start(ctx context.Context) (*Run, error) {
 	am.running = true
 	am.mu.Unlock()
 
-	if err := am.setup(ctx); err != nil {
+	if err := am.setup(resume); err != nil {
 		am.events.Close()
 		return nil, err
 	}
@@ -255,7 +256,7 @@ func (am *AppManager) Start(ctx context.Context) (*Run, error) {
 
 // setup performs the synchronous part of Start up to component spawn: the
 // paper's EnTK Setup phase.
-func (am *AppManager) setup(ctx context.Context) error {
+func (am *AppManager) setup(resume bool) error {
 	if err := am.validateApp(); err != nil {
 		return err
 	}
@@ -266,7 +267,7 @@ func (am *AppManager) setup(ctx context.Context) error {
 		// Durable mode: segmented journal + statedb mirror + snapshots.
 		// Recovers snapshot + journal tail; a fresh directory is an empty
 		// recovery (Resumed=false) and behaves like a durable first run.
-		if err := am.openDurable(); err != nil {
+		if err := am.openDurable(resume); err != nil {
 			return err
 		}
 	}

@@ -23,7 +23,10 @@ const dequeueBatch = 512
 // and Dequeue subcomponents (paper Fig 2). Enqueue walks the application,
 // tags runnable tasks and pushes them to the pending queue; Dequeue pulls
 // completed tasks from the done queue, finalizes their states, applies the
-// resubmission policy and advances stages and pipelines.
+// resubmission policy and advances stages and pipelines. Dequeue is the one
+// goroutine that decides a stage or pipeline is over, runs PostExec, moves
+// cursors and finishes a successful run; the rest hand it what may be over
+// on the done queue (AppManager.settle), so no lock orders them.
 type wfProcessor struct {
 	am *AppManager
 
@@ -155,8 +158,9 @@ func (w *wfProcessor) enqueueRunnable() error {
 		}
 		stage := p.currentStage()
 		if stage == nil {
-			// Cursor past the last stage (can happen after recovery).
-			if err := w.completePipeline(p, w.enqSync); err != nil {
+			// Past its last stage yet scheduling: it was paused when that
+			// stage ended and has been resumed since (completePipeline).
+			if err := w.am.settle(p.lastStage()); err != nil {
 				return err
 			}
 			continue
@@ -164,7 +168,7 @@ func (w *wfProcessor) enqueueRunnable() error {
 		if stage.State() != StageInitial {
 			continue // already scheduled; Dequeue owns its completion
 		}
-		if err := w.scheduleStage(p, stage); err != nil {
+		if err := w.scheduleStage(stage); err != nil {
 			return err
 		}
 	}
@@ -189,13 +193,9 @@ func (w *wfProcessor) cancelUnstarted(p *Pipeline) error {
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
-	w.am.completionMu.Lock()
-	defer w.am.completionMu.Unlock()
-	if w.am.allPipelinesTerminal() {
-		w.am.finishLocked()
-	}
-	w.nudge() // cascade to this pipeline's own dependents
-	return nil
+	// Dequeue checks whether that was the last pipeline, and its nudge
+	// cascades to this pipeline's own dependents.
+	return w.am.settle(p.lastStage())
 }
 
 // freshTasks returns the stage's tasks still in their initial state — the
@@ -222,7 +222,7 @@ func freshTasks(stage *Stage) []*Task {
 
 // scheduleStage tags a stage's unscheduled tasks and pushes them to the
 // pending queue (paper Fig 2, arrow 1).
-func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
+func (w *wfProcessor) scheduleStage(stage *Stage) error {
 	runnable := freshTasks(stage)
 	// Both stage transitions and both bulk task transitions ride a single
 	// sync frame: scheduling a stage costs one synchronization round-trip
@@ -239,31 +239,28 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
-	if len(runnable) > 0 {
-		// The whole stage goes out as one batch publish. The tasks are
-		// chunked into messages of at most BatchSize tasks so the Emgr's
-		// batch granularity is controllable, but however many messages that
-		// yields, the broker is traversed once. A chunk is a slice of
-		// runnable, and the stage's chunks are made in one allocation; the
-		// values the broker is handed stay on this stack when there are
-		// few. The chunk size is the live batch knob: one atomic load per
-		// stage-scheduling decision.
-		chunk := w.am.live.BatchSize()
-		chunks := make([][]*Task, 0, (len(runnable)+chunk-1)/chunk)
-		var few [4]any
-		values := few[:0]
-		for start := 0; start < len(runnable); start += chunk {
-			chunks = append(chunks, runnable[start:min(start+chunk, len(runnable))])
-			values = append(values, &chunks[len(chunks)-1])
-		}
-		if err := w.pendP.PublishValues(values); err != nil {
-			return err
-		}
+	if len(runnable) == 0 {
+		// Every task was terminal before scheduling (journal recovery): no
+		// result will ever arrive to make Dequeue settle the stage.
+		return w.am.settle(stage)
 	}
-	// Completion check under the stage's own sync client: when every task was
-	// already terminal before scheduling (journal recovery) no result will
-	// ever arrive to make Dequeue run it.
-	return w.maybeCompleteStage(p, stage, w.enqSync)
+	// The whole stage goes out as one batch publish. The tasks are
+	// chunked into messages of at most BatchSize tasks so the Emgr's
+	// batch granularity is controllable, but however many messages that
+	// yields, the broker is traversed once. A chunk is a slice of
+	// runnable, and the stage's chunks are made in one allocation; the
+	// values the broker is handed stay on this stack when there are
+	// few. The chunk size is the live batch knob: one atomic load per
+	// stage-scheduling decision.
+	chunk := w.am.live.BatchSize()
+	chunks := make([][]*Task, 0, (len(runnable)+chunk-1)/chunk)
+	var few [4]any
+	values := few[:0]
+	for start := 0; start < len(runnable); start += chunk {
+		chunks = append(chunks, runnable[start:min(start+chunk, len(runnable))])
+		values = append(values, &chunks[len(chunks)-1])
+	}
+	return w.pendP.PublishValues(values)
 }
 
 func (w *wfProcessor) dequeueLoop(ctx context.Context) {
@@ -293,14 +290,20 @@ func (w *wfProcessor) dequeueLoop(ctx context.Context) {
 
 // handleResultBatch finalizes a batch of task attempts and drives stage and
 // pipeline progression. Successful tasks advance in bulk; failures and
-// cancellations (rare) are handled individually so exit codes and the
-// resubmission policy stay per-task.
+// cancellations (rare) keep their exit codes and the resubmission policy
+// per task. It is the one place stages and pipelines are settled: those its
+// results finish, and those a message names (AppManager.settle).
 func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	succeeded := w.succeeded[:0] // owner: the dequeue loop
+	w.affected = w.affected[:0]
 	var failures []failedAttempt
 	var canceled []*Task
 	for _, d := range batch {
-		for _, it := range d.Value.(*doneBatch).items {
+		b := d.Value.(*doneBatch)
+		if b.stage != nil {
+			w.settledStage(b.stage)
+		}
+		for _, it := range b.items {
 			t := it.task
 			if t.State().Terminal() {
 				// Stale result: the task was canceled (e.g. CancelPipeline)
@@ -314,7 +317,7 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 			case it.res.ExitCode == 0:
 				succeeded = append(succeeded, t)
 			default:
-				failures = append(failures, failedAttempt{t: t, res: it.res})
+				failures = append(failures, failedAttempt{t: t, res: it.res, lost: it.lost})
 			}
 		}
 	}
@@ -331,8 +334,9 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	// The RTS reported these attempts finished: SUBMITTED -> EXECUTED, then
 	// the terminal state for this attempt. The whole drain's bulk
 	// transitions ride one sync frame — one round-trip however many tasks
-	// the batch settled; failures (rare) follow individually (settleFailures)
-	// so exit codes and the resubmission policy stay per-task.
+	// the batch settled; failures (rare) follow in a frame of their own
+	// (settleFailures) so exit codes and the resubmission policy stay
+	// per-task.
 	w.deqSync.begin()
 	w.deqSync.addTasks(succeeded, TaskExecuted)
 	w.deqSync.addTasks(succeeded, TaskDone)
@@ -341,67 +345,86 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	if err := w.deqSync.flush(); err != nil {
 		return err
 	}
-	w.affected = w.affected[:0]
 	for _, t := range succeeded {
-		w.settled(t)
+		w.settledStage(t.parentStage())
 	}
 	for _, t := range canceled {
-		w.settled(t)
+		w.settledStage(t.parentStage())
 	}
 	if len(failures) > 0 {
 		if err := w.settleFailures(failures); err != nil {
 			return err
 		}
 	}
+	ended := false
 	for _, stage := range w.affected {
-		if err := w.maybeCompleteStage(stage.pipeline(), stage, w.deqSync); err != nil {
+		if err := w.maybeCompleteStage(stage); err != nil {
 			return err
 		}
+		p := stage.pipeline()
+		if err := w.completePipeline(p); err != nil {
+			return err
+		}
+		ended = ended || p.State().Terminal()
 	}
+	if !ended {
+		return nil
+	}
+	if w.am.allPipelinesTerminal() {
+		w.am.finish(nil)
+	}
+	w.nudge() // pipelines that declared an ended one as a predecessor
 	return nil
 }
 
-// failedAttempt is one task attempt the RTS reported failed.
+// failedAttempt is one task attempt the RTS reported failed, or lost.
 type failedAttempt struct {
-	t   *Task
-	res TaskResult
+	t    *Task
+	res  TaskResult
+	lost bool
 }
 
 // settleFailures commits each failed attempt and applies the resubmission
 // policy (paper §II-A): failed tasks are resubmitted up to the configured
-// budget without restarting completed tasks. It holds completionMu
-// throughout, because between a task's FAILED commit and its resubmission
-// every task of its stage can read terminal, and Enqueue's own completion
-// check — the one that ends scheduleStage — must not run on that instant: it
-// would fail a stage whose last task is about to be retried.
+// budget without restarting completed tasks, and a task lost with its RTS
+// (§II-B4) is resubmitted whatever its budget. The failures, and the
+// rescheduling of those resubmitted, ride one sync frame; no stage of theirs
+// is checked for completion before it has committed, since only this
+// goroutine checks.
 func (w *wfProcessor) settleFailures(failures []failedAttempt) error {
-	w.am.completionMu.Lock()
-	defer w.am.completionMu.Unlock()
-	for _, f := range failures {
-		one := []*Task{f.t}
-		w.deqSync.begin()
-		w.deqSync.addResult(one, TaskExecuted, f.res.ExitCode, f.res.Error)
-		w.deqSync.addTasks(one, TaskFailed)
-		if err := w.deqSync.flush(); err != nil {
-			return err
+	tasks := make([]*Task, len(failures)) // the frame's task lists
+	var retry []*Task                     // and then the retries' pending message
+	w.deqSync.begin()
+	for i, f := range failures {
+		tasks[i] = f.t
+		w.deqSync.addResult(tasks[i:i+1], TaskExecuted, f.res.ExitCode, f.res.Error)
+		switch {
+		case !f.lost && f.t.Attempts() > w.am.retriesFor(f.t):
+			w.settledStage(f.t.parentStage()) // out of retries: its stage may be over
+		case !f.t.parentStage().State().Terminal():
+			retry = append(retry, f.t)
 		}
+		// Otherwise a CancelPipeline settled the stage under it: the retry is
+		// moot. If the cancel lands while the frame commits, the Synchronizer's
+		// sticky cancel absorbs the rescheduling and the Emgr drops the task.
 	}
-	for _, f := range failures {
-		if f.t.Attempts() <= w.am.retriesFor(f.t) {
-			if err := w.resubmit(f.t); err != nil {
-				return err
-			}
-			continue // back in flight; its stage is not terminal yet
-		}
-		w.settled(f.t)
+	w.deqSync.addTasks(tasks, TaskFailed)
+	// As in scheduleStage, a retried task reaches SCHEDULED before its pending
+	// message is published.
+	w.deqSync.addTasks(retry, TaskScheduling)
+	w.deqSync.addTasks(retry, TaskScheduled)
+	if err := w.deqSync.flush(); err != nil {
+		return err
 	}
-	return nil
+	if len(retry) == 0 {
+		return nil
+	}
+	return w.pendP.PublishValue(&retry)
 }
 
-// settled notes that one of t's stage's tasks reached the end of its last
-// attempt in this drain: the stage joins affected, once.
-func (w *wfProcessor) settled(t *Task) {
-	stage := t.parentStage()
+// settledStage notes that stage may be over after this drain: it joins
+// affected, once.
+func (w *wfProcessor) settledStage(stage *Stage) {
 	for _, s := range w.affected {
 		if s == stage {
 			return
@@ -410,31 +433,9 @@ func (w *wfProcessor) settled(t *Task) {
 	w.affected = append(w.affected, stage)
 }
 
-// resubmit re-queues a failed task attempt. As in scheduleStage, the task
-// reaches SCHEDULED before its pending message is published. A concurrent
-// CancelPipeline makes the whole sequence moot: the check below skips the
-// common case, and if the cancel lands mid-sequence the Synchronizer's
-// sticky-cancel absorbs the transitions and the Emgr drops the message.
-func (w *wfProcessor) resubmit(t *Task) error {
-	if t.parentStage().State().Terminal() {
-		return nil // stage canceled (or settled) under us; retry is moot
-	}
-	one := []*Task{t} // the frame's task list, then its pending message
-	w.deqSync.begin()
-	w.deqSync.addTasks(one, TaskScheduling)
-	w.deqSync.addTasks(one, TaskScheduled)
-	if err := w.deqSync.flush(); err != nil {
-		return err
-	}
-	return w.pendP.PublishValue(&one)
-}
-
 // maybeCompleteStage finishes a stage whose tasks are all terminal, runs its
-// PostExec hook, and advances the owning pipeline.
-func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClient) error {
-	w.am.completionMu.Lock()
-	defer w.am.completionMu.Unlock()
-
+// PostExec hook, and advances the owning pipeline, or fails or cancels it.
+func (w *wfProcessor) maybeCompleteStage(stage *Stage) error {
 	if stage.State().Terminal() {
 		return nil
 	}
@@ -448,16 +449,17 @@ func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClie
 	} else if anyCanceled {
 		target = StageCanceled
 	}
-	if err := sc.stage(stage, target); err != nil {
+	if err := w.deqSync.stage(stage, target); err != nil {
 		return err
 	}
 	if stage.State() != target {
 		// The request was absorbed by a concurrent CancelPipeline (the
 		// Synchronizer skip-acks completions of canceled stages): the
-		// cancellation path owns the pipeline's terminal settlement, so
-		// neither PostExec nor the cursor may run here.
+		// cancellation hands its pipeline over itself, so neither PostExec
+		// nor the cursor may run here.
 		return nil
 	}
+	p := stage.pipeline()
 
 	if target == StageDone && stage.PostExec != nil {
 		// Adaptivity hook: the decision may append stages to the pipeline.
@@ -479,7 +481,7 @@ func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClie
 		if target == StageCanceled {
 			pTarget = PipelineCanceled
 		}
-		if err := sc.pipeline(p, pTarget); err != nil {
+		if err := w.deqSync.pipeline(p, pTarget); err != nil {
 			return err
 		}
 		// Check the committed state, not the request: a concurrent cancel
@@ -489,43 +491,39 @@ func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClie
 			w.am.setErr(fmt.Errorf("core: pipeline %s (%s) failed at stage %s",
 				p.UID, p.Name, stage.UID))
 		}
-		if w.am.allPipelinesTerminal() {
-			w.am.finishLocked()
-		}
-		w.nudge() // dependents of p must observe its terminal state
-		return nil
-	}
-
-	if next := p.advanceCursor(); next != nil {
+	} else if p.CurrentStageIndex() < p.StageCount()-1 {
+		p.advanceCursor()
 		w.nudge()
-		return nil
 	}
-	return w.completePipelineLocked(p, sc)
-}
-
-// completePipeline finishes a pipeline whose cursor is exhausted.
-func (w *wfProcessor) completePipeline(p *Pipeline, sc *syncClient) error {
-	w.am.completionMu.Lock()
-	defer w.am.completionMu.Unlock()
-	return w.completePipelineLocked(p, sc)
-}
-
-func (w *wfProcessor) completePipelineLocked(p *Pipeline, sc *syncClient) error {
-	if p.State().Terminal() {
-		return nil
-	}
-	if p.State() == PipelineSuspended {
-		// The last stage finished while the pipeline was paused: completion
-		// is deferred until Resume, whose nudge re-runs the enqueue pass
-		// that lands here again with the pipeline back in SCHEDULING.
-		return nil
-	}
-	if err := sc.pipeline(p, PipelineDone); err != nil {
-		return err
-	}
-	if w.am.allPipelinesTerminal() {
-		w.am.finishLocked()
-	}
-	w.nudge() // wake pipelines that declared p as a predecessor
 	return nil
+}
+
+// completePipeline finishes a scheduling pipeline whose last stage is DONE,
+// and leaves any other as it is. It commits the pipeline's DONE before it
+// moves the cursor past that stage, so Enqueue never finds a scheduling
+// pipeline past its last stage and hands it back. A pipeline paused while
+// its last stage ran moves past it at once; Resume's nudge then makes
+// Enqueue hand it back, and it completes here.
+func (w *wfProcessor) completePipeline(p *Pipeline) error {
+	if s := p.currentStage(); s != nil && (s.State() != StageDone || p.CurrentStageIndex() < p.StageCount()-1) {
+		return nil // failed, canceled, or stages still to run
+	}
+	if p.State() != PipelineScheduling {
+		p.advanceCursor()
+		if p.State() != PipelineScheduling { // not resumed meanwhile
+			return nil
+		}
+	}
+	err := w.deqSync.pipeline(p, PipelineDone)
+	p.advanceCursor()
+	return err
+}
+
+// settle hands Dequeue a done message that names a stage that may be over,
+// or the last stage of a pipeline that may be, and carries no results:
+// Dequeue settles the stage and its pipeline like one it finished itself.
+func (am *AppManager) settle(stage *Stage) error {
+	b := am.emgr.spareDone()
+	b.stage = stage
+	return am.brk.PublishValue(am.qname(qDone), b)
 }

@@ -6,17 +6,22 @@
 // on the shared broker, and the run's RTS is a lease on the shared pilot
 // pool (internal/rts.Pool) instead of a private pilot. Admission control
 // gates submissions on the pool's core ledger — saturated submissions queue
-// (bounded) or are rejected with ErrAdmissionRejected — and a background
-// reconciler garbage-collects leaked leases and terminal runs. See
-// docs/daemon.md.
+// (bounded) or are rejected with ErrAdmissionRejected. A run that ends
+// without returning its lease has it revoked and counted as it ends, and a
+// terminal run stays listed for RunRetention. See docs/daemon.md.
 package daemon
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
+	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,14 +84,14 @@ type Config struct {
 	// for cores (default 16; 0 uses the default, negative disables queueing
 	// so every saturated submission is rejected).
 	AdmissionQueueLen int
-	// ReconcileEvery is the reconciler's wall-clock cadence (default 1s).
-	ReconcileEvery time.Duration
-	// RunRetention is how long terminal runs stay visible in List/Attach
-	// before the reconciler prunes them (default 1h).
+	// RunRetention is how long terminal runs stay visible in List/Attach;
+	// the next Submit or List after that prunes them (default 1h).
 	RunRetention time.Duration
 	// JournalRoot is the directory under which journaled runs get their
 	// per-run journal directory (<JournalRoot>/<runID>). Required only when
-	// a submission asks for a journal.
+	// a submission asks for a journal. Run IDs number on from the highest
+	// run directory found there, so a daemon never hands a new run another
+	// process's journal.
 	JournalRoot string
 	// SchedulerWorkers is the shared pilot's scheduler concurrency (same
 	// semantics as entk.Tuning.SchedulerWorkers); every hosted run reports
@@ -113,6 +118,7 @@ func terminal(state string) bool {
 // lets go of (a retained AppManager and lease were 55 KB per 16-task run).
 type runEntry struct {
 	id     string
+	seq    int // the number in id: List's order
 	tenant string
 	state  string // guarded by Daemon.mu
 	claim  int
@@ -125,9 +131,7 @@ type runEntry struct {
 	app     *appjson.App
 	am      *core.AppManager
 	run     *core.Run
-	// lease outlives the rest only while it still reports Alive — a run that
-	// ended without returning it — so that the reconciler can revoke it.
-	lease *rts.Lease
+	lease   *rts.Lease
 }
 
 // Daemon hosts concurrent runs over shared infrastructure.
@@ -143,14 +147,16 @@ type Daemon struct {
 	// run that is over — no events, channel already closed.
 	ended *core.EventBus
 
-	mu     sync.Mutex
-	runs   map[string]*runEntry
-	order  []string
-	admitQ []*runEntry
-	nextID int
-	closed bool
+	mu   sync.Mutex
+	runs map[string]*runEntry
+	// finished lists the terminal runs still in runs, in the order they
+	// ended: the oldest is at the front, where pruning pops.
+	finished []*runEntry
+	admitQ   []*runEntry
+	nextID   int
+	closed   bool
 
-	leaked   atomic.Int64 // leases force-released by the reconciler
+	leaked   atomic.Int64 // leases finishRun had to revoke
 	kickCh   chan struct{}
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -177,14 +183,15 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		cfg.Walltime = spec.MaxWalltime
 	}
-	if cfg.ReconcileEvery <= 0 {
-		cfg.ReconcileEvery = time.Second
-	}
 	if cfg.RunRetention <= 0 {
 		cfg.RunRetention = time.Hour
 	}
 	if cfg.AdmissionQueueLen == 0 {
 		cfg.AdmissionQueueLen = 16
+	}
+	lastID, err := lastRunID(cfg.JournalRoot)
+	if err != nil {
+		return nil, err
 	}
 
 	clock := vclock.NewScaled(cfg.TimeScale)
@@ -239,14 +246,32 @@ func New(cfg Config) (*Daemon, error) {
 		pool:     pool,
 		ended:    core.NewEventBus(),
 		runs:     make(map[string]*runEntry),
+		nextID:   lastID,
 		kickCh:   make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
 	d.ended.Close()
-	d.wg.Add(2)
+	d.wg.Add(1)
 	go d.admitLoop()
-	go d.reconcileLoop()
 	return d, nil
+}
+
+// lastRunID is the highest number among the run directories (run.NNNN)
+// under root: 0 when there is none, or no root.
+func lastRunID(root string) (int, error) {
+	entries, err := os.ReadDir(root)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("daemon: journal root: %w", err)
+	}
+	last := 0
+	for _, e := range entries {
+		if num, ok := strings.CutPrefix(e.Name(), "run."); ok && e.IsDir() {
+			if n, err := strconv.Atoi(num); err == nil {
+				last = max(last, n)
+			}
+		}
+	}
+	return last, nil
 }
 
 // Submit parses an appjson document and admits it as a new run: immediately
@@ -278,10 +303,12 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 		d.mu.Unlock()
 		return "", errors.New("daemon: stopped")
 	}
+	d.pruneLocked()
 	d.nextID++
 	var id [24]byte
 	e := &runEntry{
 		id:     string(core.AppendPadded(append(id[:0], "run."...), uint64(d.nextID), 4)),
+		seq:    d.nextID,
 		tenant: tenant,
 		claim:  claim,
 		app:    app,
@@ -312,7 +339,6 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 		return "", err
 	}
 	d.runs[e.id] = e
-	d.order = append(d.order, e.id)
 	d.mu.Unlock()
 
 	if e.state == StateRunning {
@@ -394,8 +420,10 @@ func (d *Daemon) startRun(e *runEntry) error {
 }
 
 // finishRun records a run's terminal state, reduces the entry to its summary
-// — the manager, its application and its queues are garbage from here on,
-// and so is a lease that was returned — and wakes admission waiters.
+// — the manager, its application, its queues and its lease are garbage from
+// here on — and wakes admission waiters. Both paths that end a started run
+// stop its lease first; one still alive here is a leak, revoked and counted
+// in LeakedLeases at the transition that caused it.
 func (d *Daemon) finishRun(e *runEntry, state string, err error) {
 	d.mu.Lock()
 	if terminal(e.state) {
@@ -408,13 +436,33 @@ func (d *Daemon) finishRun(e *runEntry, state string, err error) {
 	if e.am != nil {
 		e.tasks = e.am.TaskCounts()
 	}
-	e.app, e.am, e.run = nil, nil, nil
-	if e.lease != nil && !e.lease.Alive() {
-		e.lease = nil
-	}
+	lease := e.lease
+	e.app, e.am, e.run, e.lease = nil, nil, nil, nil
+	d.finished = append(d.finished, e)
 	d.mu.Unlock()
+	if lease != nil && lease.Alive() {
+		lease.Revoke()
+		d.leaked.Add(1)
+	}
 	close(e.doneCh)
 	d.kick()
+}
+
+// pruneLocked drops the runs that ended more than RunRetention ago from the
+// run table. Runs end in the order of d.finished, so it pops from the front
+// and stops at the first one still retained: O(1) per run, amortised.
+// d.mu must be held.
+func (d *Daemon) pruneLocked() {
+	now, n := time.Now(), 0
+	for _, e := range d.finished {
+		if now.Sub(e.doneAt) <= d.cfg.RunRetention {
+			break
+		}
+		delete(d.runs, e.id)
+		n++
+	}
+	clear(d.finished[:n])
+	d.finished = d.finished[n:]
 }
 
 func (d *Daemon) kick() {
@@ -465,59 +513,9 @@ func (d *Daemon) admitLoop() {
 	}
 }
 
-// reconcileLoop is the daemon's garbage collector. Invariants it restores on
-// every tick: (1) no terminal run holds a live lease — any such lease is
-// revoked and counted in LeakedLeases (finishRun keeps a terminal entry's
-// lease exactly while it is live, so it is found here); (2) terminal runs
-// older than RunRetention are pruned from the run table.
-func (d *Daemon) reconcileLoop() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.cfg.ReconcileEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stopCh:
-			return
-		case <-t.C:
-			d.reconcile()
-		}
-	}
-}
-
-func (d *Daemon) reconcile() {
-	now := time.Now()
-	d.mu.Lock()
-	var revoke []*rts.Lease
-	keep := d.order[:0]
-	for _, id := range d.order {
-		e := d.runs[id]
-		over := terminal(e.state)
-		if over && e.lease != nil {
-			if e.lease.Alive() {
-				revoke = append(revoke, e.lease)
-			}
-			e.lease = nil
-		}
-		if over && now.Sub(e.doneAt) > d.cfg.RunRetention {
-			delete(d.runs, id)
-			continue
-		}
-		keep = append(keep, id)
-	}
-	d.order = keep
-	d.mu.Unlock()
-	for _, l := range revoke {
-		l.Revoke()
-		d.leaked.Add(1)
-	}
-	if len(revoke) > 0 {
-		d.kick()
-	}
-}
-
-// LeakedLeases counts leases the reconciler had to force-release because
-// their run reached a terminal state without returning them. Zero on a
-// healthy shutdown.
+// LeakedLeases counts leases finishRun had to revoke because their run
+// reached a terminal state without returning them. Zero on a healthy
+// shutdown.
 func (d *Daemon) LeakedLeases() int64 { return d.leaked.Load() }
 
 // RunInfo is one hosted run's public view.
@@ -533,9 +531,11 @@ type RunInfo struct {
 func (d *Daemon) List() []RunInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]RunInfo, 0, len(d.order))
-	for _, id := range d.order {
-		out = append(out, d.infoLocked(d.runs[id]))
+	d.pruneLocked()
+	runs := slices.SortedFunc(maps.Values(d.runs), func(a, b *runEntry) int { return a.seq - b.seq })
+	out := make([]RunInfo, len(runs))
+	for i, e := range runs {
+		out[i] = d.infoLocked(e)
 	}
 	return out
 }
@@ -704,16 +704,13 @@ func (d *Daemon) PoolClaimed() int { return d.pool.Claimed() }
 func (d *Daemon) DispatchTrace() []string { return d.pool.DispatchTrace() }
 
 // Stop shuts the daemon down: queued runs are canceled, running ones are
-// canceled and awaited, then the pool, broker and simulated CI close. A
-// final reconcile pass runs first so LeakedLeases is accurate on exit.
+// canceled and awaited, then the pool, broker and simulated CI close.
 func (d *Daemon) Stop() {
 	d.stopOnce.Do(func() {
 		d.mu.Lock()
 		d.closed = true
-		ids := make([]string, len(d.order))
-		copy(ids, d.order)
+		ids := slices.Sorted(maps.Keys(d.runs))
 		d.mu.Unlock()
-		sort.Strings(ids)
 		for _, id := range ids {
 			d.Cancel(id, "daemon shutdown") //nolint:errcheck // terminal runs are fine
 		}
@@ -725,7 +722,6 @@ func (d *Daemon) Stop() {
 				<-e.doneCh
 			}
 		}
-		d.reconcile()
 		close(d.stopCh)
 		d.wg.Wait()
 		d.pool.Stop()

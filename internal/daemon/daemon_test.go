@@ -15,14 +15,13 @@ import (
 func newTestDaemon(t *testing.T, mutate func(*Config)) *Daemon {
 	t.Helper()
 	cfg := Config{
-		Resource:       "supermic",
-		Cores:          8,
-		Walltime:       72 * time.Hour,
-		TimeScale:      time.Microsecond,
-		Model:          rts.FastModel(),
-		ReconcileEvery: 10 * time.Millisecond,
-		RunRetention:   time.Minute,
-		Seed:           7,
+		Resource:     "supermic",
+		Cores:        8,
+		Walltime:     72 * time.Hour,
+		TimeScale:    time.Microsecond,
+		Model:        rts.FastModel(),
+		RunRetention: time.Minute,
+		Seed:         7,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -247,9 +246,9 @@ func TestDaemonAdmissionControl(t *testing.T) {
 	waitState(t, d, queued, StateDone)
 }
 
-// The reconciler prunes terminal runs past retention and the daemon's List
-// reflects it; a healthy lifecycle leaks no leases.
-func TestDaemonReconcilerPrunesTerminalRuns(t *testing.T) {
+// List prunes terminal runs past retention; a healthy lifecycle leaks no
+// leases.
+func TestDaemonListPrunesTerminalRuns(t *testing.T) {
 	d := newTestDaemon(t, func(cfg *Config) {
 		cfg.RunRetention = 30 * time.Millisecond
 	})
@@ -339,13 +338,11 @@ func TestDaemonWeightedFairness(t *testing.T) {
 	}
 }
 
-// Reconciler invariant 1 holds although a finished run lets go of its lease:
-// one that ends without having returned it keeps the pointer, and the
-// reconciler revokes the lease, returns its cores and counts the leak.
-func TestReconcilerRevokesLeaseThatOutlivesItsRun(t *testing.T) {
-	d := newTestDaemon(t, func(cfg *Config) {
-		cfg.ReconcileEvery = time.Hour // only the pass called below
-	})
+// finishRun holds "no lease outlives its run" itself: a run that ends
+// without having returned its lease has it revoked as it ends, its cores
+// returned and the leak counted, once.
+func TestFinishRunRevokesLeaseThatOutlivesItsRun(t *testing.T) {
+	d := newTestDaemon(t, nil)
 	lease, err := d.pool.Admit(rts.LeaseSpec{RunID: "run.forged", Tenant: "alice", Cores: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -354,21 +351,12 @@ func TestReconcilerRevokesLeaseThatOutlivesItsRun(t *testing.T) {
 	e := &runEntry{id: "run.forged", tenant: "alice", claim: 3, state: StateRunning, lease: lease, doneCh: make(chan struct{})}
 	d.mu.Lock()
 	d.runs[e.id] = e
-	d.order = append(d.order, e.id)
 	d.mu.Unlock()
-	d.finishRun(e, StateFailed, errors.New("forged"))
-
-	d.mu.Lock()
-	kept := e.lease
-	d.mu.Unlock()
-	if kept != lease {
-		t.Fatal("a terminal run dropped a lease that is still alive: the reconciler can no longer find it")
-	}
 	if got := d.PoolClaimed(); got != 3 {
-		t.Fatalf("claimed cores before the reconcile pass = %d, want 3", got)
+		t.Fatalf("claimed cores before the run ends = %d, want 3", got)
 	}
 
-	d.reconcile()
+	d.finishRun(e, StateFailed, errors.New("forged"))
 	if lease.Alive() {
 		t.Error("leaked lease not revoked")
 	}
@@ -376,16 +364,52 @@ func TestReconcilerRevokesLeaseThatOutlivesItsRun(t *testing.T) {
 		t.Errorf("LeakedLeases = %d, want 1", got)
 	}
 	if got := d.PoolClaimed(); got != 0 {
-		t.Errorf("claimed cores after the reconcile pass = %d, want 0", got)
+		t.Errorf("claimed cores after the run ended = %d, want 0", got)
 	}
 	d.mu.Lock()
-	kept = e.lease
+	kept := e.lease
 	d.mu.Unlock()
 	if kept != nil {
 		t.Error("the entry still holds the revoked lease")
 	}
-	d.reconcile()
+	d.finishRun(e, StateFailed, errors.New("forged again"))
 	if got := d.LeakedLeases(); got != 1 {
-		t.Errorf("a second pass counted the same leak again: %d", got)
+		t.Errorf("a second finishRun counted the same leak again: %d", got)
+	}
+}
+
+// A second daemon on the same JournalRoot numbers its runs on from the
+// first's, so a journaled run starts a journal of its own instead of
+// resuming the first daemon's run of the same ID.
+func TestSecondDaemonOnAJournalRootStartsFreshRuns(t *testing.T) {
+	root := t.TempDir()
+	journaled := func(cfg *Config) { cfg.JournalRoot = root }
+	d1 := newTestDaemon(t, journaled)
+	first, err := d1.Submit("alice", true, testApp(8, 1, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Wait(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	d1.Stop()
+
+	d2 := newTestDaemon(t, journaled)
+	second, err := d2.Submit("bob", true, testApp(8, 2, 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first {
+		t.Errorf("the second daemon reused run ID %s", first)
+	}
+	if err := d2.Wait(context.Background(), second); err != nil {
+		t.Fatal(err)
+	}
+	p, err := d2.Snapshot(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.TasksDone != 16 || p.TaskAttempts != 16 {
+		t.Fatalf("the second daemon's 2x8 run did %d tasks in %d attempts, want 16 in 16", p.TasksDone, p.TaskAttempts)
 	}
 }

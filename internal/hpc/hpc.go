@@ -185,6 +185,11 @@ type Cluster struct {
 	running   map[int]*Job
 	closed    bool
 
+	// stopCh, closed by Close, ends the queue-wait sleepers; Close then waits
+	// on wg for them and for the walltime watchdogs.
+	stopCh chan struct{}
+	wg     sync.WaitGroup
+
 	// accounting
 	jobsStarted  int
 	jobsFinished int
@@ -205,6 +210,7 @@ func NewCluster(spec Spec, clock vclock.Clock) (*Cluster, error) {
 		clock:     clock,
 		freeNodes: spec.Nodes,
 		running:   make(map[int]*Job),
+		stopCh:    make(chan struct{}),
 	}, nil
 }
 
@@ -258,14 +264,19 @@ func (c *Cluster) Submit(desc JobDesc) (*Job, error) {
 		doneCh:   make(chan struct{}),
 		wallStop: make(chan struct{}),
 	}
+	wait := c.Spec.BaseQueueWait > 0
+	if wait {
+		c.wg.Add(1)
+	}
 	c.mu.Unlock()
 
 	// Enqueue synchronously when there is no queue wait so that back-to-back
 	// Submit calls keep FIFO order; only a real queue wait defers to a
-	// goroutine sleeping on the virtual clock.
-	if c.Spec.BaseQueueWait > 0 {
+	// goroutine sleeping on the virtual clock, which Close cuts short.
+	if wait {
 		go func() {
-			c.clock.Sleep(c.Spec.BaseQueueWait)
+			defer c.wg.Done()
+			vclock.SleepOrStop(c.clock, c.Spec.BaseQueueWait, c.stopCh)
 			c.enqueue(j)
 		}()
 	} else {
@@ -274,9 +285,15 @@ func (c *Cluster) Submit(desc JobDesc) (*Job, error) {
 	return j, nil
 }
 
+// enqueue makes j schedulable, or cancels it once the cluster is closed.
 func (c *Cluster) enqueue(j *Job) {
 	c.mu.Lock()
-	if c.closed || j.State().Terminal() {
+	if c.closed {
+		c.mu.Unlock()
+		c.finish(j, JobCanceled)
+		return
+	}
+	if j.State().Terminal() {
 		c.mu.Unlock()
 		return
 	}
@@ -336,10 +353,13 @@ func (c *Cluster) schedule() {
 		j.started = c.clock.Now()
 		close(j.activeCh)
 		j.mu.Unlock()
+		c.wg.Add(1)
 		c.mu.Unlock()
 
-		// Walltime watchdog.
+		// Walltime watchdog; finish stops it, and Close finishes every
+		// running job.
 		go func(j *Job) {
+			defer c.wg.Done()
 			select {
 			case <-c.clock.After(j.Desc.Walltime):
 				c.finish(j, JobTimedOut)
@@ -413,7 +433,8 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// Close terminates the cluster, cancelling all jobs.
+// Close terminates the cluster, cancelling all jobs, and returns once the
+// goroutines it started for them have ended.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -421,6 +442,7 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
+	close(c.stopCh)
 	var all []*Job
 	all = append(all, c.pending...)
 	for _, j := range c.running {
@@ -431,4 +453,5 @@ func (c *Cluster) Close() {
 	for _, j := range all {
 		c.finish(j, JobCanceled)
 	}
+	c.wg.Wait()
 }

@@ -1,6 +1,7 @@
 package hpc
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -182,6 +183,33 @@ func TestQueueWaitDelaysStart(t *testing.T) {
 		t.Fatal("job never started after queue wait")
 	}
 	c.Complete(j)
+}
+
+// TestCloseEndsTheJobGoroutines: Close cancels a job still sitting out its
+// queue wait on a clock that will not move, and returns only once the
+// goroutine that waited for it — like every walltime watchdog — has ended.
+func TestCloseEndsTheJobGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	clock := vclock.NewManual()
+	spec := Spec{
+		Name: "queued", Nodes: 4, CoresPerNode: 4,
+		BaseQueueWait: 10 * time.Minute, MaxWalltime: time.Hour,
+	}
+	c, _ := NewCluster(spec, clock)
+	j, err := c.Submit(JobDesc{Name: "p", Cores: 4, Walltime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if j.State() != JobCanceled {
+		t.Errorf("job %v after Close, want CANCELED", j.State())
+	}
+	// A goroutine that has marked itself done may take a moment to exit.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Submit", runtime.NumGoroutine(), before)
+		}
+	}
 }
 
 func TestCancelPendingJob(t *testing.T) {

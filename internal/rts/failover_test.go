@@ -15,12 +15,13 @@ import (
 )
 
 // TestLostTaskNeverFailsItsStage is a stress test of one interleaving: an RTS
-// crashes in the middle of a stage, and failover commits each lost task's
-// EXECUTED -> FAILED -> SCHEDULING -> SCHEDULED while Enqueue is still
-// finishing scheduleStage, whose closing completion check must not read the
-// stage between the second record and the third — every task terminal, one of
-// them FAILED but on its way back. Every instance crashes again after a few
-// completions and the restart budget covers them all, so no run may fail.
+// crashes in the middle of a stage, and failover hands its lost tasks to
+// Dequeue, which commits each one's EXECUTED -> FAILED -> SCHEDULING ->
+// SCHEDULED while Enqueue may still be finishing scheduleStage. Between the
+// second record and the third every task of the stage reads terminal, one of
+// them FAILED but on its way back; no completion check may run on that
+// instant. Every instance crashes again after a few completions and the
+// restart budget covers them all, so no run may fail.
 func TestLostTaskNeverFailsItsStage(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		w := w

@@ -406,8 +406,8 @@ func (p *Pool) feeder() {
 }
 
 // failBatchLocked unwinds the accounting of a batch the inner pilot
-// rejected: outstanding routes are dropped and lease windows refunded, so a
-// later reconciler pass sees consistent claims.
+// rejected: outstanding routes are dropped and lease windows refunded, so
+// the claims stay consistent.
 func (p *Pool) failBatchLocked(batch []core.TaskDescription) {
 	for _, d := range batch {
 		rec, ok := p.outstanding[d.UID]
@@ -574,12 +574,12 @@ func (l *Lease) Submit(tasks []core.TaskDescription) error {
 func (l *Lease) Completions() <-chan core.TaskResult { return l.out.Completions() }
 
 // Alive implements core.RTS: healthy while the shared pilot lives and the
-// lease has not been revoked (reconciler force-release or Stop).
+// lease has not been revoked (Revoke or Stop).
 func (l *Lease) Alive() bool { return !l.out.Stopped() && l.pool.Alive() }
 
 // Revoke marks the lease dead and releases its claim without the run's
-// cooperation — the reconciler's lever against leaked leases. The owning
-// run's heartbeat observes Alive()==false and fails over.
+// cooperation — the daemon's lever against a lease that outlived its run.
+// A run still using it sees Alive()==false on its heartbeat and fails over.
 func (l *Lease) Revoke() { l.doStop() }
 
 // Stop implements core.RTS: release the claim, drop queued tasks, and close

@@ -124,6 +124,24 @@ var structuralRules = []structuralRule{
 		why:   "a composite RTS's members deliver into its channel themselves; it relays nothing",
 	},
 	{
+		name:  "one-stage-completion-site",
+		in:    "internal/core/",
+		count: oneSiteIn("repro/internal/core.wfProcessor.handleResultBatch", "repro/internal/core.wfProcessor.maybeCompleteStage"),
+		why:   completionOwner,
+	},
+	{
+		name:  "one-pipeline-completion-site",
+		in:    "internal/core/",
+		count: oneSiteIn("repro/internal/core.wfProcessor.handleResultBatch", "repro/internal/core.wfProcessor.completePipeline"),
+		why:   completionOwner,
+	},
+	{
+		name:  "no-completion-lock",
+		in:    "internal/core/",
+		count: lockFields("completionMu"),
+		why:   completionOwner + "; no lock orders completion",
+	},
+	{
 		name:  "goroutine-census",
 		in:    "internal/",
 		count: goStatements,
@@ -132,15 +150,15 @@ var structuralRules = []structuralRule{
 			"internal/core/autotune.go":     1, // the controller: tunerWG
 			"internal/core/completions.go":  1, // Outbox.Go: the producers Stop waits for
 			"internal/core/events.go":       0, // the bus sends on each subscription's channel
-			"internal/core/execmanager.go":  4, // Emgr, heartbeat, a callback per RTS incarnation: wg
+			"internal/core/execmanager.go":  4, // Emgr, heartbeat (hands lost tasks to Dequeue), a callback per RTS incarnation: wg
 			"internal/core/recovery.go":     1, // the snapshot writer: snapWG
 			"internal/core/run.go":          1, // supervise: Run.Wait's finished channel
 			"internal/core/synchronizer.go": 1, // wg
-			"internal/core/wfprocessor.go":  2, // enqueue and dequeue loops: wg
-			"internal/daemon/daemon.go":     3, // admission, reconciler, one per hosted run: wg
+			"internal/core/wfprocessor.go":  2, // enqueue and dequeue loops (the one owner of completion): wg
+			"internal/daemon/daemon.go":     2, // admission, one per hosted run: wg
 			"internal/daemon/server.go":     2, // accept, one per connection: wg
 			"internal/experiments/fig6.go":  4, // sampler, producers, consumers: the figure's own wait groups
-			"internal/hpc/hpc.go":           2, // a job's queue wait and walltime watchdog: no wait group
+			"internal/hpc/hpc.go":           2, // a job's queue wait and walltime watchdog: wg
 			"internal/remoterts/agent.go":   4, // accept: acceptWG; a session's three loops: no wait group
 			"internal/remoterts/events.go":  4, // accept, one per peer: wg; a peer's release, a stream's reader: no wait group
 			"internal/rts/agent.go":         2, // scheduler loops, executors (each books its own stager): agent.wg
@@ -153,6 +171,11 @@ var structuralRules = []structuralRule{
 			"here: say what stops it and what waits for it",
 	},
 }
+
+// completionOwner is why stage and pipeline completion have one call site.
+const completionOwner = "the dequeue loop is the one goroutine that decides a stage or pipeline is over " +
+	"(docs/api.md, \"Who settles a stage\"): hand it a done message that names the stage " +
+	"(AppManager.settle) instead of deciding elsewhere"
 
 // brokerOnePath is why the broker's ledger and ready-ring operations each
 // have one call site.
@@ -243,6 +266,62 @@ var goStatements = counter{
 		}
 		return 0
 	},
+}
+
+// oneSiteIn counts how far the uses of name are from exactly one, inside the
+// function or method caller: every use in another function counts, and so
+// does each use in caller past the first, or the lack of any (reported at
+// caller's declaration).
+func oneSiteIn(caller, name string) counter {
+	return counter{
+		what: "uses of " + name + " other than one in " + caller,
+		match: func(info *types.Info, n ast.Node) int {
+			fd, ok := n.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				return 0
+			}
+			k := 0
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && objectName(info.Uses[id]) == name {
+					k++
+				}
+				return true
+			})
+			if objectName(info.Defs[fd.Name]) == caller {
+				return max(k-1, 1-k)
+			}
+			return k
+		},
+		resolve: func(m *module) error {
+			if err := m.resolve(caller); err != nil {
+				return err
+			}
+			return m.resolve(name)
+		},
+	}
+}
+
+// lockFields counts struct fields called name whose type is a lock: one with
+// a Lock method, on itself or its pointer.
+func lockFields(name string) counter {
+	return counter{
+		what: "lock fields called " + name,
+		match: func(info *types.Info, n ast.Node) int {
+			f, ok := n.(*ast.Field)
+			if !ok {
+				return 0
+			}
+			count := 0
+			for _, id := range f.Names {
+				if v, ok := info.Defs[id].(*types.Var); ok && id.Name == name && v.IsField() {
+					if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(v.Type()), true, v.Pkg(), "Lock"); obj != nil {
+						count++
+					}
+				}
+			}
+			return count
+		},
+	}
 }
 
 // imports counts import declarations of a path starting with prefix.
