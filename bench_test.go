@@ -269,7 +269,7 @@ func BenchmarkFig6PrototypeBatched(b *testing.B) {
 		b.Run(byN("pcq", n), func(b *testing.B) {
 			const tasks = 50000
 			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Fig6Batched(tasks, benchBatchSize, []int{n})
+				rows, err := experiments.Fig6Grid(tasks, []int{benchBatchSize}, []int{n})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -563,15 +563,11 @@ func BenchmarkSyncTransition(b *testing.B) {
 		// PostExec, the stage time is the gap between the first and the last.
 		const stages, tasks = 256, 8
 		clock := vclock.NewScaled(250 * time.Microsecond) // 72 h of walltime = 64.8 s of wall
-		session := saga.NewSession()
-		defer session.Close()
-		adapter, err := saga.NewCatalogAdapter("supermic", clock)
+		machine, err := rts.NewMachine(rts.MachineConfig{Clock: clock, Resources: []core.ResourceDesc{{Resource: "supermic"}}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := session.Register(adapter); err != nil {
-			b.Fatal(err)
-		}
+		defer machine.Close()
 		var frames uint64
 		var span time.Duration
 		for i := 0; i < b.N; i++ {
@@ -581,7 +577,7 @@ func BenchmarkSyncTransition(b *testing.B) {
 			}
 			am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 64, Walltime: 72 * time.Hour})
 			am.SetRTSFactory(rts.Factory(rts.Config{
-				Clock: clock, Session: session, Registry: workload.NewRegistry(), Model: rts.FastModel(),
+				Clock: clock, Session: machine.Session, Registry: workload.NewRegistry(), Model: rts.FastModel(),
 			}))
 			pipe := core.NewPipeline("chain")
 			var first time.Time
@@ -608,7 +604,11 @@ func BenchmarkSyncTransition(b *testing.B) {
 			if err := am.AddPipelines(pipe); err != nil {
 				b.Fatal(err)
 			}
-			if err := am.Run(context.Background()); err != nil {
+			run, err := am.Start(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := run.Wait(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -967,10 +967,13 @@ func BenchmarkSeismicForward(b *testing.B) {
 }
 
 // BenchmarkMDRunKernel measures the Lennard-Jones integrator backing the
-// mdrun executable.
+// mdrun executable: one 50-step task with its computation on.
 func BenchmarkMDRunKernel(b *testing.B) {
+	env := &workload.Env{Compute: true}
 	for i := 0; i < b.N; i++ {
-		workload.LJEnergy(32, 50, int64(i))
+		if _, err := (workload.MDRunKernel{}).Run(context.Background(), workload.Spec{Arguments: []string{"-nsteps", "50"}, Seed: int64(i)}, env); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

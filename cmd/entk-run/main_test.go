@@ -28,12 +28,20 @@ func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 	if err := os.WriteFile(unbuildable, []byte(`{"resource": {"name": "titan", "cores": 64, "walltime_s": 60}, "pipelines": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The daemon's pilot outlives the -daemon run's 30 s -timeout in wall
+	// time: supermic's 72 h cap at 125 µs per virtual second is 32.4 s. A
+	// pilot that ran out first (titan's 2 h at 20 µs was 144 ms) would drop
+	// the run's results, and the run would wait out its timeout.
+	const daemonTimeout, daemonScale, daemonWalltime = 30 * time.Second, 125 * time.Microsecond, 72 * time.Hour
+	if time.Duration(daemonWalltime.Seconds()*float64(daemonScale)) < daemonTimeout {
+		t.Fatalf("the daemon's %v pilot ends before the run's %v timeout", daemonWalltime, daemonTimeout)
+	}
 	d, err := daemon.New(daemon.Config{
 		SocketPath: filepath.Join(dir, "entkd.sock"),
-		Resource:   "titan",
+		Resource:   "supermic",
 		Cores:      64,
-		Walltime:   2 * time.Hour,
-		TimeScale:  20 * time.Microsecond,
+		Walltime:   daemonWalltime,
+		TimeScale:  daemonScale,
 		Model:      rts.FastModel(),
 	})
 	if err != nil {
@@ -65,7 +73,7 @@ func TestRunValidatesFlagsAndChecksDescriptions(t *testing.T) {
 		{name: "-cancel a pipeline once its task is in flight", args: []string{"-app", "example-app.json", "-scale", "100us", "-v", "-cancel", "archive"}, code: 0,
 			stdout: []string{`canceled pipeline "archive"`, fmt.Sprintf("pipeline %-24s %s\n", "ensemble-md", "DONE"), fmt.Sprintf("pipeline %-24s %s\n", "archive", "CANCELED")}},
 		// The daemon's feed ends with its end frame once the run is over.
-		{name: "-daemon -progress", args: []string{"-app", "example-app.json", "-daemon", srv.Addr(), "-progress"}, code: 0,
+		{name: "-daemon -progress", args: []string{"-app", "example-app.json", "-daemon", srv.Addr(), "-progress", "-timeout", daemonTimeout.String()}, code: 0,
 			stdout: []string{"finished: DONE", "event stream ended: 0 dropped"}},
 		{name: "-daemon on a missing socket", args: []string{"-app", "example-app.json", "-daemon", filepath.Join(dir, "absent.sock")}, code: 1, stderr: "absent.sock"},
 		{name: "-attach to a closed address", args: []string{"-attach", "unix:" + filepath.Join(dir, "closed.sock")}, code: 1, stderr: "closed.sock"},

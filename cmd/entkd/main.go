@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		d.Stop()
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "entkd: serving %s (%d cores) on %s\n", *resource, *cores, *socket)
+	fmt.Fprintf(stdout, "entkd: serving %s (%d cores) on %s\n", *resource, *cores, srv.Addr())
 
 	sig := <-sigCh
 	fmt.Fprintf(stdout, "entkd: %s — draining %d runs\n", sig, len(d.List()))

@@ -507,8 +507,9 @@ func (a *AppManager) Resume(ctx context.Context, journalDir string) (*Run, error
 }
 
 // Resume builds an AppManager for cfg (which must set JournalDir), registers
-// pipes, and continues the journaled run found in cfg.JournalDir — the
-// package-level convenience behind `entk-run -resume`.
+// pipes, and continues the journaled run found in cfg.JournalDir: the
+// one-call form of AppManager.Resume, for a program that keeps no
+// AppManager of its own.
 func Resume(ctx context.Context, cfg AppConfig, pipes ...*Pipeline) (*Run, error) {
 	if cfg.JournalDir == "" {
 		return nil, errors.New("entk: Resume requires AppConfig.JournalDir")

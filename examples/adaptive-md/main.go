@@ -21,7 +21,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -34,6 +36,14 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the application and writes its report to w. It fails unless
+// the pipeline ends DONE.
+func run(w io.Writer) error {
 	am, err := entk.NewAppManager(entk.AppConfig{
 		Resource: entk.Resource{
 			Name:     "comet",
@@ -45,7 +55,7 @@ func main() {
 		Compute:     true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	pipeline := entk.NewPipeline("adaptive-md")
@@ -55,6 +65,7 @@ func main() {
 	// branch can never be skipped by a scheduling race.
 	runCh := make(chan *entk.Run, 1)
 	resumed := make(chan struct{})
+	var resumeErr error // read once resumed is closed
 
 	// "Converged" when the decision task has seen enough rounds; a real
 	// application would measure, e.g., conformational-space coverage.
@@ -83,10 +94,10 @@ func main() {
 	addRound = func() error {
 		n := atomic.AddInt32(&round, 1)
 		if n >= maxRounds {
-			fmt.Printf("round %d: converged, stopping\n", n)
+			fmt.Fprintf(w, "round %d: converged, stopping\n", n)
 			return nil
 		}
-		fmt.Printf("round %d: not converged, extending the pipeline\n", n)
+		fmt.Fprintf(w, "round %d: not converged, extending the pipeline\n", n)
 		if err := pipeline.AddStage(mdStage(n)); err != nil {
 			return err
 		}
@@ -103,30 +114,26 @@ func main() {
 			if err := r.Pause(pipeline.UID); err != nil {
 				return err
 			}
-			fmt.Println("round 1: pipeline paused pending external decision")
+			fmt.Fprintln(w, "round 1: pipeline paused pending external decision")
 			go func() {
 				// A pacing device, not a synchronisation: it stands in
 				// for the decision service's latency and keeps the pause
 				// visible. Resume is correct whenever it arrives.
 				time.Sleep(30 * time.Millisecond)
-				if err := r.Resume(pipeline.UID); err != nil {
-					log.Printf("resume: %v", err)
+				defer close(resumed)
+				if resumeErr = r.Resume(pipeline.UID); resumeErr == nil {
+					fmt.Fprintln(w, "external decision arrived: pipeline resumed")
 				}
-				fmt.Println("external decision arrived: pipeline resumed")
-				close(resumed)
 			}()
 		}
 		return nil
 	}
 
-	if err := pipeline.AddStage(mdStage(0)); err != nil {
-		log.Fatal(err)
-	}
-	if err := pipeline.AddStage(analysisStage(0)); err != nil {
-		log.Fatal(err)
+	if err := pipeline.AddStages(mdStage(0), analysisStage(0)); err != nil {
+		return err
 	}
 	if err := am.AddPipelines(pipeline); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Live observability: stage and pipeline transitions as they commit.
@@ -135,25 +142,31 @@ func main() {
 	})
 	go func() {
 		for ev := range sub.C() {
-			fmt.Printf("  event: %-8s %-12s %s -> %s\n", ev.Kind, ev.Name, ev.From, ev.To)
+			fmt.Fprintf(w, "  event: %-8s %-12s %s -> %s\n", ev.Kind, ev.Name, ev.From, ev.To)
 		}
 	}()
 
 	r, err := am.Start(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	runCh <- r
 	if err := r.Wait(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	<-resumed
+	if <-resumed; resumeErr != nil {
+		return resumeErr
+	}
 
 	snap := r.Snapshot()
-	fmt.Printf("\npipeline %s after %d stages (%d MD rounds), %d/%d tasks done\n",
+	fmt.Fprintf(w, "\npipeline %s after %d stages (%d MD rounds), %d/%d tasks done\n",
 		pipeline.State(), pipeline.StageCount(), atomic.LoadInt32(&round),
 		snap.TasksDone, snap.TasksTotal)
 	rep := am.Report()
-	fmt.Printf("execution window: %.0f virtual s (sequential rounds of concurrent replicas)\n",
+	fmt.Fprintf(w, "execution window: %.0f virtual s (sequential rounds of concurrent replicas)\n",
 		rep.TaskExecution)
+	if pipeline.State() != entk.PipelineDone {
+		return fmt.Errorf("pipeline %s ended %s", pipeline.Name, pipeline.State())
+	}
+	return nil
 }

@@ -12,20 +12,30 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/anen"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run predicts the archive's analysis field with both methods and writes
+// the comparison to w.
+func run(w io.Writer) error {
 	gen := anen.DefaultGenConfig()
 	ds, err := anen.Generate(gen, 2026)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := anen.DefaultAUAConfig()
-	fmt.Printf("domain: %dx%d = %d pixels, budget %d locations (%.2f%%)\n",
+	fmt.Fprintf(w, "domain: %dx%d = %d pixels, budget %d locations (%.2f%%)\n",
 		gen.W, gen.H, ds.Locations(), cfg.Budget,
 		100*float64(cfg.Budget)/float64(ds.Locations()))
 
@@ -35,31 +45,32 @@ func main() {
 
 	aua, err := anen.RunAUAFromSeeds(ds, cfg, seeds, rand.New(rand.NewSource(7)))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rnd, err := anen.RunRandomFromSeeds(ds, cfg, seeds, rand.New(rand.NewSource(7)))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n%-22s %10s %10s\n", "", "AUA", "random")
-	fmt.Printf("%-22s %10d %10d\n", "locations computed", len(aua.Locations), len(rnd.Locations))
-	fmt.Printf("%-22s %10d %10d\n", "iterations", aua.Iterations, rnd.Iterations)
-	fmt.Printf("%-22s %10.4f %10.4f\n", "final RMSE", aua.RMSE, rnd.RMSE)
+	fmt.Fprintf(w, "\n%-22s %10s %10s\n", "", "AUA", "random")
+	fmt.Fprintf(w, "%-22s %10d %10d\n", "locations computed", len(aua.Locations), len(rnd.Locations))
+	fmt.Fprintf(w, "%-22s %10d %10d\n", "iterations", aua.Iterations, rnd.Iterations)
+	fmt.Fprintf(w, "%-22s %10.4f %10.4f\n", "final RMSE", aua.RMSE, rnd.RMSE)
 
-	fmt.Println("\nconvergence (RMSE per iteration):")
-	fmt.Printf("  AUA:    ")
+	fmt.Fprintln(w, "\nconvergence (RMSE per iteration):")
+	fmt.Fprintf(w, "  AUA:    ")
 	for _, e := range aua.ErrHistory {
-		fmt.Printf(" %.4f", e)
+		fmt.Fprintf(w, " %.4f", e)
 	}
-	fmt.Printf("\n  random: ")
+	fmt.Fprintf(w, "\n  random: ")
 	for _, e := range rnd.ErrHistory {
-		fmt.Printf(" %.4f", e)
+		fmt.Fprintf(w, " %.4f", e)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if aua.RMSE < rnd.RMSE {
-		fmt.Println("\nAUA beats random selection at the same budget (paper Fig 11).")
+		fmt.Fprintln(w, "\nAUA beats random selection at the same budget (paper Fig 11).")
 	} else {
-		fmt.Println("\n(random won this world — rerun with another seed; AUA wins on average)")
+		fmt.Fprintln(w, "\n(random won this world — rerun with another seed; AUA wins on average)")
 	}
+	return nil
 }

@@ -23,7 +23,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/entk"
@@ -76,6 +78,14 @@ func singleTaskPipeline(name, executable string, d time.Duration, cores int) *en
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the campaign and writes its report to w. It fails unless
+// every pipeline ends DONE.
+func run(w io.Writer) error {
 	// Phase 1: four concurrent simulation pipelines.
 	var generation []*entk.Pipeline
 	for i := 0; i < 4; i++ {
@@ -103,38 +113,38 @@ func main() {
 		StateStore:  db,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The list-of-sets description: generation, then aggregation, then
 	// analysis. Pipelines inside each set run concurrently.
 	if err := am.AddPipelineGroups(generation, aggregation, analysis); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	start := am.Clock().Now()
 	if err := am.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	makespan := am.Clock().Now().Sub(start)
 
-	fmt.Println("campaign finished")
-	fmt.Printf("  virtual makespan: %.0f s ", makespan.Seconds())
-	fmt.Println("(≈600 s generation + 120 s aggregation + 90 s analysis + overheads)")
+	fmt.Fprintln(w, "campaign finished")
+	fmt.Fprintf(w, "  virtual makespan: %.0f s ", makespan.Seconds())
+	fmt.Fprintln(w, "(≈600 s generation + 120 s aggregation + 90 s analysis + overheads)")
 	for _, group := range [][]*entk.Pipeline{generation, aggregation, analysis} {
 		for _, p := range group {
-			fmt.Printf("  %-14s %s\n", p.Name, p.State())
+			fmt.Fprintf(w, "  %-14s %s\n", p.Name, p.State())
 		}
 	}
 
 	rep := am.Report()
-	fmt.Printf("data staging (scp + globus transfers): %.1f virtual seconds\n", rep.DataStaging)
+	fmt.Fprintf(w, "data staging (scp + globus transfers): %.1f virtual seconds\n", rep.DataStaging)
 
 	// Postmortem analysis from the external state database (§II-B4).
-	fmt.Printf("state database: %d commits across %d tasks, %d stages, %d pipelines\n",
+	fmt.Fprintf(w, "state database: %d commits across %d tasks, %d stages, %d pipelines\n",
 		db.Commits(), len(db.UIDs("task")), len(db.UIDs("stage")), len(db.UIDs("pipeline")))
 	states, err := db.LoadTaskStates()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	done := 0
 	for _, st := range states {
@@ -142,5 +152,9 @@ func main() {
 			done++
 		}
 	}
-	fmt.Printf("  tasks recorded DONE: %d/%d\n", done, len(states))
+	fmt.Fprintf(w, "  tasks recorded DONE: %d/%d\n", done, len(states))
+	if n, want := am.Snapshot().Pipelines[string(entk.PipelineDone)], len(generation)+len(aggregation)+len(analysis); n != want {
+		return fmt.Errorf("%d of %d pipelines ended DONE", n, want)
+	}
+	return nil
 }

@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/entk"
@@ -23,6 +25,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the application and writes its report to w. It fails unless
+// the pipeline ends DONE.
+func run(w io.Writer) error {
 	am, err := entk.NewAppManager(entk.AppConfig{
 		Resource: entk.Resource{ // leadership-scale pilot
 			Name:     "titan",
@@ -39,49 +49,57 @@ func main() {
 		Kernels:     []workload.Kernel{seismic.Kernel{}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	const events = 4
 	pipe := entk.NewPipeline("seismic-iteration")
 
-	forward := entk.NewStage("forward-simulation")
-	for e := 0; e < events; e++ {
-		t := entk.NewTask(fmt.Sprintf("fwd-eq%02d", e))
-		t.Executable = "specfem"
-		t.Duration = 180 * time.Second
-		t.CPUReqs = entk.CPUReqs{Processes: 6144}
-		t.Tags = map[string]string{"resource": "titan"}
-		forward.AddTask(t) //nolint:errcheck
+	// stage has one task per event of this shape, pinned to resource.
+	stage := func(name, prefix, executable string, d time.Duration, cores int, resource string) (*entk.Stage, error) {
+		s := entk.NewStage(name)
+		var tasks []*entk.Task
+		for e := 0; e < events; e++ {
+			t := entk.NewTask(fmt.Sprintf("%s-eq%02d", prefix, e))
+			t.Executable = executable
+			t.Duration = d
+			t.CPUReqs = entk.CPUReqs{Processes: cores}
+			t.Tags = map[string]string{"resource": resource}
+			tasks = append(tasks, t)
+		}
+		return s, s.AddTasks(tasks...)
 	}
-	pipe.AddStage(forward) //nolint:errcheck
-
-	process := entk.NewStage("data-processing")
-	for e := 0; e < events; e++ {
-		t := entk.NewTask(fmt.Sprintf("proc-eq%02d", e))
-		t.Executable = "sleep"
-		t.Duration = 45 * time.Second
-		t.CPUReqs = entk.CPUReqs{Processes: 12}
-		t.Tags = map[string]string{"resource": "comet"}
-		process.AddTask(t) //nolint:errcheck
+	forward, err := stage("forward-simulation", "fwd", "specfem", 180*time.Second, 6144, "titan")
+	if err != nil {
+		return err
 	}
-	pipe.AddStage(process) //nolint:errcheck
+	process, err := stage("data-processing", "proc", "sleep", 45*time.Second, 12, "comet")
+	if err != nil {
+		return err
+	}
+	if err := pipe.AddStages(forward, process); err != nil {
+		return err
+	}
 
 	if err := am.AddPipelines(pipe); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := am.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("pipeline %s\n", pipe.State())
+	fmt.Fprintf(w, "pipeline %s\n", pipe.State())
 	for _, s := range pipe.Stages() {
-		fmt.Printf("  stage %-20s %s\n", s.Name, s.State())
+		fmt.Fprintf(w, "  stage %-20s %s\n", s.Name, s.State())
 		for _, t := range s.Tasks() {
-			fmt.Printf("    %-12s on %-6s  %s\n", t.Name, t.Tags["resource"], t.State())
+			fmt.Fprintf(w, "    %-12s on %-6s  %s\n", t.Name, t.Tags["resource"], t.State())
 		}
 	}
 	rep := am.Report()
-	fmt.Printf("\nexecution window: %.0f virtual s — simulations on Titan, processing on Comet,\n", rep.TaskExecution)
-	fmt.Println("one application, no manual hand-off between machines.")
+	fmt.Fprintf(w, "\nexecution window: %.0f virtual s — simulations on Titan, processing on Comet,\n", rep.TaskExecution)
+	fmt.Fprintln(w, "one application, no manual hand-off between machines.")
+	if pipe.State() != entk.PipelineDone {
+		return fmt.Errorf("pipeline %s ended %s", pipe.Name, pipe.State())
+	}
+	return nil
 }

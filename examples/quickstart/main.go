@@ -8,13 +8,23 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/entk"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run executes the application and writes its report to w. It fails unless
+// the pipeline ends DONE.
+func run(w io.Writer) error {
 	// Describe the application with the PST model.
 	pipeline := entk.NewPipeline("quickstart")
 
@@ -26,11 +36,8 @@ func main() {
 		t.Duration = 300 * time.Second // nominal runtime on the CI
 		t.CPUReqs = entk.CPUReqs{Processes: 1}
 		if err := simulation.AddTask(t); err != nil {
-			log.Fatal(err)
+			return err
 		}
-	}
-	if err := pipeline.AddStage(simulation); err != nil {
-		log.Fatal(err)
 	}
 
 	analysis := entk.NewStage("analysis")
@@ -38,10 +45,10 @@ func main() {
 	agg.Executable = "sleep"
 	agg.Duration = 30 * time.Second
 	if err := analysis.AddTask(agg); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := pipeline.AddStage(analysis); err != nil {
-		log.Fatal(err)
+	if err := pipeline.AddStages(simulation, analysis); err != nil {
+		return err
 	}
 
 	// Acquire resources and execute. One virtual second costs 1 ms of wall
@@ -57,28 +64,34 @@ func main() {
 		Compute:     true, // run the real (small) MD kernel inside each task
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := am.AddPipelines(pipeline); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := am.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("pipeline state: %s\n", pipeline.State())
+	fmt.Fprintf(w, "pipeline state: %s\n", pipeline.State())
 	for _, s := range pipeline.Stages() {
 		done := 0
 		for _, t := range s.Tasks() {
 			if t.State() == entk.TaskDone {
 				done++
+			} else {
+				fmt.Fprintf(w, "  task %s %s: %s\n", t.Name, t.State(), t.ExecError())
 			}
 		}
-		fmt.Printf("  stage %-12s %s (%d/%d tasks done)\n",
+		fmt.Fprintf(w, "  stage %-12s %s (%d/%d tasks done)\n",
 			s.Name, s.State(), done, s.TaskCount())
 	}
 	rep := am.Report()
-	fmt.Printf("task execution window: %.1f virtual seconds\n", rep.TaskExecution)
-	fmt.Printf("EnTK overheads: setup %.2fs, management %.2fs, tear-down %.2fs\n",
+	fmt.Fprintf(w, "task execution window: %.1f virtual seconds\n", rep.TaskExecution)
+	fmt.Fprintf(w, "EnTK overheads: setup %.2fs, management %.2fs, tear-down %.2fs\n",
 		rep.EnTKSetup, rep.EnTKManagement, rep.EnTKTeardown)
+	if pipeline.State() != entk.PipelineDone {
+		return fmt.Errorf("pipeline %s ended %s", pipeline.Name, pipeline.State())
+	}
+	return nil
 }

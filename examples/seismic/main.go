@@ -15,7 +15,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/entk"
@@ -24,12 +26,22 @@ import (
 )
 
 func main() {
-	runEnsembleOnTitan()
-	runMiniInversion()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func runEnsembleOnTitan() {
-	fmt.Println("=== Part 1: forward-simulation ensemble on (simulated) Titan ===")
+// run executes both parts and writes their reports to w. It fails unless
+// every pipeline of the ensemble ends DONE.
+func run(w io.Writer) error {
+	if err := runEnsembleOnTitan(w); err != nil {
+		return err
+	}
+	return runMiniInversion(w)
+}
+
+func runEnsembleOnTitan(w io.Writer) error {
+	fmt.Fprintln(w, "=== Part 1: forward-simulation ensemble on (simulated) Titan ===")
 	params := seismic.ProductionForwardParams()
 	const events = 8
 	const concurrency = 4
@@ -46,17 +58,20 @@ func runEnsembleOnTitan() {
 		Kernels:     []workload.Kernel{seismic.Kernel{}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pipes := seismic.NewForwardEnsemble(events, params)
 	if err := am.AddPipelines(pipes...); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := am.Run(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	attempts := 0
 	for _, p := range pipes {
+		if p.State() != entk.PipelineDone {
+			return fmt.Errorf("pipeline %s ended %s", p.Name, p.State())
+		}
 		for _, s := range p.Stages() {
 			for _, t := range s.Tasks() {
 				attempts += t.Attempts()
@@ -64,12 +79,16 @@ func runEnsembleOnTitan() {
 		}
 	}
 	rep := am.Report()
-	fmt.Printf("%d earthquakes simulated at concurrency %d: makespan %.0f virtual s, %d attempts\n\n",
+	fmt.Fprintf(w, "%d earthquakes simulated at concurrency %d: makespan %.0f virtual s, %d attempts\n",
 		events, concurrency, rep.TaskExecution, attempts)
+	fs := am.Filesystem()
+	fmt.Fprintf(w, "input staging on %s: %d MB in %d staging calls\n\n",
+		fs.Spec().Name, fs.Stats().BytesStaged>>20, fs.Stats().StageCalls)
+	return nil
 }
 
-func runMiniInversion() {
-	fmt.Println("=== Part 2: adjoint tomography with the 2-D acoustic solver ===")
+func runMiniInversion(w io.Writer) error {
+	fmt.Fprintln(w, "=== Part 2: adjoint tomography with the 2-D acoustic solver ===")
 	trueModel := seismic.NewModel(48, 48, 10, 1500)
 	trueModel.AddGaussianAnomaly(24, 24, 6, 180) // the structure to image
 	current := seismic.NewModel(48, 48, 10, 1500)
@@ -89,10 +108,11 @@ func runMiniInversion() {
 	for iter := 1; iter <= 4; iter++ {
 		next, misfit, err := seismic.InvertStep(model, trueModel, events, receivers, cfg, 0.03)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("iteration %d: waveform misfit %.3e\n", iter, misfit)
+		fmt.Fprintf(w, "iteration %d: waveform misfit %.3e\n", iter, misfit)
 		model = next
 	}
-	fmt.Println("misfit decreases as the model converges toward the true anomaly")
+	fmt.Fprintln(w, "misfit decreases as the model converges toward the true anomaly")
+	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/hostmodel"
 	"repro/internal/rts"
-	"repro/internal/saga"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -109,22 +108,18 @@ func taskPathAllocs(t *testing.T, pipelines, stages, tasks int, durable bool) fl
 		storePath = filepath.Join(journalDir, "rts-audit.log")
 	}
 	clock := vclock.NewScaled(250 * time.Microsecond) // 72 h of walltime = 64.8 s of wall
-	session := saga.NewSession()
-	defer session.Close()
-	adapter, err := saga.NewCatalogAdapter("supermic", clock)
+	machine, err := rts.NewMachine(rts.MachineConfig{Clock: clock, Resources: []core.ResourceDesc{{Resource: "supermic"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := session.Register(adapter); err != nil {
-		t.Fatal(err)
-	}
+	defer machine.Close()
 	am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null(), JournalDir: journalDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 4096, Walltime: 72 * time.Hour})
 	am.SetRTSFactory(rts.Factory(rts.Config{
-		Clock: clock, Session: session, Registry: workload.NewRegistry(), Model: rts.FastModel(), StorePath: storePath,
+		Clock: clock, Session: machine.Session, Registry: workload.NewRegistry(), Model: rts.FastModel(), StorePath: storePath,
 	}))
 	for p := 0; p < pipelines; p++ {
 		pipe := core.NewPipeline("p")

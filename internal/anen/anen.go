@@ -80,17 +80,6 @@ func (d *Dataset) Predict(loc int, p Params) float64 {
 	return sum / float64(len(idx))
 }
 
-// PredictEnsemble returns the full analog ensemble (the K member values) at
-// loc, enabling probabilistic outputs.
-func (d *Dataset) PredictEnsemble(loc int, p Params) []float64 {
-	idx := d.AnalogIndices(loc, p)
-	out := make([]float64, len(idx))
-	for i, t := range idx {
-		out[i] = d.Observations[t][loc]
-	}
-	return out
-}
-
 // PredictBatch computes predictions for a set of locations; it is the unit
 // of work of one EnTK sub-region task in the AUA workflow (Fig 5's "Compute
 // AnEn for subregion m").

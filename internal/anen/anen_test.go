@@ -105,14 +105,6 @@ func TestPredictBeatsClimatology(t *testing.T) {
 	}
 }
 
-func TestPredictEnsembleSize(t *testing.T) {
-	d := genSmall(t, 5)
-	ens := d.PredictEnsemble(10, Params{K: 7})
-	if len(ens) != 7 {
-		t.Fatalf("ensemble size = %d", len(ens))
-	}
-}
-
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	d := genSmall(t, 6)
 	p := DefaultParams()

@@ -222,18 +222,6 @@ func Partition(locs []int, m int) [][]int {
 	return out
 }
 
-// RunAUA executes the full adaptive loop in-process (the EnTK-encoded
-// version used by experiment 8 drives the same primitives through
-// pipeline stages).
-func RunAUA(d *Dataset, cfg AUAConfig, seed int64) (*Result, error) {
-	if err := cfg.Validate(d); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	seeds := SeedLocations(d, cfg.Seeds, rng)
-	return RunAUAFromSeeds(d, cfg, seeds, rng)
-}
-
 // RunAUAFromSeeds runs AUA starting from the given seed locations.
 func RunAUAFromSeeds(d *Dataset, cfg AUAConfig, seeds []int, rng *rand.Rand) (*Result, error) {
 	if err := cfg.Validate(d); err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -437,13 +436,6 @@ func (am *AppManager) resolveLocked(b []byte) string {
 	return ""
 }
 
-// TaskCount returns the number of registered tasks.
-func (am *AppManager) TaskCount() int {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	return len(am.tasks)
-}
-
 // ActiveTasks returns the number of tasks currently being managed: those
 // scheduled at least once this attempt and not yet terminal (SCHEDULING
 // through EXECUTED), whatever wrote their state.
@@ -608,17 +600,6 @@ func (am *AppManager) teardownCost(n int) {
 	cost := time.Duration(n) * am.host.TeardownCost
 	am.clock.Sleep(cost)
 	am.prof.Add(profiler.EnTKTeardown, cost)
-}
-
-// Run executes the application to completion (or ctx cancellation). It is
-// a thin Start+Wait wrapper kept for callers that do not need the run
-// handle; a second Run (or Start) returns ErrAlreadyRan.
-func (am *AppManager) Run(ctx context.Context) error {
-	r, err := am.Start(ctx)
-	if err != nil {
-		return err
-	}
-	return r.Wait()
 }
 
 // closeJournal closes the state journal if one is open, after the snapshot

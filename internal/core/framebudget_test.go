@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hostmodel"
 	"repro/internal/rts"
-	"repro/internal/saga"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -75,15 +74,11 @@ func runChain(t *testing.T) chainRun {
 	const stages, tasks = 256, 8
 	// 72 h of pilot walltime at this scale is 64.8 s of wall time.
 	clock := vclock.NewScaled(250 * time.Microsecond)
-	session := saga.NewSession()
-	defer session.Close()
-	adapter, err := saga.NewCatalogAdapter("supermic", clock)
+	machine, err := rts.NewMachine(rts.MachineConfig{Clock: clock, Resources: []core.ResourceDesc{{Resource: "supermic"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := session.Register(adapter); err != nil {
-		t.Fatal(err)
-	}
+	defer machine.Close()
 	var ops atomic.Int64
 	brk := broker.New(broker.Options{PerOpDelay: func() { ops.Add(1) }})
 	defer brk.Close()
@@ -94,7 +89,7 @@ func runChain(t *testing.T) chainRun {
 	am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 64, Walltime: 72 * time.Hour})
 	am.SetRTSFactory(rts.Factory(rts.Config{
 		Clock:    clock,
-		Session:  session,
+		Session:  machine.Session,
 		Registry: workload.NewRegistry(),
 		Model:    rts.FastModel(),
 	}))

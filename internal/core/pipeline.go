@@ -196,13 +196,6 @@ func (p *Pipeline) CurrentStageIndex() int {
 	return p.current
 }
 
-// Suspend pauses a scheduling pipeline; its queued tasks finish but no new
-// stage starts until Resume.
-func (p *Pipeline) Suspend() error { return p.advance(PipelineSuspended) }
-
-// Resume reactivates a suspended pipeline.
-func (p *Pipeline) Resume() error { return p.advance(PipelineScheduling) }
-
 // Validate checks the pipeline description.
 func (p *Pipeline) Validate() error {
 	if p.UID == "" {

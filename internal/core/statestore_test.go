@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,9 +113,23 @@ func TestStateStoreRecoverySkipsCompletedTasks(t *testing.T) {
 	}
 }
 
+// failingStore commits its first n states, then fails every write: the
+// external database lost mid-run.
+type failingStore struct {
+	*statedb.DB
+	left atomic.Int64
+}
+
+func (f *failingStore) SaveState(entity, uid, state string) error {
+	if f.left.Add(-1) < 0 {
+		return errors.New("injected write failure")
+	}
+	return f.DB.SaveState(entity, uid, state)
+}
+
 func TestStateStoreWriteFailureFailsTransaction(t *testing.T) {
-	db := statedb.New()
-	db.FailAfter(3) // the fourth committed transition fails
+	db := &failingStore{DB: statedb.New()}
+	db.left.Store(3) // the fourth committed transition fails
 	am, _ := testApp(t, Config{StateStore: db})
 	am.AddPipelines(buildApp(1, 1, 2, 10*time.Second)...)
 	err := runApp(t, am)

@@ -154,17 +154,6 @@ func (t *Task) State() TaskState {
 	return taskStateNames[t.state]
 }
 
-// StateHistory returns the sequence of states the task has traversed.
-func (t *Task) StateHistory() []TaskState {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]TaskState, len(t.hist))
-	for i, c := range t.hist {
-		out[i] = taskStateNames[c]
-	}
-	return out
-}
-
 // advance applies a state transition, enforcing the legal table.
 func (t *Task) advance(to TaskState) error {
 	t.mu.Lock()

@@ -642,26 +642,6 @@ func (d *Daemon) Subscribe(id string, f core.EventFilter) (*core.EventSub, error
 	return am.Subscribe(f), nil
 }
 
-// Snapshot returns a run's progress view: the live one while it executes,
-// the task tallies it ended with once it is over.
-func (d *Daemon) Snapshot(id string) (core.Progress, error) {
-	am, ended, err := d.view(id)
-	if err != nil {
-		return core.Progress{}, err
-	}
-	if am == nil {
-		return core.Progress{
-			VTime:         d.clock.Now(),
-			TasksTotal:    ended.Total,
-			TasksDone:     ended.Done,
-			TasksFailed:   ended.Failed,
-			TasksCanceled: ended.Canceled,
-			TaskAttempts:  ended.Attempts,
-		}, nil
-	}
-	return am.Snapshot(), nil
-}
-
 // view resolves a run for reading: its AppManager while it executes, or — am
 // nil — the tally it ended with.
 func (d *Daemon) view(id string) (am *core.AppManager, ended core.TaskCounts, err error) {
@@ -692,16 +672,8 @@ func (d *Daemon) liveRun(id string) (*core.Run, error) {
 	return e.run, nil
 }
 
-// TenantSnapshot exposes the pool's per-tenant counters (List-style
-// introspection and tests).
-func (d *Daemon) TenantSnapshot() []rts.TenantStats { return d.pool.TenantSnapshot() }
-
 // PoolClaimed exposes the pool ledger's currently claimed cores.
 func (d *Daemon) PoolClaimed() int { return d.pool.Claimed() }
-
-// DispatchTrace exposes the pool's tenant dispatch order (requires
-// Config.TraceDispatch).
-func (d *Daemon) DispatchTrace() []string { return d.pool.DispatchTrace() }
 
 // Stop shuts the daemon down: queued runs are canceled, running ones are
 // canceled and awaited, then the pool, broker and simulated CI close.

@@ -1,0 +1,34 @@
+package fsim
+
+import "time"
+
+// Stage moves files through one stager, sleeping for the modelled duration
+// and returning it.
+func (fs *FS) Stage(files []File) time.Duration {
+	d := fs.StageAccounted(files)
+	fs.clock.Sleep(d)
+	return d
+}
+
+// Load returns the current aggregate load.
+func (fs *FS) Load() float64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.load
+}
+
+// FailureProbability returns the induced-failure probability at the current
+// load level: zero at or below the contention threshold, growing linearly
+// with relative overload, capped.
+func (fs *FS) FailureProbability() float64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.probAt(fs.load)
+}
+
+// SampleFailure draws whether a task crashes under the current load.
+func (fs *FS) SampleFailure() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.drawLocked(fs.probAt(fs.load))
+}

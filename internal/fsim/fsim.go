@@ -173,14 +173,6 @@ func (fs *FS) StageAccounted(files []File) time.Duration {
 	return d
 }
 
-// Stage moves files through one stager, sleeping for the modelled duration
-// and returning it.
-func (fs *FS) Stage(files []File) time.Duration {
-	d := fs.StageAccounted(files)
-	fs.clock.Sleep(d)
-	return d
-}
-
 // LoadToken represents I/O load registered on the filesystem; Release it
 // when the writer finishes. The token remembers the peak aggregate load it
 // co-existed with: a task that ran while 32 writers hammered the filesystem
@@ -242,24 +234,6 @@ func (t *LoadToken) Release() {
 	t.fs.mu.Unlock()
 }
 
-// Load returns the current aggregate load.
-func (fs *FS) Load() float64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.load
-}
-
-// FailureProbability returns the induced-failure probability at the current
-// load level: zero at or below the contention threshold, growing linearly
-// with relative overload, capped.
-func (fs *FS) FailureProbability() float64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.failureProbLocked()
-}
-
-func (fs *FS) failureProbLocked() float64 { return fs.probAt(fs.load) }
-
 // probAt computes the failure probability at a given aggregate load.
 func (fs *FS) probAt(load float64) float64 {
 	thr := fs.spec.ContentionThreshold
@@ -271,13 +245,6 @@ func (fs *FS) probAt(load float64) float64 {
 		p = fs.spec.FailureCap
 	}
 	return p
-}
-
-// SampleFailure draws whether a task crashes under the current load.
-func (fs *FS) SampleFailure() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.drawLocked(fs.failureProbLocked())
 }
 
 // SampleFailureAt draws a failure against an explicit load level — callers

@@ -46,21 +46,6 @@ type Model struct {
 	StrainFactor float64
 }
 
-// Validate reports whether the model is self-consistent.
-func (m *Model) Validate() error {
-	if m.Name == "" {
-		return fmt.Errorf("hostmodel: empty name")
-	}
-	if m.MsgCost < 0 || m.SpawnCost < 0 || m.TeardownCost < 0 ||
-		m.ValidationCost < 0 || m.MgmtBase < 0 {
-		return fmt.Errorf("hostmodel %q: negative cost", m.Name)
-	}
-	if m.StrainFactor < 0 {
-		return fmt.Errorf("hostmodel %q: negative strain factor", m.Name)
-	}
-	return nil
-}
-
 // EffectiveMsgCost returns the per-message cost when the host is managing
 // concurrent tasks, applying strain beyond the threshold.
 func (m *Model) EffectiveMsgCost(concurrent int) time.Duration {
@@ -113,11 +98,6 @@ func Lookup(name string) (*Model, error) {
 	}
 	cp := *m
 	return &cp, nil
-}
-
-// Names lists the catalogued host models.
-func Names() []string {
-	return []string{"xsede-vm", "titan-login", "null"}
 }
 
 // Null returns the zero-cost host model, for tests.

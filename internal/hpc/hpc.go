@@ -44,9 +44,6 @@ type Spec struct {
 	Backfill bool
 }
 
-// TotalCores returns the machine's core count.
-func (s *Spec) TotalCores() int { return s.Nodes * s.CoresPerNode }
-
 // Validate reports whether the spec is self-consistent.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
@@ -212,22 +209,6 @@ func NewCluster(spec Spec, clock vclock.Clock) (*Cluster, error) {
 		running:   make(map[int]*Job),
 		stopCh:    make(chan struct{}),
 	}, nil
-}
-
-// NewClusterByName creates a cluster for a catalogued CI.
-func NewClusterByName(name string, clock vclock.Clock) (*Cluster, error) {
-	spec, err := LookupSpec(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewCluster(spec, clock)
-}
-
-// FreeNodes returns the currently unallocated node count.
-func (c *Cluster) FreeNodes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.freeNodes
 }
 
 // Submit places a job in the batch queue. The job becomes schedulable after
@@ -403,33 +384,6 @@ func (c *Cluster) finish(j *Job, state JobState) {
 		}
 		c.mu.Unlock()
 		c.schedule()
-	}
-}
-
-// Stats is a snapshot of cluster accounting.
-type Stats struct {
-	JobsStarted  int
-	JobsFinished int
-	FreeNodes    int
-	RunningJobs  int
-	PendingJobs  int
-	// Backfills counts jobs started ahead of a blocked queue head.
-	Backfills   int
-	NodeSeconds float64
-}
-
-// Stats returns current accounting.
-func (c *Cluster) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		JobsStarted:  c.jobsStarted,
-		JobsFinished: c.jobsFinished,
-		FreeNodes:    c.freeNodes,
-		RunningJobs:  len(c.running),
-		PendingJobs:  len(c.pending),
-		Backfills:    c.backfills,
-		NodeSeconds:  c.nodeSeconds,
 	}
 }
 

@@ -11,6 +11,15 @@ import (
 
 func fastClock() vclock.Clock { return vclock.NewScaled(time.Microsecond) }
 
+// catalogCluster simulates the catalogued CI name on a fast clock.
+func catalogCluster(name string) (*Cluster, error) {
+	spec, err := LookupSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	return NewCluster(spec, fastClock())
+}
+
 func waitState(t *testing.T, j *Job, want JobState) {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
@@ -59,7 +68,7 @@ func TestLookupUnknown(t *testing.T) {
 }
 
 func TestSubmitAndRun(t *testing.T) {
-	c, err := NewClusterByName("supermic", fastClock())
+	c, err := catalogCluster("supermic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +100,7 @@ func TestSubmitAndRun(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	c, _ := NewClusterByName("comet", fastClock())
+	c, _ := catalogCluster("comet")
 	defer c.Close()
 	cases := []JobDesc{
 		{Name: "zero-cores", Cores: 0, Walltime: time.Hour},
@@ -229,7 +238,7 @@ func TestCancelPendingJob(t *testing.T) {
 }
 
 func TestDoubleCompleteIsIdempotent(t *testing.T) {
-	c, _ := NewClusterByName("comet", fastClock())
+	c, _ := catalogCluster("comet")
 	defer c.Close()
 	j, _ := c.Submit(JobDesc{Name: "p", Cores: 24, Walltime: time.Hour})
 	<-j.Active()
@@ -243,7 +252,7 @@ func TestDoubleCompleteIsIdempotent(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	c, _ := NewClusterByName("supermic", fastClock())
+	c, _ := catalogCluster("supermic")
 	defer c.Close()
 	j, _ := c.Submit(JobDesc{Name: "p", Cores: 20, Walltime: time.Hour})
 	<-j.Active()

@@ -17,3 +17,26 @@ func SetWriteWrap(wrap func(path string, w io.Writer) io.Writer) (restore func()
 	writeWrap = wrap
 	return func() { writeWrap = nil }
 }
+
+// Path returns the journal's file path.
+func (j *Journal) Path() string { return j.path }
+
+// Segments returns the journal's segment layout — sealed segments plus the
+// active one, ascending. Flat journals return nil.
+func (j *Journal) Segments() []SegmentInfo {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.dir == "" {
+		return nil
+	}
+	out := make([]SegmentInfo, 0, len(j.sealed)+1)
+	out = append(out, j.sealed...)
+	out = append(out, SegmentInfo{
+		Index:    j.segIndex,
+		Path:     j.path,
+		FirstSeq: j.segFirst,
+		LastSeq:  j.seq,
+		Size:     j.size,
+	})
+	return out
+}

@@ -375,9 +375,6 @@ func (j *Journal) Seq() uint64 {
 	return j.seq
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close flushes and closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()

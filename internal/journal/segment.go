@@ -261,27 +261,6 @@ func (j *Journal) rotateLocked() error {
 	return j.newSegmentLocked(j.segIndex + 1)
 }
 
-// Segments returns the journal's segment layout — sealed segments plus the
-// active one, ascending — for observability and tests. Flat journals return
-// nil.
-func (j *Journal) Segments() []SegmentInfo {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dir == "" {
-		return nil
-	}
-	out := make([]SegmentInfo, 0, len(j.sealed)+1)
-	out = append(out, j.sealed...)
-	out = append(out, SegmentInfo{
-		Index:    j.segIndex,
-		Path:     j.path,
-		FirstSeq: j.segFirst,
-		LastSeq:  j.seq,
-		Size:     j.size,
-	})
-	return out
-}
-
 // Compact deletes sealed segments whose records all lie at or below the
 // snapshot watermark — records with seq <= watermark are covered by the
 // snapshot, so their segments are redundant for recovery. The invariant:

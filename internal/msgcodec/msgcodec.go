@@ -118,11 +118,6 @@ func (f Format) EncodeTaskUIDs(uids []string) []byte {
 	return buf
 }
 
-// EncodeTaskUID encodes a single-task pending message.
-func (f Format) EncodeTaskUID(uid string) []byte {
-	return f.EncodeTaskUIDs([]string{uid})
-}
-
 // DecodeTaskUIDs decodes a pending-queue message body into a slice of its own.
 func DecodeTaskUIDs(body []byte) ([]string, error) { return AppendTaskUIDs(nil, body, nil) }
 

@@ -38,15 +38,6 @@ func EncodePong(seq uint64) []byte {
 	return putBuf(bp, buf)
 }
 
-// DecodePong decodes a keepalive reply.
-func DecodePong(body []byte) (uint64, error) {
-	r, err := frameReader(body, FramePong)
-	if err != nil {
-		return 0, err
-	}
-	return r.uvarint()
-}
-
 // Hello is the first frame on every remote connection, in both directions:
 // the dialer introduces itself (role "manager" or "attach"), the listener
 // answers with its own identity and — for agents — the capacity it offers.

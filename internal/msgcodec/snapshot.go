@@ -47,20 +47,6 @@ func AppendSnapshot(dst []byte, s *Snapshot) []byte {
 	return dst
 }
 
-// EncodeSnapshot encodes a snapshot into a body of its own.
-func (f Format) EncodeSnapshot(s Snapshot) []byte {
-	return AppendSnapshot(make([]byte, 0, SnapshotSize(&s)), &s)
-}
-
-// DecodeSnapshot decodes a snapshot into a value of its own.
-func DecodeSnapshot(body []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := DecodeSnapshotInto(&s, body, nil); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
-}
-
 // DecodeSnapshotInto decodes a snapshot over whatever s held, reusing
 // s.Entries where it is large enough and taking every string the resolver
 // knows from it (see DecodeSyncFrameInto): recovery loads an image of names

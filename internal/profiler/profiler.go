@@ -5,12 +5,11 @@
 //
 // The paper's EnTK characterizes itself "via a profiler"; this package plays
 // that role. Components charge durations to categories as they incur them
-// (Add/Span) and mark activity windows (Touch/Observe) from which makespans such
-// as Task Execution Time are derived.
+// (Add) and record finished activities (Observe), whose windows give
+// makespans such as Task Execution Time.
 package profiler
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -32,25 +31,10 @@ const (
 	TaskExecution  Category = "task_execution"  // executable runtime on the CI
 )
 
-// Categories lists all categories in the paper's plotting order.
-func Categories() []Category {
-	return []Category{
-		EnTKSetup, EnTKTeardown, EnTKManagement,
-		RTSTeardown, RTSOverhead, DataStaging, TaskExecution,
-	}
-}
-
-// Event is one timestamped trace entry.
-type Event struct {
-	Name string
-	At   time.Time // virtual time
-}
-
-// tally is everything recorded for one category: the charged sum, how many
-// charges made it, and the activity window.
+// tally is everything recorded for one category: the charged sum and the
+// activity window.
 type tally struct {
 	sum   time.Duration
-	count int64
 	first time.Time
 	last  time.Time
 	set   bool // the window has been touched
@@ -61,7 +45,6 @@ func (t *tally) charge(d time.Duration) {
 	if d > 0 {
 		t.sum += d
 	}
-	t.count++
 }
 
 // extend widens the activity window to include at.
@@ -85,7 +68,6 @@ type Profiler struct {
 
 	mu      sync.Mutex
 	tallies map[Category]*tally
-	events  []Event
 }
 
 // New returns a profiler reading time from clock.
@@ -110,31 +92,9 @@ func (p *Profiler) Add(cat Category, d time.Duration) {
 	p.mu.Unlock()
 }
 
-// Span starts measuring a category and returns a stop function that charges
-// the elapsed virtual time.
-func (p *Profiler) Span(cat Category) (stop func()) {
-	start := p.clock.Now()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.Add(cat, p.clock.Now().Sub(start))
-		})
-	}
-}
-
-// Touch extends the category's activity window to include the current
-// virtual instant. Call it at both the beginning and the end of an activity;
-// Window then reports last-end minus first-begin (the makespan).
-func (p *Profiler) Touch(cat Category) {
-	now := p.clock.Now()
-	p.mu.Lock()
-	p.tallyLocked(cat).extend(now)
-	p.mu.Unlock()
-}
-
 // Observe records one finished activity under a single lock hold: it extends
-// the category's window to cover [begin, end] and charges d. It leaves the
-// profiler as Touch at begin, Touch at end and Add(cat, d) would.
+// the category's window to cover [begin, end] and charges d; Window then
+// reports last end minus first begin (the makespan).
 func (p *Profiler) Observe(cat Category, begin, end time.Time, d time.Duration) {
 	p.mu.Lock()
 	t := p.tallyLocked(cat)
@@ -154,16 +114,6 @@ func (p *Profiler) Sum(cat Category) time.Duration {
 	return 0
 }
 
-// Count returns how many times Add charged the category.
-func (p *Profiler) Count(cat Category) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t := p.tallies[cat]; t != nil {
-		return t.count
-	}
-	return 0
-}
-
 // Window returns the category's activity makespan (zero if never touched).
 func (p *Profiler) Window(cat Category) time.Duration {
 	p.mu.Lock()
@@ -172,24 +122,6 @@ func (p *Profiler) Window(cat Category) time.Duration {
 		return t.last.Sub(t.first)
 	}
 	return 0
-}
-
-// Mark appends a named event at the current virtual time.
-func (p *Profiler) Mark(name string) {
-	now := p.clock.Now()
-	p.mu.Lock()
-	p.events = append(p.events, Event{Name: name, At: now})
-	p.mu.Unlock()
-}
-
-// Events returns a copy of the event trace sorted by time.
-func (p *Profiler) Events() []Event {
-	p.mu.Lock()
-	out := make([]Event, len(p.events))
-	copy(out, p.events)
-	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
 }
 
 // Report is the per-run measurement set matching the paper's figure legend,

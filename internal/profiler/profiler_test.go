@@ -17,9 +17,6 @@ func TestAddAndSum(t *testing.T) {
 	if got := p.Sum(EnTKSetup); got != 150*time.Millisecond {
 		t.Fatalf("sum = %v", got)
 	}
-	if got := p.Count(EnTKSetup); got != 2 {
-		t.Fatalf("count = %d", got)
-	}
 	if got := p.Sum(EnTKTeardown); got != 0 {
 		t.Fatalf("untouched category sum = %v", got)
 	}
@@ -61,25 +58,6 @@ func TestWindowMakespan(t *testing.T) {
 	}
 }
 
-func TestEventsSortedByTime(t *testing.T) {
-	c := vclock.NewManual()
-	p := New(c)
-	p.Mark("a")
-	c.Advance(time.Second)
-	p.Mark("b")
-	c.Advance(time.Second)
-	p.Mark("c")
-	evs := p.Events()
-	if len(evs) != 3 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	for i, name := range []string{"a", "b", "c"} {
-		if evs[i].Name != name {
-			t.Fatalf("event %d = %q", i, evs[i].Name)
-		}
-	}
-}
-
 func TestReportUsesWindowForTaskExecution(t *testing.T) {
 	c := vclock.NewManual()
 	p := New(c)
@@ -103,8 +81,8 @@ func TestReportUsesWindowForTaskExecution(t *testing.T) {
 // TestObserveMatchesTouchTouchAdd pins Observe to the three calls it
 // replaced in the RTS executor: for interleaved tasks — some nested in others,
 // one charged a negative duration — Touch at the begin, Touch at the end and
-// Add leave exactly the Report, Window, Sum and Count that one Observe at the
-// end does.
+// Add leave exactly the Report, Window and Sum that one Observe at the end
+// does.
 func TestObserveMatchesTouchTouchAdd(t *testing.T) {
 	type task struct{ begin, end, charged time.Duration }
 	tasks := []task{
@@ -144,16 +122,16 @@ func TestObserveMatchesTouchTouchAdd(t *testing.T) {
 		t.Fatalf("reports differ:\nthree calls %+v\none call    %+v", three.Report(), one.Report())
 	}
 	for _, cat := range Categories() {
-		if three.Window(cat) != one.Window(cat) || three.Sum(cat) != one.Sum(cat) || three.Count(cat) != one.Count(cat) {
-			t.Fatalf("%s: three calls window %v sum %v count %d, one call window %v sum %v count %d", cat,
-				three.Window(cat), three.Sum(cat), three.Count(cat), one.Window(cat), one.Sum(cat), one.Count(cat))
+		if three.Window(cat) != one.Window(cat) || three.Sum(cat) != one.Sum(cat) {
+			t.Fatalf("%s: three calls window %v sum %v, one call window %v sum %v", cat,
+				three.Window(cat), three.Sum(cat), one.Window(cat), one.Sum(cat))
 		}
 	}
 	if got := one.Window(TaskExecution); got != 53*time.Second {
 		t.Fatalf("window = %v, want 53s (2s..55s)", got)
 	}
-	if got, n := one.Sum(TaskExecution), one.Count(TaskExecution); got != 82*time.Second || n != 5 {
-		t.Fatalf("sum = %v over %d charges, want 82s over 5", got, n)
+	if got := one.Sum(TaskExecution); got != 82*time.Second {
+		t.Fatalf("sum = %v, want 82s", got)
 	}
 }
 
@@ -167,16 +145,12 @@ func TestConcurrentUse(t *testing.T) {
 			for k := 0; k < 100; k++ {
 				p.Add(EnTKManagement, time.Millisecond)
 				p.Touch(TaskExecution)
-				p.Mark("tick")
 			}
 		}()
 	}
 	wg.Wait()
 	if got := p.Sum(EnTKManagement); got != 1600*time.Millisecond {
 		t.Fatalf("concurrent sum = %v", got)
-	}
-	if got := len(p.Events()); got != 1600 {
-		t.Fatalf("events = %d", got)
 	}
 }
 

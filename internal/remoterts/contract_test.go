@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rts"
-	"repro/internal/saga"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
@@ -31,21 +30,21 @@ func newPilot(t *testing.T, cores int) *rts.PilotRTS {
 
 func pilotConfig(t *testing.T, cores int) rts.Config {
 	t.Helper()
-	// A virtual second lasts 10 µs, so the pilot's 72 h walltime (supermic's
-	// cap) is 2.6 s of wall time: a run slowed down by -race on a loaded
-	// machine must not outlive its pilot, as it could at 1 µs (0.26 s).
-	clock := vclock.NewScaled(10 * time.Microsecond)
-	session := saga.NewSession()
-	t.Cleanup(session.Close)
-	a, err := saga.NewCatalogAdapter("supermic", clock)
+	// A virtual second lasts 125 µs, so the pilot's 72 h walltime
+	// (supermic's cap) is 32.4 s of wall time, past the 30 s the tests wait
+	// for results: a run slowed down by -race on a loaded machine must not
+	// outlive its pilot, whose expiry drops every later result.
+	clock := vclock.NewScaled(125 * time.Microsecond)
+	res := core.ResourceDesc{Resource: "supermic", Cores: cores, GPUs: 2, Walltime: 72 * time.Hour}
+	m, err := rts.NewMachine(rts.MachineConfig{Clock: clock, Resources: []core.ResourceDesc{res}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	session.Register(a)
+	t.Cleanup(m.Close)
 	return rts.Config{
-		Resource: core.ResourceDesc{Resource: "supermic", Cores: cores, GPUs: 2, Walltime: 72 * time.Hour},
+		Resource: res,
 		Clock:    clock,
-		Session:  session,
+		Session:  m.Session,
 		Registry: workload.NewRegistry(),
 		Model:    rts.FastModel(),
 	}

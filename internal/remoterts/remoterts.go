@@ -191,15 +191,6 @@ func (p *Proxy) livePeers(dst []int) []int {
 	return dst
 }
 
-// Err reports why the Proxy died — its first agent's death — nil while
-// healthy.
-func (p *Proxy) Err() error {
-	if err := p.deathErr.Load(); err != nil {
-		return *err
-	}
-	return nil
-}
-
 // peer is one agent endpoint, the Proxy's member for it: its connection, its
 // latest report, its own Outbox (joined to the Proxy's), and the
 // dial/handshake loop that brings it up and then reads its frames.

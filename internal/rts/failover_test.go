@@ -28,6 +28,7 @@ func TestLostTaskNeverFailsItsStage(t *testing.T) {
 		t.Run(fmt.Sprintf("worker-%d", w), func(t *testing.T) {
 			t.Parallel()
 			clock := vclock.NewScaled(time.Microsecond)
+			requireLifetime(t, longWalltime, time.Microsecond)
 			cluster, err := hpc.NewCluster(hpc.Spec{
 				Name: "crashy", Nodes: 64, CoresPerNode: 1,
 				MaxWalltime: 1000000 * time.Hour,
@@ -53,7 +54,7 @@ func TestLostTaskNeverFailsItsStage(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				am.SetResource(core.ResourceDesc{Resource: "crashy", Cores: 8, Walltime: 999999 * time.Hour})
+				am.SetResource(core.ResourceDesc{Resource: "crashy", Cores: 8, Walltime: longWalltime})
 				am.SetRTSFactory(Factory(Config{
 					Clock:    clock,
 					Session:  session,
@@ -78,7 +79,7 @@ func TestLostTaskNeverFailsItsStage(t *testing.T) {
 				}
 				am.AddPipelines(pipes...) //nolint:errcheck
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-				err = am.Run(ctx)
+				err = runApp(ctx, am)
 				cancel()
 				if err != nil {
 					t.Fatalf("run %d (restarts %d): %v", i, am.RTSRestarts(), err)

@@ -203,21 +203,6 @@ func (p *Pool) Claimed() int {
 	return p.claimed
 }
 
-// LiveLeases is the number of admitted, unreleased leases.
-func (p *Pool) LiveLeases() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.leases)
-}
-
-// Orphans counts completions whose lease was already released — tasks that
-// finished on the pilot after their run abandoned them.
-func (p *Pool) Orphans() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.orphans
-}
-
 // Releases signals (coalesced) every time a lease releases its claim, so an
 // admission queue knows to retry Admit.
 func (p *Pool) Releases() <-chan struct{} { return p.releases }
@@ -523,9 +508,6 @@ type Lease struct {
 
 	window int // cores dispatched but not completed; guarded by pool.mu
 }
-
-// RunID returns the owning run's identifier.
-func (l *Lease) RunID() string { return l.runID }
 
 // Start implements core.RTS. The shared pilot is already running, so a
 // lease start only verifies the pool is still serviceable.

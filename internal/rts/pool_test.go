@@ -7,29 +7,17 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hpc"
-	"repro/internal/saga"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
 
 func newPoolHarness(t *testing.T, mutate func(*PoolConfig)) *Pool {
 	t.Helper()
-	clock := vclock.NewScaled(time.Microsecond)
-	session := saga.NewSession()
-	t.Cleanup(session.Close)
-	for _, ci := range hpc.Names() {
-		a, err := saga.NewCatalogAdapter(ci, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		session.Register(a)
-	}
+	clock := vclock.NewScaled(harnessScale)
 	cfg := PoolConfig{
 		Base: Config{
 			Resource: core.ResourceDesc{Resource: "supermic", Cores: 8, Walltime: 72 * time.Hour},
 			Clock:    clock,
-			Session:  session,
 			Registry: workload.NewRegistry(),
 			Model:    FastModel(),
 			Seed:     7,
@@ -38,6 +26,13 @@ func newPoolHarness(t *testing.T, mutate func(*PoolConfig)) *Pool {
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	requireLifetime(t, cfg.Base.Resource.Walltime, harnessScale)
+	m, err := NewMachine(MachineConfig{Clock: clock, Resources: []core.ResourceDesc{cfg.Base.Resource}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	cfg.Base.Session = m.Session
 	p, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +47,7 @@ func newPoolHarness(t *testing.T, mutate func(*PoolConfig)) *Pool {
 func drainLease(t *testing.T, l *Lease, n int) []core.TaskResult {
 	t.Helper()
 	var out []core.TaskResult
-	timeout := time.After(30 * time.Second)
+	timeout := time.After(resultTimeout)
 	for len(out) < n {
 		select {
 		case res, ok := <-l.Completions():
@@ -221,8 +216,7 @@ func TestPoolRevokeReleasesClaim(t *testing.T) {
 		t.Fatal("fresh lease not alive")
 	}
 	// t1 must still be running when the lease is revoked, or its result
-	// could reach the channel ahead of the close: on the harness's clock a
-	// virtual second is a microsecond of wall time.
+	// could reach the channel ahead of the close.
 	if err := l.Submit([]core.TaskDescription{sleepTask("t1", 24*time.Hour, 1)}); err != nil {
 		t.Fatal(err)
 	}

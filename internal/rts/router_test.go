@@ -14,33 +14,42 @@ import (
 	"repro/internal/workload"
 )
 
-// fleet is a SAGA session with a catalog adapter for each CI, and the clock
-// they share. A virtual second lasts 1 ms, so a 2 h pilot (titan's cap) lasts
-// 7.2 s of wall time: at 1 µs it was 7.2 ms, which a -race run on a loaded
-// machine outlived, and the expired pilot dropped the test's results.
+// fleet is the session of a machine with a cluster for each CI, and the
+// clock they share. Its pilots ask for 2 h (titan's cap), so a virtual second
+// lasts 5 ms: a pilot lasts 36 s of wall time, past resultTimeout. At 1 µs it
+// lasted 7.2 ms, which a -race run on a loaded machine outlived, and the
+// expired pilot dropped the test's results.
 type fleet struct {
 	clock   vclock.Clock
 	session *saga.Session
 }
 
+const (
+	fleetScale    = 5 * time.Millisecond
+	fleetWalltime = 2 * time.Hour
+)
+
 func newFleet(t *testing.T, cis ...string) fleet {
 	t.Helper()
-	f := fleet{clock: vclock.NewScaled(time.Millisecond), session: saga.NewSession()}
-	t.Cleanup(f.session.Close)
+	requireLifetime(t, fleetWalltime, fleetScale)
+	f := fleet{clock: vclock.NewScaled(fleetScale)}
+	var res []core.ResourceDesc
 	for _, ci := range cis {
-		a, err := saga.NewCatalogAdapter(ci, f.clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.session.Register(a)
+		res = append(res, core.ResourceDesc{Resource: ci})
 	}
+	m, err := NewMachine(MachineConfig{Clock: f.clock, Resources: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	f.session = m.Session
 	return f
 }
 
 // pilot is the configuration of one router member's pilot on ci.
 func (f fleet) pilot(ci string, cores, gpus int) Config {
 	return Config{
-		Resource: core.ResourceDesc{Resource: ci, Cores: cores, GPUs: gpus, Walltime: 2 * time.Hour},
+		Resource: core.ResourceDesc{Resource: ci, Cores: cores, GPUs: gpus, Walltime: fleetWalltime},
 		Clock:    f.clock,
 		Session:  f.session,
 		Registry: workload.NewRegistry(),
@@ -73,7 +82,7 @@ func submitted(c *Composite) []int {
 // drainN reads n results off c, failing on a failed task or a timeout.
 func drainN(t *testing.T, c *Composite, n int) {
 	t.Helper()
-	timeout := time.After(30 * time.Second)
+	timeout := time.After(resultTimeout)
 	for i := 0; i < n; i++ {
 		select {
 		case res := <-c.Completions():
@@ -204,6 +213,7 @@ func TestRouterStatsAggregate(t *testing.T) {
 // to comet, in sequential stages of one pipeline (the §III-A interleaving).
 func TestRouterEndToEndWithEnTK(t *testing.T) {
 	clock := vclock.NewScaled(time.Microsecond)
+	requireLifetime(t, longWalltime, time.Microsecond)
 	session := saga.NewSession()
 	defer session.Close()
 	// Private clusters with effectively unlimited walltime caps.
@@ -220,7 +230,7 @@ func TestRouterEndToEndWithEnTK(t *testing.T) {
 	}
 	member := func(ci string, cores int) Config {
 		return Config{
-			Resource: core.ResourceDesc{Resource: ci, Cores: cores, Walltime: 999 * time.Hour},
+			Resource: core.ResourceDesc{Resource: ci, Cores: cores, Walltime: longWalltime},
 			Clock:    clock, Session: session,
 			Registry: workload.NewRegistry(), Model: FastModel(),
 		}
@@ -261,7 +271,7 @@ func TestRouterEndToEndWithEnTK(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := am.Run(ctx); err != nil {
+	if err := runApp(ctx, am); err != nil {
 		t.Fatal(err)
 	}
 	if pipe.State() != core.PipelineDone {
@@ -461,7 +471,8 @@ func TestCompositeFailedStartReleasesStartedMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		done, n := first.pilot.State().Terminal(), runtime.NumGoroutine()
+		st, n := first.pilot.State(), runtime.NumGoroutine()
+		done := st == saga.StateDone || st == saga.StateCanceled || st == saga.StateFailed
 		if done && n <= baseline {
 			break
 		}

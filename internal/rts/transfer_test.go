@@ -21,19 +21,8 @@ func transferTask(in, out []core.StagingDirective) core.TaskDescription {
 	}
 }
 
-func withTransfers(t *testing.T) *harness {
-	t.Helper()
-	h := newHarness(t, nil)
-	ts, err := saga.NewTransferService(h.clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.session.SetTransferService(ts)
-	return h
-}
-
 func TestTransferStagingAccounted(t *testing.T) {
-	h := withTransfers(t)
+	h := newHarness(t, nil)
 	start(t, h)
 	desc := transferTask(
 		[]core.StagingDirective{{
@@ -53,20 +42,21 @@ func TestTransferStagingAccounted(t *testing.T) {
 		t.Fatalf("exit = %d (%s)", res.ExitCode, res.Error)
 	}
 	// scp of 40 MB: 0.3 s + 0.4 s = 0.7 s; globus of 150 MB: 5 s + 0.375 s.
-	if res.StagingTime < 5*time.Second {
-		t.Fatalf("staging time %v does not include the globus transfer", res.StagingTime)
+	var want time.Duration
+	for _, req := range []saga.TransferRequest{{Bytes: 40 << 20, Protocol: "scp"}, {Bytes: 150 << 20, Protocol: "globus"}} {
+		d, err := h.session.Transfers().Estimate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += d
 	}
-	stats := h.session.Transfers().Stats()
-	if stats.Transfers != 2 {
-		t.Fatalf("transfers = %d, want 2", stats.Transfers)
-	}
-	if stats.Bytes != (40<<20)+(150<<20) {
-		t.Fatalf("bytes = %d", stats.Bytes)
+	if res.StagingTime != want {
+		t.Fatalf("staging time %v, want both transfers' %v", res.StagingTime, want)
 	}
 }
 
 func TestUnknownTransferProtocolFailsTask(t *testing.T) {
-	h := withTransfers(t)
+	h := newHarness(t, nil)
 	start(t, h)
 	desc := transferTask([]core.StagingDirective{{
 		Source: "remote:/in", Target: "in",
@@ -85,7 +75,7 @@ func TestUnknownTransferProtocolFailsTask(t *testing.T) {
 }
 
 func TestOutputTransferFailureFailsTask(t *testing.T) {
-	h := withTransfers(t)
+	h := newHarness(t, nil)
 	start(t, h)
 	desc := transferTask(nil, []core.StagingDirective{{
 		Source: "out", Target: "remote:/out",
@@ -107,6 +97,7 @@ func TestTransferFallsBackToCopyWithoutService(t *testing.T) {
 	// A bare session (no transfer service) degrades transfers to shared-
 	// filesystem copies so the application still runs.
 	h := newHarness(t, nil)
+	h.session.SetTransferService(nil)
 	start(t, h)
 	desc := transferTask([]core.StagingDirective{{
 		Source: "remote:/in", Target: "in",

@@ -13,12 +13,10 @@ package saga
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/hpc"
-	"repro/internal/vclock"
 )
 
 // JobDescription is the uniform job request accepted by every adapter.
@@ -58,11 +56,6 @@ func (s JobState) String() string {
 	default:
 		return fmt.Sprintf("JobState(%d)", int(s))
 	}
-}
-
-// Terminal reports whether s is final.
-func (s JobState) Terminal() bool {
-	return s == StateDone || s == StateCanceled || s == StateFailed
 }
 
 // Job is the uniform handle on a submitted job.
@@ -136,18 +129,6 @@ func (s *Session) Submit(resource string, desc JobDescription) (Job, error) {
 	return a.Submit(desc)
 }
 
-// Resources lists registered resource names, sorted.
-func (s *Session) Resources() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.adapters))
-	for n := range s.adapters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Close closes every adapter.
 func (s *Session) Close() {
 	s.mu.Lock()
@@ -178,16 +159,6 @@ func NewClusterAdapter(c *hpc.Cluster) Adapter {
 // session's — tears c down.
 func OwnCluster(c *hpc.Cluster) Adapter {
 	return &clusterAdapter{cluster: c, ownsIt: true}
-}
-
-// NewCatalogAdapter builds a cluster simulation for a catalogued CI and
-// wraps it; Close tears the cluster down.
-func NewCatalogAdapter(resource string, clock vclock.Clock) (Adapter, error) {
-	c, err := hpc.NewClusterByName(resource, clock)
-	if err != nil {
-		return nil, err
-	}
-	return OwnCluster(c), nil
 }
 
 func (a *clusterAdapter) Resource() string { return a.cluster.Spec.Name }

@@ -17,15 +17,26 @@ func testSession(t *testing.T) (*Session, vclock.Clock) {
 	s := NewSession()
 	t.Cleanup(s.Close)
 	for _, name := range hpc.Names() {
-		a, err := NewCatalogAdapter(name, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Register(a); err != nil {
+		if err := s.Register(catalogAdapter(t, name, clock)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return s, clock
+}
+
+// catalogAdapter simulates the catalogued CI name on clock; closing the
+// adapter tears the cluster down.
+func catalogAdapter(t *testing.T, name string, clock vclock.Clock) Adapter {
+	t.Helper()
+	spec, err := hpc.LookupSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := hpc.NewCluster(spec, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return OwnCluster(c)
 }
 
 func TestSessionRoutesToAllCatalogCIs(t *testing.T) {
@@ -66,10 +77,7 @@ func TestSubmitUnknownResource(t *testing.T) {
 func TestDuplicateAdapterRejected(t *testing.T) {
 	s, _ := testSession(t)
 	clock := vclock.NewScaled(time.Microsecond)
-	a, err := NewCatalogAdapter("titan", clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := catalogAdapter(t, "titan", clock)
 	defer a.Close()
 	if err := s.Register(a); err == nil {
 		t.Fatal("duplicate registration accepted")

@@ -23,11 +23,6 @@ const (
 	ProtoGlobus  Protocol = "globus"
 )
 
-// Protocols lists the supported protocols in the paper's order.
-func Protocols() []Protocol {
-	return []Protocol{ProtoSCP, ProtoGSISCP, ProtoSFTP, ProtoGSISFTP, ProtoGlobus, ProtoCP}
-}
-
 // TransferModel is the cost model of one protocol. Per the paper, "the size
 // of the data along with network bandwidth and latency or filesystem
 // performance determine the data staging durations and are independent of
@@ -114,20 +109,6 @@ func NewTransferService(clock vclock.Clock) (*TransferService, error) {
 	return &TransferService{clock: clock, models: defaultModels()}, nil
 }
 
-// SetModel overrides one protocol's cost model (calibration hook).
-func (s *TransferService) SetModel(p Protocol, m TransferModel) error {
-	if m.BytesPerSec <= 0 {
-		return fmt.Errorf("saga: protocol %q: non-positive bandwidth", p)
-	}
-	if m.SetupLatency < 0 {
-		return fmt.Errorf("saga: protocol %q: negative setup latency", p)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.models[p] = m
-	return nil
-}
-
 // Model returns the cost model for a protocol.
 func (s *TransferService) Model(p Protocol) (TransferModel, error) {
 	if p == "" {
@@ -176,13 +157,6 @@ func (s *TransferService) Transfer(req TransferRequest) (TransferResult, error) 
 	return TransferResult{Protocol: proto, Bytes: req.Bytes, Duration: d}, nil
 }
 
-// Stats returns aggregate transfer accounting.
-func (s *TransferService) Stats() TransferStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
 // SetTransferService attaches data management to the session, completing
 // SAGA's "uniform methods for job and data management" (§II-D).
 func (s *Session) SetTransferService(ts *TransferService) {
@@ -197,14 +171,4 @@ func (s *Session) Transfers() *TransferService {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.transfers
-}
-
-// Transfer routes a data-movement request through the session's transfer
-// service.
-func (s *Session) Transfer(req TransferRequest) (TransferResult, error) {
-	ts := s.Transfers()
-	if ts == nil {
-		return TransferResult{}, fmt.Errorf("saga: session has no transfer service")
-	}
-	return ts.Transfer(req)
 }

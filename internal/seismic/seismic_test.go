@@ -28,7 +28,7 @@ func TestModelValidate(t *testing.T) {
 		t.Fatal("tiny grid accepted")
 	}
 	neg := demoModel()
-	neg.Set(3, 3, -5)
+	neg.V[3*neg.NX+3] = -5
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative velocity accepted")
 	}
@@ -342,23 +342,5 @@ func TestForwardEnsembleShape(t *testing.T) {
 		if err := task.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestTomographyPipelineStructure(t *testing.T) {
-	pipe := NewTomographyPipeline(4, 100*time.Second, 10*time.Second,
-		100*time.Second, 20*time.Second, 30*time.Second)
-	stages := pipe.Stages()
-	if len(stages) != 5 {
-		t.Fatalf("stages = %d, want 5 (Fig 4)", len(stages))
-	}
-	wantTasks := []int{4, 4, 4, 1, 1}
-	for i, s := range stages {
-		if s.TaskCount() != wantTasks[i] {
-			t.Fatalf("stage %d has %d tasks, want %d", i, s.TaskCount(), wantTasks[i])
-		}
-	}
-	if err := pipe.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

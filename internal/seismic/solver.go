@@ -39,9 +39,6 @@ func (m *Model) Clone() *Model {
 	return &cp
 }
 
-// Set sets velocity at (ix, iz).
-func (m *Model) Set(ix, iz int, v float64) { m.V[iz*m.NX+ix] = v }
-
 // AddGaussianAnomaly perturbs the model with a Gaussian velocity anomaly
 // centred at (cx, cz) in grid units.
 func (m *Model) AddGaussianAnomaly(cx, cz, radius, dv float64) {

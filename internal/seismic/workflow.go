@@ -97,56 +97,3 @@ func NewForwardEnsemble(events int, p ForwardTaskParams) []*core.Pipeline {
 	}
 	return pipes
 }
-
-// NewTomographyPipeline encodes the full Fig 4 workflow for a set of
-// earthquakes as one EnTK pipeline: a forward stage (one task per event),
-// a data-processing stage, an adjoint stage, then post-processing and
-// model-update stages. Durations are per-stage nominal runtimes.
-func NewTomographyPipeline(events int, fwd, proc, adj, post, opt time.Duration) *core.Pipeline {
-	pipe := core.NewPipeline("tomography-iteration")
-
-	forward := core.NewStage("forward-simulation")
-	for e := 0; e < events; e++ {
-		t := core.NewTask(fmt.Sprintf("fwd-eq%04d", e))
-		t.Executable = "specfem"
-		t.Duration = fwd
-		t.CPUReqs = core.CPUReqs{Processes: 4}
-		forward.AddTask(t) //nolint:errcheck
-	}
-	pipe.AddStage(forward) //nolint:errcheck
-
-	process := core.NewStage("data-processing")
-	for e := 0; e < events; e++ {
-		t := core.NewTask(fmt.Sprintf("proc-eq%04d", e))
-		t.Executable = "sleep"
-		t.Duration = proc
-		process.AddTask(t) //nolint:errcheck
-	}
-	pipe.AddStage(process) //nolint:errcheck
-
-	adjoint := core.NewStage("adjoint-simulation")
-	for e := 0; e < events; e++ {
-		t := core.NewTask(fmt.Sprintf("adj-eq%04d", e))
-		t.Executable = "specfem"
-		t.Duration = adj
-		t.CPUReqs = core.CPUReqs{Processes: 4}
-		adjoint.AddTask(t) //nolint:errcheck
-	}
-	pipe.AddStage(adjoint) //nolint:errcheck
-
-	postStage := core.NewStage("post-processing")
-	pp := core.NewTask("kernel-summation")
-	pp.Executable = "sleep"
-	pp.Duration = post
-	postStage.AddTask(pp)    //nolint:errcheck
-	pipe.AddStage(postStage) //nolint:errcheck
-
-	optStage := core.NewStage("optimization")
-	ot := core.NewTask("model-update")
-	ot.Executable = "sleep"
-	ot.Duration = opt
-	optStage.AddTask(ot)    //nolint:errcheck
-	pipe.AddStage(optStage) //nolint:errcheck
-
-	return pipe
-}

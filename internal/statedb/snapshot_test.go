@@ -91,8 +91,8 @@ func TestSnapshotEntriesDeterministic(t *testing.T) {
 	b.SaveState("task", "t.2", "SCHED")  //nolint:errcheck
 	b.SaveState("task", "t.2", "FAILED") //nolint:errcheck
 	b.SaveState("task", "t.1", "DONE")   //nolint:errcheck
-	ea := msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 1, Entries: a.SnapshotEntries()})
-	eb := msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 1, Entries: b.SnapshotEntries()})
+	ea := msgcodec.AppendSnapshot(nil, &msgcodec.Snapshot{Watermark: 1, Entries: a.SnapshotEntries()})
+	eb := msgcodec.AppendSnapshot(nil, &msgcodec.Snapshot{Watermark: 1, Entries: b.SnapshotEntries()})
 	if string(ea) != string(eb) {
 		t.Fatal("snapshots of identical state differ")
 	}
@@ -269,7 +269,7 @@ func TestLoadLatestSkipsTornSnapshot(t *testing.T) {
 // segments below its watermark may already be compacted, so falling back to
 // an older snapshot would silently drop committed states.
 func TestLoadLatestRejectsUnknownFraming(t *testing.T) {
-	newer := msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 20})
+	newer := msgcodec.AppendSnapshot(nil, &msgcodec.Snapshot{Watermark: 20})
 	newer[1] = msgcodec.Version + 1
 	foreign := map[string][]byte{
 		"json document": []byte(`{"watermark":20,"entries":[{"entity":"task","uid":"t.2","state":"DONE"}]}`),
@@ -412,7 +412,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 		return append(buf, payload...)
 	}
-	intact := frame(msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 42, Entries: []msgcodec.SnapEntry{
+	intact := frame(msgcodec.AppendSnapshot(nil, &msgcodec.Snapshot{Watermark: 42, Entries: []msgcodec.SnapEntry{
 		{Entity: "task", UID: "t.1", State: "DONE"},
 		{Entity: "stage", UID: "s.1", State: "SCHEDULED"},
 	}}))
@@ -431,7 +431,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if !valid {
 			return
 		}
-		again, ok, err := decodeSnapshot("fuzz", frame(msgcodec.FormatBinary.EncodeSnapshot(snap)), nil)
+		again, ok, err := decodeSnapshot("fuzz", frame(msgcodec.AppendSnapshot(nil, &snap)), nil)
 		if err != nil || !ok || again.Watermark != snap.Watermark || len(again.Entries) != len(snap.Entries) {
 			t.Fatalf("re-encoded snapshot drifted: %+v -> %+v (ok=%v err=%v)", snap, again, ok, err)
 		}

@@ -28,9 +28,8 @@ type Key struct {
 var ErrClosed = errors.New("statedb: database closed")
 
 // DB is a concurrency-safe latest-state store, mirroring the document store
-// RP keeps per workflow. FailAfter supports fault injection: after N
-// successful commits every write fails, which is how tests exercise EnTK's
-// transactional-update error path.
+// RP keeps per workflow. Its tests close it and inject write failures after N
+// successful commits (export_test.go).
 //
 // The latest states live in one dense slice in first-commit order, indexed
 // by key; sorted holds the positions of its first len(sorted) entries in
@@ -53,13 +52,6 @@ type DB struct {
 // New returns an empty database.
 func New() *DB {
 	return &DB{index: make(map[Key]int)}
-}
-
-// FailAfter makes every write past n commits fail (0 disables).
-func (db *DB) FailAfter(n uint64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.failAfter = n
 }
 
 // SaveState commits one entity state: SaveStates of one UID. It implements
@@ -104,21 +96,6 @@ func (db *DB) commitLocked(entity, uid, state string) error {
 	return nil
 }
 
-// LoadStates returns the latest state per entity. It implements
-// core.StateStore.
-func (db *DB) LoadStates() (map[Key]string, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	out := make(map[Key]string, len(db.entries))
-	for _, e := range db.entries {
-		out[Key{Entity: e.Entity, UID: e.UID}] = e.State
-	}
-	return out, nil
-}
-
 // LoadTaskStates returns the latest state per task UID. It implements
 // core.StateStore.
 func (db *DB) LoadTaskStates() (map[string]string, error) {
@@ -134,17 +111,6 @@ func (db *DB) LoadTaskStates() (map[string]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// Latest returns the newest state of one entity.
-func (db *DB) Latest(entity, uid string) (string, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	i, ok := db.index[Key{Entity: entity, UID: uid}]
-	if !ok {
-		return "", false
-	}
-	return db.entries[i].State, true
 }
 
 // Commits returns the number of committed writes.
@@ -166,12 +132,4 @@ func (db *DB) UIDs(entity string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Close closes the database; later writes fail with ErrClosed.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.closed = true
-	return nil
 }

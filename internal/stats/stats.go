@@ -1,5 +1,5 @@
 // Package stats provides the summary statistics the experiment harness uses
-// to render the paper's figures: means, standard deviations, percentiles,
+// to render the paper's figures: means, percentiles,
 // box-plot five-number summaries (Fig 11d) and least-squares fits used to
 // check scaling slopes (Figs 8-10).
 package stats
@@ -20,20 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than 2 values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
 // Min returns the smallest value (0 for empty input).

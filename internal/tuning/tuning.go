@@ -88,20 +88,14 @@ func (l *Live) BatchSize() int { return int(l.batch.Load()) }
 // Schedulers returns the current scheduler-pool target: one atomic load.
 func (l *Live) Schedulers() int { return int(l.scheds.Load()) }
 
-// MinBatch and MaxBatch report the batch knob's immutable bounds. MaxBatch
-// is the consumer-prefetch bound: a consumer registered with it can realize
-// any batch size the controller may later steer to.
-func (l *Live) MinBatch() int { return l.minBatch }
-
-// MaxBatch reports the batch knob's upper bound.
+// MaxBatch reports the batch knob's immutable upper bound, the
+// consumer-prefetch bound: a consumer registered with it can realize any
+// batch size the controller may later steer to.
 func (l *Live) MaxBatch() int { return l.maxBatch }
 
-// MinSchedulers and MaxSchedulers report the scheduler knob's immutable
-// bounds. MaxSchedulers is the pool size to spawn: loops with id ≥ the live
-// target park until the target grows back.
-func (l *Live) MinSchedulers() int { return l.minScheds }
-
-// MaxSchedulers reports the scheduler knob's upper bound.
+// MaxSchedulers reports the scheduler knob's immutable upper bound, the pool
+// size to spawn: loops with id ≥ the live target park until the target grows
+// back.
 func (l *Live) MaxSchedulers() int { return l.maxScheds }
 
 // Version counts committed knob changes (0 for a handle never mutated).

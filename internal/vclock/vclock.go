@@ -207,12 +207,3 @@ func SleepOrStop(c Clock, d time.Duration, stop <-chan struct{}) bool {
 		return false
 	}
 }
-
-// Elapsed returns the virtual time elapsed since Epoch on clock c.
-func Elapsed(c Clock) time.Duration {
-	return c.Now().Sub(Epoch)
-}
-
-// Seconds converts a virtual duration to float seconds; a convenience for
-// experiment reporting, which uses the paper's units.
-func Seconds(d time.Duration) float64 { return d.Seconds() }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -101,18 +100,6 @@ func (r *Registry) Lookup(name string) (Kernel, error) {
 		return nil, fmt.Errorf("workload: unknown executable %q", name)
 	}
 	return k, nil
-}
-
-// Names lists registered kernels, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.kernels))
-	for n := range r.kernels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // sleepFor waits the spec's nominal duration on the virtual clock,
@@ -265,9 +252,6 @@ func runLJ(n, steps int, seed int64) float64 {
 	}
 	return kin + pot
 }
-
-// LJEnergy exposes the MD integrator for tests (energy conservation checks).
-func LJEnergy(n, steps int, seed int64) float64 { return runLJ(n, steps, seed) }
 
 // StressKernel burns real CPU for a caller-controlled number of iterations
 // ("-iters N"); used by throughput benchmarks where tasks must cost real

@@ -56,9 +56,8 @@ var structuralRules = []structuralRule{
 			"and ack, results); hand the queue the value",
 	},
 	{
-		name: "one-machine-builder",
-		// Its callers, not the hpc package that declares it.
-		not:   []string{"bench/", "internal/hpc/", "internal/rts/machine.go"},
+		name:  "one-machine-builder",
+		not:   []string{"bench/", "internal/rts/machine.go"},
 		count: uses("repro/internal/hpc.NewCluster"),
 		why:   "every deployment shape builds its simulated CI through rts.NewMachine; build it there",
 	},
