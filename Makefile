@@ -38,9 +38,9 @@ test:
 
 # The two budgets whose reading depends on how many Ps the scheduler has — a
 # stage's sync frames (the completion drain's yield coalesces its results) and
-# the task path's allocations per task (each frame a stage's results split
-# into costs its own deliveries) — at one, two and four. No -race:
-# both skip or only log under it.
+# the task path's allocations per task (how a stage's results split into
+# frames decides how many done messages are in flight at once) — at one, two
+# and four. No -race: both skip or only log under it.
 budgets:
 	$(GO) test -count=1 -run '^TestStageFrameBudget$$' -cpu 1,2,4 ./internal/core
 	$(GO) test -count=1 -run '^TestTaskPathAllocBudget$$' -cpu 1,2,4 .

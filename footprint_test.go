@@ -150,12 +150,14 @@ func taskPathAllocs(t *testing.T, pipelines, stages, tasks int, durable bool) fl
 	return float64(after.Mallocs-before.Mallocs) / float64(pipelines*stages*tasks)
 }
 
-// TestTaskPathAllocBudget holds the control path to allocating for the frames
-// a task rides — one body per message, one delivery per pop, the task's own
-// state — and not per task or per hand-off. The deep shape (4-task stages)
-// pays every per-frame cost once per four tasks; the wide shape (one
-// 4096-task stage) pays nothing but the per-task ones. Ceilings are ~10 %
-// above what the shapes allocate today; the best of three runs is held to
+// TestTaskPathAllocBudget holds the control path to allocating for the run
+// and the task's own state, and not per frame, per task or per hand-off: a
+// pull consumer refills the delivery block of its last pop, and a stage that
+// fits one pending message publishes its own task list. The deep shape
+// (4-task stages) would pay any per-frame cost once per four tasks; the wide
+// shape (one 4096-task stage) pays nothing but the per-task ones. Ceilings
+// leave a margin over what the shapes allocate today and sit well below what
+// they read with a delivery block per pop; the best of three runs is held to
 // them, because how a stage's results coalesce into frames is up to the
 // scheduler (TestStageFrameBudget).
 func TestTaskPathAllocBudget(t *testing.T) {
@@ -168,8 +170,12 @@ func TestTaskPathAllocBudget(t *testing.T) {
 		durable                  bool
 		ceil                     float64
 	}{
-		{"deep-16x16x4", 16, 16, 4, false, 2.8},   // 2.1-2.5 at -cpu 1,2,4; 3.3-3.8 with encoded messages, 13.3 before
-		{"wide-1x1x4096", 1, 1, 4096, false, 0.4}, // 0.20-0.31, all of it the run's fixed cost; it was 3.2
+		// 0.50-0.65 at -cpu 1,2,4; 2.1-2.5 with a delivery block per pop,
+		// 3.3-3.8 with encoded messages, 13.3 before.
+		{"deep-16x16x4", 16, 16, 4, false, 0.8},
+		// 0.11-0.12, all of it the run's fixed cost; 0.16-0.31 with a
+		// delivery block per pop, 3.2 before.
+		{"wide-1x1x4096", 1, 1, 4096, false, 0.2},
 		// Journal, mirror, snapshots and the RTS audit log on: 0.30-0.46, what
 		// wide pays plus ~25 snapshots' file handling (a directory listing, a
 		// temporary, a rename each); six journaled transitions per task

@@ -342,10 +342,17 @@ func (q *queue) publishBatchTo(sh *qshard, msgs []Message, batch bool) error {
 // preserves that shard's FIFO order (a whole publish batch in the common
 // case). A consumer starts at its preferred shard, and a segment from any
 // other is a steal. May return fewer than max — or none — when concurrent
-// consumers drain the queue first. The batch is two allocations, its
-// deliveries and the slice of pointers to them; a batch of one — every Get,
-// and every sync frame and ack — is a single allocation holding both.
+// consumers drain the queue first.
+//
+// For a pull consumer whose in-flight count is just the max slots this pop
+// reserved, every delivery of its last batch is settled (the settlement's
+// release of those slots orders the two), so the batch refills that batch's
+// block and pointer slice, growing them when it is wider, and allocates
+// nothing in the steady state. Otherwise it is two allocations, its
+// deliveries and the slice of pointers to them; a batch of one — every Get —
+// is a single allocation holding both.
 func (q *queue) popBatch(c *Consumer, start, max int) []*Delivery {
+	reuse := c != nil && c.pull && c.inflight.Load() == int64(max)
 	avail := int(q.totalReady())
 	if avail <= 0 {
 		return nil
@@ -356,15 +363,21 @@ func (q *queue) popBatch(c *Consumer, start, max int) []*Delivery {
 	n := len(q.shards)
 	var block []Delivery
 	var batch []*Delivery
-	if avail == 1 {
+	switch {
+	case reuse && avail <= cap(c.block):
+		block, batch = c.block[:avail], c.ptrs[:0]
+	case avail == 1:
 		one := new(struct {
 			d [1]Delivery
 			p [1]*Delivery
 		})
 		block, batch = one.d[:], one.p[:0]
-	} else {
+	default:
 		block = make([]Delivery, avail)
 		batch = make([]*Delivery, 0, avail)
+	}
+	if reuse {
+		c.block, c.ptrs = block, batch
 	}
 	for i := 0; i < n && len(batch) < avail; i++ {
 		sh := &q.shards[(start+i)%n]
@@ -582,6 +595,13 @@ type Consumer struct {
 	inflight atomic.Int64   // outstanding unacked deliveries
 	popWG    sync.WaitGroup // in-flight pops (Cancel barrier)
 
+	// block and ptrs are a pull consumer's last batch: its deliveries and the
+	// slice handed out over them. Only a pop whose reserved slots are all the
+	// consumer has in flight touches them, and refills them (popBatch);
+	// Cancel drops them.
+	block []Delivery
+	ptrs  []*Delivery
+
 	mu      sync.Mutex
 	stopped bool
 	stopCh  chan struct{}
@@ -696,6 +716,12 @@ func (c *Consumer) releaseN(n int) {
 // the queue/broker closes; every returned delivery must still be settled
 // (individually or via AckBatch/NackBatch).
 //
+// The returned slice and deliveries are valid until the consumer's next
+// ReceiveBatch. A receive that finds every earlier delivery of the consumer
+// settled refills the block of its last batch instead of allocating one, so a
+// caller must be done with a batch, settling included, before it receives
+// again; a delivery it still holds unsettled keeps its own block.
+//
 // ReceiveBatch is only valid on pull-mode consumers from Broker.ConsumeBatch.
 func (c *Consumer) ReceiveBatch(max int) ([]*Delivery, error) {
 	if !c.pull {
@@ -789,6 +815,9 @@ func (c *Consumer) Cancel() {
 	for _, d := range orphans {
 		d.Nack(true) //nolint:errcheck // already-settled deliveries are fine
 	}
+	// A cancelled consumer pops nothing more: let its last block go, with the
+	// payloads it still references.
+	c.block, c.ptrs = nil, nil
 }
 
 // loop feeds a push-mode consumer's channel. It pops in batches bounded by

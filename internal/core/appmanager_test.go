@@ -359,17 +359,17 @@ func TestRTSFailover(t *testing.T) {
 
 // checkReinjected holds failover to re-injecting exactly the tasks the dead
 // RTS accepted and never reported, no more and no fewer: each of those failed
-// once (the restart's FAILED), and no other task failed at all.
+// once (the restart's FAILED), and no other task failed at all. The tasks must
+// be DONE: such a task entered SCHEDULING once from INITIAL and once after
+// each FAILED, the only other way in, so it failed Attempts()-1 times.
 func checkReinjected(t *testing.T, dead *fakeRTS, tasks []*Task) {
 	t.Helper()
 	lost := dead.lost()
 	for _, task := range tasks {
-		fails := 0
-		for _, st := range task.StateHistory() {
-			if st == TaskFailed {
-				fails++
-			}
+		if task.State() != TaskDone {
+			t.Fatalf("task %s is %s; checkReinjected reads only DONE tasks", task.UID, task.State())
 		}
+		fails := task.Attempts() - 1
 		want := 0
 		if lost[task.UID] {
 			want = 1

@@ -496,44 +496,6 @@ func TestLazyClientsRaceRunEnd(t *testing.T) {
 	})
 }
 
-// TestStateHistoryPastInlineCapacity: a task's history reads the same
-// whether its transitions fit the inline array or spill into the overflow,
-// which a retried task's do.
-func TestStateHistoryPastInlineCapacity(t *testing.T) {
-	attempt := []TaskState{TaskScheduling, TaskScheduled, TaskSubmitting, TaskSubmitted, TaskExecuted}
-	task := NewTask("retried")
-	var want []TaskState
-	step := func(to TaskState) {
-		t.Helper()
-		if err := task.advance(to); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, to)
-		if got := task.StateHistory(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("history after %d transitions = %v, want %v", len(want), got, want)
-		}
-	}
-	for retry := 0; retry < 3; retry++ {
-		for _, to := range attempt {
-			step(to)
-		}
-		step(TaskFailed)
-	}
-	for _, to := range append(attempt, TaskDone) {
-		step(to)
-	}
-	if len(want) <= len(task.histBuf) {
-		t.Fatalf("%d transitions never left the inline array of %d", len(want), len(task.histBuf))
-	}
-	if task.Attempts() != 4 {
-		t.Fatalf("attempts = %d, want 4", task.Attempts())
-	}
-	task.forceState(TaskCanceled)
-	if got := task.StateHistory(); got[len(got)-1] != TaskCanceled || len(got) != len(want)+1 {
-		t.Fatalf("forced state missing from history %v", got)
-	}
-}
-
 // TestCommitPathAllocs pins the commit path's allocation contract on a
 // non-durable manager nobody subscribed to: applying a bulk task request
 // allocates nothing, for 512 tasks as for 64 — and a fresh task's six
@@ -760,13 +722,13 @@ func TestSnapshotPollerAndLateSubscriber(t *testing.T) {
 	}
 	sub := am.Subscribe(EventFilter{Kinds: []EventKind{EventTask}, Buffer: 8 * tasks})
 	doneAtAttach := am.Snapshot().TasksDone
-	seen := map[string][]TaskState{}
+	seen := map[string][]Event{}
 	var consumer sync.WaitGroup
 	consumer.Add(1)
 	go func() {
 		defer consumer.Done()
 		for ev := range sub.C() {
-			seen[ev.UID] = append(seen[ev.UID], TaskState(ev.To))
+			seen[ev.UID] = append(seen[ev.UID], ev)
 		}
 	}()
 
@@ -781,11 +743,20 @@ func TestSnapshotPollerAndLateSubscriber(t *testing.T) {
 	}
 	sawDone := 0
 	for _, task := range pipes[0].Stages()[0].Tasks() {
-		hist, got := task.StateHistory(), seen[task.UID]
-		if len(got) > len(hist) || !slices.Equal(got, hist[len(hist)-len(got):]) {
-			t.Fatalf("task %s: subscriber saw %v, not a tail of the history %v", task.UID, got, hist)
+		// A gapless tail of the task's history: each transition legal and
+		// starting where the one before it ended, the last ending where the
+		// task is.
+		got := seen[task.UID]
+		for i, ev := range got {
+			from, to := TaskState(ev.From), TaskState(ev.To)
+			if !legalTask(from, to) || (i > 0 && ev.From != got[i-1].To) {
+				t.Fatalf("task %s: subscriber saw %s -> %s after %v, not a tail of its history", task.UID, from, to, got[:i])
+			}
 		}
 		if len(got) > 0 {
+			if last := TaskState(got[len(got)-1].To); last != task.State() {
+				t.Fatalf("task %s: subscriber's last event reached %s, the task is %s", task.UID, last, task.State())
+			}
 			sawDone++
 		}
 	}

@@ -136,7 +136,8 @@ func (e *execManager) emgrLoop(ctx context.Context) {
 		}
 		// One broker round-trip per batch; cancellation (stop, broker
 		// close) surfaces as an error from ReceiveBatch. The batch bound is
-		// the live knob: one atomic load per broker round-trip.
+		// the live knob: one atomic load per broker round-trip. The batch
+		// is valid until the next receive, and submitBatch settles it.
 		batch, err := e.pendC.ReceiveBatch(e.am.live.BatchSize())
 		if err != nil {
 			return

@@ -25,14 +25,3 @@ func (p *Pipeline) Suspend() error { return p.advance(PipelineSuspended) }
 
 // Resume reactivates a suspended pipeline.
 func (p *Pipeline) Resume() error { return p.advance(PipelineScheduling) }
-
-// StateHistory returns the sequence of states the task has traversed.
-func (t *Task) StateHistory() []TaskState {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]TaskState, len(t.hist))
-	for i, c := range t.hist {
-		out[i] = taskStateNames[c]
-	}
-	return out
-}

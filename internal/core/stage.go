@@ -24,6 +24,12 @@ type Stage struct {
 	state StageState
 	pipe  *Pipeline // owning pipeline, set when the stage is added to one
 	tally taskTally
+
+	// pending is the task list of a stage whose fresh tasks fit one pending
+	// message, which carries a pointer to it. The WFProcessor writes it once,
+	// when it schedules the stage and before the publish; the Emgr only reads
+	// it.
+	pending []*Task
 }
 
 // taskTally counts a set of tasks by state, with the attempts they have made.

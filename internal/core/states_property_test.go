@@ -14,12 +14,12 @@ var allTaskStates = []TaskState{
 
 // TestTaskStateWalkProperty drives random transition requests against a
 // task and checks the machine's invariants: an accepted transition is in
-// the legal table for the pre-state; a rejected one is not; the recorded
-// history only contains accepted transitions; DONE and CANCELED absorb.
+// the legal table for the pre-state; a rejected one is not; the task ends in
+// the state of the last transition it accepted; DONE and CANCELED absorb.
 func TestTaskStateWalkProperty(t *testing.T) {
 	check := func(moves []uint8) bool {
 		task := NewTask("walk")
-		accepted := 0
+		last := TaskInitial // the target of the last accepted transition
 		for _, m := range moves {
 			to := allTaskStates[int(m)%len(allTaskStates)]
 			from := task.State()
@@ -29,7 +29,7 @@ func TestTaskStateWalkProperty(t *testing.T) {
 					t.Logf("illegal transition %s -> %s accepted", from, to)
 					return false
 				}
-				accepted++
+				last = to
 				if task.State() != to {
 					return false
 				}
@@ -47,7 +47,7 @@ func TestTaskStateWalkProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(task.StateHistory()) == accepted
+		return task.State() == last
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

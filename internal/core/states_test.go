@@ -21,8 +21,8 @@ func TestTaskNominalPath(t *testing.T) {
 	if got := task.State(); got != TaskDone {
 		t.Fatalf("final state = %s", got)
 	}
-	if got := len(task.StateHistory()); got != len(path) {
-		t.Fatalf("history length = %d, want %d", got, len(path))
+	if got := task.Attempts(); got != 1 {
+		t.Fatalf("attempts = %d, want 1", got)
 	}
 }
 

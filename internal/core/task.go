@@ -118,13 +118,8 @@ type Task struct {
 	// embeds decision logic in tasks (§II-B1).
 	LocalFunc func() error `json:"-"`
 
-	mu    sync.RWMutex
-	state taskCode
-	// hist is the states traversed, as codes. It starts out in histBuf — a
-	// task that is never retried makes six transitions and allocates nothing
-	// for them — and moves to the heap when a retried task outgrows that.
-	hist     []taskCode
-	histBuf  [8]taskCode
+	mu       sync.RWMutex
+	state    taskCode
 	attempts int
 	exitCode int
 	execErr  string
@@ -201,18 +196,14 @@ func (t *Task) forceState(s TaskState) {
 	t.write(c, 0, nil)
 }
 
-// write is every task state write: the state, its history entry, the attempt
-// counter, and the owning stage's tallies. With a book (the Synchronizer's)
-// the tally move is booked there and applied with the rest of the request;
-// without one (a forced write, or a transition outside the Synchronizer) it
-// moves the stage's and the run's tallies now. t.mu must be held.
+// write is every task state write: the state, the attempt counter, and the
+// owning stage's tallies. With a book (the Synchronizer's) the tally move is
+// booked there and applied with the rest of the request; without one (a
+// forced write, or a transition outside the Synchronizer) it moves the stage's
+// and the run's tallies now. t.mu must be held.
 func (t *Task) write(to taskCode, attempts int, book *tallyBook) {
 	from := t.state
 	t.state = to
-	if t.hist == nil {
-		t.hist = t.histBuf[:0]
-	}
-	t.hist = append(t.hist, to)
 	t.attempts += attempts
 	switch {
 	case t.stage == nil:

@@ -248,17 +248,22 @@ func (w *wfProcessor) scheduleStage(stage *Stage) error {
 	// chunked into messages of at most BatchSize tasks so the Emgr's
 	// batch granularity is controllable, but however many messages that
 	// yields, the broker is traversed once. A chunk is a slice of
-	// runnable, and the stage's chunks are made in one allocation; the
-	// values the broker is handed stay on this stack when there are
-	// few. The chunk size is the live batch knob: one atomic load per
-	// stage-scheduling decision.
+	// runnable. A stage that fits one chunk sends the stage's own pending
+	// list; a wider one's chunks are made in one allocation. The values the
+	// broker is handed stay on this stack when there are few. The chunk size
+	// is the live batch knob: one atomic load per stage-scheduling decision.
 	chunk := w.am.live.BatchSize()
-	chunks := make([][]*Task, 0, (len(runnable)+chunk-1)/chunk)
 	var few [4]any
 	values := few[:0]
-	for start := 0; start < len(runnable); start += chunk {
-		chunks = append(chunks, runnable[start:min(start+chunk, len(runnable))])
-		values = append(values, &chunks[len(chunks)-1])
+	if len(runnable) <= chunk {
+		stage.pending = runnable
+		values = append(values, &stage.pending)
+	} else {
+		chunks := make([][]*Task, 0, (len(runnable)+chunk-1)/chunk)
+		for start := 0; start < len(runnable); start += chunk {
+			chunks = append(chunks, runnable[start:min(start+chunk, len(runnable))])
+			values = append(values, &chunks[len(chunks)-1])
+		}
 	}
 	return w.pendP.PublishValues(values)
 }
@@ -277,6 +282,8 @@ func (w *wfProcessor) dequeueLoop(ctx context.Context) {
 		// broker round-trip; bulk state updates then keep the dequeue path
 		// from serializing tens of thousands of synchronization round trips
 		// at scale. Cancellation (stop, broker close) surfaces as an error.
+		// The batch is valid until the next receive, which refills it:
+		// handleResultBatch settles it and is done with it before that.
 		batch, err := w.doneC.ReceiveBatch(dequeueBatch)
 		if err != nil {
 			return

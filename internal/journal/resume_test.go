@@ -472,8 +472,13 @@ func TestFailedRollTakesNoSnapshot(t *testing.T) {
 		return writerFunc(func([]byte) (int, error) { return 0, syscall.EIO })
 	})
 	defer restore()
-	// The first roll comes once stage 0 has finished some of its tasks.
-	am, _ := resumeManager(t, dir, tasks, 5*tasks)
+	// The first roll comes once stage 0 has finished some of its tasks: its
+	// scheduling and submission commit 4·tasks+3 records, and a completion
+	// drain commits its EXECUTED request before its DONE one. A cadence one
+	// record past 4·tasks+3 and a whole stage's EXECUTED rolls after the
+	// first DONE request and no later than stage 0's last; at 5·tasks a
+	// first drain of 61 or more tasks rolled before any DONE was journaled.
+	am, _ := resumeManager(t, dir, tasks, 5*tasks+4)
 	err := am.Run(context.Background())
 	restore()
 	if !errors.Is(err, syscall.EIO) {
