@@ -45,6 +45,7 @@ var unusedExports = []unusedExport{
 	{"repro/internal/msgcodec.Format.EncodeSyncFrame", benchOnly},
 	{"repro/internal/msgcodec.Format.EncodeSyncAck", benchOnly},
 	{"repro/internal/msgcodec.Format.EncodeTaskUIDs", benchOnly},
+	{"repro/internal/msgcodec.Format.EncodeTaskResults", benchOnly},
 	{"repro/internal/transport.Conn.Stats", benchOnly},
 	{"repro/internal/rts.FastModel", benchOnly},
 

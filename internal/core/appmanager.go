@@ -200,7 +200,7 @@ type AppManager struct {
 	mirror            *statedb.DB
 	snapw             statedb.SnapshotWriter
 	recov             RecoveryInfo
-	snapPending       int // state records since the last snapshot (synchronizer goroutine only)
+	snapPending       int // state records since the last snapshot (synchronizer goroutine, then teardown)
 	snapBusy          atomic.Bool
 	snapWG            sync.WaitGroup
 	snapHook          func(watermark uint64)
@@ -228,6 +228,9 @@ type AppManager struct {
 	sync *synchronizer
 	wfp  *wfProcessor
 	emgr *execManager
+	// partHook, set only by tests, runs on the enqueue loop between two parts
+	// of a streamed stage (wfProcessor.streamStage).
+	partHook func()
 
 	// events fans committed state transitions out to subscribers; ctl is
 	// the run handle's synchronizer client (Pause/Resume/CancelPipeline),
@@ -604,11 +607,13 @@ func (am *AppManager) teardownCost(n int) {
 
 // closeJournal closes the state journal if one is open, after the snapshot
 // writer has finished the snapshot it may have in flight (it compacts
-// through the journal). The synchronizer must have stopped: it is the only
-// one that starts snapshots.
+// through the journal) and the snapshot the run's last commits are owed is
+// written (snapshotOwed). The synchronizer must have stopped: it is the only
+// other one that takes snapshots.
 func (am *AppManager) closeJournal() {
 	am.snapWG.Wait()
 	if am.jrn != nil {
+		am.snapshotOwed()
 		am.jrn.Close()
 	}
 }

@@ -40,9 +40,13 @@ type execManager struct {
 	wg       sync.WaitGroup
 
 	// doneFree holds the done queue's spent messages, which Dequeue hands
-	// back for the callback loops to fill again.
-	doneMu   sync.Mutex
-	doneFree []*doneBatch
+	// back for the callback loops to fill again; doneMade counts the messages
+	// made, and doneSlots is the most items a message was asked for
+	// (spareDone).
+	doneMu    sync.Mutex
+	doneFree  []*doneBatch
+	doneMade  int
+	doneSlots int
 
 	// submitMu makes the Emgr's mark-in-flight / Submit / unmark-on-refusal
 	// one step as failover sees it: failover collects the marks (Task.inflight:
@@ -265,16 +269,34 @@ type doneItem struct {
 	lost bool // the attempt died with its RTS: resubmit it whatever the budget
 }
 
-// spareDone returns a spent done message to fill, or a new one.
-func (e *execManager) spareDone() *doneBatch {
+// doneFirstBlock is how many done messages the first block holds: a small
+// app's drains and settle messages seldom have more in circulation.
+const doneFirstBlock = 2
+
+// spareDone returns a spent done message with room for n items. When none is
+// spent it makes a block of as many messages as were made before (at least
+// doneFirstBlock) in one allocation, their item arrays cut from one backing
+// array with room each for the most items asked for so far. So the messages
+// made follow the done queue's deepest backlog in a logarithmic number of
+// allocations, not one per message, and a small app's blocks stay as small as
+// its drains.
+func (e *execManager) spareDone(n int) *doneBatch {
 	e.doneMu.Lock()
 	defer e.doneMu.Unlock()
-	n := len(e.doneFree)
-	if n == 0 {
-		return new(doneBatch)
+	e.doneSlots = max(e.doneSlots, n)
+	if len(e.doneFree) == 0 {
+		count, slots := max(doneFirstBlock, e.doneMade), e.doneSlots
+		block, items := make([]doneBatch, count), make([]doneItem, count*slots)
+		e.doneFree = slices.Grow(e.doneFree, count)
+		for i := range block {
+			block[i].items = items[i*slots : i*slots : (i+1)*slots]
+			e.doneFree = append(e.doneFree, &block[i])
+		}
+		e.doneMade += count
 	}
-	b := e.doneFree[n-1]
-	e.doneFree = e.doneFree[:n-1]
+	b := e.doneFree[len(e.doneFree)-1]
+	e.doneFree = e.doneFree[:len(e.doneFree)-1]
+	b.items = slices.Grow(b.items, n) // a message made before a wider drain
 	return b
 }
 
@@ -309,8 +331,7 @@ func (e *execManager) callbackLoop(rts RTS, done chan struct{}) {
 		// A result no mark is left for — a second report of one attempt, one
 		// of a task failover has already taken back, or one naming no task —
 		// is dropped.
-		b := e.spareDone()
-		b.items = slices.Grow(b.items, len(drained))
+		b := e.spareDone(len(drained))
 		e.am.mu.Lock()
 		for _, r := range drained {
 			if t := e.am.tasks[r.UID]; t != nil && t.inflight.CompareAndSwap(true, false) {
@@ -387,7 +408,7 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 	// attempt failed through no fault of their own, so they go to Dequeue as
 	// failed attempts marked lost, which it resubmits without consuming their
 	// retry budget.
-	lost := e.spareDone()
+	lost := e.spareDone(0)
 	e.submitMu.Lock()
 	e.am.mu.Lock()
 	for _, t := range e.am.tasks {

@@ -25,3 +25,10 @@ func (p *Pipeline) Suspend() error { return p.advance(PipelineSuspended) }
 
 // Resume reactivates a suspended pipeline.
 func (p *Pipeline) Resume() error { return p.advance(PipelineScheduling) }
+
+// EnqueueFrames counts the sync frames the enqueue loop has had acknowledged:
+// the publishes on its reply queue.
+func (am *AppManager) EnqueueFrames() (uint64, error) {
+	st, err := am.brk.Stats(am.qname(qAckEnq))
+	return st.Published, err
+}

@@ -125,3 +125,92 @@ func runChain(t *testing.T) chainRun {
 	t.Logf("%d sync frames over %d stages: %.2f per stage; %d PerOpDelay calls: %.2f per stage", frames, stages, r.frames, calls, r.ops)
 	return r
 }
+
+// TestWideStageStreamsInParts runs the paper's weak-scaling shape, one stage
+// of 16 384 tasks, at the default BatchSize of 1024. The stage is committed
+// and published in parts of 1, 1, 2, 4 and 8 chunks: five scheduling frames,
+// beside the enqueue loop's frame for the pipeline's SCHEDULING. Only the
+// first part's frame carries the stage's transitions: the stage's SCHEDULING
+// is the first event, and its SCHEDULED commits after exactly the first
+// chunk's tasks are SCHEDULED.
+func TestWideStageStreamsInParts(t *testing.T) {
+	const tasks, chunk = 16384, 1024
+	clock := vclock.NewScaled(250 * time.Microsecond)
+	machine, err := rts.NewMachine(rts.MachineConfig{Clock: clock, Resources: []core.ResourceDesc{{Resource: "supermic"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer machine.Close()
+	am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := am.LiveTuning().BatchSize(); got != chunk {
+		t.Fatalf("default BatchSize %d, want %d", got, chunk)
+	}
+	am.SetResource(core.ResourceDesc{Resource: "supermic", Cores: 64, Walltime: 72 * time.Hour})
+	am.SetRTSFactory(rts.Factory(rts.Config{
+		Clock:    clock,
+		Session:  machine.Session,
+		Registry: workload.NewRegistry(),
+		Model:    rts.FastModel(),
+	}))
+	pipe, stage := core.NewPipeline("wide"), core.NewStage("s")
+	for k := 0; k < tasks; k++ {
+		task := core.NewTask("t")
+		task.Executable = "sleep"
+		stage.AddTask(task) //nolint:errcheck // a fresh stage accepts tasks
+	}
+	var frames uint64
+	stage.PostExec = func() (err error) { // every part is committed by now
+		frames, err = am.EnqueueFrames()
+		return err
+	}
+	pipe.AddStage(stage) //nolint:errcheck // a fresh pipeline accepts stages
+	if err := am.AddPipelines(pipe); err != nil {
+		t.Fatal(err)
+	}
+
+	type order struct {
+		stageFirst bool   // the stage's SCHEDULING was the first event
+		before     int    // task SCHEDULED events before the stage's SCHEDULED
+		dropped    uint64 // events the subscription dropped by then
+	}
+	sub := am.Subscribe(core.EventFilter{Kinds: []core.EventKind{core.EventStage, core.EventTask}, Buffer: 1 << 15})
+	got := make(chan order, 1)
+	go func() {
+		var o order
+		seen := 0
+		for ev := range sub.C() {
+			switch {
+			case ev.Kind == core.EventStage && ev.To == string(core.StageScheduling):
+				o.stageFirst = seen == 0
+			case ev.Kind == core.EventStage && ev.To == string(core.StageScheduled):
+				o.dropped = sub.Dropped()
+				got <- o
+			case ev.Kind == core.EventTask && ev.To == string(core.TaskScheduled):
+				o.before++
+			}
+			seen++
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := am.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if frames != 1+5 {
+		t.Fatalf("the enqueue loop sent %d frames, want 6: the pipeline's and five parts of 1, 1, 2, 4, 8 chunks", frames)
+	}
+	select {
+	case o := <-got:
+		if o.dropped != 0 {
+			t.Fatalf("the subscription dropped %d events before the stage's SCHEDULED", o.dropped)
+		}
+		if !o.stageFirst || o.before != chunk {
+			t.Fatalf("stage SCHEDULING first: %v; %d tasks SCHEDULED before the stage, want the first part's %d", o.stageFirst, o.before, chunk)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no SCHEDULED event for the stage")
+	}
+}

@@ -156,18 +156,15 @@ func usedJournalDir(dir string) error {
 }
 
 // maybeSnapshot is the synchronizer's commit hook: it accumulates committed
-// state records and, every Config.SnapshotEvery, rolls the journal, takes the
-// mirror's image at the sealed segment's last record and hands it to the
-// background writer, whose compaction then leaves only the new segment.
-// Called only from the synchronizer loop goroutine — the sole journal writer
-// — after the request's append has returned, so the image is exactly the
-// state at the watermark and the watermark never exceeds what the file holds.
-// At most one snapshot is in flight: while the writer is busy the trigger
-// stays armed and the next commit tries again, so a slow disk costs snapshot
-// cadence, never an ack. A failed roll takes no snapshot and counts as a
-// failed one; the journal then refuses appends, failing the next commit.
-// Whoever holds snapBusy owns am.snapw and its buffers: this goroutine from
-// the swap to the hand-over, the writer after.
+// state records and, every Config.SnapshotEvery, takes a snapshot
+// (takeSnapshot) and hands it to the background writer. Called only from the
+// synchronizer loop goroutine — the sole journal writer — after the request's
+// append has returned. At most one snapshot is in flight: while the writer is
+// busy the trigger stays armed and the next commit tries again, so a slow
+// disk costs snapshot cadence, never an ack; the snapshot owed when commits
+// stop is teardown's (snapshotOwed). Whoever holds snapBusy owns am.snapw and
+// its buffers: this goroutine from the swap to the hand-over, the writer
+// after.
 func (am *AppManager) maybeSnapshot(committed int) {
 	if am.mirror == nil || am.cfg.SnapshotEvery <= 0 {
 		return
@@ -176,14 +173,11 @@ func (am *AppManager) maybeSnapshot(committed int) {
 	if am.snapPending < am.cfg.SnapshotEvery || !am.snapBusy.CompareAndSwap(false, true) {
 		return
 	}
-	am.snapPending = 0
-	watermark, err := am.jrn.Roll()
-	if err != nil {
-		atomic.AddInt64(&am.snapshotFailures, 1)
+	watermark, ok := am.takeSnapshot()
+	if !ok {
 		am.snapBusy.Store(false)
 		return
 	}
-	am.snapw.Capture(am.mirror, watermark)
 	am.snapWG.Add(1)
 	go func() {
 		defer am.snapWG.Done()
@@ -192,8 +186,40 @@ func (am *AppManager) maybeSnapshot(committed int) {
 	}()
 }
 
+// snapshotOwed takes and writes the snapshot a run's last commits are owed:
+// SnapshotEvery or more of them arrived while the writer was busy, and no
+// later commit came to start it. Teardown calls it once the synchronizer has
+// stopped and the writer is idle, so a run that ends or is canceled leaves
+// fewer than SnapshotEvery records past its newest snapshot for Resume to
+// replay, not however many committed during its last write.
+func (am *AppManager) snapshotOwed() {
+	if am.mirror == nil || am.cfg.SnapshotEvery <= 0 || am.snapPending < am.cfg.SnapshotEvery {
+		return
+	}
+	if watermark, ok := am.takeSnapshot(); ok {
+		am.writeSnapshot(watermark)
+	}
+}
+
+// takeSnapshot rolls the journal and takes the mirror's image at the sealed
+// segment's last record into am.snapw; the writer's compaction then leaves
+// only the new segment. Its caller is the only one committing, so the image
+// is exactly the state at the watermark and the watermark never exceeds what
+// the file holds. A failed roll takes no snapshot and counts as a failed one;
+// the journal then refuses appends, failing the next commit.
+func (am *AppManager) takeSnapshot() (uint64, bool) {
+	am.snapPending = 0
+	watermark, err := am.jrn.Roll()
+	if err != nil {
+		atomic.AddInt64(&am.snapshotFailures, 1)
+		return 0, false
+	}
+	am.snapw.Capture(am.mirror, watermark)
+	return watermark, true
+}
+
 // writeSnapshot persists the captured image and compacts at its watermark, on
-// the background writer. Failures are counted, not fatal: the journal
+// the background writer or, for the owed snapshot, on teardown. Failures are counted, not fatal: the journal
 // remains authoritative, so a failed snapshot only delays compaction,
 // and a segment Compact could not remove stays listed for the next snapshot's.
 func (am *AppManager) writeSnapshot(watermark uint64) {

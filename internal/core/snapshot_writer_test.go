@@ -311,11 +311,31 @@ func (s *stalledRun) settled(t *testing.T) map[struct{ entity, uid string }]stri
 	return reconstruct(t, s.dir)
 }
 
+// tailRecords counts the state records in dir past its newest snapshot: what
+// a Resume from it replays.
+func tailRecords(t *testing.T, dir string) int {
+	t.Helper()
+	snapSeq := loadSnapshotInto(t, dir, map[struct{ entity, uid string }]string{})
+	tail := 0
+	err := journal.ReplayDir(dir, func(rec journal.Record) error {
+		if rec.Type == "state" && rec.Seq > snapSeq {
+			tail++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tail
+}
+
 // TestStalledSnapshotWriter holds the background writer inside a snapshot
 // and pins what the synchronizer and teardown do meanwhile: acks keep
 // flowing, no second snapshot starts, the SnapshotEvery trigger is still
 // armed when the writer comes back, and Wait — after a normal finish and
-// after Cancel — returns only once the writer has drained.
+// after Cancel — returns only once the writer has drained, having taken the
+// snapshot the commits during the stall owed: fewer than SnapshotEvery
+// records are left past the newest one.
 func TestStalledSnapshotWriter(t *testing.T) {
 	t.Run("acks flow and the trigger stays armed", func(t *testing.T) {
 		s := startStalled(t, true)
@@ -369,6 +389,9 @@ func TestStalledSnapshotWriter(t *testing.T) {
 		if done != 16 {
 			t.Fatalf("the directory reconstructs %d DONE tasks, want 16", done)
 		}
+		if tail := tailRecords(t, s.dir); tail >= 4 {
+			t.Fatalf("%d state records past the newest snapshot, want fewer than SnapshotEvery (4)", tail)
+		}
 	})
 
 	t.Run("Cancel drains the writer", func(t *testing.T) {
@@ -381,6 +404,9 @@ func TestStalledSnapshotWriter(t *testing.T) {
 			t.Fatalf("canceled run ended with %v", err)
 		}
 		s.settled(t)
+		if tail := tailRecords(t, s.dir); tail >= 4 {
+			t.Fatalf("%d state records past the newest snapshot, want fewer than SnapshotEvery (4)", tail)
+		}
 	})
 }
 

@@ -221,20 +221,23 @@ func freshTasks(stage *Stage) []*Task {
 }
 
 // scheduleStage tags a stage's unscheduled tasks and pushes them to the
-// pending queue (paper Fig 2, arrow 1).
+// pending queue (paper Fig 2, arrow 1), in chunks of at most BatchSize tasks
+// so the Emgr's batch granularity is controllable. The chunk size is the live
+// batch knob: one atomic load per stage-scheduling decision.
 func (w *wfProcessor) scheduleStage(stage *Stage) error {
 	runnable := freshTasks(stage)
-	// Both stage transitions and both bulk task transitions ride a single
-	// sync frame: scheduling a stage costs one synchronization round-trip
-	// regardless of task count. Tasks must be in SCHEDULED before their
+	chunk := w.am.live.BatchSize()
+	first := runnable[:min(chunk, len(runnable))]
+	// Both stage transitions and the first chunk's two bulk task transitions
+	// ride a single sync frame. Tasks must be in SCHEDULED before their
 	// pending messages become visible, or the Emgr can race past its
-	// transitions — the frame's ack guarantees all four commits precede the
-	// publish below, and puts the stage's SCHEDULED ahead of anything the
-	// Emgr or Dequeue commit for its tasks.
+	// transitions — the frame's ack guarantees its commits precede the publish
+	// below, and puts the stage's SCHEDULED ahead of anything the Emgr or
+	// Dequeue commit for its tasks.
 	w.enqSync.begin()
 	w.enqSync.add(stageRequest(stage, StageScheduling))
-	w.enqSync.addTasks(runnable, TaskScheduling)
-	w.enqSync.addTasks(runnable, TaskScheduled)
+	w.enqSync.addTasks(first, TaskScheduling)
+	w.enqSync.addTasks(first, TaskScheduled)
 	w.enqSync.add(stageRequest(stage, StageScheduled))
 	if err := w.enqSync.flush(); err != nil {
 		return err
@@ -244,28 +247,52 @@ func (w *wfProcessor) scheduleStage(stage *Stage) error {
 		// result will ever arrive to make Dequeue settle the stage.
 		return w.am.settle(stage)
 	}
-	// The whole stage goes out as one batch publish. The tasks are
-	// chunked into messages of at most BatchSize tasks so the Emgr's
-	// batch granularity is controllable, but however many messages that
-	// yields, the broker is traversed once. A chunk is a slice of
-	// runnable. A stage that fits one chunk sends the stage's own pending
-	// list; a wider one's chunks are made in one allocation. The values the
-	// broker is handed stay on this stack when there are few. The chunk size
-	// is the live batch knob: one atomic load per stage-scheduling decision.
-	chunk := w.am.live.BatchSize()
-	var few [4]any
-	values := few[:0]
 	if len(runnable) <= chunk {
+		// The stage's own pending list is the one message.
 		stage.pending = runnable
-		values = append(values, &stage.pending)
-	} else {
-		chunks := make([][]*Task, 0, (len(runnable)+chunk-1)/chunk)
-		for start := 0; start < len(runnable); start += chunk {
-			chunks = append(chunks, runnable[start:min(start+chunk, len(runnable))])
-			values = append(values, &chunks[len(chunks)-1])
-		}
+		return w.pendP.PublishValue(&stage.pending)
 	}
-	return w.pendP.PublishValues(values)
+	return w.streamStage(stage, runnable, chunk)
+}
+
+// streamStage publishes a stage wider than one chunk, whose first chunk is
+// committed, in parts of 1, 1, 2, 4, … chunks: a part's chunks go out as one
+// batch publish, and then the next part's frame, which carries only its
+// tasks' two transitions, is committed. The RTS starts on the first chunk
+// while the rest commit, and a 16-chunk stage costs five frames instead of
+// one. A stage canceled between two parts stops there: none of the rest is
+// published. The chunks are slices of runnable, made in one allocation with
+// the values that point at them.
+func (w *wfProcessor) streamStage(stage *Stage, runnable []*Task, chunk int) error {
+	n := (len(runnable) + chunk - 1) / chunk
+	chunks, values := make([][]*Task, n), make([]any, n)
+	for i := range chunks {
+		chunks[i] = runnable[i*chunk : min((i+1)*chunk, len(runnable))]
+		values[i] = &chunks[i]
+	}
+	for start := 0; start < n; {
+		end := min(start+max(start, 1), n)
+		if start > 0 {
+			if w.am.partHook != nil {
+				w.am.partHook()
+			}
+			if stage.State().Terminal() {
+				return nil // canceled; the cancel handed Dequeue the stage
+			}
+			part := runnable[start*chunk : min(end*chunk, len(runnable))]
+			w.enqSync.begin()
+			w.enqSync.addTasks(part, TaskScheduling)
+			w.enqSync.addTasks(part, TaskScheduled)
+			if err := w.enqSync.flush(); err != nil {
+				return err
+			}
+		}
+		if err := w.pendP.PublishValues(values[start:end]); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 func (w *wfProcessor) dequeueLoop(ctx context.Context) {
@@ -530,7 +557,7 @@ func (w *wfProcessor) completePipeline(p *Pipeline) error {
 // or the last stage of a pipeline that may be, and carries no results:
 // Dequeue settles the stage and its pipeline like one it finished itself.
 func (am *AppManager) settle(stage *Stage) error {
-	b := am.emgr.spareDone()
+	b := am.emgr.spareDone(0)
 	b.stage = stage
 	return am.brk.PublishValue(am.qname(qDone), b)
 }

@@ -132,7 +132,7 @@ func TestSharedDecodeDoesNotAliasTheFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := DecodeTaskResultsShared(body)
+	rs, err := AppendTaskResultsShared(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,8 @@ func TestHostileCountsErrorBeforeAllocation(t *testing.T) {
 		t.Fatal("2^40 tasks claimed in 4096 bytes accepted")
 	}
 
-	for _, decode := range []func([]byte) ([]TaskResult, error){DecodeTaskResults, DecodeTaskResultsShared} {
+	shared := func(b []byte) ([]TaskResult, error) { return AppendTaskResultsShared(nil, b) }
+	for _, decode := range []func([]byte) ([]TaskResult, error){DecodeTaskResults, shared} {
 		if rs, err := decode(frame(FrameTaskResults, 3, 3*minTaskResultSize)); err != nil || len(rs) != 3 {
 			t.Fatalf("3 minimal results: %d, %v", len(rs), err)
 		}
@@ -359,7 +360,7 @@ func FuzzDecodeRemote(f *testing.F) {
 		}
 
 		// Shared-string results are the copying decoder's results.
-		shared, serr := DecodeTaskResultsShared(body)
+		shared, serr := AppendTaskResultsShared(nil, body)
 		plain, perr := DecodeTaskResults(body)
 		if (serr == nil) != (perr == nil) || !reflect.DeepEqual(shared, plain) {
 			t.Fatalf("shared results %+v, %v; copied results %+v, %v", shared, serr, plain, perr)

@@ -401,16 +401,23 @@ type TaskResult struct {
 	StagingTime time.Duration
 }
 
-// EncodeTaskResults encodes a done-queue result batch, sized first and
-// written once (see sizeString).
+// EncodeTaskResults encodes a done-queue result batch into a body of its own
+// (AppendTaskResultsFrame).
 func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
+	return AppendTaskResultsFrame(nil, rs), nil
+}
+
+// AppendTaskResultsFrame appends a result batch's frame to dst, sized first
+// (see sizeString): dst grows at most once, and a sender that passes back the
+// buffer of an earlier frame, emptied, allocates nothing once it has grown.
+func AppendTaskResultsFrame(dst []byte, rs []TaskResult) []byte {
 	size := headerSize + uvarintLen(uint64(len(rs)))
 	for i := range rs {
 		res := &rs[i]
 		size += sizeString(res.UID) + varintLen(int64(res.ExitCode)) + sizeString(res.Error) + 1 +
 			sizeTime(res.Started) + sizeTime(res.Finished) + varintLen(int64(res.StagingTime))
 	}
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(dst, size)
 	buf = appendHeader(buf, FrameTaskResults)
 	buf = appendUvarint(buf, uint64(len(rs)))
 	for i := range rs {
@@ -423,7 +430,7 @@ func (f Format) EncodeTaskResults(rs []TaskResult) ([]byte, error) {
 		buf = appendTime(buf, res.Finished)
 		buf = appendVarint(buf, int64(res.StagingTime))
 	}
-	return buf, nil
+	return buf
 }
 
 // minTaskResultSize is what a zero TaskResult encodes to: two empty strings,
@@ -446,17 +453,19 @@ func AppendTaskResults(dst []TaskResult, body []byte, resolve Resolve) ([]TaskRe
 	return r.taskResults(dst)
 }
 
-// DecodeTaskResultsShared decodes a result batch for a receiver that holds
-// no registry to resolve against: the frame is copied into one string and
-// every UID and error text is a substring of it, so the batch costs two
-// allocations whatever its size. The results do not alias body.
-func DecodeTaskResultsShared(body []byte) ([]TaskResult, error) {
+// AppendTaskResultsShared decodes a result batch onto dst for a receiver that
+// holds no registry to resolve against: the frame is copied into one string
+// and every UID and error text is a substring of it, so a receiver that passes
+// the buffer it owns, emptied, pays that one allocation per batch once the
+// buffer has grown. The results do not alias body. After an error the
+// returned slice is dst unextended.
+func AppendTaskResultsShared(dst []TaskResult, body []byte) ([]TaskResult, error) {
 	r, err := frameReader(body, FrameTaskResults)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	r.share(body)
-	return r.taskResults(nil)
+	return r.taskResults(dst)
 }
 
 func (r *reader) taskResults(dst []TaskResult) ([]TaskResult, error) {

@@ -233,19 +233,16 @@ func (s *agentSession) recvLoop() {
 }
 
 // resultLoop drains the RTS completion channel back to the manager, one
-// result frame per drain (core.DrainCompletions).
+// result frame per drain (core.DrainCompletions), each encoded into a body the
+// connection's write pump has handed back.
 func (s *agentSession) resultLoop() {
 	var batch []core.TaskResult
 	for {
 		if batch = core.DrainCompletions(s.rts.Completions(), batch); len(batch) == 0 {
 			return // the RTS stopped
 		}
-		body, err := msgcodec.FormatBinary.EncodeTaskResults(batch)
-		if err != nil {
-			s.stop()
-			return
-		}
-		if err := s.tc.Send(body); err != nil {
+		body := msgcodec.AppendTaskResultsFrame(s.tc.Buffer(), batch)
+		if err := s.tc.SendBuffer(body); err != nil {
 			s.stop()
 			return
 		}

@@ -225,3 +225,33 @@ func TestRoundTripAllocations(t *testing.T) {
 	}
 	t.Logf("64-task round trip: %.1f allocations", allocs)
 }
+
+// An agent's result frame, from its RTS's completion channel to the proxy's,
+// costs one allocation once the connection's bodies circulate: the string the
+// decoded UIDs share. The agent encodes into a body its write pump handed
+// back, the proxy's read pump reads into one the proxy released, and the proxy
+// decodes into its peer's results slice.
+func TestResultFrameAllocations(t *testing.T) {
+	p, fleet := startRecordingFleet(t, 1)
+	out := fleet[0].echoRTS.out
+	results := make([]core.TaskResult, 64)
+	for i := range results {
+		results[i] = core.TaskResult{UID: fmt.Sprintf("task.%04d", i), Started: time.Unix(1, 0), Finished: time.Unix(2, 0)}
+	}
+	k := 0
+	frame := func() { // one result per frame: the agent drains each alone
+		out <- results[k%len(results)]
+		k++
+		if res, ok := <-p.Completions(); !ok || res.UID == "" {
+			t.Fatal("completions closed mid-drain")
+		}
+	}
+	for range 100 {
+		frame()
+	}
+	if allocs := testing.AllocsPerRun(500, frame); allocs > 1 {
+		t.Fatalf("a result frame allocates %.2f objects, want <= 1", allocs)
+	} else {
+		t.Logf("a result frame: %.2f allocations", allocs)
+	}
+}

@@ -101,8 +101,6 @@ type Proxy struct {
 	upCh  chan struct{} // one tick per peer's first connection
 	rr    atomic.Uint64 // task-striping cursor
 	live  []int         // placement scratch: the connected peers' indices
-
-	deathErr atomic.Pointer[error]
 }
 
 // NewProxy builds an unstarted Proxy for cfg.
@@ -227,9 +225,8 @@ func (pr *peer) Submit(tasks []core.TaskDescription) error {
 		return fmt.Errorf("remoterts: agent %s not connected or dead", pr.addr)
 	}
 	if err := tc.Send(msgcodec.EncodeTaskBatch(tasks)); err != nil {
-		err = fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
-		pr.died(err)
-		return err
+		pr.died()
+		return fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
 	}
 	pr.out.Submitted(len(tasks))
 	return nil
@@ -265,11 +262,11 @@ func (pr *peer) Stats() core.RTSStats {
 }
 
 // died kills the peer: in-flight results may be lost, so the heartbeat must
-// replace the Proxy and resubmit. The Proxy keeps the first death's cause.
-// During Stop the connection teardown is expected and ignored.
-func (pr *peer) died(err error) {
-	if !pr.out.Stopped() && pr.out.Kill() {
-		pr.proxy.deathErr.CompareAndSwap(nil, &err)
+// replace the Proxy and resubmit. During Stop the connection teardown is
+// expected and ignored.
+func (pr *peer) died() {
+	if !pr.out.Stopped() {
+		pr.out.Kill()
 	}
 }
 
@@ -296,10 +293,10 @@ func (pr *peer) run() {
 		default:
 		}
 		if !pr.out.Stopped() { // else Stop may have looked before tc was set
-			err = pr.readLoop(tc)
+			pr.readLoop(tc)
 		}
 		tc.Close() //nolint:errcheck
-		pr.died(err)
+		pr.died()
 		return
 	}
 }
@@ -342,27 +339,29 @@ func (pr *peer) connect() (_ *transport.Conn, err error) {
 }
 
 // readLoop routes the agent's frames, result batches into the peer's Outbox
-// and stats reports into its snapshot, until the connection dies or the
-// agent reports its RTS dead. It returns why.
-func (pr *peer) readLoop(tc *transport.Conn) error {
+// and stats reports into its snapshot. It returns, and the peer dies, when
+// the connection dies, a frame does not decode or the agent reports its RTS
+// dead.
+func (pr *peer) readLoop(tc *transport.Conn) {
+	var results []msgcodec.TaskResult // the last result frame, decoded
 	for {
 		body, err := tc.Recv()
 		if err != nil {
-			return fmt.Errorf("remoterts: agent %s: %w", pr.addr, err)
+			return
 		}
 		switch t, _ := msgcodec.FrameType(body); t {
 		case msgcodec.FrameTaskResults:
-			results, err := msgcodec.DecodeTaskResultsShared(body)
-			if err != nil {
-				return fmt.Errorf("remoterts: agent %s: bad result frame: %w", pr.addr, err)
+			if results, err = msgcodec.AppendTaskResultsShared(results[:0], body); err != nil {
+				return
 			}
+			tc.Release(body) // the results hold a copy of their own
 			for _, res := range results {
 				pr.out.Deliver(res)
 			}
 		case msgcodec.FrameAgentStats:
 			stats, err := msgcodec.DecodeAgentStats(body)
 			if err != nil {
-				return fmt.Errorf("remoterts: agent %s: bad stats frame: %w", pr.addr, err)
+				return
 			}
 			pr.mu.Lock()
 			pr.stats = stats
@@ -370,7 +369,7 @@ func (pr *peer) readLoop(tc *transport.Conn) error {
 			if !stats.Alive {
 				// The agent's own RTS died (pilot walltime, store failure):
 				// same consequence as losing the connection.
-				return fmt.Errorf("remoterts: agent %s reports its RTS dead", pr.addr)
+				return
 			}
 		default:
 			// Unknown frame types are ignored for forward compatibility.

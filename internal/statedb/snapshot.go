@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
@@ -45,7 +46,14 @@ const keepSnapshots = 2
 // SnapshotName returns the file name of the snapshot at the given
 // watermark: snapshot-00000000000003e8.snap.
 func SnapshotName(watermark uint64) string {
-	return fmt.Sprintf("%s%016x%s", snapPrefix, watermark, snapSuffix)
+	const hex = "0123456789abcdef"
+	var b [len(snapPrefix) + 16 + len(snapSuffix)]byte
+	copy(b[:], snapPrefix)
+	for i := range 16 {
+		b[len(snapPrefix)+15-i] = hex[watermark>>(4*i)&0xf]
+	}
+	copy(b[len(snapPrefix)+16:], snapSuffix)
+	return string(b[:])
 }
 
 // parseSnapshotName extracts the watermark from a snapshot file name.
@@ -209,19 +217,47 @@ func (w *SnapshotWriter) Write(dir string) (string, error) {
 // pruneSnapshots removes all but the newest keepSnapshots snapshot files,
 // and every snapshot temporary: it runs after WriteSnapshot's rename and at
 // most one snapshot write is in flight, so a .tmp still there is what a
-// process that died mid-write left behind. Best effort: pruning failures
-// leave extra files, never lose data.
+// process that died mid-write left behind. It reads the directory's names
+// once, for both. Best effort: pruning failures leave extra files, never
+// lose data.
 func pruneSnapshots(dir string) {
-	watermarks, byWM := listSnapshots(dir)
-	for i, wm := range watermarks {
-		if i >= keepSnapshots {
-			os.Remove(byWM[wm]) //nolint:errcheck
+	d, err := os.Open(dir)
+	if err != nil {
+		return
+	}
+	names, _ := d.Readdirnames(-1) //nolint:errcheck // best effort: prune what was listed
+	d.Close()                      //nolint:errcheck // read-only
+	// newest holds the keepSnapshots highest watermarks found, highest first.
+	var newest [keepSnapshots]uint64
+	found := 0
+	for _, name := range names {
+		wm, ok := parseSnapshotName(name)
+		if !ok {
+			continue
+		}
+		found++
+		for i := range newest {
+			if wm > newest[i] {
+				copy(newest[i+1:], newest[i:])
+				newest[i] = wm
+				break
+			}
 		}
 	}
-	stale, _ := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix+".tmp")) //nolint:errcheck // only a malformed pattern fails
-	for _, tmp := range stale {
-		os.Remove(tmp) //nolint:errcheck
+	for _, name := range names {
+		wm, ok := parseSnapshotName(name)
+		stale := ok && found > keepSnapshots && wm < newest[keepSnapshots-1]
+		if stale || isSnapshotTemp(name) {
+			os.Remove(filepath.Join(dir, name)) //nolint:errcheck
+		}
 	}
+}
+
+// isSnapshotTemp reports whether name is a snapshot's temporary file.
+func isSnapshotTemp(name string) bool {
+	base, ok := strings.CutSuffix(name, ".tmp")
+	_, snap := parseSnapshotName(base)
+	return ok && snap
 }
 
 // listSnapshots returns the snapshot watermarks in dir, newest first, and

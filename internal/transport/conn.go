@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,13 @@ func (o *Options) defaults() {
 // pings, and a heartbeat that — together with the read deadline — detects a
 // dead peer without waiting for the kernel's TCP timeouts. All methods are
 // safe for concurrent use.
+//
+// A body is its owner's for good unless the owner hands it back, on either
+// side. A body sent with SendBuffer is handed back by the write pump once it
+// is on the socket, and Buffer returns it to encode a later frame into. A body
+// Recv returned and the caller handed back with Release is read into again by
+// the read pump. Send and a body never released keep the plain contract: the
+// connection never writes into them.
 type Conn struct {
 	nc   net.Conn
 	opts Options
@@ -60,6 +68,13 @@ type Conn struct {
 	sendCh chan outFrame // application frames and flush markers
 	ctrlCh chan []byte   // pings/pongs jump the application queue
 	recvCh chan []byte
+
+	// sendFree holds written SendBuffer bodies for Buffer; recvFree holds
+	// released bodies for the read pump, which gives a new body room to spare
+	// once the caller has released one (recycling).
+	sendFree  chan []byte
+	recvFree  chan []byte
+	recycling atomic.Bool
 
 	done     chan struct{}
 	dieOnce  sync.Once
@@ -71,25 +86,38 @@ type Conn struct {
 	pingSeq  atomic.Uint64
 }
 
-// outFrame is one slot of the send queue: a frame body, or — flushed set — a
-// Flush call's marker, which the write pump answers once everything queued
-// ahead of it is on the socket.
+// outFrame is one slot of the send queue: a frame body, handed back through
+// sendFree once written when reuse is set, or — flushed set — a Flush call's
+// marker, which the write pump answers once everything queued ahead of it is
+// on the socket.
 type outFrame struct {
 	body    []byte
+	reuse   bool
 	flushed chan<- struct{}
 }
+
+// recvQueue bounds the frames the read pump reads ahead of Recv.
+const recvQueue = 64
+
+// spareBodies bounds each free list. A body that comes back to a full list is
+// dropped: a burst that queued more frames than this allocates again, but an
+// idle connection keeps no more than this many bodies alive, where a list as
+// long as its queue could keep megabytes.
+const spareBodies = 16
 
 // NewConn wraps an established network connection. It takes ownership of nc:
 // Close (or peer death) closes it.
 func NewConn(nc net.Conn, opts Options) *Conn {
 	opts.defaults()
 	c := &Conn{
-		nc:     nc,
-		opts:   opts,
-		sendCh: make(chan outFrame, opts.SendQueue),
-		ctrlCh: make(chan []byte, 16),
-		recvCh: make(chan []byte, 64),
-		done:   make(chan struct{}),
+		nc:       nc,
+		opts:     opts,
+		sendCh:   make(chan outFrame, opts.SendQueue),
+		ctrlCh:   make(chan []byte, 16),
+		recvCh:   make(chan []byte, recvQueue),
+		done:     make(chan struct{}),
+		sendFree: make(chan []byte, spareBodies),
+		recvFree: make(chan []byte, spareBodies),
 	}
 	c.wg.Add(2)
 	go c.writeLoop()
@@ -104,14 +132,47 @@ func NewConn(nc net.Conn, opts Options) *Conn {
 // Send enqueues one application frame, blocking while the bounded send queue
 // is full. It returns the connection's error once the peer is dead or the
 // connection closed; a nil return means queued, not yet delivered.
-func (c *Conn) Send(body []byte) error {
+func (c *Conn) Send(body []byte) error { return c.send(outFrame{body: body}) }
+
+// SendBuffer is Send for a body the caller gives up: once the write pump has
+// written it, it hands it back, emptied, through Buffer.
+func (c *Conn) SendBuffer(body []byte) error { return c.send(outFrame{body: body, reuse: true}) }
+
+// Buffer returns an empty buffer to encode a frame into: a SendBuffer body
+// the write pump has handed back, or nil when none is (appending to nil
+// allocates).
+func (c *Conn) Buffer() []byte {
+	select {
+	case b := <-c.sendFree:
+		return b
+	default:
+		return nil
+	}
+}
+
+// Release hands back a body Recv returned, which the caller no longer reads
+// and nothing it keeps aliases: the read pump may read a later frame into it.
+func (c *Conn) Release(body []byte) {
+	c.recycling.Store(true)
+	putFree(c.recvFree, body)
+}
+
+// putFree keeps body[:0] on a free list, or drops it when the list is full.
+func putFree(free chan []byte, body []byte) {
+	select {
+	case free <- body[:0]:
+	default:
+	}
+}
+
+func (c *Conn) send(f outFrame) error {
 	select {
 	case <-c.done:
 		return c.Err()
 	default:
 	}
 	select {
-	case c.sendCh <- outFrame{body: body}:
+	case c.sendCh <- f:
 		c.sent.Add(1)
 		return nil
 	case <-c.done:
@@ -221,8 +282,8 @@ func (c *Conn) writeLoop() {
 			if err = bw.Flush(); err == nil {
 				close(f.flushed)
 			}
-		} else {
-			err = WriteFrame(bw, f.body)
+		} else if err = WriteFrame(bw, f.body); err == nil && f.reuse {
+			putFree(c.sendFree, f.body)
 		}
 		if err != nil {
 			c.die(err)
@@ -275,7 +336,11 @@ func (c *Conn) readLoop() {
 		if c.opts.IdleTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(c.opts.IdleTimeout)) //nolint:errcheck // conn types here support deadlines
 		}
-		body, err := ReadFrame(br)
+		n, err := readLength(br, MaxFrame)
+		var body []byte
+		if err == nil {
+			body, err = readBody(br, c.recvBody(n))
+		}
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				err = fmt.Errorf("peer silent for %v: %w", c.opts.IdleTimeout, err)
@@ -293,8 +358,10 @@ func (c *Conn) readLoop() {
 					// peer's own deadline will handle it.
 				}
 			}
+			putFree(c.recvFree, body) // read here and nowhere else
 		case msgcodec.FramePong:
 			// Liveness only; the deadline reset above already counted it.
+			putFree(c.recvFree, body)
 		default:
 			c.received.Add(1)
 			select {
@@ -304,6 +371,25 @@ func (c *Conn) readLoop() {
 			}
 		}
 	}
+}
+
+// recvBody returns a body of n bytes for the read pump to read a frame into:
+// a released one if the first on the free list has room, else a new one —
+// with room to spare once the caller releases bodies, sized to the power of
+// two above n, so a body kept from frame to frame stops being outgrown.
+func (c *Conn) recvBody(n uint64) []byte {
+	select {
+	case b := <-c.recvFree:
+		if uint64(cap(b)) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	size := n
+	if c.recycling.Load() {
+		size = min(1<<bits.Len64(n), uint64(MaxFrame))
+	}
+	return make([]byte, n, size)
 }
 
 // heartbeatLoop sends a ping every HeartbeatInterval. The peer's read loop

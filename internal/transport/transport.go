@@ -26,11 +26,22 @@ import (
 // handling).
 const MaxFrame = 64 << 20
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame. Into a *bufio.Writer the
+// length is appended to the writer's own free space (AvailableBuffer), which
+// allocates nothing; any other writer is handed a length of its own.
 func WriteFrame(w io.Writer, body []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(body)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		if bw.Available() < binary.MaxVarintLen64 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		hdr = bw.AvailableBuffer()
+	} else {
+		hdr = make([]byte, 0, binary.MaxVarintLen64)
+	}
+	if _, err := w.Write(binary.AppendUvarint(hdr, uint64(len(body)))); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -46,18 +57,31 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 // The bound is checked before the body buffer is allocated, so a garbage
 // length prefix costs an error, never memory.
 func ReadFrameLimit(r *bufio.Reader, max uint64) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
+	n, err := readLength(r, max)
 	if err != nil {
 		return nil, err
 	}
-	if n > max {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, max)
+	return readBody(r, make([]byte, n))
+}
+
+// readLength reads a frame's length prefix and holds it to max.
+func readLength(r *bufio.Reader, max uint64) (uint64, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if n > max {
+		return 0, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, max)
+	}
+	return n, nil
+}
+
+// readBody fills body, a frame's length, from r.
+func readBody(r *bufio.Reader, body []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return body, nil
 }
 
 // SplitAddr parses a transport address into a net network/address pair. Two
