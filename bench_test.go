@@ -1,8 +1,7 @@
-// Package repro's root benchmark harness: one benchmark per table/figure of
-// the paper's evaluation, plus micro-benchmarks of the substrates they are
-// built on. Benchmarks use the experiments package in Quick mode so a full
-// `go test -bench=. -benchmem` pass completes in minutes; the full-scale
-// figures are regenerated by cmd/entk-experiments.
+// Package repro's root benchmark harness: micro-benchmarks of the substrates
+// the paper's evaluation is built on, and whole-engine benchmarks of the
+// paths the regression gate tracks. The paper's figures are regenerated by
+// cmd/entk-experiments, and each has a quick test in internal/experiments.
 package repro
 
 import (
@@ -20,7 +19,6 @@ import (
 	"repro/internal/anen"
 	"repro/internal/broker"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/hostmodel"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
@@ -28,135 +26,9 @@ import (
 	"repro/internal/saga"
 	"repro/internal/seismic"
 	"repro/internal/statedb"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
-
-func quickOpts() *experiments.Options {
-	return &experiments.Options{Quick: true, Scale: 200 * time.Microsecond}
-}
-
-// BenchmarkFig6Prototype is the paper's prototype benchmark (Fig 6):
-// producer/consumer task throughput through the broker, per configuration.
-func BenchmarkFig6Prototype(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(byN("pcq", n), func(b *testing.B) {
-			const tasks = 50000
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Fig6Prototype(tasks, []int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(tasks)/rows[0].AggregateTime.Seconds(), "tasks/s")
-				b.ReportMetric(rows[0].PeakMemMB, "peakMB")
-			}
-		})
-	}
-}
-
-func byN(prefix string, n int) string {
-	return prefix + "-" + string(rune('0'+n))
-}
-
-// BenchmarkFig7aExecutable reproduces Experiment 1 (overheads vs executable).
-func BenchmarkFig7aExecutable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7a(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Report.EnTKManagement, "mgmt_s")
-		b.ReportMetric(rows[0].Report.RTSOverhead, "rts_s")
-	}
-}
-
-// BenchmarkFig7bDuration reproduces Experiment 2 (overheads vs duration).
-func BenchmarkFig7bDuration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7b(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[len(rows)-1].Report.TaskExecution, "exec_s")
-	}
-}
-
-// BenchmarkFig7cCI reproduces Experiment 3 (overheads vs CI).
-func BenchmarkFig7cCI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7c(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Report.EnTKManagement, "vm_mgmt_s")
-		b.ReportMetric(rows[len(rows)-1].Report.EnTKManagement, "titan_mgmt_s")
-	}
-}
-
-// BenchmarkFig7dStructure reproduces Experiment 4 (overheads vs structure).
-func BenchmarkFig7dStructure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7d(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[len(rows)-1].Report.TaskExecution, "concurrent_exec_s")
-	}
-}
-
-// BenchmarkFig8WeakScaling reproduces the weak-scaling experiment.
-func BenchmarkFig8WeakScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8WeakScaling(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1].Report
-		b.ReportMetric(last.TaskExecution, "exec_s")
-		b.ReportMetric(last.DataStaging, "staging_s")
-	}
-}
-
-// BenchmarkFig9StrongScaling reproduces the strong-scaling experiment.
-func BenchmarkFig9StrongScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9StrongScaling(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ts []float64
-		for _, r := range rows {
-			ts = append(ts, r.Report.TaskExecution)
-		}
-		sp := stats.Speedup(ts)
-		b.ReportMetric(sp[len(sp)-1], "speedup")
-	}
-}
-
-// BenchmarkFig10SeismicConcurrency reproduces the seismic ensemble sweep.
-func BenchmarkFig10SeismicConcurrency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10Seismic(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[len(rows)-1].ExecTimeS, "exec_s")
-		b.ReportMetric(float64(rows[len(rows)-1].Attempts), "attempts")
-	}
-}
-
-// BenchmarkFig11AnEn reproduces the AUA-vs-random comparison.
-func BenchmarkFig11AnEn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11AnEn(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(stats.Mean(res.AUAErrors), "aua_rmse")
-		b.ReportMetric(stats.Mean(res.RandomErrors), "rnd_rmse")
-	}
-}
 
 // ---- Substrate micro-benchmarks ----------------------------------------
 
@@ -259,58 +131,6 @@ func BenchmarkBrokerBatch64(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(benchPipelineMsgs*b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkFig6PrototypeBatched is the batched-broker companion of
-// BenchmarkFig6Prototype: same topology sweep, broker traversed in batches
-// of 64.
-func BenchmarkFig6PrototypeBatched(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(byN("pcq", n), func(b *testing.B) {
-			const tasks = 50000
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.Fig6Grid(tasks, []int{benchBatchSize}, []int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(tasks)/rows[0].AggregateTime.Seconds(), "tasks/s")
-				b.ReportMetric(rows[0].PeakMemMB, "peakMB")
-			}
-		})
-	}
-}
-
-// BenchmarkFig6Grid runs the BatchSize x consumer-count grid at smoke
-// scale: the experiment behind the batched overhead curves, exercising the
-// sharded broker on both the per-message and batched paths.
-func BenchmarkFig6Grid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6Grid(20000, []int{1, benchBatchSize}, []int{4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.DecodeFailures != 0 {
-				b.Fatalf("decode failures: %+v", r)
-			}
-		}
-		b.ReportMetric(float64(20000)/rows[0].AggregateTime.Seconds(), "permsg_tasks/s")
-		b.ReportMetric(float64(20000)/rows[len(rows)-1].AggregateTime.Seconds(), "batched_tasks/s")
-	}
-}
-
-// BenchmarkFig8BatchSweep runs the weak-scaling BatchSize sweep in Quick
-// mode, reporting the management overhead at the per-message and batched
-// extremes.
-func BenchmarkFig8BatchSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8BatchSweep(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].Report.EnTKManagement, "permsg_mgmt_s")
-		b.ReportMetric(rows[len(rows)-1].Report.EnTKManagement, "batched_mgmt_s")
-	}
 }
 
 // BenchmarkEventStreamOverhead measures what the run-control event stream

@@ -1,6 +1,6 @@
 // Command entkd runs the EnTK service daemon: a long-lived process hosting
-// many concurrent PST applications over one shared broker and one shared
-// pilot pool (docs/daemon.md). Clients submit appjson documents over the
+// many concurrent PST applications over one shared pilot pool
+// (docs/daemon.md). Clients submit appjson documents over the
 // unix socket with entk.Client or `entk-run -daemon`; each submission
 // becomes an isolated run drawing cores from the shared pilot under
 // per-tenant weighted-fair dispatch and quota enforcement.

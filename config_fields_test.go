@@ -206,9 +206,10 @@ func check(fset *token.FileSet, root, path, dir string, names []string, imp type
 	p := checkedPackage{
 		path: path,
 		info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Implicits: map[ast.Node]types.Object{}, // an import's package name (PkgNameOf)
 		},
 	}
 	for _, name := range names {

@@ -18,10 +18,10 @@ var benchApp = []byte(`{"resource":{"name":"supermic","cores":4,"walltime_s":360
 
 // BenchmarkDaemonMultiRun compares the two hosting modes on K identical
 // applications: K concurrent runs multiplexed by one entkd daemon over a
-// shared broker and pilot pool, versus K sequential in-process runs each
-// paying full infrastructure setup and teardown. The daemon arm amortizes
-// the pilot and broker across the batch; the in-process arm is the
-// embedded-mode baseline.
+// shared pilot pool, versus K sequential in-process runs each paying full
+// infrastructure setup and teardown. The daemon arm amortizes the pilot
+// across the batch (every run, hosted or not, owns its broker); the
+// in-process arm is the embedded-mode baseline.
 func BenchmarkDaemonMultiRun(b *testing.B) {
 	const runs = 4
 	b.Run("daemon-concurrent", func(b *testing.B) {

@@ -203,9 +203,14 @@ type Broker struct {
 	opts   Options
 }
 
+// queuesHint sizes a broker's queue table for the nine queues of a run's
+// topology (paper Fig 2): every run makes a broker, and declaring them then
+// grows nothing.
+const queuesHint = 9
+
 // New returns an empty broker.
 func New(opts Options) *Broker {
-	return &Broker{queues: make(map[string]*queue), opts: opts}
+	return &Broker{queues: make(map[string]*queue, queuesHint), opts: opts}
 }
 
 // DeclareQueue creates a queue. Declaring an existing name returns
@@ -221,21 +226,6 @@ func (b *Broker) DeclareQueue(name string, opts QueueOptions) error {
 	}
 	q := newQueue(b, name, opts)
 	b.queues[name] = q
-	return nil
-}
-
-// DeleteQueue removes a queue, cancelling its consumers.
-func (b *Broker) DeleteQueue(name string) error {
-	b.mu.Lock()
-	q, ok := b.queues[name]
-	if ok {
-		delete(b.queues, name)
-	}
-	b.mu.Unlock()
-	if !ok {
-		return ErrNoQueue
-	}
-	q.close()
 	return nil
 }
 
@@ -515,12 +505,9 @@ func (b *Broker) Close() {
 		return
 	}
 	b.closed = true
-	qs := make([]*queue, 0, len(b.queues))
-	for _, q := range b.queues {
-		qs = append(qs, q)
-	}
 	b.mu.Unlock()
-	for _, q := range qs {
+	// Nothing changes queues once closed is set, so it is walked unlocked.
+	for _, q := range b.queues {
 		q.close()
 	}
 }

@@ -295,20 +295,6 @@ func TestMultipleProducersConsumers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDeleteQueue(t *testing.T) {
-	b := newTestBroker(t)
-	mustDeclare(t, b, "q")
-	if err := b.DeleteQueue("q"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish("q", nil); err == nil {
-		t.Fatal("publish to deleted queue succeeded")
-	}
-	if err := b.DeleteQueue("q"); err == nil {
-		t.Fatal("double delete succeeded")
-	}
-}
-
 func TestCloseClosesConsumers(t *testing.T) {
 	b := New(Options{})
 	b.DeclareQueue("q", QueueOptions{})

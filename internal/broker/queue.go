@@ -220,8 +220,8 @@ func newQueue(b *Broker, name string, opts QueueOptions) *queue {
 	if n < 1 {
 		n = 1
 	}
-	// Two allocations: the queue and its shard block. A hosted run declares
-	// nine queues and deletes them again within milliseconds.
+	// Two allocations: the queue and its shard block. A hosted run makes a
+	// broker of nine queues and closes it again within milliseconds.
 	q := &queue{b: b, name: name, shards: make([]qshard, n)}
 	for i := range q.shards {
 		q.shards[i].idx = i
@@ -645,9 +645,8 @@ func (q *queue) consumeBatch(prefetch int) (*Consumer, error) {
 }
 
 // register enters c in the queue's consumer registry and assigns its
-// preferred shard. A queue that close has already swept (deleted, or its
-// broker closed) takes no more consumers: one registered now would never be
-// cancelled.
+// preferred shard. A queue that its broker's Close has already swept takes
+// no more consumers: one registered now would never be cancelled.
 func (q *queue) register(c *Consumer) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

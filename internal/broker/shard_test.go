@@ -472,39 +472,37 @@ func TestShardFillsWholeCacheLines(t *testing.T) {
 	}
 }
 
-// A consumer can only be attached to a queue that still exists: one that
-// arrives while the queue is being deleted is refused, not left registered
-// on a queue nobody will ever close again. (A hosted run's lazily made sync
+// A consumer can only be attached to a queue that is still open: one that
+// arrives while the broker is being closed is refused, not left registered
+// on a queue nobody will ever close again. (A run's lazily made sync
 // clients can arrive exactly then.)
-func TestConsumeRacingDeleteQueueIsRefusedOrCancelled(t *testing.T) {
-	b := newTestBroker(t)
+func TestConsumeRacingCloseIsRefusedOrCancelled(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		name := fmt.Sprintf("q%d", i)
-		declareSharded(t, b, name, 1)
+		b := New(Options{})
+		declareSharded(t, b, "q", 1)
 		got := make(chan *Consumer, 1)
 		go func() {
-			c, err := b.ConsumeBatch(name, 1)
-			if err != nil && !errors.Is(err, ErrNoQueue) && !errors.Is(err, ErrClosed) {
+			c, err := b.ConsumeBatch("q", 1)
+			if err != nil && !errors.Is(err, ErrClosed) {
 				t.Errorf("ConsumeBatch: %v", err)
 			}
 			got <- c
 		}()
-		if err := b.DeleteQueue(name); err != nil {
-			t.Fatal(err)
-		}
+		b.Close()
 		if c := <-got; c != nil {
-			// Attached before the delete: the delete must have cancelled it.
+			// Attached before the close: the close must have cancelled it.
 			if _, err := c.ReceiveBatch(1); !errors.Is(err, ErrClosed) {
-				t.Fatalf("ReceiveBatch on a consumer of a deleted queue: %v", err)
+				t.Fatalf("ReceiveBatch on a consumer of a closed broker: %v", err)
 			}
 			c.q.mu.Lock()
 			n := len(c.q.consumers)
 			c.q.mu.Unlock()
 			if n != 0 {
-				t.Fatalf("deleted queue still lists %d consumers", n)
+				t.Fatalf("closed queue still lists %d consumers", n)
 			}
 		}
 	}
+	b := newTestBroker(t)
 	q := newQueue(b, "gone", QueueOptions{Shards: 1})
 	q.close()
 	if _, err := q.consumeBatch(1); !errors.Is(err, ErrClosed) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,18 +57,6 @@ type Config struct {
 	Clock vclock.Clock
 	// Host models the machine running EnTK. Defaults to the null model.
 	Host *hostmodel.Model
-	// Broker, when non-nil, is a shared messaging layer injected by a
-	// multi-run host (the entkd daemon): the AppManager declares its queues
-	// on it instead of creating a private broker, and tears down only its
-	// own queues — never the broker itself. Use QueuePrefix to namespace
-	// the queues of concurrent runs. When nil the AppManager owns a private
-	// broker, exactly as before.
-	Broker *broker.Broker
-	// QueuePrefix namespaces this run's queues on a shared broker (e.g.
-	// "run.0007." turns "pending" into "run.0007.pending"), so concurrent
-	// runs multiplexed over one broker can never cross-deliver. Empty for
-	// single-run AppManagers.
-	QueuePrefix string
 	// JournalDir, when non-empty, enables crash-recoverable runs: state
 	// transitions are journaled into segment files under this directory,
 	// the synchronizer periodically (every SnapshotEvery records) rolls the
@@ -180,14 +167,6 @@ type AppManager struct {
 
 	jrn *journal.Journal
 	brk *broker.Broker
-	// ownBroker records whether the AppManager created brk (and must close
-	// it) or received it injected via Config.Broker (shared with sibling
-	// runs; teardown deletes only this run's declared queues).
-	ownBroker bool
-	// queues are this run's queue names, prefix included, built once by
-	// declareTopology; the first declared of them exist on the broker.
-	queues   [numQueues]string
-	declared int
 
 	// Durability state (JournalDir mode). mirror holds the latest committed
 	// state per entity, feeding snapshots; recov summarizes what Resume
@@ -618,54 +597,21 @@ func (am *AppManager) closeJournal() {
 	}
 }
 
-// qname is one of the run's queue names. On a private broker they are the
-// bare Fig 2 constants; on a shared broker every run's traffic lives under
-// its prefix ("run.<id>.") so concurrent runs can never cross-deliver.
-func (am *AppManager) qname(id queueID) string { return am.queues[id] }
+// qname is one of the run's queue names: the bare Fig 2 constants, since
+// every run owns its broker.
+func (am *AppManager) qname(id queueID) string { return queueBases[id] }
 
-// nameQueues builds the run's queue names, once: they are used on every sync
-// round trip. With a prefix, all of them are cut from one string.
-func (am *AppManager) nameQueues() {
-	prefix := am.cfg.QueuePrefix
-	if prefix == "" {
-		am.queues = queueBases
-		return
-	}
-	size := 0
-	for _, base := range queueBases {
-		size += len(prefix) + len(base)
-	}
-	var all strings.Builder
-	all.Grow(size)
-	for _, base := range queueBases {
-		all.WriteString(prefix)
-		all.WriteString(base)
-	}
-	rest := all.String()
-	for i, base := range queueBases {
-		n := len(prefix) + len(base)
-		am.queues[i], rest = rest[:n], rest[n:]
-	}
-}
-
-// declareTopology creates (or adopts) the broker and declares the paper's
-// Fig 2 queue topology under the run's namespace. The task-traffic queues
-// (pending, done) take the shard knob: their messages are causally
-// independent per task, so sharded rings are safe and let concurrent
-// producers/consumers scale. The states queue and the sync-ack queues are
-// pinned to one shard — the Synchronizer must apply transition requests in
-// cross-component arrival order (SCHEDULED before DONE for the same stage),
-// which is a strict-FIFO, single-shard guarantee.
+// declareTopology creates the run's broker and declares the paper's Fig 2
+// queue topology on it. The task-traffic queues (pending, done) take the
+// shard knob: their messages are causally independent per task, so sharded
+// rings are safe and let concurrent producers/consumers scale. The states
+// queue and the sync-ack queues are pinned to one shard — the Synchronizer
+// must apply transition requests in cross-component arrival order
+// (SCHEDULED before DONE for the same stage), which is a strict-FIFO,
+// single-shard guarantee.
 func (am *AppManager) declareTopology() error {
-	if am.cfg.Broker != nil {
-		am.brk = am.cfg.Broker
-		am.ownBroker = false
-	} else {
-		am.brk = broker.New(broker.Options{PerOpDelay: am.msgDelay})
-		am.ownBroker = true
-	}
-	am.nameQueues()
-	for i, name := range am.queues {
+	am.brk = broker.New(broker.Options{PerOpDelay: am.msgDelay})
+	for i, name := range queueBases {
 		opts := broker.QueueOptions{Shards: 1}
 		if i < numSharded {
 			opts.Shards = am.cfg.QueueShards
@@ -673,28 +619,16 @@ func (am *AppManager) declareTopology() error {
 		if err := am.brk.DeclareQueue(name, opts); err != nil {
 			return err
 		}
-		am.declared = i + 1 // recorded for namespace teardown
 	}
 	am.spawnCost(int(numQueues)) // messaging infrastructure
 	return nil
 }
 
-// releaseBroker tears down this run's messaging: a private broker is closed
-// outright; on a shared broker only the run's own queues are deleted, so
-// sibling runs (and the broker) keep going. Reference counting is by queue
-// ownership — a run can only ever delete what it declared.
+// releaseBroker closes the run's broker, if setup got as far as making it.
 func (am *AppManager) releaseBroker() {
-	if am.brk == nil {
-		return
-	}
-	if am.ownBroker {
+	if am.brk != nil {
 		am.brk.Close()
-		return
 	}
-	for _, q := range am.queues[:am.declared] {
-		am.brk.DeleteQueue(q) //nolint:errcheck // best effort: daemon shutdown may have closed the broker
-	}
-	am.declared = 0
 }
 
 func (am *AppManager) takeErr() error {

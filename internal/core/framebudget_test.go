@@ -3,13 +3,12 @@ package core_test
 import (
 	"context"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
+	"repro/internal/profiler"
 	"repro/internal/rts"
 	"repro/internal/vclock"
 	"repro/internal/workload"
@@ -33,7 +32,9 @@ var raceBuild bool
 // window the yield covers, so under it the run is made but not judged.
 //
 // The same runs count the broker's PerOpDelay calls, each of which charges
-// the modelled management overhead of paper Figs 7-9 (internal/experiments).
+// the modelled management overhead of paper Figs 7-9 (internal/experiments):
+// on a host whose only cost is a 1 ns message, the management overhead in
+// nanoseconds is the call count.
 // At f8ccdf0 the best of three read 20.72 calls per stage at -cpu 1 (4.12
 // frames), 21.50 at -cpu 2 (4.25) and 20.91 at -cpu 4 (4.15): six per frame
 // less four, to within 0.01. A frame is four (it and its ack, each published
@@ -67,8 +68,9 @@ func TestStageFrameBudget(t *testing.T) {
 // the broker's PerOpDelay calls.
 type chainRun struct{ frames, ops float64 }
 
-// runChain runs the chain application once on a broker of its own that
-// counts PerOpDelay calls.
+// runChain runs the chain application once on a host model that charges
+// 1 ns per broker traversal and nothing else, so the run's management
+// overhead counts its broker's PerOpDelay calls.
 func runChain(t *testing.T) chainRun {
 	t.Helper()
 	const stages, tasks = 256, 8
@@ -79,10 +81,9 @@ func runChain(t *testing.T) chainRun {
 		t.Fatal(err)
 	}
 	defer machine.Close()
-	var ops atomic.Int64
-	brk := broker.New(broker.Options{PerOpDelay: func() { ops.Add(1) }})
-	defer brk.Close()
-	am, err := core.NewAppManager(core.Config{Clock: clock, Host: hostmodel.Null(), Broker: brk})
+	host := *hostmodel.Null()
+	host.MsgCost = time.Nanosecond
+	am, err := core.NewAppManager(core.Config{Clock: clock, Host: &host})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func runChain(t *testing.T) chainRun {
 
 	pipe := core.NewPipeline("chain")
 	var frames uint64
-	var calls int64
+	var calls time.Duration
 	for s := 0; s < stages; s++ {
 		stage := core.NewStage("s")
 		for k := 0; k < tasks; k++ {
@@ -107,7 +108,7 @@ func runChain(t *testing.T) chainRun {
 		if s == stages-1 {
 			stage.PostExec = func() error {
 				st, err := am.Broker().Stats(core.QueueStates)
-				frames, calls = st.Published, ops.Load()
+				frames, calls = st.Published, am.Profiler().Sum(profiler.EnTKManagement)
 				return err
 			}
 		}

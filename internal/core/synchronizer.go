@@ -330,7 +330,7 @@ type syncClient struct {
 }
 
 func newSyncClient(am *AppManager, replyQueue queueID) (*syncClient, error) {
-	// The reply queue name travels inside the frame, fully namespaced.
+	// The reply queue name travels inside the frame.
 	reply := am.qname(replyQueue)
 	c, err := am.brk.ConsumeBatch(reply, 1)
 	if err != nil {

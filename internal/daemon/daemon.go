@@ -1,14 +1,15 @@
 // Package daemon implements entkd: a long-lived service hosting many
-// concurrent EnTK runs over one shared broker and one shared pilot pool.
+// concurrent EnTK runs over one shared pilot pool.
 //
-// Each submission becomes a run-scoped core.AppManager wired into the
-// daemon's shared infrastructure: queues are namespaced "run.<id>.<queue>"
-// on the shared broker, and the run's RTS is a lease on the shared pilot
-// pool (internal/rts.Pool) instead of a private pilot. Admission control
-// gates submissions on the pool's core ledger — saturated submissions queue
-// (bounded) or are rejected with ErrAdmissionRejected. A run that ends
-// without returning its lease has it revoked and counted as it ends, and a
-// terminal run stays listed for RunRetention. See docs/daemon.md.
+// Each submission becomes a run-scoped core.AppManager. Like an embedded
+// run, it owns its broker and the Fig 2 queues on it, so concurrent runs
+// cannot cross-deliver. What the daemon shares is the pilot: the run's RTS
+// is a lease on the shared pilot pool (internal/rts.Pool) instead of a
+// private pilot. Admission control gates submissions on the pool's core
+// ledger — saturated submissions queue (bounded) or are rejected with
+// ErrAdmissionRejected. A run that ends without returning its lease has it
+// revoked and counted as it ends, and a terminal run stays listed for
+// RunRetention. See docs/daemon.md.
 package daemon
 
 import (
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/appjson"
-	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/hostmodel"
 	"repro/internal/hpc"
@@ -141,7 +141,6 @@ type Daemon struct {
 	machine  *rts.Machine
 	host     *hostmodel.Model
 	registry *workload.Registry
-	brk      *broker.Broker
 	pool     *rts.Pool
 	// ended is a closed event bus: subscribing to it yields the stream of a
 	// run that is over — no events, channel already closed.
@@ -164,8 +163,8 @@ type Daemon struct {
 }
 
 // New assembles and starts the daemon's shared infrastructure: clock,
-// simulated CI, SAGA session, shared broker, and the pilot pool (the pilot
-// is submitted immediately). The socket server is separate — call Serve.
+// simulated CI, SAGA session, and the pilot pool (the pilot is submitted
+// immediately). The socket server is separate — call Serve.
 func New(cfg Config) (*Daemon, error) {
 	if cfg.Resource == "" {
 		return nil, errors.New("daemon: config requires a resource name")
@@ -242,7 +241,6 @@ func New(cfg Config) (*Daemon, error) {
 		machine:  machine,
 		host:     hostmodel.ForCI(cfg.Resource),
 		registry: registry,
-		brk:      broker.New(broker.Options{}),
 		pool:     pool,
 		ended:    core.NewEventBus(),
 		runs:     make(map[string]*runEntry),
@@ -349,9 +347,8 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 	return e.id, nil
 }
 
-// startRun builds the run-scoped AppManager over the shared broker and the
-// admitted lease, and launches it. On failure the lease is released and the
-// run turns FAILED.
+// startRun builds the run-scoped AppManager over the admitted lease and
+// launches it. On failure the lease is released and the run turns FAILED.
 func (d *Daemon) startRun(e *runEntry) error {
 	app, lease := e.app, e.lease // the entry lets go of both when it finishes
 	fail := func(err error) error {
@@ -366,8 +363,6 @@ func (d *Daemon) startRun(e *runEntry) error {
 	am, err := core.NewAppManager(core.Config{
 		Clock:            d.clock,
 		Host:             d.host,
-		Broker:           d.brk,
-		QueuePrefix:      e.id + ".",
 		JournalDir:       e.journal,
 		TaskRetries:      app.TaskRetries,
 		RTSRestarts:      0, // a lease is not renewable; restart = run failure
@@ -676,7 +671,7 @@ func (d *Daemon) liveRun(id string) (*core.Run, error) {
 func (d *Daemon) PoolClaimed() int { return d.pool.Claimed() }
 
 // Stop shuts the daemon down: queued runs are canceled, running ones are
-// canceled and awaited, then the pool, broker and simulated CI close.
+// canceled and awaited, then the pool and simulated CI close.
 func (d *Daemon) Stop() {
 	d.stopOnce.Do(func() {
 		d.mu.Lock()
@@ -697,7 +692,6 @@ func (d *Daemon) Stop() {
 		close(d.stopCh)
 		d.wg.Wait()
 		d.pool.Stop()
-		d.brk.Close()
 		d.machine.Close()
 	})
 }

@@ -36,8 +36,8 @@ func newTestDaemon(t *testing.T, mutate func(*Config)) *Daemon {
 
 // testApp builds an appjson document with nPipes pipelines of nTasks tasks
 // each. Identical calls produce identical pipeline/stage/task names and
-// therefore identical structural UIDs and queue basenames across runs — the
-// overlap the daemon's queue namespacing must keep apart.
+// therefore identical structural UIDs and queue names across runs — the
+// overlap the runs' private brokers must keep apart.
 func testApp(cores, nPipes, nTasks int, durMS int) []byte {
 	doc := fmt.Sprintf(`{"resource":{"name":"supermic","cores":%d,"walltime_s":3600},"pipelines":[`, cores)
 	for p := 0; p < nPipes; p++ {
@@ -203,6 +203,33 @@ func TestHostedRunReportsThePoolsSchedulers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, d, id, StateCanceled)
+}
+
+// A hosted run charges its broker traversals to the EnTK management
+// overhead, as an embedded run does: the host's message cost is paid on top
+// of its fixed MgmtBase, not skipped because the run is hosted.
+func TestHostedRunChargesItsBrokerTraversals(t *testing.T) {
+	d := newTestDaemon(t, nil)
+	const tasks = 8
+	// Hold dispatch so the run cannot end before its manager is read.
+	d.pool.HoldUntilQueued(map[string]int{"alice": tasks + 1})
+	id, err := d.Submit("alice", false, testApp(4, 1, tasks, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, _, err := d.view(id)
+	if err != nil || am == nil {
+		t.Fatalf("run %s has no manager while held (err %v)", id, err)
+	}
+	d.pool.HoldUntilQueued(nil)
+	if err := d.Wait(context.Background(), id); err != nil {
+		t.Fatal(err)
+	}
+	mgmt := am.Profiler().Report().EnTKManagement
+	if base := d.host.MgmtBase.Seconds(); mgmt <= base {
+		t.Fatalf("EnTK management overhead %.4f s, want more than the host's MgmtBase %.4f s", mgmt, base)
+	}
+	t.Logf("EnTK management overhead %.4f s (MgmtBase %.4f s)", mgmt, d.host.MgmtBase.Seconds())
 }
 
 // Admission: a claim larger than the pilot rejects permanently; saturation

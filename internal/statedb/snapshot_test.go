@@ -390,16 +390,6 @@ func TestRestoreCommitsInOrder(t *testing.T) {
 	if err := New().Restore([]msgcodec.SnapEntry{{Entity: "task", UID: "", State: "DONE"}}); err == nil {
 		t.Fatal("Restore accepted an empty UID")
 	}
-	limited := New()
-	limited.FailAfter(2)
-	if err := limited.Restore(entries); err == nil || limited.Commits() != 2 {
-		t.Fatalf("Restore past FailAfter(2): err=%v after %d commits", err, limited.Commits())
-	}
-	closed := New()
-	closed.Close() //nolint:errcheck
-	if err := closed.Restore(entries); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Restore on a closed DB: %v", err)
-	}
 }
 
 // FuzzReadSnapshot feeds arbitrary bytes to the snapshot loader: it never

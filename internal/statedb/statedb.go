@@ -10,7 +10,6 @@
 package statedb
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,12 +23,8 @@ type Key struct {
 	UID    string
 }
 
-// ErrClosed is returned by operations on a closed database.
-var ErrClosed = errors.New("statedb: database closed")
-
 // DB is a concurrency-safe latest-state store, mirroring the document store
-// RP keeps per workflow. Its tests close it and inject write failures after N
-// successful commits (export_test.go).
+// RP keeps per workflow.
 //
 // The latest states live in one dense slice in first-commit order, indexed
 // by key; sorted holds the positions of its first len(sorted) entries in
@@ -43,10 +38,6 @@ type DB struct {
 	entries []msgcodec.SnapEntry
 	sorted  []int
 	seq     uint64
-	closed  bool
-
-	// failAfter, when positive, bounds the number of successful commits.
-	failAfter uint64
 }
 
 // New returns an empty database.
@@ -79,12 +70,6 @@ func (db *DB) commitLocked(entity, uid, state string) error {
 	if entity == "" || uid == "" {
 		return fmt.Errorf("statedb: empty entity (%q) or uid (%q)", entity, uid)
 	}
-	if db.closed {
-		return ErrClosed
-	}
-	if db.failAfter > 0 && db.seq >= db.failAfter {
-		return fmt.Errorf("statedb: injected write failure after %d commits", db.failAfter)
-	}
 	db.seq++
 	key := Key{Entity: entity, UID: uid}
 	if i, ok := db.index[key]; ok {
@@ -101,9 +86,6 @@ func (db *DB) commitLocked(entity, uid, state string) error {
 func (db *DB) LoadTaskStates() (map[string]string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
 	out := make(map[string]string, len(db.entries))
 	for _, e := range db.entries {
 		if e.Entity == "task" {

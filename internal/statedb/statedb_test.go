@@ -91,37 +91,6 @@ func TestUIDsSorted(t *testing.T) {
 	}
 }
 
-func TestCloseStopsWrites(t *testing.T) {
-	db := New()
-	db.SaveState("task", "t", "DONE") //nolint:errcheck
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveState("task", "t", "FAILED"); err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	if _, err := db.LoadStates(); err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestFailAfterInjectsWriteFailures(t *testing.T) {
-	db := New()
-	db.FailAfter(2)
-	if err := db.SaveState("task", "t", "A"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveState("task", "t", "B"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveState("task", "t", "C"); err == nil {
-		t.Fatal("third write succeeded despite FailAfter(2)")
-	}
-	if got, _ := db.Latest("task", "t"); got != "B" {
-		t.Fatalf("latest = %q, want B (failed write must not commit)", got)
-	}
-}
-
 func TestConcurrentWriters(t *testing.T) {
 	db := New()
 	var wg sync.WaitGroup

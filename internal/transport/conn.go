@@ -29,12 +29,9 @@ type Options struct {
 	SendQueue int
 	// HeartbeatInterval is the keepalive ping cadence (default 1s,
 	// negative disables). Pongs are answered automatically by the read
-	// loop; any received frame counts as liveness.
+	// loop; any received frame counts as liveness, and no frame for four
+	// intervals kills the connection (idleTimeout).
 	HeartbeatInterval time.Duration
-	// IdleTimeout is the peer-death deadline: no frame (data, ping or
-	// pong) for this long kills the connection (default
-	// 4×HeartbeatInterval, negative disables).
-	IdleTimeout time.Duration
 }
 
 func (o *Options) defaults() {
@@ -44,9 +41,16 @@ func (o *Options) defaults() {
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = time.Second
 	}
-	if o.IdleTimeout == 0 && o.HeartbeatInterval > 0 {
-		o.IdleTimeout = 4 * o.HeartbeatInterval
+}
+
+// idleTimeout is the peer-death deadline: no frame (data, ping or pong) for
+// four heartbeat intervals kills the connection. Without heartbeats there is
+// none.
+func (o *Options) idleTimeout() time.Duration {
+	if o.HeartbeatInterval <= 0 {
+		return 0
 	}
+	return 4 * o.HeartbeatInterval
 }
 
 // Conn is one framed peer connection: a write pump draining a bounded send
@@ -272,7 +276,7 @@ func (c *Conn) die(err error) {
 func (c *Conn) writeLoop() {
 	defer c.wg.Done()
 	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	writeTimeout := c.opts.IdleTimeout
+	writeTimeout := c.opts.idleTimeout()
 	if writeTimeout <= 0 {
 		writeTimeout = 30 * time.Second
 	}
@@ -328,13 +332,14 @@ func (c *Conn) writeLoop() {
 }
 
 // readLoop delivers application frames, answers pings and enforces the
-// idle deadline: a peer that goes silent past IdleTimeout is declared dead.
+// idle deadline: a peer that goes silent past idleTimeout is declared dead.
 func (c *Conn) readLoop() {
 	defer c.wg.Done()
 	br := bufio.NewReaderSize(c.nc, 32<<10)
+	idle := c.opts.idleTimeout()
 	for {
-		if c.opts.IdleTimeout > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(c.opts.IdleTimeout)) //nolint:errcheck // conn types here support deadlines
+		if idle > 0 {
+			c.nc.SetReadDeadline(time.Now().Add(idle)) //nolint:errcheck // conn types here support deadlines
 		}
 		n, err := readLength(br, MaxFrame)
 		var body []byte
@@ -343,7 +348,7 @@ func (c *Conn) readLoop() {
 		}
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				err = fmt.Errorf("peer silent for %v: %w", c.opts.IdleTimeout, err)
+				err = fmt.Errorf("peer silent for %v: %w", idle, err)
 			}
 			c.die(err)
 			return

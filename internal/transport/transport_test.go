@@ -127,8 +127,9 @@ func TestConnSendRecv(t *testing.T) {
 }
 
 func TestConnKeepaliveKeepsIdleLinkAlive(t *testing.T) {
-	// No application traffic; pings/pongs must keep both deadlines fed.
-	ca, cb := pipePair(t, Options{HeartbeatInterval: 20 * time.Millisecond, IdleTimeout: 100 * time.Millisecond})
+	// No application traffic; pings/pongs must keep both deadlines (80 ms,
+	// four heartbeats) fed.
+	ca, cb := pipePair(t, Options{HeartbeatInterval: 20 * time.Millisecond})
 	time.Sleep(400 * time.Millisecond)
 	select {
 	case <-ca.Done():
@@ -153,7 +154,7 @@ func TestConnSilentPeerDeclaredDead(t *testing.T) {
 			}
 		}
 	}()
-	c := NewConn(a, Options{HeartbeatInterval: 20 * time.Millisecond, IdleTimeout: 80 * time.Millisecond})
+	c := NewConn(a, Options{HeartbeatInterval: 20 * time.Millisecond})
 	defer c.Close() //nolint:errcheck
 	select {
 	case <-c.Done():
@@ -166,7 +167,7 @@ func TestConnSilentPeerDeclaredDead(t *testing.T) {
 }
 
 func TestConnCloseUnblocksSendAndRecv(t *testing.T) {
-	ca, cb := pipePair(t, Options{SendQueue: 1, HeartbeatInterval: -1, IdleTimeout: -1})
+	ca, cb := pipePair(t, Options{SendQueue: 1, HeartbeatInterval: -1})
 	_ = cb
 	recvErr := make(chan error, 1)
 	go func() {
@@ -264,7 +265,7 @@ func TestFlushThenCloseDeliversEveryFrame(t *testing.T) {
 	// the peer when Flush is called. Close drops whatever is still queued;
 	// Flush before it is what makes the last frame arrive.
 	const frames = 256
-	c, raw := tcpPair(t, Options{SendQueue: frames + 1, HeartbeatInterval: -1, IdleTimeout: -1})
+	c, raw := tcpPair(t, Options{SendQueue: frames + 1, HeartbeatInterval: -1})
 	got := make(chan int, 1)
 	last := make(chan []byte, 1)
 	go func() {
@@ -310,7 +311,7 @@ func TestFlushThenCloseDeliversEveryFrame(t *testing.T) {
 
 func TestFlushOnDeadConnReturnsItsError(t *testing.T) {
 	// Already dead: the error, at once.
-	ca, _ := pipePair(t, Options{HeartbeatInterval: -1, IdleTimeout: -1})
+	ca, _ := pipePair(t, Options{HeartbeatInterval: -1})
 	ca.Close() //nolint:errcheck
 	if err := ca.Flush(); err != ErrClosed {
 		t.Fatalf("Flush on a closed conn = %v, want ErrClosed", err)
@@ -320,7 +321,7 @@ func TestFlushOnDeadConnReturnsItsError(t *testing.T) {
 	// write pump is wedged on the first frame and the marker never comes up.
 	a, b := net.Pipe()
 	defer b.Close() //nolint:errcheck
-	c := NewConn(a, Options{HeartbeatInterval: -1, IdleTimeout: -1})
+	c := NewConn(a, Options{HeartbeatInterval: -1})
 	if err := c.Send([]byte("stuck")); err != nil {
 		t.Fatal(err)
 	}

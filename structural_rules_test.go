@@ -141,6 +141,16 @@ var structuralRules = []structuralRule{
 		why:   completionOwner + "; no lock orders completion",
 	},
 	{
+		name: "no-injected-broker",
+		in:   "internal/",
+		count: anyOf(
+			pointerFields("repro/internal/core.Config", "repro/internal/broker.Broker"),
+			importsBy("repro/internal/daemon", "repro/internal/broker"),
+		),
+		why: "every run owns its broker, as the paper's AppManager owns its messaging (docs/daemon.md): " +
+			"a host shares the pilot with its runs, never a broker",
+	},
+	{
 		name:  "goroutine-census",
 		in:    "internal/",
 		count: goStatements,
@@ -334,6 +344,91 @@ func imports(prefix string) counter {
 				}
 			}
 			return 0
+		},
+	}
+}
+
+// importsBy counts the imports of path by the files of package pkg.
+func importsBy(pkg, path string) counter {
+	return counter{
+		what: "imports of " + path + " by " + pkg,
+		match: func(info *types.Info, n ast.Node) int {
+			if spec, ok := n.(*ast.ImportSpec); ok {
+				if p, _ := strconv.Unquote(spec.Path.Value); p == path {
+					if name := info.PkgNameOf(spec); name != nil && name.Pkg().Path() == pkg {
+						return 1
+					}
+				}
+			}
+			return 0
+		},
+		resolve: func(m *module) error {
+			if _, err := m.lookup(pkg); err != nil {
+				return err
+			}
+			_, err := m.lookup(path)
+			return err
+		},
+	}
+}
+
+// pointerFields counts the fields of the struct type typ whose type is a
+// pointer to the named type elem.
+func pointerFields(typ, elem string) counter {
+	return counter{
+		what: "fields of " + typ + " of type *" + elem,
+		match: func(info *types.Info, n ast.Node) int {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok || objectName(info.Defs[spec.Name]) != typ {
+				return 0
+			}
+			st, ok := info.Defs[spec.Name].Type().Underlying().(*types.Struct)
+			if !ok {
+				return 0
+			}
+			count := 0
+			for i := 0; i < st.NumFields(); i++ {
+				if p, ok := st.Field(i).Type().(*types.Pointer); ok {
+					if n, ok := types.Unalias(p.Elem()).(*types.Named); ok && objectName(n.Obj()) == elem {
+						count++
+					}
+				}
+			}
+			return count
+		},
+		resolve: func(m *module) error {
+			if err := m.resolve(typ); err != nil {
+				return err
+			}
+			return m.resolve(elem)
+		},
+	}
+}
+
+// anyOf counts what each of cs counts, added up.
+func anyOf(cs ...counter) counter {
+	what := make([]string, len(cs))
+	for i, c := range cs {
+		what[i] = c.what
+	}
+	return counter{
+		what: strings.Join(what, " and "),
+		match: func(info *types.Info, n ast.Node) int {
+			k := 0
+			for _, c := range cs {
+				k += c.match(info, n)
+			}
+			return k
+		},
+		resolve: func(m *module) error {
+			for _, c := range cs {
+				if c.resolve != nil {
+					if err := c.resolve(m); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
 		},
 	}
 }

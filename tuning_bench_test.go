@@ -84,7 +84,7 @@ func BenchmarkAutotuneOverhead(b *testing.B) {
 // climbing live from the worst. Wall time is the gated number; the
 // virtual-time tasks/s figure of merit is reported as a metric.
 func BenchmarkAblationAutotune(b *testing.B) {
-	opts := quickOpts()
+	opts := &experiments.Options{Quick: true, Scale: 200 * time.Microsecond}
 	for _, setting := range []struct {
 		name string
 		tun  entk.Tuning
