@@ -560,11 +560,11 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 // BenchmarkRecovery measures crash-recovery reconstruction: rebuilding the
 // final state map from a journal directory, with and without a snapshot.
-// records-N replays N state records raw; snapshot-N recovers from a
-// snapshot at watermark plus a short tail over the same record count — the
-// gap between the two is what the snapshot layer buys at restart. Both
-// re-implement recovery; resume-N (benchResume) calls the real one on an
-// N-task application.
+// records-N reads N state records raw; snapshot-N reads a snapshot at
+// watermark plus a short tail over the same record count — the gap between
+// the two is what the snapshot layer buys at restart. Both read the
+// directory with core.ReadRunDir, as entk-dump does; resume-N (benchResume)
+// calls the real recovery on an N-task application.
 func BenchmarkRecovery(b *testing.B) {
 	writeDir := func(b *testing.B, n int, snapshotAt int) string {
 		b.Helper()
@@ -574,12 +574,16 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		db := statedb.New()
+		// Each of 2048 tasks takes eight legal steps: one attempt that fails
+		// and is rescheduled.
+		walk := []core.TaskState{core.TaskScheduling, core.TaskScheduled, core.TaskSubmitting, core.TaskSubmitted,
+			core.TaskExecuted, core.TaskFailed, core.TaskScheduling, core.TaskScheduled}
 		for i := 0; i < n; i++ {
-			uid := fmt.Sprintf("task.%06d", i%2048)
-			if _, err := j.AppendRaw("state", msgcodec.FormatBinary.EncodeStateRec("task", uid, "DONE")); err != nil {
+			uid, state := fmt.Sprintf("task.%06d", i%2048), string(walk[i/2048%len(walk)])
+			if _, err := j.AppendRaw("state", msgcodec.FormatBinary.EncodeStateRec("task", uid, state)); err != nil {
 				b.Fatal(err)
 			}
-			if err := db.SaveState("task", uid, "DONE"); err != nil {
+			if err := db.SaveState("task", uid, state); err != nil {
 				b.Fatal(err)
 			}
 			if snapshotAt > 0 && i == snapshotAt {
@@ -605,34 +609,11 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 	recover := func(b *testing.B, dir string) int {
 		b.Helper()
-		final := map[string]string{}
-		snap, haveSnap, err := statedb.LoadLatestSnapshot(dir)
-		if err != nil {
-			b.Fatal(err)
+		rd, err := core.ReadRunDir(dir)
+		if err != nil || len(rd.Violations) > 0 {
+			b.Fatalf("%v %v", err, rd.Violations)
 		}
-		if haveSnap {
-			for _, e := range snap.Entries {
-				final[e.UID] = e.State
-			}
-		}
-		err = journal.ReplayDir(dir, func(rec journal.Record) error {
-			if rec.Type != "state" {
-				return nil
-			}
-			if haveSnap && rec.Seq <= snap.Watermark {
-				return nil
-			}
-			sr, derr := msgcodec.DecodeStateRec(rec.Data)
-			if derr != nil {
-				return derr
-			}
-			final[sr.UID] = sr.State
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return len(final)
+		return len(rd.Tasks)
 	}
 	const n = 16384
 	b.Run(fmt.Sprintf("records-%d", n), func(b *testing.B) {

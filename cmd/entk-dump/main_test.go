@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
 	"repro/internal/statedb"
@@ -32,6 +33,33 @@ func writeSnapshot(t *testing.T, dir string, watermark uint64, entries ...msgcod
 	return path
 }
 
+// runDir writes a journal directory whose records walk, line by line, each
+// "entity uid STATE STATE…" of walks and, unless pushes is nil, an RTS audit
+// log with one push record of those task UIDs.
+func runDir(t *testing.T, pushes []string, walks ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	j, err := journal.OpenDir(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	for _, walk := range walks {
+		f := strings.Fields(walk)
+		for _, state := range f[2:] {
+			recs = append(recs, msgcodec.FormatBinary.EncodeStateRec(f[0], f[1], state))
+		}
+	}
+	appendRecords(t, j, "state", recs...)
+	if pushes != nil {
+		if j, err = journal.Open(filepath.Join(dir, core.AuditLogName), journal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		appendRecords(t, j, "rts.store", msgcodec.FormatBinary.EncodeStoreRec("push", pushes))
+	}
+	return dir
+}
+
 // What entk-dump prints for each kind of path it takes, and its exit code: 2
 // for a command line it cannot use, 1 for a path it cannot read to the end.
 func TestRunDumpsWhatARunLeftOnDisk(t *testing.T) {
@@ -44,8 +72,16 @@ func TestRunDumpsWhatARunLeftOnDisk(t *testing.T) {
 	}
 	appendRecords(t, j, "state",
 		msgcodec.FormatBinary.EncodeStateRec("task", "task.1", "DONE"),
-		msgcodec.FormatBinary.EncodeStateRec("stage", "stage.1", "DONE"))
+		msgcodec.FormatBinary.EncodeStateRec("stage", "stage.1", "SCHEDULING"))
 	writeSnapshot(t, jdir, 2, msgcodec.SnapEntry{Entity: "task", UID: "task.1", State: "DONE"})
+
+	// A run that left one task DONE and one in flight, a task that left DONE,
+	// and an audit log that names a task no record does.
+	const done = "task task.1 SCHEDULING SCHEDULED SUBMITTING SUBMITTED EXECUTED DONE"
+	crashed := runDir(t, []string{"task.1", "task.2"}, "pipeline pipeline.1 SCHEDULING",
+		"stage stage.1 SCHEDULING SCHEDULED", done, "task task.2 SCHEDULING SCHEDULED SUBMITTING SUBMITTED")
+	redone := runDir(t, nil, done+" SCHEDULING")
+	ghost := runDir(t, []string{"task.1", "task.ghost"}, done)
 
 	// A flat RTS audit log.
 	audit := filepath.Join(t.TempDir(), "rts-audit.log")
@@ -80,7 +116,17 @@ func TestRunDumpsWhatARunLeftOnDisk(t *testing.T) {
 			statedb.SnapshotName(2) + " watermark=2 entries=1\n  task task.1 DONE\n",
 			"1 segment {Index:1 BaseSeq:1}\n",
 			"2 state {Entity:task UID:task.1 State:DONE}\n",
-			"3 state {Entity:stage UID:stage.1 State:DONE}\n"}},
+			"3 state {Entity:stage UID:stage.1 State:SCHEDULING}\n",
+			"tasks: 1 DONE\nstages: 1 SCHEDULING\npipelines: none\nactive tasks: 0\n" +
+				"tail: 1 state records to replay\npushes: no rts-audit.log\n"}},
+		{name: "crashed run directory", args: []string{crashed}, code: 0, stdout: []string{
+			"14 state {Entity:task UID:task.2 State:SUBMITTED}\n",
+			"tasks: 1 DONE, 1 SUBMITTED\nstages: 1 SCHEDULED\npipelines: 1 SCHEDULING\nactive tasks: 1\n" +
+				"tail: 13 state records to replay\npushes: 2, of 2 tasks\n"}},
+		{name: "task leaves DONE", args: []string{redone}, code: 1, stdout: []string{
+			"violation: record 8: task task.1 DONE -> SCHEDULING\n"}, stderr: "violations: 1"},
+		{name: "push of an unknown task", args: []string{ghost}, code: 1, stdout: []string{
+			"pushes: 2, of 2 tasks\nviolation: rts-audit.log record 1: push of task task.ghost"}, stderr: "violations: 1"},
 		{name: "flat audit log", args: []string{audit}, code: 0, stdout: []string{
 			"1 rts.store {UIDs:[task.1 task.2] Op:push}\n",
 			"2 rts.store {UIDs:[task.1] Op:pull}\n"}},

@@ -352,7 +352,7 @@ func NewAppManager(cfg AppConfig) (*AppManager, error) {
 		// Durable mode audits RTS submissions next to the state journal, so
 		// a resumed run can prove completed tasks were not re-submitted
 		// (docs/recovery.md, exactly-once verification).
-		baseRTS.StorePath = filepath.Join(cfg.JournalDir, "rts-audit.log")
+		baseRTS.StorePath = filepath.Join(cfg.JournalDir, core.AuditLogName)
 	}
 	switch {
 	case len(cfg.RemoteAgents) > 0:

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
 	"repro/internal/statedb"
@@ -17,16 +19,18 @@ import (
 // The chaos harness: run a durable application, kill it at a randomized
 // point (Run.Cancel force-states without journaling — indistinguishable
 // from a crash to the journal), resume from the journal directory, repeat
-// until an incarnation completes uninterrupted. After every scenario the
-// harness asserts the durability contract of docs/recovery.md:
+// until an incarnation completes uninterrupted. After every incarnation the
+// harness reads the directory with core.ReadRunDir and asserts the
+// durability contract of docs/recovery.md:
 //
-//   - conservation: every task ends DONE and reconstruction from the
-//     directory alone (snapshot + journal tail) agrees;
-//   - exactly-once: no task recorded DONE before a kill is ever pushed to
-//     the RTS again, proven against the store's audit records.
+//   - every state record is a step a run or a resumed run takes, and every
+//     task the RTS audit log was handed is one the journal names;
+//   - exactly-once: a task DONE before the incarnation was not pushed to the
+//     RTS during it (its push count in the audit log is unchanged);
+//   - conservation, at the end: every task DONE and none in flight.
 //
 // Seeds are fixed so CI failures reproduce; each seed drives one full
-// multi-incarnation scenario.
+// multi-incarnation scenario per snapshot cadence.
 
 // chaosApp builds the scenario's application with deterministic structural
 // UIDs, so every incarnation names each entity identically.
@@ -54,76 +58,24 @@ func chaosApp() []*Pipeline {
 
 const chaosTasks = 2 * 2 * 6
 
-// reconstructDone rebuilds the DONE-task set from the journal directory the
-// way Resume does: newest snapshot, then journal records above its
-// watermark.
-func reconstructDone(t *testing.T, dir string) map[string]bool {
+// readRunDir reads dir with core.ReadRunDir, failing the test on an error or
+// on a violation.
+func readRunDir(t *testing.T, dir string) core.RunDir {
 	t.Helper()
-	final := map[string]string{}
-	snap, haveSnap, err := statedb.LoadLatestSnapshot(dir)
+	rd, err := core.ReadRunDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if haveSnap {
-		for _, e := range snap.Entries {
-			if e.Entity == "task" {
-				final[e.UID] = e.State
-			}
-		}
+	if len(rd.Violations) > 0 {
+		t.Fatalf("%s breaks the resume rules:\n%s", dir, strings.Join(rd.Violations, "\n"))
 	}
-	err = journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type != "state" {
-			return nil
-		}
-		if haveSnap && rec.Seq <= snap.Watermark {
-			return nil
-		}
-		sr, derr := msgcodec.DecodeStateRec(rec.Data)
-		if derr != nil {
-			return derr
-		}
-		if sr.Entity == "task" {
-			final[sr.UID] = sr.State
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := map[string]bool{}
-	for uid, state := range final {
-		if TaskState(state) == TaskDone {
-			done[uid] = true
-		}
-	}
-	return done
+	return rd
 }
 
-// auditPushes replays the RTS audit log and returns, for records with
-// seq > afterSeq, the pushed task UIDs, plus the log's final seq.
-func auditPushes(t *testing.T, dir string, afterSeq uint64) ([]string, uint64) {
-	t.Helper()
-	var uids []string
-	var last uint64
-	err := journal.Replay(filepath.Join(dir, "rts-audit.log"), func(rec journal.Record) error {
-		last = rec.Seq
-		if rec.Type != "rts.store" || rec.Seq <= afterSeq {
-			return nil
-		}
-		sr, err := msgcodec.DecodeStoreRec(rec.Data)
-		if err != nil {
-			return err
-		}
-		if sr.Op == "push" {
-			uids = append(uids, sr.UIDs...)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return uids, last
-}
+// chaosSnapshotEvery are the cadences every seed runs at: one snapshot per
+// eight records, and none, so that ReadRunDir's rules see every record a run
+// journals rather than the few teardown leaves past its owed snapshot.
+var chaosSnapshotEvery = []int{8, 1 << 20}
 
 func chaosConfig(dir string) AppConfig {
 	return AppConfig{
@@ -138,9 +90,11 @@ func chaosConfig(dir string) AppConfig {
 // runIncarnation starts (or resumes) one incarnation and kills it after
 // killAfter task events; killAfter <= 0 lets it run to completion. It
 // returns whether the run completed.
-func runIncarnation(t *testing.T, dir string, killAfter int) bool {
+func runIncarnation(t *testing.T, dir string, snapshotEvery, killAfter int) bool {
 	t.Helper()
-	am, err := NewAppManager(chaosConfig(dir))
+	cfg := chaosConfig(dir)
+	cfg.Tuning.SnapshotEvery = snapshotEvery
+	am, err := NewAppManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,61 +134,64 @@ func runIncarnation(t *testing.T, dir string, killAfter int) bool {
 	return false
 }
 
-func chaosScenario(t *testing.T, seed int64) {
+func chaosScenario(t *testing.T, seed int64, snapshotEvery int) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 
 	const maxIncarnations = 12
-	var auditSeq uint64
+	var before core.RunDir // what the directory said before this incarnation
 	completed := false
 	for inc := 0; inc < maxIncarnations && !completed; inc++ {
-		// What the journal says is DONE before this incarnation: the
-		// exactly-once baseline.
-		doneBefore := reconstructDone(t, dir)
-
 		// Kill somewhere in the remaining work's event stream; the final
 		// allowed incarnation runs uninterrupted so the scenario terminates.
 		killAfter := 1 + rng.Intn(3*chaosTasks)
 		if inc == maxIncarnations-1 {
 			killAfter = 0
 		}
-		completed = runIncarnation(t, dir, killAfter)
+		completed = runIncarnation(t, dir, snapshotEvery, killAfter)
 
-		// Exactly-once: nothing DONE before this incarnation was pushed to
-		// the RTS during it.
-		pushed, last := auditPushes(t, dir, auditSeq)
-		auditSeq = last
-		for _, uid := range pushed {
-			if doneBefore[uid] {
-				t.Fatalf("seed %d incarnation %d: task %s was DONE before the kill but was re-pushed",
-					seed, inc, uid)
+		after := readRunDir(t, dir)
+		for uid, state := range before.Tasks {
+			if state == TaskDone && after.Pushes[uid] != before.Pushes[uid] {
+				t.Fatalf("seed %d incarnation %d: task %s was DONE before the kill but was re-pushed (%d pushes, then %d)",
+					seed, inc, uid, before.Pushes[uid], after.Pushes[uid])
 			}
 		}
+		before = after
 	}
 	if !completed {
 		t.Fatalf("seed %d: no incarnation completed within %d attempts", seed, maxIncarnations)
 	}
 
 	// Conservation: the directory alone reconstructs all tasks DONE.
-	done := reconstructDone(t, dir)
-	if len(done) != chaosTasks {
-		t.Fatalf("seed %d: reconstructed %d DONE tasks, want %d", seed, len(done), chaosTasks)
+	done := 0
+	for _, state := range before.Tasks {
+		if state == TaskDone {
+			done++
+		}
+	}
+	if done != chaosTasks || before.Active() != 0 {
+		t.Fatalf("seed %d: the directory reads %d tasks DONE and %d in flight, want %d and none",
+			seed, done, before.Active(), chaosTasks)
 	}
 }
 
 // TestChaosResume is the crash-recovery acceptance harness (fixed seeds;
 // -short trims the sweep). Each seed kills a durable run at randomized
-// points across incarnations and proves conservation and exactly-once
-// semantics on every resume.
+// points across incarnations, at each snapshot cadence, and proves
+// conservation and exactly-once semantics on every resume.
 func TestChaosResume(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
 	for _, seed := range seeds {
-		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			chaosScenario(t, seed)
+			for _, every := range chaosSnapshotEvery {
+				t.Run(fmt.Sprintf("snapshot-every-%d", every), func(t *testing.T) {
+					chaosScenario(t, seed, every)
+				})
+			}
 		})
 	}
 }
@@ -352,20 +309,21 @@ func TestResumeNumbersPastSnapshotWatermark(t *testing.T) {
 			t.Fatalf("segment %d starts at seq %d, inside the snapshot's watermark %d", s.Index, s.FirstSeq, watermark)
 		}
 	}
-	pushed, auditSeq := auditPushes(t, dir, 0)
-	if len(pushed) != chaosTasks-len(inSnapshot) {
-		t.Fatalf("first resume pushed %d tasks, want %d", len(pushed), chaosTasks-len(inSnapshot))
-	}
-	for _, uid := range pushed {
+	first := readRunDir(t, dir)
+	for uid := range first.Tasks {
+		want := 1
 		if inSnapshot[uid] {
-			t.Fatalf("task %s was DONE in the snapshot but was pushed", uid)
+			want = 0 // DONE in the snapshot
+		}
+		if first.Pushes[uid] != want {
+			t.Fatalf("first resume pushed task %s %d times, want %d", uid, first.Pushes[uid], want)
 		}
 	}
 
 	if info := incarnation(); info.TasksRecovered != chaosTasks {
 		t.Fatalf("second resume recovered %d DONE tasks, want all %d: %+v", info.TasksRecovered, chaosTasks, info)
 	}
-	if again, _ := auditPushes(t, dir, auditSeq); len(again) != 0 {
-		t.Fatalf("second resume pushed %d tasks that were already DONE: %v", len(again), again)
+	if again := readRunDir(t, dir); !maps.Equal(again.Pushes, first.Pushes) {
+		t.Fatalf("second resume pushed tasks that were already DONE: %v, then %v", first.Pushes, again.Pushes)
 	}
 }

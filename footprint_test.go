@@ -26,9 +26,11 @@ var footprintApp = []byte(`{"resource":{"name":"supermic","cores":8,"walltime_s"
 // alive is what a busy daemon's heap is made of: it must be a summary (it
 // was the whole AppManager and lease, 55 KB per run). And a run's fixed
 // scaffolding — queues, consumers, clients, lease, names — must not grow
-// back: the ceiling is ~5 % above what a run allocates today (389-395; it
-// was 519 while every hand-off rebuilt its scratch and every task carried
-// its three per-task allocations, and 691 with the scaffolding this bounds).
+// back. A run allocates about 302 today; the ceiling is still ~5 % above the
+// 389-395 it allocated while every pull receive made a delivery block
+// (ROADMAP item 16 lowers it). It was 519 while every hand-off rebuilt its
+// scratch and every task carried its three per-task allocations, and 691
+// with the scaffolding this bounds.
 func TestHostedRunFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -105,7 +107,7 @@ func taskPathAllocs(t *testing.T, pipelines, stages, tasks int, durable bool) fl
 	var journalDir, storePath string
 	if durable {
 		journalDir = t.TempDir()
-		storePath = filepath.Join(journalDir, "rts-audit.log")
+		storePath = filepath.Join(journalDir, core.AuditLogName)
 	}
 	clock := vclock.NewScaled(250 * time.Microsecond) // 72 h of walltime = 64.8 s of wall
 	machine, err := rts.NewMachine(rts.MachineConfig{Clock: clock, Resources: []core.ResourceDesc{{Resource: "supermic"}}})

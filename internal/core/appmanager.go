@@ -207,6 +207,10 @@ type AppManager struct {
 	sync *synchronizer
 	wfp  *wfProcessor
 	emgr *execManager
+	// halted is set as a whole-run cancel begins (cancelRemainingTasks), before
+	// it force-states anything: from then on the Synchronizer refuses every
+	// request.
+	halted atomic.Bool
 	// partHook, set only by tests, runs on the enqueue loop between two parts
 	// of a streamed stage (wfProcessor.streamStage).
 	partHook func()
@@ -672,8 +676,17 @@ func (am *AppManager) allPipelinesTerminal() bool {
 // (FAILED→CANCELED is legal, and the sticky cancel absorbs the late
 // SCHEDULING). A FAILED task in a terminal stage stays FAILED. The forced
 // transitions bypass the Synchronizer (it is about to stop), so the
-// cancellation events are published here.
+// cancellation events are published here. Nothing is journaled: halted stops
+// the Synchronizer first, so neither what the forced states set off — a stage
+// the Dequeue finds with every task CANCELED, a dependent pipeline the Enqueue
+// cascades to — nor anything else commits after it, and the journal reads as
+// if the process had died here (docs/recovery.md, invariant 1). It holds
+// ctlMu throughout, so a Pause, Resume or CancelPipeline either commits before
+// it or is refused once every entity is forced.
 func (am *AppManager) cancelRemainingTasks() {
+	am.ctlMu.Lock()
+	defer am.ctlMu.Unlock()
+	am.halted.Store(true)
 	am.mu.Lock()
 	tasks := make([]*Task, 0, len(am.tasks))
 	for _, t := range am.tasks {

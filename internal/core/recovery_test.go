@@ -8,6 +8,9 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,57 +75,58 @@ func TestDurableRunJournalsSnapshotsAndCompacts(t *testing.T) {
 
 	// The directory alone must reconstruct the terminal state: snapshot +
 	// tail yields DONE for all 32 tasks.
-	final := reconstruct(t, dir)
-	done := 0
-	for k, state := range final {
-		if k.entity == "task" && TaskState(state) == TaskDone {
-			done++
-		}
-	}
-	if done != 32 {
+	if done := len(doneIn(runDir(t, dir))); done != 32 {
 		t.Fatalf("reconstructed %d DONE tasks, want 32", done)
 	}
 }
 
-// reconstruct replays snapshot + journal tail the way openDurable does,
-// returning the final state map.
-func reconstruct(t *testing.T, dir string) map[struct{ entity, uid string }]string {
+// runDir reads dir with ReadRunDir, failing the test on an error or on a
+// violation.
+func runDir(t *testing.T, dir string) RunDir {
 	t.Helper()
-	final := map[struct{ entity, uid string }]string{}
-	snapSeq := loadSnapshotInto(t, dir, final)
-	err := journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type != "state" {
-			return nil
-		}
-		if rec.Seq <= snapSeq {
-			return nil
-		}
-		sr, err := msgcodec.DecodeStateRec(rec.Data)
-		if err != nil {
-			return err
-		}
-		final[struct{ entity, uid string }{sr.Entity, sr.UID}] = sr.State
-		return nil
-	})
+	rd, err := ReadRunDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return final
+	if len(rd.Violations) > 0 {
+		t.Fatalf("%s breaks the resume rules:\n%s", dir, strings.Join(rd.Violations, "\n"))
+	}
+	return rd
 }
 
-func loadSnapshotInto(t *testing.T, dir string, final map[struct{ entity, uid string }]string) uint64 {
+// doneIn returns the UIDs of the tasks rd records DONE.
+func doneIn(rd RunDir) map[string]bool {
+	done := map[string]bool{}
+	for uid, state := range rd.Tasks {
+		if state == TaskDone {
+			done[uid] = true
+		}
+	}
+	return done
+}
+
+// cutAtFirstStage starts am, cancels the run once its first stage commits
+// DONE — a crash, as far as the journal is concerned — and returns how the
+// run ended.
+func cutAtFirstStage(t *testing.T, am *AppManager) error {
 	t.Helper()
-	snap, ok, err := statedb.LoadLatestSnapshot(dir)
+	sub := am.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run, err := am.Start(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		return 0
-	}
-	for _, e := range snap.Entries {
-		final[struct{ entity, uid string }{e.Entity, e.UID}] = e.State
-	}
-	return snap.Watermark
+	go func() {
+		for ev := range sub.C() {
+			if ev.To == string(StageDone) {
+				run.Cancel("chaos")
+				return
+			}
+		}
+	}()
+	return run.Wait()
 }
 
 // TestResumeDoesNotRerunCompletedTasks is the §II-B4 contract test: a run
@@ -142,33 +146,12 @@ func TestResumeDoesNotRerunCompletedTasks(t *testing.T) {
 	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
 	pipes1 := build()
 	am1.AddPipelines(pipes1...)
-	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	run1, err := am1.Start(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for ev := range sub.C() {
-			if ev.To == string(StageDone) {
-				run1.Cancel("chaos")
-				return
-			}
-		}
-	}()
-	if err := run1.Wait(); err == nil || !errors.Is(err, context.Canceled) {
+	if err := cutAtFirstStage(t, am1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("incarnation 1 finished with %v, want cancellation", err)
 	}
-	sub.Close()
 
 	// The journal must already record some DONE tasks (stage 1 completed).
-	preDone := map[string]bool{}
-	for k, state := range reconstruct(t, dir) {
-		if k.entity == "task" && TaskState(state) == TaskDone {
-			preDone[k.uid] = true
-		}
-	}
+	preDone := doneIn(runDir(t, dir))
 	if len(preDone) < 4 {
 		t.Fatalf("incarnation 1 journaled %d DONE tasks, want >= 4 (one stage)", len(preDone))
 	}
@@ -216,6 +199,61 @@ func TestResumeDoesNotRerunCompletedTasks(t *testing.T) {
 	// The resumed run really did skip work: it executed only the complement.
 	if got, want := len(rts2.log()), 12-len(preDone); got != want {
 		t.Fatalf("incarnation 2 executed %d tasks, want %d", got, want)
+	}
+}
+
+// TestWholeRunCancelJournalsNothing holds Run.Cancel to what recovery
+// assumes of it: it journals nothing, not even what its forced states set
+// off. The cancel is held between the tasks it has forced CANCELED and the
+// pipeline it has not reached (the test holds the pipeline's lock), and the
+// Dequeue is handed the stage to settle then: it finds every task CANCELED and
+// asks for the stage CANCELED, which must be refused — the Dequeue stops on
+// the refusal. The directory reads the stage SCHEDULED, the pipeline
+// SCHEDULING and the tasks in flight, which a Resume reschedules.
+func TestWholeRunCancelJournalsNothing(t *testing.T) {
+	dir := t.TempDir()
+	am, _ := testApp(t, Config{JournalDir: dir})
+	pipes := buildApp(1, 1, 4, 1000*time.Hour) // in flight until the RTS stops
+	stampUIDs(pipes)
+	am.AddPipelines(pipes...) //nolint:errcheck
+	p, stage := pipes[0], pipes[0].Stages()[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run, err := am.Start(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil := func(to TaskState) {
+		t.Helper()
+		notYet := func(task *Task) bool { return task.State() != to }
+		for deadline := time.Now().Add(10 * time.Second); slices.ContainsFunc(stage.Tasks(), notYet); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for every task to be %s", to)
+			}
+		}
+	}
+	waitUntil(TaskSubmitted)
+
+	p.mu.Lock()
+	release := sync.OnceFunc(p.mu.Unlock)
+	defer release()
+	run.Cancel("test: cancel held at the pipeline")
+	waitUntil(TaskCanceled) // the cancel has forced them
+	if err := am.settle(stage); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-am.doneCh: // the Dequeue's request was refused
+	case <-time.After(5 * time.Second): // or, committed, waits for the pipeline
+	}
+	release()
+	if err := run.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the run ended with %v, want its cancellation", err)
+	}
+	rd := runDir(t, dir)
+	if rd.Stages[stage.UID] != StageScheduled || rd.Pipelines[p.UID] != PipelineScheduling || rd.Active() != 4 {
+		t.Fatalf("the directory reads stage %s, pipeline %s and %d tasks in flight; want SCHEDULED, SCHEDULING and 4",
+			rd.Stages[stage.UID], rd.Pipelines[p.UID], rd.Active())
 	}
 }
 
@@ -299,23 +337,7 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	}
 	am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 2})
 	am1.AddPipelines(build()...)
-	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	run1, err := am1.Start(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for ev := range sub.C() {
-			if ev.To == string(StageDone) {
-				run1.Cancel("chaos")
-				return
-			}
-		}
-	}()
-	run1.Wait() //nolint:errcheck
-	sub.Close()
+	cutAtFirstStage(t, am1) //nolint:errcheck
 
 	am2, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 2})
 	am2.AddPipelines(build()...)
@@ -331,36 +353,8 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	// With SnapshotEvery=2, incarnation 2 rolled, snapshotted and compacted
 	// every other record; reconstruction must still see all
 	// 8 tasks DONE — including the ones only incarnation 1 executed.
-	done := 0
-	for k, state := range reconstruct(t, dir) {
-		if k.entity == "task" && TaskState(state) == TaskDone {
-			done++
-		}
-	}
-	if done != 8 {
+	if done := len(doneIn(runDir(t, dir))); done != 8 {
 		t.Fatalf("reconstructed %d DONE tasks after compacting resume, want 8", done)
-	}
-}
-
-// TestDurableRunReconstructs runs the durable path with snapshots, and with
-// them rolls and compaction, on; recovery must reconstruct every DONE task.
-func TestDurableRunReconstructs(t *testing.T) {
-	dir := t.TempDir()
-	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
-	pipes := buildApp(1, 2, 4, 20*time.Second)
-	stampUIDs(pipes)
-	am.AddPipelines(pipes...)
-	if err := runApp(t, am); err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	for k, state := range reconstruct(t, dir) {
-		if k.entity == "task" && TaskState(state) == TaskDone {
-			done++
-		}
-	}
-	if done != 8 {
-		t.Fatalf("reconstructed %d DONE tasks, want 8", done)
 	}
 }
 
@@ -389,25 +383,9 @@ func TestDirectoriesCrossTheAppendForms(t *testing.T) {
 	am1.AddPipelines(build()...)
 	var segs segmentHistory
 	am1.snapHook = func(uint64) { segs.collect(t, dir) }
-	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventStage}})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	run1, err := am1.Start(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for ev := range sub.C() {
-			if ev.To == string(StageDone) {
-				run1.Cancel("chaos")
-				return
-			}
-		}
-	}()
-	if err := run1.Wait(); !errors.Is(err, context.Canceled) {
+	if err := cutAtFirstStage(t, am1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("incarnation 1 finished with %v, want cancellation", err)
 	}
-	sub.Close()
 	segs.collect(t, dir)
 	full := segs.dir(t)
 
@@ -478,15 +456,12 @@ func TestDirectoriesCrossTheAppendForms(t *testing.T) {
 		}
 	}
 
-	preDone := map[string]bool{}
-	for k, state := range reconstruct(t, old) {
-		if k.entity == "task" && TaskState(state) == TaskDone {
-			preDone[k.uid] = true
-		}
-	}
+	preDone := doneIn(runDir(t, old))
 	am2, rts2 := testApp(t, Config{JournalDir: old, SnapshotEvery: 4})
 	pipes2 := build()
 	am2.AddPipelines(pipes2...)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	run2, err := am2.Resume(ctx, old)
 	if err != nil {
 		t.Fatal(err)

@@ -113,9 +113,10 @@ func (r *Run) Resume(pipelineUID string) error {
 
 // ctlRequest sends one transition as its own frame through the run handle's
 // synchronizer client, which is made here on first use — most runs see no
-// Pause, Resume or CancelPipeline. ctlMu must be held. Once supervise has
-// begun tear-down the answer is broker.ErrClosed: no consumer is attached to
-// a queue that is about to be deleted.
+// Pause, Resume or CancelPipeline. ctlMu must be held. Once a whole-run
+// cancel has begun the answer wraps broker.ErrClosed (errHalted), and once
+// supervise has begun tear-down it is broker.ErrClosed: no consumer is
+// attached to a queue that is about to be deleted.
 func (am *AppManager) ctlRequest(req SyncRequest) error {
 	if am.ctlClosed {
 		return broker.ErrClosed

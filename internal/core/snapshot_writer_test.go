@@ -293,8 +293,9 @@ func (s *stalledRun) stillWaiting(t *testing.T) {
 }
 
 // settled fails the test unless the directory is what a drained writer
-// leaves: no temporary file, a snapshot that loads, a journal that replays.
-func (s *stalledRun) settled(t *testing.T) map[struct{ entity, uid string }]string {
+// leaves: no temporary file, a snapshot that loads, a directory ReadRunDir
+// reads with no violation.
+func (s *stalledRun) settled(t *testing.T) RunDir {
 	t.Helper()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -308,25 +309,7 @@ func (s *stalledRun) settled(t *testing.T) map[struct{ entity, uid string }]stri
 	if _, ok, err := statedb.LoadLatestSnapshot(s.dir); err != nil || !ok {
 		t.Fatalf("no loadable snapshot after teardown: ok=%v err=%v", ok, err)
 	}
-	return reconstruct(t, s.dir)
-}
-
-// tailRecords counts the state records in dir past its newest snapshot: what
-// a Resume from it replays.
-func tailRecords(t *testing.T, dir string) int {
-	t.Helper()
-	snapSeq := loadSnapshotInto(t, dir, map[struct{ entity, uid string }]string{})
-	tail := 0
-	err := journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type == "state" && rec.Seq > snapSeq {
-			tail++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tail
+	return runDir(t, s.dir)
 }
 
 // TestStalledSnapshotWriter holds the background writer inside a snapshot
@@ -380,17 +363,12 @@ func TestStalledSnapshotWriter(t *testing.T) {
 		if err := s.run.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		done := 0
-		for k, state := range s.settled(t) {
-			if k.entity == "task" && TaskState(state) == TaskDone {
-				done++
-			}
-		}
-		if done != 16 {
+		rd := s.settled(t)
+		if done := len(doneIn(rd)); done != 16 {
 			t.Fatalf("the directory reconstructs %d DONE tasks, want 16", done)
 		}
-		if tail := tailRecords(t, s.dir); tail >= 4 {
-			t.Fatalf("%d state records past the newest snapshot, want fewer than SnapshotEvery (4)", tail)
+		if rd.Tail >= 4 {
+			t.Fatalf("%d state records past the newest snapshot, want fewer than SnapshotEvery (4)", rd.Tail)
 		}
 	})
 
@@ -403,8 +381,7 @@ func TestStalledSnapshotWriter(t *testing.T) {
 		if err := s.run.Wait(); !errors.As(err, &ce) {
 			t.Fatalf("canceled run ended with %v", err)
 		}
-		s.settled(t)
-		if tail := tailRecords(t, s.dir); tail >= 4 {
+		if tail := s.settled(t).Tail; tail >= 4 {
 			t.Fatalf("%d state records past the newest snapshot, want fewer than SnapshotEvery (4)", tail)
 		}
 	})

@@ -24,6 +24,11 @@ type SyncRequest struct {
 	ExecErr  string
 }
 
+// errHalted is the Synchronizer's answer once a whole-run cancel has begun:
+// the run is being torn down, as the broker.ErrClosed a Pause or Resume meets
+// later says.
+var errHalted = fmt.Errorf("core: the run is canceled: %w", broker.ErrClosed)
+
 // entity names the kind of entity req transitions, as the journal, the
 // statedb mirror and the state store record it.
 func (req *SyncRequest) entity() string {
@@ -147,6 +152,11 @@ func (s *synchronizer) loop() {
 //     dropped, because Pause may commit between the WFProcessor's state
 //     read and its completion request — Resume's nudge re-derives the
 //     completion from the cursor.
+//
+// A whole-run cancel is not one of them: once it has begun
+// (AppManager.halted) every request is refused with errHalted, so nothing
+// commits — what its forced states set off included — and no requester goes
+// on as if its transition had.
 
 // taskSkip reports whether a task transition request is absorbed.
 func taskSkip(current, target TaskState) bool {
@@ -191,6 +201,9 @@ type applied struct {
 // always describes a transition that was durably recorded.
 func (s *synchronizer) apply(req *SyncRequest) error {
 	am := s.am
+	if am.halted.Load() {
+		return errHalted
+	}
 	// A committed transition is listed only if something will read the list:
 	// the journal or a state store, which the run has or has not, or an
 	// event subscriber — and one may attach while the request is being

@@ -136,12 +136,11 @@ type runEntry struct {
 
 // Daemon hosts concurrent runs over shared infrastructure.
 type Daemon struct {
-	cfg      Config
-	clock    vclock.Clock
-	machine  *rts.Machine
-	host     *hostmodel.Model
-	registry *workload.Registry
-	pool     *rts.Pool
+	cfg     Config
+	clock   vclock.Clock
+	machine *rts.Machine
+	host    *hostmodel.Model
+	pool    *rts.Pool
 	// ended is a closed event bus: subscribing to it yields the stream of a
 	// run that is over — no events, channel already closed.
 	ended *core.EventBus
@@ -209,13 +208,12 @@ func New(cfg Config) (*Daemon, error) {
 	for name, tc := range cfg.Tenants {
 		tenants[name] = rts.TenantLimits{Weight: tc.Weight, MaxCores: tc.MaxCores}
 	}
-	registry := workload.NewRegistry()
 	pool, err := rts.NewPool(rts.PoolConfig{
 		Base: rts.Config{
 			Resource:   machine.Resources[0],
 			Clock:      clock,
 			Session:    machine.Session,
-			Registry:   registry,
+			Registry:   workload.NewRegistry(),
 			FS:         machine.FS,
 			Model:      cfg.Model,
 			Seed:       cfg.Seed,
@@ -236,17 +234,16 @@ func New(cfg Config) (*Daemon, error) {
 	cfg.SchedulerWorkers = pool.Schedulers()
 
 	d := &Daemon{
-		cfg:      cfg,
-		clock:    clock,
-		machine:  machine,
-		host:     hostmodel.ForCI(cfg.Resource),
-		registry: registry,
-		pool:     pool,
-		ended:    core.NewEventBus(),
-		runs:     make(map[string]*runEntry),
-		nextID:   lastID,
-		kickCh:   make(chan struct{}, 1),
-		stopCh:   make(chan struct{}),
+		cfg:     cfg,
+		clock:   clock,
+		machine: machine,
+		host:    hostmodel.ForCI(cfg.Resource),
+		pool:    pool,
+		ended:   core.NewEventBus(),
+		runs:    make(map[string]*runEntry),
+		nextID:  lastID,
+		kickCh:  make(chan struct{}, 1),
+		stopCh:  make(chan struct{}),
 	}
 	d.ended.Close()
 	d.wg.Add(1)

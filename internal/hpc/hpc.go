@@ -145,8 +145,6 @@ type Job struct {
 	Desc  JobDesc
 	Nodes int // allocated nodes
 
-	cluster *Cluster
-
 	mu       sync.Mutex
 	state    JobState
 	started  time.Time
@@ -239,7 +237,6 @@ func (c *Cluster) Submit(desc JobDesc) (*Job, error) {
 		ID:       c.nextJobID,
 		Desc:     desc,
 		Nodes:    nodes,
-		cluster:  c,
 		state:    JobPending,
 		activeCh: make(chan struct{}),
 		doneCh:   make(chan struct{}),

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/entk"
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/msgcodec"
 	"repro/internal/statedb"
@@ -115,7 +116,7 @@ func TestResumeOpensEachSegmentOnce(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{filepath.Join(dir, "rts-audit.log")}
+	want := []string{filepath.Join(dir, core.AuditLogName)}
 	for _, s := range segs {
 		want = append(want, s.Path)
 	}
@@ -429,32 +430,6 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// doneIn returns the tasks a directory without a snapshot records DONE.
-func doneIn(t *testing.T, dir string) map[string]bool {
-	t.Helper()
-	final := map[string]string{}
-	err := journal.ReplayDir(dir, func(rec journal.Record) error {
-		if rec.Type != "state" {
-			return nil
-		}
-		sr, err := msgcodec.DecodeStateRec(rec.Data)
-		if err == nil && sr.Entity == "task" {
-			final[sr.UID] = sr.State
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := map[string]bool{}
-	for uid, state := range final {
-		if state == "DONE" {
-			done[uid] = true
-		}
-	}
-	return done
-}
-
 // TestFailedRollTakesNoSnapshot is the fault cell on the roll a snapshot
 // starts with: the disk refuses the header of the first rolled segment. No
 // snapshot is taken, the failure is counted, and the journal refuses the
@@ -490,11 +465,20 @@ func TestFailedRollTakesNoSnapshot(t *testing.T) {
 	if snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*")); err != nil || len(snaps) != 0 {
 		t.Fatalf("snapshot files %v (%v) after a failed roll, want none", snaps, err)
 	}
-	done := doneIn(t, dir)
-	if len(done) == 0 || len(done) >= 2*tasks {
-		t.Fatalf("the directory records %d tasks DONE, want some of %d", len(done), 2*tasks)
+	rd, err := core.ReadRunDir(dir)
+	if err != nil || len(rd.Violations) > 0 {
+		t.Fatalf("reading the directory: %v %v", err, rd.Violations)
 	}
-	t.Logf("the failed roll left %d tasks DONE", len(done))
+	done := 0
+	for _, state := range rd.Tasks {
+		if state == core.TaskDone {
+			done++
+		}
+	}
+	if done == 0 || done >= 2*tasks {
+		t.Fatalf("the directory records %d tasks DONE, want some of %d", done, 2*tasks)
+	}
+	t.Logf("the failed roll left %d tasks DONE", done)
 
 	copied := filepath.Join(t.TempDir(), "journal")
 	if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
@@ -505,8 +489,8 @@ func TestFailedRollTakesNoSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := am.Core().RecoveryInfo().TasksRecovered; got != len(done) {
-		t.Fatalf("Resume restored %d tasks, the directory records %d DONE", got, len(done))
+	if got := am.Core().RecoveryInfo().TasksRecovered; got != done {
+		t.Fatalf("Resume restored %d tasks, the directory records %d DONE", got, done)
 	}
 	if err := run.Wait(); err != nil {
 		t.Fatalf("resumed run ended with %v", err)
