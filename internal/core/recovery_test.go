@@ -358,6 +358,22 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	}
 }
 
+// TestDurableRunReconstructs runs the durable path with snapshots, and with
+// them rolls and compaction, on; recovery must reconstruct every DONE task.
+func TestDurableRunReconstructs(t *testing.T) {
+	dir := t.TempDir()
+	am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
+	pipes := buildApp(1, 2, 4, 20*time.Second)
+	stampUIDs(pipes)
+	am.AddPipelines(pipes...)
+	if err := runApp(t, am); err != nil {
+		t.Fatal(err)
+	}
+	if done := len(doneIn(runDir(t, dir))); done != 8 {
+		t.Fatalf("reconstructed %d DONE tasks, want 8", done)
+	}
+}
+
 // TestDirectoriesCrossTheAppendForms is the no-format-change test, both ways
 // across the commit that gave the commit path its own buffers. A run cut at
 // its first stage boundary leaves a directory written by the engine —
