@@ -80,16 +80,19 @@ bench-gate: bench-json
 bench-baseline: bench-json
 	cp BENCH_CURRENT.json BENCH_BASELINE.json
 
-# gofmt, the structural rules and vet. TestStructuralRules holds the
+# gofmt, the four source rules and vet. TestStructuralRules holds the
 # toolkit's "one path per job" contracts — each a named row over the
-# type-checked source, with its reason — and the goroutine census; docs/ci.md
-# says how to add a row.
+# type-checked source, with its reason — and the goroutine census;
+# TestEveryExportIsUsed, TestEveryConfigFieldIsSet and TestEveryFieldIsRead
+# hold every export to a user, every configuration field to a setter and
+# every struct field to a reader. All four share one load of the module;
+# docs/ci.md says how to add a row.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
-	$(GO) test -count=1 -run '^TestStructuralRules$$' .
+	$(GO) test -count=1 -run '^(TestStructuralRules|TestEveryExportIsUsed|TestEveryConfigFieldIsSet|TestEveryFieldIsRead)$$' .
 	$(GO) vet ./...
 
 # Fail if any gitignored build artifact (bench.out, *.test, ...) is tracked

@@ -211,7 +211,7 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 func runEmgrBatchApp(b *testing.B, batch int) {
 	b.Helper()
 	am, err := entk.NewAppManager(entk.AppConfig{
-		Resource:  entk.Resource{Name: "comet", Cores: 256, Walltime: 47 * time.Hour},
+		Resource:  entk.Resource{Cores: 256, Walltime: 47 * time.Hour},
 		TimeScale: 20 * time.Microsecond,
 		HostName:  "null",
 	})
@@ -263,8 +263,8 @@ func BenchmarkAblationStagers(b *testing.B) {
 				b.Fatal(err)
 			}
 			files := []fsim.File{
-				{Name: "l1", Link: true}, {Name: "l2", Link: true},
-				{Name: "l3", Link: true}, {Name: "in", Bytes: 550 * 1024},
+				{Link: true}, {Link: true},
+				{Link: true}, {Bytes: 550 * 1024},
 			}
 			for i := 0; i < b.N; i++ {
 				// Simulate the stager-pool serialization in virtual time.
@@ -361,7 +361,7 @@ func BenchmarkAblationBackfill(b *testing.B) {
 					if k%3 == 0 {
 						cores, dur = 8, 100*time.Second // wide blocker
 					}
-					j, err := c.Submit(hpc.JobDesc{Name: "j", Cores: cores, Walltime: time.Hour})
+					j, err := c.Submit(hpc.JobDesc{Cores: cores, Walltime: time.Hour})
 					if err != nil {
 						b.Fatal(err)
 					}

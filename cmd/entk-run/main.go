@@ -149,8 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Cores:    desc.Resource.Cores,
 			GPUs:     desc.Resource.GPUs,
 			Walltime: desc.Walltime(),
-			Queue:    desc.Resource.Queue,
-			Project:  desc.Resource.Project,
 		},
 		TimeScale:    *scale,
 		TaskRetries:  desc.TaskRetries,

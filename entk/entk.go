@@ -189,15 +189,12 @@ type Resource struct {
 	GPUs int
 	// Walltime of the pilot job.
 	Walltime time.Duration
-	// Queue and Project pass through to the batch system.
-	Queue   string
-	Project string
 }
 
 func (r Resource) desc() core.ResourceDesc {
 	return core.ResourceDesc{
 		Resource: r.Name, Cores: r.Cores, GPUs: r.GPUs,
-		Walltime: r.Walltime, Queue: r.Queue, Project: r.Project,
+		Walltime: r.Walltime,
 	}
 }
 

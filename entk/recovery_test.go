@@ -300,14 +300,13 @@ func TestResumeNumbersPastSnapshotWatermark(t *testing.T) {
 	if info := incarnation(); info.SnapshotSeq != watermark || info.TasksRecovered != len(inSnapshot) {
 		t.Fatalf("first resume: %+v, want the snapshot at %d and its %d DONE tasks", info, watermark, len(inSnapshot))
 	}
-	segs, err := journal.ListSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs {
-		if s.FirstSeq != 0 && s.FirstSeq <= watermark {
-			t.Fatalf("segment %d starts at seq %d, inside the snapshot's watermark %d", s.Index, s.FirstSeq, watermark)
+	if err := journal.ReplayDir(dir, func(r journal.Record) error {
+		if r.Seq <= watermark {
+			return fmt.Errorf("the directory holds seq %d, inside the snapshot's watermark %d", r.Seq, watermark)
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	first := readRunDir(t, dir)
 	for uid := range first.Tasks {

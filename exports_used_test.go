@@ -60,7 +60,6 @@ var unusedExports = []unusedExport{
 	{"repro/internal/rts.Composite.Members", otherPackageTests + "remoterts's RTS contract test merges a router's member stats"},
 	{"repro/internal/rts.Pool.HoldUntilQueued", otherPackageTests + "the daemon's fairness tests backlog every tenant before dispatch"},
 	{"repro/internal/rts.Pool.DispatchTrace", otherPackageTests + "the daemon's fairness tests read the dispatch order"},
-	{"repro/internal/rts.Pool.TenantSnapshot", otherPackageTests + "the daemon's fairness tests read the tenants' counters"},
 
 	{"repro/entk.Client.Attach", entkAPI},
 	{"repro/entk.Client.List", entkAPI},

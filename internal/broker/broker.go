@@ -37,7 +37,7 @@
 // consecutive FIFO slots of one shard in publish-call order, delivery drains
 // each shard's head in FIFO order, and a requeuing Nack or NackBatch returns
 // its deliveries to the front of the shards they came from, in their
-// per-shard order and flagged Redelivered. On a Shards: 1 queue these are
+// per-shard order. On a Shards: 1 queue these are
 // the strict global guarantees of a single-lock queue — see the sharding
 // section below for what relaxes when Shards > 1. Options.PerOpDelay is
 // charged once per operation whatever its size — once per publish call, once
@@ -72,7 +72,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Errors returned by broker operations.
@@ -87,8 +86,6 @@ var (
 
 // Message is a unit of data in transit through the broker.
 type Message struct {
-	// ID is unique per broker instance.
-	ID uint64
 	// Body is the opaque payload of a message published as bytes.
 	Body []byte
 	// Value is the payload of a message published as a value. The broker
@@ -96,9 +93,6 @@ type Message struct {
 	// process, and agree between them on its type and on who may touch it
 	// when. A pointer boxes into it without allocating.
 	Value any
-	// Redelivered is true when the message was previously delivered and
-	// returned to the queue via Nack(requeue=true) or consumer cancellation.
-	Redelivered bool
 }
 
 // Delivery is a message handed to a consumer. Exactly one of Ack or Nack
@@ -128,7 +122,7 @@ func (d *Delivery) Ack() error {
 }
 
 // Nack rejects the delivery. With requeue, the message returns to the front
-// of the queue flagged Redelivered; otherwise it is dropped.
+// of the queue; otherwise it is dropped.
 func (d *Delivery) Nack(requeue bool) error {
 	return d.settle(true, requeue)
 }
@@ -144,7 +138,6 @@ func (d *Delivery) settle(nack, requeue bool) error {
 
 // QueueStats is a snapshot of one queue's counters.
 type QueueStats struct {
-	Name    string
 	Depth   int // messages ready for delivery
 	Unacked int // delivered but not yet acked
 	// PeakDepth is the sum of each shard's high-water mark. For sequential
@@ -157,12 +150,11 @@ type QueueStats struct {
 	Acked     uint64
 	Nacked    uint64
 
-	// Shard observability: the resolved shard count, the per-shard ready
-	// depths, and how many pops a consumer served from a shard other than
-	// its preferred one (work-stealing).
-	Shards      int
-	ShardDepths []int
-	Steals      uint64
+	// Shard observability: the resolved shard count, and how many pops a
+	// consumer served from a shard other than its preferred one
+	// (work-stealing).
+	Shards int
+	Steals uint64
 
 	// Batch-API counters: one increment per batch-API call (not per
 	// message). Single-message calls, batches of one inside the broker, are
@@ -198,7 +190,6 @@ type Options struct {
 type Broker struct {
 	mu     sync.RWMutex // guards queues/closed; hot paths take read locks
 	queues map[string]*queue
-	nextID atomic.Uint64
 	closed bool
 	opts   Options
 }
@@ -224,7 +215,7 @@ func (b *Broker) DeclareQueue(name string, opts QueueOptions) error {
 	if _, ok := b.queues[name]; ok {
 		return ErrQueueExists
 	}
-	q := newQueue(b, name, opts)
+	q := newQueue(b, opts)
 	b.queues[name] = q
 	return nil
 }
@@ -321,13 +312,11 @@ func (b *Broker) stamp(few []Message, bodies [][]byte, values []any) []Message {
 		msgs = make([]Message, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		m := Message{ID: b.nextID.Add(1)}
 		if bodies != nil {
-			m.Body = bodies[i]
+			msgs = append(msgs, Message{Body: bodies[i]})
 		} else {
-			m.Value = values[i]
+			msgs = append(msgs, Message{Value: values[i]})
 		}
-		msgs = append(msgs, m)
 	}
 	return msgs
 }
@@ -420,8 +409,8 @@ func AckBatch(ds []*Delivery) error {
 }
 
 // NackBatch rejects a set of deliveries. With requeue, each queue's
-// messages return to the front of that queue in batch order, flagged
-// Redelivered — the batch analogue of Nack's requeue-at-front; without
+// messages return to the front of that queue in batch order — the batch
+// analogue of Nack's requeue-at-front; without
 // requeue they are dropped. Already-settled deliveries are skipped. The
 // error is always nil.
 func NackBatch(ds []*Delivery, requeue bool) error {
@@ -476,7 +465,6 @@ func (b *Broker) TotalStats() QueueStats {
 	}
 	b.mu.Unlock()
 	var tot QueueStats
-	tot.Name = "*"
 	for _, q := range qs {
 		s := q.stats()
 		tot.Depth += s.Depth

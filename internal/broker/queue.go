@@ -176,14 +176,13 @@ func (s *qshard) ledgerRemoveLocked(d *Delivery) bool {
 // from, matching RabbitMQ's basic.reject semantics per shard.
 type queue struct {
 	b      *Broker
-	name   string
 	shards []qshard // one block; handed out as &shards[i]
 
 	// Every unpinned publish writes pubCursor, and every pop reads the fields
 	// above. The pad starts the cursors on the struct's second 64-byte line:
 	// sharing the first cost the pipelined push-mode benchmark
 	// (BenchmarkBrokerSingleMsg64) a tenth more, smaller pops.
-	_         [16]byte
+	_         [32]byte
 	pubCursor atomic.Uint64 // round-robin publish-op shard assignment
 	getCursor atomic.Uint64 // rotating scan origin for Broker.Get
 	conCursor atomic.Uint64 // round-robin consumer preferred shards
@@ -212,7 +211,7 @@ type queue struct {
 	nackBatches    atomic.Uint64
 }
 
-func newQueue(b *Broker, name string, opts QueueOptions) *queue {
+func newQueue(b *Broker, opts QueueOptions) *queue {
 	n := opts.Shards
 	if n == 0 {
 		n = DefaultShards()
@@ -222,7 +221,7 @@ func newQueue(b *Broker, name string, opts QueueOptions) *queue {
 	}
 	// Two allocations: the queue and its shard block. A hosted run makes a
 	// broker of nine queues and closes it again within milliseconds.
-	q := &queue{b: b, name: name, shards: make([]qshard, n)}
+	q := &queue{b: b, shards: make([]qshard, n)}
 	for i := range q.shards {
 		q.shards[i].idx = i
 	}
@@ -451,11 +450,9 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue, batch bool) int {
 				sh.acked++
 			case requeue:
 				sh.nacked++
-				m := d.Message
-				m.Redelivered = true
 				// Reverse iteration + PushFront keeps the group's order
 				// intact at the head of its shard.
-				sh.ready.PushFront(m)
+				sh.ready.PushFront(d.Message)
 				requeued++
 			default:
 				sh.nacked++
@@ -527,9 +524,7 @@ func (q *queue) settleBatch(ds []*Delivery, nack, requeue, batch bool) int {
 
 func (q *queue) stats() QueueStats {
 	s := QueueStats{
-		Name:           q.name,
 		Shards:         len(q.shards),
-		ShardDepths:    make([]int, len(q.shards)),
 		Steals:         q.steals.Load(),
 		PublishBatches: q.publishBatches.Load(),
 		DeliverBatches: q.deliverBatches.Load(),
@@ -539,7 +534,6 @@ func (q *queue) stats() QueueStats {
 	for i := range q.shards {
 		sh := &q.shards[i]
 		sh.mu.Lock()
-		s.ShardDepths[i] = sh.ready.Len()
 		s.Depth += sh.ready.Len()
 		s.Unacked += sh.unackedN
 		s.Published += sh.published

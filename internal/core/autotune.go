@@ -58,7 +58,6 @@ func (am *AppManager) autotuneSignals() autotune.Signals {
 		if rts := am.emgr.currentRTS(); rts != nil {
 			st := rts.Stats().Store
 			sig.StoreDepth = st.Depth
-			sig.ShardDepths = st.ShardDepths
 			sig.Pulls = st.Pulled
 			sig.Steals = st.Steals
 			sig.Dispatched = st.SchedulerDispatches

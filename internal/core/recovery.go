@@ -95,9 +95,10 @@ func (am *AppManager) RecoveryInfo() RecoveryInfo { return am.recov }
 // the registry (registerEntities has run; nothing else is running yet, and
 // am.mu is held throughout as resolveLocked asks), so recovering a name the
 // application registered allocates nothing. Tasks whose final recorded state
-// is DONE are restored; the mirror holds the full reconstructed map so the
-// first post-resume snapshot covers pre-crash history before compaction can
-// discard it. Unless it resumes, it refuses a directory that holds a
+// is DONE, and tasks, stages and pipelines whose final recorded state is
+// CANCELED, are restored (restoreLocked); the mirror holds the full
+// reconstructed map so the first post-resume snapshot covers pre-crash
+// history before compaction can discard it. Unless it resumes, it refuses a directory that holds a
 // snapshot or a state record, before it changes anything there.
 func (am *AppManager) openDurable(resume bool) error {
 	am.mu.Lock()
@@ -141,13 +142,39 @@ func (am *AppManager) openDurable(resume bool) error {
 	// The mirror's image, walked once — and the snapshot writer's entries
 	// buffer arrives at its working size before the first snapshot needs it.
 	for _, e := range am.snapw.Capture(mirror, j.Seq()) {
-		if e.Entity == "task" {
-			am.recov.TasksRecovered += am.restoreDoneLocked(e.UID, e.State)
-		}
+		am.recov.TasksRecovered += am.restoreLocked(e.Entity, e.UID, e.State)
 	}
 	am.recov.ReplayedRecords = replayed
 	am.recov.Resumed = haveSnap || replayed > 0
 	return nil
+}
+
+// restoreLocked forces a registered entity that is not yet terminal into the
+// state recorded for it when that state ends it for good: DONE for a task,
+// CANCELED for a task, stage or pipeline (CancelPipeline asked for it; a
+// whole-run Cancel journals none). A FAILED task is retried, and DONE stages
+// and pipelines are recomputed from their tasks. It returns how many DONE
+// tasks that restored (0 or 1). am.mu must be held.
+func (am *AppManager) restoreLocked(entity, uid, state string) int {
+	switch entity {
+	case "task":
+		t, ok := am.tasks[uid]
+		if to := TaskState(state); ok && (to == TaskDone || to == TaskCanceled) && !t.State().Terminal() {
+			t.forceState(to)
+			if to == TaskDone {
+				return 1
+			}
+		}
+	case "stage":
+		if s, ok := am.stages[uid]; ok && StageState(state) == StageCanceled {
+			s.forceState(StageCanceled)
+		}
+	case "pipeline":
+		if p, ok := am.pipes[uid]; ok && PipelineState(state) == PipelineCanceled {
+			p.forceState(PipelineCanceled)
+		}
+	}
+	return 0
 }
 
 // usedJournalDir is Start's refusal of a directory that holds a run.

@@ -202,6 +202,166 @@ func TestResumeDoesNotRerunCompletedTasks(t *testing.T) {
 	}
 }
 
+// TestResumeKeepsCanceledPipelinesCanceled holds Resume to what
+// CancelPipeline committed: a durable run cancels one pipeline on its first
+// task event and ends; resuming its directory must leave that pipeline, its
+// stages and its tasks CANCELED, run none of its tasks again, and journal
+// nothing ReadRunDir flags. With every pipeline canceled the resumed run has
+// nothing to wait for and must end at once.
+func TestResumeKeepsCanceledPipelinesCanceled(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		pipelines int
+	}{
+		{"one of two", 2},
+		{"the only one", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			build := func() []*Pipeline {
+				pipes := buildApp(tc.pipelines, 2, 4, 50*time.Second)
+				stampUIDs(pipes)
+				// The doomed pipeline cannot end before it is canceled.
+				for _, s := range pipes[tc.pipelines-1].Stages() {
+					for _, task := range s.Tasks() {
+						task.Duration = 10 * time.Hour
+					}
+				}
+				return pipes
+			}
+			doomed := fmt.Sprintf("pipeline.%03d", tc.pipelines-1)
+
+			am1, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
+			am1.AddPipelines(build()...) //nolint:errcheck
+			sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventTask}})
+			defer sub.Close()
+			r1 := startApp(t, am1)
+			<-sub.C()
+			if err := r1.CancelPipeline(doomed); err != nil {
+				t.Fatalf("CancelPipeline: %v", err)
+			}
+			if err := r1.Wait(); err != nil {
+				t.Fatalf("incarnation 1 ended with %v", err)
+			}
+			if st := runDir(t, dir).Pipelines[doomed]; st != PipelineCanceled {
+				t.Fatalf("incarnation 1 journaled %s %s, want CANCELED", doomed, st)
+			}
+
+			am2, rts2 := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4})
+			pipes2 := build()
+			am2.AddPipelines(pipes2...) //nolint:errcheck
+			if err := resumeApp(t, am2, dir); err != nil {
+				t.Fatalf("incarnation 2 ended with %v", err)
+			}
+			p := pipes2[tc.pipelines-1]
+			if p.State() != PipelineCanceled {
+				t.Fatalf("resumed %s is %s, want CANCELED", p.UID, p.State())
+			}
+			for _, s := range p.Stages() {
+				if s.State() != StageCanceled {
+					t.Fatalf("resumed stage %s is %s, want CANCELED", s.UID, s.State())
+				}
+				for _, task := range s.Tasks() {
+					if st := task.State(); st != TaskDone && st != TaskCanceled {
+						t.Fatalf("resumed task %s is %s, want DONE or CANCELED", task.UID, st)
+					}
+				}
+			}
+			// Incarnation 1 ended with every pipeline over, so nothing runs.
+			if ran := rts2.log(); len(ran) != 0 {
+				t.Fatalf("incarnation 2 executed %d tasks (%v), want none", len(ran), ran)
+			}
+			rd := runDir(t, dir)
+			if st := rd.Pipelines[doomed]; st != PipelineCanceled {
+				t.Fatalf("the directory reads %s %s after the resume, want CANCELED", doomed, st)
+			}
+		})
+	}
+}
+
+// TestResumeFinishesAnInterruptedPipelineCancel resumes a directory whose
+// pipeline cancel stopped after its stages' CANCELED and before the
+// pipeline's, as a crash between CancelPipeline's commits (or between
+// maybeCompleteStage's two) leaves one: the directory is a canceled run's
+// journal without the pipeline's CANCELED record. The resumed run must keep
+// the stages CANCELED, commit the pipeline CANCELED, run no task and end.
+func TestResumeFinishesAnInterruptedPipelineCancel(t *testing.T) {
+	build := func() []*Pipeline {
+		pipes := buildApp(1, 2, 4, 1000*time.Hour) // in flight until canceled
+		stampUIDs(pipes)
+		return pipes
+	}
+	full := t.TempDir()
+	am1, _ := testApp(t, Config{JournalDir: full})
+	am1.AddPipelines(build()...) //nolint:errcheck
+	sub := am1.Subscribe(EventFilter{Kinds: []EventKind{EventTask}})
+	defer sub.Close()
+	r1 := startApp(t, am1)
+	<-sub.C()
+	const doomed = "pipeline.000"
+	if err := r1.CancelPipeline(doomed); err != nil {
+		t.Fatalf("CancelPipeline: %v", err)
+	}
+	if err := r1.Wait(); err != nil {
+		t.Fatalf("incarnation 1 ended with %v", err)
+	}
+
+	dir := t.TempDir()
+	j, err := journal.OpenDir(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	err = journal.ReplayDir(full, func(rec journal.Record) error {
+		if rec.Type != "state" {
+			return nil // OpenDir wrote its own segment header
+		}
+		sr, err := msgcodec.DecodeStateRec(rec.Data)
+		if err != nil {
+			return err
+		}
+		if sr.Entity == "pipeline" && sr.State == string(PipelineCanceled) {
+			dropped++
+			return nil
+		}
+		_, err = j.AppendRaw("state", rec.Data)
+		return err
+	})
+	if err == nil {
+		err = j.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := runDir(t, dir)
+	if dropped != 1 || rd.Pipelines[doomed] != PipelineScheduling || rd.Stages["stage.000.000"] != StageCanceled || rd.Stages["stage.000.001"] != StageCanceled {
+		t.Fatalf("dropped %d records; the directory reads %s %s and stages %v; want 1, SCHEDULING and both CANCELED",
+			dropped, doomed, rd.Pipelines[doomed], rd.Stages)
+	}
+
+	am2, rts2 := testApp(t, Config{JournalDir: dir})
+	pipes2 := build()
+	am2.AddPipelines(pipes2...) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	r2, err := am2.Resume(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Wait(); err != nil {
+		t.Fatalf("incarnation 2 ended with %v, want it to finish the cancel and end", err)
+	}
+	if st := pipes2[0].State(); st != PipelineCanceled {
+		t.Fatalf("resumed %s is %s, want CANCELED", doomed, st)
+	}
+	if ran := rts2.log(); len(ran) != 0 {
+		t.Fatalf("incarnation 2 executed %d tasks (%v), want none", len(ran), ran)
+	}
+	if st := runDir(t, dir).Pipelines[doomed]; st != PipelineCanceled {
+		t.Fatalf("the directory reads %s %s after the resume, want CANCELED", doomed, st)
+	}
+}
+
 // TestWholeRunCancelJournalsNothing holds Run.Cancel to what recovery
 // assumes of it: it journals nothing, not even what its forced states set
 // off. The cancel is held between the tasks it has forced CANCELED and the

@@ -8,8 +8,7 @@ import (
 )
 
 // ResourceDesc tells EnTK which CI to use and how big a pilot to request,
-// mirroring EnTK's resource dictionary (resource, walltime, cpus, gpus,
-// queue, project).
+// mirroring EnTK's resource dictionary (resource, walltime, cpus, gpus).
 type ResourceDesc struct {
 	// Resource is the CI name (e.g. "titan", "supermic").
 	Resource string
@@ -20,9 +19,6 @@ type ResourceDesc struct {
 	GPUs int
 	// Walltime is the pilot's requested walltime.
 	Walltime time.Duration
-	// Queue and Project are passed through to the batch system.
-	Queue   string
-	Project string
 }
 
 // The three messages that cross the RTS boundary — descriptions in, results

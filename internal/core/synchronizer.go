@@ -443,21 +443,11 @@ func (c *syncClient) pipeline(p *Pipeline, to PipelineState) error {
 	return c.request(pipelineRequest(p, to))
 }
 
-// restoreDoneLocked forces the task uid — if it is registered, not yet
-// terminal, and state records it DONE — into DONE, and returns how many tasks
-// that restored (0 or 1). am.mu must be held.
-func (am *AppManager) restoreDoneLocked(uid, state string) int {
-	if t, ok := am.tasks[uid]; ok && TaskState(state) == TaskDone && !t.State().Terminal() {
-		t.forceState(TaskDone)
-		return 1
-	}
-	return 0
-}
-
 // recoverFromStateStore reacquires the latest task states from the external
-// database (§II-B4). As with journal recovery (openDurable), only DONE tasks
-// are restored; everything caught mid-flight is re-scheduled by the normal
-// path.
+// database (§II-B4). Only DONE tasks are restored: the store holds no stage
+// or pipeline state, so a CANCELED task, which journal recovery (openDurable)
+// restores with its canceled pipeline, is re-scheduled with everything caught
+// mid-flight by the normal path.
 func (am *AppManager) recoverFromStateStore() error {
 	states, err := am.cfg.StateStore.LoadTaskStates()
 	if err != nil {
@@ -466,7 +456,9 @@ func (am *AppManager) recoverFromStateStore() error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	for uid, state := range states {
-		am.restoreDoneLocked(uid, state)
+		if TaskState(state) == TaskDone {
+			am.restoreLocked("task", uid, state)
+		}
 	}
 	return nil
 }

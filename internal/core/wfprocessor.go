@@ -87,6 +87,11 @@ func (w *wfProcessor) start(ctx context.Context) error {
 	w.wg.Add(2)
 	go w.enqueueLoop(ctx)
 	go w.dequeueLoop(ctx)
+	if w.am.recov.Resumed && w.am.allPipelinesTerminal() {
+		// Every pipeline was restored CANCELED: no result will come to end
+		// the run.
+		w.am.finish(nil)
+	}
 	w.nudge()
 	return nil
 }
@@ -165,7 +170,19 @@ func (w *wfProcessor) enqueueRunnable() error {
 			}
 			continue
 		}
-		if stage.State() != StageInitial {
+		switch stage.State() {
+		case StageInitial:
+		case StageCanceled:
+			// Restored CANCELED (openDurable) by a cancel that stopped before
+			// its pipeline's CANCELED: finish it as maybeCompleteStage would.
+			if err := w.enqSync.pipeline(p, PipelineCanceled); err != nil {
+				return err
+			}
+			if err := w.am.settle(p.lastStage()); err != nil {
+				return err
+			}
+			continue
+		default:
 			continue // already scheduled; Dequeue owns its completion
 		}
 		if err := w.scheduleStage(stage); err != nil {

@@ -313,7 +313,7 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 		jdir = filepath.Join(d.cfg.JournalRoot, e.id)
 		e.journal = jdir
 	}
-	lease, err := d.pool.Admit(rts.LeaseSpec{RunID: e.id, Tenant: tenant, Cores: claim, GPUs: app.Resource.GPUs})
+	lease, err := d.pool.Admit(rts.LeaseSpec{Tenant: tenant, Cores: claim, GPUs: app.Resource.GPUs})
 	switch {
 	case err == nil:
 		e.lease = lease
@@ -483,7 +483,7 @@ func (d *Daemon) admitLoop() {
 			}
 			e := d.admitQ[0]
 			lease, err := d.pool.Admit(rts.LeaseSpec{
-				RunID: e.id, Tenant: e.tenant, Cores: e.claim, GPUs: e.app.Resource.GPUs,
+				Tenant: e.tenant, Cores: e.claim, GPUs: e.app.Resource.GPUs,
 			})
 			if err != nil {
 				if errors.Is(err, rts.ErrPoolSaturated) {

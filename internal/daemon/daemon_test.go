@@ -333,21 +333,21 @@ func TestDaemonWeightedFairness(t *testing.T) {
 	if err := d.Wait(context.Background(), l); err != nil {
 		t.Fatal(err)
 	}
-	var heavy, light uint64
-	for _, ts := range d.TenantSnapshot() {
-		switch ts.Tenant {
+	trace := d.DispatchTrace()
+	var heavy, light int
+	for _, tn := range trace {
+		switch tn {
 		case "heavy":
-			heavy = ts.Dispatched
+			heavy++
 		case "light":
-			light = ts.Dispatched
+			light++
 		}
 	}
-	if heavy != 60 || light != 60 {
-		t.Fatalf("dispatch totals heavy=%d light=%d, want 60 each", heavy, light)
+	if heavy != 60 || light != 60 || len(trace) != 120 {
+		t.Fatalf("dispatch totals heavy=%d light=%d of %d, want 60 each", heavy, light, len(trace))
 	}
 	// Measure the ratio over an early window where both tenants still had
 	// backlog (the tail degenerates to whichever has tasks left).
-	trace := d.DispatchTrace()
 	if len(trace) < 40 {
 		t.Fatalf("dispatch trace too short: %d", len(trace))
 	}
@@ -370,7 +370,7 @@ func TestDaemonWeightedFairness(t *testing.T) {
 // returned and the leak counted, once.
 func TestFinishRunRevokesLeaseThatOutlivesItsRun(t *testing.T) {
 	d := newTestDaemon(t, nil)
-	lease, err := d.pool.Admit(rts.LeaseSpec{RunID: "run.forged", Tenant: "alice", Cores: 3})
+	lease, err := d.pool.Admit(rts.LeaseSpec{Tenant: "alice", Cores: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

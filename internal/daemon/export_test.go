@@ -1,9 +1,6 @@
 package daemon
 
-import (
-	"repro/internal/core"
-	"repro/internal/rts"
-)
+import "repro/internal/core"
 
 // Snapshot returns a run's progress view: the live one while it executes,
 // the task tallies it ended with once it is over.
@@ -24,9 +21,6 @@ func (d *Daemon) Snapshot(id string) (core.Progress, error) {
 	}
 	return am.Snapshot(), nil
 }
-
-// TenantSnapshot exposes the pool's per-tenant counters.
-func (d *Daemon) TenantSnapshot() []rts.TenantStats { return d.pool.TenantSnapshot() }
 
 // DispatchTrace exposes the pool's tenant dispatch order (requires
 // Config.TraceDispatch).

@@ -209,19 +209,17 @@ func Fig7c(opts *Options) ([]OverheadRow, error) {
 // (SuperMIC, sleep 100 s, PST (16,1,1), (1,16,1), (1,1,16)).
 func Fig7d(opts *Options) ([]OverheadRow, error) {
 	scale := opts.scaleOr(2 * time.Millisecond)
-	structures := []struct {
+	type structure struct {
 		label   string
 		p, s, t int
-	}{
+	}
+	structures := []structure{
 		{"P-16,S-1,T-1", 16, 1, 1},
 		{"P-1,S-16,T-1", 1, 16, 1},
 		{"P-1,S-1,T-16", 1, 1, 16},
 	}
 	if opts.quick() {
-		structures = []struct {
-			label   string
-			p, s, t int
-		}{
+		structures = []structure{
 			{"P-4,S-1,T-1", 4, 1, 1},
 			{"P-1,S-4,T-1", 1, 4, 1},
 			{"P-1,S-1,T-4", 1, 1, 4},

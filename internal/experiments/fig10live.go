@@ -16,11 +16,6 @@ import (
 type Fig10LiveRow struct {
 	// Setting labels the run ("batch=1 scheds=4", "autotuned").
 	Setting string
-	// Batch and Schedulers are the starting knob values.
-	Batch      int
-	Schedulers int
-	// Autotuned marks the controller-steered run.
-	Autotuned bool
 	// Tasks is the total task count of the workload.
 	Tasks int
 	// VirtualS is the virtual makespan in seconds (epoch to final
@@ -28,9 +23,6 @@ type Fig10LiveRow struct {
 	VirtualS float64
 	// TasksPerSec is Tasks / VirtualS, the ablation's figure of merit.
 	TasksPerSec float64
-	// WallMS is the wall-clock run time in milliseconds (reported for
-	// context; virtual time is the primary metric).
-	WallMS float64
 	// KnobChanges counts controller decisions (0 for static runs).
 	KnobChanges uint64
 	// FinalBatch and FinalSchedulers are the knob values at run end.
@@ -163,7 +155,6 @@ func fig10LiveRun(shape fig10LiveShape, tun entk.Tuning, autotuned bool, scale t
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	start := time.Now()
 	run, err := am.Start(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("fig10-live (%s): %w", settingLabel(tun, autotuned), err)
@@ -171,7 +162,6 @@ func fig10LiveRun(shape fig10LiveShape, tun entk.Tuning, autotuned bool, scale t
 	if err := run.Wait(); err != nil {
 		return nil, fmt.Errorf("fig10-live (%s): %w", settingLabel(tun, autotuned), err)
 	}
-	wall := time.Since(start)
 	snap := run.Snapshot()
 	if snap.TasksDone != snap.TasksTotal {
 		return nil, fmt.Errorf("fig10-live (%s): %d/%d tasks done",
@@ -180,12 +170,8 @@ func fig10LiveRun(shape fig10LiveShape, tun entk.Tuning, autotuned bool, scale t
 	virtual := snap.VTime.Sub(vclock.Epoch).Seconds()
 	row := &Fig10LiveRow{
 		Setting:         settingLabel(tun, autotuned),
-		Batch:           tun.BatchSize,
-		Schedulers:      tun.SchedulerWorkers,
-		Autotuned:       autotuned,
 		Tasks:           snap.TasksTotal,
 		VirtualS:        virtual,
-		WallMS:          float64(wall.Microseconds()) / 1000,
 		KnobChanges:     snap.KnobChanges,
 		FinalBatch:      snap.LiveBatchSize,
 		FinalSchedulers: snap.LiveSchedulers,

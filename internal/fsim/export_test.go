@@ -1,12 +1,16 @@
 package fsim
 
-import "time"
+import (
+	"time"
 
-// Stage moves files through one stager, sleeping for the modelled duration
-// and returning it.
-func (fs *FS) Stage(files []File) time.Duration {
+	"repro/internal/vclock"
+)
+
+// Stage moves files through one stager, sleeping on clock for the modelled
+// duration and returning it.
+func (fs *FS) Stage(clock vclock.Clock, files []File) time.Duration {
 	d := fs.StageAccounted(files)
-	fs.clock.Sleep(d)
+	clock.Sleep(d)
 	return d
 }
 

@@ -27,8 +27,6 @@ import (
 
 // File describes one object to stage.
 type File struct {
-	// Name is the file's identifier (used in traces only).
-	Name string
 	// Bytes is the payload size; ignored for links.
 	Bytes int64
 	// Link marks a symbolic link, which costs only a metadata operation.
@@ -103,18 +101,14 @@ func XSEDEShared() Spec {
 
 // Stats is a snapshot of filesystem accounting.
 type Stats struct {
-	BytesStaged  int64
-	MetadataOps  int64
-	StageCalls   int64
-	PeakLoad     float64
-	FailureDraws int64
-	Failures     int64
+	BytesStaged int64
+	StageCalls  int64
+	PeakLoad    float64
 }
 
 // FS is a live filesystem simulation.
 type FS struct {
-	spec  Spec
-	clock vclock.Clock
+	spec Spec
 
 	mu     sync.Mutex
 	load   float64
@@ -124,17 +118,14 @@ type FS struct {
 }
 
 // New creates a filesystem simulation. seed makes failure sampling
-// reproducible.
-func New(spec Spec, clock vclock.Clock, seed int64) (*FS, error) {
+// reproducible. The model computes durations and sleeps on no clock; the
+// clock parameter is unused.
+func New(spec Spec, _ vclock.Clock, seed int64) (*FS, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if clock == nil {
-		return nil, errors.New("fsim: nil clock")
-	}
 	return &FS{
 		spec:   spec,
-		clock:  clock,
 		active: make(map[*LoadToken]struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 	}, nil
@@ -164,7 +155,6 @@ func (fs *FS) StageAccounted(files []File) time.Duration {
 	fs.mu.Lock()
 	fs.stats.StageCalls++
 	for _, f := range files {
-		fs.stats.MetadataOps++
 		if !f.Link {
 			fs.stats.BytesStaged += f.Bytes
 		}
@@ -256,15 +246,10 @@ func (fs *FS) SampleFailureAt(load float64) bool {
 }
 
 func (fs *FS) drawLocked(p float64) bool {
-	fs.stats.FailureDraws++
 	if p <= 0 {
 		return false
 	}
-	fail := fs.rng.Float64() < p
-	if fail {
-		fs.stats.Failures++
-	}
-	return fail
+	return fs.rng.Float64() < p
 }
 
 // Stats returns current accounting.

@@ -9,15 +9,12 @@ func Names() []string {
 
 // Validate reports whether the model is self-consistent.
 func (m *Model) Validate() error {
-	if m.Name == "" {
-		return fmt.Errorf("hostmodel: empty name")
-	}
 	if m.MsgCost < 0 || m.SpawnCost < 0 || m.TeardownCost < 0 ||
 		m.ValidationCost < 0 || m.MgmtBase < 0 {
-		return fmt.Errorf("hostmodel %q: negative cost", m.Name)
+		return fmt.Errorf("hostmodel: negative cost")
 	}
 	if m.StrainFactor < 0 {
-		return fmt.Errorf("hostmodel %q: negative strain factor", m.Name)
+		return fmt.Errorf("hostmodel: negative strain factor")
 	}
 	return nil
 }

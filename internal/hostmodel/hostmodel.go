@@ -19,8 +19,6 @@ import (
 
 // Model is the virtual-time cost model of an EnTK host.
 type Model struct {
-	// Name identifies the host (for example "xsede-vm", "titan-login").
-	Name string
 	// MgmtBase is the fixed management cost of processing one application:
 	// translating the workflow and setting up task bookkeeping. The paper's
 	// management overhead is dominated by this term — it is nearly
@@ -64,7 +62,6 @@ func (m *Model) EffectiveMsgCost(concurrent int) time.Duration {
 var catalog = map[string]*Model{
 	// The TACC virtual machine from which all XSEDE runs were driven.
 	"xsede-vm": {
-		Name:            "xsede-vm",
 		MgmtBase:        9500 * time.Millisecond,
 		MsgCost:         1 * time.Millisecond,
 		SpawnCost:       11 * time.Millisecond,
@@ -75,7 +72,6 @@ var catalog = map[string]*Model{
 	},
 	// The ORNL login node: faster memory and CPU (paper §IV-A).
 	"titan-login": {
-		Name:            "titan-login",
 		MgmtBase:        2800 * time.Millisecond,
 		MsgCost:         50 * time.Microsecond,
 		SpawnCost:       5 * time.Millisecond,
@@ -85,9 +81,7 @@ var catalog = map[string]*Model{
 		StrainFactor:    3.5,
 	},
 	// A free host model for unit tests: zero cost everywhere.
-	"null": {
-		Name: "null",
-	},
+	"null": {},
 }
 
 // Lookup returns the named host model.

@@ -12,9 +12,6 @@ func TestLookupKnownHosts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup %q: %v", name, err)
 		}
-		if m.Name != name {
-			t.Fatalf("lookup %q returned model named %q", name, m.Name)
-		}
 		if err := m.Validate(); err != nil {
 			t.Fatalf("catalog model %q invalid: %v", name, err)
 		}
@@ -62,12 +59,14 @@ func TestTitanLoginFasterThanVM(t *testing.T) {
 }
 
 func TestForCI(t *testing.T) {
-	if m := ForCI("titan"); m.Name != "titan-login" {
-		t.Fatalf("ForCI(titan) = %q", m.Name)
+	login, _ := Lookup("titan-login")
+	if m := ForCI("titan"); *m != *login {
+		t.Fatalf("ForCI(titan) = %+v, want titan-login %+v", m, login)
 	}
+	vm, _ := Lookup("xsede-vm")
 	for _, ci := range []string{"supermic", "stampede", "comet"} {
-		if m := ForCI(ci); m.Name != "xsede-vm" {
-			t.Fatalf("ForCI(%s) = %q", ci, m.Name)
+		if m := ForCI(ci); *m != *vm {
+			t.Fatalf("ForCI(%s) = %+v, want xsede-vm %+v", ci, m, vm)
 		}
 	}
 }
@@ -107,17 +106,13 @@ func TestNullModelIsFree(t *testing.T) {
 }
 
 func TestValidateRejectsNegative(t *testing.T) {
-	m := &Model{Name: "bad", MsgCost: -1}
+	m := &Model{MsgCost: -1}
 	if err := m.Validate(); err == nil {
 		t.Fatal("negative MsgCost accepted")
 	}
-	m2 := &Model{Name: "bad2", StrainFactor: -0.5}
+	m2 := &Model{StrainFactor: -0.5}
 	if err := m2.Validate(); err == nil {
 		t.Fatal("negative StrainFactor accepted")
-	}
-	m3 := &Model{}
-	if err := m3.Validate(); err == nil {
-		t.Fatal("empty name accepted")
 	}
 }
 

@@ -34,9 +34,6 @@ func TestFIFOHeadBlocksQueue(t *testing.T) {
 	if blockedHead.State() != JobPending || small.State() != JobPending {
 		t.Fatalf("states: head %v small %v", blockedHead.State(), small.State())
 	}
-	if got := c.Stats().Backfills; got != 0 {
-		t.Fatalf("backfills = %d, want 0", got)
-	}
 }
 
 func TestBackfillStartsFittingJob(t *testing.T) {
@@ -53,9 +50,6 @@ func TestBackfillStartsFittingJob(t *testing.T) {
 	}
 	if head.State() != JobPending {
 		t.Fatalf("blocked head state = %v, want PENDING", head.State())
-	}
-	if got := c.Stats().Backfills; got != 1 {
-		t.Fatalf("backfills = %d, want 1", got)
 	}
 	// Once both running jobs finish, the head finally starts.
 	c.Complete(wide)

@@ -34,8 +34,6 @@ type Spec struct {
 	// MaxWalltime is the scheduling policy's walltime cap (Titan imposed
 	// the 2-hour cap that shaped the strong-scaling experiment).
 	MaxWalltime time.Duration
-	// SchedulerCycle is the latency of one batch-scheduler dispatch cycle.
-	SchedulerCycle time.Duration
 	// Backfill enables backfill scheduling: when the queue head does not
 	// fit the free nodes, later jobs that do fit may start ahead of it.
 	// Production batch systems (Moab on Titan, SLURM on the XSEDE CIs) all
@@ -66,19 +64,19 @@ func (s *Spec) Validate() error {
 var catalog = map[string]Spec{
 	"supermic": {
 		Name: "supermic", Nodes: 380, CoresPerNode: 20, GPUsPerNode: 0,
-		MaxWalltime: 72 * time.Hour, SchedulerCycle: 2 * time.Second,
+		MaxWalltime: 72 * time.Hour,
 	},
 	"stampede": {
 		Name: "stampede", Nodes: 6400, CoresPerNode: 16, GPUsPerNode: 0,
-		MaxWalltime: 48 * time.Hour, SchedulerCycle: 2 * time.Second,
+		MaxWalltime: 48 * time.Hour,
 	},
 	"comet": {
 		Name: "comet", Nodes: 1944, CoresPerNode: 24, GPUsPerNode: 0,
-		MaxWalltime: 48 * time.Hour, SchedulerCycle: 2 * time.Second,
+		MaxWalltime: 48 * time.Hour,
 	},
 	"titan": {
 		Name: "titan", Nodes: 18688, CoresPerNode: 16, GPUsPerNode: 1,
-		MaxWalltime: 2 * time.Hour, SchedulerCycle: 2 * time.Second,
+		MaxWalltime: 2 * time.Hour,
 	},
 }
 
@@ -145,10 +143,8 @@ type Job struct {
 	Desc  JobDesc
 	Nodes int // allocated nodes
 
-	mu       sync.Mutex
-	state    JobState
-	started  time.Time
-	finished time.Time
+	mu    sync.Mutex
+	state JobState
 
 	activeCh chan struct{} // closed when the job starts running
 	doneCh   chan struct{} // closed when the job reaches a terminal state
@@ -184,12 +180,6 @@ type Cluster struct {
 	// on wg for them and for the walltime watchdogs.
 	stopCh chan struct{}
 	wg     sync.WaitGroup
-
-	// accounting
-	jobsStarted  int
-	jobsFinished int
-	backfills    int
-	nodeSeconds  float64
 }
 
 // NewCluster creates a cluster simulation for spec driven by clock.
@@ -318,17 +308,12 @@ func (c *Cluster) schedule() {
 		}
 		j := c.pending[idx]
 		c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
-		if idx > 0 {
-			c.backfills++
-		}
 		c.freeNodes -= j.Nodes
 		c.running[j.ID] = j
-		c.jobsStarted++
 		// Transition the job under c.mu so a concurrent Cancel cannot observe
 		// it half-started (nodes allocated but state still pending).
 		j.mu.Lock()
 		j.state = JobRunning
-		j.started = c.clock.Now()
 		close(j.activeCh)
 		j.mu.Unlock()
 		c.wg.Add(1)
@@ -361,24 +346,18 @@ func (c *Cluster) finish(j *Job, state JobState) {
 	}
 	wasRunning := j.state == JobRunning
 	j.state = state
-	j.finished = c.clock.Now()
 	close(j.doneCh)
 	select {
 	case <-j.wallStop:
 	default:
 		close(j.wallStop)
 	}
-	started := j.started
 	j.mu.Unlock()
 
 	if wasRunning {
 		c.mu.Lock()
 		delete(c.running, j.ID)
 		c.freeNodes += j.Nodes
-		c.jobsFinished++
-		if !started.IsZero() {
-			c.nodeSeconds += float64(j.Nodes) * j.finished.Sub(started).Seconds()
-		}
 		c.mu.Unlock()
 		c.schedule()
 	}

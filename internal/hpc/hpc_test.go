@@ -256,15 +256,13 @@ func TestStatsAccounting(t *testing.T) {
 	defer c.Close()
 	j, _ := c.Submit(JobDesc{Name: "p", Cores: 20, Walltime: time.Hour})
 	<-j.Active()
-	s := c.Stats()
-	if s.JobsStarted != 1 || s.RunningJobs != 1 {
-		t.Fatalf("stats: %+v", s)
+	if free := c.FreeNodes(); free != c.Spec.Nodes-1 {
+		t.Fatalf("free nodes with one running job = %d, want %d", free, c.Spec.Nodes-1)
 	}
 	c.Complete(j)
 	waitState(t, j, JobDone)
-	s = c.Stats()
-	if s.JobsFinished != 1 || s.RunningJobs != 0 {
-		t.Fatalf("stats after completion: %+v", s)
+	if free := c.FreeNodes(); free != c.Spec.Nodes {
+		t.Fatalf("free nodes after completion = %d, want %d", free, c.Spec.Nodes)
 	}
 }
 

@@ -32,11 +32,23 @@ func (j *Journal) Segments() []SegmentInfo {
 	out := make([]SegmentInfo, 0, len(j.sealed)+1)
 	out = append(out, j.sealed...)
 	out = append(out, SegmentInfo{
-		Index:    j.segIndex,
-		Path:     j.path,
-		FirstSeq: j.segFirst,
-		LastSeq:  j.seq,
-		Size:     j.size,
+		Index:   j.segIndex,
+		Path:    j.path,
+		LastSeq: j.seq,
+		Size:    j.size,
 	})
 	return out
+}
+
+// FirstSeq is the seq of the first valid record of the journal file at path,
+// 0 when it holds none.
+func FirstSeq(path string) (uint64, error) {
+	var first uint64
+	_, err := scanFile(path, func(r Record) error {
+		if first == 0 {
+			first = r.Seq
+		}
+		return nil
+	})
+	return first, err
 }

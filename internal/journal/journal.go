@@ -60,7 +60,6 @@ type Journal struct {
 	// Segmented (OpenDir) state. dir is empty for flat journals.
 	dir      string
 	segIndex uint64        // index of the active segment
-	segFirst uint64        // first record seq in the active segment (0: none)
 	size     int64         // bytes in the active segment (the file, if flat)
 	sealed   []SegmentInfo // closed segments, ascending index
 }
@@ -144,8 +143,7 @@ func openAppend(path string, fn func(Record) error) (*os.File, fileInfo, error) 
 
 // fileInfo summarizes one journal file's valid prefix.
 type fileInfo struct {
-	firstSeq uint64 // 0 when the file holds no valid record
-	lastSeq  uint64
+	lastSeq  uint64 // 0 when the file holds no valid record
 	validLen int64
 }
 
@@ -260,9 +258,6 @@ func scanRecords(r io.Reader, size int64, path string, fn func(Record) error) (f
 		if inPlace {
 			br.Discard(whole) //nolint:errcheck // peeked whole above
 		}
-		if info.firstSeq == 0 {
-			info.firstSeq = seq
-		}
 		info.lastSeq = seq
 		info.validLen += int64(headerLen) + int64(n)
 	}
@@ -354,9 +349,6 @@ func (j *Journal) writeLocked(buf []byte, n uint64) error {
 			j.broken = fmt.Errorf("journal: cut back a failed write: %w", cerr)
 		}
 		return fmt.Errorf("journal: write: %w", err)
-	}
-	if j.segFirst == 0 {
-		j.segFirst = j.seq + 1
 	}
 	j.seq += n
 	j.size += int64(len(buf))

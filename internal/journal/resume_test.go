@@ -107,7 +107,11 @@ func TestResumeOpensEachSegmentOnce(t *testing.T) {
 		t.Fatalf("resumed run ended with %v", err)
 	}
 	info := am.Core().RecoveryInfo()
-	if info.TasksRecovered != tasks || info.SnapshotSeq < segs[0].FirstSeq || info.SnapshotSeq >= segs[0].LastSeq {
+	first, err := journal.FirstSeq(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.TasksRecovered != tasks || info.SnapshotSeq < first || info.SnapshotSeq >= segs[0].LastSeq {
 		t.Fatalf("recovery %+v, want %d tasks from a snapshot inside segment %+v", info, tasks, segs[0])
 	}
 	if done := am.Core().TaskCounts().Done; done != 2*tasks {
@@ -161,7 +165,10 @@ func TestResumeReadsOnlyTheTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 1 || segs[0].FirstSeq != snap.Watermark+1 {
+	if len(segs) != 1 {
+		t.Fatalf("segments %+v after a snapshot at %d, want one", segs, snap.Watermark)
+	}
+	if first, err := journal.FirstSeq(segs[0].Path); err != nil || first != snap.Watermark+1 {
 		t.Fatalf("segments %+v after a snapshot at %d, want one starting at %d", segs, snap.Watermark, snap.Watermark+1)
 	}
 

@@ -51,9 +51,6 @@ func scanUnbuffered(r io.Reader, size int64, fn func(Record) error) (fileInfo, e
 		if err := fn(Record{Seq: seq, Type: string(recType), Data: data}); err != nil {
 			return info, err
 		}
-		if info.firstSeq == 0 {
-			info.firstSeq = seq
-		}
 		info.lastSeq = seq
 		info.validLen += int64(headerLen) + int64(n)
 	}

@@ -59,11 +59,9 @@ func parseSegmentName(name string) (uint64, bool) {
 type SegmentInfo struct {
 	Index uint64
 	Path  string
-	// FirstSeq and LastSeq bound the valid records in the segment
-	// (including its header record); both are 0 for a segment holding no
-	// valid record.
-	FirstSeq uint64
-	LastSeq  uint64
+	// LastSeq is the seq of the segment's last valid record (its header
+	// record included); 0 for a segment holding no valid record.
+	LastSeq uint64
 	// Size is the byte length of the segment's valid prefix.
 	Size int64
 }
@@ -89,20 +87,20 @@ func segmentFiles(dir string) ([]SegmentInfo, error) {
 }
 
 // scanSegments scans each segment once, in the order given, through fn,
-// and records its valid sequence bounds and valid-prefix size.
+// and records its last valid seq and valid-prefix size.
 func scanSegments(segs []SegmentInfo, fn func(Record) error) error {
 	for i := range segs {
 		info, err := scanFile(segs[i].Path, fn)
 		if err != nil {
 			return err
 		}
-		segs[i].FirstSeq, segs[i].LastSeq, segs[i].Size = info.firstSeq, info.lastSeq, info.validLen
+		segs[i].LastSeq, segs[i].Size = info.lastSeq, info.validLen
 	}
 	return nil
 }
 
 // ListSegments scans dir and returns its journal segments in ascending
-// index order, with each segment's valid sequence bounds. A missing
+// index order, with each segment's last valid seq. A missing
 // directory yields an empty list.
 func ListSegments(dir string) ([]SegmentInfo, error) {
 	segs, err := segmentFiles(dir)
@@ -188,7 +186,6 @@ func OpenDirReplay(dir string, opts Options, floor uint64, fn func(Record) error
 	}
 	j.setFile(f, active.Path)
 	j.segIndex = active.Index
-	j.segFirst = info.firstSeq
 	j.size = info.validLen
 	return j, nil
 }
@@ -203,7 +200,6 @@ func (j *Journal) newSegmentLocked(index uint64) error {
 	}
 	j.setFile(f, path)
 	j.segIndex = index
-	j.segFirst = 0
 	j.size = 0
 	hdr := msgcodec.FormatBinary.EncodeSegmentHeader(msgcodec.SegmentHeader{Index: index, BaseSeq: j.seq + 1})
 	j.buf = appendFramed(j.buf[:0], j.seq+1, segTypeName, hdr)
@@ -252,11 +248,10 @@ func (j *Journal) rotateLocked() error {
 		return fmt.Errorf("journal: rotate close: %w", err)
 	}
 	j.sealed = append(j.sealed, SegmentInfo{
-		Index:    j.segIndex,
-		Path:     j.path,
-		FirstSeq: j.segFirst,
-		LastSeq:  j.seq,
-		Size:     j.size,
+		Index:   j.segIndex,
+		Path:    j.path,
+		LastSeq: j.seq,
+		Size:    j.size,
 	})
 	return j.newSegmentLocked(j.segIndex + 1)
 }

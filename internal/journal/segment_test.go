@@ -91,8 +91,8 @@ func TestRollSealsTheActiveSegment(t *testing.T) {
 		if i < len(marks) && s.LastSeq != marks[i] {
 			t.Fatalf("segment %d ends at seq %d, rolled at %d", s.Index, s.LastSeq, marks[i])
 		}
-		if i > 0 && s.FirstSeq != segs[i-1].LastSeq+1 {
-			t.Fatalf("segment %d starts at seq %d, previous ends at %d", s.Index, s.FirstSeq, segs[i-1].LastSeq)
+		if first := mustFirstSeq(t, s.Path); i > 0 && first != segs[i-1].LastSeq+1 {
+			t.Fatalf("segment %d starts at seq %d, previous ends at %d", s.Index, first, segs[i-1].LastSeq)
 		}
 	}
 	if err := j.Close(); err != nil {
@@ -249,8 +249,8 @@ func TestCompactWatermarkInvariant(t *testing.T) {
 	for _, s := range j.Segments() {
 		if s.LastSeq > wm && s.LastSeq > 0 {
 			if _, err := os.Stat(s.Path); err != nil {
-				t.Fatalf("segment %d (seqs %d-%d) above watermark %d was removed: %v",
-					s.Index, s.FirstSeq, s.LastSeq, wm, err)
+				t.Fatalf("segment %d (ending at seq %d) above watermark %d was removed: %v",
+					s.Index, s.LastSeq, wm, err)
 			}
 		}
 	}
@@ -378,7 +378,7 @@ func TestOpenDirReplayResumesAtTheFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(segs) != 1 || segs[0].FirstSeq != floor+1 {
+		if len(segs) != 1 || mustFirstSeq(t, segs[0].Path) != floor+1 {
 			t.Fatalf("segments = %+v, want one starting at seq %d", segs, floor+1)
 		}
 	})
@@ -415,4 +415,13 @@ func TestOpenDirReplayResumesAtTheFloor(t *testing.T) {
 			t.Fatalf("seq %d, want %d", seq, last+1)
 		}
 	})
+}
+
+func mustFirstSeq(t *testing.T, path string) uint64 {
+	t.Helper()
+	first, err := FirstSeq(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return first
 }

@@ -326,10 +326,7 @@ func EncodeAgentStats(s AgentStats) []byte {
 	buf = appendVarint(buf, int64(u.GPUsBusy))
 	buf = appendVarint(buf, int64(u.TasksInFlight))
 	buf = appendVarint(buf, int64(st.Shards))
-	buf = appendUvarint(buf, uint64(len(st.ShardDepths)))
-	for _, d := range st.ShardDepths {
-		buf = appendVarint(buf, int64(d))
-	}
+	buf = appendUvarint(buf, 0) // the retired per-shard depths, an empty list
 	buf = appendVarint(buf, int64(st.Depth))
 	buf = appendUvarint(buf, st.Pushed)
 	buf = appendUvarint(buf, st.Pulled)
@@ -365,18 +362,15 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 		}
 		*p = int(v)
 	}
+	// An agent built before the per-shard depths were retired still sends
+	// them: skip the list.
 	n, err := r.count(1)
 	if err != nil {
 		return AgentStats{}, err
 	}
-	if n > 0 {
-		st.ShardDepths = make([]int, n)
-		for i := range st.ShardDepths {
-			v, err := r.varint()
-			if err != nil {
-				return AgentStats{}, err
-			}
-			st.ShardDepths[i] = int(v)
+	for range n {
+		if _, err := r.varint(); err != nil {
+			return AgentStats{}, err
 		}
 	}
 	v, err := r.varint()

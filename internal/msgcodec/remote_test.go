@@ -196,7 +196,7 @@ func agentStatsFixture() AgentStats {
 	return AgentStats{Alive: true, RTSStats: RTSStats{
 		Utilization: Utilization{CoresTotal: 64, CoresBusy: 12, GPUsTotal: 4, GPUsBusy: 1, TasksInFlight: 9},
 		Store: StoreStats{
-			Shards: 2, ShardDepths: []int{3, 4}, Depth: 7,
+			Shards: 2, Depth: 7,
 			Pushed: 100, Pulled: 93, Steals: 5, Schedulers: 2,
 			SchedulerPulls: []uint64{50, 43}, SchedulerDispatches: []uint64{48, 45},
 		},
@@ -214,18 +214,27 @@ func TestAgentStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// The bytes EncodeAgentStats produced for the same values when AgentStats was
-// its own flat field list (PR 19's tree): carrying an RTSStats instead must
-// not change the 0x34 frame under an agent or manager built from an older
-// commit.
+// The bytes EncodeAgentStats produces for the fixture, and the zero report.
+// Its per-shard depths are retired as an empty list in their old place, so
+// an agent or manager built from an older commit reads the frame as before.
 const (
-	goldenAgentStats     = "bf013401800118080212040206080e645d050402322b02302d"
+	goldenAgentStats     = "bf01340180011808021204000e645d050402322b02302d"
 	goldenAgentStatsZero = "bf0134000000000000000000000000000000"
+	// What an agent built before the retirement sends for the fixture with
+	// the shard depths 3 and 4.
+	goldenAgentStatsDepths = "bf013401800118080212040206080e645d050402322b02302d"
 )
 
 func TestAgentStatsGoldenBytes(t *testing.T) {
 	if h := hex.EncodeToString(EncodeAgentStats(agentStatsFixture())); h != goldenAgentStats {
 		t.Errorf("the agent-stats frame changed:\n got %s\nwant %s", h, goldenAgentStats)
+	}
+	old, err := hex.DecodeString(goldenAgentStatsDepths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeAgentStats(old); err != nil || !reflect.DeepEqual(got, agentStatsFixture()) {
+		t.Errorf("an older agent's frame decoded to %+v, %v; want the fixture", got, err)
 	}
 	// What the frame does not carry does not reach it: the counters stay with
 	// the manager's proxy and SchedulerBusy is local-only.
@@ -322,7 +331,7 @@ func FuzzDecodeRemote(f *testing.F) {
 	f.Add(EncodeTaskBatch([]RemoteTask{{UID: "t.1", Executable: "sleep", Arguments: []string{"1"},
 		Environment: map[string]string{"K": "V"}, Input: []RemoteStaging{{Source: "s", Action: "Copy"}}}}))
 	f.Add(EncodeAgentStats(AgentStats{Alive: true, RTSStats: RTSStats{
-		Store: StoreStats{ShardDepths: []int{1}, SchedulerPulls: []uint64{2}}}}))
+		Store: StoreStats{SchedulerPulls: []uint64{2}}}}))
 	f.Add(EncodeAgentStats(agentStatsFixture()))
 	f.Add(EncodeAttach(EventFilter{Kinds: []EventKind{EventTask}, Buffer: 8}))
 	f.Add(EncodeEventBatch([]Event{{Kind: EventTask, UID: "t", To: "DONE", VTime: time.Unix(1, 2)}}))

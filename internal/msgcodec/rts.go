@@ -83,11 +83,10 @@ type Utilization struct {
 // the mailbox between the UnitManager and the Agent — including the
 // multi-scheduler agent's per-scheduler tallies.
 type StoreStats struct {
-	// Shards and ShardDepths describe the store's sharded ready storage;
-	// Depth is the total number of queued tasks (the sum of ShardDepths).
-	Shards      int
-	ShardDepths []int
-	Depth       int
+	// Shards is the number of the store's ready shards; Depth is the total
+	// number of queued tasks.
+	Shards int
+	Depth  int
 	// Pushed and Pulled count tasks through the store. Steals counts pull
 	// batches a scheduler served off a non-preferred shard (work-stealing;
 	// always 0 for a single-scheduler agent, whose store has one shard).
@@ -129,7 +128,7 @@ type RTSStats struct {
 
 // Add merges one member's stats into s — how every composite RTS (a router
 // over pilots, a proxy over agents) reports its members: scalars sum, the
-// per-shard and per-scheduler slices concatenate in the order added.
+// per-scheduler slices concatenate in the order added.
 func (s *RTSStats) Add(m RTSStats) {
 	s.PilotsSubmitted += m.PilotsSubmitted
 	s.TasksSubmitted += m.TasksSubmitted
@@ -143,7 +142,6 @@ func (s *RTSStats) Add(m RTSStats) {
 	s.Utilization.TasksInFlight += m.Utilization.TasksInFlight
 
 	s.Store.Shards += m.Store.Shards
-	s.Store.ShardDepths = append(s.Store.ShardDepths, m.Store.ShardDepths...)
 	s.Store.Depth += m.Store.Depth
 	s.Store.Pushed += m.Store.Pushed
 	s.Store.Pulled += m.Store.Pulled

@@ -63,7 +63,7 @@ func TestRTSStatsAddCoversEveryField(t *testing.T) {
 	check("RTSStats", reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b))
 
 	// Adding must not write through to a member's slices.
-	if a.Store.SchedulerBusy[0] != time.Duration(1) || len(a.Store.ShardDepths) != 1 {
+	if a.Store.SchedulerBusy[0] != time.Duration(1) || len(a.Store.SchedulerPulls) != 1 {
 		t.Fatalf("Add changed its first member: %+v", a)
 	}
 }

@@ -1,6 +1,10 @@
 package profiler
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/vclock"
+)
 
 // Categories lists all categories in the paper's plotting order.
 func Categories() []Category {
@@ -11,22 +15,22 @@ func Categories() []Category {
 }
 
 // Span starts measuring a category and returns a stop function that charges
-// the elapsed virtual time.
-func (p *Profiler) Span(cat Category) (stop func()) {
-	start := p.clock.Now()
+// the virtual time clock has advanced since.
+func (p *Profiler) Span(clock vclock.Clock, cat Category) (stop func()) {
+	start := clock.Now()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			p.Add(cat, p.clock.Now().Sub(start))
+			p.Add(cat, clock.Now().Sub(start))
 		})
 	}
 }
 
-// Touch extends the category's activity window to include the current
+// Touch extends the category's activity window to include clock's current
 // virtual instant: Observe is Touch at the activity's begin, Touch at its end
 // and an Add.
-func (p *Profiler) Touch(cat Category) {
-	now := p.clock.Now()
+func (p *Profiler) Touch(clock vclock.Clock, cat Category) {
+	now := clock.Now()
 	p.mu.Lock()
 	p.tallyLocked(cat).extend(now)
 	p.mu.Unlock()

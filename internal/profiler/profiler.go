@@ -12,8 +12,6 @@ package profiler
 import (
 	"sync"
 	"time"
-
-	"repro/internal/vclock"
 )
 
 // Category names a measured quantity. The seven constants below are the
@@ -64,15 +62,13 @@ func (t *tally) extend(at time.Time) {
 // Profiler accumulates category durations and activity windows. It is safe
 // for concurrent use.
 type Profiler struct {
-	clock vclock.Clock
-
 	mu      sync.Mutex
 	tallies map[Category]*tally
 }
 
-// New returns a profiler reading time from clock.
-func New(clock vclock.Clock) *Profiler {
-	return &Profiler{clock: clock, tallies: make(map[Category]*tally)}
+// New returns an empty profiler.
+func New() *Profiler {
+	return &Profiler{tallies: make(map[Category]*tally)}
 }
 
 // tallyLocked returns the category's tally, creating it on first use.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAddAndSum(t *testing.T) {
-	p := New(vclock.NewManual())
+	p := New()
 	p.Add(EnTKSetup, 100*time.Millisecond)
 	p.Add(EnTKSetup, 50*time.Millisecond)
 	p.Add(RTSOverhead, time.Second)
@@ -23,7 +23,7 @@ func TestAddAndSum(t *testing.T) {
 }
 
 func TestAddClampsNegative(t *testing.T) {
-	p := New(vclock.NewManual())
+	p := New()
 	p.Add(EnTKSetup, -time.Second)
 	if got := p.Sum(EnTKSetup); got != 0 {
 		t.Fatalf("negative add produced sum %v", got)
@@ -32,8 +32,8 @@ func TestAddClampsNegative(t *testing.T) {
 
 func TestSpanMeasuresVirtualTime(t *testing.T) {
 	c := vclock.NewManual()
-	p := New(c)
-	stop := p.Span(EnTKManagement)
+	p := New()
+	stop := p.Span(c, EnTKManagement)
 	c.Advance(7 * time.Second)
 	stop()
 	stop() // idempotent
@@ -44,12 +44,12 @@ func TestSpanMeasuresVirtualTime(t *testing.T) {
 
 func TestWindowMakespan(t *testing.T) {
 	c := vclock.NewManual()
-	p := New(c)
-	p.Touch(TaskExecution) // first task starts
+	p := New()
+	p.Touch(c, TaskExecution) // first task starts
 	c.Advance(100 * time.Second)
-	p.Touch(TaskExecution)
+	p.Touch(c, TaskExecution)
 	c.Advance(50 * time.Second)
-	p.Touch(TaskExecution) // last task ends
+	p.Touch(c, TaskExecution) // last task ends
 	if got := p.Window(TaskExecution); got != 150*time.Second {
 		t.Fatalf("window = %v, want 150s", got)
 	}
@@ -60,13 +60,13 @@ func TestWindowMakespan(t *testing.T) {
 
 func TestReportUsesWindowForTaskExecution(t *testing.T) {
 	c := vclock.NewManual()
-	p := New(c)
+	p := New()
 	p.Add(EnTKSetup, 100*time.Millisecond)
 	p.Add(EnTKManagement, 10*time.Second)
 	p.Add(DataStaging, 11*time.Second)
-	p.Touch(TaskExecution)
+	p.Touch(c, TaskExecution)
 	c.Advance(600 * time.Second)
-	p.Touch(TaskExecution)
+	p.Touch(c, TaskExecution)
 	// Extra per-task execution sums must not leak into the makespan figure.
 	p.Add(TaskExecution, 4096*600*time.Second)
 	r := p.Report()
@@ -105,14 +105,14 @@ func TestObserveMatchesTouchTouchAdd(t *testing.T) {
 	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
 
 	clock := vclock.NewManual()
-	three, one := New(clock), New(clock)
+	three, one := New(), New()
 	for _, p := range []*Profiler{three, one} {
 		p.Add(DataStaging, 11*time.Second) // another category stays apart
 	}
 	for _, ev := range events {
 		clock.Advance(vclock.Epoch.Add(ev.at).Sub(clock.Now()))
 		tk := tasks[ev.task]
-		three.Touch(TaskExecution)
+		three.Touch(clock, TaskExecution)
 		if ev.isEnd {
 			three.Add(TaskExecution, tk.charged)
 			one.Observe(TaskExecution, vclock.Epoch.Add(tk.begin), vclock.Epoch.Add(tk.end), tk.charged)
@@ -136,7 +136,8 @@ func TestObserveMatchesTouchTouchAdd(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	p := New(vclock.NewScaled(time.Microsecond))
+	p := New()
+	clock := vclock.NewScaled(time.Microsecond)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -144,7 +145,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 100; k++ {
 				p.Add(EnTKManagement, time.Millisecond)
-				p.Touch(TaskExecution)
+				p.Touch(clock, TaskExecution)
 			}
 		}()
 	}

@@ -137,7 +137,7 @@ var contractCases = map[string]func(t *testing.T) contractCase{
 			t.Fatal(err)
 		}
 		t.Cleanup(pool.Stop)
-		l, err := pool.Admit(rts.LeaseSpec{RunID: "run", Tenant: "t", Cores: contractCores / 2})
+		l, err := pool.Admit(rts.LeaseSpec{Tenant: "t", Cores: contractCores / 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +210,8 @@ func TestStatsContract(t *testing.T) {
 			if s.Pushed != s.Pulled || s.Depth != 0 {
 				t.Errorf("drained, yet the store pushed %d, pulled %d and holds %d", s.Pushed, s.Pulled, s.Depth)
 			}
-			if s.Shards == 0 || len(s.ShardDepths) != s.Shards {
-				t.Errorf("%d shard depths for %d shards", len(s.ShardDepths), s.Shards)
+			if s.Shards == 0 {
+				t.Error("the store reports no shards")
 			}
 			if s.Schedulers == 0 || len(s.SchedulerPulls) != s.Schedulers || len(s.SchedulerDispatches) != s.Schedulers {
 				t.Errorf("%d pull and %d dispatch tallies for %d schedulers",

@@ -473,11 +473,9 @@ func (a *agent) execute(desc *core.TaskDescription) {
 		exitCode, output = 127, kerr.Error()
 	default:
 		res, err := kernel.Run(context.Background(), workload.Spec{
-			UID:         desc.UID,
 			Arguments:   desc.Arguments,
 			Environment: desc.Environment,
 			Duration:    desc.Duration,
-			Cores:       desc.Cores,
 			Seed:        r.cfg.Seed + int64(len(desc.UID)),
 		}, &a.env)
 		if err != nil {
@@ -569,8 +567,6 @@ func (a *agent) transfer(dirs []core.StagingDirective) (time.Duration, error) {
 	var total time.Duration
 	for _, d := range dirs {
 		res, err := ts.Transfer(saga.TransferRequest{
-			Source:   d.Source,
-			Target:   d.Target,
 			Bytes:    d.Bytes,
 			Protocol: saga.Protocol(d.Protocol),
 		})
@@ -591,7 +587,6 @@ func stagingFiles(dirs []core.StagingDirective) []fsim.File {
 	files := make([]fsim.File, 0, len(dirs))
 	for _, d := range dirs {
 		files = append(files, fsim.File{
-			Name:  d.Source,
 			Bytes: d.Bytes,
 			Link:  d.Action == core.StagingLink,
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,13 +80,12 @@ const strideK = 1 << 20
 
 // poolTenant is the per-tenant scheduling state.
 type poolTenant struct {
-	name       string
-	weight     int
-	maxCores   int
-	pass       uint64
-	claimed    int // lease cores currently claimed
-	dispatched uint64
-	queue      []poolEntry
+	name     string
+	weight   int
+	maxCores int
+	pass     uint64
+	claimed  int // lease cores currently claimed
+	queue    []poolEntry
 }
 
 // dispatchRec tracks one in-flight task so its completion can be routed back
@@ -119,7 +117,6 @@ type Pool struct {
 	inflight    int                    // cores dispatched to the pilot, not yet completed
 	trace       []string
 	holdUntil   map[string]int // tenant -> queued backlog that lifts the dispatch hold
-	orphans     uint64
 
 	releases chan struct{}
 	wg       sync.WaitGroup
@@ -230,7 +227,6 @@ func (p *Pool) HoldUntilQueued(backlog map[string]int) {
 
 // LeaseSpec is one run's resource claim against the pool.
 type LeaseSpec struct {
-	RunID  string
 	Tenant string
 	Cores  int
 	GPUs   int
@@ -262,7 +258,6 @@ func (p *Pool) Admit(spec LeaseSpec) (*Lease, error) {
 	l := &Lease{
 		pool:   p,
 		seq:    p.nextSeq,
-		runID:  spec.RunID,
 		tenant: spec.Tenant,
 		cores:  spec.Cores,
 		gpus:   spec.GPUs,
@@ -344,7 +339,6 @@ func (p *Pool) pickLocked() (core.TaskDescription, bool) {
 	e := best.queue[0]
 	best.queue = best.queue[1:]
 	best.pass += strideK / uint64(best.weight)
-	best.dispatched++
 	e.lease.window += e.desc.Cores
 	p.inflight += e.desc.Cores
 	p.outstanding[e.desc.UID] = dispatchRec{lease: e.lease, cores: e.desc.Cores}
@@ -421,7 +415,7 @@ func (p *Pool) route(res core.TaskResult) {
 	p.mu.Lock()
 	rec, ok := p.outstanding[res.UID]
 	if !ok {
-		p.orphans++
+		// The lease was released: its run abandoned the task.
 		p.mu.Unlock()
 		return
 	}
@@ -439,7 +433,7 @@ func (p *Pool) route(res core.TaskResult) {
 
 // release returns a lease's claim to the ledger, discards its queued (not
 // yet dispatched) tasks, and signals admission waiters. In-flight tasks
-// keep running on the pilot; their completions count as orphans.
+// keep running on the pilot; their completions are dropped.
 func (p *Pool) release(l *Lease) {
 	p.mu.Lock()
 	t := p.tenants[l.tenant]
@@ -463,30 +457,6 @@ func (p *Pool) release(l *Lease) {
 	}
 }
 
-// TenantStats is one tenant's scheduling counters.
-type TenantStats struct {
-	Tenant     string
-	Weight     int
-	Claimed    int
-	Queued     int
-	Dispatched uint64
-}
-
-// TenantSnapshot returns per-tenant counters sorted by name.
-func (p *Pool) TenantSnapshot() []TenantStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]TenantStats, 0, len(p.tenants))
-	for _, t := range p.tenants {
-		out = append(out, TenantStats{
-			Tenant: t.name, Weight: t.weight, Claimed: t.claimed,
-			Queued: len(t.queue), Dispatched: t.dispatched,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
 // Lease is one run's claim on the shared pool, exposed to the run as its
 // core.RTS: Submit queues tasks behind the run's tenant, completions arrive
 // on a per-lease channel, and Stop releases the claim. A lease is
@@ -494,7 +464,6 @@ func (p *Pool) TenantSnapshot() []TenantStats {
 type Lease struct {
 	pool   *Pool
 	seq    int64
-	runID  string
 	tenant string
 	cores  int
 	gpus   int

@@ -52,11 +52,11 @@ func drainLease(t *testing.T, l *Lease, n int) []core.TaskResult {
 		select {
 		case res, ok := <-l.Completions():
 			if !ok {
-				t.Fatalf("lease %s completions closed after %d of %d", l.RunID(), len(out), n)
+				t.Fatalf("lease %s completions closed after %d of %d", l.prefix, len(out), n)
 			}
 			out = append(out, res)
 		case <-timeout:
-			t.Fatalf("lease %s timed out with %d of %d results", l.RunID(), len(out), n)
+			t.Fatalf("lease %s timed out with %d of %d results", l.prefix, len(out), n)
 		}
 	}
 	return out
@@ -66,11 +66,11 @@ func drainLease(t *testing.T, l *Lease, n int) []core.TaskResult {
 // submitting lease with its original (unprefixed) UID.
 func TestPoolRoutesCompletionsPerLease(t *testing.T) {
 	p := newPoolHarness(t, nil)
-	a, err := p.Admit(LeaseSpec{RunID: "run-a", Tenant: "alice", Cores: 4})
+	a, err := p.Admit(LeaseSpec{Tenant: "alice", Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Admit(LeaseSpec{RunID: "run-b", Tenant: "bob", Cores: 4})
+	b, err := p.Admit(LeaseSpec{Tenant: "bob", Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,6 @@ func TestPoolRoutesCompletionsPerLease(t *testing.T) {
 			t.Fatalf("routing leaked a prefixed UID: %q", res.UID)
 		}
 	}
-	if got := p.Orphans(); got != 0 {
-		t.Fatalf("orphan completions: %d", got)
-	}
 	a.Stop()
 	b.Stop()
 	if got := p.Claimed(); got != 0 {
@@ -115,17 +112,17 @@ func TestPoolAdmissionLedger(t *testing.T) {
 	p := newPoolHarness(t, func(cfg *PoolConfig) {
 		cfg.Tenants = map[string]TenantLimits{"capped": {Weight: 1, MaxCores: 2}}
 	})
-	a, err := p.Admit(LeaseSpec{RunID: "r1", Tenant: "alice", Cores: 6})
+	a, err := p.Admit(LeaseSpec{Tenant: "alice", Cores: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Admit(LeaseSpec{RunID: "r2", Tenant: "bob", Cores: 4}); !errors.Is(err, ErrPoolSaturated) {
+	if _, err := p.Admit(LeaseSpec{Tenant: "bob", Cores: 4}); !errors.Is(err, ErrPoolSaturated) {
 		t.Fatalf("want ErrPoolSaturated, got %v", err)
 	}
 	// Quota is checked before the ledger: a capped tenant gets the typed
 	// quota error even while the pool is saturated.
 	var qe *QuotaError
-	if _, err := p.Admit(LeaseSpec{RunID: "r3", Tenant: "capped", Cores: 3}); !errors.As(err, &qe) {
+	if _, err := p.Admit(LeaseSpec{Tenant: "capped", Cores: 3}); !errors.As(err, &qe) {
 		t.Fatalf("want QuotaError, got %v", err)
 	} else if qe.Quota != 2 || qe.Requested != 3 {
 		t.Fatalf("QuotaError fields: %+v", qe)
@@ -137,7 +134,7 @@ func TestPoolAdmissionLedger(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no release signal")
 	}
-	b, err := p.Admit(LeaseSpec{RunID: "r2", Tenant: "bob", Cores: 4})
+	b, err := p.Admit(LeaseSpec{Tenant: "bob", Cores: 4})
 	if err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
@@ -159,11 +156,11 @@ func TestPoolWeightedFairDispatch(t *testing.T) {
 			"light": {Weight: 1},
 		}
 	})
-	h, err := p.Admit(LeaseSpec{RunID: "rh", Tenant: "heavy", Cores: 4})
+	h, err := p.Admit(LeaseSpec{Tenant: "heavy", Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := p.Admit(LeaseSpec{RunID: "rl", Tenant: "light", Cores: 4})
+	l, err := p.Admit(LeaseSpec{Tenant: "light", Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +205,7 @@ func TestPoolWeightedFairDispatch(t *testing.T) {
 // tasks are dropped, late completions of in-flight tasks become orphans.
 func TestPoolRevokeReleasesClaim(t *testing.T) {
 	p := newPoolHarness(t, nil)
-	l, err := p.Admit(LeaseSpec{RunID: "r1", Tenant: "alice", Cores: 2})
+	l, err := p.Admit(LeaseSpec{Tenant: "alice", Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +238,15 @@ func TestPoolRevokeReleasesClaim(t *testing.T) {
 // router for its neighbours — the pump's buffer takes the excess.
 func TestLeaseCompletionChannelSizedFromClaim(t *testing.T) {
 	p := newPoolHarness(t, func(cfg *PoolConfig) { cfg.MaxClaimFactor = 64 })
-	slow, err := p.Admit(LeaseSpec{RunID: "run-slow", Tenant: "alice", Cores: 2})
+	slow, err := p.Admit(LeaseSpec{Tenant: "alice", Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	brisk, err := p.Admit(LeaseSpec{RunID: "run-brisk", Tenant: "bob", Cores: 2})
+	brisk, err := p.Admit(LeaseSpec{Tenant: "bob", Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := p.Admit(LeaseSpec{RunID: "run-wide", Tenant: "carol", Cores: 300})
+	wide, err := p.Admit(LeaseSpec{Tenant: "carol", Cores: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +268,4 @@ func TestLeaseCompletionChannelSizedFromClaim(t *testing.T) {
 	}
 	drainLease(t, brisk, 10) // while nobody reads slow's channel
 	drainLease(t, slow, 10)
-	if got := p.Orphans(); got != 0 {
-		t.Fatalf("orphan completions: %d", got)
-	}
 }

@@ -115,7 +115,7 @@ func newPilot(cfg Config) (*PilotRTS, error) {
 		return nil, err
 	}
 	if cfg.Prof == nil {
-		cfg.Prof = profiler.New(cfg.Clock)
+		cfg.Prof = profiler.New()
 	}
 	r := &PilotRTS{
 		cfg:   cfg,
@@ -164,8 +164,6 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		Name:     "pilot." + res.Resource,
 		Cores:    res.Cores,
 		Walltime: res.Walltime,
-		Queue:    res.Queue,
-		Project:  res.Project,
 	})
 	if err != nil {
 		return fmt.Errorf("rts: pilot submission: %w", err)

@@ -217,19 +217,13 @@ func (s *store) Depth() int {
 // stats returns the store's QueueStats-style counter block; the agent's
 // per-scheduler tallies are merged in by PilotRTS.StoreStats.
 func (s *store) stats() core.StoreStats {
-	st := core.StoreStats{
-		Shards:      len(s.shards),
-		ShardDepths: make([]int, len(s.shards)),
-		Pushed:      s.pushed.Load(),
-		Pulled:      s.pulled.Load(),
-		Steals:      s.steals.Load(),
+	return core.StoreStats{
+		Shards: len(s.shards),
+		Depth:  s.Depth(),
+		Pushed: s.pushed.Load(),
+		Pulled: s.pulled.Load(),
+		Steals: s.steals.Load(),
 	}
-	for i, sh := range s.shards {
-		d := int(sh.depth.Load())
-		st.ShardDepths[i] = d
-		st.Depth += d
-	}
-	return st
 }
 
 // Close releases blocked pullers; queued tasks are dropped (a dead RTS

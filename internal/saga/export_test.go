@@ -41,13 +41,6 @@ func (s *TransferService) SetModel(p Protocol, m TransferModel) error {
 	return nil
 }
 
-// Stats returns aggregate transfer accounting.
-func (s *TransferService) Stats() TransferStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
 // Transfer routes a data-movement request through the session's transfer
 // service.
 func (s *Session) Transfer(req TransferRequest) (TransferResult, error) {

@@ -24,8 +24,6 @@ type JobDescription struct {
 	Name     string
 	Cores    int
 	Walltime time.Duration
-	Queue    string // batch queue name; informational in the simulator
-	Project  string // allocation/project id; informational
 }
 
 // JobState is the uniform job state exposed by the API.

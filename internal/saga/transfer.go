@@ -66,9 +66,7 @@ func defaultModels() map[Protocol]TransferModel {
 
 // TransferRequest asks for one file movement.
 type TransferRequest struct {
-	Source string
-	Target string
-	Bytes  int64
+	Bytes int64
 	// Protocol defaults to cp when empty (local/shared filesystem
 	// operation, RP's default staging mechanism).
 	Protocol Protocol
@@ -76,16 +74,7 @@ type TransferRequest struct {
 
 // TransferResult reports one enacted transfer.
 type TransferResult struct {
-	Protocol Protocol
-	Bytes    int64
 	Duration time.Duration
-}
-
-// TransferStats aggregates a service's activity.
-type TransferStats struct {
-	Transfers int
-	Bytes     int64
-	Busy      time.Duration // summed per-transfer durations
 }
 
 // TransferService is the data-management half of the SAGA layer: a uniform
@@ -98,7 +87,6 @@ type TransferService struct {
 
 	mu     sync.Mutex
 	models map[Protocol]TransferModel
-	stats  TransferStats
 }
 
 // NewTransferService returns a service with the default protocol catalog.
@@ -142,19 +130,10 @@ func (s *TransferService) Transfer(req TransferRequest) (TransferResult, error) 
 	if err != nil {
 		return TransferResult{}, err
 	}
-	proto := req.Protocol
-	if proto == "" {
-		proto = ProtoCP
-	}
 	if d > 0 {
 		s.clock.Sleep(d)
 	}
-	s.mu.Lock()
-	s.stats.Transfers++
-	s.stats.Bytes += req.Bytes
-	s.stats.Busy += d
-	s.mu.Unlock()
-	return TransferResult{Protocol: proto, Bytes: req.Bytes, Duration: d}, nil
+	return TransferResult{Duration: d}, nil
 }
 
 // SetTransferService attaches data management to the session, completing

@@ -2,6 +2,7 @@ package saga
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -50,12 +51,12 @@ func TestEmptyProtocolDefaultsToCP(t *testing.T) {
 	if got != want {
 		t.Fatalf("default estimate %v != cp estimate %v", got, want)
 	}
-	res, err := ts.Transfer(TransferRequest{Bytes: 1})
+	res, err := ts.Transfer(TransferRequest{Bytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Protocol != ProtoCP {
-		t.Fatalf("default transfer used %s, want cp", res.Protocol)
+	if res.Duration != want {
+		t.Fatalf("default transfer took %v, want the cp estimate %v", res.Duration, want)
 	}
 }
 
@@ -135,34 +136,25 @@ func TestSetModelValidation(t *testing.T) {
 	}
 }
 
-func TestTransferStatsAccumulate(t *testing.T) {
-	ts := newTestTransfers(t)
-	for i := 0; i < 5; i++ {
-		if _, err := ts.Transfer(TransferRequest{Bytes: 1000, Protocol: ProtoCP}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := ts.Stats()
-	if s.Transfers != 5 || s.Bytes != 5000 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.Busy <= 0 {
-		t.Fatal("busy time not accounted")
-	}
-}
-
 func TestConcurrentTransfers(t *testing.T) {
 	ts := newTestTransfers(t)
+	want, err := ts.Estimate(TransferRequest{Bytes: 1 << 10, Protocol: ProtoSCP})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
+	var done atomic.Int32
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ts.Transfer(TransferRequest{Bytes: 1 << 10, Protocol: ProtoSCP}) //nolint:errcheck
+			if res, err := ts.Transfer(TransferRequest{Bytes: 1 << 10, Protocol: ProtoSCP}); err == nil && res.Duration == want {
+				done.Add(1)
+			}
 		}()
 	}
 	wg.Wait()
-	if got := ts.Stats().Transfers; got != 32 {
+	if got := done.Load(); got != 32 {
 		t.Fatalf("transfers = %d, want 32", got)
 	}
 }
@@ -177,12 +169,17 @@ func TestSessionTransferRouting(t *testing.T) {
 	if s.Transfers() != ts {
 		t.Fatal("transfer service not attached")
 	}
-	res, err := s.Transfer(TransferRequest{Bytes: 1 << 20, Protocol: ProtoSFTP})
+	req := TransferRequest{Bytes: 1 << 20, Protocol: ProtoSFTP}
+	want, err := ts.Estimate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Protocol != ProtoSFTP || res.Duration <= 0 {
-		t.Fatalf("result = %+v", res)
+	res, err := s.Transfer(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Duration != want {
+		t.Fatalf("result = %+v, want the sftp estimate %v", res, want)
 	}
 }
 

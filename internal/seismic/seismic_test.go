@@ -310,7 +310,7 @@ func TestInversionReducesMisfit(t *testing.T) {
 func TestSpecfemKernel(t *testing.T) {
 	env := &workload.Env{Clock: vclock.NewScaled(time.Microsecond), Compute: true}
 	res, err := Kernel{}.Run(context.Background(),
-		workload.Spec{UID: "fwd", Duration: 10 * time.Second}, env)
+		workload.Spec{Duration: 10 * time.Second}, env)
 	if err != nil {
 		t.Fatal(err)
 	}

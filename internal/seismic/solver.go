@@ -130,8 +130,6 @@ type ForwardResult struct {
 	// Snapshots[k] is the wavefield at step k*SnapshotEvery (nil without
 	// snapshots).
 	Snapshots [][]float64
-	// Steps is the number of executed time steps.
-	Steps int
 }
 
 // Forward runs the forward acoustic simulation: a 2-4 leapfrog scheme with
@@ -173,7 +171,7 @@ func propagate(m *Model, cfg SimConfig, injector func(u []float64, it int), recs
 		c2dt2[i] = v * v * cfg.DT * cfg.DT * inv
 	}
 
-	res := &ForwardResult{Steps: cfg.NT}
+	res := &ForwardResult{}
 	res.Seismograms = make([]Seismogram, len(recs))
 	for i := range res.Seismograms {
 		res.Seismograms[i] = make(Seismogram, cfg.NT)

@@ -21,11 +21,9 @@ import (
 type Spec struct {
 	// Environment carries the task's environment variables to the kernel.
 	Environment map[string]string
-	UID         string
 	Arguments   []string
 	// Duration is the nominal virtual runtime.
 	Duration time.Duration
-	Cores    int
 	Seed     int64
 }
 

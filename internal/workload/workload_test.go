@@ -82,7 +82,7 @@ func TestSleepKernelCancel(t *testing.T) {
 
 func TestMDRunProducesEnergy(t *testing.T) {
 	res, err := MDRunKernel{}.Run(context.Background(),
-		Spec{UID: "t", Arguments: []string{"-nsteps", "20"}, Seed: 7}, testEnv())
+		Spec{Arguments: []string{"-nsteps", "20"}, Seed: 7}, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
