@@ -39,10 +39,11 @@
 // server-side drop count for its subscription.
 //
 // -autotune turns on the live knob controller (docs/autotune.md): a
-// per-run goroutine samples queue depths, steal ratios, dispatch latency
-// and event drops, and steers the broker batch size and scheduler-pool
-// size while the run executes. Knob decisions appear in -progress as
-// "knob" events, and the progress line grows a live-knob summary.
+// per-run goroutine samples queue depths, dispatch latency, event drops
+// and host strain, and steers the broker batch size while the run
+// executes; the scheduler pool keeps its -schedulers size. Knob decisions
+// appear in -progress as "knob" events, and the progress line grows a
+// live-knob summary.
 //
 // -daemon <socket> submits the application to a running entkd service
 // instead of executing it in-process: the run shares the daemon's pilot
@@ -83,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = flags.Bool("progress", false, "stream live lifecycle transitions and progress")
 		cancelP  = flags.String("cancel", "", "cancel the named pipeline once its first task is in flight")
 		scheds   = flags.Int("schedulers", 0, "agent scheduler loops draining the task store (0 = min(GOMAXPROCS, shards), 1 = strict-FIFO single scheduler)")
-		autotune = flags.Bool("autotune", false, "enable the live knob controller: steer batch size and scheduler pool from runtime stats (docs/autotune.md)")
+		autotune = flags.Bool("autotune", false, "enable the live knob controller: steer the batch size from runtime stats; the scheduler pool stays fixed (docs/autotune.md)")
 		jdir     = flags.String("journal", "", "directory for the durable state journal (segments + snapshots + RTS audit); enables crash recovery")
 		resume   = flags.Bool("resume", false, "continue the journaled run found in -journal (completed tasks are not re-executed)")
 		dSock    = flags.String("daemon", "", "submit to the entkd service at this unix socket instead of running in-process")

@@ -3,6 +3,7 @@ package entk
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,19 +66,17 @@ func TestAutotuneStagesLiveKnobChanges(t *testing.T) {
 		if ev.Kind != EventKnob {
 			t.Fatalf("subscription leaked a %s event", ev.Kind)
 		}
-		if ev.Name != "batch" && ev.Name != "schedulers" {
-			t.Fatalf("knob event names %q", ev.Name)
+		if ev.Name != "batch" {
+			t.Fatalf("knob event names %q, want batch, the only live knob", ev.Name)
 		}
 		if !strings.HasPrefix(ev.UID, "autotune/") {
 			t.Fatalf("knob event UID %q, want autotune/<reason>", ev.UID)
 		}
 		knobEvents++
-		if ev.Name == "batch" {
-			if last, err = strconv.Atoi(ev.To); err != nil {
-				t.Fatalf("batch knob event To %q: %v", ev.To, err)
-			}
-			peak = max(peak, last)
+		if last, err = strconv.Atoi(ev.To); err != nil {
+			t.Fatalf("batch knob event To %q: %v", ev.To, err)
 		}
+		peak = max(peak, last)
 	}
 	if uint64(knobEvents) != snap.KnobChanges {
 		t.Fatalf("%d knob events streamed, snapshot counts %d changes", knobEvents, snap.KnobChanges)
@@ -111,10 +110,10 @@ func TestAutotuneDisabledKnobsNeverMove(t *testing.T) {
 	}
 }
 
-// Knob mutations racing a live run: external writers hammer both knobs
+// Knob mutations racing a live run: external writers hammer the batch knob
 // through the core's handle while the workload executes. Run under -race
-// (make test), this drives the scheduler park/unpark path and the hot-path
-// atomic reads concurrently with the controller's own steering.
+// (make test, and repeated in CI), this drives the hot-path atomic reads
+// concurrently with the controller's own steering.
 func TestLiveKnobMutationDuringRunRace(t *testing.T) {
 	am, err := NewAppManager(AppConfig{
 		Resource:  Resource{Name: "supermic", Cores: 8, Walltime: 24 * time.Hour},
@@ -124,12 +123,10 @@ func TestLiveKnobMutationDuringRunRace(t *testing.T) {
 			BatchSize:        16,
 			SchedulerWorkers: 4,
 			Autotune: Autotune{
-				Enabled:       true,
-				Interval:      100 * time.Millisecond,
-				MinBatch:      1,
-				MaxBatch:      512,
-				MinSchedulers: 1,
-				MaxSchedulers: 4,
+				Enabled:  true,
+				Interval: 100 * time.Millisecond,
+				MinBatch: 1,
+				MaxBatch: 512,
 			},
 		},
 	})
@@ -159,7 +156,10 @@ func TestLiveKnobMutationDuringRunRace(t *testing.T) {
 				default:
 				}
 				live.SetBatchSize(1 << uint((seed+i)%10))
-				live.SetSchedulers(1 + (seed+i)%4)
+				// A set never blocks, so without a yield three writers
+				// hold every P of a small machine and the run's virtual
+				// clock outruns the pilot's walltime.
+				runtime.Gosched()
 			}
 		}(w)
 	}
@@ -176,8 +176,8 @@ func TestLiveKnobMutationDuringRunRace(t *testing.T) {
 	if b := live.BatchSize(); b < 1 || b > 512 {
 		t.Fatalf("batch %d escaped its bounds", b)
 	}
-	if s := live.Schedulers(); s < 1 || s > 4 {
-		t.Fatalf("schedulers %d escaped its bounds", s)
+	if s := live.Schedulers(); s != 4 {
+		t.Fatalf("schedulers = %d, want the fixed pool of 4", s)
 	}
 }
 
@@ -193,8 +193,6 @@ func TestTuningKnobErrors(t *testing.T) {
 		{"negative autotune interval", Tuning{Autotune: Autotune{Interval: -time.Second}}, "Autotune.Interval"},
 		{"negative autotune min batch", Tuning{Autotune: Autotune{MinBatch: -1}}, "Autotune.MinBatch"},
 		{"autotune max below min", Tuning{Autotune: Autotune{MinBatch: 64, MaxBatch: 8}}, "Autotune.MaxBatch"},
-		{"autotune scheduler ceiling beyond shards", Tuning{QueueShards: 1, Autotune: Autotune{MaxSchedulers: 9}}, "Autotune.MaxSchedulers"},
-		{"autotune max schedulers below min", Tuning{Autotune: Autotune{MinSchedulers: 3, MaxSchedulers: 2}}, "Autotune.MaxSchedulers"},
 	}
 	for _, c := range cases {
 		err := c.tun.Validate()

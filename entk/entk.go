@@ -102,8 +102,6 @@ type (
 	EventSub = core.EventSub
 	// Progress is the point-in-time run view returned by Run.Snapshot.
 	Progress = core.Progress
-	// PipelineProgress is one pipeline's slice of a Progress snapshot.
-	PipelineProgress = core.PipelineProgress
 	// Utilization reports pilot occupancy inside a Progress snapshot.
 	Utilization = core.Utilization
 	// StoreStats reports the RTS task store's shard/scheduler counters

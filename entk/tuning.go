@@ -45,19 +45,23 @@ type Tuning struct {
 	// state records. Default 1024; negative disables snapshots (journal
 	// only, no compaction). Ignored without a journal directory.
 	SnapshotEvery int
-	// Autotune configures the live knob controller (docs/autotune.md). Off
-	// by default: the hot paths then read a collapsed-bounds knob handle
-	// whose values never change — one atomic load, zero steering.
+	// Autotune configures the live batch-size controller
+	// (docs/autotune.md). Off by default: the hot paths then read a
+	// collapsed-bounds knob handle whose values never change — one atomic
+	// load, zero steering. SchedulerWorkers is never steered.
 	Autotune Autotune
 }
 
 // Autotune is the Tuning policy block for the live knob controller: a
 // per-run goroutine that samples the run's observability counters (queue
-// depth, store depths, steal-vs-pull ratio, dispatch latency, event
-// subscription drops, host strain) on a fixed virtual cadence and steers BatchSize and
-// SchedulerWorkers between the bounds below while the run executes. Every
-// decision is published as an EventKnob event and counted in
-// Progress.KnobChanges.
+// depth, store depth, dispatch latency, event subscription drops, host
+// strain) on a fixed virtual cadence and steers BatchSize between the
+// bounds below while the run executes; the scheduler pool keeps the
+// SchedulerWorkers size it was built with. Every decision is published as
+// an EventKnob event and counted in Progress.KnobChanges. Only runs built
+// by NewAppManager autotune: entkd has no autotune path. On remote agents
+// the latency-spike rule never fires, because agents report no dispatch
+// latency.
 type Autotune struct {
 	// Enabled turns the controller on. Off by default.
 	Enabled bool
@@ -67,11 +71,6 @@ type Autotune struct {
 	// 8192). The bounds are widened to include the starting BatchSize.
 	MinBatch int
 	MaxBatch int
-	// MinSchedulers and MaxSchedulers bound the scheduler-pool knob
-	// (defaults 1 and the resolved SchedulerWorkers — i.e. no growth beyond
-	// the configured pool unless MaxSchedulers raises the ceiling).
-	MinSchedulers int
-	MaxSchedulers int
 }
 
 // KnobError is the typed per-knob validation error: which knob, the
@@ -114,12 +113,12 @@ func (t Tuning) Validate() error {
 		return &KnobError{Knob: "SchedulerWorkers", Value: t.SchedulerWorkers,
 			Reason: fmt.Sprintf("exceeds %d (8 per store shard, %d shards)", limit, shards)}
 	}
-	return t.Autotune.validate(shards)
+	return t.Autotune.validate()
 }
 
-// validate checks the autotune policy block against the resolved shard
-// count. Zero fields mean "default" and are always legal.
-func (a Autotune) validate(shards int) error {
+// validate checks the autotune policy block. Zero fields mean "default" and
+// are always legal.
+func (a Autotune) validate() error {
 	if a.Interval < 0 {
 		return &KnobError{Knob: "Autotune.Interval", Value: int(a.Interval), Reason: "negative"}
 	}
@@ -132,20 +131,6 @@ func (a Autotune) validate(shards int) error {
 	if a.MinBatch > 0 && a.MaxBatch > 0 && a.MaxBatch < a.MinBatch {
 		return &KnobError{Knob: "Autotune.MaxBatch", Value: a.MaxBatch,
 			Reason: fmt.Sprintf("below Autotune.MinBatch %d", a.MinBatch)}
-	}
-	if a.MinSchedulers < 0 {
-		return &KnobError{Knob: "Autotune.MinSchedulers", Value: a.MinSchedulers, Reason: "negative"}
-	}
-	if a.MaxSchedulers < 0 {
-		return &KnobError{Knob: "Autotune.MaxSchedulers", Value: a.MaxSchedulers, Reason: "negative"}
-	}
-	if a.MinSchedulers > 0 && a.MaxSchedulers > 0 && a.MaxSchedulers < a.MinSchedulers {
-		return &KnobError{Knob: "Autotune.MaxSchedulers", Value: a.MaxSchedulers,
-			Reason: fmt.Sprintf("below Autotune.MinSchedulers %d", a.MinSchedulers)}
-	}
-	if limit := shards * maxSchedulersPerShard; a.MaxSchedulers > limit {
-		return &KnobError{Knob: "Autotune.MaxSchedulers", Value: a.MaxSchedulers,
-			Reason: fmt.Sprintf("exceeds %d (8 per store shard, %d shards)", limit, shards)}
 	}
 	return nil
 }
@@ -200,20 +185,7 @@ func (cfg *AppConfig) resolveTuning() (*resolvedTuning, error) {
 	if maxB < rt.batch {
 		maxB = rt.batch
 	}
-	minS, maxS := a.MinSchedulers, a.MaxSchedulers
-	if minS == 0 {
-		minS = 1
-	}
-	if maxS == 0 {
-		maxS = rt.scheds
-	}
-	if minS > rt.scheds {
-		minS = rt.scheds
-	}
-	if maxS < rt.scheds {
-		maxS = rt.scheds
-	}
-	rt.live = tuning.NewBounded(rt.batch, minB, maxB, rt.scheds, minS, maxS)
+	rt.live = tuning.NewBounded(rt.batch, minB, maxB, rt.scheds)
 	rt.policy = autotune.Policy{Enabled: true, Interval: a.Interval}
 	return rt, nil
 }
@@ -230,7 +202,7 @@ func (rt *resolvedTuning) applyCore(c *core.Config) {
 
 // applyRTS fills rts.Config's knob fields from the resolved tuning. The
 // live handle is the same one the core reads: a controller decision steers
-// the broker batch path and the scheduler pool together.
+// the broker batch path and the store pull bound together.
 func (rt *resolvedTuning) applyRTS(c *rts.Config) {
 	c.QueueShards = rt.shards
 	c.Schedulers = rt.scheds

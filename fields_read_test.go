@@ -25,14 +25,7 @@ var unreadFields = []unreadField{
 	// Read through the entk aliases of Progress and its parts.
 	{"repro/internal/core.Progress.Stages", entkAPI},
 	{"repro/internal/core.Progress.Tasks", entkAPI},
-	{"repro/internal/core.Progress.ActiveTasks", entkAPI},
-	{"repro/internal/core.Progress.PerPipeline", entkAPI},
 	{"repro/internal/core.Progress.Durability", entkAPI},
-	{"repro/internal/core.PipelineProgress.UID", entkAPI},
-	{"repro/internal/core.PipelineProgress.Name", entkAPI},
-	{"repro/internal/core.PipelineProgress.CurrentStage", entkAPI},
-	{"repro/internal/core.PipelineProgress.StageCount", entkAPI},
-	{"repro/internal/core.PipelineProgress.TasksDone", entkAPI},
 	{"repro/internal/core.DurabilityStats.RecoveryInfo", entkAPI},
 	{"repro/internal/core.DurabilityStats.JournalSeq", entkAPI},
 	{"repro/internal/core.DurabilityStats.Snapshots", entkAPI},

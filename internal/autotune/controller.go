@@ -9,23 +9,19 @@ import (
 // This file is the live half of the package: where FindConcurrency automates
 // the paper's offline Fig 10 read-off, Controller closes the loop at runtime
 // — sampling the run's observability counters on a fixed virtual cadence and
-// steering the hot-path knobs (broker batch size, scheduler-pool size)
-// through a tuning.Live handle while the run executes.
+// steering the broker batch size through a tuning.Live handle while the run
+// executes. The scheduler-pool size is fixed when the run is built.
 
-// Knob names used in KnobChange records and knob events.
-const (
-	KnobBatch      = "batch"
-	KnobSchedulers = "schedulers"
-)
+// KnobBatch names the batch knob, the one the controller steers, in knob
+// events.
+const KnobBatch = "batch"
 
-// KnobChange is one committed controller decision.
+// KnobChange is one committed controller decision on the batch knob.
 type KnobChange struct {
-	// Knob is KnobBatch or KnobSchedulers.
-	Knob string
 	// From and To are the knob values before and after the change.
 	From, To int
 	// Reason names the rule that fired: "queue-pressure", "latency-spike",
-	// "drop-burst", "steal-storm", "backlog-parallelism", "host-strain".
+	// "drop-burst", "host-strain".
 	Reason string
 }
 
@@ -49,7 +45,7 @@ const (
 	// patience is how many consecutive samples a condition must hold before
 	// a knob moves — the first half of the hysteresis damping.
 	patience = 2
-	// cooldownSamples is how many samples every knob holds still after any
+	// cooldownSamples is how many samples the knob holds still after any
 	// change — the second half: a decision must be observed through the
 	// pipeline before the next one is allowed.
 	cooldownSamples = 2
@@ -61,30 +57,20 @@ const (
 	// latencySpike: per-task virtual dispatch latency above which the batch
 	// shrinks.
 	latencySpike = 250 * time.Millisecond
-	// stealFraction: steals/pulls ratio above which the scheduler pool
-	// shrinks. The pool grows only when the ratio is strictly below half
-	// this value and pressure is high.
-	stealFraction = 0.5
-	// conservativeBatch and conservativeSchedulers are the host-strain
-	// fallback operating point: small enough batches to keep latency
-	// bounded, one strict-FIFO scheduler.
-	conservativeBatch      = 256
-	conservativeSchedulers = 1
+	// conservativeBatch is the host-strain fallback operating point: small
+	// enough batches to keep latency bounded.
+	conservativeBatch = 256
 )
 
 // Signals is one sample of the run's observability counters. Counters
-// (Pulls, Steals, Dispatched, SchedulerBusy, EventDrops) are cumulative
-// since run start; the controller differences consecutive samples itself.
+// (Dispatched, SchedulerBusy, EventDrops) are cumulative since run start;
+// the controller differences consecutive samples itself.
 // Signals is plain data so decision rules are table-testable without a run.
 type Signals struct {
 	// QueueDepth is the pending queue's ready message count at the broker.
 	QueueDepth int
 	// StoreDepth is the RTS task store's total queued task count.
 	StoreDepth int
-	// Pulls and Steals are the store's cumulative pull-batch and
-	// stolen-batch counters.
-	Pulls  uint64
-	Steals uint64
 	// Dispatched is the cumulative per-scheduler dispatch count.
 	Dispatched []uint64
 	// SchedulerBusy is the cumulative per-scheduler virtual time spent
@@ -111,8 +97,6 @@ type Controller struct {
 
 	growBatch   int
 	shrinkBatch int
-	shrinkSched int
-	growSched   int
 }
 
 // NewController returns a controller steering the given live handle under
@@ -124,15 +108,11 @@ func NewController(live *tuning.Live, pol Policy) *Controller {
 	return &Controller{live: live, pol: pol}
 }
 
-func (c *Controller) resetStreaks() {
-	c.growBatch, c.shrinkBatch, c.shrinkSched, c.growSched = 0, 0, 0, 0
-}
-
 // Step feeds one sample through the decision rules and applies any resulting
 // knob moves to the live handle, returning the committed changes. Rules are
 // hysteresis-damped twice over: a condition must hold for patience
-// consecutive samples to move a knob, and after any move every knob holds
-// still for cooldownSamples samples. All comparisons are strict, so a signal
+// consecutive samples to move the knob, and after any move it holds still
+// for cooldownSamples samples. All comparisons are strict, so a signal
 // sitting exactly on a watermark triggers nothing (no boundary oscillation).
 func (c *Controller) Step(sig Signals) []KnobChange {
 	defer func() { c.prev, c.havePrev = sig, true }()
@@ -141,13 +121,10 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	// says the management plane is saturating, so jump straight to the
 	// conservative operating point.
 	if c.pol.StrainThreshold > 0 && sig.ActiveTasks > c.pol.StrainThreshold {
-		c.resetStreaks()
+		c.growBatch, c.shrinkBatch = 0, 0
 		var out []KnobChange
 		if from, to, ok := c.live.SetBatchSize(conservativeBatch); ok {
-			out = append(out, KnobChange{Knob: KnobBatch, From: from, To: to, Reason: "host-strain"})
-		}
-		if from, to, ok := c.live.SetSchedulers(conservativeSchedulers); ok {
-			out = append(out, KnobChange{Knob: KnobSchedulers, From: from, To: to, Reason: "host-strain"})
+			out = append(out, KnobChange{From: from, To: to, Reason: "host-strain"})
 		}
 		c.cooldown = cooldownSamples
 		return out
@@ -162,8 +139,6 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	}
 
 	// Deltas since the previous sample.
-	dPulls := sig.Pulls - c.prev.Pulls
-	dSteals := sig.Steals - c.prev.Steals
 	dDrops := sig.EventDrops - c.prev.EventDrops
 	dDispatched := sumU64(sig.Dispatched) - sumU64(c.prev.Dispatched)
 	dBusy := sumDur(sig.SchedulerBusy) - sumDur(c.prev.SchedulerBusy)
@@ -178,11 +153,6 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 	}
 	spike := perTask > latencySpike
 	dropBurst := dDrops > 0
-
-	stealRatio := -1.0 // no pulls this sample: steal signal is silent
-	if dPulls > 0 {
-		stealRatio = float64(dSteals) / float64(dPulls)
-	}
 
 	var out []KnobChange
 
@@ -199,7 +169,7 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 				reason = "drop-burst"
 			}
 			if from, to, ok := c.live.SetBatchSize(batch / 2); ok {
-				out = append(out, KnobChange{Knob: KnobBatch, From: from, To: to, Reason: reason})
+				out = append(out, KnobChange{From: from, To: to, Reason: reason})
 			}
 			c.shrinkBatch = 0
 		}
@@ -208,39 +178,12 @@ func (c *Controller) Step(sig Signals) []KnobChange {
 		c.growBatch++
 		if c.growBatch >= patience {
 			if from, to, ok := c.live.SetBatchSize(batch * 2); ok {
-				out = append(out, KnobChange{Knob: KnobBatch, From: from, To: to, Reason: "queue-pressure"})
+				out = append(out, KnobChange{From: from, To: to, Reason: "queue-pressure"})
 			}
 			c.growBatch = 0
 		}
 	default:
 		c.growBatch, c.shrinkBatch = 0, 0
-	}
-
-	// Scheduler rules, driven by the steal-to-pull ratio: dominant stealing
-	// means too many loops contend over too little work, so shrink the
-	// pool; high backlog with quiet steals means the pool has headroom.
-	scheds := c.live.Schedulers()
-	switch {
-	case stealRatio > stealFraction:
-		c.growSched = 0
-		c.shrinkSched++
-		if c.shrinkSched >= patience {
-			if from, to, ok := c.live.SetSchedulers(scheds - 1); ok {
-				out = append(out, KnobChange{Knob: KnobSchedulers, From: from, To: to, Reason: "steal-storm"})
-			}
-			c.shrinkSched = 0
-		}
-	case pressure && stealRatio >= 0 && stealRatio < stealFraction/2:
-		c.shrinkSched = 0
-		c.growSched++
-		if c.growSched >= patience {
-			if from, to, ok := c.live.SetSchedulers(scheds + 1); ok {
-				out = append(out, KnobChange{Knob: KnobSchedulers, From: from, To: to, Reason: "backlog-parallelism"})
-			}
-			c.growSched = 0
-		}
-	default:
-		c.shrinkSched, c.growSched = 0, 0
 	}
 
 	if len(out) > 0 {

@@ -19,11 +19,10 @@ func feed(t *testing.T, c *Controller, n int, gen func(i int) Signals) []KnobCha
 }
 
 func TestPressureRampGrowsBatch(t *testing.T) {
-	live := tuning.NewBounded(64, 1, 1024, 1, 1, 1)
+	live := tuning.NewBounded(64, 1, 1024, 1)
 	c := NewController(live, Policy{Enabled: true})
 
-	// Sustained backlog far above 4x any reachable batch size; pulls stay
-	// flat so the steal signal is silent.
+	// Sustained backlog far above 4x any reachable batch size.
 	changes := feed(t, c, 20, func(i int) Signals {
 		return Signals{QueueDepth: 5000, StoreDepth: 5000}
 	})
@@ -35,7 +34,7 @@ func TestPressureRampGrowsBatch(t *testing.T) {
 		t.Fatalf("got %d changes %v, want %d", len(changes), changes, len(want))
 	}
 	for i, ch := range changes {
-		if ch.Knob != KnobBatch || ch.From != want[i][0] || ch.To != want[i][1] {
+		if ch.From != want[i][0] || ch.To != want[i][1] {
 			t.Fatalf("change %d = %+v, want batch %d -> %d", i, ch, want[i][0], want[i][1])
 		}
 		if ch.Reason != "queue-pressure" {
@@ -47,35 +46,8 @@ func TestPressureRampGrowsBatch(t *testing.T) {
 	}
 }
 
-func TestStealStormShrinksSchedulers(t *testing.T) {
-	live := tuning.NewBounded(256, 256, 256, 4, 1, 8)
-	c := NewController(live, Policy{Enabled: true})
-
-	// Steals dominate pulls (ratio 0.8 > 0.5) with no backlog: loops are
-	// fighting over scraps.
-	changes := feed(t, c, 20, func(i int) Signals {
-		return Signals{Pulls: uint64(i) * 100, Steals: uint64(i) * 80}
-	})
-
-	want := [][2]int{{4, 3}, {3, 2}, {2, 1}}
-	if len(changes) != len(want) {
-		t.Fatalf("got %d changes %v, want %d", len(changes), changes, len(want))
-	}
-	for i, ch := range changes {
-		if ch.Knob != KnobSchedulers || ch.From != want[i][0] || ch.To != want[i][1] {
-			t.Fatalf("change %d = %+v, want schedulers %d -> %d", i, ch, want[i][0], want[i][1])
-		}
-		if ch.Reason != "steal-storm" {
-			t.Fatalf("change %d reason = %q, want steal-storm", i, ch.Reason)
-		}
-	}
-	if live.Schedulers() != 1 {
-		t.Fatalf("final schedulers = %d, want floor 1", live.Schedulers())
-	}
-}
-
 func TestDropBurstHalvesBatch(t *testing.T) {
-	live := tuning.NewBounded(512, 1, 1024, 1, 1, 1)
+	live := tuning.NewBounded(512, 1, 1024, 1)
 	c := NewController(live, Policy{Enabled: true})
 
 	changes := feed(t, c, 8, func(i int) Signals {
@@ -86,7 +58,7 @@ func TestDropBurstHalvesBatch(t *testing.T) {
 		t.Fatalf("got %d changes %v, want 2", len(changes), changes)
 	}
 	for i, ch := range changes {
-		if ch.Knob != KnobBatch || ch.Reason != "drop-burst" {
+		if ch.Reason != "drop-burst" {
 			t.Fatalf("change %d = %+v, want a drop-burst batch shrink", i, ch)
 		}
 	}
@@ -96,7 +68,7 @@ func TestDropBurstHalvesBatch(t *testing.T) {
 }
 
 func TestLatencySpikeHalvesBatch(t *testing.T) {
-	live := tuning.NewBounded(1024, 1, 1024, 1, 1, 1)
+	live := tuning.NewBounded(1024, 1, 1024, 1)
 	c := NewController(live, Policy{Enabled: true})
 
 	// 1s of scheduler busy per dispatched task: far over the 250ms spike
@@ -112,27 +84,24 @@ func TestLatencySpikeHalvesBatch(t *testing.T) {
 	if len(changes) != 1 {
 		t.Fatalf("got %d changes %v, want 1", len(changes), changes)
 	}
-	if ch := changes[0]; ch.Knob != KnobBatch || ch.From != 1024 || ch.To != 512 || ch.Reason != "latency-spike" {
+	if ch := changes[0]; ch.From != 1024 || ch.To != 512 || ch.Reason != "latency-spike" {
 		t.Fatalf("change = %+v, want batch 1024 -> 512 (latency-spike)", ch)
 	}
 }
 
 func TestHostStrainJumpsToConservativePoint(t *testing.T) {
-	live := tuning.NewBounded(2048, 1, 4096, 6, 1, 8)
+	live := tuning.NewBounded(2048, 1, 4096, 6)
 	c := NewController(live, Policy{Enabled: true, StrainThreshold: 2048})
 
-	// Strain preempts everything — even the baseline sample moves knobs.
+	// Strain preempts everything — even the baseline sample moves the batch
+	// knob, and only it: the scheduler pool keeps the size it was built with.
 	changes := c.Step(Signals{ActiveTasks: 5000})
-	if len(changes) != 2 {
-		t.Fatalf("got %d changes %v, want batch + schedulers", len(changes), changes)
+	want := KnobChange{From: 2048, To: 256, Reason: "host-strain"}
+	if len(changes) != 1 || changes[0] != want {
+		t.Fatalf("got changes %+v, want exactly %+v", changes, want)
 	}
-	for _, ch := range changes {
-		if ch.Reason != "host-strain" {
-			t.Fatalf("change %+v, want host-strain", ch)
-		}
-	}
-	if live.BatchSize() != 256 || live.Schedulers() != 1 {
-		t.Fatalf("operating point = (%d, %d), want conservative (256, 1)",
+	if live.BatchSize() != 256 || live.Schedulers() != 6 {
+		t.Fatalf("operating point = (%d, %d), want (256, 6)",
 			live.BatchSize(), live.Schedulers())
 	}
 
@@ -144,17 +113,15 @@ func TestHostStrainJumpsToConservativePoint(t *testing.T) {
 }
 
 func TestBoundarySignalsNeverOscillate(t *testing.T) {
-	live := tuning.NewBounded(64, 1, 1024, 4, 1, 8)
+	live := tuning.NewBounded(64, 1, 1024, 4)
 	c := NewController(live, Policy{Enabled: true})
 
 	// Every signal sits exactly on its watermark: backlog == 4*batch,
-	// steals/pulls == 0.5, per-task latency == 250ms. Strict comparisons
-	// must keep every knob still for the whole stream.
+	// per-task latency == 250ms. Strict comparisons must keep the knob
+	// still for the whole stream.
 	feed(t, c, 50, func(i int) Signals {
 		return Signals{
 			QueueDepth:    4 * 64,
-			Pulls:         uint64(i) * 100,
-			Steals:        uint64(i) * 50,
 			Dispatched:    []uint64{uint64(i) * 4},
 			SchedulerBusy: []time.Duration{time.Duration(i) * time.Second},
 		}
@@ -164,36 +131,8 @@ func TestBoundarySignalsNeverOscillate(t *testing.T) {
 	}
 }
 
-func TestBacklogWithQuietStealsGrowsSchedulers(t *testing.T) {
-	// Batch bounds collapsed: only the scheduler knob can move.
-	live := tuning.NewBounded(64, 64, 64, 2, 1, 8)
-	c := NewController(live, Policy{Enabled: true})
-
-	// High backlog, steal ratio 0.1 (< half of 0.5): headroom for another
-	// scheduler loop.
-	changes := feed(t, c, 12, func(i int) Signals {
-		return Signals{
-			StoreDepth: 10000,
-			Pulls:      uint64(i) * 100,
-			Steals:     uint64(i) * 10,
-		}
-	})
-
-	if len(changes) < 2 {
-		t.Fatalf("got %d changes %v, want the pool to grow at least twice", len(changes), changes)
-	}
-	for _, ch := range changes {
-		if ch.Knob != KnobSchedulers || ch.Reason != "backlog-parallelism" {
-			t.Fatalf("change %+v, want a backlog-parallelism scheduler grow", ch)
-		}
-	}
-	if live.Schedulers() <= 2 {
-		t.Fatalf("final schedulers = %d, want > 2", live.Schedulers())
-	}
-}
-
 func TestHysteresisTiming(t *testing.T) {
-	live := tuning.NewBounded(64, 1, 4096, 1, 1, 1)
+	live := tuning.NewBounded(64, 1, 4096, 1)
 	c := NewController(live, Policy{Enabled: true})
 
 	// Track which sample index each change lands on: patience 2 after a
@@ -217,7 +156,7 @@ func TestHysteresisTiming(t *testing.T) {
 }
 
 func TestRunLoopSamplesAndStops(t *testing.T) {
-	live := tuning.NewBounded(64, 1, 1024, 1, 1, 1)
+	live := tuning.NewBounded(64, 1, 1024, 1)
 	c := NewController(live, Policy{Enabled: true, Interval: time.Millisecond})
 
 	tick := make(chan time.Time)

@@ -58,8 +58,6 @@ func (am *AppManager) autotuneSignals() autotune.Signals {
 		if rts := am.emgr.currentRTS(); rts != nil {
 			st := rts.Stats().Store
 			sig.StoreDepth = st.Depth
-			sig.Pulls = st.Pulled
-			sig.Steals = st.Steals
 			sig.Dispatched = st.SchedulerDispatches
 			sig.SchedulerBusy = st.SchedulerBusy
 		}
@@ -86,7 +84,7 @@ func (am *AppManager) emitKnob(ch autotune.KnobChange) {
 	am.events.Publish(Event{
 		Kind:  EventKnob,
 		UID:   "autotune/" + ch.Reason,
-		Name:  ch.Knob,
+		Name:  autotune.KnobBatch,
 		From:  strconv.Itoa(ch.From),
 		To:    strconv.Itoa(ch.To),
 		VTime: am.clock.Now(),

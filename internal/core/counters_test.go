@@ -20,41 +20,34 @@ import (
 
 // walkProgress is Snapshot's task accounting as it was before the per-stage
 // tallies: every pipeline, stage and task visited and each task's state read
-// under its own lock. It is the reference the tallies must agree with.
-func walkProgress(am *AppManager) Progress {
-	p := Progress{Pipelines: map[string]int{}, Stages: map[string]int{}, Tasks: map[string]int{}}
+// under its own lock. It is the reference the tallies must agree with, and
+// active is the reference for ActiveTasks.
+func walkProgress(am *AppManager) (p Progress, active int) {
+	p = Progress{Pipelines: map[string]int{}, Stages: map[string]int{}, Tasks: map[string]int{}}
 	for _, pipe := range am.Pipelines() {
-		pp := PipelineProgress{
-			UID: pipe.UID, Name: pipe.Name,
-			State: string(pipe.State()), CurrentStage: pipe.CurrentStageIndex(),
-		}
-		p.Pipelines[pp.State]++
+		p.Pipelines[string(pipe.State())]++
 		for _, s := range pipe.Stages() {
-			pp.StageCount++
 			p.Stages[string(s.State())]++
 			for _, t := range s.Tasks() {
 				st := t.State()
 				p.Tasks[string(st)]++
 				p.TasksTotal++
-				pp.TasksTotal++
 				p.TaskAttempts += t.Attempts()
 				switch st {
 				case TaskDone:
 					p.TasksDone++
-					pp.TasksDone++
 				case TaskFailed:
 					p.TasksFailed++
 				case TaskCanceled:
 					p.TasksCanceled++
 				case TaskInitial:
 				default:
-					p.ActiveTasks++
+					active++
 				}
 			}
 		}
-		p.PerPipeline = append(p.PerPipeline, pp)
 	}
-	return p
+	return p, active
 }
 
 // walkTasksTerminal is Stage.tasksTerminal as it was: a rescan of the tasks.
@@ -79,7 +72,8 @@ func walkTasksTerminal(s *Stage) (allTerminal, anyFailed, anyCanceled bool) {
 // be quiescent: no transition may commit between the two readings.
 func checkCounters(t *testing.T, am *AppManager, when string) {
 	t.Helper()
-	got, want := am.Snapshot(), walkProgress(am)
+	got := am.Snapshot()
+	want, wantActive := walkProgress(am)
 	for _, f := range []struct {
 		name      string
 		got, want any
@@ -92,8 +86,6 @@ func checkCounters(t *testing.T, am *AppManager, when string) {
 		{"TasksFailed", got.TasksFailed, want.TasksFailed},
 		{"TasksCanceled", got.TasksCanceled, want.TasksCanceled},
 		{"TaskAttempts", got.TaskAttempts, want.TaskAttempts},
-		{"ActiveTasks", got.ActiveTasks, want.ActiveTasks},
-		{"PerPipeline", got.PerPipeline, want.PerPipeline},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Errorf("%s: Snapshot().%s = %v, the walk says %v", when, f.name, f.got, f.want)
@@ -101,8 +93,8 @@ func checkCounters(t *testing.T, am *AppManager, when string) {
 	}
 	// The run's own tally counts registered stages only, but an unregistered
 	// stage has no task under management either.
-	if am.ActiveTasks() != want.ActiveTasks {
-		t.Errorf("%s: ActiveTasks() = %d, the walk says %d", when, am.ActiveTasks(), want.ActiveTasks)
+	if am.ActiveTasks() != wantActive {
+		t.Errorf("%s: ActiveTasks() = %d, the walk says %d", when, am.ActiveTasks(), wantActive)
 	}
 	for _, pipe := range am.Pipelines() {
 		for _, s := range pipe.Stages() {
@@ -280,8 +272,8 @@ func countersConcurrent(t *testing.T, rng *rand.Rand, tag string) {
 	}
 	checkCounters(t, am, "after the run")
 	got := am.Snapshot()
-	if got.TasksFailed == 0 || got.TasksCanceled == 0 || got.ActiveTasks != 0 {
-		t.Fatalf("run left %+v", got)
+	if got.TasksFailed == 0 || got.TasksCanceled == 0 || am.ActiveTasks() != 0 {
+		t.Fatalf("run left %+v with %d active", got, am.ActiveTasks())
 	}
 }
 
@@ -301,7 +293,7 @@ func countersFanOut(t *testing.T, rng *rand.Rand, tag string) {
 		t.Fatal(err)
 	}
 	checkCounters(t, am, "after the run")
-	if got := am.Snapshot(); len(got.PerPipeline) < 2 || got.TasksDone != got.TasksTotal {
+	if got := am.Snapshot(); len(am.Pipelines()) < 2 || got.TasksDone != got.TasksTotal {
 		t.Fatalf("run left %+v", got)
 	}
 }
@@ -340,8 +332,8 @@ func countersResume(t *testing.T, rng *rand.Rand, tag string) {
 		t.Fatalf("cut run ended with %v", err)
 	}
 	checkCounters(t, am1, "after the cut")
-	if cut := am1.Snapshot(); cut.ActiveTasks != 0 || cut.TasksCanceled == 0 {
-		t.Fatalf("cut run left %+v", cut)
+	if cut := am1.Snapshot(); am1.ActiveTasks() != 0 || cut.TasksCanceled == 0 {
+		t.Fatalf("cut run left %+v with %d active", cut, am1.ActiveTasks())
 	}
 
 	am2, rts2 := testApp(t, Config{})
@@ -650,7 +642,8 @@ func TestTalliesMatchAtRequestBoundaries(t *testing.T) {
 			}
 			when := fmt.Sprintf("%d tasks to %s", len(tasks), to)
 			checkCounters(t, am, when)
-			walk, got := walkProgress(am), am.TaskCounts()
+			walk, _ := walkProgress(am)
+			got := am.TaskCounts()
 			if want := (TaskCounts{Total: walk.TasksTotal, Done: walk.TasksDone, Failed: walk.TasksFailed,
 				Canceled: walk.TasksCanceled, Attempts: walk.TaskAttempts}); got != want {
 				t.Errorf("%s: the run's tally reads %+v, the walk says %+v", when, got, want)
@@ -706,11 +699,11 @@ func TestSnapshotPollerAndLateSubscriber(t *testing.T) {
 				}
 				sum += k
 			}
-			if p.TasksTotal != tasks || sum != tasks || p.PerPipeline[0].TasksTotal != tasks {
-				t.Errorf("torn snapshot: total %d, states sum to %d, pipeline %d", p.TasksTotal, sum, p.PerPipeline[0].TasksTotal)
+			if p.TasksTotal != tasks || sum != tasks {
+				t.Errorf("torn snapshot: total %d, states sum to %d", p.TasksTotal, sum)
 			}
-			if p.TasksDone < lastDone || p.ActiveTasks < 0 || p.ActiveTasks > tasks {
-				t.Errorf("DONE went %d -> %d, active %d", lastDone, p.TasksDone, p.ActiveTasks)
+			if active := am.ActiveTasks(); p.TasksDone < lastDone || active < 0 || active > tasks {
+				t.Errorf("DONE went %d -> %d, active %d", lastDone, p.TasksDone, active)
 			}
 			lastDone = p.TasksDone
 		}

@@ -201,25 +201,12 @@ func (b *EventBus) Close() {
 	b.n.Store(0)
 }
 
-// PipelineProgress is one pipeline's slice of a Progress snapshot.
-type PipelineProgress struct {
-	UID   string
-	Name  string
-	State string
-	// CurrentStage is the execution cursor; StageCount the pipeline's
-	// current length (adaptive pipelines grow at runtime).
-	CurrentStage int
-	StageCount   int
-	TasksDone    int
-	TasksTotal   int
-}
-
 // Progress is a consistent-enough point-in-time view of a run: per-state
-// entity counts, per-pipeline cursors, task attempt totals, the RTS's
-// resource utilization and the virtual clock. Pipelines and stages are read
-// one by one and tasks from each stage's tallies, so counts taken
-// mid-transition may be one apart across stages — within one stage the task
-// counts are of a single instant and always sum to its task count.
+// entity counts, task attempt totals, the RTS's resource utilization and
+// the virtual clock. Pipelines and stages are read one by one and tasks
+// from each stage's tallies, so counts taken mid-transition may be one
+// apart across stages — within one stage the task counts are of a single
+// instant and always sum to its task count.
 type Progress struct {
 	// VTime is the virtual time the snapshot was taken.
 	VTime time.Time
@@ -236,10 +223,6 @@ type Progress struct {
 	// TaskAttempts sums every task's attempt counter — resubmissions
 	// included, which is what the Fig 10 harness reports.
 	TaskAttempts int
-	// ActiveTasks counts the tasks under management: scheduled at least once
-	// this attempt and not yet terminal (SCHEDULING through EXECUTED). It is 0
-	// once a run is over, however it ended.
-	ActiveTasks int
 	// Utilization and Store are the current RTS's Stats().Utilization and
 	// Stats().Store: pilot occupancy, and the task store's counters — shard
 	// depths, pull and steal tallies, per-scheduler dispatch counts. Before
@@ -252,16 +235,15 @@ type Progress struct {
 	// included, since each subscribes through the same bus (per-subscriber
 	// Dropped() remains poll-only).
 	EventDrops uint64
-	// LiveBatchSize and LiveSchedulers are the current values of the run's
-	// mutable knobs; with autotune disabled they equal the configured
-	// Tuning knobs for the whole run. KnobChanges counts the committed
-	// changes to the run's knob handle (tuning.Live.Version): the autotune
-	// controller's decisions, 0 when it is disabled.
+	// LiveBatchSize is the current value of the run's one live knob, the
+	// batch size; with autotune disabled it equals the configured
+	// Tuning.BatchSize for the whole run. LiveSchedulers is the scheduler
+	// pool's size, fixed when the run is built. KnobChanges counts the
+	// committed changes to the run's knob handle (tuning.Live.Version): the
+	// autotune controller's decisions, 0 when it is disabled.
 	LiveBatchSize  int
 	LiveSchedulers int
 	KnobChanges    uint64
-	// PerPipeline details each registered pipeline.
-	PerPipeline []PipelineProgress
 	// Durability reports the crash-recovery subsystem — what this run
 	// recovered at startup plus live snapshot/compaction counters — and is
 	// nil for non-durable runs (no Config.JournalDir).
@@ -281,26 +263,16 @@ func (am *AppManager) Snapshot() Progress {
 	}
 	var tasks [numTaskStates]int
 	for _, pipe := range am.Pipelines() {
-		pp := PipelineProgress{
-			UID:          pipe.UID,
-			Name:         pipe.Name,
-			State:        string(pipe.State()),
-			CurrentStage: pipe.CurrentStageIndex(),
-		}
-		p.Pipelines[pp.State]++
+		p.Pipelines[string(pipe.State())]++
 		for _, s := range pipe.Stages() {
-			pp.StageCount++
 			p.Stages[string(s.State())]++
 			n, attempts := s.tally.read()
 			for state, k := range n {
 				tasks[state] += k
-				pp.TasksTotal += k
+				p.TasksTotal += k
 			}
-			pp.TasksDone += n[codeDone]
 			p.TaskAttempts += attempts
 		}
-		p.TasksTotal += pp.TasksTotal
-		p.PerPipeline = append(p.PerPipeline, pp)
 	}
 	for state, k := range tasks {
 		if k > 0 {
@@ -308,7 +280,6 @@ func (am *AppManager) Snapshot() Progress {
 		}
 	}
 	p.TasksDone, p.TasksFailed, p.TasksCanceled = tasks[codeDone], tasks[codeFailed], tasks[codeCanceled]
-	p.ActiveTasks = active(tasks)
 	if am.emgr != nil {
 		if rts := am.emgr.currentRTS(); rts != nil {
 			st := rts.Stats()

@@ -514,8 +514,8 @@ func TestRunHandleCancelWithReason(t *testing.T) {
 	if pipes[0].State() != PipelineCanceled {
 		t.Fatalf("pipeline state = %s", pipes[0].State())
 	}
-	if got, snap := am.ActiveTasks(), r.Snapshot().ActiveTasks; got != 0 || snap != 0 {
-		t.Fatalf("active tasks after Cancel = %d (snapshot %d), want 0", got, snap)
+	if got := am.ActiveTasks(); got != 0 {
+		t.Fatalf("active tasks after Cancel = %d, want 0", got)
 	}
 }
 
@@ -542,16 +542,8 @@ func TestSnapshotProgressCounts(t *testing.T) {
 	if snap.TaskAttempts != 8 {
 		t.Fatalf("attempts = %d, want 8", snap.TaskAttempts)
 	}
-	if len(snap.PerPipeline) != 2 {
-		t.Fatalf("per-pipeline rows: %d", len(snap.PerPipeline))
-	}
-	for _, pp := range snap.PerPipeline {
-		if pp.TasksDone != 4 || pp.TasksTotal != 4 || pp.State != string(PipelineDone) {
-			t.Fatalf("pipeline progress %+v", pp)
-		}
-	}
-	if snap.ActiveTasks != 0 {
-		t.Fatalf("active tasks after run = %d", snap.ActiveTasks)
+	if got := am.ActiveTasks(); got != 0 {
+		t.Fatalf("active tasks after run = %d", got)
 	}
 	if got := rts.Stats().TasksCompleted; got != 8 {
 		t.Fatalf("rts completed %d", got)

@@ -124,16 +124,15 @@ func TestDaemonMultiRunIsolation(t *testing.T) {
 	}
 }
 
-// waitPipelineState polls a run's snapshot until its named pipeline reports
-// the wanted state.
+// waitPipelineState polls a live run until its named pipeline reports the
+// wanted state.
 func waitPipelineState(t *testing.T, d *Daemon, id, pipeUID, want string) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		prog, err := d.Snapshot(id)
-		if err == nil {
-			for _, p := range prog.PerPipeline {
-				if p.UID == pipeUID && p.State == want {
+		if am, _, err := d.view(id); err == nil && am != nil {
+			for _, p := range am.Pipelines() {
+				if p.UID == pipeUID && string(p.State()) == want {
 					return
 				}
 			}

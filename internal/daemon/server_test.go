@@ -167,7 +167,7 @@ func TestServerAnswersForAFinishedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if prog.TasksTotal != nTasks || prog.TasksDone != nTasks || prog.TaskAttempts != nTasks ||
-		prog.TasksFailed != 0 || prog.TasksCanceled != 0 || prog.ActiveTasks != 0 {
+		prog.TasksFailed != 0 || prog.TasksCanceled != 0 {
 		t.Errorf("snapshot of a finished run: %+v", prog)
 	}
 }

@@ -354,3 +354,36 @@ func TestRenderers(t *testing.T) {
 		}
 	}
 }
+
+// TestFig10LiveQuick holds the live-autotuning ablation to the half of its
+// bar that the measurements support: on the quick bursty workload, the
+// controller climbing from per-message batching beats that static setting
+// by at least 1.2x virtual tasks/s, and it gets there by moving the batch.
+func TestFig10LiveQuick(t *testing.T) {
+	rows, err := Fig10Live(&Options{Quick: true, Scale: 200 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLabel := map[string]Fig10LiveRow{}
+	for _, r := range rows {
+		byLabel[r.Setting] = r
+	}
+	worst, ok := byLabel["batch=1 scheds=4"]
+	auto, ok2 := byLabel["autotuned(start 1/4)"]
+	if !ok || !ok2 {
+		t.Fatalf("rows %+v lack the static batch-1 or the autotuned row", rows)
+	}
+	t.Logf("static batch 1: %.2f tasks/s; autotuned: %.2f tasks/s, %d knob changes",
+		worst.TasksPerSec, auto.TasksPerSec, auto.KnobChanges)
+	if auto.KnobChanges == 0 {
+		t.Fatalf("autotuned run committed no knob changes: %+v", auto)
+	}
+	if auto.TasksPerSec < 1.2*worst.TasksPerSec {
+		t.Fatalf("autotuned %.2f tasks/s, want >= 1.2x static batch 1's %.2f", auto.TasksPerSec, worst.TasksPerSec)
+	}
+	for _, r := range rows {
+		if r.FinalSchedulers != 4 {
+			t.Errorf("%s ended with %d schedulers, want the 4 it was built with", r.Setting, r.FinalSchedulers)
+		}
+	}
+}

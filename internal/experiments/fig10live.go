@@ -25,7 +25,8 @@ type Fig10LiveRow struct {
 	TasksPerSec float64
 	// KnobChanges counts controller decisions (0 for static runs).
 	KnobChanges uint64
-	// FinalBatch and FinalSchedulers are the knob values at run end.
+	// FinalBatch is the batch knob at run end; FinalSchedulers is the
+	// scheduler pool, fixed when the run is built.
 	FinalBatch      int
 	FinalSchedulers int
 }
@@ -73,10 +74,12 @@ func burstyPipeline(s fig10LiveShape) *entk.Pipeline {
 // Fig10Live runs the live-autotuning ablation: the bursty workload on the
 // paper's xsede-vm host (1 ms per broker message, so batching decisions
 // show directly in the virtual makespan) across a grid of static knob
-// settings, then under the autotune controller — once from the grid's
-// middle point and once from the worst. The acceptance bar: the autotuned
-// run ties the best static setting within noise while beating the worst by
-// >= 1.2x tasks/s — the controller recovers the grid search nobody ran.
+// settings, then under the autotune controller, which steers the batch
+// size only — once from the grid's middle point and once from the worst.
+// The bar it meets is beating the worst static setting by >= 1.2x tasks/s
+// (TestFig10LiveQuick); it does not tie the best one: both autotuned runs
+// trail static batch 1024 by 9–13 % in the median, ending at a batch of a
+// few hundred (docs/autotune.md has the measured table).
 func Fig10Live(opts *Options) ([]Fig10LiveRow, error) {
 	scale := opts.scaleOr(time.Millisecond)
 	shape := fig10LiveShape{
@@ -87,8 +90,8 @@ func Fig10Live(opts *Options) ([]Fig10LiveRow, error) {
 	staticBatches := []int{1, 64, 1024}
 	staticScheds := []int{1, 4}
 	// Two controller runs: from the grid's middle point (the realistic
-	// default — must tie the best static setting) and from the worst point
-	// (per-message batching — must climb out of it live).
+	// default) and from the worst point (per-message batching — must climb
+	// out of it live).
 	autoStarts := []int{64, 1}
 	if opts.quick() {
 		shape = fig10LiveShape{

@@ -54,8 +54,9 @@ type Hello struct {
 	GPUs  int
 }
 
-// RemoteProto is the current remote-protocol revision.
-const RemoteProto = 1
+// RemoteProto is the current remote-protocol revision. Revision 2 dropped
+// the agent-stats frame's empty per-shard depths list.
+const RemoteProto = 2
 
 // EncodeHello encodes a handshake frame.
 func EncodeHello(h Hello) []byte {
@@ -326,7 +327,6 @@ func EncodeAgentStats(s AgentStats) []byte {
 	buf = appendVarint(buf, int64(u.GPUsBusy))
 	buf = appendVarint(buf, int64(u.TasksInFlight))
 	buf = appendVarint(buf, int64(st.Shards))
-	buf = appendUvarint(buf, 0) // the retired per-shard depths, an empty list
 	buf = appendVarint(buf, int64(st.Depth))
 	buf = appendUvarint(buf, st.Pushed)
 	buf = appendUvarint(buf, st.Pulled)
@@ -354,7 +354,7 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 	if s.Alive, err = r.bool(); err != nil {
 		return AgentStats{}, err
 	}
-	ints := []*int{&u.CoresTotal, &u.CoresBusy, &u.GPUsTotal, &u.GPUsBusy, &u.TasksInFlight, &st.Shards}
+	ints := []*int{&u.CoresTotal, &u.CoresBusy, &u.GPUsTotal, &u.GPUsBusy, &u.TasksInFlight, &st.Shards, &st.Depth}
 	for _, p := range ints {
 		v, err := r.varint()
 		if err != nil {
@@ -362,28 +362,13 @@ func DecodeAgentStats(body []byte) (AgentStats, error) {
 		}
 		*p = int(v)
 	}
-	// An agent built before the per-shard depths were retired still sends
-	// them: skip the list.
-	n, err := r.count(1)
-	if err != nil {
-		return AgentStats{}, err
-	}
-	for range n {
-		if _, err := r.varint(); err != nil {
-			return AgentStats{}, err
-		}
-	}
-	v, err := r.varint()
-	if err != nil {
-		return AgentStats{}, err
-	}
-	st.Depth = int(v)
 	for _, p := range []*uint64{&st.Pushed, &st.Pulled, &st.Steals} {
 		if *p, err = r.uvarint(); err != nil {
 			return AgentStats{}, err
 		}
 	}
-	if v, err = r.varint(); err != nil {
+	v, err := r.varint()
+	if err != nil {
 		return AgentStats{}, err
 	}
 	st.Schedulers = int(v)

@@ -215,26 +215,16 @@ func TestAgentStatsRoundTrip(t *testing.T) {
 }
 
 // The bytes EncodeAgentStats produces for the fixture, and the zero report.
-// Its per-shard depths are retired as an empty list in their old place, so
-// an agent or manager built from an older commit reads the frame as before.
+// A change to them is a new RemoteProto revision: the handshake refuses a
+// peer on another revision, so no older layout is decoded.
 const (
-	goldenAgentStats     = "bf01340180011808021204000e645d050402322b02302d"
-	goldenAgentStatsZero = "bf0134000000000000000000000000000000"
-	// What an agent built before the retirement sends for the fixture with
-	// the shard depths 3 and 4.
-	goldenAgentStatsDepths = "bf013401800118080212040206080e645d050402322b02302d"
+	goldenAgentStats     = "bf013401800118080212040e645d050402322b02302d"
+	goldenAgentStatsZero = "bf01340000000000000000000000000000"
 )
 
 func TestAgentStatsGoldenBytes(t *testing.T) {
 	if h := hex.EncodeToString(EncodeAgentStats(agentStatsFixture())); h != goldenAgentStats {
 		t.Errorf("the agent-stats frame changed:\n got %s\nwant %s", h, goldenAgentStats)
-	}
-	old, err := hex.DecodeString(goldenAgentStatsDepths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeAgentStats(old); err != nil || !reflect.DeepEqual(got, agentStatsFixture()) {
-		t.Errorf("an older agent's frame decoded to %+v, %v; want the fixture", got, err)
 	}
 	// What the frame does not carry does not reach it: the counters stay with
 	// the manager's proxy and SchedulerBusy is local-only.

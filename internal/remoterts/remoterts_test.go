@@ -1,7 +1,10 @@
 package remoterts
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msgcodec"
+	"repro/internal/transport"
 )
 
 // echoRTS is a minimal in-process RTS: every submitted task completes
@@ -248,6 +253,39 @@ func TestAgentPurgesOnReconnect(t *testing.T) {
 	submitAndDrain(t, p2, 4)
 	if n := a.Incarnations(); n != 2 {
 		t.Fatalf("agent built %d incarnations, want 2", n)
+	}
+}
+
+// A manager speaking another protocol revision is refused before the agent
+// builds anything: the handshake is what lets a frame's layout change
+// without a compatibility path for older peers.
+func TestAgentRefusesAnotherProtocol(t *testing.T) {
+	a := startAgent(t, "tcp:127.0.0.1:0")
+	nc, err := transport.Dial(a.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello := msgcodec.Hello{Proto: msgcodec.RemoteProto - 1, Role: "manager", Name: "old-manager"}
+	if err := transport.WriteFrame(nc, msgcodec.EncodeHello(hello)); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	r := bufio.NewReader(nc)
+	for {
+		body, err := transport.ReadFrame(r)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("the agent kept the connection of a manager on another protocol")
+		}
+		if err != nil {
+			break // refused: the agent closed the connection
+		}
+		if h, err := msgcodec.DecodeHello(body); err == nil {
+			t.Fatalf("the agent answered a proto %d manager with %+v", hello.Proto, h)
+		}
+	}
+	if n := a.Incarnations(); n != 0 {
+		t.Fatalf("agent built %d incarnations for a refused manager", n)
 	}
 }
 

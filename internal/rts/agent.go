@@ -231,22 +231,6 @@ func (a *agent) schedulerLoop(id int) {
 	st := &a.schedStats[id]
 	live := a.rts.live
 	for {
-		// Park while the live target excludes this loop (the autotune
-		// controller shrank the pool); a knob change or an RTS stop unparks
-		// it. The Changed channel is taken before re-reading the target so a
-		// concurrent grow can never be missed. With a collapsed-bounds
-		// handle the target equals the pool size and this never parks.
-		for id >= live.Schedulers() {
-			ch := live.Changed()
-			if id < live.Schedulers() {
-				break
-			}
-			select {
-			case <-ch:
-			case <-a.stop:
-				return
-			}
-		}
 		// The pull bound is the live batch knob, capped by the fixed
 		// per-round-trip ceiling: one atomic load per pull decision.
 		max := schedulerPullBatch

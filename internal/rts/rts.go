@@ -58,11 +58,10 @@ type Config struct {
 	// order does not (see docs/api.md for the ordering contract).
 	Schedulers int
 	// Live, when non-nil, is the run's mutable knob handle shared with the
-	// EnTK core: the agent spawns Live.MaxSchedulers() scheduler loops and
-	// loops above the live target park until it grows back, and store pulls
-	// are bounded by the live batch knob. When nil the RTS builds a private
-	// collapsed-bounds handle from Schedulers and the fixed pull batch, so
-	// nothing can ever change — the autotune-off contract.
+	// EnTK core: the agent spawns Live.Schedulers() scheduler loops, and
+	// store pulls are bounded by the live batch knob. When nil the RTS builds
+	// a private collapsed-bounds handle from Schedulers and the fixed pull
+	// batch, so nothing can ever change — the autotune-off contract.
 	Live *tuning.Live
 }
 
@@ -144,8 +143,7 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 	}
 	// The live knob handle: shared with the EnTK core when injected, or a
 	// private collapsed-bounds one (fixed pull batch, fixed pool) otherwise.
-	// The agent spawns the knob's upper bound of scheduler loops; loops
-	// above the live target park until the target grows back. The store
+	// The agent spawns the knob's fixed pool of scheduler loops. The store
 	// gets one shard per loop, capped at QueueShards, so no shard is
 	// reachable only by stealing and a lone loop drains a one-shard store
 	// in strict push order.
@@ -157,7 +155,7 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 	if r.live == nil {
 		r.live = tuning.Fixed(schedulerPullBatch, tuning.Schedulers(r.cfg.Schedulers, shards))
 	}
-	r.store = newStore(r.jrn, min(shards, r.live.MaxSchedulers()))
+	r.store = newStore(r.jrn, min(shards, r.live.Schedulers()))
 
 	res := r.cfg.Resource
 	pilot, err := r.cfg.Session.Submit(res.Resource, saga.JobDescription{
@@ -169,7 +167,7 @@ func (r *PilotRTS) Start(ctx context.Context) error {
 		return fmt.Errorf("rts: pilot submission: %w", err)
 	}
 	r.pilot = pilot
-	r.agent = newAgent(r, res.Cores, res.GPUs, r.live.MaxSchedulers())
+	r.agent = newAgent(r, res.Cores, res.GPUs, r.live.Schedulers())
 
 	// Both goroutines are Outbox producers, so Stop waits for them, and both
 	// end once it begins: a torn-down RTS neither boots nor charges.
@@ -293,9 +291,7 @@ func (r *PilotRTS) StoreStats() core.StoreStats {
 		st = r.store.stats()
 	}
 	if r.agent != nil {
-		// Schedulers reports the live pool target (== the spawned pool size
-		// unless the autotune controller shrank it).
-		st.Schedulers = r.live.Schedulers()
+		st.Schedulers = r.agent.schedulers
 		st.SchedulerPulls, st.SchedulerDispatches, st.SchedulerBusy = r.agent.schedulerStats()
 	}
 	return st

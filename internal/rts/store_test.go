@@ -313,7 +313,8 @@ func TestSingleSchedulerDispatchOrder(t *testing.T) {
 // TestStoreHasAShardPerScheduler pins how Start sizes the task store: one
 // shard per scheduler loop it spawns, capped at QueueShards — so a lone
 // scheduler drains a one-shard store, and no shard is reachable only by
-// stealing. An autotune ceiling sizes the store like a fixed pool does.
+// stealing. An injected autotuned handle's fixed pool sizes the store the
+// same way, in place of the configured Schedulers.
 func TestStoreHasAShardPerScheduler(t *testing.T) {
 	for _, tc := range []struct {
 		name               string
@@ -324,7 +325,7 @@ func TestStoreHasAShardPerScheduler(t *testing.T) {
 		{name: "one-scheduler", shards: 8, schedulers: 1, want: 1},
 		{name: "two-schedulers", shards: 8, schedulers: 2, want: 2},
 		{name: "default-schedulers", shards: 2, want: min(runtime.GOMAXPROCS(0), 2)},
-		{name: "autotune-ceiling", shards: 8, live: tuning.NewBounded(256, 1, 256, 2, 1, 16), want: 8},
+		{name: "autotuned-pool", shards: 8, schedulers: 1, live: tuning.NewBounded(256, 1, 4096, 3), want: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, func(c *Config) {

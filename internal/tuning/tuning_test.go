@@ -20,78 +20,54 @@ func TestFixedCollapsesBounds(t *testing.T) {
 	if from, to, changed := l.SetBatchSize(64); changed || from != 1024 || to != 1024 {
 		t.Fatalf("SetBatchSize on Fixed = (%d, %d, %v), want no-op", from, to, changed)
 	}
-	if from, to, changed := l.SetSchedulers(1); changed || from != 4 || to != 4 {
-		t.Fatalf("SetSchedulers on Fixed = (%d, %d, %v), want no-op", from, to, changed)
-	}
 	if l.Version() != 0 {
 		t.Fatalf("Version = %d after no-op sets, want 0", l.Version())
 	}
 }
 
 func TestSetClampsIntoBounds(t *testing.T) {
-	l := NewBounded(64, 8, 512, 2, 1, 4)
+	l := NewBounded(64, 8, 512, 2)
 	if from, to, changed := l.SetBatchSize(4096); !changed || from != 64 || to != 512 {
 		t.Fatalf("SetBatchSize(4096) = (%d, %d, %v), want clamp to 512", from, to, changed)
 	}
 	if from, to, changed := l.SetBatchSize(1); !changed || from != 512 || to != 8 {
 		t.Fatalf("SetBatchSize(1) = (%d, %d, %v), want clamp to 8", from, to, changed)
 	}
-	if from, to, changed := l.SetSchedulers(100); !changed || from != 2 || to != 4 {
-		t.Fatalf("SetSchedulers(100) = (%d, %d, %v), want clamp to 4", from, to, changed)
-	}
-	if l.Version() != 3 {
-		t.Fatalf("Version = %d after 3 changes, want 3", l.Version())
+	if l.Version() != 2 {
+		t.Fatalf("Version = %d after 2 changes, want 2", l.Version())
 	}
 	// A set that clamps onto the current value is a no-op.
-	if _, _, changed := l.SetSchedulers(99); changed {
-		t.Fatal("SetSchedulers(99) changed twice in a row; clamp should no-op")
+	if _, _, changed := l.SetBatchSize(2); changed {
+		t.Fatal("SetBatchSize(2) changed twice in a row; clamp should no-op")
 	}
-	if l.Version() != 3 {
-		t.Fatalf("Version = %d after no-op, want 3", l.Version())
+	if l.Version() != 2 {
+		t.Fatalf("Version = %d after no-op, want 2", l.Version())
+	}
+	if l.Schedulers() != 2 {
+		t.Fatalf("Schedulers = %d, want the fixed 2", l.Schedulers())
 	}
 }
 
 func TestBoundsNormalized(t *testing.T) {
-	// Negative and inverted bounds floor at 1 and un-invert.
-	l := NewBounded(-5, -3, -8, 0, 7, 2)
+	// Negative and inverted bounds floor at 1 and un-invert; the scheduler
+	// count floors at 1.
+	l := NewBounded(-5, -3, -8, 0)
 	if l.MinBatch() != 1 || l.MaxBatch() != 1 {
 		t.Fatalf("batch bounds = [%d, %d], want [1, 1]", l.MinBatch(), l.MaxBatch())
 	}
 	if l.BatchSize() != 1 {
 		t.Fatalf("BatchSize = %d, want clamped to 1", l.BatchSize())
 	}
-	if l.MinSchedulers() != 7 || l.MaxSchedulers() != 7 {
-		t.Fatalf("sched bounds = [%d, %d], want [7, 7]", l.MinSchedulers(), l.MaxSchedulers())
+	if l.Schedulers() != 1 {
+		t.Fatalf("Schedulers = %d, want floored to 1", l.Schedulers())
 	}
-}
-
-func TestChangedSignalsOnCommit(t *testing.T) {
-	l := NewBounded(64, 1, 1024, 2, 1, 4)
-	ch := l.Changed()
-	select {
-	case <-ch:
-		t.Fatal("Changed closed before any change")
-	default:
-	}
-	l.SetBatchSize(128)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("Changed not closed after a committed change")
-	}
-	// A fresh channel is armed for the next change; a no-op set must not
-	// close it.
-	ch2 := l.Changed()
-	l.SetBatchSize(128)
-	select {
-	case <-ch2:
-		t.Fatal("Changed closed by a no-op set")
-	default:
+	if l := NewBounded(5, 7, 2, 3); l.MinBatch() != 7 || l.MaxBatch() != 7 || l.BatchSize() != 7 {
+		t.Fatalf("inverted bounds = [%d, %d] at %d, want [7, 7] at 7", l.MinBatch(), l.MaxBatch(), l.BatchSize())
 	}
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	l := NewBounded(64, 1, 4096, 2, 1, 8)
+	l := NewBounded(64, 1, 4096, 2)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -107,56 +83,20 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				if b := l.BatchSize(); b < 1 || b > 4096 {
 					panic("batch escaped bounds")
 				}
-				if s := l.Schedulers(); s < 1 || s > 8 {
-					panic("schedulers escaped bounds")
-				}
 			}
 		}()
 	}
+	var writers sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(seed int) {
-			defer wg.Done()
+			defer writers.Done()
 			for i := 0; i < 1000; i++ {
 				l.SetBatchSize(1 << uint((seed+i)%13))
-				l.SetSchedulers((seed + i) % 10)
 			}
 		}(w)
 	}
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				<-func() <-chan struct{} {
-					ch := l.Changed()
-					// Unblock at test end even if no more changes come.
-					go func() {
-						select {
-						case <-ch:
-						case <-stop:
-						}
-					}()
-					done := make(chan struct{})
-					go func() {
-						select {
-						case <-ch:
-						case <-stop:
-						}
-						close(done)
-					}()
-					return done
-				}()
-			}
-		}()
-	}
-	// Writers finish on their own; readers and waiters drain via stop.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	l.SetBatchSize(77)
+	writers.Wait()
 	close(stop)
-	<-done
+	wg.Wait()
 }

@@ -32,11 +32,9 @@ func BenchmarkAutotuneOverhead(b *testing.B) {
 	}{
 		{"off", entk.Autotune{}},
 		{"on-steady", entk.Autotune{
-			Enabled:       true,
-			MinBatch:      benchBatchSize,
-			MaxBatch:      benchBatchSize,
-			MinSchedulers: 1,
-			MaxSchedulers: 1,
+			Enabled:  true,
+			MinBatch: benchBatchSize,
+			MaxBatch: benchBatchSize,
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
